@@ -445,10 +445,10 @@ mod tests {
             let a = upload(&pj, &vals);
             let b = upload(&r, &vals);
             let got = pj
-                .read_sync(pj.unary(op, &KTensor { data: a, shape: &shape, dtype: DType::F32 }).unwrap())
+                .read_sync(pj.unary(op, &KTensor::new(a, &shape, DType::F32)).unwrap())
                 .unwrap();
             let want = r
-                .read_sync(r.unary(op, &KTensor { data: b, shape: &shape, dtype: DType::F32 }).unwrap())
+                .read_sync(r.unary(op, &KTensor::new(b, &shape, DType::F32)).unwrap())
                 .unwrap();
             assert_eq!(got, want, "op {op:?}");
         }
@@ -470,8 +470,8 @@ mod tests {
             .read_sync(
                 pj.binary(
                     BinaryOp::Mul,
-                    &KTensor { data: a1, shape: &sa, dtype: DType::F32 },
-                    &KTensor { data: b1, shape: &sb, dtype: DType::F32 },
+                    &KTensor::new(a1, &sa, DType::F32),
+                    &KTensor::new(b1, &sb, DType::F32),
                     &out,
                     DType::F32,
                 )
@@ -482,8 +482,8 @@ mod tests {
             .read_sync(
                 r.binary(
                     BinaryOp::Mul,
-                    &KTensor { data: a2, shape: &sa, dtype: DType::F32 },
-                    &KTensor { data: b2, shape: &sb, dtype: DType::F32 },
+                    &KTensor::new(a2, &sa, DType::F32),
+                    &KTensor::new(b2, &sb, DType::F32),
                     &out,
                     DType::F32,
                 )
@@ -510,8 +510,8 @@ mod tests {
             let got = pj
                 .read_sync(
                     pj.matmul(
-                        &KTensor { data: a1, shape: &sa2, dtype: DType::F32 },
-                        &KTensor { data: b1, shape: &sb2, dtype: DType::F32 },
+                        &KTensor::new(a1, &sa2, DType::F32),
+                        &KTensor::new(b1, &sb2, DType::F32),
                         ta,
                         tb,
                     )
@@ -522,8 +522,8 @@ mod tests {
             let want = r
                 .read_sync(
                     r.matmul(
-                        &KTensor { data: a2, shape: &sa2, dtype: DType::F32 },
-                        &KTensor { data: b2, shape: &sb2, dtype: DType::F32 },
+                        &KTensor::new(a2, &sa2, DType::F32),
+                        &KTensor::new(b2, &sb2, DType::F32),
                         ta,
                         tb,
                     )
@@ -552,8 +552,8 @@ mod tests {
         let got = pj
             .read_sync(
                 pj.conv2d(
-                    &KTensor { data: x1, shape: &xs, dtype: DType::F32 },
-                    &KTensor { data: w1, shape: &ws, dtype: DType::F32 },
+                    &KTensor::new(x1, &xs, DType::F32),
+                    &KTensor::new(w1, &ws, DType::F32),
                     &info,
                 )
                 .unwrap(),
@@ -563,8 +563,8 @@ mod tests {
         let want = r
             .read_sync(
                 r.conv2d(
-                    &KTensor { data: x2, shape: &xs, dtype: DType::F32 },
-                    &KTensor { data: w2, shape: &ws, dtype: DType::F32 },
+                    &KTensor::new(x2, &xs, DType::F32),
+                    &KTensor::new(w2, &ws, DType::F32),
                     &info,
                 )
                 .unwrap(),
@@ -585,8 +585,8 @@ mod tests {
         let got = pj
             .read_sync(
                 pj.depthwise_conv2d(
-                    &KTensor { data: x1, shape: &xs, dtype: DType::F32 },
-                    &KTensor { data: w1, shape: &dws, dtype: DType::F32 },
+                    &KTensor::new(x1, &xs, DType::F32),
+                    &KTensor::new(w1, &dws, DType::F32),
                     &dinfo,
                 )
                 .unwrap(),
@@ -596,8 +596,8 @@ mod tests {
         let want = r
             .read_sync(
                 r.depthwise_conv2d(
-                    &KTensor { data: x2, shape: &xs, dtype: DType::F32 },
-                    &KTensor { data: w2, shape: &dws, dtype: DType::F32 },
+                    &KTensor::new(x2, &xs, DType::F32),
+                    &KTensor::new(w2, &dws, DType::F32),
                     &dinfo,
                 )
                 .unwrap(),

@@ -93,13 +93,7 @@ impl NativeBackend {
     }
 
     fn fetch_u8(&self, id: DataId) -> Result<Vec<u8>> {
-        let data = self.fetch(id)?;
-        Ok(match &*data {
-            TensorData::U8(v) => v.clone(),
-            other => {
-                other.to_f32_vec().iter().map(|&x| x.round().clamp(0.0, 255.0) as u8).collect()
-            }
-        })
+        Ok(self.fetch(id)?.to_u8_codes())
     }
 
     fn put(&self, data: TensorData, dtype: DType) -> DataId {
@@ -493,6 +487,9 @@ impl Backend for NativeBackend {
         ))
     }
 
+    // Fused kernels: a quantized weight operand selects the dequant-free
+    // compute kernel (codes read in place), an f32 one the plain kernel.
+
     fn fused_matmul(
         &self,
         a: &KTensor<'_>,
@@ -504,11 +501,8 @@ impl Backend for NativeBackend {
     ) -> Result<DataId> {
         let _t = self.timer();
         let x = self.fetch_f32(a.data)?;
-        let y = self.fetch_f32(b.data)?;
-        let bv = match bias {
-            Some(bt) => Some(self.fetch_f32(bt.data)?),
-            None => None,
-        };
+        let bv = bias.map(|bt| self.fetch_f32(bt.data)).transpose()?;
+        let bv = bv.as_ref().map(|v| v.as_slice());
         let batch = a.shape.dim(0);
         let (m, k) = if transpose_a {
             (a.shape.dim(2), a.shape.dim(1))
@@ -516,19 +510,35 @@ impl Backend for NativeBackend {
             (a.shape.dim(1), a.shape.dim(2))
         };
         let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        let out = compute::fused_matmul(
-            x.as_slice(),
-            y.as_slice(),
-            batch,
-            m,
-            k,
-            n,
-            transpose_a,
-            transpose_b,
-            bv.as_ref().map(|v| v.as_slice()),
-            activation,
-            self.threads,
-        );
+        let out = match b.quant {
+            Some(params) => compute::fused_matmul_quant(
+                x.as_slice(),
+                &self.fetch_u8(b.data)?,
+                params,
+                batch,
+                m,
+                k,
+                n,
+                transpose_a,
+                transpose_b,
+                bv,
+                activation,
+                self.threads,
+            ),
+            None => compute::fused_matmul(
+                x.as_slice(),
+                self.fetch_f32(b.data)?.as_slice(),
+                batch,
+                m,
+                k,
+                n,
+                transpose_a,
+                transpose_b,
+                bv,
+                activation,
+                self.threads,
+            ),
+        };
         Ok(self.put_f32(out, DType::F32))
     }
 
@@ -542,19 +552,27 @@ impl Backend for NativeBackend {
     ) -> Result<DataId> {
         let _t = self.timer();
         let xv = self.fetch_f32(x.data)?;
-        let wv = self.fetch_f32(filter.data)?;
-        let bv = match bias {
-            Some(bt) => Some(self.fetch_f32(bt.data)?),
-            None => None,
+        let bv = bias.map(|bt| self.fetch_f32(bt.data)).transpose()?;
+        let bv = bv.as_ref().map(|v| v.as_slice());
+        let out = match filter.quant {
+            Some(params) => compute::fused_conv2d_quant(
+                xv.as_slice(),
+                &self.fetch_u8(filter.data)?,
+                params,
+                info,
+                bv,
+                activation,
+                self.threads,
+            ),
+            None => compute::fused_conv2d(
+                xv.as_slice(),
+                self.fetch_f32(filter.data)?.as_slice(),
+                info,
+                bv,
+                activation,
+                self.threads,
+            ),
         };
-        let out = compute::fused_conv2d(
-            xv.as_slice(),
-            wv.as_slice(),
-            info,
-            bv.as_ref().map(|v| v.as_slice()),
-            activation,
-            self.threads,
-        );
         Ok(self.put_f32(out, DType::F32))
     }
 
@@ -568,134 +586,27 @@ impl Backend for NativeBackend {
     ) -> Result<DataId> {
         let _t = self.timer();
         let xv = self.fetch_f32(x.data)?;
-        let wv = self.fetch_f32(filter.data)?;
-        let bv = match bias {
-            Some(bt) => Some(self.fetch_f32(bt.data)?),
-            None => None,
+        let bv = bias.map(|bt| self.fetch_f32(bt.data)).transpose()?;
+        let bv = bv.as_ref().map(|v| v.as_slice());
+        let out = match filter.quant {
+            Some(params) => compute::fused_depthwise_conv2d_quant(
+                xv.as_slice(),
+                &self.fetch_u8(filter.data)?,
+                params,
+                info,
+                bv,
+                activation,
+                self.threads,
+            ),
+            None => compute::fused_depthwise_conv2d(
+                xv.as_slice(),
+                self.fetch_f32(filter.data)?.as_slice(),
+                info,
+                bv,
+                activation,
+                self.threads,
+            ),
         };
-        let out = compute::fused_depthwise_conv2d(
-            xv.as_slice(),
-            wv.as_slice(),
-            info,
-            bv.as_ref().map(|v| v.as_slice()),
-            activation,
-            self.threads,
-        );
-        Ok(self.put_f32(out, DType::F32))
-    }
-
-    fn fused_matmul_quant(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        b_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        let col_axis = if transpose_b { 1 } else { 2 };
-        if !reference::quant_axis_ok(b_params, col_axis, n) {
-            return webml_core::backend::fused_matmul_quant_fallback(
-                self, a, b, b_params, bias, activation, transpose_a, transpose_b,
-            );
-        }
-        let _t = self.timer();
-        let x = self.fetch_f32(a.data)?;
-        let codes = self.fetch_u8(b.data)?;
-        let bv = match bias {
-            Some(bt) => Some(self.fetch_f32(bt.data)?),
-            None => None,
-        };
-        let batch = a.shape.dim(0);
-        let (m, k) = if transpose_a {
-            (a.shape.dim(2), a.shape.dim(1))
-        } else {
-            (a.shape.dim(1), a.shape.dim(2))
-        };
-        let out = compute::fused_matmul_quant(
-            x.as_slice(),
-            &codes,
-            b_params,
-            batch,
-            m,
-            k,
-            n,
-            transpose_a,
-            transpose_b,
-            bv.as_ref().map(|v| v.as_slice()),
-            activation,
-            self.threads,
-        );
-        Ok(self.put_f32(out, DType::F32))
-    }
-
-    fn fused_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        if !reference::quant_axis_ok(filter_params, 3, info.out_channels) {
-            return webml_core::backend::fused_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
-        let _t = self.timer();
-        let xv = self.fetch_f32(x.data)?;
-        let codes = self.fetch_u8(filter.data)?;
-        let bv = match bias {
-            Some(bt) => Some(self.fetch_f32(bt.data)?),
-            None => None,
-        };
-        let out = compute::fused_conv2d_quant(
-            xv.as_slice(),
-            &codes,
-            filter_params,
-            info,
-            bv.as_ref().map(|v| v.as_slice()),
-            activation,
-            self.threads,
-        );
-        Ok(self.put_f32(out, DType::F32))
-    }
-
-    fn fused_depthwise_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let axis_ok = reference::quant_axis_ok(filter_params, 2, info.in_channels)
-            || reference::quant_axis_ok(filter_params, 3, info.channel_mul);
-        if !axis_ok {
-            return webml_core::backend::fused_depthwise_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
-        let _t = self.timer();
-        let xv = self.fetch_f32(x.data)?;
-        let codes = self.fetch_u8(filter.data)?;
-        let bv = match bias {
-            Some(bt) => Some(self.fetch_f32(bt.data)?),
-            None => None,
-        };
-        let out = compute::fused_depthwise_conv2d_quant(
-            xv.as_slice(),
-            &codes,
-            filter_params,
-            info,
-            bv.as_ref().map(|v| v.as_slice()),
-            activation,
-            self.threads,
-        );
         Ok(self.put_f32(out, DType::F32))
     }
 
@@ -748,24 +659,19 @@ mod tests {
 
     #[test]
     fn fused_matmul_quant_override_matches_dequantize_fallback() {
-        use webml_core::backend::fused_matmul_quant_fallback;
+        use webml_core::backend::fused_matmul_fallback;
         use webml_core::quant::QuantParams;
         let b = NativeBackend::with_threads("t", 3);
         let a_shape = Shape::new(vec![1, 2, 3]);
         let w_shape = Shape::new(vec![1, 3, 2]);
         let a_id = b.register(TensorData::F32(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5]), DType::F32);
         let w_id = b.register(TensorData::U8(vec![0, 255, 100, 17, 200, 64]), DType::U8);
-        let a = KTensor { data: a_id, shape: &a_shape, dtype: DType::F32 };
-        let w = KTensor { data: w_id, shape: &w_shape, dtype: DType::U8 };
         let params = QuantParams::per_tensor(0.03, -3.0);
-        let fast = Backend::fused_matmul_quant(
-            &b, &a, &w, &params, None, Some(UnaryOp::Relu), false, false,
-        )
-        .unwrap();
-        let slow = fused_matmul_quant_fallback(
-            &b, &a, &w, &params, None, Some(UnaryOp::Relu), false, false,
-        )
-        .unwrap();
+        let a = KTensor::new(a_id, &a_shape, DType::F32);
+        let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &w_shape, DType::U8) };
+        let fast = b.fused_matmul(&a, &w, None, Some(UnaryOp::Relu), false, false).unwrap();
+        let slow =
+            fused_matmul_fallback(&b, &a, &w, None, Some(UnaryOp::Relu), false, false).unwrap();
         let fv = b.read_sync(fast).unwrap().to_f32_vec();
         let sv = b.read_sync(slow).unwrap().to_f32_vec();
         for (f, s) in fv.iter().zip(&sv) {
@@ -781,8 +687,12 @@ mod tests {
         let w = e
             .quantized_tensor(vec![5, 6, 7, 8], vec![2, 2], webml_core::QuantParams::per_tensor(1.0, 0.0))
             .unwrap();
-        let c = ops::fused_matmul_quant(&a, &w, None, None, false, false).unwrap();
+        let c = ops::fused_matmul(&a, &w, None, None, false, false).unwrap();
         assert_eq!(c.to_f32_vec().unwrap(), vec![19.0, 22.0, 43.0, 50.0]);
+        // The unfused op reaches the same dequant-free kernel.
+        let (c, profile) = e.profile(|| ops::matmul(&a, &w, false, false).unwrap());
+        assert_eq!(c.to_f32_vec().unwrap(), vec![19.0, 22.0, 43.0, 50.0]);
+        assert_eq!(profile.kernels[0].name, "FusedMatMulQuant");
     }
 
     #[test]

@@ -17,11 +17,9 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webml_core::backend::{
-    fused_conv2d_fallback, fused_conv2d_quant_fallback, fused_depthwise_conv2d_fallback,
-    fused_depthwise_conv2d_quant_fallback, fused_elementwise_fallback, fused_matmul_fallback,
-    fused_matmul_quant_fallback,
-    ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture, DataId, FenceToken, FusedStep,
-    KTensor, KernelTiming, PoolOp, ReduceOp, UnaryOp,
+    fused_conv2d_fallback, fused_depthwise_conv2d_fallback, fused_elementwise_fallback,
+    fused_matmul_fallback, ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture, DataId,
+    FenceToken, FusedStep, KTensor, KernelTiming, PoolOp, ReduceOp, UnaryOp,
 };
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::{DType, TensorData};
@@ -215,6 +213,31 @@ impl WebGlBackend {
     fn run_n(&self, program: Program, inputs: &[&TexHandle], dtype: DType) -> Result<DataId> {
         let out = self.ctx.run(program, inputs).map_err(|e| map_gl(&self.name, e))?;
         Ok(self.insert(Residency::Device(out), dtype))
+    }
+
+    /// Run a fused matmul/conv `program` over its two operands plus the
+    /// optional bias. A rejected shader is noted under `kernel` and answered
+    /// with `fallback`, composed on this same backend.
+    fn run_fused(
+        &self,
+        kernel: &'static str,
+        program: Program,
+        operands: [&KTensor<'_>; 2],
+        bias: Option<&KTensor<'_>>,
+        fallback: impl FnOnce() -> Result<DataId>,
+    ) -> Result<DataId> {
+        let textures: Vec<TexHandle> = operands
+            .into_iter()
+            .chain(bias)
+            .map(|t| self.view(t.data, t.shape))
+            .collect::<Result<_>>()?;
+        match self.run_n(program, &textures.iter().collect::<Vec<_>>(), DType::F32) {
+            Err(Error::KernelUnsupported { .. }) => {
+                note_fused_fallback(kernel);
+                fallback()
+            }
+            r => r,
+        }
     }
 
     fn packing(&self) -> bool {
@@ -640,11 +663,13 @@ impl Backend for WebGlBackend {
         )
     }
 
-    // Fused kernels: one draw call each, epilogue applied in-register. When
-    // the fused shader is rejected at compile time (an injected fault or a
-    // driver quirk), fall back to the unfused composition on this same
-    // backend instead of surfacing the error — fusion must never make the
-    // degradation ladder worse than the unfused path.
+    // Fused kernels: one draw call each, epilogue applied in-register. A
+    // quantized weight operand selects the dequant-free program, which reads
+    // the R8 codes in place. When the fused shader is rejected at compile
+    // time (an injected fault or a driver quirk), fall back to the unfused
+    // composition on this same backend instead of surfacing the error —
+    // fusion must never make the degradation ladder worse than the unfused
+    // path.
 
     fn fused_matmul(
         &self,
@@ -655,8 +680,6 @@ impl Backend for WebGlBackend {
         transpose_a: bool,
         transpose_b: bool,
     ) -> Result<DataId> {
-        let ta = self.view(a.data, a.shape)?;
-        let tb = self.view(b.data, b.shape)?;
         let batch = a.shape.dim(0);
         let (m, k) = if transpose_a {
             (a.shape.dim(2), a.shape.dim(1))
@@ -664,30 +687,40 @@ impl Backend for WebGlBackend {
             (a.shape.dim(1), a.shape.dim(2))
         };
         let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        let program = programs::fused_matmul(
-            batch,
-            m,
-            k,
-            n,
-            transpose_a,
-            transpose_b,
-            self.packing(),
-            bias.is_some(),
-            activation,
-        );
-        let tbias;
-        let mut inputs: Vec<&TexHandle> = vec![&ta, &tb];
-        if let Some(bias) = bias {
-            tbias = self.view(bias.data, bias.shape)?;
-            inputs.push(&tbias);
-        }
-        match self.run_n(program, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedMatMul");
-                fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
-            }
-            r => r,
-        }
+        let (kernel, program) = match b.quant {
+            Some(params) => (
+                "FusedMatMulQuant",
+                programs::fused_matmul_quant(
+                    batch,
+                    m,
+                    k,
+                    n,
+                    b.shape.dim(0),
+                    transpose_a,
+                    transpose_b,
+                    params.clone(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+            None => (
+                "FusedMatMul",
+                programs::fused_matmul(
+                    batch,
+                    m,
+                    k,
+                    n,
+                    transpose_a,
+                    transpose_b,
+                    self.packing(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+        };
+        self.run_fused(kernel, program, [a, b], bias, || {
+            fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
+        })
     }
 
     fn fused_conv2d(
@@ -698,23 +731,24 @@ impl Backend for WebGlBackend {
         activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        let tx = self.view(x.data, x.shape)?;
-        let tw = self.view(filter.data, filter.shape)?;
-        let program =
-            programs::fused_conv2d(info.clone(), self.packing(), bias.is_some(), activation);
-        let tbias;
-        let mut inputs: Vec<&TexHandle> = vec![&tx, &tw];
-        if let Some(bias) = bias {
-            tbias = self.view(bias.data, bias.shape)?;
-            inputs.push(&tbias);
-        }
-        match self.run_n(program, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedConv2D");
-                fused_conv2d_fallback(self, x, filter, bias, activation, info)
-            }
-            r => r,
-        }
+        let (kernel, program) = match filter.quant {
+            Some(params) => (
+                "FusedConv2DQuant",
+                programs::fused_conv2d_quant(
+                    info.clone(),
+                    params.clone(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+            None => (
+                "FusedConv2D",
+                programs::fused_conv2d(info.clone(), self.packing(), bias.is_some(), activation),
+            ),
+        };
+        self.run_fused(kernel, program, [x, filter], bias, || {
+            fused_conv2d_fallback(self, x, filter, bias, activation, info)
+        })
     }
 
     fn fused_depthwise_conv2d(
@@ -725,157 +759,24 @@ impl Backend for WebGlBackend {
         activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        let tx = self.view(x.data, x.shape)?;
-        let tw = self.view(filter.data, filter.shape)?;
-        let program = programs::fused_depthwise_conv2d(info.clone(), bias.is_some(), activation);
-        let tbias;
-        let mut inputs: Vec<&TexHandle> = vec![&tx, &tw];
-        if let Some(bias) = bias {
-            tbias = self.view(bias.data, bias.shape)?;
-            inputs.push(&tbias);
-        }
-        match self.run_n(program, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedDepthwiseConv2D");
-                fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
-            }
-            r => r,
-        }
-    }
-
-    fn fused_matmul_quant(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        b_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        // The factored epilogue needs the scale constant over the inner
-        // product: per-channel params must index the output-column axis.
-        let col_axis = if transpose_b { 1 } else { 2 };
-        if !webml_core::kernels::quant_axis_ok(b_params, col_axis, n) {
-            note_fused_fallback("FusedMatMulQuant");
-            return fused_matmul_quant_fallback(
-                self, a, b, b_params, bias, activation, transpose_a, transpose_b,
-            );
-        }
-        let ta = self.view(a.data, a.shape)?;
-        let tb = self.view(b.data, b.shape)?;
-        let batch = a.shape.dim(0);
-        let (m, k) = if transpose_a {
-            (a.shape.dim(2), a.shape.dim(1))
-        } else {
-            (a.shape.dim(1), a.shape.dim(2))
+        let (kernel, program) = match filter.quant {
+            Some(params) => (
+                "FusedDepthwiseConv2DQuant",
+                programs::fused_depthwise_conv2d_quant(
+                    info.clone(),
+                    params.clone(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+            None => (
+                "FusedDepthwiseConv2D",
+                programs::fused_depthwise_conv2d(info.clone(), bias.is_some(), activation),
+            ),
         };
-        let program = programs::fused_matmul_quant(
-            batch,
-            m,
-            k,
-            n,
-            b.shape.dim(0),
-            transpose_a,
-            transpose_b,
-            b_params.clone(),
-            bias.is_some(),
-            activation,
-        );
-        let tbias;
-        let mut inputs: Vec<&TexHandle> = vec![&ta, &tb];
-        if let Some(bias) = bias {
-            tbias = self.view(bias.data, bias.shape)?;
-            inputs.push(&tbias);
-        }
-        match self.run_n(program, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedMatMulQuant");
-                fused_matmul_quant_fallback(
-                    self, a, b, b_params, bias, activation, transpose_a, transpose_b,
-                )
-            }
-            r => r,
-        }
-    }
-
-    fn fused_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        if !webml_core::kernels::quant_axis_ok(filter_params, 3, info.out_channels) {
-            note_fused_fallback("FusedConv2DQuant");
-            return fused_conv2d_quant_fallback(self, x, filter, filter_params, bias, activation, info);
-        }
-        let tx = self.view(x.data, x.shape)?;
-        let tw = self.view(filter.data, filter.shape)?;
-        let program = programs::fused_conv2d_quant(
-            info.clone(),
-            filter_params.clone(),
-            bias.is_some(),
-            activation,
-        );
-        let tbias;
-        let mut inputs: Vec<&TexHandle> = vec![&tx, &tw];
-        if let Some(bias) = bias {
-            tbias = self.view(bias.data, bias.shape)?;
-            inputs.push(&tbias);
-        }
-        match self.run_n(program, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedConv2DQuant");
-                fused_conv2d_quant_fallback(self, x, filter, filter_params, bias, activation, info)
-            }
-            r => r,
-        }
-    }
-
-    fn fused_depthwise_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let axis_ok = webml_core::kernels::quant_axis_ok(filter_params, 2, info.in_channels)
-            || webml_core::kernels::quant_axis_ok(filter_params, 3, info.channel_mul);
-        if !axis_ok {
-            note_fused_fallback("FusedDepthwiseConv2DQuant");
-            return fused_depthwise_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
-        let tx = self.view(x.data, x.shape)?;
-        let tw = self.view(filter.data, filter.shape)?;
-        let program = programs::fused_depthwise_conv2d_quant(
-            info.clone(),
-            filter_params.clone(),
-            bias.is_some(),
-            activation,
-        );
-        let tbias;
-        let mut inputs: Vec<&TexHandle> = vec![&tx, &tw];
-        if let Some(bias) = bias {
-            tbias = self.view(bias.data, bias.shape)?;
-            inputs.push(&tbias);
-        }
-        match self.run_n(program, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedDepthwiseConv2DQuant");
-                fused_depthwise_conv2d_quant_fallback(
-                    self, x, filter, filter_params, bias, activation, info,
-                )
-            }
-            r => r,
-        }
+        self.run_fused(kernel, program, [x, filter], bias, || {
+            fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
+        })
     }
 
     fn fused_elementwise(
@@ -1013,8 +914,13 @@ mod tests {
                 webml_core::quant::QuantParams::per_tensor(1.0, 0.0),
             )
             .unwrap();
-        let c = ops::fused_matmul_quant(&a, &w, None, None, false, false).unwrap();
+        let c = ops::fused_matmul(&a, &w, None, None, false, false).unwrap();
         assert_eq!(c.to_f32_vec().unwrap(), vec![19.0, 22.0, 43.0, 50.0]);
+        // The unfused op multiplies by the dequantized values too, through
+        // the same dequant-free program.
+        let (c, profile) = e.profile(|| ops::matmul(&a, &w, false, false).unwrap());
+        assert_eq!(c.to_f32_vec().unwrap(), vec![19.0, 22.0, 43.0, 50.0]);
+        assert_eq!(profile.kernels[0].name, "FusedMatMulQuant");
     }
 
     #[test]
@@ -1028,7 +934,12 @@ mod tests {
         let mins: Vec<f32> = (0..4).map(|c| -1.2 + c as f32 * 0.1).collect();
         let xvals: Vec<f32> = (0..8 * 8 * 3).map(|i| (i as f32 * 0.37).sin()).collect();
         let bvals = [0.05f32, -0.1, 0.2, 0.0];
-        let run = |e: &Engine| -> Vec<f32> {
+        let same = webml_core::conv_util::Padding::Same;
+        // Fused conv, then the unfused ops on quantized weights: conv2d on
+        // the same filter, and matmul on a column-quantized rank-2 weight
+        // (stays on the factored program across the `[1, k, n]` alias) and
+        // on a row-quantized one (the op layer dequantizes it once).
+        let run = |e: &Engine| -> Vec<Vec<f32>> {
             let x = e.tensor_4d(&xvals, 1, 8, 8, 3).unwrap();
             let w = e
                 .quantized_tensor(
@@ -1038,24 +949,28 @@ mod tests {
                 )
                 .unwrap();
             let bias = e.tensor_1d(&bvals).unwrap();
-            let y = ops::fused_conv2d_quant(
-                &x,
-                &w,
-                Some(&bias),
-                Some(UnaryOp::Relu),
-                (2, 2),
-                webml_core::conv_util::Padding::Same,
-                (1, 1),
-            )
-            .unwrap();
-            y.to_f32_vec().unwrap()
+            let fused =
+                ops::fused_conv2d(&x, &w, Some(&bias), Some(UnaryOp::Relu), (2, 2), same, (1, 1))
+                    .unwrap();
+            let unfused = ops::conv2d(&x, &w, (2, 2), same, (1, 1)).unwrap();
+            let a = e.tensor_2d(&xvals[..6 * 4], 6, 4).unwrap();
+            let mut outs = vec![fused.to_f32_vec().unwrap(), unfused.to_f32_vec().unwrap()];
+            for (axis, kernel) in [(1, "FusedMatMulQuant"), (0, "FusedMatMul")] {
+                let params =
+                    webml_core::quant::QuantParams::per_channel(axis, scales.clone(), mins.clone());
+                let wm = e.quantized_tensor(codes[..16].to_vec(), vec![4, 4], params).unwrap();
+                let (y, profile) = e.profile(|| ops::matmul(&a, &wm, false, false).unwrap());
+                assert!(profile.kernels.iter().any(|k| k.name == kernel), "axis {axis}: {kernel}");
+                outs.push(y.to_f32_vec().unwrap());
+            }
+            outs
         };
         let want = run(&cpu);
         let got = run(&gl);
-        assert_eq!(want.len(), got.len());
-        for (g, w) in got.iter().zip(&want) {
+        for (g, w) in got[0].iter().zip(&want[0]) {
             assert!((g - w).abs() < 1e-3, "webgl {g} vs cpu {w}");
         }
+        assert_eq!(got[1..], want[1..], "unfused ops on quantized weights: bitwise vs cpu");
     }
 
     #[test]
@@ -1065,7 +980,7 @@ mod tests {
         let gl = engine();
         let codes: Vec<u8> = (0..3 * 3 * 3 * 2).map(|i| ((i * 91) % 256) as u8).collect();
         let xvals: Vec<f32> = (0..6 * 6 * 3).map(|i| (i as f32 * 0.23).cos()).collect();
-        let run = |e: &Engine| -> Vec<f32> {
+        let run = |e: &Engine| -> (Vec<f32>, Vec<f32>) {
             let x = e.tensor_4d(&xvals, 1, 6, 6, 3).unwrap();
             let w = e
                 .quantized_tensor(
@@ -1078,24 +993,19 @@ mod tests {
                     ),
                 )
                 .unwrap();
-            let y = ops::fused_depthwise_conv2d_quant(
-                &x,
-                &w,
-                None,
-                Some(UnaryOp::Relu),
-                (1, 1),
-                webml_core::conv_util::Padding::Same,
-                (1, 1),
-            )
-            .unwrap();
-            y.to_f32_vec().unwrap()
+            let same = webml_core::conv_util::Padding::Same;
+            let relu = Some(UnaryOp::Relu);
+            let y = ops::fused_depthwise_conv2d(&x, &w, None, relu, (1, 1), same, (1, 1)).unwrap();
+            let unfused = ops::depthwise_conv2d(&x, &w, (1, 1), same, (1, 1)).unwrap();
+            (y.to_f32_vec().unwrap(), unfused.to_f32_vec().unwrap())
         };
         let want = run(&cpu);
         let got = run(&gl);
-        assert_eq!(want.len(), got.len());
-        for (g, w) in got.iter().zip(&want) {
+        assert_eq!(want.0.len(), got.0.len());
+        for (g, w) in got.0.iter().zip(&want.0) {
             assert!((g - w).abs() < 1e-3, "webgl {g} vs cpu {w}");
         }
+        assert_eq!(got.1, want.1, "unfused depthwise on a quantized filter: bitwise vs cpu");
     }
 
     #[test]
@@ -1137,21 +1047,21 @@ mod tests {
         let w_shape = Shape::new(vec![1, 2, 2]);
         let a_id = b.register(TensorData::F32(vec![1.0, 2.0, 3.0, 4.0]), DType::F32);
         let w_id = b.register(TensorData::U8(vec![5, 6, 7, 8]), DType::U8);
-        let a = KTensor { data: a_id, shape: &a_shape, dtype: DType::F32 };
-        let w = KTensor { data: w_id, shape: &w_shape, dtype: DType::U8 };
         let params = QuantParams::per_tensor(1.0, 0.0);
-        let first = b.fused_matmul_quant(&a, &w, &params, None, None, false, false).unwrap();
+        let a = KTensor::new(a_id, &a_shape, DType::F32);
+        let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &w_shape, DType::U8) };
+        let first = b.fused_matmul(&a, &w, None, None, false, false).unwrap();
         let expect = b.read_sync(first).unwrap().to_f32_vec();
         assert_eq!(expect, vec![19.0, 22.0, 43.0, 50.0]);
         // The second draw hits the injected context loss.
         assert!(
-            b.fused_matmul_quant(&a, &w, &params, None, None, false, false).is_err(),
+            b.fused_matmul(&a, &w, None, None, false, false).is_err(),
             "draw 2 must observe the lost context"
         );
         assert!(b.recover_context(), "context restores");
         // The weight pages back into an R8 texture from its shadow: the
         // rebuilt kernel result and the raw codes are both intact.
-        let again = b.fused_matmul_quant(&a, &w, &params, None, None, false, false).unwrap();
+        let again = b.fused_matmul(&a, &w, None, None, false, false).unwrap();
         assert_eq!(b.read_sync(again).unwrap().to_f32_vec(), expect);
         match b.read_sync(w_id).unwrap() {
             TensorData::U8(v) => assert_eq!(v, vec![5, 6, 7, 8]),

@@ -23,10 +23,9 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webml_core::backend::{
-    fused_conv2d_fallback, fused_conv2d_quant_fallback, fused_depthwise_conv2d_fallback,
-    fused_depthwise_conv2d_quant_fallback, fused_elementwise_fallback, fused_matmul_fallback,
-    fused_matmul_quant_fallback, ArgReduceOp, Backend, BackendMemory, DataFuture, DataId,
-    FenceToken, FusedStep, KTensor, KernelTiming, PoolOp, ReduceOp, UnaryOp,
+    fused_conv2d_fallback, fused_depthwise_conv2d_fallback, fused_elementwise_fallback,
+    fused_matmul_fallback, ArgReduceOp, Backend, BackendMemory, DataFuture, DataId, FenceToken,
+    FusedStep, KTensor, KernelTiming, PoolOp, ReduceOp, UnaryOp,
 };
 use webml_core::backend::BinaryOp;
 use webml_core::conv_util::Conv2dInfo;
@@ -210,6 +209,28 @@ impl WebGpuBackend {
     ) -> Result<DataId> {
         let out = self.ctx.dispatch(pipeline, inputs).map_err(|e| map_gpu(&self.name, e))?;
         Ok(self.insert(Residency::Device(out), dtype))
+    }
+
+    /// Dispatch a fused matmul/conv `pipeline` over its two operands plus
+    /// the optional bias. A rejected pipeline is noted under `kernel` and
+    /// answered with `fallback`, composed on this same backend.
+    fn dispatch_fused(
+        &self,
+        kernel: &'static str,
+        pipeline: ComputePipeline,
+        operands: [&KTensor<'_>; 2],
+        bias: Option<&KTensor<'_>>,
+        fallback: impl FnOnce() -> Result<DataId>,
+    ) -> Result<DataId> {
+        let buffers: Vec<BufHandle> =
+            operands.into_iter().chain(bias).map(|t| self.handle(t.data)).collect::<Result<_>>()?;
+        match self.dispatch_pl(pipeline, &buffers.iter().collect::<Vec<_>>(), DType::F32) {
+            Err(Error::KernelUnsupported { .. }) => {
+                note_fused_fallback(kernel);
+                fallback()
+            }
+            r => r,
+        }
     }
 }
 
@@ -619,11 +640,13 @@ impl Backend for WebGpuBackend {
         self.dispatch_pl(pl, &[&hx], DType::F32)
     }
 
-    // Fused kernels: one dispatch each, epilogue in-register. When the
-    // fused pipeline is rejected at creation time (an injected fault or a
-    // driver quirk), fall back to the unfused composition on this same
-    // backend instead of surfacing the error — fusion must never make the
-    // degradation ladder worse than the unfused path.
+    // Fused kernels: one dispatch each, epilogue in-register. A quantized
+    // weight operand selects the dequant-free pipeline, which reads the u8
+    // codes in place. When the fused pipeline is rejected at creation time
+    // (an injected fault or a driver quirk), fall back to the unfused
+    // composition on this same backend instead of surfacing the error —
+    // fusion must never make the degradation ladder worse than the unfused
+    // path.
 
     fn fused_matmul(
         &self,
@@ -634,8 +657,6 @@ impl Backend for WebGpuBackend {
         transpose_a: bool,
         transpose_b: bool,
     ) -> Result<DataId> {
-        let ha = self.handle(a.data)?;
-        let hb = self.handle(b.data)?;
         let batch = a.shape.dim(0);
         let (m, kdim) = if transpose_a {
             (a.shape.dim(2), a.shape.dim(1))
@@ -643,29 +664,38 @@ impl Backend for WebGpuBackend {
             (a.shape.dim(1), a.shape.dim(2))
         };
         let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        let pl = pipelines::fused_matmul(
-            batch,
-            m,
-            kdim,
-            n,
-            transpose_a,
-            transpose_b,
-            bias.is_some(),
-            activation,
-        );
-        let hbias;
-        let mut inputs: Vec<&BufHandle> = vec![&ha, &hb];
-        if let Some(bias) = bias {
-            hbias = self.handle(bias.data)?;
-            inputs.push(&hbias);
-        }
-        match self.dispatch_pl(pl, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedMatMul");
-                fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
-            }
-            r => r,
-        }
+        let (kernel, pl) = match b.quant {
+            Some(params) => (
+                "FusedMatMulQuant",
+                pipelines::fused_matmul_quant(
+                    batch,
+                    m,
+                    kdim,
+                    n,
+                    transpose_a,
+                    transpose_b,
+                    params.clone(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+            None => (
+                "FusedMatMul",
+                pipelines::fused_matmul(
+                    batch,
+                    m,
+                    kdim,
+                    n,
+                    transpose_a,
+                    transpose_b,
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+        };
+        self.dispatch_fused(kernel, pl, [a, b], bias, || {
+            fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
+        })
     }
 
     fn fused_conv2d(
@@ -676,22 +706,23 @@ impl Backend for WebGpuBackend {
         activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        let hx = self.handle(x.data)?;
-        let hw = self.handle(filter.data)?;
-        let pl = pipelines::fused_conv2d(info.clone(), bias.is_some(), activation);
-        let hbias;
-        let mut inputs: Vec<&BufHandle> = vec![&hx, &hw];
-        if let Some(bias) = bias {
-            hbias = self.handle(bias.data)?;
-            inputs.push(&hbias);
-        }
-        match self.dispatch_pl(pl, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedConv2D");
-                fused_conv2d_fallback(self, x, filter, bias, activation, info)
+        let (kernel, pl) = match filter.quant {
+            Some(params) => (
+                "FusedConv2DQuant",
+                pipelines::fused_conv2d_quant(
+                    info.clone(),
+                    params.clone(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+            None => {
+                ("FusedConv2D", pipelines::fused_conv2d(info.clone(), bias.is_some(), activation))
             }
-            r => r,
-        }
+        };
+        self.dispatch_fused(kernel, pl, [x, filter], bias, || {
+            fused_conv2d_fallback(self, x, filter, bias, activation, info)
+        })
     }
 
     fn fused_depthwise_conv2d(
@@ -702,158 +733,24 @@ impl Backend for WebGpuBackend {
         activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        let hx = self.handle(x.data)?;
-        let hw = self.handle(filter.data)?;
-        let pl = pipelines::fused_depthwise_conv2d(info.clone(), bias.is_some(), activation);
-        let hbias;
-        let mut inputs: Vec<&BufHandle> = vec![&hx, &hw];
-        if let Some(bias) = bias {
-            hbias = self.handle(bias.data)?;
-            inputs.push(&hbias);
-        }
-        match self.dispatch_pl(pl, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedDepthwiseConv2D");
-                fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
-            }
-            r => r,
-        }
-    }
-
-    fn fused_matmul_quant(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        b_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        // The factored epilogue needs the scale constant over the inner
-        // product: per-channel params must index the output-column axis.
-        let col_axis = if transpose_b { 1 } else { 2 };
-        if !webml_core::kernels::quant_axis_ok(b_params, col_axis, n) {
-            note_fused_fallback("FusedMatMulQuant");
-            return fused_matmul_quant_fallback(
-                self, a, b, b_params, bias, activation, transpose_a, transpose_b,
-            );
-        }
-        let ha = self.handle(a.data)?;
-        let hb = self.handle(b.data)?;
-        let batch = a.shape.dim(0);
-        let (m, kdim) = if transpose_a {
-            (a.shape.dim(2), a.shape.dim(1))
-        } else {
-            (a.shape.dim(1), a.shape.dim(2))
+        let (kernel, pl) = match filter.quant {
+            Some(params) => (
+                "FusedDepthwiseConv2DQuant",
+                pipelines::fused_depthwise_conv2d_quant(
+                    info.clone(),
+                    params.clone(),
+                    bias.is_some(),
+                    activation,
+                ),
+            ),
+            None => (
+                "FusedDepthwiseConv2D",
+                pipelines::fused_depthwise_conv2d(info.clone(), bias.is_some(), activation),
+            ),
         };
-        let pl = pipelines::fused_matmul_quant(
-            batch,
-            m,
-            kdim,
-            n,
-            transpose_a,
-            transpose_b,
-            b_params.clone(),
-            bias.is_some(),
-            activation,
-        );
-        let hbias;
-        let mut inputs: Vec<&BufHandle> = vec![&ha, &hb];
-        if let Some(bias) = bias {
-            hbias = self.handle(bias.data)?;
-            inputs.push(&hbias);
-        }
-        match self.dispatch_pl(pl, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedMatMulQuant");
-                fused_matmul_quant_fallback(
-                    self, a, b, b_params, bias, activation, transpose_a, transpose_b,
-                )
-            }
-            r => r,
-        }
-    }
-
-    fn fused_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        if !webml_core::kernels::quant_axis_ok(filter_params, 3, info.out_channels) {
-            note_fused_fallback("FusedConv2DQuant");
-            return fused_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
-        let hx = self.handle(x.data)?;
-        let hw = self.handle(filter.data)?;
-        let pl = pipelines::fused_conv2d_quant(
-            info.clone(),
-            filter_params.clone(),
-            bias.is_some(),
-            activation,
-        );
-        let hbias;
-        let mut inputs: Vec<&BufHandle> = vec![&hx, &hw];
-        if let Some(bias) = bias {
-            hbias = self.handle(bias.data)?;
-            inputs.push(&hbias);
-        }
-        match self.dispatch_pl(pl, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedConv2DQuant");
-                fused_conv2d_quant_fallback(self, x, filter, filter_params, bias, activation, info)
-            }
-            r => r,
-        }
-    }
-
-    fn fused_depthwise_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &webml_core::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let axis_ok = webml_core::kernels::quant_axis_ok(filter_params, 2, info.in_channels)
-            || webml_core::kernels::quant_axis_ok(filter_params, 3, info.channel_mul);
-        if !axis_ok {
-            note_fused_fallback("FusedDepthwiseConv2DQuant");
-            return fused_depthwise_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
-        let hx = self.handle(x.data)?;
-        let hw = self.handle(filter.data)?;
-        let pl = pipelines::fused_depthwise_conv2d_quant(
-            info.clone(),
-            filter_params.clone(),
-            bias.is_some(),
-            activation,
-        );
-        let hbias;
-        let mut inputs: Vec<&BufHandle> = vec![&hx, &hw];
-        if let Some(bias) = bias {
-            hbias = self.handle(bias.data)?;
-            inputs.push(&hbias);
-        }
-        match self.dispatch_pl(pl, &inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback("FusedDepthwiseConv2DQuant");
-                fused_depthwise_conv2d_quant_fallback(
-                    self, x, filter, filter_params, bias, activation, info,
-                )
-            }
-            r => r,
-        }
+        self.dispatch_fused(kernel, pl, [x, filter], bias, || {
+            fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
+        })
     }
 
     fn fused_elementwise(
@@ -1032,7 +929,7 @@ mod tests {
                 )
                 .unwrap();
             let bias = e.tensor_1d(&bvals).unwrap();
-            let y = ops::fused_conv2d_quant(
+            let y = ops::fused_conv2d(
                 &x,
                 &w,
                 Some(&bias),
@@ -1121,19 +1018,19 @@ mod tests {
         let w_shape = Shape::new(vec![1, 2, 2]);
         let a_id = b.register(TensorData::F32(vec![1.0, 2.0, 3.0, 4.0]), DType::F32);
         let w_id = b.register(TensorData::U8(vec![5, 6, 7, 8]), DType::U8);
-        let a = KTensor { data: a_id, shape: &a_shape, dtype: DType::F32 };
-        let w = KTensor { data: w_id, shape: &w_shape, dtype: DType::U8 };
         let params = QuantParams::per_tensor(1.0, 0.0);
-        let first = b.fused_matmul_quant(&a, &w, &params, None, None, false, false).unwrap();
+        let a = KTensor::new(a_id, &a_shape, DType::F32);
+        let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &w_shape, DType::U8) };
+        let first = b.fused_matmul(&a, &w, None, None, false, false).unwrap();
         let expect = b.read_sync(first).unwrap().to_f32_vec();
         assert_eq!(expect, vec![19.0, 22.0, 43.0, 50.0]);
         // The second dispatch hits the injected device loss.
         assert!(
-            b.fused_matmul_quant(&a, &w, &params, None, None, false, false).is_err(),
+            b.fused_matmul(&a, &w, None, None, false, false).is_err(),
             "dispatch 2 must observe the lost device"
         );
         assert!(b.recover_device(), "device restores");
-        let again = b.fused_matmul_quant(&a, &w, &params, None, None, false, false).unwrap();
+        let again = b.fused_matmul(&a, &w, None, None, false, false).unwrap();
         assert_eq!(b.read_sync(again).unwrap().to_f32_vec(), expect);
         match b.read_sync(w_id).unwrap() {
             TensorData::U8(v) => assert_eq!(v, vec![5, 6, 7, 8]),

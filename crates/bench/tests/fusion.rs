@@ -9,7 +9,7 @@ use webml_backend_webgl::{WebGlBackend, WebGlConfig};
 use webml_bench::harness::{mobilenet_workload, tiny_mobilenet_config};
 use webml_core::backend::{BinaryOp, UnaryOp};
 use webml_core::conv_util::Padding;
-use webml_core::{ops, Engine, FusedStep, Tensor};
+use webml_core::{ops, Engine, FusedStep, QuantParams, Tensor};
 use webml_webgl_sim::devices::DeviceProfile;
 use webml_webgl_sim::FaultPlan;
 
@@ -272,6 +272,43 @@ fn fused_kernels_fall_back_when_shader_compile_is_blocked() {
         )
         .unwrap()
     });
+
+    // Quantized weights: the blocked dequant-free program falls back on
+    // this same backend (dequantize, then the f32 path above), which is
+    // exactly what the fusion-disabled run computes.
+    let fallbacks = webml_telemetry::counter("webgl.fused_fallbacks_total");
+    let before = fallbacks.get();
+    let codes =
+        |n: usize, step: usize| -> Vec<u8> { (0..n).map(|i| (i * step % 256) as u8).collect() };
+    let cols = QuantParams::per_channel(1, vec![0.02, 0.05, 0.01, 0.03, 0.04], vec![-2.0; 5]);
+    let wq = e.quantized_tensor(codes(6 * 5, 37), vec![6, 5], cols).unwrap();
+    assert_fused_bitwise(&e, "faulted quantized matmul", &|| {
+        ops::fused_matmul(&a, &wq, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap()
+    });
+    let whole = QuantParams::per_tensor(0.02, -2.5);
+    let fq = e.quantized_tensor(codes(3 * 3 * 3 * 4, 29), vec![3, 3, 3, 4], whole).unwrap();
+    assert_fused_bitwise(&e, "faulted quantized conv2d", &|| {
+        let relu6 = Some(UnaryOp::Relu6);
+        ops::fused_conv2d(&x, &fq, Some(&cbias), relu6, (1, 1), Padding::Same, (1, 1)).unwrap()
+    });
+    let chans = QuantParams::per_channel(2, vec![0.03, 0.01, 0.02], vec![-2.0, -0.5, -1.0]);
+    let dq = e.quantized_tensor(codes(3 * 3 * 3, 41), vec![3, 3, 3, 1], chans).unwrap();
+    assert_fused_bitwise(&e, "faulted quantized depthwise", &|| {
+        ops::fused_depthwise_conv2d(
+            &x,
+            &dq,
+            Some(&dbias),
+            Some(UnaryOp::Relu),
+            (1, 1),
+            Padding::Same,
+            (1, 1),
+        )
+        .unwrap()
+    });
+    assert!(
+        fallbacks.get() >= before + 6,
+        "each blocked quantized program and the f32 program behind it note a fallback"
+    );
 
     let scale = e.tensor_1d(&data(3, 257)).unwrap();
     assert_fused_bitwise(&e, "faulted elementwise", &|| {

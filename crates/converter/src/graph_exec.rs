@@ -807,16 +807,7 @@ impl GraphModel {
                     borrowed.insert(t.id());
                     t
                 }
-                "MatMul" => {
-                    let b = get(1)?;
-                    if b.is_quantized() {
-                        // Quantized weights never decode to f32: the fused
-                        // quant kernel dequantizes in its epilogue.
-                        ops::fused_matmul_quant(get(0)?, b, None, None, false, false)?
-                    } else {
-                        ops::matmul(get(0)?, b, false, false)?
-                    }
-                }
+                "MatMul" => ops::matmul(get(0)?, get(1)?, false, false)?,
                 "Add" | "AddV2" | "BiasAdd" => ops::add(get(0)?, get(1)?)?,
                 "Sub" => ops::sub(get(0)?, get(1)?)?,
                 "Mul" => ops::mul(get(0)?, get(1)?)?,
@@ -834,37 +825,11 @@ impl GraphModel {
                 }
                 "Conv2D" => {
                     let strides = attr_pair(node, "strides", (1, 1));
-                    let f = get(1)?;
-                    if f.is_quantized() {
-                        ops::fused_conv2d_quant(
-                            get(0)?,
-                            f,
-                            None,
-                            None,
-                            strides,
-                            attr_padding(node)?,
-                            (1, 1),
-                        )?
-                    } else {
-                        ops::conv2d(get(0)?, f, strides, attr_padding(node)?, (1, 1))?
-                    }
+                    ops::conv2d(get(0)?, get(1)?, strides, attr_padding(node)?, (1, 1))?
                 }
                 "DepthwiseConv2dNative" => {
                     let strides = attr_pair(node, "strides", (1, 1));
-                    let f = get(1)?;
-                    if f.is_quantized() {
-                        ops::fused_depthwise_conv2d_quant(
-                            get(0)?,
-                            f,
-                            None,
-                            None,
-                            strides,
-                            attr_padding(node)?,
-                            (1, 1),
-                        )?
-                    } else {
-                        ops::depthwise_conv2d(get(0)?, f, strides, attr_padding(node)?, (1, 1))?
-                    }
+                    ops::depthwise_conv2d(get(0)?, get(1)?, strides, attr_padding(node)?, (1, 1))?
                 }
                 "MaxPool" => {
                     let window = attr_pair(node, "ksize", (2, 2));
@@ -878,64 +843,19 @@ impl GraphModel {
                 }
                 "_FusedMatMul" => {
                     let (bias, act) = fused_epilogue_args(node, &get)?;
-                    let b = get(1)?;
-                    if b.is_quantized() {
-                        ops::fused_matmul_quant(get(0)?, b, bias, act, false, false)?
-                    } else {
-                        ops::fused_matmul(get(0)?, b, bias, act, false, false)?
-                    }
+                    ops::fused_matmul(get(0)?, get(1)?, bias, act, false, false)?
                 }
                 "_FusedConv2D" => {
                     let (bias, act) = fused_epilogue_args(node, &get)?;
                     let strides = attr_pair(node, "strides", (1, 1));
-                    let f = get(1)?;
-                    if f.is_quantized() {
-                        ops::fused_conv2d_quant(
-                            get(0)?,
-                            f,
-                            bias,
-                            act,
-                            strides,
-                            attr_padding(node)?,
-                            (1, 1),
-                        )?
-                    } else {
-                        ops::fused_conv2d(
-                            get(0)?,
-                            f,
-                            bias,
-                            act,
-                            strides,
-                            attr_padding(node)?,
-                            (1, 1),
-                        )?
-                    }
+                    let padding = attr_padding(node)?;
+                    ops::fused_conv2d(get(0)?, get(1)?, bias, act, strides, padding, (1, 1))?
                 }
                 "_FusedDepthwiseConv2dNative" => {
                     let (bias, act) = fused_epilogue_args(node, &get)?;
                     let strides = attr_pair(node, "strides", (1, 1));
-                    let f = get(1)?;
-                    if f.is_quantized() {
-                        ops::fused_depthwise_conv2d_quant(
-                            get(0)?,
-                            f,
-                            bias,
-                            act,
-                            strides,
-                            attr_padding(node)?,
-                            (1, 1),
-                        )?
-                    } else {
-                        ops::fused_depthwise_conv2d(
-                            get(0)?,
-                            f,
-                            bias,
-                            act,
-                            strides,
-                            attr_padding(node)?,
-                            (1, 1),
-                        )?
-                    }
+                    let (x, f, padding) = (get(0)?, get(1)?, attr_padding(node)?);
+                    ops::fused_depthwise_conv2d(x, f, bias, act, strides, padding, (1, 1))?
                 }
                 "_FusedElementwise" => {
                     let steps = parse_steps(node)?;

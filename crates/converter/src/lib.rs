@@ -160,7 +160,7 @@ fn decode_weights_impl(
                             pc.scales.clone(),
                             pc.mins.clone(),
                         )
-                        .dequantize(slice, &spec.shape)
+                        .dequantize(slice, &spec.shape)?
                     }
                 }
             }

@@ -176,11 +176,6 @@ pub struct PlannedOp {
     /// (a reshaped quantized weight stays U8), compute ops emit f32. Feeds
     /// the dtype-aware peak-memory simulation.
     pub out_dtype: DType,
-    /// Whether the weight operand (`args[1]`) is a resident quantized
-    /// tensor: dispatch routes to the dequant-free `fused_*_quant` op
-    /// instead of the f32 kernel. Resolved once at build — the hot loop
-    /// never inspects tensor dtypes.
-    pub quant_rhs: bool,
     /// Source node name (error messages only).
     pub name: String,
 }
@@ -405,32 +400,20 @@ impl Plan {
                         }
                         _ => DType::F32,
                     };
-                    // A quantized weight operand routes to the dequant-free
-                    // fused quant kernels: no direct f32 kernel dispatch,
-                    // and the composite quant op needs a scope.
-                    let quant_rhs = matches!(
-                        kind,
-                        OpKind::MatMul
-                            | OpKind::Conv2d { .. }
-                            | OpKind::DepthwiseConv2d { .. }
-                            | OpKind::FusedMatMul { .. }
-                            | OpKind::FusedConv2d { .. }
-                            | OpKind::FusedDepthwiseConv2d { .. }
-                    ) && matches!(
-                        args.get(1),
-                        Some(Arg::Weight(w)) if weight_tensors[*w].is_quantized()
-                    );
                     let out_slot = ops_list.len();
                     vals.insert(
                         node.name.as_str(),
                         (Arg::Slot(out_slot), out_shape.clone(), out_dtype),
                     );
-                    let kernel_shapes = if quant_rhs {
-                        None
-                    } else {
-                        direct_kernel_shapes(&kind, &arg_shapes)
-                    };
-                    let scoped = quant_rhs || (needs_scope(&kind) && kernel_shapes.is_none());
+                    // A U8 weight operand (resident codes, or an alias of
+                    // them) stays on the composite op, which owns the
+                    // quantized-weight gate and may dequantize into a
+                    // temporary — so it needs a scope and never takes the
+                    // direct f32 kernel view.
+                    let u8_weight = arg_dtypes.get(1) == Some(&DType::U8);
+                    let kernel_shapes =
+                        if u8_weight { None } else { direct_kernel_shapes(&kind, &arg_shapes) };
+                    let scoped = u8_weight || (needs_scope(&kind) && kernel_shapes.is_none());
                     ops_list.push(PlannedOp {
                         kind,
                         args,
@@ -440,7 +423,6 @@ impl Plan {
                         scoped,
                         kernel_shapes,
                         out_dtype,
-                        quant_rhs,
                         name: node.name.clone(),
                     });
                 }
@@ -664,13 +646,7 @@ impl Plan {
 
     fn dispatch(&self, op: &PlannedOp, args: &[&Tensor]) -> Result<Tensor> {
         match &op.kind {
-            OpKind::MatMul => {
-                if op.quant_rhs {
-                    ops::fused_matmul_quant(args[0], args[1], None, None, false, false)
-                } else {
-                    ops::matmul(args[0], args[1], false, false)
-                }
-            }
+            OpKind::MatMul => ops::matmul(args[0], args[1], false, false),
             OpKind::Binary(b) => match b {
                 BinaryOp::Add => ops::add(args[0], args[1]),
                 BinaryOp::Sub => ops::sub(args[0], args[1]),
@@ -683,26 +659,10 @@ impl Plan {
             OpKind::Identity => ops::identity(args[0]),
             OpKind::Reshape => ops::reshape(args[0], op.out_shape.clone()),
             OpKind::Conv2d { strides, padding } => {
-                if op.quant_rhs {
-                    ops::fused_conv2d_quant(args[0], args[1], None, None, *strides, *padding, (1, 1))
-                } else {
-                    ops::conv2d(args[0], args[1], *strides, *padding, (1, 1))
-                }
+                ops::conv2d(args[0], args[1], *strides, *padding, (1, 1))
             }
             OpKind::DepthwiseConv2d { strides, padding } => {
-                if op.quant_rhs {
-                    ops::fused_depthwise_conv2d_quant(
-                        args[0],
-                        args[1],
-                        None,
-                        None,
-                        *strides,
-                        *padding,
-                        (1, 1),
-                    )
-                } else {
-                    ops::depthwise_conv2d(args[0], args[1], *strides, *padding, (1, 1))
-                }
+                ops::depthwise_conv2d(args[0], args[1], *strides, *padding, (1, 1))
             }
             OpKind::MaxPool { window, strides, padding } => {
                 ops::max_pool(args[0], *window, *strides, *padding)
@@ -722,59 +682,23 @@ impl Plan {
                     }
                 }
                 let bias = if *has_bias { Some(args[2]) } else { None };
-                if op.quant_rhs {
-                    ops::fused_matmul_quant(args[0], args[1], bias, *activation, false, false)
-                } else {
-                    ops::fused_matmul(args[0], args[1], bias, *activation, false, false)
-                }
+                ops::fused_matmul(args[0], args[1], bias, *activation, false, false)
             }
             OpKind::FusedConv2d { strides, padding, has_bias, activation } => {
                 let bias = if *has_bias { Some(args[2]) } else { None };
-                if op.quant_rhs {
-                    ops::fused_conv2d_quant(
-                        args[0],
-                        args[1],
-                        bias,
-                        *activation,
-                        *strides,
-                        *padding,
-                        (1, 1),
-                    )
-                } else {
-                    ops::fused_conv2d(
-                        args[0],
-                        args[1],
-                        bias,
-                        *activation,
-                        *strides,
-                        *padding,
-                        (1, 1),
-                    )
-                }
+                ops::fused_conv2d(args[0], args[1], bias, *activation, *strides, *padding, (1, 1))
             }
             OpKind::FusedDepthwiseConv2d { strides, padding, has_bias, activation } => {
                 let bias = if *has_bias { Some(args[2]) } else { None };
-                if op.quant_rhs {
-                    ops::fused_depthwise_conv2d_quant(
-                        args[0],
-                        args[1],
-                        bias,
-                        *activation,
-                        *strides,
-                        *padding,
-                        (1, 1),
-                    )
-                } else {
-                    ops::fused_depthwise_conv2d(
-                        args[0],
-                        args[1],
-                        bias,
-                        *activation,
-                        *strides,
-                        *padding,
-                        (1, 1),
-                    )
-                }
+                ops::fused_depthwise_conv2d(
+                    args[0],
+                    args[1],
+                    bias,
+                    *activation,
+                    *strides,
+                    *padding,
+                    (1, 1),
+                )
             }
             OpKind::FusedElementwise { steps } => {
                 ops::fused_elementwise(args[0], &args[1..], steps)

@@ -8,6 +8,7 @@
 use crate::conv_util::Conv2dInfo;
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
+use crate::quant::QuantParams;
 use crate::shape::{broadcast_shapes, Shape};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -26,6 +27,20 @@ pub struct KTensor<'a> {
     pub shape: &'a Shape,
     /// Element type.
     pub dtype: DType,
+    /// Affine dequantization params when `data` holds U8 weight codes
+    /// (paper Sec 5.1): quantization is a property of the operand, so the
+    /// fused kernels pick their dequant-free variant from this field. The
+    /// op layer only lets params through that the factored accumulation can
+    /// use (`ops::fused`'s single gate): per-tensor, or per-channel indexed
+    /// by the kernel's output column / channel.
+    pub quant: Option<&'a QuantParams>,
+}
+
+impl<'a> KTensor<'a> {
+    /// A plain (unquantized) operand view.
+    pub fn new(data: DataId, shape: &'a Shape, dtype: DType) -> KTensor<'a> {
+        KTensor { data, shape, dtype, quant: None }
+    }
 }
 
 /// Element-wise unary kernels.
@@ -875,10 +890,21 @@ pub trait Backend: Send + Sync {
     // An override that cannot run its fused program (e.g. the driver rejects
     // the shader) must fall back to the matching `fused_*_fallback` helper
     // on the SAME backend instead of surfacing the error.
+    //
+    // The weight operand (`b` / `filter`) may carry [`KTensor::quant`]: raw
+    // U8 codes plus affine params (paper Sec 5.1). An override with a
+    // quantized kernel must then run *dequant-free* — no f32 weight tensor,
+    // codes never tiled or copied — via the factored accumulation
+    // `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`, scale/min applied in the epilogue
+    // before bias and activation. The same `fused_*_fallback` helpers cover
+    // a quantized operand (dequantize host-side, then this backend's f32
+    // fused kernel), so the defaults are correct for it with no changes.
 
     /// Batched matmul `[b, m, k] x [b, k, n]` with an optional rank-1 bias
     /// `[n]` added to every output row and an optional activation applied
-    /// in the same kernel.
+    /// in the same kernel. A quantized `b` may be batch-1 `[1, k, n]` and
+    /// is then broadcast across `a`'s batch (per-channel params index the
+    /// output column).
     ///
     /// # Errors
     /// Backend-specific execution failure.
@@ -895,7 +921,8 @@ pub trait Backend: Send + Sync {
     }
 
     /// 2-D convolution with an optional rank-1 bias `[out_channels]` and an
-    /// optional activation applied in the same kernel.
+    /// optional activation applied in the same kernel (per-channel params
+    /// of a quantized filter index the output channel).
     ///
     /// # Errors
     /// Backend-specific execution failure.
@@ -912,7 +939,8 @@ pub trait Backend: Send + Sync {
 
     /// Depthwise 2-D convolution with an optional rank-1 bias
     /// `[out_channels]` and an optional activation applied in the same
-    /// kernel.
+    /// kernel (per-channel params of a quantized filter run along filter
+    /// axis 2, the input channel, or 3, the channel multiplier).
     ///
     /// # Errors
     /// Backend-specific execution failure.
@@ -942,168 +970,23 @@ pub trait Backend: Send + Sync {
     ) -> Result<DataId> {
         fused_elementwise_fallback(self, x, extras, steps, out_shape)
     }
-
-    // --- quantized fused kernels (paper Sec 5.1: uint8 weights) ------------
-    //
-    // The quantized variants take the right-hand operand / filter as raw U8
-    // codes plus affine `QuantParams` and must be *dequant-free*: no f32
-    // weight tensor is ever materialized. Real overrides use the factored
-    // accumulation `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ` and apply scale/min in
-    // the epilogue, before bias and activation — in exactly the epilogue
-    // order documented above, every scalar through `BinaryOp::apply` /
-    // `UnaryOp::apply`. The defaults below dequantize host-side and defer
-    // to the f32 fused kernel, so every backend is correct with no changes.
-
-    /// [`Backend::fused_matmul`] with a quantized right-hand operand: `b`
-    /// holds raw U8 codes dequantizing as `code * scale + min` per
-    /// `b_params` (per-tensor, or per-channel along the output-column axis).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    #[allow(clippy::too_many_arguments)] // mirrors fused_matmul plus params
-    fn fused_matmul_quant(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        b_params: &crate::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        fused_matmul_quant_fallback(self, a, b, b_params, bias, activation, transpose_a, transpose_b)
-    }
-
-    /// [`Backend::fused_conv2d`] with a quantized filter (U8 codes plus
-    /// `filter_params`; per-channel params index the output-channel axis).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn fused_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &crate::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        fused_conv2d_quant_fallback(self, x, filter, filter_params, bias, activation, info)
-    }
-
-    /// [`Backend::fused_depthwise_conv2d`] with a quantized filter.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn fused_depthwise_conv2d_quant(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        filter_params: &crate::quant::QuantParams,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        fused_depthwise_conv2d_quant_fallback(self, x, filter, filter_params, bias, activation, info)
-    }
 }
 
-/// Materialize a quantized operand as a temporary f32 container on the same
-/// backend, via the host-side reference dequantization. The returned id is
-/// owned by the caller (dispose after use). This is the *fallback* path
-/// only — real quantized kernels never materialize f32 weights.
-fn dequantize_to_f32<B: Backend + ?Sized>(
+/// The one quantized fallback: materialize `t`'s f32 values in a temporary
+/// container on the same backend (host-side reference dequantization), hand
+/// the f32 view to `run`, and dispose the temporary. Used when a backend
+/// has no dequant-free kernel (the trait defaults) or its quantized program
+/// is rejected — never on the fast path, which reads the codes in place.
+fn with_dequantized<B: Backend + ?Sized>(
     backend: &B,
     t: &KTensor<'_>,
-    params: &crate::quant::QuantParams,
+    params: &QuantParams,
+    run: impl FnOnce(&KTensor<'_>) -> Result<DataId>,
 ) -> Result<DataId> {
     let host = backend.read_sync(t.data)?;
-    // Backends that store U8 codes as floats on the device (the WebGL R8
-    // texture path) read back exact integer-valued f32s; round-trip them.
-    let codes: Vec<u8> = match host {
-        TensorData::U8(v) => v,
-        other => other.to_f32_vec().iter().map(|&x| x.round().clamp(0.0, 255.0) as u8).collect(),
-    };
-    let values = params.dequantize(&codes, t.shape.dims());
-    Ok(backend.register(TensorData::F32(values), DType::F32))
-}
-
-/// Reference composition for [`Backend::fused_matmul_quant`]: host-side
-/// dequantize, then the backend's own f32 fused matmul. Also the fallback a
-/// quantized override uses when its program cannot run.
-///
-/// # Errors
-/// Propagates the first failing kernel or read.
-#[allow(clippy::too_many_arguments)] // mirrors the trait method
-pub fn fused_matmul_quant_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    a: &KTensor<'_>,
-    b: &KTensor<'_>,
-    b_params: &crate::quant::QuantParams,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-    transpose_a: bool,
-    transpose_b: bool,
-) -> Result<DataId> {
-    let fid = dequantize_to_f32(backend, b, b_params)?;
-    let batch = a.shape.dim(0);
-    // Quantized weights broadcast a batch-1 `b` across the batch; the f32
-    // fused kernel expects matching batch dims, so tile the temporary.
-    if b.shape.dim(0) == 1 && batch > 1 {
-        let fb = KTensor { data: fid, shape: b.shape, dtype: DType::F32 };
-        let tiled = backend.tile(&fb, &[batch, 1, 1]);
-        backend.dispose_data(fid);
-        let tid = tiled?;
-        let tiled_shape = Shape::new(vec![batch, b.shape.dim(1), b.shape.dim(2)]);
-        let tb = KTensor { data: tid, shape: &tiled_shape, dtype: DType::F32 };
-        let out = backend.fused_matmul(a, &tb, bias, activation, transpose_a, transpose_b);
-        backend.dispose_data(tid);
-        return out;
-    }
-    let fb = KTensor { data: fid, shape: b.shape, dtype: DType::F32 };
-    let out = backend.fused_matmul(a, &fb, bias, activation, transpose_a, transpose_b);
-    backend.dispose_data(fid);
-    out
-}
-
-/// Reference composition for [`Backend::fused_conv2d_quant`] (see
-/// [`fused_matmul_quant_fallback`]).
-///
-/// # Errors
-/// Propagates the first failing kernel or read.
-pub fn fused_conv2d_quant_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    x: &KTensor<'_>,
-    filter: &KTensor<'_>,
-    filter_params: &crate::quant::QuantParams,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-    info: &Conv2dInfo,
-) -> Result<DataId> {
-    let fid = dequantize_to_f32(backend, filter, filter_params)?;
-    let ff = KTensor { data: fid, shape: filter.shape, dtype: DType::F32 };
-    let out = backend.fused_conv2d(x, &ff, bias, activation, info);
-    backend.dispose_data(fid);
-    out
-}
-
-/// Reference composition for [`Backend::fused_depthwise_conv2d_quant`] (see
-/// [`fused_matmul_quant_fallback`]).
-///
-/// # Errors
-/// Propagates the first failing kernel or read.
-pub fn fused_depthwise_conv2d_quant_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    x: &KTensor<'_>,
-    filter: &KTensor<'_>,
-    filter_params: &crate::quant::QuantParams,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-    info: &Conv2dInfo,
-) -> Result<DataId> {
-    let fid = dequantize_to_f32(backend, filter, filter_params)?;
-    let ff = KTensor { data: fid, shape: filter.shape, dtype: DType::F32 };
-    let out = backend.fused_depthwise_conv2d(x, &ff, bias, activation, info);
+    let values = params.dequantize(&host.to_u8_codes(), t.shape.dims())?;
+    let fid = backend.register(TensorData::F32(values), DType::F32);
+    let out = run(&KTensor::new(fid, t.shape, DType::F32));
     backend.dispose_data(fid);
     out
 }
@@ -1119,13 +1002,13 @@ fn epilogue_fallback<B: Backend + ?Sized>(
     activation: Option<UnaryOp>,
 ) -> Result<DataId> {
     if let Some(bias) = bias {
-        let cur = KTensor { data: id, shape: out_shape, dtype: DType::F32 };
+        let cur = KTensor::new(id, out_shape, DType::F32);
         let next = backend.binary(BinaryOp::Add, &cur, bias, out_shape, DType::F32);
         backend.dispose_data(id);
         id = next?;
     }
     if let Some(act) = activation {
-        let cur = KTensor { data: id, shape: out_shape, dtype: DType::F32 };
+        let cur = KTensor::new(id, out_shape, DType::F32);
         let next = backend.unary(act, &cur);
         backend.dispose_data(id);
         id = next?;
@@ -1135,10 +1018,11 @@ fn epilogue_fallback<B: Backend + ?Sized>(
 
 /// Reference composition for [`Backend::fused_matmul`]: unfused matmul, then
 /// bias add, then activation. Also the fallback a fused-kernel override uses
-/// when its program fails to compile on a faulted device.
+/// when its program fails to compile on a faulted device. A quantized `b`
+/// is dequantized first and re-enters the backend's f32 fused kernel.
 ///
 /// # Errors
-/// Propagates the first failing unfused kernel.
+/// Propagates the first failing kernel or read.
 pub fn fused_matmul_fallback<B: Backend + ?Sized>(
     backend: &B,
     a: &KTensor<'_>,
@@ -1149,6 +1033,21 @@ pub fn fused_matmul_fallback<B: Backend + ?Sized>(
     transpose_b: bool,
 ) -> Result<DataId> {
     let batch = a.shape.dim(0);
+    if let Some(params) = b.quant {
+        return with_dequantized(backend, b, params, |fb| {
+            if fb.shape.dim(0) == batch {
+                return backend.fused_matmul(a, fb, bias, activation, transpose_a, transpose_b);
+            }
+            // The f32 kernel wants matching batch dims; only this temporary
+            // is tiled, never the codes.
+            let tiled_shape = Shape::new(vec![batch, fb.shape.dim(1), fb.shape.dim(2)]);
+            let tid = backend.tile(fb, &[batch, 1, 1])?;
+            let tb = KTensor::new(tid, &tiled_shape, DType::F32);
+            let out = backend.fused_matmul(a, &tb, bias, activation, transpose_a, transpose_b);
+            backend.dispose_data(tid);
+            out
+        });
+    }
     let m = if transpose_a { a.shape.dim(2) } else { a.shape.dim(1) };
     let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
     let out_shape = Shape::new(vec![batch, m, n]);
@@ -1169,6 +1068,11 @@ pub fn fused_conv2d_fallback<B: Backend + ?Sized>(
     activation: Option<UnaryOp>,
     info: &Conv2dInfo,
 ) -> Result<DataId> {
+    if let Some(params) = filter.quant {
+        return with_dequantized(backend, filter, params, |ff| {
+            backend.fused_conv2d(x, ff, bias, activation, info)
+        });
+    }
     let out_shape = info.out_shape();
     let id = backend.conv2d(x, filter, info)?;
     epilogue_fallback(backend, id, &out_shape, bias, activation)
@@ -1187,6 +1091,11 @@ pub fn fused_depthwise_conv2d_fallback<B: Backend + ?Sized>(
     activation: Option<UnaryOp>,
     info: &Conv2dInfo,
 ) -> Result<DataId> {
+    if let Some(params) = filter.quant {
+        return with_dequantized(backend, filter, params, |ff| {
+            backend.fused_depthwise_conv2d(x, ff, bias, activation, info)
+        });
+    }
     let out_shape = info.out_shape();
     let id = backend.depthwise_conv2d(x, filter, info)?;
     epilogue_fallback(backend, id, &out_shape, bias, activation)
@@ -1212,7 +1121,7 @@ pub fn fused_elementwise_fallback<B: Backend + ?Sized>(
     let mut id = x.data;
     let mut owned = false; // the incoming x is never disposed
     for step in steps {
-        let cur = KTensor { data: id, shape: &shape, dtype: DType::F32 };
+        let cur = KTensor::new(id, &shape, DType::F32);
         let res: Result<(DataId, Shape)> = (|| match *step {
             FusedStep::Unary(op) => Ok((backend.unary(op, &cur)?, shape.clone())),
             FusedStep::Binary(op, i) => {

@@ -7,8 +7,9 @@
 //! environment has no access to WebGL or the TensorFlow binary", Sec 3.1).
 
 use crate::backend::{
-    ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture, DataId, KTensor, KernelTiming,
-    PoolOp, ReduceOp, UnaryOp,
+    fused_conv2d_fallback, fused_depthwise_conv2d_fallback, fused_matmul_fallback, ArgReduceOp,
+    Backend, BackendMemory, BinaryOp, DataFuture, DataId, KTensor, KernelTiming, PoolOp, ReduceOp,
+    UnaryOp,
 };
 use crate::conv_util::Conv2dInfo;
 use crate::dtype::{DType, TensorData};
@@ -83,20 +84,13 @@ impl CpuBackend {
         Ok(entry.data.to_i32_vec())
     }
 
-    /// Raw u8 quantization codes. U8 containers are returned directly; any
-    /// other storage (e.g. a migrated float copy of codes) is rounded and
-    /// clamped back into code space.
+    /// Raw u8 quantization codes (see [`TensorData::to_u8_codes`]).
     fn get_u8(&self, id: DataId) -> Result<Vec<u8>> {
         let store = self.store.lock();
         let entry = store
             .get(&id)
             .ok_or_else(|| Error::backend(&self.name, format!("unknown data id {id:?}")))?;
-        Ok(match &entry.data {
-            TensorData::U8(v) => v.clone(),
-            other => {
-                other.to_f32_vec().iter().map(|&x| x.round().clamp(0.0, 255.0) as u8).collect()
-            }
-        })
+        Ok(entry.data.to_u8_codes())
     }
 
     fn put_f32(&self, v: Vec<f32>, dtype: DType) -> DataId {
@@ -395,30 +389,25 @@ impl Backend for CpuBackend {
         Ok(self.put_f32(k::resize_bilinear(&xv, x.shape, new_h, new_w, align_corners), DType::F32))
     }
 
-    // --- quantized fused kernels -------------------------------------------
+    // --- fused kernels -----------------------------------------------------
     //
-    // Reference dequant-free implementations: the u8 codes feed the factored
+    // f32 weights take the trait's reference composition. A quantized weight
+    // runs the reference dequant-free kernel: the u8 codes feed the factored
     // accumulation in crate::kernels directly; no f32 weight buffer is ever
-    // materialized. Per-channel params whose axis does not line up with the
-    // factored form fall back to the host-dequantize composition.
+    // materialized.
 
-    fn fused_matmul_quant(
+    fn fused_matmul(
         &self,
         a: &KTensor<'_>,
         b: &KTensor<'_>,
-        b_params: &crate::quant::QuantParams,
         bias: Option<&KTensor<'_>>,
         activation: Option<UnaryOp>,
         transpose_a: bool,
         transpose_b: bool,
     ) -> Result<DataId> {
-        let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        let col_axis = if transpose_b { 1 } else { 2 };
-        if !k::quant_axis_ok(b_params, col_axis, n) {
-            return crate::backend::fused_matmul_quant_fallback(
-                self, a, b, b_params, bias, activation, transpose_a, transpose_b,
-            );
-        }
+        let Some(params) = b.quant else {
+            return fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b);
+        };
         let _t = self.timer();
         let x = self.get_f32(a.data)?;
         let codes = self.get_u8(b.data)?;
@@ -429,11 +418,12 @@ impl Backend for CpuBackend {
         } else {
             (a.shape.dim(1), a.shape.dim(2))
         };
+        let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
         Ok(self.put_f32(
             k::fused_matmul_quant(
                 &x,
                 &codes,
-                b_params,
+                params,
                 bias_v.as_deref(),
                 activation,
                 batch,
@@ -447,49 +437,38 @@ impl Backend for CpuBackend {
         ))
     }
 
-    fn fused_conv2d_quant(
+    fn fused_conv2d(
         &self,
         x: &KTensor<'_>,
         filter: &KTensor<'_>,
-        filter_params: &crate::quant::QuantParams,
         bias: Option<&KTensor<'_>>,
         activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        if !k::quant_axis_ok(filter_params, 3, info.out_channels) {
-            return crate::backend::fused_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
+        let Some(params) = filter.quant else {
+            return fused_conv2d_fallback(self, x, filter, bias, activation, info);
+        };
         let _t = self.timer();
         let xv = self.get_f32(x.data)?;
         let codes = self.get_u8(filter.data)?;
         let bias_v = bias.map(|t| self.get_f32(t.data)).transpose()?;
         Ok(self.put_f32(
-            k::fused_conv2d_quant(&xv, &codes, filter_params, bias_v.as_deref(), activation, info),
+            k::fused_conv2d_quant(&xv, &codes, params, bias_v.as_deref(), activation, info),
             DType::F32,
         ))
     }
 
-    fn fused_depthwise_conv2d_quant(
+    fn fused_depthwise_conv2d(
         &self,
         x: &KTensor<'_>,
         filter: &KTensor<'_>,
-        filter_params: &crate::quant::QuantParams,
         bias: Option<&KTensor<'_>>,
         activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        // The factored depthwise kernel supports a constant scale per output:
-        // per-tensor, or per-channel along filter axis 2 (input channel) or
-        // 3 (channel multiplier).
-        let axis_ok = k::quant_axis_ok(filter_params, 2, info.in_channels)
-            || k::quant_axis_ok(filter_params, 3, info.channel_mul);
-        if !axis_ok {
-            return crate::backend::fused_depthwise_conv2d_quant_fallback(
-                self, x, filter, filter_params, bias, activation, info,
-            );
-        }
+        let Some(params) = filter.quant else {
+            return fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info);
+        };
         let _t = self.timer();
         let xv = self.get_f32(x.data)?;
         let codes = self.get_u8(filter.data)?;
@@ -498,7 +477,7 @@ impl Backend for CpuBackend {
             k::fused_depthwise_conv2d_quant(
                 &xv,
                 &codes,
-                filter_params,
+                params,
                 bias_v.as_deref(),
                 activation,
                 info,
@@ -544,7 +523,6 @@ mod tests {
 
     #[test]
     fn fused_matmul_quant_override_matches_dequantize_fallback() {
-        use crate::backend::fused_matmul_quant_fallback;
         use crate::quant::QuantParams;
         let b = CpuBackend::new();
         let a_shape = Shape::new(vec![1, 2, 3]);
@@ -553,46 +531,37 @@ mod tests {
         let a_id = b.register(TensorData::F32(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5]), DType::F32);
         let w_id = b.register(TensorData::U8(vec![0, 255, 100, 17, 200, 64]), DType::U8);
         let bias_id = b.register(TensorData::F32(vec![0.25, -0.5]), DType::F32);
-        let a = KTensor { data: a_id, shape: &a_shape, dtype: DType::F32 };
-        let w = KTensor { data: w_id, shape: &w_shape, dtype: DType::U8 };
-        let bias = KTensor { data: bias_id, shape: &bias_shape, dtype: DType::F32 };
         let params = QuantParams::per_tensor(0.03, -3.0);
-        let fast = b
-            .fused_matmul_quant(&a, &w, &params, Some(&bias), Some(UnaryOp::Relu), false, false)
-            .unwrap();
-        let slow = fused_matmul_quant_fallback(
-            &b,
-            &a,
-            &w,
-            &params,
-            Some(&bias),
-            Some(UnaryOp::Relu),
-            false,
-            false,
-        )
-        .unwrap();
+        let a = KTensor::new(a_id, &a_shape, DType::F32);
+        let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &w_shape, DType::U8) };
+        let bias = KTensor::new(bias_id, &bias_shape, DType::F32);
+        let fast =
+            b.fused_matmul(&a, &w, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap();
+        let slow =
+            fused_matmul_fallback(&b, &a, &w, Some(&bias), Some(UnaryOp::Relu), false, false)
+                .unwrap();
         let fv = b.read_sync(fast).unwrap().to_f32_vec();
         let sv = b.read_sync(slow).unwrap().to_f32_vec();
         for (f, s) in fv.iter().zip(&sv) {
             assert!((f - s).abs() < 1e-4, "factored {f} vs dequantized {s}");
         }
+        assert_eq!(b.memory().num_buffers, 5, "the fallback's f32 temporary is disposed");
     }
 
     #[test]
     fn mismatched_per_channel_axis_falls_back_not_errors() {
         use crate::quant::QuantParams;
-        let b = CpuBackend::new();
-        let a_shape = Shape::new(vec![1, 1, 2]);
-        let w_shape = Shape::new(vec![1, 2, 2]);
-        let a_id = b.register(TensorData::F32(vec![1.0, 1.0]), DType::F32);
-        let w_id = b.register(TensorData::U8(vec![10, 20, 30, 40]), DType::U8);
-        let a = KTensor { data: a_id, shape: &a_shape, dtype: DType::F32 };
-        let w = KTensor { data: w_id, shape: &w_shape, dtype: DType::U8 };
+        let e = crate::Engine::new();
+        e.register_backend("cpu", std::sync::Arc::new(CpuBackend::new()), 1);
+        let a = e.tensor(vec![1.0, 1.0], vec![1, 1, 2]).unwrap();
         // Per-channel along the k axis (1): the factored kernel cannot keep
-        // a constant scale per output column, so it must fall back.
+        // a constant scale per output column, so the op layer dequantizes.
         let params = QuantParams::per_channel(1, vec![0.1, 0.2], vec![0.0, 0.0]);
-        let out = b.fused_matmul_quant(&a, &w, &params, None, None, false, false).unwrap();
-        let got = b.read_sync(out).unwrap().to_f32_vec();
+        let w = e.quantized_tensor(vec![10, 20, 30, 40], vec![1, 2, 2], params).unwrap();
+        let got = crate::ops::fused_matmul(&a, &w, None, None, false, false)
+            .unwrap()
+            .to_f32_vec()
+            .unwrap();
         // Row 0 dequantizes with scale .1, row 1 with scale .2.
         assert!((got[0] - (10.0 * 0.1 + 30.0 * 0.2)).abs() < 1e-5);
         assert!((got[1] - (20.0 * 0.1 + 40.0 * 0.2)).abs() < 1e-5);
@@ -604,7 +573,7 @@ mod tests {
         let shape = Shape::new(vec![64, 64]);
         let id = b.register(TensorData::F32(vec![1.0; 64 * 64]), DType::F32);
         b.begin_timing();
-        let kt = KTensor { data: id, shape: &shape, dtype: DType::F32 };
+        let kt = KTensor::new(id, &shape, DType::F32);
         let _ = b.unary(UnaryOp::Exp, &kt).unwrap();
         let t = b.end_timing();
         assert!(t.kernel_ms >= 0.0);

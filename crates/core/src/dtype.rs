@@ -153,6 +153,19 @@ impl TensorData {
         }
     }
 
+    /// The contents as raw U8 quantization codes. U8 buffers are returned
+    /// as is; any other storage (a float copy of codes read back from an
+    /// R8 texture, or migrated between backends) holds exact integer values
+    /// and is rounded and clamped back into code space.
+    pub fn to_u8_codes(&self) -> Vec<u8> {
+        match self {
+            TensorData::U8(v) => v.clone(),
+            other => {
+                other.to_f32_vec().iter().map(|&x| x.round().clamp(0.0, 255.0) as u8).collect()
+            }
+        }
+    }
+
     /// Borrow as `&[f32]`, if this is an F32 buffer.
     pub fn as_f32(&self) -> Option<&[f32]> {
         match self {

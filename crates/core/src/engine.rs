@@ -701,6 +701,13 @@ impl Engine {
                 format!("cannot view {} as {} (different sizes)", t.shape(), new_shape),
             ));
         }
+        // A view of quantized codes keeps its params, with a per-channel
+        // axis remapped to where it lands in the new shape; a view the
+        // params cannot describe is refused before anything is registered.
+        let quant = match t.quant_params() {
+            Some(q) => Some(q.reshaped(t.shape_ref().dims(), new_shape.dims())?),
+            None => None,
+        };
         self.collect_garbage();
         let data_handle = self
             .tensor_shard(t.id())
@@ -716,11 +723,7 @@ impl Engine {
             rec.refcount += 1;
         }
         let out = self.register_tensor(data_handle, new_shape, t.dtype());
-        // A view of quantized codes dequantizes with the same params
-        // (per-channel params may stop lining up after a reshape, but the
-        // codes themselves are unchanged; consumers re-validate per-channel
-        // axes against the shape they dispatch with).
-        if let Some(q) = self.quant_params(t.id()) {
+        if let Some(q) = quant {
             self.set_quant_params(out.id(), q);
         }
         if let Some(grad_fn) = grad {
@@ -874,7 +877,14 @@ impl Engine {
                 return Err(e);
             }
 
-            // Phase 2 (no registry locks held): run the kernel.
+            // Phase 2 (no registry locks held): run the kernel. Quantized
+            // operands carry their params on the descriptor; `quants` stays
+            // unallocated unless some input is U8.
+            let quants: Vec<_> = if inputs.iter().any(|t| t.dtype() == DType::U8) {
+                inputs.iter().map(|t| t.quant_params()).collect()
+            } else {
+                Vec::new()
+            };
             let ktensors: Vec<KTensor<'_>> = inputs
                 .iter()
                 .zip(&input_data)
@@ -883,6 +893,7 @@ impl Engine {
                     data: *id,
                     shape: shapes.get(i).unwrap_or_else(|| t.shape_ref()),
                     dtype: t.dtype(),
+                    quant: quants.get(i).and_then(|q| q.as_deref()),
                 })
                 .collect();
             let profiling = self.inner.profiling.load(Ordering::Relaxed);

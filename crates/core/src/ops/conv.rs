@@ -9,7 +9,8 @@ use crate::tape::GradFn;
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
-/// 2-D convolution: `x` NHWC, `filter` HWIO.
+/// 2-D convolution: `x` NHWC, `filter` HWIO (f32, or a quantized weight —
+/// see [`super::matmul`]).
 ///
 /// # Errors
 /// Fails on rank/channel mismatches (see [`conv2d_info`]).
@@ -20,6 +21,9 @@ pub fn conv2d(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
+    if filter.is_quantized() {
+        return super::fused_conv2d(x, filter, None, None, strides, padding, dilations);
+    }
     let info = conv2d_info("Conv2D", x.shape_ref(), filter.shape_ref(), strides, padding, dilations)?;
     let out_shape = info.out_shape();
     let g_info = info.clone();
@@ -113,6 +117,9 @@ pub fn depthwise_conv2d(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
+    if filter.is_quantized() {
+        return super::fused_depthwise_conv2d(x, filter, None, None, strides, padding, dilations);
+    }
     let info = depthwise_conv2d_info(
         "DepthwiseConv2D",
         x.shape_ref(),

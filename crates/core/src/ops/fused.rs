@@ -21,6 +21,7 @@ use crate::dtype::DType;
 use crate::error::{Error, Result};
 use crate::shape::{broadcast_shapes, Shape};
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Dispatch a unary op to its tape-recording tensor-level op.
 fn unary_tensor_op(op: UnaryOp, x: &Tensor) -> Result<Tensor> {
@@ -112,12 +113,76 @@ fn check_bias(op: &'static str, bias: Option<&Tensor>, channels: usize) -> Resul
     Ok(())
 }
 
+/// The unfused `+ bias`, `activation` tail of a composed fused op.
+fn unfused_epilogue(
+    mut y: Tensor,
+    bias: Option<&Tensor>,
+    activation: Option<UnaryOp>,
+) -> Result<Tensor> {
+    if let Some(bias) = bias {
+        y = super::add(&y, bias)?;
+    }
+    if let Some(act) = activation {
+        y = unary_tensor_op(act, &y)?;
+    }
+    Ok(y)
+}
+
+/// The kernel families with a dequant-free variant, i.e. the ops whose
+/// weight operand may be a quantized tensor.
+#[derive(Clone, Copy)]
+enum WeightKernel {
+    MatMul { transpose_b: bool },
+    Conv2d,
+    DepthwiseConv2d,
+}
+
+/// The single gate for quantized weight operands (paper Sec 5.1):
+/// quantization is metadata on the weight, and this decides once, for every
+/// backend, how the op consumes it. Returns the operand to dispatch and
+/// whether it still carries its codes (the backend then runs the factored
+/// two-sum kernel, reading them in place). It is dequantized to a temporary
+/// f32 tensor instead — and continues down the ordinary f32 path — when the
+/// op is being composed from unfused ops (`unfused`: a tape records, or
+/// fusion is off) or when per-channel params do not run along the axis the
+/// kernel keeps constant over its accumulation. Unquantized weights pass
+/// through on a dtype check alone. `w`'s rank must already be validated.
+fn lower_weight(
+    kernel: WeightKernel,
+    w: &Tensor,
+    unfused: bool,
+) -> Result<(Cow<'_, Tensor>, bool)> {
+    let Some(params) = w.quant_params() else {
+        return Ok((Cow::Borrowed(w), false));
+    };
+    let dims = w.shape_ref().dims();
+    let on_axis = |axis: usize| crate::kernels::quant_axis_ok(&params, axis, dims[axis]);
+    let factorable = match kernel {
+        WeightKernel::MatMul { transpose_b } => {
+            on_axis(if transpose_b { dims.len() - 2 } else { dims.len() - 1 })
+        }
+        WeightKernel::Conv2d => on_axis(3),
+        WeightKernel::DepthwiseConv2d => on_axis(2) || on_axis(3),
+    };
+    if factorable && !unfused {
+        Ok((Cow::Borrowed(w), true))
+    } else {
+        Ok((Cow::Owned(dequantize(w)?), false))
+    }
+}
+
 /// `activation(a x b + bias)` as one kernel (`tf.fused.matMul`).
 ///
 /// Accepts rank-2 or rank-3 operands like [`super::matmul`]; `bias` must be
 /// rank-1 `[n]` and is added to every output row. When a gradient tape is
 /// recording, this runs the unfused `matmul → add → activation` composition
 /// so the tape sees the standard entries.
+///
+/// `b` may be a quantized weight ([`crate::engine::Engine::quantized_tensor`]):
+/// the kernel then folds dequantization into its epilogue and no f32 weight
+/// tensor is materialized on the fast path. It is dequantized first, once,
+/// when the op composes unfused kernels (tape recording, fusion disabled) or
+/// its per-channel params run along the reduced axis `k`.
 ///
 /// # Errors
 /// Fails on rank/inner-dimension/bias-shape mismatches or backend errors.
@@ -140,15 +205,12 @@ pub fn fused_matmul(
             format!("expected rank 2 or 3 tensors, got {} and {}", a.shape(), b.shape()),
         ));
     }
-    if a.engine().tape_active() || !a.engine().fusion_enabled() {
-        let mut y = super::matmul(a, b, transpose_a, transpose_b)?;
-        if let Some(bias) = bias {
-            y = super::add(&y, bias)?;
-        }
-        if let Some(act) = activation {
-            y = unary_tensor_op(act, &y)?;
-        }
-        return Ok(y);
+    let unfused = a.engine().tape_active() || !a.engine().fusion_enabled();
+    let (b, quant) = lower_weight(WeightKernel::MatMul { transpose_b }, b, unfused)?;
+    let b: &Tensor = &b;
+    if unfused {
+        let y = super::matmul(a, b, transpose_a, transpose_b)?;
+        return unfused_epilogue(y, bias, activation);
     }
     let out_rank2 = a.rank() == 2 && b.rank() == 2;
     let a3 = if a.rank() == 2 { reshape(a, prepend_batch(a.shape_ref()))? } else { a.clone() };
@@ -156,6 +218,9 @@ pub fn fused_matmul(
     let (a3, b3) = match (a3.shape_ref().dim(0), b3.shape_ref().dim(0)) {
         (x, y) if x == y => (a3, b3),
         (1, y) => (tile(&a3, &[y, 1, 1])?, b3),
+        // The quantized kernels broadcast a batch-1 weight themselves;
+        // tiling would copy the codes.
+        (_, 1) if quant => (a3, b3),
         (x, 1) => (a3, tile(&b3, &[x, 1, 1])?),
         (x, y) => {
             return Err(Error::shape("FusedMatMul", format!("batch dims {x} vs {y} incompatible")))
@@ -180,13 +245,13 @@ pub fn fused_matmul(
     }
     check_bias("FusedMatMul", bias, n)?;
     let out_shape = Shape::new(vec![batch, m, n]);
-    let shape_for_fwd = out_shape.clone();
     let mut inputs: Vec<&Tensor> = vec![&a3, &b3];
     if let Some(bias) = bias {
         inputs.push(bias);
     }
+    // A quantized dispatch keeps its own kernel name in profiles and traces.
     let outs = a.engine().run_kernel(
-        "FusedMatMul",
+        if quant { "FusedMatMulQuant" } else { "FusedMatMul" },
         &inputs,
         &mut |backend, ins| {
             let id = backend.fused_matmul(
@@ -197,7 +262,7 @@ pub fn fused_matmul(
                 transpose_a,
                 transpose_b,
             )?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
+            Ok(vec![(id, out_shape.clone(), DType::F32)])
         },
         None,
     )?;
@@ -216,24 +281,52 @@ fn prepend_batch(s: &Shape) -> Vec<usize> {
 }
 
 /// Shared body of the two fused conv ops.
+#[allow(clippy::too_many_arguments)] // the public conv signature plus the variant
 fn fused_conv_impl(
-    kernel: &'static str,
+    depthwise: bool,
     x: &Tensor,
     filter: &Tensor,
     bias: Option<&Tensor>,
     activation: Option<UnaryOp>,
-    info: Conv2dInfo,
-    depthwise: bool,
+    strides: (usize, usize),
+    padding: Padding,
+    dilations: (usize, usize),
 ) -> Result<Tensor> {
+    let (kernel, quant_kernel, weight_kernel) = if depthwise {
+        ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DQuant", WeightKernel::DepthwiseConv2d)
+    } else {
+        ("FusedConv2D", "FusedConv2DQuant", WeightKernel::Conv2d)
+    };
+    same_engine(kernel, x, filter)?;
+    if let Some(bias) = bias {
+        same_engine(kernel, x, bias)?;
+    }
+    check_activation(kernel, activation)?;
+    let (xs, fs) = (x.shape_ref(), filter.shape_ref());
+    let info: Conv2dInfo = if depthwise {
+        depthwise_conv2d_info(kernel, xs, fs, strides, padding, dilations)?
+    } else {
+        conv2d_info(kernel, xs, fs, strides, padding, dilations)?
+    };
+    let unfused = x.engine().tape_active() || !x.engine().fusion_enabled();
+    let (filter, quant) = lower_weight(weight_kernel, filter, unfused)?;
+    let filter: &Tensor = &filter;
+    if unfused {
+        let y = if depthwise {
+            super::depthwise_conv2d(x, filter, strides, padding, dilations)?
+        } else {
+            super::conv2d(x, filter, strides, padding, dilations)?
+        };
+        return unfused_epilogue(y, bias, activation);
+    }
     check_bias(kernel, bias, info.out_channels)?;
     let out_shape = info.out_shape();
-    let shape_for_fwd = out_shape.clone();
     let mut inputs: Vec<&Tensor> = vec![x, filter];
     if let Some(bias) = bias {
         inputs.push(bias);
     }
     let outs = x.engine().run_kernel(
-        kernel,
+        if quant { quant_kernel } else { kernel },
         &inputs,
         &mut |backend, ins| {
             let id = if depthwise {
@@ -241,7 +334,7 @@ fn fused_conv_impl(
             } else {
                 backend.fused_conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
             };
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
+            Ok(vec![(id, out_shape.clone(), DType::F32)])
         },
         None,
     )?;
@@ -251,7 +344,8 @@ fn fused_conv_impl(
 /// `activation(conv2d(x, filter) + bias)` as one kernel (`tf.fused.conv2d`).
 ///
 /// `bias` must be rank-1 `[out_channels]`. When a gradient tape is recording
-/// this runs the unfused composition (see [`fused_matmul`]).
+/// this runs the unfused composition, and a quantized HWIO `filter` runs the
+/// dequant-free kernel (see [`fused_matmul`] for both).
 ///
 /// # Errors
 /// Fails on rank/channel/bias-shape mismatches or backend errors.
@@ -264,28 +358,12 @@ pub fn fused_conv2d(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
-    same_engine("FusedConv2D", x, filter)?;
-    if let Some(bias) = bias {
-        same_engine("FusedConv2D", x, bias)?;
-    }
-    check_activation("FusedConv2D", activation)?;
-    if x.engine().tape_active() || !x.engine().fusion_enabled() {
-        let mut y = super::conv2d(x, filter, strides, padding, dilations)?;
-        if let Some(bias) = bias {
-            y = super::add(&y, bias)?;
-        }
-        if let Some(act) = activation {
-            y = unary_tensor_op(act, &y)?;
-        }
-        return Ok(y);
-    }
-    let info =
-        conv2d_info("FusedConv2D", x.shape_ref(), filter.shape_ref(), strides, padding, dilations)?;
-    fused_conv_impl("FusedConv2D", x, filter, bias, activation, info, false)
+    fused_conv_impl(false, x, filter, bias, activation, strides, padding, dilations)
 }
 
 /// `activation(depthwise_conv2d(x, filter) + bias)` as one kernel
-/// (`tf.fused.depthwiseConv2d`).
+/// (`tf.fused.depthwiseConv2d`); `filter` is `[fh, fw, c, mul]`, f32 or
+/// quantized.
 ///
 /// # Errors
 /// See [`fused_conv2d`].
@@ -298,36 +376,13 @@ pub fn fused_depthwise_conv2d(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
-    same_engine("FusedDepthwiseConv2D", x, filter)?;
-    if let Some(bias) = bias {
-        same_engine("FusedDepthwiseConv2D", x, bias)?;
-    }
-    check_activation("FusedDepthwiseConv2D", activation)?;
-    if x.engine().tape_active() || !x.engine().fusion_enabled() {
-        let mut y = super::depthwise_conv2d(x, filter, strides, padding, dilations)?;
-        if let Some(bias) = bias {
-            y = super::add(&y, bias)?;
-        }
-        if let Some(act) = activation {
-            y = unary_tensor_op(act, &y)?;
-        }
-        return Ok(y);
-    }
-    let info = depthwise_conv2d_info(
-        "FusedDepthwiseConv2D",
-        x.shape_ref(),
-        filter.shape_ref(),
-        strides,
-        padding,
-        dilations,
-    )?;
-    fused_conv_impl("FusedDepthwiseConv2D", x, filter, bias, activation, info, true)
+    fused_conv_impl(true, x, filter, bias, activation, strides, padding, dilations)
 }
 
 /// Materialize a quantized tensor's f32 values as a new tensor by applying
 /// its attached affine params host-side. This is the explicit escape hatch
 /// for consuming quantized weights in ops that have no dequant-free kernel
-/// (and the path the quant fused ops take while a gradient tape records).
+/// (and what the fused ops do when the factored kernel cannot use its params).
 ///
 /// # Errors
 /// Fails when `t` carries no quantization params or has been disposed.
@@ -335,254 +390,9 @@ pub fn dequantize(t: &Tensor) -> Result<Tensor> {
     let params = t
         .quant_params()
         .ok_or_else(|| Error::invalid("Dequantize", "tensor has no quantization params"))?;
-    let data = t.data_sync()?;
-    let codes: Vec<u8> = match data {
-        crate::dtype::TensorData::U8(v) => v,
-        other => other.to_f32_vec().iter().map(|&x| x.round().clamp(0.0, 255.0) as u8).collect(),
-    };
-    let values = params.dequantize(&codes, t.shape_ref().dims());
+    let codes = t.data_sync()?.to_u8_codes();
+    let values = params.dequantize(&codes, t.shape_ref().dims())?;
     t.engine().tensor(values, t.shape())
-}
-
-/// Fetch the quantization params of a weight operand, erroring when absent.
-fn require_quant(op: &'static str, t: &Tensor) -> Result<std::sync::Arc<crate::quant::QuantParams>> {
-    if t.dtype() != DType::U8 {
-        return Err(Error::dtype(
-            op,
-            format!("quantized operand must be uint8 codes, got {:?}", t.dtype()),
-        ));
-    }
-    t.quant_params().ok_or_else(|| {
-        Error::invalid(op, "operand has no quantization params; use the f32 fused op instead")
-    })
-}
-
-/// [`fused_matmul`] with a quantized right-hand operand: `b` holds raw U8
-/// codes created by [`crate::engine::Engine::quantized_tensor`], and the
-/// kernel folds dequantization into its epilogue — no f32 weight tensor is
-/// materialized on the fast path. While a gradient tape records (or fusion
-/// is disabled) this dequantizes once and runs the f32 composition.
-///
-/// # Errors
-/// Fails when `b` is not quantized, or on the same shape errors as
-/// [`fused_matmul`].
-pub fn fused_matmul_quant(
-    a: &Tensor,
-    b: &Tensor,
-    bias: Option<&Tensor>,
-    activation: Option<UnaryOp>,
-    transpose_a: bool,
-    transpose_b: bool,
-) -> Result<Tensor> {
-    same_engine("FusedMatMulQuant", a, b)?;
-    if let Some(bias) = bias {
-        same_engine("FusedMatMulQuant", a, bias)?;
-    }
-    check_activation("FusedMatMulQuant", activation)?;
-    let params = require_quant("FusedMatMulQuant", b)?;
-    if a.rank() < 2 || b.rank() < 2 || a.rank() > 3 || b.rank() > 3 {
-        return Err(Error::shape(
-            "FusedMatMulQuant",
-            format!("expected rank 2 or 3 tensors, got {} and {}", a.shape(), b.shape()),
-        ));
-    }
-    if a.engine().tape_active() || !a.engine().fusion_enabled() {
-        let bf = dequantize(b)?;
-        return fused_matmul(a, &bf, bias, activation, transpose_a, transpose_b);
-    }
-    let out_rank2 = a.rank() == 2 && b.rank() == 2;
-    let a3 = if a.rank() == 2 { reshape(a, prepend_batch(a.shape_ref()))? } else { a.clone() };
-    let b3 = if b.rank() == 2 { reshape(b, prepend_batch(b.shape_ref()))? } else { b.clone() };
-    // Prepending the batch dim shifts a rank-2 weight's channel axis by one:
-    // a `[k, n]` weight quantized along axis 1 is axis 2 of the `[1, k, n]`
-    // kernel view. Without the remap every rank-2 per-channel weight would
-    // silently take the dequantize fallback.
-    let params = if b.rank() == 2 {
-        match &*params {
-            crate::quant::QuantParams::PerChannel { axis, scales, mins } => {
-                std::sync::Arc::new(crate::quant::QuantParams::per_channel(
-                    axis + 1,
-                    scales.clone(),
-                    mins.clone(),
-                ))
-            }
-            _ => params,
-        }
-    } else {
-        params
-    };
-    // Weights broadcast a batch-1 `b` inside the kernel (tiling would copy
-    // the codes); a batch-1 `a` against batched codes is still tiled.
-    let a3 = match (a3.shape_ref().dim(0), b3.shape_ref().dim(0)) {
-        (x, y) if x == y => a3,
-        (_, 1) => a3,
-        (1, y) => tile(&a3, &[y, 1, 1])?,
-        (x, y) => {
-            return Err(Error::shape(
-                "FusedMatMulQuant",
-                format!("batch dims {x} vs {y} incompatible"),
-            ))
-        }
-    };
-    let batch = a3.shape_ref().dim(0);
-    let (m, k_a) = if transpose_a {
-        (a3.shape_ref().dim(2), a3.shape_ref().dim(1))
-    } else {
-        (a3.shape_ref().dim(1), a3.shape_ref().dim(2))
-    };
-    let (k_b, n) = if transpose_b {
-        (b3.shape_ref().dim(2), b3.shape_ref().dim(1))
-    } else {
-        (b3.shape_ref().dim(1), b3.shape_ref().dim(2))
-    };
-    if k_a != k_b {
-        return Err(Error::shape(
-            "FusedMatMulQuant",
-            format!("inner dimensions must match: {k_a} vs {k_b} ({} x {})", a.shape(), b.shape()),
-        ));
-    }
-    check_bias("FusedMatMulQuant", bias, n)?;
-    let out_shape = Shape::new(vec![batch, m, n]);
-    let shape_for_fwd = out_shape.clone();
-    let mut inputs: Vec<&Tensor> = vec![&a3, &b3];
-    if let Some(bias) = bias {
-        inputs.push(bias);
-    }
-    let outs = a.engine().run_kernel(
-        "FusedMatMulQuant",
-        &inputs,
-        &mut |backend, ins| {
-            let id = backend.fused_matmul_quant(
-                &ins[0],
-                &ins[1],
-                &params,
-                ins.get(2),
-                activation,
-                transpose_a,
-                transpose_b,
-            )?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    let out = outs.into_iter().next().expect("one output");
-    if out_rank2 {
-        reshape(&out, vec![m, n])
-    } else {
-        Ok(out)
-    }
-}
-
-/// [`fused_conv2d`] with a quantized HWIO filter (see
-/// [`fused_matmul_quant`] for dispatch semantics).
-///
-/// # Errors
-/// Fails when `filter` is not quantized, or on the same shape errors as
-/// [`fused_conv2d`].
-pub fn fused_conv2d_quant(
-    x: &Tensor,
-    filter: &Tensor,
-    bias: Option<&Tensor>,
-    activation: Option<UnaryOp>,
-    strides: (usize, usize),
-    padding: Padding,
-    dilations: (usize, usize),
-) -> Result<Tensor> {
-    same_engine("FusedConv2DQuant", x, filter)?;
-    if let Some(bias) = bias {
-        same_engine("FusedConv2DQuant", x, bias)?;
-    }
-    check_activation("FusedConv2DQuant", activation)?;
-    let params = require_quant("FusedConv2DQuant", filter)?;
-    if x.engine().tape_active() || !x.engine().fusion_enabled() {
-        let ff = dequantize(filter)?;
-        return fused_conv2d(x, &ff, bias, activation, strides, padding, dilations);
-    }
-    let info = conv2d_info(
-        "FusedConv2DQuant",
-        x.shape_ref(),
-        filter.shape_ref(),
-        strides,
-        padding,
-        dilations,
-    )?;
-    check_bias("FusedConv2DQuant", bias, info.out_channels)?;
-    let out_shape = info.out_shape();
-    let shape_for_fwd = out_shape.clone();
-    let mut inputs: Vec<&Tensor> = vec![x, filter];
-    if let Some(bias) = bias {
-        inputs.push(bias);
-    }
-    let outs = x.engine().run_kernel(
-        "FusedConv2DQuant",
-        &inputs,
-        &mut |backend, ins| {
-            let id = backend
-                .fused_conv2d_quant(&ins[0], &ins[1], &params, ins.get(2), activation, &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
-}
-
-/// [`fused_depthwise_conv2d`] with a quantized `[fh, fw, c, mul]` filter
-/// (see [`fused_matmul_quant`] for dispatch semantics).
-///
-/// # Errors
-/// Fails when `filter` is not quantized, or on the same shape errors as
-/// [`fused_depthwise_conv2d`].
-pub fn fused_depthwise_conv2d_quant(
-    x: &Tensor,
-    filter: &Tensor,
-    bias: Option<&Tensor>,
-    activation: Option<UnaryOp>,
-    strides: (usize, usize),
-    padding: Padding,
-    dilations: (usize, usize),
-) -> Result<Tensor> {
-    same_engine("FusedDepthwiseConv2DQuant", x, filter)?;
-    if let Some(bias) = bias {
-        same_engine("FusedDepthwiseConv2DQuant", x, bias)?;
-    }
-    check_activation("FusedDepthwiseConv2DQuant", activation)?;
-    let params = require_quant("FusedDepthwiseConv2DQuant", filter)?;
-    if x.engine().tape_active() || !x.engine().fusion_enabled() {
-        let ff = dequantize(filter)?;
-        return fused_depthwise_conv2d(x, &ff, bias, activation, strides, padding, dilations);
-    }
-    let info = depthwise_conv2d_info(
-        "FusedDepthwiseConv2DQuant",
-        x.shape_ref(),
-        filter.shape_ref(),
-        strides,
-        padding,
-        dilations,
-    )?;
-    check_bias("FusedDepthwiseConv2DQuant", bias, info.out_channels)?;
-    let out_shape = info.out_shape();
-    let shape_for_fwd = out_shape.clone();
-    let mut inputs: Vec<&Tensor> = vec![x, filter];
-    if let Some(bias) = bias {
-        inputs.push(bias);
-    }
-    let outs = x.engine().run_kernel(
-        "FusedDepthwiseConv2DQuant",
-        &inputs,
-        &mut |backend, ins| {
-            let id = backend.fused_depthwise_conv2d_quant(
-                &ins[0],
-                &ins[1],
-                &params,
-                ins.get(2),
-                activation,
-                &info,
-            )?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
 }
 
 /// Execute a chain of elementwise steps over `x` as one kernel. Each
@@ -753,7 +563,7 @@ mod tests {
             .unwrap();
         let bias = e.tensor_1d(&[0.1, -0.2]).unwrap();
         let fused =
-            fused_matmul_quant(&a, &w, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap();
+            fused_matmul(&a, &w, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap();
         let wf = dequantize(&w).unwrap();
         let reference =
             fused_matmul(&a, &wf, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap();
@@ -770,7 +580,7 @@ mod tests {
         let w = e
             .quantized_tensor(vec![128; 6], vec![3, 2], QuantParams::per_tensor(0.5, -32.0))
             .unwrap();
-        let y = fused_matmul_quant(&a, &w, None, None, false, false).unwrap();
+        let y = fused_matmul(&a, &w, None, None, false, false).unwrap();
         assert_eq!(y.dims(), &[2, 2, 2]);
         // Each weight dequantizes to 128*0.5 - 32 = 32; each output is 3*32.
         for v in y.to_f32_vec().unwrap() {
@@ -778,13 +588,82 @@ mod tests {
         }
     }
 
+    /// Kernel names `f` dispatched, in order.
+    fn kernels_of(e: &crate::Engine, f: impl FnOnce() -> Tensor) -> (Vec<&'static str>, Tensor) {
+        let (out, profile) = e.profile(f);
+        (profile.kernels.iter().map(|k| k.name).collect(), out)
+    }
+
     #[test]
-    fn fused_quant_ops_reject_unquantized_operands() {
+    fn unquantized_operands_take_the_f32_kernel_and_dequantize_rejects_them() {
         let e = test_engine();
         let a = e.tensor_2d(&[1.0; 4], 2, 2).unwrap();
         let w = e.tensor_2d(&[1.0; 4], 2, 2).unwrap();
-        assert!(fused_matmul_quant(&a, &w, None, None, false, false).is_err());
+        let (names, _) = kernels_of(&e, || fused_matmul(&a, &w, None, None, false, false).unwrap());
+        assert_eq!(names, ["FusedMatMul"]);
         assert!(dequantize(&w).is_err());
+    }
+
+    #[test]
+    fn rank2_per_channel_quant_weight_reaches_the_dequant_free_kernel() {
+        use crate::quant::QuantParams;
+        let e = test_engine();
+        let a = e.tensor_2d(&[1.0, 2.0, 3.0, 4.0], 2, 2).unwrap();
+        let cols = QuantParams::per_channel(1, vec![0.5, 2.0], vec![0.0, -1.0]);
+        let w = e.quantized_tensor(vec![2, 4, 6, 8], vec![2, 2], cols).unwrap();
+        // The `[1, k, n]` kernel view is a reshape alias whose params carry
+        // the remapped axis, so the column-quantized weight stays on the
+        // factored kernel — fused, unfused, and behind a graph `Reshape`.
+        let expect = [7.0, 37.0, 15.0, 81.0];
+        let w3 = reshape(&w, vec![1, 2, 2]).unwrap();
+        let w2 = reshape(&w3, vec![2, 2]).unwrap();
+        for (label, w) in [("rank 2", &w), ("reshaped", &w2)] {
+            for fused in [true, false] {
+                let (names, y) = kernels_of(&e, || {
+                    if fused {
+                        fused_matmul(&a, w, None, None, false, false).unwrap()
+                    } else {
+                        super::super::matmul(&a, w, false, false).unwrap()
+                    }
+                });
+                assert_eq!(names, ["FusedMatMulQuant"], "{label} fused={fused}");
+                assert_eq!(y.to_f32_vec().unwrap(), expect, "{label} fused={fused}");
+            }
+        }
+        // Quantized along `k` the factored kernel cannot keep one scale per
+        // output: the gate dequantizes once and the f32 kernel runs.
+        let rows = QuantParams::per_channel(0, vec![0.5, 2.0], vec![0.0, -1.0]);
+        let wk = e.quantized_tensor(vec![2, 4, 6, 8], vec![2, 2], rows).unwrap();
+        let (names, y) =
+            kernels_of(&e, || fused_matmul(&a, &wk, None, None, false, false).unwrap());
+        assert_eq!(names, ["FusedMatMul"]);
+        let wf = dequantize(&wk).unwrap();
+        let reference = fused_matmul(&a, &wf, None, None, false, false).unwrap();
+        assert_eq!(y.to_f32_vec().unwrap(), reference.to_f32_vec().unwrap());
+    }
+
+    #[test]
+    fn reshaped_quant_alias_dequantizes_correctly_or_is_refused() {
+        use crate::quant::QuantParams;
+        let e = test_engine();
+        let cols = QuantParams::per_channel(1, vec![1.0, 10.0, 100.0], vec![0.0; 3]);
+        let w = e.quantized_tensor(vec![1; 6], vec![2, 3], cols).unwrap();
+        let view = reshape(&w, vec![1, 2, 3]).unwrap();
+        assert_eq!(
+            dequantize(&view).unwrap().to_f32_vec().unwrap(),
+            [1.0, 10.0, 100.0, 1.0, 10.0, 100.0]
+        );
+        let deep = QuantParams::per_channel(2, vec![1.0; 4], vec![0.0; 4]);
+        let w3 = e.quantized_tensor(vec![0; 24], vec![2, 3, 4], deep).unwrap();
+        let before = e.num_tensors();
+        let err = super::super::flatten(&w3).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
+        assert_eq!(e.num_tensors(), before, "a refused alias registers nothing");
+        // Per-tensor params describe any view.
+        let whole = QuantParams::per_tensor(0.5, 1.0);
+        let pt = e.quantized_tensor(vec![2; 6], vec![2, 3], whole).unwrap();
+        let flat = super::super::flatten(&pt).unwrap();
+        assert_eq!(dequantize(&flat).unwrap().to_f32_vec().unwrap(), [2.0; 6]);
     }
 
     #[test]
@@ -798,7 +677,7 @@ mod tests {
             .quantized_tensor(codes, vec![2, 2, 2, 3], QuantParams::per_tensor(0.02, -2.5))
             .unwrap();
         let bias = e.tensor_1d(&[0.1, -0.2, 0.3]).unwrap();
-        let fused = fused_conv2d_quant(
+        let fused = fused_conv2d(
             &x,
             &w,
             Some(&bias),
@@ -835,8 +714,8 @@ mod tests {
                 QuantParams::per_channel(2, vec![0.02, 0.03], vec![0.0, 0.0]),
             )
             .unwrap();
-        let y = fused_depthwise_conv2d_quant(&x, &w, None, None, (1, 1), Padding::Valid, (1, 1))
-            .unwrap();
+        let y =
+            fused_depthwise_conv2d(&x, &w, None, None, (1, 1), Padding::Valid, (1, 1)).unwrap();
         // Channel 0 weight = 2.0, channel 1 weight = 3.0.
         assert_close(
             &y.to_f32_vec().unwrap(),
@@ -857,7 +736,7 @@ mod tests {
         // composition.
         let g = e
             .grad(&a, || {
-                let y = fused_matmul_quant(&a, &w, None, None, false, false)?;
+                let y = fused_matmul(&a, &w, None, None, false, false)?;
                 super::super::sum(&y, None, false)
             })
             .unwrap();

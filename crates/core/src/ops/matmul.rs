@@ -10,11 +10,19 @@ use std::sync::Arc;
 
 /// `a x b` with optional transposes. Accepts rank-2 matrices or rank-3
 /// batched matrices; a batch of 1 broadcasts against the other operand.
+/// A quantized weight `b` multiplies by its dequantized values, through the
+/// dequant-free kernel (see [`super::fused_matmul`]).
 ///
 /// # Errors
 /// Fails on rank < 2, inner-dimension mismatch, or batch mismatch.
 pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> Result<Tensor> {
     same_engine("MatMul", a, b)?;
+    if b.is_quantized() {
+        // Quantization rides on the weight: the fused entry with an empty
+        // epilogue owns the gate and comes back here with f32 values when
+        // it has to dequantize.
+        return super::fused_matmul(a, b, None, None, transpose_a, transpose_b);
+    }
     if a.rank() < 2 || b.rank() < 2 || a.rank() > 3 || b.rank() > 3 {
         return Err(Error::shape(
             "MatMul",

@@ -27,6 +27,7 @@
 
 use crate::error::{Error, Result};
 use crate::shape::Shape;
+use std::sync::Arc;
 
 /// Affine dequantization parameters for a `U8`-stored quantized tensor:
 /// `value ≈ code * scale + min`.
@@ -138,14 +139,15 @@ impl QuantParams {
     }
 
     /// Flat-index → channel mapping for per-channel params over `dims`
-    /// (row-major layout): `(i / stride) % dims[axis]` with `stride` the
-    /// product of the dims after `axis`. Returns `(stride, channels)`;
-    /// per-tensor params get `(1, 1)` so `channel_of` is always 0-safe.
+    /// (row-major layout): `(i / stride) % channels` with `stride` the
+    /// product of the dims after `axis` (1 when `axis` is the last dim or
+    /// lies beyond `dims`). Returns `(stride, channels)`; per-tensor params
+    /// get `(usize::MAX, 1)` so every index maps to channel 0.
     pub fn channel_stride(&self, dims: &[usize]) -> (usize, usize) {
         match self {
             QuantParams::PerTensor { .. } => (usize::MAX, 1),
             QuantParams::PerChannel { axis, scales, .. } => {
-                let stride: usize = dims[axis + 1..].iter().product::<usize>().max(1);
+                let stride = dims.get(axis + 1..).map_or(1, |d| d.iter().product::<usize>().max(1));
                 (stride, scales.len())
             }
         }
@@ -154,8 +156,22 @@ impl QuantParams {
     /// Host-side reference dequantization of raw codes over `dims` —
     /// the semantics every dequant-free kernel must reproduce. Used by the
     /// universal backend fallback and by accuracy tests.
-    pub fn dequantize(&self, codes: &[u8], dims: &[usize]) -> Vec<f32> {
-        match self {
+    ///
+    /// # Errors
+    /// [`Error::InvalidArgument`] when the params fail [`Self::validate`]
+    /// against `dims` or `codes` does not hold one code per element — a
+    /// mismatch would otherwise index out of range or silently pick the
+    /// wrong channel.
+    pub fn dequantize(&self, codes: &[u8], dims: &[usize]) -> Result<Vec<f32>> {
+        let shape = Shape::new(dims.to_vec());
+        self.validate(&shape)?;
+        if codes.len() != shape.size() {
+            return Err(Error::invalid(
+                "dequantize",
+                format!("{} codes for shape {shape}", codes.len()),
+            ));
+        }
+        Ok(match self {
             QuantParams::PerTensor { scale, min } => {
                 codes.iter().map(|&c| c as f32 * scale + min).collect()
             }
@@ -165,13 +181,48 @@ impl QuantParams {
                     .iter()
                     .enumerate()
                     .map(|(i, &c)| {
-                        let ch = (i / stride) % channels;
-                        let (s, m) = self.scale_min(ch);
+                        let (s, m) = self.scale_min((i / stride) % channels);
                         c as f32 * s + m
                     })
                     .collect()
             }
+        })
+    }
+
+    /// The params describing the same codes viewed under shape `to` instead
+    /// of `from` (a free reshape alias). Per-tensor params are unaffected;
+    /// per-channel params survive only when the channel axis does — some
+    /// axis of `to` has the same extent and the same product of leading
+    /// dims, so every flat index keeps its channel — and are returned with
+    /// the axis remapped (`[k, n]` axis 1 → `[1, k, n]` axis 2).
+    ///
+    /// # Errors
+    /// [`Error::InvalidArgument`] when the reshape splits or merges the
+    /// channel axis (e.g. flattening): the view has no per-channel
+    /// description, so dequantize first.
+    pub fn reshaped(self: &Arc<Self>, from: &[usize], to: &[usize]) -> Result<Arc<QuantParams>> {
+        let QuantParams::PerChannel { axis, scales, mins } = &**self else {
+            return Ok(self.clone());
+        };
+        let outer: usize = from.iter().take(*axis).product();
+        let mut lead = 1usize;
+        for (i, &d) in to.iter().enumerate() {
+            if lead == outer && Some(&d) == from.get(*axis) {
+                return Ok(if i == *axis {
+                    self.clone()
+                } else {
+                    Arc::new(QuantParams::per_channel(i, scales.clone(), mins.clone()))
+                });
+            }
+            lead *= d;
         }
+        Err(Error::invalid(
+            "reshape",
+            format!(
+                "per-channel quantization axis {axis} of {from:?} does not survive the view as \
+                 {to:?}; dequantize the tensor first"
+            ),
+        ))
     }
 }
 
@@ -182,7 +233,7 @@ mod tests {
     #[test]
     fn per_tensor_dequantizes_affinely() {
         let p = QuantParams::per_tensor(0.5, -1.0);
-        assert_eq!(p.dequantize(&[0, 1, 4], &[3]), vec![-1.0, -0.5, 1.0]);
+        assert_eq!(p.dequantize(&[0, 1, 4], &[3]).unwrap(), vec![-1.0, -0.5, 1.0]);
         assert_eq!(p.max_scale(), 0.5);
         assert!(p.validate(&Shape::new(vec![3])).is_ok());
     }
@@ -191,11 +242,11 @@ mod tests {
     fn per_channel_uses_the_right_channel() {
         // Shape [2, 3], channels along axis 1 (stride 1).
         let p = QuantParams::per_channel(1, vec![1.0, 10.0, 100.0], vec![0.0; 3]);
-        let out = p.dequantize(&[1, 1, 1, 2, 2, 2], &[2, 3]);
+        let out = p.dequantize(&[1, 1, 1, 2, 2, 2], &[2, 3]).unwrap();
         assert_eq!(out, vec![1.0, 10.0, 100.0, 2.0, 20.0, 200.0]);
         // Channels along axis 0 (stride 3).
         let p0 = QuantParams::per_channel(0, vec![1.0, 10.0], vec![0.0; 2]);
-        let out0 = p0.dequantize(&[1, 1, 1, 2, 2, 2], &[2, 3]);
+        let out0 = p0.dequantize(&[1, 1, 1, 2, 2, 2], &[2, 3]).unwrap();
         assert_eq!(out0, vec![1.0, 1.0, 1.0, 20.0, 20.0, 20.0]);
     }
 
@@ -209,5 +260,40 @@ mod tests {
         assert!(QuantParams::per_channel(1, vec![1.0, f32::INFINITY, 1.0], vec![0.0; 3])
             .validate(&shape)
             .is_err());
+    }
+
+    #[test]
+    fn dequantize_rejects_params_that_do_not_fit_the_shape() {
+        // Axis beyond the dims, channel-count mismatch, wrong code count:
+        // an explicit error, never an out-of-range index or a wrong channel.
+        let p = QuantParams::per_channel(2, vec![1.0; 4], vec![0.0; 4]);
+        assert!(p.dequantize(&[0; 24], &[24]).is_err());
+        assert_eq!(p.channel_stride(&[24]), (1, 4));
+        let short_mins = QuantParams::per_channel(1, vec![1.0; 3], vec![0.0; 2]);
+        assert!(short_mins.dequantize(&[0; 6], &[2, 3]).is_err());
+        assert!(QuantParams::per_tensor(1.0, 0.0).dequantize(&[0; 5], &[2, 3]).is_err());
+    }
+
+    #[test]
+    fn reshaped_remaps_a_surviving_channel_axis_and_refuses_the_rest() {
+        let p = Arc::new(QuantParams::per_channel(1, vec![1.0, 10.0, 100.0], vec![0.0; 3]));
+        // [k, n] → [1, k, n]: the column axis moves from 1 to 2.
+        let q = p.reshaped(&[2, 3], &[1, 2, 3]).unwrap();
+        assert_eq!(*q, QuantParams::per_channel(2, vec![1.0, 10.0, 100.0], vec![0.0; 3]));
+        assert_eq!(
+            q.dequantize(&[1; 6], &[1, 2, 3]).unwrap(),
+            p.dequantize(&[1; 6], &[2, 3]).unwrap()
+        );
+        // Same axis: the very same Arc, no copy.
+        assert!(Arc::ptr_eq(&p.reshaped(&[2, 3], &[2, 3]).unwrap(), &p));
+        // Flattening merges the channel axis away; so does splitting it.
+        assert!(p.reshaped(&[2, 3], &[6]).is_err());
+        assert!(p.reshaped(&[2, 3], &[3, 2]).is_err());
+        let p2 = Arc::new(QuantParams::per_channel(2, vec![1.0; 4], vec![0.0; 4]));
+        assert!(p2.reshaped(&[2, 3, 4], &[24]).is_err());
+        assert_eq!(p2.reshaped(&[2, 3, 4], &[6, 4]).unwrap().channel_count(), Some(4));
+        // Per-tensor params describe any view.
+        let pt = Arc::new(QuantParams::per_tensor(0.5, -1.0));
+        assert!(Arc::ptr_eq(&pt.reshaped(&[2, 3], &[6]).unwrap(), &pt));
     }
 }

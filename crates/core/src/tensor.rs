@@ -160,14 +160,19 @@ impl Tensor {
     }
 
     /// The affine dequantization parameters attached to this tensor, when
-    /// it stores quantized U8 codes (`Engine::quantized_tensor`).
+    /// it stores quantized U8 codes (`Engine::quantized_tensor`). Only U8
+    /// tensors carry params, so the dtype is checked first and f32 tensors
+    /// (every hot path) never touch the registry lock.
     pub fn quant_params(&self) -> Option<Arc<crate::quant::QuantParams>> {
+        if self.dtype() != DType::U8 {
+            return None;
+        }
         self.inner.engine.quant_params(self.inner.id)
     }
 
     /// Whether this tensor stores quantized codes with attached params.
     pub fn is_quantized(&self) -> bool {
-        self.dtype() == DType::U8 && self.quant_params().is_some()
+        self.quant_params().is_some()
     }
 
     /// Pretty-print the tensor's values to stdout (`tensor.print()`).

@@ -232,7 +232,9 @@ mod tests {
 
     #[test]
     fn ops_run_on_every_backend() {
-        let e = init();
+        // A private engine: switching backends on the shared `init()` engine
+        // raced with the default-backend assertion in the test above.
+        let e = new_engine();
         let original = e.backend_name();
         for name in ["plainjs", "cpu", "webgl", "webgpu", "native"] {
             e.set_backend(name).unwrap();

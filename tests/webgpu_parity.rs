@@ -147,7 +147,7 @@ fn quantized_fused_ops_parity() {
             .quantized_tensor(codes.clone(), vec![7, 3], QuantParams::per_tensor(0.05, -3.0))
             .unwrap();
         let bias = e.tensor_1d(&data(3, 127)).unwrap();
-        ops::fused_matmul_quant(&a, &b, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap()
+        ops::fused_matmul(&a, &b, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap()
     });
     let wcodes: Vec<u8> = (0..3 * 3 * 3 * 4).map(|i| ((i * 29) % 256) as u8).collect();
     assert_parity("quant conv per-channel", &|e| {
@@ -164,7 +164,7 @@ fn quantized_fused_ops_parity() {
             )
             .unwrap();
         let bias = e.tensor_1d(&data(4, 137)).unwrap();
-        ops::fused_conv2d_quant(&x, &w, Some(&bias), Some(UnaryOp::Relu6), (1, 1), Padding::Same, (1, 1))
+        ops::fused_conv2d(&x, &w, Some(&bias), Some(UnaryOp::Relu6), (1, 1), Padding::Same, (1, 1))
             .unwrap()
     });
     let dcodes: Vec<u8> = (0..3 * 3 * 2 * 2).map(|i| ((i * 41) % 256) as u8).collect();
@@ -173,8 +173,46 @@ fn quantized_fused_ops_parity() {
         let w = e
             .quantized_tensor(dcodes.clone(), vec![3, 3, 2, 2], QuantParams::per_tensor(0.03, -2.0))
             .unwrap();
-        ops::fused_depthwise_conv2d_quant(&x, &w, None, Some(UnaryOp::Relu), (1, 1), Padding::Same, (1, 1))
+        ops::fused_depthwise_conv2d(&x, &w, None, Some(UnaryOp::Relu), (1, 1), Padding::Same, (1, 1))
             .unwrap()
+    });
+    // The unfused ops look at the weight too: same dequant-free kernels,
+    // empty epilogue.
+    let col_params = || QuantParams::per_channel(1, vec![0.05, 0.02, 0.04], vec![-3.0, -1.0, 0.5]);
+    assert_parity("unfused matmul, rank-2 per-channel weight", &|e| {
+        let a = e.tensor(data(5 * 7, 149), vec![5, 7]).unwrap();
+        let b = e.quantized_tensor(codes.clone(), vec![7, 3], col_params()).unwrap();
+        ops::matmul(&a, &b, false, false).unwrap()
+    });
+    assert_parity("unfused conv per-tensor", &|e| {
+        let x = e.tensor(data(6 * 6 * 3, 151), vec![1, 6, 6, 3]).unwrap();
+        let w = e
+            .quantized_tensor(wcodes.clone(), vec![3, 3, 3, 4], QuantParams::per_tensor(0.02, -2.0))
+            .unwrap();
+        ops::conv2d(&x, &w, (2, 2), Padding::Valid, (1, 1)).unwrap()
+    });
+    assert_parity("unfused depthwise per-channel", &|e| {
+        let x = e.tensor(data(5 * 5 * 2, 157), vec![1, 5, 5, 2]).unwrap();
+        let params = QuantParams::per_channel(2, vec![0.03, 0.01], vec![-2.0, -0.5]);
+        let w = e.quantized_tensor(dcodes.clone(), vec![3, 3, 2, 2], params).unwrap();
+        ops::depthwise_conv2d(&x, &w, (1, 1), Padding::Same, (1, 1)).unwrap()
+    });
+    // Quantized along `k`, the factored kernel cannot keep one scale per
+    // output column: the op layer dequantizes once, on every backend, and
+    // the result is exactly the f32 kernel on `QuantParams::dequantize`.
+    let row_params =
+        || QuantParams::per_channel(0, (1..=7).map(|i| i as f32 * 0.01).collect(), vec![-1.0; 7]);
+    assert_parity("matmul weight quantized along k", &|e| {
+        let a = e.tensor(data(5 * 7, 163), vec![5, 7]).unwrap();
+        let b = e.quantized_tensor(codes.clone(), vec![7, 3], row_params()).unwrap();
+        let bias = e.tensor_1d(&data(3, 167)).unwrap();
+        let got =
+            ops::fused_matmul(&a, &b, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap();
+        let bf = e.tensor(row_params().dequantize(&codes, &[7, 3]).unwrap(), vec![7, 3]).unwrap();
+        let want =
+            ops::fused_matmul(&a, &bf, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap();
+        assert_eq!(got.to_f32_vec().unwrap(), want.to_f32_vec().unwrap());
+        got
     });
 }
 
@@ -209,6 +247,47 @@ fn planned_interpreted_and_pipelined_match_cpu_bitwise() {
     let pending = model.execute_pipelined(&[(&spec.input, &x)], &[&spec.output]).unwrap();
     let got = pending.wait().unwrap();
     assert_eq!(got[0].to_f32_vec(), want, "pipelined webgpu vs cpu");
+
+    // A quantized weight that reaches `MatMul` through a graph `Reshape`
+    // (a slot, not a weight, at plan build): the alias carries the params
+    // with the channel axis remapped, so all three paths run the
+    // dequant-free kernel, agree bitwise with the CPU, and stay within the
+    // quantized-execution drift bound of the same model on f32 weights.
+    use std::collections::HashMap;
+    use webml::converter::{GraphDef, GraphModel};
+    let mut graph = GraphDef::from_triples(&[
+        ("x", "Placeholder", &[]),
+        ("w", "Const", &[]),
+        ("w2", "Reshape", &["w"]),
+        ("y", "MatMul", &["x", "w2"]),
+    ]);
+    graph.nodes[2].attrs = serde_json::json!({ "shape": [4, 3] });
+    let codes: Vec<u8> = (0..12).map(|i| ((i * 53) % 256) as u8).collect();
+    let params = QuantParams::per_channel(2, vec![0.02, 0.05, 0.01], vec![-2.0, -6.0, 0.5]);
+    let xvals = data(2 * 4, 173);
+    let run = |e: &Engine, quantized: bool| -> Vec<Vec<f32>> {
+        let w = if quantized {
+            e.quantized_tensor(codes.clone(), vec![1, 4, 3], params.clone()).unwrap()
+        } else {
+            e.tensor(params.dequantize(&codes, &[1, 4, 3]).unwrap(), vec![1, 4, 3]).unwrap()
+        };
+        let weights = HashMap::from([("w".to_string(), w)]);
+        let model = GraphModel::new(e, graph.clone(), weights).unwrap();
+        let x = e.tensor(xvals.clone(), vec![2, 4]).unwrap();
+        x.keep();
+        let planned = model.execute(&[("x", &x)], &["y"]).unwrap()[0].to_f32_vec().unwrap();
+        let interpreted =
+            model.execute_interpreted(&[("x", &x)], &["y"]).unwrap()[0].to_f32_vec().unwrap();
+        let pipelined = model.execute_pipelined(&[("x", &x)], &["y"]).unwrap().wait().unwrap();
+        vec![planned, interpreted, pipelined[0].to_f32_vec()]
+    };
+    let want = run(&cpu, true);
+    assert_eq!(want[0], want[1], "cpu planned vs interpreted");
+    assert_eq!(want[0], want[2], "cpu planned vs pipelined");
+    assert_eq!(run(&gpu, true), want, "reshaped quantized weight: webgpu vs cpu");
+    for (q, f) in want[0].iter().zip(&run(&cpu, false)[0]) {
+        assert!((q - f).abs() < 0.05, "quantized {q} drifted from f32 {f}");
+    }
 }
 
 /// Whole-model parity: a seeded MobileNet inference on webgpu equals the
