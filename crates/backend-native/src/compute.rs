@@ -4,8 +4,10 @@
 //! (paper Sec 4.2).
 
 use crate::parallel::parallel_for_slices;
+use std::borrow::Cow;
 use webml_core::backend::{BinaryOp, FusedStep, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
+use webml_core::pool::WorkerPool;
 use webml_core::quant::QuantParams;
 
 /// The fused epilogue: optional per-channel bias add, then optional
@@ -36,9 +38,9 @@ pub fn matmul(
     n: usize,
     transpose_a: bool,
     transpose_b: bool,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
-    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, None, None, threads)
+    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, None, None, pool)
 }
 
 /// Matmul with a fused epilogue: the bias add and activation run on each
@@ -56,9 +58,9 @@ pub fn fused_matmul(
     transpose_b: bool,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
-    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, threads)
+    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, pool)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -73,17 +75,15 @@ fn matmul_impl(
     transpose_b: bool,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
     let fused = bias.is_some() || activation.is_some();
     for bi in 0..batch {
-        // Materialize row-major A [m,k] and B [k,n] so the inner loops are
-        // contiguous (the copies are O(mk + kn), negligible vs O(mkn)).
         let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a);
         let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b);
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
-        parallel_for_slices(out_b, m, n, threads, |rows, chunk| {
+        parallel_for_slices(pool, out_b, m, n, k * n, |rows, chunk| {
             for (local_i, i) in rows.enumerate() {
                 let out_row = &mut chunk[local_i * n..(local_i + 1) * n];
                 let a_row = &a_mat[i * k..(i + 1) * k];
@@ -107,9 +107,12 @@ fn matmul_impl(
     out
 }
 
-fn gather_matrix(src: &[f32], rows: usize, cols: usize, transposed: bool) -> Vec<f32> {
+/// Row-major `[rows, cols]` view of `src`: borrowed as is, or transposed
+/// into a fresh matrix so the inner loops stay contiguous (an O(rows·cols)
+/// copy, negligible next to the O(mkn) product).
+fn gather_matrix(src: &[f32], rows: usize, cols: usize, transposed: bool) -> Cow<'_, [f32]> {
     if !transposed {
-        return src.to_vec();
+        return Cow::Borrowed(src);
     }
     // src is [cols, rows] and we want row-major [rows, cols].
     let mut out = vec![0.0f32; rows * cols];
@@ -118,12 +121,12 @@ fn gather_matrix(src: &[f32], rows: usize, cols: usize, transposed: bool) -> Vec
             out[r * cols + c] = src[c * rows + r];
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// conv2d via im2col + blocked matmul.
-pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, threads: usize) -> Vec<f32> {
-    conv2d_impl(x, w, info, None, None, threads)
+pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
+    conv2d_impl(x, w, info, None, None, pool)
 }
 
 /// conv2d with the bias/activation epilogue fused into the im2col matmul.
@@ -133,9 +136,9 @@ pub fn fused_conv2d(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
-    conv2d_impl(x, w, info, bias, activation, threads)
+    conv2d_impl(x, w, info, bias, activation, pool)
 }
 
 fn conv2d_impl(
@@ -144,24 +147,24 @@ fn conv2d_impl(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let cols = im2col(x, c, threads);
+    let cols = im2col(x, c, pool);
     // [rows, patch] x [patch, out_c]; the epilogue channel is the output
     // column, i.e. the conv output channel.
-    matmul_impl(&cols, w, 1, rows, patch, c.out_channels, false, false, bias, activation, threads)
+    matmul_impl(&cols, w, 1, rows, patch, c.out_channels, false, false, bias, activation, pool)
 }
 
 /// Build the im2col patch matrix `[batch*oh*ow, fh*fw*ic]` in parallel over
 /// output rows; out-of-bounds taps are zero-filled.
-fn im2col(x: &[f32], c: &Conv2dInfo, threads: usize) -> Vec<f32> {
+fn im2col(x: &[f32], c: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
     let mut cols = vec![0.0f32; rows * patch];
-    parallel_for_slices(&mut cols, rows, patch, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut cols, rows, patch, patch, |range, chunk| {
         for (local, row) in range.enumerate() {
             let oc_spatial = c.out_height * c.out_width;
             let b = row / oc_spatial;
@@ -190,8 +193,8 @@ fn im2col(x: &[f32], c: &Conv2dInfo, threads: usize) -> Vec<f32> {
 }
 
 /// Depthwise conv2d, parallel over output pixels.
-pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, threads: usize) -> Vec<f32> {
-    depthwise_conv2d_impl(x, w, info, None, None, threads)
+pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
+    depthwise_conv2d_impl(x, w, info, None, None, pool)
 }
 
 /// Depthwise conv2d with the bias/activation epilogue applied to each output
@@ -202,9 +205,9 @@ pub fn fused_depthwise_conv2d(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
-    depthwise_conv2d_impl(x, w, info, bias, activation, threads)
+    depthwise_conv2d_impl(x, w, info, bias, activation, pool)
 }
 
 fn depthwise_conv2d_impl(
@@ -213,15 +216,16 @@ fn depthwise_conv2d_impl(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let c = info.clone();
     let fused = bias.is_some() || activation.is_some();
     let mul = c.channel_mul;
     let pixels = c.batch * c.out_height * c.out_width;
     let stride = c.out_channels;
+    let taps = c.filter_height * c.filter_width;
     let mut out = vec![0.0f32; pixels * stride];
-    parallel_for_slices(&mut out, pixels, stride, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, pixels, stride, taps * stride, |range, chunk| {
         for (local, pix) in range.enumerate() {
             let spatial = c.out_height * c.out_width;
             let b = pix / spatial;
@@ -289,7 +293,7 @@ pub fn fused_matmul_quant(
     transpose_b: bool,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
     let shared_b = if b_q.len() == k * n {
@@ -308,7 +312,7 @@ pub fn fused_matmul_quant(
             }
         };
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
-        parallel_for_slices(out_b, m, n, threads, |rows, chunk| {
+        parallel_for_slices(pool, out_b, m, n, k * n, |rows, chunk| {
             for (local_i, i) in rows.enumerate() {
                 let out_row = &mut chunk[local_i * n..(local_i + 1) * n];
                 let a_row = &a_mat[i * k..(i + 1) * k];
@@ -333,9 +337,9 @@ pub fn fused_matmul_quant(
     out
 }
 
-fn gather_codes(src: &[u8], rows: usize, cols: usize, transposed: bool) -> Vec<u8> {
+fn gather_codes(src: &[u8], rows: usize, cols: usize, transposed: bool) -> Cow<'_, [u8]> {
     if !transposed {
-        return src.to_vec();
+        return Cow::Borrowed(src);
     }
     // src is [cols, rows] and we want row-major [rows, cols].
     let mut out = vec![0u8; rows * cols];
@@ -344,7 +348,7 @@ fn gather_codes(src: &[u8], rows: usize, cols: usize, transposed: bool) -> Vec<u
             out[r * cols + c] = src[c * rows + r];
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Quantized-filter fused conv2d: im2col on the f32 input only, then the
@@ -357,11 +361,11 @@ pub fn fused_conv2d_quant(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let patch = info.filter_height * info.filter_width * info.in_channels;
     let rows = info.batch * info.out_height * info.out_width;
-    let cols = im2col(x, info, threads);
+    let cols = im2col(x, info, pool);
     fused_matmul_quant(
         &cols,
         w_q,
@@ -374,7 +378,7 @@ pub fn fused_conv2d_quant(
         false,
         bias,
         activation,
-        threads,
+        pool,
     )
 }
 
@@ -389,14 +393,15 @@ pub fn fused_depthwise_conv2d_quant(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let c = info.clone();
     let mul = c.channel_mul;
     let pixels = c.batch * c.out_height * c.out_width;
     let stride = c.out_channels;
+    let taps = c.filter_height * c.filter_width;
     let mut out = vec![0.0f32; pixels * stride];
-    parallel_for_slices(&mut out, pixels, stride, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, pixels, stride, taps * stride, |range, chunk| {
         let mut acc_x = vec![0.0f32; c.in_channels];
         for (local, pix) in range.enumerate() {
             let spatial = c.out_height * c.out_width;
@@ -452,12 +457,16 @@ pub fn fused_depthwise_conv2d_quant(
 }
 
 /// Gradient of conv2d w.r.t. input, gather form, parallel over input pixels.
-pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, threads: usize) -> Vec<f32> {
+pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
     let c = info.clone();
     let pixels = c.batch * c.in_height * c.in_width;
     let stride = c.in_channels;
     let mut dx = vec![0.0f32; pixels * stride];
-    parallel_for_slices(&mut dx, pixels, stride, threads, |range, chunk| {
+    // Only every stride-th tap lands on an output pixel.
+    let macs_per_pixel = (c.filter_height * c.filter_width).div_ceil(c.stride_h * c.stride_w)
+        * c.in_channels
+        * c.out_channels;
+    parallel_for_slices(pool, &mut dx, pixels, stride, macs_per_pixel, |range, chunk| {
         for (local, pix) in range.enumerate() {
             let spatial = c.in_height * c.in_width;
             let b = pix / spatial;
@@ -504,12 +513,13 @@ pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, threads: 
 }
 
 /// Gradient of conv2d w.r.t. filter, gather form, parallel over filter rows.
-pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, threads: usize) -> Vec<f32> {
+pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
     let c = info.clone();
     let positions = c.filter_height * c.filter_width * c.in_channels;
     let stride = c.out_channels;
     let mut dw = vec![0.0f32; positions * stride];
-    parallel_for_slices(&mut dw, positions, stride, threads, |range, chunk| {
+    let macs_per_position = c.batch * c.out_height * c.out_width * c.out_channels;
+    parallel_for_slices(pool, &mut dw, positions, stride, macs_per_position, |range, chunk| {
         for (local, pos) in range.enumerate() {
             let fh = pos / (c.filter_width * c.in_channels);
             let rem = pos % (c.filter_width * c.in_channels);
@@ -549,9 +559,9 @@ pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, threads:
 }
 
 /// Parallel element-wise unary map.
-pub fn unary_map(x: &[f32], threads: usize, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
+pub fn unary_map(x: &[f32], pool: &WorkerPool, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
     let mut out = vec![0.0f32; x.len()];
-    parallel_for_slices(&mut out, x.len(), 1, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, x.len(), 1, 1, |range, chunk| {
         for (o, &v) in chunk.iter_mut().zip(&x[range]) {
             *o = f(v);
         }
@@ -560,9 +570,9 @@ pub fn unary_map(x: &[f32], threads: usize, f: impl Fn(f32) -> f32 + Sync) -> Ve
 }
 
 /// Parallel element-wise binary map for equal shapes.
-pub fn binary_map(a: &[f32], b: &[f32], threads: usize, f: impl Fn(f32, f32) -> f32 + Sync) -> Vec<f32> {
+pub fn binary_map(a: &[f32], b: &[f32], pool: &WorkerPool, f: impl Fn(f32, f32) -> f32 + Sync) -> Vec<f32> {
     let mut out = vec![0.0f32; a.len()];
-    parallel_for_slices(&mut out, a.len(), 1, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, a.len(), 1, 1, |range, chunk| {
         for ((o, &u), &v) in chunk.iter_mut().zip(&a[range.clone()]) .zip(&b[range]) {
             *o = f(u, v);
         }
@@ -575,12 +585,12 @@ pub fn binary_map(a: &[f32], b: &[f32], threads: usize, f: impl Fn(f32, f32) -> 
 pub fn binary_map_suffix(
     a: &[f32],
     b: &[f32],
-    threads: usize,
+    pool: &WorkerPool,
     f: impl Fn(f32, f32) -> f32 + Sync,
 ) -> Vec<f32> {
     let bl = b.len();
     let mut out = vec![0.0f32; a.len()];
-    parallel_for_slices(&mut out, a.len(), 1, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, a.len(), 1, 1, |range, chunk| {
         for (k, (o, &u)) in chunk.iter_mut().zip(&a[range.clone()]).enumerate() {
             let i = range.start + k;
             *o = f(u, b[i % bl]);
@@ -621,7 +631,7 @@ pub fn fused_elementwise(
     extras: &[(&[f32], &[usize])],
     steps: &[FusedStep],
     out_dims: &[usize],
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Vec<f32> {
     let size: usize = out_dims.iter().product::<usize>().max(1);
     let rank = out_dims.len();
@@ -642,7 +652,7 @@ pub fn fused_elementwise(
         idx
     };
     let mut out = vec![0.0f32; size];
-    parallel_for_slices(&mut out, size, 1, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, size, 1, 1 + steps.len(), |range, chunk| {
         for (local, o) in chunk.iter_mut().enumerate() {
             let flat = range.start + local;
             let mut v = x[sample(&x_strides, flat)];
@@ -661,9 +671,9 @@ pub fn fused_elementwise(
 }
 
 /// Parallel sum over the trailing `inner` elements of each of `outer` rows.
-pub fn reduce_last(x: &[f32], outer: usize, inner: usize, threads: usize, mean: bool) -> Vec<f32> {
+pub fn reduce_last(x: &[f32], outer: usize, inner: usize, pool: &WorkerPool, mean: bool) -> Vec<f32> {
     let mut out = vec![0.0f32; outer];
-    parallel_for_slices(&mut out, outer, 1, threads, |range, chunk| {
+    parallel_for_slices(pool, &mut out, outer, 1, inner, |range, chunk| {
         for (o, row) in chunk.iter_mut().zip(x[range.start * inner..range.end * inner].chunks(inner)) {
             let mut acc = 0.0f32;
             for &v in row {
@@ -675,10 +685,33 @@ pub fn reduce_last(x: &[f32], outer: usize, inner: usize, threads: usize, mean: 
     out
 }
 
+/// Parallel sum over the `rows` of each of `cols` columns of a row-major
+/// `[rows, cols]` matrix (the bias gradient `[n, h, w, c] → [c]`), split over
+/// output columns. Every column adds its rows in index order starting from
+/// zero, the order `kernels::reduce` visits them in, so the result is
+/// bit-identical to the reference however the columns are split.
+pub fn reduce_leading(x: &[f32], rows: usize, cols: usize, pool: &WorkerPool, mean: bool) -> Vec<f32> {
+    let mut out = vec![0.0f32; cols];
+    parallel_for_slices(pool, &mut out, cols, 1, rows, |range, chunk| {
+        for row in x.chunks(cols) {
+            for (o, &v) in chunk.iter_mut().zip(&row[range.clone()]) {
+                *o += v;
+            }
+        }
+        if mean {
+            for o in chunk.iter_mut() {
+                *o /= rows as f32;
+            }
+        }
+    });
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webml_core::conv_util::{conv2d_info, Padding};
+    use webml_core::backend::ReduceOp;
+    use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
     use webml_core::kernels as reference;
     use webml_core::shape::Shape;
 
@@ -689,88 +722,128 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `kernel`'s output, the same to the bit on pools of 1, 2, 3 and 8. The
+    /// second shape of every test below is large enough to be split on all
+    /// but the first.
+    fn on_every_pool(kernel: impl Fn(&WorkerPool) -> Vec<f32>) -> Vec<f32> {
+        let inline = kernel(&WorkerPool::new(1));
+        for cores in [2, 3, 8] {
+            let split = kernel(&WorkerPool::new(cores));
+            assert_eq!(bits(&split), bits(&inline), "{cores} threads disagree with one");
+        }
+        inline
+    }
+
+    fn wave(len: usize, step: f32) -> Vec<f32> {
+        (0..len).map(|i| (i as f32 * step).sin()).collect()
+    }
+
+    fn codes(len: usize, mul: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * mul % 251) as u8).collect()
+    }
+
     #[test]
     fn matmul_matches_reference_all_flags() {
-        let a: Vec<f32> = (0..2 * 5 * 7).map(|i| (i as f32 * 0.13).sin()).collect();
-        let b: Vec<f32> = (0..2 * 7 * 3).map(|i| (i as f32 * 0.29).cos()).collect();
-        for ta in [false, true] {
-            for tb in [false, true] {
-                // Shapes adjusted so logical m=5, k=7, n=3 regardless of flags.
-                let got = matmul(&a, &b, 2, 5, 7, 3, ta, tb, 4);
-                let want = reference::matmul(&a, &b, 2, 5, 7, 3, ta, tb);
-                close(&got, &want, 1e-4);
+        for (batch, m, k, n) in [(2, 5, 7, 3), (2, 64, 48, 40)] {
+            let a = wave(batch * m * k, 0.13);
+            let b = wave(batch * k * n, 0.29);
+            for ta in [false, true] {
+                for tb in [false, true] {
+                    // The logical m, k, n are the same whatever the flags.
+                    let got = on_every_pool(|pool| matmul(&a, &b, batch, m, k, n, ta, tb, pool));
+                    let want = reference::matmul(&a, &b, batch, m, k, n, ta, tb);
+                    close(&got, &want, 1e-4);
+                }
             }
         }
     }
 
     #[test]
     fn conv2d_matches_reference() {
-        let xs = Shape::new(vec![2, 9, 9, 4]);
-        let ws = Shape::new(vec![3, 3, 4, 8]);
-        let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
-        let x: Vec<f32> = (0..xs.size()).map(|i| (i as f32 * 0.17).sin()).collect();
-        let w: Vec<f32> = (0..ws.size()).map(|i| (i as f32 * 0.37).cos()).collect();
-        close(&conv2d(&x, &w, &info, 4), &reference::conv2d(&x, &w, &info), 1e-3);
+        for dims in [[2, 9, 9, 4], [4, 16, 16, 4]] {
+            let xs = Shape::new(dims.to_vec());
+            let ws = Shape::new(vec![3, 3, 4, 8]);
+            let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
+            let x = wave(xs.size(), 0.17);
+            let w = wave(ws.size(), 0.37);
+            let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
+            close(&got, &reference::conv2d(&x, &w, &info), 1e-3);
+        }
     }
 
     #[test]
     fn conv2d_dilated_matches_reference() {
-        let xs = Shape::new(vec![1, 10, 10, 3]);
-        let ws = Shape::new(vec![3, 3, 3, 5]);
-        let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Valid, (2, 2)).unwrap();
-        let x: Vec<f32> = (0..xs.size()).map(|i| (i as f32 * 0.11).sin()).collect();
-        let w: Vec<f32> = (0..ws.size()).map(|i| (i as f32 * 0.23).cos()).collect();
-        close(&conv2d(&x, &w, &info, 2), &reference::conv2d(&x, &w, &info), 1e-3);
+        for dims in [[1, 10, 10, 3], [2, 20, 20, 3]] {
+            let xs = Shape::new(dims.to_vec());
+            let ws = Shape::new(vec![3, 3, 3, 5]);
+            let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Valid, (2, 2)).unwrap();
+            let x = wave(xs.size(), 0.11);
+            let w = wave(ws.size(), 0.23);
+            let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
+            close(&got, &reference::conv2d(&x, &w, &info), 1e-3);
+        }
     }
 
     #[test]
     fn depthwise_matches_reference() {
-        use webml_core::conv_util::depthwise_conv2d_info;
-        let xs = Shape::new(vec![2, 8, 8, 6]);
-        let ws = Shape::new(vec![3, 3, 6, 2]);
-        let info = depthwise_conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
-        let x: Vec<f32> = (0..xs.size()).map(|i| (i as f32 * 0.19).sin()).collect();
-        let w: Vec<f32> = (0..ws.size()).map(|i| (i as f32 * 0.41).cos()).collect();
-        close(&depthwise_conv2d(&x, &w, &info, 4), &reference::depthwise_conv2d(&x, &w, &info), 1e-4);
+        for dims in [[2, 8, 8, 6], [4, 16, 16, 6]] {
+            let xs = Shape::new(dims.to_vec());
+            let ws = Shape::new(vec![3, 3, 6, 2]);
+            let info =
+                depthwise_conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
+            let x = wave(xs.size(), 0.19);
+            let w = wave(ws.size(), 0.41);
+            let got = on_every_pool(|pool| depthwise_conv2d(&x, &w, &info, pool));
+            close(&got, &reference::depthwise_conv2d(&x, &w, &info), 1e-4);
+        }
     }
 
     #[test]
     fn conv_backprops_match_reference() {
-        let xs = Shape::new(vec![1, 6, 6, 3]);
-        let ws = Shape::new(vec![3, 3, 3, 4]);
-        let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
-        let dy_len = info.out_shape().size();
-        let x: Vec<f32> = (0..xs.size()).map(|i| (i as f32 * 0.21).sin()).collect();
-        let w: Vec<f32> = (0..ws.size()).map(|i| (i as f32 * 0.33).cos()).collect();
-        let dy: Vec<f32> = (0..dy_len).map(|i| (i as f32 * 0.47).sin()).collect();
-        close(
-            &conv2d_backprop_input(&dy, &w, &info, 3),
-            &reference::conv2d_backprop_input(&dy, &w, &info),
-            1e-4,
-        );
-        close(
-            &conv2d_backprop_filter(&x, &dy, &info, 3),
-            &reference::conv2d_backprop_filter(&x, &dy, &info),
-            1e-4,
-        );
+        for (dims, filter) in [([1, 6, 6, 3], [3, 3, 3, 4]), ([8, 16, 16, 4], [3, 3, 4, 8])] {
+            let xs = Shape::new(dims.to_vec());
+            let ws = Shape::new(filter.to_vec());
+            let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
+            let x = wave(xs.size(), 0.21);
+            let w = wave(ws.size(), 0.33);
+            let dy = wave(info.out_shape().size(), 0.47);
+            close(
+                &on_every_pool(|pool| conv2d_backprop_input(&dy, &w, &info, pool)),
+                &reference::conv2d_backprop_input(&dy, &w, &info),
+                1e-4,
+            );
+            close(
+                &on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool)),
+                &reference::conv2d_backprop_filter(&x, &dy, &info),
+                1e-4,
+            );
+        }
     }
 
     #[test]
     fn fused_matmul_quant_matches_reference_all_flags() {
-        let a: Vec<f32> = (0..2 * 5 * 7).map(|i| (i as f32 * 0.13).sin()).collect();
-        let b_q: Vec<u8> = (0..2 * 7 * 3).map(|i| (i * 37 % 251) as u8).collect();
-        let params = QuantParams::per_tensor(0.05, -3.1);
-        let bias = vec![0.25f32, -0.5, 1.0];
-        for ta in [false, true] {
-            for tb in [false, true] {
-                let got = fused_matmul_quant(
-                    &a, &b_q, &params, 2, 5, 7, 3, ta, tb,
-                    Some(&bias), Some(UnaryOp::Relu), 4,
-                );
-                let want = reference::fused_matmul_quant(
-                    &a, &b_q, &params, Some(&bias), Some(UnaryOp::Relu), 2, 5, 7, 3, ta, tb,
-                );
-                close(&got, &want, 1e-3);
+        for (batch, m, k, n) in [(2, 5, 7, 3), (2, 64, 48, 40)] {
+            let a = wave(batch * m * k, 0.13);
+            let b_q = codes(batch * k * n, 37);
+            let params = QuantParams::per_tensor(0.05, -3.1);
+            let bias = wave(n, 0.7);
+            for ta in [false, true] {
+                for tb in [false, true] {
+                    let got = on_every_pool(|pool| {
+                        fused_matmul_quant(
+                            &a, &b_q, &params, batch, m, k, n, ta, tb,
+                            Some(&bias), Some(UnaryOp::Relu), pool,
+                        )
+                    });
+                    let want = reference::fused_matmul_quant(
+                        &a, &b_q, &params, Some(&bias), Some(UnaryOp::Relu), batch, m, k, n, ta, tb,
+                    );
+                    close(&got, &want, 1e-3);
+                }
             }
         }
     }
@@ -781,7 +854,9 @@ mod tests {
         let a: Vec<f32> = (0..3 * 4 * 6).map(|i| (i as f32 * 0.21).cos()).collect();
         let b_q: Vec<u8> = (0..6 * 2).map(|i| (i * 19 % 256) as u8).collect();
         let params = QuantParams::per_channel(2, vec![0.1, 0.02], vec![-1.0, 2.0]);
-        let got = fused_matmul_quant(&a, &b_q, &params, 3, 4, 6, 2, false, false, None, None, 2);
+        let got = on_every_pool(|pool| {
+            fused_matmul_quant(&a, &b_q, &params, 3, 4, 6, 2, false, false, None, None, pool)
+        });
         let want = reference::fused_matmul_quant(
             &a, &b_q, &params, None, None, 3, 4, 6, 2, false, false,
         );
@@ -790,65 +865,107 @@ mod tests {
 
     #[test]
     fn fused_conv2d_quant_matches_reference() {
-        let xs = Shape::new(vec![2, 9, 9, 4]);
-        let ws = Shape::new(vec![3, 3, 4, 8]);
-        let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
-        let x: Vec<f32> = (0..xs.size()).map(|i| (i as f32 * 0.17).sin()).collect();
-        let w_q: Vec<u8> = (0..ws.size()).map(|i| (i * 53 % 256) as u8).collect();
-        let params = QuantParams::per_channel(
-            3,
-            (0..8).map(|i| 0.01 + i as f32 * 0.005).collect(),
-            (0..8).map(|i| -1.0 + i as f32 * 0.1).collect(),
-        );
-        let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
-        let got = fused_conv2d_quant(&x, &w_q, &params, &info, Some(&bias), Some(UnaryOp::Relu), 4);
-        let want = reference::fused_conv2d_quant(
-            &x, &w_q, &params, Some(&bias), Some(UnaryOp::Relu), &info,
-        );
-        close(&got, &want, 1e-3);
-    }
-
-    #[test]
-    fn fused_depthwise_conv2d_quant_matches_reference() {
-        use webml_core::conv_util::depthwise_conv2d_info;
-        let xs = Shape::new(vec![2, 8, 8, 6]);
-        let ws = Shape::new(vec![3, 3, 6, 2]);
-        let info = depthwise_conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
-        let x: Vec<f32> = (0..xs.size()).map(|i| (i as f32 * 0.19).sin()).collect();
-        let w_q: Vec<u8> = (0..ws.size()).map(|i| (i * 71 % 256) as u8).collect();
-        for params in [
-            QuantParams::per_tensor(0.04, -5.0),
-            QuantParams::per_channel(2, (0..6).map(|i| 0.01 * (i + 1) as f32).collect(), vec![-0.5; 6]),
-            QuantParams::per_channel(3, vec![0.03, 0.07], vec![-2.0, 1.0]),
-        ] {
-            let got = fused_depthwise_conv2d_quant(&x, &w_q, &params, &info, None, None, 4);
-            let want =
-                reference::fused_depthwise_conv2d_quant(&x, &w_q, &params, None, None, &info);
+        for dims in [[2, 9, 9, 4], [4, 16, 16, 4]] {
+            let xs = Shape::new(dims.to_vec());
+            let ws = Shape::new(vec![3, 3, 4, 8]);
+            let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
+            let x = wave(xs.size(), 0.17);
+            let w_q = codes(ws.size(), 53);
+            let params = QuantParams::per_channel(
+                3,
+                (0..8).map(|i| 0.01 + i as f32 * 0.005).collect(),
+                (0..8).map(|i| -1.0 + i as f32 * 0.1).collect(),
+            );
+            let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
+            let got = on_every_pool(|pool| {
+                fused_conv2d_quant(&x, &w_q, &params, &info, Some(&bias), Some(UnaryOp::Relu), pool)
+            });
+            let want = reference::fused_conv2d_quant(
+                &x, &w_q, &params, Some(&bias), Some(UnaryOp::Relu), &info,
+            );
             close(&got, &want, 1e-3);
         }
     }
 
     #[test]
-    fn elementwise_helpers() {
-        let a: Vec<f32> = (0..5000).map(|i| i as f32 * 0.01).collect();
-        let b: Vec<f32> = (0..5000).map(|i| 1.0 + i as f32 * 0.02).collect();
-        let got = binary_map(&a, &b, 4, |x, y| x + y);
-        for i in 0..5000 {
-            assert_eq!(got[i], a[i] + b[i]);
+    fn fused_depthwise_conv2d_quant_matches_reference() {
+        for dims in [[2, 8, 8, 6], [4, 16, 16, 6]] {
+            let xs = Shape::new(dims.to_vec());
+            let ws = Shape::new(vec![3, 3, 6, 2]);
+            let info =
+                depthwise_conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
+            let x = wave(xs.size(), 0.19);
+            let w_q = codes(ws.size(), 71);
+            for params in [
+                QuantParams::per_tensor(0.04, -5.0),
+                QuantParams::per_channel(
+                    2,
+                    (0..6).map(|i| 0.01 * (i + 1) as f32).collect(),
+                    vec![-0.5; 6],
+                ),
+                QuantParams::per_channel(3, vec![0.03, 0.07], vec![-2.0, 1.0]),
+            ] {
+                let got = on_every_pool(|pool| {
+                    fused_depthwise_conv2d_quant(&x, &w_q, &params, &info, None, None, pool)
+                });
+                let want =
+                    reference::fused_depthwise_conv2d_quant(&x, &w_q, &params, None, None, &info);
+                close(&got, &want, 1e-3);
+            }
         }
-        let bias = vec![1.0f32, 2.0];
-        let got = binary_map_suffix(&a, &bias, 4, |x, y| x + y);
-        assert_eq!(got[0], a[0] + 1.0);
-        assert_eq!(got[1], a[1] + 2.0);
-        assert_eq!(got[4999], a[4999] + 2.0);
-        let got = unary_map(&a, 4, |x| x * 2.0);
-        assert_eq!(got[4321], a[4321] * 2.0);
+    }
+
+    #[test]
+    fn elementwise_helpers() {
+        for len in [5000, 100_000] {
+            let a: Vec<f32> = (0..len).map(|i| i as f32 * 0.01).collect();
+            let b: Vec<f32> = (0..len).map(|i| 1.0 + i as f32 * 0.02).collect();
+            let bias = vec![1.0f32, 2.0];
+            let sum = on_every_pool(|pool| binary_map(&a, &b, pool, |x, y| x + y));
+            let biased = on_every_pool(|pool| binary_map_suffix(&a, &bias, pool, |x, y| x + y));
+            let doubled = on_every_pool(|pool| unary_map(&a, pool, |x| x * 2.0));
+            // relu(a + bias) * b in one pass, `bias` broadcast along rows.
+            let steps = [
+                FusedStep::Binary(BinaryOp::Add, 0),
+                FusedStep::Unary(UnaryOp::Relu),
+                FusedStep::Binary(BinaryOp::Mul, 1),
+            ];
+            let dims = [len / 2, 2];
+            let extras: [(&[f32], &[usize]); 2] = [(&bias, &[2]), (&b, &dims)];
+            let chain =
+                on_every_pool(|pool| fused_elementwise(&a, &dims, &extras, &steps, &dims, pool));
+            for i in 0..len {
+                assert_eq!(sum[i], a[i] + b[i]);
+                assert_eq!(biased[i], a[i] + bias[i % 2]);
+                assert_eq!(doubled[i], a[i] * 2.0);
+                assert_eq!(chain[i], (a[i] + bias[i % 2]).max(0.0) * b[i]);
+            }
+        }
     }
 
     #[test]
     fn reduce_last_sums_rows() {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(reduce_last(&x, 2, 3, 2, false), vec![6.0, 15.0]);
-        assert_eq!(reduce_last(&x, 2, 3, 2, true), vec![2.0, 5.0]);
+        assert_eq!(on_every_pool(|pool| reduce_last(&x, 2, 3, pool, false)), vec![6.0, 15.0]);
+        assert_eq!(on_every_pool(|pool| reduce_last(&x, 2, 3, pool, true)), vec![2.0, 5.0]);
+        let x = wave(96 * 700, 0.31);
+        let rows = on_every_pool(|pool| reduce_last(&x, 96, 700, pool, false));
+        assert_eq!(rows, reference::reduce(ReduceOp::Sum, &x, &Shape::new(vec![96, 700]), &[1]));
+    }
+
+    #[test]
+    fn reduce_leading_equals_reference_bit_for_bit() {
+        // The bias gradients of the training workload, and a wide one that
+        // is split eight ways.
+        for dims in [[32, 14, 14, 8], [32, 7, 7, 16], [4, 5, 6, 512]] {
+            let shape = Shape::new(dims.to_vec());
+            let x = wave(shape.size(), 0.43);
+            let (rows, cols) = (dims[0] * dims[1] * dims[2], dims[3]);
+            for (op, mean) in [(ReduceOp::Sum, false), (ReduceOp::Mean, true)] {
+                let got = on_every_pool(|pool| reduce_leading(&x, rows, cols, pool, mean));
+                let want = reference::reduce(op, &x, &shape, &[0, 1, 2]);
+                assert_eq!(bits(&got), bits(&want));
+            }
+        }
     }
 }

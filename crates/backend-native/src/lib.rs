@@ -30,6 +30,7 @@ use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::{DType, TensorData};
 use webml_core::error::{Error, Result};
 use webml_core::kernels as reference;
+use webml_core::pool::WorkerPool;
 use webml_core::shape::Shape;
 
 struct Entry {
@@ -40,7 +41,9 @@ struct Entry {
 /// Multi-threaded optimized CPU backend (the "Node.js" rows of Table 1).
 pub struct NativeBackend {
     name: String,
-    threads: usize,
+    /// The kernels' threads, this backend's own: engines do not queue behind
+    /// each other's kernels, and a one-thread backend has no workers at all.
+    pool: WorkerPool,
     store: Mutex<HashMap<DataId, Entry>>,
     next_id: AtomicU64,
     kernel_nanos: AtomicU64,
@@ -61,12 +64,14 @@ impl NativeBackend {
         NativeBackend::with_threads("native", threads)
     }
 
-    /// Create a backend with an explicit thread count. `1` models the
-    /// single-core "Node.js CPU w/ AVX2" row of Table 1.
+    /// Create a backend whose kernels run on a pool of `threads` threads,
+    /// the calling one included, spawned here and kept until the backend is
+    /// dropped. `1` spawns nothing and models the single-core "Node.js CPU
+    /// w/ AVX2" row of Table 1.
     pub fn with_threads(name: impl Into<String>, threads: usize) -> NativeBackend {
         NativeBackend {
             name: name.into(),
-            threads: threads.max(1),
+            pool: WorkerPool::new(threads),
             store: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             kernel_nanos: AtomicU64::new(0),
@@ -74,9 +79,9 @@ impl NativeBackend {
         }
     }
 
-    /// Worker threads used by kernels.
+    /// Threads a kernel can run on, the calling one included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.size()
     }
 
     fn fetch(&self, id: DataId) -> Result<Arc<TensorData>> {
@@ -98,7 +103,16 @@ impl NativeBackend {
 
     fn put(&self, data: TensorData, dtype: DType) -> DataId {
         let id = DataId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.store.lock().insert(id, Entry { data: Arc::new(data.cast(dtype)), dtype });
+        // A buffer already stored the way `dtype` is stored (every kernel
+        // output) moves in; `Bool` still goes through the cast, which
+        // normalises non-zero bytes to 1.
+        let data = match (&data, dtype) {
+            (TensorData::F32(_), DType::F32 | DType::F16)
+            | (TensorData::I32(_), DType::I32)
+            | (TensorData::U8(_), DType::U8) => data,
+            _ => data.cast(dtype),
+        };
+        self.store.lock().insert(id, Entry { data: Arc::new(data), dtype });
         id
     }
 
@@ -179,7 +193,7 @@ impl Backend for NativeBackend {
         BackendMemory {
             num_buffers: store.len(),
             num_bytes: store.values().map(|e| e.data.byte_len(e.dtype)).sum(),
-            details: vec![("threads".to_string(), self.threads as f64)],
+            details: vec![("threads".to_string(), self.pool.size() as f64)],
         }
     }
 
@@ -201,7 +215,7 @@ impl Backend for NativeBackend {
     fn unary(&self, op: UnaryOp, a: &KTensor<'_>) -> Result<DataId> {
         let _t = self.timer();
         let x = self.fetch_f32(a.data)?;
-        let out = compute::unary_map(x.as_slice(), self.threads, |v| op.apply(v));
+        let out = compute::unary_map(x.as_slice(), &self.pool, |v| op.apply(v));
         Ok(self.put_f32(out, op.out_dtype(a.dtype)))
     }
 
@@ -217,13 +231,13 @@ impl Backend for NativeBackend {
         let x = self.fetch_f32(a.data)?;
         let y = self.fetch_f32(b.data)?;
         let out = if a.shape == b.shape {
-            compute::binary_map(x.as_slice(), y.as_slice(), self.threads, |u, v| op.apply(u, v))
+            compute::binary_map(x.as_slice(), y.as_slice(), &self.pool, |u, v| op.apply(u, v))
         } else if is_suffix(a.shape, b.shape) {
-            compute::binary_map_suffix(x.as_slice(), y.as_slice(), self.threads, |u, v| {
+            compute::binary_map_suffix(x.as_slice(), y.as_slice(), &self.pool, |u, v| {
                 op.apply(u, v)
             })
         } else if is_suffix(b.shape, a.shape) {
-            compute::binary_map_suffix(y.as_slice(), x.as_slice(), self.threads, |v, u| {
+            compute::binary_map_suffix(y.as_slice(), x.as_slice(), &self.pool, |v, u| {
                 op.apply(u, v)
             })
         } else {
@@ -241,14 +255,18 @@ impl Backend for NativeBackend {
     fn reduce(&self, op: ReduceOp, a: &KTensor<'_>, axes: &[usize]) -> Result<DataId> {
         let _t = self.timer();
         let x = self.fetch_f32(a.data)?;
-        // Fast path: sum/mean over a contiguous tail of axes.
+        // Fast paths: sum/mean over a contiguous tail of axes (row sums) or
+        // a contiguous leading run of them (column sums).
         let rank = a.shape.rank();
-        let tail: Vec<usize> = (rank - axes.len()..rank).collect();
-        let out = if (op == ReduceOp::Sum || op == ReduceOp::Mean) && axes == tail.as_slice() && rank > 0
-        {
-            let inner: usize = axes.iter().map(|&i| a.shape.dim(i)).product();
-            let outer = a.shape.size() / inner.max(1);
-            compute::reduce_last(x.as_slice(), outer, inner.max(1), self.threads, op == ReduceOp::Mean)
+        let size = a.shape.size();
+        let reduced: usize = axes.iter().map(|&i| a.shape.dim(i)).product();
+        let sums = (op == ReduceOp::Sum || op == ReduceOp::Mean) && rank > 0;
+        let mean = op == ReduceOp::Mean;
+        let out = if sums && axes.iter().copied().eq(rank - axes.len()..rank) {
+            let inner = reduced.max(1);
+            compute::reduce_last(x.as_slice(), size / inner, inner, &self.pool, mean)
+        } else if sums && size > 0 && axes.iter().copied().eq(0..axes.len()) {
+            compute::reduce_leading(x.as_slice(), reduced, size / reduced, &self.pool, mean)
         } else {
             reference::reduce(op, x.as_slice(), a.shape, axes)
         };
@@ -290,7 +308,7 @@ impl Backend for NativeBackend {
             n,
             transpose_a,
             transpose_b,
-            self.threads,
+            &self.pool,
         );
         Ok(self.put_f32(out, DType::F32))
     }
@@ -299,7 +317,7 @@ impl Backend for NativeBackend {
         let _t = self.timer();
         let xv = self.fetch_f32(x.data)?;
         let wv = self.fetch_f32(filter.data)?;
-        Ok(self.put_f32(compute::conv2d(xv.as_slice(), wv.as_slice(), info, self.threads), DType::F32))
+        Ok(self.put_f32(compute::conv2d(xv.as_slice(), wv.as_slice(), info, &self.pool), DType::F32))
     }
 
     fn conv2d_backprop_input(
@@ -312,7 +330,7 @@ impl Backend for NativeBackend {
         let dyv = self.fetch_f32(dy.data)?;
         let wv = self.fetch_f32(filter.data)?;
         Ok(self.put_f32(
-            compute::conv2d_backprop_input(dyv.as_slice(), wv.as_slice(), info, self.threads),
+            compute::conv2d_backprop_input(dyv.as_slice(), wv.as_slice(), info, &self.pool),
             DType::F32,
         ))
     }
@@ -327,7 +345,7 @@ impl Backend for NativeBackend {
         let xv = self.fetch_f32(x.data)?;
         let dyv = self.fetch_f32(dy.data)?;
         Ok(self.put_f32(
-            compute::conv2d_backprop_filter(xv.as_slice(), dyv.as_slice(), info, self.threads),
+            compute::conv2d_backprop_filter(xv.as_slice(), dyv.as_slice(), info, &self.pool),
             DType::F32,
         ))
     }
@@ -342,7 +360,7 @@ impl Backend for NativeBackend {
         let xv = self.fetch_f32(x.data)?;
         let wv = self.fetch_f32(filter.data)?;
         Ok(self.put_f32(
-            compute::depthwise_conv2d(xv.as_slice(), wv.as_slice(), info, self.threads),
+            compute::depthwise_conv2d(xv.as_slice(), wv.as_slice(), info, &self.pool),
             DType::F32,
         ))
     }
@@ -523,7 +541,7 @@ impl Backend for NativeBackend {
                 transpose_b,
                 bv,
                 activation,
-                self.threads,
+                &self.pool,
             ),
             None => compute::fused_matmul(
                 x.as_slice(),
@@ -536,7 +554,7 @@ impl Backend for NativeBackend {
                 transpose_b,
                 bv,
                 activation,
-                self.threads,
+                &self.pool,
             ),
         };
         Ok(self.put_f32(out, DType::F32))
@@ -562,7 +580,7 @@ impl Backend for NativeBackend {
                 info,
                 bv,
                 activation,
-                self.threads,
+                &self.pool,
             ),
             None => compute::fused_conv2d(
                 xv.as_slice(),
@@ -570,7 +588,7 @@ impl Backend for NativeBackend {
                 info,
                 bv,
                 activation,
-                self.threads,
+                &self.pool,
             ),
         };
         Ok(self.put_f32(out, DType::F32))
@@ -596,7 +614,7 @@ impl Backend for NativeBackend {
                 info,
                 bv,
                 activation,
-                self.threads,
+                &self.pool,
             ),
             None => compute::fused_depthwise_conv2d(
                 xv.as_slice(),
@@ -604,7 +622,7 @@ impl Backend for NativeBackend {
                 info,
                 bv,
                 activation,
-                self.threads,
+                &self.pool,
             ),
         };
         Ok(self.put_f32(out, DType::F32))
@@ -629,7 +647,7 @@ impl Backend for NativeBackend {
             &pairs,
             steps,
             out_shape.dims(),
-            self.threads,
+            &self.pool,
         );
         Ok(self.put_f32(out, DType::F32))
     }
@@ -705,15 +723,69 @@ mod tests {
     }
 
     #[test]
-    fn reduce_tail_fast_path_matches_general() {
-        let e = engine();
-        let x = e.rand_uniform([4, 8, 16], -1.0, 1.0, 5).unwrap();
-        let fast = ops::sum(&x, Some(&[1, 2]), false).unwrap().to_f32_vec().unwrap();
-        // General path via non-tail axes on a transposed tensor.
-        let xt = ops::transpose(&x, Some(&[1, 2, 0])).unwrap();
-        let gen = ops::sum(&xt, Some(&[0, 1]), false).unwrap().to_f32_vec().unwrap();
-        for (a, b) in fast.iter().zip(&gen) {
-            assert!((a - b).abs() < 1e-3);
+    fn reduce_fast_paths_equal_the_reference_exactly() {
+        let b = NativeBackend::with_threads("t", 3);
+        let shape = Shape::new(vec![40, 30, 50]);
+        let x: Vec<f32> = (0..shape.size()).map(|i| (i as f32 * 0.37).sin()).collect();
+        let id = b.register(TensorData::F32(x.clone()), DType::F32);
+        let t = KTensor::new(id, &shape, DType::F32);
+        // Tail run (row sums), leading run (column sums), and a middle axis
+        // that neither fast path takes.
+        for axes in [&[1, 2][..], &[2], &[0, 1], &[0], &[1], &[0, 1, 2]] {
+            for op in [ReduceOp::Sum, ReduceOp::Mean] {
+                let got = b.read_sync(b.reduce(op, &t, axes).unwrap()).unwrap().to_f32_vec();
+                let want = reference::reduce(op, &x, &shape, axes);
+                assert!(
+                    got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+                    "{op:?} over {axes:?}"
+                );
+            }
+        }
+    }
+
+    /// conv2d, matmul and an elementwise add, each large enough to be split;
+    /// `salt` makes every caller's operands its own.
+    fn mixed_kernels(backend: &NativeBackend, salt: usize) -> Vec<Vec<f32>> {
+        use webml_core::conv_util::{conv2d_info, Padding};
+        let x_shape = Shape::new(vec![4, 16, 16, 4]);
+        let w_shape = Shape::new(vec![3, 3, 4, 8]);
+        let a_shape = Shape::new(vec![1, 64, 48]);
+        let b_shape = Shape::new(vec![1, 48, 40]);
+        let info = conv2d_info("t", &x_shape, &w_shape, (1, 1), Padding::Same, (1, 1)).unwrap();
+        let put = |shape: &Shape, step: f32| {
+            let vals = (0..shape.size()).map(|i| ((i + salt) as f32 * step).sin()).collect();
+            backend.register(TensorData::F32(vals), DType::F32)
+        };
+        let (x, w) = (put(&x_shape, 0.17), put(&w_shape, 0.37));
+        let (a, b) = (put(&a_shape, 0.13), put(&b_shape, 0.29));
+        let k = |id, shape| KTensor::new(id, shape, DType::F32);
+        let x = k(x, &x_shape);
+        let outs = [
+            backend.conv2d(&x, &k(w, &w_shape), &info).unwrap(),
+            backend.matmul(&k(a, &a_shape), &k(b, &b_shape), false, false).unwrap(),
+            backend.binary(BinaryOp::Add, &x, &x, &x_shape, DType::F32).unwrap(),
+        ];
+        outs.iter().map(|&id| backend.read_sync(id).unwrap().to_f32_vec()).collect()
+    }
+
+    #[test]
+    fn threads_sharing_a_backend_get_the_single_thread_answer() {
+        let shared = StdArc::new(NativeBackend::with_threads("shared", 3));
+        let start = StdArc::new(std::sync::Barrier::new(8));
+        let callers: Vec<_> = (0..8)
+            .map(|salt| {
+                let (shared, start) = (shared.clone(), start.clone());
+                std::thread::spawn(move || {
+                    let want = mixed_kernels(&NativeBackend::with_threads("one", 1), salt);
+                    start.wait();
+                    for _ in 0..5 {
+                        assert_eq!(mixed_kernels(&shared, salt), want, "caller {salt}");
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("caller finished");
         }
     }
 

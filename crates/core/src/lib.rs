@@ -16,7 +16,9 @@
 //! - [`backend::Backend`]: the device abstraction implemented by the
 //!   bundled [`cpu::CpuBackend`] and by the webgl/native backend crates;
 //! - [`asyncx::EventLoop`]: a browser main-thread simulator reproducing the
-//!   Figure 2/3 timelines.
+//!   Figure 2/3 timelines;
+//! - [`pool::WorkerPool`]: the workspace's one persistent thread pool, shared
+//!   by the native backend's kernels and the WebGL simulator's shader cores.
 //!
 //! ## Example
 //!
@@ -49,6 +51,7 @@ pub mod global;
 pub mod grads;
 pub mod kernels;
 pub mod ops;
+pub mod pool;
 pub mod quant;
 pub mod shape;
 pub mod tape;

@@ -40,7 +40,6 @@ pub mod fault;
 pub mod future;
 pub mod layout;
 pub mod pager;
-pub mod pool;
 pub mod queue;
 pub mod recycler;
 pub mod shader;

@@ -239,7 +239,7 @@ pub fn device_loop(
     // host machine; `parallelism` stays the *modeled* core count used by
     // the simulated-time accounting below.
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let pool = crate::pool::WorkerPool::new(parallelism.min(host));
+    let pool = webml_core::pool::WorkerPool::new(parallelism.min(host));
     // Device-thread utilization window: busy nanoseconds accumulated since
     // the last fence over the wall-clock extent of the window. Fences are
     // exactly the points a pipelined executor punctuates its schedule with,
@@ -413,7 +413,7 @@ fn run_program(
     in_layouts: &[TextureLayout],
     output: TexId,
     out_layout: &TextureLayout,
-    pool: &crate::pool::WorkerPool,
+    pool: &webml_core::pool::WorkerPool,
     modeled_parallelism: usize,
     half_precision: bool,
     trace_id: u64,

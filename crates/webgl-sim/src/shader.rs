@@ -143,7 +143,7 @@ impl std::fmt::Debug for Program {
 }
 
 /// Execute a program body over an output buffer, splitting the work across
-/// the device's persistent [`crate::pool::WorkerPool`] — the simulator's model of
+/// the device's persistent [`webml_core::pool::WorkerPool`] — the simulator's model of
 /// fragment-shader parallelism. Each invocation writes only its own output
 /// slot.
 ///
@@ -165,7 +165,7 @@ pub fn execute(
     program: &Program,
     samplers_inputs: &[(&[f32], &TextureLayout)],
     out: &mut [f32],
-    pool: &crate::pool::WorkerPool,
+    pool: &webml_core::pool::WorkerPool,
     modeled_parallelism: usize,
     half_precision: bool,
 ) -> ExecStats {
@@ -242,7 +242,7 @@ fn advance(dims: &[usize], coords: &mut [usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::WorkerPool;
+    use webml_core::pool::WorkerPool;
     use crate::texture::TextureFormat;
 
     fn layout(dims: &[usize]) -> TextureLayout {
