@@ -530,7 +530,8 @@ impl Backend for WebGlBackend {
     ) -> Result<DataId> {
         let tx = self.view(x.data, x.shape)?;
         let tw = self.view(filter.data, filter.shape)?;
-        self.run_n(programs::depthwise_conv2d(info.clone()), &[&tx, &tw], DType::F32)
+        let program = programs::depthwise_conv2d(info.clone(), self.packing());
+        self.run_n(program, &[&tx, &tw], DType::F32)
     }
 
     fn depthwise_conv2d_backprop_input(
@@ -771,7 +772,12 @@ impl Backend for WebGlBackend {
             ),
             None => (
                 "FusedDepthwiseConv2D",
-                programs::fused_depthwise_conv2d(info.clone(), bias.is_some(), activation),
+                programs::fused_depthwise_conv2d(
+                    info.clone(),
+                    self.packing(),
+                    bias.is_some(),
+                    activation,
+                ),
             ),
         };
         self.run_fused(kernel, program, [x, filter], bias, || {
@@ -1088,6 +1094,61 @@ mod tests {
         assert_eq!(want.len(), got.len());
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-4);
+        }
+    }
+
+    /// The packed depthwise program is a pure optimisation of the
+    /// per-element body: same bits, fused and unfused, on the f32 and the
+    /// half-precision profile, whether texels sit inside one pixel's
+    /// channels (8), straddle pixels (3, 6) or the multiplier rules the
+    /// packed body out (channel_mul 2).
+    #[test]
+    fn packed_depthwise_equals_its_per_element_body() {
+        use webml_core::conv_util::Padding;
+        let run = |profile: DeviceProfile, packing: bool, channels: usize, mul: usize| {
+            let e = Engine::new();
+            let config = WebGlConfig { packing, ..Default::default() };
+            e.register_backend("webgl", Arc::new(WebGlBackend::new(profile, config).unwrap()), 2);
+            let mut outs = Vec::new();
+            for (pad, stride, dilation) in
+                [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)]
+            {
+                let x = e.rand_uniform([2, 7, 6, channels], -2.0, 2.0, 3).unwrap();
+                let w = e.rand_uniform([3, 3, channels, mul], -1.0, 1.0, 5).unwrap();
+                let bias = e.rand_uniform([channels * mul], -1.0, 1.0, 7).unwrap();
+                let (s, d) = ((stride, stride), (dilation, dilation));
+                let relu6 = Some(UnaryOp::Relu6);
+                let y =
+                    ops::fused_depthwise_conv2d(&x, &w, Some(&bias), relu6, s, pad, d).unwrap();
+                outs.push(y.to_f32_vec().unwrap());
+                outs.push(ops::depthwise_conv2d(&x, &w, s, pad, d).unwrap().to_f32_vec().unwrap());
+            }
+            outs
+        };
+        // Which body runs, under the names the fault plan blocks by prefix.
+        let program = |packing: bool, mul: usize| {
+            let shapes = (Shape::new(vec![1, 5, 5, 4]), Shape::new(vec![3, 3, 4, mul]));
+            let info = webml_core::conv_util::depthwise_conv2d_info(
+                "t", &shapes.0, &shapes.1, (1, 1), Padding::Same, (1, 1),
+            )
+            .unwrap();
+            let unfused = programs::depthwise_conv2d(info.clone(), packing);
+            let fused = programs::fused_depthwise_conv2d(info, packing, true, None);
+            assert_eq!(unfused.is_packed(), fused.is_packed());
+            (unfused.name, fused.name)
+        };
+        assert_eq!(program(true, 1), ("DepthwiseConv2DPacked", "FusedDepthwiseConv2DPacked"));
+        assert_eq!(program(true, 2), ("DepthwiseConv2D", "FusedDepthwiseConv2D"));
+        assert_eq!(program(false, 1), ("DepthwiseConv2D", "FusedDepthwiseConv2D"));
+        for profile in [DeviceProfile::intel_iris_pro, DeviceProfile::ios_safari] {
+            for (channels, mul) in [(8, 1), (3, 1), (6, 1), (3, 2)] {
+                let (packed, unpacked) =
+                    (run(profile(), true, channels, mul), run(profile(), false, channels, mul));
+                for (p, u) in packed.iter().zip(&unpacked) {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(p), bits(u), "channels={channels} mul={mul}");
+                }
+            }
         }
     }
 }

@@ -673,52 +673,114 @@ pub fn conv2d_backprop_filter(info: Conv2dInfo) -> Program {
 }
 
 /// Depthwise conv2d, with pre-resolved flat index math.
-pub fn depthwise_conv2d(info: Conv2dInfo) -> Program {
-    depthwise_conv2d_impl("DepthwiseConv2D", info, false, None)
+///
+/// With `channel_mul == 1` the packed variant computes the four consecutive
+/// channels of one RGBA texel per invocation: they share the pixel, so the
+/// tap walk and its bounds checks are paid once for four independent
+/// accumulators.
+pub fn depthwise_conv2d(info: Conv2dInfo, packed: bool) -> Program {
+    depthwise_conv2d_impl(("DepthwiseConv2D", "DepthwiseConv2DPacked"), info, packed, false, None)
 }
 
 /// Depthwise conv2d with the bias+activation epilogue fused in-register.
 /// Bias (when present) is sampler input 2, indexed by output channel.
 pub fn fused_depthwise_conv2d(
     info: Conv2dInfo,
+    packed: bool,
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> Program {
-    depthwise_conv2d_impl("FusedDepthwiseConv2D", info, has_bias, activation)
+    let names = ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked");
+    depthwise_conv2d_impl(names, info, packed, has_bias, activation)
+}
+
+/// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in
+/// `(fh, fw)` order: `tap(input pixel index, filter tap index)`.
+#[inline]
+fn for_each_tap(
+    c: &Conv2dInfo,
+    (b, oh, ow): (usize, usize, usize),
+    mut tap: impl FnMut(usize, usize),
+) {
+    for fh in 0..c.filter_height {
+        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+        if ih < 0 || ih >= c.in_height as isize {
+            continue;
+        }
+        for fw in 0..c.filter_width {
+            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+            if iw < 0 || iw >= c.in_width as isize {
+                continue;
+            }
+            let px = (b * c.in_height + ih as usize) * c.in_width + iw as usize;
+            tap(px, fh * c.filter_width + fw);
+        }
+    }
+}
+
+/// One depthwise output: channel `och` of the pixel at `at`.
+#[inline]
+fn depthwise_at(s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), och: usize) -> f32 {
+    let ic = och / c.channel_mul;
+    let mut acc = 0.0f32;
+    for_each_tap(c, at, |px, t| {
+        // Filter `[fh, fw, in_c, mul]` flattens to `t * out_channels + och`.
+        acc += s.get_flat(0, px * c.in_channels + ic) * s.get_flat(1, t * c.out_channels + och);
+    });
+    acc
 }
 
 fn depthwise_conv2d_impl(
-    name: &'static str,
+    names: (&'static str, &'static str),
     info: Conv2dInfo,
+    packed: bool,
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> Program {
     let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width * 2;
     let bias_input = if has_bias { Some(2) } else { None };
-    Program::per_element(name, out_shape, move |s, _, coords| {
-        let (b, oh, ow, och) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let ic = och / c.channel_mul;
-        let m = och % c.channel_mul;
-        let row_stride = c.in_width * c.in_channels;
-        let img_stride = c.in_height * row_stride;
-        let mut acc = 0.0f32;
-        for fh in 0..c.filter_height {
-            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-            if ih < 0 || ih >= c.in_height as isize {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                if iw < 0 || iw >= c.in_width as isize {
-                    continue;
+    if packed && info.channel_mul == 1 {
+        let c = info;
+        let total = out_shape.iter().product::<usize>();
+        // Pixel index -> (b, oh, ow).
+        let pixel = |c: &Conv2dInfo, pix: usize| {
+            let (ow, rest) = (pix % c.out_width, pix / c.out_width);
+            (rest / c.out_height, rest % c.out_height, ow)
+        };
+        return Program::packed(names.1, out_shape, move |s, base| {
+            let channels = c.out_channels;
+            let mut acc = [0.0f32; 4];
+            let ch0 = base % channels;
+            if ch0 + 3 < channels {
+                // All four outputs share the pixel: one tap walk feeds four
+                // independent accumulators (channel_mul is 1, so output
+                // channel == input channel).
+                for_each_tap(&c, pixel(&c, base / channels), |px, t| {
+                    let (x_at, w_at) = (px * channels + ch0, t * channels + ch0);
+                    for (q, a) in acc.iter_mut().enumerate() {
+                        *a += s.get_flat(0, x_at + q) * s.get_flat(1, w_at + q);
+                    }
+                });
+                for (q, a) in acc.iter_mut().enumerate() {
+                    *a = apply_epilogue(s, bias_input, activation, ch0 + q, *a);
                 }
-                let x_idx = b * img_stride + ih as usize * row_stride + iw as usize * c.in_channels + ic;
-                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * c.channel_mul + m;
-                acc += s.get_flat(0, x_idx) * s.get_flat(1, w_idx);
+            } else {
+                // Channel-straddling texel: per-output fallback.
+                for (q, a) in acc.iter_mut().enumerate().take(total.saturating_sub(base)) {
+                    let idx = base + q;
+                    let och = idx % channels;
+                    let dot = depthwise_at(s, &c, pixel(&c, idx / channels), och);
+                    *a = apply_epilogue(s, bias_input, activation, och, dot);
+                }
             }
-        }
+            acc
+        })
+        .with_cost(cost);
+    }
+    Program::per_element(names.0, out_shape, move |s, _, coords| {
+        let och = coords[3];
+        let acc = depthwise_at(s, &info, (coords[0], coords[1], coords[2]), och);
         apply_epilogue(s, bias_input, activation, och, acc)
     })
     .with_cost(cost)

@@ -674,7 +674,7 @@ impl Backend for WebGpuBackend {
                     n,
                     transpose_a,
                     transpose_b,
-                    params.clone(),
+                    params,
                     bias.is_some(),
                     activation,
                 ),
@@ -711,7 +711,7 @@ impl Backend for WebGpuBackend {
                 "FusedConv2DQuant",
                 pipelines::fused_conv2d_quant(
                     info.clone(),
-                    params.clone(),
+                    params,
                     bias.is_some(),
                     activation,
                 ),
@@ -738,7 +738,7 @@ impl Backend for WebGpuBackend {
                 "FusedDepthwiseConv2DQuant",
                 pipelines::fused_depthwise_conv2d_quant(
                     info.clone(),
-                    params.clone(),
+                    params,
                     bias.is_some(),
                     activation,
                 ),

@@ -11,13 +11,34 @@
 //! WebGPU-class backend. Movement and elementwise kernels stay
 //! uncooperative (`reuse 1`): they are bandwidth-bound either way.
 //!
-//! Bit-exactness contract: every body either delegates to the shared
-//! [`webml_core::kernels`] reference implementations or (for the tiled
-//! matmul) accumulates partial products in exactly the same ascending-`p`
-//! order as [`webml_core::kernels::matmul`], with the fused epilogue applied
-//! through the same [`BinaryOp::apply`] / [`UnaryOp::apply`] scalar paths
-//! the CPU backend composes. Outputs are therefore bit-identical to the CPU
-//! reference, not merely close.
+//! Body contract: a body reads the bound input buffers and writes the bound
+//! output buffer **in place** (`Fn(&[&[f32]], &mut [f32])`). The slice is
+//! exactly `out_len` long and holds whatever the recycled buffer last held,
+//! so every element is stored. The forward matmul / conv / depthwise
+//! families are this rung's own kernels and accumulate straight into it;
+//! the gradient, pooling, movement and elementwise pipelines delegate to a
+//! `Vec`-returning [`webml_core::kernels`] function and copy the result in.
+//!
+//! Bit-exactness contract: the own kernels change the loop *nest*, never an
+//! output's summation order. Per output pixel the conv and depthwise bodies
+//! run the filter taps outermost and the pixel's contiguous output channels
+//! innermost, so each output still adds its products in the oracle's
+//! `(fh, fw, ic)` order into one accumulator starting at 0 (the tiled matmul
+//! likewise keeps ascending `p`). Quantised variants multiply by the widened
+//! u8 code read from the storage buffer — the same f32 value the oracle gets
+//! from `code as f32` — and keep `Σ x` in the oracle's order too. The
+//! epilogue (`s·Σxq + m·Σx`, then [`BinaryOp::Add`] bias, then
+//! [`UnaryOp::apply`]) goes through the scalar paths the CPU backend
+//! composes. Outputs are therefore bit-identical to the CPU reference, not
+//! merely close; the unit tests below compare every family with its
+//! [`webml_core::kernels`] function on bits.
+//!
+//! Dispatches run serially on the device thread and do not use
+//! `webml_core::pool::WorkerPool`: on the 2-vCPU benchmark host the
+//! prototype behind this design measured a 2-way split of these kernels
+//! slower end to end than the serial bodies (`infer_webgpu_u8` `op_p50_ms`
+//! 5.99 against 5.56 ms), because the thread submitting and reading back
+//! needs the second core (DESIGN.md §18).
 
 use webml_core::backend::{
     ArgReduceOp, BinaryOp, FusedStep, PoolOp, ReduceOp, UnaryOp,
@@ -35,13 +56,6 @@ pub const TILE: usize = 16;
 
 /// Workgroup invocations of the cooperative kernels (`TILE`²).
 const WG: usize = TILE * TILE;
-
-/// Narrow widened storage-buffer values back to the u8 codes they were
-/// uploaded as. Codes are integers 0..=255, exact in f32, so the round trip
-/// is lossless.
-fn narrow_u8(vals: &[f32]) -> Vec<u8> {
-    vals.iter().map(|&v| v as u8).collect()
-}
 
 /// Narrow widened index values back to i32 (exact for tensor-sized indices).
 fn narrow_i32(vals: &[f32]) -> Vec<i32> {
@@ -71,8 +85,8 @@ fn tiled_matmul(
     n: usize,
     transpose_a: bool,
     transpose_b: bool,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+    out: &mut [f32],
+) {
     for bi in 0..batch {
         let a_off = bi * m * kdim;
         let b_off = bi * kdim * n;
@@ -137,7 +151,6 @@ fn tiled_matmul(
             }
         }
     }
-    out
 }
 
 /// Plain batched matmul as a cooperative tiled pipeline.
@@ -155,7 +168,11 @@ pub fn matmul(
         WG,
         TILE,
         2 * kdim.max(1),
-        move |inp| tiled_matmul(inp[0], inp[1], None, None, batch, m, kdim, n, transpose_a, transpose_b),
+        move |inp, out| {
+            tiled_matmul(
+                inp[0], inp[1], None, None, batch, m, kdim, n, transpose_a, transpose_b, out,
+            )
+        },
     )
 }
 
@@ -178,16 +195,70 @@ pub fn fused_matmul(
         WG,
         TILE,
         2 * kdim.max(1),
-        move |inp| {
-            let bias = if has_bias { Some(inp[2]) } else { None };
-            tiled_matmul(inp[0], inp[1], bias, activation, batch, m, kdim, n, transpose_a, transpose_b)
+        move |inp, out| {
+            let bias = has_bias.then(|| inp[2]);
+            tiled_matmul(
+                inp[0], inp[1], bias, activation, batch, m, kdim, n, transpose_a, transpose_b, out,
+            )
         },
     )
 }
 
-/// Dequant-free quantized fused matmul: u8 weight codes stay codes in the
-/// storage buffer; the factored two-sum accumulation and the affine
-/// epilogue come from the shared reference kernel.
+/// What a fused kernel does to one finished accumulator row before moving
+/// on: the affine map of the factored U8 form, then bias, then activation —
+/// the scalar ops, in the order, of the [`webml_core::kernels`] epilogues.
+struct Epilogue {
+    /// `(scale, min)` per output channel when the weight operand is U8
+    /// codes; `None` for f32 weights.
+    affine: Option<Vec<(f32, f32)>>,
+    has_bias: bool,
+    activation: Option<UnaryOp>,
+}
+
+impl Epilogue {
+    /// The unfused f32 kernels: accumulate and store.
+    const NONE: Epilogue = Epilogue { affine: None, has_bias: false, activation: None };
+
+    /// The bias buffer, bound third when the kernel has one.
+    fn bias<'a>(&self, inp: &[&'a [f32]]) -> Option<&'a [f32]> {
+        self.has_bias.then(|| inp[2])
+    }
+
+    /// Finish `row` in place. With U8 weights the row holds `Σ x·q` and
+    /// becomes `s·Σxq + m·Σx`, `sum_x(oc)` being the `Σ x` over the taps of
+    /// output channel `oc` (one value per row for conv and matmul, one per
+    /// input channel for depthwise).
+    fn finish(&self, row: &mut [f32], sum_x: impl Fn(usize) -> f32, bias: Option<&[f32]>) {
+        if let Some(affine) = &self.affine {
+            for (oc, (v, &(s, mn))) in row.iter_mut().zip(affine).enumerate() {
+                *v = s * *v + mn * sum_x(oc);
+            }
+        }
+        if let Some(bias) = bias {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v = BinaryOp::Add.apply(*v, b);
+            }
+        }
+        if let Some(act) = self.activation {
+            for v in row.iter_mut() {
+                *v = act.apply(*v);
+            }
+        }
+    }
+}
+
+/// `out` as consecutive accumulator rows of `width` elements, numbered.
+/// A zero `width` means `out` is empty, and so is the iteration.
+fn rows(out: &mut [f32], width: usize) -> impl Iterator<Item = (usize, &mut [f32])> {
+    out.chunks_exact_mut(width.max(1)).enumerate()
+}
+
+/// Dequant-free quantized fused matmul: the u8 weight codes are read,
+/// widened, straight from the bound storage buffer. One output row at a
+/// time: `p` outermost, the row's `n` accumulators innermost, `Σₚ aₚ` on
+/// the side, then the row epilogue — every output still adds its products
+/// in ascending `p` with one accumulator, as
+/// [`webml_core::kernels::fused_matmul_quant`] does.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_matmul_quant(
     batch: usize,
@@ -196,35 +267,152 @@ pub fn fused_matmul_quant(
     n: usize,
     transpose_a: bool,
     transpose_b: bool,
-    params: QuantParams,
+    params: &QuantParams,
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> ComputePipeline {
+    let affine = (0..n).map(|j| params.scale_min(j)).collect();
+    let ep = Epilogue { affine: Some(affine), has_bias, activation };
     ComputePipeline::cooperative(
         "FusedMatMulQuantTiled",
         batch * m * n,
         WG,
         TILE,
         2 * kdim.max(1),
-        move |inp| {
-            let codes = narrow_u8(inp[1]);
-            let bias = if has_bias { Some(inp[2]) } else { None };
-            k::fused_matmul_quant(
-                inp[0], &codes, &params, bias, activation, batch, m, kdim, n, transpose_a,
-                transpose_b,
-            )
+        move |inp, out| {
+            let (a, b_q, bias) = (inp[0], inp[1], ep.bias(inp));
+            for (r, row) in rows(out, n) {
+                let (bi, i) = (r / m, r % m);
+                let a_off = bi * m * kdim;
+                // A batch-1 weight broadcasts across the batch.
+                let b_off = if b_q.len() == kdim * n { 0 } else { bi * kdim * n };
+                row.fill(0.0);
+                let mut sum_a = 0.0f32;
+                for p in 0..kdim {
+                    let av =
+                        if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * kdim + p] };
+                    sum_a += av;
+                    if transpose_b {
+                        for (j, acc) in row.iter_mut().enumerate() {
+                            *acc += av * b_q[b_off + j * kdim + p];
+                        }
+                    } else {
+                        for (acc, &q) in row.iter_mut().zip(&b_q[b_off + p * n..][..n]) {
+                            *acc += av * q;
+                        }
+                    }
+                }
+                ep.finish(row, |_| sum_a, bias);
+            }
         },
     )
+}
+
+/// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in the
+/// oracle's `(fh, fw)` order: `tap(input pixel index, filter tap index)`.
+#[inline]
+fn for_each_tap(
+    c: &Conv2dInfo,
+    (b, oh, ow): (usize, usize, usize),
+    mut tap: impl FnMut(usize, usize),
+) {
+    for fh in 0..c.filter_height {
+        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+        if ih < 0 || ih >= c.in_height as isize {
+            continue;
+        }
+        for fw in 0..c.filter_width {
+            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+            if iw < 0 || iw >= c.in_width as isize {
+                continue;
+            }
+            let px = (b * c.in_height + ih as usize) * c.in_width + iw as usize;
+            tap(px, fh * c.filter_width + fw);
+        }
+    }
+}
+
+/// Output pixel `p` (row-major over batch, height, width) as `(b, oh, ow)`.
+fn pixel_coords(c: &Conv2dInfo, p: usize) -> (usize, usize, usize) {
+    (p / (c.out_height * c.out_width), p / c.out_width % c.out_height, p % c.out_width)
+}
+
+/// Output channels the conv kernel accumulates at a time. A full block's
+/// accumulators sit in a stack array — registers — across all of the
+/// pixel's taps instead of being loaded from and stored to the output row
+/// once per input value. Eight SSE registers' worth; measured on the
+/// benchmark's `infer_webgpu_u8` (EXPERIMENTS.md, PR 15).
+const OC_BLOCK: usize = 32;
+
+/// Add output pixel `at`'s products into `acc`, the accumulators of output
+/// channels `oc0 .. oc0 + len`: taps outermost, channels innermost. Generic
+/// so that a by-value `[f32; OC_BLOCK]` keeps its compile-time length.
+#[inline(always)]
+fn conv_accumulate<A: AsMut<[f32]>>(
+    mut acc: A,
+    oc0: usize,
+    x: &[f32],
+    w: &[f32],
+    c: &Conv2dInfo,
+    at: (usize, usize, usize),
+) -> A {
+    let (icn, ocn) = (c.in_channels, c.out_channels);
+    for_each_tap(c, at, |px, t| {
+        let xs = &x[px * icn..][..icn];
+        let ws = &w[t * icn * ocn..][..icn * ocn];
+        for (&xv, w_row) in xs.iter().zip(ws.chunks_exact(ocn)) {
+            let acc = acc.as_mut();
+            let w_blk = &w_row[oc0..][..acc.len()];
+            for (a, &wv) in acc.iter_mut().zip(w_blk) {
+                *a += xv * wv;
+            }
+        }
+    });
+    acc
+}
+
+/// The conv2d family (plain, fused, fused over U8 codes) as one cooperative
+/// pipeline: NHWC `x` (binding 0) against an HWIO filter (binding 1), whose
+/// values are f32 weights or widened codes depending on `ep`. Per output
+/// pixel and block of output channels the taps run outermost and the
+/// channels innermost, so a filter row streams once per input value instead
+/// of once per output; each output still adds its products in the oracle's
+/// `(fh, fw, ic)` order into one accumulator. `Σ x` over the same taps, in
+/// the same order, feeds the factored U8 epilogue.
+fn conv_pipeline(name: &'static str, info: Conv2dInfo, ep: Epilogue) -> ComputePipeline {
+    let (icn, ocn) = (info.in_channels, info.out_channels);
+    let out_len = info.batch * info.out_height * info.out_width * ocn;
+    let cost = 2 * info.filter_height * info.filter_width * icn;
+    ComputePipeline::cooperative(name, out_len, WG, TILE, cost.max(1), move |inp, out| {
+        let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
+        for (p, row) in rows(out, ocn) {
+            let at = pixel_coords(&info, p);
+            for (blk, accs) in row.chunks_mut(OC_BLOCK).enumerate() {
+                let oc0 = blk * OC_BLOCK;
+                if let Ok(accs) = <&mut [f32; OC_BLOCK]>::try_from(&mut *accs) {
+                    *accs = conv_accumulate([0.0f32; OC_BLOCK], oc0, x, w, &info, at);
+                } else {
+                    accs.fill(0.0);
+                    conv_accumulate(accs, oc0, x, w, &info, at);
+                }
+            }
+            let mut sum_x = 0.0f32;
+            if ep.affine.is_some() {
+                for_each_tap(&info, at, |px, _| {
+                    for &xv in &x[px * icn..][..icn] {
+                        sum_x += xv;
+                    }
+                });
+            }
+            ep.finish(row, |_| sum_x, bias);
+        }
+    })
 }
 
 /// Conv2d as a cooperative pipeline: the workgroup stages the filter tile
 /// and an input patch in shared memory (reuse ≈ `TILE`).
 pub fn conv2d(info: Conv2dInfo) -> ComputePipeline {
-    let out_len = info.batch * info.out_height * info.out_width * info.out_channels;
-    let cost = 2 * info.filter_height * info.filter_width * info.in_channels;
-    ComputePipeline::cooperative("Conv2DTiled", out_len, WG, TILE, cost.max(1), move |inp| {
-        k::conv2d(inp[0], inp[1], &info)
-    })
+    conv_pipeline("Conv2DTiled", info, Epilogue::NONE)
 }
 
 /// Fused conv2d: convolution plus in-register `+bias` / activation epilogue,
@@ -234,56 +422,75 @@ pub fn fused_conv2d(
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> ComputePipeline {
-    let out_len = info.batch * info.out_height * info.out_width * info.out_channels;
-    let cost = 2 * info.filter_height * info.filter_width * info.in_channels;
-    ComputePipeline::cooperative("FusedConv2DTiled", out_len, WG, TILE, cost.max(1), move |inp| {
-        let oc = info.out_channels;
-        let mut y = k::conv2d(inp[0], inp[1], &info);
-        for (idx, v) in y.iter_mut().enumerate() {
-            if has_bias {
-                *v = BinaryOp::Add.apply(*v, inp[2][idx % oc]);
-            }
-            if let Some(act) = activation {
-                *v = act.apply(*v);
-            }
-        }
-        y
-    })
+    conv_pipeline("FusedConv2DTiled", info, Epilogue { affine: None, has_bias, activation })
 }
 
-/// Dequant-free quantized fused conv2d (shared factored-accumulation
-/// reference kernel; codes never widen to a f32 weight buffer).
+/// Dequant-free quantized fused conv2d: the filter binding holds widened u8
+/// codes; per-channel `params` index the HWIO output-channel axis.
 pub fn fused_conv2d_quant(
     info: Conv2dInfo,
-    params: QuantParams,
+    params: &QuantParams,
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> ComputePipeline {
-    let out_len = info.batch * info.out_height * info.out_width * info.out_channels;
-    let cost = 2 * info.filter_height * info.filter_width * info.in_channels;
-    ComputePipeline::cooperative(
-        "FusedConv2DQuantTiled",
-        out_len,
-        WG,
-        TILE,
-        cost.max(1),
-        move |inp| {
-            let codes = narrow_u8(inp[1]);
-            let bias = if has_bias { Some(inp[2]) } else { None };
-            k::fused_conv2d_quant(inp[0], &codes, &params, bias, activation, &info)
-        },
-    )
+    let affine = (0..info.out_channels).map(|oc| params.scale_min(oc)).collect();
+    let ep = Epilogue { affine: Some(affine), has_bias, activation };
+    conv_pipeline("FusedConv2DQuantTiled", info, ep)
 }
 
-/// Depthwise conv2d. Each output channel reads one input channel, so the
-/// shared-memory win is the filter tile only (reuse 8, not `TILE`).
-pub fn depthwise_conv2d(info: Conv2dInfo) -> ComputePipeline {
-    let out_len =
-        info.batch * info.out_height * info.out_width * info.in_channels * info.channel_mul;
+/// The depthwise family as one cooperative pipeline; the filter is
+/// `[fh, fw, in_c, channel_mul]` and output channel `ic·mul + m` reads input
+/// channel `ic` only, so the shared-memory win is the filter tile (reuse 8,
+/// not `TILE`). Same nest as [`conv_pipeline`]: taps outermost, the pixel's
+/// accumulator row innermost, each input channel's `Σ x` beside it when
+/// `ep` is the factored U8 form; each output adds its taps in `(fh, fw)`
+/// order. The row is not blocked as conv's is: there is no filter row to
+/// reuse and the tap walk would be paid per block (measured slower).
+fn depthwise_pipeline(name: &'static str, info: Conv2dInfo, ep: Epilogue) -> ComputePipeline {
+    let (icn, mul, ocn) = (info.in_channels, info.channel_mul, info.out_channels);
+    let out_len = info.batch * info.out_height * info.out_width * ocn;
     let cost = 2 * info.filter_height * info.filter_width;
-    ComputePipeline::cooperative("DepthwiseConv2DTiled", out_len, WG, 8, cost.max(1), move |inp| {
-        k::depthwise_conv2d(inp[0], inp[1], &info)
+    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+        let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
+        let quant = ep.affine.is_some();
+        // Σ x per output channel (`channel_mul` copies of each input
+        // channel's sum), kept only for the factored U8 epilogue.
+        let mut sum_x = vec![0.0f32; if quant { ocn } else { 0 }];
+        for (p, row) in rows(out, ocn) {
+            let at = pixel_coords(&info, p);
+            row.fill(0.0);
+            sum_x.fill(0.0);
+            for_each_tap(&info, at, |px, t| {
+                let xs = &x[px * icn..][..icn];
+                let ws = &w[t * ocn..][..ocn];
+                if mul == 1 {
+                    // MobileNet's case: one flat, vectorisable channel loop.
+                    for ((acc, &xv), &wv) in row.iter_mut().zip(xs).zip(ws) {
+                        *acc += xv * wv;
+                    }
+                    for (s, &xv) in sum_x.iter_mut().zip(xs) {
+                        *s += xv;
+                    }
+                } else {
+                    let per_ic = row.chunks_exact_mut(mul).zip(ws.chunks_exact(mul));
+                    for ((accs, w_m), &xv) in per_ic.zip(xs) {
+                        for (acc, &wv) in accs.iter_mut().zip(w_m) {
+                            *acc += xv * wv;
+                        }
+                    }
+                    for (ss, &xv) in sum_x.chunks_exact_mut(mul).zip(xs) {
+                        ss.iter_mut().for_each(|s| *s += xv);
+                    }
+                }
+            });
+            ep.finish(row, |oc| sum_x[oc], bias);
+        }
     })
+}
+
+/// Depthwise conv2d.
+pub fn depthwise_conv2d(info: Conv2dInfo) -> ComputePipeline {
+    depthwise_pipeline("DepthwiseConv2DTiled", info, Epilogue::NONE)
 }
 
 /// Fused depthwise conv2d with the in-register epilogue.
@@ -292,60 +499,37 @@ pub fn fused_depthwise_conv2d(
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> ComputePipeline {
-    let oc = info.in_channels * info.channel_mul;
-    let out_len = info.batch * info.out_height * info.out_width * oc;
-    let cost = 2 * info.filter_height * info.filter_width;
-    ComputePipeline::cooperative(
-        "FusedDepthwiseConv2DTiled",
-        out_len,
-        WG,
-        8,
-        cost.max(1),
-        move |inp| {
-            let mut y = k::depthwise_conv2d(inp[0], inp[1], &info);
-            for (idx, v) in y.iter_mut().enumerate() {
-                if has_bias {
-                    *v = BinaryOp::Add.apply(*v, inp[2][idx % oc]);
-                }
-                if let Some(act) = activation {
-                    *v = act.apply(*v);
-                }
-            }
-            y
-        },
-    )
+    let ep = Epilogue { affine: None, has_bias, activation };
+    depthwise_pipeline("FusedDepthwiseConv2DTiled", info, ep)
 }
 
-/// Dequant-free quantized fused depthwise conv2d.
+/// Dequant-free quantized fused depthwise conv2d. Per-channel `params` run
+/// along filter axis 2 (`ic`) or 3 (`m`); either is constant over an
+/// output's accumulation.
 pub fn fused_depthwise_conv2d_quant(
     info: Conv2dInfo,
-    params: QuantParams,
+    params: &QuantParams,
     has_bias: bool,
     activation: Option<UnaryOp>,
 ) -> ComputePipeline {
-    let out_len =
-        info.batch * info.out_height * info.out_width * info.in_channels * info.channel_mul;
-    let cost = 2 * info.filter_height * info.filter_width;
-    ComputePipeline::cooperative(
-        "FusedDepthwiseConv2DQuantTiled",
-        out_len,
-        WG,
-        8,
-        cost.max(1),
-        move |inp| {
-            let codes = narrow_u8(inp[1]);
-            let bias = if has_bias { Some(inp[2]) } else { None };
-            k::fused_depthwise_conv2d_quant(inp[0], &codes, &params, bias, activation, &info)
-        },
-    )
+    let mul = info.channel_mul;
+    let affine = (0..info.out_channels)
+        .map(|oc| match params {
+            QuantParams::PerChannel { axis: 2, .. } => params.scale_min(oc / mul),
+            _ => params.scale_min(oc % mul),
+        })
+        .collect();
+    let ep = Epilogue { affine: Some(affine), has_bias, activation };
+    depthwise_pipeline("FusedDepthwiseConv2DQuantTiled", info, ep)
 }
 
 /// Conv2d input gradient (cooperative over the filter tile).
 pub fn conv2d_backprop_input(info: Conv2dInfo) -> ComputePipeline {
     let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
     let cost = 2 * info.filter_height * info.filter_width * info.out_channels;
-    ComputePipeline::cooperative("Conv2DBackpropInput", out_len, WG, 8, cost.max(1), move |inp| {
-        k::conv2d_backprop_input(inp[0], inp[1], &info)
+    let name = "Conv2DBackpropInput";
+    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+        out.copy_from_slice(&k::conv2d_backprop_input(inp[0], inp[1], &info))
     })
 }
 
@@ -353,8 +537,9 @@ pub fn conv2d_backprop_input(info: Conv2dInfo) -> ComputePipeline {
 pub fn conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
     let out_len = info.filter_height * info.filter_width * info.in_channels * info.out_channels;
     let cost = 2 * info.batch * info.out_height * info.out_width;
-    ComputePipeline::cooperative("Conv2DBackpropFilter", out_len, WG, 8, cost.max(1), move |inp| {
-        k::conv2d_backprop_filter(inp[0], inp[1], &info)
+    let name = "Conv2DBackpropFilter";
+    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+        out.copy_from_slice(&k::conv2d_backprop_filter(inp[0], inp[1], &info))
     })
 }
 
@@ -362,8 +547,9 @@ pub fn conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
 pub fn depthwise_conv2d_backprop_input(info: Conv2dInfo) -> ComputePipeline {
     let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
     let cost = 2 * info.filter_height * info.filter_width * info.channel_mul;
-    ComputePipeline::cooperative("DepthwiseBackpropInput", out_len, WG, 8, cost.max(1), move |inp| {
-        k::depthwise_conv2d_backprop_input(inp[0], inp[1], &info)
+    let name = "DepthwiseBackpropInput";
+    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+        out.copy_from_slice(&k::depthwise_conv2d_backprop_input(inp[0], inp[1], &info))
     })
 }
 
@@ -377,7 +563,9 @@ pub fn depthwise_conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
         WG,
         8,
         cost.max(1),
-        move |inp| k::depthwise_conv2d_backprop_filter(inp[0], inp[1], &info),
+        move |inp, out| {
+            out.copy_from_slice(&k::depthwise_conv2d_backprop_filter(inp[0], inp[1], &info))
+        },
     )
 }
 
@@ -385,8 +573,8 @@ pub fn depthwise_conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
 pub fn pool2d(op: PoolOp, info: Conv2dInfo) -> ComputePipeline {
     let out_len = info.batch * info.out_height * info.out_width * info.in_channels;
     let cost = info.filter_height * info.filter_width;
-    ComputePipeline::elementwise("Pool2D", out_len, cost.max(1), move |inp| {
-        k::pool2d(op, inp[0], &info)
+    ComputePipeline::elementwise("Pool2D", out_len, cost.max(1), move |inp, out| {
+        out.copy_from_slice(&k::pool2d(op, inp[0], &info))
     })
 }
 
@@ -394,14 +582,16 @@ pub fn pool2d(op: PoolOp, info: Conv2dInfo) -> ComputePipeline {
 pub fn pool2d_backprop(op: PoolOp, info: Conv2dInfo) -> ComputePipeline {
     let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
     let cost = info.filter_height * info.filter_width;
-    ComputePipeline::elementwise("Pool2DBackprop", out_len, cost.max(1), move |inp| {
-        k::pool2d_backprop(op, inp[0], inp[1], &info)
+    ComputePipeline::elementwise("Pool2DBackprop", out_len, cost.max(1), move |inp, out| {
+        out.copy_from_slice(&k::pool2d_backprop(op, inp[0], inp[1], &info))
     })
 }
 
 /// Elementwise unary op.
 pub fn unary(op: UnaryOp, out_len: usize) -> ComputePipeline {
-    ComputePipeline::elementwise("Unary", out_len, 1, move |inp| k::unary(op, inp[0]))
+    ComputePipeline::elementwise("Unary", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&k::unary(op, inp[0]))
+    })
 }
 
 /// Broadcasting binary op.
@@ -412,15 +602,15 @@ pub fn binary(
     out_dims: Vec<usize>,
 ) -> ComputePipeline {
     let (a_s, b_s, o_s) = (Shape::new(a_dims), Shape::new(b_dims), Shape::new(out_dims));
-    ComputePipeline::elementwise("Binary", o_s.size(), 1, move |inp| {
-        k::binary(op, inp[0], &a_s, inp[1], &b_s, &o_s)
+    ComputePipeline::elementwise("Binary", o_s.size(), 1, move |inp, out| {
+        out.copy_from_slice(&k::binary(op, inp[0], &a_s, inp[1], &b_s, &o_s))
     })
 }
 
 /// Dtype cast (values re-quantized through the host dtype semantics).
 pub fn cast(out_len: usize, dtype: DType) -> ComputePipeline {
-    ComputePipeline::elementwise("Cast", out_len, 1, move |inp| {
-        TensorData::F32(inp[0].to_vec()).cast(dtype).to_f32_vec()
+    ComputePipeline::elementwise("Cast", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&TensorData::F32(inp[0].to_vec()).cast(dtype).to_f32_vec())
     })
 }
 
@@ -430,8 +620,8 @@ pub fn reduce(op: ReduceOp, in_dims: Vec<usize>, axes: Vec<usize>, out_len: usiz
     let shape = Shape::new(in_dims);
     let reduced: usize =
         axes.iter().map(|&ax| shape.dim(ax)).product::<usize>().max(1);
-    ComputePipeline::cooperative("Reduce", out_len.max(1), WG, 4, reduced, move |inp| {
-        k::reduce(op, inp[0], &shape, &axes)
+    ComputePipeline::cooperative("Reduce", out_len.max(1), WG, 4, reduced, move |inp, out| {
+        out.copy_from_slice(&k::reduce(op, inp[0], &shape, &axes))
     })
 }
 
@@ -439,8 +629,12 @@ pub fn reduce(op: ReduceOp, in_dims: Vec<usize>, axes: Vec<usize>, out_len: usiz
 pub fn arg_reduce(op: ArgReduceOp, in_dims: Vec<usize>, axis: usize, out_len: usize) -> ComputePipeline {
     let shape = Shape::new(in_dims);
     let cost = shape.dim(axis).max(1);
-    ComputePipeline::cooperative("ArgReduce", out_len.max(1), WG, 4, cost, move |inp| {
-        k::arg_reduce(op, inp[0], &shape, axis).iter().map(|&v| v as f32).collect()
+    ComputePipeline::cooperative("ArgReduce", out_len.max(1), WG, 4, cost, move |inp, out| {
+        let idx = k::arg_reduce(op, inp[0], &shape, axis);
+        assert_eq!(idx.len(), out.len(), "ArgReduce out_len mismatch");
+        for (o, &i) in out.iter_mut().zip(&idx) {
+            *o = i as f32;
+        }
     })
 }
 
@@ -448,26 +642,26 @@ pub fn arg_reduce(op: ArgReduceOp, in_dims: Vec<usize>, axis: usize, out_len: us
 pub fn slice(in_dims: Vec<usize>, begin: Vec<usize>, size: Vec<usize>) -> ComputePipeline {
     let shape = Shape::new(in_dims);
     let out_len: usize = size.iter().product::<usize>().max(1);
-    ComputePipeline::elementwise("Slice", out_len, 1, move |inp| {
-        k::slice(inp[0], &shape, &begin, &size)
+    ComputePipeline::elementwise("Slice", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&k::slice(inp[0], &shape, &begin, &size))
     })
 }
 
 /// Concatenation along one axis.
 pub fn concat(in_dims: Vec<Vec<usize>>, axis: usize, out_len: usize) -> ComputePipeline {
     let shapes: Vec<Shape> = in_dims.into_iter().map(Shape::new).collect();
-    ComputePipeline::elementwise("Concat", out_len, 1, move |inp| {
+    ComputePipeline::elementwise("Concat", out_len, 1, move |inp, out| {
         let xs: Vec<(&[f32], &Shape)> =
             inp.iter().copied().zip(shapes.iter()).collect();
-        k::concat(&xs, axis)
+        out.copy_from_slice(&k::concat(&xs, axis))
     })
 }
 
 /// Axis permutation.
 pub fn transpose(in_dims: Vec<usize>, perm: Vec<usize>) -> ComputePipeline {
     let shape = Shape::new(in_dims);
-    ComputePipeline::elementwise("Transpose", shape.size(), 1, move |inp| {
-        k::transpose(inp[0], &shape, &perm)
+    ComputePipeline::elementwise("Transpose", shape.size(), 1, move |inp, out| {
+        out.copy_from_slice(&k::transpose(inp[0], &shape, &perm))
     })
 }
 
@@ -481,16 +675,16 @@ pub fn pad(in_dims: Vec<usize>, paddings: Vec<(usize, usize)>, value: f32) -> Co
         .map(|(&d, &(b, a))| d + b + a)
         .product::<usize>()
         .max(1);
-    ComputePipeline::elementwise("Pad", out_len, 1, move |inp| {
-        k::pad(inp[0], &shape, &paddings, value)
+    ComputePipeline::elementwise("Pad", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&k::pad(inp[0], &shape, &paddings, value))
     })
 }
 
 /// Gather rows along one axis (index buffer narrowed back to i32).
 pub fn gather(in_dims: Vec<usize>, axis: usize, out_len: usize) -> ComputePipeline {
     let shape = Shape::new(in_dims);
-    ComputePipeline::elementwise("Gather", out_len, 1, move |inp| {
-        k::gather(inp[0], &shape, &narrow_i32(inp[1]), axis)
+    ComputePipeline::elementwise("Gather", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&k::gather(inp[0], &shape, &narrow_i32(inp[1]), axis))
     })
 }
 
@@ -499,14 +693,16 @@ pub fn tile(in_dims: Vec<usize>, reps: Vec<usize>) -> ComputePipeline {
     let shape = Shape::new(in_dims);
     let out_len: usize =
         shape.dims().iter().zip(&reps).map(|(&d, &r)| d * r).product::<usize>().max(1);
-    ComputePipeline::elementwise("Tile", out_len, 1, move |inp| k::tile(inp[0], &shape, &reps))
+    ComputePipeline::elementwise("Tile", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&k::tile(inp[0], &shape, &reps))
+    })
 }
 
 /// Axis reversal.
 pub fn reverse(in_dims: Vec<usize>, axes: Vec<usize>) -> ComputePipeline {
     let shape = Shape::new(in_dims);
-    ComputePipeline::elementwise("Reverse", shape.size(), 1, move |inp| {
-        k::reverse(inp[0], &shape, &axes)
+    ComputePipeline::elementwise("Reverse", shape.size(), 1, move |inp, out| {
+        out.copy_from_slice(&k::reverse(inp[0], &shape, &axes))
     })
 }
 
@@ -519,15 +715,15 @@ pub fn select(
 ) -> ComputePipeline {
     let (c_s, a_s, b_s, o_s) =
         (Shape::new(cond_dims), Shape::new(a_dims), Shape::new(b_dims), Shape::new(out_dims));
-    ComputePipeline::elementwise("Select", o_s.size(), 1, move |inp| {
-        k::select(inp[0], &c_s, inp[1], &a_s, inp[2], &b_s, &o_s)
+    ComputePipeline::elementwise("Select", o_s.size(), 1, move |inp, out| {
+        out.copy_from_slice(&k::select(inp[0], &c_s, inp[1], &a_s, inp[2], &b_s, &o_s))
     })
 }
 
 /// One-hot encoding of an index buffer.
 pub fn one_hot(depth: usize, on: f32, off: f32, out_len: usize) -> ComputePipeline {
-    ComputePipeline::elementwise("OneHot", out_len, 1, move |inp| {
-        k::one_hot(&narrow_i32(inp[0]), depth, on, off)
+    ComputePipeline::elementwise("OneHot", out_len, 1, move |inp, out| {
+        out.copy_from_slice(&k::one_hot(&narrow_i32(inp[0]), depth, on, off))
     })
 }
 
@@ -540,8 +736,8 @@ pub fn resize_bilinear(
 ) -> ComputePipeline {
     let shape = Shape::new(in_dims);
     let out_len = shape.dim(0) * new_h * new_w * shape.dim(3);
-    ComputePipeline::elementwise("ResizeBilinear", out_len, 4, move |inp| {
-        k::resize_bilinear(inp[0], &shape, new_h, new_w, align_corners)
+    ComputePipeline::elementwise("ResizeBilinear", out_len, 4, move |inp, out| {
+        out.copy_from_slice(&k::resize_bilinear(inp[0], &shape, new_h, new_w, align_corners))
     })
 }
 
@@ -560,7 +756,7 @@ pub fn fused_elementwise(
     let x_shape = Shape::new(x_dims);
     let extra_shapes: Vec<Shape> = extra_dims.into_iter().map(Shape::new).collect();
     let cost = steps.len().max(1);
-    ComputePipeline::elementwise("FusedElementwise", out_len, cost, move |inp| {
+    ComputePipeline::elementwise("FusedElementwise", out_len, cost, move |inp, out| {
         let mut vals = inp[0].to_vec();
         let mut shape = x_shape.clone();
         for (step, after) in steps.iter().zip(&step_shapes) {
@@ -572,6 +768,244 @@ pub fn fused_elementwise(
             }
             shape = after.clone();
         }
-        vals
+        out.copy_from_slice(&vals)
     })
+}
+
+/// Differential tests: each own kernel against its `webml_core::kernels`
+/// oracle, on bits.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+
+    /// Deterministic values in roughly [-2, 2] (xorshift).
+    fn data(n: usize, seed: u64) -> Vec<f32> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0) as f32
+            })
+            .collect()
+    }
+
+    fn codes(n: usize, seed: u64) -> Vec<u8> {
+        data(n, seed).iter().map(|v| ((v + 2.0) * 63.9) as u8).collect()
+    }
+
+    /// The widened form a U8 storage buffer binds as.
+    fn widen(codes: &[u8]) -> Vec<f32> {
+        codes.iter().map(|&q| q as f32).collect()
+    }
+
+    /// Run a body the way the queue does: into a buffer holding stale values.
+    fn run(pl: &ComputePipeline, inputs: &[&[f32]]) -> Vec<u32> {
+        let mut out = vec![f32::NAN; pl.out_len];
+        (pl.body)(inputs, &mut out);
+        bits(&out)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What the unfused composition computes after an f32 kernel.
+    fn epilogue(mut y: Vec<f32>, bias: Option<&[f32]>, act: Option<UnaryOp>) -> Vec<f32> {
+        for (i, v) in y.iter_mut().enumerate() {
+            if let Some(b) = bias {
+                *v = BinaryOp::Add.apply(*v, b[i % b.len()]);
+            }
+            if let Some(a) = act {
+                *v = a.apply(*v);
+            }
+        }
+        y
+    }
+
+    /// Per-tensor params, then per-channel params along `axis` with `n` entries.
+    fn params(axis: usize, n: usize, seed: u64) -> [QuantParams; 2] {
+        let scales = data(n, seed).iter().map(|v| v.abs() * 0.01 + 0.001).collect();
+        let per_channel = QuantParams::per_channel(axis, scales, data(n, seed + 1));
+        [QuantParams::per_tensor(0.017, -1.3), per_channel]
+    }
+
+    const EPILOGUES: [(bool, Option<UnaryOp>); 4] = [
+        (false, None),
+        (true, None),
+        (false, Some(UnaryOp::Relu6)),
+        (true, Some(UnaryOp::Sigmoid)),
+    ];
+
+    /// All three conv pipelines against the oracle for one geometry.
+    fn check_conv(info: &Conv2dInfo, seed: u64) {
+        let c = info;
+        let x = data(c.batch * c.in_height * c.in_width * c.in_channels, seed);
+        let w_len = c.filter_height * c.filter_width * c.in_channels * c.out_channels;
+        let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
+        let bias = data(c.out_channels, seed + 3);
+        let want = k::conv2d(&x, &w, c);
+        assert_eq!(run(&conv2d(c.clone()), &[&x, &w]), bits(&want), "conv2d {c:?}");
+        for (has_bias, act) in EPILOGUES {
+            let b = has_bias.then_some(bias.as_slice());
+            assert_eq!(
+                run(&fused_conv2d(c.clone(), has_bias, act), &[&x, &w, &bias]),
+                bits(&epilogue(want.clone(), b, act)),
+                "fused_conv2d bias={has_bias} {act:?} {c:?}"
+            );
+            for p in params(3, c.out_channels, seed + 4) {
+                let pl = fused_conv2d_quant(c.clone(), &p, has_bias, act);
+                assert_eq!(
+                    run(&pl, &[&x, &widen(&w_q), &bias]),
+                    bits(&k::fused_conv2d_quant(&x, &w_q, &p, b, act, c)),
+                    "fused_conv2d_quant bias={has_bias} {act:?} {p:?} {c:?}"
+                );
+            }
+        }
+    }
+
+    /// All three depthwise pipelines against the oracle for one geometry.
+    fn check_depthwise(info: &Conv2dInfo, seed: u64) {
+        let c = info;
+        let x = data(c.batch * c.in_height * c.in_width * c.in_channels, seed);
+        let w_len = c.filter_height * c.filter_width * c.out_channels;
+        let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
+        let bias = data(c.out_channels, seed + 3);
+        let want = k::depthwise_conv2d(&x, &w, c);
+        assert_eq!(run(&depthwise_conv2d(c.clone()), &[&x, &w]), bits(&want), "depthwise {c:?}");
+        let per_ic = params(2, c.in_channels, seed + 4);
+        let [_, per_m] = params(3, c.channel_mul, seed + 6);
+        for (has_bias, act) in EPILOGUES {
+            let b = has_bias.then_some(bias.as_slice());
+            assert_eq!(
+                run(&fused_depthwise_conv2d(c.clone(), has_bias, act), &[&x, &w, &bias]),
+                bits(&epilogue(want.clone(), b, act)),
+                "fused_depthwise bias={has_bias} {act:?} {c:?}"
+            );
+            for p in per_ic.iter().chain([&per_m]) {
+                let pl = fused_depthwise_conv2d_quant(c.clone(), p, has_bias, act);
+                assert_eq!(
+                    run(&pl, &[&x, &widen(&w_q), &bias]),
+                    bits(&k::fused_depthwise_conv2d_quant(&x, &w_q, p, b, act, c)),
+                    "fused_depthwise_quant bias={has_bias} {act:?} {p:?} {c:?}"
+                );
+            }
+        }
+    }
+
+    fn geometry(
+        depthwise: bool,
+        (batch, h, w, ic, last): (usize, usize, usize, usize, usize),
+        (fh, fw): (usize, usize),
+        stride: usize,
+        pad: Padding,
+        dilation: usize,
+    ) -> Conv2dInfo {
+        let make = if depthwise { depthwise_conv2d_info } else { conv2d_info };
+        make(
+            "test",
+            &Shape::new(vec![batch, h, w, ic]),
+            &Shape::new(vec![fh, fw, ic, last]),
+            (stride, stride),
+            pad,
+            (dilation, dilation),
+        )
+        .expect("valid geometry")
+    }
+
+    #[test]
+    fn conv_family_matches_the_oracle_bit_for_bit() {
+        let mut seed = 100;
+        for pad in [Padding::Same, Padding::Valid] {
+            for (stride, dilation) in [(1, 1), (2, 1), (1, 2)] {
+                // Out-channel counts around the block width: below it, not a
+                // multiple of anything, exactly one block, a block plus a tail.
+                for oc in [1, 3, 17, OC_BLOCK, OC_BLOCK + 3] {
+                    seed += 10;
+                    let dims = (2, 7, 6, 3, oc);
+                    check_conv(&geometry(false, dims, (3, 3), stride, pad, dilation), seed);
+                }
+            }
+        }
+        // Pointwise, a non-square filter, and an empty batch.
+        check_conv(&geometry(false, (1, 4, 4, 5, 70), (1, 1), 1, Padding::Same, 1), 7);
+        check_conv(&geometry(false, (1, 6, 5, 2, 4), (2, 3), 1, Padding::Same, 1), 8);
+        check_conv(&geometry(false, (0, 5, 5, 3, 4), (3, 3), 1, Padding::Same, 1), 9);
+    }
+
+    #[test]
+    fn depthwise_family_matches_the_oracle_bit_for_bit() {
+        let mut seed = 500;
+        for pad in [Padding::Same, Padding::Valid] {
+            for (stride, dilation) in [(1, 1), (2, 1), (1, 2)] {
+                for (ic, mul) in [(1, 1), (3, 1), (17, 1), (3, 2), (1, 3)] {
+                    seed += 10;
+                    let dims = (2, 7, 6, ic, mul);
+                    check_depthwise(&geometry(true, dims, (3, 3), stride, pad, dilation), seed);
+                }
+            }
+        }
+        check_depthwise(&geometry(true, (0, 5, 5, 3, 1), (3, 3), 1, Padding::Same, 1), 9);
+    }
+
+    #[test]
+    fn quant_matmul_matches_the_oracle_bit_for_bit() {
+        let mut seed = 900;
+        let shapes = [(1, 1, 1, 1), (1, 5, 7, 3), (2, 4, 19, 17), (2, 3, 0, 4), (0, 3, 4, 5)];
+        for (batch, m, kdim, n) in shapes {
+            for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+                // A per-batch weight and a batch-1 weight broadcast over the batch.
+                for b_len in [batch * kdim * n, kdim * n] {
+                    seed += 10;
+                    let (a, b_q) = (data(batch * m * kdim, seed), codes(b_len, seed + 1));
+                    let bias = data(n, seed + 2);
+                    for (has_bias, act) in EPILOGUES {
+                        for p in params(if tb { 1 } else { 2 }, n, seed + 3) {
+                            let b = has_bias.then_some(bias.as_slice());
+                            let pl =
+                                fused_matmul_quant(batch, m, kdim, n, ta, tb, &p, has_bias, act);
+                            let want = k::fused_matmul_quant(
+                                &a, &b_q, &p, b, act, batch, m, kdim, n, ta, tb,
+                            );
+                            assert_eq!(
+                                run(&pl, &[&a, &widen(&b_q), &bias]),
+                                bits(&want),
+                                "{batch}x{m}x{kdim}x{n} ta={ta} tb={tb} b_len={b_len} \
+                                 bias={has_bias} {act:?} {p:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_geometries_match_the_oracle(
+            batch in 1usize..3,
+            h in 1usize..9,
+            w in 1usize..9,
+            ic in 1usize..6,
+            fh in 1usize..4,
+            fw in 1usize..4,
+            oc in 1usize..40,
+            mul in 1usize..4,
+            stride in 1usize..3,
+            dilation in 1usize..3,
+            same in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let pad = if same == 1 { Padding::Same } else { Padding::Valid };
+            let conv = geometry(false, (batch, h, w, ic, oc), (fh, fw), stride, pad, dilation);
+            check_conv(&conv, seed);
+            let dw = geometry(true, (batch, h, w, ic, mul), (fh, fw), stride, pad, dilation);
+            check_depthwise(&dw, seed);
+        }
+    }
 }

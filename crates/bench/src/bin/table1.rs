@@ -18,7 +18,8 @@
 //!   time of each GPU rung relative to the modeled CUDA-class row on the
 //!   same discrete-GPU profile. The paper's Sec 3.9 gap is WebGL's 3-10x;
 //!   Sec 4.3 predicts compute shaders close most of it, so
-//!   `gap_webgpu_native` should land materially below `gap_webgl_native`.
+//!   `gap_webgpu_native` must land below `gap_webgl_native`: `--json`
+//!   exits non-zero when it does not (the `bench-smoke` CI job runs it).
 //! - `kernel_styles`: the single-thread fragment / packed / tiled-compute
 //!   matmul comparison (formerly only in the `webgpu_preview` bin).
 
@@ -121,6 +122,15 @@ fn main() {
         let text = serde_json::to_string_pretty(&doc).expect("serialize");
         std::fs::write("BENCH_TABLE1.json", text).expect("write BENCH_TABLE1.json");
         println!("\nwrote BENCH_TABLE1.json");
+        if webgpu_ms >= webgl_ms {
+            eprintln!(
+                "FAIL: gap_webgpu_native {:.2} is not below gap_webgl_native {:.2} \
+                 (webgpu {webgpu_ms:.4} ms, webgl {webgl_ms:.4} ms, cuda-class {cuda_ms:.4} ms)",
+                webgpu_ms / cuda_ms,
+                webgl_ms / cuda_ms
+            );
+            std::process::exit(1);
+        }
     }
     println!(
         "\npaper (MacBook Pro / GTX 1080): Plain JS 3426 ms (1x), WebGL Iris Pro 49 ms (71x),\n\

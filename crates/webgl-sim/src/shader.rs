@@ -142,13 +142,6 @@ impl std::fmt::Debug for Program {
     }
 }
 
-/// Execute a program body over an output buffer, splitting the work across
-/// the device's persistent [`webml_core::pool::WorkerPool`] — the simulator's model of
-/// fragment-shader parallelism. Each invocation writes only its own output
-/// slot.
-///
-/// `store` semantics (f16 rounding) are applied per element; this function
-/// fills `out` at logical flat indices.
 /// What a program execution used: the basis of the simulated-time model.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecStats {
@@ -158,9 +151,14 @@ pub struct ExecStats {
     pub real_engaged: usize,
 }
 
-/// Execute a program over the device pool, filling `out` at logical flat
-/// indices (with f16 rounding when the device is half-precision), and
-/// return the occupancy statistics the simulated-time model needs.
+/// Execute a program body over an output buffer, splitting the work across
+/// the device's persistent [`webml_core::pool::WorkerPool`] — the simulator's
+/// model of fragment-shader parallelism. Each invocation writes only its own
+/// output slot.
+///
+/// Fills `out` at logical flat indices (with f16 rounding applied per
+/// element when the device is half-precision) and returns the occupancy
+/// statistics the simulated-time model needs.
 pub fn execute(
     program: &Program,
     samplers_inputs: &[(&[f32], &TextureLayout)],

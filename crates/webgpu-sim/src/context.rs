@@ -565,8 +565,10 @@ mod tests {
         let c = ctx();
         let a = c.upload(vec![1.0, 2.0]).unwrap();
         let b = c.upload(vec![10.0, 20.0]).unwrap();
-        let add = ComputePipeline::elementwise("Add", 2, 1, |inp| {
-            inp[0].iter().zip(inp[1]).map(|(x, y)| x + y).collect()
+        let add = ComputePipeline::elementwise("Add", 2, 1, |inp, out| {
+            for ((o, x), y) in out.iter_mut().zip(inp[0]).zip(inp[1]) {
+                *o = x + y;
+            }
         });
         let out = c.dispatch(add, &[&a, &b]).unwrap();
         assert_eq!(c.read_sync(&out).unwrap(), vec![11.0, 22.0]);
@@ -594,17 +596,14 @@ mod tests {
         let c = ctx();
         let n = 1usize << 16;
         let a = c.upload(vec![1.0; n]).unwrap();
-        let work = |inp: &[&[f32]]| -> Vec<f32> {
-            inp[0]
-                .iter()
-                .map(|&v| {
-                    let mut x = v;
-                    for _ in 0..64 {
-                        x = x * 1.000_1 + 0.1;
-                    }
-                    x
-                })
-                .collect()
+        let work = |inp: &[&[f32]], out: &mut [f32]| {
+            for (o, &v) in out.iter_mut().zip(inp[0]) {
+                let mut x = v;
+                for _ in 0..64 {
+                    x = x * 1.000_1 + 0.1;
+                }
+                *o = x;
+            }
         };
         c.begin_timing();
         let naive = ComputePipeline::cooperative("Naive", n, 256, 1, 64, work);
@@ -624,17 +623,14 @@ mod tests {
     fn enqueue_returns_before_completion() {
         let c = ctx();
         let a = c.upload(vec![1.0; 256]).unwrap();
-        let slow = ComputePipeline::elementwise("Slow", 256, 20_000, |inp| {
-            inp[0]
-                .iter()
-                .map(|&v| {
-                    let mut x = v;
-                    for _ in 0..20_000 {
-                        x = (x * 1.000_001).sin() + 1.0;
-                    }
-                    x
-                })
-                .collect()
+        let slow = ComputePipeline::elementwise("Slow", 256, 20_000, |inp, out| {
+            for (o, &v) in out.iter_mut().zip(inp[0]) {
+                let mut x = v;
+                for _ in 0..20_000 {
+                    x = (x * 1.000_001).sin() + 1.0;
+                }
+                *o = x;
+            }
         });
         let t0 = std::time::Instant::now();
         let out = c.dispatch(slow, &[&a]).unwrap();
@@ -664,8 +660,8 @@ mod tests {
         });
         let a = c.upload(vec![1.0, 2.0]).unwrap();
         let double = || {
-            ComputePipeline::elementwise("Double", 2, 1, |inp| {
-                inp[0].iter().map(|v| v * 2.0).collect()
+            ComputePipeline::elementwise("Double", 2, 1, |inp, out| {
+                out.iter_mut().zip(inp[0]).for_each(|(o, v)| *o = v * 2.0)
             })
         };
         let out = c.dispatch(double(), &[&a]).unwrap();
@@ -696,7 +692,7 @@ mod tests {
         )
         .unwrap();
         let a = c.upload(vec![1.0]).unwrap();
-        let id = ComputePipeline::elementwise("Id", 1, 1, |inp| inp[0].to_vec());
+        let id = ComputePipeline::elementwise("Id", 1, 1, |inp, out| out.copy_from_slice(inp[0]));
         assert_eq!(c.dispatch(id, &[&a]), Err(WebGpuError::DeviceLost));
         assert!(!c.restore_device());
         assert!(c.is_device_lost());
@@ -712,12 +708,10 @@ mod tests {
         .unwrap();
         let a = c.upload(vec![3.0]).unwrap();
         let square = || {
-            ComputePipeline::elementwise("Square", 1, 1, |inp| {
-                inp[0].iter().map(|v| v * v).collect()
-            })
+            ComputePipeline::elementwise("Square", 1, 1, |inp, out| out[0] = inp[0][0] * inp[0][0])
         };
         let cube =
-            ComputePipeline::elementwise("Cube", 1, 1, |inp| inp[0].iter().map(|v| v * v * v).collect());
+            ComputePipeline::elementwise("Cube", 1, 1, |inp, out| out[0] = inp[0][0].powi(3));
         for _ in 0..3 {
             assert!(matches!(
                 c.dispatch(square(), &[&a]),

@@ -14,10 +14,12 @@
 
 use std::sync::Arc;
 
-/// Body of a compute pipeline: consumes the (widened-f32) contents of the
-/// bound input buffers and produces the output buffer's contents. Runs on
+/// Body of a compute pipeline: reads the (widened-f32) contents of the
+/// bound input buffers and writes the bound output buffer in place. The
+/// output slice is exactly `out_len` long and arrives with whatever a
+/// recycled buffer last held, so a body must store every element. Runs on
 /// the device thread.
-pub type PipelineBody = Arc<dyn Fn(&[&[f32]]) -> Vec<f32> + Send + Sync>;
+pub type PipelineBody = Arc<dyn Fn(&[&[f32]], &mut [f32]) + Send + Sync>;
 
 /// A compute pipeline plus its dispatch geometry and cost declaration.
 #[derive(Clone)]
@@ -49,7 +51,7 @@ impl ComputePipeline {
         workgroup_size: usize,
         shared_reuse: usize,
         cost_per_element: usize,
-        body: impl Fn(&[&[f32]]) -> Vec<f32> + Send + Sync + 'static,
+        body: impl Fn(&[&[f32]], &mut [f32]) + Send + Sync + 'static,
     ) -> ComputePipeline {
         ComputePipeline {
             name,
@@ -68,7 +70,7 @@ impl ComputePipeline {
         name: &'static str,
         out_len: usize,
         cost_per_element: usize,
-        body: impl Fn(&[&[f32]]) -> Vec<f32> + Send + Sync + 'static,
+        body: impl Fn(&[&[f32]], &mut [f32]) + Send + Sync + 'static,
     ) -> ComputePipeline {
         ComputePipeline::cooperative(name, out_len, 64, 1, cost_per_element, body)
     }

@@ -408,17 +408,15 @@ fn run_pipeline(
         );
     }
 
-    let result = {
+    {
         let taken_index: HashMap<BufId, &StorageBuffer> =
             taken.iter().map(|(bid, b)| (*bid, b)).collect();
         let bound: Vec<&[f32]> = inputs
             .iter()
             .map(|id| taken_index.get(id).expect("taken above").data.as_slice())
             .collect();
-        (pipeline.body)(&bound)
-    };
-    assert_eq!(result.len(), pipeline.out_len, "pipeline {} out_len mismatch", pipeline.name);
-    storage.copy_from_slice(&result);
+        (pipeline.body)(&bound, &mut storage);
+    }
 
     // Return inputs and publish the output.
     let out = StorageBuffer { data: storage, format: BufferFormat::F32, on_device: true };
@@ -458,7 +456,7 @@ mod tests {
     use std::sync::Arc;
 
     fn pipe(out_len: usize, reuse: usize, cost: usize) -> ComputePipeline {
-        ComputePipeline::cooperative("T", out_len, 256, reuse, cost, |_| vec![])
+        ComputePipeline::cooperative("T", out_len, 256, reuse, cost, |_, _| {})
     }
 
     #[test]
@@ -501,8 +499,8 @@ mod tests {
         shared.pending.fetch_add(1, Ordering::SeqCst);
         tx.send(Command::Upload { buf: 1, data: vec![1.0, 2.0, 3.0], format: BufferFormat::F32 })
             .unwrap();
-        let double = ComputePipeline::elementwise("Double", 3, 1, |inp| {
-            inp[0].iter().map(|v| v * 2.0).collect()
+        let double = ComputePipeline::elementwise("Double", 3, 1, |inp, out| {
+            out.iter_mut().zip(inp[0]).for_each(|(o, v)| *o = v * 2.0)
         });
         shared.pending.fetch_add(1, Ordering::SeqCst);
         tx.send(Command::Dispatch {
