@@ -3,12 +3,14 @@
 //! the Node.js backend gets by binding to the TensorFlow C library
 //! (paper Sec 4.2).
 
-use crate::parallel::parallel_for_slices;
+use crate::parallel::{parallel_collect, parallel_for_slices};
 use std::borrow::Cow;
 use webml_core::backend::{BinaryOp, FusedStep, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
+use webml_core::kernels as reference;
 use webml_core::pool::WorkerPool;
 use webml_core::quant::QuantParams;
+use webml_core::shape::Shape;
 
 /// The fused epilogue: optional per-channel bias add, then optional
 /// activation. Uses the same `BinaryOp::apply`/`UnaryOp::apply` scalar math
@@ -27,7 +29,7 @@ fn apply_epilogue(v: f32, channel: usize, bias: Option<&[f32]>, act: Option<Unar
 }
 
 /// Batched matmul `[b, m, k] x [b, k, n]` with transposes, parallel over
-/// output rows, ikj loop order for contiguous vectorizable inner loops.
+/// output rows, register-tiled within each run of rows ([`gemm_rows`]).
 #[allow(clippy::too_many_arguments)]
 pub fn matmul(
     a: &[f32],
@@ -63,6 +65,16 @@ pub fn fused_matmul(
     matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, pool)
 }
 
+/// How many multiply-adds of the register-tiled product make one element
+/// visit, the unit `parallel::GRAIN` counts work in. Every other kernel's
+/// multiply-add loads and stores its accumulator and *is* a visit; a tile
+/// keeps its accumulators in registers, so its multiply-add takes 0.10–0.13 ns
+/// on one thread (32x784x10 in 31 µs, 1568x72x16 in 176 µs) where a visit
+/// takes 0.34–0.45 ns. Counted one for one, the three 250 k-multiply-add
+/// products of the training step's dense layer are split for a loss
+/// (`speedup_vs_1thread` 1.07 against 1.10, same rounds as `GRAIN`'s).
+pub(crate) const TILED_MACS_PER_VISIT: usize = 4;
+
 #[allow(clippy::too_many_arguments)]
 fn matmul_impl(
     a: &[f32],
@@ -78,25 +90,19 @@ fn matmul_impl(
     pool: &WorkerPool,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
+    if out.is_empty() {
+        return out;
+    }
     let fused = bias.is_some() || activation.is_some();
     for bi in 0..batch {
         let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a);
         let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b);
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
-        parallel_for_slices(pool, out_b, m, n, k * n, |rows, chunk| {
-            for (local_i, i) in rows.enumerate() {
-                let out_row = &mut chunk[local_i * n..(local_i + 1) * n];
-                let a_row = &a_mat[i * k..(i + 1) * k];
-                for (p, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b_mat[p * n..(p + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-                if fused {
+        let row_work = (k * n).div_ceil(TILED_MACS_PER_VISIT);
+        parallel_for_slices(pool, out_b, m, n, row_work, |rows, chunk| {
+            gemm_rows(&a_mat[rows.start * k..rows.end * k], &b_mat, k, n, chunk);
+            if fused {
+                for out_row in chunk.chunks_mut(n) {
                     for (j, o) in out_row.iter_mut().enumerate() {
                         *o = apply_epilogue(*o, j, bias, activation);
                     }
@@ -105,6 +111,110 @@ fn matmul_impl(
         });
     }
     out
+}
+
+/// `out = a · b` for a run of rows: `a` is row-major `[rows, k]`, `b`
+/// `[k, n]`, `out` `[rows, n]` and zero on entry.
+///
+/// The columns are cut into register tiles ([`gemm_tile`]) 16 wide while 16
+/// are left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever the
+/// width, an output element is *one* accumulator that starts at zero and
+/// takes `a[i, p] · b[p, j]` for `p = 0, 1, ..` in that order — the order of
+/// `webml_core::kernels::matmul` and, through im2col, of `conv2d` — so the
+/// result equals theirs to the bit and does not depend on the tile a column
+/// fell into or on how the pool split the rows.
+///
+/// A tile pays by re-reading its column block of `b` from L1 for every tile
+/// of rows. With fewer rows than one tile nothing is re-read, and the block
+/// is `k` cache lines `n` floats apart — a stride no prefetcher follows — so
+/// those few rows walk `b` row by row, the order it is stored in, with the
+/// output row as the accumulators: the same additions in the same order. (A
+/// served 1x256x1024 dense layer, its 1 MB of weights cold between requests,
+/// cost `serve_fleet` 13% of its throughput through the tiles.)
+fn gemm_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    if k == 0 {
+        return;
+    }
+    if out.len() < 4 * n {
+        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+        return;
+    }
+    let mut j = 0;
+    while j + 16 <= n {
+        gemm_column_block::<2, 16>(a, b, k, n, j, out);
+        j += 16;
+    }
+    if j + 8 <= n {
+        gemm_column_block::<4, 8>(a, b, k, n, j, out);
+        j += 8;
+    }
+    if j + 4 <= n {
+        gemm_column_block::<4, 4>(a, b, k, n, j, out);
+        j += 4;
+    }
+    if j + 2 <= n {
+        gemm_column_block::<4, 2>(a, b, k, n, j, out);
+        j += 2;
+    }
+    if j < n {
+        gemm_column_block::<4, 1>(a, b, k, n, j, out);
+    }
+}
+
+/// Columns `j..j + W` of every row: tiles of `R` rows, then single rows.
+fn gemm_column_block<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut a_tiles = a.chunks_exact(R * k);
+    let mut out_tiles = out.chunks_exact_mut(R * n);
+    for (a_tile, out_tile) in (&mut a_tiles).zip(&mut out_tiles) {
+        gemm_tile::<R, W>(a_tile, b, k, n, j, out_tile);
+    }
+    let a_rest = a_tiles.remainder().chunks_exact(k);
+    for (a_row, out_row) in a_rest.zip(out_tiles.into_remainder().chunks_exact_mut(n)) {
+        gemm_tile::<1, W>(a_row, b, k, n, j, out_row);
+    }
+}
+
+/// An `R x W` tile of outputs held in registers across the whole `k` loop:
+/// `R * W / 4` SSE accumulators (8 for the two wide shapes, 2x16 and 4x8)
+/// plus the `b` row segment and the broadcast `a` element fit the 16
+/// registers, so the loop does one load per `W` multiply-adds instead of a
+/// load and a store per multiply-add.
+#[inline(always)]
+fn gemm_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; W]; R];
+    for (p, b_row) in b.chunks_exact(n).enumerate() {
+        let b_seg: &[f32; W] = b_row[j..j + W].try_into().expect("W columns");
+        for r in 0..R {
+            let av = a_rows[r][p];
+            for c in 0..W {
+                acc[r][c] += av * b_seg[c];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j..r * n + j + W].copy_from_slice(acc_row);
+    }
 }
 
 /// Row-major `[rows, cols]` view of `src`: borrowed as is, or transposed
@@ -160,36 +270,52 @@ fn conv2d_impl(
 
 /// Build the im2col patch matrix `[batch*oh*ow, fh*fw*ic]` in parallel over
 /// output rows; out-of-bounds taps are zero-filled.
+///
+/// NHWC keeps the `filter_width * in_channels` values under one filter row
+/// next to each other when `dilation_w == 1`, so a window that lies inside
+/// the image is copied one filter row at a time; only the windows that hang
+/// over the left or right border go tap by tap. (The reference kernel skips
+/// a tap outside the image; the zero written here adds `0 · w` to the
+/// accumulator instead, which leaves it as it was for any finite `w`.)
 fn im2col(x: &[f32], c: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let mut cols = vec![0.0f32; rows * patch];
-    parallel_for_slices(pool, &mut cols, rows, patch, patch, |range, chunk| {
-        for (local, row) in range.enumerate() {
+    let run = c.filter_width * c.in_channels;
+    let zeros = |len| std::iter::repeat_n(0.0f32, len);
+    parallel_collect(pool, rows, patch, patch, |range, cols| {
+        for row in range {
             let oc_spatial = c.out_height * c.out_width;
             let b = row / oc_spatial;
             let rem = row % oc_spatial;
             let oh = rem / c.out_width;
             let ow = rem % c.out_width;
-            let dst = &mut chunk[local * patch..(local + 1) * patch];
-            let mut di = 0;
+            let iw0 = (ow * c.stride_w) as isize - c.pad_left as isize;
+            let whole_runs =
+                c.dilation_w == 1 && iw0 >= 0 && iw0 as usize + c.filter_width <= c.in_width;
             for fh in 0..c.filter_height {
                 let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                if ih < 0 || ih >= c.in_height as isize {
+                    cols.extend(zeros(run));
+                    continue;
+                }
+                let line = (b * c.in_height + ih as usize) * c.in_width;
+                if whole_runs {
+                    let base = (line + iw0 as usize) * c.in_channels;
+                    cols.extend(x[base..base + run].iter().copied());
+                    continue;
+                }
                 for fw in 0..c.filter_width {
-                    let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                    if ih < 0 || ih >= c.in_height as isize || iw < 0 || iw >= c.in_width as isize {
-                        dst[di..di + c.in_channels].fill(0.0);
+                    let iw = iw0 + (fw * c.dilation_w) as isize;
+                    if iw < 0 || iw >= c.in_width as isize {
+                        cols.extend(zeros(c.in_channels));
                     } else {
-                        let base = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                            * c.in_channels;
-                        dst[di..di + c.in_channels].copy_from_slice(&x[base..base + c.in_channels]);
+                        let base = (line + iw as usize) * c.in_channels;
+                        cols.extend(x[base..base + c.in_channels].iter().copied());
                     }
-                    di += c.in_channels;
                 }
             }
         }
-    });
-    cols
+    })
 }
 
 /// Depthwise conv2d, parallel over output pixels.
@@ -558,73 +684,181 @@ pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, pool: &W
     dw
 }
 
-/// Parallel element-wise unary map.
-pub fn unary_map(x: &[f32], pool: &WorkerPool, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
-    let mut out = vec![0.0f32; x.len()];
-    parallel_for_slices(pool, &mut out, x.len(), 1, 1, |range, chunk| {
-        for (o, &v) in chunk.iter_mut().zip(&x[range]) {
-            *o = f(v);
+/// Evaluate `$body` with `$f` bound to the scalar function of the unary op
+/// `$op`. The `match` happens here, once per kernel; inside each arm the op
+/// is a constant, so the `match` in `UnaryOp::apply` folds away and a loop
+/// over `$f` vectorises. `apply` stays the only definition of the math.
+macro_rules! with_unary_fn {
+    ($op:expr, $f:ident => $body:expr) => {
+        with_unary_fn!(@arms $op, $f => $body;
+            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh,
+            Elu, Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign,
+            Reciprocal, LogicalNot, IsNan, IsInf, IsFinite, Erf;
+            LeakyRelu(p), ClipByValue(p, q), Step(p))
+    };
+    (@arms $op:expr, $f:ident => $body:expr;
+     $($unit:ident),*; $($with:ident($($param:ident),*)),*) => {
+        match $op {
+            $(UnaryOp::$unit => {
+                let $f = |v: f32| UnaryOp::$unit.apply(v);
+                $body
+            })*
+            $(UnaryOp::$with($($param),*) => {
+                let $f = move |v: f32| UnaryOp::$with($($param),*).apply(v);
+                $body
+            })*
         }
-    });
-    out
+    };
 }
 
-/// Parallel element-wise binary map for equal shapes.
-pub fn binary_map(a: &[f32], b: &[f32], pool: &WorkerPool, f: impl Fn(f32, f32) -> f32 + Sync) -> Vec<f32> {
-    let mut out = vec![0.0f32; a.len()];
-    parallel_for_slices(pool, &mut out, a.len(), 1, 1, |range, chunk| {
-        for ((o, &u), &v) in chunk.iter_mut().zip(&a[range.clone()]) .zip(&b[range]) {
-            *o = f(u, v);
+/// [`with_unary_fn`] for a binary op: `$f` is `BinaryOp::apply` with the op
+/// a constant.
+macro_rules! with_binary_fn {
+    ($op:expr, $f:ident => $body:expr) => {
+        with_binary_fn!(@arms $op, $f => $body;
+            Add, Sub, Mul, Div, FloorDiv, Pow, Maximum, Minimum, Mod, SquaredDifference, Atan2,
+            Equal, NotEqual, Greater, GreaterEqual, Less, LessEqual, LogicalAnd, LogicalOr,
+            LogicalXor)
+    };
+    (@arms $op:expr, $f:ident => $body:expr; $($unit:ident),*) => {
+        match $op {
+            $(BinaryOp::$unit => {
+                let $f = |u: f32, v: f32| BinaryOp::$unit.apply(u, v);
+                $body
+            })*
         }
-    });
-    out
+    };
 }
 
-/// Suffix-broadcast binary map: `b` repeats every `b.len()` elements (the
-/// bias-add pattern `[n, h, w, c] + [c]`).
-pub fn binary_map_suffix(
+/// Parallel element-wise unary kernel.
+pub fn unary(op: UnaryOp, x: &[f32], pool: &WorkerPool) -> Vec<f32> {
+    with_unary_fn!(op, f => parallel_collect(pool, x.len(), 1, 1, |range, out| {
+        out.extend(x[range].iter().map(|&v| f(v)));
+    }))
+}
+
+/// Parallel element-wise binary kernel for equal shapes.
+pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], pool: &WorkerPool) -> Vec<f32> {
+    with_binary_fn!(op, f => parallel_collect(pool, a.len(), 1, 1, |range, out| {
+        out.extend(a[range.clone()].iter().zip(&b[range]).map(|(&u, &v)| f(u, v)));
+    }))
+}
+
+/// Suffix-broadcast binary kernel: `b` repeats every `b.len()` elements of
+/// `a` (the bias-add pattern `[n, h, w, c] + [c]`, and `tensor ∘ scalar`).
+/// Computes `op(a, b)`, or `op(b, a)` when `b_on_left`.
+pub fn binary_suffix(
+    op: BinaryOp,
+    a: &[f32],
+    b: &[f32],
+    b_on_left: bool,
+    pool: &WorkerPool,
+) -> Vec<f32> {
+    with_binary_fn!(op, f => if b_on_left {
+        suffix_map(a, b, pool, |u, v| f(v, u))
+    } else {
+        suffix_map(a, b, pool, f)
+    })
+}
+
+/// `f(a[i], b[i % b.len()])` without the division: `a` is walked in rows the
+/// length of the pattern and zipped with it. A pattern shorter than
+/// `MIN_ROW` (a scalar, a few channels) is first repeated up to that length,
+/// so that the loop over a row is long enough to vectorise.
+fn suffix_map(
     a: &[f32],
     b: &[f32],
     pool: &WorkerPool,
     f: impl Fn(f32, f32) -> f32 + Sync,
 ) -> Vec<f32> {
-    let bl = b.len();
-    let mut out = vec![0.0f32; a.len()];
-    parallel_for_slices(pool, &mut out, a.len(), 1, 1, |range, chunk| {
-        for (k, (o, &u)) in chunk.iter_mut().zip(&a[range.clone()]).enumerate() {
-            let i = range.start + k;
-            *o = f(u, b[i % bl]);
+    const MIN_ROW: usize = 64;
+    if b.is_empty() {
+        return Vec::new();
+    }
+    let pattern = if b.len() < MIN_ROW {
+        Cow::Owned(b.repeat(MIN_ROW.div_ceil(b.len())))
+    } else {
+        Cow::Borrowed(b)
+    };
+    let pattern: &[f32] = &pattern;
+    parallel_collect(pool, a.len(), 1, 1, |range, out| {
+        // A chunk may begin mid-pattern: finish that row first, or as much of
+        // it as the chunk holds when the pattern is the longer of the two.
+        let phase = range.start % pattern.len();
+        let head_len = if phase == 0 { 0 } else { (pattern.len() - phase).min(range.len()) };
+        let (head, rows) = a[range].split_at(head_len);
+        out.extend(head.iter().zip(&pattern[phase..]).map(|(&u, &v)| f(u, v)));
+        for row in rows.chunks(pattern.len()) {
+            out.extend(row.iter().zip(pattern).map(|(&u, &v)| f(u, v)));
         }
-    });
-    out
+    })
 }
 
-/// Per-output-dimension element strides for sampling an input of shape
-/// `in_dims` at coordinates of the (right-aligned broadcast) output shape
-/// `out_dims`; broadcast dimensions get stride 0.
-fn broadcast_strides(in_dims: &[usize], out_dims: &[usize]) -> Vec<usize> {
-    let offset = out_dims.len() - in_dims.len();
-    let mut in_strides = vec![0usize; in_dims.len()];
-    let mut s = 1usize;
-    for d in (0..in_dims.len()).rev() {
-        in_strides[d] = s;
-        s *= in_dims[d];
+/// One operand of a fused chain, read at the coordinates of the (right-
+/// aligned broadcast) output shape.
+struct Broadcast<'a> {
+    data: &'a [f32],
+    /// Element stride per output dimension; 0 where the operand broadcasts.
+    strides: Vec<usize>,
+    /// The operand already has the output's layout.
+    dense: bool,
+}
+
+impl<'a> Broadcast<'a> {
+    fn new(data: &'a [f32], in_dims: &[usize], out_dims: &[usize]) -> Broadcast<'a> {
+        let offset = out_dims.len() - in_dims.len();
+        let mut strides = vec![0usize; out_dims.len()];
+        let mut s = 1usize;
+        for d in (0..in_dims.len()).rev() {
+            if in_dims[d] != 1 {
+                strides[d + offset] = s;
+            }
+            s *= in_dims[d];
+        }
+        // Broadcasting only ever adds elements.
+        let dense = s == out_dims.iter().product::<usize>();
+        Broadcast { data, strides, dense }
     }
-    let mut out = vec![0usize; out_dims.len()];
-    for (d, o) in out.iter_mut().enumerate() {
-        if d >= offset && in_dims[d - offset] != 1 {
-            *o = in_strides[d - offset];
+
+    /// Fill `dst` with the operand's values at flat output indices
+    /// `start..start + dst.len()`: a plain copy when dense, otherwise the
+    /// coordinates of `start` once and an odometer from there on.
+    fn read(&self, out_dims: &[usize], start: usize, dst: &mut [f32]) {
+        if self.dense {
+            dst.copy_from_slice(&self.data[start..start + dst.len()]);
+            return;
+        }
+        let mut coords = vec![0usize; out_dims.len()];
+        let mut idx = 0usize;
+        let mut rem = start;
+        for d in (0..out_dims.len()).rev() {
+            coords[d] = rem % out_dims[d];
+            rem /= out_dims[d];
+            idx += coords[d] * self.strides[d];
+        }
+        for slot in dst {
+            *slot = self.data[idx];
+            for d in (0..out_dims.len()).rev() {
+                coords[d] += 1;
+                idx += self.strides[d];
+                if coords[d] < out_dims[d] {
+                    break;
+                }
+                idx -= coords[d] * self.strides[d];
+                coords[d] = 0;
+            }
         }
     }
-    out
 }
 
 /// A whole elementwise chain — `x` followed by `steps`, where binary steps
 /// pull their right-hand side from `extras` — evaluated in a single parallel
-/// pass with no intermediate buffers. Sampling every operand right-aligned
-/// against the *final* output coordinates is equivalent to the progressive
-/// per-step broadcast of the unfused chain because elementwise ops are
-/// pointwise, so fused output is bit-identical.
+/// pass with no intermediate buffers: the output is produced a block at a
+/// time, and every step runs over the block (which stays in L1) with its op
+/// dispatched once per block, not once per element. Sampling every operand
+/// right-aligned against the *final* output coordinates is equivalent to the
+/// progressive per-step broadcast of the unfused chain because elementwise
+/// ops are pointwise, so fused output is bit-identical.
 pub fn fused_elementwise(
     x: &[f32],
     x_dims: &[usize],
@@ -633,39 +867,63 @@ pub fn fused_elementwise(
     out_dims: &[usize],
     pool: &WorkerPool,
 ) -> Vec<f32> {
-    let size: usize = out_dims.iter().product::<usize>().max(1);
-    let rank = out_dims.len();
-    let mut out_strides = vec![1usize; rank];
-    for d in (0..rank.saturating_sub(1)).rev() {
-        out_strides[d] = out_strides[d + 1] * out_dims[d + 1];
-    }
-    let x_strides = broadcast_strides(x_dims, out_dims);
-    let extra_strides: Vec<Vec<usize>> =
-        extras.iter().map(|(_, dims)| broadcast_strides(dims, out_dims)).collect();
-    let sample = |strides: &[usize], flat: usize| -> usize {
-        let mut rem = flat;
-        let mut idx = 0usize;
-        for d in 0..rank {
-            idx += (rem / out_strides[d]) * strides[d];
-            rem %= out_strides[d];
-        }
-        idx
-    };
-    let mut out = vec![0.0f32; size];
-    parallel_for_slices(pool, &mut out, size, 1, 1 + steps.len(), |range, chunk| {
-        for (local, o) in chunk.iter_mut().enumerate() {
-            let flat = range.start + local;
-            let mut v = x[sample(&x_strides, flat)];
+    const BLOCK: usize = 1024;
+    let size: usize = out_dims.iter().product();
+    let x = Broadcast::new(x, x_dims, out_dims);
+    let extras: Vec<Broadcast<'_>> =
+        extras.iter().map(|(data, dims)| Broadcast::new(data, dims, out_dims)).collect();
+    parallel_collect(pool, size, 1, 1 + steps.len(), |range, out| {
+        let mut values = [0.0f32; BLOCK];
+        let mut operand = [0.0f32; BLOCK];
+        for start in range.clone().step_by(BLOCK) {
+            let len = BLOCK.min(range.end - start);
+            let values = &mut values[..len];
+            x.read(out_dims, start, values);
             for step in steps {
-                v = match *step {
-                    FusedStep::Unary(op) => op.apply(v),
-                    FusedStep::Binary(op, i) => {
-                        op.apply(v, extras[i].0[sample(&extra_strides[i], flat)])
+                match *step {
+                    FusedStep::Unary(op) => {
+                        with_unary_fn!(op, f => values.iter_mut().for_each(|v| *v = f(*v)))
                     }
-                };
+                    FusedStep::Binary(op, i) => {
+                        let rhs = &mut operand[..len];
+                        extras[i].read(out_dims, start, rhs);
+                        with_binary_fn!(op, f => {
+                            values.iter_mut().zip(&*rhs).for_each(|(v, &r)| *v = f(*v, r))
+                        })
+                    }
+                }
             }
-            *o = v;
+            out.extend(values.iter().copied());
         }
+    })
+}
+
+/// `x[begin .. begin + size]` per axis of a row-major tensor. The trailing
+/// dimensions that are taken whole, together with the innermost one that is
+/// cut, are one contiguous run of the source, so the copy goes run by run — a
+/// slice that keeps every dimension but the first (a batch of examples) is a
+/// single `memcpy`.
+pub fn slice(x: &[f32], shape: &Shape, begin: &[usize], size: &[usize]) -> Vec<f32> {
+    let dims = shape.dims();
+    let total: usize = size.iter().product();
+    let mut out = Vec::with_capacity(total);
+    if total == 0 {
+        return out;
+    }
+    // Dimensions before `outer` are walked coordinate by coordinate; from
+    // `outer` (the innermost cut dimension, if any is cut) on they are a run.
+    let mut whole_from = dims.len();
+    while whole_from > 0 && size[whole_from - 1] == dims[whole_from - 1] {
+        whole_from -= 1;
+    }
+    let outer = whole_from.saturating_sub(1);
+    let run: usize = size[outer..].iter().product();
+    let strides = shape.strides();
+    let run_start: usize = begin[outer..].iter().zip(&strides[outer..]).map(|(&b, &s)| b * s).sum();
+    reference::for_each_coord(&size[..outer], |_, coords| {
+        let src = run_start
+            + coords.iter().zip(begin).zip(&strides).map(|((&c, &b), &s)| (c + b) * s).sum::<usize>();
+        out.extend_from_slice(&x[src..src + run]);
     });
     out
 }
@@ -712,8 +970,6 @@ mod tests {
     use super::*;
     use webml_core::backend::ReduceOp;
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
-    use webml_core::kernels as reference;
-    use webml_core::shape::Shape;
 
     fn close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
@@ -746,9 +1002,16 @@ mod tests {
         (0..len).map(|i| (i * mul % 251) as u8).collect()
     }
 
+    /// Work, in the pool's units, that `on_every_pool` splits two ways on
+    /// two threads and three or more on the larger pools.
+    const SPLIT_WORK: usize = 3 * crate::parallel::GRAIN;
+
     #[test]
-    fn matmul_matches_reference_all_flags() {
-        for (batch, m, k, n) in [(2, 5, 7, 3), (2, 64, 48, 40)] {
+    fn matmul_equals_reference_on_bits_all_flags() {
+        // Widths that are one tile (16, 8), several (35 = 16+16+2+1, 70) and
+        // none but the narrow ones (3); rows that leave a tile remainder, and
+        // fewer rows than a tile.
+        for (batch, m, k, n) in [(2, 5, 7, 3), (1, 9, 4, 35), (2, 160, 96, 70), (1, 1, 33, 70), (2, 3, 8, 17)] {
             let a = wave(batch * m * k, 0.13);
             let b = wave(batch * k * n, 0.29);
             for ta in [false, true] {
@@ -756,41 +1019,111 @@ mod tests {
                     // The logical m, k, n are the same whatever the flags.
                     let got = on_every_pool(|pool| matmul(&a, &b, batch, m, k, n, ta, tb, pool));
                     let want = reference::matmul(&a, &b, batch, m, k, n, ta, tb);
-                    close(&got, &want, 1e-4);
+                    assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta={ta} tb={tb}");
                 }
+            }
+        }
+        const { assert!(160 * 96 * 70 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
+    }
+
+    #[test]
+    fn matmul_of_nothing_is_nothing() {
+        let pool = WorkerPool::new(2);
+        assert!(matmul(&[], &[], 1, 0, 3, 4, false, false, &pool).is_empty());
+        assert!(matmul(&[], &[], 1, 3, 4, 0, false, false, &pool).is_empty());
+        // No inner dimension: every product is the empty sum, then the bias.
+        let bias = [1.0, -2.0];
+        let got = fused_matmul(&[], &[], 1, 3, 0, 2, false, false, Some(&bias), None, &pool);
+        assert_eq!(got, [1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
+    }
+
+    /// Native conv forward, plain and with the fused epilogue, against the
+    /// reference kernel (and the scalar `apply` for the epilogue), on bits,
+    /// on every pool.
+    fn check_conv(
+        dims: [usize; 4],
+        out_channels: usize,
+        stride: usize,
+        padding: Padding,
+        dilation: usize,
+    ) {
+        let xs = Shape::new(dims.to_vec());
+        let ws = Shape::new(vec![3, 3, dims[3], out_channels]);
+        let info = conv2d_info("t", &xs, &ws, (stride, stride), padding, (dilation, dilation))
+            .unwrap();
+        let case = format!("{dims:?} -> {out_channels}, stride {stride}, {padding:?}, dilation {dilation}");
+        let x = wave(xs.size(), 0.17);
+        let w = wave(ws.size(), 0.37);
+        let bias = wave(out_channels, 0.7);
+        let plain = reference::conv2d(&x, &w, &info);
+        let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
+        assert_eq!(bits(&got), bits(&plain), "{case}");
+        let fused: Vec<f32> = plain
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| UnaryOp::Relu6.apply(BinaryOp::Add.apply(v, bias[i % out_channels])))
+            .collect();
+        let got = on_every_pool(|pool| {
+            fused_conv2d(&x, &w, &info, Some(&bias), Some(UnaryOp::Relu6), pool)
+        });
+        assert_eq!(bits(&got), bits(&fused), "fused {case}");
+    }
+
+    #[test]
+    fn conv2d_equals_reference_on_bits_across_geometry() {
+        use Padding::{Same, Valid};
+        // Out-channel counts cover every tile width and their sums; the
+        // 6x7 image makes most windows of a 3x3 (5x5 dilated) filter hang
+        // over a border, batch 0 has no rows at all.
+        let geometries =
+            [(1, Same, 1), (2, Same, 1), (1, Valid, 1), (2, Valid, 1), (1, Same, 2), (2, Valid, 2)];
+        for (stride, padding, dilation) in geometries {
+            for batch in [0, 1, 2] {
+                for in_channels in [1, 3, 8] {
+                    for out_channels in [1, 3, 8, 16, 17, 35] {
+                        check_conv([batch, 6, 7, in_channels], out_channels, stride, padding, dilation);
+                    }
+                }
+            }
+        }
+        // The training step's two layers, and two shapes whose im2col and
+        // product are both split on every pool.
+        check_conv([32, 28, 28, 1], 8, 2, Same, 1);
+        check_conv([32, 14, 14, 8], 16, 2, Same, 1);
+        check_conv([2, 48, 48, 8], 35, 1, Same, 1);
+        check_conv([3, 61, 61, 3], 17, 2, Valid, 2);
+        const { assert!(2 * 48 * 48 * 72 >= SPLIT_WORK) };
+        const { assert!(3 * 29 * 29 * 27 * 17 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
+    }
+
+    #[test]
+    fn a_padded_tap_is_a_zero_term_not_a_skipped_one() {
+        // The one input on which conv forward leaves the reference: im2col
+        // writes a zero where `kernels::conv2d` skips a tap outside the
+        // image, and `0 · inf` is NaN. The top-left filter weight is infinite,
+        // so the outputs whose window hangs over the top or left border differ
+        // (the reference never reads the weight there); the rest are `inf` in
+        // both.
+        let xs = Shape::new(vec![1, 4, 4, 1]);
+        let ws = Shape::new(vec![3, 3, 1, 1]);
+        let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
+        let x = vec![1.0f32; 16];
+        let mut w = vec![1.0f32; 9];
+        w[0] = f32::INFINITY;
+        let want = reference::conv2d(&x, &w, &info);
+        let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
+        for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+            if i / 4 == 0 || i % 4 == 0 {
+                assert!(g.is_nan() && r.is_finite(), "border output {i}: {g} vs {r}");
+            } else {
+                assert_eq!(g.to_bits(), r.to_bits(), "interior output {i}");
             }
         }
     }
 
     #[test]
-    fn conv2d_matches_reference() {
-        for dims in [[2, 9, 9, 4], [4, 16, 16, 4]] {
-            let xs = Shape::new(dims.to_vec());
-            let ws = Shape::new(vec![3, 3, 4, 8]);
-            let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
-            let x = wave(xs.size(), 0.17);
-            let w = wave(ws.size(), 0.37);
-            let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
-            close(&got, &reference::conv2d(&x, &w, &info), 1e-3);
-        }
-    }
-
-    #[test]
-    fn conv2d_dilated_matches_reference() {
-        for dims in [[1, 10, 10, 3], [2, 20, 20, 3]] {
-            let xs = Shape::new(dims.to_vec());
-            let ws = Shape::new(vec![3, 3, 3, 5]);
-            let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Valid, (2, 2)).unwrap();
-            let x = wave(xs.size(), 0.11);
-            let w = wave(ws.size(), 0.23);
-            let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
-            close(&got, &reference::conv2d(&x, &w, &info), 1e-3);
-        }
-    }
-
-    #[test]
     fn depthwise_matches_reference() {
-        for dims in [[2, 8, 8, 6], [4, 16, 16, 6]] {
+        for dims in [[2, 8, 8, 6], [4, 40, 40, 6]] {
             let xs = Shape::new(dims.to_vec());
             let ws = Shape::new(vec![3, 3, 6, 2]);
             let info =
@@ -804,7 +1137,7 @@ mod tests {
 
     #[test]
     fn conv_backprops_match_reference() {
-        for (dims, filter) in [([1, 6, 6, 3], [3, 3, 3, 4]), ([8, 16, 16, 4], [3, 3, 4, 8])] {
+        for (dims, filter) in [([1, 6, 6, 3], [3, 3, 3, 4]), ([8, 32, 32, 4], [3, 3, 4, 8])] {
             let xs = Shape::new(dims.to_vec());
             let ws = Shape::new(filter.to_vec());
             let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
@@ -826,7 +1159,7 @@ mod tests {
 
     #[test]
     fn fused_matmul_quant_matches_reference_all_flags() {
-        for (batch, m, k, n) in [(2, 5, 7, 3), (2, 64, 48, 40)] {
+        for (batch, m, k, n) in [(2, 5, 7, 3), (2, 160, 96, 70)] {
             let a = wave(batch * m * k, 0.13);
             let b_q = codes(batch * k * n, 37);
             let params = QuantParams::per_tensor(0.05, -3.1);
@@ -865,7 +1198,7 @@ mod tests {
 
     #[test]
     fn fused_conv2d_quant_matches_reference() {
-        for dims in [[2, 9, 9, 4], [4, 16, 16, 4]] {
+        for dims in [[2, 9, 9, 4], [4, 48, 48, 4]] {
             let xs = Shape::new(dims.to_vec());
             let ws = Shape::new(vec![3, 3, 4, 8]);
             let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
@@ -889,7 +1222,7 @@ mod tests {
 
     #[test]
     fn fused_depthwise_conv2d_quant_matches_reference() {
-        for dims in [[2, 8, 8, 6], [4, 16, 16, 6]] {
+        for dims in [[2, 8, 8, 6], [4, 40, 40, 6]] {
             let xs = Shape::new(dims.to_vec());
             let ws = Shape::new(vec![3, 3, 6, 2]);
             let info =
@@ -917,13 +1250,15 @@ mod tests {
 
     #[test]
     fn elementwise_helpers() {
-        for len in [5000, 100_000] {
+        for len in [5000, 200_000] {
             let a: Vec<f32> = (0..len).map(|i| i as f32 * 0.01).collect();
             let b: Vec<f32> = (0..len).map(|i| 1.0 + i as f32 * 0.02).collect();
             let bias = vec![1.0f32, 2.0];
-            let sum = on_every_pool(|pool| binary_map(&a, &b, pool, |x, y| x + y));
-            let biased = on_every_pool(|pool| binary_map_suffix(&a, &bias, pool, |x, y| x + y));
-            let doubled = on_every_pool(|pool| unary_map(&a, pool, |x| x * 2.0));
+            let sum = on_every_pool(|pool| binary(BinaryOp::Add, &a, &b, pool));
+            let biased = on_every_pool(|pool| binary_suffix(BinaryOp::Add, &a, &bias, false, pool));
+            let halved = on_every_pool(|pool| binary_suffix(BinaryOp::Div, &a, &[2.0], false, pool));
+            let inverse = on_every_pool(|pool| binary_suffix(BinaryOp::Div, &a, &[2.0], true, pool));
+            let squared = on_every_pool(|pool| unary(UnaryOp::Square, &a, pool));
             // relu(a + bias) * b in one pass, `bias` broadcast along rows.
             let steps = [
                 FusedStep::Binary(BinaryOp::Add, 0),
@@ -937,9 +1272,195 @@ mod tests {
             for i in 0..len {
                 assert_eq!(sum[i], a[i] + b[i]);
                 assert_eq!(biased[i], a[i] + bias[i % 2]);
-                assert_eq!(doubled[i], a[i] * 2.0);
+                assert_eq!(halved[i], a[i] / 2.0);
+                assert_eq!(inverse[i].to_bits(), (2.0 / a[i]).to_bits());
+                assert_eq!(squared[i], a[i] * a[i]);
                 assert_eq!(chain[i], (a[i] + bias[i % 2]).max(0.0) * b[i]);
             }
+        }
+    }
+
+    #[test]
+    fn suffix_pattern_longer_than_a_chunk() {
+        // Few rows of a long pattern: on the larger pools a chunk begins
+        // mid-pattern and ends before the pattern does.
+        const PATTERN: usize = SPLIT_WORK + 3;
+        for rows in [1, 2, 3] {
+            let a = wave(rows * PATTERN, 0.11);
+            let b = wave(PATTERN, 0.23);
+            for b_on_left in [false, true] {
+                let got = on_every_pool(|pool| binary_suffix(BinaryOp::Sub, &a, &b, b_on_left, pool));
+                let want: Vec<f32> = (0..a.len())
+                    .map(|i| {
+                        let (u, v) = (a[i], b[i % PATTERN]);
+                        if b_on_left { BinaryOp::Sub.apply(v, u) } else { BinaryOp::Sub.apply(u, v) }
+                    })
+                    .collect();
+                assert_eq!(bits(&got), bits(&want), "{rows} rows, b_on_left={b_on_left}");
+            }
+        }
+    }
+
+    /// NaN, both zeros, both infinities, subnormals, and ordinary values on
+    /// both sides of every threshold the ops have (0, 1, 6), repeated to a
+    /// length that runs the vector body and leaves a remainder.
+    fn special_values() -> Vec<f32> {
+        let specials = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            2.5,
+            -3.0,
+            6.5,
+            100.0,
+            -1e30,
+        ];
+        specials.iter().cycle().take(specials.len() * 7 + 3).copied().collect()
+    }
+
+    /// Equal on bits; a NaN may differ from another in its payload only.
+    fn same_values(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()), "{what} at {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn every_unary_op_equals_scalar_apply_on_special_values() {
+        use UnaryOp::*;
+        let ops = [
+            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh, Elu,
+            Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign, Reciprocal,
+            LogicalNot, IsNan, IsInf, IsFinite, LeakyRelu(0.2), ClipByValue(-1.0, 2.0), Step(0.0),
+            Step(-0.5), Erf,
+        ];
+        let x = special_values();
+        let pool = WorkerPool::new(2);
+        for op in ops {
+            let want: Vec<f32> = x.iter().map(|&v| op.apply(v)).collect();
+            same_values(&unary(op, &x, &pool), &want, op.name());
+            // The same op as a step of a fused chain.
+            let dims = [x.len()];
+            let chain = fused_elementwise(&x, &dims, &[], &[FusedStep::Unary(op)], &dims, &pool);
+            same_values(&chain, &want, op.name());
+        }
+    }
+
+    #[test]
+    fn every_binary_op_equals_scalar_apply_on_special_values() {
+        use BinaryOp::*;
+        let ops = [
+            Add, Sub, Mul, Div, FloorDiv, Pow, Maximum, Minimum, Mod, SquaredDifference, Atan2,
+            Equal, NotEqual, Greater, GreaterEqual, Less, LessEqual, LogicalAnd, LogicalOr,
+            LogicalXor,
+        ];
+        let a = special_values();
+        // Every special value meets every other one.
+        let b: Vec<f32> = (0..a.len()).map(|i| a[(i + i / 17) % a.len()]).collect();
+        let pattern = [f32::NAN, -0.0, 2.0];
+        let a3 = &a[..a.len() / 3 * 3];
+        let pool = WorkerPool::new(2);
+        for op in ops {
+            let name = op.name();
+            let want: Vec<f32> = a.iter().zip(&b).map(|(&u, &v)| op.apply(u, v)).collect();
+            same_values(&binary(op, &a, &b, &pool), &want, name);
+            let dims = [a.len()];
+            let extras: [(&[f32], &[usize]); 1] = [(&b, &dims)];
+            let steps = [FusedStep::Binary(op, 0)];
+            same_values(&fused_elementwise(&a, &dims, &extras, &steps, &dims, &pool), &want, name);
+            // A repeating right operand, then the same one on the left.
+            let want: Vec<f32> =
+                a3.iter().enumerate().map(|(i, &u)| op.apply(u, pattern[i % 3])).collect();
+            same_values(&binary_suffix(op, a3, &pattern, false, &pool), &want, name);
+            let want: Vec<f32> =
+                a3.iter().enumerate().map(|(i, &u)| op.apply(pattern[i % 3], u)).collect();
+            same_values(&binary_suffix(op, a3, &pattern, true, &pool), &want, name);
+            // A scalar operand.
+            let want: Vec<f32> = a.iter().map(|&u| op.apply(u, -0.5)).collect();
+            same_values(&binary_suffix(op, &a, &[-0.5], false, &pool), &want, name);
+        }
+    }
+
+    #[test]
+    fn fused_chain_broadcasts_every_operand_against_the_output() {
+        // x: [3, 1, 5] broadcast along the middle; a row vector, a scalar, a
+        // column and a full-shape operand; big enough to cross block and
+        // chunk boundaries.
+        let out_dims = [3usize, 2500, 5];
+        let x = wave(15, 0.3);
+        let row = wave(5, 0.9);
+        let column = wave(2500, 0.07);
+        let full = wave(3 * 2500 * 5, 0.011);
+        let extras: [(&[f32], &[usize]); 4] =
+            [(&row, &[5]), (&[1.5], &[]), (&column, &[2500, 1]), (&full, &out_dims)];
+        let steps = [
+            FusedStep::Binary(BinaryOp::Mul, 0),
+            FusedStep::Binary(BinaryOp::Add, 1),
+            FusedStep::Unary(UnaryOp::Tanh),
+            FusedStep::Binary(BinaryOp::Sub, 2),
+            FusedStep::Binary(BinaryOp::Maximum, 3),
+        ];
+        let got =
+            on_every_pool(|pool| fused_elementwise(&x, &[3, 1, 5], &extras, &steps, &out_dims, pool));
+        assert!(got.len() * (1 + steps.len()) >= SPLIT_WORK);
+        for (flat, &g) in got.iter().enumerate() {
+            let (i, j, k) = (flat / 12_500, flat / 5 % 2500, flat % 5);
+            let want = ((x[i * 5 + k] * row[k] + 1.5).tanh() - column[j]).max(full[flat]);
+            assert_eq!(g.to_bits(), want.to_bits(), "at [{i}, {j}, {k}]");
+        }
+        assert!(fused_elementwise(&[], &[0, 4], &[], &steps[2..3], &[0, 4], &WorkerPool::new(2)).is_empty());
+    }
+
+    #[test]
+    fn slice_equals_reference_on_chosen_windows() {
+        let dims = [4usize, 5, 6, 3];
+        let shape = Shape::new(dims.to_vec());
+        let x = wave(shape.size(), 0.21);
+        for (begin, size) in [
+            ([0, 0, 0, 0], [4, 5, 6, 3]), // the whole tensor
+            ([1, 0, 0, 0], [2, 5, 6, 3]), // a batch of examples: one run
+            ([0, 2, 0, 0], [4, 2, 6, 3]), // an interior axis
+            ([0, 0, 0, 1], [4, 5, 6, 1]), // one channel: runs of one
+            ([3, 4, 5, 2], [1, 1, 1, 1]), // the last element
+            ([1, 1, 1, 1], [2, 0, 3, 2]), // nothing
+        ] {
+            let want = reference::slice(&x, &shape, &begin, &size);
+            assert_eq!(bits(&slice(&x, &shape, &begin, &size)), bits(&want), "{begin:?}+{size:?}");
+        }
+        // A scalar has one element and no axes.
+        assert_eq!(slice(&[7.0], &Shape::scalar(), &[], &[]), [7.0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        #[test]
+        fn slice_equals_reference_on_any_window(
+            dims in proptest::prop::collection::vec(1usize..6, 0..5),
+            cuts in proptest::prop::collection::vec(0usize..1000, 10..11),
+        ) {
+            // Any begin, any size that fits, zero and the whole axis included.
+            let begin: Vec<usize> = dims.iter().zip(&cuts).map(|(&d, &c)| c % (d + 1)).collect();
+            let size: Vec<usize> = dims
+                .iter()
+                .zip(&begin)
+                .zip(&cuts[5..])
+                .map(|((&d, &b), &c)| c % (d - b + 1))
+                .collect();
+            let shape = Shape::new(dims.clone());
+            let x = wave(shape.size(), 0.37);
+            let want = reference::slice(&x, &shape, &begin, &size);
+            proptest::prop_assert_eq!(bits(&slice(&x, &shape, &begin, &size)), bits(&want));
         }
     }
 
@@ -948,16 +1469,16 @@ mod tests {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         assert_eq!(on_every_pool(|pool| reduce_last(&x, 2, 3, pool, false)), vec![6.0, 15.0]);
         assert_eq!(on_every_pool(|pool| reduce_last(&x, 2, 3, pool, true)), vec![2.0, 5.0]);
-        let x = wave(96 * 700, 0.31);
-        let rows = on_every_pool(|pool| reduce_last(&x, 96, 700, pool, false));
-        assert_eq!(rows, reference::reduce(ReduceOp::Sum, &x, &Shape::new(vec![96, 700]), &[1]));
+        let x = wave(96 * 2100, 0.31);
+        let rows = on_every_pool(|pool| reduce_last(&x, 96, 2100, pool, false));
+        assert_eq!(rows, reference::reduce(ReduceOp::Sum, &x, &Shape::new(vec![96, 2100]), &[1]));
     }
 
     #[test]
     fn reduce_leading_equals_reference_bit_for_bit() {
         // The bias gradients of the training workload, and a wide one that
-        // is split eight ways.
-        for dims in [[32, 14, 14, 8], [32, 7, 7, 16], [4, 5, 6, 512]] {
+        // is split on every pool.
+        for dims in [[32, 14, 14, 8], [32, 7, 7, 16], [8, 8, 6, 512]] {
             let shape = Shape::new(dims.to_vec());
             let x = wave(shape.size(), 0.43);
             let (rows, cols) = (dims[0] * dims[1] * dims[2], dims[3]);

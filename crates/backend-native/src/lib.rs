@@ -215,7 +215,7 @@ impl Backend for NativeBackend {
     fn unary(&self, op: UnaryOp, a: &KTensor<'_>) -> Result<DataId> {
         let _t = self.timer();
         let x = self.fetch_f32(a.data)?;
-        let out = compute::unary_map(x.as_slice(), &self.pool, |v| op.apply(v));
+        let out = compute::unary(op, x.as_slice(), &self.pool);
         Ok(self.put_f32(out, op.out_dtype(a.dtype)))
     }
 
@@ -231,15 +231,11 @@ impl Backend for NativeBackend {
         let x = self.fetch_f32(a.data)?;
         let y = self.fetch_f32(b.data)?;
         let out = if a.shape == b.shape {
-            compute::binary_map(x.as_slice(), y.as_slice(), &self.pool, |u, v| op.apply(u, v))
+            compute::binary(op, x.as_slice(), y.as_slice(), &self.pool)
         } else if is_suffix(a.shape, b.shape) {
-            compute::binary_map_suffix(x.as_slice(), y.as_slice(), &self.pool, |u, v| {
-                op.apply(u, v)
-            })
+            compute::binary_suffix(op, x.as_slice(), y.as_slice(), false, &self.pool)
         } else if is_suffix(b.shape, a.shape) {
-            compute::binary_map_suffix(y.as_slice(), x.as_slice(), &self.pool, |v, u| {
-                op.apply(u, v)
-            })
+            compute::binary_suffix(op, y.as_slice(), x.as_slice(), true, &self.pool)
         } else {
             reference::binary(op, x.as_slice(), a.shape, y.as_slice(), b.shape, out_shape)
         };
@@ -417,7 +413,7 @@ impl Backend for NativeBackend {
     fn slice(&self, x: &KTensor<'_>, begin: &[usize], size: &[usize]) -> Result<DataId> {
         let _t = self.timer();
         let xv = self.fetch_f32(x.data)?;
-        Ok(self.put_f32(reference::slice(xv.as_slice(), x.shape, begin, size), x.dtype))
+        Ok(self.put_f32(compute::slice(xv.as_slice(), x.shape, begin, size), x.dtype))
     }
 
     fn concat(&self, xs: &[KTensor<'_>], axis: usize) -> Result<DataId> {
@@ -722,10 +718,15 @@ mod tests {
         assert_eq!(&y[..6], &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     }
 
+    /// Work, in the pool's units, that a pool of three or more threads splits
+    /// three ways.
+    const SPLIT_WORK: usize = 3 * crate::parallel::GRAIN;
+
     #[test]
     fn reduce_fast_paths_equal_the_reference_exactly() {
         let b = NativeBackend::with_threads("t", 3);
-        let shape = Shape::new(vec![40, 30, 50]);
+        let shape = Shape::new(vec![64, 48, 64]);
+        const { assert!(64 * 48 * 64 >= SPLIT_WORK) };
         let x: Vec<f32> = (0..shape.size()).map(|i| (i as f32 * 0.37).sin()).collect();
         let id = b.register(TensorData::F32(x.clone()), DType::F32);
         let t = KTensor::new(id, &shape, DType::F32);
@@ -743,14 +744,20 @@ mod tests {
         }
     }
 
-    /// conv2d, matmul and an elementwise add, each large enough to be split;
-    /// `salt` makes every caller's operands its own.
+    /// conv2d (its im2col and its product), matmul and an elementwise add,
+    /// each large enough to be split three ways; `salt` makes every caller's
+    /// operands its own.
     fn mixed_kernels(backend: &NativeBackend, salt: usize) -> Vec<Vec<f32>> {
+        use crate::compute::TILED_MACS_PER_VISIT;
         use webml_core::conv_util::{conv2d_info, Padding};
-        let x_shape = Shape::new(vec![4, 16, 16, 4]);
+        let x_shape = Shape::new(vec![4, 48, 48, 4]);
         let w_shape = Shape::new(vec![3, 3, 4, 8]);
-        let a_shape = Shape::new(vec![1, 64, 48]);
-        let b_shape = Shape::new(vec![1, 48, 40]);
+        let a_shape = Shape::new(vec![1, 160, 96]);
+        let b_shape = Shape::new(vec![1, 96, 70]);
+        let v_shape = Shape::new(vec![SPLIT_WORK]);
+        const { assert!(4 * 48 * 48 * 36 >= SPLIT_WORK) };
+        const { assert!(4 * 48 * 48 * 36 * 8 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
+        const { assert!(160 * 96 * 70 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
         let info = conv2d_info("t", &x_shape, &w_shape, (1, 1), Padding::Same, (1, 1)).unwrap();
         let put = |shape: &Shape, step: f32| {
             let vals = (0..shape.size()).map(|i| ((i + salt) as f32 * step).sin()).collect();
@@ -758,12 +765,13 @@ mod tests {
         };
         let (x, w) = (put(&x_shape, 0.17), put(&w_shape, 0.37));
         let (a, b) = (put(&a_shape, 0.13), put(&b_shape, 0.29));
+        let v = put(&v_shape, 0.41);
         let k = |id, shape| KTensor::new(id, shape, DType::F32);
-        let x = k(x, &x_shape);
+        let v = k(v, &v_shape);
         let outs = [
-            backend.conv2d(&x, &k(w, &w_shape), &info).unwrap(),
+            backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), &info).unwrap(),
             backend.matmul(&k(a, &a_shape), &k(b, &b_shape), false, false).unwrap(),
-            backend.binary(BinaryOp::Add, &x, &x, &x_shape, DType::F32).unwrap(),
+            backend.binary(BinaryOp::Add, &v, &v, &v_shape, DType::F32).unwrap(),
         ];
         outs.iter().map(|&id| backend.read_sync(id).unwrap().to_f32_vec()).collect()
     }
@@ -800,6 +808,38 @@ mod tests {
         // Handles dropped: garbage collected at next engine touch.
         assert_eq!(e.num_tensors(), 0);
         assert_eq!(e.memory().backend.num_buffers, 0);
+    }
+
+    #[test]
+    fn a_gradient_asked_for_alone_equals_the_joint_one_on_bits() {
+        use webml_core::conv_util::Padding;
+        let e = engine();
+        let wave = |dims: &[usize], step: f32| {
+            let vals: Vec<f32> = (0..dims.iter().product()).map(|i| (i as f32 * step).sin()).collect();
+            e.tensor(vals, dims.to_vec()).unwrap()
+        };
+        let x = wave(&[4, 12, 12, 3], 0.17);
+        let w = wave(&[3, 3, 3, 8], 0.37);
+        let bias = wave(&[8], 0.7);
+        let dense = wave(&[6 * 6 * 8, 5], 0.23);
+        let loss = || {
+            let y = ops::conv2d(&x, &w, (2, 2), Padding::Same, (1, 1))?;
+            let y = ops::relu(&ops::add(&y, &bias)?)?;
+            let logits = ops::matmul(&ops::reshape(&y, [4, 6 * 6 * 8])?, &dense, false, false)?;
+            ops::sum(&ops::square(&logits)?, None, false)
+        };
+        let bits = |t: &webml_core::Tensor| -> Vec<u32> {
+            t.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        let all = [&x, &w, &bias, &dense];
+        let joint = e.grads(&all, loss).unwrap();
+        for (i, t) in all.into_iter().enumerate() {
+            let (alone, profile) = e.profile(|| e.grad(t, loss).unwrap());
+            assert_eq!(bits(&alone), bits(&joint[i]), "input {i}");
+            // Only `x` itself needs the gradient w.r.t. the conv's input.
+            let dx = profile.kernels.iter().filter(|k| k.name == "Conv2DBackpropInput").count();
+            assert_eq!(dx, usize::from(i == 0), "input {i}");
+        }
     }
 
     #[test]

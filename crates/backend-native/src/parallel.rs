@@ -2,26 +2,48 @@
 //! [`WorkerPool`], when the kernel is big enough to pay for the hand-off.
 
 use parking_lot::Mutex;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use webml_core::pool::WorkerPool;
 
 /// Least work a chunk must hold before an op is split one more way, in the
-/// unit the kernels count: one multiply-add or one element visited.
+/// one unit every call site counts: an element visit — a load, an operation
+/// and a store. A multiply-add of the untiled kernels (depthwise conv, the
+/// quantised product, the three conv backprops) is exactly that, and is
+/// measured at a visit's price (1.8 M of them in 0.72–0.75 ms on one thread,
+/// 0.40 ns each), so those kernels pass their multiply-adds as they are. The
+/// register-tiled product is the one kernel whose multiply-add touches no
+/// memory; `compute::TILED_MACS_PER_VISIT`, kept beside the tile it
+/// describes, says how many of them make a visit.
 ///
-/// Derived from the round trip of an empty `WorkerPool::run(2, ..)` whose
-/// worker is parked, as it is between the kernels of a step: 9.8–11.7 µs
-/// (median of 2000, five repeats; 2 vCPU Xeon @ 2.10 GHz, release build),
-/// nearly all of it the wake-up of the worker. Back to back, with the worker
-/// still awake, the same call takes 0.4 µs, which no kernel ever sees. A
-/// streaming element visit (`a[i] + b[i]` over 1 Mi floats) costs 0.7 ns on
-/// that host, so one round trip is worth about 14 000 units, rounded to the
-/// next power of two. With every chunk holding at least that much, the
-/// hand-off costs a chunk at most what the chunk itself costs, and the
-/// smallest op that is split (two grains) breaks even when its halves do run
-/// in parallel. Multiply-adds vectorise and cost less than a visit, so ops
-/// counted in them split up to three times earlier than break-even; they are
-/// also the ops with the most to gain from more cores.
-const GRAIN: usize = 16_384;
+/// Derived from what handing a chunk to the parked worker costs *inside a
+/// training step* (2 vCPU Xeon @ 2.10 GHz, release build, per-kernel wall
+/// time from `Engine::profile`, 400 steps): kernels too small to gain from a
+/// second thread took 29 µs (a 32x784x10 `MatMul`), 33 µs (a 50 176-element
+/// `Relu`, 14 → 47 µs) and 37 µs (a bias-gradient `Sum`) longer split in two
+/// than whole. That is three times the 10.0–11.6 µs round trip of an empty
+/// `WorkerPool::run(2, ..)` measured on its own (median of 2000, the worker
+/// parked 200 µs before each), because between the kernels of a step the
+/// worker has slept for longer. A streaming element visit costs 0.34 ns
+/// (`max(a[i], 0)`) to 0.45 ns (`a[i] * b[i]`) over 1 Mi floats now that the
+/// scalar op is inlined into the loop (0.7 ns behind a call per element, when
+/// this constant was a quarter of what it is), so the hand-off is worth
+/// 65 000–110 000 visits; the constant is the power of two at the low end.
+/// With every chunk holding at least that much, the hand-off costs a chunk at
+/// most what the chunk itself costs, and the smallest op that is split (two
+/// grains) breaks even when its halves do run in parallel. The 50 176-element
+/// maps of the training step stay whole; its three conv backprop kernels
+/// (0.5–0.9 ms each) are the ones that split, and gain 0.10–0.18 ms each.
+///
+/// The smaller grains lose on both counts. The same step on two threads
+/// against one (the benchmark's `speedup_vs_1thread` with ten times the
+/// samples: 600 steps a side in alternating blocks of ten, nine rounds,
+/// q1 / median / q3): 16 384 → 0.98 / 1.00 / 1.01 with a two-thread step of
+/// 3.50 ms, 32 768 → 1.05 / 1.05 / 1.07 and 3.29 ms (conv-1's product and
+/// conv-2's im2col split for a loss), 65 536 → 1.06 / 1.10 / 1.10 and 3.16 ms;
+/// the commit before these kernels were rewritten read 1.04 / 1.09 / 1.10 in
+/// the same rounds.
+pub(crate) const GRAIN: usize = 65_536;
 
 /// How many ways to split `n` items of `work_per_item` units each over a
 /// pool of `cores`: one chunk per [`GRAIN`] of work, at most one per core.
@@ -32,8 +54,8 @@ fn chunk_count(cores: usize, n: usize, work_per_item: usize) -> usize {
 /// Run `f` over `0..n`, split into contiguous ranges on `pool`, handing each
 /// call the disjoint `&mut` slice of `out` aligned with its range
 /// (`out.len()` must be `n * stride`). `work_per_item` is the cost of one
-/// item in multiply-adds or element visits; an op worth less than two
-/// grains of it runs inline on the calling thread.
+/// item in element visits ([`GRAIN`]'s unit); an op worth less than two
+/// grains runs inline on the calling thread.
 pub fn parallel_for_slices<T: Send>(
     pool: &WorkerPool,
     out: &mut [T],
@@ -57,6 +79,59 @@ pub fn parallel_for_slices<T: Send>(
         let start = i * per_chunk;
         f(start..(start + per_chunk).min(n), part);
     });
+}
+
+/// The unwritten part of one chunk of a kernel's output: [`Slots::extend`]
+/// fills it front to back and counts what it wrote, which is what lets
+/// [`parallel_collect`] hand out uninitialised memory through a safe API.
+pub struct Slots<'a, T> {
+    chunk: &'a mut [MaybeUninit<T>],
+    filled: usize,
+}
+
+impl<T> Slots<'_, T> {
+    /// Write `items` into the next free slots, stopping at the chunk's end.
+    #[inline]
+    pub fn extend(&mut self, items: impl Iterator<Item = T>) {
+        self.filled += self.chunk[self.filled..]
+            .iter_mut()
+            .zip(items)
+            .map(|(slot, item)| {
+                slot.write(item);
+            })
+            .count();
+    }
+}
+
+/// Build a kernel's output of `n * stride` elements, every element written
+/// once: `f` gets the same contiguous ranges [`parallel_for_slices`] would
+/// hand it and must fill its chunk's [`Slots`] completely. Unlike
+/// `vec![0.0; n]` followed by a kernel pass, no element is stored twice.
+///
+/// # Panics
+/// When a call to `f` leaves part of its chunk unwritten.
+pub fn parallel_collect<T: Send>(
+    pool: &WorkerPool,
+    n: usize,
+    stride: usize,
+    work_per_item: usize,
+    f: impl Fn(Range<usize>, &mut Slots<'_, T>) + Sync,
+) -> Vec<T> {
+    let len = n * stride;
+    let mut out: Vec<T> = Vec::with_capacity(len);
+    let spare = &mut out.spare_capacity_mut()[..len];
+    parallel_for_slices(pool, spare, n, stride, work_per_item, |range, chunk| {
+        let mut slots = Slots { chunk, filled: 0 };
+        f(range, &mut slots);
+        assert_eq!(slots.filled, slots.chunk.len(), "a kernel left part of its output unwritten");
+    });
+    // SAFETY: `parallel_for_slices` passes every one of the first `len` spare
+    // slots to exactly one call above and returns after all of them did (a
+    // panicking chunk is re-raised by the pool, so this line is not reached);
+    // each call asserted that it wrote all of its slots, and `Slots::extend`
+    // counts a slot only after `MaybeUninit::write` initialised it.
+    unsafe { out.set_len(len) };
+    out
 }
 
 #[cfg(test)]
@@ -109,16 +184,41 @@ mod tests {
 
     #[test]
     fn chunks_follow_work_not_output_size() {
-        // A 1152-element Mul stays whole; Conv2DBackpropFilter's 72 filter
-        // rows of 32*7*7*16 multiply-adds each are split; never more ways
-        // than cores or items.
+        // A 1152-element Mul and the 50 176-element Relu of the training
+        // step stay whole; Conv2DBackpropFilter's 72 filter rows of
+        // 32*7*7*16 multiply-adds each are split; never more ways than cores
+        // or items.
         assert_eq!(chunk_count(2, 1152, 1), 1);
+        assert_eq!(chunk_count(2, 50_176, 1), 1);
         assert_eq!(chunk_count(2, 72, 32 * 7 * 7 * 16), 2);
         assert_eq!(chunk_count(8, 2 * GRAIN - 1, 1), 1);
         assert_eq!(chunk_count(8, 2 * GRAIN, 1), 2);
         assert_eq!(chunk_count(8, 3, usize::MAX), 3);
         assert_eq!(chunk_count(1, 1 << 20, 1 << 20), 1);
         assert_eq!(chunk_count(4, 0, 7), 1);
+    }
+
+    #[test]
+    fn collect_writes_every_element_once_on_any_split() {
+        for cores in [1, 2, 3, 8] {
+            let pool = WorkerPool::new(cores);
+            let (n, stride) = (GRAIN + 77, 3);
+            let out = parallel_collect(&pool, n, stride, stride, |range, slots| {
+                // Two writes per chunk, the second one offered too much.
+                slots.extend(range.clone().take(1).flat_map(|i| [i; 3]));
+                slots.extend(range.skip(1).flat_map(|i| [i; 3]).chain(0..5));
+            });
+            assert!(out.chunks(stride).enumerate().all(|(i, v)| v == [i; 3]), "{cores} cores");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unwritten")]
+    fn collect_refuses_a_chunk_left_partly_unwritten() {
+        let pool = WorkerPool::new(2);
+        parallel_collect(&pool, 4 * GRAIN, 1, 1, |range, slots| {
+            slots.extend(range.skip(1));
+        });
     }
 
     /// The threads `parallel_for_slices` ran an op of `n` unit-work items on.

@@ -122,6 +122,16 @@ impl UnaryOp {
     /// The shared scalar semantics of each unary kernel. All backends route
     /// their per-element math through this function (directly or as the body
     /// of a data-parallel program) so results agree bit-for-bit.
+    ///
+    /// Inlined so that a backend can call it with a constant op inside its
+    /// loop: the `match` folds away, the loop vectorises, and this stays the
+    /// only definition of the math. `always`, because a hint is not enough
+    /// here: the payload variants make `UnaryOp` a 12-byte aggregate that is
+    /// passed by reference, the inliner's cost model does not see a constant
+    /// through the reference and prices the whole `match`; a 50 176-element
+    /// `Relu` then costs 56 µs (a call per element) instead of 5 µs.
+    /// [`BinaryOp`] has no payloads and folds with the plain hint.
+    #[inline(always)]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryOp::Neg => -x,
@@ -315,6 +325,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Shared scalar semantics (see [`UnaryOp::apply`]).
+    #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinaryOp::Add => a + b,

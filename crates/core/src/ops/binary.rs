@@ -37,17 +37,30 @@ pub(crate) fn binary_op(
 macro_rules! binary_grad {
     (|$dy:ident, $a:ident, $b:ident| ($ga:expr, $gb:expr)) => {
         Some(Arc::new(
-            move |dys: &[Tensor], ins: &[Tensor], _outs: &[Tensor]| -> Result<Vec<Option<Tensor>>> {
+            move |dys: &[Tensor],
+                  ins: &[Tensor],
+                  _outs: &[Tensor],
+                  wanted: &[bool]|
+                  -> Result<Vec<Option<Tensor>>> {
                 let $dy = &dys[0];
                 let $a = &ins[0];
                 let $b = &ins[1];
                 let _ = ($a, $b);
-                let ga: Tensor = $ga?;
-                let gb: Tensor = $gb?;
-                Ok(vec![
-                    Some(sum_to_shape(&ga, $a.shape_ref())?),
-                    Some(sum_to_shape(&gb, $b.shape_ref())?),
-                ])
+                // Each side, and the `Sum` that undoes its broadcast, runs
+                // only when someone reads it.
+                let ga = if wanted[0] {
+                    let ga: Tensor = $ga?;
+                    Some(sum_to_shape(&ga, $a.shape_ref())?)
+                } else {
+                    None
+                };
+                let gb = if wanted[1] {
+                    let gb: Tensor = $gb?;
+                    Some(sum_to_shape(&gb, $b.shape_ref())?)
+                } else {
+                    None
+                };
+                Ok(vec![ga, gb])
             },
         ) as GradFn)
     };

@@ -96,19 +96,23 @@ pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let out_shape = broadcast_shapes("Select", &ab, cond.shape_ref())?;
     let out_dtype = a.dtype().promote(b.dtype());
     let shape_for_fwd = out_shape.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
         let cond = &ins[0];
         let a = &ins[1];
         let b = &ins[2];
         let zero = zeros_like(dy)?;
-        let da = select(cond, dy, &zero)?;
-        let db = select(cond, &zero, dy)?;
-        Ok(vec![
-            None,
-            Some(sum_to_shape(&da, a.shape_ref())?),
-            Some(sum_to_shape(&db, b.shape_ref())?),
-        ])
+        let da = if wanted[1] {
+            Some(sum_to_shape(&select(cond, dy, &zero)?, a.shape_ref())?)
+        } else {
+            None
+        };
+        let db = if wanted[2] {
+            Some(sum_to_shape(&select(cond, &zero, dy)?, b.shape_ref())?)
+        } else {
+            None
+        };
+        Ok(vec![None, da, db])
     });
     let outs = a.engine().run_kernel(
         "Select",

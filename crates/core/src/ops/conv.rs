@@ -27,11 +27,13 @@ pub fn conv2d(
     let info = conv2d_info("Conv2D", x.shape_ref(), filter.shape_ref(), strides, padding, dilations)?;
     let out_shape = info.out_shape();
     let g_info = info.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs| {
+    // The first layer's dx (a gradient w.r.t. the input batch) is the
+    // costliest kernel nobody reads: each side runs only when wanted.
+    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
-        let dx = conv2d_backprop_input_op(dy, &ins[1], &g_info)?;
-        let dw = conv2d_backprop_filter_op(&ins[0], dy, &g_info)?;
-        Ok(vec![Some(dx), Some(dw)])
+        let dx = wanted[0].then(|| conv2d_backprop_input_op(dy, &ins[1], &g_info)).transpose()?;
+        let dw = wanted[1].then(|| conv2d_backprop_filter_op(&ins[0], dy, &g_info)).transpose()?;
+        Ok(vec![dx, dw])
     });
     let shape_for_fwd = out_shape.clone();
     let outs = x.engine().run_kernel(
@@ -130,11 +132,11 @@ pub fn depthwise_conv2d(
     )?;
     let out_shape = info.out_shape();
     let g_info = info.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
-        let dx = depthwise_backprop_input_op(dy, &ins[1], &g_info)?;
-        let dw = depthwise_backprop_filter_op(&ins[0], dy, &g_info)?;
-        Ok(vec![Some(dx), Some(dw)])
+        let dx = wanted[0].then(|| depthwise_backprop_input_op(dy, &ins[1], &g_info)).transpose()?;
+        let dw = wanted[1].then(|| depthwise_backprop_filter_op(&ins[0], dy, &g_info)).transpose()?;
+        Ok(vec![dx, dw])
     });
     let shape_for_fwd = out_shape.clone();
     let outs = x.engine().run_kernel(
@@ -213,7 +215,7 @@ fn pool_impl(
     let info = pool2d_info(name, x.shape_ref(), window, strides, padding)?;
     let out_shape = info.out_shape();
     let g_info = info.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, ins, _outs, _wanted| {
         let dy = &dys[0];
         let x = &ins[0];
         let info = g_info.clone();

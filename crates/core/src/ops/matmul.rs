@@ -61,17 +61,23 @@ pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> R
     }
     let out_shape = Shape::new(vec![batch, m, n]);
     let shape_for_fwd = out_shape.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
         let a = &ins[0];
         let b = &ins[1];
-        let (da, db) = match (transpose_a, transpose_b) {
-            (false, false) => (matmul(dy, b, false, true)?, matmul(a, dy, true, false)?),
-            (false, true) => (matmul(dy, b, false, false)?, matmul(dy, a, true, false)?),
-            (true, false) => (matmul(b, dy, false, true)?, matmul(a, dy, false, false)?),
-            (true, true) => (matmul(b, dy, true, true)?, matmul(dy, a, true, true)?),
+        let da = || match (transpose_a, transpose_b) {
+            (false, false) => matmul(dy, b, false, true),
+            (false, true) => matmul(dy, b, false, false),
+            (true, false) => matmul(b, dy, false, true),
+            (true, true) => matmul(b, dy, true, true),
         };
-        Ok(vec![Some(da), Some(db)])
+        let db = || match (transpose_a, transpose_b) {
+            (false, false) => matmul(a, dy, true, false),
+            (false, true) => matmul(dy, a, true, false),
+            (true, false) => matmul(a, dy, false, false),
+            (true, true) => matmul(dy, a, true, true),
+        };
+        Ok(vec![wanted[0].then(da).transpose()?, wanted[1].then(db).transpose()?])
     });
     let outs = a.engine().run_kernel(
         "MatMul",

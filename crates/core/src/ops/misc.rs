@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// Fails on disposed inputs or backend errors.
 pub fn erf(a: &Tensor) -> Result<Tensor> {
     let out_shape = a.shape();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, ins, _outs, _wanted| {
         // d erf(x)/dx = 2/sqrt(pi) * e^{-x^2}.
         let x = &ins[0];
         let e = x.engine();

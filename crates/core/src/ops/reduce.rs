@@ -57,7 +57,7 @@ fn broadcast_back(dy: &Tensor, shape: &Shape, axes: &[usize]) -> Result<Tensor> 
 pub fn sum(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
     let in_shape = a.shape();
     let norm_axes = normalize_axes("Sum", axes, a.rank())?;
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(broadcast_back(&dys[0], &in_shape, &norm_axes)?)])
     });
     reduce_op("Sum", ReduceOp::Sum, a, axes, keep_dims, Some(grad))
@@ -71,7 +71,7 @@ pub fn mean(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tenso
     let in_shape = a.shape();
     let norm_axes = normalize_axes("Mean", axes, a.rank())?;
     let count: usize = norm_axes.iter().map(|&i| in_shape.dim(i)).product();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         let g = broadcast_back(&dys[0], &in_shape, &norm_axes)?;
         let n = g.engine().scalar(count.max(1) as f32)?;
         Ok(vec![Some(div(&g, &n)?)])
@@ -113,7 +113,7 @@ fn min_max_impl(
 ) -> Result<Tensor> {
     let in_shape = a.shape();
     let norm_axes = normalize_axes(name, axes, a.rank())?;
-    let grad: GradFn = Arc::new(move |dys, ins, outs| {
+    let grad: GradFn = Arc::new(move |dys, ins, outs, _wanted| {
         let x = &ins[0];
         let kept = reduced_shape(&in_shape, &norm_axes, true);
         let y_kept = reshape(&outs[0], kept)?;

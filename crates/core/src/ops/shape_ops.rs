@@ -19,7 +19,7 @@ pub fn reshape(a: &Tensor, shape: impl Into<Shape>) -> Result<Tensor> {
     let new_shape = shape.into();
     let old_shape = a.shape();
     let grad: GradFn =
-        Arc::new(move |dys, _ins, _outs| Ok(vec![Some(reshape(&dys[0], old_shape.clone())?)]));
+        Arc::new(move |dys, _ins, _outs, _wanted| Ok(vec![Some(reshape(&dys[0], old_shape.clone())?)]));
     a.engine().run_alias("Reshape", a, new_shape, Some(grad))
 }
 
@@ -28,7 +28,7 @@ pub fn reshape(a: &Tensor, shape: impl Into<Shape>) -> Result<Tensor> {
 /// # Errors
 /// Fails when `a` is disposed.
 pub fn identity(a: &Tensor) -> Result<Tensor> {
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| Ok(vec![Some(dys[0].clone())]));
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| Ok(vec![Some(dys[0].clone())]));
     a.engine().run_alias("Identity", a, a.shape(), Some(grad))
 }
 
@@ -102,7 +102,7 @@ pub fn transpose(a: &Tensor, perm: Option<&[usize]>) -> Result<Tensor> {
     for (i, &p) in perm.iter().enumerate() {
         inv[p] = i;
     }
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(transpose(&dys[0], Some(&inv))?)])
     });
     let shape_for_fwd = out_shape.clone();
@@ -133,7 +133,7 @@ pub fn pad(a: &Tensor, paddings: &[(usize, usize)], value: f32) -> Result<Tensor
     let dtype = a.dtype();
     let begins: Vec<usize> = paddings.iter().map(|&(b, _)| b).collect();
     let sizes: Vec<usize> = a.shape_ref().dims().to_vec();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(slice(&dys[0], &begins, &sizes)?)])
     });
     let shape_for_fwd = out_shape.clone();
@@ -171,7 +171,7 @@ pub fn slice(a: &Tensor, begin: &[usize], size: &[usize]) -> Result<Tensor> {
     let in_dims = a.shape().0;
     let g_begin = begin.to_vec();
     let g_size = size.to_vec();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         let pads: Vec<(usize, usize)> = (0..in_dims.len())
             .map(|i| (g_begin[i], in_dims[i] - g_begin[i] - g_size[i]))
             .collect();
@@ -221,15 +221,15 @@ pub fn concat(xs: &[&Tensor], axis: isize) -> Result<Tensor> {
     let dtype = xs[0].dtype();
     let sizes: Vec<usize> = xs.iter().map(|t| t.shape_ref().dim(axis)).collect();
     let shapes: Vec<Shape> = xs.iter().map(|t| t.shape()).collect();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
-        // Slice dy back into per-input gradients.
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, wanted| {
+        // Slice dy back into the per-input gradients someone reads.
         let dy = &dys[0];
         let mut offset = 0;
         let mut grads = Vec::with_capacity(sizes.len());
-        for (sz, shape) in sizes.iter().zip(&shapes) {
+        for ((sz, shape), &wanted) in sizes.iter().zip(&shapes).zip(wanted) {
             let mut begin = vec![0; shape.rank()];
             begin[axis] = offset;
-            grads.push(Some(slice(dy, &begin, shape.dims())?));
+            grads.push(wanted.then(|| slice(dy, &begin, shape.dims())).transpose()?);
             offset += sz;
         }
         Ok(grads)
@@ -364,7 +364,7 @@ pub fn reverse(a: &Tensor, axes: &[isize]) -> Result<Tensor> {
     let out_shape = a.shape();
     let dtype = a.dtype();
     let g_axes = axes.to_vec();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs| {
+    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(reverse(&dys[0], &g_axes)?)])
     });
     let shape_for_fwd = out_shape.clone();

@@ -27,7 +27,11 @@ fn unary_op(name: &'static str, op: UnaryOp, a: &Tensor, grad: Option<GradFn>) -
 macro_rules! simple_grad {
     (|$dy:ident, $a:ident, $y:ident| $body:expr) => {
         Some(Arc::new(
-            move |dys: &[Tensor], ins: &[Tensor], outs: &[Tensor]| -> Result<Vec<Option<Tensor>>> {
+            move |dys: &[Tensor],
+                  ins: &[Tensor],
+                  outs: &[Tensor],
+                  _wanted: &[bool]|
+                  -> Result<Vec<Option<Tensor>>> {
                 let $dy = &dys[0];
                 let $a = &ins[0];
                 let $y = &outs[0];
@@ -487,7 +491,9 @@ pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
             Ok(vec![(id, out_shape.clone(), dtype)])
         },
         Some(Arc::new(
-            move |dys: &[Tensor], _ins: &[Tensor], _outs: &[Tensor]| Ok(vec![Some(dys[0].clone())]),
+            move |dys: &[Tensor], _ins: &[Tensor], _outs: &[Tensor], _wanted: &[bool]| {
+                Ok(vec![Some(dys[0].clone())])
+            },
         )),
     )?;
     Ok(outs.into_iter().next().expect("one output"))

@@ -12,11 +12,19 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Gradient function of a kernel: given the gradients flowing into each
-/// output (`dys`), the saved input tensors and the saved output tensors,
-/// produce the gradient for each input (or `None` for non-differentiable
-/// inputs such as integer index tensors).
-pub type GradFn =
-    Arc<dyn Fn(&[Tensor], &[Tensor], &[Tensor]) -> Result<Vec<Option<Tensor>>> + Send + Sync>;
+/// output (`dys`), the saved input tensors, the saved output tensors and a
+/// per-input `wanted` mask, produce one slot per input.
+///
+/// `wanted[i]` says whether anyone will read input `i`'s gradient: backprop
+/// sets it exactly for the inputs that depend on a requested `x` (see
+/// [`Tape::filter_nodes`]). A slot is `None` for a non-differentiable input
+/// (an integer index tensor, a mask) and may be `None` for an unwanted one —
+/// a function whose gradients cost a kernel skips the unwanted ones, a cheap
+/// one may ignore the mask. A wanted slot holds the same value, to the bit,
+/// whatever the rest of the mask says.
+pub type GradFn = Arc<
+    dyn Fn(&[Tensor], &[Tensor], &[Tensor], &[bool]) -> Result<Vec<Option<Tensor>>> + Send + Sync,
+>;
 
 /// One recorded kernel invocation.
 pub struct TapeNode {
@@ -63,12 +71,15 @@ impl Tape {
     }
 
     /// Indices of nodes that lie on a path from any of `x_ids` to any of
-    /// `y_ids` — the eager analogue of TensorFlow's pruned gradient graph.
+    /// `y_ids` — the eager analogue of TensorFlow's pruned gradient graph —
+    /// and the ids of every tensor that depends on an x (the xs included).
     ///
     /// A node qualifies if (a) at least one input is reachable *from* an x
     /// (forward pass over the tape) and (b) at least one output *reaches* a y
-    /// (backward pass). Nodes off this path are skipped during backprop.
-    pub fn filter_nodes(&self, x_ids: &[usize], y_ids: &[usize]) -> Vec<usize> {
+    /// (backward pass). Nodes off this path are skipped during backprop, and
+    /// on a path node only the inputs in the returned set need a gradient:
+    /// any other input's gradient could never flow on to an x.
+    pub fn filter_nodes(&self, x_ids: &[usize], y_ids: &[usize]) -> (Vec<usize>, HashSet<usize>) {
         // Forward reachability from xs.
         let mut from_x: HashSet<usize> = x_ids.iter().copied().collect();
         let mut fwd = vec![false; self.nodes.len()];
@@ -91,7 +102,7 @@ impl Tape {
                 }
             }
         }
-        (0..self.nodes.len()).filter(|&i| fwd[i] && bwd[i]).collect()
+        ((0..self.nodes.len()).filter(|&i| fwd[i] && bwd[i]).collect(), from_x)
     }
 }
 
@@ -106,7 +117,7 @@ mod tests {
             output_ids: outputs,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            grad_fn: Arc::new(|_, _, _| Ok(Vec::new())),
+            grad_fn: Arc::new(|_, _, _, _| Ok(Vec::new())),
         }
     }
 
@@ -117,8 +128,9 @@ mod tests {
         tape.record(dummy_node("b", vec![9], vec![10])); // unrelated
         tape.record(dummy_node("c", vec![2], vec![3])); // on path
         tape.record(dummy_node("d", vec![3], vec![4])); // past y? output 4 != y
-        let kept = tape.filter_nodes(&[1], &[3]);
+        let (kept, from_x) = tape.filter_nodes(&[1], &[3]);
         assert_eq!(kept, vec![0, 2]);
+        assert_eq!(from_x, HashSet::from([1, 2, 3, 4]));
     }
 
     #[test]
@@ -127,15 +139,17 @@ mod tests {
         tape.record(dummy_node("m1", vec![1, 2], vec![3]));
         tape.record(dummy_node("m2", vec![3, 4], vec![5]));
         // x = 4 only: node m1 is not reachable from x, m2 is.
-        let kept = tape.filter_nodes(&[4], &[5]);
+        let (kept, from_x) = tape.filter_nodes(&[4], &[5]);
         assert_eq!(kept, vec![1]);
+        // m2's other input does not depend on x: its gradient is not wanted.
+        assert_eq!(from_x, HashSet::from([4, 5]));
     }
 
     #[test]
     fn filter_empty_when_no_path() {
         let mut tape = Tape::new();
         tape.record(dummy_node("a", vec![1], vec![2]));
-        assert!(tape.filter_nodes(&[5], &[2]).is_empty());
-        assert!(tape.filter_nodes(&[1], &[7]).is_empty());
+        assert!(tape.filter_nodes(&[5], &[2]).0.is_empty());
+        assert!(tape.filter_nodes(&[1], &[7]).0.is_empty());
     }
 }

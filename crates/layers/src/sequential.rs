@@ -611,6 +611,39 @@ mod tests {
     }
 
     #[test]
+    fn conv_net_step_computes_no_gradient_for_the_input_batch() {
+        // The benchmark's training step: conv 8 → conv 16 → dense, batch 32,
+        // Adam, on the native backend.
+        use crate::layers::Conv2D;
+        let e = Engine::new();
+        e.register_backend("native", Arc::new(webml_backend_native::NativeBackend::new()), 1);
+        let mut model = Sequential::new(&e).with_seed(3);
+        let conv = |filters| Conv2D::new(filters, 3).with_strides((2, 2)).with_activation(Activation::Relu);
+        model.add(conv(8).with_input_shape([28, 28, 1]));
+        model.add(conv(16));
+        model.add(Flatten::new());
+        model.add(Dense::new(10).with_activation(Activation::Softmax));
+        model.compile(Loss::CategoricalCrossentropy, Box::new(Adam::new(0.001)));
+        let xs = e.rand_uniform([32, 28, 28, 1], 0.0, 1.0, 1).unwrap();
+        let one_hot: Vec<f32> = (0..32 * 10).map(|i| (i % 10 == i / 10 % 10) as u8 as f32).collect();
+        let ys = e.tensor_2d(&one_hot, 32, 10).unwrap();
+        let config = FitConfig { epochs: 1, batch_size: 32, shuffle: true, seed: 1, ..Default::default() };
+        // The first step creates Adam's slots.
+        model.fit(&xs, &ys, config.clone()).unwrap();
+        let baseline = e.num_tensors();
+        let (history, profile) = e.profile(|| model.fit(&xs, &ys, config.clone()));
+        history.unwrap();
+        let count = |name: &str| profile.kernels.iter().filter(|k| k.name == name).count();
+        // Every layer's filter gradient, but only the second layer's input
+        // gradient: the first layer's input is the batch.
+        assert_eq!(count("Conv2DBackpropFilter"), 2);
+        assert_eq!(count("Conv2DBackpropInput"), 1);
+        // 136 before backprop skipped the gradients nobody reads.
+        assert!(profile.kernels.len() < 136, "{} kernels", profile.kernels.len());
+        assert_eq!(e.num_tensors(), baseline);
+    }
+
+    #[test]
     fn evaluate_returns_loss_and_metrics() {
         let e = engine();
         let mut model = Sequential::new(&e);
