@@ -1,12 +1,50 @@
 //! Shader-program builders: every kernel re-expressed as a per-output
 //! gather computation (fragment shaders cannot scatter), in the style of
-//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul).
+//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul). The
+//! builders are WebGL's [`KernelSet`]: [`KERNELS`] lists them.
 
+use crate::kernels::{Epilogue, KernelSet, MatMulGeom};
 use webml_core::backend::{ArgReduceOp, BinaryOp, FusedStep, PoolOp, ReduceOp, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::DType;
+use webml_core::error::Result;
 use webml_core::quant::QuantParams;
-use webml_webgl_sim::shader::{Program, Samplers};
+use webml_webgl_sim::shader::{Kernel, Samplers};
+
+/// The fragment-program kernel set.
+pub const KERNELS: KernelSet = KernelSet {
+    unary,
+    binary,
+    cast,
+    reduce,
+    arg_reduce,
+    matmul,
+    fused_matmul,
+    fused_matmul_quant,
+    conv2d,
+    fused_conv2d,
+    fused_conv2d_quant,
+    conv2d_backprop_input,
+    conv2d_backprop_filter,
+    depthwise_conv2d,
+    fused_depthwise_conv2d,
+    fused_depthwise_conv2d_quant,
+    depthwise_conv2d_backprop_input,
+    depthwise_conv2d_backprop_filter,
+    pool2d,
+    pool2d_backprop,
+    slice,
+    concat,
+    transpose,
+    pad,
+    gather,
+    tile,
+    reverse,
+    select,
+    one_hot,
+    resize_bilinear,
+    fused_elementwise,
+};
 
 /// Maximum tensor rank supported by the shader address math.
 pub const MAX_RANK: usize = 8;
@@ -35,10 +73,11 @@ fn apply_epilogue(
 
 /// Element-wise unary kernel. Uses a packed (RGBA texel) body when
 /// requested: one invocation computes 4 consecutive outputs.
-pub fn unary(op: UnaryOp, out_shape: Vec<usize>, packed: bool) -> Program {
+pub fn unary(op: UnaryOp, dims: &[usize], packed: bool) -> Kernel {
+    let out_shape = dims.to_vec();
     if packed {
         let n = out_shape.iter().product::<usize>().max(1);
-        Program::packed("Unary", out_shape, move |s, base| {
+        Kernel::packed("Unary", out_shape, move |s, base| {
             let mut quad = [0.0f32; 4];
             for (i, q) in quad.iter_mut().enumerate() {
                 if base + i < n {
@@ -48,7 +87,7 @@ pub fn unary(op: UnaryOp, out_shape: Vec<usize>, packed: bool) -> Program {
             quad
         })
     } else {
-        Program::per_element("Unary", out_shape, move |s, flat, _| op.apply(s.get_flat(0, flat)))
+        Kernel::per_element("Unary", out_shape, move |s, flat, _| op.apply(s.get_flat(0, flat)))
     }
 }
 
@@ -65,15 +104,16 @@ fn broadcast_coords(out_coords: &[usize], in_dims: &[usize], buf: &mut [usize; M
 /// Element-wise binary kernel with broadcasting.
 pub fn binary(
     op: BinaryOp,
-    a_dims: Vec<usize>,
-    b_dims: Vec<usize>,
-    out_shape: Vec<usize>,
+    a_dims: &[usize],
+    b_dims: &[usize],
+    out_dims: &[usize],
     packed: bool,
-) -> Program {
-    let same = a_dims == out_shape && b_dims == out_shape;
+) -> Kernel {
+    let same = a_dims == out_dims && b_dims == out_dims;
+    let out_shape = out_dims.to_vec();
     if same && packed {
         let n = out_shape.iter().product::<usize>().max(1);
-        return Program::packed("BinaryPacked", out_shape, move |s, base| {
+        return Kernel::packed("BinaryPacked", out_shape, move |s, base| {
             let mut quad = [0.0f32; 4];
             for (i, q) in quad.iter_mut().enumerate() {
                 if base + i < n {
@@ -84,11 +124,12 @@ pub fn binary(
         });
     }
     if same {
-        return Program::per_element("Binary", out_shape, move |s, flat, _| {
+        return Kernel::per_element("Binary", out_shape, move |s, flat, _| {
             op.apply(s.get_flat(0, flat), s.get_flat(1, flat))
         });
     }
-    Program::per_element("BinaryBroadcast", out_shape, move |s, _, coords| {
+    let (a_dims, b_dims) = (a_dims.to_vec(), b_dims.to_vec());
+    Kernel::per_element("BinaryBroadcast", out_shape, move |s, _, coords| {
         let mut buf = [0usize; MAX_RANK];
         let la = broadcast_coords(coords, &a_dims, &mut buf);
         let av = s.get(0, &buf[..la]);
@@ -99,8 +140,8 @@ pub fn binary(
 }
 
 /// Cast kernel (values live in float textures; semantics applied here).
-pub fn cast(out_shape: Vec<usize>, dtype: DType) -> Program {
-    Program::per_element("Cast", out_shape, move |s, flat, _| {
+pub fn cast(dims: &[usize], dtype: DType) -> Kernel {
+    Kernel::per_element("Cast", dims.to_vec(), move |s, flat, _| {
         let v = s.get_flat(0, flat);
         match dtype {
             DType::F32 | DType::F16 => v,
@@ -113,13 +154,15 @@ pub fn cast(out_shape: Vec<usize>, dtype: DType) -> Program {
 
 /// Reduction over `axes`: each output walks its reduced subspace (a naive
 /// O(k)-per-output WebGL reduce; no shared memory to build a tree with).
-pub fn reduce(op: ReduceOp, in_dims: Vec<usize>, axes: Vec<usize>, out_shape: Vec<usize>) -> Program {
+pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize]) -> Kernel {
+    let (in_dims, axes) = (in_dims.to_vec(), axes.to_vec());
     let reduce_dims: Vec<usize> = axes.iter().map(|&i| in_dims[i]).collect();
     let count: usize = reduce_dims.iter().product::<usize>().max(1);
     let cost = count.max(1);
     let kept_axes: Vec<usize> =
         (0..in_dims.len()).filter(|i| !axes.contains(i)).collect();
-    Program::per_element("Reduce", out_shape, move |s, _, out_coords| {
+    let out_shape = kept_axes.iter().map(|&i| in_dims[i]).collect();
+    Kernel::per_element("Reduce", out_shape, move |s, _, out_coords| {
         let mut in_coords = [0usize; MAX_RANK];
         for (k, &ax) in kept_axes.iter().enumerate() {
             in_coords[ax] = out_coords[k];
@@ -151,9 +194,12 @@ pub fn reduce(op: ReduceOp, in_dims: Vec<usize>, axes: Vec<usize>, out_shape: Ve
 
 /// Arg-reduction along one axis.
 #[allow(clippy::needless_range_loop)] // coordinate scatter across two arrays
-pub fn arg_reduce(op: ArgReduceOp, in_dims: Vec<usize>, axis: usize, out_shape: Vec<usize>) -> Program {
+pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize) -> Kernel {
+    let in_dims = in_dims.to_vec();
     let n = in_dims[axis];
-    Program::per_element("ArgReduce", out_shape, move |s, _, out_coords| {
+    let mut out_shape = in_dims.clone();
+    out_shape.remove(axis);
+    Kernel::per_element("ArgReduce", out_shape, move |s, _, out_coords| {
         let mut in_coords = [0usize; MAX_RANK];
         let mut k = 0;
         for i in 0..in_dims.len() {
@@ -185,68 +231,30 @@ pub fn arg_reduce(op: ArgReduceOp, in_dims: Vec<usize>, axis: usize, out_shape: 
 /// product (no shared memory — the architectural handicap behind the
 /// WebGL/CUDA gap of Sec 3.9). The packed variant computes 4 adjacent
 /// outputs per invocation, reusing each A element across the quad.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul(
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
-    packed: bool,
-) -> Program {
-    matmul_impl(("MatMul", "MatMulPacked"), batch, m, k, n, transpose_a, transpose_b, packed, false, None)
+pub fn matmul(geom: &MatMulGeom, packed: bool) -> Kernel {
+    matmul_impl(("MatMul", "MatMulPacked"), geom, packed, (false, None))
 }
 
 /// Matmul with the bias+activation epilogue fused in-register: the whole
 /// `matmul → add → activation` chain in one draw call, no intermediate
 /// textures. Bias (when present) is sampler input 2, indexed by output
 /// column.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_matmul(
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
-    packed: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
-    matmul_impl(
-        ("FusedMatMul", "FusedMatMulPacked"),
-        batch,
-        m,
-        k,
-        n,
-        transpose_a,
-        transpose_b,
-        packed,
-        has_bias,
-        activation,
-    )
+pub fn fused_matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kernel {
+    matmul_impl(("FusedMatMul", "FusedMatMulPacked"), geom, packed, epilogue)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn matmul_impl(
     names: (&'static str, &'static str),
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
+    &MatMulGeom { batch, m, k, n, transpose_a, transpose_b, .. }: &MatMulGeom,
     packed: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+    (has_bias, activation): Epilogue,
+) -> Kernel {
     let out_shape = vec![batch, m, n];
     let cost = (k * 2).max(1);
     let bias_input = if has_bias { Some(2) } else { None };
     if packed {
         let total = batch * m * n;
-        return Program::packed(names.1, out_shape, move |s, base| {
+        return Kernel::packed(names.1, out_shape, move |s, base| {
             // base indexes the flattened [batch, m, n] output.
             let j0 = base % n;
             let rest = base / n;
@@ -298,7 +306,7 @@ fn matmul_impl(
         })
         .with_cost(cost);
     }
-    Program::per_element(names.0, out_shape, move |s, _, coords| {
+    Kernel::per_element(names.0, out_shape, move |s, _, coords| {
         let (b, i, j) = (coords[0], coords[1], coords[2]);
         let a_off = b * m * k;
         let b_off = b * k * n;
@@ -320,23 +328,16 @@ fn matmul_impl(
 /// in-register before the shared bias+activation epilogue — one draw call,
 /// 1-byte-per-weight device residency. `b_batch == 1` broadcasts the single
 /// code matrix across the batch.
-#[allow(clippy::too_many_arguments)]
 pub fn fused_matmul_quant(
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    b_batch: usize,
-    transpose_a: bool,
-    transpose_b: bool,
-    params: QuantParams,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+    &MatMulGeom { batch, m, k, n, b_batch, transpose_a, transpose_b }: &MatMulGeom,
+    params: &QuantParams,
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let params = params.clone();
     let out_shape = vec![batch, m, n];
     let cost = (k * 3).max(1);
     let bias_input = if has_bias { Some(2) } else { None };
-    Program::per_element("FusedMatMulQuant", out_shape, move |s, _, coords| {
+    Kernel::per_element("FusedMatMulQuant", out_shape, move |s, _, coords| {
         let (b, i, j) = (coords[0], coords[1], coords[2]);
         let a_off = b * m * k;
         let b_off = if b_batch == 1 { 0 } else { b * k * n };
@@ -367,15 +368,15 @@ pub fn fused_matmul_quant(
 /// `params` index the output-channel axis (the caller guarantees this via
 /// `quant_axis_ok`).
 pub fn fused_conv2d_quant(
-    info: Conv2dInfo,
-    params: QuantParams,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+    info: &Conv2dInfo,
+    params: &QuantParams,
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let (info, params) = (info.clone(), params.clone());
     let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width * info.in_channels * 3;
     let bias_input = if has_bias { Some(2) } else { None };
-    Program::per_element("FusedConv2DQuant", out_shape, move |s, _, coords| {
+    Kernel::per_element("FusedConv2DQuant", out_shape, move |s, _, coords| {
         let (b, oh, ow, oc) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let row_stride = c.in_width * c.in_channels;
@@ -411,15 +412,15 @@ pub fn fused_conv2d_quant(
 /// Quantized-filter fused depthwise conv2d over `R8` codes. Per-channel
 /// scales index filter axis 2 (input channel) or 3 (channel multiplier).
 pub fn fused_depthwise_conv2d_quant(
-    info: Conv2dInfo,
-    params: QuantParams,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+    info: &Conv2dInfo,
+    params: &QuantParams,
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let (info, params) = (info.clone(), params.clone());
     let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width * 3;
     let bias_input = if has_bias { Some(2) } else { None };
-    Program::per_element("FusedDepthwiseConv2DQuant", out_shape, move |s, _, coords| {
+    Kernel::per_element("FusedDepthwiseConv2DQuant", out_shape, move |s, _, coords| {
         let (b, oh, ow, och) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let ic = och / c.channel_mul;
@@ -469,35 +470,30 @@ pub fn fused_depthwise_conv2d_quant(
 /// The packed variant computes the 4 output channels of one RGBA texel per
 /// invocation, loading every input activation once for all four filters —
 /// the packed-conv win behind the paper's 1.3-1.4x PoseNet speedup.
-pub fn conv2d(info: Conv2dInfo, packed: bool) -> Program {
-    conv2d_impl(("Conv2D", "Conv2DPacked"), info, packed, false, None)
+pub fn conv2d(info: &Conv2dInfo, packed: bool) -> Kernel {
+    conv2d_impl(("Conv2D", "Conv2DPacked"), info, packed, (false, None))
 }
 
 /// conv2d with the bias+activation epilogue fused in-register. Bias (when
 /// present) is sampler input 2, indexed by output channel.
-pub fn fused_conv2d(
-    info: Conv2dInfo,
-    packed: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
-    conv2d_impl(("FusedConv2D", "FusedConv2DPacked"), info, packed, has_bias, activation)
+pub fn fused_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
+    conv2d_impl(("FusedConv2D", "FusedConv2DPacked"), info, packed, epilogue)
 }
 
 fn conv2d_impl(
     names: (&'static str, &'static str),
-    info: Conv2dInfo,
+    info: &Conv2dInfo,
     packed: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width * info.in_channels * 2;
     let bias_input = if has_bias { Some(2) } else { None };
     if packed {
         let c = info.clone();
         let total = out_shape.iter().product::<usize>();
-        return Program::packed(names.1, out_shape, move |s, base| {
+        return Kernel::packed(names.1, out_shape, move |s, base| {
             let mut acc = [0.0f32; 4];
             let oc0 = base % c.out_channels;
             let pix = base / c.out_channels;
@@ -582,7 +578,7 @@ fn conv2d_impl(
         })
         .with_cost(cost);
     }
-    Program::per_element(names.0, out_shape, move |s, _, coords| {
+    Kernel::per_element(names.0, out_shape, move |s, _, coords| {
         let (b, oh, ow, oc) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let row_stride = c.in_width * c.in_channels;
@@ -612,9 +608,10 @@ fn conv2d_impl(
 }
 
 /// Gather-form gradient of conv2d w.r.t. the input.
-pub fn conv2d_backprop_input(info: Conv2dInfo) -> Program {
+pub fn conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.batch, info.in_height, info.in_width, info.in_channels];
-    Program::per_element("Conv2DBackpropInput", out_shape, move |s, _, coords| {
+    Kernel::per_element("Conv2DBackpropInput", out_shape, move |s, _, coords| {
         let (b, ih, iw, ic) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -646,9 +643,10 @@ pub fn conv2d_backprop_input(info: Conv2dInfo) -> Program {
 }
 
 /// Gather-form gradient of conv2d w.r.t. the filter.
-pub fn conv2d_backprop_filter(info: Conv2dInfo) -> Program {
+pub fn conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.filter_height, info.filter_width, info.in_channels, info.out_channels];
-    Program::per_element("Conv2DBackpropFilter", out_shape, move |s, _, coords| {
+    Kernel::per_element("Conv2DBackpropFilter", out_shape, move |s, _, coords| {
         let (fh, fw, ic, oc) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -678,20 +676,15 @@ pub fn conv2d_backprop_filter(info: Conv2dInfo) -> Program {
 /// channels of one RGBA texel per invocation: they share the pixel, so the
 /// tap walk and its bounds checks are paid once for four independent
 /// accumulators.
-pub fn depthwise_conv2d(info: Conv2dInfo, packed: bool) -> Program {
-    depthwise_conv2d_impl(("DepthwiseConv2D", "DepthwiseConv2DPacked"), info, packed, false, None)
+pub fn depthwise_conv2d(info: &Conv2dInfo, packed: bool) -> Kernel {
+    depthwise_conv2d_impl(("DepthwiseConv2D", "DepthwiseConv2DPacked"), info, packed, (false, None))
 }
 
 /// Depthwise conv2d with the bias+activation epilogue fused in-register.
 /// Bias (when present) is sampler input 2, indexed by output channel.
-pub fn fused_depthwise_conv2d(
-    info: Conv2dInfo,
-    packed: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+pub fn fused_depthwise_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
     let names = ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked");
-    depthwise_conv2d_impl(names, info, packed, has_bias, activation)
+    depthwise_conv2d_impl(names, info, packed, epilogue)
 }
 
 /// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in
@@ -732,11 +725,11 @@ fn depthwise_at(s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), och
 
 fn depthwise_conv2d_impl(
     names: (&'static str, &'static str),
-    info: Conv2dInfo,
+    info: &Conv2dInfo,
     packed: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> Program {
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width * 2;
     let bias_input = if has_bias { Some(2) } else { None };
@@ -748,7 +741,7 @@ fn depthwise_conv2d_impl(
             let (ow, rest) = (pix % c.out_width, pix / c.out_width);
             (rest / c.out_height, rest % c.out_height, ow)
         };
-        return Program::packed(names.1, out_shape, move |s, base| {
+        return Kernel::packed(names.1, out_shape, move |s, base| {
             let channels = c.out_channels;
             let mut acc = [0.0f32; 4];
             let ch0 = base % channels;
@@ -778,7 +771,7 @@ fn depthwise_conv2d_impl(
         })
         .with_cost(cost);
     }
-    Program::per_element(names.0, out_shape, move |s, _, coords| {
+    Kernel::per_element(names.0, out_shape, move |s, _, coords| {
         let och = coords[3];
         let acc = depthwise_at(s, &info, (coords[0], coords[1], coords[2]), och);
         apply_epilogue(s, bias_input, activation, och, acc)
@@ -790,12 +783,14 @@ fn depthwise_conv2d_impl(
 /// chain head, inputs 1.. are the extras referenced by binary steps, each
 /// sampled with right-aligned broadcast against the output coordinates.
 pub fn fused_elementwise(
-    in_dims: Vec<Vec<usize>>,
-    steps: Vec<FusedStep>,
-    out_shape: Vec<usize>,
-) -> Program {
+    in_dims: &[&[usize]],
+    steps: &[FusedStep],
+    out_dims: &[usize],
+) -> Result<Kernel> {
+    let in_dims: Vec<Vec<usize>> = in_dims.iter().map(|d| d.to_vec()).collect();
+    let steps = steps.to_vec();
     let cost = (steps.len() * 2).max(1);
-    Program::per_element("FusedElementwise", out_shape, move |s, _, coords| {
+    let kernel = Kernel::per_element("FusedElementwise", out_dims.to_vec(), move |s, _, coords| {
         let mut buf = [0usize; MAX_RANK];
         let l = broadcast_coords(coords, &in_dims[0], &mut buf);
         let mut v = s.get(0, &buf[..l]);
@@ -809,14 +804,15 @@ pub fn fused_elementwise(
             };
         }
         v
-    })
-    .with_cost(cost)
+    });
+    Ok(kernel.with_cost(cost))
 }
 
 /// Gather-form gradient of depthwise conv2d w.r.t. the input.
-pub fn depthwise_conv2d_backprop_input(info: Conv2dInfo) -> Program {
+pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.batch, info.in_height, info.in_width, info.in_channels];
-    Program::per_element("DepthwiseBackpropInput", out_shape, move |s, _, coords| {
+    Kernel::per_element("DepthwiseBackpropInput", out_shape, move |s, _, coords| {
         let (b, ih, iw, ic) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -849,9 +845,10 @@ pub fn depthwise_conv2d_backprop_input(info: Conv2dInfo) -> Program {
 }
 
 /// Gather-form gradient of depthwise conv2d w.r.t. the filter.
-pub fn depthwise_conv2d_backprop_filter(info: Conv2dInfo) -> Program {
+pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.filter_height, info.filter_width, info.in_channels, info.channel_mul];
-    Program::per_element("DepthwiseBackpropFilter", out_shape, move |s, _, coords| {
+    Kernel::per_element("DepthwiseBackpropFilter", out_shape, move |s, _, coords| {
         let (fh, fw, ic, m) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -876,10 +873,11 @@ pub fn depthwise_conv2d_backprop_filter(info: Conv2dInfo) -> Program {
 }
 
 /// Max/avg pooling. Average divides by the count of in-bounds positions.
-pub fn pool2d(op: PoolOp, info: Conv2dInfo) -> Program {
+pub fn pool2d(op: PoolOp, info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width;
-    Program::per_element("Pool2D", out_shape, move |s, _, coords| {
+    Kernel::per_element("Pool2D", out_shape, move |s, _, coords| {
         let (b, oh, ow, ch) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = match op {
@@ -916,10 +914,11 @@ pub fn pool2d(op: PoolOp, info: Conv2dInfo) -> Program {
 /// Gather-form pooling gradient: each input pixel scans the windows that
 /// contain it; max-pool matches the reference's first-argmax tie rule by
 /// recomputing each window scan in the same order.
-pub fn pool2d_backprop(op: PoolOp, info: Conv2dInfo) -> Program {
+pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     // Input 0 = dy, input 1 = x.
     let out_shape = vec![info.batch, info.in_height, info.in_width, info.in_channels];
-    Program::per_element("Pool2DBackprop", out_shape, move |s, _, coords| {
+    Kernel::per_element("Pool2DBackprop", out_shape, move |s, _, coords| {
         let (b, ih, iw, ch) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -995,8 +994,9 @@ pub fn pool2d_backprop(op: PoolOp, info: Conv2dInfo) -> Program {
 }
 
 /// Contiguous slice.
-pub fn slice(in_rank: usize, begin: Vec<usize>, out_shape: Vec<usize>) -> Program {
-    Program::per_element("Slice", out_shape, move |s, _, coords| {
+pub fn slice(in_dims: &[usize], begin: &[usize], size: &[usize]) -> Kernel {
+    let (in_rank, begin) = (in_dims.len(), begin.to_vec());
+    Kernel::per_element("Slice", size.to_vec(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for i in 0..in_rank {
             src[i] = coords[i] + begin[i];
@@ -1006,8 +1006,10 @@ pub fn slice(in_rank: usize, begin: Vec<usize>, out_shape: Vec<usize>) -> Progra
 }
 
 /// Constant pad.
-pub fn pad(in_dims: Vec<usize>, paddings: Vec<(usize, usize)>, value: f32, out_shape: Vec<usize>) -> Program {
-    Program::per_element("Pad", out_shape, move |s, _, coords| {
+pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32) -> Kernel {
+    let (in_dims, paddings) = (in_dims.to_vec(), paddings.to_vec());
+    let out_shape = in_dims.iter().zip(&paddings).map(|(&d, &(b, a))| d + b + a).collect();
+    Kernel::per_element("Pad", out_shape, move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for i in 0..in_dims.len() {
             let c = coords[i] as isize - paddings[i].0 as isize;
@@ -1021,8 +1023,11 @@ pub fn pad(in_dims: Vec<usize>, paddings: Vec<(usize, usize)>, value: f32, out_s
 }
 
 /// Concat along `axis`: each output texel picks its source input.
-pub fn concat(sizes_along_axis: Vec<usize>, axis: usize, out_shape: Vec<usize>) -> Program {
-    Program::per_element("Concat", out_shape, move |s, _, coords| {
+pub fn concat(in_dims: &[&[usize]], axis: usize) -> Kernel {
+    let sizes_along_axis: Vec<usize> = in_dims.iter().map(|d| d[axis]).collect();
+    let mut out_shape = in_dims[0].to_vec();
+    out_shape[axis] = sizes_along_axis.iter().sum();
+    Kernel::per_element("Concat", out_shape, move |s, _, coords| {
         let mut c = coords[axis];
         let mut input = 0usize;
         while c >= sizes_along_axis[input] {
@@ -1037,8 +1042,10 @@ pub fn concat(sizes_along_axis: Vec<usize>, axis: usize, out_shape: Vec<usize>) 
 }
 
 /// Transpose by permutation.
-pub fn transpose(perm: Vec<usize>, out_shape: Vec<usize>) -> Program {
-    Program::per_element("Transpose", out_shape, move |s, _, coords| {
+pub fn transpose(in_dims: &[usize], perm: &[usize]) -> Kernel {
+    let perm = perm.to_vec();
+    let out_shape = perm.iter().map(|&p| in_dims[p]).collect();
+    Kernel::per_element("Transpose", out_shape, move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for (d, &p) in perm.iter().enumerate() {
             src[p] = coords[d];
@@ -1048,10 +1055,12 @@ pub fn transpose(perm: Vec<usize>, out_shape: Vec<usize>) -> Program {
 }
 
 /// Gather rows along `axis` via an index texture (input 1).
-pub fn gather(in_dims: Vec<usize>, axis: usize, n_indices: usize, out_shape: Vec<usize>) -> Program {
+pub fn gather(in_dims: &[usize], axis: usize, n_indices: usize) -> Kernel {
+    let in_dims = in_dims.to_vec();
     let n = in_dims[axis];
-    Program::per_element("Gather", out_shape, move |s, _, coords| {
-        let _ = n_indices;
+    let mut out_shape = in_dims.clone();
+    out_shape[axis] = n_indices;
+    Kernel::per_element("Gather", out_shape, move |s, _, coords| {
         let ix = s.get(1, &[coords[axis]]) as i64;
         let ix = ix.rem_euclid(n as i64) as usize;
         let mut src = [0usize; MAX_RANK];
@@ -1063,8 +1072,10 @@ pub fn gather(in_dims: Vec<usize>, axis: usize, n_indices: usize, out_shape: Vec
 }
 
 /// Tile by repetition.
-pub fn tile(in_dims: Vec<usize>, out_shape: Vec<usize>) -> Program {
-    Program::per_element("Tile", out_shape, move |s, _, coords| {
+pub fn tile(in_dims: &[usize], reps: &[usize]) -> Kernel {
+    let in_dims = in_dims.to_vec();
+    let out_shape = in_dims.iter().zip(reps).map(|(&d, &r)| d * r).collect();
+    Kernel::per_element("Tile", out_shape, move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for (i, &d) in in_dims.iter().enumerate() {
             src[i] = coords[i] % d;
@@ -1074,8 +1085,9 @@ pub fn tile(in_dims: Vec<usize>, out_shape: Vec<usize>) -> Program {
 }
 
 /// Reverse along axes.
-pub fn reverse(in_dims: Vec<usize>, axes: Vec<usize>, out_shape: Vec<usize>) -> Program {
-    Program::per_element("Reverse", out_shape, move |s, _, coords| {
+pub fn reverse(in_dims: &[usize], axes: &[usize]) -> Kernel {
+    let (in_dims, axes) = (in_dims.to_vec(), axes.to_vec());
+    Kernel::per_element("Reverse", in_dims.clone(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for (i, &d) in in_dims.iter().enumerate() {
             src[i] = if axes.contains(&i) { d - 1 - coords[i] } else { coords[i] };
@@ -1086,12 +1098,13 @@ pub fn reverse(in_dims: Vec<usize>, axes: Vec<usize>, out_shape: Vec<usize>) -> 
 
 /// Broadcast select `cond ? a : b`.
 pub fn select(
-    cond_dims: Vec<usize>,
-    a_dims: Vec<usize>,
-    b_dims: Vec<usize>,
-    out_shape: Vec<usize>,
-) -> Program {
-    Program::per_element("Select", out_shape, move |s, _, coords| {
+    cond_dims: &[usize],
+    a_dims: &[usize],
+    b_dims: &[usize],
+    out_dims: &[usize],
+) -> Kernel {
+    let (cond_dims, a_dims, b_dims) = (cond_dims.to_vec(), a_dims.to_vec(), b_dims.to_vec());
+    Kernel::per_element("Select", out_dims.to_vec(), move |s, _, coords| {
         let mut buf = [0usize; MAX_RANK];
         let lc = broadcast_coords(coords, &cond_dims, &mut buf);
         let c = s.get(0, &buf[..lc]);
@@ -1106,9 +1119,10 @@ pub fn select(
 }
 
 /// One-hot encode: indices are input 0, trailing dim is `depth`.
-pub fn one_hot(depth: usize, on: f32, off: f32, out_shape: Vec<usize>) -> Program {
-    Program::per_element("OneHot", out_shape, move |s, flat, _| {
-        let _ = depth;
+pub fn one_hot(indices_dims: &[usize], depth: usize, on: f32, off: f32) -> Kernel {
+    let mut out_shape = indices_dims.to_vec();
+    out_shape.push(depth);
+    Kernel::per_element("OneHot", out_shape, move |s, flat, _| {
         let row = flat / depth;
         let col = flat % depth;
         let ix = s.get_flat(0, row) as i64;
@@ -1122,11 +1136,11 @@ pub fn one_hot(depth: usize, on: f32, off: f32, out_shape: Vec<usize>) -> Progra
 
 /// Bilinear resize of NHWC.
 pub fn resize_bilinear(
-    in_dims: Vec<usize>,
+    in_dims: &[usize],
     new_h: usize,
     new_w: usize,
     align_corners: bool,
-) -> Program {
+) -> Kernel {
     let (in_h, in_w) = (in_dims[1], in_dims[2]);
     let out_shape = vec![in_dims[0], new_h, new_w, in_dims[3]];
     let scale = |out_size: usize, in_size: usize| -> f32 {
@@ -1138,7 +1152,7 @@ pub fn resize_bilinear(
     };
     let h_scale = scale(new_h, in_h);
     let w_scale = scale(new_w, in_w);
-    Program::per_element("ResizeBilinear", out_shape, move |s, _, coords| {
+    Kernel::per_element("ResizeBilinear", out_shape, move |s, _, coords| {
         let (b, oh, ow, ch) = (coords[0], coords[1], coords[2], coords[3]);
         let src_h = if align_corners { oh as f32 * h_scale } else { (oh as f32 + 0.5) * h_scale - 0.5 };
         let src_h = src_h.max(0.0);

@@ -1,7 +1,8 @@
-//! Compute-pipeline builders: each kernel family becomes a
-//! [`ComputePipeline`] whose body runs on the simulated device thread and
-//! whose `shared_reuse` declaration tells the device's occupancy model how
-//! aggressively the kernel exploits workgroup shared memory.
+//! Compute-pipeline builders: each kernel family becomes a compute
+//! [`Kernel`] whose body runs on the simulated device thread and whose
+//! `shared_reuse` declaration tells the device's occupancy model how
+//! aggressively the kernel exploits workgroup shared memory. The builders
+//! are WebGPU's [`KernelSet`]: [`KERNELS`] lists them.
 //!
 //! The matmul / conv families are written as *cooperative tiled* kernels: a
 //! 16×16 workgroup stages input tiles into shared-memory arrays once and
@@ -38,24 +39,59 @@
 //! prototype behind this design measured a 2-way split of these kernels
 //! slower end to end than the serial bodies (`infer_webgpu_u8` `op_p50_ms`
 //! 5.99 against 5.56 ms), because the thread submitting and reading back
-//! needs the second core (DESIGN.md §18).
+//! needs the second core (DESIGN.md §7).
 
+use webml_backend_webgl::kernels::{Epilogue, KernelSet, MatMulGeom};
 use webml_core::backend::{
     ArgReduceOp, BinaryOp, FusedStep, PoolOp, ReduceOp, UnaryOp,
 };
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::{DType, TensorData};
+use webml_core::error::Result;
 use webml_core::kernels as k;
 use webml_core::quant::QuantParams;
-use webml_core::shape::Shape;
-use webml_webgpu_sim::ComputePipeline;
+use webml_core::shape::{broadcast_shapes, Shape};
+use webml_webgl_sim::shader::Kernel;
+use webml_webgpu_sim::pipeline::{cooperative, elementwise};
+
+/// The tiled-pipeline kernel set.
+pub const KERNELS: KernelSet = KernelSet {
+    unary,
+    binary,
+    cast,
+    reduce,
+    arg_reduce,
+    matmul,
+    fused_matmul,
+    fused_matmul_quant,
+    conv2d,
+    fused_conv2d,
+    fused_conv2d_quant,
+    conv2d_backprop_input,
+    conv2d_backprop_filter,
+    depthwise_conv2d,
+    fused_depthwise_conv2d,
+    fused_depthwise_conv2d_quant,
+    depthwise_conv2d_backprop_input,
+    depthwise_conv2d_backprop_filter,
+    pool2d,
+    pool2d_backprop,
+    slice,
+    concat,
+    transpose,
+    pad,
+    gather,
+    tile,
+    reverse,
+    select,
+    one_hot,
+    resize_bilinear,
+    fused_elementwise,
+};
 
 /// Workgroup tile width of the cooperative matmul/conv kernels: each
 /// workgroup is `TILE`×`TILE` invocations staging `TILE`-deep input tiles.
 pub const TILE: usize = 16;
-
-/// Workgroup invocations of the cooperative kernels (`TILE`²).
-const WG: usize = TILE * TILE;
 
 /// Narrow widened index values back to i32 (exact for tensor-sized indices).
 fn narrow_i32(vals: &[f32]) -> Vec<i32> {
@@ -73,18 +109,12 @@ fn narrow_i32(vals: &[f32]) -> Vec<i32> {
 /// Accumulation visits `p` in ascending order with a single register
 /// accumulator per output, so the result is bit-identical to the reference
 /// [`webml_core::kernels::matmul`] loop.
-#[allow(clippy::too_many_arguments)]
 fn tiled_matmul(
     a: &[f32],
     b: &[f32],
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    batch: usize,
-    m: usize,
-    kdim: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
+    &MatMulGeom { batch, m, k: kdim, n, transpose_a, transpose_b, .. }: &MatMulGeom,
     out: &mut [f32],
 ) {
     for bi in 0..batch {
@@ -154,60 +184,31 @@ fn tiled_matmul(
 }
 
 /// Plain batched matmul as a cooperative tiled pipeline.
-pub fn matmul(
-    batch: usize,
-    m: usize,
-    kdim: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
-) -> ComputePipeline {
-    ComputePipeline::cooperative(
-        "MatMulTiled",
-        batch * m * n,
-        WG,
-        TILE,
-        2 * kdim.max(1),
-        move |inp, out| {
-            tiled_matmul(
-                inp[0], inp[1], None, None, batch, m, kdim, n, transpose_a, transpose_b, out,
-            )
-        },
-    )
+pub fn matmul(geom: &MatMulGeom, _packed: bool) -> Kernel {
+    let g = *geom;
+    cooperative("MatMulTiled", g.batch * g.m * g.n, TILE, 2 * g.k.max(1), move |inp, out| {
+        tiled_matmul(inp[0], inp[1], None, None, &g, out)
+    })
 }
 
 /// Fused matmul (+bias +activation) as one cooperative tiled pipeline; the
 /// epilogue runs in-register before the single output write.
-#[allow(clippy::too_many_arguments)]
 pub fn fused_matmul(
-    batch: usize,
-    m: usize,
-    kdim: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> ComputePipeline {
-    ComputePipeline::cooperative(
-        "FusedMatMulTiled",
-        batch * m * n,
-        WG,
-        TILE,
-        2 * kdim.max(1),
-        move |inp, out| {
-            let bias = has_bias.then(|| inp[2]);
-            tiled_matmul(
-                inp[0], inp[1], bias, activation, batch, m, kdim, n, transpose_a, transpose_b, out,
-            )
-        },
-    )
+    geom: &MatMulGeom,
+    _packed: bool,
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let g = *geom;
+    cooperative("FusedMatMulTiled", g.batch * g.m * g.n, TILE, 2 * g.k.max(1), move |inp, out| {
+        let bias = has_bias.then(|| inp[2]);
+        tiled_matmul(inp[0], inp[1], bias, activation, &g, out)
+    })
 }
 
 /// What a fused kernel does to one finished accumulator row before moving
 /// on: the affine map of the factored U8 form, then bias, then activation —
 /// the scalar ops, in the order, of the [`webml_core::kernels`] epilogues.
-struct Epilogue {
+struct RowEpilogue {
     /// `(scale, min)` per output channel when the weight operand is U8
     /// codes; `None` for f32 weights.
     affine: Option<Vec<(f32, f32)>>,
@@ -215,9 +216,9 @@ struct Epilogue {
     activation: Option<UnaryOp>,
 }
 
-impl Epilogue {
+impl RowEpilogue {
     /// The unfused f32 kernels: accumulate and store.
-    const NONE: Epilogue = Epilogue { affine: None, has_bias: false, activation: None };
+    const NONE: RowEpilogue = RowEpilogue { affine: None, has_bias: false, activation: None };
 
     /// The bias buffer, bound third when the kernel has one.
     fn bias<'a>(&self, inp: &[&'a [f32]]) -> Option<&'a [f32]> {
@@ -259,24 +260,16 @@ fn rows(out: &mut [f32], width: usize) -> impl Iterator<Item = (usize, &mut [f32
 /// the side, then the row epilogue — every output still adds its products
 /// in ascending `p` with one accumulator, as
 /// [`webml_core::kernels::fused_matmul_quant`] does.
-#[allow(clippy::too_many_arguments)]
 pub fn fused_matmul_quant(
-    batch: usize,
-    m: usize,
-    kdim: usize,
-    n: usize,
-    transpose_a: bool,
-    transpose_b: bool,
+    &MatMulGeom { batch, m, k: kdim, n, b_batch, transpose_a, transpose_b }: &MatMulGeom,
     params: &QuantParams,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> ComputePipeline {
+    (has_bias, activation): Epilogue,
+) -> Kernel {
     let affine = (0..n).map(|j| params.scale_min(j)).collect();
-    let ep = Epilogue { affine: Some(affine), has_bias, activation };
-    ComputePipeline::cooperative(
+    let ep = RowEpilogue { affine: Some(affine), has_bias, activation };
+    cooperative(
         "FusedMatMulQuantTiled",
         batch * m * n,
-        WG,
         TILE,
         2 * kdim.max(1),
         move |inp, out| {
@@ -285,7 +278,7 @@ pub fn fused_matmul_quant(
                 let (bi, i) = (r / m, r % m);
                 let a_off = bi * m * kdim;
                 // A batch-1 weight broadcasts across the batch.
-                let b_off = if b_q.len() == kdim * n { 0 } else { bi * kdim * n };
+                let b_off = if b_batch == 1 { 0 } else { bi * kdim * n };
                 row.fill(0.0);
                 let mut sum_a = 0.0f32;
                 for p in 0..kdim {
@@ -379,11 +372,12 @@ fn conv_accumulate<A: AsMut<[f32]>>(
 /// of once per output; each output still adds its products in the oracle's
 /// `(fh, fw, ic)` order into one accumulator. `Σ x` over the same taps, in
 /// the same order, feeds the factored U8 epilogue.
-fn conv_pipeline(name: &'static str, info: Conv2dInfo, ep: Epilogue) -> ComputePipeline {
+fn conv_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) -> Kernel {
+    let info = info.clone();
     let (icn, ocn) = (info.in_channels, info.out_channels);
     let out_len = info.batch * info.out_height * info.out_width * ocn;
     let cost = 2 * info.filter_height * info.filter_width * icn;
-    ComputePipeline::cooperative(name, out_len, WG, TILE, cost.max(1), move |inp, out| {
+    cooperative(name, out_len, TILE, cost.max(1), move |inp, out| {
         let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
         for (p, row) in rows(out, ocn) {
             let at = pixel_coords(&info, p);
@@ -411,30 +405,29 @@ fn conv_pipeline(name: &'static str, info: Conv2dInfo, ep: Epilogue) -> ComputeP
 
 /// Conv2d as a cooperative pipeline: the workgroup stages the filter tile
 /// and an input patch in shared memory (reuse ≈ `TILE`).
-pub fn conv2d(info: Conv2dInfo) -> ComputePipeline {
-    conv_pipeline("Conv2DTiled", info, Epilogue::NONE)
+pub fn conv2d(info: &Conv2dInfo, _packed: bool) -> Kernel {
+    conv_pipeline("Conv2DTiled", info, RowEpilogue::NONE)
 }
 
 /// Fused conv2d: convolution plus in-register `+bias` / activation epilogue,
 /// applied through the same scalar ops the unfused composition uses.
 pub fn fused_conv2d(
-    info: Conv2dInfo,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> ComputePipeline {
-    conv_pipeline("FusedConv2DTiled", info, Epilogue { affine: None, has_bias, activation })
+    info: &Conv2dInfo,
+    _packed: bool,
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    conv_pipeline("FusedConv2DTiled", info, RowEpilogue { affine: None, has_bias, activation })
 }
 
 /// Dequant-free quantized fused conv2d: the filter binding holds widened u8
 /// codes; per-channel `params` index the HWIO output-channel axis.
 pub fn fused_conv2d_quant(
-    info: Conv2dInfo,
+    info: &Conv2dInfo,
     params: &QuantParams,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> ComputePipeline {
+    (has_bias, activation): Epilogue,
+) -> Kernel {
     let affine = (0..info.out_channels).map(|oc| params.scale_min(oc)).collect();
-    let ep = Epilogue { affine: Some(affine), has_bias, activation };
+    let ep = RowEpilogue { affine: Some(affine), has_bias, activation };
     conv_pipeline("FusedConv2DQuantTiled", info, ep)
 }
 
@@ -446,11 +439,12 @@ pub fn fused_conv2d_quant(
 /// `ep` is the factored U8 form; each output adds its taps in `(fh, fw)`
 /// order. The row is not blocked as conv's is: there is no filter row to
 /// reuse and the tap walk would be paid per block (measured slower).
-fn depthwise_pipeline(name: &'static str, info: Conv2dInfo, ep: Epilogue) -> ComputePipeline {
+fn depthwise_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) -> Kernel {
+    let info = info.clone();
     let (icn, mul, ocn) = (info.in_channels, info.channel_mul, info.out_channels);
     let out_len = info.batch * info.out_height * info.out_width * ocn;
     let cost = 2 * info.filter_height * info.filter_width;
-    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
         let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
         let quant = ep.affine.is_some();
         // Σ x per output channel (`channel_mul` copies of each input
@@ -489,17 +483,17 @@ fn depthwise_pipeline(name: &'static str, info: Conv2dInfo, ep: Epilogue) -> Com
 }
 
 /// Depthwise conv2d.
-pub fn depthwise_conv2d(info: Conv2dInfo) -> ComputePipeline {
-    depthwise_pipeline("DepthwiseConv2DTiled", info, Epilogue::NONE)
+pub fn depthwise_conv2d(info: &Conv2dInfo, _packed: bool) -> Kernel {
+    depthwise_pipeline("DepthwiseConv2DTiled", info, RowEpilogue::NONE)
 }
 
 /// Fused depthwise conv2d with the in-register epilogue.
 pub fn fused_depthwise_conv2d(
-    info: Conv2dInfo,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> ComputePipeline {
-    let ep = Epilogue { affine: None, has_bias, activation };
+    info: &Conv2dInfo,
+    _packed: bool,
+    (has_bias, activation): Epilogue,
+) -> Kernel {
+    let ep = RowEpilogue { affine: None, has_bias, activation };
     depthwise_pipeline("FusedDepthwiseConv2DTiled", info, ep)
 }
 
@@ -507,11 +501,10 @@ pub fn fused_depthwise_conv2d(
 /// along filter axis 2 (`ic`) or 3 (`m`); either is constant over an
 /// output's accumulation.
 pub fn fused_depthwise_conv2d_quant(
-    info: Conv2dInfo,
+    info: &Conv2dInfo,
     params: &QuantParams,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-) -> ComputePipeline {
+    (has_bias, activation): Epilogue,
+) -> Kernel {
     let mul = info.channel_mul;
     let affine = (0..info.out_channels)
         .map(|oc| match params {
@@ -519,48 +512,51 @@ pub fn fused_depthwise_conv2d_quant(
             _ => params.scale_min(oc % mul),
         })
         .collect();
-    let ep = Epilogue { affine: Some(affine), has_bias, activation };
+    let ep = RowEpilogue { affine: Some(affine), has_bias, activation };
     depthwise_pipeline("FusedDepthwiseConv2DQuantTiled", info, ep)
 }
 
 /// Conv2d input gradient (cooperative over the filter tile).
-pub fn conv2d_backprop_input(info: Conv2dInfo) -> ComputePipeline {
+pub fn conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
     let cost = 2 * info.filter_height * info.filter_width * info.out_channels;
     let name = "Conv2DBackpropInput";
-    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
         out.copy_from_slice(&k::conv2d_backprop_input(inp[0], inp[1], &info))
     })
 }
 
 /// Conv2d filter gradient.
-pub fn conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
+pub fn conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_len = info.filter_height * info.filter_width * info.in_channels * info.out_channels;
     let cost = 2 * info.batch * info.out_height * info.out_width;
     let name = "Conv2DBackpropFilter";
-    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
         out.copy_from_slice(&k::conv2d_backprop_filter(inp[0], inp[1], &info))
     })
 }
 
 /// Depthwise conv2d input gradient.
-pub fn depthwise_conv2d_backprop_input(info: Conv2dInfo) -> ComputePipeline {
+pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
     let cost = 2 * info.filter_height * info.filter_width * info.channel_mul;
     let name = "DepthwiseBackpropInput";
-    ComputePipeline::cooperative(name, out_len, WG, 8, cost.max(1), move |inp, out| {
+    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
         out.copy_from_slice(&k::depthwise_conv2d_backprop_input(inp[0], inp[1], &info))
     })
 }
 
 /// Depthwise conv2d filter gradient.
-pub fn depthwise_conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
+pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_len = info.filter_height * info.filter_width * info.in_channels * info.channel_mul;
     let cost = 2 * info.batch * info.out_height * info.out_width;
-    ComputePipeline::cooperative(
+    cooperative(
         "DepthwiseBackpropFilter",
         out_len,
-        WG,
         8,
         cost.max(1),
         move |inp, out| {
@@ -570,26 +566,28 @@ pub fn depthwise_conv2d_backprop_filter(info: Conv2dInfo) -> ComputePipeline {
 }
 
 /// Max/avg pooling (uncooperative; window reads are not shared).
-pub fn pool2d(op: PoolOp, info: Conv2dInfo) -> ComputePipeline {
+pub fn pool2d(op: PoolOp, info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_len = info.batch * info.out_height * info.out_width * info.in_channels;
     let cost = info.filter_height * info.filter_width;
-    ComputePipeline::elementwise("Pool2D", out_len, cost.max(1), move |inp, out| {
+    elementwise("Pool2D", out_len, cost.max(1), move |inp, out| {
         out.copy_from_slice(&k::pool2d(op, inp[0], &info))
     })
 }
 
 /// Pooling gradient.
-pub fn pool2d_backprop(op: PoolOp, info: Conv2dInfo) -> ComputePipeline {
+pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo) -> Kernel {
+    let info = info.clone();
     let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
     let cost = info.filter_height * info.filter_width;
-    ComputePipeline::elementwise("Pool2DBackprop", out_len, cost.max(1), move |inp, out| {
+    elementwise("Pool2DBackprop", out_len, cost.max(1), move |inp, out| {
         out.copy_from_slice(&k::pool2d_backprop(op, inp[0], inp[1], &info))
     })
 }
 
 /// Elementwise unary op.
-pub fn unary(op: UnaryOp, out_len: usize) -> ComputePipeline {
-    ComputePipeline::elementwise("Unary", out_len, 1, move |inp, out| {
+pub fn unary(op: UnaryOp, dims: &[usize], _packed: bool) -> Kernel {
+    elementwise("Unary", dims.iter().product(), 1, move |inp, out| {
         out.copy_from_slice(&k::unary(op, inp[0]))
     })
 }
@@ -597,39 +595,44 @@ pub fn unary(op: UnaryOp, out_len: usize) -> ComputePipeline {
 /// Broadcasting binary op.
 pub fn binary(
     op: BinaryOp,
-    a_dims: Vec<usize>,
-    b_dims: Vec<usize>,
-    out_dims: Vec<usize>,
-) -> ComputePipeline {
+    a_dims: &[usize],
+    b_dims: &[usize],
+    out_dims: &[usize],
+    _packed: bool,
+) -> Kernel {
     let (a_s, b_s, o_s) = (Shape::new(a_dims), Shape::new(b_dims), Shape::new(out_dims));
-    ComputePipeline::elementwise("Binary", o_s.size(), 1, move |inp, out| {
+    elementwise("Binary", o_s.size(), 1, move |inp, out| {
         out.copy_from_slice(&k::binary(op, inp[0], &a_s, inp[1], &b_s, &o_s))
     })
 }
 
 /// Dtype cast (values re-quantized through the host dtype semantics).
-pub fn cast(out_len: usize, dtype: DType) -> ComputePipeline {
-    ComputePipeline::elementwise("Cast", out_len, 1, move |inp, out| {
+pub fn cast(dims: &[usize], dtype: DType) -> Kernel {
+    elementwise("Cast", dims.iter().product(), 1, move |inp, out| {
         out.copy_from_slice(&TensorData::F32(inp[0].to_vec()).cast(dtype).to_f32_vec())
     })
 }
 
+/// Element count of `dims` with the `dropped` axes removed.
+fn len_without(dims: &[usize], dropped: &[usize]) -> usize {
+    dims.iter().enumerate().filter(|(i, _)| !dropped.contains(i)).map(|(_, &d)| d).product()
+}
+
 /// Axis reduction. Workgroup reductions stage partials in shared memory
 /// (tree reduction), hence the modest cooperative credit.
-pub fn reduce(op: ReduceOp, in_dims: Vec<usize>, axes: Vec<usize>, out_len: usize) -> ComputePipeline {
-    let shape = Shape::new(in_dims);
-    let reduced: usize =
-        axes.iter().map(|&ax| shape.dim(ax)).product::<usize>().max(1);
-    ComputePipeline::cooperative("Reduce", out_len.max(1), WG, 4, reduced, move |inp, out| {
+pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize]) -> Kernel {
+    let (shape, axes) = (Shape::new(in_dims), axes.to_vec());
+    let reduced: usize = axes.iter().map(|&ax| shape.dim(ax)).product::<usize>().max(1);
+    cooperative("Reduce", len_without(in_dims, &axes), 4, reduced, move |inp, out| {
         out.copy_from_slice(&k::reduce(op, inp[0], &shape, &axes))
     })
 }
 
 /// Arg-reduction along one axis (indices widened to f32 on the device).
-pub fn arg_reduce(op: ArgReduceOp, in_dims: Vec<usize>, axis: usize, out_len: usize) -> ComputePipeline {
+pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize) -> Kernel {
     let shape = Shape::new(in_dims);
     let cost = shape.dim(axis).max(1);
-    ComputePipeline::cooperative("ArgReduce", out_len.max(1), WG, 4, cost, move |inp, out| {
+    cooperative("ArgReduce", len_without(in_dims, &[axis]), 4, cost, move |inp, out| {
         let idx = k::arg_reduce(op, inp[0], &shape, axis);
         assert_eq!(idx.len(), out.len(), "ArgReduce out_len mismatch");
         for (o, &i) in out.iter_mut().zip(&idx) {
@@ -639,18 +642,18 @@ pub fn arg_reduce(op: ArgReduceOp, in_dims: Vec<usize>, axis: usize, out_len: us
 }
 
 /// Contiguous slice copy.
-pub fn slice(in_dims: Vec<usize>, begin: Vec<usize>, size: Vec<usize>) -> ComputePipeline {
-    let shape = Shape::new(in_dims);
-    let out_len: usize = size.iter().product::<usize>().max(1);
-    ComputePipeline::elementwise("Slice", out_len, 1, move |inp, out| {
+pub fn slice(in_dims: &[usize], begin: &[usize], size: &[usize]) -> Kernel {
+    let (shape, begin, size) = (Shape::new(in_dims), begin.to_vec(), size.to_vec());
+    elementwise("Slice", size.iter().product(), 1, move |inp, out| {
         out.copy_from_slice(&k::slice(inp[0], &shape, &begin, &size))
     })
 }
 
 /// Concatenation along one axis.
-pub fn concat(in_dims: Vec<Vec<usize>>, axis: usize, out_len: usize) -> ComputePipeline {
-    let shapes: Vec<Shape> = in_dims.into_iter().map(Shape::new).collect();
-    ComputePipeline::elementwise("Concat", out_len, 1, move |inp, out| {
+pub fn concat(in_dims: &[&[usize]], axis: usize) -> Kernel {
+    let shapes: Vec<Shape> = in_dims.iter().map(|&d| Shape::new(d)).collect();
+    let out_len = shapes.iter().map(Shape::size).sum();
+    elementwise("Concat", out_len, 1, move |inp, out| {
         let xs: Vec<(&[f32], &Shape)> =
             inp.iter().copied().zip(shapes.iter()).collect();
         out.copy_from_slice(&k::concat(&xs, axis))
@@ -658,105 +661,106 @@ pub fn concat(in_dims: Vec<Vec<usize>>, axis: usize, out_len: usize) -> ComputeP
 }
 
 /// Axis permutation.
-pub fn transpose(in_dims: Vec<usize>, perm: Vec<usize>) -> ComputePipeline {
-    let shape = Shape::new(in_dims);
-    ComputePipeline::elementwise("Transpose", shape.size(), 1, move |inp, out| {
+pub fn transpose(in_dims: &[usize], perm: &[usize]) -> Kernel {
+    let (shape, perm) = (Shape::new(in_dims), perm.to_vec());
+    elementwise("Transpose", shape.size(), 1, move |inp, out| {
         out.copy_from_slice(&k::transpose(inp[0], &shape, &perm))
     })
 }
 
 /// Constant padding.
-pub fn pad(in_dims: Vec<usize>, paddings: Vec<(usize, usize)>, value: f32) -> ComputePipeline {
-    let shape = Shape::new(in_dims);
-    let out_len: usize = shape
-        .dims()
-        .iter()
-        .zip(&paddings)
-        .map(|(&d, &(b, a))| d + b + a)
-        .product::<usize>()
-        .max(1);
-    ComputePipeline::elementwise("Pad", out_len, 1, move |inp, out| {
+pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32) -> Kernel {
+    let (shape, paddings) = (Shape::new(in_dims), paddings.to_vec());
+    let out_len = in_dims.iter().zip(&paddings).map(|(&d, &(b, a))| d + b + a).product();
+    elementwise("Pad", out_len, 1, move |inp, out| {
         out.copy_from_slice(&k::pad(inp[0], &shape, &paddings, value))
     })
 }
 
 /// Gather rows along one axis (index buffer narrowed back to i32).
-pub fn gather(in_dims: Vec<usize>, axis: usize, out_len: usize) -> ComputePipeline {
+pub fn gather(in_dims: &[usize], axis: usize, n_indices: usize) -> Kernel {
     let shape = Shape::new(in_dims);
-    ComputePipeline::elementwise("Gather", out_len, 1, move |inp, out| {
+    let out_len = len_without(in_dims, &[axis]) * n_indices;
+    elementwise("Gather", out_len, 1, move |inp, out| {
         out.copy_from_slice(&k::gather(inp[0], &shape, &narrow_i32(inp[1]), axis))
     })
 }
 
 /// Tiling (repetition) along every axis.
-pub fn tile(in_dims: Vec<usize>, reps: Vec<usize>) -> ComputePipeline {
-    let shape = Shape::new(in_dims);
-    let out_len: usize =
-        shape.dims().iter().zip(&reps).map(|(&d, &r)| d * r).product::<usize>().max(1);
-    ComputePipeline::elementwise("Tile", out_len, 1, move |inp, out| {
+pub fn tile(in_dims: &[usize], reps: &[usize]) -> Kernel {
+    let (shape, reps) = (Shape::new(in_dims), reps.to_vec());
+    let out_len = in_dims.iter().zip(&reps).map(|(&d, &r)| d * r).product();
+    elementwise("Tile", out_len, 1, move |inp, out| {
         out.copy_from_slice(&k::tile(inp[0], &shape, &reps))
     })
 }
 
 /// Axis reversal.
-pub fn reverse(in_dims: Vec<usize>, axes: Vec<usize>) -> ComputePipeline {
-    let shape = Shape::new(in_dims);
-    ComputePipeline::elementwise("Reverse", shape.size(), 1, move |inp, out| {
+pub fn reverse(in_dims: &[usize], axes: &[usize]) -> Kernel {
+    let (shape, axes) = (Shape::new(in_dims), axes.to_vec());
+    elementwise("Reverse", shape.size(), 1, move |inp, out| {
         out.copy_from_slice(&k::reverse(inp[0], &shape, &axes))
     })
 }
 
 /// Broadcasting ternary select.
 pub fn select(
-    cond_dims: Vec<usize>,
-    a_dims: Vec<usize>,
-    b_dims: Vec<usize>,
-    out_dims: Vec<usize>,
-) -> ComputePipeline {
+    cond_dims: &[usize],
+    a_dims: &[usize],
+    b_dims: &[usize],
+    out_dims: &[usize],
+) -> Kernel {
     let (c_s, a_s, b_s, o_s) =
         (Shape::new(cond_dims), Shape::new(a_dims), Shape::new(b_dims), Shape::new(out_dims));
-    ComputePipeline::elementwise("Select", o_s.size(), 1, move |inp, out| {
+    elementwise("Select", o_s.size(), 1, move |inp, out| {
         out.copy_from_slice(&k::select(inp[0], &c_s, inp[1], &a_s, inp[2], &b_s, &o_s))
     })
 }
 
 /// One-hot encoding of an index buffer.
-pub fn one_hot(depth: usize, on: f32, off: f32, out_len: usize) -> ComputePipeline {
-    ComputePipeline::elementwise("OneHot", out_len, 1, move |inp, out| {
+pub fn one_hot(indices_dims: &[usize], depth: usize, on: f32, off: f32) -> Kernel {
+    let out_len = indices_dims.iter().product::<usize>() * depth;
+    elementwise("OneHot", out_len, 1, move |inp, out| {
         out.copy_from_slice(&k::one_hot(&narrow_i32(inp[0]), depth, on, off))
     })
 }
 
 /// Bilinear resize of an NHWC tensor.
 pub fn resize_bilinear(
-    in_dims: Vec<usize>,
+    in_dims: &[usize],
     new_h: usize,
     new_w: usize,
     align_corners: bool,
-) -> ComputePipeline {
+) -> Kernel {
     let shape = Shape::new(in_dims);
     let out_len = shape.dim(0) * new_h * new_w * shape.dim(3);
-    ComputePipeline::elementwise("ResizeBilinear", out_len, 4, move |inp, out| {
+    elementwise("ResizeBilinear", out_len, 4, move |inp, out| {
         out.copy_from_slice(&k::resize_bilinear(inp[0], &shape, new_h, new_w, align_corners))
     })
 }
 
 /// Fused elementwise chain: one dispatch applies the whole step list,
 /// replaying the same broadcast/kernel sequence the unfused fallback
-/// composes (one shared-kernel call per step → bit-identical).
-/// `step_shapes[i]` is the chain's shape after step `i`, precomputed by the
-/// backend from the validated op-layer shapes.
+/// composes (one shared-kernel call per step → bit-identical). The chain's
+/// shape after each step is worked out here, host-side.
 pub fn fused_elementwise(
-    x_dims: Vec<usize>,
-    extra_dims: Vec<Vec<usize>>,
-    steps: Vec<FusedStep>,
-    step_shapes: Vec<Shape>,
-    out_len: usize,
-) -> ComputePipeline {
-    let x_shape = Shape::new(x_dims);
-    let extra_shapes: Vec<Shape> = extra_dims.into_iter().map(Shape::new).collect();
-    let cost = steps.len().max(1);
-    ComputePipeline::elementwise("FusedElementwise", out_len, cost, move |inp, out| {
+    in_dims: &[&[usize]],
+    steps: &[FusedStep],
+    out_dims: &[usize],
+) -> Result<Kernel> {
+    let x_shape = Shape::new(in_dims[0]);
+    let extra_shapes: Vec<Shape> = in_dims[1..].iter().map(|&d| Shape::new(d)).collect();
+    let mut chain = x_shape.clone();
+    let mut step_shapes = Vec::with_capacity(steps.len());
+    for step in steps {
+        if let FusedStep::Binary(_, i) = *step {
+            chain = broadcast_shapes("FusedElementwise", &chain, &extra_shapes[i])?;
+        }
+        step_shapes.push(chain.clone());
+    }
+    let steps = steps.to_vec();
+    let (out_len, cost) = (out_dims.iter().product(), steps.len().max(1));
+    Ok(elementwise("FusedElementwise", out_len, cost, move |inp, out| {
         let mut vals = inp[0].to_vec();
         let mut shape = x_shape.clone();
         for (step, after) in steps.iter().zip(&step_shapes) {
@@ -769,7 +773,7 @@ pub fn fused_elementwise(
             shape = after.clone();
         }
         out.copy_from_slice(&vals)
-    })
+    }))
 }
 
 /// Differential tests: each own kernel against its `webml_core::kernels`
@@ -779,6 +783,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+    use webml_webgl_sim::shader::KernelBody;
 
     /// Deterministic values in roughly [-2, 2] (xorshift).
     fn data(n: usize, seed: u64) -> Vec<f32> {
@@ -803,9 +808,12 @@ mod tests {
     }
 
     /// Run a body the way the queue does: into a buffer holding stale values.
-    fn run(pl: &ComputePipeline, inputs: &[&[f32]]) -> Vec<u32> {
-        let mut out = vec![f32::NAN; pl.out_len];
-        (pl.body)(inputs, &mut out);
+    fn run(pl: &Kernel, inputs: &[&[f32]]) -> Vec<u32> {
+        let mut out = vec![f32::NAN; pl.out_size()];
+        match &pl.body {
+            KernelBody::Compute(body) => body(inputs, &mut out),
+            KernelBody::Fragment(_) => panic!("{} is not a compute pipeline", pl.name),
+        }
         bits(&out)
     }
 
@@ -848,16 +856,16 @@ mod tests {
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
         let want = k::conv2d(&x, &w, c);
-        assert_eq!(run(&conv2d(c.clone()), &[&x, &w]), bits(&want), "conv2d {c:?}");
+        assert_eq!(run(&conv2d(c, false), &[&x, &w]), bits(&want), "conv2d {c:?}");
         for (has_bias, act) in EPILOGUES {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&fused_conv2d(c.clone(), has_bias, act), &[&x, &w, &bias]),
+                run(&fused_conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
                 "fused_conv2d bias={has_bias} {act:?} {c:?}"
             );
             for p in params(3, c.out_channels, seed + 4) {
-                let pl = fused_conv2d_quant(c.clone(), &p, has_bias, act);
+                let pl = fused_conv2d_quant(c, &p, (has_bias, act));
                 assert_eq!(
                     run(&pl, &[&x, &widen(&w_q), &bias]),
                     bits(&k::fused_conv2d_quant(&x, &w_q, &p, b, act, c)),
@@ -875,18 +883,18 @@ mod tests {
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
         let want = k::depthwise_conv2d(&x, &w, c);
-        assert_eq!(run(&depthwise_conv2d(c.clone()), &[&x, &w]), bits(&want), "depthwise {c:?}");
+        assert_eq!(run(&depthwise_conv2d(c, false), &[&x, &w]), bits(&want), "depthwise {c:?}");
         let per_ic = params(2, c.in_channels, seed + 4);
         let [_, per_m] = params(3, c.channel_mul, seed + 6);
         for (has_bias, act) in EPILOGUES {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&fused_depthwise_conv2d(c.clone(), has_bias, act), &[&x, &w, &bias]),
+                run(&fused_depthwise_conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
                 "fused_depthwise bias={has_bias} {act:?} {c:?}"
             );
             for p in per_ic.iter().chain([&per_m]) {
-                let pl = fused_depthwise_conv2d_quant(c.clone(), p, has_bias, act);
+                let pl = fused_depthwise_conv2d_quant(c, p, (has_bias, act));
                 assert_eq!(
                     run(&pl, &[&x, &widen(&w_q), &bias]),
                     bits(&k::fused_depthwise_conv2d_quant(&x, &w_q, p, b, act, c)),
@@ -965,8 +973,16 @@ mod tests {
                     for (has_bias, act) in EPILOGUES {
                         for p in params(if tb { 1 } else { 2 }, n, seed + 3) {
                             let b = has_bias.then_some(bias.as_slice());
-                            let pl =
-                                fused_matmul_quant(batch, m, kdim, n, ta, tb, &p, has_bias, act);
+                            let geom = MatMulGeom {
+                                batch,
+                                m,
+                                k: kdim,
+                                n,
+                                b_batch: if b_len == kdim * n { 1 } else { batch },
+                                transpose_a: ta,
+                                transpose_b: tb,
+                            };
+                            let pl = fused_matmul_quant(&geom, &p, (has_bias, act));
                             let want = k::fused_matmul_quant(
                                 &a, &b_q, &p, b, act, batch, m, kdim, n, ta, tb,
                             );

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use webml_webgl_sim::context::{ContextConfig, GpgpuContext};
 use webml_webgl_sim::devices::DeviceProfile;
-use webml_webgl_sim::shader::Program;
+use webml_webgl_sim::shader::Kernel as Program;
 
 fn add_program(n: usize, packed: bool) -> Program {
     if packed {

@@ -74,7 +74,7 @@ const SERVICE_MARGIN_MS: f64 = 10.0;
 
 /// An engine with a WebGL backend on `profile` (optionally faulted) over a
 /// CPU fallback rung. Returns the backend too so a recover hook can reach
-/// `recover_context`.
+/// `recover`.
 fn webgl_engine(profile: DeviceProfile, plan: Option<FaultPlan>) -> (Engine, Arc<WebGlBackend>) {
     let e = Engine::new();
     e.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
@@ -116,7 +116,7 @@ fn build_fleet(
     let specs = vec![
         EngineSpec::new("gtx", &gtx, 16),
         EngineSpec::new("iris", &iris, 4)
-            .with_recover_hook(Arc::new(move || iris_backend.recover_context())),
+            .with_recover_hook(Arc::new(move || iris_backend.recover())),
         EngineSpec::new("android", &android, 2),
         EngineSpec::new("cpu", &cpu, 1),
     ];

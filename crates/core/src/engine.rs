@@ -515,9 +515,10 @@ impl Engine {
 
     /// Block until a fence passes (`gl.clientWaitSync`); a no-op for
     /// `None` tokens. Waiting on a token after a degradation switched the
-    /// active backend is safe: the new backend's defaults treat foreign
-    /// tokens as passed, and the failed device's queue keeps executing
-    /// fences independently.
+    /// active backend is safe: a GPU backend's token names the device
+    /// context that minted it, every other context reads it as passed (as do
+    /// the synchronous backends, which pass every token), and the failed
+    /// device's queue keeps executing fences independently.
     pub fn wait_fence(&self, token: Option<crate::backend::FenceToken>) {
         if let Some(t) = token {
             self.backend().wait_fence(t);

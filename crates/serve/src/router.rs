@@ -60,7 +60,7 @@ use crate::{chunked, read_rows, InferResponse, WindowPolicy};
 pub type FleetResult<T> = std::result::Result<T, ServeError>;
 
 /// An engine's recovery hook, invoked by the maintenance thread before
-/// canary-probing a tripped engine (e.g. `WebGlBackend::recover_context`).
+/// canary-probing a tripped engine (e.g. `GpuBackend::recover`).
 /// Returns whether recovery succeeded; a `false` fails the probe early.
 pub type RecoverHook = Arc<dyn Fn() -> bool + Send + Sync>;
 

@@ -1,18 +1,21 @@
-//! The GPGPUContext (paper Sec 4.1): the host-side abstraction over the
-//! simulated WebGL device — texture upload/readback, program execution,
-//! fences, disjoint timer queries, recycling and paging.
+//! The GPGPUContext (paper Sec 4.1): the host-side abstraction over a
+//! simulated GPU device — upload/readback, kernel dispatch, fences, timer
+//! queries, recycling and paging. One context type serves every GPU API;
+//! the [`Capabilities`] descriptor it is created with says which one.
 
+use crate::caps::{Capabilities, Storage, WEBGL};
 use crate::devices::DeviceProfile;
 use crate::fault::{ContextLossEvent, FaultPlan, FaultState, FaultStats};
 use crate::future::ReadFuture;
 use crate::layout::{LayoutError, TextureLayout};
 use crate::pager::{PagerStats, PagingPolicy};
-use crate::queue::{device_loop, Command, DeviceShared, QueueStats, TexId};
+use crate::queue::{device_loop, Command, DeviceShared, Geometry, QueueStats, ReadDone, TexId};
 use crate::recycler::RecyclerStats;
-use crate::shader::Program;
+use crate::shader::{Kernel, KernelBody};
 use crate::texture::TextureFormat;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,46 +48,58 @@ impl Default for ContextConfig {
 /// Memory/diagnostic gauges of the device.
 #[derive(Debug, Clone, Default)]
 pub struct GpuMemoryStats {
-    /// Bytes resident in GPU textures.
+    /// Bytes resident in GPU memory.
     pub bytes_in_gpu: usize,
-    /// Live texture handles (excluding the recycler's free pool).
+    /// Live allocations (excluding the recycler's free pool).
     pub num_textures: usize,
-    /// Programs executed so far.
+    /// Kernels executed so far.
     pub programs_run: u64,
     /// Recycler counters.
     pub recycler: RecyclerStats,
-    /// Paging counters.
+    /// Paging counters; `bytes_paged` includes post-loss host shadows.
     pub pager: PagerStats,
+    /// Frozen benchmark surface: the compute rung's spelling of
+    /// `programs_run`.
+    pub dispatches_run: u64,
+    /// Frozen benchmark surface: `recycler.hits`.
+    pub recycler_hits: u64,
+    /// Frozen benchmark surface: `recycler.misses`.
+    pub recycler_misses: u64,
 }
 
-/// Errors from context operations.
+/// Errors from context operations. The transient/permanent split is what
+/// the engine's degradation ladder classifies by, identically on every
+/// rung.
 #[derive(Debug, Clone, PartialEq)]
-pub enum GlError {
-    /// The device cannot run float-texture GPGPU at all (Sec 4.1.3).
+pub enum DeviceError {
+    /// The device cannot host a context of this API at all (Sec 4.1.3): no
+    /// float textures for WebGL, no compute API for WebGPU.
     Unsupported {
         /// Device name.
         device: String,
+        /// The API asked for.
+        api: &'static str,
     },
     /// A tensor exceeded the device texture limits.
     Layout(LayoutError),
     /// Readback failed.
     Read(String),
-    /// The WebGL context was lost (`webglcontextlost`). All device textures
-    /// are invalidated; uploads and draws fail until the context is
-    /// restored, but host-side shadow copies remain readable.
+    /// The context was lost (`webglcontextlost`, `device.lost`). All device
+    /// allocations are invalidated; uploads and dispatches fail until the
+    /// context is restored, but host-side shadow copies remain readable.
     ContextLost,
-    /// Texture allocation failed: the driver refused `requested` bytes
-    /// against a `limit`-byte budget.
+    /// Allocation failed: the driver refused `requested` bytes against a
+    /// `limit`-byte budget.
     Oom {
         /// Bytes the allocation asked for.
         requested: usize,
         /// The device's byte budget.
         limit: usize,
     },
-    /// The driver rejected a shader at compile time.
-    ShaderCompile {
-        /// Name of the rejected program.
-        program: String,
+    /// The driver rejected a kernel at compile / pipeline-creation time.
+    Compile {
+        /// Name of the rejected kernel.
+        kernel: String,
     },
     /// A readback failed transiently; retrying is expected to succeed.
     TransientReadback {
@@ -93,91 +108,95 @@ pub enum GlError {
     },
 }
 
-impl GlError {
+impl DeviceError {
     /// Whether retrying the same operation on the same context can succeed
     /// without intervention (only transient readbacks qualify; context loss
     /// needs a restore, OOM needs frees, compile failures are permanent).
     pub fn is_transient(&self) -> bool {
-        matches!(self, GlError::TransientReadback { .. })
+        matches!(self, DeviceError::TransientReadback { .. })
     }
 }
 
-impl std::fmt::Display for GlError {
+impl std::fmt::Display for DeviceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GlError::Unsupported { device } => {
-                write!(f, "device {device} lacks float texture support (OES_texture_float)")
+            DeviceError::Unsupported { device, api } => {
+                write!(f, "device {device} cannot host a {api} context")
             }
-            GlError::Layout(e) => write!(f, "{e}"),
-            GlError::Read(e) => write!(f, "readback failed: {e}"),
-            GlError::ContextLost => write!(f, "webgl context lost"),
-            GlError::Oom { requested, limit } => {
-                write!(f, "texture allocation of {requested} bytes failed (limit {limit} bytes)")
+            DeviceError::Layout(e) => write!(f, "{e}"),
+            DeviceError::Read(e) => write!(f, "readback failed: {e}"),
+            DeviceError::ContextLost => write!(f, "gpu context lost"),
+            DeviceError::Oom { requested, limit } => {
+                write!(f, "allocation of {requested} bytes failed (limit {limit} bytes)")
             }
-            GlError::ShaderCompile { program } => {
-                write!(f, "shader compilation failed for program {program}")
-            }
-            GlError::TransientReadback { attempt } => {
+            DeviceError::Compile { kernel } => write!(f, "compilation failed for kernel {kernel}"),
+            DeviceError::TransientReadback { attempt } => {
                 write!(f, "transient readback failure (injected failure #{attempt})")
             }
         }
     }
 }
 
-impl std::error::Error for GlError {}
+impl std::error::Error for DeviceError {}
 
-impl From<LayoutError> for GlError {
+impl From<LayoutError> for DeviceError {
     fn from(e: LayoutError) -> Self {
-        GlError::Layout(e)
+        DeviceError::Layout(e)
     }
 }
 
-/// A handle to a device texture holding one logical tensor.
+/// A handle to a device allocation holding one logical tensor.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TexHandle {
-    /// Device texture id.
+pub struct Handle {
+    /// Device allocation id.
     pub id: TexId,
-    /// Compiled layout.
-    pub layout: TextureLayout,
-}
-
-impl TexHandle {
     /// Logical element count.
-    pub fn size(&self) -> usize {
-        self.layout.size()
-    }
+    pub len: usize,
+    /// The compiled logical→physical mapping a fragment body samples
+    /// through. `None` on linear storage, where a tensor is just its
+    /// flattened values.
+    pub layout: Option<TextureLayout>,
 }
 
-/// A fence inserted into the command queue (`gl.fenceSync`, Sec 4.1.1).
+/// A fence inserted into the command queue (`gl.fenceSync`, Sec 4.1.1). It
+/// knows the context that minted it, so it can be handed to any context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FenceHandle(u64);
+pub struct FenceHandle {
+    context: u64,
+    seq: u64,
+}
+
+/// Bits of a raw fence token that hold the sequence number; the minting
+/// context's process-unique id sits above them.
+const FENCE_SEQ_BITS: u32 = 40;
 
 impl FenceHandle {
-    /// The raw fence id, for embedding in backend-neutral tokens.
+    /// The fence as one integer, for embedding in backend-neutral tokens.
     pub fn raw(self) -> u64 {
-        self.0
+        self.context << FENCE_SEQ_BITS | self.seq
     }
 
-    /// Rebuild a handle from [`FenceHandle::raw`]. Ids are monotone per
-    /// context; a stale or foreign id simply compares against
-    /// `last_fence` like any other.
-    pub fn from_raw(id: u64) -> FenceHandle {
-        FenceHandle(id)
+    /// Rebuild a handle from [`FenceHandle::raw`].
+    pub fn from_raw(raw: u64) -> FenceHandle {
+        FenceHandle { context: raw >> FENCE_SEQ_BITS, seq: raw & ((1 << FENCE_SEQ_BITS) - 1) }
     }
 }
 
-/// The host-side GPGPU context over a simulated WebGL device.
+/// The host-side GPGPU context over a simulated device.
 pub struct GpgpuContext {
+    caps: &'static Capabilities,
     profile: DeviceProfile,
     config: ContextConfig,
+    /// Process-unique id, stamped on the fences this context mints.
+    id: u64,
     shared: Arc<DeviceShared>,
     sender: Sender<Command>,
     next_tex: AtomicU64,
     next_fence: AtomicU64,
     timing_mark: AtomicU64,
     faults: FaultState,
-    /// Compiled-program cache, keyed by (name, packed). Compilation is
-    /// attempted on first use of each program variant and the result cached
+    /// Compiled-kernel cache, keyed by (name, packed). Compilation is
+    /// attempted on first use of each kernel variant and the result cached
     /// — like a real GL program cache — so an injected compile failure
     /// repeats deterministically and a context loss forces recompilation.
     compiled: Mutex<HashSet<(&'static str, bool)>>,
@@ -185,26 +204,32 @@ pub struct GpgpuContext {
 }
 
 impl GpgpuContext {
-    /// Create a context on `profile`.
+    /// Create a WebGL context on `profile`.
     ///
     /// # Errors
-    /// [`GlError::Unsupported`] when the device lacks float-texture support
-    /// — callers should fall back to the CPU backend, as TensorFlow.js does.
-    pub fn new(profile: DeviceProfile, config: ContextConfig) -> Result<GpgpuContext, GlError> {
-        GpgpuContext::with_faults(profile, config, FaultPlan::none())
+    /// [`DeviceError::Unsupported`] when the device lacks float-texture
+    /// support — callers should fall back to the CPU backend, as
+    /// TensorFlow.js does.
+    pub fn new(profile: DeviceProfile, config: ContextConfig) -> Result<GpgpuContext, DeviceError> {
+        GpgpuContext::on(&WEBGL, profile, config, FaultPlan::none())
     }
 
-    /// Create a context that injects faults according to `plan`.
+    /// Create a context of the API `caps` describes, injecting faults
+    /// according to `plan`. One seedable [`FaultPlan`] vocabulary serves
+    /// every API, so a soak seed schedules the same faults on either rung of
+    /// the degradation ladder.
     ///
     /// # Errors
-    /// [`GlError::Unsupported`] when the device lacks float-texture support.
-    pub fn with_faults(
+    /// [`DeviceError::Unsupported`] when `profile` cannot host the API.
+    pub fn on(
+        caps: &'static Capabilities,
         profile: DeviceProfile,
         config: ContextConfig,
         plan: FaultPlan,
-    ) -> Result<GpgpuContext, GlError> {
-        if !profile.supports_float_textures() {
-            return Err(GlError::Unsupported { device: profile.name.clone() });
+    ) -> Result<GpgpuContext, DeviceError> {
+        static NEXT_CONTEXT: AtomicU64 = AtomicU64::new(1);
+        if !caps.supported_on(&profile) {
+            return Err(DeviceError::Unsupported { device: profile.name.clone(), api: caps.api });
         }
         let shared = Arc::new(DeviceShared::new(config.recycling));
         let (tx, rx) = crossbeam::channel::unbounded();
@@ -213,12 +238,14 @@ impl GpgpuContext {
         let half = profile.half_precision_only;
         let paging = config.paging;
         let worker = std::thread::Builder::new()
-            .name("webgl-device".into())
-            .spawn(move || device_loop(rx, worker_shared, parallelism, half, paging))
+            .name(caps.device_thread.into())
+            .spawn(move || device_loop(rx, worker_shared, caps, parallelism, half, paging))
             .expect("spawn device thread");
         Ok(GpgpuContext {
+            caps,
             profile,
             config,
+            id: NEXT_CONTEXT.fetch_add(1, Ordering::Relaxed),
             shared,
             sender: tx,
             next_tex: AtomicU64::new(1),
@@ -250,27 +277,48 @@ impl GpgpuContext {
         fmt.with_packing(packed)
     }
 
-    fn compile_layout(&self, shape: &[usize], packed: bool) -> Result<TextureLayout, GlError> {
-        Ok(TextureLayout::compile(
-            shape,
-            self.base_format(packed),
-            self.profile.max_texture_size,
-            self.config.squeeze_layout,
-        )?)
+    /// Where a `len`-element tensor of logical `shape` goes on this device:
+    /// a compiled texture layout, or a bare `1 × len` linear buffer.
+    fn place(
+        &self,
+        shape: &[usize],
+        len: usize,
+        format: TextureFormat,
+    ) -> Result<(Option<TextureLayout>, Geometry), DeviceError> {
+        match self.caps.storage {
+            Storage::Texture => {
+                let layout = TextureLayout::compile(
+                    shape,
+                    format,
+                    self.profile.max_texture_size,
+                    self.config.squeeze_layout,
+                )?;
+                let geometry = (layout.tex_rows, layout.tex_cols, format);
+                Ok((Some(layout), geometry))
+            }
+            Storage::Linear => Ok((None, (1, len, format))),
+        }
     }
 
-    /// Upload host values as a new texture-backed tensor.
+    /// Upload host values as a new device tensor.
     ///
     /// # Errors
-    /// [`GlError::Layout`] when the tensor exceeds texture limits;
-    /// [`GlError::ContextLost`] / [`GlError::Oom`] under injected faults.
-    pub fn upload(&self, data: Vec<f32>, shape: &[usize]) -> Result<TexHandle, GlError> {
-        self.try_upload(data, shape).map_err(|(e, _)| e)
+    /// [`DeviceError::Layout`] when the tensor exceeds texture limits;
+    /// [`DeviceError::ContextLost`] / [`DeviceError::Oom`] under injected
+    /// faults.
+    pub fn upload(&self, data: Vec<f32>, shape: &[usize]) -> Result<Handle, DeviceError> {
+        self.try_upload(data, shape, false).map_err(|(e, _)| e)
     }
 
     /// Like [`upload`](Self::upload), but returns the data on failure so
     /// callers can keep a host-side copy instead of losing the values —
-    /// the basis of graceful degradation in the WebGL backend.
+    /// the basis of graceful degradation in the backend above.
+    ///
+    /// With `byte_codes` the values are u8 quantization codes widened to
+    /// f32 and land in one byte per code of device memory (`R8`, 4x less
+    /// than f32), which is what the allocator, the paging policy and the
+    /// injected OOM fault all see. Kernels read the codes widened; the
+    /// affine dequantization stays in the consuming kernel's epilogue.
     ///
     /// # Errors
     /// As [`upload`](Self::upload), with the rejected data attached.
@@ -278,112 +326,90 @@ impl GpgpuContext {
         &self,
         data: Vec<f32>,
         shape: &[usize],
-    ) -> Result<TexHandle, (GlError, Vec<f32>)> {
+        byte_codes: bool,
+    ) -> Result<Handle, (DeviceError, Vec<f32>)> {
         if self.faults.is_lost() {
-            return Err((GlError::ContextLost, data));
+            return Err((DeviceError::ContextLost, data));
         }
-        let layout = match self.compile_layout(shape, false) {
-            Ok(l) => l,
+        let format = if byte_codes { TextureFormat::R8 } else { self.base_format(false) };
+        let placed = self.place(shape, data.len(), format);
+        let (layout, geometry) = match placed.and_then(|p| self.check_alloc(p.1).map(|()| p)) {
+            Ok(p) => p,
             Err(e) => return Err((e, data)),
         };
-        if let Err(e) = self.check_alloc(&layout) {
-            return Err((e, data));
-        }
-        let id = self.next_tex.fetch_add(1, Ordering::Relaxed);
+        let (id, len) = (self.next_tex.fetch_add(1, Ordering::Relaxed), data.len());
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        self.sender
-            .send(Command::Upload {
-                tex: id,
-                data,
-                rows: layout.tex_rows,
-                cols: layout.tex_cols,
-                format: layout.format,
-            })
-            .expect("device thread alive");
-        Ok(TexHandle { id, layout })
+        self.sender.send(Command::Upload { tex: id, data, geometry }).expect("device thread alive");
+        Ok(Handle { id, len, layout })
     }
 
-    /// Upload u8 quantization codes as an `R8` texture: one byte per code
-    /// of device memory (4x less than `R32F`), which is what the
-    /// allocator, the paging policy and the injected OOM fault all see.
-    /// Sampling the texture yields the integer code widened to f32; the
-    /// affine dequantization stays in the consuming program's epilogue.
+    /// Upload u8 quantization codes, one byte each on the device (see
+    /// [`try_upload`](Self::try_upload)).
     ///
     /// # Errors
-    /// [`GlError::Layout`] when the tensor exceeds texture limits;
-    /// [`GlError::ContextLost`] / [`GlError::Oom`] under injected faults.
-    pub fn upload_quantized(&self, codes: &[u8], shape: &[usize]) -> Result<TexHandle, GlError> {
-        if self.faults.is_lost() {
-            return Err(GlError::ContextLost);
-        }
-        let layout = TextureLayout::compile(
-            shape,
-            TextureFormat::R8,
-            self.profile.max_texture_size,
-            self.config.squeeze_layout,
-        )?;
-        self.check_alloc(&layout)?;
-        let id = self.next_tex.fetch_add(1, Ordering::Relaxed);
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        self.sender
-            .send(Command::Upload {
-                tex: id,
-                data: codes.iter().map(|&c| c as f32).collect(),
-                rows: layout.tex_rows,
-                cols: layout.tex_cols,
-                format: layout.format,
-            })
-            .expect("device thread alive");
-        Ok(TexHandle { id, layout })
+    /// As [`upload`](Self::upload).
+    pub fn upload_quantized(&self, codes: &[u8], shape: &[usize]) -> Result<Handle, DeviceError> {
+        let widened = codes.iter().map(|&c| c as f32).collect();
+        self.try_upload(widened, shape, true).map_err(|(e, _)| e)
     }
 
     /// Host-side allocation gate for the injected OOM fault: a real driver
-    /// reports `gl.OUT_OF_MEMORY` synchronously at texture creation. Only
-    /// runs (and only drains the queue, for an accurate residency figure)
-    /// when the fault plan sets a byte limit.
-    fn check_alloc(&self, layout: &TextureLayout) -> Result<(), GlError> {
+    /// reports `gl.OUT_OF_MEMORY` synchronously at allocation. Only runs
+    /// (and only drains the queue, for an accurate residency figure) when
+    /// the fault plan sets a byte limit.
+    fn check_alloc(&self, (rows, cols, format): Geometry) -> Result<(), DeviceError> {
         if self.faults.plan().texture_byte_limit.is_none() {
             return Ok(());
         }
         self.flush();
-        let requested = layout.byte_size();
+        let requested = rows * cols * format.texel_bytes();
         let resident = self.shared.bytes_gpu.load(Ordering::Relaxed);
-        match self.faults.alloc_blocked(requested, resident, self.config.paging.enabled) {
-            Some(limit) => Err(GlError::Oom { requested, limit }),
+        let paging = self.caps.paging && self.config.paging.enabled;
+        match self.faults.alloc_blocked(requested, resident, paging) {
+            Some(limit) => Err(DeviceError::Oom { requested, limit }),
             None => Ok(()),
         }
     }
 
-    /// Enqueue a program over `inputs`, returning the output handle
+    /// Enqueue a kernel over `inputs`, returning the output handle
     /// immediately (sub-millisecond) while the device computes.
     ///
-    /// Packed program bodies run packed only when the context enables
+    /// Packed fragment bodies run packed only when the context enables
     /// packing; otherwise the per-element path must be provided by the
-    /// caller (programs carry a single body).
+    /// caller (kernels carry a single body).
     ///
     /// # Errors
-    /// [`GlError::Layout`] when the output exceeds texture limits;
-    /// [`GlError::ContextLost`], [`GlError::ShaderCompile`] or
-    /// [`GlError::Oom`] under injected faults.
-    pub fn run(&self, program: Program, inputs: &[&TexHandle]) -> Result<TexHandle, GlError> {
+    /// [`DeviceError::Layout`] when the output exceeds texture limits;
+    /// [`DeviceError::ContextLost`], [`DeviceError::Compile`] or
+    /// [`DeviceError::Oom`] under injected faults. A fragment body given an
+    /// input without a texture layout cannot compile either.
+    pub fn run<H: Borrow<Handle>>(&self, kernel: Kernel, inputs: &[H]) -> Result<Handle, DeviceError> {
         if self.faults.is_lost() {
-            return Err(GlError::ContextLost);
+            return Err(DeviceError::ContextLost);
         }
-        let packed = program.is_packed() && self.config.packing;
-        self.compile_program(&program)?;
-        let out_layout = self.compile_layout(&program.out_shape.clone(), packed)?;
-        self.check_alloc(&out_layout)?;
+        let packed = kernel.is_packed() && self.config.packing;
+        self.compile(&kernel, packed)?;
+        let len = kernel.out_size();
+        let (layout, out_geometry) = self.place(&kernel.out_shape, len, self.base_format(packed))?;
+        self.check_alloc(out_geometry)?;
+        let in_layouts = match kernel.body {
+            KernelBody::Compute(_) => Vec::new(),
+            KernelBody::Fragment(_) => inputs
+                .iter()
+                .map(|h| h.borrow().layout.clone())
+                .collect::<Option<_>>()
+                .ok_or_else(|| DeviceError::Compile { kernel: kernel.name.to_string() })?,
+        };
         if let Some(event) = self.faults.before_draw() {
-            // The draw itself loses the context: invalidate every device
-            // texture (the device converts them to host-side shadows) and
-            // fire the `webglcontextlost` observers.
+            // The dispatch itself loses the context: invalidate every
+            // device allocation (the device converts them to host-side
+            // shadows) and fire the loss observers.
             self.sender.send(Command::LoseContext).expect("device thread alive");
             self.compiled.lock().clear();
             self.faults.notify_loss(&event);
-            return Err(GlError::ContextLost);
+            return Err(DeviceError::ContextLost);
         }
         let id = self.next_tex.fetch_add(1, Ordering::Relaxed);
-        let in_layouts: Vec<TextureLayout> = inputs.iter().map(|h| h.layout.clone()).collect();
         // Straggler injection: decided host-side (seeded, synchronous, like
         // every other fault decision) but paid on the device thread, where a
         // real throttled GPU would pay it.
@@ -391,47 +417,50 @@ impl GpgpuContext {
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
         self.sender
             .send(Command::Run {
-                program,
-                inputs: inputs.iter().map(|h| h.id).collect(),
+                kernel,
+                inputs: inputs.iter().map(|h| h.borrow().id).collect(),
                 in_layouts,
                 output: id,
-                out_layout: out_layout.clone(),
+                out_geometry,
                 stall_ns,
                 trace_id: webml_telemetry::current_trace_id(),
             })
             .expect("device thread alive");
-        Ok(TexHandle { id, layout: out_layout })
+        Ok(Handle { id, len, layout })
     }
 
-    /// Re-view a texture under a different logical shape (same element
+    /// Re-view a tensor under a different logical shape (same element
     /// count): the free `reshape` of paper Sec 3.4 — no data moves, only
-    /// the layout's accessor math changes.
+    /// the layout's accessor math changes. Linear storage has no accessor
+    /// math, so there the handle comes back as it is.
     ///
     /// # Errors
-    /// [`GlError::Layout`] when the shape cannot be laid out (cannot happen
-    /// for shapes of equal size to an existing layout, kept for safety).
-    pub fn relayout(&self, h: &TexHandle, shape: &[usize]) -> Result<TexHandle, GlError> {
+    /// [`DeviceError::Layout`] when the shape cannot be laid out (cannot
+    /// happen for shapes of equal size to an existing layout, kept for
+    /// safety).
+    pub fn relayout(&self, h: &Handle, shape: &[usize]) -> Result<Handle, DeviceError> {
+        let Some(old) = &h.layout else { return Ok(h.clone()) };
         let mut layout = TextureLayout::compile(
             shape,
-            h.layout.format,
+            old.format,
             self.profile.max_texture_size,
             self.config.squeeze_layout,
         )?;
         // Keep the physical texture geometry of the existing allocation.
-        layout.tex_rows = h.layout.tex_rows;
-        layout.tex_cols = h.layout.tex_cols;
-        Ok(TexHandle { id: h.id, layout })
+        layout.tex_rows = old.tex_rows;
+        layout.tex_cols = old.tex_cols;
+        Ok(Handle { id: h.id, len: h.len, layout: Some(layout) })
     }
 
-    /// Attempt to compile (or fetch from the program cache) a shader.
-    fn compile_program(&self, program: &Program) -> Result<(), GlError> {
-        let key = program.compile_key(self.config.packing);
+    /// Attempt to compile (or fetch from the kernel cache) a kernel.
+    fn compile(&self, kernel: &Kernel, packed: bool) -> Result<(), DeviceError> {
+        let key = (kernel.name, packed);
         let mut cache = self.compiled.lock();
         if cache.contains(&key) {
             return Ok(());
         }
-        if self.faults.compile_blocked(program.name, self.profile.half_precision_only) {
-            return Err(GlError::ShaderCompile { program: program.name.to_string() });
+        if self.faults.compile_blocked(kernel.name, self.profile.half_precision_only) {
+            return Err(DeviceError::Compile { kernel: kernel.name.to_string() });
         }
         cache.insert(key);
         Ok(())
@@ -439,62 +468,56 @@ impl GpgpuContext {
 
     /// Blocking readback (`gl.readPixels` after an implicit flush) — the
     /// `dataSync()` path of Figure 2. When the command queue still has
-    /// unexecuted uploads or draws, the simulated driver charges the
+    /// unexecuted uploads or dispatches, the simulated driver charges the
     /// profile's pipeline-drain penalty as wall-clock latency; synchronize
     /// with [`GpgpuContext::wait_fence`] first (the Figure 3 discipline) to
     /// read for free.
     ///
     /// Readback keeps working after a context loss: the device preserves
-    /// host-side shadows of invalidated textures, exactly the copies a
+    /// host-side shadows of invalidated allocations, exactly the copies a
     /// recovery path re-uploads elsewhere.
     ///
     /// # Errors
-    /// [`GlError::Read`] when the texture does not exist;
-    /// [`GlError::TransientReadback`] under injected faults.
-    pub fn read_sync(&self, h: &TexHandle) -> Result<Vec<f32>, GlError> {
+    /// [`DeviceError::Read`] when the allocation does not exist;
+    /// [`DeviceError::TransientReadback`] under injected faults.
+    pub fn read_sync(&self, h: &Handle) -> Result<Vec<f32>, DeviceError> {
         let drain_ns = if self.shared.pending.load(Ordering::SeqCst) > 0 {
             self.profile.readback_sync_penalty_ns
         } else {
             0
         };
-        self.enqueue_read(h, drain_ns)?.wait().map_err(GlError::Read)
+        let (future, promise) = ReadFuture::pending();
+        self.enqueue_read(h, drain_ns, Box::new(move |values| promise.complete(values)))?;
+        future.wait().map_err(DeviceError::Read)
     }
 
-    /// Asynchronous readback — the `data()` path of Figure 3. The future
-    /// resolves once the device has executed all prior commands and copied
-    /// the values out.
-    pub fn read_async(&self, h: &TexHandle) -> ReadFuture {
-        match self.read_async_checked(h) {
-            Ok(f) => f,
-            Err(e) => {
-                let (future, promise) = ReadFuture::pending();
-                promise.complete(Err(e.to_string()));
-                future
-            }
-        }
-    }
-
-    /// Fallible asynchronous readback: transient faults are reported
-    /// synchronously as structured errors instead of through the future, so
-    /// callers can classify and retry. Asynchronous reads model the
-    /// fence-synchronized `gl.fenceSync` path and never pay the pipeline
-    /// drain — the host is not blocked while the queue executes.
+    /// Asynchronous readback — the `data()` path of Figure 3. `done` runs
+    /// on the device thread once the device has executed all prior commands
+    /// and copied the values out; a device-side failure (nonexistent
+    /// allocation) reaches it as a string. Asynchronous reads model the
+    /// fence-synchronized path and never pay the pipeline drain — the host
+    /// is not blocked while the queue executes.
     ///
     /// # Errors
-    /// [`GlError::TransientReadback`] under injected faults.
-    pub fn read_async_checked(&self, h: &TexHandle) -> Result<ReadFuture, GlError> {
-        self.enqueue_read(h, 0)
+    /// [`DeviceError::TransientReadback`] under injected faults: reported
+    /// synchronously and structured (`done` is dropped uncalled), so callers
+    /// can classify and retry.
+    pub fn read_async(
+        &self,
+        h: &Handle,
+        done: impl FnOnce(Result<Vec<f32>, String>) + Send + 'static,
+    ) -> Result<(), DeviceError> {
+        self.enqueue_read(h, 0, Box::new(done))
     }
 
-    fn enqueue_read(&self, h: &TexHandle, drain_ns: u64) -> Result<ReadFuture, GlError> {
+    fn enqueue_read(&self, h: &Handle, drain_ns: u64, done: ReadDone) -> Result<(), DeviceError> {
         if let Some(attempt) = self.faults.readback_blocked() {
-            return Err(GlError::TransientReadback { attempt });
+            return Err(DeviceError::TransientReadback { attempt });
         }
-        let (future, promise) = ReadFuture::pending();
         self.sender
-            .send(Command::ReadPixels { tex: h.id, len: h.size(), drain_ns, promise })
+            .send(Command::ReadPixels { tex: h.id, len: h.len, drain_ns, done })
             .expect("device thread alive");
-        Ok(future)
+        Ok(())
     }
 
     /// Whether the context is currently lost.
@@ -503,11 +526,12 @@ impl GpgpuContext {
     }
 
     /// Attempt to restore a lost context, like the browser's
-    /// `webglcontextrestored` flow. Returns whether the context is usable:
-    /// `true` when it was not lost, or when the fault plan allows
-    /// restoration. The program cache stays cleared after a loss, so
-    /// shaders recompile on next use; invalidated textures page back onto
-    /// the device lazily from their host shadows.
+    /// `webglcontextrestored` flow (or requesting a new device from the
+    /// adapter). Returns whether the context is usable: `true` when it was
+    /// not lost, or when the fault plan allows restoration. The kernel cache
+    /// stays cleared after a loss, so kernels recompile on next use;
+    /// invalidated allocations page back onto the device lazily from their
+    /// host shadows.
     pub fn restore_context(&self) -> bool {
         if !self.faults.is_lost() {
             return true;
@@ -516,7 +540,7 @@ impl GpgpuContext {
     }
 
     /// Register an observer for context-loss events — the simulator's
-    /// `webglcontextlost` listener.
+    /// `webglcontextlost` / `device.lost` listener.
     pub fn on_context_lost(&self, f: impl Fn(&ContextLossEvent) + Send + Sync + 'static) {
         self.faults.add_observer(Box::new(f));
     }
@@ -531,32 +555,41 @@ impl GpgpuContext {
         self.faults.stats()
     }
 
-    /// Number of program variants in the compiled-shader cache.
+    /// Number of kernel variants in the compiled-kernel cache.
     pub fn programs_compiled(&self) -> usize {
         self.compiled.lock().len()
     }
 
-    /// Release a texture back to the recycler.
-    pub fn dispose(&self, h: &TexHandle) {
+    /// Frozen benchmark surface: the compute rung's spelling of
+    /// [`programs_compiled`](Self::programs_compiled).
+    pub fn pipelines_compiled(&self) -> usize {
+        self.programs_compiled()
+    }
+
+    /// Release an allocation back to the recycler.
+    pub fn dispose(&self, h: &Handle) {
         let _ = self.sender.send(Command::Dispose { tex: h.id });
     }
 
     /// Insert a fence into the command queue (`gl.fenceSync`).
     pub fn fence(&self) -> FenceHandle {
-        let id = self.next_fence.fetch_add(1, Ordering::Relaxed);
-        self.sender.send(Command::Fence { id }).expect("device thread alive");
-        FenceHandle(id)
+        let seq = self.next_fence.fetch_add(1, Ordering::Relaxed);
+        self.sender.send(Command::Fence { id: seq }).expect("device thread alive");
+        FenceHandle { context: self.id, seq }
     }
 
     /// Poll whether a fence has passed (all commands before it completed).
+    /// A fence another context minted counts as passed: that device's queue
+    /// drains independently of this one, and nothing here can wait on it.
     pub fn fence_passed(&self, f: FenceHandle) -> bool {
-        self.shared.last_fence.load(Ordering::SeqCst) >= f.0
+        f.context != self.id || self.shared.last_fence.load(Ordering::SeqCst) >= f.seq
     }
 
     /// Block until a fence passes — `gl.clientWaitSync`. A condvar sleep,
     /// not a spin: the device thread notifies as each fence command
     /// executes. Fast-path returns without locking when the fence already
-    /// passed; only genuine sleeps count in
+    /// passed (or is foreign, see [`fence_passed`](Self::fence_passed));
+    /// only genuine sleeps count in
     /// [`QueueStats::fence_waits`]/[`QueueStats::fence_wait_ns`].
     pub fn wait_fence(&self, f: FenceHandle) {
         if self.fence_passed(f) {
@@ -564,7 +597,7 @@ impl GpgpuContext {
         }
         let t0 = webml_telemetry::now_ns();
         let mut guard = self.shared.fence_lock.lock();
-        while self.shared.last_fence.load(Ordering::SeqCst) < f.0 {
+        while self.shared.last_fence.load(Ordering::SeqCst) < f.seq {
             self.shared.fence_cond.wait(&mut guard);
         }
         drop(guard);
@@ -586,14 +619,14 @@ impl GpgpuContext {
         self.shared.queue_stats()
     }
 
-    /// Begin a disjoint-timer-query window measuring pure device time.
+    /// Begin a timer-query window measuring pure device time.
     pub fn begin_timing(&self) {
         self.flush();
         self.timing_mark.store(self.shared.gpu_nanos.load(Ordering::Relaxed), Ordering::SeqCst);
     }
 
     /// End the timing window, returning device milliseconds spent in
-    /// programs (excluding upload/download, as the paper's WebGL timing
+    /// kernels (excluding upload/download, as the paper's WebGL timing
     /// does).
     pub fn end_timing(&self) -> f64 {
         self.flush();
@@ -601,10 +634,10 @@ impl GpgpuContext {
         (now - self.timing_mark.load(Ordering::SeqCst)) as f64 / 1e6
     }
 
-    /// The cumulative disjoint-timer-query counter: modeled device
-    /// nanoseconds spent executing programs since context creation. Does
-    /// *not* flush — pair with [`GpgpuContext::flush`] when the sample
-    /// must cover already-enqueued work.
+    /// The cumulative timer-query counter: modeled device nanoseconds spent
+    /// executing kernels since context creation. Does *not* flush — pair
+    /// with [`GpgpuContext::flush`] when the sample must cover
+    /// already-enqueued work.
     pub fn device_nanos(&self) -> u64 {
         self.shared.gpu_nanos.load(Ordering::Relaxed)
     }
@@ -612,12 +645,17 @@ impl GpgpuContext {
     /// Memory and diagnostics snapshot (flushes first for stable numbers).
     pub fn memory(&self) -> GpuMemoryStats {
         self.flush();
+        let programs_run = self.shared.program_count.load(Ordering::Relaxed);
+        let recycler = self.shared.recycler_stats();
         GpuMemoryStats {
             bytes_in_gpu: self.shared.bytes_gpu.load(Ordering::Relaxed),
             num_textures: self.shared.textures.lock().len(),
-            programs_run: self.shared.program_count.load(Ordering::Relaxed),
-            recycler: self.shared.recycler_stats(),
+            programs_run,
+            recycler,
             pager: *self.shared.pager.lock(),
+            dispatches_run: programs_run,
+            recycler_hits: recycler.hits,
+            recycler_misses: recycler.misses,
         }
     }
 }
@@ -631,149 +669,20 @@ impl Drop for GpgpuContext {
     }
 }
 
+/// What only a texture device does. The behaviours every descriptor shares
+/// (round trips, fences, recycling, loss and recovery, injected faults,
+/// timing) are one contract suite in `webml-webgpu-sim`, the crate that
+/// sees every descriptor.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shader::Program;
 
-    fn ctx() -> GpgpuContext {
-        GpgpuContext::new(DeviceProfile::intel_iris_pro(), ContextConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn upload_read_round_trip() {
-        let c = ctx();
-        let h = c.upload(vec![1.0, 2.0, 3.0], &[3]).unwrap();
-        assert_eq!(c.read_sync(&h).unwrap(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn quantized_upload_is_one_byte_per_code() {
-        let c = ctx();
-        let codes: Vec<u8> = (0..=255).collect();
-        let h = c.upload_quantized(&codes, &[256]).unwrap();
-        assert_eq!(h.layout.format, TextureFormat::R8);
-        // Sampling returns the raw codes widened to f32.
-        let vals = c.read_sync(&h).unwrap();
-        assert_eq!(vals[0], 0.0);
-        assert_eq!(vals[255], 255.0);
-        // Device residency is 1 byte per texel, vs 4 for an f32 upload.
-        assert_eq!(h.layout.byte_size(), 256);
-        let f = c.upload(vec![0.0; 256], &[256]).unwrap();
-        assert_eq!(f.layout.byte_size(), 1024);
-        // A program can consume the codes like any other texture.
-        let prog = Program::per_element("Dequant", vec![256], |s, i, _| {
-            s.get_flat(0, i) * 0.5 - 4.0
-        });
-        let out = c.run(prog, &[&h]).unwrap();
-        let deq = c.read_sync(&out).unwrap();
-        assert_eq!(deq[8], 8.0 * 0.5 - 4.0);
-    }
-
-    #[test]
-    fn quantized_survives_context_loss_shadow() {
-        use crate::fault::FaultPlan;
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan::none().lose_context_at(1),
-        )
-        .unwrap();
-        let h = c.upload_quantized(&[7, 19, 255], &[3]).unwrap();
-        let id = Program::per_element("Id", vec![3], |s, i, _| s.get_flat(0, i));
-        assert_eq!(c.run(id, &[&h]), Err(GlError::ContextLost));
-        // The shadow keeps the codes readable across the loss.
-        assert_eq!(c.read_sync(&h).unwrap(), vec![7.0, 19.0, 255.0]);
-        assert!(c.restore_context());
-        let id2 = Program::per_element("Id", vec![3], |s, i, _| s.get_flat(0, i));
-        let out = c.run(id2, &[&h]).unwrap();
-        assert_eq!(c.read_sync(&out).unwrap(), vec![7.0, 19.0, 255.0]);
-    }
-
-    #[test]
-    fn unsupported_device_is_rejected() {
-        let e = GpgpuContext::new(DeviceProfile::android_legacy(), ContextConfig::default());
-        assert!(matches!(e, Err(GlError::Unsupported { .. })));
-    }
-
-    #[test]
-    fn run_add_program() {
-        let c = ctx();
-        let a = c.upload(vec![1.0, 2.0], &[2]).unwrap();
-        let b = c.upload(vec![10.0, 20.0], &[2]).unwrap();
-        let prog = Program::per_element("Add", vec![2], |s, i, _| {
-            s.get_flat(0, i) + s.get_flat(1, i)
-        });
-        let out = c.run(prog, &[&a, &b]).unwrap();
-        assert_eq!(c.read_sync(&out).unwrap(), vec![11.0, 22.0]);
-    }
-
-    #[test]
-    fn enqueue_returns_before_completion() {
-        // A chain of slow programs: run() must return quickly while the
-        // fence only passes later.
-        let c = ctx();
-        let a = c.upload(vec![1.0; 256], &[256]).unwrap();
-        let slow = Program::per_element("Slow", vec![256], |s, i, _| {
-            // Artificial heavy per-element math.
-            let mut v = s.get_flat(0, i);
-            for _ in 0..20_000 {
-                v = (v * 1.000_001).sin() + 1.0;
-            }
-            v
-        });
-        let t0 = std::time::Instant::now();
-        let out = c.run(slow, &[&a]).unwrap();
-        let fence = c.fence();
-        let enqueue_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(enqueue_ms < 50.0, "enqueue took {enqueue_ms} ms");
-        assert!(!c.fence_passed(fence) || t0.elapsed().as_millis() > 0);
-        // Blocking read waits for the result.
-        let vals = c.read_sync(&out).unwrap();
-        assert_eq!(vals.len(), 256);
-        assert!(c.fence_passed(fence));
-    }
-
-    #[test]
-    fn async_read_resolves() {
-        let c = ctx();
-        let a = c.upload(vec![3.0], &[1]).unwrap();
-        let prog = Program::per_element("Square", vec![1], |s, i, _| {
-            let v = s.get_flat(0, i);
-            v * v
-        });
-        let out = c.run(prog, &[&a]).unwrap();
-        let fut = c.read_async(&out);
-        assert_eq!(fut.wait().unwrap(), vec![9.0]);
-    }
-
-    #[test]
-    fn dispose_recycles_textures() {
-        let c = ctx();
-        let h = c.upload(vec![0.0; 64], &[64]).unwrap();
-        c.dispose(&h);
-        let h2 = c.upload(vec![1.0; 64], &[64]).unwrap();
-        let m = c.memory();
-        assert_eq!(m.recycler.hits, 1, "second same-shape upload must recycle");
-        assert_eq!(c.read_sync(&h2).unwrap()[0], 1.0);
-    }
-
-    #[test]
-    fn timer_query_measures_device_time() {
-        let c = ctx();
-        let a = c.upload(vec![1.0; 4096], &[4096]).unwrap();
-        c.begin_timing();
-        let prog = Program::per_element("Work", vec![4096], |s, i, _| {
-            let mut v = s.get_flat(0, i);
-            for _ in 0..100 {
-                v = v * 1.0001 + 0.1;
-            }
-            v
-        });
-        let out = c.run(prog, &[&a]).unwrap();
-        let ms = c.end_timing();
-        assert!(ms > 0.0);
-        let _ = c.read_sync(&out);
+    fn paging_ctx(threshold_bytes: usize, plan: FaultPlan) -> GpgpuContext {
+        let config = ContextConfig {
+            paging: PagingPolicy { enabled: true, threshold_bytes },
+            ..Default::default()
+        };
+        GpgpuContext::on(&WEBGL, DeviceProfile::intel_iris_pro(), config, plan).unwrap()
     }
 
     #[test]
@@ -785,12 +694,28 @@ mod tests {
     }
 
     #[test]
+    fn handles_carry_the_compiled_layout_and_relayout_keeps_the_allocation() {
+        let c = GpgpuContext::new(DeviceProfile::intel_iris_pro(), ContextConfig::default()).unwrap();
+        let codes = c.upload_quantized(&[0; 256], &[256]).unwrap();
+        let layout = codes.layout.as_ref().expect("texture storage");
+        assert_eq!((layout.format, layout.byte_size()), (TextureFormat::R8, 256));
+        let h = c.upload((0..6).map(|i| i as f32).collect(), &[6]).unwrap();
+        assert_eq!(h.layout.as_ref().unwrap().byte_size(), 2 * 3 * 4, "a near-square texture");
+        // The free reshape of Sec 3.4: same texture, new accessor math.
+        let view = c.relayout(&h, &[2, 3]).unwrap();
+        let (old, new) = (h.layout.as_ref().unwrap(), view.layout.as_ref().unwrap());
+        assert_eq!((view.id, new.tex_rows, new.tex_cols), (h.id, old.tex_rows, old.tex_cols));
+        let row1 = Kernel::per_element("Row1", vec![3], |s, _, at| s.get(0, &[1, at[0]]));
+        assert_eq!(c.read_sync(&c.run(row1, &[&view]).unwrap()).unwrap(), vec![3.0, 4.0, 5.0]);
+        // A tensor beyond the device's texture limit does not lay out.
+        let tiny = DeviceProfile { max_texture_size: 4, ..DeviceProfile::intel_iris_pro() };
+        let c = GpgpuContext::new(tiny, ContextConfig::default()).unwrap();
+        assert!(matches!(c.upload(vec![0.0; 17], &[17]), Err(DeviceError::Layout(_))));
+    }
+
+    #[test]
     fn paging_prevents_unbounded_gpu_growth() {
-        let config = ContextConfig {
-            paging: PagingPolicy { enabled: true, threshold_bytes: 64 * 1024 },
-            ..Default::default()
-        };
-        let c = GpgpuContext::new(DeviceProfile::intel_iris_pro(), config).unwrap();
+        let c = paging_ctx(64 * 1024, FaultPlan::none());
         // Allocate ~1 MB without disposing anything (a leaky app).
         let mut handles = Vec::new();
         for i in 0..64 {
@@ -805,108 +730,10 @@ mod tests {
     }
 
     #[test]
-    fn context_loss_invalidates_textures_but_preserves_shadows() {
-        use crate::fault::FaultPlan;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan::none().lose_context_at(2),
-        )
-        .unwrap();
-        let events = Arc::new(AtomicU64::new(0));
-        let ev = events.clone();
-        c.on_context_lost(move |e| {
-            assert_eq!(e.draws_completed, 1);
-            assert!(e.restorable);
-            ev.fetch_add(1, Ordering::SeqCst);
-        });
-        let a = c.upload(vec![1.0, 2.0], &[2]).unwrap();
-        let double = || Program::per_element("Double", vec![2], |s, i, _| s.get_flat(0, i) * 2.0);
-        let out = c.run(double(), &[&a]).unwrap();
-        // Second draw loses the context.
-        assert_eq!(c.run(double(), &[&out]), Err(GlError::ContextLost));
-        assert!(c.is_context_lost());
-        assert_eq!(events.load(Ordering::SeqCst), 1);
-        // Uploads and draws fail while lost; reads serve host shadows.
-        assert!(matches!(c.upload(vec![0.0], &[1]), Err(GlError::ContextLost)));
-        assert_eq!(c.read_sync(&a).unwrap(), vec![1.0, 2.0]);
-        assert_eq!(c.read_sync(&out).unwrap(), vec![2.0, 4.0]);
-        assert_eq!(c.memory().bytes_in_gpu, 0, "all textures invalidated");
-        // Restore: programs recompile, old textures page back in lazily.
-        assert_eq!(c.programs_compiled(), 0, "program cache cleared on loss");
-        assert!(c.restore_context());
-        let out2 = c.run(double(), &[&out]).unwrap();
-        assert_eq!(c.read_sync(&out2).unwrap(), vec![4.0, 8.0]);
-        assert_eq!(c.fault_stats().context_losses, 1);
-    }
-
-    #[test]
-    fn unrestorable_loss_stays_lost() {
-        use crate::fault::FaultPlan;
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan::none().lose_context_at(1).unrestorable(),
-        )
-        .unwrap();
-        let a = c.upload(vec![1.0], &[1]).unwrap();
-        let prog = Program::per_element("Id", vec![1], |s, i, _| s.get_flat(0, i));
-        assert_eq!(c.run(prog, &[&a]), Err(GlError::ContextLost));
-        assert!(!c.restore_context());
-        assert!(c.is_context_lost());
-    }
-
-    #[test]
-    fn blocked_shader_fails_compile_deterministically() {
-        use crate::fault::FaultPlan;
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan::none().block_shader("Square"),
-        )
-        .unwrap();
-        let a = c.upload(vec![3.0], &[1]).unwrap();
-        let square = || Program::per_element("Square", vec![1], |s, i, _| s.get_flat(0, i).powi(2));
-        let ok = Program::per_element("Cube", vec![1], |s, i, _| s.get_flat(0, i).powi(3));
-        for _ in 0..3 {
-            assert!(matches!(
-                c.run(square(), &[&a]),
-                Err(GlError::ShaderCompile { ref program }) if program == "Square"
-            ));
-        }
-        assert_eq!(c.read_sync(&c.run(ok, &[&a]).unwrap()).unwrap(), vec![27.0]);
-        assert_eq!(c.fault_stats().compile_failures, 3);
-        assert_eq!(c.programs_compiled(), 1);
-    }
-
-    #[test]
-    fn texture_byte_limit_injects_oom() {
-        use crate::fault::FaultPlan;
-        // No paging: cumulative pressure hits the limit.
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan::none().with_texture_byte_limit(32 * 1024),
-        )
-        .unwrap();
-        let _a = c.upload(vec![0.0; 4096], &[4096]).unwrap(); // 16 KB
-        let _b = c.upload(vec![0.0; 4096], &[4096]).unwrap(); // 32 KB
-        let err = c.upload(vec![0.0; 4096], &[4096]).unwrap_err();
-        assert!(matches!(err, GlError::Oom { limit, .. } if limit == 32 * 1024));
-        assert_eq!(c.fault_stats().oom_failures, 1);
-
-        // With paging enabled, the same pressure is absorbed by page-outs.
-        let config = ContextConfig {
-            paging: PagingPolicy { enabled: true, threshold_bytes: 24 * 1024 },
-            ..Default::default()
-        };
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            config,
-            FaultPlan::none().with_texture_byte_limit(32 * 1024),
-        )
-        .unwrap();
+    fn paging_absorbs_pressure_under_a_byte_limit() {
+        // Without paging this pressure is an OOM (the contract suite's
+        // `byte_limit_injects_oom`); with it, page-outs absorb it.
+        let c = paging_ctx(24 * 1024, FaultPlan::none().with_texture_byte_limit(32 * 1024));
         let mut handles = Vec::new();
         for i in 0..8 {
             handles.push(c.upload(vec![i as f32; 4096], &[4096]).unwrap());
@@ -914,64 +741,19 @@ mod tests {
         assert!(c.memory().pager.page_outs > 0);
         assert_eq!(c.read_sync(&handles[0]).unwrap()[0], 0.0);
         // A single allocation beyond the limit still fails.
-        assert!(matches!(c.upload(vec![0.0; 16384], &[16384]), Err(GlError::Oom { .. })));
-    }
-
-    #[test]
-    fn draw_stalls_hit_the_device_clock_and_stay_correct() {
-        use crate::fault::FaultPlan;
-        let stall_ns = 2_000_000; // 2 ms
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan { seed: 7, ..FaultPlan::none() }.with_draw_stall(1.0, stall_ns),
-        )
-        .unwrap();
-        let a = c.upload(vec![1.0, 2.0], &[2]).unwrap();
-        let double = || Program::per_element("Double", vec![2], |s, i, _| s.get_flat(0, i) * 2.0);
-        c.begin_timing();
-        let t0 = std::time::Instant::now();
-        let out = c.run(double(), &[&a]).unwrap();
-        // Stalled draws still compute the right answer.
-        assert_eq!(c.read_sync(&out).unwrap(), vec![2.0, 4.0]);
-        let device_ms = c.end_timing();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let stall_ms = stall_ns as f64 / 1e6;
-        assert!(device_ms >= stall_ms, "stall on the device clock: {device_ms} ms");
-        assert!(wall_ms >= stall_ms, "stall visible in wall latency: {wall_ms} ms");
-        assert_eq!(c.fault_stats().draw_stalls, 1);
-    }
-
-    #[test]
-    fn transient_readback_errors_then_succeeds() {
-        use crate::fault::FaultPlan;
-        let c = GpgpuContext::with_faults(
-            DeviceProfile::intel_iris_pro(),
-            ContextConfig::default(),
-            FaultPlan::none().with_readback_failures(1.0, 2),
-        )
-        .unwrap();
-        let h = c.upload(vec![5.0], &[1]).unwrap();
-        assert!(matches!(c.read_sync(&h), Err(GlError::TransientReadback { attempt: 1 })));
-        assert!(c.read_sync(&h).unwrap_err().is_transient());
-        assert_eq!(c.read_sync(&h).unwrap(), vec![5.0]);
-        assert_eq!(c.fault_stats().transient_read_failures, 2);
+        assert!(matches!(c.upload(vec![0.0; 16384], &[16384]), Err(DeviceError::Oom { .. })));
     }
 
     #[test]
     fn paged_texture_pages_back_in_when_sampled() {
-        let config = ContextConfig {
-            paging: PagingPolicy { enabled: true, threshold_bytes: 32 * 1024 },
-            ..Default::default()
-        };
-        let c = GpgpuContext::new(DeviceProfile::intel_iris_pro(), config).unwrap();
+        let c = paging_ctx(32 * 1024, FaultPlan::none());
         let first = c.upload(vec![7.0; 4096], &[4096]).unwrap();
         for _ in 0..16 {
             let _ = c.upload(vec![0.0; 4096], &[4096]).unwrap();
         }
         // `first` should have been paged out by now; running a program on it
         // pages it back in.
-        let prog = Program::per_element("AddOne", vec![4096], |s, i, _| s.get_flat(0, i) + 1.0);
+        let prog = Kernel::per_element("AddOne", vec![4096], |s, i, _| s.get_flat(0, i) + 1.0);
         let out = c.run(prog, &[&first]).unwrap();
         assert_eq!(c.read_sync(&out).unwrap()[0], 8.0);
         assert!(c.memory().pager.page_ins > 0);

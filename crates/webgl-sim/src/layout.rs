@@ -132,7 +132,7 @@ impl TextureLayout {
     /// Bytes of device memory an allocation with this layout occupies —
     /// what the driver's allocator (and the injected OOM fault) sees.
     pub fn byte_size(&self) -> usize {
-        self.texels() * self.format.channels() * self.format.bytes_per_channel()
+        self.texels() * self.format.texel_bytes()
     }
 
     /// Map logical N-D coordinates to the flat channel slot.

@@ -6,40 +6,57 @@
 //! computation not being done." Commands execute in order on a dedicated
 //! device thread; fences and readbacks are themselves commands, which gives
 //! the same ordering guarantees as a real GL command stream.
+//!
+//! One loop serves every GPU API: what differs between a WebGL draw call
+//! and a WebGPU dispatch is read from the context's
+//! [`Capabilities`] and from the [`KernelBody`] the kernel carries.
+//!
+//! ## The modeled clock
+//!
+//! `device_ns = elapsed × engaged / min(parallelism × reuse, work / 2048)
+//! + dispatch overhead`, plus the allocation overhead of every recycler
+//! miss. `elapsed` is the host time the dispatch took, `engaged` the host
+//! threads it really ran on (1 for a compute body), and the divisor is
+//! [`occupancy`].
 
-use crate::future::ReadPromise;
+use crate::caps::{Capabilities, Storage};
 use crate::layout::TextureLayout;
 use crate::pager::{select_victims, PagerStats, PagingPolicy};
 use crate::recycler::{RecyclerStats, TextureRecycler};
-use crate::shader::{execute, Program};
+use crate::shader::{execute, occupancy, Kernel, KernelBody};
 use crate::texture::{Texture, TextureFormat};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use webml_core::pool::WorkerPool;
 
-/// Identifier of a device texture.
+/// Identifier of a device allocation.
 pub type TexId = u64;
 
-/// Residency state of a texture.
+/// Physical geometry of an allocation: texture rows × cols and format. A
+/// linear storage buffer is `1 × len`.
+pub type Geometry = (usize, usize, TextureFormat);
+
+/// Completion of a readback, run on the device thread with the values.
+pub type ReadDone = Box<dyn FnOnce(Result<Vec<f32>, String>) + Send>;
+
+/// Residency state of an allocation.
 pub enum SlotState {
     /// Resident in (simulated) GPU memory.
     Gpu(Texture),
-    /// Paged out to CPU memory (paper Sec 4.1.2).
+    /// On the host: paged out (paper Sec 4.1.2), or the shadow a context
+    /// loss leaves behind.
     Paged {
-        /// Physical rows.
-        rows: usize,
-        /// Physical cols.
-        cols: usize,
-        /// Texture format to restore with.
-        format: TextureFormat,
+        /// Geometry to restore with.
+        geometry: Geometry,
         /// The values, kept on the host.
         data: Vec<f32>,
     },
 }
 
-/// A texture slot with LRU bookkeeping.
+/// An allocation slot with LRU bookkeeping.
 pub struct Slot {
     /// Residency.
     pub state: SlotState,
@@ -49,47 +66,44 @@ pub struct Slot {
 
 /// Commands accepted by the device thread, executed strictly in order.
 // Run dominates real queues anyway, and boxing its fields would cost an
-// allocation per draw call on the hot path.
+// allocation per dispatch on the hot path.
 #[allow(clippy::large_enum_variant)]
 pub enum Command {
-    /// Upload host data into a new texture.
+    /// Upload host data into a new allocation.
     Upload {
-        /// Destination texture id.
+        /// Destination id.
         tex: TexId,
-        /// Values to upload.
+        /// Values to upload (u8 codes arrive widened).
         data: Vec<f32>,
-        /// Physical rows.
-        rows: usize,
-        /// Physical cols.
-        cols: usize,
-        /// Texture format.
-        format: TextureFormat,
+        /// Physical geometry.
+        geometry: Geometry,
     },
-    /// Execute a shader program into a fresh output texture.
+    /// Execute a kernel into a fresh output allocation.
     Run {
-        /// The program.
-        program: Program,
-        /// Input texture ids.
+        /// The kernel.
+        kernel: Kernel,
+        /// Input ids.
         inputs: Vec<TexId>,
-        /// Input layouts (parallel to `inputs`).
+        /// Input layouts, parallel to `inputs`, for a fragment body's
+        /// samplers; empty for a compute body.
         in_layouts: Vec<TextureLayout>,
-        /// Output texture id (fresh).
+        /// Output id (fresh).
         output: TexId,
-        /// Output layout.
-        out_layout: TextureLayout,
+        /// Output geometry.
+        out_geometry: Geometry,
         /// Injected straggler stall: device nanoseconds added to the clock
-        /// (and slept wall-clock) before the program runs. 0 = no stall.
+        /// (and slept wall-clock) before the kernel runs. 0 = no stall.
         stall_ns: u64,
         /// Request trace id active on the submitting thread at enqueue
         /// time (0 = untraced). Carried across the thread hop so the GPU
         /// span lands in the same causal lane as the request that issued
-        /// the draw call.
+        /// the dispatch.
         trace_id: u64,
     },
-    /// Read a texture back to the host (`gl.readPixels`), resolving the
-    /// promise with the first `len` values.
+    /// Read an allocation back to the host (`gl.readPixels`,
+    /// `buffer.mapAsync`), completing with the first `len` values.
     ReadPixels {
-        /// Texture to read.
+        /// Allocation to read.
         tex: TexId,
         /// Number of logical values wanted.
         len: usize,
@@ -98,23 +112,23 @@ pub enum Command {
         /// unfinished work. Slept as wall-clock before the copy-out; never
         /// added to the device compute clock and never counted busy.
         drain_ns: u64,
-        /// Completion promise.
-        promise: ReadPromise,
+        /// Completion, called here on the device thread.
+        done: ReadDone,
     },
     /// Mark a fence as passed once all prior commands completed
     /// (`gl.fenceSync`).
     Fence {
-        /// Fence id.
+        /// Fence sequence number.
         id: u64,
     },
-    /// Release a texture (returned to the recycler).
+    /// Release an allocation (returned to the recycler).
     Dispose {
-        /// Texture to release.
+        /// Allocation to release.
         tex: TexId,
     },
-    /// The context was lost: invalidate every device texture. GPU residency
-    /// drops to zero; contents are preserved as host-side shadows (the
-    /// copies a recovery path re-uploads), so readback keeps working.
+    /// The context was lost: invalidate every device allocation. GPU
+    /// residency drops to zero; contents are preserved as host-side shadows
+    /// (the copies a recovery path re-uploads), so readback keeps working.
     LoseContext,
     /// Stop the device thread.
     Shutdown,
@@ -122,7 +136,7 @@ pub enum Command {
 
 /// State shared between the host-side context and the device thread.
 pub struct DeviceShared {
-    /// Texture registry.
+    /// Allocation registry.
     pub textures: Mutex<HashMap<TexId, Slot>>,
     /// Highest fence id that has passed. Kept atomic so `fence_passed`
     /// stays a lock-free poll; the device thread additionally stores it
@@ -133,10 +147,10 @@ pub struct DeviceShared {
     pub fence_lock: Mutex<()>,
     /// Signalled by the device thread each time a fence passes.
     pub fence_cond: Condvar,
-    /// Total device-side execution time (the disjoint-timer-query counter).
+    /// Total device-side execution time (the timer-query counter).
     pub gpu_nanos: AtomicU64,
     /// Wall-clock nanoseconds the device thread spent executing commands
-    /// (uploads, draws, readbacks, disposals) — the numerator of the
+    /// (uploads, dispatches, readbacks, disposals) — the numerator of the
     /// device-thread utilization gauge. Injected drain sleeps are idle,
     /// not busy.
     pub busy_ns: AtomicU64,
@@ -148,17 +162,17 @@ pub struct DeviceShared {
     pub drains: AtomicU64,
     /// Total wall-clock nanoseconds lost to those drains.
     pub drain_ns: AtomicU64,
-    /// Upload/draw commands enqueued by the host but not yet executed by
+    /// Upload/dispatch commands enqueued by the host but not yet executed by
     /// the device thread. `read_sync` uses this to decide whether a
     /// blocking read stalls the pipeline.
     pub pending: AtomicU64,
-    /// Number of programs executed.
+    /// Number of kernels executed.
     pub program_count: AtomicU64,
     /// Bytes resident in GPU memory.
     pub bytes_gpu: AtomicUsize,
     /// Paging statistics.
     pub pager: Mutex<PagerStats>,
-    /// The texture recycler.
+    /// The allocation recycler.
     pub recycler: Mutex<TextureRecycler>,
     /// Monotone use counter.
     pub use_counter: AtomicU64,
@@ -177,7 +191,7 @@ pub struct QueueStats {
     pub drains: u64,
     /// Total ns lost to those drains.
     pub drain_ns: u64,
-    /// Upload/draw commands enqueued but not yet executed.
+    /// Upload/dispatch commands enqueued but not yet executed.
     pub pending: u64,
 }
 
@@ -226,20 +240,33 @@ impl DeviceShared {
     }
 }
 
+/// The device thread's fixed parameters.
+struct Device {
+    shared: Arc<DeviceShared>,
+    caps: &'static Capabilities,
+    /// Modeled core count of the simulated-time accounting.
+    parallelism: usize,
+    half_precision: bool,
+    paging: PagingPolicy,
+}
+
 /// Run the device loop until [`Command::Shutdown`]. Executed on the device
 /// thread spawned by [`crate::context::GpgpuContext`].
 pub fn device_loop(
     rx: crossbeam::channel::Receiver<Command>,
     shared: Arc<DeviceShared>,
+    caps: &'static Capabilities,
     parallelism: usize,
     half_precision: bool,
     paging: PagingPolicy,
 ) {
-    // The device's persistent shader cores. The pool is bounded by the
-    // host machine; `parallelism` stays the *modeled* core count used by
-    // the simulated-time accounting below.
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let pool = webml_core::pool::WorkerPool::new(parallelism.min(host));
+    let paging = if caps.paging { paging } else { PagingPolicy::disabled() };
+    let dev = Device { shared, caps, parallelism, half_precision, paging };
+    let shared = &dev.shared;
+    // The device's persistent shader cores: fragment bodies run on them. A
+    // texture device starts them with the context; elsewhere the first
+    // fragment body would.
+    let mut pool = (caps.storage == Storage::Texture).then(|| dev.shader_cores());
     // Device-thread utilization window: busy nanoseconds accumulated since
     // the last fence over the wall-clock extent of the window. Fences are
     // exactly the points a pipelined executor punctuates its schedule with,
@@ -248,28 +275,18 @@ pub fn device_loop(
     let mut window_busy = 0u64;
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Command::Upload { tex, data, rows, cols, format } => {
+            Command::Upload { tex, data, geometry } => {
                 let t0 = webml_telemetry::now_ns();
-                let (mut t, recycled) = shared.recycler.lock().acquire(rows, cols, format);
-                if !recycled {
-                    shared.gpu_nanos.fetch_add(TEXTURE_ALLOC_OVERHEAD_NANOS, Ordering::Relaxed);
-                }
-                // Recycled textures may be dirty; the upload overwrites the
-                // prefix, so only the tail beyond the uploaded data needs
-                // zeroing.
-                let tail = data.len().min(t.data.len());
-                t.data[tail..].fill(0.0);
-                t.upload(&data);
-                shared.bytes_gpu.fetch_add(t.byte_size(), Ordering::Relaxed);
+                let t = dev.resident(geometry, &data);
                 let last_use = shared.touch();
                 shared.textures.lock().insert(tex, Slot { state: SlotState::Gpu(t), last_use });
-                maybe_page_out(&shared, &paging);
+                dev.maybe_page_out();
                 shared
                     .busy_ns
                     .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
             }
-            Command::Run { program, inputs, in_layouts, output, out_layout, stall_ns, trace_id } => {
+            Command::Run { kernel, inputs, in_layouts, output, out_geometry, stall_ns, trace_id } => {
                 let t0 = webml_telemetry::now_ns();
                 if stall_ns > 0 {
                     // An injected straggler: the device clock advances and
@@ -280,42 +297,30 @@ pub fn device_loop(
                     shared.gpu_nanos.fetch_add(stall_ns, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_nanos(stall_ns));
                 }
-                run_program(
-                    &shared, program, &inputs, &in_layouts, output, &out_layout, &pool,
-                    parallelism, half_precision, trace_id,
-                );
-                maybe_page_out(&shared, &paging);
+                dev.run_kernel(&kernel, &inputs, &in_layouts, output, out_geometry, &mut pool, trace_id);
+                dev.maybe_page_out();
                 shared
                     .busy_ns
                     .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
             }
-            Command::ReadPixels { tex, len, drain_ns, promise } => {
+            Command::ReadPixels { tex, len, drain_ns, done } => {
                 if drain_ns > 0 {
-                    // Fig 2: a blocking readPixels issued against a busy
-                    // pipeline stalls until the driver drains. The host is
-                    // already blocked on the promise, so the sleep lands as
+                    // Fig 2: a blocking read issued against a busy pipeline
+                    // stalls until the driver drains. The host is already
+                    // blocked on the completion, so the sleep lands as
                     // caller-visible latency — and as device *idle* time.
                     shared.drains.fetch_add(1, Ordering::Relaxed);
                     shared.drain_ns.fetch_add(drain_ns, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_nanos(drain_ns));
                 }
                 let t0 = webml_telemetry::now_ns();
-                let textures = shared.textures.lock();
-                match textures.get(&tex) {
-                    Some(slot) => {
-                        let data = match &slot.state {
-                            SlotState::Gpu(t) => t.data[..len.min(t.data.len())].to_vec(),
-                            SlotState::Paged { data, .. } => data[..len.min(data.len())].to_vec(),
-                        };
-                        drop(textures);
-                        promise.complete(Ok(data));
-                    }
-                    None => {
-                        drop(textures);
-                        promise.complete(Err(format!("texture {tex} does not exist")));
-                    }
-                }
+                let values = match shared.textures.lock().get(&tex).map(|slot| &slot.state) {
+                    Some(SlotState::Gpu(t)) => Ok(t.data[..len.min(t.data.len())].to_vec()),
+                    Some(SlotState::Paged { data, .. }) => Ok(data[..len.min(data.len())].to_vec()),
+                    None => Err(format!("allocation {tex} does not exist")),
+                };
+                done(values);
                 shared
                     .busy_ns
                     .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
@@ -345,23 +350,22 @@ pub fn device_loop(
             }
             Command::Dispose { tex } => {
                 // Queue order makes disposal fence-safe: every consumer of
-                // this texture was enqueued (and therefore executes) before
-                // the Dispose, so recycling here can never race a use.
+                // this allocation was enqueued (and therefore executes)
+                // before the Dispose, so recycling here can never race a use.
                 let slot = shared.textures.lock().remove(&tex);
-                if let Some(slot) = slot {
-                    match slot.state {
-                        SlotState::Gpu(t) => {
-                            shared.bytes_gpu.fetch_sub(t.byte_size(), Ordering::Relaxed);
-                            shared.recycler.lock().release(t);
-                        }
-                        SlotState::Paged { data, .. } => {
-                            shared.pager.lock().bytes_paged -= data.len() * 4;
-                        }
+                match slot.map(|slot| slot.state) {
+                    Some(SlotState::Gpu(t)) => {
+                        shared.bytes_gpu.fetch_sub(t.byte_size(), Ordering::Relaxed);
+                        shared.recycler.lock().release(t);
                     }
+                    Some(SlotState::Paged { data, .. }) => {
+                        shared.pager.lock().bytes_paged -= data.len() * 4;
+                    }
+                    None => {}
                 }
             }
             Command::LoseContext => {
-                // All GPU-resident textures are gone. Keep each texture's
+                // All GPU-resident allocations are gone. Keep each one's
                 // values as a host shadow in the paged state so readback
                 // (and later lazy re-upload) still works; drop the
                 // recycler's free pool outright.
@@ -370,20 +374,11 @@ pub fn device_loop(
                 let mut freed = 0usize;
                 let mut shadow_bytes = 0usize;
                 for slot in textures.values_mut() {
-                    if matches!(slot.state, SlotState::Gpu(_)) {
-                        let placeholder = SlotState::Paged {
-                            rows: 0,
-                            cols: 0,
-                            format: TextureFormat::R32F,
-                            data: Vec::new(),
-                        };
-                        if let SlotState::Gpu(t) = std::mem::replace(&mut slot.state, placeholder)
-                        {
-                            freed += t.byte_size();
-                            let (rows, cols, format, data) = t.into_shadow();
-                            shadow_bytes += data.len() * 4;
-                            slot.state = SlotState::Paged { rows, cols, format, data };
-                        }
+                    if let SlotState::Gpu(t) = &mut slot.state {
+                        freed += t.byte_size();
+                        shadow_bytes += t.data.len() * 4;
+                        let geometry = (t.rows, t.cols, t.format);
+                        slot.state = SlotState::Paged { geometry, data: std::mem::take(&mut t.data) };
                     }
                 }
                 drop(textures);
@@ -395,181 +390,179 @@ pub fn device_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-/// Fixed per-draw-call device overhead in the simulated-time model
-/// (command decode, pipeline state, framebuffer bind).
-const DRAW_CALL_OVERHEAD_NANOS: u64 = 8_000;
-
-/// Simulated driver cost of allocating a fresh WebGL texture (paper
-/// Sec 4.1.2: "disposing and re-allocating WebGL textures is relatively
-/// expensive") — avoided entirely when the recycler supplies a texture.
-const TEXTURE_ALLOC_OVERHEAD_NANOS: u64 = 60_000;
-
-#[allow(clippy::too_many_arguments)]
-fn run_program(
-    shared: &Arc<DeviceShared>,
-    program: Program,
-    inputs: &[TexId],
-    in_layouts: &[TextureLayout],
-    output: TexId,
-    out_layout: &TextureLayout,
-    pool: &webml_core::pool::WorkerPool,
-    modeled_parallelism: usize,
-    half_precision: bool,
-    trace_id: u64,
-) {
-    let t0 = Instant::now();
-    let tracing = webml_telemetry::enabled();
-    let program_name = program.name;
-    let trace_t0 = if tracing { webml_telemetry::now_ns() } else { 0 };
-    // Page in any evicted inputs and temporarily take them out of the
-    // registry so the executor can borrow them while the lock is released.
-    let mut taken: Vec<(TexId, Texture)> = Vec::new();
-    {
-        let mut textures = shared.textures.lock();
-        let mut seen = Vec::new();
-        for &id in inputs {
-            if seen.contains(&id) {
-                continue;
-            }
-            seen.push(id);
-            let slot = textures.remove(&id).expect("input texture exists (queue order)");
-            let tex = match slot.state {
-                SlotState::Gpu(t) => t,
-                SlotState::Paged { rows, cols, format, data } => {
-                    // Page back in.
-                    let mut stats = shared.pager.lock();
-                    stats.page_ins += 1;
-                    stats.bytes_paged -= data.len() * 4;
-                    drop(stats);
-                    if tracing {
-                        webml_telemetry::instant_arg(
-                            "page_in",
-                            "texture-pool",
-                            "bytes",
-                            (data.len() * 4) as f64,
-                        );
-                    }
-                    let (mut t, recycled) = shared.recycler.lock().acquire(rows, cols, format);
-                    if !recycled {
-                        shared.gpu_nanos.fetch_add(TEXTURE_ALLOC_OVERHEAD_NANOS, Ordering::Relaxed);
-                    }
-                    let tail = data.len().min(t.data.len());
-                    t.data[tail..].fill(0.0);
-                    t.upload(&data);
-                    shared.bytes_gpu.fetch_add(t.byte_size(), Ordering::Relaxed);
-                    t
-                }
-            };
-            taken.push((id, tex));
-        }
-    }
-
-    // Allocate the output (possibly recycled).
-    let out_format = out_layout.format;
-    let (mut out_tex, recycled) =
-        shared.recycler.lock().acquire(out_layout.tex_rows, out_layout.tex_cols, out_format);
-    if !recycled {
-        shared.gpu_nanos.fetch_add(TEXTURE_ALLOC_OVERHEAD_NANOS, Ordering::Relaxed);
-    }
-    if tracing {
-        webml_telemetry::instant(
-            if recycled { "texture_recycle" } else { "texture_alloc" },
-            "texture-pool",
-        );
-    }
-
-    let stats = {
-        // Index the taken textures once so each sampler binding is an O(1)
-        // map hit instead of an O(n) scan per input.
-        let taken_index: HashMap<TexId, &Texture> =
-            taken.iter().map(|(tid, tex)| (*tid, tex)).collect();
-        let sampler_inputs: Vec<(&[f32], &TextureLayout)> = inputs
-            .iter()
-            .zip(in_layouts)
-            .map(|(id, layout)| {
-                let tex = taken_index.get(id).expect("taken above");
-                (tex.data.as_slice(), layout)
-            })
-            .collect();
-        execute(&program, &sampler_inputs, &mut out_tex.data, pool, modeled_parallelism, half_precision)
-    };
-
-    // Return inputs and publish the output.
-    let out_bytes = out_tex.byte_size();
-    {
-        let mut textures = shared.textures.lock();
-        for (id, tex) in taken {
-            let last_use = shared.touch();
-            textures.insert(id, Slot { state: SlotState::Gpu(tex), last_use });
-        }
-        let last_use = shared.touch();
-        textures.insert(output, Slot { state: SlotState::Gpu(out_tex), last_use });
-    }
-    shared.bytes_gpu.fetch_add(out_bytes, Ordering::Relaxed);
-    shared.program_count.fetch_add(1, Ordering::Relaxed);
-    // Simulated device time: the measured execution, rescaled from the
-    // host threads actually engaged to the occupancy the draw call would
-    // achieve on the modeled device, plus fixed draw-call overhead. On a
-    // single-core host the measurement is the serial time and the model
-    // divides by occupancy; on a many-core host the measurement already
-    // reflects `real_engaged`-way parallelism.
-    let elapsed = t0.elapsed().as_nanos() as u64;
-    let modeled =
-        elapsed.saturating_mul(stats.real_engaged as u64) / stats.occupancy.max(1) as u64;
-    let device_ns = modeled + DRAW_CALL_OVERHEAD_NANOS;
-    shared.gpu_nanos.fetch_add(device_ns, Ordering::Relaxed);
-    if tracing {
-        // The virtual GPU track: wall-clock extent of the draw call on the
-        // device thread, annotated with the modeled (timer-query) time.
-        webml_telemetry::gpu_span_traced(
-            program_name,
-            trace_t0,
-            webml_telemetry::now_ns(),
-            "modeled_device_ns",
-            device_ns as f64,
-            trace_id,
-        );
-    }
+/// The values of input `id` among the allocations taken for a dispatch.
+fn bound_data(taken: &[(TexId, Texture)], id: TexId) -> &[f32] {
+    let (_, tex) = taken.iter().find(|(tid, _)| *tid == id).expect("taken for this dispatch");
+    &tex.data
 }
 
-fn maybe_page_out(shared: &Arc<DeviceShared>, paging: &PagingPolicy) {
-    if !paging.enabled {
-        return;
+impl Device {
+    /// A pool of the device's modeled core count, bounded by the host
+    /// machine; `parallelism` stays the *modeled* count the simulated-time
+    /// accounting uses.
+    fn shader_cores(&self) -> WorkerPool {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        WorkerPool::new(self.parallelism.min(host))
     }
-    let bytes = shared.bytes_gpu.load(Ordering::Relaxed);
-    if bytes <= paging.threshold_bytes {
-        return;
+
+    /// Acquire an allocation (recycled when possible; a miss pays the
+    /// driver's allocation cost on the device clock) and account it
+    /// resident; the flag reports whether it was recycled.
+    fn acquire(&self, (rows, cols, format): Geometry) -> (Texture, bool) {
+        let (t, recycled) = self.shared.recycler.lock().acquire(rows, cols, format);
+        if !recycled {
+            self.shared.gpu_nanos.fetch_add(self.caps.alloc_overhead_ns, Ordering::Relaxed);
+        }
+        self.shared.bytes_gpu.fetch_add(t.byte_size(), Ordering::Relaxed);
+        (t, recycled)
     }
-    // Under pressure, first drop the recycler's free pool.
-    shared.recycler.lock().clear();
-    let mut textures = shared.textures.lock();
-    let candidates: Vec<(u64, usize, u64)> = textures
-        .iter()
-        .filter_map(|(&id, slot)| match &slot.state {
-            SlotState::Gpu(t) => Some((id, t.byte_size(), slot.last_use)),
-            SlotState::Paged { .. } => None,
-        })
-        .collect();
-    let victims = select_victims(&candidates, bytes, paging.threshold_bytes);
-    for id in victims {
-        if let Some(slot) = textures.get_mut(&id) {
-            if let SlotState::Gpu(t) = &slot.state {
-                let bytes = t.byte_size();
-                let data = t.data.clone();
-                let (rows, cols, format) = (t.rows, t.cols, t.format);
-                shared.bytes_gpu.fetch_sub(bytes, Ordering::Relaxed);
-                let mut stats = shared.pager.lock();
-                stats.page_outs += 1;
-                stats.bytes_paged += data.len() * 4;
-                drop(stats);
-                webml_telemetry::instant_arg(
-                    "page_out",
-                    "texture-pool",
-                    "bytes",
-                    (data.len() * 4) as f64,
-                );
-                slot.state = SlotState::Paged { rows, cols, format, data };
+
+    /// A resident allocation holding `data`.
+    fn resident(&self, geometry: Geometry, data: &[f32]) -> Texture {
+        let (mut t, _) = self.acquire(geometry);
+        // Recycled allocations may be dirty; the upload overwrites the
+        // prefix, so only the tail beyond the uploaded data needs zeroing.
+        let tail = data.len().min(t.data.len());
+        t.data[tail..].fill(0.0);
+        t.upload(data);
+        t
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_kernel(
+        &self,
+        kernel: &Kernel,
+        inputs: &[TexId],
+        in_layouts: &[TextureLayout],
+        output: TexId,
+        out_geometry: Geometry,
+        pool: &mut Option<WorkerPool>,
+        trace_id: u64,
+    ) {
+        let t0 = Instant::now();
+        let (shared, caps) = (&self.shared, self.caps);
+        let tracing = webml_telemetry::enabled();
+        let trace_t0 = if tracing { webml_telemetry::now_ns() } else { 0 };
+        // Page in any evicted inputs and temporarily take them out of the
+        // registry so the body can borrow them while the lock is released.
+        let mut taken: Vec<(TexId, Texture)> = Vec::with_capacity(inputs.len());
+        {
+            let mut textures = shared.textures.lock();
+            for &id in inputs {
+                if taken.iter().any(|(seen, _)| *seen == id) {
+                    continue;
+                }
+                let slot = textures.remove(&id).expect("input allocation exists (queue order)");
+                let tex = match slot.state {
+                    SlotState::Gpu(t) => t,
+                    SlotState::Paged { geometry, data } => {
+                        // Page back in (also the lazy re-upload of a
+                        // post-loss shadow).
+                        let mut stats = shared.pager.lock();
+                        stats.page_ins += 1;
+                        stats.bytes_paged -= data.len() * 4;
+                        drop(stats);
+                        let bytes = (data.len() * 4) as f64;
+                        webml_telemetry::instant_arg("page_in", caps.pool_category, "bytes", bytes);
+                        self.resident(geometry, &data)
+                    }
+                };
+                taken.push((id, tex));
+            }
+        }
+
+        let (mut out_tex, recycled) = self.acquire(out_geometry);
+        if tracing {
+            let name = if recycled { caps.recycle_instant } else { caps.alloc_instant };
+            webml_telemetry::instant(name, caps.pool_category);
+        }
+
+        let lanes = occupancy(self.parallelism, caps.shared_memory, kernel);
+        let bound = |id: &TexId| bound_data(&taken, *id);
+        let engaged = match &kernel.body {
+            KernelBody::Fragment(body) => {
+                let samplers: Vec<(&[f32], &TextureLayout)> =
+                    inputs.iter().map(bound).zip(in_layouts).collect();
+                let pool = pool.get_or_insert_with(|| self.shader_cores());
+                let out = &mut out_tex.data;
+                execute(body, &kernel.out_shape, &samplers, out, pool, lanes, self.half_precision)
+            }
+            KernelBody::Compute(body) => {
+                let buffers: Vec<&[f32]> = inputs.iter().map(bound).collect();
+                body(&buffers, &mut out_tex.data);
+                1
+            }
+        };
+
+        // Return inputs and publish the output.
+        {
+            let mut textures = shared.textures.lock();
+            for (id, tex) in taken {
+                let last_use = shared.touch();
+                textures.insert(id, Slot { state: SlotState::Gpu(tex), last_use });
+            }
+            let last_use = shared.touch();
+            textures.insert(output, Slot { state: SlotState::Gpu(out_tex), last_use });
+        }
+        shared.program_count.fetch_add(1, Ordering::Relaxed);
+        // Simulated device time: the measured execution, rescaled from the
+        // host threads actually engaged to the lanes the dispatch would
+        // fill on the modeled device, plus fixed dispatch overhead. On a
+        // single-core host the measurement is the serial time and the model
+        // divides by occupancy; on a many-core host a fragment body's
+        // measurement already reflects `engaged`-way parallelism.
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        let device_ns =
+            elapsed.saturating_mul(engaged as u64) / lanes as u64 + caps.dispatch_overhead_ns;
+        shared.gpu_nanos.fetch_add(device_ns, Ordering::Relaxed);
+        if tracing {
+            // The virtual GPU track: wall-clock extent of the dispatch on
+            // the device thread, annotated with the modeled (timer-query)
+            // time.
+            webml_telemetry::gpu_span_traced(
+                kernel.name,
+                trace_t0,
+                webml_telemetry::now_ns(),
+                "modeled_device_ns",
+                device_ns as f64,
+                trace_id,
+            );
+        }
+    }
+
+    fn maybe_page_out(&self) {
+        let (shared, paging) = (&self.shared, &self.paging);
+        if !paging.enabled {
+            return;
+        }
+        let bytes = shared.bytes_gpu.load(Ordering::Relaxed);
+        if bytes <= paging.threshold_bytes {
+            return;
+        }
+        // Under pressure, first drop the recycler's free pool.
+        shared.recycler.lock().clear();
+        let mut textures = shared.textures.lock();
+        let candidates: Vec<(u64, usize, u64)> = textures
+            .iter()
+            .filter_map(|(&id, slot)| match &slot.state {
+                SlotState::Gpu(t) => Some((id, t.byte_size(), slot.last_use)),
+                SlotState::Paged { .. } => None,
+            })
+            .collect();
+        let victims = select_victims(&candidates, bytes, paging.threshold_bytes);
+        for id in victims {
+            if let Some(slot) = textures.get_mut(&id) {
+                if let SlotState::Gpu(t) = &slot.state {
+                    let data = t.data.clone();
+                    shared.bytes_gpu.fetch_sub(t.byte_size(), Ordering::Relaxed);
+                    let mut stats = shared.pager.lock();
+                    stats.page_outs += 1;
+                    stats.bytes_paged += data.len() * 4;
+                    drop(stats);
+                    let bytes = (data.len() * 4) as f64;
+                    webml_telemetry::instant_arg("page_out", self.caps.pool_category, "bytes", bytes);
+                    slot.state = SlotState::Paged { geometry: (t.rows, t.cols, t.format), data };
+                }
             }
         }
     }

@@ -1,14 +1,21 @@
-//! The shader abstraction: GPGPU programs as data-parallel per-texel
-//! functions (paper Sec 4.1, Figure 4 and Listing 2).
+//! The kernel abstraction: what a device runs, in either of the two shapes
+//! a browser GPU API offers.
 //!
-//! A [`Program`] is the analogue of a compiled fragment shader: its body is
-//! invoked once per output value (or once per packed texel), in parallel,
-//! with **no shared memory** and **no scatter** — the body can only return
-//! the value for its own output coordinates (`setOutput`), and reads inputs
-//! exclusively through [`Samplers`], the layout-compiled `getA(...)`
-//! accessors the shader compiler generates. These are exactly the
-//! constraints the paper identifies as the source of the WebGL/CUDA gap
-//! (no work groups, no shared memory — Sec 3.9).
+//! A **fragment** kernel (paper Sec 4.1, Figure 4 and Listing 2) is the
+//! analogue of a compiled fragment shader: its body is invoked once per
+//! output value (or once per packed texel), in parallel, with **no shared
+//! memory** and **no scatter** — the body can only return the value for its
+//! own output coordinates (`setOutput`), and reads inputs exclusively
+//! through [`Samplers`], the layout-compiled `getA(...)` accessors the
+//! shader compiler generates. These are exactly the constraints the paper
+//! identifies as the source of the WebGL/CUDA gap (no work groups, no
+//! shared memory — Sec 3.9).
+//!
+//! A **compute** kernel (Sec 4.3) dispatches workgroups whose invocations
+//! cooperate through shared memory; its body sees whole linear buffers and
+//! writes the whole output. The simulator captures the cooperation in one
+//! number, [`Kernel::shared_reuse`], which a device with shared memory
+//! multiplies into the kernel's [`occupancy`].
 
 use crate::layout::TextureLayout;
 use std::sync::Arc;
@@ -55,135 +62,160 @@ impl<'a> Samplers<'a> {
     }
 }
 
-/// Body of an unpacked program: `main()` runs per output element with its
-/// flat index and N-D coordinates, returning the value for `setOutput`.
+/// Body of an unpacked fragment kernel: `main()` runs per output element
+/// with its flat index and N-D coordinates, returning the value for
+/// `setOutput`.
 pub type ElementBody = Arc<dyn Fn(&Samplers<'_>, usize, &[usize]) -> f32 + Send + Sync>;
 
-/// Body of a packed program: one invocation computes the 4 consecutive
-/// output elements of an RGBA texel (the packing optimization of Sec 3.9).
+/// Body of a packed fragment kernel: one invocation computes the 4
+/// consecutive output elements of an RGBA texel (the packing optimization of
+/// Sec 3.9).
 pub type PackedBody = Arc<dyn Fn(&Samplers<'_>, usize) -> [f32; 4] + Send + Sync>;
 
-/// A compiled GPGPU program.
+/// Body of a compute kernel: reads the bound input buffers and writes the
+/// bound output buffer in place. The output slice is exactly
+/// [`Kernel::out_size`] long and arrives with whatever a recycled allocation
+/// last held, so a body must store every element.
+pub type ComputeBody = Arc<dyn Fn(&[&[f32]], &mut [f32]) + Send + Sync>;
+
+/// A compiled GPGPU kernel.
 #[derive(Clone)]
-pub struct Program {
-    /// Program name, reported by timer queries and profiling.
+pub struct Kernel {
+    /// Kernel name: compile-cache key, fault-plan blocklist key, and the
+    /// label timer queries and profiling report.
     pub name: &'static str,
-    /// Logical output shape.
+    /// Logical output shape (`[out_len]` for a compute kernel).
     pub out_shape: Vec<usize>,
     /// Execution body.
-    pub body: ProgramBody,
+    pub body: KernelBody,
     /// Approximate arithmetic operations per output element — the
-    /// occupancy hint the executor uses to decide how many shader cores a
-    /// draw call can usefully fill (tiny draws underutilize a real GPU the
-    /// same way).
+    /// occupancy hint that tells tiny dispatches (which underutilize a real
+    /// GPU the same way) from large ones.
     pub cost_per_element: usize,
+    /// How many invocations each workgroup-shared-memory load serves:
+    /// 1 = no cooperation (every fragment kernel, elementwise compute
+    /// kernels); 16 = a 16-wide tiled kernel.
+    pub shared_reuse: usize,
 }
 
-/// Unpacked or packed execution body.
+/// A fragment body, unpacked or packed.
 #[derive(Clone)]
-pub enum ProgramBody {
+pub enum FragmentBody {
     /// One invocation per output element.
     PerElement(ElementBody),
     /// One invocation per 4-wide output texel.
     Packed(PackedBody),
 }
 
-impl Program {
-    /// An unpacked per-element program.
+/// What a dispatch runs. A fragment body is split over the device's shader
+/// cores (a [`webml_core::pool::WorkerPool`], see [`execute`]); a compute
+/// body runs whole on the device thread.
+#[derive(Clone)]
+pub enum KernelBody {
+    /// One `main()` per output value or texel, inputs through [`Samplers`].
+    Fragment(FragmentBody),
+    /// One call over whole linear buffers.
+    Compute(ComputeBody),
+}
+
+impl Kernel {
+    /// An unpacked per-element fragment kernel.
     pub fn per_element(
         name: &'static str,
         out_shape: Vec<usize>,
         body: impl Fn(&Samplers<'_>, usize, &[usize]) -> f32 + Send + Sync + 'static,
-    ) -> Program {
-        Program { name, out_shape, body: ProgramBody::PerElement(Arc::new(body)), cost_per_element: 1 }
+    ) -> Kernel {
+        let body = KernelBody::Fragment(FragmentBody::PerElement(Arc::new(body)));
+        Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
     }
 
-    /// A packed program computing 4 outputs per invocation.
+    /// A packed fragment kernel computing 4 outputs per invocation.
     pub fn packed(
         name: &'static str,
         out_shape: Vec<usize>,
         body: impl Fn(&Samplers<'_>, usize) -> [f32; 4] + Send + Sync + 'static,
-    ) -> Program {
-        Program { name, out_shape, body: ProgramBody::Packed(Arc::new(body)), cost_per_element: 1 }
+    ) -> Kernel {
+        let body = KernelBody::Fragment(FragmentBody::Packed(Arc::new(body)));
+        Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
     }
 
     /// Attach an occupancy cost hint (arithmetic ops per output element).
-    pub fn with_cost(mut self, cost_per_element: usize) -> Program {
+    pub fn with_cost(mut self, cost_per_element: usize) -> Kernel {
         self.cost_per_element = cost_per_element.max(1);
         self
     }
 
     /// Logical output element count.
     pub fn out_size(&self) -> usize {
-        self.out_shape.iter().product::<usize>().max(1)
+        self.out_shape.iter().product()
     }
 
     /// Whether the body is packed.
     pub fn is_packed(&self) -> bool {
-        matches!(self.body, ProgramBody::Packed(_))
-    }
-
-    /// Identity under which a context caches this program's compiled
-    /// shader: the name plus which body variant actually runs (a packed
-    /// body compiles to different GLSL than a per-element body, so the two
-    /// are distinct cache entries and fail compilation independently).
-    pub fn compile_key(&self, packing_enabled: bool) -> (&'static str, bool) {
-        (self.name, self.is_packed() && packing_enabled)
+        matches!(self.body, KernelBody::Fragment(FragmentBody::Packed(_)))
     }
 }
 
-impl std::fmt::Debug for Program {
+impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Program")
+        let body = match self.body {
+            KernelBody::Fragment(FragmentBody::PerElement(_)) => "per-element",
+            KernelBody::Fragment(FragmentBody::Packed(_)) => "packed",
+            KernelBody::Compute(_) => "compute",
+        };
+        f.debug_struct("Kernel")
             .field("name", &self.name)
             .field("out_shape", &self.out_shape)
-            .field("packed", &self.is_packed())
+            .field("body", &body)
+            .field("cost_per_element", &self.cost_per_element)
+            .field("shared_reuse", &self.shared_reuse)
             .finish()
     }
 }
 
-/// What a program execution used: the basis of the simulated-time model.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecStats {
-    /// Modeled shader cores the draw call could fill (occupancy).
-    pub occupancy: usize,
-    /// Host threads actually engaged (bounded by the machine).
-    pub real_engaged: usize,
+/// Modeled lanes one dispatch of `kernel` fills on a device with
+/// `parallelism` cores: with workgroup shared memory each staged load feeds
+/// `shared_reuse` invocations, so the same bandwidth sustains that many more
+/// lanes; without it the declared reuse is ignored. Bounded below by 1 and
+/// above by how much work the dispatch has to hand out (tiny dispatches
+/// underutilize a real GPU).
+pub fn occupancy(parallelism: usize, shared_memory: bool, kernel: &Kernel) -> usize {
+    let reuse = if shared_memory { kernel.shared_reuse } else { 1 };
+    let work = kernel.out_size().saturating_mul(kernel.cost_per_element);
+    parallelism.saturating_mul(reuse).max(1).min((work / 2_048).max(1))
 }
 
-/// Execute a program body over an output buffer, splitting the work across
+/// Execute a fragment `body` over an output buffer of logical shape
+/// `out_shape`, splitting the work across
 /// the device's persistent [`webml_core::pool::WorkerPool`] — the simulator's
 /// model of fragment-shader parallelism. Each invocation writes only its own
 /// output slot.
 ///
 /// Fills `out` at logical flat indices (with f16 rounding applied per
-/// element when the device is half-precision) and returns the occupancy
-/// statistics the simulated-time model needs.
+/// element when the device is half-precision) and returns the host threads
+/// actually engaged (bounded by the machine and by `occupancy`), which the
+/// simulated-time model rescales by.
 pub fn execute(
-    program: &Program,
+    body: &FragmentBody,
+    out_shape: &[usize],
     samplers_inputs: &[(&[f32], &TextureLayout)],
     out: &mut [f32],
     pool: &webml_core::pool::WorkerPool,
-    modeled_parallelism: usize,
+    occupancy: usize,
     half_precision: bool,
-) -> ExecStats {
-    let size = program.out_size();
+) -> usize {
+    let size: usize = out_shape.iter().product();
     if size == 0 {
-        return ExecStats { occupancy: 1, real_engaged: 1 };
+        return 1;
     }
-    // Occupancy model: a draw call only fills as many shader cores as its
-    // total work justifies (tiny textures underutilize a real GPU).
-    let work = size.saturating_mul(program.cost_per_element);
-    let occupancy = modeled_parallelism.max(1).min((work / 2_048).max(1));
     let threads = pool.size().min(occupancy);
     // Chunk boundaries; packed bodies need texel (4-element) alignment.
-    let align = if program.is_packed() { 4 } else { 1 };
+    let align = if matches!(body, FragmentBody::Packed(_)) { 4 } else { 1 };
     let raw_chunk = size.div_ceil(threads);
     let chunk_len = raw_chunk.div_ceil(align) * align;
     let n_chunks = size.div_ceil(chunk_len);
     let base_ptr = out.as_mut_ptr() as usize;
-    let dims = program.out_shape.clone();
-    let body = program.body.clone();
+    let dims = out_shape;
     pool.run(n_chunks, &move |ci| {
         let start = ci * chunk_len;
         let len = chunk_len.min(size - start);
@@ -192,16 +224,16 @@ pub fn execute(
         let chunk =
             unsafe { std::slice::from_raw_parts_mut((base_ptr as *mut f32).add(start), len) };
         let samplers = Samplers::new(samplers_inputs);
-        match &body {
-            ProgramBody::PerElement(f) => {
-                let mut coords = coords_of(&dims, start);
+        match body {
+            FragmentBody::PerElement(f) => {
+                let mut coords = coords_of(dims, start);
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     let v = f(&samplers, start + off, &coords);
                     *slot = if half_precision { crate::f16::round(v) } else { v };
-                    advance(&dims, &mut coords);
+                    advance(dims, &mut coords);
                 }
             }
-            ProgramBody::Packed(f) => {
+            FragmentBody::Packed(f) => {
                 let mut off = 0;
                 while off < len {
                     let take = 4.min(len - off);
@@ -215,7 +247,7 @@ pub fn execute(
             }
         }
     });
-    ExecStats { occupancy, real_engaged: threads.min(n_chunks) }
+    threads.min(n_chunks)
 }
 
 fn coords_of(dims: &[usize], mut flat: usize) -> Vec<usize> {
@@ -247,9 +279,17 @@ mod tests {
         TextureLayout::compile(dims, TextureFormat::R32F, 16_384, true).unwrap()
     }
 
-    fn run(program: &Program, inputs: &[(&[f32], &TextureLayout)], out: &mut [f32], cores: usize) {
+    fn fragment(kernel: &Kernel) -> &FragmentBody {
+        match &kernel.body {
+            KernelBody::Fragment(body) => body,
+            KernelBody::Compute(_) => panic!("{} is a compute kernel", kernel.name),
+        }
+    }
+
+    fn run(kernel: &Kernel, inputs: &[(&[f32], &TextureLayout)], out: &mut [f32], cores: usize) {
         let pool = WorkerPool::new(cores);
-        execute(program, inputs, out, &pool, cores, false);
+        let lanes = occupancy(cores, false, kernel);
+        execute(fragment(kernel), &kernel.out_shape, inputs, out, &pool, lanes, false);
     }
 
     #[test]
@@ -260,7 +300,7 @@ mod tests {
         let b = vec![10.0, 20.0, 30.0, 40.0];
         let la = layout(&[2, 2]);
         let lb = layout(&[2, 2]);
-        let prog = Program::per_element("Add", vec![2, 2], |s, flat, _| {
+        let prog = Kernel::per_element("Add", vec![2, 2], |s, flat, _| {
             s.get_flat(0, flat) + s.get_flat(1, flat)
         });
         let mut out = vec![0.0; 4];
@@ -273,7 +313,7 @@ mod tests {
         let n = 100_000;
         let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let la = layout(&[n]);
-        let prog = Program::per_element("Square", vec![n], |s, flat, _| {
+        let prog = Kernel::per_element("Square", vec![n], |s, flat, _| {
             let v = s.get_flat(0, flat);
             v * v
         })
@@ -287,7 +327,7 @@ mod tests {
 
     #[test]
     fn coords_are_row_major() {
-        let prog = Program::per_element("CoordProbe", vec![2, 3], |_, _, coords| {
+        let prog = Kernel::per_element("CoordProbe", vec![2, 3], |_, _, coords| {
             (coords[0] * 10 + coords[1]) as f32
         });
         let mut out = vec![0.0; 6];
@@ -299,7 +339,7 @@ mod tests {
     fn packed_program_computes_quads() {
         let a: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let la = layout(&[10]);
-        let prog = Program::packed("AddOnePacked", vec![10], |s, base| {
+        let prog = Kernel::packed("AddOnePacked", vec![10], |s, base| {
             let mut quad = [0.0; 4];
             for (i, q) in quad.iter_mut().enumerate() {
                 if base + i < 10 {
@@ -319,7 +359,7 @@ mod tests {
         let n = 99_999;
         let a: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
         let la = layout(&[n]);
-        let prog = Program::packed("NegPacked", vec![n], move |s, base| {
+        let prog = Kernel::packed("NegPacked", vec![n], move |s, base| {
             let mut quad = [0.0; 4];
             for (i, q) in quad.iter_mut().enumerate() {
                 if base + i < n {
@@ -340,10 +380,10 @@ mod tests {
     fn half_precision_rounds_outputs() {
         let a = vec![1e-8f32];
         let la = layout(&[1]);
-        let prog = Program::per_element("Id", vec![1], |s, flat, _| s.get_flat(0, flat));
+        let prog = Kernel::per_element("Id", vec![1], |s, flat, _| s.get_flat(0, flat));
         let mut out = vec![9.0; 1];
         let pool = WorkerPool::new(1);
-        execute(&prog, &[(&a, &la)], &mut out, &pool, 1, true);
+        execute(fragment(&prog), &prog.out_shape, &[(&a, &la)], &mut out, &pool, 1, true);
         assert_eq!(out, vec![0.0]);
     }
 
@@ -356,7 +396,7 @@ mod tests {
         let la = layout(&[2, 2]);
         let lb = layout(&[2, 2]);
         let n = 2;
-        let prog = Program::per_element("MatMul", vec![2, 2], move |s, _, coords| {
+        let prog = Kernel::per_element("MatMul", vec![2, 2], move |s, _, coords| {
             let (row, col) = (coords[0], coords[1]);
             let mut acc = 0.0;
             for i in 0..n {
@@ -367,5 +407,29 @@ mod tests {
         let mut out = vec![0.0; 4];
         run(&prog, &[(&a, &la), (&b, &lb)], &mut out, 1);
         assert_eq!(out, vec![19.0, 22.0, 43.0, 50.0]);
+    }
+
+    fn compute(out_len: usize, reuse: usize, cost: usize) -> Kernel {
+        let body = KernelBody::Compute(Arc::new(|_, _| {}));
+        Kernel { name: "T", out_shape: vec![out_len], body, cost_per_element: cost, shared_reuse: reuse }
+    }
+
+    #[test]
+    fn occupancy_rewards_shared_reuse_only_with_shared_memory() {
+        // Large dispatch: a tiled kernel gets reuse× the cores...
+        let big = 1 << 20;
+        assert_eq!(occupancy(8, true, &compute(big, 1, 64)), 8);
+        assert_eq!(occupancy(8, true, &compute(big, 16, 64)), 128);
+        // ...unless the API has no workgroup shared memory to stage into.
+        assert_eq!(occupancy(8, false, &compute(big, 16, 64)), 8);
+    }
+
+    #[test]
+    fn occupancy_is_bounded_by_available_work() {
+        // A tiny dispatch cannot fill the device no matter the reuse.
+        assert_eq!(occupancy(64, true, &compute(16, 16, 1)), 1);
+        // Work bound sits between 1 and the effective core count.
+        let o = occupancy(64, true, &compute(4_096, 16, 2));
+        assert!((1..=1_024).contains(&o));
     }
 }

@@ -47,6 +47,11 @@ impl TextureFormat {
         }
     }
 
+    /// Bytes of device memory per texel.
+    pub fn texel_bytes(self) -> usize {
+        self.channels() * self.bytes_per_channel()
+    }
+
     /// Whether stored values round through binary16.
     pub fn is_half_precision(self) -> bool {
         matches!(self, TextureFormat::R16F | TextureFormat::Rgba16F)
@@ -104,7 +109,7 @@ impl Texture {
 
     /// Bytes of device memory held.
     pub fn byte_size(&self) -> usize {
-        self.rows * self.cols * self.format.channels() * self.format.bytes_per_channel()
+        self.rows * self.cols * self.format.texel_bytes()
     }
 
     /// Store a value at a flat channel slot, rounding on 16-bit formats and
@@ -139,13 +144,6 @@ impl Texture {
     /// Read a flat channel slot.
     pub fn fetch(&self, slot: usize) -> f32 {
         self.data[slot]
-    }
-
-    /// Decompose into the host-side shadow a context loss (or page-out)
-    /// leaves behind: physical geometry plus the values, with the device
-    /// allocation given up.
-    pub fn into_shadow(self) -> (usize, usize, TextureFormat, Vec<f32>) {
-        (self.rows, self.cols, self.format, self.data)
     }
 }
 

@@ -4,8 +4,11 @@
 //! Beyond* (Smilkov et al., SysML 2019): an eager tensor engine with
 //! automatic differentiation, a Keras-style Layers API, a model converter,
 //! a pretrained-style models repo — and, underneath, a faithful software
-//! simulation of the WebGL GPGPU execution model the paper repurposes for
-//! numeric computing.
+//! simulation of the browser GPGPU execution model the paper repurposes for
+//! numeric computing: one device core ([`webgl_sim`]) that a capability
+//! descriptor turns into WebGL or into the WebGPU-class compute API of the
+//! paper's Sec 4.3 ([`webgpu_sim`]), and one GPU backend
+//! ([`backend_webgl::GpuBackend`]) over a kernel set per API.
 //!
 //! ## Backends
 //!
@@ -26,7 +29,9 @@
 //! API ([`webml_webgl_sim::devices::DeviceProfile::has_webgpu`]); in the
 //! browser-side degradation ladder a lost webgpu device falls back to
 //! webgl, then cpu (`webgpu → webgl → cpu`), and
-//! [`Engine::promote_backend`] climbs back after canary re-admission.
+//! [`Engine::promote_backend`] climbs back after canary re-admission. The
+//! two GPU rows are the same backend type on two rungs
+//! ([`backend_webgl::WebGl`], [`backend_webgpu::WebGpu`]).
 //!
 //! ## Quickstart (Listing 1 of the paper)
 //!
@@ -247,5 +252,60 @@ mod tests {
             c.dispose();
         }
         e.set_backend(&original).unwrap();
+    }
+
+    /// A fence token knows its device: after `webgpu → webgl`, a token the
+    /// webgpu context minted must read as passed instead of parking the
+    /// caller on webgl's condvar behind a sequence number webgl never
+    /// reaches — which is the wait the serve dispatcher's `complete_run`
+    /// does.
+    #[test]
+    fn fence_tokens_survive_a_rung_change() {
+        use std::time::{Duration, Instant};
+        let e = new_engine_with_webgpu_faults(FaultPlan::none().lose_context_at(6));
+        let x = e.tensor_1d(&[1.0, 2.0]).unwrap();
+        let mut token = None;
+        for _ in 0..5 {
+            ops::square(&x).unwrap();
+            token = e.submit_fence();
+        }
+        assert_eq!(e.backend_name(), "webgpu");
+        // The sixth dispatch loses the device; the ladder lands on webgl.
+        assert_eq!(ops::square(&x).unwrap().to_f32_vec().unwrap(), vec![1.0, 4.0]);
+        assert_eq!(e.backend_name(), "webgl");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = e.clone();
+        let watchdog = std::thread::spawn(move || {
+            waiter.wait_fence(token);
+            tx.send(waiter.fence_passed(token)).unwrap();
+        });
+        let passed = rx.recv_timeout(Duration::from_secs(2));
+        assert_eq!(passed, Ok(true), "wait_fence on a foreign token must return");
+        watchdog.join().unwrap();
+
+        // The same through a pipelined run submitted on webgpu and
+        // completed after the ladder moved.
+        let spec = models::graph_mlp(8, &[16, 16], 4, 33);
+        let (vals, shape) = spec.example(1, 0);
+        let cpu = new_engine();
+        cpu.set_backend("cpu").unwrap();
+        let x = cpu.tensor(vals.clone(), Shape::new(shape.clone())).unwrap();
+        let want = spec.build(&cpu).unwrap().execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
+        let e = new_engine_with_webgpu_faults(FaultPlan::none().lose_context_at(60));
+        let model = spec.build(&e).unwrap();
+        let x = e.tensor(vals, Shape::new(shape)).unwrap();
+        let pending = model.execute_pipelined(&[(&spec.input, &x)], &[&spec.output]).unwrap();
+        assert_eq!(e.backend_name(), "webgpu", "submitted before the loss");
+        for _ in 0..60 {
+            ops::square(&x).unwrap();
+        }
+        assert_eq!(e.backend_name(), "webgl");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !pending.is_done(&e) {
+            assert!(Instant::now() < deadline, "is_done never turned true");
+            std::thread::yield_now();
+        }
+        let got = pending.wait().unwrap();
+        assert_eq!(got[0].to_f32_vec(), want[0].to_f32_vec().unwrap());
     }
 }
