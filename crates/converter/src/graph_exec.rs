@@ -11,19 +11,23 @@
 //! bias add and activation collapse into one `_Fused*` node, and runs of
 //! adjacent single-consumer element-wise ops collapse into one
 //! `_FusedElementwise` chain — each dispatching a single fused device
-//! kernel at execution time. Fetching a node that fusion swallowed
-//! transparently falls back to the unfused graph.
+//! kernel at execution time. Fetching a node that fusion swallowed plans
+//! the unfused graph instead.
+//!
+//! Every run is a [`Plan`] run: `execute` resolves the feed-shape
+//! signature, takes the cached plan (compiling it on first use) and runs
+//! it. A graph the planner rejects is an `Err` to the caller.
 
 use crate::plan::{PendingFetches, Plan};
 use crate::prune::{GraphDef, NodeDef};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use webml_core::backend::{BinaryOp, UnaryOp};
 use webml_core::conv_util::Padding;
-use webml_core::{ops, Engine, Error, FusedStep, Result, Shape, Tensor};
+use webml_core::{Engine, Error, FusedStep, Result, Shape, Tensor};
 
 /// Key of a cached plan: the sorted `(placeholder, dims)` feed signature
 /// plus the fetch list.
@@ -45,8 +49,9 @@ pub struct PlanStats {
     pub misses: u64,
     /// Whole-cache invalidations after a backend degradation.
     pub invalidations: u64,
-    /// Executions that fell back to the interpreter (plan build failed or
-    /// a gradient tape was recording).
+    /// Always 0: the plan is the only executor, so there is nothing to
+    /// fall back to (a plan that cannot be built is an `Err`, a taped run
+    /// is a plan run). The field stays because callers read it.
     pub fallbacks: u64,
     /// Plans currently cached.
     pub entries: usize,
@@ -58,7 +63,6 @@ struct PlanMetrics {
     hits: Arc<webml_telemetry::Counter>,
     misses: Arc<webml_telemetry::Counter>,
     invalidations: Arc<webml_telemetry::Counter>,
-    fallbacks: Arc<webml_telemetry::Counter>,
     peak_bytes: Arc<webml_telemetry::Gauge>,
 }
 
@@ -68,7 +72,6 @@ fn plan_metrics() -> &'static PlanMetrics {
         hits: webml_telemetry::counter("plan.cache_hits_total"),
         misses: webml_telemetry::counter("plan.cache_misses_total"),
         invalidations: webml_telemetry::counter("plan.invalidations_total"),
-        fallbacks: webml_telemetry::counter("plan.fallbacks_total"),
         peak_bytes: webml_telemetry::gauge("plan.predicted_peak_bytes"),
     })
 }
@@ -89,11 +92,9 @@ pub struct GraphModel {
     /// instead of O(fetches × nodes).
     fused_names: HashSet<String>,
     plans: Mutex<PlanCache>,
-    planning: AtomicBool,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     plan_invalidations: AtomicU64,
-    plan_fallbacks: AtomicU64,
 }
 
 pub(crate) fn attr_str<'a>(node: &'a NodeDef, key: &str) -> Option<&'a str> {
@@ -119,22 +120,6 @@ pub(crate) fn attr_padding(node: &NodeDef) -> Result<Padding> {
         "VALID" | "valid" => Ok(Padding::Valid),
         other => Err(Error::Serialization { message: format!("unknown padding {other}") }),
     }
-}
-
-/// Decode the optional bias input and activation of a `_Fused*` node.
-fn fused_epilogue_args<'a>(
-    node: &NodeDef,
-    get: &impl Fn(usize) -> Result<&'a Tensor>,
-) -> Result<(Option<&'a Tensor>, Option<UnaryOp>)> {
-    let has_bias = node.attrs.get("has_bias").and_then(Value::as_bool).unwrap_or(false);
-    let bias = if has_bias { Some(get(2)?) } else { None };
-    let act = match attr_str(node, "activation") {
-        Some(name) => Some(fusable_unary(name).ok_or_else(|| Error::Serialization {
-            message: format!("unknown fused activation {name}"),
-        })?),
-        None => None,
-    };
-    Ok((bias, act))
 }
 
 /// Decode the `steps` attr of a `_FusedElementwise` node.
@@ -387,6 +372,14 @@ fn fuse_graph(graph: &GraphDef, weights: &HashMap<String, Tensor>) -> GraphDef {
     }
 
     // Pass B: element-wise chains over nodes not already part of a fusion.
+    // A chain member has exactly the data inputs its op takes: a node with
+    // none (or a binary with one) is malformed and stays as it is, so the
+    // planner can name it in an error.
+    let chain_step = |n: &NodeDef| match n.inputs.len() {
+        1 => fusable_unary(&n.op).is_some(),
+        2 => fusable_binary(&n.op).is_some(),
+        _ => false,
+    };
     let in_fusion =
         |i: usize, swallowed: &HashSet<usize>, replacement: &HashMap<usize, NodeDef>| {
             swallowed.contains(&i) || replacement.contains_key(&i)
@@ -395,9 +388,7 @@ fn fuse_graph(graph: &GraphDef, weights: &HashMap<String, Tensor>) -> GraphDef {
         if in_fusion(i, &swallowed, &replacement) || has_control[i] {
             continue;
         }
-        let head_step = fusable_unary(&node.op).is_some()
-            || (fusable_binary(&node.op).is_some() && node.inputs.len() == 2);
-        if !head_step {
+        if !chain_step(node) {
             continue;
         }
         // Only start a chain at its head: the producer of input 0 must not
@@ -406,8 +397,7 @@ fn fuse_graph(graph: &GraphDef, weights: &HashMap<String, Tensor>) -> GraphDef {
             let pn = &graph.nodes[p];
             let p_fusable = !in_fusion(p, &swallowed, &replacement)
                 && !has_control[p]
-                && (fusable_unary(&pn.op).is_some()
-                    || (fusable_binary(&pn.op).is_some() && pn.inputs.len() == 2))
+                && chain_step(pn)
                 && sole_consumer(p) == Some(i);
             if p_fusable {
                 continue;
@@ -421,9 +411,7 @@ fn fuse_graph(graph: &GraphDef, weights: &HashMap<String, Tensor>) -> GraphDef {
                 break;
             }
             let cn = &graph.nodes[c];
-            let ok = (fusable_unary(&cn.op).is_some()
-                || (fusable_binary(&cn.op).is_some() && cn.inputs.len() == 2))
-                && cn.inputs[0] == graph.nodes[last].name;
+            let ok = chain_step(cn) && cn.inputs[0] == graph.nodes[last].name;
             if !ok {
                 break;
             }
@@ -510,17 +498,15 @@ impl GraphModel {
                 generation: engine.degradation_generation(),
                 entries: HashMap::new(),
             }),
-            planning: AtomicBool::new(true),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
             plan_invalidations: AtomicU64::new(0),
-            plan_fallbacks: AtomicU64::new(0),
         };
         // Load-time compile: when every placeholder declares its shape we
         // can plan the default (terminal-fetch) signature right away, so
         // the first request already hits a warm plan. Other signatures
-        // compile on first use. Failures here are non-fatal — execution
-        // falls back to the interpreter.
+        // compile on first use. A failure here is not fatal to the load:
+        // the first `execute` rebuilds the plan and reports the error.
         if let Some(sig) = model.placeholder_shape_attrs() {
             let fetches: Vec<String> =
                 model.output_names().iter().map(|s| s.to_string()).collect();
@@ -600,25 +586,13 @@ impl GraphModel {
         Ok(plan)
     }
 
-    /// Enable or disable planned execution (on by default). With planning
-    /// off, [`GraphModel::execute`] always interprets — the comparison
-    /// baseline the plan benchmark measures against.
-    pub fn set_planning(&self, on: bool) {
-        self.planning.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether planned execution is enabled.
-    pub fn planning_enabled(&self) -> bool {
-        self.planning.load(Ordering::Relaxed)
-    }
-
     /// Plan-cache counters for this model.
     pub fn plan_stats(&self) -> PlanStats {
         PlanStats {
             hits: self.plan_hits.load(Ordering::Relaxed),
             misses: self.plan_misses.load(Ordering::Relaxed),
             invalidations: self.plan_invalidations.load(Ordering::Relaxed),
-            fallbacks: self.plan_fallbacks.load(Ordering::Relaxed),
+            fallbacks: 0,
             entries: self.plans.lock().entries.len(),
         }
     }
@@ -682,220 +656,42 @@ impl GraphModel {
 
     /// Execute the graph: bind `feeds` to placeholders, return the tensors
     /// of `fetches`. Runs the compiled [`Plan`] for this feed-shape
-    /// signature (building and caching it on first use), which disposes
-    /// each intermediate at its final consumer. Falls back to the
-    /// interpreter when planning is disabled, a gradient tape is recording
-    /// (eager disposal would free tensors the tape needs), or the plan
-    /// cannot be built. Either path runs the fused graph unless a fetch
-    /// names a node the fusion pass eliminated.
+    /// signature (building and caching it on first use) over the fused
+    /// graph, or over the unfused one when a fetch names a node the fusion
+    /// pass eliminated. Each intermediate is disposed at its final
+    /// consumer — except while a gradient tape is recording, when the plan
+    /// keeps them for the backward pass (see [`Plan::run`]).
     ///
     /// # Errors
-    /// Fails on missing feeds/fetches or unsupported ops.
+    /// Fails on missing feeds/fetches, unsupported ops or malformed nodes
+    /// (the plan cannot be built), and on kernel failures.
     pub fn execute(&self, feeds: &[(&str, &Tensor)], fetches: &[&str]) -> Result<Vec<Tensor>> {
-        if self.planning.load(Ordering::Relaxed) && !self.engine.is_recording() {
-            let sig: Vec<(String, Vec<usize>)> = feeds
-                .iter()
-                .map(|(n, t)| (n.to_string(), t.shape_ref().dims().to_vec()))
-                .collect();
-            match self.plan_for_shapes(&sig, fetches) {
-                Ok(plan) => return plan.run(&self.engine, feeds),
-                Err(_) => {
-                    // Unplannable (e.g. unsupported op, missing feed): let
-                    // the interpreter run it — or produce the real error.
-                    self.plan_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    plan_metrics().fallbacks.add(1);
-                }
-            }
-        }
-        self.execute_interpreted(feeds, fetches)
+        let sig: Vec<(String, Vec<usize>)> =
+            feeds.iter().map(|(n, t)| (n.to_string(), t.shape_ref().dims().to_vec())).collect();
+        self.plan_for_shapes(&sig, fetches)?.run(&self.engine, feeds)
     }
 
     /// Execute the graph **without synchronizing** (paper Sec 4.1.1,
-    /// Fig 3): ops are enqueued, asynchronous readbacks are issued for
-    /// every fetch, and a fence marks the end of the submission. Returns a
-    /// [`PendingFetches`] immediately so the caller can overlap the next
+    /// Fig 3): [`GraphModel::execute`] enqueues the ops (non-blocking on
+    /// the asynchronous backends), then asynchronous readbacks are issued
+    /// for every fetch and a fence marks the end of the submission. Returns
+    /// a [`PendingFetches`] immediately so the caller can overlap the next
     /// request's upload and enqueue with this one's device compute —
     /// double-buffered, this keeps the device thread busy end-to-end.
     ///
-    /// Falls back exactly like [`GraphModel::execute`]: when planning is
-    /// off, a tape is recording, or the plan cannot be built (including a
-    /// context loss mid-pipeline — the plan cache is invalidated by the
-    /// degradation generation and the interpreter replays on the fallback
-    /// backend), the interpreted result is wrapped in the same
-    /// [`PendingFetches`] surface, with the fence reflecting whatever
-    /// backend ended up running the work.
+    /// A context loss mid-pipeline invalidates the plan cache through the
+    /// degradation generation; the next call plans against the fallback
+    /// backend, and the fence reflects whatever backend ran the work.
     ///
     /// # Errors
-    /// Fails on missing feeds/fetches, unsupported ops, or readback
+    /// Same conditions as [`GraphModel::execute`], plus readback
     /// submission failures.
     pub fn execute_pipelined(
         &self,
         feeds: &[(&str, &Tensor)],
         fetches: &[&str],
     ) -> Result<PendingFetches> {
-        if self.planning.load(Ordering::Relaxed) && !self.engine.is_recording() {
-            let sig: Vec<(String, Vec<usize>)> = feeds
-                .iter()
-                .map(|(n, t)| (n.to_string(), t.shape_ref().dims().to_vec()))
-                .collect();
-            match self.plan_for_shapes(&sig, fetches) {
-                Ok(plan) => return plan.begin_run(&self.engine, feeds),
-                Err(_) => {
-                    self.plan_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    plan_metrics().fallbacks.add(1);
-                }
-            }
-        }
-        let tensors = self.execute_interpreted(feeds, fetches)?;
-        PendingFetches::capture(&self.engine, tensors)
-    }
-
-    /// Execute via the per-call interpreter, bypassing plans entirely: op
-    /// names are string-matched, attrs re-parsed, and every intermediate
-    /// lives until the tidy scope closes. Kept public as the comparison
-    /// baseline for the plan benchmark and tests.
-    ///
-    /// # Errors
-    /// Fails on missing feeds/fetches or unsupported ops.
-    pub fn execute_interpreted(
-        &self,
-        feeds: &[(&str, &Tensor)],
-        fetches: &[&str],
-    ) -> Result<Vec<Tensor>> {
-        let fused_has_all = fetches.iter().all(|f| self.fused_names.contains(*f));
-        let (graph, order) = if fused_has_all {
-            (&self.fused, &self.fused_order)
-        } else {
-            (&self.graph, &self.order)
-        };
-        self.engine.clone().tidy(|| self.execute_inner(graph, order, feeds, fetches))
-    }
-
-    fn execute_inner(
-        &self,
-        graph: &GraphDef,
-        order: &[usize],
-        feeds: &[(&str, &Tensor)],
-        fetches: &[&str],
-    ) -> Result<Vec<Tensor>> {
-        let mut values: HashMap<&str, Tensor> = HashMap::new();
-        // Tensor ids the values map merely borrows (weights and feeds):
-        // fetching one returns an identity alias instead of the borrowed
-        // handle, so a caller disposing the result cannot destroy it.
-        let mut borrowed: HashSet<usize> = HashSet::new();
-        for &i in order {
-            let node = &graph.nodes[i];
-            let get = |k: usize| -> Result<&Tensor> {
-                let name = node.inputs[k].trim_start_matches('^');
-                values
-                    .get(name)
-                    .ok_or_else(|| Error::invalid("GraphModel", format!("input {name} not computed")))
-            };
-            let out = match node.op.as_str() {
-                "Placeholder" => {
-                    let fed = feeds.iter().find(|(n, _)| *n == node.name).ok_or_else(|| {
-                        Error::invalid("GraphModel", format!("no feed for placeholder {}", node.name))
-                    })?;
-                    let t = fed.1.clone();
-                    borrowed.insert(t.id());
-                    t
-                }
-                "Const" | "VariableV2" => {
-                    // Borrow the resident weight handle directly — no
-                    // identity kernel dispatch per weight per call.
-                    let t = self.weights[&node.name].clone();
-                    borrowed.insert(t.id());
-                    t
-                }
-                "MatMul" => ops::matmul(get(0)?, get(1)?, false, false)?,
-                "Add" | "AddV2" | "BiasAdd" => ops::add(get(0)?, get(1)?)?,
-                "Sub" => ops::sub(get(0)?, get(1)?)?,
-                "Mul" => ops::mul(get(0)?, get(1)?)?,
-                "RealDiv" | "Div" => ops::div(get(0)?, get(1)?)?,
-                "Relu" => ops::relu(get(0)?)?,
-                "Relu6" => ops::relu6(get(0)?)?,
-                "Sigmoid" => ops::sigmoid(get(0)?)?,
-                "Tanh" => ops::tanh(get(0)?)?,
-                "Softmax" => ops::softmax(get(0)?)?,
-                "Identity" => ops::identity(get(0)?)?,
-                "Reshape" => {
-                    let x = get(0)?;
-                    let dims = resolve_reshape_dims(node, x.shape_ref())?;
-                    ops::reshape(x, Shape::new(dims))?
-                }
-                "Conv2D" => {
-                    let strides = attr_pair(node, "strides", (1, 1));
-                    ops::conv2d(get(0)?, get(1)?, strides, attr_padding(node)?, (1, 1))?
-                }
-                "DepthwiseConv2dNative" => {
-                    let strides = attr_pair(node, "strides", (1, 1));
-                    ops::depthwise_conv2d(get(0)?, get(1)?, strides, attr_padding(node)?, (1, 1))?
-                }
-                "MaxPool" => {
-                    let window = attr_pair(node, "ksize", (2, 2));
-                    let strides = attr_pair(node, "strides", window);
-                    ops::max_pool(get(0)?, window, strides, attr_padding(node)?)?
-                }
-                "AvgPool" => {
-                    let window = attr_pair(node, "ksize", (2, 2));
-                    let strides = attr_pair(node, "strides", window);
-                    ops::avg_pool(get(0)?, window, strides, attr_padding(node)?)?
-                }
-                "_FusedMatMul" => {
-                    let (bias, act) = fused_epilogue_args(node, &get)?;
-                    ops::fused_matmul(get(0)?, get(1)?, bias, act, false, false)?
-                }
-                "_FusedConv2D" => {
-                    let (bias, act) = fused_epilogue_args(node, &get)?;
-                    let strides = attr_pair(node, "strides", (1, 1));
-                    let padding = attr_padding(node)?;
-                    ops::fused_conv2d(get(0)?, get(1)?, bias, act, strides, padding, (1, 1))?
-                }
-                "_FusedDepthwiseConv2dNative" => {
-                    let (bias, act) = fused_epilogue_args(node, &get)?;
-                    let strides = attr_pair(node, "strides", (1, 1));
-                    let (x, f, padding) = (get(0)?, get(1)?, attr_padding(node)?);
-                    ops::fused_depthwise_conv2d(x, f, bias, act, strides, padding, (1, 1))?
-                }
-                "_FusedElementwise" => {
-                    let steps = parse_steps(node)?;
-                    let extras: Vec<&Tensor> =
-                        (1..node.inputs.len()).map(&get).collect::<Result<_>>()?;
-                    ops::fused_elementwise(get(0)?, &extras, &steps)?
-                }
-                "Mean" => {
-                    // Reduce over attr axes (default: spatial dims 1,2).
-                    let axes: Vec<isize> = node
-                        .attrs
-                        .get("axes")
-                        .and_then(Value::as_array)
-                        .map(|a| a.iter().filter_map(Value::as_i64).map(|d| d as isize).collect())
-                        .unwrap_or_else(|| vec![1, 2]);
-                    ops::mean(get(0)?, Some(&axes), false)?
-                }
-                other => {
-                    return Err(Error::invalid(
-                        "GraphModel",
-                        format!("unsupported op {other} (node {})", node.name),
-                    ))
-                }
-            };
-            values.insert(node.name.as_str(), out);
-        }
-        fetches
-            .iter()
-            .map(|&f| {
-                let t = values
-                    .get(f)
-                    .ok_or_else(|| Error::invalid("GraphModel", format!("unknown fetch {f}")))?;
-                if borrowed.contains(&t.id()) {
-                    // Alias, don't hand out the weight/feed handle itself.
-                    ops::identity(t)
-                } else {
-                    Ok(t.clone())
-                }
-            })
-            .collect()
+        PendingFetches::capture(&self.engine, self.execute(feeds, fetches)?)
     }
 }
 
@@ -904,11 +700,117 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use webml_core::cpu::CpuBackend;
+    use webml_core::ops;
 
     fn engine() -> Engine {
         let e = Engine::new();
         e.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
         e
+    }
+
+    /// The tests' second op table: a per-call walk of the **unfused** graph,
+    /// op names string-matched and attrs re-parsed on the spot, every node
+    /// computed and kept until the scope closes. Written independently of
+    /// `plan::lower_node` + `dispatch`, so a plan that disagrees with it on
+    /// any fetch has a wrong arm. A fetched weight or feed is the borrowed
+    /// handle itself — do not dispose it.
+    fn reference_walk(
+        model: &GraphModel,
+        feeds: &[(&str, &Tensor)],
+        fetches: &[&str],
+    ) -> Result<Vec<Tensor>> {
+        model.engine.tidy(|| {
+            let mut values: HashMap<&str, Tensor> = HashMap::new();
+            for &i in &model.order {
+                let node = &model.graph.nodes[i];
+                let get = |k: usize| -> Result<&Tensor> {
+                    let name = node.inputs.get(k).ok_or_else(|| {
+                        Error::invalid("reference", format!("{} is missing input {k}", node.name))
+                    })?;
+                    values.get(name.trim_start_matches('^')).ok_or_else(|| {
+                        Error::invalid("reference", format!("input {name} not computed"))
+                    })
+                };
+                let out = match node.op.as_str() {
+                    "Placeholder" => feeds
+                        .iter()
+                        .find(|(n, _)| *n == node.name)
+                        .map(|(_, t)| (*t).clone())
+                        .ok_or_else(|| {
+                            Error::invalid("reference", format!("no feed for {}", node.name))
+                        })?,
+                    "Const" | "VariableV2" => model.weights[&node.name].clone(),
+                    "MatMul" => ops::matmul(get(0)?, get(1)?, false, false)?,
+                    "Add" | "AddV2" | "BiasAdd" => ops::add(get(0)?, get(1)?)?,
+                    "Sub" => ops::sub(get(0)?, get(1)?)?,
+                    "Mul" => ops::mul(get(0)?, get(1)?)?,
+                    "RealDiv" | "Div" => ops::div(get(0)?, get(1)?)?,
+                    "Relu" => ops::relu(get(0)?)?,
+                    "Relu6" => ops::relu6(get(0)?)?,
+                    "Sigmoid" => ops::sigmoid(get(0)?)?,
+                    "Tanh" => ops::tanh(get(0)?)?,
+                    "Softmax" => ops::softmax(get(0)?)?,
+                    "Identity" => ops::identity(get(0)?)?,
+                    "Reshape" => {
+                        let x = get(0)?;
+                        let dims = resolve_reshape_dims(node, x.shape_ref())?;
+                        ops::reshape(x, Shape::new(dims))?
+                    }
+                    "Conv2D" => {
+                        let strides = attr_pair(node, "strides", (1, 1));
+                        ops::conv2d(get(0)?, get(1)?, strides, attr_padding(node)?, (1, 1))?
+                    }
+                    "DepthwiseConv2dNative" => {
+                        let strides = attr_pair(node, "strides", (1, 1));
+                        ops::depthwise_conv2d(get(0)?, get(1)?, strides, attr_padding(node)?, (1, 1))?
+                    }
+                    "MaxPool" => {
+                        let window = attr_pair(node, "ksize", (2, 2));
+                        let strides = attr_pair(node, "strides", window);
+                        ops::max_pool(get(0)?, window, strides, attr_padding(node)?)?
+                    }
+                    "AvgPool" => {
+                        let window = attr_pair(node, "ksize", (2, 2));
+                        let strides = attr_pair(node, "strides", window);
+                        ops::avg_pool(get(0)?, window, strides, attr_padding(node)?)?
+                    }
+                    "Mean" => {
+                        // Reduce over attr axes (default: spatial dims 1,2).
+                        let axes: Vec<isize> = node
+                            .attrs
+                            .get("axes")
+                            .and_then(Value::as_array)
+                            .map(|a| a.iter().filter_map(Value::as_i64).map(|d| d as isize).collect())
+                            .unwrap_or_else(|| vec![1, 2]);
+                        ops::mean(get(0)?, Some(&axes), false)?
+                    }
+                    other => {
+                        return Err(Error::invalid(
+                            "reference",
+                            format!("unsupported op {other} (node {})", node.name),
+                        ))
+                    }
+                };
+                values.insert(node.name.as_str(), out);
+            }
+            fetches
+                .iter()
+                .map(|&f| {
+                    values.get(f).cloned().ok_or_else(|| {
+                        Error::invalid("reference", format!("unknown fetch {f}"))
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// `n` deterministic values in `[-1, 1]`, decorrelated by `k`.
+    fn wave(n: usize, k: f32) -> Vec<f32> {
+        (0..n).map(|i| ((i as f32 + 1.0) * k).sin()).collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect()
     }
 
     fn mlp_graph() -> GraphDef {
@@ -1023,15 +925,15 @@ mod tests {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
         let x = e.tensor_2d(&[1.0, 2.0, -0.5, 3.0], 2, 2).unwrap();
-        // "probs" survives fusion → fused execution; "z1" was swallowed →
-        // the same call falls back to the unfused graph.
+        // "probs" survives fusion → the fused plan; "z1" was swallowed →
+        // the same call plans the unfused graph.
         let fused = model.execute(&[("x", &x)], &["probs"]).unwrap();
         let unfused = model.execute(&[("x", &x)], &["probs", "z1"]).unwrap();
         assert_eq!(fused[0].to_f32_vec().unwrap(), unfused[0].to_f32_vec().unwrap());
     }
 
     #[test]
-    fn fetching_swallowed_intermediate_falls_back() {
+    fn fetching_swallowed_intermediate_plans_the_unfused_graph() {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
         let x = e.tensor_2d(&[1.0, 2.0], 1, 2).unwrap();
@@ -1092,22 +994,20 @@ mod tests {
     }
 
     #[test]
-    fn planned_execution_matches_interpreted_bitwise() {
+    fn plan_matches_reference_walk_bitwise() {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
         let x = e.tensor_2d(&[1.0, 2.0, -0.5, 3.0], 2, 2).unwrap();
-        let planned = model.execute(&[("x", &x)], &["probs"]).unwrap();
-        let interpreted = model.execute_interpreted(&[("x", &x)], &["probs"]).unwrap();
-        assert_eq!(
-            planned[0].to_f32_vec().unwrap(),
-            interpreted[0].to_f32_vec().unwrap()
-        );
-        // The swallowed-fetch fallback path plans against the unfused graph.
-        let planned = model.execute(&[("x", &x)], &["probs", "z1"]).unwrap();
-        let interpreted = model.execute_interpreted(&[("x", &x)], &["probs", "z1"]).unwrap();
-        for (p, i) in planned.iter().zip(&interpreted) {
-            assert_eq!(p.to_f32_vec().unwrap(), i.to_f32_vec().unwrap());
+        // The fused plan, and (a swallowed fetch) the plan over the unfused
+        // graph, against the walk of the unfused graph.
+        for fetches in [&["probs"][..], &["probs", "z1"][..]] {
+            let planned = model.execute(&[("x", &x)], fetches).unwrap();
+            let walked = reference_walk(&model, &[("x", &x)], fetches).unwrap();
+            for (p, w) in planned.iter().zip(&walked) {
+                assert_eq!(bits(p), bits(w), "fetches {fetches:?}");
+            }
         }
+        assert_eq!(model.plan_stats().fallbacks, 0);
     }
 
     #[test]
@@ -1165,8 +1065,8 @@ mod tests {
     #[test]
     fn plan_eager_disposal_bounds_peak_bytes() {
         let e = engine();
-        // A matmul chain (does not fuse): interpreted execution keeps all
-        // N intermediates until scope end; the plan keeps at most two.
+        // A matmul chain (does not fuse): scope-end disposal would hold all
+        // six intermediates; the plan keeps at most two.
         let graph = GraphDef::from_triples(&[
             ("x", "Placeholder", &[]),
             ("w", "VariableV2", &[]),
@@ -1194,12 +1094,6 @@ mod tests {
         let planned_peak = e.peak_bytes() - baseline;
         out[0].dispose();
         assert_eq!(planned_peak, plan.predicted_peak_bytes());
-
-        e.reset_peak_bytes();
-        let out = model.execute_interpreted(&[("x", &x)], &["m6"]).unwrap();
-        let interpreted_peak = e.peak_bytes() - baseline;
-        out[0].dispose();
-        assert_eq!(interpreted_peak, 6 * row, "all six intermediates live at once");
     }
 
     #[test]
@@ -1214,8 +1108,8 @@ mod tests {
         let x = e.tensor(vec![1.0; 24], Shape::new(vec![2, 3, 4])).unwrap();
         let planned = model.execute(&[("x", &x)], &["flat"]).unwrap();
         assert_eq!(planned[0].shape_ref().dims(), &[2, 12]);
-        let interpreted = model.execute_interpreted(&[("x", &x)], &["flat"]).unwrap();
-        assert_eq!(interpreted[0].shape_ref().dims(), &[2, 12]);
+        let walked = reference_walk(&model, &[("x", &x)], &["flat"]).unwrap();
+        assert_eq!(walked[0].shape_ref().dims(), &[2, 12]);
     }
 
     #[test]
@@ -1229,7 +1123,7 @@ mod tests {
         let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
         let x = e.tensor(vec![1.0; 4], Shape::new(vec![2, 2])).unwrap();
         assert!(model.execute(&[("x", &x)], &["bad"]).is_err());
-        assert!(model.execute_interpreted(&[("x", &x)], &["bad"]).is_err());
+        assert!(reference_walk(&model, &[("x", &x)], &["bad"]).is_err());
     }
 
     #[test]
@@ -1237,32 +1131,14 @@ mod tests {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
         let x = e.tensor_2d(&[1.0, 2.0], 1, 2).unwrap();
-        for exec in [true, false] {
-            let out = if exec {
-                model.execute(&[("x", &x)], &["w1", "probs"]).unwrap()
-            } else {
-                model.execute_interpreted(&[("x", &x)], &["w1", "probs"]).unwrap()
-            };
-            // Disposing the fetched weight must not destroy the model's
-            // resident copy.
-            out[0].dispose();
-            out[1].dispose();
-            let again = model.execute(&[("x", &x)], &["probs"]).unwrap();
-            assert_eq!(again[0].to_f32_vec().unwrap().len(), 2);
-            again[0].dispose();
-        }
-    }
-
-    #[test]
-    fn planning_can_be_disabled() {
-        let e = engine();
-        let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
-        model.set_planning(false);
-        assert!(!model.planning_enabled());
-        let x = e.tensor_2d(&[1.0, 2.0], 1, 2).unwrap();
-        model.execute(&[("x", &x)], &["probs"]).unwrap();
-        let stats = model.plan_stats();
-        assert_eq!(stats.hits + stats.misses, 0, "no plan activity while disabled");
+        let out = model.execute(&[("x", &x)], &["w1", "probs"]).unwrap();
+        // Disposing the fetched weight must not destroy the model's
+        // resident copy.
+        out[0].dispose();
+        out[1].dispose();
+        let again = model.execute(&[("x", &x)], &["probs"]).unwrap();
+        assert_eq!(again[0].to_f32_vec().unwrap().len(), 2);
+        again[0].dispose();
     }
 
     #[test]
@@ -1296,5 +1172,255 @@ mod tests {
         let graph = GraphDef::from_triples(&[("x", "Placeholder", &[])]);
         let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
         assert!(model.execute(&[], &["x"]).is_err());
+    }
+    /// A node with too few inputs is an `Err` from the planner that names
+    /// it — never an index out of bounds in the fusion pass or the
+    /// executor (both panicked before the plan became the only executor).
+    #[test]
+    fn malformed_nodes_are_errors_not_panics() {
+        let e = engine();
+        let x = e.tensor_2d(&[1.0, 2.0], 1, 2).unwrap();
+        // A zero-input chain head: the fusion pass must not index input 0.
+        let model =
+            GraphModel::new(&e, GraphDef::from_triples(&[("a", "Relu", &[])]), HashMap::new())
+                .unwrap();
+        let err = model.execute(&[], &["a"]).unwrap_err();
+        assert!(err.to_string().contains("a is missing input 0"), "{err}");
+        // A binary kernel op with one input: loads, then fails to plan.
+        let graph =
+            GraphDef::from_triples(&[("x", "Placeholder", &[]), ("m", "MatMul", &["x"])]);
+        let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
+        let err = model.execute(&[("x", &x)], &["m"]).unwrap_err();
+        assert!(err.to_string().contains("m is missing input 1"), "{err}");
+        assert!(model.execute_pipelined(&[("x", &x)], &["m"]).is_err());
+        // An element-wise binary with one input after a fusable unary: it
+        // must not join a `_FusedElementwise` chain.
+        let graph = GraphDef::from_triples(&[
+            ("x", "Placeholder", &[]),
+            ("r", "Relu", &["x"]),
+            ("t", "Tanh", &["r"]),
+            ("s", "Add", &["t"]),
+        ]);
+        let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
+        assert!(model.fused.nodes.iter().any(|n| n.op == "Add" && n.name == "s"));
+        let err = model.execute(&[("x", &x)], &["s"]).unwrap_err();
+        assert!(err.to_string().contains("s is missing input 1"), "{err}");
+        // The well-formed part of the same graph still runs, fused.
+        let out = model.execute(&[("x", &x)], &["t"]).unwrap();
+        assert_eq!(bits(&out[0]), bits(&ops::tanh(&ops::relu(&x).unwrap()).unwrap()));
+        assert_eq!(model.plan_stats().fallbacks, 0);
+    }
+
+    /// One graph holding every op `plan::lower_node` accepts, so the plan's
+    /// table and the reference walk are compared arm by arm: every node of
+    /// the unfused plan, then every surviving node of the fused plan (the
+    /// four `_Fused*` arms), bitwise against the walk.
+    #[test]
+    fn every_lowered_op_matches_the_reference_walk() {
+        let e = engine();
+        let mut graph = GraphDef::from_triples(&[
+            ("img", "Placeholder", &[]),
+            ("cf", "Const", &[]),
+            ("cb", "Const", &[]),
+            ("conv", "Conv2D", &["img", "cf"]),
+            ("conv_b", "BiasAdd", &["conv", "cb"]),
+            ("conv_r", "Relu6", &["conv_b"]),
+            ("mp", "MaxPool", &["conv_r"]),
+            ("df", "Const", &[]),
+            ("db", "Const", &[]),
+            ("dw", "DepthwiseConv2dNative", &["mp", "df"]),
+            ("dw_b", "Add", &["dw", "db"]),
+            ("dw_r", "Relu", &["dw_b"]),
+            ("ap", "AvgPool", &["dw_r"]),
+            ("id", "Identity", &["ap"]),
+            ("gm", "Mean", &["id"]),
+            ("w", "VariableV2", &[]),
+            ("b", "VariableV2", &[]),
+            ("mm", "MatMul", &["gm", "w"]),
+            ("mm_b", "AddV2", &["mm", "b"]),
+            ("mm_t", "Tanh", &["mm_b"]),
+            ("s", "Const", &[]),
+            ("e1", "Sub", &["mm_t", "s"]),
+            ("e2", "Mul", &["e1", "s"]),
+            ("e3", "RealDiv", &["e2", "s"]),
+            ("e4", "Div", &["e3", "s"]),
+            ("e5", "Sigmoid", &["e4"]),
+            ("rs", "Reshape", &["e5"]),
+            ("w2", "Const", &[]),
+            ("mm2", "MatMul", &["rs", "w2"]),
+            ("probs", "Softmax", &["mm2"]),
+        ]);
+        let attrs = [
+            ("conv", json!({ "strides": [1, 1], "padding": "SAME" })),
+            ("mp", json!({ "ksize": [2, 2], "padding": "VALID" })),
+            ("dw", json!({ "strides": [1, 1], "padding": "SAME" })),
+            ("ap", json!({ "ksize": [2, 2], "strides": [1, 1], "padding": "VALID" })),
+            ("gm", json!({ "axes": [1, 2] })),
+            ("rs", json!({ "shape": [0, -1] })),
+        ];
+        for (name, value) in attrs {
+            graph.nodes.iter_mut().find(|n| n.name == name).unwrap().attrs = value;
+        }
+        let weight = |name: &str, dims: &[usize], k: f32| {
+            let t = e.tensor(wave(dims.iter().product(), k), Shape::new(dims.to_vec())).unwrap();
+            (name.to_string(), t)
+        };
+        let weights = HashMap::from([
+            weight("cf", &[3, 3, 2, 4], 0.37),
+            weight("cb", &[4], 0.91),
+            weight("df", &[3, 3, 4, 1], 0.53),
+            weight("db", &[4], 1.3),
+            weight("w", &[4, 3], 0.71),
+            weight("b", &[3], 1.7),
+            ("s".to_string(), e.tensor_1d(&[0.5, -1.5, 2.0]).unwrap()),
+            weight("w2", &[3, 3], 0.29),
+        ]);
+        let model = GraphModel::new(&e, graph, weights).unwrap();
+
+        // The graph is the table: every name `lower_node` matches appears,
+        // the four fused ones through the fusion pass.
+        const LOWERED: [&str; 24] = [
+            "MatMul", "Add", "AddV2", "BiasAdd", "Sub", "Mul", "RealDiv", "Div", "Relu", "Relu6",
+            "Sigmoid", "Tanh", "Softmax", "Identity", "Reshape", "Conv2D",
+            "DepthwiseConv2dNative", "MaxPool", "AvgPool", "Mean", "_FusedMatMul", "_FusedConv2D",
+            "_FusedDepthwiseConv2dNative", "_FusedElementwise",
+        ];
+        for op in LOWERED {
+            let present = model.graph.nodes.iter().chain(&model.fused.nodes).any(|n| n.op == op);
+            assert!(present, "the graph has no {op} node");
+        }
+
+        let img = e.tensor(wave(6 * 6 * 2, 0.13), Shape::new(vec![1, 6, 6, 2])).unwrap();
+        let feeds = [("img", &img)];
+        let computed = |g: &GraphDef| -> Vec<String> {
+            g.nodes
+                .iter()
+                .filter(|n| !matches!(n.op.as_str(), "Placeholder" | "Const" | "VariableV2"))
+                .map(|n| n.name.clone())
+                .collect()
+        };
+        for (graph, fused) in [(&model.graph, false), (&model.fused, true)] {
+            let names = computed(graph);
+            let fetches: Vec<&str> = names.iter().map(String::as_str).collect();
+            let plan = model.plan_for_shapes(&[("img".into(), vec![1, 6, 6, 2])], &fetches).unwrap();
+            assert_eq!(plan.uses_fused_graph(), fused);
+            assert_eq!(plan.op_count(), fetches.len());
+            let planned = model.execute(&feeds, &fetches).unwrap();
+            let walked = reference_walk(&model, &feeds, &fetches).unwrap();
+            for ((name, p), w) in fetches.iter().zip(&planned).zip(&walked) {
+                assert_eq!(p.shape_ref(), w.shape_ref(), "{name} (fused graph: {fused})");
+                assert_eq!(bits(p), bits(w), "{name} (fused graph: {fused})");
+            }
+        }
+        assert_eq!(model.fused_node_count(), model.node_count() - 10);
+    }
+
+    /// `Engine::grads` through `model.execute`, against the same network
+    /// written as eager ops: bitwise-equal gradients w.r.t. the feed and a
+    /// weight, a plan hit (the taped run is a plan run), nothing leaked once
+    /// the gradients are disposed, and eager disposal back the moment the
+    /// tape is gone. Returns the untaped run's `(measured, predicted)` peak
+    /// bytes.
+    fn assert_grads_match_eager(
+        e: &Engine,
+        model: &GraphModel,
+        feed: (&str, &Tensor),
+        weight: &Tensor,
+        fetch: &str,
+        eager: &dyn Fn() -> Result<Tensor>,
+    ) -> (usize, usize) {
+        let loss = |y: &Tensor| ops::sum(&ops::square(y)?, None, false);
+        let sig = [(feed.0.to_string(), feed.1.shape_ref().dims().to_vec())];
+        let plan = model.plan_for_shapes(&sig, &[fetch]).unwrap();
+        assert!(plan.uses_fused_graph());
+        let untaped_peak = || {
+            e.reset_peak_bytes();
+            let level = e.memory().num_bytes;
+            let out = model.execute(&[feed], &[fetch]).unwrap();
+            let peak = e.peak_bytes() - level;
+            out[0].dispose();
+            peak
+        };
+        let peak_before = untaped_peak();
+        let before = model.plan_stats();
+        let baseline = e.memory();
+
+        let want = e.grads(&[feed.1, weight], || loss(&eager()?)).unwrap();
+        let got = e
+            .grads(&[feed.1, weight], || loss(&model.execute(&[feed], &[fetch])?[0]))
+            .unwrap();
+        for ((g, w), wrt) in got.iter().zip(&want).zip(["feed", "weight"]) {
+            assert!(bits(g).iter().any(|&b| b != 0), "d/d{wrt} is not identically zero");
+            assert_eq!(bits(g), bits(w), "d loss / d {wrt}");
+        }
+        let after = model.plan_stats();
+        assert_eq!(after.hits, before.hits + 1, "the taped run hit the cached plan");
+        assert_eq!((after.misses, after.fallbacks), (before.misses, 0));
+
+        for t in got.iter().chain(&want) {
+            t.dispose();
+        }
+        let end = e.memory();
+        assert_eq!(
+            (end.num_tensors, end.num_bytes),
+            (baseline.num_tensors, baseline.num_bytes),
+            "the taped run's intermediates are released with the tape"
+        );
+
+        assert_eq!(untaped_peak(), peak_before, "untaped runs dispose eagerly again");
+        assert_eq!(e.memory().num_tensors, baseline.num_tensors);
+        (peak_before, plan.predicted_peak_bytes())
+    }
+
+    #[test]
+    fn gradients_flow_through_the_mlp_plan() {
+        let e = engine();
+        let weights = mlp_weights(&e);
+        let (w1, b1, w2) = (weights["w1"].clone(), weights["b1"].clone(), weights["w2"].clone());
+        let model = GraphModel::new(&e, mlp_graph(), weights).unwrap();
+        let x = e.tensor_2d(&[1.0, 2.0, -0.5, 3.0], 2, 2).unwrap();
+        let (peak, predicted) = assert_grads_match_eager(&e, &model, ("x", &x), &w1, "probs", &|| {
+            let h = ops::relu(&ops::add(&ops::matmul(&x, &w1, false, false)?, &b1)?)?;
+            ops::softmax(&ops::matmul(&h, &w2, false, false)?)
+        });
+        // Softmax is a chain of kernels whose temporaries the liveness
+        // model does not see; they are above the prediction, taped or not.
+        assert!(peak >= predicted);
+    }
+
+    #[test]
+    fn gradients_flow_through_a_conv_plan() {
+        let e = engine();
+        let mut graph = GraphDef::from_triples(&[
+            ("img", "Placeholder", &[]),
+            ("f", "Const", &[]),
+            ("b", "Const", &[]),
+            ("df", "Const", &[]),
+            ("conv", "Conv2D", &["img", "f"]),
+            ("conv_b", "BiasAdd", &["conv", "b"]),
+            ("act", "Relu6", &["conv_b"]),
+            ("dw", "DepthwiseConv2dNative", &["act", "df"]),
+            ("pool", "Mean", &["dw"]),
+        ]);
+        graph.nodes[4].attrs = json!({ "strides": [2, 2], "padding": "SAME" });
+        graph.nodes[7].attrs = json!({ "strides": [1, 1], "padding": "VALID" });
+        let f = e.tensor(wave(3 * 3 * 2 * 4, 0.37), Shape::new(vec![3, 3, 2, 4])).unwrap();
+        let b = e.tensor_1d(&wave(4, 0.91)).unwrap();
+        let df = e.tensor(wave(3 * 3 * 4, 0.53), Shape::new(vec![3, 3, 4, 1])).unwrap();
+        let weights = HashMap::from([
+            ("f".to_string(), f.clone()),
+            ("b".to_string(), b.clone()),
+            ("df".to_string(), df.clone()),
+        ]);
+        let model = GraphModel::new(&e, graph, weights).unwrap();
+        assert!(model.fused.nodes.iter().any(|n| n.op == "_FusedConv2D" && n.name == "act"));
+        let img = e.tensor(wave(2 * 8 * 8 * 2, 0.13), Shape::new(vec![2, 8, 8, 2])).unwrap();
+        let (peak, predicted) = assert_grads_match_eager(&e, &model, ("img", &img), &f, "pool", &|| {
+            let conv = ops::conv2d(&img, &f, (2, 2), Padding::Same, (1, 1))?;
+            let act = ops::relu6(&ops::add(&conv, &b)?)?;
+            let dw = ops::depthwise_conv2d(&act, &df, (1, 1), Padding::Valid, (1, 1))?;
+            ops::mean(&dw, Some(&[1, 2]), false)
+        });
+        assert_eq!(peak, predicted, "single-kernel ops: the measured peak is the prediction");
     }
 }

@@ -1,6 +1,7 @@
-//! Ahead-of-time execution plans for [`crate::GraphModel`] inference.
+//! Ahead-of-time execution plans: the one executor of a
+//! [`crate::GraphModel`].
 //!
-//! The interpreter in `graph_exec` re-does per-model work on every request:
+//! Walking the graph per request would redo per-model work every time:
 //! string op matching, JSON attribute parsing, string-keyed value maps, and
 //! scope-end disposal that keeps every intermediate alive until the tidy
 //! closes — so peak bytes grow with graph length. A [`Plan`] does that work
@@ -533,6 +534,11 @@ impl Plan {
     /// Fetches that resolve to weights or feeds are returned as identity
     /// aliases so callers may dispose them freely.
     ///
+    /// While a gradient tape is recording ([`Engine::is_recording`], read
+    /// once per run) the intermediates are kept instead: the tape holds
+    /// them for the backward pass, the run's `tidy` spares what the tape
+    /// references, and they are released when the tape is.
+    ///
     /// # Errors
     /// Fails when a feed is missing or its shape differs from the plan's
     /// signature, or when a kernel fails.
@@ -554,20 +560,6 @@ impl Plan {
             feed_tensors.push(fed.1);
         }
         engine.tidy(|| self.run_inner(engine, &feed_tensors))
-    }
-
-    /// Execute the plan **without synchronizing**: every op is enqueued,
-    /// asynchronous readbacks are issued for each fetch, and a fence marks
-    /// the end of the submission (paper Fig 3's `data()` path). The caller
-    /// gets a [`PendingFetches`] immediately and may submit further work —
-    /// on an async backend the device crunches this run while the host
-    /// prepares the next one.
-    ///
-    /// # Errors
-    /// Same conditions as [`Plan::run`], plus readback submission failures.
-    pub fn begin_run(&self, engine: &Engine, feeds: &[(&str, &Tensor)]) -> Result<PendingFetches> {
-        let tensors = self.run(engine, feeds)?;
-        PendingFetches::capture(engine, tensors)
     }
 
     fn run_inner(&self, engine: &Engine, feed_tensors: &[&Tensor]) -> Result<Vec<Tensor>> {
@@ -594,6 +586,7 @@ impl Plan {
         feed_tensors: &[&Tensor],
         slots: &mut [Option<Tensor>],
     ) -> Result<Vec<Tensor>> {
+        let taped = engine.is_recording();
         for op in &self.ops {
             let out = {
                 let mut args: Vec<&Tensor> = Vec::with_capacity(op.args.len());
@@ -626,9 +619,11 @@ impl Plan {
                 }
             };
             slots[op.out_slot] = Some(out);
-            for &s in &op.dispose_after {
-                if let Some(t) = slots[s].take() {
-                    t.dispose();
+            if !taped {
+                for &s in &op.dispose_after {
+                    if let Some(t) = slots[s].take() {
+                        t.dispose();
+                    }
                 }
             }
         }

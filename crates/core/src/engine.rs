@@ -1457,9 +1457,9 @@ impl Engine {
     }
 
     /// Whether a gradient tape is currently recording on this thread's
-    /// engine (and not paused). Execution planners use this to fall back to
-    /// tape-safe paths: eager intermediate disposal would destroy tensors
-    /// the tape still references.
+    /// engine (and not paused). The graph executor reads it once per run
+    /// and keeps its intermediates while it holds: eager disposal would
+    /// destroy tensors the tape still references.
     pub fn is_recording(&self) -> bool {
         if !self.inner.tape_active.load(Ordering::Acquire) {
             return false;

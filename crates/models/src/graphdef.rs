@@ -1,12 +1,13 @@
 //! Deterministic GraphDef model builders for the execution planner.
 //!
-//! The planner benchmarks and tests need graph-format models (not
+//! The benchmark, the benches and the tests need graph-format models (not
 //! [`Sequential`](webml_layers::Sequential) layer stacks) so they exercise
 //! [`webml_converter::GraphModel`]'s plan compiler: an MLP classifier for
 //! the dispatch-overhead story and a MobileNet v1 body for the
 //! liveness/peak-memory story. Weights are seeded, so every build of the
-//! same spec produces bit-identical graphs and weight values — benches and
-//! tests compare planned vs. interpreted execution on identical models.
+//! same spec produces bit-identical graphs and weight values — the same
+//! spec built on two engines, or planned fused and unfused on one, can be
+//! compared on bits.
 
 use serde_json::json;
 use std::collections::HashMap;
@@ -310,24 +311,32 @@ mod tests {
         assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
+    /// The fused plan against the plan of the unfused graph (selected by
+    /// also fetching `conv1_bias`, which fusion swallowed): same bits.
+    fn assert_fused_plan_matches_unfused(model: &webml_converter::GraphModel, spec: &GraphSpec) {
+        let e = model.engine();
+        let (vals, shape) = spec.example(1, 3);
+        let sig = [(spec.input.clone(), shape.clone())];
+        let x = e.tensor(vals, Shape::new(shape)).unwrap();
+        let fused = model.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
+        let unfused_fetches = [spec.output.as_str(), "conv1_bias"];
+        let unfused = model.execute(&[(&spec.input, &x)], &unfused_fetches).unwrap();
+        assert!(model.plan_for_shapes(&sig, &[&spec.output]).unwrap().uses_fused_graph());
+        assert!(!model.plan_for_shapes(&sig, &unfused_fetches).unwrap().uses_fused_graph());
+        assert_eq!(
+            fused[0].to_f32_vec().unwrap(),
+            unfused[0].to_f32_vec().unwrap(),
+            "fused and unfused MobileNet plans must agree bitwise"
+        );
+        assert_eq!(model.plan_stats().fallbacks, 0);
+    }
+
     #[test]
-    fn mobilenet_spec_planned_matches_interpreted() {
+    fn mobilenet_spec_fused_plan_matches_unfused_plan() {
         let config = MobileNetConfig { input_size: 32, ..MobileNetConfig::small() };
         let spec = graph_mobilenet(&config);
         let e = engine();
-        let model = spec.build(&e).unwrap();
-        let (vals, shape) = spec.example(1, 3);
-        let x = e.tensor(vals, Shape::new(shape)).unwrap();
-        let planned = model.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
-        let expect = model
-            .execute_interpreted(&[(&spec.input, &x)], &[&spec.output])
-            .unwrap();
-        assert_eq!(
-            planned[0].to_f32_vec().unwrap(),
-            expect[0].to_f32_vec().unwrap(),
-            "planned and interpreted MobileNet must agree bitwise"
-        );
-        assert!(model.plan_stats().misses >= 1);
+        assert_fused_plan_matches_unfused(&spec.build(&e).unwrap(), &spec);
     }
 
     #[test]
@@ -357,22 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn quantized_planned_matches_interpreted() {
+    fn quantized_fused_plan_matches_unfused_plan() {
         let config = MobileNetConfig { input_size: 32, ..MobileNetConfig::small() };
         let spec = graph_mobilenet(&config);
         let e = engine();
-        let qm = spec.build_quantized(&e).unwrap();
-        let (vals, shape) = spec.example(1, 2);
-        let x = e.tensor(vals, Shape::new(shape)).unwrap();
-        let planned = qm.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
-        let expect =
-            qm.execute_interpreted(&[(&spec.input, &x)], &[&spec.output]).unwrap();
-        assert_eq!(
-            planned[0].to_f32_vec().unwrap(),
-            expect[0].to_f32_vec().unwrap(),
-            "planned and interpreted quantized MobileNet must agree bitwise"
-        );
-        assert!(qm.plan_stats().misses >= 1 || qm.plan_stats().hits >= 1);
+        assert_fused_plan_matches_unfused(&spec.build_quantized(&e).unwrap(), &spec);
     }
 
     #[test]

@@ -136,8 +136,9 @@ impl Loaded {
     /// Pre-warm execution plans for the micro-batcher's shapes: when the
     /// graph's placeholders declare their per-example shape, compile plans
     /// for batch sizes 1 and `max_batch` so neither a single request nor a
-    /// full batch pays plan compilation on its first forward. Failures are
-    /// non-fatal — execution falls back to the interpreter.
+    /// full batch pays plan compilation on its first forward. A failure
+    /// here is not fatal: the first forward rebuilds the plan and reports
+    /// the error to that request.
     pub fn warm_plans(&self, max_batch: usize) {
         let Loaded::Graph { model, fetch, .. } = self else { return };
         let Some(sig) = model.placeholder_shape_attrs() else { return };

@@ -181,7 +181,9 @@ pub struct ServeStats {
     pub plan_misses: u64,
     /// Plan-cache invalidations after a backend degradation.
     pub plan_invalidations: u64,
-    /// Forward passes that fell back to the graph interpreter.
+    /// Always 0: the plan is the only graph executor
+    /// ([`webml_converter::PlanStats::fallbacks`]). Kept because callers
+    /// read it.
     pub plan_fallbacks: u64,
     /// Distribution of per-request queue wait (submit → dispatcher drain),
     /// in milliseconds.
@@ -1041,7 +1043,7 @@ mod tests {
         let stats = server.stats();
         assert!(stats.plan_hits >= 1, "request rides a pre-warmed plan: {stats:?}");
         assert!(stats.plan_misses >= 2, "batch-1 and max-batch plans compiled: {stats:?}");
-        assert_eq!(stats.plan_fallbacks, 0, "no interpreter fallbacks: {stats:?}");
+        assert_eq!(stats.plan_fallbacks, 0, "the plan is the only executor: {stats:?}");
     }
 
     #[test]

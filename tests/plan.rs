@@ -1,11 +1,17 @@
-//! Execution-plan correctness: ahead-of-time planned `GraphModel`
-//! inference must be bitwise identical to the per-call interpreter on
-//! every backend, and liveness-driven eager disposal must bound peak
-//! memory to exactly the planner's prediction.
+//! Execution-plan correctness. The plan is the only graph executor, so
+//! there is no second op table to compare it with from outside the
+//! converter; what is checked here needs none: every backend's plan equals
+//! the `cpu` plan on bits, the fused graph's plan equals the unfused
+//! graph's on the same backend, and liveness-driven eager disposal bounds
+//! peak memory to exactly the planner's prediction.
 
 use std::collections::HashMap;
-use webml::converter::{GraphDef, GraphModel};
+use std::sync::Arc;
+use webml::backend_webgl::{WebGlBackend, WebGlConfig};
+use webml::converter::{GraphDef, GraphModel, OpKind};
 use webml::models::{graph_mlp, graph_mobilenet, GraphSpec, MobileNetConfig};
+use webml::webgl_sim::devices::DeviceProfile;
+use webml::webgl_sim::pager::PagingPolicy;
 use webml::{Engine, Shape};
 
 const BACKENDS: [&str; 4] = ["cpu", "webgl", "webgpu", "native"];
@@ -14,50 +20,59 @@ fn build(e: &Engine, spec: &GraphSpec) -> GraphModel {
     spec.build(e).expect("build graph model")
 }
 
-/// Planned and interpreted fetches must agree bitwise: the plan runs the
-/// same kernels in the same order, so on an f32 backend even accumulation
-/// order is identical.
-fn assert_planned_matches_interpreted(spec: &GraphSpec, backend: &str) {
-    let e = webml::new_engine();
-    e.set_backend(backend).expect("backend registered");
-    let model = build(&e, spec);
-    let (vals, shape) = spec.example(2, 1);
-    let x = e.tensor(vals, Shape::new(shape)).unwrap();
-    let planned = model.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
-    let interpreted =
-        model.execute_interpreted(&[(&spec.input, &x)], &[&spec.output]).unwrap();
-    assert_eq!(
-        planned[0].to_f32_vec().unwrap(),
-        interpreted[0].to_f32_vec().unwrap(),
-        "planned vs interpreted on {backend}"
-    );
-    let stats = model.plan_stats();
-    assert!(stats.misses >= 1, "planned pass compiled a plan on {backend}: {stats:?}");
-    assert_eq!(stats.fallbacks, 0, "no interpreter fallback on {backend}: {stats:?}");
-}
-
-#[test]
-fn mlp_planned_matches_interpreted_on_all_backends() {
-    let spec = graph_mlp(12, &[24, 24], 5, 42);
+/// On every backend, the plan of the fused graph and the plan of the
+/// unfused graph (selected by also fetching `swallowed`, a node the fusion
+/// pass eliminated) give the same bits, and the bits of the `cpu` backend:
+/// the plans run the same kernels in the same order, so on an f32 device
+/// even accumulation order is identical.
+fn assert_plans_agree(spec: &GraphSpec, swallowed: &str, quantized: bool) {
+    let mut cpu_bits: Option<Vec<u32>> = None;
     for backend in BACKENDS {
-        assert_planned_matches_interpreted(&spec, backend);
+        let e = webml::new_engine();
+        e.set_backend(backend).expect("backend registered");
+        let model = if quantized { spec.build_quantized(&e) } else { spec.build(&e) }.unwrap();
+        assert!(model.fused_node_count() < model.node_count());
+        let (vals, shape) = spec.example(2, 1);
+        let sig = [(spec.input.clone(), shape.clone())];
+        let x = e.tensor(vals, Shape::new(shape)).unwrap();
+        let feeds = [(spec.input.as_str(), &x)];
+        let unfused_fetches = [spec.output.as_str(), swallowed];
+        let bits = |fetches: &[&str]| -> Vec<u32> {
+            let out = model.execute(&feeds, fetches).unwrap();
+            out[0].to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        let fused = bits(&[&spec.output]);
+        let unfused = bits(&unfused_fetches);
+        assert!(model.plan_for_shapes(&sig, &[&spec.output]).unwrap().uses_fused_graph());
+        assert!(!model.plan_for_shapes(&sig, &unfused_fetches).unwrap().uses_fused_graph());
+        assert_eq!(fused, unfused, "fused vs unfused plan on {backend} (U8: {quantized})");
+        let want = cpu_bits.get_or_insert_with(|| fused.clone());
+        assert_eq!(&fused, want, "{backend} plan vs cpu plan (U8: {quantized})");
+        let stats = model.plan_stats();
+        assert!(stats.misses >= 2, "both plans compiled on {backend}: {stats:?}");
+        assert_eq!(stats.fallbacks, 0, "the plan is the only executor: {stats:?}");
     }
 }
 
 #[test]
-fn mobilenet_planned_matches_interpreted_on_all_backends() {
+fn mlp_plans_agree_fused_unfused_and_with_cpu_on_all_backends() {
+    let spec = graph_mlp(12, &[24, 24], 5, 42);
+    assert_plans_agree(&spec, "ba0", false);
+    assert_plans_agree(&spec, "ba0", true);
+}
+
+#[test]
+fn mobilenet_plans_agree_fused_unfused_and_with_cpu_on_all_backends() {
     let config =
         MobileNetConfig { input_size: 32, classes: 7, ..MobileNetConfig::small() };
     let spec = graph_mobilenet(&config);
-    for backend in BACKENDS {
-        assert_planned_matches_interpreted(&spec, backend);
-    }
+    assert_plans_agree(&spec, "conv1_bias", false);
+    assert_plans_agree(&spec, "conv1_bias", true);
 }
 
-/// A deep matmul chain where the interpreter keeps every intermediate
-/// until scope end but the plan disposes each at its last use: the planned
-/// peak must equal the predicted peak *exactly* (two live rows), and the
-/// interpreted peak must be exactly the whole chain.
+/// A deep matmul chain: scope-end disposal would hold every intermediate,
+/// the plan disposes each at its last use, so the measured peak must equal
+/// the predicted peak *exactly* (two live rows of the six).
 #[test]
 fn eager_disposal_bounds_peak_bytes_exactly() {
     const LAYERS: usize = 6;
@@ -104,15 +119,71 @@ fn eager_disposal_bounds_peak_bytes_exactly() {
         plan.predicted_peak_bytes(),
         "planned peak is exactly the prediction"
     );
+    assert_eq!(keep_everything_bytes(&plan), LAYERS * row_bytes);
+}
 
-    e.reset_peak_bytes();
-    let out = model.execute_interpreted(&[("x", &x)], &[&fetch]).unwrap();
-    out[0].dispose();
-    assert_eq!(
-        e.peak_bytes() - baseline,
-        LAYERS * row_bytes,
-        "interpreted keeps the whole chain until scope end"
+/// What a run would hold if nothing were disposed before the end: the bytes
+/// of every non-alias op output of the plan.
+fn keep_everything_bytes(plan: &webml::converter::Plan) -> usize {
+    plan.ops()
+        .iter()
+        .filter(|op| !matches!(op.kind, OpKind::Identity | OpKind::Reshape))
+        .map(|op| op.out_shape.size() * op.out_dtype.byte_size())
+        .sum()
+}
+
+fn webgl_engine(paging: PagingPolicy) -> Engine {
+    let e = Engine::new();
+    let config = WebGlConfig { paging, ..Default::default() };
+    let backend = WebGlBackend::new(DeviceProfile::intel_iris_pro(), config).unwrap();
+    e.register_backend("webgl", Arc::new(backend), 2);
+    e
+}
+
+/// The memory-planning story on the paper's model (128x128 MobileNet on the
+/// webgl rung): the measured activation peak is the prediction to the byte
+/// and at most 0.70 of what scope-end disposal would hold, so under a
+/// texture budget an eighth of the way from the one to the other the pager
+/// never runs.
+#[test]
+fn mobilenet_peak_is_predicted_and_fits_a_texture_budget_without_paging() {
+    let config = MobileNetConfig { input_size: 128, classes: 10, ..MobileNetConfig::small() };
+    let spec = graph_mobilenet(&config);
+    let (vals, shape) = spec.example(1, 0);
+    let sig = [(spec.input.clone(), shape.clone())];
+    // One pass and its readback; returns the peak above the resident level.
+    let pass = |e: &Engine, model: &GraphModel, x: &webml::Tensor| -> usize {
+        e.reset_peak_bytes();
+        let level = e.memory().num_bytes;
+        let out = model.execute(&[(&spec.input, x)], &[&spec.output]).unwrap();
+        out[0].to_f32_vec().unwrap();
+        let peak = e.peak_bytes() - level;
+        out[0].dispose();
+        peak
+    };
+
+    let e = webgl_engine(PagingPolicy::disabled());
+    let model = build(&e, &spec);
+    let x = e.tensor(vals.clone(), Shape::new(shape.clone())).unwrap();
+    let plan = model.plan_for_shapes(&sig, &[&spec.output]).unwrap();
+    let predicted = plan.predicted_peak_bytes();
+    let sum = keep_everything_bytes(&plan);
+    assert_eq!(pass(&e, &model, &x), predicted, "measured peak is the prediction");
+    assert!(
+        predicted as f64 <= 0.70 * sum as f64,
+        "eager disposal holds {predicted} of the {sum} bytes scope-end disposal would"
     );
+    let resident = e.memory().num_bytes;
+
+    let threshold_bytes = resident + predicted + (sum - predicted) / 8;
+    let e = webgl_engine(PagingPolicy { enabled: true, threshold_bytes });
+    let model = build(&e, &spec);
+    let x = e.tensor(vals, Shape::new(shape)).unwrap();
+    for _ in 0..10 {
+        assert_eq!(pass(&e, &model, &x), predicted);
+    }
+    let page_outs = e.memory().backend.details.iter().find(|(k, _)| k == "page_outs").map(|(_, v)| *v);
+    assert_eq!(page_outs, Some(0.0), "the plan stays resident under the budget");
 }
 
 /// Pipelined execution (enqueue + async readback behind a fence) must be

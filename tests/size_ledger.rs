@@ -1,8 +1,8 @@
 //! The size ledger: ROADMAP's north star names lines of Rust, `Backend`
-//! trait methods and public stats types as first-class metrics, so they are
-//! committed (`SIZE.json`) and recomputed here. The test fails when the file
-//! is stale, which puts every growth — and every deletion — into the diff
-//! of the PR that caused it.
+//! trait methods and public stats types as first-class metrics, so they
+//! (and the bench-bin and CI-job counts) are committed (`SIZE.json`) and
+//! recomputed here. The test fails when the file is stale, which puts every
+//! growth — and every deletion — into the diff of the PR that caused it.
 //!
 //! Counting rule: a *code line* is a line before a file's first
 //! `#[cfg(test)]` (at column 0) that is neither blank nor a `//` comment
@@ -57,6 +57,15 @@ fn backend_trait_methods() -> usize {
         .count()
 }
 
+/// Jobs of `.github/workflows/ci.yml`: the keys one level under `jobs:`.
+fn ci_jobs() -> usize {
+    let text = fs::read_to_string(root().join(".github/workflows/ci.yml")).expect("ci.yml");
+    text.lines()
+        .skip_while(|line| *line != "jobs:")
+        .filter(|line| line.starts_with("  ") && !line.starts_with("   ") && line.ends_with(':'))
+        .count()
+}
+
 fn is_stats_struct(line: &str) -> bool {
     line.strip_prefix("pub struct ").is_some_and(|rest| {
         let name: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
@@ -104,6 +113,7 @@ fn ledger() -> String {
     writeln!(out, "  \"backend_trait_methods\": {},", backend_trait_methods()).unwrap();
     writeln!(out, "  \"pub_stats_structs\": {stats_structs},").unwrap();
     writeln!(out, "  \"bench_bins\": {bench_bins},").unwrap();
+    writeln!(out, "  \"ci_jobs\": {},", ci_jobs()).unwrap();
     writeln!(out, "  \"thread_spawn_sites\": {},", sites["thread::spawn"]).unwrap();
     writeln!(out, "  \"thread_sleep_sites\": {},", sites["thread::sleep"]).unwrap();
     writeln!(out, "  \"instant_now_sites\": {}", sites["Instant::now"]).unwrap();
