@@ -50,19 +50,19 @@ pub const KERNELS: KernelSet = KernelSet {
 pub const MAX_RANK: usize = 8;
 
 /// Fused bias+activation epilogue applied to a finished accumulator
-/// in-register. Float order matches the unfused `Add`-then-activation
+/// in-register; `bias` is the bias texture (sampler input 2), resolved once
+/// per invocation. Float order matches the unfused `Add`-then-activation
 /// kernel composition exactly, so fused and unfused agree bit-for-bit on
 /// f32 devices.
 #[inline]
 fn apply_epilogue(
-    s: &Samplers<'_>,
-    bias_input: Option<usize>,
+    bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
     channel: usize,
     acc: f32,
 ) -> f32 {
-    let v = match bias_input {
-        Some(i) => BinaryOp::Add.apply(acc, s.get_flat(i, channel)),
+    let v = match bias {
+        Some(bias) => BinaryOp::Add.apply(acc, bias[channel]),
         None => acc,
     };
     match activation {
@@ -71,21 +71,38 @@ fn apply_epilogue(
     }
 }
 
+/// The bias texture of a fused kernel, when it binds one.
+#[inline]
+fn bias_of<'a>(s: &Samplers<'a>, has_bias: bool) -> Option<&'a [f32]> {
+    has_bias.then(|| s.tex(2))
+}
+
+/// A finished texel: the epilogue over the four channels from `ch0`.
+#[inline]
+fn finish_texel(
+    bias: Option<&[f32]>,
+    activation: Option<UnaryOp>,
+    ch0: usize,
+    acc: [f32; 4],
+) -> [f32; 4] {
+    std::array::from_fn(|q| apply_epilogue(bias, activation, ch0 + q, acc[q]))
+}
+
+/// A texel whose four outputs do not share a row or pixel: `one(flat)`
+/// computes each on its own; lanes past the end of the output read 0.
+#[inline]
+fn straddling_texel(base: usize, total: usize, one: impl Fn(usize) -> f32) -> [f32; 4] {
+    std::array::from_fn(|q| if base + q < total { one(base + q) } else { 0.0 })
+}
+
 /// Element-wise unary kernel. Uses a packed (RGBA texel) body when
 /// requested: one invocation computes 4 consecutive outputs.
 pub fn unary(op: UnaryOp, dims: &[usize], packed: bool) -> Kernel {
     let out_shape = dims.to_vec();
     if packed {
-        let n = out_shape.iter().product::<usize>().max(1);
-        Kernel::packed("Unary", out_shape, move |s, base| {
-            let mut quad = [0.0f32; 4];
-            for (i, q) in quad.iter_mut().enumerate() {
-                if base + i < n {
-                    *q = op.apply(s.get_flat(0, base + i));
-                }
-            }
-            quad
-        })
+        // Lanes past the end read the texture's zero padding and are dropped
+        // by the store.
+        Kernel::packed("Unary", out_shape, move |s, base| s.texel(0, base).map(|v| op.apply(v)))
     } else {
         Kernel::per_element("Unary", out_shape, move |s, flat, _| op.apply(s.get_flat(0, flat)))
     }
@@ -112,15 +129,9 @@ pub fn binary(
     let same = a_dims == out_dims && b_dims == out_dims;
     let out_shape = out_dims.to_vec();
     if same && packed {
-        let n = out_shape.iter().product::<usize>().max(1);
         return Kernel::packed("BinaryPacked", out_shape, move |s, base| {
-            let mut quad = [0.0f32; 4];
-            for (i, q) in quad.iter_mut().enumerate() {
-                if base + i < n {
-                    *q = op.apply(s.get_flat(0, base + i), s.get_flat(1, base + i));
-                }
-            }
-            quad
+            let (a, b) = (s.texel(0, base), s.texel(1, base));
+            std::array::from_fn(|q| op.apply(a[q], b[q]))
         });
     }
     if same {
@@ -243,82 +254,86 @@ pub fn fused_matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kern
     matmul_impl(("FusedMatMul", "FusedMatMulPacked"), geom, packed, epilogue)
 }
 
+/// Batch `b`'s operands of `[batch, m, k] × [b_batch, k, n]`: row `i` of A
+/// as a `k`-long walk in `p` order, and B from its first row. Each texture
+/// is resolved once per invocation and walked by its stride, so no sample
+/// pays a bounds check (`get`: with `k == 0` the operands are empty and an
+/// offset into them would not exist).
+#[inline]
+fn matmul_operands<'a>(
+    s: &Samplers<'a>,
+    &MatMulGeom { m, k, n, b_batch, transpose_a, .. }: &MatMulGeom,
+    (b, i): (usize, usize),
+) -> (impl Iterator<Item = &'a f32>, &'a [f32]) {
+    let (a0, a_step) = if transpose_a { (i, m) } else { (i * k, 1) };
+    let a = s.tex(0).get(b * m * k + a0..).unwrap_or_default();
+    let b_off = if b_batch == 1 { 0 } else { b * k * n };
+    (a.iter().step_by(a_step).take(k), s.tex(1).get(b_off..).unwrap_or_default())
+}
+
+/// The `(a, b)` value pairs of output `(b, i, j)`, in `p` order.
+#[inline]
+fn dot_operands<'a>(
+    s: &Samplers<'a>,
+    geom: &MatMulGeom,
+    (b, i, j): (usize, usize, usize),
+) -> impl Iterator<Item = (&'a f32, &'a f32)> {
+    let (a_row, bm) = matmul_operands(s, geom, (b, i));
+    let (b0, b_step) = if geom.transpose_b { (j * geom.k, 1) } else { (j, geom.n) };
+    a_row.zip(bm.get(b0..).unwrap_or_default().iter().step_by(b_step))
+}
+
 fn matmul_impl(
     names: (&'static str, &'static str),
-    &MatMulGeom { batch, m, k, n, transpose_a, transpose_b, .. }: &MatMulGeom,
+    geom: &MatMulGeom,
     packed: bool,
     (has_bias, activation): Epilogue,
 ) -> Kernel {
+    let geom = *geom;
+    let MatMulGeom { batch, m, k, n, transpose_b, .. } = geom;
     let out_shape = vec![batch, m, n];
     let cost = (k * 2).max(1);
-    let bias_input = if has_bias { Some(2) } else { None };
+    // One output, epilogue applied.
+    let one = move |s: &Samplers<'_>, (b, i, j): (usize, usize, usize)| {
+        let mut acc = 0.0f32;
+        for (&av, &bv) in dot_operands(s, &geom, (b, i, j)) {
+            acc += av * bv;
+        }
+        apply_epilogue(bias_of(s, has_bias), activation, j, acc)
+    };
     if packed {
         let total = batch * m * n;
         return Kernel::packed(names.1, out_shape, move |s, base| {
             // base indexes the flattened [batch, m, n] output.
             let j0 = base % n;
-            let rest = base / n;
-            let i = rest % m;
-            let b = rest / m;
+            if j0 + 3 >= n {
+                return straddling_texel(base, total, |at| one(s, (at / n / m, at / n % m, at % n)));
+            }
+            // All four outputs share row (b, i), so each A element is loaded
+            // once for the whole quad and (untransposed) B's four values are
+            // one texel — the vec4 benefit of Listing 2.
+            let (a_row, bm) = matmul_operands(s, &geom, (base / n / m, base / n % m));
             let mut acc = [0.0f32; 4];
-            if j0 + 3 < n {
-                // Fast path: all four outputs share row (b, i), so each A
-                // element is loaded once for the whole quad — the vec4
-                // benefit of Listing 2.
-                let a_off = b * m * k;
-                let b_off = b * k * n;
-                for p in 0..k {
-                    let av = if transpose_a { s.get_flat(0, a_off + p * m + i) } else { s.get_flat(0, a_off + i * k + p) };
-                    for (q, a) in acc.iter_mut().enumerate() {
-                        let j = j0 + q;
-                        let bv = if transpose_b {
-                            s.get_flat(1, b_off + j * k + p)
-                        } else {
-                            s.get_flat(1, b_off + p * n + j)
-                        };
+            if transpose_b {
+                let cols: [&[f32]; 4] = std::array::from_fn(|q| &bm[(j0 + q) * k..][..k]);
+                for (p, &av) in a_row.enumerate() {
+                    for (a, col) in acc.iter_mut().zip(cols) {
+                        *a += av * col[p];
+                    }
+                }
+            } else {
+                for (&av, row) in a_row.zip(bm.chunks_exact(n)) {
+                    for (a, &bv) in acc.iter_mut().zip(&row[j0..j0 + 4]) {
                         *a += av * bv;
                     }
                 }
-                for (q, a) in acc.iter_mut().enumerate() {
-                    *a = apply_epilogue(s, bias_input, activation, j0 + q, *a);
-                }
-            } else {
-                // Row-straddling texel: compute each output independently.
-                for (q, a) in acc.iter_mut().enumerate() {
-                    let idx = base + q;
-                    if idx >= total {
-                        break;
-                    }
-                    let j = idx % n;
-                    let rest = idx / n;
-                    let i = rest % m;
-                    let b = rest / m;
-                    let mut dot = 0.0f32;
-                    for p in 0..k {
-                        let av = if transpose_a { s.get(0, &[b, p, i]) } else { s.get(0, &[b, i, p]) };
-                        let bv = if transpose_b { s.get(1, &[b, j, p]) } else { s.get(1, &[b, p, j]) };
-                        dot += av * bv;
-                    }
-                    *a = apply_epilogue(s, bias_input, activation, j, dot);
-                }
             }
-            acc
+            finish_texel(bias_of(s, has_bias), activation, j0, acc)
         })
         .with_cost(cost);
     }
-    Kernel::per_element(names.0, out_shape, move |s, _, coords| {
-        let (b, i, j) = (coords[0], coords[1], coords[2]);
-        let a_off = b * m * k;
-        let b_off = b * k * n;
-        let mut acc = 0.0f32;
-        for p in 0..k {
-            let av = if transpose_a { s.get_flat(0, a_off + p * m + i) } else { s.get_flat(0, a_off + i * k + p) };
-            let bv = if transpose_b { s.get_flat(1, b_off + j * k + p) } else { s.get_flat(1, b_off + p * n + j) };
-            acc += av * bv;
-        }
-        apply_epilogue(s, bias_input, activation, j, acc)
-    })
-    .with_cost(cost)
+    Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, (at[0], at[1], at[2])))
+        .with_cost(cost)
 }
 
 /// Quantized-weight fused matmul: input 1 is an `R8` codes texture
@@ -329,36 +344,22 @@ fn matmul_impl(
 /// 1-byte-per-weight device residency. `b_batch == 1` broadcasts the single
 /// code matrix across the batch.
 pub fn fused_matmul_quant(
-    &MatMulGeom { batch, m, k, n, b_batch, transpose_a, transpose_b }: &MatMulGeom,
+    geom: &MatMulGeom,
     params: &QuantParams,
     (has_bias, activation): Epilogue,
 ) -> Kernel {
-    let params = params.clone();
-    let out_shape = vec![batch, m, n];
-    let cost = (k * 3).max(1);
-    let bias_input = if has_bias { Some(2) } else { None };
-    Kernel::per_element("FusedMatMulQuant", out_shape, move |s, _, coords| {
-        let (b, i, j) = (coords[0], coords[1], coords[2]);
-        let a_off = b * m * k;
-        let b_off = if b_batch == 1 { 0 } else { b * k * n };
-        let mut acc_q = 0.0f32;
-        let mut acc_a = 0.0f32;
-        for p in 0..k {
-            let av = if transpose_a {
-                s.get_flat(0, a_off + p * m + i)
-            } else {
-                s.get_flat(0, a_off + i * k + p)
-            };
-            let qv = if transpose_b {
-                s.get_flat(1, b_off + j * k + p)
-            } else {
-                s.get_flat(1, b_off + p * n + j)
-            };
+    let (geom, params) = (*geom, params.clone());
+    let out_shape = vec![geom.batch, geom.m, geom.n];
+    let cost = (geom.k * 3).max(1);
+    Kernel::per_element("FusedMatMulQuant", out_shape, move |s, _, at| {
+        let j = at[2];
+        let (mut acc_q, mut acc_a) = (0.0f32, 0.0f32);
+        for (&av, &qv) in dot_operands(s, &geom, (at[0], at[1], j)) {
             acc_q += av * qv;
             acc_a += av;
         }
         let (sc, mn) = params.scale_min(j);
-        apply_epilogue(s, bias_input, activation, j, sc * acc_q + mn * acc_a)
+        apply_epilogue(bias_of(s, has_bias), activation, j, sc * acc_q + mn * acc_a)
     })
     .with_cost(cost)
 }
@@ -372,39 +373,18 @@ pub fn fused_conv2d_quant(
     params: &QuantParams,
     (has_bias, activation): Epilogue,
 ) -> Kernel {
-    let (info, params) = (info.clone(), params.clone());
-    let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
-    let cost = info.filter_height * info.filter_width * info.in_channels * 3;
-    let bias_input = if has_bias { Some(2) } else { None };
-    Kernel::per_element("FusedConv2DQuant", out_shape, move |s, _, coords| {
-        let (b, oh, ow, oc) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let row_stride = c.in_width * c.in_channels;
-        let img_stride = c.in_height * row_stride;
-        let w_oc_stride = c.out_channels;
-        let mut acc_q = 0.0f32;
-        let mut acc_x = 0.0f32;
-        for fh in 0..c.filter_height {
-            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-            if ih < 0 || ih >= c.in_height as isize {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                if iw < 0 || iw >= c.in_width as isize {
-                    continue;
-                }
-                let x_base = b * img_stride + ih as usize * row_stride + iw as usize * c.in_channels;
-                let w_base = ((fh * c.filter_width + fw) * c.in_channels) * w_oc_stride + oc;
-                for ic in 0..c.in_channels {
-                    let xv = s.get_flat(0, x_base + ic);
-                    acc_q += xv * s.get_flat(1, w_base + ic * w_oc_stride);
-                    acc_x += xv;
-                }
-            }
-        }
+    let (c, params) = (info.clone(), params.clone());
+    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let cost = c.filter_height * c.filter_width * c.in_channels * 3;
+    Kernel::per_element("FusedConv2DQuant", out_shape, move |s, _, at| {
+        let oc = at[3];
+        let (mut acc_q, mut acc_x) = (0.0f32, 0.0f32);
+        for_each_conv_step(s.tex(0), s.tex(1), &c, (at[0], at[1], at[2]), |xv, row| {
+            acc_q += xv * row[oc];
+            acc_x += xv;
+        });
         let (sc, mn) = params.scale_min(oc);
-        apply_epilogue(s, bias_input, activation, oc, sc * acc_q + mn * acc_x)
+        apply_epilogue(bias_of(s, has_bias), activation, oc, sc * acc_q + mn * acc_x)
     })
     .with_cost(cost)
 }
@@ -416,49 +396,25 @@ pub fn fused_depthwise_conv2d_quant(
     params: &QuantParams,
     (has_bias, activation): Epilogue,
 ) -> Kernel {
-    let (info, params) = (info.clone(), params.clone());
-    let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
-    let cost = info.filter_height * info.filter_width * 3;
-    let bias_input = if has_bias { Some(2) } else { None };
-    Kernel::per_element("FusedDepthwiseConv2DQuant", out_shape, move |s, _, coords| {
-        let (b, oh, ow, och) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let ic = och / c.channel_mul;
-        let m = och % c.channel_mul;
-        let row_stride = c.in_width * c.in_channels;
-        let img_stride = c.in_height * row_stride;
-        let mut acc_q = 0.0f32;
-        let mut acc_x = 0.0f32;
-        for fh in 0..c.filter_height {
-            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-            if ih < 0 || ih >= c.in_height as isize {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                if iw < 0 || iw >= c.in_width as isize {
-                    continue;
-                }
-                let x_idx =
-                    b * img_stride + ih as usize * row_stride + iw as usize * c.in_channels + ic;
-                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * c.channel_mul + m;
-                let xv = s.get_flat(0, x_idx);
-                acc_q += xv * s.get_flat(1, w_idx);
-                acc_x += xv;
-            }
-        }
+    let (c, params) = (info.clone(), params.clone());
+    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let cost = c.filter_height * c.filter_width * 3;
+    Kernel::per_element("FusedDepthwiseConv2DQuant", out_shape, move |s, _, at| {
+        let (x, w, och) = (s.tex(0), s.tex(1), at[3]);
+        let (ic, m) = (och / c.channel_mul, och % c.channel_mul);
+        let (mut acc_q, mut acc_x) = (0.0f32, 0.0f32);
+        for_each_tap(&c, (at[0], at[1], at[2]), |px, t| {
+            let xv = x[px * c.in_channels + ic];
+            acc_q += xv * w[t * c.out_channels + och];
+            acc_x += xv;
+        });
         let ch = match &params {
             QuantParams::PerTensor { .. } => 0,
-            QuantParams::PerChannel { axis, .. } => {
-                if *axis == 2 {
-                    ic
-                } else {
-                    m
-                }
-            }
+            QuantParams::PerChannel { axis: 2, .. } => ic,
+            QuantParams::PerChannel { .. } => m,
         };
         let (sc, mn) = params.scale_min(ch);
-        apply_epilogue(s, bias_input, activation, och, sc * acc_q + mn * acc_x)
+        apply_epilogue(bias_of(s, has_bias), activation, och, sc * acc_q + mn * acc_x)
     })
     .with_cost(cost)
 }
@@ -480,131 +436,97 @@ pub fn fused_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kern
     conv2d_impl(("FusedConv2D", "FusedConv2DPacked"), info, packed, epilogue)
 }
 
+/// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in
+/// `(fh, fw)` order: `tap(input pixel index, filter tap index)`.
+#[inline]
+fn for_each_tap(
+    c: &Conv2dInfo,
+    (b, oh, ow): (usize, usize, usize),
+    mut tap: impl FnMut(usize, usize),
+) {
+    for fh in 0..c.filter_height {
+        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+        if ih < 0 || ih >= c.in_height as isize {
+            continue;
+        }
+        for fw in 0..c.filter_width {
+            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+            if iw < 0 || iw >= c.in_width as isize {
+                continue;
+            }
+            let px = (b * c.in_height + ih as usize) * c.in_width + iw as usize;
+            tap(px, fh * c.filter_width + fw);
+        }
+    }
+}
+
+/// Output pixel index -> `(b, oh, ow)`.
+#[inline]
+fn pixel(c: &Conv2dInfo, pix: usize) -> (usize, usize, usize) {
+    let (ow, rest) = (pix % c.out_width, pix / c.out_width);
+    (rest / c.out_height, rest % c.out_height, ow)
+}
+
+/// Walk the receptive field of output pixel `at` in the reference's
+/// `(fh, fw, ic)` order: `step(input value, its filter row of out_channels
+/// weights)`. `x` and `w` are the textures, resolved once per invocation;
+/// each tap's operands are sliced once, so a step pays no bounds check.
+#[inline]
+fn for_each_conv_step<'a>(
+    x: &[f32],
+    w: &'a [f32],
+    c: &Conv2dInfo,
+    at: (usize, usize, usize),
+    mut step: impl FnMut(f32, &'a [f32]),
+) {
+    let (in_c, tap_len) = (c.in_channels, c.in_channels * c.out_channels);
+    for_each_tap(c, at, |px, t| {
+        let rows = w[t * tap_len..][..tap_len].chunks_exact(c.out_channels);
+        for (&xv, row) in x[px * in_c..][..in_c].iter().zip(rows) {
+            step(xv, row);
+        }
+    });
+}
+
 fn conv2d_impl(
     names: (&'static str, &'static str),
     info: &Conv2dInfo,
     packed: bool,
     (has_bias, activation): Epilogue,
 ) -> Kernel {
-    let info = info.clone();
-    let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
-    let cost = info.filter_height * info.filter_width * info.in_channels * 2;
-    let bias_input = if has_bias { Some(2) } else { None };
+    let c = info.clone();
+    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let cost = c.filter_height * c.filter_width * c.in_channels * 2;
+    // One output: channel `oc` of the pixel at `at`, epilogue applied.
+    let one = move |s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), oc: usize| {
+        let mut acc = 0.0f32;
+        for_each_conv_step(s.tex(0), s.tex(1), c, at, |xv, row| acc += xv * row[oc]);
+        apply_epilogue(bias_of(s, has_bias), activation, oc, acc)
+    };
     if packed {
-        let c = info.clone();
         let total = out_shape.iter().product::<usize>();
         return Kernel::packed(names.1, out_shape, move |s, base| {
-            let mut acc = [0.0f32; 4];
-            let oc0 = base % c.out_channels;
-            let pix = base / c.out_channels;
-            let row_stride = c.in_width * c.in_channels;
-            let img_stride = c.in_height * row_stride;
-            if oc0 + 3 < c.out_channels {
-                // All four outputs share the pixel: one x fetch feeds four
-                // filter channels.
-                let ow = pix % c.out_width;
-                let rest = pix / c.out_width;
-                let oh = rest % c.out_height;
-                let b = rest / c.out_height;
-                for fh in 0..c.filter_height {
-                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                    if ih < 0 || ih >= c.in_height as isize {
-                        continue;
-                    }
-                    for fw in 0..c.filter_width {
-                        let iw =
-                            (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                        if iw < 0 || iw >= c.in_width as isize {
-                            continue;
-                        }
-                        let x_base = b * img_stride
-                            + ih as usize * row_stride
-                            + iw as usize * c.in_channels;
-                        let w_base = (fh * c.filter_width + fw) * c.in_channels * c.out_channels + oc0;
-                        for ic in 0..c.in_channels {
-                            let xv = s.get_flat(0, x_base + ic);
-                            let w_at = w_base + ic * c.out_channels;
-                            acc[0] += xv * s.get_flat(1, w_at);
-                            acc[1] += xv * s.get_flat(1, w_at + 1);
-                            acc[2] += xv * s.get_flat(1, w_at + 2);
-                            acc[3] += xv * s.get_flat(1, w_at + 3);
-                        }
-                    }
-                }
-                for (q, a) in acc.iter_mut().enumerate() {
-                    *a = apply_epilogue(s, bias_input, activation, oc0 + q, *a);
-                }
-            } else {
-                // Channel-straddling texel: per-output fallback.
-                for (q, a) in acc.iter_mut().enumerate() {
-                    let idx = base + q;
-                    if idx >= total {
-                        break;
-                    }
-                    let oc = idx % c.out_channels;
-                    let pix = idx / c.out_channels;
-                    let ow = pix % c.out_width;
-                    let rest = pix / c.out_width;
-                    let oh = rest % c.out_height;
-                    let b = rest / c.out_height;
-                    let mut dot = 0.0f32;
-                    for fh in 0..c.filter_height {
-                        let ih =
-                            (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                        if ih < 0 || ih >= c.in_height as isize {
-                            continue;
-                        }
-                        for fw in 0..c.filter_width {
-                            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize
-                                - c.pad_left as isize;
-                            if iw < 0 || iw >= c.in_width as isize {
-                                continue;
-                            }
-                            let x_base = b * img_stride
-                                + ih as usize * row_stride
-                                + iw as usize * c.in_channels;
-                            let w_base =
-                                (fh * c.filter_width + fw) * c.in_channels * c.out_channels + oc;
-                            for ic in 0..c.in_channels {
-                                dot += s.get_flat(0, x_base + ic)
-                                    * s.get_flat(1, w_base + ic * c.out_channels);
-                            }
-                        }
-                    }
-                    *a = apply_epilogue(s, bias_input, activation, oc, dot);
-                }
+            let channels = c.out_channels;
+            let oc0 = base % channels;
+            if oc0 + 3 >= channels {
+                return straddling_texel(base, total, |at| {
+                    one(s, &c, pixel(&c, at / channels), at % channels)
+                });
             }
-            acc
+            // All four outputs share the pixel: one x fetch feeds the four
+            // filter channels of one w texel.
+            let mut acc = [0.0f32; 4];
+            for_each_conv_step(s.tex(0), s.tex(1), &c, pixel(&c, base / channels), |xv, row| {
+                for (a, &wv) in acc.iter_mut().zip(&row[oc0..oc0 + 4]) {
+                    *a += xv * wv;
+                }
+            });
+            finish_texel(bias_of(s, has_bias), activation, oc0, acc)
         })
         .with_cost(cost);
     }
-    Kernel::per_element(names.0, out_shape, move |s, _, coords| {
-        let (b, oh, ow, oc) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let row_stride = c.in_width * c.in_channels;
-        let img_stride = c.in_height * row_stride;
-        let w_oc_stride = c.out_channels;
-        let mut acc = 0.0f32;
-        for fh in 0..c.filter_height {
-            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-            if ih < 0 || ih >= c.in_height as isize {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                if iw < 0 || iw >= c.in_width as isize {
-                    continue;
-                }
-                let x_base = b * img_stride + ih as usize * row_stride + iw as usize * c.in_channels;
-                let w_base = ((fh * c.filter_width + fw) * c.in_channels) * w_oc_stride + oc;
-                for ic in 0..c.in_channels {
-                    acc += s.get_flat(0, x_base + ic) * s.get_flat(1, w_base + ic * w_oc_stride);
-                }
-            }
-        }
-        apply_epilogue(s, bias_input, activation, oc, acc)
-    })
-    .with_cost(cost)
+    Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, &c, (at[0], at[1], at[2]), at[3]))
+        .with_cost(cost)
 }
 
 /// Gather-form gradient of conv2d w.r.t. the input.
@@ -687,96 +609,49 @@ pub fn fused_depthwise_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogu
     depthwise_conv2d_impl(names, info, packed, epilogue)
 }
 
-/// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in
-/// `(fh, fw)` order: `tap(input pixel index, filter tap index)`.
-#[inline]
-fn for_each_tap(
-    c: &Conv2dInfo,
-    (b, oh, ow): (usize, usize, usize),
-    mut tap: impl FnMut(usize, usize),
-) {
-    for fh in 0..c.filter_height {
-        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-        if ih < 0 || ih >= c.in_height as isize {
-            continue;
-        }
-        for fw in 0..c.filter_width {
-            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-            if iw < 0 || iw >= c.in_width as isize {
-                continue;
-            }
-            let px = (b * c.in_height + ih as usize) * c.in_width + iw as usize;
-            tap(px, fh * c.filter_width + fw);
-        }
-    }
-}
-
-/// One depthwise output: channel `och` of the pixel at `at`.
-#[inline]
-fn depthwise_at(s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), och: usize) -> f32 {
-    let ic = och / c.channel_mul;
-    let mut acc = 0.0f32;
-    for_each_tap(c, at, |px, t| {
-        // Filter `[fh, fw, in_c, mul]` flattens to `t * out_channels + och`.
-        acc += s.get_flat(0, px * c.in_channels + ic) * s.get_flat(1, t * c.out_channels + och);
-    });
-    acc
-}
-
 fn depthwise_conv2d_impl(
     names: (&'static str, &'static str),
     info: &Conv2dInfo,
     packed: bool,
     (has_bias, activation): Epilogue,
 ) -> Kernel {
-    let info = info.clone();
-    let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
-    let cost = info.filter_height * info.filter_width * 2;
-    let bias_input = if has_bias { Some(2) } else { None };
-    if packed && info.channel_mul == 1 {
-        let c = info;
+    let c = info.clone();
+    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let cost = c.filter_height * c.filter_width * 2;
+    // One output: channel `och` of the pixel at `at`, epilogue applied.
+    let one = move |s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), och: usize| {
+        let (x, w, ic) = (s.tex(0), s.tex(1), och / c.channel_mul);
+        let mut acc = 0.0f32;
+        // Filter `[fh, fw, in_c, mul]` flattens to `t * out_channels + och`.
+        for_each_tap(c, at, |px, t| acc += x[px * c.in_channels + ic] * w[t * c.out_channels + och]);
+        apply_epilogue(bias_of(s, has_bias), activation, och, acc)
+    };
+    if packed && c.channel_mul == 1 {
         let total = out_shape.iter().product::<usize>();
-        // Pixel index -> (b, oh, ow).
-        let pixel = |c: &Conv2dInfo, pix: usize| {
-            let (ow, rest) = (pix % c.out_width, pix / c.out_width);
-            (rest / c.out_height, rest % c.out_height, ow)
-        };
         return Kernel::packed(names.1, out_shape, move |s, base| {
             let channels = c.out_channels;
-            let mut acc = [0.0f32; 4];
             let ch0 = base % channels;
-            if ch0 + 3 < channels {
-                // All four outputs share the pixel: one tap walk feeds four
-                // independent accumulators (channel_mul is 1, so output
-                // channel == input channel).
-                for_each_tap(&c, pixel(&c, base / channels), |px, t| {
-                    let (x_at, w_at) = (px * channels + ch0, t * channels + ch0);
-                    for (q, a) in acc.iter_mut().enumerate() {
-                        *a += s.get_flat(0, x_at + q) * s.get_flat(1, w_at + q);
-                    }
+            if ch0 + 3 >= channels {
+                return straddling_texel(base, total, |at| {
+                    one(s, &c, pixel(&c, at / channels), at % channels)
                 });
-                for (q, a) in acc.iter_mut().enumerate() {
-                    *a = apply_epilogue(s, bias_input, activation, ch0 + q, *a);
-                }
-            } else {
-                // Channel-straddling texel: per-output fallback.
-                for (q, a) in acc.iter_mut().enumerate().take(total.saturating_sub(base)) {
-                    let idx = base + q;
-                    let och = idx % channels;
-                    let dot = depthwise_at(s, &c, pixel(&c, idx / channels), och);
-                    *a = apply_epilogue(s, bias_input, activation, och, dot);
-                }
             }
-            acc
+            // All four outputs share the pixel: one tap walk, one x texel
+            // and one w texel per tap, feed four independent accumulators
+            // (channel_mul is 1, so output channel == input channel).
+            let mut acc = [0.0f32; 4];
+            for_each_tap(&c, pixel(&c, base / channels), |px, t| {
+                let (xt, wt) = (s.texel(0, px * channels + ch0), s.texel(1, t * channels + ch0));
+                for q in 0..4 {
+                    acc[q] += xt[q] * wt[q];
+                }
+            });
+            finish_texel(bias_of(s, has_bias), activation, ch0, acc)
         })
         .with_cost(cost);
     }
-    Kernel::per_element(names.0, out_shape, move |s, _, coords| {
-        let och = coords[3];
-        let acc = depthwise_at(s, &info, (coords[0], coords[1], coords[2]), och);
-        apply_epilogue(s, bias_input, activation, och, acc)
-    })
-    .with_cost(cost)
+    Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, &c, (at[0], at[1], at[2]), at[3]))
+        .with_cost(cost)
 }
 
 /// A chain of elementwise steps executed as one program: input 0 is the

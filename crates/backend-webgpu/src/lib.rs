@@ -88,6 +88,29 @@ mod tests {
             device_timer_follows_the_rule_of_the_api,
             foreign_fence_tokens_read_as_passed,
         );
+
+        /// Packing is the texture rung's own switch, so its "off" position
+        /// is a fourth engine beside the three rungs.
+        #[test]
+        fn conv_depthwise_and_matmul_match_cpu_on_bits_at_texel_edges() {
+            use super::*;
+            let want = texel_edge_outputs(&cpu_engine());
+            let unpacked = Engine::new();
+            let config = webml_backend_webgl::WebGlConfig { packing: false, ..Default::default() };
+            let gl = GpuBackend::<WebGl>::new(DeviceProfile::intel_iris_pro(), config).unwrap();
+            unpacked.register_backend("webgl", Arc::new(gl), 2);
+            let engines = [
+                ("webgl", engine::<WebGl>()),
+                ("webgl, packing off", unpacked),
+                ("webgpu", engine::<WebGpu>()),
+                ("webgpu without shared memory", engine::<NoSharedMemory>()),
+            ];
+            for (rung, e) in &engines {
+                for ((case, got), (_, want)) in texel_edge_outputs(e).iter().zip(&want) {
+                    assert_eq!(got, want, "{rung}: {case}");
+                }
+            }
+        }
     }
 
     fn backend<R: Rung>(plan: FaultPlan) -> GpuBackend<R>
@@ -146,6 +169,79 @@ mod tests {
             };
             assert_eq!(run(&engine::<R>()), run(&cpu_engine()), "{} ta={ta} tb={tb}", R::CAPS.api);
         }
+    }
+
+    /// Every output of conv2d, depthwise conv2d and matmul where a packed
+    /// program's texel meets an edge: channel / column counts that leave a
+    /// tail texel (1, 3), fill texels exactly (4, 8) and make texels straddle
+    /// pixels or rows (3, 6); padded, strided and dilated tap walks; a channel
+    /// multiplier; every transpose and an empty inner dimension; each with
+    /// and without the bias+activation epilogue, over f32 and U8 weights.
+    fn texel_edge_outputs(e: &Engine) -> Vec<(String, Vec<u32>)> {
+        let vals = |n: usize, f: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * f).sin()).collect() };
+        let codes = |n: usize| -> Vec<u8> { (0..n).map(|i| ((i * 37 + 11) % 256) as u8).collect() };
+        let per_channel = |axis: usize, n: usize| {
+            let scales = (0..n).map(|c| 0.01 + c as f32 * 0.003).collect();
+            QuantParams::per_channel(axis, scales, (0..n).map(|c| c as f32 * 0.1 - 1.2).collect())
+        };
+        let relu6 = Some(UnaryOp::Relu6);
+        let mut out: Vec<(String, Vec<u32>)> = Vec::new();
+        let mut push = |case: String, y: webml_core::Tensor| out.push((case, bits(&y.to_f32_vec().unwrap())));
+        let x = e.tensor_4d(&vals(7 * 7 * 3, 0.37), 1, 7, 7, 3).unwrap();
+        let walks = [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)];
+        for (pad, stride, dilation) in walks {
+            let (st, di) = ((stride, stride), (dilation, dilation));
+            for oc in [1, 3, 4, 6, 8] {
+                let case = format!("conv2d {pad:?} stride {stride} dilation {dilation} oc {oc}");
+                let bias = e.tensor_1d(&vals(oc, 0.7)).unwrap();
+                let w = e.tensor_4d(&vals(3 * 3 * 3 * oc, 0.19), 3, 3, 3, oc).unwrap();
+                let dims = vec![3, 3, 3, oc];
+                let wq = e.quantized_tensor(codes(27 * oc), dims, per_channel(3, oc)).unwrap();
+                push(format!("{case} plain"), ops::conv2d(&x, &w, st, pad, di).unwrap());
+                for (kind, w) in [("f32", &w), ("u8", &wq)] {
+                    for (b, act) in [(None, None), (Some(&bias), relu6)] {
+                        let y = ops::fused_conv2d(&x, w, b, act, st, pad, di).unwrap();
+                        push(format!("{case} fused {kind} epilogue {}", b.is_some()), y);
+                    }
+                }
+            }
+            // Depthwise: `mul` 1 takes the packed program, 2 the per-element.
+            for (ic, mul) in [(1, 1), (3, 1), (4, 1), (6, 1), (8, 1), (3, 2), (4, 2)] {
+                let case = format!("depthwise {pad:?} stride {stride} dilation {dilation} {ic}x{mul}");
+                let x = e.tensor_4d(&vals(7 * 7 * ic, 0.41), 1, 7, 7, ic).unwrap();
+                let bias = e.tensor_1d(&vals(ic * mul, 0.7)).unwrap();
+                let w = e.tensor_4d(&vals(9 * ic * mul, 0.23), 3, 3, ic, mul).unwrap();
+                let dims = vec![3, 3, ic, mul];
+                let wq = e.quantized_tensor(codes(9 * ic * mul), dims, per_channel(2, ic)).unwrap();
+                push(format!("{case} plain"), ops::depthwise_conv2d(&x, &w, st, pad, di).unwrap());
+                for (kind, w) in [("f32", &w), ("u8", &wq)] {
+                    for (b, act) in [(None, None), (Some(&bias), relu6)] {
+                        let y = ops::fused_depthwise_conv2d(&x, w, b, act, st, pad, di).unwrap();
+                        push(format!("{case} fused {kind} epilogue {}", b.is_some()), y);
+                    }
+                }
+            }
+        }
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            for (k, n) in [(5, 1), (5, 3), (5, 4), (5, 6), (5, 8), (0, 6)] {
+                let case = format!("matmul ta {ta} tb {tb} k {k} n {n}");
+                let (ar, ac) = if ta { (k, 3) } else { (3, k) };
+                let (br, bc) = if tb { (n, k) } else { (k, n) };
+                let a = e.tensor(vals(3 * k, 0.37), Shape::new(vec![ar, ac])).unwrap();
+                let b = e.tensor(vals(k * n, 0.91), Shape::new(vec![br, bc])).unwrap();
+                let params = per_channel(if tb { 0 } else { 1 }, n);
+                let bq = e.quantized_tensor(codes(k * n), vec![br, bc], params).unwrap();
+                let bias = e.tensor_1d(&vals(n, 0.7)).unwrap();
+                push(format!("{case} plain"), ops::matmul(&a, &b, ta, tb).unwrap());
+                for (kind, b) in [("f32", &b), ("u8", &bq)] {
+                    for (bi, act) in [(None, None), (Some(&bias), relu6)] {
+                        let y = ops::fused_matmul(&a, b, bi, act, ta, tb).unwrap();
+                        push(format!("{case} fused {kind} epilogue {}", bi.is_some()), y);
+                    }
+                }
+            }
+        }
+        out
     }
 
     fn conv_and_pool_match_cpu_on_bits<R: Rung>()

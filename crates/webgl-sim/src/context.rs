@@ -154,8 +154,9 @@ pub struct Handle {
     pub len: usize,
     /// The compiled logical→physical mapping a fragment body samples
     /// through. `None` on linear storage, where a tensor is just its
-    /// flattened values.
-    pub layout: Option<TextureLayout>,
+    /// flattened values. Shared, so binding the tensor to a draw copies a
+    /// pointer rather than the layout's four vectors.
+    pub layout: Option<Arc<TextureLayout>>,
 }
 
 /// A fence inserted into the command queue (`gl.fenceSync`, Sec 4.1.1). It
@@ -284,7 +285,7 @@ impl GpgpuContext {
         shape: &[usize],
         len: usize,
         format: TextureFormat,
-    ) -> Result<(Option<TextureLayout>, Geometry), DeviceError> {
+    ) -> Result<(Option<Arc<TextureLayout>>, Geometry), DeviceError> {
         match self.caps.storage {
             Storage::Texture => {
                 let layout = TextureLayout::compile(
@@ -294,7 +295,7 @@ impl GpgpuContext {
                     self.config.squeeze_layout,
                 )?;
                 let geometry = (layout.tex_rows, layout.tex_cols, format);
-                Ok((Some(layout), geometry))
+                Ok((Some(Arc::new(layout)), geometry))
             }
             Storage::Linear => Ok((None, (1, len, format))),
         }
@@ -432,14 +433,17 @@ impl GpgpuContext {
     /// Re-view a tensor under a different logical shape (same element
     /// count): the free `reshape` of paper Sec 3.4 — no data moves, only
     /// the layout's accessor math changes. Linear storage has no accessor
-    /// math, so there the handle comes back as it is.
+    /// math, so there the handle comes back as it is, as does one already
+    /// viewed under `shape`.
     ///
     /// # Errors
     /// [`DeviceError::Layout`] when the shape cannot be laid out (cannot
     /// happen for shapes of equal size to an existing layout, kept for
     /// safety).
     pub fn relayout(&self, h: &Handle, shape: &[usize]) -> Result<Handle, DeviceError> {
-        let Some(old) = &h.layout else { return Ok(h.clone()) };
+        let Some(old) = h.layout.as_ref().filter(|old| old.logical != shape) else {
+            return Ok(h.clone());
+        };
         let mut layout = TextureLayout::compile(
             shape,
             old.format,
@@ -449,7 +453,7 @@ impl GpgpuContext {
         // Keep the physical texture geometry of the existing allocation.
         layout.tex_rows = old.tex_rows;
         layout.tex_cols = old.tex_cols;
-        Ok(Handle { id: h.id, len: h.len, layout: Some(layout) })
+        Ok(Handle { id: h.id, len: h.len, layout: Some(Arc::new(layout)) })
     }
 
     /// Attempt to compile (or fetch from the kernel cache) a kernel.
@@ -711,6 +715,19 @@ mod tests {
         let tiny = DeviceProfile { max_texture_size: 4, ..DeviceProfile::intel_iris_pro() };
         let c = GpgpuContext::new(tiny, ContextConfig::default()).unwrap();
         assert!(matches!(c.upload(vec![0.0; 17], &[17]), Err(DeviceError::Layout(_))));
+    }
+
+    #[test]
+    fn samplers_see_logical_values_not_a_recycled_textures_padding() {
+        let c = GpgpuContext::new(DeviceProfile::intel_iris_pro(), ContextConfig::default()).unwrap();
+        // A 4x4 texture full of 9s goes back to the recycler...
+        c.dispose(&c.upload(vec![9.0; 16], &[16]).unwrap());
+        // ...and comes out again for a 13-value output, 3 stale slots beyond.
+        let ramp = Kernel::per_element("Ramp", vec![13], |_, i, _| i as f32);
+        let h = c.run(ramp, &[] as &[&Handle]).unwrap();
+        assert_eq!(c.memory().recycler.hits, 1);
+        let last = Kernel::packed("LastTexel", vec![4], |s, _| s.texel(0, 12));
+        assert_eq!(c.read_sync(&c.run(last, &[&h]).unwrap()).unwrap(), vec![12.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -180,13 +180,6 @@ impl TextureLayout {
             (row_back * self.tex_cols + col_back) * ch + within
         }
     }
-
-    /// Map a logical flat index to its channel slot (identity by
-    /// construction, kept for clarity at call sites).
-    #[inline]
-    pub fn slot_of_flat(&self, flat: usize) -> usize {
-        flat
-    }
 }
 
 #[cfg(test)]

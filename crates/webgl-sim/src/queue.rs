@@ -86,7 +86,7 @@ pub enum Command {
         inputs: Vec<TexId>,
         /// Input layouts, parallel to `inputs`, for a fragment body's
         /// samplers; empty for a compute body.
-        in_layouts: Vec<TextureLayout>,
+        in_layouts: Vec<Arc<TextureLayout>>,
         /// Output id (fresh).
         output: TexId,
         /// Output geometry.
@@ -179,6 +179,12 @@ pub struct DeviceShared {
 }
 
 /// Counters of device-queue behaviour, snapshotted without flushing.
+///
+/// On the device thread `wall = busy_ns + drain_ns + idle`: `busy_ns` times
+/// every upload, dispatch, readback and disposal, `drain_ns` is the modeled
+/// Fig-2 pipeline stall a blocking read pays (slept, never counted busy),
+/// and the remainder is the thread parked on an empty queue (plus fence
+/// bookkeeping, which does no device work).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Wall-clock ns the device thread spent executing commands.
@@ -352,6 +358,7 @@ pub fn device_loop(
                 // Queue order makes disposal fence-safe: every consumer of
                 // this allocation was enqueued (and therefore executes)
                 // before the Dispose, so recycling here can never race a use.
+                let t0 = webml_telemetry::now_ns();
                 let slot = shared.textures.lock().remove(&tex);
                 match slot.map(|slot| slot.state) {
                     Some(SlotState::Gpu(t)) => {
@@ -363,6 +370,9 @@ pub fn device_loop(
                     }
                     None => {}
                 }
+                shared
+                    .busy_ns
+                    .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
             }
             Command::LoseContext => {
                 // All GPU-resident allocations are gone. Keep each one's
@@ -433,7 +443,7 @@ impl Device {
         &self,
         kernel: &Kernel,
         inputs: &[TexId],
-        in_layouts: &[TextureLayout],
+        in_layouts: &[Arc<TextureLayout>],
         output: TexId,
         out_geometry: Geometry,
         pool: &mut Option<WorkerPool>,
@@ -481,8 +491,13 @@ impl Device {
         let bound = |id: &TexId| bound_data(&taken, *id);
         let engaged = match &kernel.body {
             KernelBody::Fragment(body) => {
-                let samplers: Vec<(&[f32], &TextureLayout)> =
-                    inputs.iter().map(bound).zip(in_layouts).collect();
+                // A sampler sees the tensor's logical values: the padding of
+                // a recycled texture holds whatever its last owner left.
+                let samplers: Vec<(&[f32], &TextureLayout)> = inputs
+                    .iter()
+                    .zip(in_layouts)
+                    .map(|(id, layout)| (&bound(id)[..layout.size()], &**layout))
+                    .collect();
                 let pool = pool.get_or_insert_with(|| self.shader_cores());
                 let out = &mut out_tex.data;
                 execute(body, &kernel.out_shape, &samplers, out, pool, lanes, self.half_precision)

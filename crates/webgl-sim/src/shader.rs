@@ -26,7 +26,8 @@ pub struct Samplers<'a> {
 }
 
 impl<'a> Samplers<'a> {
-    /// Wrap input texture data and layouts.
+    /// Wrap input textures: each one's logical values (`layout.size()` of
+    /// them, without the physical texture's padding) and its layout.
     pub fn new(inputs: &'a [(&'a [f32], &'a TextureLayout)]) -> Samplers<'a> {
         Samplers { inputs }
     }
@@ -42,8 +43,27 @@ impl<'a> Samplers<'a> {
     /// Sample input `i` at a logical flat index (element-wise kernels).
     #[inline]
     pub fn get_flat(&self, i: usize, flat: usize) -> f32 {
-        let (data, layout) = &self.inputs[i];
-        data[layout.slot_of_flat(flat)]
+        self.inputs[i].0[flat]
+    }
+
+    /// The whole bound texture of input `i` in logical flat order — the
+    /// sampler a program resolves once per invocation and then walks rows
+    /// of, instead of re-resolving it per sample.
+    #[inline]
+    pub fn tex(&self, i: usize) -> &'a [f32] {
+        self.inputs[i].0
+    }
+
+    /// One RGBA fetch: the four consecutive values of input `i` starting at
+    /// logical flat index `flat`, as one `vec4` (Listing 2). Channels past
+    /// the end of the texture read 0, like a real texture's padding.
+    #[inline]
+    pub fn texel(&self, i: usize, flat: usize) -> [f32; 4] {
+        let data = self.inputs[i].0;
+        match data.get(flat..flat + 4) {
+            Some(q) => [q[0], q[1], q[2], q[3]],
+            None => edge_texel(data, flat),
+        }
     }
 
     /// Logical shape of input `i`.
@@ -60,6 +80,12 @@ impl<'a> Samplers<'a> {
     pub fn is_empty(&self) -> bool {
         self.inputs.is_empty()
     }
+}
+
+/// The texel at `flat` when it straddles the end of the texture.
+#[cold]
+fn edge_texel(data: &[f32], flat: usize) -> [f32; 4] {
+    std::array::from_fn(|q| data.get(flat + q).copied().unwrap_or(0.0))
 }
 
 /// Body of an unpacked fragment kernel: `main()` runs per output element
@@ -215,7 +241,6 @@ pub fn execute(
     let chunk_len = raw_chunk.div_ceil(align) * align;
     let n_chunks = size.div_ceil(chunk_len);
     let base_ptr = out.as_mut_ptr() as usize;
-    let dims = out_shape;
     pool.run(n_chunks, &move |ci| {
         let start = ci * chunk_len;
         let len = chunk_len.min(size - start);
@@ -223,31 +248,45 @@ pub fn execute(
         // blocks inside `pool.run` until all chunks are done.
         let chunk =
             unsafe { std::slice::from_raw_parts_mut((base_ptr as *mut f32).add(start), len) };
-        let samplers = Samplers::new(samplers_inputs);
-        match body {
-            FragmentBody::PerElement(f) => {
-                let mut coords = coords_of(dims, start);
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let v = f(&samplers, start + off, &coords);
-                    *slot = if half_precision { crate::f16::round(v) } else { v };
-                    advance(dims, &mut coords);
-                }
-            }
-            FragmentBody::Packed(f) => {
-                let mut off = 0;
-                while off < len {
-                    let take = 4.min(len - off);
-                    let quad = f(&samplers, start + off);
-                    for (q, slot) in chunk[off..off + take].iter_mut().enumerate() {
-                        let v = quad[q];
-                        *slot = if half_precision { crate::f16::round(v) } else { v };
-                    }
-                    off += take;
-                }
-            }
+        // The device's precision is fixed per dispatch: pick the store once
+        // per chunk, not per element.
+        if half_precision {
+            fill(body, out_shape, samplers_inputs, start, chunk, crate::f16::round);
+        } else {
+            fill(body, out_shape, samplers_inputs, start, chunk, |v| v);
         }
     });
     threads.min(n_chunks)
+}
+
+/// Run `body` for every output of one chunk (`start` is its logical flat
+/// index), storing each value through `store`.
+fn fill(
+    body: &FragmentBody,
+    dims: &[usize],
+    samplers_inputs: &[(&[f32], &TextureLayout)],
+    start: usize,
+    chunk: &mut [f32],
+    store: impl Fn(f32) -> f32,
+) {
+    let samplers = Samplers::new(samplers_inputs);
+    match body {
+        FragmentBody::PerElement(f) => {
+            let mut coords = coords_of(dims, start);
+            for (off, slot) in chunk.iter_mut().enumerate() {
+                *slot = store(f(&samplers, start + off, &coords));
+                advance(dims, &mut coords);
+            }
+        }
+        FragmentBody::Packed(f) => {
+            for (t, texel) in chunk.chunks_mut(4).enumerate() {
+                let quad = f(&samplers, start + t * 4);
+                for (slot, v) in texel.iter_mut().zip(quad) {
+                    *slot = store(v);
+                }
+            }
+        }
+    }
 }
 
 fn coords_of(dims: &[usize], mut flat: usize) -> Vec<usize> {
@@ -352,6 +391,23 @@ mod tests {
         run(&prog, &[(&a, &la)], &mut out, 1);
         let expected: Vec<f32> = (0..10).map(|i| (i + 1) as f32).collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn texel_fetch_is_zero_padded_past_the_end_and_equals_four_scalar_fetches() {
+        let a: Vec<f32> = (0..10).map(|i| i as f32 + 0.5).collect();
+        let la = layout(&[10]);
+        let inputs = [(&a[..], &la)];
+        let s = Samplers::new(&inputs);
+        assert_eq!(s.tex(0), &a[..]);
+        // Any start, aligned or not: four scalar fetches where the texture
+        // has values, 0 where it ends.
+        for flat in 0..14 {
+            let scalars: [f32; 4] =
+                std::array::from_fn(|q| if flat + q < 10 { s.get_flat(0, flat + q) } else { 0.0 });
+            assert_eq!(s.texel(0, flat), scalars, "texel at {flat}");
+        }
+        assert_eq!(s.texel(0, 8), [8.5, 9.5, 0.0, 0.0]);
     }
 
     #[test]
