@@ -121,14 +121,6 @@ impl EngineHealth {
         (pending as u64).saturating_mul(self.service_ns(model))
     }
 
-    /// Drop `n` requests from the in-flight gauge without recording a
-    /// latency observation (the requests were never executed).
-    pub fn aborted(&self, n: usize) {
-        let _ = self
-            .inflight
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| Some(d.saturating_sub(n)));
-    }
-
     /// Current queue depth (queued, not yet drained).
     pub fn queue_depth(&self) -> usize {
         self.queue_depth.load(Ordering::Relaxed)

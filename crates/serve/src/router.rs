@@ -32,28 +32,29 @@
 //!   high device-parallelism class; tiny MLPs go wherever the predicted
 //!   wait is shortest.
 //!
-//! Each engine gets its own worker thread with its own deadline queue and
-//! its own warm-model [`ModelCache`] — the single-engine micro-batching
-//! semantics of [`ModelServer`](crate::ModelServer) are preserved within
-//! each engine.
+//! Each engine gets its own worker thread — the same micro-batcher
+//! ([`crate::batcher`]) that serves [`ModelServer`](crate::ModelServer),
+//! with its own queue, warm-model cache and [`ServeStats`] counters. This
+//! module is what the fleet adds around it: admission, placement, deadline
+//! enforcement at dequeue, the degradation watch, and the breaker /
+//! re-route decision on each pass's outcome.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use serde_json::json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
-use webml_core::{Engine, Shape};
+use webml_core::Engine;
 use webml_telemetry as telemetry;
-use webml_telemetry::{
-    Histogram, HistogramSummary, PhaseStamps, RequestCtx, RequestOutcome, RequestTimeline,
-};
+use webml_telemetry::{Histogram, HistogramSummary, RequestCtx, RequestOutcome, RequestTimeline};
 
-use crate::cache::{ModelCache, ModelKey, ModelSource};
+use crate::batcher::{self, Executor, FrontDoor, Pass, Request, SpanNames, WorkQueue, WorkerCells};
+use crate::cache::{ModelKey, ModelSource};
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, BreakerSnapshot, CircuitBreaker, EngineHealth};
 use crate::obs;
-use crate::{chunked, read_rows, InferResponse, WindowPolicy};
+use crate::{InferResponse, ServeConfig, ServeStats};
 
 /// Result type for fleet requests: an inference response or an explicit,
 /// typed refusal.
@@ -124,12 +125,9 @@ impl EngineSpec {
 pub struct FleetConfig {
     /// Largest coalesced batch per forward pass on each engine.
     pub max_batch: usize,
-    /// How long an engine worker holds the first queued request open for
-    /// batch-mates.
+    /// The longest an engine worker holds the first queued request open
+    /// for batch-mates (adaptive, see [`ServeConfig::max_wait`]).
     pub max_wait: Duration,
-    /// Shrink the batch window toward zero when an engine's queue is
-    /// shallow (same policy as the single-engine server).
-    pub adaptive_window: bool,
     /// Warm models kept resident per engine.
     pub cache_capacity: usize,
     /// Hard cap on each engine's queue; admission beyond it sheds with
@@ -157,7 +155,6 @@ impl Default for FleetConfig {
         FleetConfig {
             max_batch: 16,
             max_wait: Duration::from_millis(1),
-            adaptive_window: true,
             cache_capacity: 4,
             queue_capacity: 512,
             admission_slack: 1.0,
@@ -189,6 +186,9 @@ pub struct EngineStatus {
     pub draining: bool,
     /// Circuit-breaker snapshot.
     pub breaker: BreakerSnapshot,
+    /// The engine worker's batching, cache and plan counters — the same
+    /// view [`ModelServer::stats`](crate::ModelServer::stats) gives.
+    pub serve: ServeStats,
 }
 
 /// Lifetime fleet counters. The outcome counters partition `submitted`:
@@ -283,34 +283,35 @@ struct Registration {
     heavy: bool,
 }
 
-struct FleetRequest {
-    key: ModelKey,
-    values: Vec<f32>,
-    dims: Vec<usize>,
+/// The fleet's per-request state beside the batcher's [`Request`].
+struct FleetTicket {
     reply: mpsc::Sender<FleetResult<InferResponse>>,
     enqueued: Instant,
     deadline: Instant,
     budget: Duration,
     reroutes: u32,
-    /// Request-scoped trace context + phase timeline, minted at submit.
-    tl: RequestTimeline,
+    /// From the model's registration, so routing and the breaker need no
+    /// lookup per request.
+    target_ms: f64,
+    heavy: bool,
+}
+
+type FleetRequest = Request<FleetTicket>;
+
+/// A canary/warm-up example for one model.
+#[derive(Clone)]
+struct Probe {
+    key: ModelKey,
+    source: Arc<ModelSource>,
+    values: Vec<f32>,
+    dims: Vec<usize>,
 }
 
 enum WorkItem {
     Request(FleetRequest),
     /// A canary/warm-up execution: runs through the worker's cache even
     /// when the breaker is open, replying only success/failure.
-    Probe {
-        key: ModelKey,
-        values: Vec<f32>,
-        dims: Vec<usize>,
-        reply: mpsc::Sender<bool>,
-    },
-}
-
-struct WorkerQueue {
-    items: VecDeque<WorkItem>,
-    shutdown: bool,
+    Probe(Probe, mpsc::Sender<bool>),
 }
 
 struct EngineState {
@@ -320,21 +321,20 @@ struct EngineState {
     recover: Option<RecoverHook>,
     health: EngineHealth,
     breaker: CircuitBreaker,
-    queue: Mutex<WorkerQueue>,
-    available: Condvar,
+    queue: WorkQueue<WorkItem>,
+    serve: WorkerCells,
     draining: AtomicBool,
     degradations: AtomicU64,
 }
-
-/// A canary example: flattened values plus per-example dims.
-type Sample = (Vec<f32>, Vec<usize>);
 
 struct FleetShared {
     config: FleetConfig,
     engines: Vec<Arc<EngineState>>,
     models: Mutex<HashMap<ModelKey, Registration>>,
-    /// First example seen per model, kept for canary probes.
-    samples: Mutex<HashMap<ModelKey, Sample>>,
+    /// The first example the fleet saw (submitted or warmed), kept as the
+    /// canary every probe of a tripped engine runs: which model probes is
+    /// decided by arrival order, never by a hash seed.
+    canary: OnceLock<Probe>,
     stats: FleetCells,
     latency_ms: Histogram,
     queue_wait_ms: Histogram,
@@ -371,6 +371,28 @@ impl FleetServer {
     /// # Panics
     /// Panics when `specs` is empty — a fleet needs at least one engine.
     pub fn new(specs: Vec<EngineSpec>, config: FleetConfig) -> FleetServer {
+        let mut fleet = FleetServer::idle(specs, config);
+        fleet.workers = (0..fleet.shared.engines.len())
+            .map(|idx| {
+                let shared = fleet.shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("webml-fleet-{}", shared.engines[idx].name))
+                    .spawn(move || engine_worker(&shared, idx))
+                    .expect("spawn fleet worker")
+            })
+            .collect();
+        let shared = fleet.shared.clone();
+        let maintenance = std::thread::Builder::new()
+            .name("webml-fleet-maintenance".into())
+            .spawn(move || maintenance_loop(&shared))
+            .expect("spawn fleet maintenance thread");
+        fleet.maintenance = Some(maintenance);
+        fleet
+    }
+
+    /// The fleet's state with no thread running: requests queue, nothing
+    /// executes until an [`engine_worker`] runs.
+    fn idle(specs: Vec<EngineSpec>, config: FleetConfig) -> FleetServer {
         assert!(!specs.is_empty(), "a fleet needs at least one engine");
         let engines: Vec<Arc<EngineState>> = specs
             .into_iter()
@@ -378,8 +400,8 @@ impl FleetServer {
                 Arc::new(EngineState {
                     health: EngineHealth::new(spec.engine.degradation_generation()),
                     breaker: CircuitBreaker::new(config.breaker.clone()),
-                    queue: Mutex::new(WorkerQueue { items: VecDeque::new(), shutdown: false }),
-                    available: Condvar::new(),
+                    queue: WorkQueue::new(),
+                    serve: WorkerCells::default(),
                     draining: AtomicBool::new(false),
                     degradations: AtomicU64::new(0),
                     name: spec.name,
@@ -393,29 +415,13 @@ impl FleetServer {
             config,
             engines,
             models: Mutex::new(HashMap::new()),
-            samples: Mutex::new(HashMap::new()),
+            canary: OnceLock::new(),
             stats: FleetCells::default(),
             latency_ms: Histogram::new(),
             queue_wait_ms: Histogram::new(),
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..shared.engines.len())
-            .map(|idx| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("webml-fleet-{}", shared.engines[idx].name))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("spawn fleet worker")
-            })
-            .collect();
-        let maint = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("webml-fleet-maintenance".into())
-                .spawn(move || maintenance_loop(&shared))
-                .expect("spawn fleet maintenance thread")
-        };
-        FleetServer { shared, workers, maintenance: Some(maint) }
+        FleetServer { shared, workers: Vec::new(), maintenance: None }
     }
 
     /// Register a model with its SLO; returns the key clients submit
@@ -433,8 +439,7 @@ impl FleetServer {
 
     /// Enqueue one inference under the model's registered deadline.
     pub fn submit(&self, key: ModelKey, values: Vec<f32>, dims: Vec<usize>) -> FleetPending {
-        let budget = self.shared.models.lock().get(&key).map(|r| r.slo.deadline);
-        self.submit_inner(key, values, dims, budget)
+        self.submit_inner(key, values, dims, None)
     }
 
     /// Enqueue one inference with an explicit deadline budget overriding
@@ -446,8 +451,7 @@ impl FleetServer {
         dims: Vec<usize>,
         deadline: Duration,
     ) -> FleetPending {
-        let registered = self.shared.models.lock().contains_key(&key);
-        self.submit_inner(key, values, dims, registered.then_some(deadline))
+        self.submit_inner(key, values, dims, Some(deadline))
     }
 
     fn submit_inner(
@@ -455,44 +459,44 @@ impl FleetServer {
         key: ModelKey,
         values: Vec<f32>,
         dims: Vec<usize>,
-        budget: Option<Duration>,
+        deadline: Option<Duration>,
     ) -> FleetPending {
         let shared = &self.shared;
         shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
-        let budget_or_zero = budget.unwrap_or(Duration::ZERO);
         let ctx = RequestCtx::mint();
         let mut tl = RequestTimeline::new(ctx.trace_id, ctx.parent_span, key);
         tl.submitted_ns = telemetry::now_ns();
-        let req = FleetRequest {
+        let registration = shared.models.lock().get(&key).cloned();
+        let Some(reg) = registration else {
+            let msg = format!("unknown model key {key:#x}");
+            reply_err(shared, tl, &tx, ServeError::Rejected(msg));
+            return FleetPending { rx };
+        };
+        let expected: usize = dims.iter().product();
+        if dims.is_empty() || expected != values.len() {
+            let msg = format!("example of {} values does not match dims {dims:?}", values.len());
+            reply_err(shared, tl, &tx, ServeError::Rejected(msg));
+            return FleetPending { rx };
+        }
+        shared.canary.get_or_init(|| Probe {
             key,
-            values,
-            dims,
+            source: reg.source.clone(),
+            values: values.clone(),
+            dims: dims.clone(),
+        });
+        let now = Instant::now();
+        let budget = deadline.unwrap_or(reg.slo.deadline);
+        let ticket = FleetTicket {
             reply: tx,
             enqueued: now,
-            deadline: now + budget_or_zero,
-            budget: budget_or_zero,
+            deadline: now + budget,
+            budget,
             reroutes: 0,
-            tl,
+            target_ms: reg.slo.target_ms,
+            heavy: reg.heavy,
         };
-        let expected: usize = req.dims.iter().product();
-        if budget.is_none() {
-            reply_err(shared, req, ServeError::Rejected(format!("unknown model key {key:#x}")));
-            return FleetPending { rx };
-        }
-        if req.dims.is_empty() || expected != req.values.len() {
-            let msg = format!("example of {} values does not match dims {:?}", req.values.len(), req.dims);
-            reply_err(shared, req, ServeError::Rejected(msg));
-            return FleetPending { rx };
-        }
-        // Capture one sample per model for canary probes.
-        {
-            let mut samples = shared.samples.lock();
-            samples
-                .entry(key)
-                .or_insert_with(|| (req.values.clone(), req.dims.clone()));
-        }
+        let req = Request { key, source: reg.source, values, dims, tl, ticket };
         route_request(shared, req, None, false);
         FleetPending { rx }
     }
@@ -508,33 +512,21 @@ impl FleetServer {
     /// Warm-up hook: build and execute `key` once on every engine (through
     /// each worker's [`ModelCache`]), so first real traffic skips model
     /// build and weight upload. Returns how many engines warmed
-    /// successfully. Also records the example as the model's canary sample.
+    /// successfully. The example also becomes the fleet's canary if no
+    /// request was seen before it.
     pub fn warm(&self, key: ModelKey, values: Vec<f32>, dims: Vec<usize>) -> usize {
         let shared = &self.shared;
-        if !shared.models.lock().contains_key(&key) {
+        let Some(source) = shared.models.lock().get(&key).map(|r| r.source.clone()) else {
             return 0;
-        }
-        shared
-            .samples
-            .lock()
-            .entry(key)
-            .or_insert_with(|| (values.clone(), dims.clone()));
+        };
+        let probe = Probe { key, source, values, dims };
+        shared.canary.get_or_init(|| probe.clone());
         let mut receivers = Vec::new();
         for state in &shared.engines {
             let (tx, rx) = mpsc::channel();
-            let mut q = state.queue.lock();
-            if q.shutdown {
-                continue;
+            if state.queue.push(WorkItem::Probe(probe.clone(), tx)).is_ok() {
+                receivers.push(rx);
             }
-            q.items.push_back(WorkItem::Probe {
-                key,
-                values: values.clone(),
-                dims: dims.clone(),
-                reply: tx,
-            });
-            drop(q);
-            state.available.notify_all();
-            receivers.push(rx);
         }
         let mut ok = 0;
         for rx in receivers {
@@ -594,6 +586,7 @@ impl FleetServer {
                 degradations: e.degradations.load(Ordering::Relaxed),
                 draining: e.draining.load(Ordering::Relaxed),
                 breaker: e.breaker.snapshot(),
+                serve: e.serve.snapshot(),
             })
             .collect();
         FleetStats {
@@ -629,8 +622,7 @@ impl FleetServer {
             let _ = handle.join();
         }
         for state in &self.shared.engines {
-            state.queue.lock().shutdown = true;
-            state.available.notify_all();
+            state.queue.shutdown();
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -648,7 +640,12 @@ impl Drop for FleetServer {
 /// sheds also fire the flight recorder with a lazy fleet snapshot, so a
 /// postmortem sees queue depths, breaker states, and the recent request
 /// ring exactly as they were when the shed happened.
-fn reply_err(shared: &FleetShared, mut req: FleetRequest, err: ServeError) {
+fn reply_err(
+    shared: &FleetShared,
+    mut tl: RequestTimeline,
+    reply: &mpsc::Sender<FleetResult<InferResponse>>,
+    err: ServeError,
+) {
     let s = &shared.stats;
     let outcome = match &err {
         ServeError::DeadlineExceeded { waited_ms, budget_ms } => {
@@ -709,21 +706,16 @@ fn reply_err(shared: &FleetShared, mut req: FleetRequest, err: ServeError) {
             RequestOutcome::Rejected
         }
     };
-    obs::finish_request(&mut req.tl, outcome, 0, 0);
-    let _ = req.reply.send(Err(err));
+    obs::finish_request(&mut tl, outcome, 0, 0);
+    let _ = reply.send(Err(err));
 }
 
-fn reply_ok(
-    shared: &FleetShared,
-    mut req: FleetRequest,
-    resp: InferResponse,
-    batch_size: u32,
-    batch_trace: u64,
-) {
+fn reply_ok(shared: &FleetShared, mut req: FleetRequest, resp: InferResponse, pass: &Pass) {
     shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-    shared.latency_ms.observe(req.enqueued.elapsed().as_secs_f64() * 1e3);
-    obs::finish_request(&mut req.tl, RequestOutcome::Completed, batch_size, batch_trace);
-    let _ = req.reply.send(Ok(resp));
+    shared.latency_ms.observe(req.ticket.enqueued.elapsed().as_secs_f64() * 1e3);
+    let batch_size = pass.batch_size as u32;
+    obs::finish_request(&mut req.tl, RequestOutcome::Completed, batch_size, pass.batch_trace);
+    let _ = req.ticket.reply.send(Ok(resp));
     telemetry::instant("fleet.reply", "serve");
 }
 
@@ -846,45 +838,39 @@ fn route_request(
     rerouted: bool,
 ) {
     if rerouted {
-        req.reroutes += 1;
+        req.ticket.reroutes += 1;
         shared.stats.rerouted.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("fleet.rerouted").inc();
         // Backstop against breaker-flap ping-pong: a request can visit each
         // engine at most once beyond its error-reroute budget.
-        if req.reroutes > shared.config.max_reroutes + shared.engines.len() as u32 {
-            reply_err(shared, req, ServeError::NoHealthyEngine);
+        if req.ticket.reroutes > shared.config.max_reroutes + shared.engines.len() as u32 {
+            reply_err(shared, req.tl, &req.ticket.reply, ServeError::NoHealthyEngine);
             return;
         }
     }
-    let heavy = shared.models.lock().get(&req.key).map(|r| r.heavy).unwrap_or(false);
-    match pick_engine(shared, req.key, heavy, req.budget, exclude, rerouted) {
-        Ok(idx) => {
-            let state = &shared.engines[idx];
-            let mut q = state.queue.lock();
-            if q.shutdown {
-                drop(q);
-                reply_err(shared, req, ServeError::Shutdown);
-                return;
-            }
-            state.health.enqueued(1);
-            // Admission is stamped once, on the first successful enqueue —
-            // re-routes keep the original admission time so queue-phase
-            // attribution includes time lost to breaker-trip ping-pong.
-            if req.tl.admitted_ns == 0 {
-                req.tl.admitted_ns = telemetry::now_ns();
-            }
-            {
-                // Inside the lock, before the push: once the request is
-                // visible the worker may drain and reply at any moment, and
-                // this marker must fall inside the request envelope.
-                let _scope = telemetry::trace_scope(req.tl.trace_id);
-                telemetry::instant("serve.enqueue", "serve");
-            }
-            q.items.push_back(WorkItem::Request(req));
-            drop(q);
-            state.available.notify_all();
-        }
-        Err(e) => reply_err(shared, req, e),
+    let ticket = &req.ticket;
+    let idx = match pick_engine(shared, req.key, ticket.heavy, ticket.budget, exclude, rerouted) {
+        Ok(idx) => idx,
+        Err(e) => return reply_err(shared, req.tl, &req.ticket.reply, e),
+    };
+    let state = &shared.engines[idx];
+    // Admission is stamped once, on the first enqueue — re-routes keep the
+    // original admission time so queue-phase attribution includes time lost
+    // to breaker-trip ping-pong.
+    if req.tl.admitted_ns == 0 {
+        req.tl.admitted_ns = telemetry::now_ns();
+    }
+    {
+        // Before the push: once the request is visible the worker may drain
+        // and reply at any moment, and this marker must fall inside the
+        // request envelope — as the depth gauge must count it first.
+        let _scope = telemetry::trace_scope(req.tl.trace_id);
+        telemetry::instant("serve.enqueue", "serve");
+    }
+    state.health.enqueued(1);
+    if let Err(WorkItem::Request(req)) = state.queue.push(WorkItem::Request(req)) {
+        state.health.drained(1, 0);
+        reply_err(shared, req.tl, &req.ticket.reply, ServeError::Shutdown);
     }
 }
 
@@ -904,74 +890,55 @@ fn on_trip(shared: &FleetShared, idx: usize) {
         format!("engine {} tripped: {reason}", state.name),
         || fleet_snapshot_context(shared),
     );
-    let requests: Vec<FleetRequest> = {
-        let mut q = state.queue.lock();
-        let mut keep = VecDeque::new();
-        let mut out = Vec::new();
-        for item in q.items.drain(..) {
-            match item {
-                WorkItem::Request(r) => out.push(r),
-                probe => keep.push_back(probe),
-            }
-        }
-        q.items = keep;
-        out
-    };
+    let requests = state.queue.extract(|item| matches!(item, WorkItem::Request(_)));
     state.health.drained(requests.len(), 0);
-    for req in requests {
-        route_request(shared, req, Some(idx), true);
+    for item in requests {
+        if let WorkItem::Request(req) = item {
+            route_request(shared, req, Some(idx), true);
+        }
     }
 }
 
-/// Context for executing one (model, dims) group on one engine.
-struct GroupCtx<'a> {
-    key: ModelKey,
-    dims: &'a [usize],
-    target_ms: f64,
-    source: &'a ModelSource,
+/// Engine `idx`'s worker thread: the shared micro-batcher behind the
+/// fleet's [`EngineDoor`], until the engine's queue shuts down.
+fn engine_worker(shared: &FleetShared, idx: usize) {
+    let cfg = &shared.config;
+    let config = ServeConfig {
+        max_batch: cfg.max_batch,
+        max_wait: cfg.max_wait,
+        cache_capacity: cfg.cache_capacity,
+    };
+    let state = &shared.engines[idx];
+    batcher::run(&EngineDoor { shared, idx }, &state.queue, &state.engine, &config, &state.serve);
 }
 
-fn worker_loop(shared: &Arc<FleetShared>, idx: usize) {
-    let state = shared.engines[idx].clone();
-    let mut cache =
-        ModelCache::new(shared.config.cache_capacity, shared.config.max_batch, &state.engine);
-    let mut window = WindowPolicy::new(shared.config.adaptive_window);
-    loop {
-        let drained: Vec<WorkItem> = {
-            let mut q = state.queue.lock();
-            while q.items.is_empty() && !q.shutdown {
-                state.available.wait(&mut q);
-            }
-            if q.items.is_empty() && q.shutdown {
-                break;
-            }
-            if window.should_wait(q.items.len()) {
-                // As in the single-engine dispatcher: wait only for the
-                // observed concurrency's worth of batch-mates.
-                let target = window.target_batch(shared.config.max_batch);
-                let deadline = Instant::now() + shared.config.max_wait;
-                while q.items.len() < target && !q.shutdown {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    if state.available.wait_for(&mut q, deadline - now).timed_out() {
-                        break;
-                    }
-                }
-            }
-            q.items.drain(..).collect()
-        };
-        window.observe_drain(drained.len());
+/// One fleet engine's side of the worker.
+struct EngineDoor<'a> {
+    shared: &'a FleetShared,
+    idx: usize,
+}
 
+impl FrontDoor for EngineDoor<'_> {
+    type Item = WorkItem;
+    type Ticket = FleetTicket;
+    const SPANS: SpanNames = SpanNames {
+        dispatch: "fleet.dispatch",
+        batch: "fleet.batch",
+        single: "fleet.single",
+        complete: "fleet.complete",
+        fallback: "fleet.batch_fallback",
+    };
+
+    fn admit(&self, exec: &mut Executor<'_>, drained: Vec<WorkItem>) -> Vec<FleetRequest> {
+        let (shared, idx) = (self.shared, self.idx);
+        let state = &shared.engines[idx];
         // Degradation watch: the engine fell off its preferred backend
         // since the last drain (e.g. context loss absorbed by the PR-1
-        // ladder). Cached models rebuild on the fallback; the breaker
-        // decides whether the engine leaves rotation.
+        // ladder). The worker's cache already rebuilds on the fallback; the
+        // breaker decides whether the engine leaves rotation.
         let generation = state.engine.degradation_generation();
         if state.health.generation_changed(generation) {
             state.degradations.fetch_add(1, Ordering::Relaxed);
-            cache.check_degradation(&state.engine);
             telemetry::counter("fleet.degradations").inc();
             telemetry::flight::notify(
                 "degradation",
@@ -987,37 +954,20 @@ fn worker_loop(shared: &Arc<FleetShared>, idx: usize) {
         }
 
         let mut requests: Vec<FleetRequest> = Vec::new();
-        let mut probes = Vec::new();
         for item in drained {
             match item {
                 WorkItem::Request(r) => requests.push(r),
-                WorkItem::Probe { key, values, dims, reply } => {
-                    probes.push((key, values, dims, reply));
+                // Canaries and warm-ups run even when the breaker is open —
+                // that's how a tripped engine proves it recovered.
+                WorkItem::Probe(probe, reply) => {
+                    // Probes are requests too: a minted scope keeps any
+                    // spans they emit (e.g. `serve.model_build`)
+                    // attributable in a trace.
+                    let _scope = telemetry::trace_scope(telemetry::next_trace_id());
+                    let ran = exec.run_one(probe.key, &probe.source, &probe.values, &probe.dims);
+                    let _ = reply.send(ran.is_ok());
                 }
             }
-        }
-
-        // Canaries and warm-ups run even when the breaker is open — that's
-        // how a tripped engine proves it recovered.
-        for (key, values, dims, reply) in probes {
-            // Probes are requests too: a minted scope keeps any spans they
-            // emit (e.g. `serve.model_build`) attributable in a trace.
-            let _scope = telemetry::trace_scope(telemetry::next_trace_id());
-            let source = shared.models.lock().get(&key).map(|r| r.source.clone());
-            let ok = match source {
-                Some(src) => exec_single(
-                    &state.engine,
-                    &mut cache,
-                    key,
-                    &src,
-                    &values,
-                    &dims,
-                    &mut PhaseStamps::default(),
-                )
-                .is_ok(),
-                None => false,
-            };
-            let _ = reply.send(ok);
         }
 
         // Deadline enforcement at dequeue: expired requests never occupy a
@@ -1026,64 +976,72 @@ fn worker_loop(shared: &Arc<FleetShared>, idx: usize) {
         let admitting = state.breaker.admits();
         let now = Instant::now();
         let mut survivors: Vec<FleetRequest> = Vec::new();
-        for mut req in requests {
-            if now >= req.deadline {
+        for req in requests {
+            if now >= req.ticket.deadline {
                 let err = ServeError::DeadlineExceeded {
-                    waited_ms: req.enqueued.elapsed().as_secs_f64() * 1e3,
-                    budget_ms: req.budget.as_secs_f64() * 1e3,
+                    waited_ms: req.ticket.enqueued.elapsed().as_secs_f64() * 1e3,
+                    budget_ms: req.ticket.budget.as_secs_f64() * 1e3,
                 };
                 state.health.drained(1, 0);
-                reply_err(shared, req, err);
+                reply_err(shared, req.tl, &req.ticket.reply, err);
             } else if !admitting {
                 state.health.drained(1, 0);
                 route_request(shared, req, Some(idx), true);
             } else {
-                req.tl.drained_ns = telemetry::now_ns();
+                shared.queue_wait_ms.observe(req.ticket.enqueued.elapsed().as_secs_f64() * 1e3);
                 survivors.push(req);
             }
         }
         state.health.drained(survivors.len(), survivors.len());
-        for req in &survivors {
-            shared.queue_wait_ms.observe(req.enqueued.elapsed().as_secs_f64() * 1e3);
-        }
+        survivors
+    }
 
-        // Group by (model, example dims) and micro-batch, exactly like the
-        // single-engine server.
-        type GroupKey = (ModelKey, Vec<usize>);
-        let mut groups: Vec<(GroupKey, Vec<FleetRequest>)> = Vec::new();
-        for req in survivors {
-            let group_key = (req.key, req.dims.clone());
-            match groups.iter_mut().find(|(k, _)| *k == group_key) {
-                Some((_, members)) => members.push(req),
-                None => groups.push((group_key, vec![req])),
-            }
-        }
-        for ((key, dims), members) in groups {
-            let registration = shared.models.lock().get(&key).cloned();
-            let Some(reg) = registration else {
-                state.health.aborted(members.len());
-                for req in members {
-                    let msg = format!("unknown model key {key:#x}");
-                    reply_err(shared, req, ServeError::Rejected(msg));
+    fn complete(
+        &self,
+        pass: &Pass,
+        chunk: Vec<FleetRequest>,
+        outcome: webml_core::Result<Vec<InferResponse>>,
+    ) {
+        let (shared, idx) = (self.shared, self.idx);
+        let state = &shared.engines[idx];
+        let Some(first) = chunk.first() else { return };
+        state.health.observed(first.key, pass.per_request_ns, chunk.len());
+        match outcome {
+            Ok(responses) => {
+                note_execution(shared, idx, first.ticket.target_ms, pass.per_request_ns);
+                for (req, resp) in chunk.into_iter().zip(responses) {
+                    reply_ok(shared, req, resp, pass);
                 }
-                continue;
-            };
-            let ctx = GroupCtx { key, dims: &dims, target_ms: reg.slo.target_ms, source: &reg.source };
-            for chunk in chunked(members, shared.config.max_batch) {
-                run_chunk(shared, idx, &mut cache, &ctx, chunk);
+            }
+            Err(e) => {
+                // Device-flavored failures count toward the breaker and get
+                // re-routed; deterministic request problems (bad shape) are
+                // the caller's — no breaker, no reroute, or one poison
+                // request could trip the whole fleet.
+                let device_fault = e.is_transient() || e.is_degradable();
+                let reason = format!("execution error: {e}");
+                for req in chunk {
+                    if device_fault && state.breaker.record_failure(&reason) {
+                        on_trip(shared, idx);
+                    }
+                    if device_fault && req.ticket.reroutes < shared.config.max_reroutes {
+                        route_request(shared, req, Some(idx), true);
+                    } else {
+                        reply_err(shared, req.tl, &req.ticket.reply, ServeError::Engine(e.clone()));
+                    }
+                }
             }
         }
     }
-    cache.invalidate_all();
 }
 
 /// Classify an execution outcome for the breaker: success resets the
 /// failure streak; an SLO-blowing straggler counts as a timeout. Trips
 /// drain-and-reroute the engine's queue.
-fn note_execution(shared: &FleetShared, idx: usize, ctx: &GroupCtx, per_request_ns: u64) {
+fn note_execution(shared: &FleetShared, idx: usize, target_ms: f64, per_request_ns: u64) {
     let state = &shared.engines[idx];
     let per_ms = per_request_ns as f64 / 1e6;
-    let limit = ctx.target_ms * state.breaker.config().timeout_slo_multiple;
+    let limit = target_ms * state.breaker.config().timeout_slo_multiple;
     if per_ms > limit {
         let reason = format!("slow execution: {per_ms:.2} ms/request exceeds {limit:.2} ms");
         telemetry::counter("fleet.slo_timeouts").inc();
@@ -1093,176 +1051,6 @@ fn note_execution(shared: &FleetShared, idx: usize, ctx: &GroupCtx, per_request_
     } else {
         state.breaker.record_success();
     }
-}
-
-fn run_chunk(
-    shared: &FleetShared,
-    idx: usize,
-    cache: &mut ModelCache,
-    ctx: &GroupCtx,
-    chunk: Vec<FleetRequest>,
-) {
-    let state = &shared.engines[idx];
-    let n = chunk.len();
-    if n >= 2 {
-        // Batch execution runs under its own trace context (a child of
-        // whatever scope the worker holds); members keep their own ids and
-        // link to the batch via `finish_request`'s envelope arg.
-        let batch_ctx = obs::batch_ctx();
-        let batch_scope = telemetry::trace_scope(batch_ctx.trace_id);
-        let mut stamps = PhaseStamps { exec_start_ns: telemetry::now_ns(), ..Default::default() };
-        let started = Instant::now();
-        let batched = {
-            let _span = telemetry::span("fleet.batch", "serve").with_arg("batch_size", n as f64);
-            exec_batched(&state.engine, cache, ctx, &chunk, &mut stamps)
-        };
-        match batched {
-            Ok(responses) => {
-                let per_ns = (started.elapsed().as_nanos() as u64 / n as u64).max(1);
-                state.health.observed(ctx.key, per_ns, n);
-                note_execution(shared, idx, ctx, per_ns);
-                for (mut req, resp) in chunk.into_iter().zip(responses) {
-                    req.tl.apply_stamps(&stamps);
-                    reply_ok(shared, req, resp, n as u32, batch_ctx.trace_id);
-                }
-                // Batch envelope: recorded after the replies so every
-                // batch-scoped event nests inside it.
-                telemetry::record_span_arg(
-                    "serve.batch",
-                    "serve",
-                    stamps.exec_start_ns,
-                    telemetry::now_ns(),
-                    "batch_size",
-                    n as f64,
-                );
-                drop(batch_scope);
-                return;
-            }
-            Err(_) => {
-                // Degrade to per-request execution; a stale model (e.g.
-                // built on a now-dead backend) rebuilds on the retry.
-                cache.invalidate(ctx.key);
-                telemetry::instant("fleet.batch_fallback", "serve");
-                telemetry::record_span(
-                    "serve.batch",
-                    "serve",
-                    stamps.exec_start_ns,
-                    telemetry::now_ns(),
-                );
-                drop(batch_scope);
-            }
-        }
-    }
-    for mut req in chunk {
-        let _req_scope = telemetry::trace_scope(req.tl.trace_id);
-        let mut stamps = PhaseStamps { exec_start_ns: telemetry::now_ns(), ..Default::default() };
-        let started = Instant::now();
-        let result = {
-            let _span = telemetry::span("fleet.single", "serve");
-            exec_single(
-                &state.engine,
-                cache,
-                ctx.key,
-                ctx.source,
-                &req.values,
-                &req.dims,
-                &mut stamps,
-            )
-        };
-        let ns = (started.elapsed().as_nanos() as u64).max(1);
-        state.health.observed(ctx.key, ns, 1);
-        match result {
-            Ok(resp) => {
-                note_execution(shared, idx, ctx, ns);
-                req.tl.apply_stamps(&stamps);
-                reply_ok(shared, req, resp, 1, 0);
-            }
-            Err(e) => {
-                // Device-flavored failures count toward the breaker and get
-                // re-routed; deterministic request problems (bad shape) are
-                // the caller's — no breaker, no reroute, or one poison
-                // request could trip the whole fleet.
-                let device_fault = e.is_transient() || e.is_degradable();
-                if device_fault {
-                    let reason = format!("execution error: {e}");
-                    if state.breaker.record_failure(&reason) {
-                        on_trip(shared, idx);
-                    }
-                }
-                if device_fault && req.reroutes < shared.config.max_reroutes {
-                    route_request(shared, req, Some(idx), true);
-                } else {
-                    reply_err(shared, req, ServeError::Engine(e));
-                }
-            }
-        }
-    }
-}
-
-/// One coalesced forward pass on one engine (mirrors the single-engine
-/// server's batching: concat host-side, run `[n, dims..]`, split rows).
-fn exec_batched(
-    engine: &Engine,
-    cache: &mut ModelCache,
-    ctx: &GroupCtx,
-    chunk: &[FleetRequest],
-    stamps: &mut PhaseStamps,
-) -> webml_core::Result<Vec<InferResponse>> {
-    let n = chunk.len();
-    let per_len: usize = ctx.dims.iter().product();
-    let mut data = Vec::with_capacity(n * per_len);
-    for req in chunk {
-        data.extend_from_slice(&req.values);
-    }
-    let mut batch_dims = vec![n];
-    batch_dims.extend_from_slice(ctx.dims);
-    let model = cache.get_or_load(engine, ctx.key, ctx.source)?;
-    let x = engine.tensor(data, Shape::new(batch_dims))?;
-    stamps.upload_end_ns = telemetry::now_ns();
-    let y = match model.forward(engine, &x) {
-        Ok(y) => y,
-        Err(e) => {
-            x.dispose();
-            return Err(e);
-        }
-    };
-    // Synchronous executor: compute and readback drain together inside
-    // read_rows, so the compute boundary is the forward submission.
-    stamps.compute_end_ns = telemetry::now_ns();
-    let out = read_rows(&y, n);
-    stamps.readback_end_ns = telemetry::now_ns();
-    x.dispose();
-    y.dispose();
-    out
-}
-
-fn exec_single(
-    engine: &Engine,
-    cache: &mut ModelCache,
-    key: ModelKey,
-    source: &ModelSource,
-    values: &[f32],
-    dims: &[usize],
-    stamps: &mut PhaseStamps,
-) -> webml_core::Result<InferResponse> {
-    let mut batch_dims = vec![1];
-    batch_dims.extend_from_slice(dims);
-    let model = cache.get_or_load(engine, key, source)?;
-    let x = engine.tensor(values.to_vec(), Shape::new(batch_dims))?;
-    stamps.upload_end_ns = telemetry::now_ns();
-    let y = match model.forward(engine, &x) {
-        Ok(y) => y,
-        Err(e) => {
-            x.dispose();
-            return Err(e);
-        }
-    };
-    stamps.compute_end_ns = telemetry::now_ns();
-    let rows = read_rows(&y, 1);
-    stamps.readback_end_ns = telemetry::now_ns();
-    x.dispose();
-    y.dispose();
-    Ok(rows?.remove(0))
 }
 
 /// The maintenance loop: schedules recovery for tripped engines — recovery
@@ -1279,13 +1067,8 @@ fn maintenance_loop(shared: &Arc<FleetShared>) {
             if state.breaker.admits() {
                 continue;
             }
-            // A canary needs an input: use the sample captured from this
-            // model's first submission.
-            let sample = {
-                let samples = shared.samples.lock();
-                samples.iter().next().map(|(k, (v, d))| (*k, v.clone(), d.clone()))
-            };
-            let Some((key, values, dims)) = sample else { continue };
+            // A canary needs an input: the first example the fleet saw.
+            let Some(canary) = shared.canary.get() else { continue };
             if !state.breaker.try_begin_probe() {
                 continue;
             }
@@ -1307,15 +1090,10 @@ fn maintenance_loop(shared: &Arc<FleetShared>) {
             let _ = state.engine.promote_backend();
             let generation_before = state.engine.degradation_generation();
             let (tx, rx) = mpsc::channel();
-            {
-                let mut q = state.queue.lock();
-                if q.shutdown {
-                    state.breaker.probe_result(false);
-                    return;
-                }
-                q.items.push_back(WorkItem::Probe { key, values, dims, reply: tx });
+            if state.queue.push(WorkItem::Probe(canary.clone(), tx)).is_err() {
+                state.breaker.probe_result(false);
+                return;
             }
-            state.available.notify_all();
             let ran_ok = rx.recv_timeout(Duration::from_millis(500)).unwrap_or(false);
             // The PR-1 ladder makes almost any forward "succeed" by
             // degrading — a real recovery must succeed while *staying* on
@@ -1340,20 +1118,19 @@ fn maintenance_loop(shared: &Arc<FleetShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webml_core::cpu::CpuBackend;
+    use crate::tests::{cpu_engine, faulty_webgl_engine};
     use webml_layers::{Activation, Dense, Sequential};
-
-    fn cpu_engine() -> Engine {
-        let e = Engine::new();
-        e.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
-        e
-    }
+    use webml_webgl_sim::fault::FaultPlan;
 
     fn mlp_source(e: &Engine, seed: u64) -> ModelSource {
+        mlp_of(e, seed, [4, 8, 3])
+    }
+
+    fn mlp_of(e: &Engine, seed: u64, [input, hidden, classes]: [usize; 3]) -> ModelSource {
         let mut model = Sequential::new(e).with_seed(seed);
-        model.add(Dense::new(8).with_input_dim(4).with_activation(Activation::Relu));
-        model.add(Dense::new(3).with_activation(Activation::Softmax));
-        model.build([4]).unwrap();
+        model.add(Dense::new(hidden).with_input_dim(input).with_activation(Activation::Relu));
+        model.add(Dense::new(classes).with_activation(Activation::Softmax));
+        model.build([input]).unwrap();
         let artifacts = webml_converter::to_artifacts(&model, None).unwrap();
         for (_, v) in model.named_weights() {
             v.dispose();
@@ -1387,6 +1164,121 @@ mod tests {
         assert_eq!(stats.accounted(), stats.submitted, "every request has one outcome: {stats:?}");
         assert_eq!(stats.engines.len(), 2);
         assert_eq!(stats.engines.iter().map(|e| e.completed).sum::<u64>(), 24);
+        // Each engine's worker reports the counters `ModelServer::stats` does.
+        let workers: Vec<&ServeStats> = stats.engines.iter().map(|e| &e.serve).collect();
+        assert_eq!(workers.iter().map(|w| w.served).sum::<u64>(), 24);
+        for w in workers.iter().filter(|w| w.served > 0) {
+            assert_eq!(w.batched_requests + w.single_requests, w.served, "{w:?}");
+            assert_eq!(w.cache_misses, 1, "one model, built once: {w:?}");
+            assert_eq!(w.cache_hits + 1, w.batches + w.single_requests, "{w:?}");
+        }
+    }
+
+    #[test]
+    fn the_canary_is_the_first_example_the_fleet_saw() {
+        let fleet = two_engine_fleet(FleetConfig::default());
+        let first = fleet.register(mlp_source(&cpu_engine(), 7), ModelSlo::default());
+        let second = fleet.register(mlp_source(&cpu_engine(), 8), ModelSlo::default());
+        assert!(fleet.shared.canary.get().is_none(), "registering captures nothing");
+        fleet.infer(0xdead, vec![9.0; 4], vec![4]).unwrap_err();
+        assert!(fleet.shared.canary.get().is_none(), "a refused request is no canary");
+        // Traffic reaches the model registered second first: it probes.
+        fleet.infer(second, vec![0.5, 0.6, 0.7, 0.8], vec![4]).unwrap();
+        fleet.infer(first, vec![0.1, 0.2, 0.3, 0.4], vec![4]).unwrap();
+        assert_eq!(fleet.warm(first, vec![0.0; 4], vec![4]), 2);
+        let canary = fleet.shared.canary.get().expect("captured at the first admitted submit");
+        assert_eq!((canary.key, &canary.values), (second, &vec![0.5, 0.6, 0.7, 0.8]));
+    }
+
+    /// A context loss at every draw of a four-chunk drain, the drain fixed
+    /// by queueing it before the worker runs. Whatever was in flight when
+    /// the context went — submitted chunks awaiting collection, the chunk
+    /// being submitted — ends in an answer equal on bits to the fault-free
+    /// one, and every ledger balances.
+    #[test]
+    fn a_context_loss_at_any_draw_of_a_multi_chunk_drain_ends_in_answers() {
+        const REQUESTS: usize = 13;
+        // Queue `requests` on a one-engine fleet, then run its worker here:
+        // the whole queue is one drain.
+        let drain = |engine: &Engine, requests: usize| {
+            let spec = EngineSpec::new("only", engine, 8);
+            let config = FleetConfig { max_batch: 4, ..Default::default() };
+            let mut fleet = FleetServer::idle(vec![spec], config);
+            let key = fleet.register(
+                mlp_source(&cpu_engine(), 7),
+                ModelSlo::new(1_000.0, Duration::from_secs(60)),
+            );
+            let pending: Vec<FleetPending> = (0..requests)
+                .map(|i| {
+                    let example = (0..4).map(|j| ((i * 4 + j) as f32).cos()).collect();
+                    fleet.submit(key, example, vec![4])
+                })
+                .collect();
+            fleet.shutdown();
+            engine_worker(&fleet.shared, 0);
+            let replies: Vec<_> = pending.into_iter().map(FleetPending::wait).collect();
+            (replies, fleet.stats())
+        };
+        let (want, _) = drain(&cpu_engine(), REQUESTS);
+        // Whether the loss scheduled at draw `loss_at` happened; everything
+        // else about the drain must not depend on it.
+        let lost = |loss_at: u64, requests: usize| -> bool {
+            let engine = faulty_webgl_engine(FaultPlan::none().lose_context_at(loss_at));
+            let baseline = engine.memory();
+            let (got, stats) = drain(&engine, requests);
+            assert_eq!(got, want[..requests], "loss at draw {loss_at}");
+            assert_eq!(stats.completed, requests as u64, "loss at draw {loss_at}: {stats:?}");
+            assert_eq!(stats.accounted(), stats.submitted, "loss at draw {loss_at}: {stats:?}");
+            assert_eq!(stats.engines[0].serve.served, requests as u64, "loss at draw {loss_at}");
+            let after = engine.memory();
+            assert_eq!(
+                (after.num_tensors, after.num_bytes),
+                (baseline.num_tensors, baseline.num_bytes),
+                "loss at draw {loss_at}"
+            );
+            engine.degradations() == 1
+        };
+        let first_pass = (1..).take_while(|&at| lost(at, 1)).count();
+        let whole_drain = (1..).take_while(|&at| lost(at, REQUESTS)).count();
+        // Every chunk is submitted before the first is collected, so each
+        // loss past the first pass's draws fell between a `submit_chunk`
+        // and its `complete_chunk`.
+        assert!(first_pass > 0 && whole_drain >= 3 * first_pass, "{first_pass} / {whole_drain}");
+    }
+
+    /// Attribution on an asynchronous rung: the worker waits the compute
+    /// fence before stamping `compute_end`, so a fleet engine charges the
+    /// device's work to `compute` and only the copy-out of a ten-float row
+    /// to `readback`. Read from the request timelines, not from wall time.
+    #[test]
+    fn a_fleet_engine_charges_device_work_to_compute_not_readback() {
+        use webml_telemetry::attribution;
+        const REQUESTS: usize = 64;
+        let engine = faulty_webgl_engine(FaultPlan::none());
+        let spec = EngineSpec::new("iris", &engine, 8);
+        let fleet = FleetServer::new(vec![spec], FleetConfig::default());
+        // The benchmark's heavy MLP; the seed keeps its content hash (the
+        // attribution table's key) this test's own.
+        let key = fleet.register(
+            mlp_of(&cpu_engine(), 4242, [256, 1024, 10]),
+            ModelSlo::new(250.0, Duration::from_secs(2)),
+        );
+        attribution::set_model_label(key, "fleet-heavy");
+        let example =
+            |i: usize| -> Vec<f32> { (0..256).map(|j| ((i + j) as f32 * 0.1).sin()).collect() };
+        assert_eq!(fleet.warm(key, example(0), vec![256]), 1);
+        for i in 0..REQUESTS {
+            fleet.infer(key, example(i), vec![256]).expect("served inference");
+        }
+        let report = attribution::attribution_report();
+        let model = report.model("fleet-heavy").expect("the model's timelines were recorded");
+        assert_eq!((model.complete, model.incomplete), (REQUESTS as u64, 0));
+        let p50 = |phase: &str| {
+            let found = model.phases.iter().find(|p| p.phase == phase).expect("one of the six");
+            found.summary.p50
+        };
+        let (compute, readback) = (p50("compute"), p50("readback"));
+        assert!(compute > readback, "compute p50 {compute:.4} ms vs readback p50 {readback:.4} ms");
     }
 
     #[test]

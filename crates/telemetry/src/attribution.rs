@@ -63,10 +63,9 @@ pub struct PhaseStamps {
     pub exec_start_ns: u64,
     /// Host→device upload finished (input tensors created).
     pub upload_end_ns: u64,
-    /// Device compute finished (forward pass / fence passed).
+    /// Device compute finished (the compute fence passed). Readback ends
+    /// at the timeline's `done_ns`.
     pub compute_end_ns: u64,
-    /// Device→host readback finished (outputs split and ready).
-    pub readback_end_ns: u64,
 }
 
 /// One request's phase timeline, keyed by its trace id. Built up by the

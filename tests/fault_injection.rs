@@ -278,7 +278,7 @@ fn serve_survives_context_loss_and_reloads_on_fallback() {
     assert_eq!(e.backend_name(), "webgl");
     let server = Arc::new(ModelServer::new(
         &e,
-        ServeConfig { max_batch: 4, max_wait: Duration::from_millis(2), cache_capacity: 2, ..Default::default() },
+        ServeConfig { max_batch: 4, max_wait: Duration::from_millis(2), cache_capacity: 2 },
     ));
     let key = server.register(ModelSource::Artifacts(artifacts));
 

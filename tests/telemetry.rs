@@ -71,7 +71,6 @@ fn chrome_trace_roundtrip_from_served_traffic() {
             max_batch: 8,
             max_wait: std::time::Duration::from_millis(50),
             cache_capacity: 2,
-            ..Default::default()
         },
     );
     let key = server.register(ModelSource::Artifacts(artifacts));
@@ -172,7 +171,6 @@ fn request_scoped_tracing_reconstructs_causal_lanes() {
             max_batch: 4,
             max_wait: std::time::Duration::from_millis(50),
             cache_capacity: 2,
-            ..Default::default()
         },
     );
     let key = server.register(ModelSource::Artifacts(artifacts));
