@@ -4,8 +4,8 @@
 //!
 //! TensorFlow.js's plain CPU backend is interpreted JavaScript: every
 //! per-element operation pays dynamic dispatch, double-precision number
-//! semantics, and bounds-checked property access. [`PlainJsBackend`]
-//! reproduces those costs deliberately:
+//! semantics, and bounds-checked property access. The [`PlainJs`] kernel
+//! set reproduces those costs deliberately:
 //!
 //! - per-element math goes through **boxed function pointers** (no
 //!   inlining, like a JS interpreter's dispatch),
@@ -13,34 +13,28 @@
 //!   on store (TypedArray semantics),
 //! - loads go through **bounds-checked index closures**.
 //!
-//! Cold ops (slicing, padding, gathering) delegate to the reference
-//! implementations — they are memory-bound and not what separates the
-//! backends in the paper's evaluation.
+//! It is five kernels — `unary`, `binary`, `matmul`, `conv2d`,
+//! `depthwise_conv2d` — over the shared host substrate
+//! ([`webml_core::host`]). Cold ops (slicing, padding, gathering) are the
+//! set's defaults, the reference implementations: they are memory-bound and
+//! not what separates the backends in the paper's evaluation. Fused ops are
+//! the reference composition over these five.
 //!
 //! Correctness is tested against the reference [`webml_core::cpu::CpuBackend`].
 
 #![warn(missing_docs)]
 
-use webml_core::backend::{
-    ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture, DataId, KTensor, KernelTiming,
-    PoolOp, ReduceOp, UnaryOp,
-};
+use webml_core::backend::{BinaryOp, MatMulGeom, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
-use webml_core::cpu::CpuBackend;
-use webml_core::dtype::{DType, TensorData};
-use webml_core::error::Result;
-use webml_core::shape::Shape;
+use webml_core::host::{HostBackend, HostKernels};
+use webml_core::pool::WorkerPool;
+use webml_core::shape::{broadcast_source_index, Shape};
 
-/// An interpreter-flavored scalar CPU backend: the Table 1 "Plain JS" row.
-pub struct PlainJsBackend {
-    inner: CpuBackend,
-}
+/// The interpreter-flavored kernel set: the Table 1 "Plain JS" row.
+pub struct PlainJs;
 
-impl Default for PlainJsBackend {
-    fn default() -> Self {
-        PlainJsBackend::new()
-    }
-}
+/// An interpreter-flavored scalar CPU backend, named `"plainjs"`.
+pub type PlainJsBackend = HostBackend<PlainJs>;
 
 /// A boxed scalar function — the interpreter's dispatched "bytecode op".
 type ScalarFn = Box<dyn Fn(f64) -> f64>;
@@ -49,97 +43,47 @@ type ScalarFn2 = Box<dyn Fn(f64, f64) -> f64>;
 /// A boxed bounds-checked load.
 type LoadFn<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
 
-impl PlainJsBackend {
-    /// Create a backend named `"plainjs"`.
-    pub fn new() -> PlainJsBackend {
-        PlainJsBackend { inner: CpuBackend::with_name("plainjs") }
-    }
-
-    fn fetch(&self, id: DataId) -> Result<Vec<f32>> {
-        Ok(self.inner.read_sync(id)?.to_f32_vec())
-    }
-
-    fn put(&self, vals: Vec<f32>, dtype: DType) -> DataId {
-        self.inner.register(TensorData::F32(vals), dtype)
-    }
-
-    fn loader(data: &[f32]) -> LoadFn<'_> {
-        let len = data.len();
-        // black_box keeps the closure opaque so the optimizer cannot
-        // devirtualize the interpreter's dispatch into straight-line code.
-        std::hint::black_box(Box::new(move |i| {
-            // Bounds-checked property access, JS-style (OOB reads would be
-            // `undefined`; here they are a hard error, which is stricter).
-            assert!(i < len, "index {i} out of bounds for length {len}");
-            data[i] as f64
-        }))
-    }
+fn loader(data: &[f32]) -> LoadFn<'_> {
+    let len = data.len();
+    // black_box keeps the closure opaque so the optimizer cannot
+    // devirtualize the interpreter's dispatch into straight-line code.
+    std::hint::black_box(Box::new(move |i| {
+        // Bounds-checked property access, JS-style (OOB reads would be
+        // `undefined`; here they are a hard error, which is stricter).
+        assert!(i < len, "index {i} out of bounds for length {len}");
+        data[i] as f64
+    }))
 }
 
-impl Backend for PlainJsBackend {
-    fn name(&self) -> &str {
-        "plainjs"
-    }
+impl HostKernels for PlainJs {
+    const NAME: &'static str = "plainjs";
 
-    fn register(&self, data: TensorData, dtype: DType) -> DataId {
-        self.inner.register(data, dtype)
-    }
-
-    fn read_sync(&self, id: DataId) -> Result<TensorData> {
-        self.inner.read_sync(id)
-    }
-
-    fn read(&self, id: DataId) -> DataFuture {
-        self.inner.read(id)
-    }
-
-    fn dispose_data(&self, id: DataId) {
-        self.inner.dispose_data(id)
-    }
-
-    fn memory(&self) -> BackendMemory {
-        self.inner.memory()
-    }
-
-    fn begin_timing(&self) {
-        self.inner.begin_timing()
-    }
-
-    fn end_timing(&self) -> KernelTiming {
-        self.inner.end_timing()
-    }
-
-    fn device_timer_ns(&self) -> Option<u64> {
-        self.inner.device_timer_ns()
-    }
-
-    fn unary(&self, op: UnaryOp, a: &KTensor<'_>) -> Result<DataId> {
-        let x = self.fetch(a.data)?;
+    fn unary(op: UnaryOp, x: &[f32], _pool: &WorkerPool) -> Vec<f32> {
         let f: ScalarFn = std::hint::black_box(Box::new(move |v| op.apply(v as f32) as f64));
-        let load = Self::loader(&x);
+        let load = loader(x);
         let mut out = Vec::with_capacity(x.len());
         for i in 0..x.len() {
             out.push(f(load(i)) as f32);
         }
-        Ok(self.put(out, op.out_dtype(a.dtype)))
+        out
     }
 
     fn binary(
-        &self,
         op: BinaryOp,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
+        x: &[f32],
+        a_shape: &Shape,
+        y: &[f32],
+        b_shape: &Shape,
         out_shape: &Shape,
-        out_dtype: DType,
-    ) -> Result<DataId> {
-        let x = self.fetch(a.data)?;
-        let y = self.fetch(b.data)?;
-        let f: ScalarFn2 = std::hint::black_box(Box::new(move |u, v| op.apply(u as f32, v as f32) as f64));
-        let load_a = Self::loader(&x);
-        let load_b = Self::loader(&y);
+        _pool: &WorkerPool,
+    ) -> Vec<f32> {
+        let f: ScalarFn2 =
+            std::hint::black_box(Box::new(move |u, v| op.apply(u as f32, v as f32) as f64));
+        let load_a = loader(x);
+        let load_b = loader(y);
         let size = out_shape.size();
         let mut out = Vec::with_capacity(size);
-        if a.shape == b.shape {
+        if a_shape == b_shape {
             for i in 0..size {
                 out.push(f(load_a(i), load_b(i)) as f32);
             }
@@ -148,44 +92,18 @@ impl Backend for PlainJsBackend {
             // interpreted index computation would run.
             for idx in 0..size {
                 let coords = out_shape.coords(idx);
-                let ai = webml_core::shape::broadcast_source_index(&coords, a.shape);
-                let bi = webml_core::shape::broadcast_source_index(&coords, b.shape);
+                let ai = broadcast_source_index(&coords, a_shape);
+                let bi = broadcast_source_index(&coords, b_shape);
                 out.push(f(load_a(ai), load_b(bi)) as f32);
             }
         }
-        Ok(self.put(out, out_dtype))
+        out
     }
 
-    fn cast(&self, a: &KTensor<'_>, dtype: DType) -> Result<DataId> {
-        self.inner.cast(a, dtype)
-    }
-
-    fn reduce(&self, op: ReduceOp, a: &KTensor<'_>, axes: &[usize]) -> Result<DataId> {
-        self.inner.reduce(op, a, axes)
-    }
-
-    fn arg_reduce(&self, op: ArgReduceOp, a: &KTensor<'_>, axis: usize) -> Result<DataId> {
-        self.inner.arg_reduce(op, a, axis)
-    }
-
-    fn matmul(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let x = self.fetch(a.data)?;
-        let y = self.fetch(b.data)?;
-        let batch = a.shape.dim(0);
-        let (m, k) = if transpose_a {
-            (a.shape.dim(2), a.shape.dim(1))
-        } else {
-            (a.shape.dim(1), a.shape.dim(2))
-        };
-        let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
-        let load_a = Self::loader(&x);
-        let load_b = Self::loader(&y);
+    fn matmul(x: &[f32], y: &[f32], g: &MatMulGeom, _pool: &WorkerPool) -> Vec<f32> {
+        let &MatMulGeom { batch, m, k, n, transpose_a, transpose_b, .. } = g;
+        let load_a = loader(x);
+        let load_b = loader(y);
         // Every arithmetic step goes through dispatched "bytecode ops".
         let mul: ScalarFn2 = std::hint::black_box(Box::new(|u, v| u * v));
         let add: ScalarFn2 = std::hint::black_box(Box::new(|u, v| u + v));
@@ -216,15 +134,13 @@ impl Backend for PlainJsBackend {
                 }
             }
         }
-        Ok(self.put(out, DType::F32))
+        out
     }
 
-    fn conv2d(&self, x: &KTensor<'_>, filter: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId> {
-        let xv = self.fetch(x.data)?;
-        let wv = self.fetch(filter.data)?;
+    fn conv2d(xv: &[f32], wv: &[f32], info: &Conv2dInfo, _pool: &WorkerPool) -> Vec<f32> {
         let c = info;
-        let load_x = Self::loader(&xv);
-        let load_w = Self::loader(&wv);
+        let load_x = loader(xv);
+        let load_w = loader(wv);
         let mul: ScalarFn2 = std::hint::black_box(Box::new(|u, v| u * v));
         let add: ScalarFn2 = std::hint::black_box(Box::new(|u, v| u + v));
         let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
@@ -264,39 +180,14 @@ impl Backend for PlainJsBackend {
                 }
             }
         }
-        Ok(self.put(out, DType::F32))
+        out
     }
 
-    fn conv2d_backprop_input(
-        &self,
-        dy: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.inner.conv2d_backprop_input(dy, filter, info)
-    }
-
-    fn conv2d_backprop_filter(
-        &self,
-        x: &KTensor<'_>,
-        dy: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.inner.conv2d_backprop_filter(x, dy, info)
-    }
-
-    fn depthwise_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let xv = self.fetch(x.data)?;
-        let wv = self.fetch(filter.data)?;
+    fn depthwise_conv2d(xv: &[f32], wv: &[f32], info: &Conv2dInfo, _pool: &WorkerPool) -> Vec<f32> {
         let c = info;
         let mul = c.channel_mul;
-        let load_x = Self::loader(&xv);
-        let load_w = Self::loader(&wv);
+        let load_x = loader(xv);
+        let load_w = loader(wv);
         let mul_op: ScalarFn2 = std::hint::black_box(Box::new(|u, v| u * v));
         let add_op: ScalarFn2 = std::hint::black_box(Box::new(|u, v| u + v));
         let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
@@ -335,98 +226,17 @@ impl Backend for PlainJsBackend {
                 }
             }
         }
-        Ok(self.put(out, DType::F32))
-    }
-
-    fn depthwise_conv2d_backprop_input(
-        &self,
-        dy: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.inner.depthwise_conv2d_backprop_input(dy, filter, info)
-    }
-
-    fn depthwise_conv2d_backprop_filter(
-        &self,
-        x: &KTensor<'_>,
-        dy: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.inner.depthwise_conv2d_backprop_filter(x, dy, info)
-    }
-
-    fn pool2d(&self, op: PoolOp, x: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId> {
-        self.inner.pool2d(op, x, info)
-    }
-
-    fn pool2d_backprop(
-        &self,
-        op: PoolOp,
-        dy: &KTensor<'_>,
-        x: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.inner.pool2d_backprop(op, dy, x, info)
-    }
-
-    fn slice(&self, x: &KTensor<'_>, begin: &[usize], size: &[usize]) -> Result<DataId> {
-        self.inner.slice(x, begin, size)
-    }
-
-    fn concat(&self, xs: &[KTensor<'_>], axis: usize) -> Result<DataId> {
-        self.inner.concat(xs, axis)
-    }
-
-    fn transpose(&self, x: &KTensor<'_>, perm: &[usize]) -> Result<DataId> {
-        self.inner.transpose(x, perm)
-    }
-
-    fn pad(&self, x: &KTensor<'_>, paddings: &[(usize, usize)], value: f32) -> Result<DataId> {
-        self.inner.pad(x, paddings, value)
-    }
-
-    fn gather(&self, x: &KTensor<'_>, indices: &KTensor<'_>, axis: usize) -> Result<DataId> {
-        self.inner.gather(x, indices, axis)
-    }
-
-    fn tile(&self, x: &KTensor<'_>, reps: &[usize]) -> Result<DataId> {
-        self.inner.tile(x, reps)
-    }
-
-    fn reverse(&self, x: &KTensor<'_>, axes: &[usize]) -> Result<DataId> {
-        self.inner.reverse(x, axes)
-    }
-
-    fn select(
-        &self,
-        cond: &KTensor<'_>,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        out_shape: &Shape,
-    ) -> Result<DataId> {
-        self.inner.select(cond, a, b, out_shape)
-    }
-
-    fn one_hot(&self, indices: &KTensor<'_>, depth: usize, on: f32, off: f32) -> Result<DataId> {
-        self.inner.one_hot(indices, depth, on, off)
-    }
-
-    fn resize_bilinear(
-        &self,
-        x: &KTensor<'_>,
-        new_h: usize,
-        new_w: usize,
-        align_corners: bool,
-    ) -> Result<DataId> {
-        self.inner.resize_bilinear(x, new_h, new_w, align_corners)
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webml_core::backend::{Backend, DataId, KTensor};
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+    use webml_core::cpu::CpuBackend;
+    use webml_core::dtype::{DType, TensorData};
 
     fn pair() -> (PlainJsBackend, CpuBackend) {
         (PlainJsBackend::new(), CpuBackend::new())

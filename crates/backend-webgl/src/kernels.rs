@@ -18,43 +18,13 @@
 //! [`GpuBackend`]: crate::GpuBackend
 //! [`Backend`]: webml_core::backend::Backend
 
+pub use webml_core::backend::MatMulGeom;
 use webml_core::backend::{ArgReduceOp, BinaryOp, FusedStep, PoolOp, ReduceOp, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::DType;
 use webml_core::error::Result;
 use webml_core::quant::QuantParams;
-use webml_core::shape::Shape;
 use webml_webgl_sim::shader::Kernel;
-
-/// Geometry of a batched matmul `[batch, m, k] × [b_batch, k, n]`, after
-/// the transposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatMulGeom {
-    /// Batch count of the left operand and the output.
-    pub batch: usize,
-    /// Output rows.
-    pub m: usize,
-    /// Inner dimension.
-    pub k: usize,
-    /// Output columns.
-    pub n: usize,
-    /// Batch count of the right operand; 1 broadcasts it across `batch`
-    /// (quantized weights only).
-    pub b_batch: usize,
-    /// Whether the left operand is stored `[batch, k, m]`.
-    pub transpose_a: bool,
-    /// Whether the right operand is stored `[b_batch, n, k]`.
-    pub transpose_b: bool,
-}
-
-impl MatMulGeom {
-    /// The geometry of `a × b` for rank-3 operand shapes.
-    pub fn of(a: &Shape, b: &Shape, transpose_a: bool, transpose_b: bool) -> MatMulGeom {
-        let (m, k) = if transpose_a { (a.dim(2), a.dim(1)) } else { (a.dim(1), a.dim(2)) };
-        let n = if transpose_b { b.dim(1) } else { b.dim(2) };
-        MatMulGeom { batch: a.dim(0), m, k, n, b_batch: b.dim(0), transpose_a, transpose_b }
-    }
-}
 
 /// Whether a fused kernel binds a bias, and the activation it applies.
 pub type Epilogue = (bool, Option<UnaryOp>);

@@ -43,6 +43,36 @@ impl<'a> KTensor<'a> {
     }
 }
 
+/// Geometry of a batched matmul `[batch, m, k] × [b_batch, k, n]`, after
+/// the transposes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MatMulGeom {
+    /// Batch count of the left operand and the output.
+    pub batch: usize,
+    /// Output rows.
+    pub m: usize,
+    /// Inner dimension.
+    pub k: usize,
+    /// Output columns.
+    pub n: usize,
+    /// Batch count of the right operand; 1 broadcasts it across `batch`
+    /// (quantized weights only).
+    pub b_batch: usize,
+    /// Whether the left operand is stored `[batch, k, m]`.
+    pub transpose_a: bool,
+    /// Whether the right operand is stored `[b_batch, n, k]`.
+    pub transpose_b: bool,
+}
+
+impl MatMulGeom {
+    /// The geometry of `a × b` for rank-3 operand shapes.
+    pub fn of(a: &Shape, b: &Shape, transpose_a: bool, transpose_b: bool) -> MatMulGeom {
+        let (m, k) = if transpose_a { (a.dim(2), a.dim(1)) } else { (a.dim(1), a.dim(2)) };
+        let n = if transpose_b { b.dim(1) } else { b.dim(2) };
+        MatMulGeom { batch: a.dim(0), m, k, n, b_batch: b.dim(0), transpose_a, transpose_b }
+    }
+}
+
 /// Element-wise unary kernels.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UnaryOp {
@@ -1043,10 +1073,11 @@ pub fn fused_matmul_fallback<B: Backend + ?Sized>(
     transpose_a: bool,
     transpose_b: bool,
 ) -> Result<DataId> {
-    let batch = a.shape.dim(0);
+    let MatMulGeom { batch, m, n, b_batch, .. } =
+        MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
     if let Some(params) = b.quant {
         return with_dequantized(backend, b, params, |fb| {
-            if fb.shape.dim(0) == batch {
+            if b_batch == batch {
                 return backend.fused_matmul(a, fb, bias, activation, transpose_a, transpose_b);
             }
             // The f32 kernel wants matching batch dims; only this temporary
@@ -1059,8 +1090,6 @@ pub fn fused_matmul_fallback<B: Backend + ?Sized>(
             out
         });
     }
-    let m = if transpose_a { a.shape.dim(2) } else { a.shape.dim(1) };
-    let n = if transpose_b { b.shape.dim(1) } else { b.shape.dim(2) };
     let out_shape = Shape::new(vec![batch, m, n]);
     let id = backend.matmul(a, b, transpose_a, transpose_b)?;
     epilogue_fallback(backend, id, &out_shape, bias, activation)

@@ -2,8 +2,9 @@
 //! loops over `f32` slices.
 //!
 //! These functions define the numeric ground truth all backends are tested
-//! against. The bundled [`crate::cpu`] fallback backend calls them directly;
-//! the optimized native backend replaces the hot ones and reuses the rest;
+//! against. They are the defaults of [`crate::host::HostKernels`]: the bundled
+//! [`crate::cpu`] fallback backend overrides none of them; the optimized
+//! native backend replaces the hot ones and keeps the rest;
 //! the webgl backend re-expresses the element-wise ones as data-parallel
 //! shader programs whose per-texel math routes through the same
 //! [`UnaryOp::apply`]/[`BinaryOp::apply`] scalar semantics.

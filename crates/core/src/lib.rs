@@ -13,12 +13,14 @@
 //! - [`ops`]: the Ops API — synchronous ops whose results may still be
 //!   computing on the device; only `data()`/`data_sync()` synchronize
 //!   (Sec 3.6);
-//! - [`backend::Backend`]: the device abstraction implemented by the
-//!   bundled [`cpu::CpuBackend`] and by the webgl/native backend crates;
+//! - [`backend::Backend`]: the device abstraction, implemented twice: by
+//!   [`host::HostBackend`] for every backend that computes on host memory
+//!   (the bundled [`cpu::CpuBackend`] is its empty kernel set; `plainjs` and
+//!   `native` are two more sets) and by the GPU crates' `GpuBackend`;
 //! - [`asyncx::EventLoop`]: a browser main-thread simulator reproducing the
 //!   Figure 2/3 timelines;
 //! - [`pool::WorkerPool`]: the workspace's one persistent thread pool, shared
-//!   by the native backend's kernels and the WebGL simulator's shader cores.
+//!   by a host backend's kernels and the WebGL simulator's shader cores.
 //!
 //! ## Example
 //!
@@ -49,6 +51,7 @@ pub mod engine;
 pub mod error;
 pub mod global;
 pub mod grads;
+pub mod host;
 pub mod kernels;
 pub mod ops;
 pub mod pool;

@@ -31,7 +31,11 @@
 //! webgl, then cpu (`webgpu → webgl → cpu`), and
 //! [`Engine::promote_backend`] climbs back after canary re-admission. The
 //! two GPU rows are the same backend type on two rungs
-//! ([`backend_webgl::WebGl`], [`backend_webgpu::WebGpu`]).
+//! ([`backend_webgl::WebGl`], [`backend_webgpu::WebGpu`]), and the three
+//! host rows are the same backend type ([`core::host::HostBackend`]: store,
+//! kernel timer, thread pool, marshalling) over three kernel sets
+//! ([`backend_cpu::PlainJs`], [`core::cpu::Reference`],
+//! [`backend_native::Native`]).
 //!
 //! ## Quickstart (Listing 1 of the paper)
 //!

@@ -117,6 +117,13 @@ fn reductions_agree() {
         out.extend(ops::mean(&x, Some(&[0, 2]), false).unwrap().to_f32_vec().unwrap());
         out.extend(ops::max(&x, None, false).unwrap().to_f32_vec().unwrap());
         out.extend(ops::argmax(&x, 2).unwrap().to_f32_vec().unwrap());
+        // Nothing to add up: three empty sums, and a mean compared on bits.
+        let empty = e.tensor(Vec::<f32>::new(), [3, 0]).unwrap();
+        let sum = ops::sum(&empty, Some(&[1]), false).unwrap().to_f32_vec().unwrap();
+        assert_eq!(sum, [0.0; 3]);
+        out.extend(sum);
+        let mean = ops::mean(&empty, Some(&[1]), false).unwrap().to_f32_vec().unwrap();
+        out.extend(mean.iter().map(|v| v.to_bits() as f32));
         out
     });
     assert_all_agree(&results, 1e-4);

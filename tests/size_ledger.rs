@@ -1,8 +1,9 @@
 //! The size ledger: ROADMAP's north star names lines of Rust, `Backend`
 //! trait methods and public stats types as first-class metrics, so they
-//! (and the bench-bin and CI-job counts) are committed (`SIZE.json`) and
-//! recomputed here. The test fails when the file is stale, which puts every
-//! growth — and every deletion — into the diff of the PR that caused it.
+//! (and the `impl Backend` sites, the bench-bin and the CI-job counts) are
+//! committed (`SIZE.json`) and recomputed here. The test fails when the file
+//! is stale, which puts every growth — and every deletion — into the diff of
+//! the PR that caused it.
 //!
 //! Counting rule: a *code line* is a line before a file's first
 //! `#[cfg(test)]` (at column 0) that is neither blank nor a `//` comment
@@ -66,6 +67,11 @@ fn ci_jobs() -> usize {
         .count()
 }
 
+/// An `impl … Backend for …` header: one marshal layer.
+fn is_backend_impl(line: &str) -> bool {
+    line.starts_with("impl") && line.contains(" Backend for ")
+}
+
 fn is_stats_struct(line: &str) -> bool {
     line.strip_prefix("pub struct ").is_some_and(|rest| {
         let name: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
@@ -86,6 +92,7 @@ fn ledger() -> String {
     let mut sites: BTreeMap<&str, usize> =
         ["thread::spawn", "thread::sleep", "Instant::now"].into_iter().map(|s| (s, 0)).collect();
     let mut stats_structs = 0;
+    let mut backend_impls = 0;
     for (name, src) in crates {
         let mut count = 0;
         for file in rust_files(&src) {
@@ -93,6 +100,7 @@ fn ledger() -> String {
             let lines = code_lines(&text);
             count += lines.len();
             stats_structs += lines.iter().filter(|line| is_stats_struct(line)).count();
+            backend_impls += lines.iter().filter(|line| is_backend_impl(line)).count();
             for (needle, n) in sites.iter_mut() {
                 *n += lines.iter().map(|line| line.matches(needle).count()).sum::<usize>();
             }
@@ -111,6 +119,7 @@ fn ledger() -> String {
     writeln!(out, "    \"total\": {}", lines_per_crate.values().sum::<usize>()).unwrap();
     out.push_str("  },\n");
     writeln!(out, "  \"backend_trait_methods\": {},", backend_trait_methods()).unwrap();
+    writeln!(out, "  \"backend_impls\": {backend_impls},").unwrap();
     writeln!(out, "  \"pub_stats_structs\": {stats_structs},").unwrap();
     writeln!(out, "  \"bench_bins\": {bench_bins},").unwrap();
     writeln!(out, "  \"ci_jobs\": {},", ci_jobs()).unwrap();
