@@ -322,6 +322,8 @@ mod tests {
                     pj.matmul(
                         &KTensor::new(a1, &sa2, DType::F32),
                         &KTensor::new(b1, &sb2, DType::F32),
+                        None,
+                        None,
                         ta,
                         tb,
                     )
@@ -334,6 +336,8 @@ mod tests {
                     r.matmul(
                         &KTensor::new(a2, &sa2, DType::F32),
                         &KTensor::new(b2, &sb2, DType::F32),
+                        None,
+                        None,
                         ta,
                         tb,
                     )
@@ -364,6 +368,8 @@ mod tests {
                 pj.conv2d(
                     &KTensor::new(x1, &xs, DType::F32),
                     &KTensor::new(w1, &ws, DType::F32),
+                    None,
+                    None,
                     &info,
                 )
                 .unwrap(),
@@ -375,6 +381,8 @@ mod tests {
                 r.conv2d(
                     &KTensor::new(x2, &xs, DType::F32),
                     &KTensor::new(w2, &ws, DType::F32),
+                    None,
+                    None,
                     &info,
                 )
                 .unwrap(),
@@ -397,6 +405,8 @@ mod tests {
                 pj.depthwise_conv2d(
                     &KTensor::new(x1, &xs, DType::F32),
                     &KTensor::new(w1, &dws, DType::F32),
+                    None,
+                    None,
                     &dinfo,
                 )
                 .unwrap(),
@@ -408,6 +418,8 @@ mod tests {
                 r.depthwise_conv2d(
                     &KTensor::new(x2, &xs, DType::F32),
                     &KTensor::new(w2, &dws, DType::F32),
+                    None,
+                    None,
                     &dinfo,
                 )
                 .unwrap(),

@@ -297,8 +297,8 @@ mod tests {
         let k = |id, shape| KTensor::new(id, shape, DType::F32);
         let v = k(v, &v_shape);
         let outs = [
-            backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), &info).unwrap(),
-            backend.matmul(&k(a, &a_shape), &k(b, &b_shape), false, false).unwrap(),
+            backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), None, None, &info).unwrap(),
+            backend.matmul(&k(a, &a_shape), &k(b, &b_shape), None, None, false, false).unwrap(),
             backend.binary(BinaryOp::Add, &v, &v, &v_shape, DType::F32).unwrap(),
         ];
         outs.iter().map(|&id| backend.read_sync(id).unwrap().to_f32_vec()).collect()

@@ -5,8 +5,8 @@
 //! [`Backend`] trait asks for. Each builder takes the op's parameters and
 //! the operands' *logical* shapes and returns the [`Kernel`] to dispatch —
 //! the output shape, the cost hint and the body are the builder's business.
-//! Operands are bound in the order the `Backend` method lists them; a fused
-//! kernel's bias, when present, is bound last.
+//! Operands are bound in the order the `Backend` method lists them; a
+//! product kernel's bias, when present, is bound last.
 //!
 //! The fragment-program builders of [`crate::programs`] and the tiled
 //! compute pipelines of `webml-backend-webgpu` *are* the two sets: their
@@ -26,7 +26,8 @@ use webml_core::error::Result;
 use webml_core::quant::QuantParams;
 use webml_webgl_sim::shader::Kernel;
 
-/// Whether a fused kernel binds a bias, and the activation it applies.
+/// Whether a product kernel binds a bias, and the activation it applies;
+/// `(false, None)` is the plain kernel.
 pub type Epilogue = (bool, Option<UnaryOp>);
 
 /// One GPU API's kernels (see the module docs for the contract).
@@ -40,18 +41,17 @@ pub struct KernelSet {
     pub reduce: fn(ReduceOp, &[usize], &[usize]) -> Kernel,
     /// `(op, in, axis)`.
     pub arg_reduce: fn(ArgReduceOp, &[usize], usize) -> Kernel,
-    pub matmul: fn(&MatMulGeom, bool) -> Kernel,
-    pub fused_matmul: fn(&MatMulGeom, bool, Epilogue) -> Kernel,
+    /// `(geom, packed, epilogue)`: the plain program for an empty
+    /// epilogue, the fused one otherwise; the same for conv and depthwise.
+    pub matmul: fn(&MatMulGeom, bool, Epilogue) -> Kernel,
     /// The right operand holds u8 codes; `params` index the output column.
     pub fused_matmul_quant: fn(&MatMulGeom, &QuantParams, Epilogue) -> Kernel,
-    pub conv2d: fn(&Conv2dInfo, bool) -> Kernel,
-    pub fused_conv2d: fn(&Conv2dInfo, bool, Epilogue) -> Kernel,
+    pub conv2d: fn(&Conv2dInfo, bool, Epilogue) -> Kernel,
     /// The filter holds u8 codes; `params` index the output channel.
     pub fused_conv2d_quant: fn(&Conv2dInfo, &QuantParams, Epilogue) -> Kernel,
     pub conv2d_backprop_input: fn(&Conv2dInfo) -> Kernel,
     pub conv2d_backprop_filter: fn(&Conv2dInfo) -> Kernel,
-    pub depthwise_conv2d: fn(&Conv2dInfo, bool) -> Kernel,
-    pub fused_depthwise_conv2d: fn(&Conv2dInfo, bool, Epilogue) -> Kernel,
+    pub depthwise_conv2d: fn(&Conv2dInfo, bool, Epilogue) -> Kernel,
     /// The filter holds u8 codes; `params` run along filter axis 2 or 3.
     pub fused_depthwise_conv2d_quant: fn(&Conv2dInfo, &QuantParams, Epilogue) -> Kernel,
     pub depthwise_conv2d_backprop_input: fn(&Conv2dInfo) -> Kernel,

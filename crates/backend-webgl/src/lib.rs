@@ -31,8 +31,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webml_core::backend::{
     fused_conv2d_fallback, fused_depthwise_conv2d_fallback, fused_elementwise_fallback,
-    fused_matmul_fallback, ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture, DataId,
-    FenceToken, FusedStep, KTensor, KernelTiming, PoolOp, ReduceOp, UnaryOp,
+    fused_matmul_fallback, is_plain, ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture,
+    DataId, FenceToken, FusedStep, KTensor, PoolOp, ReduceOp, UnaryOp,
 };
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::{DType, TensorData};
@@ -261,6 +261,27 @@ impl<R: Rung> GpuBackend<R> {
         }
     }
 
+    /// Dispatch a product kernel over `x`, the weight `w` and the bias. The
+    /// plain kernel (f32 weight, empty epilogue) surfaces a rejection like
+    /// any kernel, so the engine can degrade; a fused one answers it with
+    /// `fallback`.
+    fn run_product(
+        &self,
+        kernel: Kernel,
+        x: &KTensor<'_>,
+        w: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
+        fallback: impl FnOnce() -> Result<DataId>,
+    ) -> Result<DataId> {
+        let inputs: Vec<&KTensor<'_>> = [x, w].into_iter().chain(bias).collect();
+        if is_plain(w, bias, activation) {
+            self.run(kernel, &inputs, DType::F32)
+        } else {
+            self.run_fused(kernel, &inputs, fallback)
+        }
+    }
+
     /// The packing switch handed to the kernel set.
     fn packing(&self) -> bool {
         self.ctx.config().packing
@@ -297,19 +318,7 @@ fn to_tensor_data(vals: Vec<f32>, dtype: DType) -> TensorData {
     TensorData::F32(vals).cast(dtype)
 }
 
-/// The fused kernels' operands: the two the op names, then the bias.
-fn with_bias<'a, 'b>(
-    operands: [&'a KTensor<'b>; 2],
-    bias: Option<&'a KTensor<'b>>,
-) -> Vec<&'a KTensor<'b>> {
-    operands.into_iter().chain(bias).collect()
-}
-
 impl<R: Rung> Backend for GpuBackend<R> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn register(&self, data: TensorData, dtype: DType) -> DataId {
         let mut vals = data.to_f32_vec();
         if dtype == DType::U8 && !matches!(data, TensorData::U8(_)) {
@@ -391,24 +400,12 @@ impl<R: Rung> Backend for GpuBackend<R> {
         }
     }
 
-    fn epsilon(&self) -> f32 {
-        self.ctx.epsilon()
-    }
-
     fn float_precision(&self) -> u8 {
         if self.ctx.profile().half_precision_only {
             16
         } else {
             32
         }
-    }
-
-    fn begin_timing(&self) {
-        self.ctx.begin_timing();
-    }
-
-    fn end_timing(&self) -> KernelTiming {
-        KernelTiming { kernel_ms: self.ctx.end_timing() }
     }
 
     fn submit_fence(&self) -> Option<FenceToken> {
@@ -466,19 +463,46 @@ impl<R: Rung> Backend for GpuBackend<R> {
         self.run((R::KERNELS.arg_reduce)(op, a.shape.dims(), axis), &[a], DType::I32)
     }
 
+    // Product kernels: one dispatch each, the epilogue applied in-register.
+    // A quantized weight operand selects the dequant-free kernel, which
+    // reads the u8 codes in place.
+
     fn matmul(
         &self,
         a: &KTensor<'_>,
         b: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
         transpose_a: bool,
         transpose_b: bool,
     ) -> Result<DataId> {
         let geom = MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
-        self.run((R::KERNELS.matmul)(&geom, self.packing()), &[a, b], DType::F32)
+        let epilogue = (bias.is_some(), activation);
+        let kernel = match b.quant {
+            Some(params) => (R::KERNELS.fused_matmul_quant)(&geom, params, epilogue),
+            None => (R::KERNELS.matmul)(&geom, self.packing(), epilogue),
+        };
+        self.run_product(kernel, a, b, bias, activation, || {
+            fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
+        })
     }
 
-    fn conv2d(&self, x: &KTensor<'_>, filter: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId> {
-        self.run((R::KERNELS.conv2d)(info, self.packing()), &[x, filter], DType::F32)
+    fn conv2d(
+        &self,
+        x: &KTensor<'_>,
+        filter: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
+        info: &Conv2dInfo,
+    ) -> Result<DataId> {
+        let epilogue = (bias.is_some(), activation);
+        let kernel = match filter.quant {
+            Some(params) => (R::KERNELS.fused_conv2d_quant)(info, params, epilogue),
+            None => (R::KERNELS.conv2d)(info, self.packing(), epilogue),
+        };
+        self.run_product(kernel, x, filter, bias, activation, || {
+            fused_conv2d_fallback(self, x, filter, bias, activation, info)
+        })
     }
 
     fn conv2d_backprop_input(
@@ -503,9 +527,18 @@ impl<R: Rung> Backend for GpuBackend<R> {
         &self,
         x: &KTensor<'_>,
         filter: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        self.run((R::KERNELS.depthwise_conv2d)(info, self.packing()), &[x, filter], DType::F32)
+        let epilogue = (bias.is_some(), activation);
+        let kernel = match filter.quant {
+            Some(params) => (R::KERNELS.fused_depthwise_conv2d_quant)(info, params, epilogue),
+            None => (R::KERNELS.depthwise_conv2d)(info, self.packing(), epilogue),
+        };
+        self.run_product(kernel, x, filter, bias, activation, || {
+            fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
+        })
     }
 
     fn depthwise_conv2d_backprop_input(
@@ -598,66 +631,6 @@ impl<R: Rung> Backend for GpuBackend<R> {
         self.run(kernel, &[x], DType::F32)
     }
 
-    // Fused kernels: one dispatch each, epilogue applied in-register. A
-    // quantized weight operand selects the dequant-free kernel, which reads
-    // the u8 codes in place.
-
-    fn fused_matmul(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let geom = MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
-        let epilogue = (bias.is_some(), activation);
-        let kernel = match b.quant {
-            Some(params) => (R::KERNELS.fused_matmul_quant)(&geom, params, epilogue),
-            None => (R::KERNELS.fused_matmul)(&geom, self.packing(), epilogue),
-        };
-        self.run_fused(kernel, &with_bias([a, b], bias), || {
-            fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
-        })
-    }
-
-    fn fused_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let epilogue = (bias.is_some(), activation);
-        let kernel = match filter.quant {
-            Some(params) => (R::KERNELS.fused_conv2d_quant)(info, params, epilogue),
-            None => (R::KERNELS.fused_conv2d)(info, self.packing(), epilogue),
-        };
-        self.run_fused(kernel, &with_bias([x, filter], bias), || {
-            fused_conv2d_fallback(self, x, filter, bias, activation, info)
-        })
-    }
-
-    fn fused_depthwise_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let epilogue = (bias.is_some(), activation);
-        let kernel = match filter.quant {
-            Some(params) => (R::KERNELS.fused_depthwise_conv2d_quant)(info, params, epilogue),
-            None => (R::KERNELS.fused_depthwise_conv2d)(info, self.packing(), epilogue),
-        };
-        self.run_fused(kernel, &with_bias([x, filter], bias), || {
-            fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
-        })
-    }
-
     fn fused_elementwise(
         &self,
         x: &KTensor<'_>,
@@ -712,6 +685,25 @@ mod tests {
         assert!(z.to_f32_vec().unwrap()[0].is_finite());
     }
 
+    /// The engine derives Sec 4.1.3's epsilon from the active backend's
+    /// float precision: 1e-4 on the half-precision profile, 1e-7 on the f32
+    /// ones and on the host.
+    #[test]
+    fn engine_epsilon_follows_the_device_precision() {
+        for (profile, eps) in [
+            (DeviceProfile::ios_safari(), 1e-4),
+            (DeviceProfile::intel_iris_pro(), 1e-7),
+            (DeviceProfile::gtx_1080(), 1e-7),
+        ] {
+            let e = Engine::new();
+            let b = WebGlBackend::new(profile.clone(), WebGlConfig::default()).unwrap();
+            e.register_backend("webgl", Arc::new(b), 2);
+            assert_eq!(e.epsilon(), eps, "{}", profile.name);
+        }
+        let e = Engine::new();
+        e.register_backend("cpu", Arc::new(webml_core::cpu::CpuBackend::new()), 1);
+        assert_eq!(e.epsilon(), 1e-7);
+    }
 
     /// The packed depthwise program is a pure optimisation of the
     /// per-element body: same bits, fused and unfused, on the f32 and the
@@ -748,8 +740,8 @@ mod tests {
                 "t", &shapes.0, &shapes.1, (1, 1), Padding::Same, (1, 1),
             )
             .unwrap();
-            let unfused = programs::depthwise_conv2d(&info, packing);
-            let fused = programs::fused_depthwise_conv2d(&info, packing, (true, None));
+            let unfused = programs::depthwise_conv2d(&info, packing, (false, None));
+            let fused = programs::depthwise_conv2d(&info, packing, (true, None));
             assert_eq!(unfused.is_packed(), fused.is_packed());
             (unfused.name, fused.name)
         };

@@ -19,15 +19,12 @@ pub const KERNELS: KernelSet = KernelSet {
     reduce,
     arg_reduce,
     matmul,
-    fused_matmul,
     fused_matmul_quant,
     conv2d,
-    fused_conv2d,
     fused_conv2d_quant,
     conv2d_backprop_input,
     conv2d_backprop_filter,
     depthwise_conv2d,
-    fused_depthwise_conv2d,
     fused_depthwise_conv2d_quant,
     depthwise_conv2d_backprop_input,
     depthwise_conv2d_backprop_filter,
@@ -238,22 +235,6 @@ pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize) -> Kernel {
     })
 }
 
-/// Batched matmul, Listing 2 style: each output recomputes a full dot
-/// product (no shared memory — the architectural handicap behind the
-/// WebGL/CUDA gap of Sec 3.9). The packed variant computes 4 adjacent
-/// outputs per invocation, reusing each A element across the quad.
-pub fn matmul(geom: &MatMulGeom, packed: bool) -> Kernel {
-    matmul_impl(("MatMul", "MatMulPacked"), geom, packed, (false, None))
-}
-
-/// Matmul with the bias+activation epilogue fused in-register: the whole
-/// `matmul → add → activation` chain in one draw call, no intermediate
-/// textures. Bias (when present) is sampler input 2, indexed by output
-/// column.
-pub fn fused_matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kernel {
-    matmul_impl(("FusedMatMul", "FusedMatMulPacked"), geom, packed, epilogue)
-}
-
 /// Batch `b`'s operands of `[batch, m, k] × [b_batch, k, n]`: row `i` of A
 /// as a `k`-long walk in `p` order, and B from its first row. Each texture
 /// is resolved once per invocation and walked by its stride, so no sample
@@ -283,12 +264,21 @@ fn dot_operands<'a>(
     a_row.zip(bm.get(b0..).unwrap_or_default().iter().step_by(b_step))
 }
 
-fn matmul_impl(
-    names: (&'static str, &'static str),
-    geom: &MatMulGeom,
-    packed: bool,
-    (has_bias, activation): Epilogue,
-) -> Kernel {
+/// Batched matmul, Listing 2 style: each output recomputes a full dot
+/// product (no shared memory — the architectural handicap behind the
+/// WebGL/CUDA gap of Sec 3.9). The packed variant computes 4 adjacent
+/// outputs per invocation, reusing each A element across the quad.
+///
+/// A non-empty epilogue is fused in-register and makes it the `FusedMatMul`
+/// program: the whole `matmul → add → activation` chain in one draw call,
+/// no intermediate textures. Bias (when present) is sampler input 2,
+/// indexed by output column.
+pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kernel {
+    let names = match epilogue {
+        (false, None) => ("MatMul", "MatMulPacked"),
+        _ => ("FusedMatMul", "FusedMatMulPacked"),
+    };
+    let (has_bias, activation) = epilogue;
     let geom = *geom;
     let MatMulGeom { batch, m, k, n, transpose_b, .. } = geom;
     let out_shape = vec![batch, m, n];
@@ -419,23 +409,6 @@ pub fn fused_depthwise_conv2d_quant(
     .with_cost(cost)
 }
 
-/// conv2d: one output activation per invocation, walking its receptive
-/// field. Index math is pre-resolved to flat fetches, as a GLSL compiler
-/// resolves the generated accessors into direct texture fetches.
-///
-/// The packed variant computes the 4 output channels of one RGBA texel per
-/// invocation, loading every input activation once for all four filters —
-/// the packed-conv win behind the paper's 1.3-1.4x PoseNet speedup.
-pub fn conv2d(info: &Conv2dInfo, packed: bool) -> Kernel {
-    conv2d_impl(("Conv2D", "Conv2DPacked"), info, packed, (false, None))
-}
-
-/// conv2d with the bias+activation epilogue fused in-register. Bias (when
-/// present) is sampler input 2, indexed by output channel.
-pub fn fused_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
-    conv2d_impl(("FusedConv2D", "FusedConv2DPacked"), info, packed, epilogue)
-}
-
 /// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in
 /// `(fh, fw)` order: `tap(input pixel index, filter tap index)`.
 #[inline]
@@ -488,12 +461,21 @@ fn for_each_conv_step<'a>(
     });
 }
 
-fn conv2d_impl(
-    names: (&'static str, &'static str),
-    info: &Conv2dInfo,
-    packed: bool,
-    (has_bias, activation): Epilogue,
-) -> Kernel {
+/// conv2d: one output activation per invocation, walking its receptive
+/// field. Index math is pre-resolved to flat fetches, as a GLSL compiler
+/// resolves the generated accessors into direct texture fetches.
+///
+/// The packed variant computes the 4 output channels of one RGBA texel per
+/// invocation, loading every input activation once for all four filters —
+/// the packed-conv win behind the paper's 1.3-1.4x PoseNet speedup. A
+/// non-empty epilogue is fused in-register (`FusedConv2D`); bias (when
+/// present) is sampler input 2, indexed by output channel.
+pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
+    let names = match epilogue {
+        (false, None) => ("Conv2D", "Conv2DPacked"),
+        _ => ("FusedConv2D", "FusedConv2DPacked"),
+    };
+    let (has_bias, activation) = epilogue;
     let c = info.clone();
     let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
     let cost = c.filter_height * c.filter_width * c.in_channels * 2;
@@ -597,24 +579,15 @@ pub fn conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
 /// With `channel_mul == 1` the packed variant computes the four consecutive
 /// channels of one RGBA texel per invocation: they share the pixel, so the
 /// tap walk and its bounds checks are paid once for four independent
-/// accumulators.
-pub fn depthwise_conv2d(info: &Conv2dInfo, packed: bool) -> Kernel {
-    depthwise_conv2d_impl(("DepthwiseConv2D", "DepthwiseConv2DPacked"), info, packed, (false, None))
-}
-
-/// Depthwise conv2d with the bias+activation epilogue fused in-register.
-/// Bias (when present) is sampler input 2, indexed by output channel.
-pub fn fused_depthwise_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
-    let names = ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked");
-    depthwise_conv2d_impl(names, info, packed, epilogue)
-}
-
-fn depthwise_conv2d_impl(
-    names: (&'static str, &'static str),
-    info: &Conv2dInfo,
-    packed: bool,
-    (has_bias, activation): Epilogue,
-) -> Kernel {
+/// accumulators. A non-empty epilogue is fused in-register
+/// (`FusedDepthwiseConv2D`); bias (when present) is sampler input 2,
+/// indexed by output channel.
+pub fn depthwise_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
+    let names = match epilogue {
+        (false, None) => ("DepthwiseConv2D", "DepthwiseConv2DPacked"),
+        _ => ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked"),
+    };
+    let (has_bias, activation) = epilogue;
     let c = info.clone();
     let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
     let cost = c.filter_height * c.filter_width * 2;

@@ -44,7 +44,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use webml_backend_webgl::WebGl;
-    use webml_core::backend::{Backend, KTensor, UnaryOp};
+    use webml_core::backend::{Backend, DataId, KTensor, UnaryOp};
     use webml_core::conv_util::Padding;
     use webml_core::quant::QuantParams;
     use webml_core::{ops, DType, Engine, Error, Shape, TensorData};
@@ -406,12 +406,12 @@ mod tests {
         let params = QuantParams::per_tensor(1.0, 0.0);
         let a = KTensor::new(a_id, &shape, DType::F32);
         let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &shape, DType::U8) };
-        let first = b.fused_matmul(&a, &w, None, None, false, false).unwrap();
+        let first = b.matmul(&a, &w, None, None, false, false).unwrap();
         let expect = b.read_sync(first).unwrap().to_f32_vec();
         assert_eq!(expect, vec![19.0, 22.0, 43.0, 50.0]);
         // The second dispatch hits the injected loss.
         assert!(
-            b.fused_matmul(&a, &w, None, None, false, false).is_err(),
+            b.matmul(&a, &w, None, None, false, false).is_err(),
             "{}: dispatch 2 must observe the lost context",
             R::CAPS.api
         );
@@ -427,7 +427,7 @@ mod tests {
         assert_eq!(host_resident(&b), 0.0);
         // The weight pages back into one-byte storage from its shadow: the
         // rebuilt kernel result and the raw codes are both intact.
-        let again = b.fused_matmul(&a, &w, None, None, false, false).unwrap();
+        let again = b.matmul(&a, &w, None, None, false, false).unwrap();
         assert_eq!(b.read_sync(again).unwrap().to_f32_vec(), expect);
         for (id, codes) in [(w_id, vec![5, 6, 7, 8]), (late, vec![9, 9])] {
             match b.read_sync(id).unwrap() {
@@ -487,7 +487,10 @@ mod tests {
         let on = |p| GpuBackend::<R>::new(p, R::Config::default());
         assert!(on(DeviceProfile::android_legacy()).is_err());
         assert_eq!(on(DeviceProfile::ios_safari()).is_ok(), R::CAPS.storage == Storage::Texture);
-        assert_eq!(on(DeviceProfile::intel_iris_pro()).unwrap().name(), R::CAPS.api);
+        // Built without a name, the backend carries its rung's registry name
+        // into its errors.
+        let unknown = on(DeviceProfile::intel_iris_pro()).unwrap().read_sync(DataId(999));
+        assert!(matches!(unknown, Err(Error::Backend { backend, .. }) if backend == R::CAPS.api));
     }
 
     fn device_timer_follows_the_rule_of_the_api<R: Rung>()
@@ -522,7 +525,7 @@ mod tests {
         use webml_backend_webgl::MatMulGeom;
         use webml_webgl_sim::shader::occupancy;
         let geom = MatMulGeom::of(&Shape::new(vec![1, 256, 256]), &Shape::new(vec![1, 256, 256]), false, false);
-        let tiled = pipelines::matmul(&geom, false);
+        let tiled = pipelines::matmul(&geom, false, (false, None));
         assert_eq!(tiled.shared_reuse, pipelines::TILE);
         assert_eq!(occupancy(8, WebGpu::CAPS.shared_memory, &tiled), 8 * pipelines::TILE);
         assert_eq!(occupancy(8, NoSharedMemory::CAPS.shared_memory, &tiled), 8);

@@ -62,15 +62,12 @@ pub const KERNELS: KernelSet = KernelSet {
     reduce,
     arg_reduce,
     matmul,
-    fused_matmul,
     fused_matmul_quant,
     conv2d,
-    fused_conv2d,
     fused_conv2d_quant,
     conv2d_backprop_input,
     conv2d_backprop_filter,
     depthwise_conv2d,
-    fused_depthwise_conv2d,
     fused_depthwise_conv2d_quant,
     depthwise_conv2d_backprop_input,
     depthwise_conv2d_backprop_filter,
@@ -183,25 +180,17 @@ fn tiled_matmul(
     }
 }
 
-/// Plain batched matmul as a cooperative tiled pipeline.
-pub fn matmul(geom: &MatMulGeom, _packed: bool) -> Kernel {
-    let g = *geom;
-    cooperative("MatMulTiled", g.batch * g.m * g.n, TILE, 2 * g.k.max(1), move |inp, out| {
-        tiled_matmul(inp[0], inp[1], None, None, &g, out)
-    })
-}
-
-/// Fused matmul (+bias +activation) as one cooperative tiled pipeline; the
-/// epilogue runs in-register before the single output write.
-pub fn fused_matmul(
-    geom: &MatMulGeom,
-    _packed: bool,
-    (has_bias, activation): Epilogue,
-) -> Kernel {
-    let g = *geom;
-    cooperative("FusedMatMulTiled", g.batch * g.m * g.n, TILE, 2 * g.k.max(1), move |inp, out| {
-        let bias = has_bias.then(|| inp[2]);
-        tiled_matmul(inp[0], inp[1], bias, activation, &g, out)
+/// Batched matmul as a cooperative tiled pipeline; a non-empty epilogue
+/// (+bias +activation) makes it the fused pipeline, run in-register before
+/// the single output write.
+pub fn matmul(geom: &MatMulGeom, _packed: bool, epilogue: Epilogue) -> Kernel {
+    let name = match epilogue {
+        (false, None) => "MatMulTiled",
+        _ => "FusedMatMulTiled",
+    };
+    let ((has_bias, activation), g) = (epilogue, *geom);
+    cooperative(name, g.batch * g.m * g.n, TILE, 2 * g.k.max(1), move |inp, out| {
+        tiled_matmul(inp[0], inp[1], has_bias.then(|| inp[2]), activation, &g, out)
     })
 }
 
@@ -217,8 +206,10 @@ struct RowEpilogue {
 }
 
 impl RowEpilogue {
-    /// The unfused f32 kernels: accumulate and store.
-    const NONE: RowEpilogue = RowEpilogue { affine: None, has_bias: false, activation: None };
+    /// The f32 kernels' epilogue: bias and activation, either may be absent.
+    fn f32((has_bias, activation): Epilogue) -> RowEpilogue {
+        RowEpilogue { affine: None, has_bias, activation }
+    }
 
     /// The bias buffer, bound third when the kernel has one.
     fn bias<'a>(&self, inp: &[&'a [f32]]) -> Option<&'a [f32]> {
@@ -404,19 +395,15 @@ fn conv_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) -> Kern
 }
 
 /// Conv2d as a cooperative pipeline: the workgroup stages the filter tile
-/// and an input patch in shared memory (reuse ≈ `TILE`).
-pub fn conv2d(info: &Conv2dInfo, _packed: bool) -> Kernel {
-    conv_pipeline("Conv2DTiled", info, RowEpilogue::NONE)
-}
-
-/// Fused conv2d: convolution plus in-register `+bias` / activation epilogue,
+/// and an input patch in shared memory (reuse ≈ `TILE`). A non-empty
+/// epilogue makes it the fused pipeline: in-register `+bias` / activation,
 /// applied through the same scalar ops the unfused composition uses.
-pub fn fused_conv2d(
-    info: &Conv2dInfo,
-    _packed: bool,
-    (has_bias, activation): Epilogue,
-) -> Kernel {
-    conv_pipeline("FusedConv2DTiled", info, RowEpilogue { affine: None, has_bias, activation })
+pub fn conv2d(info: &Conv2dInfo, _packed: bool, epilogue: Epilogue) -> Kernel {
+    let name = match epilogue {
+        (false, None) => "Conv2DTiled",
+        _ => "FusedConv2DTiled",
+    };
+    conv_pipeline(name, info, RowEpilogue::f32(epilogue))
 }
 
 /// Dequant-free quantized fused conv2d: the filter binding holds widened u8
@@ -482,19 +469,13 @@ fn depthwise_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) ->
     })
 }
 
-/// Depthwise conv2d.
-pub fn depthwise_conv2d(info: &Conv2dInfo, _packed: bool) -> Kernel {
-    depthwise_pipeline("DepthwiseConv2DTiled", info, RowEpilogue::NONE)
-}
-
-/// Fused depthwise conv2d with the in-register epilogue.
-pub fn fused_depthwise_conv2d(
-    info: &Conv2dInfo,
-    _packed: bool,
-    (has_bias, activation): Epilogue,
-) -> Kernel {
-    let ep = RowEpilogue { affine: None, has_bias, activation };
-    depthwise_pipeline("FusedDepthwiseConv2DTiled", info, ep)
+/// Depthwise conv2d; fused with a non-empty epilogue.
+pub fn depthwise_conv2d(info: &Conv2dInfo, _packed: bool, epilogue: Epilogue) -> Kernel {
+    let name = match epilogue {
+        (false, None) => "DepthwiseConv2DTiled",
+        _ => "FusedDepthwiseConv2DTiled",
+    };
+    depthwise_pipeline(name, info, RowEpilogue::f32(epilogue))
 }
 
 /// Dequant-free quantized fused depthwise conv2d. Per-channel `params` run
@@ -856,13 +837,12 @@ mod tests {
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
         let want = k::conv2d(&x, &w, c);
-        assert_eq!(run(&conv2d(c, false), &[&x, &w]), bits(&want), "conv2d {c:?}");
         for (has_bias, act) in EPILOGUES {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&fused_conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
+                run(&conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
-                "fused_conv2d bias={has_bias} {act:?} {c:?}"
+                "conv2d bias={has_bias} {act:?} {c:?}"
             );
             for p in params(3, c.out_channels, seed + 4) {
                 let pl = fused_conv2d_quant(c, &p, (has_bias, act));
@@ -883,15 +863,14 @@ mod tests {
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
         let want = k::depthwise_conv2d(&x, &w, c);
-        assert_eq!(run(&depthwise_conv2d(c, false), &[&x, &w]), bits(&want), "depthwise {c:?}");
         let per_ic = params(2, c.in_channels, seed + 4);
         let [_, per_m] = params(3, c.channel_mul, seed + 6);
         for (has_bias, act) in EPILOGUES {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&fused_depthwise_conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
+                run(&depthwise_conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
-                "fused_depthwise bias={has_bias} {act:?} {c:?}"
+                "depthwise bias={has_bias} {act:?} {c:?}"
             );
             for p in per_ic.iter().chain([&per_m]) {
                 let pl = fused_depthwise_conv2d_quant(c, p, (has_bias, act));

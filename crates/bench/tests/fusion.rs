@@ -5,10 +5,12 @@
 use std::sync::Arc;
 use webml_backend_cpu::PlainJsBackend;
 use webml_backend_native::NativeBackend;
-use webml_backend_webgl::{WebGlBackend, WebGlConfig};
+use webml_backend_webgl::{GpuBackend, Rung, WebGl, WebGlBackend, WebGlConfig};
+use webml_backend_webgpu::WebGpu;
 use webml_bench::harness::{mobilenet_workload, tiny_mobilenet_config};
 use webml_core::backend::{BinaryOp, UnaryOp};
 use webml_core::conv_util::Padding;
+use webml_core::cpu::CpuBackend;
 use webml_core::{ops, Engine, FusedStep, QuantParams, Tensor};
 use webml_webgl_sim::devices::DeviceProfile;
 use webml_webgl_sim::FaultPlan;
@@ -329,4 +331,98 @@ fn fused_kernels_fall_back_when_shader_compile_is_blocked() {
     assert_eq!(out.to_f32_vec().unwrap(), reference.to_f32_vec().unwrap());
 
     assert_eq!(e.degradations(), 0, "kernel-level fallback must not log a degradation");
+}
+
+/// The product kernels, each a plain program and a fused one.
+const PRODUCTS: [&str; 3] = ["MatMul", "Conv2D", "DepthwiseConv2D"];
+
+/// `kernel` on `e`'s own copy of fixed operands: the plain op, or the fused
+/// op with a bias and an activation.
+fn product(e: &Engine, kernel: &str, fused: bool) -> Vec<u32> {
+    let t = |dims: &[usize], seed| e.tensor(data(dims.iter().product(), seed), dims.to_vec()).unwrap();
+    let (relu, same) = (Some(UnaryOp::Relu), Padding::Same);
+    let y = match kernel {
+        "MatMul" => {
+            let (a, w, bias) = (t(&[4, 6], 301), t(&[6, 5], 307), t(&[5], 311));
+            if fused {
+                ops::fused_matmul(&a, &w, Some(&bias), relu, false, false)
+            } else {
+                ops::matmul(&a, &w, false, false)
+            }
+        }
+        "Conv2D" => {
+            let (x, f, bias) = (t(&[1, 6, 6, 3], 313), t(&[3, 3, 3, 4], 317), t(&[4], 331));
+            if fused {
+                ops::fused_conv2d(&x, &f, Some(&bias), relu, (1, 1), same, (1, 1))
+            } else {
+                ops::conv2d(&x, &f, (1, 1), same, (1, 1))
+            }
+        }
+        _ => {
+            let (x, f, bias) = (t(&[1, 6, 6, 3], 337), t(&[3, 3, 3, 1], 347), t(&[3], 349));
+            if fused {
+                ops::fused_depthwise_conv2d(&x, &f, Some(&bias), relu, (1, 1), same, (1, 1))
+            } else {
+                ops::depthwise_conv2d(&x, &f, (1, 1), same, (1, 1))
+            }
+        }
+    };
+    y.unwrap().to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A backend on rung `R` whose driver rejects the plain product programs
+/// (blocking is by name prefix: `MatMul` blocks `MatMulPacked` and
+/// `MatMulTiled`, not `FusedMatMul`), above `cpu` on a fresh engine.
+fn plain_programs_blocked<R: Rung>() -> (Engine, Arc<GpuBackend<R>>)
+where
+    R::Config: Default,
+{
+    let plan = PRODUCTS.into_iter().fold(FaultPlan::none(), FaultPlan::block_shader);
+    let b = GpuBackend::<R>::with_faults(DeviceProfile::intel_iris_pro(), Default::default(), plan)
+        .expect("f32 profile");
+    let b = Arc::new(b);
+    let e = Engine::new();
+    e.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
+    e.register_backend(R::CAPS.api, b.clone(), 1);
+    (e, b)
+}
+
+/// A plain op runs the plain program and a fused op the fused one, never the
+/// other: with the plain programs blocked, each plain op degrades to `cpu`
+/// (bit-identical, one `DegradationEvent` naming it), while each fused op
+/// with a bias keeps its fused program on the device — nothing rejected,
+/// nothing composed, no degradation. The fused half runs on both rungs:
+/// `webgpu.fused_fallbacks_total` is this binary's alone, while the webgl
+/// counter is shared with the test above, which the CI filter runs
+/// alongside, so on webgl the context's own compile-failure count stands
+/// for it.
+#[test]
+fn fused_kernels_fall_back_only_from_fused_programs() {
+    let cpu = Engine::new();
+    cpu.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
+    for kernel in PRODUCTS {
+        let (e, _) = plain_programs_blocked::<WebGl>();
+        assert_eq!(product(&e, kernel, false), product(&cpu, kernel, false), "{kernel}");
+        let events = e.degradation_events();
+        assert_eq!(events.len(), 1, "{kernel}: {events:?}");
+        assert_eq!((events[0].kernel, events[0].to_backend.as_str()), (kernel, "cpu"));
+    }
+
+    fn fused_stay_on_device<R: Rung>(cpu: &Engine)
+    where
+        R::Config: Default,
+    {
+        let (e, b) = plain_programs_blocked::<R>();
+        for kernel in PRODUCTS {
+            let label = format!("{} fused {kernel}", R::CAPS.api);
+            assert_eq!(product(&e, kernel, true), product(cpu, kernel, true), "{label}");
+        }
+        assert_eq!(b.context().fault_stats().compile_failures, 0, "{}", R::CAPS.api);
+        assert_eq!((e.degradations(), e.backend_name()), (0, R::CAPS.api.to_string()));
+    }
+    let fallbacks = webml_telemetry::counter("webgpu.fused_fallbacks_total");
+    let before = fallbacks.get();
+    fused_stay_on_device::<WebGl>(&cpu);
+    fused_stay_on_device::<WebGpu>(&cpu);
+    assert_eq!(fallbacks.get(), before, "no fused program fell back");
 }

@@ -721,8 +721,7 @@ fn fused_matmul_direct(
         args,
         shapes,
         &mut |backend, ins| {
-            let id =
-                backend.fused_matmul(&ins[0], &ins[1], ins.get(2), activation, false, false)?;
+            let id = backend.matmul(&ins[0], &ins[1], ins.get(2), activation, false, false)?;
             Ok(vec![(id, op.out_shape.clone(), DType::F32)])
         },
         None,

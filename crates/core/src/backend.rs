@@ -555,14 +555,6 @@ pub struct BackendMemory {
     pub details: Vec<(String, f64)>,
 }
 
-/// Kernel timing info returned by [`Backend::end_timing`] (paper Sec 3.8:
-/// each backend is responsible for timing, e.g. WebGL reports pure GPU time).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelTiming {
-    /// Device-measured kernel milliseconds (GPU time on webgl).
-    pub kernel_ms: f64,
-}
-
 /// Shared state of a [`DataFuture`] / [`DataPromise`] pair.
 #[derive(Debug)]
 struct FutureState {
@@ -638,9 +630,6 @@ pub struct FenceToken(pub u64);
 /// Implementations must be thread-safe: the engine may be shared across
 /// threads, and the webgl backend's device thread reads textures concurrently.
 pub trait Backend: Send + Sync {
-    /// Short identifier, e.g. `"cpu"`, `"webgl"`, `"native"`.
-    fn name(&self) -> &str;
-
     /// Store a host buffer, returning its container id.
     fn register(&self, data: TensorData, dtype: DType) -> DataId;
 
@@ -660,24 +649,10 @@ pub trait Backend: Send + Sync {
     /// Memory usage snapshot.
     fn memory(&self) -> BackendMemory;
 
-    /// Smallest positive value safely representable at this backend's float
-    /// precision (paper Sec 4.1.3: adjusted per device, 1e-7 on f32 devices,
-    /// 1e-4 on f16-only devices).
-    fn epsilon(&self) -> f32 {
-        1e-7
-    }
-
-    /// Bits of float precision (32 or 16).
+    /// Bits of float precision (32 or 16); the engine derives its epsilon
+    /// from it (paper Sec 4.1.3).
     fn float_precision(&self) -> u8 {
         32
-    }
-
-    /// Start a kernel-timing window (`tf.time`, paper Sec 3.8).
-    fn begin_timing(&self) {}
-
-    /// Finish the timing window and report device kernel time.
-    fn end_timing(&self) -> KernelTiming {
-        KernelTiming::default()
     }
 
     /// Cumulative device-side kernel nanoseconds since backend creation,
@@ -686,9 +661,11 @@ pub trait Backend: Send + Sync {
     /// timer (e.g. `EXT_disjoint_timer_query` absent), in which case
     /// profiles degrade gracefully to wall-clock only.
     ///
-    /// Implementations may flush pending device work so the counter
-    /// covers every kernel enqueued so far; callers should only sample it
-    /// while profiling (the engine brackets each kernel with two samples).
+    /// This is the backend's only timer (paper Sec 3.8): `tf.time` and
+    /// `tf.profile` are differences of two samples of it, so windows on
+    /// different threads never disturb each other. Implementations may
+    /// flush pending device work so the counter covers every kernel
+    /// enqueued so far; callers should only sample it while timing.
     fn device_timer_ns(&self) -> Option<u64> {
         None
     }
@@ -757,7 +734,32 @@ pub trait Backend: Send + Sync {
     /// Backend-specific execution failure.
     fn arg_reduce(&self, op: ArgReduceOp, a: &KTensor<'_>, axis: usize) -> Result<DataId>;
 
-    /// (Batched) matrix multiplication of rank-3 tensors `[b, m, k] x [b, k, n]`.
+    // --- product kernels (paper Sec 3.9/4.1: draw-call overhead) -----------
+    //
+    // The epilogue is an argument of the kernel: an optional rank-1 bias
+    // added per output channel / column, then an optional activation, in
+    // the same pass. With an f32 weight and an empty epilogue the call *is*
+    // the plain kernel and must run it, never a fallback: that is how the
+    // `fused_*_fallback` compositions call back in. Anything else is fused,
+    // and must stay bit-identical to the composition: finish the full
+    // accumulation, then `acc + bias[channel]`, then `activation(acc)` —
+    // every scalar routed through [`BinaryOp::apply`] / [`UnaryOp::apply`].
+    // A fused program the backend cannot run (e.g. the driver rejects the
+    // shader) falls back to the matching `fused_*_fallback` helper on the
+    // SAME backend instead of surfacing the error.
+    //
+    // The weight operand (`b` / `filter`) may carry [`KTensor::quant`]: raw
+    // U8 codes plus affine params (paper Sec 5.1). A quantized kernel must
+    // run *dequant-free* — no f32 weight tensor, codes never tiled or copied
+    // — via the factored accumulation `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`,
+    // scale/min applied in the epilogue before bias and activation. The
+    // `fused_*_fallback` helpers cover a quantized operand too (dequantize
+    // host-side, then this backend's f32 kernel).
+
+    /// Batched matmul `[b, m, k] x [b, k, n]` with an optional rank-1 bias
+    /// `[n]` added to every output row and an optional activation. A
+    /// quantized `b` may be batch-1 `[1, k, n]` and is then broadcast across
+    /// `a`'s batch (per-channel params index the output column).
     ///
     /// # Errors
     /// Backend-specific execution failure.
@@ -765,15 +767,26 @@ pub trait Backend: Send + Sync {
         &self,
         a: &KTensor<'_>,
         b: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
         transpose_a: bool,
         transpose_b: bool,
     ) -> Result<DataId>;
 
-    /// 2-D convolution, NHWC x HWIO.
+    /// 2-D convolution, NHWC x HWIO, with an optional rank-1 bias
+    /// `[out_channels]` and an optional activation (per-channel params of a
+    /// quantized filter index the output channel).
     ///
     /// # Errors
     /// Backend-specific execution failure.
-    fn conv2d(&self, x: &KTensor<'_>, filter: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId>;
+    fn conv2d(
+        &self,
+        x: &KTensor<'_>,
+        filter: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
+        info: &Conv2dInfo,
+    ) -> Result<DataId>;
 
     /// Gradient of conv2d w.r.t. its input.
     ///
@@ -797,7 +810,10 @@ pub trait Backend: Send + Sync {
         info: &Conv2dInfo,
     ) -> Result<DataId>;
 
-    /// Depthwise 2-D convolution, filter `[fh, fw, c, mul]`.
+    /// Depthwise 2-D convolution, filter `[fh, fw, c, mul]`, with an
+    /// optional rank-1 bias `[out_channels]` and an optional activation
+    /// (per-channel params of a quantized filter run along filter axis 2,
+    /// the input channel, or 3, the channel multiplier).
     ///
     /// # Errors
     /// Backend-specific execution failure.
@@ -805,6 +821,8 @@ pub trait Backend: Send + Sync {
         &self,
         x: &KTensor<'_>,
         filter: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId>;
 
@@ -920,82 +938,6 @@ pub trait Backend: Send + Sync {
         align_corners: bool,
     ) -> Result<DataId>;
 
-    // --- fused kernels (paper Sec 3.9/4.1: draw-call overhead) -------------
-    //
-    // Each fused kernel has a default implementation that composes the
-    // unfused kernels above, so backends stay correct with zero changes.
-    // Backends that override these with a real single-pass kernel must keep
-    // the epilogue order bit-identical to the composition: finish the full
-    // accumulation, then `acc + bias[channel]`, then `activation(acc)` —
-    // every scalar routed through [`BinaryOp::apply`] / [`UnaryOp::apply`].
-    // An override that cannot run its fused program (e.g. the driver rejects
-    // the shader) must fall back to the matching `fused_*_fallback` helper
-    // on the SAME backend instead of surfacing the error.
-    //
-    // The weight operand (`b` / `filter`) may carry [`KTensor::quant`]: raw
-    // U8 codes plus affine params (paper Sec 5.1). An override with a
-    // quantized kernel must then run *dequant-free* — no f32 weight tensor,
-    // codes never tiled or copied — via the factored accumulation
-    // `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`, scale/min applied in the epilogue
-    // before bias and activation. The same `fused_*_fallback` helpers cover
-    // a quantized operand (dequantize host-side, then this backend's f32
-    // fused kernel), so the defaults are correct for it with no changes.
-
-    /// Batched matmul `[b, m, k] x [b, k, n]` with an optional rank-1 bias
-    /// `[n]` added to every output row and an optional activation applied
-    /// in the same kernel. A quantized `b` may be batch-1 `[1, k, n]` and
-    /// is then broadcast across `a`'s batch (per-channel params index the
-    /// output column).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn fused_matmul(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
-    }
-
-    /// 2-D convolution with an optional rank-1 bias `[out_channels]` and an
-    /// optional activation applied in the same kernel (per-channel params
-    /// of a quantized filter index the output channel).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn fused_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        fused_conv2d_fallback(self, x, filter, bias, activation, info)
-    }
-
-    /// Depthwise 2-D convolution with an optional rank-1 bias
-    /// `[out_channels]` and an optional activation applied in the same
-    /// kernel (per-channel params of a quantized filter run along filter
-    /// axis 2, the input channel, or 3, the channel multiplier).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn fused_depthwise_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
-    }
-
     /// Execute a chain of elementwise steps over `x` as one kernel. Binary
     /// steps broadcast the extra input against the running chain shape; the
     /// final shape must equal `out_shape` (validated by the op layer).
@@ -1016,8 +958,8 @@ pub trait Backend: Send + Sync {
 /// The one quantized fallback: materialize `t`'s f32 values in a temporary
 /// container on the same backend (host-side reference dequantization), hand
 /// the f32 view to `run`, and dispose the temporary. Used when a backend
-/// has no dequant-free kernel (the trait defaults) or its quantized program
-/// is rejected — never on the fast path, which reads the codes in place.
+/// has no dequant-free kernel or its quantized program is rejected — never
+/// on the fast path, which reads the codes in place.
 fn with_dequantized<B: Backend + ?Sized>(
     backend: &B,
     t: &KTensor<'_>,
@@ -1057,10 +999,20 @@ fn epilogue_fallback<B: Backend + ?Sized>(
     Ok(id)
 }
 
-/// Reference composition for [`Backend::fused_matmul`]: unfused matmul, then
-/// bias add, then activation. Also the fallback a fused-kernel override uses
+/// Whether a product kernel call is the plain kernel: an f32 weight and an
+/// empty epilogue (see the kernel contract on [`Backend::matmul`]).
+pub fn is_plain(
+    weight: &KTensor<'_>,
+    bias: Option<&KTensor<'_>>,
+    activation: Option<UnaryOp>,
+) -> bool {
+    weight.quant.is_none() && bias.is_none() && activation.is_none()
+}
+
+/// Reference composition for a fused [`Backend::matmul`]: the plain matmul,
+/// then bias add, then activation. Also the fallback a fused kernel uses
 /// when its program fails to compile on a faulted device. A quantized `b`
-/// is dequantized first and re-enters the backend's f32 fused kernel.
+/// is dequantized first and re-enters the backend's f32 kernel.
 ///
 /// # Errors
 /// Propagates the first failing kernel or read.
@@ -1078,24 +1030,24 @@ pub fn fused_matmul_fallback<B: Backend + ?Sized>(
     if let Some(params) = b.quant {
         return with_dequantized(backend, b, params, |fb| {
             if b_batch == batch {
-                return backend.fused_matmul(a, fb, bias, activation, transpose_a, transpose_b);
+                return backend.matmul(a, fb, bias, activation, transpose_a, transpose_b);
             }
             // The f32 kernel wants matching batch dims; only this temporary
             // is tiled, never the codes.
             let tiled_shape = Shape::new(vec![batch, fb.shape.dim(1), fb.shape.dim(2)]);
             let tid = backend.tile(fb, &[batch, 1, 1])?;
             let tb = KTensor::new(tid, &tiled_shape, DType::F32);
-            let out = backend.fused_matmul(a, &tb, bias, activation, transpose_a, transpose_b);
+            let out = backend.matmul(a, &tb, bias, activation, transpose_a, transpose_b);
             backend.dispose_data(tid);
             out
         });
     }
     let out_shape = Shape::new(vec![batch, m, n]);
-    let id = backend.matmul(a, b, transpose_a, transpose_b)?;
+    let id = backend.matmul(a, b, None, None, transpose_a, transpose_b)?;
     epilogue_fallback(backend, id, &out_shape, bias, activation)
 }
 
-/// Reference composition for [`Backend::fused_conv2d`] (see
+/// Reference composition for a fused [`Backend::conv2d`] (see
 /// [`fused_matmul_fallback`]).
 ///
 /// # Errors
@@ -1110,15 +1062,14 @@ pub fn fused_conv2d_fallback<B: Backend + ?Sized>(
 ) -> Result<DataId> {
     if let Some(params) = filter.quant {
         return with_dequantized(backend, filter, params, |ff| {
-            backend.fused_conv2d(x, ff, bias, activation, info)
+            backend.conv2d(x, ff, bias, activation, info)
         });
     }
-    let out_shape = info.out_shape();
-    let id = backend.conv2d(x, filter, info)?;
-    epilogue_fallback(backend, id, &out_shape, bias, activation)
+    let id = backend.conv2d(x, filter, None, None, info)?;
+    epilogue_fallback(backend, id, &info.out_shape(), bias, activation)
 }
 
-/// Reference composition for [`Backend::fused_depthwise_conv2d`] (see
+/// Reference composition for a fused [`Backend::depthwise_conv2d`] (see
 /// [`fused_matmul_fallback`]).
 ///
 /// # Errors
@@ -1133,12 +1084,11 @@ pub fn fused_depthwise_conv2d_fallback<B: Backend + ?Sized>(
 ) -> Result<DataId> {
     if let Some(params) = filter.quant {
         return with_dequantized(backend, filter, params, |ff| {
-            backend.fused_depthwise_conv2d(x, ff, bias, activation, info)
+            backend.depthwise_conv2d(x, ff, bias, activation, info)
         });
     }
-    let out_shape = info.out_shape();
-    let id = backend.depthwise_conv2d(x, filter, info)?;
-    epilogue_fallback(backend, id, &out_shape, bias, activation)
+    let id = backend.depthwise_conv2d(x, filter, None, None, info)?;
+    epilogue_fallback(backend, id, &info.out_shape(), bias, activation)
 }
 
 /// Reference composition for [`Backend::fused_elementwise`]: one unfused

@@ -24,7 +24,7 @@
 //! only collects tensors created on that thread, so concurrent inference
 //! requests cannot dispose each other's intermediates.
 
-use crate::backend::{Backend, BackendMemory, DataId, KTensor, KernelTiming};
+use crate::backend::{Backend, BackendMemory, DataId, KTensor};
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
 use crate::shape::Shape;
@@ -180,8 +180,10 @@ pub struct ProfileInfo {
 pub struct TimeInfo {
     /// Wall-clock milliseconds for the whole function, including scheduling.
     pub wall_ms: f64,
-    /// Device kernel milliseconds as reported by the backend (on the webgl
-    /// backend this is pure GPU time, excluding upload/download).
+    /// Device kernel milliseconds: the growth of the backend's device timer
+    /// over the window (on the webgl backend pure GPU time, excluding
+    /// upload/download). NaN on a device with no timer — the analogue of the
+    /// error object TF.js returns there.
     pub kernel_ms: f64,
 }
 
@@ -492,9 +494,15 @@ impl Engine {
     }
 
     /// Smallest safely representable positive value on the active backend
-    /// (paper Sec 4.1.3: adjusted for 16-bit-float devices).
+    /// (paper Sec 4.1.3): 1e-7 at full precision, 1e-4 on 16-bit devices,
+    /// where the f32 default 1e-8 rounds to zero and `log(x + eps)` collapses
+    /// to `log(x)`.
     pub fn epsilon(&self) -> f32 {
-        self.backend().epsilon()
+        if self.backend().float_precision() == 16 {
+            1e-4
+        } else {
+            1e-7
+        }
     }
 
     /// Insert a fence covering all work submitted to the active backend so
@@ -907,10 +915,7 @@ impl Engine {
             let t0 = Instant::now();
             let result = forward(backend.as_ref(), &ktensors);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let kernel_ms = match (profiling, dev0, if profiling { backend.device_timer_ns() } else { None }) {
-                (true, Some(a), Some(b)) => Some(b.saturating_sub(a) as f64 / 1e6),
-                _ => None,
-            };
+            let kernel_ms = device_ms_since(backend.as_ref(), dev0);
             if tracing {
                 webml_telemetry::record_span(kernel, "kernel", trace_t0, webml_telemetry::now_ns());
                 let tele = kernel_metrics();
@@ -1513,16 +1518,25 @@ impl Engine {
         )
     }
 
-    /// Time `f`, reporting wall time and backend kernel time (`tf.time`).
+    /// Time `f`, reporting wall time and backend kernel time (`tf.time`):
+    /// the kernel time is the difference of two samples of the device timer
+    /// of the backend the window starts on, so windows open on other threads
+    /// do not disturb it (see [`TimeInfo::kernel_ms`]).
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> (R, TimeInfo) {
         let backend = self.backend();
-        backend.begin_timing();
+        let start = backend.device_timer_ns();
         let t0 = Instant::now();
         let r = f();
-        let KernelTiming { kernel_ms } = backend.end_timing();
+        let kernel_ms = device_ms_since(backend.as_ref(), start).unwrap_or(f64::NAN);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         (r, TimeInfo { wall_ms, kernel_ms })
     }
+}
+
+/// Device-timer milliseconds since the sample `start`; `None` without one.
+fn device_ms_since(backend: &dyn Backend, start: Option<u64>) -> Option<f64> {
+    let start = start?;
+    Some(backend.device_timer_ns()?.saturating_sub(start) as f64 / 1e6)
 }
 
 /// Types that can be returned from [`Engine::tidy`]: the engine must be able

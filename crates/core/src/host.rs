@@ -19,8 +19,8 @@
 
 use crate::backend::{
     fused_conv2d_fallback, fused_depthwise_conv2d_fallback, fused_elementwise_fallback,
-    fused_matmul_fallback, ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture, DataId,
-    FusedStep, KTensor, KernelTiming, MatMulGeom, PoolOp, ReduceOp, UnaryOp,
+    fused_matmul_fallback, is_plain, ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture,
+    DataId, FusedStep, KTensor, MatMulGeom, PoolOp, ReduceOp, UnaryOp,
 };
 use crate::conv_util::Conv2dInfo;
 use crate::dtype::{DType, TensorData};
@@ -53,10 +53,12 @@ pub enum Weights<'a> {
 /// order where the parity suites compare on bits. `pool` is the backend's
 /// own; the defaults ignore it.
 ///
-/// The four `fused_*` hooks return `None` for "this set has no such kernel":
-/// the backend then runs the matching `fused_*_fallback` composition on
-/// itself, which is also what dequantizes a [`Weights::Quant`] operand for a
-/// set without a dequant-free kernel.
+/// A product kernel call with an f32 weight and an empty epilogue runs the
+/// f32 kernel (`matmul`, `conv2d`, `depthwise_conv2d`); any other goes to
+/// the matching `fused_*` hook. The four hooks return `None` for "this set
+/// has no such kernel": the backend then runs the matching
+/// `fused_*_fallback` composition on itself, which is also what dequantizes
+/// a [`Weights::Quant`] operand for a set without a dequant-free kernel.
 #[allow(missing_docs)]
 pub trait HostKernels: 'static {
     /// Registry name of a backend built with [`HostBackend::new`].
@@ -258,7 +260,6 @@ pub struct HostBackend<K: HostKernels> {
     store: Mutex<HashMap<DataId, Entry>>,
     next_id: AtomicU64,
     kernel_nanos: AtomicU64,
-    timing_mark: AtomicU64,
     kernels: PhantomData<fn() -> K>,
 }
 
@@ -289,7 +290,6 @@ impl<K: HostKernels> HostBackend<K> {
             store: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             kernel_nanos: AtomicU64::new(0),
-            timing_mark: AtomicU64::new(0),
             kernels: PhantomData,
         }
     }
@@ -453,10 +453,6 @@ impl Drop for Timer<'_> {
 }
 
 impl<K: HostKernels> Backend for HostBackend<K> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn register(&self, data: TensorData, dtype: DType) -> DataId {
         self.put(data, dtype)
     }
@@ -480,15 +476,6 @@ impl<K: HostKernels> Backend for HostBackend<K> {
             num_bytes: store.values().map(|e| e.data.byte_len(e.dtype)).sum(),
             details: vec![("threads".to_string(), self.pool.size() as f64)],
         }
-    }
-
-    fn begin_timing(&self) {
-        self.timing_mark.store(self.kernel_nanos.load(Ordering::Relaxed), Ordering::SeqCst);
-    }
-
-    fn end_timing(&self) -> KernelTiming {
-        let now = self.kernel_nanos.load(Ordering::Relaxed);
-        KernelTiming { kernel_ms: (now - self.timing_mark.load(Ordering::SeqCst)) as f64 / 1e6 }
     }
 
     fn device_timer_ns(&self) -> Option<u64> {
@@ -528,19 +515,46 @@ impl<K: HostKernels> Backend for HostBackend<K> {
         Ok(self.put(TensorData::I32(K::arg_reduce(op, x.as_slice(), a.shape, axis)), DType::I32))
     }
 
+    // An f32 weight with an empty epilogue is the set's plain kernel;
+    // anything else its fused hook, or the composition when it has none.
+
     fn matmul(
         &self,
         a: &KTensor<'_>,
         b: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
         transpose_a: bool,
         transpose_b: bool,
     ) -> Result<DataId> {
         let geom = MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
-        self.map2(a, b, DType::F32, |x, y| K::matmul(x, y, &geom, &self.pool))
+        if is_plain(b, bias, activation) {
+            return self.map2(a, b, DType::F32, |x, y| K::matmul(x, y, &geom, &self.pool));
+        }
+        self.fused(a, b, bias, |x, w, bias| {
+            K::fused_matmul(x, w, &geom, bias, activation, &self.pool)
+        })?
+        .map_or_else(
+            || fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b),
+            Ok,
+        )
     }
 
-    fn conv2d(&self, x: &KTensor<'_>, filter: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId> {
-        self.map2(x, filter, DType::F32, |x, w| K::conv2d(x, w, info, &self.pool))
+    fn conv2d(
+        &self,
+        x: &KTensor<'_>,
+        filter: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
+        info: &Conv2dInfo,
+    ) -> Result<DataId> {
+        if is_plain(filter, bias, activation) {
+            return self.map2(x, filter, DType::F32, |x, w| K::conv2d(x, w, info, &self.pool));
+        }
+        self.fused(x, filter, bias, |x, w, bias| {
+            K::fused_conv2d(x, w, info, bias, activation, &self.pool)
+        })?
+        .map_or_else(|| fused_conv2d_fallback(self, x, filter, bias, activation, info), Ok)
     }
 
     fn conv2d_backprop_input(
@@ -565,9 +579,21 @@ impl<K: HostKernels> Backend for HostBackend<K> {
         &self,
         x: &KTensor<'_>,
         filter: &KTensor<'_>,
+        bias: Option<&KTensor<'_>>,
+        activation: Option<UnaryOp>,
         info: &Conv2dInfo,
     ) -> Result<DataId> {
-        self.map2(x, filter, DType::F32, |x, w| K::depthwise_conv2d(x, w, info, &self.pool))
+        if is_plain(filter, bias, activation) {
+            let kernel = |x: &[f32], w: &[f32]| K::depthwise_conv2d(x, w, info, &self.pool);
+            return self.map2(x, filter, DType::F32, kernel);
+        }
+        self.fused(x, filter, bias, |x, w, bias| {
+            K::fused_depthwise_conv2d(x, w, info, bias, activation, &self.pool)
+        })?
+        .map_or_else(
+            || fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info),
+            Ok,
+        )
     }
 
     fn depthwise_conv2d_backprop_input(
@@ -666,59 +692,6 @@ impl<K: HostKernels> Backend for HostBackend<K> {
         align_corners: bool,
     ) -> Result<DataId> {
         self.map1(x, DType::F32, |xv| K::resize_bilinear(xv, x.shape, new_h, new_w, align_corners))
-    }
-
-    fn fused_matmul(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let geom = MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
-        let fused = self.fused(a, b, bias, |x, w, bias| {
-            K::fused_matmul(x, w, &geom, bias, activation, &self.pool)
-        })?;
-        match fused {
-            Some(id) => Ok(id),
-            None => fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b),
-        }
-    }
-
-    fn fused_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let fused = self.fused(x, filter, bias, |x, w, bias| {
-            K::fused_conv2d(x, w, info, bias, activation, &self.pool)
-        })?;
-        match fused {
-            Some(id) => Ok(id),
-            None => fused_conv2d_fallback(self, x, filter, bias, activation, info),
-        }
-    }
-
-    fn fused_depthwise_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let fused = self.fused(x, filter, bias, |x, w, bias| {
-            K::fused_depthwise_conv2d(x, w, info, bias, activation, &self.pool)
-        })?;
-        match fused {
-            Some(id) => Ok(id),
-            None => fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info),
-        }
     }
 
     fn fused_elementwise(

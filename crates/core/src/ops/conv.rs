@@ -40,7 +40,7 @@ pub fn conv2d(
         "Conv2D",
         &[x, filter],
         &mut |backend, ins| {
-            let id = backend.conv2d(&ins[0], &ins[1], &info)?;
+            let id = backend.conv2d(&ins[0], &ins[1], None, None, &info)?;
             Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
         },
         Some(grad),
@@ -143,7 +143,7 @@ pub fn depthwise_conv2d(
         "DepthwiseConv2D",
         &[x, filter],
         &mut |backend, ins| {
-            let id = backend.depthwise_conv2d(&ins[0], &ins[1], &info)?;
+            let id = backend.depthwise_conv2d(&ins[0], &ins[1], None, None, &info)?;
             Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
         },
         Some(grad),

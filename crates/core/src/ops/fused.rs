@@ -14,12 +14,12 @@
 //! ops would — fusion never changes training behavior, it only accelerates
 //! inference.
 
-use super::{reshape, same_engine, tile};
+use super::same_engine;
 use crate::backend::{BinaryOp, FusedStep, UnaryOp};
 use crate::conv_util::{conv2d_info, depthwise_conv2d_info, Conv2dInfo, Padding};
 use crate::dtype::DType;
 use crate::error::{Error, Result};
-use crate::shape::{broadcast_shapes, Shape};
+use crate::shape::broadcast_shapes;
 use crate::tensor::Tensor;
 use std::borrow::Cow;
 
@@ -199,12 +199,7 @@ pub fn fused_matmul(
         same_engine("FusedMatMul", a, bias)?;
     }
     check_activation("FusedMatMul", activation)?;
-    if a.rank() < 2 || b.rank() < 2 || a.rank() > 3 || b.rank() > 3 {
-        return Err(Error::shape(
-            "FusedMatMul",
-            format!("expected rank 2 or 3 tensors, got {} and {}", a.shape(), b.shape()),
-        ));
-    }
+    super::matmul::check_ranks("FusedMatMul", a, b)?;
     let unfused = a.engine().tape_active() || !a.engine().fusion_enabled();
     let (b, quant) = lower_weight(WeightKernel::MatMul { transpose_b }, b, unfused)?;
     let b: &Tensor = &b;
@@ -212,72 +207,22 @@ pub fn fused_matmul(
         let y = super::matmul(a, b, transpose_a, transpose_b)?;
         return unfused_epilogue(y, bias, activation);
     }
-    let out_rank2 = a.rank() == 2 && b.rank() == 2;
-    let a3 = if a.rank() == 2 { reshape(a, prepend_batch(a.shape_ref()))? } else { a.clone() };
-    let b3 = if b.rank() == 2 { reshape(b, prepend_batch(b.shape_ref()))? } else { b.clone() };
-    let (a3, b3) = match (a3.shape_ref().dim(0), b3.shape_ref().dim(0)) {
-        (x, y) if x == y => (a3, b3),
-        (1, y) => (tile(&a3, &[y, 1, 1])?, b3),
-        // The quantized kernels broadcast a batch-1 weight themselves;
-        // tiling would copy the codes.
-        (_, 1) if quant => (a3, b3),
-        (x, 1) => (a3, tile(&b3, &[x, 1, 1])?),
-        (x, y) => {
-            return Err(Error::shape("FusedMatMul", format!("batch dims {x} vs {y} incompatible")))
-        }
-    };
-    let batch = a3.shape_ref().dim(0);
-    let (m, k_a) = if transpose_a {
-        (a3.shape_ref().dim(2), a3.shape_ref().dim(1))
-    } else {
-        (a3.shape_ref().dim(1), a3.shape_ref().dim(2))
-    };
-    let (k_b, n) = if transpose_b {
-        (b3.shape_ref().dim(2), b3.shape_ref().dim(1))
-    } else {
-        (b3.shape_ref().dim(1), b3.shape_ref().dim(2))
-    };
-    if k_a != k_b {
-        return Err(Error::shape(
-            "FusedMatMul",
-            format!("inner dimensions must match: {k_a} vs {k_b} ({} x {})", a.shape(), b.shape()),
-        ));
-    }
-    check_bias("FusedMatMul", bias, n)?;
-    let out_shape = Shape::new(vec![batch, m, n]);
-    let mut inputs: Vec<&Tensor> = vec![&a3, &b3];
-    if let Some(bias) = bias {
-        inputs.push(bias);
-    }
+    let (a3, b3, out_shape) =
+        super::matmul::batched("FusedMatMul", a, b, transpose_a, transpose_b, quant)?;
+    check_bias("FusedMatMul", bias, out_shape.dim(2))?;
+    let inputs: Vec<&Tensor> = [&a3, &b3].into_iter().chain(bias).collect();
     // A quantized dispatch keeps its own kernel name in profiles and traces.
     let outs = a.engine().run_kernel(
         if quant { "FusedMatMulQuant" } else { "FusedMatMul" },
         &inputs,
         &mut |backend, ins| {
-            let id = backend.fused_matmul(
-                &ins[0],
-                &ins[1],
-                ins.get(2),
-                activation,
-                transpose_a,
-                transpose_b,
-            )?;
+            let id =
+                backend.matmul(&ins[0], &ins[1], ins.get(2), activation, transpose_a, transpose_b)?;
             Ok(vec![(id, out_shape.clone(), DType::F32)])
         },
         None,
     )?;
-    let out = outs.into_iter().next().expect("one output");
-    if out_rank2 {
-        reshape(&out, vec![m, n])
-    } else {
-        Ok(out)
-    }
-}
-
-fn prepend_batch(s: &Shape) -> Vec<usize> {
-    let mut dims = vec![1];
-    dims.extend_from_slice(s.dims());
-    dims
+    super::matmul::unbatched(a, b, outs)
 }
 
 /// Shared body of the two fused conv ops.
@@ -330,9 +275,9 @@ fn fused_conv_impl(
         &inputs,
         &mut |backend, ins| {
             let id = if depthwise {
-                backend.fused_depthwise_conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
+                backend.depthwise_conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
             } else {
-                backend.fused_conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
+                backend.conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
             };
             Ok(vec![(id, out_shape.clone(), DType::F32)])
         },
@@ -467,6 +412,7 @@ pub fn fused_elementwise(x: &Tensor, extras: &[&Tensor], steps: &[FusedStep]) ->
 
 #[cfg(test)]
 mod tests {
+    use super::super::reshape;
     use super::super::testutil::{assert_close, test_engine};
     use super::*;
 

@@ -1,6 +1,7 @@
 //! Matrix multiplication (the Listing 2 kernel of the paper) and friends.
 
 use super::{reshape, same_engine, tile};
+use crate::backend::MatMulGeom;
 use crate::dtype::DType;
 use crate::error::{Error, Result};
 use crate::shape::Shape;
@@ -23,44 +24,8 @@ pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> R
         // it has to dequantize.
         return super::fused_matmul(a, b, None, None, transpose_a, transpose_b);
     }
-    if a.rank() < 2 || b.rank() < 2 || a.rank() > 3 || b.rank() > 3 {
-        return Err(Error::shape(
-            "MatMul",
-            format!("expected rank 2 or 3 tensors, got {} and {}", a.shape(), b.shape()),
-        ));
-    }
-    let out_rank2 = a.rank() == 2 && b.rank() == 2;
-    // Normalize to rank 3.
-    let a3 = if a.rank() == 2 { reshape(a, prepend_batch(a.shape_ref()))? } else { a.clone() };
-    let b3 = if b.rank() == 2 { reshape(b, prepend_batch(b.shape_ref()))? } else { b.clone() };
-    // Broadcast batch of 1.
-    let (a3, b3) = match (a3.shape_ref().dim(0), b3.shape_ref().dim(0)) {
-        (x, y) if x == y => (a3, b3),
-        (1, y) => (tile(&a3, &[y, 1, 1])?, b3),
-        (x, 1) => (a3, tile(&b3, &[x, 1, 1])?),
-        (x, y) => {
-            return Err(Error::shape("MatMul", format!("batch dims {x} vs {y} incompatible")))
-        }
-    };
-    let batch = a3.shape_ref().dim(0);
-    let (m, k_a) = if transpose_a {
-        (a3.shape_ref().dim(2), a3.shape_ref().dim(1))
-    } else {
-        (a3.shape_ref().dim(1), a3.shape_ref().dim(2))
-    };
-    let (k_b, n) = if transpose_b {
-        (b3.shape_ref().dim(2), b3.shape_ref().dim(1))
-    } else {
-        (b3.shape_ref().dim(1), b3.shape_ref().dim(2))
-    };
-    if k_a != k_b {
-        return Err(Error::shape(
-            "MatMul",
-            format!("inner dimensions must match: {k_a} vs {k_b} ({} x {})", a.shape(), b.shape()),
-        ));
-    }
-    let out_shape = Shape::new(vec![batch, m, n]);
-    let shape_for_fwd = out_shape.clone();
+    check_ranks("MatMul", a, b)?;
+    let (a3, b3, out_shape) = batched("MatMul", a, b, transpose_a, transpose_b, false)?;
     let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
         let a = &ins[0];
@@ -83,23 +48,75 @@ pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> R
         "MatMul",
         &[&a3, &b3],
         &mut |backend, ins| {
-            let id = backend.matmul(&ins[0], &ins[1], transpose_a, transpose_b)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
+            let id = backend.matmul(&ins[0], &ins[1], None, None, transpose_a, transpose_b)?;
+            Ok(vec![(id, out_shape.clone(), DType::F32)])
         },
         Some(grad),
     )?;
+    unbatched(a, b, outs)
+}
+
+/// Reject product operands that are not rank-2 or rank-3 matrices.
+pub(super) fn check_ranks(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()> {
+    if a.rank() < 2 || b.rank() < 2 || a.rank() > 3 || b.rank() > 3 {
+        return Err(Error::shape(
+            op,
+            format!("expected rank 2 or 3 tensors, got {} and {}", a.shape(), b.shape()),
+        ));
+    }
+    Ok(())
+}
+
+/// `a x b` (ranks already [`check_ranks`]ed) as one batched rank-3 product,
+/// the normalisation the plain and the fused op share: a rank-2 operand
+/// gains a batch of 1 and a batch of 1 is tiled to the other operand's —
+/// except a quantized weight's (`quant_b`), which the kernels broadcast
+/// themselves and tiling would copy. Returns the operands and the
+/// `[batch, m, n]` output shape.
+///
+/// # Errors
+/// Fails on incompatible batch dims or an inner-dimension mismatch.
+pub(super) fn batched(
+    op: &'static str,
+    a: &Tensor,
+    b: &Tensor,
+    transpose_a: bool,
+    transpose_b: bool,
+    quant_b: bool,
+) -> Result<(Tensor, Tensor, Shape)> {
+    let rank3 = |t: &Tensor| match t.rank() {
+        2 => reshape(t, [&[1], t.shape_ref().dims()].concat()),
+        _ => Ok(t.clone()),
+    };
+    let (a3, b3) = (rank3(a)?, rank3(b)?);
+    let (a3, b3) = match (a3.shape_ref().dim(0), b3.shape_ref().dim(0)) {
+        (x, y) if x == y => (a3, b3),
+        (1, y) => (tile(&a3, &[y, 1, 1])?, b3),
+        (_, 1) if quant_b => (a3, b3),
+        (x, 1) => (a3, tile(&b3, &[x, 1, 1])?),
+        (x, y) => return Err(Error::shape(op, format!("batch dims {x} vs {y} incompatible"))),
+    };
+    let geom = MatMulGeom::of(a3.shape_ref(), b3.shape_ref(), transpose_a, transpose_b);
+    let k_b = b3.shape_ref().dim(if transpose_b { 2 } else { 1 });
+    if geom.k != k_b {
+        return Err(Error::shape(
+            op,
+            format!("inner dimensions must match: {} vs {k_b} ({} x {})", geom.k, a.shape(), b.shape()),
+        ));
+    }
+    Ok((a3, b3, Shape::new(vec![geom.batch, geom.m, geom.n])))
+}
+
+/// The one output of a [`batched`] product, back at rank 2 when both
+/// operands were.
+pub(super) fn unbatched(a: &Tensor, b: &Tensor, outs: Vec<Tensor>) -> Result<Tensor> {
     let out = outs.into_iter().next().expect("one output");
-    if out_rank2 {
-        reshape(&out, vec![m, n])
+    if a.rank() == 2 && b.rank() == 2 {
+        let dims = out.shape_ref().dims()[1..].to_vec();
+        reshape(&out, dims)
     } else {
         Ok(out)
     }
-}
-
-fn prepend_batch(s: &Shape) -> Vec<usize> {
-    let mut dims = vec![1];
-    dims.extend_from_slice(s.dims());
-    dims
 }
 
 /// Vector/matrix product convenience (`tf.dot`): rank-1 inputs are treated

@@ -194,7 +194,6 @@ pub struct GpgpuContext {
     sender: Sender<Command>,
     next_tex: AtomicU64,
     next_fence: AtomicU64,
-    timing_mark: AtomicU64,
     faults: FaultState,
     /// Compiled-kernel cache, keyed by (name, packed). Compilation is
     /// attempted on first use of each kernel variant and the result cached
@@ -251,7 +250,6 @@ impl GpgpuContext {
             sender: tx,
             next_tex: AtomicU64::new(1),
             next_fence: AtomicU64::new(1),
-            timing_mark: AtomicU64::new(0),
             faults: FaultState::new(plan),
             compiled: Mutex::new(HashSet::new()),
             worker: Some(worker),
@@ -266,11 +264,6 @@ impl GpgpuContext {
     /// The context configuration.
     pub fn config(&self) -> &ContextConfig {
         &self.config
-    }
-
-    /// Per-device epsilon (paper Sec 4.1.3).
-    pub fn epsilon(&self) -> f32 {
-        self.profile.epsilon()
     }
 
     fn base_format(&self, packed: bool) -> TextureFormat {
@@ -623,25 +616,12 @@ impl GpgpuContext {
         self.shared.queue_stats()
     }
 
-    /// Begin a timer-query window measuring pure device time.
-    pub fn begin_timing(&self) {
-        self.flush();
-        self.timing_mark.store(self.shared.gpu_nanos.load(Ordering::Relaxed), Ordering::SeqCst);
-    }
-
-    /// End the timing window, returning device milliseconds spent in
-    /// kernels (excluding upload/download, as the paper's WebGL timing
-    /// does).
-    pub fn end_timing(&self) -> f64 {
-        self.flush();
-        let now = self.shared.gpu_nanos.load(Ordering::Relaxed);
-        (now - self.timing_mark.load(Ordering::SeqCst)) as f64 / 1e6
-    }
-
     /// The cumulative timer-query counter: modeled device nanoseconds spent
-    /// executing kernels since context creation. Does *not* flush — pair
-    /// with [`GpgpuContext::flush`] when the sample must cover
-    /// already-enqueued work.
+    /// executing kernels (excluding upload/download, as the paper's WebGL
+    /// timing does) since context creation; a timing window is the
+    /// difference of two samples. Does *not* flush — pair with
+    /// [`GpgpuContext::flush`] when the sample must cover already-enqueued
+    /// work.
     pub fn device_nanos(&self) -> u64 {
         self.shared.gpu_nanos.load(Ordering::Relaxed)
     }
@@ -694,7 +674,6 @@ mod tests {
         let c = GpgpuContext::new(DeviceProfile::ios_safari(), ContextConfig::default()).unwrap();
         let h = c.upload(vec![1e-8, 1.0], &[2]).unwrap();
         assert_eq!(c.read_sync(&h).unwrap(), vec![0.0, 1.0]);
-        assert_eq!(c.epsilon(), 1e-4);
     }
 
     #[test]

@@ -75,17 +75,6 @@ impl DeviceProfile {
         }
     }
 
-    /// The per-device epsilon of Sec 4.1.3: 1e-7 at full precision, 1e-4 on
-    /// 16-bit devices (where the f32 default 1e-8 rounds to zero and made
-    /// `log(x + eps)` collapse to `log(x)`).
-    pub fn epsilon(&self) -> f32 {
-        if self.half_precision_only {
-            1e-4
-        } else {
-            1e-7
-        }
-    }
-
     /// An integrated-GPU laptop (the paper's MacBook Pro / Intel Iris Pro
     /// measurement platform).
     pub fn intel_iris_pro() -> DeviceProfile {
@@ -289,7 +278,6 @@ mod tests {
         let p = DeviceProfile::ios_safari();
         assert!(p.supports_float_textures());
         assert!(p.half_precision_only);
-        assert_eq!(p.epsilon(), 1e-4);
         assert!(!p.has_fence_sync, "WebGL 1.0 has no fenceSync");
         assert!(p.has_disjoint_timer_query);
     }
@@ -335,7 +323,7 @@ mod tests {
     fn desktop_profiles_support_everything() {
         for p in [DeviceProfile::intel_iris_pro(), DeviceProfile::gtx_1080()] {
             assert!(p.supports_float_textures());
-            assert_eq!(p.epsilon(), 1e-7);
+            assert!(!p.half_precision_only);
             assert!(p.has_fence_sync);
         }
     }

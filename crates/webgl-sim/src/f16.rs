@@ -93,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_1e8_underflows_to_zero() {
+    fn default_f32_epsilon_underflows_to_zero() {
         // The paper's log(x + eps) bug: the default eps 1e-8 rounds to 0.
         assert_eq!(round(1e-8), 0.0);
         assert!(round(1e-4) > 0.0);

@@ -404,10 +404,12 @@ mod tests {
         for caps in DESCRIPTORS {
             let c = ctx(caps);
             let a = c.upload(vec![1.0; 4096], &[4096]).unwrap();
-            c.begin_timing();
+            c.flush();
+            let before = c.device_nanos();
             let work = map(caps, "Work", 4096, 100, |x| (0..100).fold(x[0], |v, _| v * 1.0001 + 0.1));
             let out = c.run(work, &[&a]).unwrap();
-            assert!(c.end_timing() > 0.0);
+            c.flush();
+            assert!(c.device_nanos() > before);
             // A dispatch costs at least the API's fixed overhead.
             assert!(c.device_nanos() >= caps.dispatch_overhead_ns, "{}", caps.api);
             let m = c.memory();
@@ -429,12 +431,14 @@ mod tests {
             let plan = FaultPlan { seed: 7, ..FaultPlan::none() }.with_draw_stall(1.0, stall_ns);
             let c = ctx_with(caps, plan);
             let a = c.upload(vec![1.0, 2.0], &[2]).unwrap();
-            c.begin_timing();
+            c.flush();
+            let before = c.device_nanos();
             let t0 = std::time::Instant::now();
             let out = c.run(double(caps, 2), &[&a]).unwrap();
             // Stalled dispatches still compute the right answer.
             assert_eq!(c.read_sync(&out).unwrap(), vec![2.0, 4.0]);
-            let device_ms = c.end_timing();
+            c.flush();
+            let device_ms = (c.device_nanos() - before) as f64 / 1e6;
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let stall_ms = stall_ns as f64 / 1e6;
             assert!(device_ms >= stall_ms, "stall on the device clock: {device_ms} ms");
@@ -463,12 +467,14 @@ mod tests {
         let c = ctx(&WEBGPU);
         let a = c.upload(vec![1.0; n], &[n]).unwrap();
         let timed = |kernel: Kernel| {
-            c.begin_timing();
+            c.flush();
+            let before = c.device_nanos();
             let _ = c.read_sync(&c.run(kernel, &[&a]).unwrap()).unwrap();
-            c.end_timing()
+            c.flush();
+            c.device_nanos() - before
         };
-        let (naive_ms, tiled_ms) = (timed(naive), timed(tiled));
-        assert!(tiled_ms * 2.0 < naive_ms, "tiled {tiled_ms} ms vs naive {naive_ms} ms");
+        let (naive_ns, tiled_ns) = (timed(naive), timed(tiled));
+        assert!(tiled_ns * 2 < naive_ns, "tiled {tiled_ns} ns vs naive {naive_ns} ns");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! reference in `webml-backend-cpu`, native's bit-equality sweeps in
 //! `webml-backend-native`, all of them in `tests/cross_backend.rs`.
 
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 use webml::backend_cpu::PlainJs;
 use webml::backend_native::Native;
@@ -37,6 +38,7 @@ mod contract {
         unknown_id_is_an_error_naming_the_backend,
         cast_covers_every_dtype_pair,
         every_kernel_of_a_forward_pass_is_timed,
+        concurrent_time_windows_keep_their_own_kernels,
         threads_sharing_a_backend_get_the_single_thread_answer,
         quantized_fused_matmul_matches_the_dequantize_fallback,
         mismatched_per_channel_axis_falls_back_not_errors,
@@ -175,6 +177,30 @@ fn every_kernel_of_a_forward_pass_is_timed<K: HostKernels>(threads: usize) {
     assert!(grown >= total_ns * 0.999, "{}: timer grew {grown} ns < {total_ns} ns", K::NAME);
 }
 
+/// `tf.time` is a difference of two samples of the one kernel timer, so a
+/// window another thread opens while this one is running does not reset it.
+/// The channels fix the order: A runs its matmul, B opens and closes its
+/// window, then A closes its own.
+fn concurrent_time_windows_keep_their_own_kernels<K: HostKernels>(threads: usize) {
+    let e = engine::<K>(threads);
+    let a = wave(&e, &[64, 64], 0.37);
+    let (ran, a_ran) = channel();
+    let (opened, b_opened) = channel();
+    std::thread::scope(|s| {
+        let b = &e;
+        s.spawn(move || {
+            a_ran.recv().unwrap();
+            b.time(|| opened.send(()).unwrap());
+        });
+        let (_, timed) = e.time(|| {
+            ops::matmul(&a, &a, false, false).unwrap();
+            ran.send(()).unwrap();
+            b_opened.recv().unwrap();
+        });
+        assert!(timed.kernel_ms > 0.0, "{}: {timed:?}", K::NAME);
+    });
+}
+
 /// conv2d, matmul and an elementwise add; `salt` makes every caller's
 /// operands its own.
 fn mixed_kernels(backend: &dyn Backend, salt: usize) -> Vec<TensorData> {
@@ -194,8 +220,8 @@ fn mixed_kernels(backend: &dyn Backend, salt: usize) -> Vec<TensorData> {
     let k = |id, shape| KTensor::new(id, shape, DType::F32);
     let v = k(v, &v_shape);
     let outs = [
-        backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), &info).unwrap(),
-        backend.matmul(&k(a, &a_shape), &k(b, &b_shape), false, false).unwrap(),
+        backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), None, None, &info).unwrap(),
+        backend.matmul(&k(a, &a_shape), &k(b, &b_shape), None, None, false, false).unwrap(),
         backend.binary(BinaryOp::Add, &v, &v, &v_shape, DType::F32).unwrap(),
     ];
     let read = outs.iter().map(|&id| backend.read_sync(id).unwrap()).collect();
@@ -238,7 +264,7 @@ fn quantized_fused_matmul_matches_the_dequantize_fallback<K: HostKernels>(thread
     let relu = Some(UnaryOp::Relu);
     // The set's own kernel where it has one (cpu, native), the fallback
     // through the trait where it has not (plainjs).
-    let fast = b.fused_matmul(&a, &w, Some(&bias), relu, false, false).unwrap();
+    let fast = b.matmul(&a, &w, Some(&bias), relu, false, false).unwrap();
     let slow = fused_matmul_fallback(&b, &a, &w, Some(&bias), relu, false, false).unwrap();
     let fv = b.read_sync(fast).unwrap().to_f32_vec();
     let sv = b.read_sync(slow).unwrap().to_f32_vec();

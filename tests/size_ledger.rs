@@ -1,6 +1,7 @@
 //! The size ledger: ROADMAP's north star names lines of Rust, `Backend`
 //! trait methods and public stats types as first-class metrics, so they
-//! (and the `impl Backend` sites, the bench-bin and the CI-job counts) are
+//! (and the public types, the `impl Backend` sites, the bench-bin and the
+//! CI-job counts) are
 //! committed (`SIZE.json`) and recomputed here. The test fails when the file
 //! is stale, which puts every growth — and every deletion — into the diff of
 //! the PR that caused it.
@@ -72,6 +73,11 @@ fn is_backend_impl(line: &str) -> bool {
     line.starts_with("impl") && line.contains(" Backend for ")
 }
 
+/// A top-level `pub struct|enum|trait|type` declaration.
+fn is_pub_type(line: &str) -> bool {
+    ["pub struct ", "pub enum ", "pub trait ", "pub type "].iter().any(|p| line.starts_with(p))
+}
+
 fn is_stats_struct(line: &str) -> bool {
     line.strip_prefix("pub struct ").is_some_and(|rest| {
         let name: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
@@ -92,6 +98,7 @@ fn ledger() -> String {
     let mut sites: BTreeMap<&str, usize> =
         ["thread::spawn", "thread::sleep", "Instant::now"].into_iter().map(|s| (s, 0)).collect();
     let mut stats_structs = 0;
+    let mut pub_types = 0;
     let mut backend_impls = 0;
     for (name, src) in crates {
         let mut count = 0;
@@ -100,6 +107,7 @@ fn ledger() -> String {
             let lines = code_lines(&text);
             count += lines.len();
             stats_structs += lines.iter().filter(|line| is_stats_struct(line)).count();
+            pub_types += lines.iter().filter(|line| is_pub_type(line)).count();
             backend_impls += lines.iter().filter(|line| is_backend_impl(line)).count();
             for (needle, n) in sites.iter_mut() {
                 *n += lines.iter().map(|line| line.matches(needle).count()).sum::<usize>();
@@ -121,6 +129,7 @@ fn ledger() -> String {
     writeln!(out, "  \"backend_trait_methods\": {},", backend_trait_methods()).unwrap();
     writeln!(out, "  \"backend_impls\": {backend_impls},").unwrap();
     writeln!(out, "  \"pub_stats_structs\": {stats_structs},").unwrap();
+    writeln!(out, "  \"pub_types\": {pub_types},").unwrap();
     writeln!(out, "  \"bench_bins\": {bench_bins},").unwrap();
     writeln!(out, "  \"ci_jobs\": {},", ci_jobs()).unwrap();
     writeln!(out, "  \"thread_spawn_sites\": {},", sites["thread::spawn"]).unwrap();

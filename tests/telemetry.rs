@@ -282,18 +282,20 @@ fn request_scoped_tracing_reconstructs_causal_lanes() {
 
 /// Device-timer plumbing: profiles report device `kernel_ms` when the
 /// simulated device has `EXT_disjoint_timer_query`, and degrade to `None`
-/// (never garbage) when it does not.
+/// (never garbage) when it does not; `tf.time` reads the same timer, so it
+/// agrees: a device time with one, NaN without.
 #[test]
 fn profile_device_time_degrades_without_timer_extension() {
-    // intel_iris_pro advertises the extension → Some(kernel_ms).
-    let with_timer = webgl_engine(DeviceProfile::intel_iris_pro());
-    let (_, info) = with_timer.profile(|| {
-        let a = with_timer.fill([64, 64], 1.5, webml::DType::F32).unwrap();
+    let matmul = |e: &Engine| {
+        let a = e.fill([64, 64], 1.5, webml::DType::F32).unwrap();
         let b = ops::matmul(&a, &a, false, false).unwrap();
         b.to_f32_vec().unwrap();
         a.dispose();
         b.dispose();
-    });
+    };
+    // intel_iris_pro advertises the extension → Some(kernel_ms).
+    let with_timer = webgl_engine(DeviceProfile::intel_iris_pro());
+    let (_, info) = with_timer.profile(|| matmul(&with_timer));
     assert!(!info.kernels.is_empty());
     assert!(
         info.kernels.iter().all(|k| k.kernel_ms.is_some()),
@@ -301,20 +303,19 @@ fn profile_device_time_degrades_without_timer_extension() {
     );
     let device_total: f64 = info.kernels.iter().filter_map(|k| k.kernel_ms).sum();
     assert!(device_total > 0.0, "draw-call overhead alone makes device time positive");
+    let (_, timed) = with_timer.time(|| matmul(&with_timer));
+    assert!(timed.kernel_ms > 0.0, "tf.time reads the timer: {timed:?}");
 
     // android_modern lacks the extension → graceful None, wall time intact.
     let no_timer = webgl_engine(DeviceProfile::android_modern());
-    let (_, info) = no_timer.profile(|| {
-        let a = no_timer.fill([64, 64], 1.5, webml::DType::F32).unwrap();
-        let b = ops::matmul(&a, &a, false, false).unwrap();
-        b.to_f32_vec().unwrap();
-        a.dispose();
-        b.dispose();
-    });
+    let (_, info) = no_timer.profile(|| matmul(&no_timer));
     assert!(!info.kernels.is_empty());
     assert!(
         info.kernels.iter().all(|k| k.kernel_ms.is_none()),
         "no disjoint-timer-query extension → kernel_ms must be None"
     );
     assert!(info.kernels.iter().all(|k| k.wall_ms >= 0.0), "wall timing still reported");
+    let (_, timed) = no_timer.time(|| matmul(&no_timer));
+    assert!(timed.kernel_ms.is_nan(), "no timer → NaN, not a modelled number: {timed:?}");
+    assert!(timed.wall_ms > 0.0);
 }
