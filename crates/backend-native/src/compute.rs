@@ -1,7 +1,7 @@
-//! Optimized kernels: blocked parallel matmul, im2col convolution, and
-//! vector-friendly element-wise loops — the AVX/TF-C class of performance
-//! the Node.js backend gets by binding to the TensorFlow C library
-//! (paper Sec 4.2).
+//! Optimized kernels: blocked parallel matmul, im2col convolution and its
+//! two gradients as products, and vector-friendly element-wise loops — the
+//! AVX/TF-C class of performance the Node.js backend gets by binding to the
+//! TensorFlow C library (paper Sec 4.2).
 
 use crate::parallel::{parallel_collect, parallel_for_slices};
 use std::borrow::Cow;
@@ -582,54 +582,36 @@ pub fn fused_depthwise_conv2d_quant(
     out
 }
 
-/// Gradient of conv2d w.r.t. input, gather form, parallel over input pixels.
+/// Gradient of conv2d w.r.t. input: `dcols = dy · Wᵀ` through the tiled
+/// product, then col2im. Row `r` of `dcols` holds, for every tap of output
+/// pixel `r`'s window, the dot of its gradient with that tap's filter slice,
+/// summed over the output channels from zero; col2im adds those dots into
+/// each input pixel in (fh, fw) order, parallel over input pixels.
 pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
-    let c = info.clone();
+    let c = info;
+    let patch = c.filter_height * c.filter_width * c.in_channels;
+    let rows = c.batch * c.out_height * c.out_width;
+    let dcols = matmul_impl(dy, w, 1, rows, c.out_channels, patch, false, true, None, None, pool);
+    let taps_h = covering_taps(c.in_height, c.pad_top, c.stride_h, c.dilation_h, c.filter_height, c.out_height);
+    let taps_w = covering_taps(c.in_width, c.pad_left, c.stride_w, c.dilation_w, c.filter_width, c.out_width);
     let pixels = c.batch * c.in_height * c.in_width;
     let stride = c.in_channels;
     let mut dx = vec![0.0f32; pixels * stride];
-    // Only every stride-th tap lands on an output pixel.
-    let macs_per_pixel = (c.filter_height * c.filter_width).div_ceil(c.stride_h * c.stride_w)
-        * c.in_channels
-        * c.out_channels;
-    parallel_for_slices(pool, &mut dx, pixels, stride, macs_per_pixel, |range, chunk| {
+    // Every entry of `dcols` is added at most once: its taps outside the
+    // image not at all.
+    let adds_per_pixel = dcols.len().div_ceil(pixels.max(1));
+    parallel_for_slices(pool, &mut dx, pixels, stride, adds_per_pixel, |range, chunk| {
         for (local, pix) in range.enumerate() {
             let spatial = c.in_height * c.in_width;
             let b = pix / spatial;
             let rem = pix % spatial;
-            let ih = rem / c.in_width;
-            let iw = rem % c.in_width;
             let dst = &mut chunk[local * stride..(local + 1) * stride];
-            for fh in 0..c.filter_height {
-                // oh * stride_h = ih + pad_top - fh * dil_h, must divide.
-                let num_h = ih as isize + c.pad_top as isize - (fh * c.dilation_h) as isize;
-                if num_h < 0 || num_h % c.stride_h as isize != 0 {
-                    continue;
-                }
-                let oh = (num_h / c.stride_h as isize) as usize;
-                if oh >= c.out_height {
-                    continue;
-                }
-                for fw in 0..c.filter_width {
-                    let num_w = iw as isize + c.pad_left as isize - (fw * c.dilation_w) as isize;
-                    if num_w < 0 || num_w % c.stride_w as isize != 0 {
-                        continue;
-                    }
-                    let ow = (num_w / c.stride_w as isize) as usize;
-                    if ow >= c.out_width {
-                        continue;
-                    }
-                    let dy_base =
-                        ((b * c.out_height + oh) * c.out_width + ow) * c.out_channels;
-                    let w_base = (fh * c.filter_width + fw) * c.in_channels * c.out_channels;
-                    for (ic, d) in dst.iter_mut().enumerate() {
-                        let w_row = &w[w_base + ic * c.out_channels..w_base + (ic + 1) * c.out_channels];
-                        let dy_row = &dy[dy_base..dy_base + c.out_channels];
-                        let mut acc = 0.0f32;
-                        for (&g, &wv) in dy_row.iter().zip(w_row) {
-                            acc += g * wv;
-                        }
-                        *d += acc;
+            for &(fh, oh) in &taps_h[rem / c.in_width] {
+                for &(fw, ow) in &taps_w[rem % c.in_width] {
+                    let row = (b * c.out_height + oh) * c.out_width + ow;
+                    let tap = row * patch + (fh * c.filter_width + fw) * c.in_channels;
+                    for (d, &g) in dst.iter_mut().zip(&dcols[tap..tap + c.in_channels]) {
+                        *d += g;
                     }
                 }
             }
@@ -638,50 +620,43 @@ pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, pool: &Wo
     dx
 }
 
-/// Gradient of conv2d w.r.t. filter, gather form, parallel over filter rows.
+/// For each of `len` input positions `i` along one axis, the filter taps
+/// whose window covers it, as `(tap, out)` with
+/// `out · stride + tap · dilation = i + pad`, in tap order: col2im's
+/// divisibility tests, made once per image row or column instead of once per
+/// pixel.
+fn covering_taps(
+    len: usize,
+    pad: usize,
+    stride: usize,
+    dilation: usize,
+    taps: usize,
+    out_len: usize,
+) -> Vec<Vec<(usize, usize)>> {
+    let cover = |i: usize| {
+        (0..taps)
+            .filter_map(|tap| {
+                let num = (i + pad).checked_sub(tap * dilation)?;
+                (num % stride == 0 && num / stride < out_len).then_some((tap, num / stride))
+            })
+            .collect()
+    };
+    (0..len).map(cover).collect()
+}
+
+/// Gradient of conv2d w.r.t. filter: `dW = colsᵀ · dy`, the forward pass's
+/// im2col matrix against the output gradient through the tiled product. A
+/// filter element adds `x · g` over the output pixels in (b, oh, ow) order
+/// from zero, the order of `kernels::conv2d_backprop_filter`, so on finite
+/// operands the two are equal on bits: where the reference skips a `g == 0`
+/// term or a tap outside the image, the product adds `x · 0` or `0 · g`, a
+/// `±0` that changes no sum.
 pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
-    let c = info.clone();
-    let positions = c.filter_height * c.filter_width * c.in_channels;
-    let stride = c.out_channels;
-    let mut dw = vec![0.0f32; positions * stride];
-    let macs_per_position = c.batch * c.out_height * c.out_width * c.out_channels;
-    parallel_for_slices(pool, &mut dw, positions, stride, macs_per_position, |range, chunk| {
-        for (local, pos) in range.enumerate() {
-            let fh = pos / (c.filter_width * c.in_channels);
-            let rem = pos % (c.filter_width * c.in_channels);
-            let fw = rem / c.in_channels;
-            let ic = rem % c.in_channels;
-            let dst = &mut chunk[local * stride..(local + 1) * stride];
-            for b in 0..c.batch {
-                for oh in 0..c.out_height {
-                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                    if ih < 0 || ih >= c.in_height as isize {
-                        continue;
-                    }
-                    for ow in 0..c.out_width {
-                        let iw =
-                            (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                        if iw < 0 || iw >= c.in_width as isize {
-                            continue;
-                        }
-                        let xv = x[((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                            * c.in_channels
-                            + ic];
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        let dy_base =
-                            ((b * c.out_height + oh) * c.out_width + ow) * c.out_channels;
-                        let dy_row = &dy[dy_base..dy_base + c.out_channels];
-                        for (d, &g) in dst.iter_mut().zip(dy_row) {
-                            *d += xv * g;
-                        }
-                    }
-                }
-            }
-        }
-    });
-    dw
+    let c = info;
+    let patch = c.filter_height * c.filter_width * c.in_channels;
+    let rows = c.batch * c.out_height * c.out_width;
+    let cols = im2col(x, c, pool);
+    matmul_impl(&cols, dy, 1, patch, rows, c.out_channels, true, false, None, None, pool)
 }
 
 /// Evaluate `$body` with `$f` bound to the scalar function of the unary op
@@ -1037,6 +1012,50 @@ mod tests {
         assert_eq!(got, [1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
     }
 
+    /// A 3x3 conv of `dims` to `out_channels`: its geometry, input and filter
+    /// shapes, and a name for assertion messages.
+    fn conv_case(
+        dims: [usize; 4],
+        out_channels: usize,
+        stride: usize,
+        padding: Padding,
+        dilation: usize,
+    ) -> (Conv2dInfo, Shape, Shape, String) {
+        let xs = Shape::new(dims.to_vec());
+        let ws = Shape::new(vec![3, 3, dims[3], out_channels]);
+        let info = conv2d_info("t", &xs, &ws, (stride, stride), padding, (dilation, dilation))
+            .unwrap();
+        let case = format!("{dims:?} -> {out_channels}, stride {stride}, {padding:?}, dilation {dilation}");
+        (info, xs, ws, case)
+    }
+
+    /// The geometry sweep of the conv tests. Out-channel counts cover every
+    /// tile width and their sums; the 6x7 image makes most windows of a 3x3
+    /// (5x5 dilated) filter hang over a border; batch 0 has no rows at all.
+    /// Then the training step's two layers, and two shapes whose every pass
+    /// is split on every pool.
+    fn conv_geometry_sweep(check: impl Fn([usize; 4], usize, usize, Padding, usize)) {
+        use Padding::{Same, Valid};
+        let geometries =
+            [(1, Same, 1), (2, Same, 1), (1, Valid, 1), (2, Valid, 1), (1, Same, 2), (2, Valid, 2)];
+        for (stride, padding, dilation) in geometries {
+            for batch in [0, 1, 2] {
+                for in_channels in [1, 3, 8] {
+                    for out_channels in [1, 3, 8, 16, 17, 35] {
+                        check([batch, 6, 7, in_channels], out_channels, stride, padding, dilation);
+                    }
+                }
+            }
+        }
+        check([32, 28, 28, 1], 8, 2, Same, 1);
+        check([32, 14, 14, 8], 16, 2, Same, 1);
+        check([2, 48, 48, 8], 35, 1, Same, 1);
+        check([3, 61, 61, 3], 17, 2, Valid, 2);
+        // im2col, and col2im, of the first; the product of the second.
+        const { assert!(2 * 48 * 48 * 72 >= SPLIT_WORK) };
+        const { assert!(3 * 29 * 29 * 27 * 17 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
+    }
+
     /// Native conv forward, plain and with the fused epilogue, against the
     /// reference kernel (and the scalar `apply` for the epilogue), on bits,
     /// on every pool.
@@ -1047,11 +1066,7 @@ mod tests {
         padding: Padding,
         dilation: usize,
     ) {
-        let xs = Shape::new(dims.to_vec());
-        let ws = Shape::new(vec![3, 3, dims[3], out_channels]);
-        let info = conv2d_info("t", &xs, &ws, (stride, stride), padding, (dilation, dilation))
-            .unwrap();
-        let case = format!("{dims:?} -> {out_channels}, stride {stride}, {padding:?}, dilation {dilation}");
+        let (info, xs, ws, case) = conv_case(dims, out_channels, stride, padding, dilation);
         let x = wave(xs.size(), 0.17);
         let w = wave(ws.size(), 0.37);
         let bias = wave(out_channels, 0.7);
@@ -1071,29 +1086,7 @@ mod tests {
 
     #[test]
     fn conv2d_equals_reference_on_bits_across_geometry() {
-        use Padding::{Same, Valid};
-        // Out-channel counts cover every tile width and their sums; the
-        // 6x7 image makes most windows of a 3x3 (5x5 dilated) filter hang
-        // over a border, batch 0 has no rows at all.
-        let geometries =
-            [(1, Same, 1), (2, Same, 1), (1, Valid, 1), (2, Valid, 1), (1, Same, 2), (2, Valid, 2)];
-        for (stride, padding, dilation) in geometries {
-            for batch in [0, 1, 2] {
-                for in_channels in [1, 3, 8] {
-                    for out_channels in [1, 3, 8, 16, 17, 35] {
-                        check_conv([batch, 6, 7, in_channels], out_channels, stride, padding, dilation);
-                    }
-                }
-            }
-        }
-        // The training step's two layers, and two shapes whose im2col and
-        // product are both split on every pool.
-        check_conv([32, 28, 28, 1], 8, 2, Same, 1);
-        check_conv([32, 14, 14, 8], 16, 2, Same, 1);
-        check_conv([2, 48, 48, 8], 35, 1, Same, 1);
-        check_conv([3, 61, 61, 3], 17, 2, Valid, 2);
-        const { assert!(2 * 48 * 48 * 72 >= SPLIT_WORK) };
-        const { assert!(3 * 29 * 29 * 27 * 17 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
+        conv_geometry_sweep(check_conv);
     }
 
     #[test]
@@ -1122,6 +1115,94 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_input_tap_is_a_term_not_a_skipped_one() {
+        // dW on non-finite operands: `kernels::conv2d_backprop_filter` skips
+        // a term whose gradient is zero, the product skips none. A zero input
+        // against an infinite gradient is `0 · inf`, NaN in both; an infinite
+        // input against a zero gradient is NaN here and finite in the
+        // reference, as a padded tap is in the forward pass above. A 1x1
+        // filter's one element is the sum over all nine pixels.
+        let xs = Shape::new(vec![1, 3, 3, 1]);
+        let ws = Shape::new(vec![1, 1, 1, 1]);
+        let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Valid, (1, 1)).unwrap();
+        let (mut x, mut dy) = (vec![1.0f32; 9], vec![1.0f32; 9]);
+        (x[4], dy[4]) = (0.0, f32::INFINITY);
+        let got = on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool));
+        let want = reference::conv2d_backprop_filter(&x, &dy, &info);
+        assert!(got[0].is_nan() && want[0].is_nan(), "zero input: {got:?} vs {want:?}");
+        (x[4], dy[4]) = (f32::INFINITY, 0.0);
+        let got = on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool));
+        let want = reference::conv2d_backprop_filter(&x, &dy, &info);
+        assert!(got[0].is_nan() && want == [8.0], "zero gradient: {got:?} vs {want:?}");
+    }
+
+    /// `dx` summed in the order the native kernel sums it: for each input
+    /// element, the taps whose window covers it in (fh, fw) order, each one
+    /// a dot over the output channels started from zero.
+    fn dx_in_tap_order(dy: &[f32], w: &[f32], c: &Conv2dInfo) -> Vec<f32> {
+        let (sh, sw) = (c.stride_h as isize, c.stride_w as isize);
+        let mut dx = Vec::new();
+        for b in 0..c.batch {
+            for ih in 0..c.in_height {
+                for iw in 0..c.in_width {
+                    for ic in 0..c.in_channels {
+                        let mut d = 0.0f32;
+                        for fh in 0..c.filter_height {
+                            for fw in 0..c.filter_width {
+                                let nh = (ih + c.pad_top) as isize - (fh * c.dilation_h) as isize;
+                                let nw = (iw + c.pad_left) as isize - (fw * c.dilation_w) as isize;
+                                let (oh, ow) = (nh / sh, nw / sw);
+                                if nh < 0 || nw < 0 || nh % sh != 0 || nw % sw != 0 {
+                                    continue;
+                                }
+                                if oh >= c.out_height as isize || ow >= c.out_width as isize {
+                                    continue;
+                                }
+                                let g = ((b * c.out_height + oh as usize) * c.out_width + ow as usize)
+                                    * c.out_channels;
+                                let f = ((fh * c.filter_width + fw) * c.in_channels + ic) * c.out_channels;
+                                let mut acc = 0.0f32;
+                                for oc in 0..c.out_channels {
+                                    acc += dy[g + oc] * w[f + oc];
+                                }
+                                d += acc;
+                            }
+                        }
+                        dx.push(d);
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    /// Native conv backprops on every pool: `dW` against the reference
+    /// kernel on bits, `dx` against its summation order on bits and the
+    /// reference's scatter order within a tolerance.
+    fn check_conv_backprops(
+        dims: [usize; 4],
+        out_channels: usize,
+        stride: usize,
+        padding: Padding,
+        dilation: usize,
+    ) {
+        let (info, xs, ws, case) = conv_case(dims, out_channels, stride, padding, dilation);
+        let x = wave(xs.size(), 0.21);
+        let w = wave(ws.size(), 0.33);
+        let dy = wave(info.out_shape().size(), 0.47);
+        let dw = on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool));
+        assert_eq!(bits(&dw), bits(&reference::conv2d_backprop_filter(&x, &dy, &info)), "dW {case}");
+        let dx = on_every_pool(|pool| conv2d_backprop_input(&dy, &w, &info, pool));
+        assert_eq!(bits(&dx), bits(&dx_in_tap_order(&dy, &w, &info)), "dx {case}");
+        close(&dx, &reference::conv2d_backprop_input(&dy, &w, &info), 1e-4);
+    }
+
+    #[test]
+    fn conv_backprops_match_reference() {
+        conv_geometry_sweep(check_conv_backprops);
+    }
+
+    #[test]
     fn depthwise_matches_reference() {
         for dims in [[2, 8, 8, 6], [4, 40, 40, 6]] {
             let xs = Shape::new(dims.to_vec());
@@ -1132,28 +1213,6 @@ mod tests {
             let w = wave(ws.size(), 0.41);
             let got = on_every_pool(|pool| depthwise_conv2d(&x, &w, &info, pool));
             close(&got, &reference::depthwise_conv2d(&x, &w, &info), 1e-4);
-        }
-    }
-
-    #[test]
-    fn conv_backprops_match_reference() {
-        for (dims, filter) in [([1, 6, 6, 3], [3, 3, 3, 4]), ([8, 32, 32, 4], [3, 3, 4, 8])] {
-            let xs = Shape::new(dims.to_vec());
-            let ws = Shape::new(filter.to_vec());
-            let info = conv2d_info("t", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
-            let x = wave(xs.size(), 0.21);
-            let w = wave(ws.size(), 0.33);
-            let dy = wave(info.out_shape().size(), 0.47);
-            close(
-                &on_every_pool(|pool| conv2d_backprop_input(&dy, &w, &info, pool)),
-                &reference::conv2d_backprop_input(&dy, &w, &info),
-                1e-4,
-            );
-            close(
-                &on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool)),
-                &reference::conv2d_backprop_filter(&x, &dy, &info),
-                1e-4,
-            );
         }
     }
 

@@ -9,12 +9,13 @@ use webml_core::pool::WorkerPool;
 /// Least work a chunk must hold before an op is split one more way, in the
 /// one unit every call site counts: an element visit — a load, an operation
 /// and a store. A multiply-add of the untiled kernels (depthwise conv, the
-/// quantised product, the three conv backprops) is exactly that, and is
-/// measured at a visit's price (1.8 M of them in 0.72–0.75 ms on one thread,
-/// 0.40 ns each), so those kernels pass their multiply-adds as they are. The
-/// register-tiled product is the one kernel whose multiply-add touches no
-/// memory; `compute::TILED_MACS_PER_VISIT`, kept beside the tile it
-/// describes, says how many of them make a visit.
+/// quantised product) is exactly that, and is measured at a visit's price
+/// (1.8 M of them in the conv backprops' former gather loops took 0.72–0.75 ms
+/// on one thread, 0.40 ns each), so those kernels pass their multiply-adds as
+/// they are; col2im passes its adds. The register-tiled product is the one
+/// kernel whose multiply-add touches no memory;
+/// `compute::TILED_MACS_PER_VISIT`, kept beside the tile it describes, says
+/// how many of them make a visit.
 ///
 /// Derived from what handing a chunk to the parked worker costs *inside a
 /// training step* (2 vCPU Xeon @ 2.10 GHz, release build, per-kernel wall
@@ -32,8 +33,13 @@ use webml_core::pool::WorkerPool;
 /// With every chunk holding at least that much, the hand-off costs a chunk at
 /// most what the chunk itself costs, and the smallest op that is split (two
 /// grains) breaks even when its halves do run in parallel. The 50 176-element
-/// maps of the training step stay whole; its three conv backprop kernels
-/// (0.5–0.9 ms each) are the ones that split, and gain 0.10–0.18 ms each.
+/// maps of the training step stay whole, and so do its conv-2 col2im (113 k
+/// adds) and everything of conv 1; what splits is conv 2's register-tiled
+/// product — forward, `dW` and `dx`, 1.8 M multiply-adds each, 451 k visits.
+/// On a 2-vCPU Sapphire Rapids Xeon (KVM) those three splits gain nothing in
+/// the step: the two-thread step reads 0.95–0.99 of the one-thread one, and
+/// 0.99–1.06 with the three kept whole (EXPERIMENTS.md, "conv backprops as
+/// products").
 ///
 /// The smaller grains lose on both counts. The same step on two threads
 /// against one (the benchmark's `speedup_vs_1thread` with ten times the
@@ -185,12 +191,14 @@ mod tests {
     #[test]
     fn chunks_follow_work_not_output_size() {
         // A 1152-element Mul and the 50 176-element Relu of the training
-        // step stay whole; Conv2DBackpropFilter's 72 filter rows of
-        // 32*7*7*16 multiply-adds each are split; never more ways than cores
-        // or items.
+        // step stay whole, and so does conv 2's col2im (6272 input pixels
+        // of 18 adds); its dW product, 72 filter rows of 32*7*7*16 tiled
+        // multiply-adds each, is split; never more ways than cores or items.
         assert_eq!(chunk_count(2, 1152, 1), 1);
         assert_eq!(chunk_count(2, 50_176, 1), 1);
-        assert_eq!(chunk_count(2, 72, 32 * 7 * 7 * 16), 2);
+        assert_eq!(chunk_count(2, 32 * 14 * 14, 18), 1);
+        let tiled_row = (32 * 7 * 7 * 16usize).div_ceil(crate::compute::TILED_MACS_PER_VISIT);
+        assert_eq!(chunk_count(2, 72, tiled_row), 2);
         assert_eq!(chunk_count(8, 2 * GRAIN - 1, 1), 1);
         assert_eq!(chunk_count(8, 2 * GRAIN, 1), 2);
         assert_eq!(chunk_count(8, 3, usize::MAX), 3);

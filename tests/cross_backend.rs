@@ -210,12 +210,14 @@ fn conv_training_gradients_agree() {
         let x = e.rand_uniform([1, 6, 6, 2], -1.0, 1.0, 20).unwrap();
         let w = e.rand_uniform([3, 3, 2, 4], -0.5, 0.5, 21).unwrap();
         let grads = e
-            .grads(&[&w], || {
+            .grads(&[&x, &w], || {
                 let y = ops::conv2d(&x, &w, (1, 1), Padding::Same, (1, 1))?;
                 ops::sum(&ops::mul(&y, &y)?, None, false)
             })
             .unwrap();
-        grads[0].to_f32_vec().unwrap()
+        let mut out = grads[0].to_f32_vec().unwrap();
+        out.extend(grads[1].to_f32_vec().unwrap());
+        out
     });
     assert_all_agree(&results, 1e-2);
 }

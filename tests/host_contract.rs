@@ -42,6 +42,7 @@ mod contract {
         threads_sharing_a_backend_get_the_single_thread_answer,
         quantized_fused_matmul_matches_the_dequantize_fallback,
         mismatched_per_channel_axis_falls_back_not_errors,
+        conv2d_backprop_filter_equals_the_reference_on_bits,
     );
 }
 
@@ -273,6 +274,32 @@ fn quantized_fused_matmul_matches_the_dequantize_fallback<K: HostKernels>(thread
         assert!((f - s).abs() < 1e-4, "{}: factored {f} vs dequantized {s}", K::NAME);
     }
     assert_eq!(b.memory().num_buffers, 5, "the fallback's f32 temporaries are disposed");
+}
+
+/// Both gradients of the training step's second conv (stride 2, `Same`).
+/// The loss is `Σ y·g` for a fixed `g`, so `dy = g` on every set however its
+/// forward pass sums: `dW` must then equal `cpu`'s to the bit, and `dx` be
+/// within 1e-5 of it.
+fn conv2d_backprop_filter_equals_the_reference_on_bits<K: HostKernels>(threads: usize) {
+    let grads = |e: &Engine| {
+        let x = wave(e, &[32, 14, 14, 8], 0.21);
+        let w = wave(e, &[3, 3, 8, 16], 0.33);
+        let g = wave(e, &[32, 7, 7, 16], 0.47);
+        let grads = e
+            .grads(&[&x, &w], || {
+                let y = ops::conv2d(&x, &w, (2, 2), Padding::Same, (1, 1))?;
+                ops::sum(&ops::mul(&y, &g)?, None, false)
+            })
+            .unwrap();
+        grads.iter().map(|t| t.to_f32_vec().unwrap()).collect::<Vec<_>>()
+    };
+    let (want, got) = (grads(&engine::<Reference>(1)), grads(&engine::<K>(threads)));
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got[1]), bits(&want[1]), "{}: dW", K::NAME);
+    assert_eq!(got[0].len(), want[0].len());
+    for (i, (g, r)) in got[0].iter().zip(&want[0]).enumerate() {
+        assert!((g - r).abs() <= 1e-5, "{}: dx[{i}] {g} vs {r}", K::NAME);
+    }
 }
 
 fn mismatched_per_channel_axis_falls_back_not_errors<K: HostKernels>(threads: usize) {
