@@ -5,10 +5,10 @@
 //! performance plus automatic memory finalization (paper Sec 4.2).
 //!
 //! It is the [`Native`] kernel set over the shared host substrate
-//! ([`webml_core::host`]): hot kernels (matmul, conv2d, depthwise conv,
-//! element-wise maps) are multi-threaded, cache-blocked and written for
-//! autovectorization in [`compute`]; geometry-heavy cold ops are the set's
-//! defaults, the shared reference implementations. Register it together with
+//! ([`webml_core::host`]): one match that sends the hot kernels (matmul,
+//! conv2d, depthwise conv, element-wise maps) to [`compute`], multi-threaded,
+//! cache-blocked and written for autovectorization, and hands every other
+//! call to the shared reference implementations. Register it together with
 //! [`MemoryPolicy::Finalized`](webml_core::MemoryPolicy) to reproduce the
 //! Node.js property that dropping the last handle frees the tensor (no
 //! manual `dispose`/`tidy` needed).
@@ -18,10 +18,11 @@
 pub mod compute;
 pub mod parallel;
 
-use webml_core::backend::{BinaryOp, FusedStep, MatMulGeom, ReduceOp, UnaryOp};
-use webml_core::conv_util::Conv2dInfo;
-use webml_core::host::{HostBackend, HostKernels, Weights};
-use webml_core::kernels as reference;
+use std::borrow::Cow;
+use webml_core::backend::{Epilogue, KernelCall, MatMulGeom, ReduceOp};
+use webml_core::dtype::TensorData;
+use webml_core::host::{HostBackend, HostKernels};
+use webml_core::kernels::{self as reference, Operand};
 use webml_core::pool::WorkerPool;
 use webml_core::shape::Shape;
 
@@ -49,151 +50,98 @@ impl HostKernels for Native {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     }
 
-    fn unary(op: UnaryOp, x: &[f32], pool: &WorkerPool) -> Vec<f32> {
-        compute::unary(op, x, pool)
-    }
-
-    fn binary(
-        op: BinaryOp,
-        x: &[f32],
-        a_shape: &Shape,
-        y: &[f32],
-        b_shape: &Shape,
-        out_shape: &Shape,
+    fn run(
+        call: &KernelCall<'_>,
+        operands: &[Operand<'_>],
+        out: &Shape,
         pool: &WorkerPool,
-    ) -> Vec<f32> {
-        if a_shape == b_shape {
-            compute::binary(op, x, y, pool)
-        } else if is_suffix(a_shape, b_shape) {
-            compute::binary_suffix(op, x, y, false, pool)
-        } else if is_suffix(b_shape, a_shape) {
-            compute::binary_suffix(op, y, x, true, pool)
-        } else {
-            reference::binary(op, x, a_shape, y, b_shape, out_shape)
-        }
-    }
-
-    fn reduce(
-        op: ReduceOp,
-        x: &[f32],
-        shape: &Shape,
-        axes: &[usize],
-        pool: &WorkerPool,
-    ) -> Vec<f32> {
-        // Fast paths: sum/mean over a contiguous tail of axes (row sums) or
-        // a contiguous leading run of them (column sums), when there is
-        // something to add up: an empty sum is the reference's to define.
-        let rank = shape.rank();
-        let size = shape.size();
-        let reduced: usize = axes.iter().map(|&i| shape.dim(i)).product();
-        let sums = (op == ReduceOp::Sum || op == ReduceOp::Mean) && rank > 0;
-        let mean = op == ReduceOp::Mean;
-        if sums && reduced > 0 && axes.iter().copied().eq(rank - axes.len()..rank) {
-            compute::reduce_last(x, size / reduced, reduced, pool, mean)
-        } else if sums && size > 0 && axes.iter().copied().eq(0..axes.len()) {
-            compute::reduce_leading(x, reduced, size / reduced, pool, mean)
-        } else {
-            reference::reduce(op, x, shape, axes)
-        }
-    }
-
-    fn matmul(a: &[f32], b: &[f32], g: &MatMulGeom, pool: &WorkerPool) -> Vec<f32> {
-        compute::matmul(a, b, g.batch, g.m, g.k, g.n, g.transpose_a, g.transpose_b, pool)
-    }
-
-    fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
-        compute::conv2d(x, w, info, pool)
-    }
-
-    fn conv2d_backprop_input(
-        dy: &[f32],
-        w: &[f32],
-        info: &Conv2dInfo,
-        pool: &WorkerPool,
-    ) -> Vec<f32> {
-        compute::conv2d_backprop_input(dy, w, info, pool)
-    }
-
-    fn conv2d_backprop_filter(
-        x: &[f32],
-        dy: &[f32],
-        info: &Conv2dInfo,
-        pool: &WorkerPool,
-    ) -> Vec<f32> {
-        compute::conv2d_backprop_filter(x, dy, info, pool)
-    }
-
-    fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
-        compute::depthwise_conv2d(x, w, info, pool)
-    }
-
-    fn slice(x: &[f32], shape: &Shape, begin: &[usize], size: &[usize]) -> Vec<f32> {
-        compute::slice(x, shape, begin, size)
-    }
-
-    // Fused kernels: a quantized weight operand selects the dequant-free
-    // compute kernel (codes read in place), an f32 one the plain kernel.
-
-    fn fused_matmul(
-        a: &[f32],
-        b: Weights<'_>,
-        g: &MatMulGeom,
-        bias: Option<&[f32]>,
-        activation: Option<UnaryOp>,
-        pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        let &MatMulGeom { batch, m, k, n, transpose_a: ta, transpose_b: tb, .. } = g;
-        Some(match b {
-            Weights::Quant(codes, params) => compute::fused_matmul_quant(
-                a, codes, params, batch, m, k, n, ta, tb, bias, activation, pool,
-            ),
-            Weights::F32(b) => {
-                compute::fused_matmul(a, b, batch, m, k, n, ta, tb, bias, activation, pool)
+    ) -> TensorData {
+        use KernelCall as C;
+        let f = |i: usize| operands[i].values.f32s();
+        let s = |i: usize| operands[i].shape;
+        // Product kernels: a quantized weight operand selects the
+        // dequant-free kernel (codes read in place), a plain call the plain
+        // kernel, any other the fused one.
+        let epilogue = call.epilogue().unwrap_or(Epilogue::None);
+        let bias = epilogue.bias().then(|| operands[2].values.f32s());
+        let (bias, act, plain) = (bias.as_deref(), epilogue.activation(), epilogue.is_plain());
+        let codes = || operands[1].values.codes();
+        TensorData::F32(match call {
+            C::Unary(op) => compute::unary(*op, &f(0), pool),
+            C::Binary(op) => {
+                let (x, y) = (f(0), f(1));
+                if s(0) == s(1) {
+                    compute::binary(*op, &x, &y, pool)
+                } else if is_suffix(s(0), s(1)) {
+                    compute::binary_suffix(*op, &x, &y, false, pool)
+                } else if is_suffix(s(1), s(0)) {
+                    compute::binary_suffix(*op, &y, &x, true, pool)
+                } else {
+                    reference::binary(*op, &x, s(0), &y, s(1), out)
+                }
             }
-        })
-    }
-
-    fn fused_conv2d(
-        x: &[f32],
-        w: Weights<'_>,
-        info: &Conv2dInfo,
-        bias: Option<&[f32]>,
-        activation: Option<UnaryOp>,
-        pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        Some(match w {
-            Weights::Quant(codes, params) => {
-                compute::fused_conv2d_quant(x, codes, params, info, bias, activation, pool)
+            C::Reduce { op, axes } => reduce(*op, &f(0), s(0), axes, pool),
+            C::MatMul { transpose_a: ta, transpose_b: tb, .. } => {
+                let MatMulGeom { batch, m, k, n, .. } = MatMulGeom::of(s(0), s(1), *ta, *tb);
+                let a = f(0);
+                match operands[1].quant {
+                    Some(p) => compute::fused_matmul_quant(
+                        &a, &codes(), p, batch, m, k, n, *ta, *tb, bias, act, pool,
+                    ),
+                    None if plain => compute::matmul(&a, &f(1), batch, m, k, n, *ta, *tb, pool),
+                    None => {
+                        compute::fused_matmul(&a, &f(1), batch, m, k, n, *ta, *tb, bias, act, pool)
+                    }
+                }
             }
-            Weights::F32(w) => compute::fused_conv2d(x, w, info, bias, activation, pool),
+            C::Conv2d { info, .. } => match operands[1].quant {
+                Some(p) => compute::fused_conv2d_quant(&f(0), &codes(), p, info, bias, act, pool),
+                None if plain => compute::conv2d(&f(0), &f(1), info, pool),
+                None => compute::fused_conv2d(&f(0), &f(1), info, bias, act, pool),
+            },
+            C::DepthwiseConv2d { info, .. } => match operands[1].quant {
+                Some(p) => {
+                    compute::fused_depthwise_conv2d_quant(&f(0), &codes(), p, info, bias, act, pool)
+                }
+                None if plain => compute::depthwise_conv2d(&f(0), &f(1), info, pool),
+                None => compute::fused_depthwise_conv2d(&f(0), &f(1), info, bias, act, pool),
+            },
+            C::Conv2dBackpropInput(info) => {
+                compute::conv2d_backprop_input(&f(0), &f(1), info, pool)
+            }
+            C::Conv2dBackpropFilter(info) => {
+                compute::conv2d_backprop_filter(&f(0), &f(1), info, pool)
+            }
+            C::Slice { begin, size } => compute::slice(&f(0), s(0), begin, size),
+            C::FusedElementwise(steps) => {
+                let extras: Vec<Cow<'_, [f32]>> = (1..operands.len()).map(f).collect();
+                let extras: Vec<(&[f32], &[usize])> = extras
+                    .iter()
+                    .zip(&operands[1..])
+                    .map(|(v, o)| (&**v, o.shape.dims()))
+                    .collect();
+                compute::fused_elementwise(&f(0), s(0).dims(), &extras, steps, out.dims(), pool)
+            }
+            _ => return reference::run(call, operands, out),
         })
     }
+}
 
-    fn fused_depthwise_conv2d(
-        x: &[f32],
-        w: Weights<'_>,
-        info: &Conv2dInfo,
-        bias: Option<&[f32]>,
-        activation: Option<UnaryOp>,
-        pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        Some(match w {
-            Weights::Quant(codes, params) => compute::fused_depthwise_conv2d_quant(
-                x, codes, params, info, bias, activation, pool,
-            ),
-            Weights::F32(w) => compute::fused_depthwise_conv2d(x, w, info, bias, activation, pool),
-        })
-    }
-
-    fn fused_elementwise(
-        x: &[f32],
-        x_dims: &[usize],
-        extras: &[(&[f32], &[usize])],
-        steps: &[FusedStep],
-        out_dims: &[usize],
-        pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        Some(compute::fused_elementwise(x, x_dims, extras, steps, out_dims, pool))
+/// Sum and mean over a contiguous tail of axes (row sums) or a contiguous
+/// leading run of them (column sums) have fast paths, when there is
+/// something to add up: an empty sum is the reference's to define.
+fn reduce(op: ReduceOp, x: &[f32], shape: &Shape, axes: &[usize], pool: &WorkerPool) -> Vec<f32> {
+    let rank = shape.rank();
+    let size = shape.size();
+    let reduced: usize = axes.iter().map(|&i| shape.dim(i)).product();
+    let sums = (op == ReduceOp::Sum || op == ReduceOp::Mean) && rank > 0;
+    let mean = op == ReduceOp::Mean;
+    if sums && reduced > 0 && axes.iter().copied().eq(rank - axes.len()..rank) {
+        compute::reduce_last(x, size / reduced, reduced, pool, mean)
+    } else if sums && size > 0 && axes.iter().copied().eq(0..axes.len()) {
+        compute::reduce_leading(x, reduced, size / reduced, pool, mean)
+    } else {
+        reference::reduce(op, x, shape, axes)
     }
 }
 
@@ -201,7 +149,7 @@ impl HostKernels for Native {
 mod tests {
     use super::*;
     use std::sync::Arc as StdArc;
-    use webml_core::backend::{Backend, KTensor};
+    use webml_core::backend::{Backend, BinaryOp, KTensor};
     use webml_core::dtype::{DType, TensorData};
     use webml_core::ops;
     use webml_core::{Engine, MemoryPolicy};
@@ -262,7 +210,8 @@ mod tests {
         // that neither fast path takes.
         for axes in [&[1, 2][..], &[2], &[0, 1], &[0], &[1], &[0, 1, 2]] {
             for op in [ReduceOp::Sum, ReduceOp::Mean] {
-                let got = b.read_sync(b.reduce(op, &t, axes).unwrap()).unwrap().to_f32_vec();
+                let call = KernelCall::Reduce { op, axes: axes.into() };
+                let got = b.read_sync(b.run(&call, &[t]).unwrap()).unwrap().to_f32_vec();
                 let want = reference::reduce(op, &x, &shape, axes);
                 assert!(
                     got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
@@ -296,11 +245,15 @@ mod tests {
         let v = put(&v_shape, 0.41);
         let k = |id, shape| KTensor::new(id, shape, DType::F32);
         let v = k(v, &v_shape);
+        let plain = Epilogue::None;
+        let conv = KernelCall::Conv2d { info: Cow::Borrowed(&info), epilogue: plain };
+        let matmul = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue: plain };
         let outs = [
-            backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), None, None, &info).unwrap(),
-            backend.matmul(&k(a, &a_shape), &k(b, &b_shape), None, None, false, false).unwrap(),
-            backend.binary(BinaryOp::Add, &v, &v, &v_shape, DType::F32).unwrap(),
-        ];
+            backend.run(&conv, &[k(x, &x_shape), k(w, &w_shape)]),
+            backend.run(&matmul, &[k(a, &a_shape), k(b, &b_shape)]),
+            backend.run(&KernelCall::Binary(BinaryOp::Add), &[v, v]),
+        ]
+        .map(Result::unwrap);
         outs.iter().map(|&id| backend.read_sync(id).unwrap().to_f32_vec()).collect()
     }
 

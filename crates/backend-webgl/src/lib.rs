@@ -5,9 +5,9 @@
 //! (device or host), registration, lazy re-upload and recovery after a
 //! context loss, the `data()`/`dataSync()` readback paths of Figures 2
 //! and 3, fences, timing, the byte ledger, the "rejected fused kernel →
-//! unfused composition" tail, and the kernel methods of the [`Backend`]
-//! trait. A [`Rung`] — a capability descriptor of the
-//! [`webml_webgl_sim`] device core plus a [`KernelSet`] — is the only
+//! unfused composition" tail, and [`Backend::run`]. A [`Rung`] — a
+//! capability descriptor of the [`webml_webgl_sim`] device core plus the
+//! one function that builds its program for a [`KernelCall`] — is the only
 //! per-API part.
 //!
 //! This crate also holds the first rung, [`WebGl`] (paper Sec 4.1): kernels
@@ -20,24 +20,17 @@
 
 #![warn(missing_docs)]
 
-pub mod kernels;
 pub mod programs;
-
-pub use kernels::{KernelSet, MatMulGeom};
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webml_core::backend::{
-    fused_conv2d_fallback, fused_depthwise_conv2d_fallback, fused_elementwise_fallback,
-    fused_matmul_fallback, is_plain, ArgReduceOp, Backend, BackendMemory, BinaryOp, DataFuture,
-    DataId, FenceToken, FusedStep, KTensor, PoolOp, ReduceOp, UnaryOp,
+    compose, Backend, BackendMemory, DataFuture, DataId, FenceToken, KTensor, KernelCall,
 };
-use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::{DType, TensorData};
 use webml_core::error::{Error, Result};
-use webml_core::shape::Shape;
 use webml_webgl_sim::caps::Capabilities;
 use webml_webgl_sim::context::{ContextConfig, DeviceError, FenceHandle, GpgpuContext, Handle};
 use webml_webgl_sim::devices::DeviceProfile;
@@ -51,8 +44,20 @@ pub trait Rung: Send + Sync + 'static {
     type Config: Into<ContextConfig>;
     /// What the API can do; `CAPS.api` is the default registry name.
     const CAPS: &'static Capabilities;
-    /// The API's kernels.
-    const KERNELS: &'static KernelSet;
+
+    /// The program that runs `call` over `operands` — bound in the order the
+    /// call lists them, read under their logical shapes — into `out`, the
+    /// dims [`KernelCall::output`] gave; `packed` asks for the RGBA-texel
+    /// variant where the API has one (the context's packing switch).
+    ///
+    /// # Errors
+    /// The API has no program for the call.
+    fn kernel(
+        call: &KernelCall<'_>,
+        operands: &[KTensor<'_>],
+        out: &[usize],
+        packed: bool,
+    ) -> Result<Kernel>;
 }
 
 /// The WebGL rung: fragment programs over float textures.
@@ -61,7 +66,15 @@ pub struct WebGl;
 impl Rung for WebGl {
     type Config = ContextConfig;
     const CAPS: &'static Capabilities = &webml_webgl_sim::WEBGL;
-    const KERNELS: &'static KernelSet = &programs::KERNELS;
+
+    fn kernel(
+        call: &KernelCall<'_>,
+        operands: &[KTensor<'_>],
+        out: &[usize],
+        packed: bool,
+    ) -> Result<Kernel> {
+        programs::kernel(call, operands, out, packed)
+    }
 }
 
 /// Re-exported configuration of the underlying GPGPU context.
@@ -233,60 +246,6 @@ impl<R: Rung> GpuBackend<R> {
         id
     }
 
-    /// Dispatch `kernel` over `inputs`, bound in order.
-    fn run(&self, kernel: Kernel, inputs: &[&KTensor<'_>], dtype: DType) -> Result<DataId> {
-        let views: Vec<Handle> = inputs.iter().map(|t| self.view(t)).collect::<Result<_>>()?;
-        let out = self.ctx.run(kernel, &views).map_err(|e| self.classify(e))?;
-        Ok(self.insert(Residency::Device(out), dtype))
-    }
-
-    /// Dispatch a fused `kernel`. When the driver rejects it at compile time
-    /// (an injected fault or a driver quirk), answer with `fallback`, the
-    /// unfused composition on this same backend, instead of surfacing the
-    /// error — fusion must never make the degradation ladder worse than the
-    /// unfused path.
-    fn run_fused(
-        &self,
-        kernel: Kernel,
-        inputs: &[&KTensor<'_>],
-        fallback: impl FnOnce() -> Result<DataId>,
-    ) -> Result<DataId> {
-        let name = kernel.name;
-        match self.run(kernel, inputs, DType::F32) {
-            Err(Error::KernelUnsupported { .. }) => {
-                note_fused_fallback(R::CAPS.api, name);
-                fallback()
-            }
-            r => r,
-        }
-    }
-
-    /// Dispatch a product kernel over `x`, the weight `w` and the bias. The
-    /// plain kernel (f32 weight, empty epilogue) surfaces a rejection like
-    /// any kernel, so the engine can degrade; a fused one answers it with
-    /// `fallback`.
-    fn run_product(
-        &self,
-        kernel: Kernel,
-        x: &KTensor<'_>,
-        w: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        fallback: impl FnOnce() -> Result<DataId>,
-    ) -> Result<DataId> {
-        let inputs: Vec<&KTensor<'_>> = [x, w].into_iter().chain(bias).collect();
-        if is_plain(w, bias, activation) {
-            self.run(kernel, &inputs, DType::F32)
-        } else {
-            self.run_fused(kernel, &inputs, fallback)
-        }
-    }
-
-    /// The packing switch handed to the kernel set.
-    fn packing(&self) -> bool {
-        self.ctx.config().packing
-    }
-
     /// Where a read of `id` is served from.
     fn locate(&self, id: DataId) -> Result<ReadFrom> {
         let store = self.store.lock();
@@ -433,227 +392,24 @@ impl<R: Rung> Backend for GpuBackend<R> {
         Some(self.ctx.device_nanos())
     }
 
-    fn unary(&self, op: UnaryOp, a: &KTensor<'_>) -> Result<DataId> {
-        let kernel = (R::KERNELS.unary)(op, a.shape.dims(), self.packing());
-        self.run(kernel, &[a], op.out_dtype(a.dtype))
-    }
-
-    fn binary(
-        &self,
-        op: BinaryOp,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        out_shape: &Shape,
-        out_dtype: DType,
-    ) -> Result<DataId> {
-        let dims = (a.shape.dims(), b.shape.dims(), out_shape.dims());
-        let kernel = (R::KERNELS.binary)(op, dims.0, dims.1, dims.2, self.packing());
-        self.run(kernel, &[a, b], out_dtype)
-    }
-
-    fn cast(&self, a: &KTensor<'_>, dtype: DType) -> Result<DataId> {
-        self.run((R::KERNELS.cast)(a.shape.dims(), dtype), &[a], dtype)
-    }
-
-    fn reduce(&self, op: ReduceOp, a: &KTensor<'_>, axes: &[usize]) -> Result<DataId> {
-        self.run((R::KERNELS.reduce)(op, a.shape.dims(), axes), &[a], op.out_dtype(a.dtype))
-    }
-
-    fn arg_reduce(&self, op: ArgReduceOp, a: &KTensor<'_>, axis: usize) -> Result<DataId> {
-        self.run((R::KERNELS.arg_reduce)(op, a.shape.dims(), axis), &[a], DType::I32)
-    }
-
-    // Product kernels: one dispatch each, the epilogue applied in-register.
-    // A quantized weight operand selects the dequant-free kernel, which
-    // reads the u8 codes in place.
-
-    fn matmul(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId> {
-        let geom = MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
-        let epilogue = (bias.is_some(), activation);
-        let kernel = match b.quant {
-            Some(params) => (R::KERNELS.fused_matmul_quant)(&geom, params, epilogue),
-            None => (R::KERNELS.matmul)(&geom, self.packing(), epilogue),
-        };
-        self.run_product(kernel, a, b, bias, activation, || {
-            fused_matmul_fallback(self, a, b, bias, activation, transpose_a, transpose_b)
-        })
-    }
-
-    fn conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let epilogue = (bias.is_some(), activation);
-        let kernel = match filter.quant {
-            Some(params) => (R::KERNELS.fused_conv2d_quant)(info, params, epilogue),
-            None => (R::KERNELS.conv2d)(info, self.packing(), epilogue),
-        };
-        self.run_product(kernel, x, filter, bias, activation, || {
-            fused_conv2d_fallback(self, x, filter, bias, activation, info)
-        })
-    }
-
-    fn conv2d_backprop_input(
-        &self,
-        dy: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.run((R::KERNELS.conv2d_backprop_input)(info), &[dy, filter], DType::F32)
-    }
-
-    fn conv2d_backprop_filter(
-        &self,
-        x: &KTensor<'_>,
-        dy: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.run((R::KERNELS.conv2d_backprop_filter)(info), &[x, dy], DType::F32)
-    }
-
-    fn depthwise_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        let epilogue = (bias.is_some(), activation);
-        let kernel = match filter.quant {
-            Some(params) => (R::KERNELS.fused_depthwise_conv2d_quant)(info, params, epilogue),
-            None => (R::KERNELS.depthwise_conv2d)(info, self.packing(), epilogue),
-        };
-        self.run_product(kernel, x, filter, bias, activation, || {
-            fused_depthwise_conv2d_fallback(self, x, filter, bias, activation, info)
-        })
-    }
-
-    fn depthwise_conv2d_backprop_input(
-        &self,
-        dy: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.run((R::KERNELS.depthwise_conv2d_backprop_input)(info), &[dy, filter], DType::F32)
-    }
-
-    fn depthwise_conv2d_backprop_filter(
-        &self,
-        x: &KTensor<'_>,
-        dy: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.run((R::KERNELS.depthwise_conv2d_backprop_filter)(info), &[x, dy], DType::F32)
-    }
-
-    fn pool2d(&self, op: PoolOp, x: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId> {
-        self.run((R::KERNELS.pool2d)(op, info), &[x], x.dtype)
-    }
-
-    fn pool2d_backprop(
-        &self,
-        op: PoolOp,
-        dy: &KTensor<'_>,
-        x: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId> {
-        self.run((R::KERNELS.pool2d_backprop)(op, info), &[dy, x], DType::F32)
-    }
-
-    fn slice(&self, x: &KTensor<'_>, begin: &[usize], size: &[usize]) -> Result<DataId> {
-        self.run((R::KERNELS.slice)(x.shape.dims(), begin, size), &[x], x.dtype)
-    }
-
-    fn concat(&self, xs: &[KTensor<'_>], axis: usize) -> Result<DataId> {
-        let dims: Vec<&[usize]> = xs.iter().map(|t| t.shape.dims()).collect();
-        self.run((R::KERNELS.concat)(&dims, axis), &xs.iter().collect::<Vec<_>>(), xs[0].dtype)
-    }
-
-    fn transpose(&self, x: &KTensor<'_>, perm: &[usize]) -> Result<DataId> {
-        self.run((R::KERNELS.transpose)(x.shape.dims(), perm), &[x], x.dtype)
-    }
-
-    fn pad(&self, x: &KTensor<'_>, paddings: &[(usize, usize)], value: f32) -> Result<DataId> {
-        self.run((R::KERNELS.pad)(x.shape.dims(), paddings, value), &[x], x.dtype)
-    }
-
-    fn gather(&self, x: &KTensor<'_>, indices: &KTensor<'_>, axis: usize) -> Result<DataId> {
-        let kernel = (R::KERNELS.gather)(x.shape.dims(), axis, indices.shape.size());
-        self.run(kernel, &[x, indices], x.dtype)
-    }
-
-    fn tile(&self, x: &KTensor<'_>, reps: &[usize]) -> Result<DataId> {
-        self.run((R::KERNELS.tile)(x.shape.dims(), reps), &[x], x.dtype)
-    }
-
-    fn reverse(&self, x: &KTensor<'_>, axes: &[usize]) -> Result<DataId> {
-        self.run((R::KERNELS.reverse)(x.shape.dims(), axes), &[x], x.dtype)
-    }
-
-    fn select(
-        &self,
-        cond: &KTensor<'_>,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        out_shape: &Shape,
-    ) -> Result<DataId> {
-        let dims = (cond.shape.dims(), a.shape.dims(), b.shape.dims());
-        let kernel = (R::KERNELS.select)(dims.0, dims.1, dims.2, out_shape.dims());
-        self.run(kernel, &[cond, a, b], a.dtype)
-    }
-
-    fn one_hot(&self, indices: &KTensor<'_>, depth: usize, on: f32, off: f32) -> Result<DataId> {
-        let kernel = (R::KERNELS.one_hot)(indices.shape.dims(), depth, on, off);
-        self.run(kernel, &[indices], DType::F32)
-    }
-
-    fn resize_bilinear(
-        &self,
-        x: &KTensor<'_>,
-        new_h: usize,
-        new_w: usize,
-        align_corners: bool,
-    ) -> Result<DataId> {
-        let kernel = (R::KERNELS.resize_bilinear)(x.shape.dims(), new_h, new_w, align_corners);
-        self.run(kernel, &[x], DType::F32)
-    }
-
-    fn fused_elementwise(
-        &self,
-        x: &KTensor<'_>,
-        extras: &[KTensor<'_>],
-        steps: &[FusedStep],
-        out_shape: &Shape,
-    ) -> Result<DataId> {
-        if steps.is_empty() {
-            return Err(Error::invalid("FusedElementwise", "steps must be non-empty"));
+    // A fused program the driver rejects at compile time (an injected fault
+    // or a driver quirk) is answered with the unfused composition on this
+    // same backend instead of the error — fusion must never make the
+    // degradation ladder worse than the unfused path. A plain kernel
+    // surfaces its rejection, so the engine can degrade.
+    fn run(&self, call: &KernelCall<'_>, operands: &[KTensor<'_>]) -> Result<DataId> {
+        let (out, dtype) = call.output(operands)?;
+        let kernel = R::kernel(call, operands, out.dims(), self.ctx.config().packing)?;
+        let name = kernel.name;
+        let views: Vec<Handle> = operands.iter().map(|t| self.view(t)).collect::<Result<_>>()?;
+        match self.ctx.run(kernel, &views) {
+            Ok(handle) => Ok(self.insert(Residency::Device(handle), dtype)),
+            Err(DeviceError::Compile { .. }) if call.is_fused() => {
+                note_fused_fallback(R::CAPS.api, name);
+                compose(self, call, operands)
+            }
+            Err(e) => Err(self.classify(e)),
         }
-        if let Some(i) = steps.iter().find_map(|step| match *step {
-            FusedStep::Binary(_, i) if i >= extras.len() => Some(i),
-            _ => None,
-        }) {
-            let msg = format!("binary step references extra {i} of {}", extras.len());
-            return Err(Error::invalid("FusedElementwise", msg));
-        }
-        let inputs: Vec<&KTensor<'_>> = std::iter::once(x).chain(extras).collect();
-        let dims: Vec<&[usize]> = inputs.iter().map(|t| t.shape.dims()).collect();
-        let kernel = (R::KERNELS.fused_elementwise)(&dims, steps, out_shape.dims())?;
-        self.run_fused(kernel, &inputs, || {
-            fused_elementwise_fallback(self, x, extras, steps, out_shape)
-        })
     }
 }
 
@@ -663,6 +419,8 @@ impl<R: Rung> Backend for GpuBackend<R> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use webml_core::backend::{Epilogue, UnaryOp};
+    use webml_core::shape::Shape;
     use webml_core::ops;
     use webml_core::Engine;
 
@@ -740,8 +498,9 @@ mod tests {
                 "t", &shapes.0, &shapes.1, (1, 1), Padding::Same, (1, 1),
             )
             .unwrap();
-            let unfused = programs::depthwise_conv2d(&info, packing, (false, None));
-            let fused = programs::depthwise_conv2d(&info, packing, (true, None));
+            let (out, fused) = (info.out_shape(), Epilogue::Fused { bias: true, activation: None });
+            let unfused = programs::depthwise_conv2d(&info, packing, Epilogue::None, out.dims());
+            let fused = programs::depthwise_conv2d(&info, packing, fused, out.dims());
             assert_eq!(unfused.is_packed(), fused.is_packed());
             (unfused.name, fused.name)
         };

@@ -1,47 +1,77 @@
 //! Shader-program builders: every kernel re-expressed as a per-output
 //! gather computation (fragment shaders cannot scatter), in the style of
-//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul). The
-//! builders are WebGL's [`KernelSet`]: [`KERNELS`] lists them.
+//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul). [`kernel`]
+//! is WebGL's one match from a [`KernelCall`] to its builder; every builder
+//! takes the output dims [`KernelCall::output`] gave.
 
-use crate::kernels::{Epilogue, KernelSet, MatMulGeom};
-use webml_core::backend::{ArgReduceOp, BinaryOp, FusedStep, PoolOp, ReduceOp, UnaryOp};
+use webml_core::backend::{
+    ArgReduceOp, BinaryOp, Epilogue, FusedStep, KTensor, KernelCall, MatMulGeom, PoolOp,
+    ReduceOp, UnaryOp,
+};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::DType;
 use webml_core::error::Result;
 use webml_core::quant::QuantParams;
 use webml_webgl_sim::shader::{Kernel, Samplers};
 
-/// The fragment-program kernel set.
-pub const KERNELS: KernelSet = KernelSet {
-    unary,
-    binary,
-    cast,
-    reduce,
-    arg_reduce,
-    matmul,
-    fused_matmul_quant,
-    conv2d,
-    fused_conv2d_quant,
-    conv2d_backprop_input,
-    conv2d_backprop_filter,
-    depthwise_conv2d,
-    fused_depthwise_conv2d_quant,
-    depthwise_conv2d_backprop_input,
-    depthwise_conv2d_backprop_filter,
-    pool2d,
-    pool2d_backprop,
-    slice,
-    concat,
-    transpose,
-    pad,
-    gather,
-    tile,
-    reverse,
-    select,
-    one_hot,
-    resize_bilinear,
-    fused_elementwise,
-};
+/// The fragment program for `call` over `operands` into `out` (see
+/// [`crate::Rung::kernel`]). A product call over a quantized weight takes
+/// the dequant-free program, which samples the `R8` codes.
+pub fn kernel(
+    call: &KernelCall<'_>,
+    operands: &[KTensor<'_>],
+    out: &[usize],
+    packed: bool,
+) -> Result<Kernel> {
+    use KernelCall as C;
+    let dims = |i: usize| operands[i].shape.dims();
+    let quant = || operands[1].quant;
+    Ok(match call {
+        C::Unary(op) => unary(*op, out, packed),
+        C::Binary(op) => binary(*op, dims(0), dims(1), out, packed),
+        C::Cast(dtype) => cast(out, *dtype),
+        C::Reduce { op, axes } => reduce(*op, dims(0), axes, out),
+        C::ArgReduce { op, axis } => arg_reduce(*op, dims(0), *axis, out),
+        C::MatMul { transpose_a, transpose_b, epilogue } => {
+            let (a, b) = (operands[0].shape, operands[1].shape);
+            let geom = MatMulGeom::of(a, b, *transpose_a, *transpose_b);
+            match quant() {
+                Some(params) => fused_matmul_quant(&geom, params, *epilogue, out),
+                None => matmul(&geom, packed, *epilogue, out),
+            }
+        }
+        C::Conv2d { info, epilogue } => match quant() {
+            Some(params) => fused_conv2d_quant(info, params, *epilogue, out),
+            None => conv2d(info, packed, *epilogue, out),
+        },
+        C::Conv2dBackpropInput(info) => conv2d_backprop_input(info, out),
+        C::Conv2dBackpropFilter(info) => conv2d_backprop_filter(info, out),
+        C::DepthwiseConv2d { info, epilogue } => match quant() {
+            Some(params) => fused_depthwise_conv2d_quant(info, params, *epilogue, out),
+            None => depthwise_conv2d(info, packed, *epilogue, out),
+        },
+        C::DepthwiseConv2dBackpropInput(info) => depthwise_conv2d_backprop_input(info, out),
+        C::DepthwiseConv2dBackpropFilter(info) => depthwise_conv2d_backprop_filter(info, out),
+        C::Pool2d { op, info } => pool2d(*op, info, out),
+        C::Pool2dBackprop { op, info } => pool2d_backprop(*op, info, out),
+        C::Slice { begin, .. } => slice(dims(0), begin, out),
+        C::Concat { axis } => {
+            concat(&operands.iter().map(|t| t.shape.dim(*axis)).collect::<Vec<_>>(), *axis, out)
+        }
+        C::Transpose { perm } => transpose(perm, out),
+        C::Pad { paddings, value } => pad(dims(0), paddings, *value, out),
+        C::Gather { axis } => gather(dims(0), *axis, out),
+        C::Tile { .. } => tile(dims(0), out),
+        C::Reverse { axes } => reverse(axes, out),
+        C::Select => select(dims(0), dims(1), dims(2), out),
+        C::OneHot { depth, on, off } => one_hot(*depth, *on, *off, out),
+        C::ResizeBilinear { align_corners, .. } => resize_bilinear(dims(0), *align_corners, out),
+        C::FusedElementwise(steps) => {
+            let dims: Vec<&[usize]> = operands.iter().map(|t| t.shape.dims()).collect();
+            fused_elementwise(&dims, steps, out)
+        }
+    })
+}
 
 /// Maximum tensor rank supported by the shader address math.
 pub const MAX_RANK: usize = 8;
@@ -94,8 +124,8 @@ fn straddling_texel(base: usize, total: usize, one: impl Fn(usize) -> f32) -> [f
 
 /// Element-wise unary kernel. Uses a packed (RGBA texel) body when
 /// requested: one invocation computes 4 consecutive outputs.
-pub fn unary(op: UnaryOp, dims: &[usize], packed: bool) -> Kernel {
-    let out_shape = dims.to_vec();
+pub fn unary(op: UnaryOp, out: &[usize], packed: bool) -> Kernel {
+    let out_shape = out.to_vec();
     if packed {
         // Lanes past the end read the texture's zero padding and are dropped
         // by the store.
@@ -148,8 +178,8 @@ pub fn binary(
 }
 
 /// Cast kernel (values live in float textures; semantics applied here).
-pub fn cast(dims: &[usize], dtype: DType) -> Kernel {
-    Kernel::per_element("Cast", dims.to_vec(), move |s, flat, _| {
+pub fn cast(out: &[usize], dtype: DType) -> Kernel {
+    Kernel::per_element("Cast", out.to_vec(), move |s, flat, _| {
         let v = s.get_flat(0, flat);
         match dtype {
             DType::F32 | DType::F16 => v,
@@ -162,15 +192,14 @@ pub fn cast(dims: &[usize], dtype: DType) -> Kernel {
 
 /// Reduction over `axes`: each output walks its reduced subspace (a naive
 /// O(k)-per-output WebGL reduce; no shared memory to build a tree with).
-pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize]) -> Kernel {
+pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize], out: &[usize]) -> Kernel {
     let (in_dims, axes) = (in_dims.to_vec(), axes.to_vec());
     let reduce_dims: Vec<usize> = axes.iter().map(|&i| in_dims[i]).collect();
     let count: usize = reduce_dims.iter().product::<usize>().max(1);
     let cost = count.max(1);
     let kept_axes: Vec<usize> =
         (0..in_dims.len()).filter(|i| !axes.contains(i)).collect();
-    let out_shape = kept_axes.iter().map(|&i| in_dims[i]).collect();
-    Kernel::per_element("Reduce", out_shape, move |s, _, out_coords| {
+    Kernel::per_element("Reduce", out.to_vec(), move |s, _, out_coords| {
         let mut in_coords = [0usize; MAX_RANK];
         for (k, &ax) in kept_axes.iter().enumerate() {
             in_coords[ax] = out_coords[k];
@@ -202,12 +231,10 @@ pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize]) -> Kernel {
 
 /// Arg-reduction along one axis.
 #[allow(clippy::needless_range_loop)] // coordinate scatter across two arrays
-pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize) -> Kernel {
+pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize, out: &[usize]) -> Kernel {
     let in_dims = in_dims.to_vec();
     let n = in_dims[axis];
-    let mut out_shape = in_dims.clone();
-    out_shape.remove(axis);
-    Kernel::per_element("ArgReduce", out_shape, move |s, _, out_coords| {
+    Kernel::per_element("ArgReduce", out.to_vec(), move |s, _, out_coords| {
         let mut in_coords = [0usize; MAX_RANK];
         let mut k = 0;
         for i in 0..in_dims.len() {
@@ -272,16 +299,17 @@ fn dot_operands<'a>(
 /// A non-empty epilogue is fused in-register and makes it the `FusedMatMul`
 /// program: the whole `matmul → add → activation` chain in one draw call,
 /// no intermediate textures. Bias (when present) is sampler input 2,
-/// indexed by output column.
-pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kernel {
-    let names = match epilogue {
-        (false, None) => ("MatMul", "MatMulPacked"),
-        _ => ("FusedMatMul", "FusedMatMulPacked"),
+/// indexed by output column. Outputs are addressed by flat index, the
+/// `[batch, m, n]` order a rank-2 product's `[m, n]` shares.
+pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue, out: &[usize]) -> Kernel {
+    let names = match epilogue.is_plain() {
+        true => ("MatMul", "MatMulPacked"),
+        false => ("FusedMatMul", "FusedMatMulPacked"),
     };
-    let (has_bias, activation) = epilogue;
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let geom = *geom;
     let MatMulGeom { batch, m, k, n, transpose_b, .. } = geom;
-    let out_shape = vec![batch, m, n];
+    let out_shape = out.to_vec();
     let cost = (k * 2).max(1);
     // One output, epilogue applied.
     let one = move |s: &Samplers<'_>, (b, i, j): (usize, usize, usize)| {
@@ -322,8 +350,10 @@ pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kernel {
         })
         .with_cost(cost);
     }
-    Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, (at[0], at[1], at[2])))
-        .with_cost(cost)
+    Kernel::per_element(names.0, out_shape, move |s, flat, _| {
+        one(s, (flat / n / m, flat / n % m, flat % n))
+    })
+    .with_cost(cost)
 }
 
 /// Quantized-weight fused matmul: input 1 is an `R8` codes texture
@@ -336,15 +366,17 @@ pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue) -> Kernel {
 pub fn fused_matmul_quant(
     geom: &MatMulGeom,
     params: &QuantParams,
-    (has_bias, activation): Epilogue,
+    epilogue: Epilogue,
+    out: &[usize],
 ) -> Kernel {
     let (geom, params) = (*geom, params.clone());
-    let out_shape = vec![geom.batch, geom.m, geom.n];
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+    let (m, n) = (geom.m, geom.n);
     let cost = (geom.k * 3).max(1);
-    Kernel::per_element("FusedMatMulQuant", out_shape, move |s, _, at| {
-        let j = at[2];
+    Kernel::per_element("FusedMatMulQuant", out.to_vec(), move |s, flat, _| {
+        let j = flat % n;
         let (mut acc_q, mut acc_a) = (0.0f32, 0.0f32);
-        for (&av, &qv) in dot_operands(s, &geom, (at[0], at[1], j)) {
+        for (&av, &qv) in dot_operands(s, &geom, (flat / n / m, flat / n % m, j)) {
             acc_q += av * qv;
             acc_a += av;
         }
@@ -361,12 +393,13 @@ pub fn fused_matmul_quant(
 pub fn fused_conv2d_quant(
     info: &Conv2dInfo,
     params: &QuantParams,
-    (has_bias, activation): Epilogue,
+    epilogue: Epilogue,
+    out: &[usize],
 ) -> Kernel {
     let (c, params) = (info.clone(), params.clone());
-    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let cost = c.filter_height * c.filter_width * c.in_channels * 3;
-    Kernel::per_element("FusedConv2DQuant", out_shape, move |s, _, at| {
+    Kernel::per_element("FusedConv2DQuant", out.to_vec(), move |s, _, at| {
         let oc = at[3];
         let (mut acc_q, mut acc_x) = (0.0f32, 0.0f32);
         for_each_conv_step(s.tex(0), s.tex(1), &c, (at[0], at[1], at[2]), |xv, row| {
@@ -384,12 +417,13 @@ pub fn fused_conv2d_quant(
 pub fn fused_depthwise_conv2d_quant(
     info: &Conv2dInfo,
     params: &QuantParams,
-    (has_bias, activation): Epilogue,
+    epilogue: Epilogue,
+    out: &[usize],
 ) -> Kernel {
     let (c, params) = (info.clone(), params.clone());
-    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let cost = c.filter_height * c.filter_width * 3;
-    Kernel::per_element("FusedDepthwiseConv2DQuant", out_shape, move |s, _, at| {
+    Kernel::per_element("FusedDepthwiseConv2DQuant", out.to_vec(), move |s, _, at| {
         let (x, w, och) = (s.tex(0), s.tex(1), at[3]);
         let (ic, m) = (och / c.channel_mul, och % c.channel_mul);
         let (mut acc_q, mut acc_x) = (0.0f32, 0.0f32);
@@ -470,14 +504,14 @@ fn for_each_conv_step<'a>(
 /// the packed-conv win behind the paper's 1.3-1.4x PoseNet speedup. A
 /// non-empty epilogue is fused in-register (`FusedConv2D`); bias (when
 /// present) is sampler input 2, indexed by output channel.
-pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
-    let names = match epilogue {
-        (false, None) => ("Conv2D", "Conv2DPacked"),
-        _ => ("FusedConv2D", "FusedConv2DPacked"),
+pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue, out: &[usize]) -> Kernel {
+    let names = match epilogue.is_plain() {
+        true => ("Conv2D", "Conv2DPacked"),
+        false => ("FusedConv2D", "FusedConv2DPacked"),
     };
-    let (has_bias, activation) = epilogue;
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let c = info.clone();
-    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let out_shape = out.to_vec();
     let cost = c.filter_height * c.filter_width * c.in_channels * 2;
     // One output: channel `oc` of the pixel at `at`, epilogue applied.
     let one = move |s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), oc: usize| {
@@ -512,10 +546,9 @@ pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
 }
 
 /// Gather-form gradient of conv2d w.r.t. the input.
-pub fn conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
+pub fn conv2d_backprop_input(info: &Conv2dInfo, out: &[usize]) -> Kernel {
     let info = info.clone();
-    let out_shape = vec![info.batch, info.in_height, info.in_width, info.in_channels];
-    Kernel::per_element("Conv2DBackpropInput", out_shape, move |s, _, coords| {
+    Kernel::per_element("Conv2DBackpropInput", out.to_vec(), move |s, _, coords| {
         let (b, ih, iw, ic) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -547,10 +580,9 @@ pub fn conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
 }
 
 /// Gather-form gradient of conv2d w.r.t. the filter.
-pub fn conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
+pub fn conv2d_backprop_filter(info: &Conv2dInfo, out: &[usize]) -> Kernel {
     let info = info.clone();
-    let out_shape = vec![info.filter_height, info.filter_width, info.in_channels, info.out_channels];
-    Kernel::per_element("Conv2DBackpropFilter", out_shape, move |s, _, coords| {
+    Kernel::per_element("Conv2DBackpropFilter", out.to_vec(), move |s, _, coords| {
         let (fh, fw, ic, oc) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -582,14 +614,19 @@ pub fn conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
 /// accumulators. A non-empty epilogue is fused in-register
 /// (`FusedDepthwiseConv2D`); bias (when present) is sampler input 2,
 /// indexed by output channel.
-pub fn depthwise_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> Kernel {
-    let names = match epilogue {
-        (false, None) => ("DepthwiseConv2D", "DepthwiseConv2DPacked"),
-        _ => ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked"),
+pub fn depthwise_conv2d(
+    info: &Conv2dInfo,
+    packed: bool,
+    epilogue: Epilogue,
+    out: &[usize],
+) -> Kernel {
+    let names = match epilogue.is_plain() {
+        true => ("DepthwiseConv2D", "DepthwiseConv2DPacked"),
+        false => ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked"),
     };
-    let (has_bias, activation) = epilogue;
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let c = info.clone();
-    let out_shape = vec![c.batch, c.out_height, c.out_width, c.out_channels];
+    let out_shape = out.to_vec();
     let cost = c.filter_height * c.filter_width * 2;
     // One output: channel `och` of the pixel at `at`, epilogue applied.
     let one = move |s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), och: usize| {
@@ -630,15 +667,11 @@ pub fn depthwise_conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue) -> 
 /// A chain of elementwise steps executed as one program: input 0 is the
 /// chain head, inputs 1.. are the extras referenced by binary steps, each
 /// sampled with right-aligned broadcast against the output coordinates.
-pub fn fused_elementwise(
-    in_dims: &[&[usize]],
-    steps: &[FusedStep],
-    out_dims: &[usize],
-) -> Result<Kernel> {
+pub fn fused_elementwise(in_dims: &[&[usize]], steps: &[FusedStep], out: &[usize]) -> Kernel {
     let in_dims: Vec<Vec<usize>> = in_dims.iter().map(|d| d.to_vec()).collect();
     let steps = steps.to_vec();
     let cost = (steps.len() * 2).max(1);
-    let kernel = Kernel::per_element("FusedElementwise", out_dims.to_vec(), move |s, _, coords| {
+    let kernel = Kernel::per_element("FusedElementwise", out.to_vec(), move |s, _, coords| {
         let mut buf = [0usize; MAX_RANK];
         let l = broadcast_coords(coords, &in_dims[0], &mut buf);
         let mut v = s.get(0, &buf[..l]);
@@ -653,14 +686,13 @@ pub fn fused_elementwise(
         }
         v
     });
-    Ok(kernel.with_cost(cost))
+    kernel.with_cost(cost)
 }
 
 /// Gather-form gradient of depthwise conv2d w.r.t. the input.
-pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
+pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo, out: &[usize]) -> Kernel {
     let info = info.clone();
-    let out_shape = vec![info.batch, info.in_height, info.in_width, info.in_channels];
-    Kernel::per_element("DepthwiseBackpropInput", out_shape, move |s, _, coords| {
+    Kernel::per_element("DepthwiseBackpropInput", out.to_vec(), move |s, _, coords| {
         let (b, ih, iw, ic) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -693,10 +725,9 @@ pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
 }
 
 /// Gather-form gradient of depthwise conv2d w.r.t. the filter.
-pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
+pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo, out: &[usize]) -> Kernel {
     let info = info.clone();
-    let out_shape = vec![info.filter_height, info.filter_width, info.in_channels, info.channel_mul];
-    Kernel::per_element("DepthwiseBackpropFilter", out_shape, move |s, _, coords| {
+    Kernel::per_element("DepthwiseBackpropFilter", out.to_vec(), move |s, _, coords| {
         let (fh, fw, ic, m) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -721,11 +752,10 @@ pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
 }
 
 /// Max/avg pooling. Average divides by the count of in-bounds positions.
-pub fn pool2d(op: PoolOp, info: &Conv2dInfo) -> Kernel {
+pub fn pool2d(op: PoolOp, info: &Conv2dInfo, out: &[usize]) -> Kernel {
     let info = info.clone();
-    let out_shape = vec![info.batch, info.out_height, info.out_width, info.out_channels];
     let cost = info.filter_height * info.filter_width;
-    Kernel::per_element("Pool2D", out_shape, move |s, _, coords| {
+    Kernel::per_element("Pool2D", out.to_vec(), move |s, _, coords| {
         let (b, oh, ow, ch) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = match op {
@@ -762,11 +792,10 @@ pub fn pool2d(op: PoolOp, info: &Conv2dInfo) -> Kernel {
 /// Gather-form pooling gradient: each input pixel scans the windows that
 /// contain it; max-pool matches the reference's first-argmax tie rule by
 /// recomputing each window scan in the same order.
-pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo) -> Kernel {
+pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo, out: &[usize]) -> Kernel {
     let info = info.clone();
     // Input 0 = dy, input 1 = x.
-    let out_shape = vec![info.batch, info.in_height, info.in_width, info.in_channels];
-    Kernel::per_element("Pool2DBackprop", out_shape, move |s, _, coords| {
+    Kernel::per_element("Pool2DBackprop", out.to_vec(), move |s, _, coords| {
         let (b, ih, iw, ch) = (coords[0], coords[1], coords[2], coords[3]);
         let c = &info;
         let mut acc = 0.0f32;
@@ -841,10 +870,10 @@ pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo) -> Kernel {
     })
 }
 
-/// Contiguous slice.
-pub fn slice(in_dims: &[usize], begin: &[usize], size: &[usize]) -> Kernel {
+/// Contiguous slice: `out` is its size.
+pub fn slice(in_dims: &[usize], begin: &[usize], out: &[usize]) -> Kernel {
     let (in_rank, begin) = (in_dims.len(), begin.to_vec());
-    Kernel::per_element("Slice", size.to_vec(), move |s, _, coords| {
+    Kernel::per_element("Slice", out.to_vec(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for i in 0..in_rank {
             src[i] = coords[i] + begin[i];
@@ -854,10 +883,9 @@ pub fn slice(in_dims: &[usize], begin: &[usize], size: &[usize]) -> Kernel {
 }
 
 /// Constant pad.
-pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32) -> Kernel {
+pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32, out: &[usize]) -> Kernel {
     let (in_dims, paddings) = (in_dims.to_vec(), paddings.to_vec());
-    let out_shape = in_dims.iter().zip(&paddings).map(|(&d, &(b, a))| d + b + a).collect();
-    Kernel::per_element("Pad", out_shape, move |s, _, coords| {
+    Kernel::per_element("Pad", out.to_vec(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for i in 0..in_dims.len() {
             let c = coords[i] as isize - paddings[i].0 as isize;
@@ -870,12 +898,11 @@ pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32) -> Kernel
     })
 }
 
-/// Concat along `axis`: each output texel picks its source input.
-pub fn concat(in_dims: &[&[usize]], axis: usize) -> Kernel {
-    let sizes_along_axis: Vec<usize> = in_dims.iter().map(|d| d[axis]).collect();
-    let mut out_shape = in_dims[0].to_vec();
-    out_shape[axis] = sizes_along_axis.iter().sum();
-    Kernel::per_element("Concat", out_shape, move |s, _, coords| {
+/// Concat along `axis` of inputs `sizes_along_axis` long on it: each
+/// output texel picks its source input.
+pub fn concat(sizes_along_axis: &[usize], axis: usize, out: &[usize]) -> Kernel {
+    let sizes_along_axis = sizes_along_axis.to_vec();
+    Kernel::per_element("Concat", out.to_vec(), move |s, _, coords| {
         let mut c = coords[axis];
         let mut input = 0usize;
         while c >= sizes_along_axis[input] {
@@ -890,10 +917,9 @@ pub fn concat(in_dims: &[&[usize]], axis: usize) -> Kernel {
 }
 
 /// Transpose by permutation.
-pub fn transpose(in_dims: &[usize], perm: &[usize]) -> Kernel {
+pub fn transpose(perm: &[usize], out: &[usize]) -> Kernel {
     let perm = perm.to_vec();
-    let out_shape = perm.iter().map(|&p| in_dims[p]).collect();
-    Kernel::per_element("Transpose", out_shape, move |s, _, coords| {
+    Kernel::per_element("Transpose", out.to_vec(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for (d, &p) in perm.iter().enumerate() {
             src[p] = coords[d];
@@ -902,28 +928,27 @@ pub fn transpose(in_dims: &[usize], perm: &[usize]) -> Kernel {
     })
 }
 
-/// Gather rows along `axis` via an index texture (input 1).
-pub fn gather(in_dims: &[usize], axis: usize, n_indices: usize) -> Kernel {
-    let in_dims = in_dims.to_vec();
-    let n = in_dims[axis];
-    let mut out_shape = in_dims.clone();
-    out_shape[axis] = n_indices;
-    Kernel::per_element("Gather", out_shape, move |s, _, coords| {
-        let ix = s.get(1, &[coords[axis]]) as i64;
-        let ix = ix.rem_euclid(n as i64) as usize;
+/// Gather along `axis` via an index texture (input 1) of any rank, read by
+/// flat index: the output's coordinates at `axis ..` up to the index rank
+/// are the index's, those before and after are `x`'s.
+pub fn gather(in_dims: &[usize], axis: usize, out: &[usize]) -> Kernel {
+    let (in_rank, n) = (in_dims.len(), in_dims[axis] as i64);
+    let index_dims = out[axis..axis + out.len() + 1 - in_rank].to_vec();
+    Kernel::per_element("Gather", out.to_vec(), move |s, _, coords| {
+        let at = &coords[axis..axis + index_dims.len()];
+        let index = index_dims.iter().zip(at).fold(0, |flat, (&d, &c)| flat * d + c);
         let mut src = [0usize; MAX_RANK];
-        // coords: [..axis] from out, axis index replaced, [axis+1..].
-        src[..in_dims.len()].copy_from_slice(&coords[..in_dims.len()]);
-        src[axis] = ix;
-        s.get(0, &src[..in_dims.len()])
+        src[..axis].copy_from_slice(&coords[..axis]);
+        src[axis] = (s.get_flat(1, index) as i64).rem_euclid(n) as usize;
+        src[axis + 1..in_rank].copy_from_slice(&coords[axis + index_dims.len()..]);
+        s.get(0, &src[..in_rank])
     })
 }
 
 /// Tile by repetition.
-pub fn tile(in_dims: &[usize], reps: &[usize]) -> Kernel {
+pub fn tile(in_dims: &[usize], out: &[usize]) -> Kernel {
     let in_dims = in_dims.to_vec();
-    let out_shape = in_dims.iter().zip(reps).map(|(&d, &r)| d * r).collect();
-    Kernel::per_element("Tile", out_shape, move |s, _, coords| {
+    Kernel::per_element("Tile", out.to_vec(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for (i, &d) in in_dims.iter().enumerate() {
             src[i] = coords[i] % d;
@@ -933,8 +958,8 @@ pub fn tile(in_dims: &[usize], reps: &[usize]) -> Kernel {
 }
 
 /// Reverse along axes.
-pub fn reverse(in_dims: &[usize], axes: &[usize]) -> Kernel {
-    let (in_dims, axes) = (in_dims.to_vec(), axes.to_vec());
+pub fn reverse(axes: &[usize], out: &[usize]) -> Kernel {
+    let (in_dims, axes) = (out.to_vec(), axes.to_vec());
     Kernel::per_element("Reverse", in_dims.clone(), move |s, _, coords| {
         let mut src = [0usize; MAX_RANK];
         for (i, &d) in in_dims.iter().enumerate() {
@@ -949,10 +974,10 @@ pub fn select(
     cond_dims: &[usize],
     a_dims: &[usize],
     b_dims: &[usize],
-    out_dims: &[usize],
+    out: &[usize],
 ) -> Kernel {
     let (cond_dims, a_dims, b_dims) = (cond_dims.to_vec(), a_dims.to_vec(), b_dims.to_vec());
-    Kernel::per_element("Select", out_dims.to_vec(), move |s, _, coords| {
+    Kernel::per_element("Select", out.to_vec(), move |s, _, coords| {
         let mut buf = [0usize; MAX_RANK];
         let lc = broadcast_coords(coords, &cond_dims, &mut buf);
         let c = s.get(0, &buf[..lc]);
@@ -967,10 +992,8 @@ pub fn select(
 }
 
 /// One-hot encode: indices are input 0, trailing dim is `depth`.
-pub fn one_hot(indices_dims: &[usize], depth: usize, on: f32, off: f32) -> Kernel {
-    let mut out_shape = indices_dims.to_vec();
-    out_shape.push(depth);
-    Kernel::per_element("OneHot", out_shape, move |s, flat, _| {
+pub fn one_hot(depth: usize, on: f32, off: f32, out: &[usize]) -> Kernel {
+    Kernel::per_element("OneHot", out.to_vec(), move |s, flat, _| {
         let row = flat / depth;
         let col = flat % depth;
         let ix = s.get_flat(0, row) as i64;
@@ -983,14 +1006,8 @@ pub fn one_hot(indices_dims: &[usize], depth: usize, on: f32, off: f32) -> Kerne
 }
 
 /// Bilinear resize of NHWC.
-pub fn resize_bilinear(
-    in_dims: &[usize],
-    new_h: usize,
-    new_w: usize,
-    align_corners: bool,
-) -> Kernel {
-    let (in_h, in_w) = (in_dims[1], in_dims[2]);
-    let out_shape = vec![in_dims[0], new_h, new_w, in_dims[3]];
+pub fn resize_bilinear(in_dims: &[usize], align_corners: bool, out: &[usize]) -> Kernel {
+    let (in_h, in_w, new_h, new_w) = (in_dims[1], in_dims[2], out[1], out[2]);
     let scale = |out_size: usize, in_size: usize| -> f32 {
         if align_corners && out_size > 1 {
             (in_size - 1) as f32 / (out_size - 1) as f32
@@ -1000,7 +1017,7 @@ pub fn resize_bilinear(
     };
     let h_scale = scale(new_h, in_h);
     let w_scale = scale(new_w, in_w);
-    Kernel::per_element("ResizeBilinear", out_shape, move |s, _, coords| {
+    Kernel::per_element("ResizeBilinear", out.to_vec(), move |s, _, coords| {
         let (b, oh, ow, ch) = (coords[0], coords[1], coords[2], coords[3]);
         let src_h = if align_corners { oh as f32 * h_scale } else { (oh as f32 + 0.5) * h_scale - 0.5 };
         let src_h = src_h.max(0.0);

@@ -3,8 +3,9 @@
 //! The WebGPU-class compute rung (paper Sec 4.3: compute APIs "allow us to
 //! implement more optimized kernels" than WebGL's fragment shaders): the
 //! [`WEBGPU`](webml_webgpu_sim::WEBGPU) capability descriptor paired with
-//! the tiled compute pipelines of [`pipelines`] — workgroup shared-memory
-//! matmul/conv over storage buffers. Everything else a GPU backend does is
+//! the compute pipelines of [`pipelines`] — workgroup shared-memory
+//! matmul/conv over storage buffers, and one pipeline over the reference
+//! kernels for every other call. Everything else a GPU backend does is
 //! [`GpuBackend`]'s. The rung sits one *above* webgl on the engine's
 //! degradation ladder: a lost device degrades to webgl (then cpu), and
 //! canary re-admission climbs back.
@@ -18,8 +19,11 @@
 
 pub mod pipelines;
 
-use webml_backend_webgl::{GpuBackend, KernelSet, Rung};
+use webml_backend_webgl::{GpuBackend, Rung};
+use webml_core::backend::{KTensor, KernelCall};
+use webml_core::error::Result;
 use webml_webgl_sim::caps::Capabilities;
+use webml_webgl_sim::shader::Kernel;
 use webml_webgpu_sim::WebGpuConfig;
 
 /// The WebGPU rung: tiled compute pipelines over storage buffers.
@@ -28,7 +32,15 @@ pub struct WebGpu;
 impl Rung for WebGpu {
     type Config = WebGpuConfig;
     const CAPS: &'static Capabilities = &webml_webgpu_sim::WEBGPU;
-    const KERNELS: &'static KernelSet = &pipelines::KERNELS;
+
+    fn kernel(
+        call: &KernelCall<'_>,
+        operands: &[KTensor<'_>],
+        out: &[usize],
+        _packed: bool,
+    ) -> Result<Kernel> {
+        pipelines::kernel(call, operands, out)
+    }
 }
 
 /// The WebGPU-class compute backend over a simulated device.
@@ -44,7 +56,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use webml_backend_webgl::WebGl;
-    use webml_core::backend::{Backend, DataId, KTensor, UnaryOp};
+    use std::borrow::Cow;
+    use webml_core::backend::{Backend, BinaryOp, DataId, Epilogue, FusedStep, KTensor, UnaryOp};
     use webml_core::conv_util::Padding;
     use webml_core::quant::QuantParams;
     use webml_core::{ops, DType, Engine, Error, Shape, TensorData};
@@ -59,7 +72,15 @@ mod tests {
         type Config = WebGpuConfig;
         const CAPS: &'static Capabilities =
             &Capabilities { shared_memory: false, ..webml_webgpu_sim::WEBGPU };
-        const KERNELS: &'static KernelSet = &pipelines::KERNELS;
+
+        fn kernel(
+            call: &KernelCall<'_>,
+            operands: &[KTensor<'_>],
+            out: &[usize],
+            packed: bool,
+        ) -> Result<Kernel> {
+            WebGpu::kernel(call, operands, out, packed)
+        }
     }
 
     /// Instantiate a contract body on every rung.
@@ -87,6 +108,7 @@ mod tests {
             profiles_without_the_api_are_rejected,
             device_timer_follows_the_rule_of_the_api,
             foreign_fence_tokens_read_as_passed,
+            malformed_calls_are_errors_not_panics,
         );
 
         /// Packing is the texture rung's own switch, so its "off" position
@@ -406,12 +428,17 @@ mod tests {
         let params = QuantParams::per_tensor(1.0, 0.0);
         let a = KTensor::new(a_id, &shape, DType::F32);
         let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &shape, DType::U8) };
-        let first = b.matmul(&a, &w, None, None, false, false).unwrap();
+        let matmul = KernelCall::MatMul {
+            transpose_a: false,
+            transpose_b: false,
+            epilogue: Epilogue::Quant { bias: false, activation: None },
+        };
+        let first = b.run(&matmul, &[a, w]).unwrap();
         let expect = b.read_sync(first).unwrap().to_f32_vec();
         assert_eq!(expect, vec![19.0, 22.0, 43.0, 50.0]);
         // The second dispatch hits the injected loss.
         assert!(
-            b.matmul(&a, &w, None, None, false, false).is_err(),
+            b.run(&matmul, &[a, w]).is_err(),
             "{}: dispatch 2 must observe the lost context",
             R::CAPS.api
         );
@@ -427,7 +454,7 @@ mod tests {
         assert_eq!(host_resident(&b), 0.0);
         // The weight pages back into one-byte storage from its shadow: the
         // rebuilt kernel result and the raw codes are both intact.
-        let again = b.matmul(&a, &w, None, None, false, false).unwrap();
+        let again = b.run(&matmul, &[a, w]).unwrap();
         assert_eq!(b.read_sync(again).unwrap().to_f32_vec(), expect);
         for (id, codes) in [(w_id, vec![5, 6, 7, 8]), (late, vec![9, 9])] {
             match b.read_sync(id).unwrap() {
@@ -450,7 +477,8 @@ mod tests {
         assert_eq!(held - baseline, 4096, "{}", R::CAPS.api);
         // The first dispatch loses the device.
         let x = KTensor::new(id, &shape, DType::F32);
-        assert!(matches!(b.unary(UnaryOp::Neg, &x), Err(Error::ContextLost { .. })));
+        let neg = b.run(&KernelCall::Unary(UnaryOp::Neg), &[x]);
+        assert!(matches!(neg, Err(Error::ContextLost { .. })));
         let m = b.memory();
         let detail = |key: &str| m.details.iter().find(|(k, _)| k == key).unwrap().1;
         assert_eq!(m.num_bytes, held, "{}: the device still holds and serves the 4 KB", R::CAPS.api);
@@ -520,12 +548,33 @@ mod tests {
         assert!(tokens.iter().all(|&t| minting.fence_passed(t)));
     }
 
+    /// A call no program could run is refused by the call's own rule before
+    /// anything reaches the device thread — the same `Err` as on the host
+    /// sets — and the device keeps serving.
+    fn malformed_calls_are_errors_not_panics<R: Rung>()
+    where
+        R::Config: Default,
+    {
+        let b = backend::<R>(FaultPlan::none());
+        let shape = Shape::new(vec![4]);
+        let id = b.register(TensorData::F32(vec![1.0; 4]), DType::F32);
+        let x = KTensor::new(id, &shape, DType::F32);
+        let chain =
+            |steps: &[FusedStep]| b.run(&KernelCall::FusedElementwise(Cow::Borrowed(steps)), &[x]);
+        assert!(matches!(chain(&[]), Err(Error::InvalidArgument { .. })), "{}", R::CAPS.api);
+        let missing = chain(&[FusedStep::Binary(BinaryOp::Add, 0)]);
+        assert!(matches!(missing, Err(Error::InvalidArgument { .. })), "{}", R::CAPS.api);
+        let y = b.run(&KernelCall::Unary(UnaryOp::Neg), &[x]).unwrap();
+        assert_eq!(b.read_sync(y).unwrap().to_f32_vec(), vec![-1.0; 4]);
+    }
+
     #[test]
     fn the_third_rung_ignores_declared_reuse() {
-        use webml_backend_webgl::MatMulGeom;
+        use webml_core::backend::MatMulGeom;
         use webml_webgl_sim::shader::occupancy;
-        let geom = MatMulGeom::of(&Shape::new(vec![1, 256, 256]), &Shape::new(vec![1, 256, 256]), false, false);
-        let tiled = pipelines::matmul(&geom, false, (false, None));
+        let shape = Shape::new(vec![1, 256, 256]);
+        let geom = MatMulGeom::of(&shape, &shape, false, false);
+        let tiled = pipelines::matmul(&geom, Epilogue::None, shape.dims());
         assert_eq!(tiled.shared_reuse, pipelines::TILE);
         assert_eq!(occupancy(8, WebGpu::CAPS.shared_memory, &tiled), 8 * pipelines::TILE);
         assert_eq!(occupancy(8, NoSharedMemory::CAPS.shared_memory, &tiled), 8);

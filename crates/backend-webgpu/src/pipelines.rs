@@ -17,8 +17,9 @@
 //! exactly `out_len` long and holds whatever the recycled buffer last held,
 //! so every element is stored. The forward matmul / conv / depthwise
 //! families are this rung's own kernels and accumulate straight into it;
-//! the gradient, pooling, movement and elementwise pipelines delegate to a
-//! `Vec`-returning [`webml_core::kernels`] function and copy the result in.
+//! every other call is one adapter over the [`webml_core::kernels`] oracle
+//! that copies its result in. [`kernel`] is the one match from a
+//! [`KernelCall`] to either.
 //!
 //! Bit-exactness contract: the own kernels change the loop *nest*, never an
 //! output's summation order. Per output pixel the conv and depthwise bodies
@@ -41,58 +42,78 @@
 //! 5.99 against 5.56 ms), because the thread submitting and reading back
 //! needs the second core (DESIGN.md §7).
 
-use webml_backend_webgl::kernels::{Epilogue, KernelSet, MatMulGeom};
-use webml_core::backend::{
-    ArgReduceOp, BinaryOp, FusedStep, PoolOp, ReduceOp, UnaryOp,
-};
+use webml_core::backend::{BinaryOp, Epilogue, KTensor, KernelCall, MatMulGeom, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
-use webml_core::dtype::{DType, TensorData};
+use webml_core::dtype::TensorData;
 use webml_core::error::Result;
-use webml_core::kernels as k;
+use webml_core::kernels::{self as k, Operand, Values};
 use webml_core::quant::QuantParams;
-use webml_core::shape::{broadcast_shapes, Shape};
+use webml_core::shape::Shape;
 use webml_webgl_sim::shader::Kernel;
-use webml_webgpu_sim::pipeline::{cooperative, elementwise};
-
-/// The tiled-pipeline kernel set.
-pub const KERNELS: KernelSet = KernelSet {
-    unary,
-    binary,
-    cast,
-    reduce,
-    arg_reduce,
-    matmul,
-    fused_matmul_quant,
-    conv2d,
-    fused_conv2d_quant,
-    conv2d_backprop_input,
-    conv2d_backprop_filter,
-    depthwise_conv2d,
-    fused_depthwise_conv2d_quant,
-    depthwise_conv2d_backprop_input,
-    depthwise_conv2d_backprop_filter,
-    pool2d,
-    pool2d_backprop,
-    slice,
-    concat,
-    transpose,
-    pad,
-    gather,
-    tile,
-    reverse,
-    select,
-    one_hot,
-    resize_bilinear,
-    fused_elementwise,
-};
+use webml_webgpu_sim::pipeline::cooperative;
 
 /// Workgroup tile width of the cooperative matmul/conv kernels: each
 /// workgroup is `TILE`×`TILE` invocations staging `TILE`-deep input tiles.
 pub const TILE: usize = 16;
 
-/// Narrow widened index values back to i32 (exact for tensor-sized indices).
-fn narrow_i32(vals: &[f32]) -> Vec<i32> {
-    vals.iter().map(|&v| v as i32).collect()
+/// The compute pipeline for `call` over `operands` into `out` (see
+/// `webml_backend_webgl::Rung::kernel`): the tiled products, or the oracle
+/// under each kernel's program name with its declared reuse and per-output
+/// cost — workgroup reductions stage partials in shared memory (reuse 4),
+/// the gradients stage the filter tile (8), movement and element-wise
+/// kernels are bandwidth-bound either way (1).
+pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) -> Result<Kernel> {
+    use KernelCall as C;
+    let oracle = |name, reuse, cost: usize| oracle(name, call, operands, out, reuse, cost.max(1));
+    // A gradient output's multiply-adds: over the filter taps, or the output pixels.
+    let taps = |c: &Conv2dInfo| 2 * c.filter_height * c.filter_width;
+    let spatial = |c: &Conv2dInfo| 2 * c.batch * c.out_height * c.out_width;
+    Ok(match call {
+        C::MatMul { transpose_a, transpose_b, epilogue } => {
+            let (a, b) = (operands[0].shape, operands[1].shape);
+            let geom = MatMulGeom::of(a, b, *transpose_a, *transpose_b);
+            match operands[1].quant {
+                Some(params) => fused_matmul_quant(&geom, params, *epilogue, out),
+                None => matmul(&geom, *epilogue, out),
+            }
+        }
+        C::Conv2d { info, epilogue } => match operands[1].quant {
+            Some(params) => fused_conv2d_quant(info, params, *epilogue, out),
+            None => conv2d(info, *epilogue, out),
+        },
+        C::DepthwiseConv2d { info, epilogue } => match operands[1].quant {
+            Some(params) => fused_depthwise_conv2d_quant(info, params, *epilogue, out),
+            None => depthwise_conv2d(info, *epilogue, out),
+        },
+        C::Unary(_) => oracle("Unary", 1, 1),
+        C::Binary(_) => oracle("Binary", 1, 1),
+        C::Cast(_) => oracle("Cast", 1, 1),
+        C::Reduce { axes, .. } => {
+            oracle("Reduce", 4, axes.iter().map(|&ax| operands[0].shape.dim(ax)).product())
+        }
+        C::ArgReduce { axis, .. } => oracle("ArgReduce", 4, operands[0].shape.dim(*axis)),
+        C::Conv2dBackpropInput(c) => oracle("Conv2DBackpropInput", 8, taps(c) * c.out_channels),
+        C::Conv2dBackpropFilter(c) => oracle("Conv2DBackpropFilter", 8, spatial(c)),
+        C::DepthwiseConv2dBackpropInput(c) => {
+            oracle("DepthwiseBackpropInput", 8, taps(c) * c.channel_mul)
+        }
+        C::DepthwiseConv2dBackpropFilter(c) => oracle("DepthwiseBackpropFilter", 8, spatial(c)),
+        C::Pool2d { info: c, .. } => oracle("Pool2D", 1, c.filter_height * c.filter_width),
+        C::Pool2dBackprop { info: c, .. } => {
+            oracle("Pool2DBackprop", 1, c.filter_height * c.filter_width)
+        }
+        C::Slice { .. } => oracle("Slice", 1, 1),
+        C::Concat { .. } => oracle("Concat", 1, 1),
+        C::Transpose { .. } => oracle("Transpose", 1, 1),
+        C::Pad { .. } => oracle("Pad", 1, 1),
+        C::Gather { .. } => oracle("Gather", 1, 1),
+        C::Tile { .. } => oracle("Tile", 1, 1),
+        C::Reverse { .. } => oracle("Reverse", 1, 1),
+        C::Select => oracle("Select", 1, 1),
+        C::OneHot { .. } => oracle("OneHot", 1, 1),
+        C::ResizeBilinear { .. } => oracle("ResizeBilinear", 1, 4),
+        C::FusedElementwise(steps) => oracle("FusedElementwise", 1, steps.len()),
+    })
 }
 
 /// The cooperative tiled matmul body shared by the plain, fused and
@@ -183,13 +204,10 @@ fn tiled_matmul(
 /// Batched matmul as a cooperative tiled pipeline; a non-empty epilogue
 /// (+bias +activation) makes it the fused pipeline, run in-register before
 /// the single output write.
-pub fn matmul(geom: &MatMulGeom, _packed: bool, epilogue: Epilogue) -> Kernel {
-    let name = match epilogue {
-        (false, None) => "MatMulTiled",
-        _ => "FusedMatMulTiled",
-    };
-    let ((has_bias, activation), g) = (epilogue, *geom);
-    cooperative(name, g.batch * g.m * g.n, TILE, 2 * g.k.max(1), move |inp, out| {
+pub fn matmul(geom: &MatMulGeom, epilogue: Epilogue, out: &[usize]) -> Kernel {
+    let name = if epilogue.is_plain() { "MatMulTiled" } else { "FusedMatMulTiled" };
+    let (has_bias, activation, g) = (epilogue.bias(), epilogue.activation(), *geom);
+    cooperative(name, out.iter().product(), TILE, 2 * g.k.max(1), move |inp, out| {
         tiled_matmul(inp[0], inp[1], has_bias.then(|| inp[2]), activation, &g, out)
     })
 }
@@ -206,9 +224,10 @@ struct RowEpilogue {
 }
 
 impl RowEpilogue {
-    /// The f32 kernels' epilogue: bias and activation, either may be absent.
-    fn f32((has_bias, activation): Epilogue) -> RowEpilogue {
-        RowEpilogue { affine: None, has_bias, activation }
+    /// `epilogue`, with the affine map of U8 weights when `affine` holds one
+    /// `(scale, min)` pair per output channel.
+    fn new(epilogue: Epilogue, affine: Option<Vec<(f32, f32)>>) -> RowEpilogue {
+        RowEpilogue { affine, has_bias: epilogue.bias(), activation: epilogue.activation() }
     }
 
     /// The bias buffer, bound third when the kernel has one.
@@ -252,15 +271,15 @@ fn rows(out: &mut [f32], width: usize) -> impl Iterator<Item = (usize, &mut [f32
 /// in ascending `p` with one accumulator, as
 /// [`webml_core::kernels::fused_matmul_quant`] does.
 pub fn fused_matmul_quant(
-    &MatMulGeom { batch, m, k: kdim, n, b_batch, transpose_a, transpose_b }: &MatMulGeom,
+    &MatMulGeom { m, k: kdim, n, b_batch, transpose_a, transpose_b, .. }: &MatMulGeom,
     params: &QuantParams,
-    (has_bias, activation): Epilogue,
+    epilogue: Epilogue,
+    out: &[usize],
 ) -> Kernel {
-    let affine = (0..n).map(|j| params.scale_min(j)).collect();
-    let ep = RowEpilogue { affine: Some(affine), has_bias, activation };
+    let ep = RowEpilogue::new(epilogue, Some((0..n).map(|j| params.scale_min(j)).collect()));
     cooperative(
         "FusedMatMulQuantTiled",
-        batch * m * n,
+        out.iter().product(),
         TILE,
         2 * kdim.max(1),
         move |inp, out| {
@@ -363,12 +382,16 @@ fn conv_accumulate<A: AsMut<[f32]>>(
 /// of once per output; each output still adds its products in the oracle's
 /// `(fh, fw, ic)` order into one accumulator. `Σ x` over the same taps, in
 /// the same order, feeds the factored U8 epilogue.
-fn conv_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) -> Kernel {
+fn conv_pipeline(
+    name: &'static str,
+    info: &Conv2dInfo,
+    ep: RowEpilogue,
+    out: &[usize],
+) -> Kernel {
     let info = info.clone();
     let (icn, ocn) = (info.in_channels, info.out_channels);
-    let out_len = info.batch * info.out_height * info.out_width * ocn;
     let cost = 2 * info.filter_height * info.filter_width * icn;
-    cooperative(name, out_len, TILE, cost.max(1), move |inp, out| {
+    cooperative(name, out.iter().product(), TILE, cost.max(1), move |inp, out| {
         let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
         for (p, row) in rows(out, ocn) {
             let at = pixel_coords(&info, p);
@@ -398,12 +421,9 @@ fn conv_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) -> Kern
 /// and an input patch in shared memory (reuse ≈ `TILE`). A non-empty
 /// epilogue makes it the fused pipeline: in-register `+bias` / activation,
 /// applied through the same scalar ops the unfused composition uses.
-pub fn conv2d(info: &Conv2dInfo, _packed: bool, epilogue: Epilogue) -> Kernel {
-    let name = match epilogue {
-        (false, None) => "Conv2DTiled",
-        _ => "FusedConv2DTiled",
-    };
-    conv_pipeline(name, info, RowEpilogue::f32(epilogue))
+pub fn conv2d(info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
+    let name = if epilogue.is_plain() { "Conv2DTiled" } else { "FusedConv2DTiled" };
+    conv_pipeline(name, info, RowEpilogue::new(epilogue, None), out)
 }
 
 /// Dequant-free quantized fused conv2d: the filter binding holds widened u8
@@ -411,11 +431,11 @@ pub fn conv2d(info: &Conv2dInfo, _packed: bool, epilogue: Epilogue) -> Kernel {
 pub fn fused_conv2d_quant(
     info: &Conv2dInfo,
     params: &QuantParams,
-    (has_bias, activation): Epilogue,
+    epilogue: Epilogue,
+    out: &[usize],
 ) -> Kernel {
     let affine = (0..info.out_channels).map(|oc| params.scale_min(oc)).collect();
-    let ep = RowEpilogue { affine: Some(affine), has_bias, activation };
-    conv_pipeline("FusedConv2DQuantTiled", info, ep)
+    conv_pipeline("FusedConv2DQuantTiled", info, RowEpilogue::new(epilogue, Some(affine)), out)
 }
 
 /// The depthwise family as one cooperative pipeline; the filter is
@@ -426,12 +446,16 @@ pub fn fused_conv2d_quant(
 /// `ep` is the factored U8 form; each output adds its taps in `(fh, fw)`
 /// order. The row is not blocked as conv's is: there is no filter row to
 /// reuse and the tap walk would be paid per block (measured slower).
-fn depthwise_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) -> Kernel {
+fn depthwise_pipeline(
+    name: &'static str,
+    info: &Conv2dInfo,
+    ep: RowEpilogue,
+    out: &[usize],
+) -> Kernel {
     let info = info.clone();
     let (icn, mul, ocn) = (info.in_channels, info.channel_mul, info.out_channels);
-    let out_len = info.batch * info.out_height * info.out_width * ocn;
     let cost = 2 * info.filter_height * info.filter_width;
-    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
+    cooperative(name, out.iter().product(), 8, cost.max(1), move |inp, out| {
         let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
         let quant = ep.affine.is_some();
         // Σ x per output channel (`channel_mul` copies of each input
@@ -470,12 +494,10 @@ fn depthwise_pipeline(name: &'static str, info: &Conv2dInfo, ep: RowEpilogue) ->
 }
 
 /// Depthwise conv2d; fused with a non-empty epilogue.
-pub fn depthwise_conv2d(info: &Conv2dInfo, _packed: bool, epilogue: Epilogue) -> Kernel {
-    let name = match epilogue {
-        (false, None) => "DepthwiseConv2DTiled",
-        _ => "FusedDepthwiseConv2DTiled",
-    };
-    depthwise_pipeline(name, info, RowEpilogue::f32(epilogue))
+pub fn depthwise_conv2d(info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
+    let name =
+        if epilogue.is_plain() { "DepthwiseConv2DTiled" } else { "FusedDepthwiseConv2DTiled" };
+    depthwise_pipeline(name, info, RowEpilogue::new(epilogue, None), out)
 }
 
 /// Dequant-free quantized fused depthwise conv2d. Per-channel `params` run
@@ -484,7 +506,8 @@ pub fn depthwise_conv2d(info: &Conv2dInfo, _packed: bool, epilogue: Epilogue) ->
 pub fn fused_depthwise_conv2d_quant(
     info: &Conv2dInfo,
     params: &QuantParams,
-    (has_bias, activation): Epilogue,
+    epilogue: Epilogue,
+    out: &[usize],
 ) -> Kernel {
     let mul = info.channel_mul;
     let affine = (0..info.out_channels)
@@ -493,268 +516,37 @@ pub fn fused_depthwise_conv2d_quant(
             _ => params.scale_min(oc % mul),
         })
         .collect();
-    let ep = RowEpilogue { affine: Some(affine), has_bias, activation };
-    depthwise_pipeline("FusedDepthwiseConv2DQuantTiled", info, ep)
+    let ep = RowEpilogue::new(epilogue, Some(affine));
+    depthwise_pipeline("FusedDepthwiseConv2DQuantTiled", info, ep, out)
 }
 
-/// Conv2d input gradient (cooperative over the filter tile).
-pub fn conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
-    let info = info.clone();
-    let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
-    let cost = 2 * info.filter_height * info.filter_width * info.out_channels;
-    let name = "Conv2DBackpropInput";
-    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
-        out.copy_from_slice(&k::conv2d_backprop_input(inp[0], inp[1], &info))
-    })
-}
-
-/// Conv2d filter gradient.
-pub fn conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
-    let info = info.clone();
-    let out_len = info.filter_height * info.filter_width * info.in_channels * info.out_channels;
-    let cost = 2 * info.batch * info.out_height * info.out_width;
-    let name = "Conv2DBackpropFilter";
-    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
-        out.copy_from_slice(&k::conv2d_backprop_filter(inp[0], inp[1], &info))
-    })
-}
-
-/// Depthwise conv2d input gradient.
-pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo) -> Kernel {
-    let info = info.clone();
-    let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
-    let cost = 2 * info.filter_height * info.filter_width * info.channel_mul;
-    let name = "DepthwiseBackpropInput";
-    cooperative(name, out_len, 8, cost.max(1), move |inp, out| {
-        out.copy_from_slice(&k::depthwise_conv2d_backprop_input(inp[0], inp[1], &info))
-    })
-}
-
-/// Depthwise conv2d filter gradient.
-pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo) -> Kernel {
-    let info = info.clone();
-    let out_len = info.filter_height * info.filter_width * info.in_channels * info.channel_mul;
-    let cost = 2 * info.batch * info.out_height * info.out_width;
-    cooperative(
-        "DepthwiseBackpropFilter",
-        out_len,
-        8,
-        cost.max(1),
-        move |inp, out| {
-            out.copy_from_slice(&k::depthwise_conv2d_backprop_filter(inp[0], inp[1], &info))
-        },
-    )
-}
-
-/// Max/avg pooling (uncooperative; window reads are not shared).
-pub fn pool2d(op: PoolOp, info: &Conv2dInfo) -> Kernel {
-    let info = info.clone();
-    let out_len = info.batch * info.out_height * info.out_width * info.in_channels;
-    let cost = info.filter_height * info.filter_width;
-    elementwise("Pool2D", out_len, cost.max(1), move |inp, out| {
-        out.copy_from_slice(&k::pool2d(op, inp[0], &info))
-    })
-}
-
-/// Pooling gradient.
-pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo) -> Kernel {
-    let info = info.clone();
-    let out_len = info.batch * info.in_height * info.in_width * info.in_channels;
-    let cost = info.filter_height * info.filter_width;
-    elementwise("Pool2DBackprop", out_len, cost.max(1), move |inp, out| {
-        out.copy_from_slice(&k::pool2d_backprop(op, inp[0], inp[1], &info))
-    })
-}
-
-/// Elementwise unary op.
-pub fn unary(op: UnaryOp, dims: &[usize], _packed: bool) -> Kernel {
-    elementwise("Unary", dims.iter().product(), 1, move |inp, out| {
-        out.copy_from_slice(&k::unary(op, inp[0]))
-    })
-}
-
-/// Broadcasting binary op.
-pub fn binary(
-    op: BinaryOp,
-    a_dims: &[usize],
-    b_dims: &[usize],
-    out_dims: &[usize],
-    _packed: bool,
+/// A pipeline whose body is the [`webml_core::kernels`] oracle for `call`,
+/// run on the device thread over the bound buffers: every kernel but the
+/// tiled products. `name`, `reuse` and `cost` are the program name the
+/// fault plans and the compile cache key on and the occupancy model's
+/// declarations; `reuse` 1 is an uncooperative pipeline.
+fn oracle(
+    name: &'static str,
+    call: &KernelCall<'_>,
+    operands: &[KTensor<'_>],
+    out: &[usize],
+    reuse: usize,
+    cost: usize,
 ) -> Kernel {
-    let (a_s, b_s, o_s) = (Shape::new(a_dims), Shape::new(b_dims), Shape::new(out_dims));
-    elementwise("Binary", o_s.size(), 1, move |inp, out| {
-        out.copy_from_slice(&k::binary(op, inp[0], &a_s, inp[1], &b_s, &o_s))
-    })
-}
-
-/// Dtype cast (values re-quantized through the host dtype semantics).
-pub fn cast(dims: &[usize], dtype: DType) -> Kernel {
-    elementwise("Cast", dims.iter().product(), 1, move |inp, out| {
-        out.copy_from_slice(&TensorData::F32(inp[0].to_vec()).cast(dtype).to_f32_vec())
-    })
-}
-
-/// Element count of `dims` with the `dropped` axes removed.
-fn len_without(dims: &[usize], dropped: &[usize]) -> usize {
-    dims.iter().enumerate().filter(|(i, _)| !dropped.contains(i)).map(|(_, &d)| d).product()
-}
-
-/// Axis reduction. Workgroup reductions stage partials in shared memory
-/// (tree reduction), hence the modest cooperative credit.
-pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize]) -> Kernel {
-    let (shape, axes) = (Shape::new(in_dims), axes.to_vec());
-    let reduced: usize = axes.iter().map(|&ax| shape.dim(ax)).product::<usize>().max(1);
-    cooperative("Reduce", len_without(in_dims, &axes), 4, reduced, move |inp, out| {
-        out.copy_from_slice(&k::reduce(op, inp[0], &shape, &axes))
-    })
-}
-
-/// Arg-reduction along one axis (indices widened to f32 on the device).
-pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize) -> Kernel {
-    let shape = Shape::new(in_dims);
-    let cost = shape.dim(axis).max(1);
-    cooperative("ArgReduce", len_without(in_dims, &[axis]), 4, cost, move |inp, out| {
-        let idx = k::arg_reduce(op, inp[0], &shape, axis);
-        assert_eq!(idx.len(), out.len(), "ArgReduce out_len mismatch");
-        for (o, &i) in out.iter_mut().zip(&idx) {
-            *o = i as f32;
+    let call = call.clone().into_owned();
+    let shapes: Vec<Shape> = operands.iter().map(|t| t.shape.clone()).collect();
+    let out = Shape::new(out);
+    cooperative(name, out.size(), reuse, cost, move |inp, dst| {
+        let operands: Vec<Operand<'_>> = inp
+            .iter()
+            .zip(&shapes)
+            .map(|(&v, shape)| Operand { values: Values::F32(v), shape, quant: None })
+            .collect();
+        match k::run(&call, &operands, &out) {
+            TensorData::F32(v) => dst.copy_from_slice(&v),
+            other => dst.copy_from_slice(&other.to_f32_vec()),
         }
     })
-}
-
-/// Contiguous slice copy.
-pub fn slice(in_dims: &[usize], begin: &[usize], size: &[usize]) -> Kernel {
-    let (shape, begin, size) = (Shape::new(in_dims), begin.to_vec(), size.to_vec());
-    elementwise("Slice", size.iter().product(), 1, move |inp, out| {
-        out.copy_from_slice(&k::slice(inp[0], &shape, &begin, &size))
-    })
-}
-
-/// Concatenation along one axis.
-pub fn concat(in_dims: &[&[usize]], axis: usize) -> Kernel {
-    let shapes: Vec<Shape> = in_dims.iter().map(|&d| Shape::new(d)).collect();
-    let out_len = shapes.iter().map(Shape::size).sum();
-    elementwise("Concat", out_len, 1, move |inp, out| {
-        let xs: Vec<(&[f32], &Shape)> =
-            inp.iter().copied().zip(shapes.iter()).collect();
-        out.copy_from_slice(&k::concat(&xs, axis))
-    })
-}
-
-/// Axis permutation.
-pub fn transpose(in_dims: &[usize], perm: &[usize]) -> Kernel {
-    let (shape, perm) = (Shape::new(in_dims), perm.to_vec());
-    elementwise("Transpose", shape.size(), 1, move |inp, out| {
-        out.copy_from_slice(&k::transpose(inp[0], &shape, &perm))
-    })
-}
-
-/// Constant padding.
-pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32) -> Kernel {
-    let (shape, paddings) = (Shape::new(in_dims), paddings.to_vec());
-    let out_len = in_dims.iter().zip(&paddings).map(|(&d, &(b, a))| d + b + a).product();
-    elementwise("Pad", out_len, 1, move |inp, out| {
-        out.copy_from_slice(&k::pad(inp[0], &shape, &paddings, value))
-    })
-}
-
-/// Gather rows along one axis (index buffer narrowed back to i32).
-pub fn gather(in_dims: &[usize], axis: usize, n_indices: usize) -> Kernel {
-    let shape = Shape::new(in_dims);
-    let out_len = len_without(in_dims, &[axis]) * n_indices;
-    elementwise("Gather", out_len, 1, move |inp, out| {
-        out.copy_from_slice(&k::gather(inp[0], &shape, &narrow_i32(inp[1]), axis))
-    })
-}
-
-/// Tiling (repetition) along every axis.
-pub fn tile(in_dims: &[usize], reps: &[usize]) -> Kernel {
-    let (shape, reps) = (Shape::new(in_dims), reps.to_vec());
-    let out_len = in_dims.iter().zip(&reps).map(|(&d, &r)| d * r).product();
-    elementwise("Tile", out_len, 1, move |inp, out| {
-        out.copy_from_slice(&k::tile(inp[0], &shape, &reps))
-    })
-}
-
-/// Axis reversal.
-pub fn reverse(in_dims: &[usize], axes: &[usize]) -> Kernel {
-    let (shape, axes) = (Shape::new(in_dims), axes.to_vec());
-    elementwise("Reverse", shape.size(), 1, move |inp, out| {
-        out.copy_from_slice(&k::reverse(inp[0], &shape, &axes))
-    })
-}
-
-/// Broadcasting ternary select.
-pub fn select(
-    cond_dims: &[usize],
-    a_dims: &[usize],
-    b_dims: &[usize],
-    out_dims: &[usize],
-) -> Kernel {
-    let (c_s, a_s, b_s, o_s) =
-        (Shape::new(cond_dims), Shape::new(a_dims), Shape::new(b_dims), Shape::new(out_dims));
-    elementwise("Select", o_s.size(), 1, move |inp, out| {
-        out.copy_from_slice(&k::select(inp[0], &c_s, inp[1], &a_s, inp[2], &b_s, &o_s))
-    })
-}
-
-/// One-hot encoding of an index buffer.
-pub fn one_hot(indices_dims: &[usize], depth: usize, on: f32, off: f32) -> Kernel {
-    let out_len = indices_dims.iter().product::<usize>() * depth;
-    elementwise("OneHot", out_len, 1, move |inp, out| {
-        out.copy_from_slice(&k::one_hot(&narrow_i32(inp[0]), depth, on, off))
-    })
-}
-
-/// Bilinear resize of an NHWC tensor.
-pub fn resize_bilinear(
-    in_dims: &[usize],
-    new_h: usize,
-    new_w: usize,
-    align_corners: bool,
-) -> Kernel {
-    let shape = Shape::new(in_dims);
-    let out_len = shape.dim(0) * new_h * new_w * shape.dim(3);
-    elementwise("ResizeBilinear", out_len, 4, move |inp, out| {
-        out.copy_from_slice(&k::resize_bilinear(inp[0], &shape, new_h, new_w, align_corners))
-    })
-}
-
-/// Fused elementwise chain: one dispatch applies the whole step list,
-/// replaying the same broadcast/kernel sequence the unfused fallback
-/// composes (one shared-kernel call per step → bit-identical). The chain's
-/// shape after each step is worked out here, host-side.
-pub fn fused_elementwise(
-    in_dims: &[&[usize]],
-    steps: &[FusedStep],
-    out_dims: &[usize],
-) -> Result<Kernel> {
-    let x_shape = Shape::new(in_dims[0]);
-    let extra_shapes: Vec<Shape> = in_dims[1..].iter().map(|&d| Shape::new(d)).collect();
-    let mut chain = x_shape.clone();
-    let mut step_shapes = Vec::with_capacity(steps.len());
-    for step in steps {
-        if let FusedStep::Binary(_, i) = *step {
-            chain = broadcast_shapes("FusedElementwise", &chain, &extra_shapes[i])?;
-        }
-        step_shapes.push(chain.clone());
-    }
-    let steps = steps.to_vec();
-    let (out_len, cost) = (out_dims.iter().product(), steps.len().max(1));
-    Ok(elementwise("FusedElementwise", out_len, cost, move |inp, out| {
-        let mut vals = inp[0].to_vec();
-        let mut shape = x_shape.clone();
-        for (step, after) in steps.iter().zip(&step_shapes) {
-            match *step {
-                FusedStep::Unary(op) => vals = k::unary(op, &vals),
-                FusedStep::Binary(op, i) => {
-                    vals = k::binary(op, &vals, &shape, inp[1 + i], &extra_shapes[i], after);
-                }
-            }
-            shape = after.clone();
-        }
-        out.copy_from_slice(&vals)
-    }))
 }
 
 /// Differential tests: each own kernel against its `webml_core::kernels`
@@ -829,6 +621,15 @@ mod tests {
         (true, Some(UnaryOp::Sigmoid)),
     ];
 
+    /// The epilogue of an f32 kernel, and of a kernel over U8 codes.
+    fn fused((bias, activation): (bool, Option<UnaryOp>)) -> Epilogue {
+        Epilogue::Fused { bias, activation }
+    }
+
+    fn quant((bias, activation): (bool, Option<UnaryOp>)) -> Epilogue {
+        Epilogue::Quant { bias, activation }
+    }
+
     /// All three conv pipelines against the oracle for one geometry.
     fn check_conv(info: &Conv2dInfo, seed: u64) {
         let c = info;
@@ -836,16 +637,16 @@ mod tests {
         let w_len = c.filter_height * c.filter_width * c.in_channels * c.out_channels;
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
-        let want = k::conv2d(&x, &w, c);
+        let (want, out) = (k::conv2d(&x, &w, c), c.out_shape());
         for (has_bias, act) in EPILOGUES {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
+                run(&conv2d(c, fused((has_bias, act)), out.dims()), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
                 "conv2d bias={has_bias} {act:?} {c:?}"
             );
             for p in params(3, c.out_channels, seed + 4) {
-                let pl = fused_conv2d_quant(c, &p, (has_bias, act));
+                let pl = fused_conv2d_quant(c, &p, quant((has_bias, act)), out.dims());
                 assert_eq!(
                     run(&pl, &[&x, &widen(&w_q), &bias]),
                     bits(&k::fused_conv2d_quant(&x, &w_q, &p, b, act, c)),
@@ -862,18 +663,18 @@ mod tests {
         let w_len = c.filter_height * c.filter_width * c.out_channels;
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
-        let want = k::depthwise_conv2d(&x, &w, c);
+        let (want, out) = (k::depthwise_conv2d(&x, &w, c), c.out_shape());
         let per_ic = params(2, c.in_channels, seed + 4);
         let [_, per_m] = params(3, c.channel_mul, seed + 6);
         for (has_bias, act) in EPILOGUES {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&depthwise_conv2d(c, false, (has_bias, act)), &[&x, &w, &bias]),
+                run(&depthwise_conv2d(c, fused((has_bias, act)), out.dims()), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
                 "depthwise bias={has_bias} {act:?} {c:?}"
             );
             for p in per_ic.iter().chain([&per_m]) {
-                let pl = fused_depthwise_conv2d_quant(c, p, (has_bias, act));
+                let pl = fused_depthwise_conv2d_quant(c, p, quant((has_bias, act)), out.dims());
                 assert_eq!(
                     run(&pl, &[&x, &widen(&w_q), &bias]),
                     bits(&k::fused_depthwise_conv2d_quant(&x, &w_q, p, b, act, c)),
@@ -961,7 +762,8 @@ mod tests {
                                 transpose_a: ta,
                                 transpose_b: tb,
                             };
-                            let pl = fused_matmul_quant(&geom, &p, (has_bias, act));
+                            let out = [batch, m, n];
+                            let pl = fused_matmul_quant(&geom, &p, quant((has_bias, act)), &out);
                             let want = k::fused_matmul_quant(
                                 &a, &b_q, &p, b, act, batch, m, kdim, n, ta, tb,
                             );

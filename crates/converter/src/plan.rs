@@ -33,7 +33,7 @@ use crate::graph_exec::{
 use crate::prune::{GraphDef, NodeDef};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
-use webml_core::backend::{BinaryOp, UnaryOp};
+use webml_core::backend::{BinaryOp, Epilogue, KernelCall, UnaryOp};
 use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info, Padding};
 use webml_core::shape::{broadcast_shapes, normalize_axes, reduced_shape};
 use std::sync::Mutex;
@@ -165,14 +165,11 @@ pub struct PlannedOp {
     /// ops skip the scope entirely — computed once at build so the hot loop
     /// pays no scope bookkeeping for them.
     pub scoped: bool,
-    /// Precomputed kernel-view shapes for direct dispatch: when set, the
-    /// executor calls the backend kernel through
-    /// [`Engine::run_kernel_shaped`] with these per-input shapes instead of
-    /// going through the composite op layer — no rank-normalization alias
-    /// tensors, no per-op scope. Only populated where the reinterpretation
-    /// is a pure build-time fact (rank-2 `FusedMatMul` presented as its
-    /// batch-1 rank-3 kernel view).
-    pub kernel_shapes: Option<Vec<Shape>>,
+    /// Whether the executor dispatches the op as one
+    /// [`KernelCall`] through [`Engine::run_kernel`] instead of the
+    /// composite op layer — no rank-normalization alias tensors, no per-op
+    /// scope. Decided at build (see [`direct`]).
+    pub direct: bool,
     /// Output dtype, propagated at build: aliases keep their input's dtype
     /// (a reshaped quantized weight stays U8), compute ops emit f32. Feeds
     /// the dtype-aware peak-memory simulation.
@@ -181,37 +178,13 @@ pub struct PlannedOp {
     pub name: String,
 }
 
-/// Kernel-view shapes for ops the executor can dispatch directly, skipping
-/// the composite op layer and its rank-normalization alias tensors: a
-/// rank-2 `FusedMatMul` is presented to the (batched rank-3) kernel as the
-/// batch-1 view `[1, m, k] x [1, k, n]` — the same reinterpretation
-/// `ops::fused_matmul`'s reshapes express, resolved once at build. Bias
-/// shape validation moves here too (the op layer would have done it per
-/// call); a shape the kernel contract rejects simply stays on the
-/// composite path.
-fn direct_kernel_shapes(kind: &OpKind, arg_shapes: &[Shape]) -> Option<Vec<Shape>> {
-    match kind {
-        OpKind::FusedMatMul { has_bias, .. } => {
-            let a = arg_shapes.first()?;
-            let b = arg_shapes.get(1)?;
-            if a.rank() != 2 || b.rank() != 2 {
-                return None;
-            }
-            let mut shapes = vec![
-                Shape::new(vec![1, a.dim(0), a.dim(1)]),
-                Shape::new(vec![1, b.dim(0), b.dim(1)]),
-            ];
-            if *has_bias {
-                let bias = arg_shapes.get(2)?;
-                if bias.rank() != 1 || bias.dim(0) != b.dim(1) {
-                    return None;
-                }
-                shapes.push(bias.clone());
-            }
-            Some(shapes)
-        }
-        _ => None,
-    }
+/// Whether an op is dispatched as one kernel call, skipping the composite
+/// op layer and its rank-normalization alias tensors: a rank-2
+/// `FusedMatMul` is one rank-2 [`KernelCall::MatMul`] over its operands as
+/// they are — the product `ops::fused_matmul` reaches through batch-1
+/// reshape aliases, on the same data in the same layout.
+fn direct(kind: &OpKind, arg_shapes: &[Shape]) -> bool {
+    matches!(kind, OpKind::FusedMatMul { .. }) && arg_shapes.iter().take(2).all(|s| s.rank() == 2)
 }
 
 /// Ops whose dispatch may create intermediate tensor handles beyond the
@@ -412,9 +385,8 @@ impl Plan {
                     // temporary — so it needs a scope and never takes the
                     // direct f32 kernel view.
                     let u8_weight = arg_dtypes.get(1) == Some(&DType::U8);
-                    let kernel_shapes =
-                        if u8_weight { None } else { direct_kernel_shapes(&kind, &arg_shapes) };
-                    let scoped = u8_weight || (needs_scope(&kind) && kernel_shapes.is_none());
+                    let direct = !u8_weight && direct(&kind, &arg_shapes);
+                    let scoped = u8_weight || (needs_scope(&kind) && !direct);
                     ops_list.push(PlannedOp {
                         kind,
                         args,
@@ -422,7 +394,7 @@ impl Plan {
                         out_shape,
                         dispose_after: Vec::new(),
                         scoped,
-                        kernel_shapes,
+                        direct,
                         out_dtype,
                         name: node.name.clone(),
                     });
@@ -666,15 +638,16 @@ impl Plan {
                 ops::avg_pool(args[0], *window, *strides, *padding)
             }
             OpKind::FusedMatMul { has_bias, activation } => {
-                if let Some(shapes) = &op.kernel_shapes {
-                    let engine = args[0].engine();
-                    // The composite path exists for tape recording (unfused
-                    // entries) and fusion-disabled debugging; neither holds
-                    // on a planned inference pass, where this dispatches
-                    // the kernel with zero alias tensors.
-                    if !engine.is_recording() && engine.fusion_enabled() {
-                        return fused_matmul_direct(engine, op, args, shapes, *activation);
-                    }
+                let engine = args[0].engine();
+                // The composite path exists for tape recording (unfused
+                // entries) and fusion-disabled debugging; neither holds on a
+                // planned inference pass, where this dispatches the kernel
+                // with zero alias tensors.
+                if op.direct && !engine.is_recording() && engine.fusion_enabled() {
+                    let epilogue = Epilogue::Fused { bias: *has_bias, activation: *activation };
+                    let call =
+                        KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue };
+                    return engine.run_kernel(&call, args, None);
                 }
                 let bias = if *has_bias { Some(args[2]) } else { None };
                 ops::fused_matmul(args[0], args[1], bias, *activation, false, false)
@@ -701,32 +674,6 @@ impl Plan {
             OpKind::Mean { axes } => ops::mean(args[0], Some(axes), false),
         }
     }
-}
-
-/// Dispatch a fused matmul straight to the backend kernel using the plan's
-/// precomputed batch-1 rank-3 input views ([`PlannedOp::kernel_shapes`]).
-/// Bitwise identical to `ops::fused_matmul`: the kernel sees the same data
-/// ids under the same shapes the op layer's reshape aliases would present,
-/// and the output is registered under the rank-2 result shape directly —
-/// the layout the rank-3 result aliases to anyway.
-fn fused_matmul_direct(
-    engine: &Engine,
-    op: &PlannedOp,
-    args: &[&Tensor],
-    shapes: &[Shape],
-    activation: Option<UnaryOp>,
-) -> Result<Tensor> {
-    let outs = engine.run_kernel_shaped(
-        "FusedMatMul",
-        args,
-        shapes,
-        &mut |backend, ins| {
-            let id = backend.matmul(&ins[0], &ins[1], ins.get(2), activation, false, false)?;
-            Ok(vec![(id, op.out_shape.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
 }
 
 /// In-flight results of a pipelined run (paper Sec 4.1.1, Fig 3).

@@ -1,16 +1,18 @@
 //! The backend abstraction (paper Sec 3.4).
 //!
-//! A backend implements device-specific *kernels* plus data-management
-//! methods (`register`, `read`, `read_sync`, `dispose_data`) that store the
-//! buffer backing each tensor. Tensors are decoupled from their data: the
-//! engine refcounts [`DataId`]s so `reshape`/`clone` are free shallow copies.
+//! A backend runs device-specific *kernels* — each one a [`KernelCall`]
+//! value, through [`Backend::run`] — plus data-management methods
+//! (`register`, `read`, `read_sync`, `dispose_data`) that store the buffer
+//! backing each tensor. Tensors are decoupled from their data: the engine
+//! refcounts [`DataId`]s so `reshape`/`clone` are free shallow copies.
 
 use crate::conv_util::Conv2dInfo;
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
 use crate::quant::QuantParams;
-use crate::shape::{broadcast_shapes, Shape};
+use crate::shape::{broadcast_shapes, reduced_shape, Shape};
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Opaque identifier of a data container held by a backend.
@@ -44,7 +46,7 @@ impl<'a> KTensor<'a> {
 }
 
 /// Geometry of a batched matmul `[batch, m, k] × [b_batch, k, n]`, after
-/// the transposes.
+/// the transposes; a rank-2 product is a batch of 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatMulGeom {
     /// Batch count of the left operand and the output.
@@ -65,11 +67,19 @@ pub struct MatMulGeom {
 }
 
 impl MatMulGeom {
-    /// The geometry of `a × b` for rank-3 operand shapes.
+    /// The geometry of `a × b` for rank-2 or rank-3 operand shapes.
     pub fn of(a: &Shape, b: &Shape, transpose_a: bool, transpose_b: bool) -> MatMulGeom {
-        let (m, k) = if transpose_a { (a.dim(2), a.dim(1)) } else { (a.dim(1), a.dim(2)) };
-        let n = if transpose_b { b.dim(1) } else { b.dim(2) };
-        MatMulGeom { batch: a.dim(0), m, k, n, b_batch: b.dim(0), transpose_a, transpose_b }
+        // `(batch, rows, cols)` of a stored operand.
+        let split = |s: &Shape| match *s.dims() {
+            [rows, cols] => (1, rows, cols),
+            [batch, rows, cols] => (batch, rows, cols),
+            // `KernelCall::output` refuses every other rank first.
+            _ => (1, 0, 0),
+        };
+        let ((batch, a0, a1), (b_batch, b0, b1)) = (split(a), split(b));
+        let (m, k) = if transpose_a { (a1, a0) } else { (a0, a1) };
+        let n = if transpose_b { b0 } else { b1 };
+        MatMulGeom { batch, m, k, n, b_batch, transpose_a, transpose_b }
     }
 }
 
@@ -424,7 +434,7 @@ impl BinaryOp {
     }
 }
 
-/// One step of a fused elementwise chain (see [`Backend::fused_elementwise`]).
+/// One step of a fused elementwise chain ([`KernelCall::FusedElementwise`]).
 ///
 /// The chain threads a single running value through each step: a `Unary`
 /// step maps it, a `Binary` step combines it (as the left operand) with one
@@ -625,7 +635,9 @@ impl DataFuture {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FenceToken(pub u64);
 
-/// A device-specific kernel implementation set (paper Sec 3.3/3.4).
+/// A device-specific kernel implementation set (paper Sec 3.3/3.4): storage,
+/// readback, fences, a timer, and one entry point that runs any
+/// [`KernelCall`].
 ///
 /// Implementations must be thread-safe: the engine may be shared across
 /// threads, and the webgl backend's device thread reads textures concurrently.
@@ -694,272 +706,587 @@ pub trait Backend: Send + Sync {
     /// a spin.
     fn wait_fence(&self, _token: FenceToken) {}
 
-    // --- kernels -----------------------------------------------------------
-
-    /// Element-wise unary kernel.
+    /// Run `call` over `operands` into a new container of the shape and
+    /// dtype [`KernelCall::output`] gives, which is also where a malformed
+    /// call becomes an `Err`.
+    ///
+    /// A product call (paper Sec 3.9/4.1: draw-call overhead) applies its
+    /// [`Epilogue`] in the same pass: the full accumulation, then
+    /// `acc + bias[channel]`, then the activation, every scalar through
+    /// [`BinaryOp::apply`] / [`UnaryOp::apply`], so it is bit-identical to
+    /// [`compose`] on an f32 device. A plain one ([`Epilogue::is_plain`])
+    /// runs the plain kernel and surfaces a rejection like any kernel; a
+    /// fused program the device rejects (the driver refuses the shader)
+    /// falls back to [`compose`] on the same backend instead. A quantized
+    /// weight ([`KTensor::quant`]) runs dequant-free — codes read in place,
+    /// never tiled or copied — through the factored accumulation
+    /// `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`, scale and min applied before the
+    /// bias and activation.
     ///
     /// # Errors
-    /// Backend-specific execution failure.
-    fn unary(&self, op: UnaryOp, a: &KTensor<'_>) -> Result<DataId>;
+    /// A malformed call, an unknown container, or a backend-specific
+    /// execution failure.
+    fn run(&self, call: &KernelCall<'_>, operands: &[KTensor<'_>]) -> Result<DataId>;
+}
 
-    /// Element-wise binary kernel with broadcasting. `out_shape` is the
-    /// broadcast shape computed by the op layer.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn binary(
-        &self,
-        op: BinaryOp,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        out_shape: &Shape,
-        out_dtype: DType,
-    ) -> Result<DataId>;
-
-    /// Cast to another dtype.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn cast(&self, a: &KTensor<'_>, dtype: DType) -> Result<DataId>;
-
-    /// Reduction over `axes` (sorted, unique). Output drops reduced dims.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn reduce(&self, op: ReduceOp, a: &KTensor<'_>, axes: &[usize]) -> Result<DataId>;
-
-    /// Arg-reduction over a single axis; output dtype is I32.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn arg_reduce(&self, op: ArgReduceOp, a: &KTensor<'_>, axis: usize) -> Result<DataId>;
-
-    // --- product kernels (paper Sec 3.9/4.1: draw-call overhead) -----------
-    //
-    // The epilogue is an argument of the kernel: an optional rank-1 bias
-    // added per output channel / column, then an optional activation, in
-    // the same pass. With an f32 weight and an empty epilogue the call *is*
-    // the plain kernel and must run it, never a fallback: that is how the
-    // `fused_*_fallback` compositions call back in. Anything else is fused,
-    // and must stay bit-identical to the composition: finish the full
-    // accumulation, then `acc + bias[channel]`, then `activation(acc)` —
-    // every scalar routed through [`BinaryOp::apply`] / [`UnaryOp::apply`].
-    // A fused program the backend cannot run (e.g. the driver rejects the
-    // shader) falls back to the matching `fused_*_fallback` helper on the
-    // SAME backend instead of surfacing the error.
-    //
-    // The weight operand (`b` / `filter`) may carry [`KTensor::quant`]: raw
-    // U8 codes plus affine params (paper Sec 5.1). A quantized kernel must
-    // run *dequant-free* — no f32 weight tensor, codes never tiled or copied
-    // — via the factored accumulation `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`,
-    // scale/min applied in the epilogue before bias and activation. The
-    // `fused_*_fallback` helpers cover a quantized operand too (dequantize
-    // host-side, then this backend's f32 kernel).
-
-    /// Batched matmul `[b, m, k] x [b, k, n]` with an optional rank-1 bias
-    /// `[n]` added to every output row and an optional activation. A
-    /// quantized `b` may be batch-1 `[1, k, n]` and is then broadcast across
-    /// `a`'s batch (per-channel params index the output column).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn matmul(
-        &self,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
+/// What a product kernel (matmul, conv2d, depthwise conv2d) does after its
+/// accumulation — and so which op the call reports as.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Epilogue {
+    /// The plain op (`MatMul`, `Conv2D`, `DepthwiseConv2D`): nothing, over
+    /// an f32 weight.
+    None,
+    /// The fused op (`FusedMatMul`, ...) over an f32 weight.
+    Fused {
+        /// Whether the call binds a third operand: a rank-1 f32 bias, one
+        /// value per output channel (matmul: column), added first.
+        bias: bool,
+        /// Applied last.
         activation: Option<UnaryOp>,
-        transpose_a: bool,
-        transpose_b: bool,
-    ) -> Result<DataId>;
-
-    /// 2-D convolution, NHWC x HWIO, with an optional rank-1 bias
-    /// `[out_channels]` and an optional activation (per-channel params of a
-    /// quantized filter index the output channel).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
+    },
+    /// The fused op over a quantized weight (`FusedMatMulQuant`, ...),
+    /// whose codes the kernel reads in place.
+    Quant {
+        /// As for [`Epilogue::Fused`].
+        bias: bool,
+        /// As for [`Epilogue::Fused`].
         activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
+    },
+}
 
-    /// Gradient of conv2d w.r.t. its input.
+impl Epilogue {
+    /// Whether a bias operand is bound.
+    pub fn bias(self) -> bool {
+        matches!(self, Epilogue::Fused { bias: true, .. } | Epilogue::Quant { bias: true, .. })
+    }
+
+    /// The activation applied last.
+    pub fn activation(self) -> Option<UnaryOp> {
+        match self {
+            Epilogue::None => None,
+            Epilogue::Fused { activation, .. } | Epilogue::Quant { activation, .. } => activation,
+        }
+    }
+
+    /// Whether the call is the plain kernel: an f32 weight and nothing after
+    /// the accumulation (a fused op with an empty epilogue is one).
+    pub fn is_plain(self) -> bool {
+        matches!(self, Epilogue::None | Epilogue::Fused { bias: false, activation: None })
+    }
+
+    /// The op's name under this epilogue, from its plain, fused and
+    /// quantized names.
+    fn name(self, [plain, fused, quant]: [&'static str; 3]) -> &'static str {
+        match self {
+            Epilogue::None => plain,
+            Epilogue::Fused { .. } => fused,
+            Epilogue::Quant { .. } => quant,
+        }
+    }
+}
+
+/// One kernel call: which kernel, with the attributes the op it runs for
+/// lends it. This is the whole vocabulary below the op layer —
+/// [`crate::Engine::run_kernel`] dispatches one, [`Backend::run`] runs one,
+/// and [`KernelCall::output`] is the one rule for what it produces. Each
+/// variant lists its operands in the order they are bound.
+#[allow(missing_docs)] // the attributes are named in their variant's doc
+#[derive(Debug, Clone, PartialEq)]
+pub enum KernelCall<'a> {
+    /// `[x]`, element-wise.
+    Unary(UnaryOp),
+    /// `[a, b]`, element-wise under NumPy broadcasting.
+    Binary(BinaryOp),
+    /// `[x]` converted to the dtype.
+    Cast(DType),
+    /// `[x]` reduced over `axes` (increasing), which the output drops.
+    Reduce { op: ReduceOp, axes: Cow<'a, [usize]> },
+    /// `[x]` reduced to `I32` indices along `axis`, which the output drops.
+    ArgReduce { op: ArgReduceOp, axis: usize },
+    /// `[a, b]` and the bias: matrices at rank 2, batches of them at rank 3
+    /// (a quantized `b` may have a batch of 1, broadcast across `a`'s),
+    /// transposed as asked.
+    MatMul { transpose_a: bool, transpose_b: bool, epilogue: Epilogue },
+    /// `[x, filter]` and the bias: NHWC × HWIO.
+    Conv2d { info: Cow<'a, Conv2dInfo>, epilogue: Epilogue },
+    /// `[dy, filter]`: the gradient of a conv2d w.r.t. its input.
+    Conv2dBackpropInput(Cow<'a, Conv2dInfo>),
+    /// `[x, dy]`: the gradient of a conv2d w.r.t. its filter.
+    Conv2dBackpropFilter(Cow<'a, Conv2dInfo>),
+    /// `[x, filter]` and the bias, the filter `[fh, fw, c, mul]`.
+    DepthwiseConv2d { info: Cow<'a, Conv2dInfo>, epilogue: Epilogue },
+    /// `[dy, filter]`: the gradient of a depthwise conv2d w.r.t. its input.
+    DepthwiseConv2dBackpropInput(Cow<'a, Conv2dInfo>),
+    /// `[x, dy]`: the gradient of a depthwise conv2d w.r.t. its filter.
+    DepthwiseConv2dBackpropFilter(Cow<'a, Conv2dInfo>),
+    /// `[x]`: max or average pooling over `info`'s windows.
+    Pool2d { op: PoolOp, info: Cow<'a, Conv2dInfo> },
+    /// `[dy, x]`: the pooling gradient.
+    Pool2dBackprop { op: PoolOp, info: Cow<'a, Conv2dInfo> },
+    /// `[x]`: `x[begin .. begin + size]` per axis.
+    Slice { begin: Cow<'a, [usize]>, size: Cow<'a, [usize]> },
+    /// Every operand, along `axis`: equal rank, equal dims off it.
+    Concat { axis: usize },
+    /// `[x]` with its axes permuted by `perm`.
+    Transpose { perm: Cow<'a, [usize]> },
+    /// `[x]` padded with `value`, `paddings[i] = (before, after)`.
+    Pad { paddings: Cow<'a, [(usize, usize)]>, value: f32 },
+    /// `[x, indices]`: the slices of `x` at the integer `indices` along
+    /// `axis`, whose dims replace that axis in the output.
+    Gather { axis: usize },
+    /// `[x]` repeated `reps[i]` times along each axis.
+    Tile { reps: Cow<'a, [usize]> },
+    /// `[x]` reversed along `axes`.
+    Reverse { axes: Cow<'a, [usize]> },
+    /// `[cond, a, b]`: `cond ? a : b` under broadcasting.
+    Select,
+    /// `[indices]` into a new trailing axis of `depth`: `on` at each index,
+    /// `off` elsewhere.
+    OneHot { depth: usize, on: f32, off: f32 },
+    /// `[x]` NHWC, bilinearly resized to `new_h` × `new_w`.
+    ResizeBilinear { new_h: usize, new_w: usize, align_corners: bool },
+    /// `[x, extras..]`: a chain of element-wise steps as one kernel.
+    FusedElementwise(Cow<'a, [FusedStep]>),
+}
+
+/// `operands` as exactly `N` operands.
+fn take<'o, 'a, const N: usize>(
+    name: &'static str,
+    operands: &'o [KTensor<'a>],
+) -> Result<&'o [KTensor<'a>; N]> {
+    operands
+        .try_into()
+        .map_err(|_| Error::invalid(name, format!("takes {N} operands, got {}", operands.len())))
+}
+
+/// Check that operand `what` has `dims`.
+fn expect_dims(name: &'static str, what: &str, t: &KTensor<'_>, dims: &[usize]) -> Result<()> {
+    if t.shape.dims() == dims {
+        return Ok(());
+    }
+    Err(Error::shape(name, format!("{what} must be {dims:?}, got {}", t.shape)))
+}
+
+/// A product call's input, weight and bias, counted against its epilogue.
+fn product<'o, 'a>(
+    name: &'static str,
+    operands: &'o [KTensor<'a>],
+    epilogue: Epilogue,
+) -> Result<(&'o KTensor<'a>, &'o KTensor<'a>, Option<&'o KTensor<'a>>)> {
+    match operands {
+        [x, w] if !epilogue.bias() => Ok((x, w, None)),
+        [x, w, bias] if epilogue.bias() => Ok((x, w, Some(bias))),
+        _ => {
+            let arity = 2 + epilogue.bias() as usize;
+            let msg = format!("{epilogue:?} takes {arity} operands, got {}", operands.len());
+            Err(Error::invalid(name, msg))
+        }
+    }
+}
+
+/// Whether `params` have a `(scale, min)` pair for each of the `channels`
+/// a kernel looks them up by.
+fn per_output(params: &QuantParams, channels: usize) -> bool {
+    params.channel_count().is_none_or(|c| c == channels)
+}
+
+/// Check a product call's weight against its epilogue — codes with params
+/// the kernel can look up per output (`quant_ok`) exactly when it is
+/// [`Epilogue::Quant`] — and its bias: rank-1 f32, one value per channel.
+fn check_weight(
+    name: &'static str,
+    w: &KTensor<'_>,
+    bias: Option<&KTensor<'_>>,
+    epilogue: Epilogue,
+    channels: usize,
+    quant_ok: impl Fn(&QuantParams) -> bool,
+) -> Result<()> {
+    let quant = matches!(epilogue, Epilogue::Quant { .. });
+    if quant != w.quant.is_some_and(quant_ok) {
+        let msg = format!("a {epilogue:?} call and a weight quantized as {:?}", w.quant);
+        return Err(Error::invalid(name, msg));
+    }
+    match bias {
+        Some(b) if b.shape.dims() != [channels] || b.dtype != DType::F32 => Err(Error::shape(
+            name,
+            format!("bias must be rank-1 f32 [{channels}], got {} {}", b.dtype, b.shape),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The dims of a conv call's NHWC input and output, and of its filter with
+/// `last` its trailing axis.
+fn conv_dims(c: &Conv2dInfo, last: usize) -> [[usize; 4]; 3] {
+    [
+        [c.batch, c.in_height, c.in_width, c.in_channels],
+        [c.batch, c.out_height, c.out_width, c.out_channels],
+        [c.filter_height, c.filter_width, c.in_channels, last],
+    ]
+}
+
+/// Check an axis of a rank-`rank` operand.
+fn check_axis(name: &'static str, axis: usize, rank: usize) -> Result<()> {
+    if axis < rank {
+        return Ok(());
+    }
+    Err(Error::invalid(name, format!("axis {axis} out of range for rank {rank}")))
+}
+
+/// An attribute owned, for a call that outlives its op.
+fn owned<B: ?Sized + ToOwned + 'static>(attr: Cow<'_, B>) -> Cow<'static, B> {
+    Cow::Owned(attr.into_owned())
+}
+
+impl<'a> KernelCall<'a> {
+    /// The name the call reports in profiles, trace spans and
+    /// [`crate::DegradationEvent`]s.
+    pub fn name(&self) -> &'static str {
+        use KernelCall as C;
+        match self {
+            C::Unary(op) => op.name(),
+            C::Binary(op) => op.name(),
+            C::Cast(_) => "Cast",
+            C::Reduce { op, .. } => op.name(),
+            C::ArgReduce { op: ArgReduceOp::ArgMax, .. } => "ArgMax",
+            C::ArgReduce { op: ArgReduceOp::ArgMin, .. } => "ArgMin",
+            C::MatMul { epilogue, .. } => {
+                epilogue.name(["MatMul", "FusedMatMul", "FusedMatMulQuant"])
+            }
+            C::Conv2d { epilogue, .. } => {
+                epilogue.name(["Conv2D", "FusedConv2D", "FusedConv2DQuant"])
+            }
+            C::Conv2dBackpropInput(_) => "Conv2DBackpropInput",
+            C::Conv2dBackpropFilter(_) => "Conv2DBackpropFilter",
+            C::DepthwiseConv2d { epilogue, .. } => epilogue.name([
+                "DepthwiseConv2D",
+                "FusedDepthwiseConv2D",
+                "FusedDepthwiseConv2DQuant",
+            ]),
+            C::DepthwiseConv2dBackpropInput(_) => "DepthwiseConv2DBackpropInput",
+            C::DepthwiseConv2dBackpropFilter(_) => "DepthwiseConv2DBackpropFilter",
+            C::Pool2d { op: PoolOp::Max, .. } => "MaxPool",
+            C::Pool2d { op: PoolOp::Avg, .. } => "AvgPool",
+            C::Pool2dBackprop { .. } => "PoolBackprop",
+            C::Slice { .. } => "Slice",
+            C::Concat { .. } => "Concat",
+            C::Transpose { .. } => "Transpose",
+            C::Pad { .. } => "Pad",
+            C::Gather { .. } => "Gather",
+            C::Tile { .. } => "Tile",
+            C::Reverse { .. } => "Reverse",
+            C::Select => "Select",
+            C::OneHot { .. } => "OneHot",
+            C::ResizeBilinear { .. } => "ResizeBilinear",
+            C::FusedElementwise(_) => "FusedElementwise",
+        }
+    }
+
+    /// A product call's epilogue; `None` for every other kernel.
+    pub fn epilogue(&self) -> Option<Epilogue> {
+        match self {
+            KernelCall::MatMul { epilogue, .. }
+            | KernelCall::Conv2d { epilogue, .. }
+            | KernelCall::DepthwiseConv2d { epilogue, .. } => Some(*epilogue),
+            _ => None,
+        }
+    }
+
+    /// Whether the call is a fused kernel, which a backend may answer with
+    /// [`compose`]: a product call that is not plain, or an element-wise
+    /// chain.
+    pub fn is_fused(&self) -> bool {
+        matches!(self, KernelCall::FusedElementwise(_))
+            || self.epilogue().is_some_and(|e| !e.is_plain())
+    }
+
+    /// The same product call under another epilogue.
+    fn with_epilogue(&self, epilogue: Epilogue) -> KernelCall<'a> {
+        let mut call = self.clone();
+        if let KernelCall::MatMul { epilogue: e, .. }
+        | KernelCall::Conv2d { epilogue: e, .. }
+        | KernelCall::DepthwiseConv2d { epilogue: e, .. } = &mut call
+        {
+            *e = epilogue;
+        }
+        call
+    }
+
+    /// The same call owning its attributes, for a kernel that runs after
+    /// its op returned (a GPU pipeline body, on the device thread).
+    pub fn into_owned(self) -> KernelCall<'static> {
+        use KernelCall as C;
+        match self {
+            C::Unary(op) => C::Unary(op),
+            C::Binary(op) => C::Binary(op),
+            C::Cast(dtype) => C::Cast(dtype),
+            C::Reduce { op, axes } => C::Reduce { op, axes: owned(axes) },
+            C::ArgReduce { op, axis } => C::ArgReduce { op, axis },
+            C::MatMul { transpose_a, transpose_b, epilogue } => {
+                C::MatMul { transpose_a, transpose_b, epilogue }
+            }
+            C::Conv2d { info, epilogue } => C::Conv2d { info: owned(info), epilogue },
+            C::Conv2dBackpropInput(info) => C::Conv2dBackpropInput(owned(info)),
+            C::Conv2dBackpropFilter(info) => C::Conv2dBackpropFilter(owned(info)),
+            C::DepthwiseConv2d { info, epilogue } => {
+                C::DepthwiseConv2d { info: owned(info), epilogue }
+            }
+            C::DepthwiseConv2dBackpropInput(info) => C::DepthwiseConv2dBackpropInput(owned(info)),
+            C::DepthwiseConv2dBackpropFilter(info) => {
+                C::DepthwiseConv2dBackpropFilter(owned(info))
+            }
+            C::Pool2d { op, info } => C::Pool2d { op, info: owned(info) },
+            C::Pool2dBackprop { op, info } => C::Pool2dBackprop { op, info: owned(info) },
+            C::Slice { begin, size } => C::Slice { begin: owned(begin), size: owned(size) },
+            C::Concat { axis } => C::Concat { axis },
+            C::Transpose { perm } => C::Transpose { perm: owned(perm) },
+            C::Pad { paddings, value } => C::Pad { paddings: owned(paddings), value },
+            C::Gather { axis } => C::Gather { axis },
+            C::Tile { reps } => C::Tile { reps: owned(reps) },
+            C::Reverse { axes } => C::Reverse { axes: owned(axes) },
+            C::Select => C::Select,
+            C::OneHot { depth, on, off } => C::OneHot { depth, on, off },
+            C::ResizeBilinear { new_h, new_w, align_corners } => {
+                C::ResizeBilinear { new_h, new_w, align_corners }
+            }
+            C::FusedElementwise(steps) => C::FusedElementwise(owned(steps)),
+        }
+    }
+
+    /// The shape and dtype the call produces from `operands`: the one shape
+    /// rule of every kernel, for the engine, every backend and every GPU
+    /// builder alike, and the one place a call is validated — one a kernel
+    /// could not run (an operand count, a dim or an index out of line) is an
+    /// `Err` here, never a panic further down.
     ///
     /// # Errors
-    /// Backend-specific execution failure.
-    fn conv2d_backprop_input(
-        &self,
-        dy: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
-
-    /// Gradient of conv2d w.r.t. its filter.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn conv2d_backprop_filter(
-        &self,
-        x: &KTensor<'_>,
-        dy: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
-
-    /// Depthwise 2-D convolution, filter `[fh, fw, c, mul]`, with an
-    /// optional rank-1 bias `[out_channels]` and an optional activation
-    /// (per-channel params of a quantized filter run along filter axis 2,
-    /// the input channel, or 3, the channel multiplier).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn depthwise_conv2d(
-        &self,
-        x: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        bias: Option<&KTensor<'_>>,
-        activation: Option<UnaryOp>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
-
-    /// Gradient of depthwise conv2d w.r.t. its input.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn depthwise_conv2d_backprop_input(
-        &self,
-        dy: &KTensor<'_>,
-        filter: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
-
-    /// Gradient of depthwise conv2d w.r.t. its filter.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn depthwise_conv2d_backprop_filter(
-        &self,
-        x: &KTensor<'_>,
-        dy: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
-
-    /// 2-D max/avg pooling.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn pool2d(&self, op: PoolOp, x: &KTensor<'_>, info: &Conv2dInfo) -> Result<DataId>;
-
-    /// Gradient of 2-D pooling.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn pool2d_backprop(
-        &self,
-        op: PoolOp,
-        dy: &KTensor<'_>,
-        x: &KTensor<'_>,
-        info: &Conv2dInfo,
-    ) -> Result<DataId>;
-
-    /// Contiguous slice `x[begin .. begin+size]` per axis.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn slice(&self, x: &KTensor<'_>, begin: &[usize], size: &[usize]) -> Result<DataId>;
-
-    /// Concatenate along `axis`. All inputs share rank and non-axis dims.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn concat(&self, xs: &[KTensor<'_>], axis: usize) -> Result<DataId>;
-
-    /// Permute dimensions.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn transpose(&self, x: &KTensor<'_>, perm: &[usize]) -> Result<DataId>;
-
-    /// Pad with a constant value; `paddings[i] = (before, after)`.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn pad(&self, x: &KTensor<'_>, paddings: &[(usize, usize)], value: f32) -> Result<DataId>;
-
-    /// Gather slices along `axis` using integer `indices`.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn gather(&self, x: &KTensor<'_>, indices: &KTensor<'_>, axis: usize) -> Result<DataId>;
-
-    /// Tile (repeat) each dimension `reps[i]` times.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn tile(&self, x: &KTensor<'_>, reps: &[usize]) -> Result<DataId>;
-
-    /// Reverse along the given axes.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn reverse(&self, x: &KTensor<'_>, axes: &[usize]) -> Result<DataId>;
-
-    /// Element-wise select: `cond ? a : b` (shapes already broadcast).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn select(
-        &self,
-        cond: &KTensor<'_>,
-        a: &KTensor<'_>,
-        b: &KTensor<'_>,
-        out_shape: &Shape,
-    ) -> Result<DataId>;
-
-    /// One-hot encode integer `indices` into a new trailing dim of `depth`.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn one_hot(&self, indices: &KTensor<'_>, depth: usize, on: f32, off: f32) -> Result<DataId>;
-
-    /// Bilinear image resize of an NHWC tensor.
-    ///
-    /// # Errors
-    /// Backend-specific execution failure.
-    fn resize_bilinear(
-        &self,
-        x: &KTensor<'_>,
-        new_h: usize,
-        new_w: usize,
-        align_corners: bool,
-    ) -> Result<DataId>;
-
-    /// Execute a chain of elementwise steps over `x` as one kernel. Binary
-    /// steps broadcast the extra input against the running chain shape; the
-    /// final shape must equal `out_shape` (validated by the op layer).
-    ///
-    /// # Errors
-    /// Backend-specific execution failure, or an empty `steps` list.
-    fn fused_elementwise(
-        &self,
-        x: &KTensor<'_>,
-        extras: &[KTensor<'_>],
-        steps: &[FusedStep],
-        out_shape: &Shape,
-    ) -> Result<DataId> {
-        fused_elementwise_fallback(self, x, extras, steps, out_shape)
+    /// A shape or argument error naming the call.
+    pub fn output(&self, operands: &[KTensor<'_>]) -> Result<(Shape, DType)> {
+        use KernelCall as C;
+        let name = self.name();
+        let invalid = |msg: String| Err(Error::invalid(name, msg));
+        Ok(match self {
+            C::Unary(op) => {
+                let [x] = take(name, operands)?;
+                (x.shape.clone(), op.out_dtype(x.dtype))
+            }
+            C::Binary(op) => {
+                let [a, b] = take(name, operands)?;
+                let dtype = if op.is_comparison() { DType::Bool } else { a.dtype.promote(b.dtype) };
+                (broadcast_shapes(name, a.shape, b.shape)?, dtype)
+            }
+            C::Cast(dtype) => {
+                let [x] = take(name, operands)?;
+                (x.shape.clone(), *dtype)
+            }
+            C::Reduce { op, axes } => {
+                let [x] = take(name, operands)?;
+                let increasing = axes.windows(2).all(|w| w[0] < w[1]);
+                if !increasing || axes.last().is_some_and(|&a| a >= x.shape.rank()) {
+                    return invalid(format!("axes {axes:?} of {} must increase and exist", x.shape));
+                }
+                (reduced_shape(x.shape, axes, false), op.out_dtype(x.dtype))
+            }
+            C::ArgReduce { axis, .. } => {
+                let [x] = take(name, operands)?;
+                check_axis(name, *axis, x.shape.rank())?;
+                let out = reduced_shape(x.shape, &[*axis], false);
+                if x.shape.dim(*axis) == 0 && out.size() > 0 {
+                    return invalid(format!("axis {axis} of {} is empty", x.shape));
+                }
+                (out, DType::I32)
+            }
+            C::MatMul { transpose_a, transpose_b, epilogue } => {
+                let (a, b, bias) = product(name, operands, *epilogue)?;
+                let rank = a.shape.rank();
+                let shapes = || format!("{} x {}", a.shape, b.shape);
+                if b.shape.rank() != rank || !(2..=3).contains(&rank) {
+                    let msg = format!("expected rank 2 or 3, got {}", shapes());
+                    return Err(Error::shape(name, msg));
+                }
+                let g = MatMulGeom::of(a.shape, b.shape, *transpose_a, *transpose_b);
+                let k_b = b.shape.dim(if *transpose_b { rank - 1 } else { rank - 2 });
+                if g.k != k_b {
+                    let (k, shapes) = (g.k, shapes());
+                    let msg = format!("inner dimensions must match: {k} vs {k_b} ({shapes})");
+                    return Err(Error::shape(name, msg));
+                }
+                if g.b_batch != g.batch && !(g.b_batch == 1 && b.quant.is_some()) {
+                    let msg = format!("batch dims {} vs {} incompatible", g.batch, g.b_batch);
+                    return Err(Error::shape(name, msg));
+                }
+                check_weight(name, b, bias, *epilogue, g.n, |p| per_output(p, g.n))?;
+                let out = if rank == 3 { vec![g.batch, g.m, g.n] } else { vec![g.m, g.n] };
+                (Shape::new(out), DType::F32)
+            }
+            C::Conv2d { info, epilogue } | C::DepthwiseConv2d { info, epilogue } => {
+                let (x, w, bias) = product(name, operands, *epilogue)?;
+                let (ic, mul) = (info.in_channels, info.channel_mul);
+                let depthwise = matches!(self, C::DepthwiseConv2d { .. });
+                let last = if depthwise { mul } else { info.out_channels };
+                let [input, _, filter] = conv_dims(info, last);
+                expect_dims(name, "input", x, &input)?;
+                expect_dims(name, "filter", w, &filter)?;
+                let channels = info.out_channels;
+                // A depthwise kernel keys per-channel params by input channel
+                // along filter axis 2, by multiplier otherwise.
+                check_weight(name, w, bias, *epilogue, channels, |p| match (depthwise, p) {
+                    (true, QuantParams::PerChannel { axis: 2, .. }) => per_output(p, ic),
+                    (true, _) => per_output(p, mul),
+                    (false, _) => per_output(p, channels),
+                })?;
+                (info.out_shape(), DType::F32)
+            }
+            C::Conv2dBackpropInput(info) | C::DepthwiseConv2dBackpropInput(info) => {
+                let [dy, w] = take(name, operands)?;
+                let last = match self {
+                    C::Conv2dBackpropInput(_) => info.out_channels,
+                    _ => info.channel_mul,
+                };
+                let [input, out, filter] = conv_dims(info, last);
+                expect_dims(name, "dy", dy, &out)?;
+                expect_dims(name, "filter", w, &filter)?;
+                (Shape::new(input.to_vec()), DType::F32)
+            }
+            C::Conv2dBackpropFilter(info) | C::DepthwiseConv2dBackpropFilter(info) => {
+                let [x, dy] = take(name, operands)?;
+                let last = match self {
+                    C::Conv2dBackpropFilter(_) => info.out_channels,
+                    _ => info.channel_mul,
+                };
+                let [input, out, filter] = conv_dims(info, last);
+                expect_dims(name, "input", x, &input)?;
+                expect_dims(name, "dy", dy, &out)?;
+                (Shape::new(filter.to_vec()), DType::F32)
+            }
+            C::Pool2d { info, .. } => {
+                let [x] = take(name, operands)?;
+                expect_dims(name, "input", x, &conv_dims(info, 0)[0])?;
+                (info.out_shape(), x.dtype)
+            }
+            C::Pool2dBackprop { info, .. } => {
+                let [dy, x] = take(name, operands)?;
+                let [input, out, _] = conv_dims(info, 0);
+                expect_dims(name, "dy", dy, &out)?;
+                expect_dims(name, "input", x, &input)?;
+                (Shape::new(input.to_vec()), DType::F32)
+            }
+            C::Slice { begin, size } => {
+                let [x] = take(name, operands)?;
+                let dims = x.shape.dims();
+                let fits = begin.len() == dims.len()
+                    && size.len() == dims.len()
+                    && (0..dims.len()).all(|i| begin[i] + size[i] <= dims[i]);
+                if !fits {
+                    return invalid(format!("[{begin:?} + {size:?}) does not fit {}", x.shape));
+                }
+                (Shape::new(size.to_vec()), x.dtype)
+            }
+            C::Concat { axis } => {
+                let first = operands.first().ok_or_else(|| Error::invalid(name, "no operands"))?;
+                let rank = first.shape.rank();
+                check_axis(name, *axis, rank)?;
+                let mut dims = first.shape.dims().to_vec();
+                dims[*axis] = 0;
+                for t in operands {
+                    let same = |d: usize| d == *axis || t.shape.dim(d) == first.shape.dim(d);
+                    if t.shape.rank() != rank || !(0..rank).all(same) {
+                        let msg = format!("{} and {} differ off axis {axis}", t.shape, first.shape);
+                        return Err(Error::shape(name, msg));
+                    }
+                    dims[*axis] += t.shape.dim(*axis);
+                }
+                (Shape::new(dims), first.dtype)
+            }
+            C::Transpose { perm } => {
+                let [x] = take(name, operands)?;
+                let rank = x.shape.rank();
+                let mut seen = vec![false; rank];
+                let valid = perm.len() == rank
+                    && perm.iter().all(|&p| p < rank && !std::mem::replace(&mut seen[p], true));
+                if !valid {
+                    return invalid(format!("{perm:?} does not permute the axes of {}", x.shape));
+                }
+                (Shape::new(perm.iter().map(|&p| x.shape.dim(p)).collect::<Vec<_>>()), x.dtype)
+            }
+            C::Pad { paddings, .. } => {
+                let [x] = take(name, operands)?;
+                if paddings.len() != x.shape.rank() {
+                    return invalid(format!("{} paddings for {}", paddings.len(), x.shape));
+                }
+                let dims = x.shape.dims().iter().zip(paddings.iter());
+                (Shape::new(dims.map(|(&d, &(b, a))| d + b + a).collect::<Vec<_>>()), x.dtype)
+            }
+            C::Gather { axis } => {
+                let [x, indices] = take(name, operands)?;
+                check_axis(name, *axis, x.shape.rank())?;
+                if x.shape.dim(*axis) == 0 && indices.shape.size() > 0 {
+                    return invalid(format!("no slices to gather along axis {axis} of {}", x.shape));
+                }
+                let dims = x.shape.dims();
+                let out = [&dims[..*axis], indices.shape.dims(), &dims[axis + 1..]].concat();
+                (Shape::new(out), x.dtype)
+            }
+            C::Tile { reps } => {
+                let [x] = take(name, operands)?;
+                if reps.len() != x.shape.rank() {
+                    return invalid(format!("{} reps for {}", reps.len(), x.shape));
+                }
+                let dims = x.shape.dims().iter().zip(reps.iter());
+                (Shape::new(dims.map(|(&d, &r)| d * r).collect::<Vec<_>>()), x.dtype)
+            }
+            C::Reverse { axes } => {
+                let [x] = take(name, operands)?;
+                for &axis in axes.iter() {
+                    check_axis(name, axis, x.shape.rank())?;
+                }
+                (x.shape.clone(), x.dtype)
+            }
+            C::Select => {
+                let [cond, a, b] = take(name, operands)?;
+                let ab = broadcast_shapes(name, a.shape, b.shape)?;
+                (broadcast_shapes(name, &ab, cond.shape)?, a.dtype.promote(b.dtype))
+            }
+            C::OneHot { depth, .. } => {
+                let [indices] = take(name, operands)?;
+                (Shape::new([indices.shape.dims(), &[*depth]].concat()), DType::F32)
+            }
+            C::ResizeBilinear { new_h, new_w, .. } => {
+                let [x] = take(name, operands)?;
+                let d = x.shape.dims();
+                if d.len() != 4 || d[1] == 0 || d[2] == 0 || *new_h == 0 || *new_w == 0 {
+                    return invalid(format!("cannot resize {} to {new_h}x{new_w}", x.shape));
+                }
+                (Shape::new(vec![d[0], *new_h, *new_w, d[3]]), DType::F32)
+            }
+            C::FusedElementwise(steps) => {
+                let Some((x, extras)) = operands.split_first() else {
+                    return invalid("no operands".to_string());
+                };
+                if steps.is_empty() {
+                    return invalid("steps must be non-empty".to_string());
+                }
+                let mut shape = x.shape.clone();
+                for step in steps.iter() {
+                    if let FusedStep::Binary(_, i) = *step {
+                        let Some(extra) = extras.get(i) else {
+                            let n = extras.len();
+                            return invalid(format!("binary step references extra {i} of {n}"));
+                        };
+                        shape = broadcast_shapes(name, &shape, extra.shape)?;
+                    }
+                }
+                (shape, DType::F32)
+            }
+        })
     }
 }
 
 /// The one quantized fallback: materialize `t`'s f32 values in a temporary
 /// container on the same backend (host-side reference dequantization), hand
-/// the f32 view to `run`, and dispose the temporary. Used when a backend
-/// has no dequant-free kernel or its quantized program is rejected — never
-/// on the fast path, which reads the codes in place.
+/// the f32 view to `run`, and dispose the temporary. Used when a backend's
+/// quantized program is rejected — never on the fast path, which reads the
+/// codes in place.
 fn with_dequantized<B: Backend + ?Sized>(
     backend: &B,
     t: &KTensor<'_>,
@@ -974,164 +1301,85 @@ fn with_dequantized<B: Backend + ?Sized>(
     out
 }
 
-/// Apply the shared bias+activation epilogue with unfused kernels, disposing
-/// the intermediate containers. Takes ownership of `id` (disposes it if a
-/// later stage replaces it, even on error).
-fn epilogue_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    mut id: DataId,
-    out_shape: &Shape,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-) -> Result<DataId> {
-    if let Some(bias) = bias {
-        let cur = KTensor::new(id, out_shape, DType::F32);
-        let next = backend.binary(BinaryOp::Add, &cur, bias, out_shape, DType::F32);
-        backend.dispose_data(id);
-        id = next?;
-    }
-    if let Some(act) = activation {
-        let cur = KTensor::new(id, out_shape, DType::F32);
-        let next = backend.unary(act, &cur);
-        backend.dispose_data(id);
-        id = next?;
-    }
-    Ok(id)
-}
-
-/// Whether a product kernel call is the plain kernel: an f32 weight and an
-/// empty epilogue (see the kernel contract on [`Backend::matmul`]).
-pub fn is_plain(
-    weight: &KTensor<'_>,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-) -> bool {
-    weight.quant.is_none() && bias.is_none() && activation.is_none()
-}
-
-/// Reference composition for a fused [`Backend::matmul`]: the plain matmul,
-/// then bias add, then activation. Also the fallback a fused kernel uses
-/// when its program fails to compile on a faulted device. A quantized `b`
-/// is dequantized first and re-enters the backend's f32 kernel.
+/// The unfused composition of a fused call on `backend`: one plain kernel
+/// per step, every intermediate disposed. A product call runs the plain
+/// product, then `Add` of the bias, then the activation; an element-wise
+/// chain one `Unary` or `Binary` per step; a quantized weight is first
+/// dequantized host-side and re-enters as the f32 fused call (a batch-1
+/// matmul weight tiled to the batch). It is the reference a fused kernel
+/// matches on bits, and what a backend runs when its device rejects the
+/// fused program.
 ///
 /// # Errors
-/// Propagates the first failing kernel or read.
-pub fn fused_matmul_fallback<B: Backend + ?Sized>(
+/// A malformed call, a call with nothing to compose, or the first failing
+/// kernel or read.
+pub fn compose<B: Backend + ?Sized>(
     backend: &B,
-    a: &KTensor<'_>,
-    b: &KTensor<'_>,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-    transpose_a: bool,
-    transpose_b: bool,
+    call: &KernelCall<'_>,
+    operands: &[KTensor<'_>],
 ) -> Result<DataId> {
-    let MatMulGeom { batch, m, n, b_batch, .. } =
-        MatMulGeom::of(a.shape, b.shape, transpose_a, transpose_b);
-    if let Some(params) = b.quant {
-        return with_dequantized(backend, b, params, |fb| {
-            if b_batch == batch {
-                return backend.matmul(a, fb, bias, activation, transpose_a, transpose_b);
+    let (out, _) = call.output(operands)?;
+    if let KernelCall::FusedElementwise(steps) = call {
+        let mut cur = (operands[0].data, operands[0].shape.clone());
+        for (k, step) in steps.iter().enumerate() {
+            let x = KTensor::new(cur.0, &cur.1, DType::F32);
+            let (call, args) = match *step {
+                FusedStep::Unary(op) => (KernelCall::Unary(op), vec![x]),
+                FusedStep::Binary(op, i) => (KernelCall::Binary(op), vec![x, operands[1 + i]]),
+            };
+            let next =
+                call.output(&args).and_then(|(shape, _)| Ok((backend.run(&call, &args)?, shape)));
+            if k > 0 {
+                backend.dispose_data(cur.0); // the incoming x is never disposed
+            }
+            cur = next?;
+        }
+        return Ok(cur.0);
+    }
+    let Some(epilogue) = call.epilogue().filter(|_| call.is_fused()) else {
+        return Err(Error::invalid(call.name(), "only a fused call has a composition"));
+    };
+    let (x, w, bias) = (&operands[0], &operands[1], operands.get(2));
+    if let Some(params) = w.quant {
+        let fused = call.with_epilogue(Epilogue::Fused {
+            bias: bias.is_some(),
+            activation: epilogue.activation(),
+        });
+        return with_dequantized(backend, w, params, |fw| {
+            let run = |w: KTensor<'_>| {
+                let args: Vec<KTensor<'_>> = [*x, w].into_iter().chain(bias.copied()).collect();
+                backend.run(&fused, &args)
+            };
+            let batch = out.dims()[0];
+            let matmul = matches!(call, KernelCall::MatMul { .. });
+            if !matmul || out.rank() == 2 || fw.shape.dim(0) == batch {
+                return run(*fw);
             }
             // The f32 kernel wants matching batch dims; only this temporary
             // is tiled, never the codes.
-            let tiled_shape = Shape::new(vec![batch, fb.shape.dim(1), fb.shape.dim(2)]);
-            let tid = backend.tile(fb, &[batch, 1, 1])?;
-            let tb = KTensor::new(tid, &tiled_shape, DType::F32);
-            let out = backend.matmul(a, &tb, bias, activation, transpose_a, transpose_b);
+            let tiled = Shape::new(vec![batch, fw.shape.dim(1), fw.shape.dim(2)]);
+            let reps = [batch, 1, 1];
+            let tid = backend.run(&KernelCall::Tile { reps: Cow::Borrowed(&reps) }, &[*fw])?;
+            let out = run(KTensor::new(tid, &tiled, DType::F32));
             backend.dispose_data(tid);
             out
         });
     }
-    let out_shape = Shape::new(vec![batch, m, n]);
-    let id = backend.matmul(a, b, None, None, transpose_a, transpose_b)?;
-    epilogue_fallback(backend, id, &out_shape, bias, activation)
-}
-
-/// Reference composition for a fused [`Backend::conv2d`] (see
-/// [`fused_matmul_fallback`]).
-///
-/// # Errors
-/// Propagates the first failing unfused kernel.
-pub fn fused_conv2d_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    x: &KTensor<'_>,
-    filter: &KTensor<'_>,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-    info: &Conv2dInfo,
-) -> Result<DataId> {
-    if let Some(params) = filter.quant {
-        return with_dequantized(backend, filter, params, |ff| {
-            backend.conv2d(x, ff, bias, activation, info)
-        });
+    let then = |id: DataId, call: KernelCall<'_>, extra: Option<&KTensor<'_>>| {
+        let cur = KTensor::new(id, &out, DType::F32);
+        let next = match extra {
+            Some(e) => backend.run(&call, &[cur, *e]),
+            None => backend.run(&call, &[cur]),
+        };
+        backend.dispose_data(id);
+        next
+    };
+    let mut id = backend.run(&call.with_epilogue(Epilogue::None), &operands[..2])?;
+    if let Some(bias) = bias {
+        id = then(id, KernelCall::Binary(BinaryOp::Add), Some(bias))?;
     }
-    let id = backend.conv2d(x, filter, None, None, info)?;
-    epilogue_fallback(backend, id, &info.out_shape(), bias, activation)
-}
-
-/// Reference composition for a fused [`Backend::depthwise_conv2d`] (see
-/// [`fused_matmul_fallback`]).
-///
-/// # Errors
-/// Propagates the first failing unfused kernel.
-pub fn fused_depthwise_conv2d_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    x: &KTensor<'_>,
-    filter: &KTensor<'_>,
-    bias: Option<&KTensor<'_>>,
-    activation: Option<UnaryOp>,
-    info: &Conv2dInfo,
-) -> Result<DataId> {
-    if let Some(params) = filter.quant {
-        return with_dequantized(backend, filter, params, |ff| {
-            backend.depthwise_conv2d(x, ff, bias, activation, info)
-        });
-    }
-    let id = backend.depthwise_conv2d(x, filter, None, None, info)?;
-    epilogue_fallback(backend, id, &info.out_shape(), bias, activation)
-}
-
-/// Reference composition for [`Backend::fused_elementwise`]: one unfused
-/// unary/binary kernel per step, disposing every intermediate.
-///
-/// # Errors
-/// Propagates the first failing unfused kernel; rejects empty `steps` and
-/// out-of-range extra indices.
-pub fn fused_elementwise_fallback<B: Backend + ?Sized>(
-    backend: &B,
-    x: &KTensor<'_>,
-    extras: &[KTensor<'_>],
-    steps: &[FusedStep],
-    _out_shape: &Shape,
-) -> Result<DataId> {
-    if steps.is_empty() {
-        return Err(Error::invalid("FusedElementwise", "steps must be non-empty"));
-    }
-    let mut shape = x.shape.clone();
-    let mut id = x.data;
-    let mut owned = false; // the incoming x is never disposed
-    for step in steps {
-        let cur = KTensor::new(id, &shape, DType::F32);
-        let res: Result<(DataId, Shape)> = (|| match *step {
-            FusedStep::Unary(op) => Ok((backend.unary(op, &cur)?, shape.clone())),
-            FusedStep::Binary(op, i) => {
-                let e = extras.get(i).ok_or_else(|| {
-                    Error::invalid(
-                        "FusedElementwise",
-                        format!("binary step references extra {i} of {}", extras.len()),
-                    )
-                })?;
-                let s = broadcast_shapes("FusedElementwise", &shape, e.shape)?;
-                Ok((backend.binary(op, &cur, e, &s, DType::F32)?, s))
-            }
-        })();
-        if owned {
-            backend.dispose_data(id);
-        }
-        let (next, next_shape) = res?;
-        id = next;
-        shape = next_shape;
-        owned = true;
+    if let Some(act) = epilogue.activation() {
+        id = then(id, KernelCall::Unary(act), None)?;
     }
     Ok(id)
 }

@@ -6,21 +6,15 @@
 //! CPU implementation in TensorFlow.js ("automatically used when the
 //! environment has no access to WebGL or the TensorFlow binary", Sec 3.1).
 //!
-//! It is [`HostBackend`] over the empty kernel set: every kernel is the
-//! [`crate::kernels`] oracle the [`HostKernels`] defaults name.
+//! It is [`HostBackend`] over the empty kernel set: every call runs the
+//! [`crate::kernels`] oracle, the [`HostKernels`] default — a fused product
+//! applies its epilogue in the composition's order, and a quantized weight's
+//! u8 codes feed the factored accumulation directly, so no f32 weight
+//! buffer is ever materialized.
 
-use crate::backend::{MatMulGeom, UnaryOp};
-use crate::conv_util::Conv2dInfo;
-use crate::host::{HostBackend, HostKernels, Weights};
-use crate::kernels as k;
-use crate::pool::WorkerPool;
+use crate::host::{HostBackend, HostKernels};
 
 /// The reference kernel set: the oracle for every kernel.
-///
-/// f32 fused ops stay the reference composition (the hooks return `None`);
-/// a quantized weight runs the reference dequant-free kernel — the u8 codes
-/// feed the factored accumulation in [`crate::kernels`] directly, and no f32
-/// weight buffer is ever materialized.
 pub struct Reference;
 
 /// Single-threaded scalar CPU backend; the reference implementation.
@@ -28,49 +22,4 @@ pub type CpuBackend = HostBackend<Reference>;
 
 impl HostKernels for Reference {
     const NAME: &'static str = "cpu";
-
-    fn fused_matmul(
-        a: &[f32],
-        b: Weights<'_>,
-        g: &MatMulGeom,
-        bias: Option<&[f32]>,
-        activation: Option<UnaryOp>,
-        _pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        let Weights::Quant(codes, params) = b else {
-            return None;
-        };
-        let (ta, tb) = (g.transpose_a, g.transpose_b);
-        Some(k::fused_matmul_quant(
-            a, codes, params, bias, activation, g.batch, g.m, g.k, g.n, ta, tb,
-        ))
-    }
-
-    fn fused_conv2d(
-        x: &[f32],
-        w: Weights<'_>,
-        info: &Conv2dInfo,
-        bias: Option<&[f32]>,
-        activation: Option<UnaryOp>,
-        _pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        let Weights::Quant(codes, params) = w else {
-            return None;
-        };
-        Some(k::fused_conv2d_quant(x, codes, params, bias, activation, info))
-    }
-
-    fn fused_depthwise_conv2d(
-        x: &[f32],
-        w: Weights<'_>,
-        info: &Conv2dInfo,
-        bias: Option<&[f32]>,
-        activation: Option<UnaryOp>,
-        _pool: &WorkerPool,
-    ) -> Option<Vec<f32>> {
-        let Weights::Quant(codes, params) = w else {
-            return None;
-        };
-        Some(k::fused_depthwise_conv2d_quant(x, codes, params, bias, activation, info))
-    }
 }

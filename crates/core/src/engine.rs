@@ -24,7 +24,7 @@
 //! only collects tensors created on that thread, so concurrent inference
 //! requests cannot dispose each other's intermediates.
 
-use crate::backend::{Backend, BackendMemory, DataId, KTensor};
+use crate::backend::{Backend, BackendMemory, DataId, KTensor, KernelCall};
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
 use crate::shape::Shape;
@@ -808,9 +808,11 @@ impl Engine {
         Ok((data_handle, rec.id))
     }
 
-    /// Run a kernel: validate inputs, execute `forward` on the active
-    /// backend, register outputs, and record a tape node when differentiable
-    /// and a gradient scope is active.
+    /// Run one kernel call over `inputs`: migrate and pin them, run the call
+    /// on the active backend, register its output under the name, shape and
+    /// dtype the call reports ([`KernelCall::name`], [`KernelCall::output`]),
+    /// and record a tape node when `grad` is given and a gradient scope is
+    /// active.
     ///
     /// This is the single funnel every op goes through; profiling, the
     /// NaN-debug mode (paper Sec 3.8), and the fault-recovery policy hook
@@ -824,44 +826,20 @@ impl Engine {
     /// observe a [`DegradationEvent`] instead of an error.
     ///
     /// Only the registry shards holding the kernel's inputs/outputs are
-    /// locked, and never across the `forward` call itself — concurrent
-    /// kernels on disjoint tensors proceed in parallel.
+    /// locked, and never across the kernel itself — concurrent kernels on
+    /// disjoint tensors proceed in parallel.
     ///
     /// # Errors
-    /// Propagates disposed-tensor, NaN-debug, and non-degradable backend
-    /// errors, plus degradable errors once no lower-priority backend is
-    /// left to fall back to.
-    #[allow(clippy::type_complexity)] // the documented kernel funnel signature
+    /// Propagates a malformed call, disposed-tensor, NaN-debug, and
+    /// non-degradable backend errors, plus degradable errors once no
+    /// lower-priority backend is left to fall back to.
     pub fn run_kernel(
         &self,
-        kernel: &'static str,
+        call: &KernelCall<'_>,
         inputs: &[&Tensor],
-        forward: &mut dyn FnMut(&dyn Backend, &[KTensor<'_>]) -> Result<Vec<(DataId, Shape, DType)>>,
         grad: Option<GradFn>,
-    ) -> Result<Vec<Tensor>> {
-        self.run_kernel_shaped(kernel, inputs, &[], forward, grad)
-    }
-
-    /// [`Engine::run_kernel`] with per-input *shape overrides*: input `i`
-    /// is presented to the kernel as `shapes[i]` instead of its own shape
-    /// (inputs beyond `shapes.len()` keep theirs). The override must
-    /// describe the same element count over the same data layout — it is a
-    /// zero-cost reinterpretation, exactly what a `reshape` alias would
-    /// express, minus the alias tensor. Callers that dispatch the same
-    /// kernel repeatedly (the plan executor) precompute these shapes once
-    /// and skip per-call alias registration/disposal entirely.
-    ///
-    /// # Errors
-    /// Same conditions as [`Engine::run_kernel`].
-    #[allow(clippy::type_complexity)] // the documented kernel funnel signature
-    pub fn run_kernel_shaped(
-        &self,
-        kernel: &'static str,
-        inputs: &[&Tensor],
-        shapes: &[Shape],
-        forward: &mut dyn FnMut(&dyn Backend, &[KTensor<'_>]) -> Result<Vec<(DataId, Shape, DType)>>,
-        grad: Option<GradFn>,
-    ) -> Result<Vec<Tensor>> {
+    ) -> Result<Tensor> {
+        let kernel = call.name();
         // Transient in-place retries against the current backend; reset on
         // every degradation so a fresh backend gets its full budget.
         let mut attempts: u32 = 0;
@@ -900,11 +878,18 @@ impl Engine {
                 .enumerate()
                 .map(|(i, (t, (_, id)))| KTensor {
                     data: *id,
-                    shape: shapes.get(i).unwrap_or_else(|| t.shape_ref()),
+                    shape: t.shape_ref(),
                     dtype: t.dtype(),
                     quant: quants.get(i).and_then(|q| q.as_deref()),
                 })
                 .collect();
+            let (shape, dtype) = match call.output(&ktensors) {
+                Ok(out) => out,
+                Err(e) => {
+                    self.unpin(&input_data);
+                    return Err(e);
+                }
+            };
             let profiling = self.inner.profiling.load(Ordering::Relaxed);
             let tracing = webml_telemetry::enabled();
             // Device-timer bracket: sampling may flush the device queue
@@ -913,7 +898,7 @@ impl Engine {
             let dev0 = if profiling { backend.device_timer_ns() } else { None };
             let trace_t0 = if tracing { webml_telemetry::now_ns() } else { 0 };
             let t0 = Instant::now();
-            let result = forward(backend.as_ref(), &ktensors);
+            let result = backend.run(call, &ktensors);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let kernel_ms = device_ms_since(backend.as_ref(), dev0);
             if tracing {
@@ -926,27 +911,20 @@ impl Engine {
                 }
             }
 
-            // NaN-debug mode: download every output and fail at the first
+            // NaN-debug mode: download the output and fail at the first
             // NaN, naming the kernel (paper Sec 3.8).
-            if self.inner.debug.load(Ordering::Relaxed) {
-                if let Ok(outs) = &result {
-                    for (id, _, dtype) in outs {
-                        if dtype.is_float() && backend.read_sync(*id)?.has_nan() {
-                            // Clean up the outputs we won't register.
-                            for (oid, _, _) in outs {
-                                backend.dispose_data(*oid);
-                            }
-                            self.unpin(&input_data);
-                            return Err(Error::NanDetected { kernel });
-                        }
-                    }
+            if let (true, Ok(id)) = (self.inner.debug.load(Ordering::Relaxed), &result) {
+                if dtype.is_float() && backend.read_sync(*id)?.has_nan() {
+                    backend.dispose_data(*id);
+                    self.unpin(&input_data);
+                    return Err(Error::NanDetected { kernel });
                 }
             }
 
-            // Phase 3: unpin inputs, then register outputs / handle failure.
+            // Phase 3: unpin inputs, then register the output / handle failure.
             self.unpin(&input_data);
-            let outs = match result {
-                Ok(outs) => outs,
+            let id = match result {
+                Ok(id) => id,
                 Err(e) => {
                     // Context loss cannot heal by itself, so it skips the
                     // in-place retries and degrades immediately.
@@ -967,28 +945,22 @@ impl Engine {
                     return Err(e);
                 }
             };
-            let mut outputs = Vec::with_capacity(outs.len());
-            let mut bytes_added = 0;
-            let mut output_shapes = Vec::with_capacity(outs.len());
-            for (id, shape, dtype) in outs {
-                let bytes = shape.size() * dtype.byte_size();
-                bytes_added += bytes;
-                output_shapes.push(shape.clone());
-                let handle = self.register_data(backend_name.clone(), id, bytes, dtype);
-                outputs.push(self.register_tensor(handle, shape, dtype));
-            }
+            let bytes_added = shape.size() * dtype.byte_size();
+            let handle = self.register_data(backend_name, id, bytes_added, dtype);
+            let output = self.register_tensor(handle, shape, dtype);
             if profiling {
                 let p = &self.inner.profile;
                 let seq = p.seq.fetch_add(1, Ordering::Relaxed);
+                let output_shapes = vec![output.shape()];
                 p.stripe().lock().push((
                     seq,
                     KernelProfile { name: kernel, wall_ms, kernel_ms, output_shapes, bytes_added },
                 ));
             }
             if let Some(grad_fn) = grad {
-                self.maybe_record(kernel, inputs, &outputs, grad_fn);
+                self.maybe_record(kernel, inputs, std::slice::from_ref(&output), grad_fn);
             }
-            return Ok(outputs);
+            return Ok(output);
         }
     }
 
@@ -1641,65 +1613,98 @@ mod tests {
     use crate::cpu::CpuBackend;
     use crate::ops;
 
-    /// An engine with two CPU-identical tiers: "gpu" (priority 2, default)
-    /// and "cpu" (priority 1, the degradation target).
-    fn two_tier_engine() -> Engine {
-        let e = Engine::new();
-        e.register_backend("gpu", Arc::new(CpuBackend::new()), 2);
-        e.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
-        e
+    /// `script(rung, n)`: the error the `n`-th kernel call, on `rung`, fails
+    /// with, if any.
+    type Script = Arc<dyn Fn(&str, u64) -> Option<Error> + Send + Sync>;
+
+    /// A reference backend whose kernel calls consult a script first, `n`
+    /// counting the calls every rung sharing `calls` got.
+    struct Scripted {
+        rung: &'static str,
+        calls: Arc<AtomicU64>,
+        script: Script,
+        cpu: CpuBackend,
     }
 
-    fn emit_scalar(backend: &dyn Backend, value: f32) -> Result<Vec<(DataId, Shape, DType)>> {
-        let id = backend.register(TensorData::F32(vec![value]), DType::F32);
-        Ok(vec![(id, Shape::new(vec![1]), DType::F32)])
+    impl Backend for Scripted {
+        fn register(&self, data: TensorData, dtype: DType) -> DataId {
+            self.cpu.register(data, dtype)
+        }
+        fn read_sync(&self, id: DataId) -> Result<TensorData> {
+            self.cpu.read_sync(id)
+        }
+        fn read(&self, id: DataId) -> crate::backend::DataFuture {
+            self.cpu.read(id)
+        }
+        fn dispose_data(&self, id: DataId) {
+            self.cpu.dispose_data(id)
+        }
+        fn memory(&self) -> BackendMemory {
+            self.cpu.memory()
+        }
+        fn run(&self, call: &KernelCall<'_>, operands: &[KTensor<'_>]) -> Result<DataId> {
+            let n = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+            match (self.script)(self.rung, n) {
+                Some(e) => Err(e),
+                None => self.cpu.run(call, operands),
+            }
+        }
+    }
+
+    /// An engine whose `rungs`, head first, follow `script`, and the count of
+    /// kernel calls they got.
+    fn scripted(
+        rungs: &[&'static str],
+        script: impl Fn(&str, u64) -> Option<Error> + Send + Sync + 'static,
+    ) -> (Engine, Arc<AtomicU64>) {
+        let (calls, script) = (Arc::new(AtomicU64::new(0)), Arc::new(script));
+        let e = Engine::new();
+        e.register_backend_ladder(
+            rungs
+                .iter()
+                .map(|&rung| {
+                    let cpu = CpuBackend::new();
+                    let (calls, script) = (calls.clone(), script.clone());
+                    let b: Arc<dyn Backend> = Arc::new(Scripted { rung, calls, script, cpu });
+                    (rung.to_string(), b)
+                })
+                .collect(),
+        );
+        (e, calls)
+    }
+
+    /// An engine with two CPU-identical tiers: "gpu" (the default) and
+    /// "cpu" (the degradation target), following `script`.
+    fn two_tier_engine(
+        script: impl Fn(&str, u64) -> Option<Error> + Send + Sync + 'static,
+    ) -> (Engine, Arc<AtomicU64>) {
+        scripted(&["gpu", "cpu"], script)
+    }
+
+    /// `|v|` of a fresh `[v]`: one kernel call, answering `v`.
+    fn one_kernel(e: &Engine, v: f32) -> Result<Tensor> {
+        ops::abs(&e.tensor_1d(&[v])?)
     }
 
     #[test]
     fn transient_failure_retries_in_place_without_degrading() {
-        let e = two_tier_engine();
-        let mut calls = 0u32;
-        let out = e
-            .run_kernel(
-                "Flaky",
-                &[],
-                &mut |b, _| {
-                    calls += 1;
-                    if calls < MAX_TRANSIENT_ATTEMPTS {
-                        Err(Error::resource_exhausted("gpu", "simulated pressure"))
-                    } else {
-                        emit_scalar(b, 7.0)
-                    }
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(calls, MAX_TRANSIENT_ATTEMPTS);
+        let (e, calls) = two_tier_engine(|_, n| {
+            let fail = n < MAX_TRANSIENT_ATTEMPTS as u64;
+            fail.then(|| Error::resource_exhausted("gpu", "simulated pressure"))
+        });
+        let out = one_kernel(&e, 7.0).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), MAX_TRANSIENT_ATTEMPTS as u64);
         assert_eq!(e.degradations(), 0, "in-place retry must not degrade");
         assert_eq!(e.backend_name(), "gpu");
-        assert_eq!(out[0].to_f32_vec().unwrap(), vec![7.0]);
+        assert_eq!(out.to_f32_vec().unwrap(), vec![7.0]);
     }
 
     #[test]
     fn context_loss_degrades_immediately_with_event() {
-        let e = two_tier_engine();
-        let mut calls = 0u32;
-        let out = e
-            .run_kernel(
-                "MatMul",
-                &[],
-                &mut |b, _| {
-                    calls += 1;
-                    if calls == 1 {
-                        Err(Error::context_lost("gpu"))
-                    } else {
-                        emit_scalar(b, 1.0)
-                    }
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(calls, 2, "context loss must skip in-place retries");
+        let (e, calls) = two_tier_engine(|_, n| (n == 1).then(|| Error::context_lost("gpu")));
+        let one = e.tensor_2d(&[1.0], 1, 1).unwrap();
+        let out = ops::matmul(&one, &one, false, false).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "context loss must skip in-place retries");
         assert_eq!(e.degradations(), 1);
         assert_eq!(e.backend_name(), "cpu");
         let events = e.degradation_events();
@@ -1708,7 +1713,7 @@ mod tests {
         assert_eq!(events[0].from_backend, "gpu");
         assert_eq!(events[0].to_backend, "cpu");
         assert!(events[0].reason.contains("lost"), "reason: {}", events[0].reason);
-        assert_eq!(out[0].to_f32_vec().unwrap(), vec![1.0]);
+        assert_eq!(out.to_f32_vec().unwrap(), vec![1.0]);
         let mem = e.memory();
         assert_eq!(mem.degradations, 1);
         assert_eq!(mem.current_backend, "cpu");
@@ -1716,29 +1721,16 @@ mod tests {
 
     #[test]
     fn three_rung_ladder_walks_in_order_and_promotes_back() {
-        let e = Engine::new();
-        e.register_backend_ladder(vec![
-            ("webgpu".to_string(), Arc::new(CpuBackend::new()) as Arc<dyn Backend>),
-            ("webgl".to_string(), Arc::new(CpuBackend::new())),
-            ("cpu".to_string(), Arc::new(CpuBackend::new())),
-        ]);
+        let (e, _) = scripted(&["webgpu", "webgl", "cpu"], |rung, _| match rung {
+            "cpu" => None,
+            lost => Some(Error::context_lost(lost)),
+        });
         assert_eq!(e.backend_ladder(), vec!["webgpu", "webgl", "cpu"]);
         assert_eq!(e.backend_name(), "webgpu", "head of the ladder is the default");
         // The top two rungs lose their device in turn: the kernel walks
         // webgpu → webgl → cpu and succeeds with no caller-visible error.
-        let out = e
-            .run_kernel(
-                "MatMul",
-                &[],
-                &mut |b, _| match e.backend_name().as_str() {
-                    "webgpu" => Err(Error::context_lost("webgpu")),
-                    "webgl" => Err(Error::context_lost("webgl")),
-                    _ => emit_scalar(b, 9.0),
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(out[0].to_f32_vec().unwrap(), vec![9.0]);
+        let out = one_kernel(&e, 9.0).unwrap();
+        assert_eq!(out.to_f32_vec().unwrap(), vec![9.0]);
         assert_eq!(e.degradations(), 2);
         let events = e.degradation_events();
         assert_eq!(events.len(), 2);
@@ -1755,69 +1747,32 @@ mod tests {
 
     #[test]
     fn exhausted_transient_retries_fall_back_to_next_backend() {
-        let e = two_tier_engine();
-        let mut calls = 0u32;
-        let out = e
-            .run_kernel(
-                "Oom",
-                &[],
-                &mut |b, _| {
-                    calls += 1;
-                    if calls <= MAX_TRANSIENT_ATTEMPTS {
-                        Err(Error::resource_exhausted("gpu", "texture pool exhausted"))
-                    } else {
-                        emit_scalar(b, 2.0)
-                    }
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(calls, MAX_TRANSIENT_ATTEMPTS + 1);
+        let (e, calls) = two_tier_engine(|_, n| {
+            let fail = n <= MAX_TRANSIENT_ATTEMPTS as u64;
+            fail.then(|| Error::resource_exhausted("gpu", "texture pool exhausted"))
+        });
+        let out = one_kernel(&e, 2.0).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), MAX_TRANSIENT_ATTEMPTS as u64 + 1);
         assert_eq!(e.degradations(), 1);
         assert_eq!(e.backend_name(), "cpu");
-        assert_eq!(out[0].to_f32_vec().unwrap(), vec![2.0]);
+        assert_eq!(out.to_f32_vec().unwrap(), vec![2.0]);
     }
 
     #[test]
     fn kernel_unsupported_degrades_without_retrying() {
-        let e = two_tier_engine();
-        let mut calls = 0u32;
-        let out = e
-            .run_kernel(
-                "Conv2D",
-                &[],
-                &mut |b, _| {
-                    calls += 1;
-                    if calls == 1 {
-                        Err(Error::kernel_unsupported("gpu", "Conv2D"))
-                    } else {
-                        emit_scalar(b, 3.0)
-                    }
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(calls, 2, "unsupported kernels are not transient");
+        let (e, calls) =
+            two_tier_engine(|_, n| (n == 1).then(|| Error::kernel_unsupported("gpu", "Abs")));
+        let out = one_kernel(&e, 3.0).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "unsupported kernels are not transient");
         assert_eq!(e.degradations(), 1);
-        assert_eq!(out[0].to_f32_vec().unwrap(), vec![3.0]);
+        assert_eq!(out.to_f32_vec().unwrap(), vec![3.0]);
     }
 
     #[test]
     fn non_degradable_error_propagates_untouched() {
-        let e = two_tier_engine();
-        let mut calls = 0u32;
-        let err = e
-            .run_kernel(
-                "Bad",
-                &[],
-                &mut |_, _| {
-                    calls += 1;
-                    Err(Error::backend("gpu", "driver bug"))
-                },
-                None,
-            )
-            .unwrap_err();
-        assert_eq!(calls, 1);
+        let (e, calls) = two_tier_engine(|_, _| Some(Error::backend("gpu", "driver bug")));
+        let err = one_kernel(&e, 1.0).unwrap_err();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(e.degradations(), 0);
         assert_eq!(e.backend_name(), "gpu", "fatal errors must not switch backends");
         assert!(matches!(err, Error::Backend { .. }));
@@ -1825,32 +1780,23 @@ mod tests {
 
     #[test]
     fn degradation_stops_when_no_fallback_is_left() {
-        let e = two_tier_engine();
-        let mut calls = 0u32;
-        let err = e
-            .run_kernel(
-                "Doomed",
-                &[],
-                &mut |_, _| {
-                    calls += 1;
-                    Err(Error::context_lost("everything"))
-                },
-                None,
-            )
-            .unwrap_err();
+        let (e, calls) = two_tier_engine(|_, _| Some(Error::context_lost("everything")));
+        let err = one_kernel(&e, 1.0).unwrap_err();
         // One failure per tier: gpu degrades to cpu, cpu has nowhere to go.
-        assert_eq!(calls, 2);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(e.degradations(), 1);
         assert!(matches!(err, Error::ContextLost { .. }));
     }
 
     #[test]
     fn inputs_migrate_to_fallback_backend_after_degradation() {
-        let e = two_tier_engine();
+        // The gpu tier is lost for good; the cpu tier fails the second call
+        // only, so the first kernel fails on both tiers, but the degradation
+        // it causes sticks.
+        let (e, _) =
+            two_tier_engine(|rung, n| (rung == "gpu" || n == 2).then(|| Error::context_lost(rung)));
         let x = e.tensor_1d(&[1.0, 2.0]).unwrap(); // lives on "gpu"
-        // Burn the gpu tier: the kernel fails on both tiers, but the
-        // degradation it causes sticks.
-        let _ = e.run_kernel("Burn", &[], &mut |_, _| Err(Error::context_lost("gpu")), None);
+        assert!(one_kernel(&e, 1.0).is_err());
         assert_eq!(e.backend_name(), "cpu");
         // First use on the cpu tier migrates x's data across backends.
         let y = ops::add(&x, &x).unwrap();
@@ -1862,14 +1808,14 @@ mod tests {
     fn disposed_input_mid_list_unpins_earlier_inputs() {
         // A kernel whose second input is disposed must release the pin it
         // took on the first input (no refcount leak).
-        let e = two_tier_engine();
+        let (e, calls) = two_tier_engine(|_, _| None);
         let a = e.tensor_1d(&[1.0]).unwrap();
         let b = e.tensor_1d(&[2.0]).unwrap();
         b.dispose();
-        let err = e
-            .run_kernel("Pinned", &[&a, &b], &mut |bk, _| emit_scalar(bk, 0.0), None)
-            .unwrap_err();
+        let add = KernelCall::Binary(crate::backend::BinaryOp::Add);
+        let err = e.run_kernel(&add, &[&a, &b], None).unwrap_err();
         assert!(matches!(err, Error::TensorDisposed { .. }));
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
         // The pin on `a` was released: disposing it now frees its bytes.
         let before = e.memory().num_bytes;
         a.dispose();
@@ -1879,7 +1825,7 @@ mod tests {
 
     #[test]
     fn tidy_scopes_are_per_thread() {
-        let e = two_tier_engine();
+        let (e, _) = two_tier_engine(|_, _| None);
         let e2 = e.clone();
         // A scope left open on a worker thread must not capture tensors
         // created later on the main thread.
@@ -1905,7 +1851,7 @@ mod tests {
 
     #[test]
     fn backend_health_tracks_degradation_and_promotion() {
-        let e = two_tier_engine();
+        let (e, _) = two_tier_engine(|rung, _| (rung == "gpu").then(|| Error::context_lost("gpu")));
         let h = e.backend_health();
         assert_eq!(h.current_backend, "gpu");
         assert_eq!(h.preferred_backend, "gpu");
@@ -1914,21 +1860,8 @@ mod tests {
         assert!(e.promote_backend().is_none(), "already at the preferred backend");
 
         // A context loss degrades to the cpu tier.
-        let out = e
-            .run_kernel(
-                "Doomed",
-                &[],
-                &mut |b, _| {
-                    if e.backend_health().at_preferred {
-                        Err(Error::context_lost("gpu"))
-                    } else {
-                        emit_scalar(b, 3.0)
-                    }
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(out[0].to_scalar().unwrap(), 3.0);
+        let out = one_kernel(&e, 3.0).unwrap();
+        assert_eq!(out.to_scalar().unwrap(), 3.0);
         let h = e.backend_health();
         assert_eq!(h.current_backend, "cpu");
         assert_eq!(h.preferred_backend, "gpu");
@@ -1940,12 +1873,12 @@ mod tests {
         assert!(e.backend_health().at_preferred);
         // The generation only counts degradations, not promotions.
         assert_eq!(e.degradation_generation(), 1);
-        out[0].dispose();
+        out.dispose();
     }
 
     #[test]
     fn peak_bytes_tracks_high_water_and_resets() {
-        let e = two_tier_engine();
+        let (e, _) = two_tier_engine(|_, _| None);
         e.reset_peak_bytes();
         let a = e.tensor_1d(&[1.0, 2.0]).unwrap(); // 8 bytes
         let b = e.tensor_1d(&[3.0, 4.0]).unwrap(); // 8 bytes

@@ -1,13 +1,15 @@
 //! Reference implementations of every kernel, as straightforward scalar
-//! loops over `f32` slices.
+//! loops over `f32` slices, and [`run`]: the one match from a
+//! [`KernelCall`] to them.
 //!
 //! These functions define the numeric ground truth all backends are tested
-//! against. They are the defaults of [`crate::host::HostKernels`]: the bundled
-//! [`crate::cpu`] fallback backend overrides none of them; the optimized
-//! native backend replaces the hot ones and keeps the rest;
-//! the webgl backend re-expresses the element-wise ones as data-parallel
-//! shader programs whose per-texel math routes through the same
-//! [`UnaryOp::apply`]/[`BinaryOp::apply`] scalar semantics.
+//! against. [`run`] is the default of [`crate::host::HostKernels::run`]: the
+//! bundled [`crate::cpu`] fallback backend runs it for every call, the
+//! optimized native and plain-JS sets for every call they have no kernel of
+//! their own for, and the webgpu rung wraps it in a pipeline for every
+//! kernel but its tiled products; the webgl backend re-expresses the kernels
+//! as data-parallel shader programs whose per-texel math routes through the
+//! same [`UnaryOp::apply`]/[`BinaryOp::apply`] scalar semantics.
 //!
 //! Backends must also preserve these loops' *accumulation order* (e.g. the
 //! inner-dimension order of [`matmul`], the row-major reduction order of
@@ -16,10 +18,212 @@
 //! backend after a device fault — is numerically transparent, and the fault
 //! suite can assert exact equality between faulted and fault-free runs.
 
-use crate::backend::{ArgReduceOp, BinaryOp, PoolOp, ReduceOp, UnaryOp};
+use crate::backend::{
+    ArgReduceOp, BinaryOp, Epilogue, FusedStep, KernelCall, MatMulGeom, PoolOp, ReduceOp, UnaryOp,
+};
 use crate::conv_util::Conv2dInfo;
+use crate::dtype::TensorData;
 use crate::quant::QuantParams;
 use crate::shape::{broadcast_source_index, Shape};
+use std::borrow::Cow;
+
+/// A stored buffer's values, in the type they are stored as.
+#[derive(Debug, Clone, Copy)]
+pub enum Values<'a> {
+    /// f32 values (F16 ones on the host; every buffer on a GPU device).
+    F32(&'a [f32]),
+    /// I32 values.
+    I32(&'a [i32]),
+    /// Bytes: U8 codes and Bool flags.
+    U8(&'a [u8]),
+}
+
+impl<'a> Values<'a> {
+    /// The values of a host buffer.
+    pub fn of(data: &'a TensorData) -> Values<'a> {
+        match data {
+            TensorData::F32(v) => Values::F32(v),
+            TensorData::I32(v) => Values::I32(v),
+            TensorData::U8(v) => Values::U8(v),
+        }
+    }
+
+    /// As f32: borrowed when stored so, converted once otherwise.
+    pub fn f32s(self) -> Cow<'a, [f32]> {
+        match self {
+            Values::F32(v) => Cow::Borrowed(v),
+            Values::I32(v) => Cow::Owned(v.iter().map(|&x| x as f32).collect()),
+            Values::U8(v) => Cow::Owned(v.iter().map(|&x| x as f32).collect()),
+        }
+    }
+
+    /// As i32 indices, floats truncated.
+    pub fn i32s(self) -> Cow<'a, [i32]> {
+        match self {
+            Values::I32(v) => Cow::Borrowed(v),
+            Values::F32(v) => Cow::Owned(v.iter().map(|&x| x as i32).collect()),
+            Values::U8(v) => Cow::Owned(v.iter().map(|&x| x as i32).collect()),
+        }
+    }
+
+    /// As U8 quantization codes: any other storage (a float copy of codes
+    /// read back from a device) is rounded and clamped back into code space,
+    /// as [`TensorData::to_u8_codes`] does.
+    pub fn codes(self) -> Cow<'a, [u8]> {
+        match self {
+            Values::U8(v) => Cow::Borrowed(v),
+            other => Cow::Owned(
+                other.f32s().iter().map(|&x| x.round().clamp(0.0, 255.0) as u8).collect(),
+            ),
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_data(self) -> TensorData {
+        match self {
+            Values::F32(v) => TensorData::F32(v.to_vec()),
+            Values::I32(v) => TensorData::I32(v.to_vec()),
+            Values::U8(v) => TensorData::U8(v.to_vec()),
+        }
+    }
+}
+
+/// One operand of a host kernel: its values, under the call's view of them.
+#[derive(Debug, Clone, Copy)]
+pub struct Operand<'a> {
+    /// The stored values.
+    pub values: Values<'a>,
+    /// The logical shape the call reads them under.
+    pub shape: &'a Shape,
+    /// Dequantization params when the values are a weight's U8 codes.
+    pub quant: Option<&'a QuantParams>,
+}
+
+/// Run `call` on host values — the oracle of every kernel. `out` is the
+/// call's output shape from [`KernelCall::output`], which validated it.
+pub fn run(call: &KernelCall<'_>, operands: &[Operand<'_>], out: &Shape) -> TensorData {
+    use KernelCall as C;
+    let f = |i: usize| operands[i].values.f32s();
+    let s = |i: usize| operands[i].shape;
+    // Every operand as f32, for the kernels that take a list of them.
+    let all = || -> Vec<Cow<'_, [f32]>> { (0..operands.len()).map(f).collect() };
+    let epilogue = call.epilogue().unwrap_or(Epilogue::None);
+    let bias = epilogue.bias().then(|| operands[2].values.f32s());
+    let (bias, act) = (bias.as_deref(), epilogue.activation());
+    TensorData::F32(match call {
+        C::Unary(op) => unary(*op, &f(0)),
+        C::Binary(op) => binary(*op, &f(0), s(0), &f(1), s(1), out),
+        C::Cast(dtype) => return operands[0].values.to_data().cast(*dtype),
+        C::Reduce { op, axes } => reduce(*op, &f(0), s(0), axes),
+        C::ArgReduce { op, axis } => return TensorData::I32(arg_reduce(*op, &f(0), s(0), *axis)),
+        C::MatMul { transpose_a: ta, transpose_b: tb, .. } => {
+            let MatMulGeom { batch, m, k, n, .. } = MatMulGeom::of(s(0), s(1), *ta, *tb);
+            match operands[1].quant {
+                Some(p) => {
+                    let codes = operands[1].values.codes();
+                    fused_matmul_quant(&f(0), &codes, p, bias, act, batch, m, k, n, *ta, *tb)
+                }
+                None => f32_product(call, operands, |a, b| matmul(a, b, batch, m, k, n, *ta, *tb)),
+            }
+        }
+        C::Conv2d { info, .. } => match operands[1].quant {
+            Some(p) => fused_conv2d_quant(&f(0), &operands[1].values.codes(), p, bias, act, info),
+            None => f32_product(call, operands, |x, w| conv2d(x, w, info)),
+        },
+        C::DepthwiseConv2d { info, .. } => match operands[1].quant {
+            Some(p) => {
+                let codes = operands[1].values.codes();
+                fused_depthwise_conv2d_quant(&f(0), &codes, p, bias, act, info)
+            }
+            None => f32_product(call, operands, |x, w| depthwise_conv2d(x, w, info)),
+        },
+        C::Conv2dBackpropInput(info) => conv2d_backprop_input(&f(0), &f(1), info),
+        C::Conv2dBackpropFilter(info) => conv2d_backprop_filter(&f(0), &f(1), info),
+        C::DepthwiseConv2dBackpropInput(info) => {
+            depthwise_conv2d_backprop_input(&f(0), &f(1), info)
+        }
+        C::DepthwiseConv2dBackpropFilter(info) => {
+            depthwise_conv2d_backprop_filter(&f(0), &f(1), info)
+        }
+        C::Pool2d { op, info } => pool2d(*op, &f(0), info),
+        C::Pool2dBackprop { op, info } => pool2d_backprop(*op, &f(0), &f(1), info),
+        C::Slice { begin, size } => slice(&f(0), s(0), begin, size),
+        C::Concat { axis } => concat(&with_shapes(&all(), operands), *axis),
+        C::Transpose { perm } => transpose(&f(0), s(0), perm),
+        C::Pad { paddings, value } => pad(&f(0), s(0), paddings, *value),
+        C::Gather { axis } => gather(&f(0), s(0), &operands[1].values.i32s(), *axis),
+        C::Tile { reps } => tile(&f(0), s(0), reps),
+        C::Reverse { axes } => reverse(&f(0), s(0), axes),
+        C::Select => select(&f(0), s(0), &f(1), s(1), &f(2), s(2), out),
+        C::OneHot { depth, on, off } => one_hot(&operands[0].values.i32s(), *depth, *on, *off),
+        C::ResizeBilinear { new_h, new_w, align_corners } => {
+            resize_bilinear(&f(0), s(0), *new_h, *new_w, *align_corners)
+        }
+        C::FusedElementwise(steps) => {
+            let vals = all();
+            fused_elementwise(&vals[0], s(0), &with_shapes(&vals[1..], &operands[1..]), steps, out)
+        }
+    })
+}
+
+/// Values paired with their operands' shapes.
+fn with_shapes<'v>(
+    vals: &'v [Cow<'v, [f32]>],
+    operands: &[Operand<'v>],
+) -> Vec<(&'v [f32], &'v Shape)> {
+    vals.iter().zip(operands).map(|(v, o)| (&**v, o.shape)).collect()
+}
+
+/// A product call over an f32 weight: `product` of the input and the
+/// weight, then the call's epilogue in the unfused composition's order —
+/// `+ bias[channel]` (the innermost axis is the channel or column), then the
+/// activation.
+pub fn f32_product(
+    call: &KernelCall<'_>,
+    operands: &[Operand<'_>],
+    product: impl FnOnce(&[f32], &[f32]) -> Vec<f32>,
+) -> Vec<f32> {
+    let mut out = product(&operands[0].values.f32s(), &operands[1].values.f32s());
+    let epilogue = call.epilogue().unwrap_or(Epilogue::None);
+    if let Some(bias) = epilogue.bias().then(|| operands[2].values.f32s()) {
+        for (v, &b) in out.iter_mut().zip(bias.iter().cycle()) {
+            *v = BinaryOp::Add.apply(*v, b);
+        }
+    }
+    if let Some(act) = epilogue.activation() {
+        out.iter_mut().for_each(|v| *v = act.apply(*v));
+    }
+    out
+}
+
+/// A chain of element-wise steps over `x`, each output element taken
+/// through the whole chain — the running value is every binary step's left
+/// operand, each extra broadcast against `out`. Bit-identical to one
+/// [`unary`] or [`binary`] kernel per step: the same scalar ops on the same
+/// values.
+pub fn fused_elementwise(
+    x: &[f32],
+    x_shape: &Shape,
+    extras: &[(&[f32], &Shape)],
+    steps: &[FusedStep],
+    out: &Shape,
+) -> Vec<f32> {
+    let mut vals = vec![0.0; out.size()];
+    for_each_coord(out.dims(), |idx, coords| {
+        let mut v = x[broadcast_source_index(coords, x_shape)];
+        for step in steps {
+            v = match *step {
+                FusedStep::Unary(op) => op.apply(v),
+                FusedStep::Binary(op, i) => {
+                    let (e, e_shape) = extras[i];
+                    op.apply(v, e[broadcast_source_index(coords, e_shape)])
+                }
+            };
+        }
+        vals[idx] = v;
+    });
+    vals
+}
 
 /// Call `f(flat_index, coords)` for every coordinate of `dims` in row-major
 /// order, without per-iteration allocation.

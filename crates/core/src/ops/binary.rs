@@ -1,37 +1,23 @@
 //! Element-wise binary ops with NumPy-style broadcasting and gradients.
 
 use super::{promote_pair, same_engine, sum_to_shape};
-use crate::backend::BinaryOp;
+use crate::backend::{BinaryOp, KernelCall};
 use crate::dtype::DType;
 use crate::error::Result;
-use crate::shape::broadcast_shapes;
 use crate::tape::GradFn;
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
 /// Run a binary kernel with broadcasting and an optional gradient.
 pub(crate) fn binary_op(
-    name: &'static str,
     op: BinaryOp,
     a: &Tensor,
     b: &Tensor,
     grad: Option<GradFn>,
 ) -> Result<Tensor> {
-    same_engine(name, a, b)?;
-    let (a2, b2, dt) = promote_pair(a, b)?;
-    let out_dtype = if op.is_comparison() { DType::Bool } else { dt };
-    let out_shape = broadcast_shapes(name, a2.shape_ref(), b2.shape_ref())?;
-    let shape_for_fwd = out_shape.clone();
-    let outs = a.engine().run_kernel(
-        name,
-        &[&a2, &b2],
-        &mut |backend, ins| {
-            let id = backend.binary(op, &ins[0], &ins[1], &shape_for_fwd, out_dtype)?;
-            Ok(vec![(id, shape_for_fwd.clone(), out_dtype)])
-        },
-        grad,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    same_engine(op.name(), a, b)?;
+    let (a2, b2, _) = promote_pair(a, b)?;
+    a.engine().run_kernel(&KernelCall::Binary(op), &[&a2, &b2], grad)
 }
 
 macro_rules! binary_grad {
@@ -72,7 +58,7 @@ macro_rules! binary_grad {
 /// Fails on incompatible shapes, disposed inputs, or backend errors
 /// (applies to all binary ops in this module).
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Add", BinaryOp::Add, a, b, binary_grad!(|dy, a, b| (Ok(dy.clone()), Ok(dy.clone()))))
+    binary_op(BinaryOp::Add, a, b, binary_grad!(|dy, a, b| (Ok(dy.clone()), Ok(dy.clone()))))
 }
 
 /// `a - b` with broadcasting.
@@ -80,7 +66,7 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Sub", BinaryOp::Sub, a, b, binary_grad!(|dy, a, b| (Ok(dy.clone()), super::neg(dy))))
+    binary_op(BinaryOp::Sub, a, b, binary_grad!(|dy, a, b| (Ok(dy.clone()), super::neg(dy))))
 }
 
 /// `a * b` with broadcasting.
@@ -88,7 +74,7 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Mul", BinaryOp::Mul, a, b, binary_grad!(|dy, a, b| (mul(dy, b), mul(dy, a))))
+    binary_op(BinaryOp::Mul, a, b, binary_grad!(|dy, a, b| (mul(dy, b), mul(dy, a))))
 }
 
 /// `a / b` with broadcasting.
@@ -97,7 +83,6 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// See [`add`].
 pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     binary_op(
-        "Div",
         BinaryOp::Div,
         a,
         b,
@@ -113,7 +98,7 @@ pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn floor_div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("FloorDiv", BinaryOp::FloorDiv, a, b, None)
+    binary_op(BinaryOp::FloorDiv, a, b, None)
 }
 
 /// `a ^ b` with broadcasting.
@@ -122,7 +107,6 @@ pub fn floor_div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// See [`add`].
 pub fn pow(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     binary_op(
-        "Pow",
         BinaryOp::Pow,
         a,
         b,
@@ -155,7 +139,6 @@ pub fn pow(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// See [`add`].
 pub fn maximum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     binary_op(
-        "Maximum",
         BinaryOp::Maximum,
         a,
         b,
@@ -178,7 +161,6 @@ pub fn maximum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// See [`add`].
 pub fn minimum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     binary_op(
-        "Minimum",
         BinaryOp::Minimum,
         a,
         b,
@@ -200,7 +182,7 @@ pub fn minimum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn modulo(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Mod", BinaryOp::Mod, a, b, None)
+    binary_op(BinaryOp::Mod, a, b, None)
 }
 
 /// `(a - b)^2` with broadcasting.
@@ -209,7 +191,6 @@ pub fn modulo(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// See [`add`].
 pub fn squared_difference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     binary_op(
-        "SquaredDifference",
         BinaryOp::SquaredDifference,
         a,
         b,
@@ -231,9 +212,7 @@ pub fn squared_difference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn atan2(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(
-        "Atan2",
-        BinaryOp::Atan2,
+    binary_op(BinaryOp::Atan2,
         a,
         b,
         binary_grad!(|dy, a, b| (

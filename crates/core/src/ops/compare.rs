@@ -3,9 +3,8 @@
 
 use super::binary::binary_op;
 use super::{same_engine, sum_to_shape, zeros_like};
-use crate::backend::BinaryOp;
+use crate::backend::{BinaryOp, KernelCall};
 use crate::error::Result;
-use crate::shape::broadcast_shapes;
 use crate::tape::GradFn;
 use crate::tensor::Tensor;
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// # Errors
 /// Fails on incompatible shapes or disposed inputs (all ops below likewise).
 pub fn equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Equal", BinaryOp::Equal, a, b, None)
+    binary_op(BinaryOp::Equal, a, b, None)
 }
 
 /// `a != b` element-wise (bool).
@@ -23,7 +22,7 @@ pub fn equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn not_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("NotEqual", BinaryOp::NotEqual, a, b, None)
+    binary_op(BinaryOp::NotEqual, a, b, None)
 }
 
 /// `a > b` element-wise (bool).
@@ -31,7 +30,7 @@ pub fn not_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn greater(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Greater", BinaryOp::Greater, a, b, None)
+    binary_op(BinaryOp::Greater, a, b, None)
 }
 
 /// `a >= b` element-wise (bool).
@@ -39,7 +38,7 @@ pub fn greater(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn greater_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("GreaterEqual", BinaryOp::GreaterEqual, a, b, None)
+    binary_op(BinaryOp::GreaterEqual, a, b, None)
 }
 
 /// `a < b` element-wise (bool).
@@ -47,7 +46,7 @@ pub fn greater_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn less(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("Less", BinaryOp::Less, a, b, None)
+    binary_op(BinaryOp::Less, a, b, None)
 }
 
 /// `a <= b` element-wise (bool).
@@ -55,7 +54,7 @@ pub fn less(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn less_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("LessEqual", BinaryOp::LessEqual, a, b, None)
+    binary_op(BinaryOp::LessEqual, a, b, None)
 }
 
 /// Logical and (bool).
@@ -63,7 +62,7 @@ pub fn less_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn logical_and(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("LogicalAnd", BinaryOp::LogicalAnd, a, b, None)
+    binary_op(BinaryOp::LogicalAnd, a, b, None)
 }
 
 /// Logical or (bool).
@@ -71,7 +70,7 @@ pub fn logical_and(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn logical_or(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("LogicalOr", BinaryOp::LogicalOr, a, b, None)
+    binary_op(BinaryOp::LogicalOr, a, b, None)
 }
 
 /// Logical xor (bool).
@@ -79,7 +78,7 @@ pub fn logical_or(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn logical_xor(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op("LogicalXor", BinaryOp::LogicalXor, a, b, None)
+    binary_op(BinaryOp::LogicalXor, a, b, None)
 }
 
 /// Element-wise select: `cond ? a : b` with broadcasting (`tf.where`).
@@ -92,10 +91,6 @@ pub fn logical_xor(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     same_engine("Select", cond, a)?;
     same_engine("Select", a, b)?;
-    let ab = broadcast_shapes("Select", a.shape_ref(), b.shape_ref())?;
-    let out_shape = broadcast_shapes("Select", &ab, cond.shape_ref())?;
-    let out_dtype = a.dtype().promote(b.dtype());
-    let shape_for_fwd = out_shape.clone();
     let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
         let cond = &ins[0];
@@ -114,16 +109,7 @@ pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         };
         Ok(vec![None, da, db])
     });
-    let outs = a.engine().run_kernel(
-        "Select",
-        &[cond, a, b],
-        &mut |backend, ins| {
-            let id = backend.select(&ins[0], &ins[1], &ins[2], &shape_for_fwd)?;
-            Ok(vec![(id, shape_for_fwd.clone(), out_dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    a.engine().run_kernel(&KernelCall::Select, &[cond, a, b], Some(grad))
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! 2-D convolution and pooling ops (NHWC) with training gradients.
 
-use crate::backend::PoolOp;
-use crate::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info, Conv2dInfo, Padding};
-use crate::dtype::DType;
+use crate::backend::{Epilogue, KernelCall as C, PoolOp};
+use crate::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info, Padding};
 use crate::error::Result;
 use crate::shape::Shape;
 use crate::tape::GradFn;
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// 2-D convolution: `x` NHWC, `filter` HWIO (f32, or a quantized weight —
@@ -25,64 +25,22 @@ pub fn conv2d(
         return super::fused_conv2d(x, filter, None, None, strides, padding, dilations);
     }
     let info = conv2d_info("Conv2D", x.shape_ref(), filter.shape_ref(), strides, padding, dilations)?;
-    let out_shape = info.out_shape();
     let g_info = info.clone();
     // The first layer's dx (a gradient w.r.t. the input batch) is the
     // costliest kernel nobody reads: each side runs only when wanted.
     let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
-        let dy = &dys[0];
-        let dx = wanted[0].then(|| conv2d_backprop_input_op(dy, &ins[1], &g_info)).transpose()?;
-        let dw = wanted[1].then(|| conv2d_backprop_filter_op(&ins[0], dy, &g_info)).transpose()?;
-        Ok(vec![dx, dw])
+        let (dy, info) = (&dys[0], Cow::Borrowed(&g_info));
+        let dx = wanted[0].then(|| backprop(C::Conv2dBackpropInput(info.clone()), [dy, &ins[1]]));
+        let dw = wanted[1].then(|| backprop(C::Conv2dBackpropFilter(info), [&ins[0], dy]));
+        Ok(vec![dx.transpose()?, dw.transpose()?])
     });
-    let shape_for_fwd = out_shape.clone();
-    let outs = x.engine().run_kernel(
-        "Conv2D",
-        &[x, filter],
-        &mut |backend, ins| {
-            let id = backend.conv2d(&ins[0], &ins[1], None, None, &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let call = C::Conv2d { info: Cow::Borrowed(&info), epilogue: Epilogue::None };
+    x.engine().run_kernel(&call, &[x, filter], Some(grad))
 }
 
-fn conv2d_backprop_input_op(dy: &Tensor, filter: &Tensor, info: &Conv2dInfo) -> Result<Tensor> {
-    let out_shape = Shape::new(vec![info.batch, info.in_height, info.in_width, info.in_channels]);
-    let info = info.clone();
-    let shape_for_fwd = out_shape.clone();
-    let outs = dy.engine().run_kernel(
-        "Conv2DBackpropInput",
-        &[dy, filter],
-        &mut |backend, ins| {
-            let id = backend.conv2d_backprop_input(&ins[0], &ins[1], &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
-}
-
-fn conv2d_backprop_filter_op(x: &Tensor, dy: &Tensor, info: &Conv2dInfo) -> Result<Tensor> {
-    let out_shape = Shape::new(vec![
-        info.filter_height,
-        info.filter_width,
-        info.in_channels,
-        info.out_channels,
-    ]);
-    let info = info.clone();
-    let shape_for_fwd = out_shape.clone();
-    let outs = x.engine().run_kernel(
-        "Conv2DBackpropFilter",
-        &[x, dy],
-        &mut |backend, ins| {
-            let id = backend.conv2d_backprop_filter(&ins[0], &ins[1], &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+/// A gradient kernel over its two operands.
+fn backprop(call: C<'_>, [a, b]: [&Tensor; 2]) -> Result<Tensor> {
+    a.engine().run_kernel(&call, &[a, b], None)
 }
 
 /// Transposed convolution (`tf.conv2dTranspose`): the gradient-of-conv2d
@@ -105,7 +63,7 @@ pub fn conv2d_transpose(
         padding,
         (1, 1),
     )?;
-    conv2d_backprop_input_op(x, filter, &info)
+    backprop(C::Conv2dBackpropInput(Cow::Owned(info)), [x, filter])
 }
 
 /// Depthwise 2-D convolution: `filter` is `[fh, fw, in_c, channel_mul]`.
@@ -130,62 +88,16 @@ pub fn depthwise_conv2d(
         padding,
         dilations,
     )?;
-    let out_shape = info.out_shape();
     let g_info = info.clone();
     let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
-        let dy = &dys[0];
-        let dx = wanted[0].then(|| depthwise_backprop_input_op(dy, &ins[1], &g_info)).transpose()?;
-        let dw = wanted[1].then(|| depthwise_backprop_filter_op(&ins[0], dy, &g_info)).transpose()?;
-        Ok(vec![dx, dw])
+        let (dy, info) = (&dys[0], Cow::Borrowed(&g_info));
+        let dx = wanted[0]
+            .then(|| backprop(C::DepthwiseConv2dBackpropInput(info.clone()), [dy, &ins[1]]));
+        let dw = wanted[1].then(|| backprop(C::DepthwiseConv2dBackpropFilter(info), [&ins[0], dy]));
+        Ok(vec![dx.transpose()?, dw.transpose()?])
     });
-    let shape_for_fwd = out_shape.clone();
-    let outs = x.engine().run_kernel(
-        "DepthwiseConv2D",
-        &[x, filter],
-        &mut |backend, ins| {
-            let id = backend.depthwise_conv2d(&ins[0], &ins[1], None, None, &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
-}
-
-fn depthwise_backprop_input_op(dy: &Tensor, filter: &Tensor, info: &Conv2dInfo) -> Result<Tensor> {
-    let out_shape = Shape::new(vec![info.batch, info.in_height, info.in_width, info.in_channels]);
-    let info = info.clone();
-    let shape_for_fwd = out_shape.clone();
-    let outs = dy.engine().run_kernel(
-        "DepthwiseConv2DBackpropInput",
-        &[dy, filter],
-        &mut |backend, ins| {
-            let id = backend.depthwise_conv2d_backprop_input(&ins[0], &ins[1], &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
-}
-
-fn depthwise_backprop_filter_op(x: &Tensor, dy: &Tensor, info: &Conv2dInfo) -> Result<Tensor> {
-    let out_shape = Shape::new(vec![
-        info.filter_height,
-        info.filter_width,
-        info.in_channels,
-        info.channel_mul,
-    ]);
-    let info = info.clone();
-    let shape_for_fwd = out_shape.clone();
-    let outs = x.engine().run_kernel(
-        "DepthwiseConv2DBackpropFilter",
-        &[x, dy],
-        &mut |backend, ins| {
-            let id = backend.depthwise_conv2d_backprop_filter(&ins[0], &ins[1], &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let call = C::DepthwiseConv2d { info: Cow::Borrowed(&info), epilogue: Epilogue::None };
+    x.engine().run_kernel(&call, &[x, filter], Some(grad))
 }
 
 /// Depthwise-separable convolution (MobileNet's building block): a depthwise
@@ -213,37 +125,13 @@ fn pool_impl(
     padding: Padding,
 ) -> Result<Tensor> {
     let info = pool2d_info(name, x.shape_ref(), window, strides, padding)?;
-    let out_shape = info.out_shape();
     let g_info = info.clone();
     let grad: GradFn = Arc::new(move |dys, ins, _outs, _wanted| {
-        let dy = &dys[0];
-        let x = &ins[0];
-        let info = g_info.clone();
-        let dx_shape = Shape::new(vec![info.batch, info.in_height, info.in_width, info.in_channels]);
-        let shape_for_fwd = dx_shape.clone();
-        let outs = dy.engine().run_kernel(
-            "PoolBackprop",
-            &[dy, x],
-            &mut |backend, ins2| {
-                let id = backend.pool2d_backprop(op, &ins2[0], &ins2[1], &info)?;
-                Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-            },
-            None,
-        )?;
-        Ok(vec![Some(outs.into_iter().next().expect("one output"))])
+        let call = C::Pool2dBackprop { op, info: Cow::Borrowed(&g_info) };
+        Ok(vec![Some(backprop(call, [&dys[0], &ins[0]])?)])
     });
-    let shape_for_fwd = out_shape.clone();
-    let dtype = x.dtype();
-    let outs = x.engine().run_kernel(
-        name,
-        &[x],
-        &mut |backend, ins| {
-            let id = backend.pool2d(op, &ins[0], &info)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let call = C::Pool2d { op, info: Cow::Owned(info) };
+    x.engine().run_kernel(&call, &[x], Some(grad))
 }
 
 /// 2-D max pooling.

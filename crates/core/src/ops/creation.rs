@@ -1,6 +1,7 @@
 //! Tensor creation ops, exposed as methods on [`Engine`] (the analogue of
 //! `tf.tensor`, `tf.zeros`, `tf.randomNormal`, ...).
 
+use crate::backend::KernelCall;
 use crate::dtype::{DType, TensorData};
 use crate::engine::Engine;
 use crate::error::{Error, Result};
@@ -223,19 +224,7 @@ impl Engine {
     /// # Errors
     /// Fails when `indices` is disposed.
     pub fn one_hot(&self, indices: &Tensor, depth: usize) -> Result<Tensor> {
-        let mut out_dims = indices.shape().0;
-        out_dims.push(depth);
-        let out_shape = Shape::new(out_dims);
-        let outs = self.run_kernel(
-            "OneHot",
-            &[indices],
-            &mut |backend, ins| {
-                let id = backend.one_hot(&ins[0], depth, 1.0, 0.0)?;
-                Ok(vec![(id, out_shape.clone(), DType::F32)])
-            },
-            None,
-        )?;
-        Ok(outs.into_iter().next().expect("one output"))
+        self.run_kernel(&KernelCall::OneHot { depth, on: 1.0, off: 0.0 }, &[indices], None)
     }
 }
 

@@ -15,11 +15,10 @@
 //! inference.
 
 use super::same_engine;
-use crate::backend::{BinaryOp, FusedStep, UnaryOp};
+use crate::backend::{BinaryOp, Epilogue, FusedStep, KernelCall, UnaryOp};
 use crate::conv_util::{conv2d_info, depthwise_conv2d_info, Conv2dInfo, Padding};
 use crate::dtype::DType;
 use crate::error::{Error, Result};
-use crate::shape::broadcast_shapes;
 use crate::tensor::Tensor;
 use std::borrow::Cow;
 
@@ -92,22 +91,6 @@ fn check_activation(op: &'static str, activation: Option<UnaryOp>) -> Result<()>
                 op,
                 format!("activation {} produces a bool output and cannot be fused", act.name()),
             ));
-        }
-    }
-    Ok(())
-}
-
-/// Validate a fused bias: rank 1 of the output's channel/column extent.
-fn check_bias(op: &'static str, bias: Option<&Tensor>, channels: usize) -> Result<()> {
-    if let Some(b) = bias {
-        if b.rank() != 1 || b.shape_ref().dim(0) != channels {
-            return Err(Error::shape(
-                op,
-                format!("bias must be rank-1 [{channels}], got {}", b.shape()),
-            ));
-        }
-        if b.dtype() != DType::F32 {
-            return Err(Error::dtype(op, format!("bias must be f32, got {:?}", b.dtype())));
         }
     }
     Ok(())
@@ -207,22 +190,23 @@ pub fn fused_matmul(
         let y = super::matmul(a, b, transpose_a, transpose_b)?;
         return unfused_epilogue(y, bias, activation);
     }
-    let (a3, b3, out_shape) =
-        super::matmul::batched("FusedMatMul", a, b, transpose_a, transpose_b, quant)?;
-    check_bias("FusedMatMul", bias, out_shape.dim(2))?;
+    let (a3, b3) = super::matmul::batched("FusedMatMul", a, b, quant)?;
     let inputs: Vec<&Tensor> = [&a3, &b3].into_iter().chain(bias).collect();
-    // A quantized dispatch keeps its own kernel name in profiles and traces.
-    let outs = a.engine().run_kernel(
-        if quant { "FusedMatMulQuant" } else { "FusedMatMul" },
-        &inputs,
-        &mut |backend, ins| {
-            let id =
-                backend.matmul(&ins[0], &ins[1], ins.get(2), activation, transpose_a, transpose_b)?;
-            Ok(vec![(id, out_shape.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    super::matmul::unbatched(a, b, outs)
+    let epilogue = fused_epilogue(quant, bias, activation);
+    let call = KernelCall::MatMul { transpose_a, transpose_b, epilogue };
+    let out = a.engine().run_kernel(&call, &inputs, None)?;
+    super::matmul::unbatched(a, b, out)
+}
+
+/// The epilogue of a fused op; a quantized dispatch reports its own kernel
+/// name in profiles and traces.
+fn fused_epilogue(quant: bool, bias: Option<&Tensor>, activation: Option<UnaryOp>) -> Epilogue {
+    let bias = bias.is_some();
+    if quant {
+        Epilogue::Quant { bias, activation }
+    } else {
+        Epilogue::Fused { bias, activation }
+    }
 }
 
 /// Shared body of the two fused conv ops.
@@ -237,10 +221,10 @@ fn fused_conv_impl(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
-    let (kernel, quant_kernel, weight_kernel) = if depthwise {
-        ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DQuant", WeightKernel::DepthwiseConv2d)
+    let (kernel, weight_kernel) = if depthwise {
+        ("FusedDepthwiseConv2D", WeightKernel::DepthwiseConv2d)
     } else {
-        ("FusedConv2D", "FusedConv2DQuant", WeightKernel::Conv2d)
+        ("FusedConv2D", WeightKernel::Conv2d)
     };
     same_engine(kernel, x, filter)?;
     if let Some(bias) = bias {
@@ -264,26 +248,14 @@ fn fused_conv_impl(
         };
         return unfused_epilogue(y, bias, activation);
     }
-    check_bias(kernel, bias, info.out_channels)?;
-    let out_shape = info.out_shape();
-    let mut inputs: Vec<&Tensor> = vec![x, filter];
-    if let Some(bias) = bias {
-        inputs.push(bias);
-    }
-    let outs = x.engine().run_kernel(
-        if quant { quant_kernel } else { kernel },
-        &inputs,
-        &mut |backend, ins| {
-            let id = if depthwise {
-                backend.depthwise_conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
-            } else {
-                backend.conv2d(&ins[0], &ins[1], ins.get(2), activation, &info)?
-            };
-            Ok(vec![(id, out_shape.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let inputs: Vec<&Tensor> = [x, filter].into_iter().chain(bias).collect();
+    let (info, epilogue) = (Cow::Owned(info), fused_epilogue(quant, bias, activation));
+    let call = if depthwise {
+        KernelCall::DepthwiseConv2d { info, epilogue }
+    } else {
+        KernelCall::Conv2d { info, epilogue }
+    };
+    x.engine().run_kernel(&call, &inputs, None)
 }
 
 /// `activation(conv2d(x, filter) + bias)` as one kernel (`tf.fused.conv2d`).
@@ -349,65 +321,38 @@ pub fn dequantize(t: &Tensor) -> Result<Tensor> {
 /// Fails on an empty chain, an out-of-range extra index, bool-producing
 /// steps, incompatible broadcast shapes, or backend errors.
 pub fn fused_elementwise(x: &Tensor, extras: &[&Tensor], steps: &[FusedStep]) -> Result<Tensor> {
-    if steps.is_empty() {
-        return Err(Error::invalid("FusedElementwise", "steps must be non-empty"));
-    }
     for e in extras {
         same_engine("FusedElementwise", x, e)?;
     }
-    // Validate steps and derive the output shape by walking the chain.
-    let mut out_shape = x.shape_ref().clone();
-    for step in steps {
-        match *step {
-            FusedStep::Unary(op) => {
-                if op.out_dtype(DType::F32) != DType::F32 {
-                    return Err(Error::invalid(
-                        "FusedElementwise",
-                        format!("{} produces a bool output and cannot be fused", op.name()),
-                    ));
-                }
-            }
-            FusedStep::Binary(op, i) => {
-                if op.is_comparison() {
-                    return Err(Error::invalid(
-                        "FusedElementwise",
-                        format!("{} produces a bool output and cannot be fused", op.name()),
-                    ));
-                }
-                let e = extras.get(i).ok_or_else(|| {
-                    Error::invalid(
-                        "FusedElementwise",
-                        format!("binary step references extra {i} of {}", extras.len()),
-                    )
-                })?;
-                out_shape = broadcast_shapes("FusedElementwise", &out_shape, e.shape_ref())?;
-            }
-        }
+    if steps.is_empty() {
+        return Err(Error::invalid("FusedElementwise", "steps must be non-empty"));
+    }
+    let bool_step = steps.iter().find_map(|step| match *step {
+        FusedStep::Unary(op) => (op.out_dtype(DType::F32) != DType::F32).then(|| op.name()),
+        FusedStep::Binary(op, _) => op.is_comparison().then(|| op.name()),
+    });
+    if let Some(name) = bool_step {
+        let msg = format!("{name} produces a bool output and cannot be fused");
+        return Err(Error::invalid("FusedElementwise", msg));
     }
     if x.engine().tape_active() || !x.engine().fusion_enabled() {
         let mut y = x.clone();
         for step in steps {
             y = match *step {
                 FusedStep::Unary(op) => unary_tensor_op(op, &y)?,
-                FusedStep::Binary(op, i) => binary_tensor_op(op, &y, extras[i])?,
+                FusedStep::Binary(op, i) => {
+                    let e = extras.get(i).ok_or_else(|| {
+                        let msg = format!("binary step references extra {i} of {}", extras.len());
+                        Error::invalid("FusedElementwise", msg)
+                    })?;
+                    binary_tensor_op(op, &y, e)?
+                }
             };
         }
         return Ok(y);
     }
-    let steps = steps.to_vec();
-    let shape_for_fwd = out_shape.clone();
-    let mut inputs: Vec<&Tensor> = vec![x];
-    inputs.extend_from_slice(extras);
-    let outs = x.engine().run_kernel(
-        "FusedElementwise",
-        &inputs,
-        &mut |backend, ins| {
-            let id = backend.fused_elementwise(&ins[0], &ins[1..], &steps, &shape_for_fwd)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let inputs: Vec<&Tensor> = std::iter::once(x).chain(extras.iter().copied()).collect();
+    x.engine().run_kernel(&KernelCall::FusedElementwise(steps.into()), &inputs, None)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Image ops: bilinear resize and pixel-buffer import (the `tf.fromPixels`
 //! analogue used by the models repo, paper Sec 5.2).
 
+use crate::backend::KernelCall;
 use crate::dtype::{DType, TensorData};
 use crate::engine::Engine;
 use crate::error::{Error, Result};
@@ -18,18 +19,8 @@ pub fn resize_bilinear(x: &Tensor, new_h: usize, new_w: usize, align_corners: bo
     if new_h == 0 || new_w == 0 {
         return Err(Error::invalid("ResizeBilinear", "target size must be positive"));
     }
-    let out_shape = Shape::new(vec![x.shape_ref().dim(0), new_h, new_w, x.shape_ref().dim(3)]);
-    let shape_for_fwd = out_shape.clone();
-    let outs = x.engine().run_kernel(
-        "ResizeBilinear",
-        &[x],
-        &mut |backend, ins| {
-            let id = backend.resize_bilinear(&ins[0], new_h, new_w, align_corners)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::F32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let call = KernelCall::ResizeBilinear { new_h, new_w, align_corners };
+    x.engine().run_kernel(&call, &[x], None)
 }
 
 impl Engine {

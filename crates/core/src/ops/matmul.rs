@@ -1,8 +1,7 @@
 //! Matrix multiplication (the Listing 2 kernel of the paper) and friends.
 
 use super::{reshape, same_engine, tile};
-use crate::backend::MatMulGeom;
-use crate::dtype::DType;
+use crate::backend::{Epilogue, KernelCall};
 use crate::error::{Error, Result};
 use crate::shape::Shape;
 use crate::tape::GradFn;
@@ -25,7 +24,7 @@ pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> R
         return super::fused_matmul(a, b, None, None, transpose_a, transpose_b);
     }
     check_ranks("MatMul", a, b)?;
-    let (a3, b3, out_shape) = batched("MatMul", a, b, transpose_a, transpose_b, false)?;
+    let (a3, b3) = batched("MatMul", a, b, false)?;
     let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
         let dy = &dys[0];
         let a = &ins[0];
@@ -44,16 +43,9 @@ pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> R
         };
         Ok(vec![wanted[0].then(da).transpose()?, wanted[1].then(db).transpose()?])
     });
-    let outs = a.engine().run_kernel(
-        "MatMul",
-        &[&a3, &b3],
-        &mut |backend, ins| {
-            let id = backend.matmul(&ins[0], &ins[1], None, None, transpose_a, transpose_b)?;
-            Ok(vec![(id, out_shape.clone(), DType::F32)])
-        },
-        Some(grad),
-    )?;
-    unbatched(a, b, outs)
+    let call = KernelCall::MatMul { transpose_a, transpose_b, epilogue: Epilogue::None };
+    let out = a.engine().run_kernel(&call, &[&a3, &b3], Some(grad))?;
+    unbatched(a, b, out)
 }
 
 /// Reject product operands that are not rank-2 or rank-3 matrices.
@@ -67,23 +59,20 @@ pub(super) fn check_ranks(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()
     Ok(())
 }
 
-/// `a x b` (ranks already [`check_ranks`]ed) as one batched rank-3 product,
-/// the normalisation the plain and the fused op share: a rank-2 operand
-/// gains a batch of 1 and a batch of 1 is tiled to the other operand's —
-/// except a quantized weight's (`quant_b`), which the kernels broadcast
-/// themselves and tiling would copy. Returns the operands and the
-/// `[batch, m, n]` output shape.
+/// The operands of `a x b` (ranks already [`check_ranks`]ed) as one batched
+/// rank-3 product, the normalisation the plain and the fused op share: a
+/// rank-2 operand gains a batch of 1 and a batch of 1 is tiled to the other
+/// operand's — except a quantized weight's (`quant_b`), which the kernels
+/// broadcast themselves and tiling would copy.
 ///
 /// # Errors
-/// Fails on incompatible batch dims or an inner-dimension mismatch.
+/// Fails on incompatible batch dims.
 pub(super) fn batched(
     op: &'static str,
     a: &Tensor,
     b: &Tensor,
-    transpose_a: bool,
-    transpose_b: bool,
     quant_b: bool,
-) -> Result<(Tensor, Tensor, Shape)> {
+) -> Result<(Tensor, Tensor)> {
     let rank3 = |t: &Tensor| match t.rank() {
         2 => reshape(t, [&[1], t.shape_ref().dims()].concat()),
         _ => Ok(t.clone()),
@@ -96,21 +85,12 @@ pub(super) fn batched(
         (x, 1) => (a3, tile(&b3, &[x, 1, 1])?),
         (x, y) => return Err(Error::shape(op, format!("batch dims {x} vs {y} incompatible"))),
     };
-    let geom = MatMulGeom::of(a3.shape_ref(), b3.shape_ref(), transpose_a, transpose_b);
-    let k_b = b3.shape_ref().dim(if transpose_b { 2 } else { 1 });
-    if geom.k != k_b {
-        return Err(Error::shape(
-            op,
-            format!("inner dimensions must match: {} vs {k_b} ({} x {})", geom.k, a.shape(), b.shape()),
-        ));
-    }
-    Ok((a3, b3, Shape::new(vec![geom.batch, geom.m, geom.n])))
+    Ok((a3, b3))
 }
 
-/// The one output of a [`batched`] product, back at rank 2 when both
-/// operands were.
-pub(super) fn unbatched(a: &Tensor, b: &Tensor, outs: Vec<Tensor>) -> Result<Tensor> {
-    let out = outs.into_iter().next().expect("one output");
+/// The output of a [`batched`] product, back at rank 2 when both operands
+/// were.
+pub(super) fn unbatched(a: &Tensor, b: &Tensor, out: Tensor) -> Result<Tensor> {
     if a.rank() == 2 && b.rank() == 2 {
         let dims = out.shape_ref().dims()[1..].to_vec();
         reshape(&out, dims)

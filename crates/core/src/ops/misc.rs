@@ -15,7 +15,6 @@ use std::sync::Arc;
 /// # Errors
 /// Fails on disposed inputs or backend errors.
 pub fn erf(a: &Tensor) -> Result<Tensor> {
-    let out_shape = a.shape();
     let grad: GradFn = Arc::new(move |dys, ins, _outs, _wanted| {
         // d erf(x)/dx = 2/sqrt(pi) * e^{-x^2}.
         let x = &ins[0];
@@ -25,16 +24,7 @@ pub fn erf(a: &Tensor) -> Result<Tensor> {
         let g = mul(&coeff, &exp(&neg(&x2)?)?)?;
         Ok(vec![Some(mul(&dys[0], &g)?)])
     });
-    let outs = a.engine().run_kernel(
-        "Erf",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.unary(UnaryOp::Erf, &ins[0])?;
-            Ok(vec![(id, out_shape.clone(), UnaryOp::Erf.out_dtype(ins[0].dtype))])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    super::unary::unary_op(UnaryOp::Erf, a, Some(grad))
 }
 
 /// Gaussian error linear unit: `0.5 x (1 + erf(x / sqrt(2)))`.

@@ -1,7 +1,7 @@
 //! Reduction ops and their gradients.
 
 use super::{div, mul, reshape};
-use crate::backend::{ArgReduceOp, ReduceOp};
+use crate::backend::{ArgReduceOp, KernelCall, ReduceOp};
 use crate::dtype::DType;
 use crate::error::Result;
 use crate::shape::{normalize_axes, normalize_axis, reduced_shape, Shape};
@@ -19,20 +19,7 @@ fn reduce_op(
     grad: Option<GradFn>,
 ) -> Result<Tensor> {
     let axes = normalize_axes(name, axes, a.rank())?;
-    let out_shape = reduced_shape(a.shape_ref(), &axes, false);
-    let out_dtype = op.out_dtype(a.dtype());
-    let shape_for_fwd = out_shape.clone();
-    let axes_for_fwd = axes.clone();
-    let outs = a.engine().run_kernel(
-        name,
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.reduce(op, &ins[0], &axes_for_fwd)?;
-            Ok(vec![(id, shape_for_fwd.clone(), out_dtype)])
-        },
-        grad,
-    )?;
-    let out = outs.into_iter().next().expect("one output");
+    let out = a.engine().run_kernel(&KernelCall::Reduce { op, axes: (&axes).into() }, &[a], grad)?;
     if keep_dims {
         reshape(&out, reduced_shape(a.shape_ref(), &axes, true))
     } else {
@@ -142,18 +129,7 @@ pub fn all(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor
 
 fn arg_reduce_impl(name: &'static str, op: ArgReduceOp, a: &Tensor, axis: isize) -> Result<Tensor> {
     let axis = normalize_axis(name, axis, a.rank())?;
-    let out_shape = reduced_shape(a.shape_ref(), &[axis], false);
-    let shape_for_fwd = out_shape.clone();
-    let outs = a.engine().run_kernel(
-        name,
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.arg_reduce(op, &ins[0], axis)?;
-            Ok(vec![(id, shape_for_fwd.clone(), DType::I32)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    a.engine().run_kernel(&KernelCall::ArgReduce { op, axis }, &[a], None)
 }
 
 /// Index of the maximum along `axis` (I32 output).

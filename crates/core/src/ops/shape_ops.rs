@@ -4,6 +4,7 @@
 //! they create a new tensor handle pointing at the same data container
 //! (paper Sec 3.4). The rest move data through backend kernels.
 
+use crate::backend::KernelCall;
 use crate::dtype::DType;
 use crate::error::{Error, Result};
 use crate::shape::{normalize_axis, Shape};
@@ -94,9 +95,6 @@ pub fn transpose(a: &Tensor, perm: Option<&[usize]>) -> Result<Tensor> {
             return Err(Error::invalid("Transpose", format!("invalid permutation {perm:?} for rank {rank}")));
         }
     }
-    let out_dims: Vec<usize> = perm.iter().map(|&p| a.shape_ref().dim(p)).collect();
-    let out_shape = Shape::new(out_dims);
-    let dtype = a.dtype();
     // Inverse permutation for the gradient.
     let mut inv = vec![0usize; rank];
     for (i, &p) in perm.iter().enumerate() {
@@ -105,18 +103,7 @@ pub fn transpose(a: &Tensor, perm: Option<&[usize]>) -> Result<Tensor> {
     let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(transpose(&dys[0], Some(&inv))?)])
     });
-    let shape_for_fwd = out_shape.clone();
-    let perm_fwd = perm.clone();
-    let outs = a.engine().run_kernel(
-        "Transpose",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.transpose(&ins[0], &perm_fwd)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    a.engine().run_kernel(&KernelCall::Transpose { perm: (&perm).into() }, &[a], Some(grad))
 }
 
 /// Constant-pad each dimension by `(before, after)`.
@@ -124,30 +111,13 @@ pub fn transpose(a: &Tensor, perm: Option<&[usize]>) -> Result<Tensor> {
 /// # Errors
 /// Fails when `paddings.len() != rank`.
 pub fn pad(a: &Tensor, paddings: &[(usize, usize)], value: f32) -> Result<Tensor> {
-    if paddings.len() != a.rank() {
-        return Err(Error::invalid("Pad", "paddings length must equal rank"));
-    }
-    let out_dims: Vec<usize> =
-        a.shape_ref().dims().iter().zip(paddings).map(|(&d, &(b, aft))| d + b + aft).collect();
-    let out_shape = Shape::new(out_dims);
-    let dtype = a.dtype();
     let begins: Vec<usize> = paddings.iter().map(|&(b, _)| b).collect();
     let sizes: Vec<usize> = a.shape_ref().dims().to_vec();
     let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(slice(&dys[0], &begins, &sizes)?)])
     });
-    let shape_for_fwd = out_shape.clone();
-    let pads = paddings.to_vec();
-    let outs = a.engine().run_kernel(
-        "Pad",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.pad(&ins[0], &pads, value)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let call = KernelCall::Pad { paddings: paddings.into(), value };
+    a.engine().run_kernel(&call, &[a], Some(grad))
 }
 
 /// Extract `a[begin .. begin+size]` per axis.
@@ -155,19 +125,6 @@ pub fn pad(a: &Tensor, paddings: &[(usize, usize)], value: f32) -> Result<Tensor
 /// # Errors
 /// Fails when the window exceeds the tensor bounds.
 pub fn slice(a: &Tensor, begin: &[usize], size: &[usize]) -> Result<Tensor> {
-    if begin.len() != a.rank() || size.len() != a.rank() {
-        return Err(Error::invalid("Slice", "begin/size length must equal rank"));
-    }
-    for i in 0..a.rank() {
-        if begin[i] + size[i] > a.shape_ref().dim(i) {
-            return Err(Error::invalid(
-                "Slice",
-                format!("slice [{}, {}) exceeds dim {} of size {}", begin[i], begin[i] + size[i], i, a.shape_ref().dim(i)),
-            ));
-        }
-    }
-    let out_shape = Shape::new(size.to_vec());
-    let dtype = a.dtype();
     let in_dims = a.shape().0;
     let g_begin = begin.to_vec();
     let g_size = size.to_vec();
@@ -177,19 +134,8 @@ pub fn slice(a: &Tensor, begin: &[usize], size: &[usize]) -> Result<Tensor> {
             .collect();
         Ok(vec![Some(pad(&dys[0], &pads, 0.0)?)])
     });
-    let shape_for_fwd = out_shape.clone();
-    let f_begin = begin.to_vec();
-    let f_size = size.to_vec();
-    let outs = a.engine().run_kernel(
-        "Slice",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.slice(&ins[0], &f_begin, &f_size)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let call = KernelCall::Slice { begin: begin.into(), size: size.into() };
+    a.engine().run_kernel(&call, &[a], Some(grad))
 }
 
 /// Concatenate tensors along `axis`.
@@ -215,10 +161,6 @@ pub fn concat(xs: &[&Tensor], axis: isize) -> Result<Tensor> {
             }
         }
     }
-    let mut out_dims = xs[0].shape().0;
-    out_dims[axis] = xs.iter().map(|t| t.shape_ref().dim(axis)).sum();
-    let out_shape = Shape::new(out_dims);
-    let dtype = xs[0].dtype();
     let sizes: Vec<usize> = xs.iter().map(|t| t.shape_ref().dim(axis)).collect();
     let shapes: Vec<Shape> = xs.iter().map(|t| t.shape()).collect();
     let grad: GradFn = Arc::new(move |dys, _ins, _outs, wanted| {
@@ -234,17 +176,7 @@ pub fn concat(xs: &[&Tensor], axis: isize) -> Result<Tensor> {
         }
         Ok(grads)
     });
-    let shape_for_fwd = out_shape.clone();
-    let outs = xs[0].engine().run_kernel(
-        "Concat",
-        xs,
-        &mut |backend, ins| {
-            let id = backend.concat(ins, axis)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    xs[0].engine().run_kernel(&KernelCall::Concat { axis }, xs, Some(grad))
 }
 
 /// Stack tensors of identical shape along a new `axis`.
@@ -297,7 +229,10 @@ pub fn unstack(a: &Tensor, axis: isize) -> Result<Vec<Tensor>> {
     slices.into_iter().map(|s| squeeze(&s, Some(&[axis_u as isize]))).collect()
 }
 
-/// Gather slices along `axis` by I32 `indices` (rank-1).
+/// Gather slices along `axis` by I32 `indices` of any rank: the output is
+/// `x`'s dims before `axis`, then the index dims, then `x`'s dims after
+/// `axis`. Each index is taken modulo the axis length (`-1` is the last
+/// slice).
 ///
 /// The gradient w.r.t. `x` is not implemented (indices are data-dependent);
 /// training through `gather` returns an error from the autodiff engine.
@@ -309,23 +244,7 @@ pub fn gather(x: &Tensor, indices: &Tensor, axis: isize) -> Result<Tensor> {
         return Err(Error::dtype("Gather", "indices must be int32"));
     }
     let axis = normalize_axis("Gather", axis, x.rank())?;
-    let mut out_dims = Vec::new();
-    out_dims.extend_from_slice(&x.shape_ref().dims()[..axis]);
-    out_dims.extend_from_slice(indices.shape_ref().dims());
-    out_dims.extend_from_slice(&x.shape_ref().dims()[axis + 1..]);
-    let out_shape = Shape::new(out_dims);
-    let dtype = x.dtype();
-    let shape_for_fwd = out_shape.clone();
-    let outs = x.engine().run_kernel(
-        "Gather",
-        &[x, indices],
-        &mut |backend, ins| {
-            let id = backend.gather(&ins[0], &ins[1], axis)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    x.engine().run_kernel(&KernelCall::Gather { axis }, &[x, indices], None)
 }
 
 /// Repeat each dimension `reps[i]` times. Not differentiable.
@@ -333,25 +252,7 @@ pub fn gather(x: &Tensor, indices: &Tensor, axis: isize) -> Result<Tensor> {
 /// # Errors
 /// Fails when `reps.len() != rank`.
 pub fn tile(a: &Tensor, reps: &[usize]) -> Result<Tensor> {
-    if reps.len() != a.rank() {
-        return Err(Error::invalid("Tile", "reps length must equal rank"));
-    }
-    let out_dims: Vec<usize> =
-        a.shape_ref().dims().iter().zip(reps).map(|(&d, &r)| d * r).collect();
-    let out_shape = Shape::new(out_dims);
-    let dtype = a.dtype();
-    let shape_for_fwd = out_shape.clone();
-    let reps_fwd = reps.to_vec();
-    let outs = a.engine().run_kernel(
-        "Tile",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.tile(&ins[0], &reps_fwd)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        None,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    a.engine().run_kernel(&KernelCall::Tile { reps: reps.into() }, &[a], None)
 }
 
 /// Reverse along the given axes.
@@ -361,23 +262,11 @@ pub fn tile(a: &Tensor, reps: &[usize]) -> Result<Tensor> {
 pub fn reverse(a: &Tensor, axes: &[isize]) -> Result<Tensor> {
     let norm: Vec<usize> =
         axes.iter().map(|&ax| normalize_axis("Reverse", ax, a.rank())).collect::<Result<_>>()?;
-    let out_shape = a.shape();
-    let dtype = a.dtype();
     let g_axes = axes.to_vec();
     let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
         Ok(vec![Some(reverse(&dys[0], &g_axes)?)])
     });
-    let shape_for_fwd = out_shape.clone();
-    let outs = a.engine().run_kernel(
-        "Reverse",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.reverse(&ins[0], &norm)?;
-            Ok(vec![(id, shape_for_fwd.clone(), dtype)])
-        },
-        Some(grad),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    a.engine().run_kernel(&KernelCall::Reverse { axes: norm.into() }, &[a], Some(grad))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Element-wise unary ops and their gradients.
 
 use super::{mul, zeros_like};
-use crate::backend::UnaryOp;
+use crate::backend::{KernelCall, UnaryOp};
 use crate::dtype::DType;
 use crate::error::Result;
 use crate::tape::GradFn;
@@ -9,19 +9,8 @@ use crate::tensor::Tensor;
 use std::sync::Arc;
 
 /// Run a unary kernel with an optional gradient.
-fn unary_op(name: &'static str, op: UnaryOp, a: &Tensor, grad: Option<GradFn>) -> Result<Tensor> {
-    let out_dtype = op.out_dtype(a.dtype());
-    let out_shape = a.shape();
-    let outs = a.engine().run_kernel(
-        name,
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.unary(op, &ins[0])?;
-            Ok(vec![(id, out_shape.clone(), out_dtype)])
-        },
-        grad,
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+pub(crate) fn unary_op(op: UnaryOp, a: &Tensor, grad: Option<GradFn>) -> Result<Tensor> {
+    a.engine().run_kernel(&KernelCall::Unary(op), &[a], grad)
 }
 
 macro_rules! simple_grad {
@@ -47,7 +36,7 @@ macro_rules! simple_grad {
 /// # Errors
 /// Fails on disposed inputs or backend errors (applies to all ops below).
 pub fn neg(a: &Tensor) -> Result<Tensor> {
-    unary_op("Neg", UnaryOp::Neg, a, simple_grad!(|dy, a, y| neg(dy)))
+    unary_op(UnaryOp::Neg, a, simple_grad!(|dy, a, y| neg(dy)))
 }
 
 /// `|x|`.
@@ -55,7 +44,7 @@ pub fn neg(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn abs(a: &Tensor) -> Result<Tensor> {
-    unary_op("Abs", UnaryOp::Abs, a, simple_grad!(|dy, a, y| mul(dy, &sign(a)?)))
+    unary_op(UnaryOp::Abs, a, simple_grad!(|dy, a, y| mul(dy, &sign(a)?)))
 }
 
 /// `e^x`.
@@ -63,7 +52,7 @@ pub fn abs(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn exp(a: &Tensor) -> Result<Tensor> {
-    unary_op("Exp", UnaryOp::Exp, a, simple_grad!(|dy, a, y| mul(dy, y)))
+    unary_op(UnaryOp::Exp, a, simple_grad!(|dy, a, y| mul(dy, y)))
 }
 
 /// `e^x - 1`.
@@ -71,7 +60,7 @@ pub fn exp(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn expm1(a: &Tensor) -> Result<Tensor> {
-    unary_op("Expm1", UnaryOp::Expm1, a, simple_grad!(|dy, a, y| mul(dy, &exp(a)?)))
+    unary_op(UnaryOp::Expm1, a, simple_grad!(|dy, a, y| mul(dy, &exp(a)?)))
 }
 
 /// Natural logarithm.
@@ -79,7 +68,7 @@ pub fn expm1(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn log(a: &Tensor) -> Result<Tensor> {
-    unary_op("Log", UnaryOp::Log, a, simple_grad!(|dy, a, y| super::div(dy, a)))
+    unary_op(UnaryOp::Log, a, simple_grad!(|dy, a, y| super::div(dy, a)))
 }
 
 /// `ln(1 + x)`.
@@ -88,7 +77,6 @@ pub fn log(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn log1p(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Log1p",
         UnaryOp::Log1p,
         a,
         simple_grad!(|dy, a, y| {
@@ -104,7 +92,6 @@ pub fn log1p(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn sqrt(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Sqrt",
         UnaryOp::Sqrt,
         a,
         simple_grad!(|dy, a, y| {
@@ -120,7 +107,6 @@ pub fn sqrt(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn rsqrt(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Rsqrt",
         UnaryOp::Rsqrt,
         a,
         simple_grad!(|dy, a, y| {
@@ -138,7 +124,6 @@ pub fn rsqrt(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn square(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Square",
         UnaryOp::Square,
         a,
         simple_grad!(|dy, a, y| {
@@ -154,7 +139,6 @@ pub fn square(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn relu(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Relu",
         UnaryOp::Relu,
         a,
         simple_grad!(|dy, a, y| mul(dy, &step(a, 0.0)?)),
@@ -167,7 +151,6 @@ pub fn relu(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn relu6(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Relu6",
         UnaryOp::Relu6,
         a,
         simple_grad!(|dy, a, y| {
@@ -186,7 +169,6 @@ pub fn relu6(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn sigmoid(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Sigmoid",
         UnaryOp::Sigmoid,
         a,
         simple_grad!(|dy, a, y| {
@@ -202,7 +184,6 @@ pub fn sigmoid(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn tanh(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Tanh",
         UnaryOp::Tanh,
         a,
         simple_grad!(|dy, a, y| {
@@ -218,7 +199,6 @@ pub fn tanh(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn elu(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Elu",
         UnaryOp::Elu,
         a,
         simple_grad!(|dy, a, y| {
@@ -240,7 +220,6 @@ pub fn elu(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn selu(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Selu",
         UnaryOp::Selu,
         a,
         simple_grad!(|dy, a, y| {
@@ -265,7 +244,6 @@ pub fn selu(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn softplus(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Softplus",
         UnaryOp::Softplus,
         a,
         simple_grad!(|dy, a, y| mul(dy, &sigmoid(a)?)),
@@ -277,7 +255,7 @@ pub fn softplus(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn sin(a: &Tensor) -> Result<Tensor> {
-    unary_op("Sin", UnaryOp::Sin, a, simple_grad!(|dy, a, y| mul(dy, &cos(a)?)))
+    unary_op(UnaryOp::Sin, a, simple_grad!(|dy, a, y| mul(dy, &cos(a)?)))
 }
 
 /// Cosine.
@@ -285,7 +263,7 @@ pub fn sin(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn cos(a: &Tensor) -> Result<Tensor> {
-    unary_op("Cos", UnaryOp::Cos, a, simple_grad!(|dy, a, y| neg(&mul(dy, &sin(a)?)?)))
+    unary_op(UnaryOp::Cos, a, simple_grad!(|dy, a, y| neg(&mul(dy, &sin(a)?)?)))
 }
 
 /// Tangent.
@@ -294,7 +272,6 @@ pub fn cos(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn tan(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Tan",
         UnaryOp::Tan,
         a,
         simple_grad!(|dy, a, y| {
@@ -310,7 +287,6 @@ pub fn tan(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn asin(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Asin",
         UnaryOp::Asin,
         a,
         simple_grad!(|dy, a, y| {
@@ -326,7 +302,6 @@ pub fn asin(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn acos(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Acos",
         UnaryOp::Acos,
         a,
         simple_grad!(|dy, a, y| {
@@ -342,7 +317,6 @@ pub fn acos(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn atan(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Atan",
         UnaryOp::Atan,
         a,
         simple_grad!(|dy, a, y| {
@@ -357,7 +331,7 @@ pub fn atan(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn floor(a: &Tensor) -> Result<Tensor> {
-    unary_op("Floor", UnaryOp::Floor, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Floor, a, simple_grad!(|dy, a, y| zeros_like(dy)))
 }
 
 /// Ceiling.
@@ -365,7 +339,7 @@ pub fn floor(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn ceil(a: &Tensor) -> Result<Tensor> {
-    unary_op("Ceil", UnaryOp::Ceil, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Ceil, a, simple_grad!(|dy, a, y| zeros_like(dy)))
 }
 
 /// Round half away from zero.
@@ -373,7 +347,7 @@ pub fn ceil(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn round(a: &Tensor) -> Result<Tensor> {
-    unary_op("Round", UnaryOp::Round, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Round, a, simple_grad!(|dy, a, y| zeros_like(dy)))
 }
 
 /// Sign (-1, 0, 1).
@@ -381,7 +355,7 @@ pub fn round(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn sign(a: &Tensor) -> Result<Tensor> {
-    unary_op("Sign", UnaryOp::Sign, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Sign, a, simple_grad!(|dy, a, y| zeros_like(dy)))
 }
 
 /// `1 / x`.
@@ -390,7 +364,6 @@ pub fn sign(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn reciprocal(a: &Tensor) -> Result<Tensor> {
     unary_op(
-        "Reciprocal",
         UnaryOp::Reciprocal,
         a,
         simple_grad!(|dy, a, y| neg(&super::div(dy, &mul(a, a)?)?)),
@@ -403,7 +376,6 @@ pub fn reciprocal(a: &Tensor) -> Result<Tensor> {
 /// See [`neg`].
 pub fn leaky_relu(a: &Tensor, alpha: f32) -> Result<Tensor> {
     unary_op(
-        "LeakyRelu",
         UnaryOp::LeakyRelu(alpha),
         a,
         simple_grad!(|dy, a, y| {
@@ -423,7 +395,6 @@ pub fn leaky_relu(a: &Tensor, alpha: f32) -> Result<Tensor> {
 /// See [`neg`].
 pub fn clip_by_value(a: &Tensor, min: f32, max: f32) -> Result<Tensor> {
     unary_op(
-        "ClipByValue",
         UnaryOp::ClipByValue(min, max),
         a,
         simple_grad!(|dy, a, y| {
@@ -441,7 +412,7 @@ pub fn clip_by_value(a: &Tensor, min: f32, max: f32) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn step(a: &Tensor, alpha: f32) -> Result<Tensor> {
-    unary_op("Step", UnaryOp::Step(alpha), a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Step(alpha), a, simple_grad!(|dy, a, y| zeros_like(dy)))
 }
 
 /// 1.0 where NaN (bool output).
@@ -449,7 +420,7 @@ pub fn step(a: &Tensor, alpha: f32) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn is_nan(a: &Tensor) -> Result<Tensor> {
-    unary_op("IsNan", UnaryOp::IsNan, a, None)
+    unary_op(UnaryOp::IsNan, a, None)
 }
 
 /// 1.0 where infinite (bool output).
@@ -457,7 +428,7 @@ pub fn is_nan(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn is_inf(a: &Tensor) -> Result<Tensor> {
-    unary_op("IsInf", UnaryOp::IsInf, a, None)
+    unary_op(UnaryOp::IsInf, a, None)
 }
 
 /// 1.0 where finite (bool output).
@@ -465,7 +436,7 @@ pub fn is_inf(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn is_finite(a: &Tensor) -> Result<Tensor> {
-    unary_op("IsFinite", UnaryOp::IsFinite, a, None)
+    unary_op(UnaryOp::IsFinite, a, None)
 }
 
 /// Logical negation of a bool tensor.
@@ -473,7 +444,7 @@ pub fn is_finite(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn logical_not(a: &Tensor) -> Result<Tensor> {
-    unary_op("LogicalNot", UnaryOp::LogicalNot, a, None)
+    unary_op(UnaryOp::LogicalNot, a, None)
 }
 
 /// Cast to another dtype. The gradient passes through unchanged for float
@@ -482,21 +453,8 @@ pub fn logical_not(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
-    let out_shape = a.shape();
-    let outs = a.engine().run_kernel(
-        "Cast",
-        &[a],
-        &mut |backend, ins| {
-            let id = backend.cast(&ins[0], dtype)?;
-            Ok(vec![(id, out_shape.clone(), dtype)])
-        },
-        Some(Arc::new(
-            move |dys: &[Tensor], _ins: &[Tensor], _outs: &[Tensor], _wanted: &[bool]| {
-                Ok(vec![Some(dys[0].clone())])
-            },
-        )),
-    )?;
-    Ok(outs.into_iter().next().expect("one output"))
+    let grad: GradFn = Arc::new(|dys, _ins, _outs, _wanted| Ok(vec![Some(dys[0].clone())]));
+    a.engine().run_kernel(&KernelCall::Cast(dtype), &[a], Some(grad))
 }
 
 #[cfg(test)]

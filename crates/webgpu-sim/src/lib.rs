@@ -117,7 +117,7 @@ mod tests {
                 f(&(0..s.len()).map(|k| s.get_flat(k, i)).collect::<Vec<_>>())
             })
             .with_cost(cost),
-            Storage::Linear => pipeline::elementwise(name, n, cost, move |inp, out| {
+            Storage::Linear => pipeline::cooperative(name, n, 1, cost, move |inp, out| {
                 for (i, o) in out.iter_mut().enumerate() {
                     *o = f(&inp.iter().map(|b| b[i]).collect::<Vec<_>>());
                 }

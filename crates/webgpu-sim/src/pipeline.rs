@@ -18,7 +18,10 @@
 use std::sync::Arc;
 use webml_webgl_sim::shader::{Kernel, KernelBody};
 
-/// A cooperative (tiled / shared-memory) pipeline of `out_len` outputs.
+/// A pipeline of `out_len` outputs whose workgroups serve each
+/// shared-memory load to `shared_reuse` invocations; an uncooperative
+/// (element-wise) pipeline, the compute-API equivalent of a fragment shader,
+/// has reuse 1.
 pub fn cooperative(
     name: &'static str,
     out_len: usize,
@@ -33,16 +36,4 @@ pub fn cooperative(
         cost_per_element: cost_per_element.max(1),
         shared_reuse: shared_reuse.max(1),
     }
-}
-
-/// An uncooperative pipeline: one invocation per output element, no
-/// shared-memory staging (reuse 1) — the compute-API equivalent of a
-/// fragment shader.
-pub fn elementwise(
-    name: &'static str,
-    out_len: usize,
-    cost_per_element: usize,
-    body: impl Fn(&[&[f32]], &mut [f32]) + Send + Sync + 'static,
-) -> Kernel {
-    cooperative(name, out_len, 1, cost_per_element, body)
 }

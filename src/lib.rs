@@ -8,7 +8,7 @@
 //! numeric computing: one device core ([`webgl_sim`]) that a capability
 //! descriptor turns into WebGL or into the WebGPU-class compute API of the
 //! paper's Sec 4.3 ([`webgpu_sim`]), and one GPU backend
-//! ([`backend_webgl::GpuBackend`]) over a kernel set per API.
+//! ([`backend_webgl::GpuBackend`]) over a kernel match per API.
 //!
 //! ## Backends
 //!
@@ -33,7 +33,7 @@
 //! two GPU rows are the same backend type on two rungs
 //! ([`backend_webgl::WebGl`], [`backend_webgpu::WebGpu`]), and the three
 //! host rows are the same backend type ([`core::host::HostBackend`]: store,
-//! kernel timer, thread pool, marshalling) over three kernel sets
+//! kernel timer, thread pool, one `run`) over three kernel sets
 //! ([`backend_cpu::PlainJs`], [`core::cpu::Reference`],
 //! [`backend_native::Native`]).
 //!

@@ -174,6 +174,30 @@ fn gather_select_one_hot_agree() {
     assert_all_agree(&results, 1e-6);
 }
 
+/// Indices of any rank: the output is `x`'s dims before `axis`, then the
+/// index dims, then `x`'s dims after `axis` — on the GPU rungs too, whose
+/// programs read the index buffer by flat index.
+#[test]
+fn gather_with_rank2_indices_matches_cpu_on_every_backend() {
+    let e = webml::new_engine();
+    let x = e.tensor((0..12).map(|v| v as f32).collect::<Vec<_>>(), [4, 3]).unwrap();
+    let idx = e.tensor(vec![3i32, 0, 1, 2, 2, 1], [2, 3]).unwrap();
+    for (axis, dims) in [(0, vec![2, 3, 3]), (1, vec![4, 2, 3])] {
+        let mut want = None;
+        for name in ["cpu", "plainjs", "native", "webgl", "webgpu"] {
+            e.set_backend(name).expect("backend registered");
+            let y = ops::gather(&x, &idx, axis).unwrap();
+            assert_eq!(y.dims(), dims, "{name} axis {axis}");
+            let got = y.to_f32_vec().unwrap();
+            assert_eq!(&got, want.get_or_insert_with(|| got.clone()), "{name} axis {axis}");
+        }
+        if axis == 0 {
+            let rows = [9., 10., 11., 0., 1., 2., 3., 4., 5., 6., 7., 8., 6., 7., 8., 3., 4., 5.];
+            assert_eq!(want.unwrap(), rows);
+        }
+    }
+}
+
 #[test]
 fn resize_and_cast_agree() {
     let results = on_each_backend(|e| {

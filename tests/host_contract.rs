@@ -2,8 +2,8 @@
 //! — `cpu` (the reference), `plainjs`, and `native` on one thread and on all
 //! cores. The three are one `HostBackend` over three `HostKernels` sets, so
 //! what the substrate does (the store, dtype handling, the kernel timer,
-//! sharing between threads, the fused fallbacks) holds for each of them or
-//! for none. What a set computes is compared elsewhere: plainjs against the
+//! sharing between threads, the validation of a call) holds for each of
+//! them or for none. What a set computes is compared elsewhere: plainjs against the
 //! reference in `webml-backend-cpu`, native's bit-equality sweeps in
 //! `webml-backend-native`, all of them in `tests/cross_backend.rs`.
 
@@ -11,7 +11,10 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 use webml::backend_cpu::PlainJs;
 use webml::backend_native::Native;
-use webml::core::backend::{fused_matmul_fallback, Backend, BinaryOp, DataId, KTensor, UnaryOp};
+use std::borrow::Cow;
+use webml::core::backend::{
+    compose, Backend, BinaryOp, DataId, Epilogue, FusedStep, KTensor, KernelCall, UnaryOp,
+};
 use webml::core::conv_util::{conv2d_info, Padding};
 use webml::core::cpu::Reference;
 use webml::core::host::{HostBackend, HostKernels};
@@ -43,6 +46,7 @@ mod contract {
         quantized_fused_matmul_matches_the_dequantize_fallback,
         mismatched_per_channel_axis_falls_back_not_errors,
         conv2d_backprop_filter_equals_the_reference_on_bits,
+        malformed_calls_are_errors_not_panics,
     );
 }
 
@@ -84,8 +88,8 @@ fn dispose_returns_memory_to_baseline<K: HostKernels>(threads: usize) {
     let shape = Shape::new(vec![100]);
     let x = b.register(TensorData::F32(vec![-1.0; 100]), DType::F32);
     assert_eq!((b.memory().num_buffers, b.memory().num_bytes), (1, 400));
-    let y = b.unary(UnaryOp::Relu, &KTensor::new(x, &shape, DType::F32)).unwrap();
-    let flags = b.unary(UnaryOp::IsNan, &KTensor::new(x, &shape, DType::F32)).unwrap();
+    let unary = |op| b.run(&KernelCall::Unary(op), &[KTensor::new(x, &shape, DType::F32)]);
+    let (y, flags) = (unary(UnaryOp::Relu).unwrap(), unary(UnaryOp::IsNan).unwrap());
     // A bool output is a byte an element.
     assert_eq!((b.memory().num_buffers, b.memory().num_bytes), (3, 900));
     for id in [x, y, flags] {
@@ -104,9 +108,9 @@ fn unknown_id_is_an_error_naming_the_backend<K: HostKernels>(threads: usize) {
     for id in [DataId(999), gone] {
         assert!(names_backend(b.read_sync(id).unwrap_err()));
         assert!(names_backend(b.read(id).wait().unwrap_err()));
-        let t = KTensor::new(id, &shape, DType::F32);
-        assert!(names_backend(b.unary(UnaryOp::Exp, &t).unwrap_err()));
-        assert!(names_backend(b.cast(&t, DType::I32).unwrap_err()));
+        let t = [KTensor::new(id, &shape, DType::F32)];
+        assert!(names_backend(b.run(&KernelCall::Unary(UnaryOp::Exp), &t).unwrap_err()));
+        assert!(names_backend(b.run(&KernelCall::Cast(DType::I32), &t).unwrap_err()));
     }
 }
 
@@ -121,16 +125,17 @@ fn cast_covers_every_dtype_pair<K: HostKernels>(threads: usize) {
         for to in DTYPES {
             let id = b.register(stored.clone(), from);
             let before = b.memory().num_bytes;
-            let out = b.cast(&KTensor::new(id, &shape, from), to).unwrap();
+            let out = b.run(&KernelCall::Cast(to), &[KTensor::new(id, &shape, from)]).unwrap();
             assert_eq!(b.read_sync(out).unwrap(), stored.cast(to), "{from} -> {to}");
             assert_eq!(b.memory().num_bytes - before, 4 * to.byte_size(), "{from} -> {to}");
         }
     }
     // Spot values, so the expectation is not only `TensorData::cast` itself.
     let id = b.register(values, DType::F32);
-    let as_u8 = b.cast(&KTensor::new(id, &shape, DType::F32), DType::U8).unwrap();
+    let cast = |id, from, to| b.run(&KernelCall::Cast(to), &[KTensor::new(id, &shape, from)]);
+    let as_u8 = cast(id, DType::F32, DType::U8).unwrap();
     assert_eq!(b.read_sync(as_u8).unwrap(), TensorData::U8(vec![0, 1, 2, 255]));
-    let as_bool = b.cast(&KTensor::new(as_u8, &shape, DType::U8), DType::Bool).unwrap();
+    let as_bool = cast(as_u8, DType::U8, DType::Bool).unwrap();
     assert_eq!(b.read_sync(as_bool).unwrap(), TensorData::U8(vec![0, 1, 1, 1]));
 }
 
@@ -220,11 +225,15 @@ fn mixed_kernels(backend: &dyn Backend, salt: usize) -> Vec<TensorData> {
     let v = put(&v_shape, 0.41);
     let k = |id, shape| KTensor::new(id, shape, DType::F32);
     let v = k(v, &v_shape);
+    let plain = Epilogue::None;
+    let conv = KernelCall::Conv2d { info: Cow::Borrowed(&info), epilogue: plain };
+    let matmul = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue: plain };
     let outs = [
-        backend.conv2d(&k(x, &x_shape), &k(w, &w_shape), None, None, &info).unwrap(),
-        backend.matmul(&k(a, &a_shape), &k(b, &b_shape), None, None, false, false).unwrap(),
-        backend.binary(BinaryOp::Add, &v, &v, &v_shape, DType::F32).unwrap(),
-    ];
+        backend.run(&conv, &[k(x, &x_shape), k(w, &w_shape)]),
+        backend.run(&matmul, &[k(a, &a_shape), k(b, &b_shape)]),
+        backend.run(&KernelCall::Binary(BinaryOp::Add), &[v, v]),
+    ]
+    .map(Result::unwrap);
     let read = outs.iter().map(|&id| backend.read_sync(id).unwrap()).collect();
     for id in [x, w, a, b, v.data].into_iter().chain(outs) {
         backend.dispose_data(id);
@@ -262,11 +271,12 @@ fn quantized_fused_matmul_matches_the_dequantize_fallback<K: HostKernels>(thread
     let a = KTensor::new(a_id, &a_shape, DType::F32);
     let w = KTensor { quant: Some(&params), ..KTensor::new(w_id, &w_shape, DType::U8) };
     let bias = KTensor::new(bias_id, &bias_shape, DType::F32);
-    let relu = Some(UnaryOp::Relu);
-    // The set's own kernel where it has one (cpu, native), the fallback
-    // through the trait where it has not (plainjs).
-    let fast = b.matmul(&a, &w, Some(&bias), relu, false, false).unwrap();
-    let slow = fused_matmul_fallback(&b, &a, &w, Some(&bias), relu, false, false).unwrap();
+    let epilogue = Epilogue::Quant { bias: true, activation: Some(UnaryOp::Relu) };
+    let call = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue };
+    // The set's own dequant-free kernel (native) or the oracle's (cpu,
+    // plainjs), against the composition that dequantizes first.
+    let fast = b.run(&call, &[a, w, bias]).unwrap();
+    let slow = compose(&b, &call, &[a, w, bias]).unwrap();
     let fv = b.read_sync(fast).unwrap().to_f32_vec();
     let sv = b.read_sync(slow).unwrap().to_f32_vec();
     assert_eq!(fv.len(), 4);
@@ -313,4 +323,28 @@ fn mismatched_per_channel_axis_falls_back_not_errors<K: HostKernels>(threads: us
     // Row 0 dequantizes with scale .1, row 1 with scale .2.
     assert!((got[0] - (10.0 * 0.1 + 30.0 * 0.2)).abs() < 1e-5, "{}", K::NAME);
     assert!((got[1] - (20.0 * 0.1 + 40.0 * 0.2)).abs() < 1e-5, "{}", K::NAME);
+}
+
+/// A call no kernel could run is refused by the call's own rule before any
+/// kernel sees it — the same `Err` on every set, never a panic on a pool
+/// worker: an empty chain, a step naming an extra that is not there, and an
+/// operand count or shape out of line.
+fn malformed_calls_are_errors_not_panics<K: HostKernels>(threads: usize) {
+    let b = host::<K>(threads);
+    let shape = Shape::new(vec![4]);
+    let x = KTensor::new(b.register(TensorData::F32(vec![1.0; 4]), DType::F32), &shape, DType::F32);
+    let chain =
+        |steps: &[FusedStep]| b.run(&KernelCall::FusedElementwise(Cow::Borrowed(steps)), &[x]);
+    assert!(matches!(chain(&[]), Err(Error::InvalidArgument { .. })), "{}: empty chain", K::NAME);
+    let missing = chain(&[FusedStep::Binary(BinaryOp::Add, 0)]);
+    assert!(matches!(missing, Err(Error::InvalidArgument { .. })), "{}: missing extra", K::NAME);
+    assert!(b.run(&KernelCall::Binary(BinaryOp::Add), &[x]).is_err(), "{}: one operand", K::NAME);
+    let matrix = Shape::new(vec![2, 2]);
+    let m = KTensor::new(x.data, &matrix, DType::F32);
+    let plain = Epilogue::None;
+    let matmul = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue: plain };
+    assert!(b.run(&matmul, &[m, x]).is_err(), "{}: rank-1 weight", K::NAME);
+    let gather = KernelCall::Gather { axis: 1 };
+    assert!(b.run(&gather, &[x, x]).is_err(), "{}: axis out of range", K::NAME);
+    assert_eq!(b.memory().num_buffers, 1, "{}: nothing was stored", K::NAME);
 }
