@@ -208,7 +208,11 @@ pub(crate) fn resolve_reshape_dims(node: &NodeDef, input: &Shape) -> Result<Vec<
             dims.push(1);
         } else if d == 0 && i == 0 {
             // A leading 0 means "keep the batch dim".
-            dims.push(input.dim(0));
+            let batch = input.dims().first().ok_or_else(|| {
+                let msg = format!("{}: a leading 0 keeps no dim of a scalar", node.name);
+                Error::shape("Reshape", msg)
+            })?;
+            dims.push(*batch);
         } else if d < 0 {
             return Err(Error::shape(
                 "Reshape",
@@ -246,7 +250,7 @@ pub(crate) fn fusable_unary(op: &str) -> Option<UnaryOp> {
     }
 }
 
-fn fusable_binary(op: &str) -> Option<BinaryOp> {
+pub(crate) fn fusable_binary(op: &str) -> Option<BinaryOp> {
     match op {
         "Add" | "AddV2" | "BiasAdd" => Some(BinaryOp::Add),
         "Sub" => Some(BinaryOp::Sub),
@@ -1040,7 +1044,7 @@ mod tests {
         // placeholder nodes become in-place references, not ops.
         assert!(plan.uses_fused_graph());
         assert_eq!(plan.op_count(), 3);
-        assert!(plan.ops().iter().all(|op| !matches!(op.kind, crate::plan::OpKind::Identity)));
+        assert!(plan.ops().iter().all(|op| !op.is_alias()));
     }
 
     #[test]
@@ -1120,10 +1124,18 @@ mod tests {
             ("bad", "Reshape", &["x"]),
         ]);
         graph.nodes[1].attrs = serde_json::json!({ "shape": [-1, -1] });
-        let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
+        let model = GraphModel::new(&e, graph.clone(), HashMap::new()).unwrap();
         let x = e.tensor(vec![1.0; 4], Shape::new(vec![2, 2])).unwrap();
         assert!(model.execute(&[("x", &x)], &["bad"]).is_err());
         assert!(reference_walk(&model, &[("x", &x)], &["bad"]).is_err());
+        // A leading 0 keeps the batch dim, which a scalar does not have: no
+        // panic at load (a declared placeholder shape compiles the plan
+        // there), and an error naming the node on execute.
+        graph.nodes[0].attrs = serde_json::json!({ "shape": [] });
+        graph.nodes[1].attrs = serde_json::json!({ "shape": [0, 1] });
+        let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
+        let err = model.execute(&[("x", &e.scalar(1.0).unwrap())], &["bad"]).unwrap_err();
+        assert!(err.to_string().contains("bad"), "{err}");
     }
 
     #[test]

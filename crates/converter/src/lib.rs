@@ -27,7 +27,7 @@ pub mod shard;
 pub use artifacts::{ModelArtifacts, WeightSpec};
 pub use fetch::{FetchStats, SimulatedNetwork};
 pub use graph_exec::{GraphModel, PlanStats};
-pub use plan::{Arg, OpKind, PendingFetches, Plan, PlannedOp};
+pub use plan::{Arg, PendingFetches, Plan, PlannedOp};
 pub use prune::{GraphDef, NodeDef};
 pub use quantize::Quantization;
 

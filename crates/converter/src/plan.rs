@@ -7,15 +7,18 @@
 //! closes — so peak bytes grow with graph length. A [`Plan`] does that work
 //! once per (graph, feed-shape signature, fetch set):
 //!
-//! * ops are pre-lowered into a flat `Vec<PlannedOp>` with **typed,
-//!   pre-parsed attributes** ([`OpKind`]) — no `serde_json::Value` on the
-//!   hot path;
+//! * ops are pre-lowered into a flat `Vec<PlannedOp>`, each a stored
+//!   [`KernelCall`] with its attributes parsed once — no `serde_json::Value`
+//!   on the hot path — which runs through the op layer's one entry,
+//!   [`ops::run`], and is differentiated by the call's own rule when a tape
+//!   records;
 //! * inputs resolve to **dense value slots** ([`Arg::Slot`]) instead of
 //!   `HashMap<&str, Tensor>` lookups;
 //! * weights are referenced **in place** ([`Arg::Weight`]) — no
 //!   `ops::identity` dispatch per weight per call;
-//! * output shapes are **inferred at build time**, which also resolves
-//!   `Reshape` `0`/`-1` wildcards once instead of per call;
+//! * output shapes are **inferred at build time** by
+//!   [`KernelCall::output`], the rule every backend uses, and `Reshape`
+//!   `0`/`-1` wildcards are resolved once instead of per call;
 //! * a **liveness pass** records each slot's final consumer so the executor
 //!   disposes intermediates eagerly ([`PlannedOp::dispose_after`]); peak
 //!   live bytes stay bounded by the widest op window rather than the whole
@@ -28,18 +31,19 @@
 //! changes, so a context loss rebuilds them against the fallback backend.
 
 use crate::graph_exec::{
-    attr_pair, attr_padding, attr_str, fusable_unary, parse_steps, resolve_reshape_dims,
+    attr_pair, attr_padding, attr_str, fusable_binary, fusable_unary, parse_steps,
+    resolve_reshape_dims,
 };
 use crate::prune::{GraphDef, NodeDef};
 use serde_json::Value;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use webml_core::backend::{BinaryOp, Epilogue, KernelCall, UnaryOp};
-use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info, Padding};
-use webml_core::shape::{broadcast_shapes, normalize_axes, reduced_shape};
 use std::sync::Mutex;
-use webml_core::backend::DataFuture;
+use webml_core::backend::{DataFuture, Epilogue, KTensor, KernelCall, PoolOp, ReduceOp};
+use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info};
+use webml_core::shape::normalize_axes;
 use webml_core::{
-    ops, DType, Engine, Error, FenceToken, FusedStep, Result, Shape, Tensor, TensorData,
+    ops, DType, DataId, Engine, Error, FenceToken, FusedStep, Result, Shape, Tensor, TensorData,
 };
 
 /// Where a planned op (or a fetch) reads a value from.
@@ -54,100 +58,24 @@ pub enum Arg {
     Feed(usize),
 }
 
-/// A graph op with its attributes fully pre-parsed.
+/// What a planned op runs.
 #[derive(Debug, Clone)]
-pub enum OpKind {
-    /// 2-D matrix multiply (no transposes in the converter op set).
-    MatMul,
-    /// Broadcasting element-wise binary op (`BiasAdd` lowers to `Add`).
-    Binary(BinaryOp),
-    /// Element-wise unary activation.
-    Unary(UnaryOp),
-    /// Softmax over the trailing axis.
+enum Step {
+    /// A kernel call, through [`ops::run`].
+    Call(KernelCall<'static>),
+    /// A view of the input under [`PlannedOp::out_shape`] (`Identity`, and
+    /// `Reshape` with its wildcards resolved): free, it shares the input's
+    /// data container.
+    Alias,
+    /// Softmax over the trailing axis: a chain of kernels.
     Softmax,
-    /// Data alias (free: shares the input's data container).
-    Identity,
-    /// Data alias under a new shape, wildcards already resolved into
-    /// [`PlannedOp::out_shape`].
-    Reshape,
-    /// NHWC convolution.
-    Conv2d {
-        /// `(stride_h, stride_w)`.
-        strides: (usize, usize),
-        /// Padding scheme.
-        padding: Padding,
-    },
-    /// NHWC depthwise convolution.
-    DepthwiseConv2d {
-        /// `(stride_h, stride_w)`.
-        strides: (usize, usize),
-        /// Padding scheme.
-        padding: Padding,
-    },
-    /// Max pooling.
-    MaxPool {
-        /// `(window_h, window_w)`.
-        window: (usize, usize),
-        /// `(stride_h, stride_w)`.
-        strides: (usize, usize),
-        /// Padding scheme.
-        padding: Padding,
-    },
-    /// Average pooling.
-    AvgPool {
-        /// `(window_h, window_w)`.
-        window: (usize, usize),
-        /// `(stride_h, stride_w)`.
-        strides: (usize, usize),
-        /// Padding scheme.
-        padding: Padding,
-    },
-    /// Fused matmul + optional bias + optional activation.
-    FusedMatMul {
-        /// Whether a bias input rides in `args[2]`.
-        has_bias: bool,
-        /// Fused activation epilogue.
-        activation: Option<UnaryOp>,
-    },
-    /// Fused conv2d epilogue.
-    FusedConv2d {
-        /// `(stride_h, stride_w)`.
-        strides: (usize, usize),
-        /// Padding scheme.
-        padding: Padding,
-        /// Whether a bias input rides in `args[2]`.
-        has_bias: bool,
-        /// Fused activation epilogue.
-        activation: Option<UnaryOp>,
-    },
-    /// Fused depthwise-conv2d epilogue.
-    FusedDepthwiseConv2d {
-        /// `(stride_h, stride_w)`.
-        strides: (usize, usize),
-        /// Padding scheme.
-        padding: Padding,
-        /// Whether a bias input rides in `args[2]`.
-        has_bias: bool,
-        /// Fused activation epilogue.
-        activation: Option<UnaryOp>,
-    },
-    /// Fused element-wise chain; extras are `args[1..]`.
-    FusedElementwise {
-        /// The pre-parsed chain.
-        steps: Vec<FusedStep>,
-    },
-    /// Mean reduction over `axes` (never keeps reduced dims).
-    Mean {
-        /// Normalized-at-build reduction axes.
-        axes: Vec<isize>,
-    },
 }
 
 /// One fully lowered op in a [`Plan`].
 #[derive(Debug, Clone)]
 pub struct PlannedOp {
-    /// Typed op + attributes.
-    pub kind: OpKind,
+    /// What the op runs.
+    step: Step,
     /// Resolved data inputs (control deps only constrain the order and are
     /// dropped here).
     pub args: Vec<Arg>,
@@ -158,48 +86,37 @@ pub struct PlannedOp {
     /// Slots whose final consumer is this op — disposed immediately after
     /// it runs. Fetched slots are exempt.
     pub dispose_after: Vec<usize>,
-    /// Whether dispatch must run inside its own `tidy` scope: composite
-    /// ops (matmul's rank-3 normalization, softmax's chain, the fused ops'
-    /// unfused fallbacks) allocate internal handles that would otherwise
-    /// pin data containers until the run's outer scope closed. Single-kernel
-    /// ops skip the scope entirely — computed once at build so the hot loop
-    /// pays no scope bookkeeping for them.
+    /// Whether dispatch always runs inside its own `tidy` scope: softmax's
+    /// chain and a call over a U8 weight (which may dequantize into a
+    /// temporary) allocate internal handles that would otherwise pin data
+    /// containers until the run's outer scope closed. A fused call gets one
+    /// only on a run that composes it with fusion off; every other op skips
+    /// the scope entirely — decided at build so the hot loop pays no scope
+    /// bookkeeping for them.
     pub scoped: bool,
-    /// Whether the executor dispatches the op as one
-    /// [`KernelCall`] through [`Engine::run_kernel`] instead of the
-    /// composite op layer — no rank-normalization alias tensors, no per-op
-    /// scope. Decided at build (see [`direct`]).
-    pub direct: bool,
     /// Output dtype, propagated at build: aliases keep their input's dtype
-    /// (a reshaped quantized weight stays U8), compute ops emit f32. Feeds
-    /// the dtype-aware peak-memory simulation.
+    /// (a reshaped quantized weight stays U8), calls emit what
+    /// [`KernelCall::output`] says. Feeds the dtype-aware peak-memory
+    /// simulation.
     pub out_dtype: DType,
     /// Source node name (error messages only).
     pub name: String,
 }
 
-/// Whether an op is dispatched as one kernel call, skipping the composite
-/// op layer and its rank-normalization alias tensors: a rank-2
-/// `FusedMatMul` is one rank-2 [`KernelCall::MatMul`] over its operands as
-/// they are — the product `ops::fused_matmul` reaches through batch-1
-/// reshape aliases, on the same data in the same layout.
-fn direct(kind: &OpKind, arg_shapes: &[Shape]) -> bool {
-    matches!(kind, OpKind::FusedMatMul { .. }) && arg_shapes.iter().take(2).all(|s| s.rank() == 2)
-}
+impl PlannedOp {
+    /// Whether the op is a view sharing its input's data container
+    /// (`Identity`, `Reshape`).
+    pub fn is_alias(&self) -> bool {
+        matches!(self.step, Step::Alias)
+    }
 
-/// Ops whose dispatch may create intermediate tensor handles beyond the
-/// output (and therefore need a per-op tidy scope for eager disposal to
-/// stay exact). Everything else is a single `run_kernel` call.
-fn needs_scope(kind: &OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::MatMul
-            | OpKind::Softmax
-            | OpKind::FusedMatMul { .. }
-            | OpKind::FusedConv2d { .. }
-            | OpKind::FusedDepthwiseConv2d { .. }
-            | OpKind::FusedElementwise { .. }
-    )
+    fn dispatch(&self, args: &[&Tensor]) -> Result<Tensor> {
+        match &self.step {
+            Step::Call(call) => ops::run(call, args),
+            Step::Alias => ops::reshape(args[0], self.out_shape.clone()),
+            Step::Softmax => ops::softmax(args[0]),
+        }
+    }
 }
 
 /// A compiled execution plan for one (feed-shape signature, fetch set).
@@ -352,8 +269,7 @@ impl Plan {
                 }
                 _ => {
                     let mut args: Vec<Arg> = Vec::new();
-                    let mut arg_shapes: Vec<Shape> = Vec::new();
-                    let mut arg_dtypes: Vec<DType> = Vec::new();
+                    let mut arg_vals: Vec<(Shape, DType)> = Vec::new();
                     for input in node.inputs.iter().filter(|s| !s.starts_with('^')) {
                         let (arg, shape, dtype) = vals.get(input.as_str()).ok_or_else(|| {
                             Error::invalid(
@@ -362,39 +278,27 @@ impl Plan {
                             )
                         })?;
                         args.push(*arg);
-                        arg_shapes.push(shape.clone());
-                        arg_dtypes.push(*dtype);
+                        arg_vals.push((shape.clone(), *dtype));
                     }
-                    let (kind, out_shape) = lower_node(node, &arg_shapes)?;
-                    // Aliases carry their input's dtype (a reshaped U8
-                    // weight stays one byte per code); compute ops emit f32.
-                    let out_dtype = match kind {
-                        OpKind::Identity | OpKind::Reshape => {
-                            arg_dtypes.first().copied().unwrap_or(DType::F32)
-                        }
-                        _ => DType::F32,
-                    };
+                    let (step, arity, out_shape, out_dtype) = lower_node(node, &arg_vals)?;
+                    args.truncate(arity);
                     let out_slot = ops_list.len();
                     vals.insert(
                         node.name.as_str(),
                         (Arg::Slot(out_slot), out_shape.clone(), out_dtype),
                     );
                     // A U8 weight operand (resident codes, or an alias of
-                    // them) stays on the composite op, which owns the
-                    // quantized-weight gate and may dequantize into a
-                    // temporary — so it needs a scope and never takes the
-                    // direct f32 kernel view.
-                    let u8_weight = arg_dtypes.get(1) == Some(&DType::U8);
-                    let direct = !u8_weight && direct(&kind, &arg_shapes);
-                    let scoped = u8_weight || (needs_scope(&kind) && !direct);
+                    // them) meets the quantized-weight gate, which may
+                    // dequantize it into a temporary.
+                    let u8_weight = arg_vals.get(1).is_some_and(|(_, d)| *d == DType::U8);
+                    let scoped = u8_weight || matches!(step, Step::Softmax);
                     ops_list.push(PlannedOp {
-                        kind,
+                        step,
                         args,
                         out_slot,
                         out_shape,
                         dispose_after: Vec::new(),
                         scoped,
-                        direct,
                         out_dtype,
                         name: node.name.clone(),
                     });
@@ -469,8 +373,7 @@ impl Plan {
         let mut live = 0usize;
         let mut peak = 0usize;
         for op in ops {
-            let alias = matches!(op.kind, OpKind::Identity | OpKind::Reshape);
-            let group = if alias {
+            let group = if op.is_alias() {
                 // Aliasing a weight or feed never allocates and never frees.
                 match op.args.first() {
                     Some(Arg::Slot(s)) => slot_group[*s],
@@ -559,6 +462,9 @@ impl Plan {
         slots: &mut [Option<Tensor>],
     ) -> Result<Vec<Tensor>> {
         let taped = engine.is_recording();
+        // A fused call composed from unfused calls registers intermediates;
+        // on a taped run the tape keeps them anyway.
+        let composing = !taped && !engine.fusion_enabled();
         for op in &self.ops {
             let out = {
                 let mut args: Vec<&Tensor> = Vec::with_capacity(op.args.len());
@@ -575,19 +481,20 @@ impl Plan {
                     });
                 }
                 // Per-op cleanup only where dispatch allocates internal
-                // handles (see `needs_scope`): composite ops register
-                // aliases that would otherwise pin the output's data
-                // container until the whole run's scope closed — defeating
-                // eager slot disposal. `trim_scope` disposes exactly those
-                // registrations without a nested scope's push/pop cost;
-                // single-kernel ops go straight through.
-                if op.scoped {
+                // handles (see `PlannedOp::scoped`): they would otherwise
+                // pin the output's data container until the whole run's
+                // scope closed — defeating eager slot disposal.
+                // `trim_scope` disposes exactly those registrations without
+                // a nested scope's push/pop cost; single-kernel ops go
+                // straight through.
+                let composed = composing && matches!(&op.step, Step::Call(c) if c.is_fused());
+                if op.scoped || composed {
                     let mark = engine.scope_mark();
-                    let out = self.dispatch(op, &args)?;
+                    let out = op.dispatch(&args)?;
                     engine.trim_scope(mark, out.id());
                     out
                 } else {
-                    self.dispatch(op, &args)?
+                    op.dispatch(&args)?
                 }
             };
             slots[op.out_slot] = Some(out);
@@ -609,70 +516,6 @@ impl Plan {
                 Arg::Feed(f) => ops::identity(feed_tensors[*f]),
             })
             .collect()
-    }
-
-    fn dispatch(&self, op: &PlannedOp, args: &[&Tensor]) -> Result<Tensor> {
-        match &op.kind {
-            OpKind::MatMul => ops::matmul(args[0], args[1], false, false),
-            OpKind::Binary(b) => match b {
-                BinaryOp::Add => ops::add(args[0], args[1]),
-                BinaryOp::Sub => ops::sub(args[0], args[1]),
-                BinaryOp::Mul => ops::mul(args[0], args[1]),
-                BinaryOp::Div => ops::div(args[0], args[1]),
-                other => Err(Error::invalid("plan", format!("unplannable binary {other:?}"))),
-            },
-            OpKind::Unary(u) => apply_unary(*u, args[0]),
-            OpKind::Softmax => ops::softmax(args[0]),
-            OpKind::Identity => ops::identity(args[0]),
-            OpKind::Reshape => ops::reshape(args[0], op.out_shape.clone()),
-            OpKind::Conv2d { strides, padding } => {
-                ops::conv2d(args[0], args[1], *strides, *padding, (1, 1))
-            }
-            OpKind::DepthwiseConv2d { strides, padding } => {
-                ops::depthwise_conv2d(args[0], args[1], *strides, *padding, (1, 1))
-            }
-            OpKind::MaxPool { window, strides, padding } => {
-                ops::max_pool(args[0], *window, *strides, *padding)
-            }
-            OpKind::AvgPool { window, strides, padding } => {
-                ops::avg_pool(args[0], *window, *strides, *padding)
-            }
-            OpKind::FusedMatMul { has_bias, activation } => {
-                let engine = args[0].engine();
-                // The composite path exists for tape recording (unfused
-                // entries) and fusion-disabled debugging; neither holds on a
-                // planned inference pass, where this dispatches the kernel
-                // with zero alias tensors.
-                if op.direct && !engine.is_recording() && engine.fusion_enabled() {
-                    let epilogue = Epilogue::Fused { bias: *has_bias, activation: *activation };
-                    let call =
-                        KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue };
-                    return engine.run_kernel(&call, args, None);
-                }
-                let bias = if *has_bias { Some(args[2]) } else { None };
-                ops::fused_matmul(args[0], args[1], bias, *activation, false, false)
-            }
-            OpKind::FusedConv2d { strides, padding, has_bias, activation } => {
-                let bias = if *has_bias { Some(args[2]) } else { None };
-                ops::fused_conv2d(args[0], args[1], bias, *activation, *strides, *padding, (1, 1))
-            }
-            OpKind::FusedDepthwiseConv2d { strides, padding, has_bias, activation } => {
-                let bias = if *has_bias { Some(args[2]) } else { None };
-                ops::fused_depthwise_conv2d(
-                    args[0],
-                    args[1],
-                    bias,
-                    *activation,
-                    *strides,
-                    *padding,
-                    (1, 1),
-                )
-            }
-            OpKind::FusedElementwise { steps } => {
-                ops::fused_elementwise(args[0], &args[1..], steps)
-            }
-            OpKind::Mean { axes } => ops::mean(args[0], Some(axes), false),
-        }
     }
 }
 
@@ -772,140 +615,77 @@ impl std::fmt::Debug for Plan {
     }
 }
 
-fn apply_unary(u: UnaryOp, x: &Tensor) -> Result<Tensor> {
-    match u {
-        UnaryOp::Relu => ops::relu(x),
-        UnaryOp::Relu6 => ops::relu6(x),
-        UnaryOp::Sigmoid => ops::sigmoid(x),
-        UnaryOp::Tanh => ops::tanh(x),
-        other => Err(Error::invalid("plan", format!("unplannable unary {other:?}"))),
+/// A `_Fused*` node's epilogue from its `has_bias` and `activation`
+/// attrs; a plain node has none.
+fn epilogue(node: &NodeDef) -> Result<Epilogue> {
+    if !node.op.starts_with("_Fused") {
+        return Ok(Epilogue::None);
     }
-}
-
-fn matmul_shape(name: &str, a: &Shape, b: &Shape) -> Result<Shape> {
-    if a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0) {
-        return Err(Error::shape(
-            "plan",
-            format!("{name}: cannot matmul {a} with {b}"),
-        ));
-    }
-    Ok(Shape::new(vec![a.dim(0), b.dim(1)]))
-}
-
-fn fused_epilogue_attrs(node: &NodeDef) -> Result<(bool, Option<UnaryOp>)> {
-    let has_bias = node.attrs.get("has_bias").and_then(Value::as_bool).unwrap_or(false);
+    let bias = node.attrs.get("has_bias").and_then(Value::as_bool).unwrap_or(false);
     let activation = match attr_str(node, "activation") {
         Some(name) => Some(fusable_unary(name).ok_or_else(|| Error::Serialization {
             message: format!("unknown fused activation {name}"),
         })?),
         None => None,
     };
-    Ok((has_bias, activation))
+    Ok(Epilogue::Fused { bias, activation })
 }
 
-/// Lower one graph node into a typed op and its inferred output shape.
-fn lower_node(node: &NodeDef, arg_shapes: &[Shape]) -> Result<(OpKind, Shape)> {
-    let arg = |k: usize| -> Result<&Shape> {
-        arg_shapes.get(k).ok_or_else(|| {
-            Error::invalid("plan", format!("node {} is missing input {k}", node.name))
-        })
-    };
-    Ok(match node.op.as_str() {
-        "MatMul" => (OpKind::MatMul, matmul_shape(&node.name, arg(0)?, arg(1)?)?),
-        "Add" | "AddV2" | "BiasAdd" => {
-            (OpKind::Binary(BinaryOp::Add), broadcast_shapes("plan", arg(0)?, arg(1)?)?)
+/// Lower one graph node: what its planned op runs, how many of the node's
+/// inputs that binds, and the shape and dtype it produces — a call's are
+/// [`KernelCall::output`]'s.
+fn lower_node(node: &NodeDef, args: &[(Shape, DType)]) -> Result<(Step, usize, Shape, DType)> {
+    let missing =
+        |k: usize| Error::invalid("plan", format!("node {} is missing input {k}", node.name));
+    let arg = |k: usize| args.get(k).map(|(shape, _)| shape).ok_or_else(|| missing(k));
+    let op = node.op.as_str();
+    let (call, arity) = match op {
+        "Identity" | "Reshape" | "Softmax" => {
+            let (shape, dtype) = args.first().ok_or_else(|| missing(0))?;
+            return Ok(match op {
+                "Identity" => (Step::Alias, 1, shape.clone(), *dtype),
+                "Reshape" => {
+                    let dims = resolve_reshape_dims(node, shape)?;
+                    (Step::Alias, 1, Shape::new(dims), *dtype)
+                }
+                _ => (Step::Softmax, 1, shape.clone(), DType::F32),
+            });
         }
-        "Sub" => (OpKind::Binary(BinaryOp::Sub), broadcast_shapes("plan", arg(0)?, arg(1)?)?),
-        "Mul" => (OpKind::Binary(BinaryOp::Mul), broadcast_shapes("plan", arg(0)?, arg(1)?)?),
-        "RealDiv" | "Div" => {
-            (OpKind::Binary(BinaryOp::Div), broadcast_shapes("plan", arg(0)?, arg(1)?)?)
+        "MatMul" | "_FusedMatMul" => {
+            let epilogue = epilogue(node)?;
+            let call = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue };
+            (call, 2 + epilogue.bias() as usize)
         }
-        "Relu" => (OpKind::Unary(UnaryOp::Relu), arg(0)?.clone()),
-        "Relu6" => (OpKind::Unary(UnaryOp::Relu6), arg(0)?.clone()),
-        "Sigmoid" => (OpKind::Unary(UnaryOp::Sigmoid), arg(0)?.clone()),
-        "Tanh" => (OpKind::Unary(UnaryOp::Tanh), arg(0)?.clone()),
-        "Softmax" => (OpKind::Softmax, arg(0)?.clone()),
-        "Identity" => (OpKind::Identity, arg(0)?.clone()),
-        "Reshape" => {
-            let dims = resolve_reshape_dims(node, arg(0)?)?;
-            (OpKind::Reshape, Shape::new(dims))
-        }
-        "Conv2D" => {
+        "Conv2D" | "_FusedConv2D" | "DepthwiseConv2dNative" | "_FusedDepthwiseConv2dNative" => {
+            let epilogue = epilogue(node)?;
             let strides = attr_pair(node, "strides", (1, 1));
-            let padding = attr_padding(node)?;
-            let info = conv2d_info("Conv2D", arg(0)?, arg(1)?, strides, padding, (1, 1))?;
-            (OpKind::Conv2d { strides, padding }, info.out_shape())
+            let (x, w, padding) = (arg(0)?, arg(1)?, attr_padding(node)?);
+            let call = if op.ends_with("Conv2D") {
+                let info = conv2d_info("Conv2D", x, w, strides, padding, (1, 1))?;
+                KernelCall::Conv2d { info: Cow::Owned(info), epilogue }
+            } else {
+                let name = "DepthwiseConv2dNative";
+                let info = depthwise_conv2d_info(name, x, w, strides, padding, (1, 1))?;
+                KernelCall::DepthwiseConv2d { info: Cow::Owned(info), epilogue }
+            };
+            (call, 2 + epilogue.bias() as usize)
         }
-        "DepthwiseConv2dNative" => {
-            let strides = attr_pair(node, "strides", (1, 1));
-            let padding = attr_padding(node)?;
-            let info = depthwise_conv2d_info(
-                "DepthwiseConv2dNative",
-                arg(0)?,
-                arg(1)?,
-                strides,
-                padding,
-                (1, 1),
-            )?;
-            (OpKind::DepthwiseConv2d { strides, padding }, info.out_shape())
-        }
-        "MaxPool" => {
+        "MaxPool" | "AvgPool" => {
             let window = attr_pair(node, "ksize", (2, 2));
             let strides = attr_pair(node, "strides", window);
-            let padding = attr_padding(node)?;
-            let info = pool2d_info("MaxPool", arg(0)?, window, strides, padding)?;
-            (OpKind::MaxPool { window, strides, padding }, info.out_shape())
-        }
-        "AvgPool" => {
-            let window = attr_pair(node, "ksize", (2, 2));
-            let strides = attr_pair(node, "strides", window);
-            let padding = attr_padding(node)?;
-            let info = pool2d_info("AvgPool", arg(0)?, window, strides, padding)?;
-            (OpKind::AvgPool { window, strides, padding }, info.out_shape())
-        }
-        "_FusedMatMul" => {
-            let (has_bias, activation) = fused_epilogue_attrs(node)?;
-            (
-                OpKind::FusedMatMul { has_bias, activation },
-                matmul_shape(&node.name, arg(0)?, arg(1)?)?,
-            )
-        }
-        "_FusedConv2D" => {
-            let (has_bias, activation) = fused_epilogue_attrs(node)?;
-            let strides = attr_pair(node, "strides", (1, 1));
-            let padding = attr_padding(node)?;
-            let info = conv2d_info("Conv2D", arg(0)?, arg(1)?, strides, padding, (1, 1))?;
-            (
-                OpKind::FusedConv2d { strides, padding, has_bias, activation },
-                info.out_shape(),
-            )
-        }
-        "_FusedDepthwiseConv2dNative" => {
-            let (has_bias, activation) = fused_epilogue_attrs(node)?;
-            let strides = attr_pair(node, "strides", (1, 1));
-            let padding = attr_padding(node)?;
-            let info = depthwise_conv2d_info(
-                "DepthwiseConv2dNative",
-                arg(0)?,
-                arg(1)?,
-                strides,
-                padding,
-                (1, 1),
-            )?;
-            (
-                OpKind::FusedDepthwiseConv2d { strides, padding, has_bias, activation },
-                info.out_shape(),
-            )
+            let (name, op) =
+                if op == "MaxPool" { ("MaxPool", PoolOp::Max) } else { ("AvgPool", PoolOp::Avg) };
+            let info = pool2d_info(name, arg(0)?, window, strides, attr_padding(node)?)?;
+            (KernelCall::Pool2d { op, info: Cow::Owned(info) }, 1)
         }
         "_FusedElementwise" => {
             let steps = parse_steps(node)?;
-            let mut shape = arg(0)?.clone();
-            for step in &steps {
-                if let FusedStep::Binary(_, idx) = step {
-                    shape = broadcast_shapes("plan", &shape, arg(idx + 1)?)?;
-                }
-            }
-            (OpKind::FusedElementwise { steps }, shape)
+            let extras = steps.iter().map(|s| match s {
+                FusedStep::Binary(_, i) => i + 1,
+                FusedStep::Unary(_) => 0,
+            });
+            let arity = 1 + extras.max().unwrap_or(0);
+            (KernelCall::FusedElementwise(steps.into()), arity)
         }
         "Mean" => {
             let axes: Vec<isize> = node
@@ -914,15 +694,23 @@ fn lower_node(node: &NodeDef, arg_shapes: &[Shape]) -> Result<(OpKind, Shape)> {
                 .and_then(Value::as_array)
                 .map(|a| a.iter().filter_map(Value::as_i64).map(|d| d as isize).collect())
                 .unwrap_or_else(|| vec![1, 2]);
-            let input = arg(0)?;
-            let normalized = normalize_axes("Mean", Some(&axes), input.rank())?;
-            (OpKind::Mean { axes }, reduced_shape(input, &normalized, false))
+            let axes = normalize_axes("Mean", Some(&axes), arg(0)?.rank())?;
+            (KernelCall::Reduce { op: ReduceOp::Mean, axes: axes.into() }, 1)
         }
-        other => {
-            return Err(Error::invalid(
-                "plan",
-                format!("unsupported op {other} (node {})", node.name),
-            ))
-        }
-    })
+        other => match (fusable_unary(other), fusable_binary(other)) {
+            (Some(op), _) => (KernelCall::Unary(op), 1),
+            (_, Some(op)) => (KernelCall::Binary(op), 2),
+            _ => {
+                let msg = format!("unsupported op {other} (node {})", node.name);
+                return Err(Error::invalid("plan", msg));
+            }
+        },
+    };
+    if args.len() < arity {
+        return Err(missing(args.len()));
+    }
+    let operands: Vec<KTensor<'_>> =
+        args[..arity].iter().map(|(shape, dtype)| KTensor::new(DataId(0), shape, *dtype)).collect();
+    let (shape, dtype) = call.output(&operands)?;
+    Ok((Step::Call(call), arity, shape, dtype))
 }

@@ -33,7 +33,7 @@ pub struct KTensor<'a> {
     /// (paper Sec 5.1): quantization is a property of the operand, so the
     /// fused kernels pick their dequant-free variant from this field. The
     /// op layer only lets params through that the factored accumulation can
-    /// use (`ops::fused`'s single gate): per-tensor, or per-channel indexed
+    /// use (the gate of [`crate::ops::run`]): per-tensor, or per-channel indexed
     /// by the kernel's output column / channel.
     pub quant: Option<&'a QuantParams>,
 }
@@ -1000,8 +1000,9 @@ impl<'a> KernelCall<'a> {
             || self.epilogue().is_some_and(|e| !e.is_plain())
     }
 
-    /// The same product call under another epilogue.
-    fn with_epilogue(&self, epilogue: Epilogue) -> KernelCall<'a> {
+    /// The same product call under another epilogue; any other call as it
+    /// is.
+    pub fn with_epilogue(&self, epilogue: Epilogue) -> KernelCall<'a> {
         let mut call = self.clone();
         if let KernelCall::MatMul { epilogue: e, .. }
         | KernelCall::Conv2d { epilogue: e, .. }

@@ -28,7 +28,7 @@ use crate::backend::{Backend, BackendMemory, DataId, KTensor, KernelCall};
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
 use crate::shape::Shape;
-use crate::tape::{GradFn, Tape, TapeNode};
+use crate::tape::{Grad, GradFn, Tape, TapeNode};
 use crate::tensor::Tensor;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -692,18 +692,12 @@ impl Engine {
     }
 
     /// Create a new tensor that shares the data of `t` under a new shape —
-    /// the free `reshape`/`clone` of paper Sec 3.4. Records a tape node when
-    /// a gradient function is supplied and a tape is active.
+    /// the free `reshape`/`clone` of paper Sec 3.4. Records an alias node
+    /// while a tape records.
     ///
     /// # Errors
     /// Fails when `t` is disposed or the element counts differ.
-    pub fn run_alias(
-        &self,
-        kernel: &'static str,
-        t: &Tensor,
-        new_shape: Shape,
-        grad: Option<GradFn>,
-    ) -> Result<Tensor> {
+    pub fn run_alias(&self, kernel: &'static str, t: &Tensor, new_shape: Shape) -> Result<Tensor> {
         if t.shape().size() != new_shape.size() {
             return Err(Error::shape(
                 kernel,
@@ -735,20 +729,22 @@ impl Engine {
         if let Some(q) = quant {
             self.set_quant_params(out.id(), q);
         }
-        if let Some(grad_fn) = grad {
-            self.maybe_record(kernel, &[t], std::slice::from_ref(&out), grad_fn);
-        }
+        self.maybe_record(kernel, &[t], std::slice::from_ref(&out), || Grad::Alias);
         Ok(out)
     }
 
+    /// Record a tape node for `outputs` while a tape records, unless every
+    /// output is an integer or bool result, which carries no gradient.
     fn maybe_record(
         &self,
         kernel: &'static str,
         inputs: &[&Tensor],
         outputs: &[Tensor],
-        grad_fn: GradFn,
+        grad: impl FnOnce() -> Grad,
     ) {
-        if !self.inner.tape_active.load(Ordering::Acquire) {
+        if !self.inner.tape_active.load(Ordering::Acquire)
+            || !outputs.iter().any(|t| t.dtype().is_float())
+        {
             return;
         }
         let mut meta = self.inner.meta.lock();
@@ -761,7 +757,7 @@ impl Engine {
             output_ids: outputs.iter().map(|t| t.id()).collect(),
             inputs: inputs.iter().map(|&t| t.clone()).collect(),
             outputs: outputs.to_vec(),
-            grad_fn,
+            grad: grad(),
         };
         for t in inputs {
             meta.kept_by_tape.insert(t.id());
@@ -811,8 +807,8 @@ impl Engine {
     /// Run one kernel call over `inputs`: migrate and pin them, run the call
     /// on the active backend, register its output under the name, shape and
     /// dtype the call reports ([`KernelCall::name`], [`KernelCall::output`]),
-    /// and record a tape node when `grad` is given and a gradient scope is
-    /// active.
+    /// and, while a tape records, record the call itself — backprop
+    /// differentiates it by its rule ([`crate::grads`]).
     ///
     /// This is the single funnel every op goes through; profiling, the
     /// NaN-debug mode (paper Sec 3.8), and the fault-recovery policy hook
@@ -833,12 +829,7 @@ impl Engine {
     /// Propagates a malformed call, disposed-tensor, NaN-debug, and
     /// non-degradable backend errors, plus degradable errors once no
     /// lower-priority backend is left to fall back to.
-    pub fn run_kernel(
-        &self,
-        call: &KernelCall<'_>,
-        inputs: &[&Tensor],
-        grad: Option<GradFn>,
-    ) -> Result<Tensor> {
+    pub fn run_kernel(&self, call: &KernelCall<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
         let kernel = call.name();
         // Transient in-place retries against the current backend; reset on
         // every degradation so a fresh backend gets its full budget.
@@ -957,9 +948,8 @@ impl Engine {
                     KernelProfile { name: kernel, wall_ms, kernel_ms, output_shapes, bytes_added },
                 ));
             }
-            if let Some(grad_fn) = grad {
-                self.maybe_record(kernel, inputs, std::slice::from_ref(&output), grad_fn);
-            }
+            let outputs = std::slice::from_ref(&output);
+            self.maybe_record(kernel, inputs, outputs, || Grad::Call(call.clone().into_owned()));
             return Ok(output);
         }
     }
@@ -1092,7 +1082,7 @@ impl Engine {
 
     /// Run a *composite* op with a user-supplied gradient (`tf.customGrad`):
     /// `forward` computes the outputs using ordinary ops, but those inner
-    /// ops are not recorded — instead a single tape node with `grad_fn` is,
+    /// ops are not recorded — instead a single tape node with `grad` is,
     /// so backprop treats the whole composite as one differentiable unit.
     ///
     /// Useful for numerically better gradients than the composed ones
@@ -1108,7 +1098,7 @@ impl Engine {
         grad: GradFn,
     ) -> Result<Vec<Tensor>> {
         let outputs = self.pause_recording(forward)?;
-        self.maybe_record(kernel, inputs, &outputs, grad);
+        self.maybe_record(kernel, inputs, &outputs, || Grad::Custom(grad));
         Ok(outputs)
     }
 
@@ -1383,12 +1373,6 @@ impl Engine {
         r
     }
 
-    #[allow(dead_code)] // diagnostic helper for composite ops
-    pub(crate) fn tape_active(&self) -> bool {
-        let meta = self.inner.meta.lock();
-        !meta.tape_stack.is_empty() && !meta.recording_paused
-    }
-
     // --- diagnostics ---------------------------------------------------------
 
     /// Engine-plus-backend memory snapshot (`tf.memory()`).
@@ -1441,7 +1425,8 @@ impl Engine {
         if !self.inner.tape_active.load(Ordering::Acquire) {
             return false;
         }
-        self.tape_active()
+        let meta = self.inner.meta.lock();
+        !meta.tape_stack.is_empty() && !meta.recording_paused
     }
 
     /// Enable or disable NaN-checking debug mode (paper Sec 3.8).
@@ -1813,7 +1798,7 @@ mod tests {
         let b = e.tensor_1d(&[2.0]).unwrap();
         b.dispose();
         let add = KernelCall::Binary(crate::backend::BinaryOp::Add);
-        let err = e.run_kernel(&add, &[&a, &b], None).unwrap_err();
+        let err = e.run_kernel(&add, &[&a, &b]).unwrap_err();
         assert!(matches!(err, Error::TensorDisposed { .. }));
         assert_eq!(calls.load(Ordering::SeqCst), 0);
         // The pin on `a` was released: disposing it now frees its bytes.

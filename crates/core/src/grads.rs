@@ -1,16 +1,24 @@
 //! The user-facing gradient API (paper Sec 3.5): eager differentiation in
-//! the style of `tf.grad` / `tf.grads` / `tf.valueAndGrads`.
+//! the style of `tf.grad` / `tf.grads` / `tf.valueAndGrads`, and the
+//! gradient rule of every kernel.
 //!
-//! While the supplied function runs, every kernel is recorded on a tape;
-//! backpropagation then walks the tape in reverse over the nodes that lie on
-//! a path from the requested inputs to the output. Because differentiation
-//! is eager, native Rust `if`/`while` control flow works inside the closure
-//! — no special control-flow ops are needed.
+//! While the supplied function runs, every kernel call is recorded on a
+//! tape; backpropagation then walks the tape in reverse over the nodes that
+//! lie on a path from the requested inputs to the output, differentiating
+//! each by [`rule`] — one match over the [`KernelCall`], so a call carries
+//! its gradient wherever it is stored (an op, a planned graph node). Because
+//! differentiation is eager, native Rust `if`/`while` control flow works
+//! inside the closure — no special control-flow ops are needed.
 
+use crate::backend::{BinaryOp, Epilogue, KernelCall as C, ReduceOp, UnaryOp};
+use crate::dtype::DType;
 use crate::engine::Engine;
 use crate::error::{Error, Result};
-use crate::ops;
+use crate::ops::{self, *};
+use crate::shape::{broadcast_reduce_axes, reduced_shape, Shape};
+use crate::tape::Grad;
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 impl Engine {
@@ -25,8 +33,11 @@ impl Engine {
     /// disposed before returning; only the value and gradients survive.
     ///
     /// # Errors
-    /// Propagates errors from `f` and from gradient functions, and fails if
-    /// an op on the path has no registered gradient.
+    /// Propagates errors from `f` and from gradient rules, and fails with
+    /// [`Error::GradientNotDefined`] naming the kernel when a call on the
+    /// path has no rule (`Gather`, `Prod`, `FloorDiv`, `Mod`,
+    /// `ResizeBilinear`, the gradient kernels themselves, and a fused call
+    /// run directly on the engine).
     pub fn value_and_grads(
         &self,
         xs: &[&Tensor],
@@ -82,11 +93,16 @@ impl Engine {
             }
             // Only an input that depends on an x can pass its gradient on.
             let wanted: Vec<bool> = node.input_ids.iter().map(|id| from_x.contains(id)).collect();
-            let input_grads = (node.grad_fn)(&dys, &node.inputs, &node.outputs, &wanted)
-                .map_err(|e| match e {
-                    Error::GradientNotDefined { .. } => Error::GradientNotDefined { op: node.kernel },
-                    other => other,
-                })?;
+            let (ins, outs) = (&node.inputs, &node.outputs);
+            let input_grads = match &node.grad {
+                Grad::Call(call) => rule(call, &dys, ins, outs, &wanted),
+                Grad::Alias => alias_rule(&dys[0], &ins[0]).map(|g| vec![Some(g)]),
+                Grad::Custom(grad_fn) => grad_fn(&dys, ins, outs, &wanted),
+            }
+            .map_err(|e| match e {
+                Error::GradientNotDefined { .. } => Error::GradientNotDefined { op: node.kernel },
+                other => other,
+            })?;
             if input_grads.len() != node.inputs.len() {
                 return Err(Error::invalid(
                     "grads",
@@ -140,6 +156,351 @@ impl Engine {
     pub fn grad(&self, x: &Tensor, f: impl FnOnce() -> Result<Tensor>) -> Result<Tensor> {
         Ok(self.grads(&[x], f)?.remove(0))
     }
+}
+
+/// The gradient of a view (`reshape`, `identity`): `dy` under the input's
+/// shape.
+fn alias_rule(dy: &Tensor, x: &Tensor) -> Result<Tensor> {
+    if dy.shape_ref() == x.shape_ref() {
+        Ok(dy.clone())
+    } else {
+        reshape(dy, x.shape())
+    }
+}
+
+/// The gradient rule of a kernel call: given the gradients flowing into its
+/// output (`dys`), its saved inputs and outputs and the `wanted` mask, one
+/// slot per input — the [`crate::tape::GradFn`] contract. A rule whose
+/// gradients cost a kernel skips the unwanted inputs; a cheap one ignores the
+/// mask. Every attribute a rule needs is on the call or its saved operands.
+///
+/// # Errors
+/// [`Error::GradientNotDefined`] for a call without a rule.
+fn rule(
+    call: &C<'_>,
+    dys: &[Tensor],
+    ins: &[Tensor],
+    outs: &[Tensor],
+    wanted: &[bool],
+) -> Result<Vec<Option<Tensor>>> {
+    let (dy, x) = (&dys[0], &ins[0]);
+    let one = |g: Result<Tensor>| Ok(vec![Some(g?)]);
+    match call {
+        C::Unary(op) => one(unary_rule(*op, dy, x, &outs[0])),
+        C::Binary(op) => {
+            // Each side, and the `Sum` that undoes its broadcast, runs only
+            // when someone reads it.
+            let side = |i: usize| -> Result<Option<Tensor>> {
+                if !wanted[i] {
+                    return Ok(None);
+                }
+                let g = binary_rule(*op, i, dy, x, &ins[1])?;
+                Ok(Some(sum_to_shape(&g, ins[i].shape_ref())?))
+            };
+            Ok(vec![side(0)?, side(1)?])
+        }
+        C::Cast(_) => one(Ok(dy.clone())),
+        C::Reduce { op, axes } => {
+            let in_shape = x.shape_ref();
+            let back = || broadcast_back(dy, in_shape, axes);
+            match op {
+                ReduceOp::Sum => one(back()),
+                ReduceOp::Mean => {
+                    let g = back()?;
+                    let count: usize = axes.iter().map(|&i| in_shape.dim(i)).product();
+                    let n = g.engine().scalar(count.max(1) as f32)?;
+                    one(div(&g, &n))
+                }
+                // The gradient flows to every element equal to the extremum.
+                ReduceOp::Max | ReduceOp::Min => {
+                    let y_kept = reshape(&outs[0], reduced_shape(in_shape, axes, true))?;
+                    let mask = cast(&equal(x, &y_kept)?, DType::F32)?;
+                    one(mul(&back()?, &mask))
+                }
+                _ => Err(Error::GradientNotDefined { op: call.name() }),
+            }
+        }
+        C::MatMul { transpose_a, transpose_b, epilogue: Epilogue::None } => {
+            let b = &ins[1];
+            let da = || match (transpose_a, transpose_b) {
+                (false, false) => matmul(dy, b, false, true),
+                (false, true) => matmul(dy, b, false, false),
+                (true, false) => matmul(b, dy, false, true),
+                (true, true) => matmul(b, dy, true, true),
+            };
+            let db = || match (transpose_a, transpose_b) {
+                (false, false) => matmul(x, dy, true, false),
+                (false, true) => matmul(dy, x, true, false),
+                (true, false) => matmul(x, dy, false, false),
+                (true, true) => matmul(dy, x, true, true),
+            };
+            Ok(vec![wanted[0].then(da).transpose()?, wanted[1].then(db).transpose()?])
+        }
+        // The first layer's dx (a gradient w.r.t. the input batch) is the
+        // costliest kernel nobody reads: each side runs only when wanted.
+        C::Conv2d { info, epilogue: Epilogue::None } => {
+            let info = Cow::Borrowed(&**info);
+            let dx = wanted[0].then(|| backprop(C::Conv2dBackpropInput(info.clone()), dy, &ins[1]));
+            let dw = wanted[1].then(|| backprop(C::Conv2dBackpropFilter(info), x, dy));
+            Ok(vec![dx.transpose()?, dw.transpose()?])
+        }
+        C::DepthwiseConv2d { info, epilogue: Epilogue::None } => {
+            let info = Cow::Borrowed(&**info);
+            let dx = wanted[0]
+                .then(|| backprop(C::DepthwiseConv2dBackpropInput(info.clone()), dy, &ins[1]));
+            let dw = wanted[1].then(|| backprop(C::DepthwiseConv2dBackpropFilter(info), x, dy));
+            Ok(vec![dx.transpose()?, dw.transpose()?])
+        }
+        C::Pool2d { op, info } => {
+            one(backprop(C::Pool2dBackprop { op: *op, info: Cow::Borrowed(&**info) }, dy, x))
+        }
+        C::Slice { begin, size } => {
+            let in_dims = x.shape_ref().dims();
+            let pads: Vec<(usize, usize)> =
+                (0..in_dims.len()).map(|i| (begin[i], in_dims[i] - begin[i] - size[i])).collect();
+            one(pad(dy, &pads, 0.0))
+        }
+        C::Concat { axis } => {
+            // Slice dy back into the per-input gradients someone reads.
+            let mut offset = 0;
+            let mut grads = Vec::with_capacity(ins.len());
+            for (t, &wanted) in ins.iter().zip(wanted) {
+                let mut begin = vec![0; t.rank()];
+                begin[*axis] = offset;
+                grads.push(wanted.then(|| slice(dy, &begin, t.shape_ref().dims())).transpose()?);
+                offset += t.shape_ref().dim(*axis);
+            }
+            Ok(grads)
+        }
+        C::Transpose { perm } => {
+            let mut inv = vec![0usize; perm.len()];
+            for (i, &p) in perm.iter().enumerate() {
+                inv[p] = i;
+            }
+            one(transpose(dy, Some(&inv)))
+        }
+        C::Pad { paddings, .. } => {
+            let begins: Vec<usize> = paddings.iter().map(|&(b, _)| b).collect();
+            one(slice(dy, &begins, x.shape_ref().dims()))
+        }
+        // `dy` viewed as `[r0, d0, r1, d1, …]`, summed over the rep axes.
+        C::Tile { reps } => {
+            let dims = x.shape_ref().dims();
+            let split: Vec<usize> = reps.iter().zip(dims).flat_map(|(&r, &d)| [r, d]).collect();
+            let rep_axes: Vec<isize> = (0..dims.len() as isize).map(|i| 2 * i).collect();
+            one(sum(&reshape(dy, split)?, Some(&rep_axes), false))
+        }
+        C::Reverse { axes } => {
+            let axes: Vec<isize> = axes.iter().map(|&a| a as isize).collect();
+            one(reverse(dy, &axes))
+        }
+        // `dy` goes to `a` where the condition held and to `b` elsewhere;
+        // the condition receives none.
+        C::Select => {
+            let cond = x;
+            let zero = zeros_like(dy)?;
+            let da = if wanted[1] {
+                Some(sum_to_shape(&select(cond, dy, &zero)?, ins[1].shape_ref())?)
+            } else {
+                None
+            };
+            let db = if wanted[2] {
+                Some(sum_to_shape(&select(cond, &zero, dy)?, ins[2].shape_ref())?)
+            } else {
+                None
+            };
+            Ok(vec![None, da, db])
+        }
+        _ => Err(Error::GradientNotDefined { op: call.name() }),
+    }
+}
+
+/// `d op(a) / da · dy`, given the output `y`.
+fn unary_rule(op: UnaryOp, dy: &Tensor, a: &Tensor, y: &Tensor) -> Result<Tensor> {
+    use UnaryOp as U;
+    let e = a.engine();
+    match op {
+        U::Neg => neg(dy),
+        U::Abs => mul(dy, &sign(a)?),
+        U::Exp => mul(dy, y),
+        U::Expm1 => mul(dy, &exp(a)?),
+        U::Log => div(dy, a),
+        U::Log1p => {
+            let one = e.scalar(1.0)?;
+            div(dy, &add(a, &one)?)
+        }
+        U::Sqrt => {
+            let two_y = mul(y, &e.scalar(2.0)?)?;
+            div(dy, &two_y)
+        }
+        U::Rsqrt => {
+            // d/dx x^{-1/2} = -1/2 x^{-3/2} = -1/2 y^3.
+            let y3 = mul(&mul(y, y)?, y)?;
+            let half = e.scalar(-0.5)?;
+            mul(dy, &mul(&y3, &half)?)
+        }
+        U::Square => {
+            let two_a = mul(a, &e.scalar(2.0)?)?;
+            mul(dy, &two_a)
+        }
+        U::Relu => mul(dy, &step(a, 0.0)?),
+        U::Relu6 => {
+            let lo = greater(a, &e.scalar(0.0)?)?;
+            let hi = less(a, &e.scalar(6.0)?)?;
+            let mask = cast(&logical_and(&lo, &hi)?, DType::F32)?;
+            mul(dy, &mask)
+        }
+        U::Sigmoid => {
+            let one = e.scalar(1.0)?;
+            mul(dy, &mul(y, &sub(&one, y)?)?)
+        }
+        U::Tanh => {
+            let one = e.scalar(1.0)?;
+            mul(dy, &sub(&one, &mul(y, y)?)?)
+        }
+        U::Elu => {
+            // dy where a >= 0, dy * e^a otherwise (= dy * (y + 1)).
+            let mask = cast(&greater_equal(a, &e.scalar(0.0)?)?, DType::F32)?;
+            let pos = mul(dy, &mask)?;
+            let one = e.scalar(1.0)?;
+            let neg_part = mul(dy, &add(y, &one)?)?;
+            let inv = sub(&one, &mask)?;
+            add(&pos, &mul(&neg_part, &inv)?)
+        }
+        U::Selu => {
+            const ALPHA: f32 = 1.673_263_2;
+            const SCALE: f32 = 1.050_701;
+            let mask = cast(&greater_equal(a, &e.scalar(0.0)?)?, DType::F32)?;
+            let pos = mul(dy, &mul(&mask, &e.scalar(SCALE)?)?)?;
+            let exp_a = exp(a)?;
+            let neg_scale = e.scalar(SCALE * ALPHA)?;
+            let one = e.scalar(1.0)?;
+            let inv = sub(&one, &mask)?;
+            let neg_part = mul(dy, &mul(&mul(&exp_a, &neg_scale)?, &inv)?)?;
+            add(&pos, &neg_part)
+        }
+        U::Softplus => mul(dy, &sigmoid(a)?),
+        U::Sin => mul(dy, &cos(a)?),
+        U::Cos => neg(&mul(dy, &sin(a)?)?),
+        U::Tan => {
+            let c = cos(a)?;
+            div(dy, &mul(&c, &c)?)
+        }
+        U::Asin => {
+            let one = e.scalar(1.0)?;
+            div(dy, &sqrt(&sub(&one, &mul(a, a)?)?)?)
+        }
+        U::Acos => {
+            let one = e.scalar(1.0)?;
+            neg(&div(dy, &sqrt(&sub(&one, &mul(a, a)?)?)?)?)
+        }
+        U::Atan => {
+            let one = e.scalar(1.0)?;
+            div(dy, &add(&one, &mul(a, a)?)?)
+        }
+        U::Floor | U::Ceil | U::Round | U::Sign | U::Step(_) => zeros_like(dy),
+        U::Reciprocal => neg(&div(dy, &mul(a, a)?)?),
+        U::LeakyRelu(alpha) => {
+            let mask = cast(&greater_equal(a, &e.scalar(0.0)?)?, DType::F32)?;
+            let one = e.scalar(1.0)?;
+            let slope = e.scalar(alpha)?;
+            let inv = mul(&sub(&one, &mask)?, &slope)?;
+            mul(dy, &add(&mask, &inv)?)
+        }
+        U::ClipByValue(min, max) => {
+            let ge = greater_equal(a, &e.scalar(min)?)?;
+            let le = less_equal(a, &e.scalar(max)?)?;
+            let mask = cast(&logical_and(&ge, &le)?, DType::F32)?;
+            mul(dy, &mask)
+        }
+        U::Erf => {
+            // d erf(x)/dx = 2/sqrt(pi) * e^{-x^2}.
+            let coeff = e.scalar(2.0 / std::f32::consts::PI.sqrt())?;
+            let x2 = mul(a, a)?;
+            let g = mul(&coeff, &exp(&neg(&x2)?)?)?;
+            mul(dy, &g)
+        }
+        // Bool outputs, which the tape never records.
+        U::IsNan | U::IsInf | U::IsFinite | U::LogicalNot => {
+            Err(Error::GradientNotDefined { op: op.name() })
+        }
+    }
+}
+
+/// Side `i` (0: `a`, 1: `b`) of `d op(a, b) · dy`, before the sum that
+/// undoes its broadcast.
+fn binary_rule(op: BinaryOp, i: usize, dy: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    use BinaryOp as B;
+    let e = a.engine();
+    match (op, i) {
+        (B::Add, _) | (B::Sub, 0) => Ok(dy.clone()),
+        (B::Sub, _) => neg(dy),
+        (B::Mul, 0) => mul(dy, b),
+        (B::Mul, _) => mul(dy, a),
+        (B::Div, 0) => div(dy, b),
+        (B::Div, _) => neg(&div(&mul(dy, a)?, &mul(b, b)?)?),
+        // da = dy * b * a^(b-1)
+        (B::Pow, 0) => {
+            let one = e.scalar(1.0)?;
+            let bm1 = sub(b, &one)?;
+            mul(dy, &mul(b, &pow(a, &bm1)?)?)
+        }
+        // db = dy * a^b * ln(a); define ln(a) = 0 where a <= 0 like tfjs.
+        (B::Pow, _) => {
+            let zero = e.scalar(0.0)?;
+            let safe_log = select(
+                &greater(a, &zero)?,
+                &log(&maximum(a, &e.scalar(f32::MIN_POSITIVE)?)?)?,
+                &zeros_like(a)?,
+            )?;
+            mul(dy, &mul(&pow(a, b)?, &safe_log)?)
+        }
+        (B::Maximum, 0) => mul(dy, &cast(&greater_equal(a, b)?, DType::F32)?),
+        (B::Maximum, _) => mul(dy, &cast(&less(a, b)?, DType::F32)?),
+        (B::Minimum, 0) => mul(dy, &cast(&less_equal(a, b)?, DType::F32)?),
+        (B::Minimum, _) => mul(dy, &cast(&greater(a, b)?, DType::F32)?),
+        (B::SquaredDifference, _) => {
+            let two = e.scalar(if i == 0 { 2.0 } else { -2.0 })?;
+            mul(dy, &mul(&two, &sub(a, b)?)?)
+        }
+        // da = dy * b / (a² + b²), db = -dy * a / (a² + b²)
+        (B::Atan2, _) => {
+            let denom = add(&mul(a, a)?, &mul(b, b)?)?;
+            if i == 0 {
+                div(&mul(dy, b)?, &denom)
+            } else {
+                neg(&div(&mul(dy, a)?, &denom)?)
+            }
+        }
+        _ => Err(Error::GradientNotDefined { op: op.name() }),
+    }
+}
+
+/// A gradient kernel over its two operands.
+fn backprop(call: C<'_>, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    a.engine().run_kernel(&call, &[a, b])
+}
+
+/// Broadcast a reduced gradient `dy` back up to `shape` (insert kept dims,
+/// then multiply with ones to broadcast).
+fn broadcast_back(dy: &Tensor, shape: &Shape, axes: &[usize]) -> Result<Tensor> {
+    let kept = reduced_shape(shape, axes, true);
+    let dy_kept = reshape(dy, kept)?;
+    let ones = dy.engine().ones(shape.clone(), DType::F32)?;
+    mul(&dy_kept, &ones)
+}
+
+/// Reduce `dy` (shaped like the broadcast output) back to `target` shape by
+/// summing over the broadcast axes — the gradient counterpart of
+/// broadcasting in binary ops.
+fn sum_to_shape(dy: &Tensor, target: &Shape) -> Result<Tensor> {
+    if dy.shape_ref() == target {
+        return Ok(dy.clone());
+    }
+    let axes = broadcast_reduce_axes(target, dy.shape_ref());
+    let axes_isize: Vec<isize> = axes.iter().map(|&a| a as isize).collect();
+    let summed = sum(dy, Some(&axes_isize), false)?;
+    reshape(&summed, target.clone())
 }
 
 #[cfg(test)]

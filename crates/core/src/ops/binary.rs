@@ -1,55 +1,16 @@
-//! Element-wise binary ops with NumPy-style broadcasting and gradients.
+//! Element-wise binary ops with NumPy-style broadcasting (their gradients
+//! are the `Binary` rules of [`crate::grads`]).
 
-use super::{promote_pair, same_engine, sum_to_shape};
+use super::{promote_pair, same_engine};
 use crate::backend::{BinaryOp, KernelCall};
-use crate::dtype::DType;
 use crate::error::Result;
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
-/// Run a binary kernel with broadcasting and an optional gradient.
-pub(crate) fn binary_op(
-    op: BinaryOp,
-    a: &Tensor,
-    b: &Tensor,
-    grad: Option<GradFn>,
-) -> Result<Tensor> {
+/// Run a binary kernel with broadcasting over the promoted operands.
+pub(crate) fn binary_op(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     same_engine(op.name(), a, b)?;
     let (a2, b2, _) = promote_pair(a, b)?;
-    a.engine().run_kernel(&KernelCall::Binary(op), &[&a2, &b2], grad)
-}
-
-macro_rules! binary_grad {
-    (|$dy:ident, $a:ident, $b:ident| ($ga:expr, $gb:expr)) => {
-        Some(Arc::new(
-            move |dys: &[Tensor],
-                  ins: &[Tensor],
-                  _outs: &[Tensor],
-                  wanted: &[bool]|
-                  -> Result<Vec<Option<Tensor>>> {
-                let $dy = &dys[0];
-                let $a = &ins[0];
-                let $b = &ins[1];
-                let _ = ($a, $b);
-                // Each side, and the `Sum` that undoes its broadcast, runs
-                // only when someone reads it.
-                let ga = if wanted[0] {
-                    let ga: Tensor = $ga?;
-                    Some(sum_to_shape(&ga, $a.shape_ref())?)
-                } else {
-                    None
-                };
-                let gb = if wanted[1] {
-                    let gb: Tensor = $gb?;
-                    Some(sum_to_shape(&gb, $b.shape_ref())?)
-                } else {
-                    None
-                };
-                Ok(vec![ga, gb])
-            },
-        ) as GradFn)
-    };
+    a.engine().run_kernel(&KernelCall::Binary(op), &[&a2, &b2])
 }
 
 /// `a + b` with broadcasting.
@@ -58,7 +19,7 @@ macro_rules! binary_grad {
 /// Fails on incompatible shapes, disposed inputs, or backend errors
 /// (applies to all binary ops in this module).
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Add, a, b, binary_grad!(|dy, a, b| (Ok(dy.clone()), Ok(dy.clone()))))
+    binary_op(BinaryOp::Add, a, b)
 }
 
 /// `a - b` with broadcasting.
@@ -66,7 +27,7 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Sub, a, b, binary_grad!(|dy, a, b| (Ok(dy.clone()), super::neg(dy))))
+    binary_op(BinaryOp::Sub, a, b)
 }
 
 /// `a * b` with broadcasting.
@@ -74,7 +35,7 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Mul, a, b, binary_grad!(|dy, a, b| (mul(dy, b), mul(dy, a))))
+    binary_op(BinaryOp::Mul, a, b)
 }
 
 /// `a / b` with broadcasting.
@@ -82,23 +43,16 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(
-        BinaryOp::Div,
-        a,
-        b,
-        binary_grad!(|dy, a, b| (
-            div(dy, b),
-            super::neg(&div(&mul(dy, a)?, &mul(b, b)?)?)
-        )),
-    )
+    binary_op(BinaryOp::Div, a, b)
 }
 
-/// `floor(a / b)` with broadcasting. Not differentiable.
+/// `floor(a / b)` with broadcasting. Its gradient is not defined: backprop
+/// through it fails with [`crate::Error::GradientNotDefined`].
 ///
 /// # Errors
 /// See [`add`].
 pub fn floor_div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::FloorDiv, a, b, None)
+    binary_op(BinaryOp::FloorDiv, a, b)
 }
 
 /// `a ^ b` with broadcasting.
@@ -106,31 +60,7 @@ pub fn floor_div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn pow(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(
-        BinaryOp::Pow,
-        a,
-        b,
-        binary_grad!(|dy, a, b| (
-            // da = dy * b * a^(b-1)
-            {
-                let e = a.engine();
-                let one = e.scalar(1.0)?;
-                let bm1 = sub(b, &one)?;
-                mul(dy, &mul(b, &pow(a, &bm1)?)?)
-            },
-            // db = dy * a^b * ln(a); define ln(a) = 0 where a <= 0 like tfjs.
-            {
-                let e = a.engine();
-                let zero = e.scalar(0.0)?;
-                let safe_log = super::select(
-                    &super::greater(a, &zero)?,
-                    &super::log(&super::maximum(a, &e.scalar(f32::MIN_POSITIVE)?)?)?,
-                    &super::zeros_like(a)?,
-                )?;
-                mul(dy, &mul(&pow(a, b)?, &safe_log)?)
-            }
-        )),
-    )
+    binary_op(BinaryOp::Pow, a, b)
 }
 
 /// Element-wise maximum with broadcasting.
@@ -138,21 +68,7 @@ pub fn pow(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn maximum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(
-        BinaryOp::Maximum,
-        a,
-        b,
-        binary_grad!(|dy, a, b| (
-            {
-                let mask = super::cast(&super::greater_equal(a, b)?, DType::F32)?;
-                mul(dy, &mask)
-            },
-            {
-                let mask = super::cast(&super::less(a, b)?, DType::F32)?;
-                mul(dy, &mask)
-            }
-        )),
-    )
+    binary_op(BinaryOp::Maximum, a, b)
 }
 
 /// Element-wise minimum with broadcasting.
@@ -160,29 +76,17 @@ pub fn maximum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn minimum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(
-        BinaryOp::Minimum,
-        a,
-        b,
-        binary_grad!(|dy, a, b| (
-            {
-                let mask = super::cast(&super::less_equal(a, b)?, DType::F32)?;
-                mul(dy, &mask)
-            },
-            {
-                let mask = super::cast(&super::greater(a, b)?, DType::F32)?;
-                mul(dy, &mask)
-            }
-        )),
-    )
+    binary_op(BinaryOp::Minimum, a, b)
 }
 
-/// `a mod b` (sign follows divisor) with broadcasting. Not differentiable.
+/// `a mod b` (sign follows divisor) with broadcasting. Its gradient is not
+/// defined: backprop through it fails with
+/// [`crate::Error::GradientNotDefined`].
 ///
 /// # Errors
 /// See [`add`].
 pub fn modulo(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Mod, a, b, None)
+    binary_op(BinaryOp::Mod, a, b)
 }
 
 /// `(a - b)^2` with broadcasting.
@@ -190,21 +94,7 @@ pub fn modulo(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn squared_difference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(
-        BinaryOp::SquaredDifference,
-        a,
-        b,
-        binary_grad!(|dy, a, b| (
-            {
-                let two = a.engine().scalar(2.0)?;
-                mul(dy, &mul(&two, &sub(a, b)?)?)
-            },
-            {
-                let two = a.engine().scalar(-2.0)?;
-                mul(dy, &mul(&two, &sub(a, b)?)?)
-            }
-        )),
-    )
+    binary_op(BinaryOp::SquaredDifference, a, b)
 }
 
 /// Four-quadrant arctangent `atan2(a, b)` with broadcasting.
@@ -212,27 +102,14 @@ pub fn squared_difference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`add`].
 pub fn atan2(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Atan2,
-        a,
-        b,
-        binary_grad!(|dy, a, b| (
-            {
-                // da = dy * b / (a² + b²)
-                let denom = add(&mul(a, a)?, &mul(b, b)?)?;
-                div(&mul(dy, b)?, &denom)
-            },
-            {
-                let denom = add(&mul(a, a)?, &mul(b, b)?)?;
-                super::neg(&div(&mul(dy, a)?, &denom)?)
-            }
-        )),
-    )
+    binary_op(BinaryOp::Atan2, a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{assert_close, test_engine};
     use super::*;
+    use crate::dtype::DType;
 
     #[test]
     fn add_broadcast_row_vector() {

@@ -2,19 +2,17 @@
 //! `select`, which routes the gradient by condition).
 
 use super::binary::binary_op;
-use super::{same_engine, sum_to_shape, zeros_like};
+use super::same_engine;
 use crate::backend::{BinaryOp, KernelCall};
 use crate::error::Result;
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
 /// `a == b` element-wise (bool).
 ///
 /// # Errors
 /// Fails on incompatible shapes or disposed inputs (all ops below likewise).
 pub fn equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Equal, a, b, None)
+    binary_op(BinaryOp::Equal, a, b)
 }
 
 /// `a != b` element-wise (bool).
@@ -22,7 +20,7 @@ pub fn equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn not_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::NotEqual, a, b, None)
+    binary_op(BinaryOp::NotEqual, a, b)
 }
 
 /// `a > b` element-wise (bool).
@@ -30,7 +28,7 @@ pub fn not_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn greater(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Greater, a, b, None)
+    binary_op(BinaryOp::Greater, a, b)
 }
 
 /// `a >= b` element-wise (bool).
@@ -38,7 +36,7 @@ pub fn greater(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn greater_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::GreaterEqual, a, b, None)
+    binary_op(BinaryOp::GreaterEqual, a, b)
 }
 
 /// `a < b` element-wise (bool).
@@ -46,7 +44,7 @@ pub fn greater_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn less(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::Less, a, b, None)
+    binary_op(BinaryOp::Less, a, b)
 }
 
 /// `a <= b` element-wise (bool).
@@ -54,7 +52,7 @@ pub fn less(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn less_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::LessEqual, a, b, None)
+    binary_op(BinaryOp::LessEqual, a, b)
 }
 
 /// Logical and (bool).
@@ -62,7 +60,7 @@ pub fn less_equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn logical_and(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::LogicalAnd, a, b, None)
+    binary_op(BinaryOp::LogicalAnd, a, b)
 }
 
 /// Logical or (bool).
@@ -70,7 +68,7 @@ pub fn logical_and(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn logical_or(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::LogicalOr, a, b, None)
+    binary_op(BinaryOp::LogicalOr, a, b)
 }
 
 /// Logical xor (bool).
@@ -78,7 +76,7 @@ pub fn logical_or(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`equal`].
 pub fn logical_xor(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_op(BinaryOp::LogicalXor, a, b, None)
+    binary_op(BinaryOp::LogicalXor, a, b)
 }
 
 /// Element-wise select: `cond ? a : b` with broadcasting (`tf.where`).
@@ -91,25 +89,7 @@ pub fn logical_xor(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     same_engine("Select", cond, a)?;
     same_engine("Select", a, b)?;
-    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
-        let dy = &dys[0];
-        let cond = &ins[0];
-        let a = &ins[1];
-        let b = &ins[2];
-        let zero = zeros_like(dy)?;
-        let da = if wanted[1] {
-            Some(sum_to_shape(&select(cond, dy, &zero)?, a.shape_ref())?)
-        } else {
-            None
-        };
-        let db = if wanted[2] {
-            Some(sum_to_shape(&select(cond, &zero, dy)?, b.shape_ref())?)
-        } else {
-            None
-        };
-        Ok(vec![None, da, db])
-    });
-    a.engine().run_kernel(&KernelCall::Select, &[cond, a, b], Some(grad))
+    a.engine().run_kernel(&KernelCall::Select, &[cond, a, b])
 }
 
 #[cfg(test)]

@@ -1,16 +1,15 @@
-//! 2-D convolution and pooling ops (NHWC) with training gradients.
+//! 2-D convolution and pooling ops (NHWC); their training gradients are the
+//! `Conv2d` / `DepthwiseConv2d` / `Pool2d` rules of [`crate::grads`].
 
 use crate::backend::{Epilogue, KernelCall as C, PoolOp};
 use crate::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info, Padding};
 use crate::error::Result;
 use crate::shape::Shape;
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// 2-D convolution: `x` NHWC, `filter` HWIO (f32, or a quantized weight —
-/// see [`super::matmul`]).
+/// see [`super::run`]).
 ///
 /// # Errors
 /// Fails on rank/channel mismatches (see [`conv2d_info`]).
@@ -21,30 +20,14 @@ pub fn conv2d(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
-    if filter.is_quantized() {
-        return super::fused_conv2d(x, filter, None, None, strides, padding, dilations);
-    }
     let info = conv2d_info("Conv2D", x.shape_ref(), filter.shape_ref(), strides, padding, dilations)?;
-    let g_info = info.clone();
-    // The first layer's dx (a gradient w.r.t. the input batch) is the
-    // costliest kernel nobody reads: each side runs only when wanted.
-    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
-        let (dy, info) = (&dys[0], Cow::Borrowed(&g_info));
-        let dx = wanted[0].then(|| backprop(C::Conv2dBackpropInput(info.clone()), [dy, &ins[1]]));
-        let dw = wanted[1].then(|| backprop(C::Conv2dBackpropFilter(info), [&ins[0], dy]));
-        Ok(vec![dx.transpose()?, dw.transpose()?])
-    });
-    let call = C::Conv2d { info: Cow::Borrowed(&info), epilogue: Epilogue::None };
-    x.engine().run_kernel(&call, &[x, filter], Some(grad))
-}
-
-/// A gradient kernel over its two operands.
-fn backprop(call: C<'_>, [a, b]: [&Tensor; 2]) -> Result<Tensor> {
-    a.engine().run_kernel(&call, &[a, b], None)
+    super::run(&C::Conv2d { info: Cow::Owned(info), epilogue: Epilogue::None }, &[x, filter])
 }
 
 /// Transposed convolution (`tf.conv2dTranspose`): the gradient-of-conv2d
-/// used as a forward op, upsampling `x` into `out_shape`.
+/// used as a forward op, upsampling `x` into `out_shape`. The gradient
+/// kernel has no gradient of its own: backprop through it fails with
+/// [`crate::Error::GradientNotDefined`].
 ///
 /// # Errors
 /// Fails when the implied geometry is inconsistent.
@@ -63,7 +46,7 @@ pub fn conv2d_transpose(
         padding,
         (1, 1),
     )?;
-    backprop(C::Conv2dBackpropInput(Cow::Owned(info)), [x, filter])
+    x.engine().run_kernel(&C::Conv2dBackpropInput(Cow::Owned(info)), &[x, filter])
 }
 
 /// Depthwise 2-D convolution: `filter` is `[fh, fw, in_c, channel_mul]`.
@@ -77,9 +60,6 @@ pub fn depthwise_conv2d(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
-    if filter.is_quantized() {
-        return super::fused_depthwise_conv2d(x, filter, None, None, strides, padding, dilations);
-    }
     let info = depthwise_conv2d_info(
         "DepthwiseConv2D",
         x.shape_ref(),
@@ -88,16 +68,8 @@ pub fn depthwise_conv2d(
         padding,
         dilations,
     )?;
-    let g_info = info.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
-        let (dy, info) = (&dys[0], Cow::Borrowed(&g_info));
-        let dx = wanted[0]
-            .then(|| backprop(C::DepthwiseConv2dBackpropInput(info.clone()), [dy, &ins[1]]));
-        let dw = wanted[1].then(|| backprop(C::DepthwiseConv2dBackpropFilter(info), [&ins[0], dy]));
-        Ok(vec![dx.transpose()?, dw.transpose()?])
-    });
-    let call = C::DepthwiseConv2d { info: Cow::Borrowed(&info), epilogue: Epilogue::None };
-    x.engine().run_kernel(&call, &[x, filter], Some(grad))
+    let call = C::DepthwiseConv2d { info: Cow::Owned(info), epilogue: Epilogue::None };
+    super::run(&call, &[x, filter])
 }
 
 /// Depthwise-separable convolution (MobileNet's building block): a depthwise
@@ -125,13 +97,7 @@ fn pool_impl(
     padding: Padding,
 ) -> Result<Tensor> {
     let info = pool2d_info(name, x.shape_ref(), window, strides, padding)?;
-    let g_info = info.clone();
-    let grad: GradFn = Arc::new(move |dys, ins, _outs, _wanted| {
-        let call = C::Pool2dBackprop { op, info: Cow::Borrowed(&g_info) };
-        Ok(vec![Some(backprop(call, [&dys[0], &ins[0]])?)])
-    });
-    let call = C::Pool2d { op, info: Cow::Owned(info) };
-    x.engine().run_kernel(&call, &[x], Some(grad))
+    x.engine().run_kernel(&C::Pool2d { op, info: Cow::Owned(info) }, &[x])
 }
 
 /// 2-D max pooling.

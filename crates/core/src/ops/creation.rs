@@ -224,7 +224,7 @@ impl Engine {
     /// # Errors
     /// Fails when `indices` is disposed.
     pub fn one_hot(&self, indices: &Tensor, depth: usize) -> Result<Tensor> {
-        self.run_kernel(&KernelCall::OneHot { depth, on: 1.0, off: 0.0 }, &[indices], None)
+        self.run_kernel(&KernelCall::OneHot { depth, on: 1.0, off: 0.0 }, &[indices])
     }
 }
 

@@ -1,6 +1,7 @@
 //! Fused ops (the `tf.fused.*` namespace of TensorFlow.js, paper Sec 3.9):
 //! matmul/conv with a bias+activation epilogue and elementwise chains, each
-//! dispatched to the backend as one kernel.
+//! dispatched to the backend as one kernel — and [`run`], the op layer's one
+//! entry for such a call.
 //!
 //! Fusion is a pure dispatch optimization — results are bit-identical to the
 //! unfused composition on f32 backends because every backend routes scalar
@@ -9,78 +10,110 @@
 //! then activation). On f16-only devices fused kernels round once instead of
 //! once per intermediate, so they are *more* accurate there, not identical.
 //!
-//! Gradients: when a gradient tape is recording, these ops run the unfused
-//! composition instead, so the tape records exactly the entries the unfused
-//! ops would — fusion never changes training behavior, it only accelerates
-//! inference.
+//! Gradients: a fused call has no rule of its own. When a gradient tape is
+//! recording, [`run`] composes it from plain calls instead, so the tape
+//! records exactly the entries the unfused ops would — fusion never changes
+//! training behavior, it only accelerates inference.
 
 use super::same_engine;
-use crate::backend::{BinaryOp, Epilogue, FusedStep, KernelCall, UnaryOp};
-use crate::conv_util::{conv2d_info, depthwise_conv2d_info, Conv2dInfo, Padding};
+use crate::backend::{BinaryOp, Epilogue, FusedStep, KernelCall as C, UnaryOp};
+use crate::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
 use crate::dtype::DType;
 use crate::error::{Error, Result};
 use crate::tensor::Tensor;
 use std::borrow::Cow;
 
-/// Dispatch a unary op to its tape-recording tensor-level op.
-fn unary_tensor_op(op: UnaryOp, x: &Tensor) -> Result<Tensor> {
-    match op {
-        UnaryOp::Neg => super::neg(x),
-        UnaryOp::Abs => super::abs(x),
-        UnaryOp::Exp => super::exp(x),
-        UnaryOp::Expm1 => super::expm1(x),
-        UnaryOp::Log => super::log(x),
-        UnaryOp::Log1p => super::log1p(x),
-        UnaryOp::Sqrt => super::sqrt(x),
-        UnaryOp::Rsqrt => super::rsqrt(x),
-        UnaryOp::Square => super::square(x),
-        UnaryOp::Relu => super::relu(x),
-        UnaryOp::Relu6 => super::relu6(x),
-        UnaryOp::Sigmoid => super::sigmoid(x),
-        UnaryOp::Tanh => super::tanh(x),
-        UnaryOp::Elu => super::elu(x),
-        UnaryOp::Selu => super::selu(x),
-        UnaryOp::Softplus => super::softplus(x),
-        UnaryOp::Sin => super::sin(x),
-        UnaryOp::Cos => super::cos(x),
-        UnaryOp::Tan => super::tan(x),
-        UnaryOp::Asin => super::asin(x),
-        UnaryOp::Acos => super::acos(x),
-        UnaryOp::Atan => super::atan(x),
-        UnaryOp::Floor => super::floor(x),
-        UnaryOp::Ceil => super::ceil(x),
-        UnaryOp::Round => super::round(x),
-        UnaryOp::Sign => super::sign(x),
-        UnaryOp::Reciprocal => super::reciprocal(x),
-        UnaryOp::LeakyRelu(alpha) => super::leaky_relu(x, alpha),
-        UnaryOp::ClipByValue(lo, hi) => super::clip_by_value(x, lo, hi),
-        UnaryOp::Step(alpha) => super::step(x, alpha),
-        UnaryOp::Erf => super::erf(x),
-        UnaryOp::LogicalNot | UnaryOp::IsNan | UnaryOp::IsInf | UnaryOp::IsFinite => Err(
-            Error::invalid("Fused", format!("{} produces a bool output and cannot be fused", op.name())),
-        ),
+/// Run `call` over `inputs`: the op layer's one entry for a kernel call,
+/// which makes the two decisions a product or element-wise chain needs before
+/// the engine runs it.
+///
+/// * **The quantized-weight gate** (paper Sec 5.1). Quantization is metadata
+///   on a product call's weight (`inputs[1]`), and this decides once, for
+///   every backend, how the call consumes it: as its [`Epilogue::Quant`] form,
+///   whose kernel reads the codes in place (the factored two-sum kernel) —
+///   or, when the call is composed from unfused calls or per-channel params do
+///   not run along the axis the kernel keeps constant over its accumulation,
+///   over a temporary f32 copy dequantized once, as its f32 fused form.
+/// * **The unfused composition.** While a tape records or fusion is off, a
+///   fused call runs as its plain calls instead — the plain product, `Add` of
+///   the bias, the activation; one `Unary` or `Binary` per chain step — each
+///   through [`crate::Engine::run_kernel`], which records its rule.
+///
+/// Every other call goes straight to the engine.
+///
+/// # Errors
+/// A malformed call, or the first failing kernel.
+pub fn run(call: &C<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
+    let Some(&x) = inputs.first() else {
+        return Err(Error::invalid(call.name(), "no operands"));
+    };
+    let engine = x.engine();
+    let epilogue = call.epilogue();
+    let weight = epilogue.and(inputs.get(1)).and_then(|w| w.quant_params().map(|p| (w, p)));
+    let fused =
+        matches!(call, C::FusedElementwise(_)) || epilogue.is_some_and(|e| e != Epilogue::None);
+    if weight.is_none() && !fused {
+        return engine.run_kernel(call, inputs);
     }
-}
-
-/// Dispatch a binary op to its tape-recording tensor-level op.
-fn binary_tensor_op(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    match op {
-        BinaryOp::Add => super::add(a, b),
-        BinaryOp::Sub => super::sub(a, b),
-        BinaryOp::Mul => super::mul(a, b),
-        BinaryOp::Div => super::div(a, b),
-        BinaryOp::FloorDiv => super::floor_div(a, b),
-        BinaryOp::Pow => super::pow(a, b),
-        BinaryOp::Maximum => super::maximum(a, b),
-        BinaryOp::Minimum => super::minimum(a, b),
-        BinaryOp::Mod => super::modulo(a, b),
-        BinaryOp::SquaredDifference => super::squared_difference(a, b),
-        BinaryOp::Atan2 => super::atan2(a, b),
-        _ => Err(Error::invalid(
-            "Fused",
-            format!("{} produces a bool output and cannot be fused", op.name()),
-        )),
+    let composing = engine.is_recording() || !engine.fusion_enabled();
+    if let (Some(epilogue), Some((w, params))) = (epilogue, weight) {
+        let (bias, activation) = (epilogue.bias(), epilogue.activation());
+        let dims = w.shape_ref().dims();
+        let on_axis = |axis: usize| {
+            dims.get(axis).is_some_and(|&c| crate::kernels::quant_axis_ok(&params, axis, c))
+        };
+        let factorable = match call {
+            C::MatMul { transpose_b, .. } => {
+                dims.len().checked_sub(if *transpose_b { 2 } else { 1 }).is_some_and(on_axis)
+            }
+            C::Conv2d { .. } => on_axis(3),
+            _ => on_axis(2) || on_axis(3),
+        };
+        if factorable && !composing {
+            let quant = call.with_epilogue(Epilogue::Quant { bias, activation });
+            return engine.run_kernel(&quant, inputs);
+        }
+        let mut w = dequantize(w)?;
+        // The kernels broadcast a batch of 1 of codes; f32 values are tiled.
+        let batch = x.dims().first().copied().unwrap_or(1);
+        let batch_of_one = x.rank() == 3 && w.rank() == 3 && w.dims()[0] == 1;
+        if matches!(call, C::MatMul { .. }) && batch_of_one && batch > 1 {
+            w = super::tile(&w, &[batch, 1, 1])?;
+        }
+        let args: Vec<&Tensor> = [x, &w].into_iter().chain(inputs.get(2).copied()).collect();
+        return run(&call.with_epilogue(Epilogue::Fused { bias, activation }), &args);
     }
+    if !composing {
+        return engine.run_kernel(call, inputs);
+    }
+    if let C::FusedElementwise(steps) = call {
+        let extra = |i: usize| {
+            inputs.get(1 + i).copied().ok_or_else(|| {
+                let msg = format!("binary step references extra {i} of {}", inputs.len() - 1);
+                Error::invalid(call.name(), msg)
+            })
+        };
+        let mut y: Option<Tensor> = None;
+        for step in steps.iter() {
+            let cur = y.as_ref().unwrap_or(x);
+            y = Some(match *step {
+                FusedStep::Unary(op) => engine.run_kernel(&C::Unary(op), &[cur])?,
+                FusedStep::Binary(op, i) => engine.run_kernel(&C::Binary(op), &[cur, extra(i)?])?,
+            });
+        }
+        return y.ok_or_else(|| Error::invalid(call.name(), "steps must be non-empty"));
+    }
+    let epilogue = epilogue.unwrap_or(Epilogue::None);
+    let plain = call.with_epilogue(Epilogue::None);
+    let mut y = engine.run_kernel(&plain, &inputs[..2.min(inputs.len())])?;
+    if epilogue.bias() {
+        let bias = inputs.get(2).ok_or_else(|| Error::invalid(call.name(), "no bias operand"))?;
+        y = engine.run_kernel(&C::Binary(BinaryOp::Add), &[&y, *bias])?;
+    }
+    if let Some(act) = epilogue.activation() {
+        y = engine.run_kernel(&C::Unary(act), &[&y])?;
+    }
+    Ok(y)
 }
 
 /// Reject epilogue activations whose output dtype is not float.
@@ -96,64 +129,6 @@ fn check_activation(op: &'static str, activation: Option<UnaryOp>) -> Result<()>
     Ok(())
 }
 
-/// The unfused `+ bias`, `activation` tail of a composed fused op.
-fn unfused_epilogue(
-    mut y: Tensor,
-    bias: Option<&Tensor>,
-    activation: Option<UnaryOp>,
-) -> Result<Tensor> {
-    if let Some(bias) = bias {
-        y = super::add(&y, bias)?;
-    }
-    if let Some(act) = activation {
-        y = unary_tensor_op(act, &y)?;
-    }
-    Ok(y)
-}
-
-/// The kernel families with a dequant-free variant, i.e. the ops whose
-/// weight operand may be a quantized tensor.
-#[derive(Clone, Copy)]
-enum WeightKernel {
-    MatMul { transpose_b: bool },
-    Conv2d,
-    DepthwiseConv2d,
-}
-
-/// The single gate for quantized weight operands (paper Sec 5.1):
-/// quantization is metadata on the weight, and this decides once, for every
-/// backend, how the op consumes it. Returns the operand to dispatch and
-/// whether it still carries its codes (the backend then runs the factored
-/// two-sum kernel, reading them in place). It is dequantized to a temporary
-/// f32 tensor instead — and continues down the ordinary f32 path — when the
-/// op is being composed from unfused ops (`unfused`: a tape records, or
-/// fusion is off) or when per-channel params do not run along the axis the
-/// kernel keeps constant over its accumulation. Unquantized weights pass
-/// through on a dtype check alone. `w`'s rank must already be validated.
-fn lower_weight(
-    kernel: WeightKernel,
-    w: &Tensor,
-    unfused: bool,
-) -> Result<(Cow<'_, Tensor>, bool)> {
-    let Some(params) = w.quant_params() else {
-        return Ok((Cow::Borrowed(w), false));
-    };
-    let dims = w.shape_ref().dims();
-    let on_axis = |axis: usize| crate::kernels::quant_axis_ok(&params, axis, dims[axis]);
-    let factorable = match kernel {
-        WeightKernel::MatMul { transpose_b } => {
-            on_axis(if transpose_b { dims.len() - 2 } else { dims.len() - 1 })
-        }
-        WeightKernel::Conv2d => on_axis(3),
-        WeightKernel::DepthwiseConv2d => on_axis(2) || on_axis(3),
-    };
-    if factorable && !unfused {
-        Ok((Cow::Borrowed(w), true))
-    } else {
-        Ok((Cow::Owned(dequantize(w)?), false))
-    }
-}
-
 /// `activation(a x b + bias)` as one kernel (`tf.fused.matMul`).
 ///
 /// Accepts rank-2 or rank-3 operands like [`super::matmul`]; `bias` must be
@@ -165,7 +140,7 @@ fn lower_weight(
 /// the kernel then folds dequantization into its epilogue and no f32 weight
 /// tensor is materialized on the fast path. It is dequantized first, once,
 /// when the op composes unfused kernels (tape recording, fusion disabled) or
-/// its per-channel params run along the reduced axis `k`.
+/// its per-channel params run along the reduced axis `k` (see [`run`]).
 ///
 /// # Errors
 /// Fails on rank/inner-dimension/bias-shape mismatches or backend errors.
@@ -183,30 +158,10 @@ pub fn fused_matmul(
     }
     check_activation("FusedMatMul", activation)?;
     super::matmul::check_ranks("FusedMatMul", a, b)?;
-    let unfused = a.engine().tape_active() || !a.engine().fusion_enabled();
-    let (b, quant) = lower_weight(WeightKernel::MatMul { transpose_b }, b, unfused)?;
-    let b: &Tensor = &b;
-    if unfused {
-        let y = super::matmul(a, b, transpose_a, transpose_b)?;
-        return unfused_epilogue(y, bias, activation);
-    }
-    let (a3, b3) = super::matmul::batched("FusedMatMul", a, b, quant)?;
-    let inputs: Vec<&Tensor> = [&a3, &b3].into_iter().chain(bias).collect();
-    let epilogue = fused_epilogue(quant, bias, activation);
-    let call = KernelCall::MatMul { transpose_a, transpose_b, epilogue };
-    let out = a.engine().run_kernel(&call, &inputs, None)?;
-    super::matmul::unbatched(a, b, out)
-}
-
-/// The epilogue of a fused op; a quantized dispatch reports its own kernel
-/// name in profiles and traces.
-fn fused_epilogue(quant: bool, bias: Option<&Tensor>, activation: Option<UnaryOp>) -> Epilogue {
-    let bias = bias.is_some();
-    if quant {
-        Epilogue::Quant { bias, activation }
-    } else {
-        Epilogue::Fused { bias, activation }
-    }
+    let (a, b) = super::matmul::batched("FusedMatMul", a, b)?;
+    let epilogue = Epilogue::Fused { bias: bias.is_some(), activation };
+    let inputs: Vec<&Tensor> = [&a, &b].into_iter().chain(bias).collect();
+    run(&C::MatMul { transpose_a, transpose_b, epilogue }, &inputs)
 }
 
 /// Shared body of the two fused conv ops.
@@ -221,41 +176,23 @@ fn fused_conv_impl(
     padding: Padding,
     dilations: (usize, usize),
 ) -> Result<Tensor> {
-    let (kernel, weight_kernel) = if depthwise {
-        ("FusedDepthwiseConv2D", WeightKernel::DepthwiseConv2d)
-    } else {
-        ("FusedConv2D", WeightKernel::Conv2d)
-    };
+    let kernel = if depthwise { "FusedDepthwiseConv2D" } else { "FusedConv2D" };
     same_engine(kernel, x, filter)?;
     if let Some(bias) = bias {
         same_engine(kernel, x, bias)?;
     }
     check_activation(kernel, activation)?;
     let (xs, fs) = (x.shape_ref(), filter.shape_ref());
-    let info: Conv2dInfo = if depthwise {
-        depthwise_conv2d_info(kernel, xs, fs, strides, padding, dilations)?
-    } else {
-        conv2d_info(kernel, xs, fs, strides, padding, dilations)?
-    };
-    let unfused = x.engine().tape_active() || !x.engine().fusion_enabled();
-    let (filter, quant) = lower_weight(weight_kernel, filter, unfused)?;
-    let filter: &Tensor = &filter;
-    if unfused {
-        let y = if depthwise {
-            super::depthwise_conv2d(x, filter, strides, padding, dilations)?
-        } else {
-            super::conv2d(x, filter, strides, padding, dilations)?
-        };
-        return unfused_epilogue(y, bias, activation);
-    }
-    let inputs: Vec<&Tensor> = [x, filter].into_iter().chain(bias).collect();
-    let (info, epilogue) = (Cow::Owned(info), fused_epilogue(quant, bias, activation));
+    let epilogue = Epilogue::Fused { bias: bias.is_some(), activation };
     let call = if depthwise {
-        KernelCall::DepthwiseConv2d { info, epilogue }
+        let info = depthwise_conv2d_info(kernel, xs, fs, strides, padding, dilations)?;
+        C::DepthwiseConv2d { info: Cow::Owned(info), epilogue }
     } else {
-        KernelCall::Conv2d { info, epilogue }
+        let info = conv2d_info(kernel, xs, fs, strides, padding, dilations)?;
+        C::Conv2d { info: Cow::Owned(info), epilogue }
     };
-    x.engine().run_kernel(&call, &inputs, None)
+    let inputs: Vec<&Tensor> = [x, filter].into_iter().chain(bias).collect();
+    run(&call, &inputs)
 }
 
 /// `activation(conv2d(x, filter) + bias)` as one kernel (`tf.fused.conv2d`).
@@ -299,7 +236,7 @@ pub fn fused_depthwise_conv2d(
 /// Materialize a quantized tensor's f32 values as a new tensor by applying
 /// its attached affine params host-side. This is the explicit escape hatch
 /// for consuming quantized weights in ops that have no dequant-free kernel
-/// (and what the fused ops do when the factored kernel cannot use its params).
+/// (and what [`run`] does when the factored kernel cannot use its params).
 ///
 /// # Errors
 /// Fails when `t` carries no quantization params or has been disposed.
@@ -324,9 +261,6 @@ pub fn fused_elementwise(x: &Tensor, extras: &[&Tensor], steps: &[FusedStep]) ->
     for e in extras {
         same_engine("FusedElementwise", x, e)?;
     }
-    if steps.is_empty() {
-        return Err(Error::invalid("FusedElementwise", "steps must be non-empty"));
-    }
     let bool_step = steps.iter().find_map(|step| match *step {
         FusedStep::Unary(op) => (op.out_dtype(DType::F32) != DType::F32).then(|| op.name()),
         FusedStep::Binary(op, _) => op.is_comparison().then(|| op.name()),
@@ -335,24 +269,8 @@ pub fn fused_elementwise(x: &Tensor, extras: &[&Tensor], steps: &[FusedStep]) ->
         let msg = format!("{name} produces a bool output and cannot be fused");
         return Err(Error::invalid("FusedElementwise", msg));
     }
-    if x.engine().tape_active() || !x.engine().fusion_enabled() {
-        let mut y = x.clone();
-        for step in steps {
-            y = match *step {
-                FusedStep::Unary(op) => unary_tensor_op(op, &y)?,
-                FusedStep::Binary(op, i) => {
-                    let e = extras.get(i).ok_or_else(|| {
-                        let msg = format!("binary step references extra {i} of {}", extras.len());
-                        Error::invalid("FusedElementwise", msg)
-                    })?;
-                    binary_tensor_op(op, &y, e)?
-                }
-            };
-        }
-        return Ok(y);
-    }
     let inputs: Vec<&Tensor> = std::iter::once(x).chain(extras.iter().copied()).collect();
-    x.engine().run_kernel(&KernelCall::FusedElementwise(steps.into()), &inputs, None)
+    run(&C::FusedElementwise(steps.into()), &inputs)
 }
 
 #[cfg(test)]

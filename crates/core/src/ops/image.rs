@@ -8,7 +8,8 @@ use crate::error::{Error, Result};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Bilinearly resize an NHWC tensor to `(new_h, new_w)`. Not differentiable.
+/// Bilinearly resize an NHWC tensor to `(new_h, new_w)`. Its gradient is not
+/// defined: backprop through it fails with [`Error::GradientNotDefined`].
 ///
 /// # Errors
 /// Fails when `x` is not rank 4 or the target size is zero.
@@ -20,7 +21,7 @@ pub fn resize_bilinear(x: &Tensor, new_h: usize, new_w: usize, align_corners: bo
         return Err(Error::invalid("ResizeBilinear", "target size must be positive"));
     }
     let call = KernelCall::ResizeBilinear { new_h, new_w, align_corners };
-    x.engine().run_kernel(&call, &[x], None)
+    x.engine().run_kernel(&call, &[x])
 }
 
 impl Engine {

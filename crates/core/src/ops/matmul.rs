@@ -4,48 +4,21 @@ use super::{reshape, same_engine, tile};
 use crate::backend::{Epilogue, KernelCall};
 use crate::error::{Error, Result};
 use crate::shape::Shape;
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
 /// `a x b` with optional transposes. Accepts rank-2 matrices or rank-3
 /// batched matrices; a batch of 1 broadcasts against the other operand.
 /// A quantized weight `b` multiplies by its dequantized values, through the
-/// dequant-free kernel (see [`super::fused_matmul`]).
+/// dequant-free kernel (see [`super::run`]).
 ///
 /// # Errors
 /// Fails on rank < 2, inner-dimension mismatch, or batch mismatch.
 pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> Result<Tensor> {
     same_engine("MatMul", a, b)?;
-    if b.is_quantized() {
-        // Quantization rides on the weight: the fused entry with an empty
-        // epilogue owns the gate and comes back here with f32 values when
-        // it has to dequantize.
-        return super::fused_matmul(a, b, None, None, transpose_a, transpose_b);
-    }
     check_ranks("MatMul", a, b)?;
-    let (a3, b3) = batched("MatMul", a, b, false)?;
-    let grad: GradFn = Arc::new(move |dys, ins, _outs, wanted| {
-        let dy = &dys[0];
-        let a = &ins[0];
-        let b = &ins[1];
-        let da = || match (transpose_a, transpose_b) {
-            (false, false) => matmul(dy, b, false, true),
-            (false, true) => matmul(dy, b, false, false),
-            (true, false) => matmul(b, dy, false, true),
-            (true, true) => matmul(b, dy, true, true),
-        };
-        let db = || match (transpose_a, transpose_b) {
-            (false, false) => matmul(a, dy, true, false),
-            (false, true) => matmul(dy, a, true, false),
-            (true, false) => matmul(a, dy, false, false),
-            (true, true) => matmul(dy, a, true, true),
-        };
-        Ok(vec![wanted[0].then(da).transpose()?, wanted[1].then(db).transpose()?])
-    });
+    let (a, b) = batched("MatMul", a, b)?;
     let call = KernelCall::MatMul { transpose_a, transpose_b, epilogue: Epilogue::None };
-    let out = a.engine().run_kernel(&call, &[&a3, &b3], Some(grad))?;
-    unbatched(a, b, out)
+    super::run(&call, &[&a, &b])
 }
 
 /// Reject product operands that are not rank-2 or rank-3 matrices.
@@ -59,20 +32,18 @@ pub(super) fn check_ranks(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()
     Ok(())
 }
 
-/// The operands of `a x b` (ranks already [`check_ranks`]ed) as one batched
-/// rank-3 product, the normalisation the plain and the fused op share: a
-/// rank-2 operand gains a batch of 1 and a batch of 1 is tiled to the other
-/// operand's — except a quantized weight's (`quant_b`), which the kernels
-/// broadcast themselves and tiling would copy.
+/// The operands of `a x b` (ranks already [`check_ranks`]ed) as one product
+/// call's, the normalisation the plain and the fused op share: two matrices
+/// stay as they are; otherwise a rank-2 operand gains a batch of 1 and a
+/// batch of 1 is tiled to the other operand's — except a quantized weight's,
+/// which the kernels broadcast themselves and tiling would copy.
 ///
 /// # Errors
 /// Fails on incompatible batch dims.
-pub(super) fn batched(
-    op: &'static str,
-    a: &Tensor,
-    b: &Tensor,
-    quant_b: bool,
-) -> Result<(Tensor, Tensor)> {
+pub(super) fn batched(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(Tensor, Tensor)> {
+    if a.rank() == 2 && b.rank() == 2 {
+        return Ok((a.clone(), b.clone()));
+    }
     let rank3 = |t: &Tensor| match t.rank() {
         2 => reshape(t, [&[1], t.shape_ref().dims()].concat()),
         _ => Ok(t.clone()),
@@ -81,22 +52,11 @@ pub(super) fn batched(
     let (a3, b3) = match (a3.shape_ref().dim(0), b3.shape_ref().dim(0)) {
         (x, y) if x == y => (a3, b3),
         (1, y) => (tile(&a3, &[y, 1, 1])?, b3),
-        (_, 1) if quant_b => (a3, b3),
+        (_, 1) if b.is_quantized() => (a3, b3),
         (x, 1) => (a3, tile(&b3, &[x, 1, 1])?),
         (x, y) => return Err(Error::shape(op, format!("batch dims {x} vs {y} incompatible"))),
     };
     Ok((a3, b3))
-}
-
-/// The output of a [`batched`] product, back at rank 2 when both operands
-/// were.
-pub(super) fn unbatched(a: &Tensor, b: &Tensor, out: Tensor) -> Result<Tensor> {
-    if a.rank() == 2 && b.rank() == 2 {
-        let dims = out.shape_ref().dims()[1..].to_vec();
-        reshape(&out, dims)
-    } else {
-        Ok(out)
-    }
 }
 
 /// Vector/matrix product convenience (`tf.dot`): rank-1 inputs are treated

@@ -1,30 +1,19 @@
 //! Additional ops rounding out API parity with TensorFlow.js: `erf`,
 //! `gelu`, `prelu`, `cumsum`, `topk`, `l2_loss`, `lerp`.
 
-use super::{add, exp, matmul, maximum, minimum, mul, neg, reshape, sub, transpose};
+use super::{add, matmul, maximum, minimum, mul, reshape, sub, transpose};
 use crate::backend::UnaryOp;
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
 use crate::shape::{normalize_axis, Shape};
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
 /// Gauss error function, element-wise.
 ///
 /// # Errors
 /// Fails on disposed inputs or backend errors.
 pub fn erf(a: &Tensor) -> Result<Tensor> {
-    let grad: GradFn = Arc::new(move |dys, ins, _outs, _wanted| {
-        // d erf(x)/dx = 2/sqrt(pi) * e^{-x^2}.
-        let x = &ins[0];
-        let e = x.engine();
-        let coeff = e.scalar(2.0 / std::f32::consts::PI.sqrt())?;
-        let x2 = mul(x, x)?;
-        let g = mul(&coeff, &exp(&neg(&x2)?)?)?;
-        Ok(vec![Some(mul(&dys[0], &g)?)])
-    });
-    super::unary::unary_op(UnaryOp::Erf, a, Some(grad))
+    super::unary::unary_op(UnaryOp::Erf, a)
 }
 
 /// Gaussian error linear unit: `0.5 x (1 + erf(x / sqrt(2)))`.

@@ -1,6 +1,10 @@
-//! The Ops API (paper Sec 3.3): operations validate shapes/dtypes, call into
-//! backend kernels through the engine, and register gradient functions so
-//! the eager autodiff engine (Sec 3.5) can differentiate through them.
+//! The Ops API (paper Sec 3.3): operations validate shapes/dtypes and hand
+//! the engine one [`crate::backend::KernelCall`] each — through
+//! [`Engine::run_kernel`](crate::Engine::run_kernel), or through [`run`] for a
+//! product or element-wise chain, whose quantized-weight gate and unfused
+//! composition live there. An op registers no gradient: while a tape records,
+//! the engine records the call, and backprop differentiates it by the call's
+//! rule in [`crate::grads`] (paper Sec 3.5).
 //!
 //! Ops are synchronous and return immediately with a [`Tensor`] handle whose
 //! data may still be computing on the device (Sec 3.6); only
@@ -35,7 +39,6 @@ pub use unary::*;
 
 use crate::dtype::DType;
 use crate::error::{Error, Result};
-use crate::shape::{broadcast_reduce_axes, Shape};
 use crate::tensor::Tensor;
 
 /// Zero tensor with the shape and dtype of `t`.
@@ -60,19 +63,6 @@ pub(crate) fn same_engine(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()
         return Err(Error::invalid(op, "tensors belong to different engines"));
     }
     Ok(())
-}
-
-/// Reduce `dy` (shaped like the broadcast output) back to `target` shape by
-/// summing over the broadcast axes — the gradient counterpart of
-/// broadcasting in binary ops.
-pub(crate) fn sum_to_shape(dy: &Tensor, target: &Shape) -> Result<Tensor> {
-    if dy.shape_ref() == target {
-        return Ok(dy.clone());
-    }
-    let axes = broadcast_reduce_axes(target, dy.shape_ref());
-    let axes_isize: Vec<isize> = axes.iter().map(|&a| a as isize).collect();
-    let summed = sum(dy, Some(&axes_isize), false)?;
-    reshape(&summed, target.clone())
 }
 
 /// Cast both operands to their promoted dtype, returning possibly-new

@@ -1,13 +1,11 @@
-//! Reduction ops and their gradients.
+//! Reduction ops (their gradients are the `Reduce` rules of
+//! [`crate::grads`]).
 
-use super::{div, mul, reshape};
+use super::reshape;
 use crate::backend::{ArgReduceOp, KernelCall, ReduceOp};
-use crate::dtype::DType;
 use crate::error::Result;
-use crate::shape::{normalize_axes, normalize_axis, reduced_shape, Shape};
-use crate::tape::GradFn;
+use crate::shape::{normalize_axes, normalize_axis, reduced_shape};
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
 /// Run a reduction kernel; `axes = None` reduces all dims.
 fn reduce_op(
@@ -16,24 +14,14 @@ fn reduce_op(
     a: &Tensor,
     axes: Option<&[isize]>,
     keep_dims: bool,
-    grad: Option<GradFn>,
 ) -> Result<Tensor> {
     let axes = normalize_axes(name, axes, a.rank())?;
-    let out = a.engine().run_kernel(&KernelCall::Reduce { op, axes: (&axes).into() }, &[a], grad)?;
+    let out = a.engine().run_kernel(&KernelCall::Reduce { op, axes: (&axes).into() }, &[a])?;
     if keep_dims {
         reshape(&out, reduced_shape(a.shape_ref(), &axes, true))
     } else {
         Ok(out)
     }
-}
-
-/// Broadcast a reduced gradient `dy` back up to `shape` (insert kept dims,
-/// then multiply with ones to broadcast).
-fn broadcast_back(dy: &Tensor, shape: &Shape, axes: &[usize]) -> Result<Tensor> {
-    let kept = reduced_shape(shape, axes, true);
-    let dy_kept = reshape(dy, kept)?;
-    let ones = dy.engine().ones(shape.clone(), DType::F32)?;
-    mul(&dy_kept, &ones)
 }
 
 /// Sum over `axes` (`None` = all).
@@ -42,12 +30,7 @@ fn broadcast_back(dy: &Tensor, shape: &Shape, axes: &[usize]) -> Result<Tensor> 
 /// Fails on invalid axes, disposed inputs, or backend errors (all
 /// reductions below likewise).
 pub fn sum(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    let in_shape = a.shape();
-    let norm_axes = normalize_axes("Sum", axes, a.rank())?;
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
-        Ok(vec![Some(broadcast_back(&dys[0], &in_shape, &norm_axes)?)])
-    });
-    reduce_op("Sum", ReduceOp::Sum, a, axes, keep_dims, Some(grad))
+    reduce_op("Sum", ReduceOp::Sum, a, axes, keep_dims)
 }
 
 /// Arithmetic mean over `axes` (`None` = all).
@@ -55,23 +38,16 @@ pub fn sum(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor
 /// # Errors
 /// See [`sum`].
 pub fn mean(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    let in_shape = a.shape();
-    let norm_axes = normalize_axes("Mean", axes, a.rank())?;
-    let count: usize = norm_axes.iter().map(|&i| in_shape.dim(i)).product();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
-        let g = broadcast_back(&dys[0], &in_shape, &norm_axes)?;
-        let n = g.engine().scalar(count.max(1) as f32)?;
-        Ok(vec![Some(div(&g, &n)?)])
-    });
-    reduce_op("Mean", ReduceOp::Mean, a, axes, keep_dims, Some(grad))
+    reduce_op("Mean", ReduceOp::Mean, a, axes, keep_dims)
 }
 
-/// Product over `axes` (`None` = all). Not differentiable.
+/// Product over `axes` (`None` = all). Its gradient is not defined:
+/// backprop through it fails with [`crate::Error::GradientNotDefined`].
 ///
 /// # Errors
 /// See [`sum`].
 pub fn prod(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    reduce_op("Prod", ReduceOp::Prod, a, axes, keep_dims, None)
+    reduce_op("Prod", ReduceOp::Prod, a, axes, keep_dims)
 }
 
 /// Maximum over `axes` (`None` = all). The gradient flows to every element
@@ -80,7 +56,7 @@ pub fn prod(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tenso
 /// # Errors
 /// See [`sum`].
 pub fn max(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    min_max_impl("Max", ReduceOp::Max, a, axes, keep_dims)
+    reduce_op("Max", ReduceOp::Max, a, axes, keep_dims)
 }
 
 /// Minimum over `axes` (`None` = all).
@@ -88,27 +64,7 @@ pub fn max(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor
 /// # Errors
 /// See [`sum`].
 pub fn min(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    min_max_impl("Min", ReduceOp::Min, a, axes, keep_dims)
-}
-
-fn min_max_impl(
-    name: &'static str,
-    op: ReduceOp,
-    a: &Tensor,
-    axes: Option<&[isize]>,
-    keep_dims: bool,
-) -> Result<Tensor> {
-    let in_shape = a.shape();
-    let norm_axes = normalize_axes(name, axes, a.rank())?;
-    let grad: GradFn = Arc::new(move |dys, ins, outs, _wanted| {
-        let x = &ins[0];
-        let kept = reduced_shape(&in_shape, &norm_axes, true);
-        let y_kept = reshape(&outs[0], kept)?;
-        let mask = super::cast(&super::equal(x, &y_kept)?, DType::F32)?;
-        let g = broadcast_back(&dys[0], &in_shape, &norm_axes)?;
-        Ok(vec![Some(mul(&g, &mask)?)])
-    });
-    reduce_op(name, op, a, axes, keep_dims, Some(grad))
+    reduce_op("Min", ReduceOp::Min, a, axes, keep_dims)
 }
 
 /// Logical any over `axes` (`None` = all); bool output.
@@ -116,7 +72,7 @@ fn min_max_impl(
 /// # Errors
 /// See [`sum`].
 pub fn any(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    reduce_op("Any", ReduceOp::Any, a, axes, keep_dims, None)
+    reduce_op("Any", ReduceOp::Any, a, axes, keep_dims)
 }
 
 /// Logical all over `axes` (`None` = all); bool output.
@@ -124,12 +80,12 @@ pub fn any(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor
 /// # Errors
 /// See [`sum`].
 pub fn all(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<Tensor> {
-    reduce_op("All", ReduceOp::All, a, axes, keep_dims, None)
+    reduce_op("All", ReduceOp::All, a, axes, keep_dims)
 }
 
 fn arg_reduce_impl(name: &'static str, op: ArgReduceOp, a: &Tensor, axis: isize) -> Result<Tensor> {
     let axis = normalize_axis(name, axis, a.rank())?;
-    a.engine().run_kernel(&KernelCall::ArgReduce { op, axis }, &[a], None)
+    a.engine().run_kernel(&KernelCall::ArgReduce { op, axis }, &[a])
 }
 
 /// Index of the maximum along `axis` (I32 output).
@@ -186,6 +142,8 @@ pub fn logsumexp(a: &Tensor, axes: Option<&[isize]>, keep_dims: bool) -> Result<
 mod tests {
     use super::super::testutil::{assert_close, test_engine};
     use super::*;
+    use crate::dtype::DType;
+    use crate::shape::Shape;
 
     #[test]
     fn sum_axes_and_keepdims() {

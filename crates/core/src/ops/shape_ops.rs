@@ -2,26 +2,21 @@
 //!
 //! `reshape`, `squeeze`, `expand_dims`, `flatten` and `identity` are *free*:
 //! they create a new tensor handle pointing at the same data container
-//! (paper Sec 3.4). The rest move data through backend kernels.
+//! (paper Sec 3.4). The rest move data through backend kernels. Gradients
+//! are the rules of [`crate::grads`].
 
 use crate::backend::KernelCall;
 use crate::dtype::DType;
 use crate::error::{Error, Result};
 use crate::shape::{normalize_axis, Shape};
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
 /// View `a` under a new shape without copying.
 ///
 /// # Errors
 /// Fails when the element counts differ or `a` is disposed.
 pub fn reshape(a: &Tensor, shape: impl Into<Shape>) -> Result<Tensor> {
-    let new_shape = shape.into();
-    let old_shape = a.shape();
-    let grad: GradFn =
-        Arc::new(move |dys, _ins, _outs, _wanted| Ok(vec![Some(reshape(&dys[0], old_shape.clone())?)]));
-    a.engine().run_alias("Reshape", a, new_shape, Some(grad))
+    a.engine().run_alias("Reshape", a, shape.into())
 }
 
 /// A new tensor sharing `a`'s data and shape (`tensor.clone()` in tfjs).
@@ -29,8 +24,7 @@ pub fn reshape(a: &Tensor, shape: impl Into<Shape>) -> Result<Tensor> {
 /// # Errors
 /// Fails when `a` is disposed.
 pub fn identity(a: &Tensor) -> Result<Tensor> {
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| Ok(vec![Some(dys[0].clone())]));
-    a.engine().run_alias("Identity", a, a.shape(), Some(grad))
+    a.engine().run_alias("Identity", a, a.shape())
 }
 
 /// Collapse to rank 1.
@@ -84,26 +78,11 @@ pub fn squeeze(a: &Tensor, axes: Option<&[isize]>) -> Result<Tensor> {
 /// # Errors
 /// Fails when `perm` is not a permutation of `0..rank`.
 pub fn transpose(a: &Tensor, perm: Option<&[usize]>) -> Result<Tensor> {
-    let rank = a.rank();
     let perm: Vec<usize> = match perm {
         Some(p) => p.to_vec(),
-        None => (0..rank).rev().collect(),
+        None => (0..a.rank()).rev().collect(),
     };
-    {
-        let mut seen = vec![false; rank];
-        if perm.len() != rank || perm.iter().any(|&p| p >= rank || std::mem::replace(&mut seen[p], true)) {
-            return Err(Error::invalid("Transpose", format!("invalid permutation {perm:?} for rank {rank}")));
-        }
-    }
-    // Inverse permutation for the gradient.
-    let mut inv = vec![0usize; rank];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
-    }
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
-        Ok(vec![Some(transpose(&dys[0], Some(&inv))?)])
-    });
-    a.engine().run_kernel(&KernelCall::Transpose { perm: (&perm).into() }, &[a], Some(grad))
+    a.engine().run_kernel(&KernelCall::Transpose { perm: perm.into() }, &[a])
 }
 
 /// Constant-pad each dimension by `(before, after)`.
@@ -111,13 +90,7 @@ pub fn transpose(a: &Tensor, perm: Option<&[usize]>) -> Result<Tensor> {
 /// # Errors
 /// Fails when `paddings.len() != rank`.
 pub fn pad(a: &Tensor, paddings: &[(usize, usize)], value: f32) -> Result<Tensor> {
-    let begins: Vec<usize> = paddings.iter().map(|&(b, _)| b).collect();
-    let sizes: Vec<usize> = a.shape_ref().dims().to_vec();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
-        Ok(vec![Some(slice(&dys[0], &begins, &sizes)?)])
-    });
-    let call = KernelCall::Pad { paddings: paddings.into(), value };
-    a.engine().run_kernel(&call, &[a], Some(grad))
+    a.engine().run_kernel(&KernelCall::Pad { paddings: paddings.into(), value }, &[a])
 }
 
 /// Extract `a[begin .. begin+size]` per axis.
@@ -125,17 +98,8 @@ pub fn pad(a: &Tensor, paddings: &[(usize, usize)], value: f32) -> Result<Tensor
 /// # Errors
 /// Fails when the window exceeds the tensor bounds.
 pub fn slice(a: &Tensor, begin: &[usize], size: &[usize]) -> Result<Tensor> {
-    let in_dims = a.shape().0;
-    let g_begin = begin.to_vec();
-    let g_size = size.to_vec();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
-        let pads: Vec<(usize, usize)> = (0..in_dims.len())
-            .map(|i| (g_begin[i], in_dims[i] - g_begin[i] - g_size[i]))
-            .collect();
-        Ok(vec![Some(pad(&dys[0], &pads, 0.0)?)])
-    });
     let call = KernelCall::Slice { begin: begin.into(), size: size.into() };
-    a.engine().run_kernel(&call, &[a], Some(grad))
+    a.engine().run_kernel(&call, &[a])
 }
 
 /// Concatenate tensors along `axis`.
@@ -149,34 +113,8 @@ pub fn concat(xs: &[&Tensor], axis: isize) -> Result<Tensor> {
     if xs.len() == 1 {
         return identity(xs[0]);
     }
-    let rank = xs[0].rank();
-    let axis = normalize_axis("Concat", axis, rank)?;
-    for t in xs {
-        if t.rank() != rank {
-            return Err(Error::shape("Concat", "all tensors must share rank"));
-        }
-        for d in 0..rank {
-            if d != axis && t.shape_ref().dim(d) != xs[0].shape_ref().dim(d) {
-                return Err(Error::shape("Concat", format!("dim {d} mismatch")));
-            }
-        }
-    }
-    let sizes: Vec<usize> = xs.iter().map(|t| t.shape_ref().dim(axis)).collect();
-    let shapes: Vec<Shape> = xs.iter().map(|t| t.shape()).collect();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, wanted| {
-        // Slice dy back into the per-input gradients someone reads.
-        let dy = &dys[0];
-        let mut offset = 0;
-        let mut grads = Vec::with_capacity(sizes.len());
-        for ((sz, shape), &wanted) in sizes.iter().zip(&shapes).zip(wanted) {
-            let mut begin = vec![0; shape.rank()];
-            begin[axis] = offset;
-            grads.push(wanted.then(|| slice(dy, &begin, shape.dims())).transpose()?);
-            offset += sz;
-        }
-        Ok(grads)
-    });
-    xs[0].engine().run_kernel(&KernelCall::Concat { axis }, xs, Some(grad))
+    let axis = normalize_axis("Concat", axis, xs[0].rank())?;
+    xs[0].engine().run_kernel(&KernelCall::Concat { axis }, xs)
 }
 
 /// Stack tensors of identical shape along a new `axis`.
@@ -234,8 +172,10 @@ pub fn unstack(a: &Tensor, axis: isize) -> Result<Vec<Tensor>> {
 /// `axis`. Each index is taken modulo the axis length (`-1` is the last
 /// slice).
 ///
-/// The gradient w.r.t. `x` is not implemented (indices are data-dependent);
-/// training through `gather` returns an error from the autodiff engine.
+/// Its gradient w.r.t. `x` is not defined (indices are data-dependent):
+/// backprop through a `gather` whose `x` depends on a requested input fails
+/// with [`Error::GradientNotDefined`]. One over data (a training batch) is
+/// off the gradient path and trains.
 ///
 /// # Errors
 /// Fails when `indices` is not an integer tensor.
@@ -244,15 +184,16 @@ pub fn gather(x: &Tensor, indices: &Tensor, axis: isize) -> Result<Tensor> {
         return Err(Error::dtype("Gather", "indices must be int32"));
     }
     let axis = normalize_axis("Gather", axis, x.rank())?;
-    x.engine().run_kernel(&KernelCall::Gather { axis }, &[x, indices], None)
+    x.engine().run_kernel(&KernelCall::Gather { axis }, &[x, indices])
 }
 
-/// Repeat each dimension `reps[i]` times. Not differentiable.
+/// Repeat each dimension `reps[i]` times. The gradient sums `dy` over the
+/// repeats.
 ///
 /// # Errors
 /// Fails when `reps.len() != rank`.
 pub fn tile(a: &Tensor, reps: &[usize]) -> Result<Tensor> {
-    a.engine().run_kernel(&KernelCall::Tile { reps: reps.into() }, &[a], None)
+    a.engine().run_kernel(&KernelCall::Tile { reps: reps.into() }, &[a])
 }
 
 /// Reverse along the given axes.
@@ -262,11 +203,7 @@ pub fn tile(a: &Tensor, reps: &[usize]) -> Result<Tensor> {
 pub fn reverse(a: &Tensor, axes: &[isize]) -> Result<Tensor> {
     let norm: Vec<usize> =
         axes.iter().map(|&ax| normalize_axis("Reverse", ax, a.rank())).collect::<Result<_>>()?;
-    let g_axes = axes.to_vec();
-    let grad: GradFn = Arc::new(move |dys, _ins, _outs, _wanted| {
-        Ok(vec![Some(reverse(&dys[0], &g_axes)?)])
-    });
-    a.engine().run_kernel(&KernelCall::Reverse { axes: norm.into() }, &[a], Some(grad))
+    a.engine().run_kernel(&KernelCall::Reverse { axes: norm.into() }, &[a])
 }
 
 #[cfg(test)]

@@ -1,34 +1,14 @@
-//! Element-wise unary ops and their gradients.
+//! Element-wise unary ops (their gradients are the `Unary` rules of
+//! [`crate::grads`]).
 
-use super::{mul, zeros_like};
 use crate::backend::{KernelCall, UnaryOp};
 use crate::dtype::DType;
 use crate::error::Result;
-use crate::tape::GradFn;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
-/// Run a unary kernel with an optional gradient.
-pub(crate) fn unary_op(op: UnaryOp, a: &Tensor, grad: Option<GradFn>) -> Result<Tensor> {
-    a.engine().run_kernel(&KernelCall::Unary(op), &[a], grad)
-}
-
-macro_rules! simple_grad {
-    (|$dy:ident, $a:ident, $y:ident| $body:expr) => {
-        Some(Arc::new(
-            move |dys: &[Tensor],
-                  ins: &[Tensor],
-                  outs: &[Tensor],
-                  _wanted: &[bool]|
-                  -> Result<Vec<Option<Tensor>>> {
-                let $dy = &dys[0];
-                let $a = &ins[0];
-                let $y = &outs[0];
-                let _ = ($a, $y);
-                Ok(vec![Some($body?)])
-            },
-        ) as GradFn)
-    };
+/// Run a unary kernel.
+pub(crate) fn unary_op(op: UnaryOp, a: &Tensor) -> Result<Tensor> {
+    a.engine().run_kernel(&KernelCall::Unary(op), &[a])
 }
 
 /// `-x`.
@@ -36,7 +16,7 @@ macro_rules! simple_grad {
 /// # Errors
 /// Fails on disposed inputs or backend errors (applies to all ops below).
 pub fn neg(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Neg, a, simple_grad!(|dy, a, y| neg(dy)))
+    unary_op(UnaryOp::Neg, a)
 }
 
 /// `|x|`.
@@ -44,7 +24,7 @@ pub fn neg(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn abs(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Abs, a, simple_grad!(|dy, a, y| mul(dy, &sign(a)?)))
+    unary_op(UnaryOp::Abs, a)
 }
 
 /// `e^x`.
@@ -52,7 +32,7 @@ pub fn abs(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn exp(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Exp, a, simple_grad!(|dy, a, y| mul(dy, y)))
+    unary_op(UnaryOp::Exp, a)
 }
 
 /// `e^x - 1`.
@@ -60,7 +40,7 @@ pub fn exp(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn expm1(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Expm1, a, simple_grad!(|dy, a, y| mul(dy, &exp(a)?)))
+    unary_op(UnaryOp::Expm1, a)
 }
 
 /// Natural logarithm.
@@ -68,7 +48,7 @@ pub fn expm1(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn log(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Log, a, simple_grad!(|dy, a, y| super::div(dy, a)))
+    unary_op(UnaryOp::Log, a)
 }
 
 /// `ln(1 + x)`.
@@ -76,14 +56,7 @@ pub fn log(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn log1p(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Log1p,
-        a,
-        simple_grad!(|dy, a, y| {
-            let one = a.engine().scalar(1.0)?;
-            super::div(dy, &super::add(a, &one)?)
-        }),
-    )
+    unary_op(UnaryOp::Log1p, a)
 }
 
 /// Square root.
@@ -91,14 +64,7 @@ pub fn log1p(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn sqrt(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Sqrt,
-        a,
-        simple_grad!(|dy, a, y| {
-            let two_y = mul(y, &y.engine().scalar(2.0)?)?;
-            super::div(dy, &two_y)
-        }),
-    )
+    unary_op(UnaryOp::Sqrt, a)
 }
 
 /// `1 / sqrt(x)`.
@@ -106,16 +72,7 @@ pub fn sqrt(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn rsqrt(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Rsqrt,
-        a,
-        simple_grad!(|dy, a, y| {
-            // d/dx x^{-1/2} = -1/2 x^{-3/2} = -1/2 y^3.
-            let y3 = mul(&mul(y, y)?, y)?;
-            let half = y.engine().scalar(-0.5)?;
-            mul(dy, &mul(&y3, &half)?)
-        }),
-    )
+    unary_op(UnaryOp::Rsqrt, a)
 }
 
 /// `x^2`.
@@ -123,14 +80,7 @@ pub fn rsqrt(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn square(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Square,
-        a,
-        simple_grad!(|dy, a, y| {
-            let two_a = mul(a, &a.engine().scalar(2.0)?)?;
-            mul(dy, &two_a)
-        }),
-    )
+    unary_op(UnaryOp::Square, a)
 }
 
 /// Rectified linear unit.
@@ -138,11 +88,7 @@ pub fn square(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn relu(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Relu,
-        a,
-        simple_grad!(|dy, a, y| mul(dy, &step(a, 0.0)?)),
-    )
+    unary_op(UnaryOp::Relu, a)
 }
 
 /// ReLU clipped at 6.
@@ -150,17 +96,7 @@ pub fn relu(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn relu6(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Relu6,
-        a,
-        simple_grad!(|dy, a, y| {
-            let e = a.engine();
-            let lo = super::greater(a, &e.scalar(0.0)?)?;
-            let hi = super::less(a, &e.scalar(6.0)?)?;
-            let mask = cast(&super::logical_and(&lo, &hi)?, DType::F32)?;
-            mul(dy, &mask)
-        }),
-    )
+    unary_op(UnaryOp::Relu6, a)
 }
 
 /// Logistic sigmoid.
@@ -168,14 +104,7 @@ pub fn relu6(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn sigmoid(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Sigmoid,
-        a,
-        simple_grad!(|dy, a, y| {
-            let one = y.engine().scalar(1.0)?;
-            mul(dy, &mul(y, &super::sub(&one, y)?)?)
-        }),
-    )
+    unary_op(UnaryOp::Sigmoid, a)
 }
 
 /// Hyperbolic tangent.
@@ -183,14 +112,7 @@ pub fn sigmoid(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn tanh(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Tanh,
-        a,
-        simple_grad!(|dy, a, y| {
-            let one = y.engine().scalar(1.0)?;
-            mul(dy, &super::sub(&one, &mul(y, y)?)?)
-        }),
-    )
+    unary_op(UnaryOp::Tanh, a)
 }
 
 /// Exponential linear unit.
@@ -198,20 +120,7 @@ pub fn tanh(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn elu(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Elu,
-        a,
-        simple_grad!(|dy, a, y| {
-            // dy where a >= 0, dy * e^a otherwise (= dy * (y + 1)).
-            let e = a.engine();
-            let mask = cast(&super::greater_equal(a, &e.scalar(0.0)?)?, DType::F32)?;
-            let pos = mul(dy, &mask)?;
-            let one = e.scalar(1.0)?;
-            let neg_part = mul(dy, &super::add(y, &one)?)?;
-            let inv = super::sub(&one, &mask)?;
-            super::add(&pos, &mul(&neg_part, &inv)?)
-        }),
-    )
+    unary_op(UnaryOp::Elu, a)
 }
 
 /// Scaled exponential linear unit.
@@ -219,23 +128,7 @@ pub fn elu(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn selu(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Selu,
-        a,
-        simple_grad!(|dy, a, y| {
-            const ALPHA: f32 = 1.673_263_2;
-            const SCALE: f32 = 1.050_701;
-            let e = a.engine();
-            let mask = cast(&super::greater_equal(a, &e.scalar(0.0)?)?, DType::F32)?;
-            let pos = mul(dy, &mul(&mask, &e.scalar(SCALE)?)?)?;
-            let exp_a = exp(a)?;
-            let neg_scale = e.scalar(SCALE * ALPHA)?;
-            let one = e.scalar(1.0)?;
-            let inv = super::sub(&one, &mask)?;
-            let neg_part = mul(dy, &mul(&mul(&exp_a, &neg_scale)?, &inv)?)?;
-            super::add(&pos, &neg_part)
-        }),
-    )
+    unary_op(UnaryOp::Selu, a)
 }
 
 /// `ln(1 + e^x)`.
@@ -243,11 +136,7 @@ pub fn selu(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn softplus(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Softplus,
-        a,
-        simple_grad!(|dy, a, y| mul(dy, &sigmoid(a)?)),
-    )
+    unary_op(UnaryOp::Softplus, a)
 }
 
 /// Sine.
@@ -255,7 +144,7 @@ pub fn softplus(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn sin(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Sin, a, simple_grad!(|dy, a, y| mul(dy, &cos(a)?)))
+    unary_op(UnaryOp::Sin, a)
 }
 
 /// Cosine.
@@ -263,7 +152,7 @@ pub fn sin(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn cos(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Cos, a, simple_grad!(|dy, a, y| neg(&mul(dy, &sin(a)?)?)))
+    unary_op(UnaryOp::Cos, a)
 }
 
 /// Tangent.
@@ -271,14 +160,7 @@ pub fn cos(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn tan(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Tan,
-        a,
-        simple_grad!(|dy, a, y| {
-            let c = cos(a)?;
-            super::div(dy, &mul(&c, &c)?)
-        }),
-    )
+    unary_op(UnaryOp::Tan, a)
 }
 
 /// Arcsine.
@@ -286,14 +168,7 @@ pub fn tan(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn asin(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Asin,
-        a,
-        simple_grad!(|dy, a, y| {
-            let one = a.engine().scalar(1.0)?;
-            super::div(dy, &sqrt(&super::sub(&one, &mul(a, a)?)?)?)
-        }),
-    )
+    unary_op(UnaryOp::Asin, a)
 }
 
 /// Arccosine.
@@ -301,14 +176,7 @@ pub fn asin(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn acos(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Acos,
-        a,
-        simple_grad!(|dy, a, y| {
-            let one = a.engine().scalar(1.0)?;
-            neg(&super::div(dy, &sqrt(&super::sub(&one, &mul(a, a)?)?)?)?)
-        }),
-    )
+    unary_op(UnaryOp::Acos, a)
 }
 
 /// Arctangent.
@@ -316,14 +184,7 @@ pub fn acos(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn atan(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Atan,
-        a,
-        simple_grad!(|dy, a, y| {
-            let one = a.engine().scalar(1.0)?;
-            super::div(dy, &super::add(&one, &mul(a, a)?)?)
-        }),
-    )
+    unary_op(UnaryOp::Atan, a)
 }
 
 /// Floor.
@@ -331,7 +192,7 @@ pub fn atan(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn floor(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Floor, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Floor, a)
 }
 
 /// Ceiling.
@@ -339,7 +200,7 @@ pub fn floor(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn ceil(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Ceil, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Ceil, a)
 }
 
 /// Round half away from zero.
@@ -347,7 +208,7 @@ pub fn ceil(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn round(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Round, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Round, a)
 }
 
 /// Sign (-1, 0, 1).
@@ -355,7 +216,7 @@ pub fn round(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn sign(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::Sign, a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Sign, a)
 }
 
 /// `1 / x`.
@@ -363,11 +224,7 @@ pub fn sign(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn reciprocal(a: &Tensor) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::Reciprocal,
-        a,
-        simple_grad!(|dy, a, y| neg(&super::div(dy, &mul(a, a)?)?)),
-    )
+    unary_op(UnaryOp::Reciprocal, a)
 }
 
 /// Leaky ReLU with negative slope `alpha`.
@@ -375,18 +232,7 @@ pub fn reciprocal(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn leaky_relu(a: &Tensor, alpha: f32) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::LeakyRelu(alpha),
-        a,
-        simple_grad!(|dy, a, y| {
-            let e = a.engine();
-            let mask = cast(&super::greater_equal(a, &e.scalar(0.0)?)?, DType::F32)?;
-            let one = e.scalar(1.0)?;
-            let slope = e.scalar(alpha)?;
-            let inv = mul(&super::sub(&one, &mask)?, &slope)?;
-            mul(dy, &super::add(&mask, &inv)?)
-        }),
-    )
+    unary_op(UnaryOp::LeakyRelu(alpha), a)
 }
 
 /// Clip into `[min, max]`.
@@ -394,17 +240,7 @@ pub fn leaky_relu(a: &Tensor, alpha: f32) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn clip_by_value(a: &Tensor, min: f32, max: f32) -> Result<Tensor> {
-    unary_op(
-        UnaryOp::ClipByValue(min, max),
-        a,
-        simple_grad!(|dy, a, y| {
-            let e = a.engine();
-            let ge = super::greater_equal(a, &e.scalar(min)?)?;
-            let le = super::less_equal(a, &e.scalar(max)?)?;
-            let mask = cast(&super::logical_and(&ge, &le)?, DType::F32)?;
-            mul(dy, &mask)
-        }),
-    )
+    unary_op(UnaryOp::ClipByValue(min, max), a)
 }
 
 /// Heaviside step: 1 where `x > 0`, else `alpha`.
@@ -412,7 +248,7 @@ pub fn clip_by_value(a: &Tensor, min: f32, max: f32) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn step(a: &Tensor, alpha: f32) -> Result<Tensor> {
-    unary_op(UnaryOp::Step(alpha), a, simple_grad!(|dy, a, y| zeros_like(dy)))
+    unary_op(UnaryOp::Step(alpha), a)
 }
 
 /// 1.0 where NaN (bool output).
@@ -420,7 +256,7 @@ pub fn step(a: &Tensor, alpha: f32) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn is_nan(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::IsNan, a, None)
+    unary_op(UnaryOp::IsNan, a)
 }
 
 /// 1.0 where infinite (bool output).
@@ -428,7 +264,7 @@ pub fn is_nan(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn is_inf(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::IsInf, a, None)
+    unary_op(UnaryOp::IsInf, a)
 }
 
 /// 1.0 where finite (bool output).
@@ -436,7 +272,7 @@ pub fn is_inf(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn is_finite(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::IsFinite, a, None)
+    unary_op(UnaryOp::IsFinite, a)
 }
 
 /// Logical negation of a bool tensor.
@@ -444,7 +280,7 @@ pub fn is_finite(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn logical_not(a: &Tensor) -> Result<Tensor> {
-    unary_op(UnaryOp::LogicalNot, a, None)
+    unary_op(UnaryOp::LogicalNot, a)
 }
 
 /// Cast to another dtype. The gradient passes through unchanged for float
@@ -453,8 +289,7 @@ pub fn logical_not(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// See [`neg`].
 pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
-    let grad: GradFn = Arc::new(|dys, _ins, _outs, _wanted| Ok(vec![Some(dys[0].clone())]));
-    a.engine().run_kernel(&KernelCall::Cast(dtype), &[a], Some(grad))
+    a.engine().run_kernel(&KernelCall::Cast(dtype), &[a])
 }
 
 #[cfg(test)]

@@ -2,18 +2,24 @@
 //!
 //! TensorFlow.js uses eager differentiation: while a gradient scope is
 //! active, every kernel the engine runs appends a [`TapeNode`] recording its
-//! inputs, outputs and a gradient function. Backpropagation walks the tape in
-//! reverse, restricted to nodes on a path from the requested inputs `xs` to
-//! the output `y`.
+//! inputs, outputs and what differentiates it — the [`KernelCall`] itself,
+//! whose rule backprop looks up by the call (TF.js registers a kernel and its
+//! gradient under one name), the alias marker of a free view, or the user's
+//! [`GradFn`] of a `customGrad`. Recording the call costs nothing while no
+//! tape records: the owned copy is made only then. Backpropagation walks the
+//! tape in reverse, restricted to nodes on a path from the requested inputs
+//! `xs` to the output `y`.
 
+use crate::backend::KernelCall;
 use crate::error::Result;
 use crate::tensor::Tensor;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Gradient function of a kernel: given the gradients flowing into each
-/// output (`dys`), the saved input tensors, the saved output tensors and a
-/// per-input `wanted` mask, produce one slot per input.
+/// A user-supplied gradient (`tf.customGrad`, [`crate::Engine::run_custom`]):
+/// given the gradients flowing into each output (`dys`), the saved input
+/// tensors, the saved output tensors and a per-input `wanted` mask, produce
+/// one slot per input.
 ///
 /// `wanted[i]` says whether anyone will read input `i`'s gradient: backprop
 /// sets it exactly for the inputs that depend on a requested `x` (see
@@ -21,13 +27,25 @@ use std::sync::Arc;
 /// (an integer index tensor, a mask) and may be `None` for an unwanted one —
 /// a function whose gradients cost a kernel skips the unwanted ones, a cheap
 /// one may ignore the mask. A wanted slot holds the same value, to the bit,
-/// whatever the rest of the mask says.
+/// whatever the rest of the mask says. Every kernel's own rule keeps the same
+/// contract.
 pub type GradFn = Arc<
     dyn Fn(&[Tensor], &[Tensor], &[Tensor], &[bool]) -> Result<Vec<Option<Tensor>>> + Send + Sync,
 >;
 
+/// What backprop differentiates a node by.
+pub(crate) enum Grad {
+    /// A kernel call: its rule ([`crate::grads`]).
+    Call(KernelCall<'static>),
+    /// A view sharing the input's data (`reshape`, `identity`): the gradient
+    /// is `dy` under the input's shape.
+    Alias,
+    /// A user-supplied gradient.
+    Custom(GradFn),
+}
+
 /// One recorded kernel invocation.
-pub struct TapeNode {
+pub(crate) struct TapeNode {
     /// Kernel name, for error messages.
     pub kernel: &'static str,
     /// Tensor ids of the inputs, in call order.
@@ -38,23 +56,13 @@ pub struct TapeNode {
     pub inputs: Vec<Tensor>,
     /// Saved output handles.
     pub outputs: Vec<Tensor>,
-    /// The gradient function.
-    pub grad_fn: GradFn,
-}
-
-impl std::fmt::Debug for TapeNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TapeNode")
-            .field("kernel", &self.kernel)
-            .field("input_ids", &self.input_ids)
-            .field("output_ids", &self.output_ids)
-            .finish()
-    }
+    /// What differentiates the node.
+    pub grad: Grad,
 }
 
 /// An append-only record of kernel invocations inside a gradient scope.
-#[derive(Debug, Default)]
-pub struct Tape {
+#[derive(Default)]
+pub(crate) struct Tape {
     /// Recorded nodes, in execution order.
     pub nodes: Vec<TapeNode>,
 }
@@ -117,7 +125,7 @@ mod tests {
             output_ids: outputs,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            grad_fn: Arc::new(|_, _, _, _| Ok(Vec::new())),
+            grad: Grad::Alias,
         }
     }
 

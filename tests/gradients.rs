@@ -1,0 +1,422 @@
+//! Every gradient rule against a central difference, on `cpu`.
+//!
+//! Backprop differentiates a recorded kernel call by the rule of that call
+//! (`webml::core::grads`). The table below runs one call of every kernel
+//! through the engine on small shapes — binary ops under broadcasting, a
+//! batch-broadcast matmul — and checks each input's gradient against
+//! `(f(x + ε) − f(x − ε)) / 2ε` of a weighted sum of the output. The calls
+//! without a rule are pinned by name: they fail backprop with
+//! `GradientNotDefined` instead of reporting a silent zero, and
+//! `variant_index` is an exhaustive match, so a new kernel has to be given a
+//! case here (with its rule, or on the pinned list) before the test compiles.
+
+use std::borrow::Cow;
+use std::sync::Arc;
+use webml::core::backend::{
+    ArgReduceOp, BinaryOp, Epilogue, FusedStep, KernelCall, PoolOp, ReduceOp, UnaryOp,
+};
+use webml::core::conv_util::{
+    conv2d_info, depthwise_conv2d_info, pool2d_info, Conv2dInfo, Padding,
+};
+use webml::core::cpu::CpuBackend;
+use webml::{ops, DType, Engine, Error, Result, Shape, Tensor};
+
+/// The kernel calls a gradient is not defined for.
+const WITHOUT_A_RULE: [&str; 15] = [
+    "Prod",
+    "FloorDiv",
+    "Mod",
+    "Conv2DBackpropInput",
+    "Conv2DBackpropFilter",
+    "DepthwiseConv2DBackpropInput",
+    "DepthwiseConv2DBackpropFilter",
+    "PoolBackprop",
+    "Gather",
+    "OneHot",
+    "ResizeBilinear",
+    "FusedElementwise",
+    "FusedMatMul",
+    "FusedConv2D",
+    "FusedDepthwiseConv2D",
+];
+
+fn engine() -> Engine {
+    let e = Engine::new();
+    e.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
+    e
+}
+
+/// Distinct values alternating in sign, at least 0.05 from every multiple
+/// of 0.5 (the kinks of the piecewise ops).
+fn mixed(n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            let m = 0.15 + 0.1 * ((i * 7) % 9) as f32;
+            if i % 2 == 0 {
+                m
+            } else {
+                -m
+            }
+        })
+        .collect()
+}
+
+/// Values in `[0.55, 1.35]`, for the ops defined on positives.
+fn positive(n: usize) -> Vec<f32> {
+    mixed(n).iter().map(|v| v.abs() + 0.4).collect()
+}
+
+/// Values at least 0.02 apart, starting at `from` in one permutation, so a
+/// maximum never ties.
+fn distinct(n: usize, from: usize) -> Vec<f32> {
+    (from..from + n).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.01).collect()
+}
+
+/// How a case makes its output from its inputs.
+type Forward = Box<dyn Fn(&[&Tensor]) -> Result<Tensor>>;
+
+/// One differentiated computation: its inputs, which of them the gradient
+/// is taken with respect to, and how the output is made from them.
+struct Case {
+    label: String,
+    inputs: Vec<Tensor>,
+    wrt: Vec<usize>,
+    f: Forward,
+}
+
+/// The variant of a call: an exhaustive match, so a new kernel fails to
+/// compile until it is given a case below.
+fn variant_index(call: &KernelCall<'_>) -> usize {
+    use KernelCall as C;
+    match call {
+        C::Unary(_) => 0,
+        C::Binary(_) => 1,
+        C::Cast(_) => 2,
+        C::Reduce { .. } => 3,
+        C::ArgReduce { .. } => 4,
+        C::MatMul { .. } => 5,
+        C::Conv2d { .. } => 6,
+        C::Conv2dBackpropInput(_) => 7,
+        C::Conv2dBackpropFilter(_) => 8,
+        C::DepthwiseConv2d { .. } => 9,
+        C::DepthwiseConv2dBackpropInput(_) => 10,
+        C::DepthwiseConv2dBackpropFilter(_) => 11,
+        C::Pool2d { .. } => 12,
+        C::Pool2dBackprop { .. } => 13,
+        C::Slice { .. } => 14,
+        C::Concat { .. } => 15,
+        C::Transpose { .. } => 16,
+        C::Pad { .. } => 17,
+        C::Gather { .. } => 18,
+        C::Tile { .. } => 19,
+        C::Reverse { .. } => 20,
+        C::Select => 21,
+        C::OneHot { .. } => 22,
+        C::ResizeBilinear { .. } => 23,
+        C::FusedElementwise(_) => 24,
+    }
+}
+const VARIANTS: usize = 25;
+
+struct Table {
+    e: Engine,
+    cases: Vec<Case>,
+    variants: [bool; VARIANTS],
+}
+
+impl Table {
+    fn tensor(&self, values: Vec<f32>, dims: &[usize]) -> Tensor {
+        self.e.tensor(values, Shape::new(dims.to_vec())).unwrap()
+    }
+
+    /// A case that runs `call` itself through the engine.
+    fn call(&mut self, call: KernelCall<'static>, inputs: Vec<Tensor>, wrt: &[usize]) {
+        self.variants[variant_index(&call)] = true;
+        let label = format!("{call:?}");
+        let e = self.e.clone();
+        let f = Box::new(move |xs: &[&Tensor]| e.run_kernel(&call, xs));
+        self.cases.push(Case { label, inputs, wrt: wrt.to_vec(), f });
+    }
+
+    /// A case that runs an op, which may dispatch several calls.
+    fn op(
+        &mut self,
+        label: &str,
+        inputs: Vec<Tensor>,
+        f: impl Fn(&[&Tensor]) -> Result<Tensor> + 'static,
+    ) {
+        let wrt = (0..inputs.len()).collect();
+        self.cases.push(Case { label: label.to_string(), inputs, wrt, f: Box::new(f) });
+    }
+}
+
+fn table() -> Table {
+    use KernelCall as C;
+    let mut t = Table { e: engine(), cases: Vec::new(), variants: [false; VARIANTS] };
+    let m23 = || mixed(6);
+
+    use UnaryOp as U;
+    let on_positives = [U::Log, U::Log1p, U::Sqrt, U::Rsqrt, U::Reciprocal];
+    let unary = [
+        U::Neg,
+        U::Abs,
+        U::Exp,
+        U::Expm1,
+        U::Square,
+        U::Relu,
+        U::Relu6,
+        U::Sigmoid,
+        U::Tanh,
+        U::Elu,
+        U::Selu,
+        U::Softplus,
+        U::Sin,
+        U::Cos,
+        U::Tan,
+        U::Asin,
+        U::Acos,
+        U::Atan,
+        U::Floor,
+        U::Ceil,
+        U::Round,
+        U::Sign,
+        U::LeakyRelu(0.2),
+        U::ClipByValue(-0.5, 0.5),
+        U::Step(0.3),
+        U::Erf,
+    ];
+    for op in on_positives.into_iter().chain(unary) {
+        let values = if on_positives.contains(&op) { positive(6) } else { m23() };
+        // Inside arcsine's domain, away from its poles.
+        let scale = if matches!(op, U::Asin | U::Acos) { 0.8 } else { 1.0 };
+        let x = t.tensor(values.iter().map(|v| v * scale).collect(), &[2, 3]);
+        t.call(C::Unary(op), vec![x], &[0]);
+    }
+    // A bool output records nothing: its input's gradient is zero, which is
+    // what the difference measures too.
+    let x = t.tensor(m23(), &[2, 3]);
+    t.call(C::Unary(U::IsNan), vec![x], &[0]);
+
+    use BinaryOp as B;
+    let binary = [
+        B::Add,
+        B::Sub,
+        B::Mul,
+        B::Div,
+        B::Pow,
+        B::Maximum,
+        B::Minimum,
+        B::SquaredDifference,
+        B::Atan2,
+        B::FloorDiv,
+        B::Mod,
+        B::Greater,
+    ];
+    for op in binary {
+        // `b` broadcasts along `a`'s rows; a positive `b` keeps division
+        // and `Pow`'s `ln a` (through a positive `a`) defined.
+        let a = match op {
+            B::Pow => positive(6),
+            B::Maximum | B::Minimum | B::Greater => distinct(6, 0),
+            _ => m23(),
+        };
+        let b = match op {
+            B::Maximum | B::Minimum | B::Greater => distinct(3, 6),
+            B::Pow | B::Sub | B::Mul | B::SquaredDifference => mixed(3),
+            _ => positive(3),
+        };
+        let (a, b) = (t.tensor(a, &[2, 3]), t.tensor(b, &[3]));
+        t.call(C::Binary(op), vec![a, b], &[0, 1]);
+    }
+
+    let x = t.tensor(m23(), &[2, 3]);
+    t.call(C::Cast(DType::F32), vec![x], &[0]);
+    for op in [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Max, ReduceOp::Min, ReduceOp::Prod] {
+        let x = t.tensor(distinct(12, 0), &[3, 4]);
+        t.call(C::Reduce { op, axes: Cow::Owned(vec![1]) }, vec![x], &[0]);
+    }
+    let x = t.tensor(distinct(12, 0), &[3, 4]);
+    t.call(C::ArgReduce { op: ArgReduceOp::ArgMax, axis: 1 }, vec![x], &[0]);
+
+    for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+        let a = t.tensor(mixed(6), if ta { &[3, 2] } else { &[2, 3] });
+        let b = t.tensor(distinct(12, 3), if tb { &[4, 3] } else { &[3, 4] });
+        let call = C::MatMul { transpose_a: ta, transpose_b: tb, epilogue: Epilogue::None };
+        t.call(call, vec![a, b], &[0, 1]);
+    }
+    // A batch of 1 broadcast against the other operand's batch: the op
+    // tiles it, and the tile's gradient sums the copies back.
+    let (a, b) = (t.tensor(mixed(6), &[2, 3]), t.tensor(distinct(24, 0), &[4, 3, 2]));
+    t.op("matmul [2, 3] x [4, 3, 2]", vec![a, b], |xs| ops::matmul(xs[0], xs[1], false, false));
+    let (x, w) = (t.tensor(distinct(24, 0), &[4, 2, 3]), t.tensor(mixed(6), &[3, 2]));
+    t.op("matmul [4, 2, 3] x [3, 2]", vec![x, w], |xs| ops::matmul(xs[0], xs[1], false, false));
+    let x = t.tensor(mixed(6), &[2, 3]);
+    t.op("reshape", vec![x], |xs| ops::reshape(xs[0], [3, 2]));
+
+    let (xs, ws) = (Shape::new(vec![1, 5, 5, 2]), Shape::new(vec![3, 3, 2, 3]));
+    let conv = conv2d_info("Conv2D", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
+    let conv = Cow::<'static, Conv2dInfo>::Owned(conv);
+    let dws = Shape::new(vec![3, 3, 2, 2]);
+    let depthwise = depthwise_conv2d_info("Depthwise", &xs, &dws, (1, 1), Padding::Same, (1, 1));
+    let depthwise = Cow::<'static, Conv2dInfo>::Owned(depthwise.unwrap());
+    let x = || t.tensor(distinct(50, 0), &[1, 5, 5, 2]);
+    let (x1, x2) = (x(), x());
+    let (w, dw) = (t.tensor(mixed(54), &[3, 3, 2, 3]), t.tensor(mixed(36), &[3, 3, 2, 2]));
+    let fused = Epilogue::Fused { bias: false, activation: Some(U::Relu) };
+    for (epilogue, wrt) in [(Epilogue::None, &[0, 1][..]), (fused, &[0])] {
+        let call = C::Conv2d { info: conv.clone(), epilogue };
+        t.call(call, vec![x1.clone(), w.clone()], wrt);
+        let call = C::DepthwiseConv2d { info: depthwise.clone(), epilogue };
+        t.call(call, vec![x2.clone(), dw.clone()], wrt);
+        let call = C::MatMul { transpose_a: false, transpose_b: false, epilogue };
+        t.call(call, vec![t.tensor(mixed(6), &[2, 3]), t.tensor(mixed(12), &[3, 4])], wrt);
+    }
+    let dy = t.tensor(mixed(27), &[1, 3, 3, 3]);
+    t.call(C::Conv2dBackpropInput(conv.clone()), vec![dy.clone(), w.clone()], &[0, 1]);
+    t.call(C::Conv2dBackpropFilter(conv.clone()), vec![x1.clone(), dy], &[0, 1]);
+    let dy = t.tensor(mixed(100), &[1, 5, 5, 4]);
+    let call = C::DepthwiseConv2dBackpropInput(depthwise.clone());
+    t.call(call, vec![dy.clone(), dw.clone()], &[0, 1]);
+    t.call(C::DepthwiseConv2dBackpropFilter(depthwise), vec![x2, dy], &[0, 1]);
+
+    let ps = Shape::new(vec![1, 4, 4, 2]);
+    let max = pool2d_info("MaxPool", &ps, (2, 2), (2, 2), Padding::Valid).unwrap();
+    let avg = pool2d_info("AvgPool", &ps, (2, 2), (1, 1), Padding::Same).unwrap();
+    for (op, info) in [(PoolOp::Max, max.clone()), (PoolOp::Avg, avg)] {
+        let x = t.tensor(distinct(32, 0), &[1, 4, 4, 2]);
+        t.call(C::Pool2d { op, info: Cow::Owned(info) }, vec![x], &[0]);
+    }
+    let (dy, x) = (t.tensor(mixed(8), &[1, 2, 2, 2]), t.tensor(distinct(32, 0), &[1, 4, 4, 2]));
+    t.call(C::Pool2dBackprop { op: PoolOp::Max, info: Cow::Owned(max) }, vec![dy, x], &[0]);
+
+    let x = t.tensor(mixed(12), &[3, 4]);
+    let slice = C::Slice { begin: Cow::Owned(vec![1, 1]), size: Cow::Owned(vec![2, 2]) };
+    t.call(slice, vec![x], &[0]);
+    let (a, b) = (t.tensor(mixed(6), &[2, 3]), t.tensor(distinct(3, 0), &[1, 3]));
+    t.call(C::Concat { axis: 0 }, vec![a, b], &[0, 1]);
+    let x = t.tensor(mixed(12), &[2, 3, 2]);
+    t.call(C::Transpose { perm: Cow::Owned(vec![2, 0, 1]) }, vec![x], &[0]);
+    let x = t.tensor(mixed(6), &[2, 3]);
+    t.call(C::Pad { paddings: Cow::Owned(vec![(1, 0), (0, 2)]), value: 0.5 }, vec![x], &[0]);
+    let x = t.tensor(mixed(6), &[2, 3]);
+    t.call(C::Tile { reps: Cow::Owned(vec![2, 3]) }, vec![x], &[0]);
+    let x = t.tensor(mixed(12), &[2, 1, 3, 2]);
+    t.call(C::Tile { reps: Cow::Owned(vec![1, 3, 2, 1]) }, vec![x], &[0]);
+    let x = t.tensor(mixed(6), &[2, 3]);
+    t.call(C::Reverse { axes: Cow::Owned(vec![1]) }, vec![x], &[0]);
+    let cond = t.e.tensor_with_dtype(vec![1u8, 0, 0, 1, 1, 0], [2, 3], DType::Bool).unwrap();
+    let (a, b) = (t.tensor(mixed(6), &[2, 3]), t.tensor(distinct(3, 0), &[3]));
+    t.call(C::Select, vec![cond, a, b], &[1, 2]);
+
+    let x = t.tensor(mixed(4), &[4]);
+    let indices = t.e.tensor(vec![0i32, 2], [2]).unwrap();
+    t.call(C::Gather { axis: 0 }, vec![x, indices.clone()], &[0]);
+    t.call(C::OneHot { depth: 3, on: 1.0, off: 0.0 }, vec![indices], &[0]);
+    let x = t.tensor(mixed(4), &[1, 2, 2, 1]);
+    let resize = C::ResizeBilinear { new_h: 3, new_w: 3, align_corners: false };
+    t.call(resize, vec![x], &[0]);
+    let steps = Cow::Owned(vec![FusedStep::Unary(U::Tanh)]);
+    t.call(C::FusedElementwise(steps), vec![t.tensor(mixed(6), &[2, 3])], &[0]);
+    t
+}
+
+/// `Σ y · c` for fixed weights `c` shaped like `y`, so every output element
+/// carries its own weight into the gradient.
+fn weighted_sum(y: &Tensor) -> Result<Tensor> {
+    let c: Vec<f32> = (0..y.size()).map(|i| 0.5 + 0.25 * (i as f32).sin()).collect();
+    let c = y.engine().tensor(c, y.shape())?;
+    ops::sum(&ops::mul(y, &c)?, None, false)
+}
+
+const EPS: f32 = 5e-3;
+
+#[test]
+fn every_gradient_rule_matches_a_central_difference() {
+    let t = table();
+    assert!(t.variants.iter().all(|&v| v), "a kernel has no case: {:?}", t.variants);
+    let mut without_a_rule = Vec::new();
+    for case in &t.cases {
+        let refs: Vec<&Tensor> = case.inputs.iter().collect();
+        let wrt: Vec<&Tensor> = case.wrt.iter().map(|&k| &case.inputs[k]).collect();
+        let loss = |xs: &[&Tensor]| weighted_sum(&(case.f)(xs)?);
+        let grads = match t.e.grads(&wrt, || loss(&refs)) {
+            Ok(grads) => grads,
+            Err(Error::GradientNotDefined { op }) => {
+                without_a_rule.push(op);
+                continue;
+            }
+            Err(e) => panic!("{}: {e}", case.label),
+        };
+        for (&k, grad) in case.wrt.iter().zip(&grads) {
+            let x = &case.inputs[k];
+            let base = x.to_f32_vec().unwrap();
+            let got = grad.to_f32_vec().unwrap();
+            assert_eq!(got.len(), base.len(), "{}: d/dinput {k}", case.label);
+            for (j, &g) in got.iter().enumerate() {
+                let at = |delta: f32| -> f32 {
+                    let mut v = base.clone();
+                    v[j] += delta;
+                    t.e.tidy(|| {
+                        let moved = t.e.tensor(v, x.shape()).unwrap();
+                        let mut xs = refs.clone();
+                        xs[k] = &moved;
+                        loss(&xs).unwrap().to_scalar().unwrap()
+                    })
+                };
+                let fd = (at(EPS) - at(-EPS)) / (2.0 * EPS);
+                assert!(
+                    (fd - g).abs() <= 1e-2 * (1.0 + g.abs()),
+                    "{}: d/dinput {k}[{j}] is {g}, the central difference {fd}",
+                    case.label
+                );
+            }
+        }
+    }
+    without_a_rule.sort_unstable();
+    let mut pinned = WITHOUT_A_RULE;
+    pinned.sort_unstable();
+    assert_eq!(without_a_rule, pinned);
+}
+
+/// A batch-1 operand broadcast against the other's batch gets the gradient
+/// summed over the batch (it was silently zero when the tile the op
+/// broadcasts through had no gradient).
+#[test]
+fn a_batch_broadcast_matmul_differentiates_the_broadcast_operand() {
+    let e = engine();
+    let a = e.tensor((0..6).map(|i| i as f32).collect::<Vec<_>>(), [2, 3]).unwrap();
+    let b = e.tensor((0..24).map(|i| 0.1 * i as f32).collect::<Vec<_>>(), [4, 3, 2]).unwrap();
+    let da = e.grad(&a, || ops::sum(&ops::matmul(&a, &b, false, false)?, None, false)).unwrap();
+    let close = |got: Vec<f32>, want: [f32; 6]| {
+        assert!(got.iter().zip(want).all(|(g, w)| (g - w).abs() < 1e-4), "{got:?} vs {want:?}");
+    };
+    close(da.to_f32_vec().unwrap(), [7.6, 9.2, 10.8, 7.6, 9.2, 10.8]);
+
+    let x = e.tensor((0..24).map(|i| 0.1 * i as f32).collect::<Vec<_>>(), [4, 2, 3]).unwrap();
+    let w = e.tensor((0..6).map(|i| i as f32).collect::<Vec<_>>(), [3, 2]).unwrap();
+    let dw = e.grad(&w, || ops::sum(&ops::matmul(&x, &w, false, false)?, None, false)).unwrap();
+    close(dw.to_f32_vec().unwrap(), [8.4, 8.4, 9.2, 9.2, 10.0, 10.0]);
+}
+
+/// Backprop through a `gather` of a requested input is an error naming the
+/// kernel, not a zero; a `gather` of data (a training batch) is off the
+/// gradient path and trains.
+#[test]
+fn gather_fails_backprop_only_on_the_gradient_path() {
+    let e = engine();
+    let x = e.tensor_1d(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+    let idx = e.tensor(vec![0i32, 2], [2]).unwrap();
+    let err = e.grad(&x, || ops::sum(&ops::gather(&x, &idx, 0)?, None, false)).unwrap_err();
+    assert!(matches!(err, Error::GradientNotDefined { op: "Gather" }), "{err}");
+
+    let data = e.tensor_2d(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2).unwrap();
+    let w = e.tensor_2d(&[0.5, -1.0], 2, 1).unwrap();
+    let dw = e
+        .grad(&w, || {
+            let batch = ops::gather(&data, &idx, 0)?;
+            ops::sum(&ops::matmul(&batch, &w, false, false)?, None, false)
+        })
+        .unwrap();
+    // Rows 0 and 2 of the data, summed.
+    assert_eq!(dw.to_f32_vec().unwrap(), vec![6.0, 8.0]);
+}

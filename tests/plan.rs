@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use webml::backend_webgl::{WebGlBackend, WebGlConfig};
-use webml::converter::{GraphDef, GraphModel, OpKind};
+use webml::converter::{GraphDef, GraphModel};
 use webml::models::{graph_mlp, graph_mobilenet, GraphSpec, MobileNetConfig};
 use webml::webgl_sim::devices::DeviceProfile;
 use webml::webgl_sim::pager::PagingPolicy;
@@ -127,7 +127,7 @@ fn eager_disposal_bounds_peak_bytes_exactly() {
 fn keep_everything_bytes(plan: &webml::converter::Plan) -> usize {
     plan.ops()
         .iter()
-        .filter(|op| !matches!(op.kind, OpKind::Identity | OpKind::Reshape))
+        .filter(|op| !op.is_alias())
         .map(|op| op.out_shape.size() * op.out_dtype.byte_size())
         .sum()
 }
