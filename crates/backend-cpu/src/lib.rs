@@ -28,9 +28,8 @@
 use webml_core::backend::{BinaryOp, KernelCall, MatMulGeom, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::TensorData;
-use webml_core::host::{HostBackend, HostKernels};
+use webml_core::host::{Host, HostBackend, HostKernels};
 use webml_core::kernels::{self as reference, Operand};
-use webml_core::pool::WorkerPool;
 use webml_core::shape::{broadcast_source_index, Shape};
 
 /// The interpreter-flavored kernel set: the Table 1 "Plain JS" row.
@@ -61,7 +60,7 @@ fn loader(data: &[f32]) -> LoadFn<'_> {
 impl HostKernels for PlainJs {
     const NAME: &'static str = "plainjs";
 
-    fn run(call: &KernelCall<'_>, ops: &[Operand<'_>], out: &Shape, _: &WorkerPool) -> TensorData {
+    fn run(call: &KernelCall<'_>, ops: &[Operand<'_>], out: &Shape, _: &Host<'_>) -> TensorData {
         use KernelCall as C;
         TensorData::F32(match call {
             C::Unary(op) => unary(*op, &ops[0].values.f32s()),

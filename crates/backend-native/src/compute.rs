@@ -2,13 +2,19 @@
 //! two gradients as products, and vector-friendly element-wise loops — the
 //! AVX/TF-C class of performance the Node.js backend gets by binding to the
 //! TensorFlow C library (paper Sec 4.2).
+//!
+//! Every kernel takes its output, and its `f32` scratch (im2col matrices,
+//! transposed operands, `dy · Wᵀ`), from the backend's free list
+//! ([`Host::buffers`]) and hands the scratch back before it returns. A taken
+//! buffer holds whatever its last user left, so a kernel either writes every
+//! element or asks for the buffer zeroed.
 
 use crate::parallel::{parallel_collect, parallel_for_slices};
 use std::borrow::Cow;
 use webml_core::backend::{BinaryOp, FusedStep, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
+use webml_core::host::Host;
 use webml_core::kernels as reference;
-use webml_core::pool::WorkerPool;
 use webml_core::quant::QuantParams;
 use webml_core::shape::Shape;
 
@@ -40,9 +46,9 @@ pub fn matmul(
     n: usize,
     transpose_a: bool,
     transpose_b: bool,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
-    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, None, None, pool)
+    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, None, None, host)
 }
 
 /// Matmul with a fused epilogue: the bias add and activation run on each
@@ -60,9 +66,9 @@ pub fn fused_matmul(
     transpose_b: bool,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
-    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, pool)
+    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, host)
 }
 
 /// How many multiply-adds of the register-tiled product make one element
@@ -87,19 +93,19 @@ fn matmul_impl(
     transpose_b: bool,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+    let mut out = host.buffers.take(batch * m * n);
     if out.is_empty() {
         return out;
     }
     let fused = bias.is_some() || activation.is_some();
     for bi in 0..batch {
-        let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a);
-        let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b);
+        let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a, host);
+        let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b, host);
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
         let row_work = (k * n).div_ceil(TILED_MACS_PER_VISIT);
-        parallel_for_slices(pool, out_b, m, n, row_work, |rows, chunk| {
+        parallel_for_slices(host.pool, out_b, m, n, row_work, |rows, chunk| {
             gemm_rows(&a_mat[rows.start * k..rows.end * k], &b_mat, k, n, chunk);
             if fused {
                 for out_row in chunk.chunks_mut(n) {
@@ -109,12 +115,14 @@ fn matmul_impl(
                 }
             }
         });
+        give_back(a_mat, host);
+        give_back(b_mat, host);
     }
     out
 }
 
 /// `out = a · b` for a run of rows: `a` is row-major `[rows, k]`, `b`
-/// `[k, n]`, `out` `[rows, n]` and zero on entry.
+/// `[k, n]`, `out` `[rows, n]`, whose contents on entry are never read.
 ///
 /// The columns are cut into register tiles ([`gemm_tile`]) 16 wide while 16
 /// are left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever the
@@ -133,9 +141,11 @@ fn matmul_impl(
 /// cost `serve_fleet` 13% of its throughput through the tiles.)
 fn gemm_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     if k == 0 {
+        out.fill(0.0);
         return;
     }
     if out.len() < 4 * n {
+        out.fill(0.0);
         for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
             for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
                 for (o, &bv) in out_row.iter_mut().zip(b_row) {
@@ -218,14 +228,21 @@ fn gemm_tile<const R: usize, const W: usize>(
 }
 
 /// Row-major `[rows, cols]` view of `src`: borrowed as is, or transposed
-/// into a fresh matrix so the inner loops stay contiguous (an O(rows·cols)
-/// copy, negligible next to the O(mkn) product).
-fn gather_matrix(src: &[f32], rows: usize, cols: usize, transposed: bool) -> Cow<'_, [f32]> {
+/// into a scratch matrix so the inner loops stay contiguous (an O(rows·cols)
+/// copy, negligible next to the O(mkn) product); [`give_back`] it after use.
+fn gather_matrix<'a>(
+    src: &'a [f32],
+    rows: usize,
+    cols: usize,
+    transposed: bool,
+    host: &Host<'_>,
+) -> Cow<'a, [f32]> {
     if !transposed {
         return Cow::Borrowed(src);
     }
-    // src is [cols, rows] and we want row-major [rows, cols].
-    let mut out = vec![0.0f32; rows * cols];
+    // src is [cols, rows] and we want row-major [rows, cols]; every element
+    // is written.
+    let mut out = host.buffers.take(rows * cols);
     for r in 0..rows {
         for c in 0..cols {
             out[r * cols + c] = src[c * rows + r];
@@ -234,9 +251,17 @@ fn gather_matrix(src: &[f32], rows: usize, cols: usize, transposed: bool) -> Cow
     Cow::Owned(out)
 }
 
+/// Return a kernel's scratch matrix to the free list; a borrowed view is
+/// nobody's to return.
+fn give_back(matrix: Cow<'_, [f32]>, host: &Host<'_>) {
+    if let Cow::Owned(buf) = matrix {
+        host.buffers.give(buf);
+    }
+}
+
 /// conv2d via im2col + blocked matmul.
-pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
-    conv2d_impl(x, w, info, None, None, pool)
+pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
+    conv2d_impl(x, w, info, None, None, host)
 }
 
 /// conv2d with the bias/activation epilogue fused into the im2col matmul.
@@ -246,9 +271,9 @@ pub fn fused_conv2d(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
-    conv2d_impl(x, w, info, bias, activation, pool)
+    conv2d_impl(x, w, info, bias, activation, host)
 }
 
 fn conv2d_impl(
@@ -257,15 +282,18 @@ fn conv2d_impl(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let cols = im2col(x, c, pool);
+    let cols = im2col(x, c, host);
     // [rows, patch] x [patch, out_c]; the epilogue channel is the output
     // column, i.e. the conv output channel.
-    matmul_impl(&cols, w, 1, rows, patch, c.out_channels, false, false, bias, activation, pool)
+    let out =
+        matmul_impl(&cols, w, 1, rows, patch, c.out_channels, false, false, bias, activation, host);
+    host.buffers.give(cols);
+    out
 }
 
 /// Build the im2col patch matrix `[batch*oh*ow, fh*fw*ic]` in parallel over
@@ -277,12 +305,12 @@ fn conv2d_impl(
 /// over the left or right border go tap by tap. (The reference kernel skips
 /// a tap outside the image; the zero written here adds `0 · w` to the
 /// accumulator instead, which leaves it as it was for any finite `w`.)
-fn im2col(x: &[f32], c: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
+fn im2col(x: &[f32], c: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
     let run = c.filter_width * c.in_channels;
     let zeros = |len| std::iter::repeat_n(0.0f32, len);
-    parallel_collect(pool, rows, patch, patch, |range, cols| {
+    parallel_collect(host, rows, patch, patch, |range, cols| {
         for row in range {
             let oc_spatial = c.out_height * c.out_width;
             let b = row / oc_spatial;
@@ -319,8 +347,8 @@ fn im2col(x: &[f32], c: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
 }
 
 /// Depthwise conv2d, parallel over output pixels.
-pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
-    depthwise_conv2d_impl(x, w, info, None, None, pool)
+pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
+    depthwise_conv2d_impl(x, w, info, None, None, host)
 }
 
 /// Depthwise conv2d with the bias/activation epilogue applied to each output
@@ -331,9 +359,9 @@ pub fn fused_depthwise_conv2d(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
-    depthwise_conv2d_impl(x, w, info, bias, activation, pool)
+    depthwise_conv2d_impl(x, w, info, bias, activation, host)
 }
 
 fn depthwise_conv2d_impl(
@@ -342,7 +370,7 @@ fn depthwise_conv2d_impl(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
     let c = info.clone();
     let fused = bias.is_some() || activation.is_some();
@@ -350,8 +378,8 @@ fn depthwise_conv2d_impl(
     let pixels = c.batch * c.out_height * c.out_width;
     let stride = c.out_channels;
     let taps = c.filter_height * c.filter_width;
-    let mut out = vec![0.0f32; pixels * stride];
-    parallel_for_slices(pool, &mut out, pixels, stride, taps * stride, |range, chunk| {
+    let mut out = host.buffers.zeroed(pixels * stride);
+    parallel_for_slices(host.pool, &mut out, pixels, stride, taps * stride, |range, chunk| {
         for (local, pix) in range.enumerate() {
             let spatial = c.out_height * c.out_width;
             let b = pix / spatial;
@@ -419,16 +447,16 @@ pub fn fused_matmul_quant(
     transpose_b: bool,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+    let mut out = host.buffers.zeroed(batch * m * n);
     let shared_b = if b_q.len() == k * n {
         Some(gather_codes(b_q, k, n, transpose_b))
     } else {
         None
     };
     for bi in 0..batch {
-        let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a);
+        let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a, host);
         let batch_b;
         let b_mat: &[u8] = match &shared_b {
             Some(sb) => sb,
@@ -438,7 +466,7 @@ pub fn fused_matmul_quant(
             }
         };
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
-        parallel_for_slices(pool, out_b, m, n, k * n, |rows, chunk| {
+        parallel_for_slices(host.pool, out_b, m, n, k * n, |rows, chunk| {
             for (local_i, i) in rows.enumerate() {
                 let out_row = &mut chunk[local_i * n..(local_i + 1) * n];
                 let a_row = &a_mat[i * k..(i + 1) * k];
@@ -459,6 +487,7 @@ pub fn fused_matmul_quant(
                 }
             }
         });
+        give_back(a_mat, host);
     }
     out
 }
@@ -487,12 +516,12 @@ pub fn fused_conv2d_quant(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
     let patch = info.filter_height * info.filter_width * info.in_channels;
     let rows = info.batch * info.out_height * info.out_width;
-    let cols = im2col(x, info, pool);
-    fused_matmul_quant(
+    let cols = im2col(x, info, host);
+    let out = fused_matmul_quant(
         &cols,
         w_q,
         params,
@@ -504,8 +533,10 @@ pub fn fused_conv2d_quant(
         false,
         bias,
         activation,
-        pool,
-    )
+        host,
+    );
+    host.buffers.give(cols);
+    out
 }
 
 /// Quantized-filter fused depthwise conv2d, parallel over output pixels.
@@ -519,15 +550,15 @@ pub fn fused_depthwise_conv2d_quant(
     info: &Conv2dInfo,
     bias: Option<&[f32]>,
     activation: Option<UnaryOp>,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
     let c = info.clone();
     let mul = c.channel_mul;
     let pixels = c.batch * c.out_height * c.out_width;
     let stride = c.out_channels;
     let taps = c.filter_height * c.filter_width;
-    let mut out = vec![0.0f32; pixels * stride];
-    parallel_for_slices(pool, &mut out, pixels, stride, taps * stride, |range, chunk| {
+    let mut out = host.buffers.zeroed(pixels * stride);
+    parallel_for_slices(host.pool, &mut out, pixels, stride, taps * stride, |range, chunk| {
         let mut acc_x = vec![0.0f32; c.in_channels];
         for (local, pix) in range.enumerate() {
             let spatial = c.out_height * c.out_width;
@@ -587,20 +618,20 @@ pub fn fused_depthwise_conv2d_quant(
 /// pixel `r`'s window, the dot of its gradient with that tap's filter slice,
 /// summed over the output channels from zero; col2im adds those dots into
 /// each input pixel in (fh, fw) order, parallel over input pixels.
-pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
+pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let dcols = matmul_impl(dy, w, 1, rows, c.out_channels, patch, false, true, None, None, pool);
+    let dcols = matmul_impl(dy, w, 1, rows, c.out_channels, patch, false, true, None, None, host);
     let taps_h = covering_taps(c.in_height, c.pad_top, c.stride_h, c.dilation_h, c.filter_height, c.out_height);
     let taps_w = covering_taps(c.in_width, c.pad_left, c.stride_w, c.dilation_w, c.filter_width, c.out_width);
     let pixels = c.batch * c.in_height * c.in_width;
     let stride = c.in_channels;
-    let mut dx = vec![0.0f32; pixels * stride];
+    let mut dx = host.buffers.zeroed(pixels * stride);
     // Every entry of `dcols` is added at most once: its taps outside the
     // image not at all.
     let adds_per_pixel = dcols.len().div_ceil(pixels.max(1));
-    parallel_for_slices(pool, &mut dx, pixels, stride, adds_per_pixel, |range, chunk| {
+    parallel_for_slices(host.pool, &mut dx, pixels, stride, adds_per_pixel, |range, chunk| {
         for (local, pix) in range.enumerate() {
             let spatial = c.in_height * c.in_width;
             let b = pix / spatial;
@@ -617,6 +648,7 @@ pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, pool: &Wo
             }
         }
     });
+    host.buffers.give(dcols);
     dx
 }
 
@@ -651,12 +683,14 @@ fn covering_taps(
 /// operands the two are equal on bits: where the reference skips a `g == 0`
 /// term or a tap outside the image, the product adds `x · 0` or `0 · g`, a
 /// `±0` that changes no sum.
-pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, pool: &WorkerPool) -> Vec<f32> {
+pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let cols = im2col(x, c, pool);
-    matmul_impl(&cols, dy, 1, patch, rows, c.out_channels, true, false, None, None, pool)
+    let cols = im2col(x, c, host);
+    let dw = matmul_impl(&cols, dy, 1, patch, rows, c.out_channels, true, false, None, None, host);
+    host.buffers.give(cols);
+    dw
 }
 
 /// Evaluate `$body` with `$f` bound to the scalar function of the unary op
@@ -706,15 +740,15 @@ macro_rules! with_binary_fn {
 }
 
 /// Parallel element-wise unary kernel.
-pub fn unary(op: UnaryOp, x: &[f32], pool: &WorkerPool) -> Vec<f32> {
-    with_unary_fn!(op, f => parallel_collect(pool, x.len(), 1, 1, |range, out| {
+pub fn unary(op: UnaryOp, x: &[f32], host: &Host<'_>) -> Vec<f32> {
+    with_unary_fn!(op, f => parallel_collect(host, x.len(), 1, 1, |range, out| {
         out.extend(x[range].iter().map(|&v| f(v)));
     }))
 }
 
 /// Parallel element-wise binary kernel for equal shapes.
-pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], pool: &WorkerPool) -> Vec<f32> {
-    with_binary_fn!(op, f => parallel_collect(pool, a.len(), 1, 1, |range, out| {
+pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], host: &Host<'_>) -> Vec<f32> {
+    with_binary_fn!(op, f => parallel_collect(host, a.len(), 1, 1, |range, out| {
         out.extend(a[range.clone()].iter().zip(&b[range]).map(|(&u, &v)| f(u, v)));
     }))
 }
@@ -727,12 +761,12 @@ pub fn binary_suffix(
     a: &[f32],
     b: &[f32],
     b_on_left: bool,
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
     with_binary_fn!(op, f => if b_on_left {
-        suffix_map(a, b, pool, |u, v| f(v, u))
+        suffix_map(a, b, host, |u, v| f(v, u))
     } else {
-        suffix_map(a, b, pool, f)
+        suffix_map(a, b, host, f)
     })
 }
 
@@ -743,7 +777,7 @@ pub fn binary_suffix(
 fn suffix_map(
     a: &[f32],
     b: &[f32],
-    pool: &WorkerPool,
+    host: &Host<'_>,
     f: impl Fn(f32, f32) -> f32 + Sync,
 ) -> Vec<f32> {
     const MIN_ROW: usize = 64;
@@ -756,7 +790,7 @@ fn suffix_map(
         Cow::Borrowed(b)
     };
     let pattern: &[f32] = &pattern;
-    parallel_collect(pool, a.len(), 1, 1, |range, out| {
+    parallel_collect(host, a.len(), 1, 1, |range, out| {
         // A chunk may begin mid-pattern: finish that row first, or as much of
         // it as the chunk holds when the pattern is the longer of the two.
         let phase = range.start % pattern.len();
@@ -840,14 +874,14 @@ pub fn fused_elementwise(
     extras: &[(&[f32], &[usize])],
     steps: &[FusedStep],
     out_dims: &[usize],
-    pool: &WorkerPool,
+    host: &Host<'_>,
 ) -> Vec<f32> {
     const BLOCK: usize = 1024;
     let size: usize = out_dims.iter().product();
     let x = Broadcast::new(x, x_dims, out_dims);
     let extras: Vec<Broadcast<'_>> =
         extras.iter().map(|(data, dims)| Broadcast::new(data, dims, out_dims)).collect();
-    parallel_collect(pool, size, 1, 1 + steps.len(), |range, out| {
+    parallel_collect(host, size, 1, 1 + steps.len(), |range, out| {
         let mut values = [0.0f32; BLOCK];
         let mut operand = [0.0f32; BLOCK];
         for start in range.clone().step_by(BLOCK) {
@@ -878,13 +912,14 @@ pub fn fused_elementwise(
 /// cut, are one contiguous run of the source, so the copy goes run by run — a
 /// slice that keeps every dimension but the first (a batch of examples) is a
 /// single `memcpy`.
-pub fn slice(x: &[f32], shape: &Shape, begin: &[usize], size: &[usize]) -> Vec<f32> {
+pub fn slice(x: &[f32], shape: &Shape, begin: &[usize], size: &[usize], host: &Host<'_>) -> Vec<f32> {
     let dims = shape.dims();
     let total: usize = size.iter().product();
-    let mut out = Vec::with_capacity(total);
     if total == 0 {
-        return out;
+        return Vec::new();
     }
+    let mut out = host.buffers.take(total);
+    out.clear();
     // Dimensions before `outer` are walked coordinate by coordinate; from
     // `outer` (the innermost cut dimension, if any is cut) on they are a run.
     let mut whole_from = dims.len();
@@ -904,9 +939,9 @@ pub fn slice(x: &[f32], shape: &Shape, begin: &[usize], size: &[usize]) -> Vec<f
 }
 
 /// Parallel sum over the trailing `inner` elements of each of `outer` rows.
-pub fn reduce_last(x: &[f32], outer: usize, inner: usize, pool: &WorkerPool, mean: bool) -> Vec<f32> {
-    let mut out = vec![0.0f32; outer];
-    parallel_for_slices(pool, &mut out, outer, 1, inner, |range, chunk| {
+pub fn reduce_last(x: &[f32], outer: usize, inner: usize, host: &Host<'_>, mean: bool) -> Vec<f32> {
+    let mut out = host.buffers.take(outer);
+    parallel_for_slices(host.pool, &mut out, outer, 1, inner, |range, chunk| {
         for (o, row) in chunk.iter_mut().zip(x[range.start * inner..range.end * inner].chunks(inner)) {
             let mut acc = 0.0f32;
             for &v in row {
@@ -923,9 +958,9 @@ pub fn reduce_last(x: &[f32], outer: usize, inner: usize, pool: &WorkerPool, mea
 /// output columns. Every column adds its rows in index order starting from
 /// zero, the order `kernels::reduce` visits them in, so the result is
 /// bit-identical to the reference however the columns are split.
-pub fn reduce_leading(x: &[f32], rows: usize, cols: usize, pool: &WorkerPool, mean: bool) -> Vec<f32> {
-    let mut out = vec![0.0f32; cols];
-    parallel_for_slices(pool, &mut out, cols, 1, rows, |range, chunk| {
+pub fn reduce_leading(x: &[f32], rows: usize, cols: usize, host: &Host<'_>, mean: bool) -> Vec<f32> {
+    let mut out = host.buffers.zeroed(cols);
+    parallel_for_slices(host.pool, &mut out, cols, 1, rows, |range, chunk| {
         for row in x.chunks(cols) {
             for (o, &v) in chunk.iter_mut().zip(&row[range.clone()]) {
                 *o += v;
@@ -945,6 +980,8 @@ mod tests {
     use super::*;
     use webml_core::backend::ReduceOp;
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+    use webml_core::host::FreeList;
+    use webml_core::pool::WorkerPool;
 
     fn close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
@@ -957,13 +994,19 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `kernel` run on a host of `cores` threads and an empty free list.
+    fn on_host<R>(cores: usize, kernel: impl FnOnce(&Host<'_>) -> R) -> R {
+        let (pool, buffers) = (WorkerPool::new(cores), FreeList::default());
+        kernel(&Host { pool: &pool, buffers: &buffers })
+    }
+
     /// `kernel`'s output, the same to the bit on pools of 1, 2, 3 and 8. The
     /// second shape of every test below is large enough to be split on all
     /// but the first.
-    fn on_every_pool(kernel: impl Fn(&WorkerPool) -> Vec<f32>) -> Vec<f32> {
-        let inline = kernel(&WorkerPool::new(1));
+    fn on_every_pool(kernel: impl Fn(&Host<'_>) -> Vec<f32>) -> Vec<f32> {
+        let inline = on_host(1, &kernel);
         for cores in [2, 3, 8] {
-            let split = kernel(&WorkerPool::new(cores));
+            let split = on_host(cores, &kernel);
             assert_eq!(bits(&split), bits(&inline), "{cores} threads disagree with one");
         }
         inline
@@ -992,7 +1035,7 @@ mod tests {
             for ta in [false, true] {
                 for tb in [false, true] {
                     // The logical m, k, n are the same whatever the flags.
-                    let got = on_every_pool(|pool| matmul(&a, &b, batch, m, k, n, ta, tb, pool));
+                    let got = on_every_pool(|host| matmul(&a, &b, batch, m, k, n, ta, tb, host));
                     let want = reference::matmul(&a, &b, batch, m, k, n, ta, tb);
                     assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta={ta} tb={tb}");
                 }
@@ -1003,13 +1046,14 @@ mod tests {
 
     #[test]
     fn matmul_of_nothing_is_nothing() {
-        let pool = WorkerPool::new(2);
-        assert!(matmul(&[], &[], 1, 0, 3, 4, false, false, &pool).is_empty());
-        assert!(matmul(&[], &[], 1, 3, 4, 0, false, false, &pool).is_empty());
-        // No inner dimension: every product is the empty sum, then the bias.
-        let bias = [1.0, -2.0];
-        let got = fused_matmul(&[], &[], 1, 3, 0, 2, false, false, Some(&bias), None, &pool);
-        assert_eq!(got, [1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
+        on_host(2, |host| {
+            assert!(matmul(&[], &[], 1, 0, 3, 4, false, false, host).is_empty());
+            assert!(matmul(&[], &[], 1, 3, 4, 0, false, false, host).is_empty());
+            // No inner dimension: every product is the empty sum, then the bias.
+            let bias = [1.0, -2.0];
+            let got = fused_matmul(&[], &[], 1, 3, 0, 2, false, false, Some(&bias), None, host);
+            assert_eq!(got, [1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
+        });
     }
 
     /// A 3x3 conv of `dims` to `out_channels`: its geometry, input and filter
@@ -1071,15 +1115,15 @@ mod tests {
         let w = wave(ws.size(), 0.37);
         let bias = wave(out_channels, 0.7);
         let plain = reference::conv2d(&x, &w, &info);
-        let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
+        let got = on_every_pool(|host| conv2d(&x, &w, &info, host));
         assert_eq!(bits(&got), bits(&plain), "{case}");
         let fused: Vec<f32> = plain
             .iter()
             .enumerate()
             .map(|(i, &v)| UnaryOp::Relu6.apply(BinaryOp::Add.apply(v, bias[i % out_channels])))
             .collect();
-        let got = on_every_pool(|pool| {
-            fused_conv2d(&x, &w, &info, Some(&bias), Some(UnaryOp::Relu6), pool)
+        let got = on_every_pool(|host| {
+            fused_conv2d(&x, &w, &info, Some(&bias), Some(UnaryOp::Relu6), host)
         });
         assert_eq!(bits(&got), bits(&fused), "fused {case}");
     }
@@ -1104,7 +1148,7 @@ mod tests {
         let mut w = vec![1.0f32; 9];
         w[0] = f32::INFINITY;
         let want = reference::conv2d(&x, &w, &info);
-        let got = on_every_pool(|pool| conv2d(&x, &w, &info, pool));
+        let got = on_every_pool(|host| conv2d(&x, &w, &info, host));
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             if i / 4 == 0 || i % 4 == 0 {
                 assert!(g.is_nan() && r.is_finite(), "border output {i}: {g} vs {r}");
@@ -1127,11 +1171,11 @@ mod tests {
         let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Valid, (1, 1)).unwrap();
         let (mut x, mut dy) = (vec![1.0f32; 9], vec![1.0f32; 9]);
         (x[4], dy[4]) = (0.0, f32::INFINITY);
-        let got = on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool));
+        let got = on_every_pool(|host| conv2d_backprop_filter(&x, &dy, &info, host));
         let want = reference::conv2d_backprop_filter(&x, &dy, &info);
         assert!(got[0].is_nan() && want[0].is_nan(), "zero input: {got:?} vs {want:?}");
         (x[4], dy[4]) = (f32::INFINITY, 0.0);
-        let got = on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool));
+        let got = on_every_pool(|host| conv2d_backprop_filter(&x, &dy, &info, host));
         let want = reference::conv2d_backprop_filter(&x, &dy, &info);
         assert!(got[0].is_nan() && want == [8.0], "zero gradient: {got:?} vs {want:?}");
     }
@@ -1190,9 +1234,9 @@ mod tests {
         let x = wave(xs.size(), 0.21);
         let w = wave(ws.size(), 0.33);
         let dy = wave(info.out_shape().size(), 0.47);
-        let dw = on_every_pool(|pool| conv2d_backprop_filter(&x, &dy, &info, pool));
+        let dw = on_every_pool(|host| conv2d_backprop_filter(&x, &dy, &info, host));
         assert_eq!(bits(&dw), bits(&reference::conv2d_backprop_filter(&x, &dy, &info)), "dW {case}");
-        let dx = on_every_pool(|pool| conv2d_backprop_input(&dy, &w, &info, pool));
+        let dx = on_every_pool(|host| conv2d_backprop_input(&dy, &w, &info, host));
         assert_eq!(bits(&dx), bits(&dx_in_tap_order(&dy, &w, &info)), "dx {case}");
         close(&dx, &reference::conv2d_backprop_input(&dy, &w, &info), 1e-4);
     }
@@ -1211,7 +1255,7 @@ mod tests {
                 depthwise_conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
             let x = wave(xs.size(), 0.19);
             let w = wave(ws.size(), 0.41);
-            let got = on_every_pool(|pool| depthwise_conv2d(&x, &w, &info, pool));
+            let got = on_every_pool(|host| depthwise_conv2d(&x, &w, &info, host));
             close(&got, &reference::depthwise_conv2d(&x, &w, &info), 1e-4);
         }
     }
@@ -1225,10 +1269,10 @@ mod tests {
             let bias = wave(n, 0.7);
             for ta in [false, true] {
                 for tb in [false, true] {
-                    let got = on_every_pool(|pool| {
+                    let got = on_every_pool(|host| {
                         fused_matmul_quant(
                             &a, &b_q, &params, batch, m, k, n, ta, tb,
-                            Some(&bias), Some(UnaryOp::Relu), pool,
+                            Some(&bias), Some(UnaryOp::Relu), host,
                         )
                     });
                     let want = reference::fused_matmul_quant(
@@ -1246,8 +1290,8 @@ mod tests {
         let a: Vec<f32> = (0..3 * 4 * 6).map(|i| (i as f32 * 0.21).cos()).collect();
         let b_q: Vec<u8> = (0..6 * 2).map(|i| (i * 19 % 256) as u8).collect();
         let params = QuantParams::per_channel(2, vec![0.1, 0.02], vec![-1.0, 2.0]);
-        let got = on_every_pool(|pool| {
-            fused_matmul_quant(&a, &b_q, &params, 3, 4, 6, 2, false, false, None, None, pool)
+        let got = on_every_pool(|host| {
+            fused_matmul_quant(&a, &b_q, &params, 3, 4, 6, 2, false, false, None, None, host)
         });
         let want = reference::fused_matmul_quant(
             &a, &b_q, &params, None, None, 3, 4, 6, 2, false, false,
@@ -1269,8 +1313,8 @@ mod tests {
                 (0..8).map(|i| -1.0 + i as f32 * 0.1).collect(),
             );
             let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
-            let got = on_every_pool(|pool| {
-                fused_conv2d_quant(&x, &w_q, &params, &info, Some(&bias), Some(UnaryOp::Relu), pool)
+            let got = on_every_pool(|host| {
+                fused_conv2d_quant(&x, &w_q, &params, &info, Some(&bias), Some(UnaryOp::Relu), host)
             });
             let want = reference::fused_conv2d_quant(
                 &x, &w_q, &params, Some(&bias), Some(UnaryOp::Relu), &info,
@@ -1297,8 +1341,8 @@ mod tests {
                 ),
                 QuantParams::per_channel(3, vec![0.03, 0.07], vec![-2.0, 1.0]),
             ] {
-                let got = on_every_pool(|pool| {
-                    fused_depthwise_conv2d_quant(&x, &w_q, &params, &info, None, None, pool)
+                let got = on_every_pool(|host| {
+                    fused_depthwise_conv2d_quant(&x, &w_q, &params, &info, None, None, host)
                 });
                 let want =
                     reference::fused_depthwise_conv2d_quant(&x, &w_q, &params, None, None, &info);
@@ -1313,11 +1357,11 @@ mod tests {
             let a: Vec<f32> = (0..len).map(|i| i as f32 * 0.01).collect();
             let b: Vec<f32> = (0..len).map(|i| 1.0 + i as f32 * 0.02).collect();
             let bias = vec![1.0f32, 2.0];
-            let sum = on_every_pool(|pool| binary(BinaryOp::Add, &a, &b, pool));
-            let biased = on_every_pool(|pool| binary_suffix(BinaryOp::Add, &a, &bias, false, pool));
-            let halved = on_every_pool(|pool| binary_suffix(BinaryOp::Div, &a, &[2.0], false, pool));
-            let inverse = on_every_pool(|pool| binary_suffix(BinaryOp::Div, &a, &[2.0], true, pool));
-            let squared = on_every_pool(|pool| unary(UnaryOp::Square, &a, pool));
+            let sum = on_every_pool(|host| binary(BinaryOp::Add, &a, &b, host));
+            let biased = on_every_pool(|host| binary_suffix(BinaryOp::Add, &a, &bias, false, host));
+            let halved = on_every_pool(|host| binary_suffix(BinaryOp::Div, &a, &[2.0], false, host));
+            let inverse = on_every_pool(|host| binary_suffix(BinaryOp::Div, &a, &[2.0], true, host));
+            let squared = on_every_pool(|host| unary(UnaryOp::Square, &a, host));
             // relu(a + bias) * b in one pass, `bias` broadcast along rows.
             let steps = [
                 FusedStep::Binary(BinaryOp::Add, 0),
@@ -1327,7 +1371,7 @@ mod tests {
             let dims = [len / 2, 2];
             let extras: [(&[f32], &[usize]); 2] = [(&bias, &[2]), (&b, &dims)];
             let chain =
-                on_every_pool(|pool| fused_elementwise(&a, &dims, &extras, &steps, &dims, pool));
+                on_every_pool(|host| fused_elementwise(&a, &dims, &extras, &steps, &dims, host));
             for i in 0..len {
                 assert_eq!(sum[i], a[i] + b[i]);
                 assert_eq!(biased[i], a[i] + bias[i % 2]);
@@ -1348,7 +1392,7 @@ mod tests {
             let a = wave(rows * PATTERN, 0.11);
             let b = wave(PATTERN, 0.23);
             for b_on_left in [false, true] {
-                let got = on_every_pool(|pool| binary_suffix(BinaryOp::Sub, &a, &b, b_on_left, pool));
+                let got = on_every_pool(|host| binary_suffix(BinaryOp::Sub, &a, &b, b_on_left, host));
                 let want: Vec<f32> = (0..a.len())
                     .map(|i| {
                         let (u, v) = (a[i], b[i % PATTERN]);
@@ -1404,15 +1448,16 @@ mod tests {
             Step(-0.5), Erf,
         ];
         let x = special_values();
-        let pool = WorkerPool::new(2);
-        for op in ops {
-            let want: Vec<f32> = x.iter().map(|&v| op.apply(v)).collect();
-            same_values(&unary(op, &x, &pool), &want, op.name());
-            // The same op as a step of a fused chain.
-            let dims = [x.len()];
-            let chain = fused_elementwise(&x, &dims, &[], &[FusedStep::Unary(op)], &dims, &pool);
-            same_values(&chain, &want, op.name());
-        }
+        on_host(2, |host| {
+            for op in ops {
+                let want: Vec<f32> = x.iter().map(|&v| op.apply(v)).collect();
+                same_values(&unary(op, &x, host), &want, op.name());
+                // The same op as a step of a fused chain.
+                let dims = [x.len()];
+                let chain = fused_elementwise(&x, &dims, &[], &[FusedStep::Unary(op)], &dims, host);
+                same_values(&chain, &want, op.name());
+            }
+        });
     }
 
     #[test]
@@ -1428,26 +1473,28 @@ mod tests {
         let b: Vec<f32> = (0..a.len()).map(|i| a[(i + i / 17) % a.len()]).collect();
         let pattern = [f32::NAN, -0.0, 2.0];
         let a3 = &a[..a.len() / 3 * 3];
-        let pool = WorkerPool::new(2);
-        for op in ops {
-            let name = op.name();
-            let want: Vec<f32> = a.iter().zip(&b).map(|(&u, &v)| op.apply(u, v)).collect();
-            same_values(&binary(op, &a, &b, &pool), &want, name);
-            let dims = [a.len()];
-            let extras: [(&[f32], &[usize]); 1] = [(&b, &dims)];
-            let steps = [FusedStep::Binary(op, 0)];
-            same_values(&fused_elementwise(&a, &dims, &extras, &steps, &dims, &pool), &want, name);
-            // A repeating right operand, then the same one on the left.
-            let want: Vec<f32> =
-                a3.iter().enumerate().map(|(i, &u)| op.apply(u, pattern[i % 3])).collect();
-            same_values(&binary_suffix(op, a3, &pattern, false, &pool), &want, name);
-            let want: Vec<f32> =
-                a3.iter().enumerate().map(|(i, &u)| op.apply(pattern[i % 3], u)).collect();
-            same_values(&binary_suffix(op, a3, &pattern, true, &pool), &want, name);
-            // A scalar operand.
-            let want: Vec<f32> = a.iter().map(|&u| op.apply(u, -0.5)).collect();
-            same_values(&binary_suffix(op, &a, &[-0.5], false, &pool), &want, name);
-        }
+        on_host(2, |host| {
+            for op in ops {
+                let name = op.name();
+                let want: Vec<f32> = a.iter().zip(&b).map(|(&u, &v)| op.apply(u, v)).collect();
+                same_values(&binary(op, &a, &b, host), &want, name);
+                let dims = [a.len()];
+                let extras: [(&[f32], &[usize]); 1] = [(&b, &dims)];
+                let steps = [FusedStep::Binary(op, 0)];
+                let chain = fused_elementwise(&a, &dims, &extras, &steps, &dims, host);
+                same_values(&chain, &want, name);
+                // A repeating right operand, then the same one on the left.
+                let want: Vec<f32> =
+                    a3.iter().enumerate().map(|(i, &u)| op.apply(u, pattern[i % 3])).collect();
+                same_values(&binary_suffix(op, a3, &pattern, false, host), &want, name);
+                let want: Vec<f32> =
+                    a3.iter().enumerate().map(|(i, &u)| op.apply(pattern[i % 3], u)).collect();
+                same_values(&binary_suffix(op, a3, &pattern, true, host), &want, name);
+                // A scalar operand.
+                let want: Vec<f32> = a.iter().map(|&u| op.apply(u, -0.5)).collect();
+                same_values(&binary_suffix(op, &a, &[-0.5], false, host), &want, name);
+            }
+        });
     }
 
     #[test]
@@ -1470,14 +1517,15 @@ mod tests {
             FusedStep::Binary(BinaryOp::Maximum, 3),
         ];
         let got =
-            on_every_pool(|pool| fused_elementwise(&x, &[3, 1, 5], &extras, &steps, &out_dims, pool));
+            on_every_pool(|host| fused_elementwise(&x, &[3, 1, 5], &extras, &steps, &out_dims, host));
         assert!(got.len() * (1 + steps.len()) >= SPLIT_WORK);
         for (flat, &g) in got.iter().enumerate() {
             let (i, j, k) = (flat / 12_500, flat / 5 % 2500, flat % 5);
             let want = ((x[i * 5 + k] * row[k] + 1.5).tanh() - column[j]).max(full[flat]);
             assert_eq!(g.to_bits(), want.to_bits(), "at [{i}, {j}, {k}]");
         }
-        assert!(fused_elementwise(&[], &[0, 4], &[], &steps[2..3], &[0, 4], &WorkerPool::new(2)).is_empty());
+        let empty = on_host(2, |host| fused_elementwise(&[], &[0, 4], &[], &steps[2..3], &[0, 4], host));
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -1494,10 +1542,11 @@ mod tests {
             ([1, 1, 1, 1], [2, 0, 3, 2]), // nothing
         ] {
             let want = reference::slice(&x, &shape, &begin, &size);
-            assert_eq!(bits(&slice(&x, &shape, &begin, &size)), bits(&want), "{begin:?}+{size:?}");
+            let got = on_host(1, |host| slice(&x, &shape, &begin, &size, host));
+            assert_eq!(bits(&got), bits(&want), "{begin:?}+{size:?}");
         }
         // A scalar has one element and no axes.
-        assert_eq!(slice(&[7.0], &Shape::scalar(), &[], &[]), [7.0]);
+        assert_eq!(on_host(1, |host| slice(&[7.0], &Shape::scalar(), &[], &[], host)), [7.0]);
     }
 
     proptest::proptest! {
@@ -1519,17 +1568,18 @@ mod tests {
             let shape = Shape::new(dims.clone());
             let x = wave(shape.size(), 0.37);
             let want = reference::slice(&x, &shape, &begin, &size);
-            proptest::prop_assert_eq!(bits(&slice(&x, &shape, &begin, &size)), bits(&want));
+            let got = on_host(1, |host| slice(&x, &shape, &begin, &size, host));
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 
     #[test]
     fn reduce_last_sums_rows() {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(on_every_pool(|pool| reduce_last(&x, 2, 3, pool, false)), vec![6.0, 15.0]);
-        assert_eq!(on_every_pool(|pool| reduce_last(&x, 2, 3, pool, true)), vec![2.0, 5.0]);
+        assert_eq!(on_every_pool(|host| reduce_last(&x, 2, 3, host, false)), vec![6.0, 15.0]);
+        assert_eq!(on_every_pool(|host| reduce_last(&x, 2, 3, host, true)), vec![2.0, 5.0]);
         let x = wave(96 * 2100, 0.31);
-        let rows = on_every_pool(|pool| reduce_last(&x, 96, 2100, pool, false));
+        let rows = on_every_pool(|host| reduce_last(&x, 96, 2100, host, false));
         assert_eq!(rows, reference::reduce(ReduceOp::Sum, &x, &Shape::new(vec![96, 2100]), &[1]));
     }
 
@@ -1542,7 +1592,7 @@ mod tests {
             let x = wave(shape.size(), 0.43);
             let (rows, cols) = (dims[0] * dims[1] * dims[2], dims[3]);
             for (op, mean) in [(ReduceOp::Sum, false), (ReduceOp::Mean, true)] {
-                let got = on_every_pool(|pool| reduce_leading(&x, rows, cols, pool, mean));
+                let got = on_every_pool(|host| reduce_leading(&x, rows, cols, host, mean));
                 let want = reference::reduce(op, &x, &shape, &[0, 1, 2]);
                 assert_eq!(bits(&got), bits(&want));
             }

@@ -21,9 +21,8 @@ pub mod parallel;
 use std::borrow::Cow;
 use webml_core::backend::{Epilogue, KernelCall, MatMulGeom, ReduceOp};
 use webml_core::dtype::TensorData;
-use webml_core::host::{HostBackend, HostKernels};
+use webml_core::host::{Host, HostBackend, HostKernels};
 use webml_core::kernels::{self as reference, Operand};
-use webml_core::pool::WorkerPool;
 use webml_core::shape::Shape;
 
 /// The optimized kernel set: [`compute`]'s threaded kernels where it has
@@ -54,7 +53,7 @@ impl HostKernels for Native {
         call: &KernelCall<'_>,
         operands: &[Operand<'_>],
         out: &Shape,
-        pool: &WorkerPool,
+        host: &Host<'_>,
     ) -> TensorData {
         use KernelCall as C;
         let f = |i: usize| operands[i].values.f32s();
@@ -67,52 +66,52 @@ impl HostKernels for Native {
         let (bias, act, plain) = (bias.as_deref(), epilogue.activation(), epilogue.is_plain());
         let codes = || operands[1].values.codes();
         TensorData::F32(match call {
-            C::Unary(op) => compute::unary(*op, &f(0), pool),
+            C::Unary(op) => compute::unary(*op, &f(0), host),
             C::Binary(op) => {
                 let (x, y) = (f(0), f(1));
                 if s(0) == s(1) {
-                    compute::binary(*op, &x, &y, pool)
+                    compute::binary(*op, &x, &y, host)
                 } else if is_suffix(s(0), s(1)) {
-                    compute::binary_suffix(*op, &x, &y, false, pool)
+                    compute::binary_suffix(*op, &x, &y, false, host)
                 } else if is_suffix(s(1), s(0)) {
-                    compute::binary_suffix(*op, &y, &x, true, pool)
+                    compute::binary_suffix(*op, &y, &x, true, host)
                 } else {
                     reference::binary(*op, &x, s(0), &y, s(1), out)
                 }
             }
-            C::Reduce { op, axes } => reduce(*op, &f(0), s(0), axes, pool),
+            C::Reduce { op, axes } => reduce(*op, &f(0), s(0), axes, host),
             C::MatMul { transpose_a: ta, transpose_b: tb, .. } => {
                 let MatMulGeom { batch, m, k, n, .. } = MatMulGeom::of(s(0), s(1), *ta, *tb);
                 let a = f(0);
                 match operands[1].quant {
                     Some(p) => compute::fused_matmul_quant(
-                        &a, &codes(), p, batch, m, k, n, *ta, *tb, bias, act, pool,
+                        &a, &codes(), p, batch, m, k, n, *ta, *tb, bias, act, host,
                     ),
-                    None if plain => compute::matmul(&a, &f(1), batch, m, k, n, *ta, *tb, pool),
+                    None if plain => compute::matmul(&a, &f(1), batch, m, k, n, *ta, *tb, host),
                     None => {
-                        compute::fused_matmul(&a, &f(1), batch, m, k, n, *ta, *tb, bias, act, pool)
+                        compute::fused_matmul(&a, &f(1), batch, m, k, n, *ta, *tb, bias, act, host)
                     }
                 }
             }
             C::Conv2d { info, .. } => match operands[1].quant {
-                Some(p) => compute::fused_conv2d_quant(&f(0), &codes(), p, info, bias, act, pool),
-                None if plain => compute::conv2d(&f(0), &f(1), info, pool),
-                None => compute::fused_conv2d(&f(0), &f(1), info, bias, act, pool),
+                Some(p) => compute::fused_conv2d_quant(&f(0), &codes(), p, info, bias, act, host),
+                None if plain => compute::conv2d(&f(0), &f(1), info, host),
+                None => compute::fused_conv2d(&f(0), &f(1), info, bias, act, host),
             },
             C::DepthwiseConv2d { info, .. } => match operands[1].quant {
                 Some(p) => {
-                    compute::fused_depthwise_conv2d_quant(&f(0), &codes(), p, info, bias, act, pool)
+                    compute::fused_depthwise_conv2d_quant(&f(0), &codes(), p, info, bias, act, host)
                 }
-                None if plain => compute::depthwise_conv2d(&f(0), &f(1), info, pool),
-                None => compute::fused_depthwise_conv2d(&f(0), &f(1), info, bias, act, pool),
+                None if plain => compute::depthwise_conv2d(&f(0), &f(1), info, host),
+                None => compute::fused_depthwise_conv2d(&f(0), &f(1), info, bias, act, host),
             },
             C::Conv2dBackpropInput(info) => {
-                compute::conv2d_backprop_input(&f(0), &f(1), info, pool)
+                compute::conv2d_backprop_input(&f(0), &f(1), info, host)
             }
             C::Conv2dBackpropFilter(info) => {
-                compute::conv2d_backprop_filter(&f(0), &f(1), info, pool)
+                compute::conv2d_backprop_filter(&f(0), &f(1), info, host)
             }
-            C::Slice { begin, size } => compute::slice(&f(0), s(0), begin, size),
+            C::Slice { begin, size } => compute::slice(&f(0), s(0), begin, size, host),
             C::FusedElementwise(steps) => {
                 let extras: Vec<Cow<'_, [f32]>> = (1..operands.len()).map(f).collect();
                 let extras: Vec<(&[f32], &[usize])> = extras
@@ -120,7 +119,7 @@ impl HostKernels for Native {
                     .zip(&operands[1..])
                     .map(|(v, o)| (&**v, o.shape.dims()))
                     .collect();
-                compute::fused_elementwise(&f(0), s(0).dims(), &extras, steps, out.dims(), pool)
+                compute::fused_elementwise(&f(0), s(0).dims(), &extras, steps, out.dims(), host)
             }
             _ => return reference::run(call, operands, out),
         })
@@ -130,16 +129,16 @@ impl HostKernels for Native {
 /// Sum and mean over a contiguous tail of axes (row sums) or a contiguous
 /// leading run of them (column sums) have fast paths, when there is
 /// something to add up: an empty sum is the reference's to define.
-fn reduce(op: ReduceOp, x: &[f32], shape: &Shape, axes: &[usize], pool: &WorkerPool) -> Vec<f32> {
+fn reduce(op: ReduceOp, x: &[f32], shape: &Shape, axes: &[usize], host: &Host<'_>) -> Vec<f32> {
     let rank = shape.rank();
     let size = shape.size();
     let reduced: usize = axes.iter().map(|&i| shape.dim(i)).product();
     let sums = (op == ReduceOp::Sum || op == ReduceOp::Mean) && rank > 0;
     let mean = op == ReduceOp::Mean;
     if sums && reduced > 0 && axes.iter().copied().eq(rank - axes.len()..rank) {
-        compute::reduce_last(x, size / reduced, reduced, pool, mean)
+        compute::reduce_last(x, size / reduced, reduced, host, mean)
     } else if sums && size > 0 && axes.iter().copied().eq(0..axes.len()) {
-        compute::reduce_leading(x, reduced, size / reduced, pool, mean)
+        compute::reduce_leading(x, reduced, size / reduced, host, mean)
     } else {
         reference::reduce(op, x, shape, axes)
     }

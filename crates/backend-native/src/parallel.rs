@@ -4,6 +4,7 @@
 use parking_lot::Mutex;
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use webml_core::host::Host;
 use webml_core::pool::WorkerPool;
 
 /// Least work a chunk must hold before an op is split one more way, in the
@@ -110,23 +111,25 @@ impl<T> Slots<'_, T> {
 }
 
 /// Build a kernel's output of `n * stride` elements, every element written
-/// once: `f` gets the same contiguous ranges [`parallel_for_slices`] would
-/// hand it and must fill its chunk's [`Slots`] completely. Unlike
-/// `vec![0.0; n]` followed by a kernel pass, no element is stored twice.
+/// once, in a buffer from `host`'s free list: `f` gets the same contiguous
+/// ranges [`parallel_for_slices`] would hand it and must fill its chunk's
+/// [`Slots`] completely. Unlike `vec![0.0; n]` followed by a kernel pass, no
+/// element is stored twice, and what the buffer held before is never read.
 ///
 /// # Panics
 /// When a call to `f` leaves part of its chunk unwritten.
-pub fn parallel_collect<T: Send>(
-    pool: &WorkerPool,
+pub fn parallel_collect(
+    host: &Host<'_>,
     n: usize,
     stride: usize,
     work_per_item: usize,
-    f: impl Fn(Range<usize>, &mut Slots<'_, T>) + Sync,
-) -> Vec<T> {
+    f: impl Fn(Range<usize>, &mut Slots<'_, f32>) + Sync,
+) -> Vec<f32> {
     let len = n * stride;
-    let mut out: Vec<T> = Vec::with_capacity(len);
+    let mut out = host.buffers.take(len);
+    out.clear();
     let spare = &mut out.spare_capacity_mut()[..len];
-    parallel_for_slices(pool, spare, n, stride, work_per_item, |range, chunk| {
+    parallel_for_slices(host.pool, spare, n, stride, work_per_item, |range, chunk| {
         let mut slots = Slots { chunk, filled: 0 };
         f(range, &mut slots);
         assert_eq!(slots.filled, slots.chunk.len(), "a kernel left part of its output unwritten");
@@ -144,6 +147,7 @@ pub fn parallel_collect<T: Send>(
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use webml_core::host::FreeList;
     use std::thread::ThreadId;
 
     #[test]
@@ -206,26 +210,35 @@ mod tests {
         assert_eq!(chunk_count(4, 0, 7), 1);
     }
 
+    /// `f` run on a host of `cores` threads and an empty free list.
+    fn on_host<R>(cores: usize, f: impl FnOnce(&Host<'_>) -> R) -> R {
+        let (pool, buffers) = (WorkerPool::new(cores), FreeList::default());
+        f(&Host { pool: &pool, buffers: &buffers })
+    }
+
     #[test]
     fn collect_writes_every_element_once_on_any_split() {
         for cores in [1, 2, 3, 8] {
-            let pool = WorkerPool::new(cores);
             let (n, stride) = (GRAIN + 77, 3);
-            let out = parallel_collect(&pool, n, stride, stride, |range, slots| {
-                // Two writes per chunk, the second one offered too much.
-                slots.extend(range.clone().take(1).flat_map(|i| [i; 3]));
-                slots.extend(range.skip(1).flat_map(|i| [i; 3]).chain(0..5));
+            let out = on_host(cores, |host| {
+                parallel_collect(host, n, stride, stride, |range, slots| {
+                    // Two writes per chunk, the second one offered too much.
+                    slots.extend(range.clone().take(1).flat_map(|i| [i as f32; 3]));
+                    slots.extend(range.skip(1).flat_map(|i| [i as f32; 3]).chain([0.0; 5]));
+                })
             });
-            assert!(out.chunks(stride).enumerate().all(|(i, v)| v == [i; 3]), "{cores} cores");
+            let want = |i: usize| [i as f32; 3];
+            assert!(out.chunks(stride).enumerate().all(|(i, v)| v == want(i)), "{cores} cores");
         }
     }
 
     #[test]
     #[should_panic(expected = "unwritten")]
     fn collect_refuses_a_chunk_left_partly_unwritten() {
-        let pool = WorkerPool::new(2);
-        parallel_collect(&pool, 4 * GRAIN, 1, 1, |range, slots| {
-            slots.extend(range.skip(1));
+        on_host(2, |host| {
+            parallel_collect(host, 4 * GRAIN, 1, 1, |range, slots| {
+                slots.extend(range.skip(1).map(|i| i as f32));
+            })
         });
     }
 

@@ -2,16 +2,23 @@
 //! host memory.
 //!
 //! A host backend is two things. The *substrate* — an id → buffer store, a
-//! kernel-time counter, a [`WorkerPool`], and [`Backend::run`]: validate the
-//! call, fetch its operands' buffers, run the kernel on them under the
-//! timer, store what it returns — is [`HostBackend`], written once here. The
-//! *kernel set* — which function runs a call on the buffers — is a
-//! [`HostKernels`] marker type whose one `run` defaults to the
-//! [`crate::kernels`] oracle; a set matches the calls it has an
-//! implementation of its own for and hands the rest to the oracle. The three
-//! sets that ship are [`crate::cpu::Reference`] (the oracle itself),
-//! `webml_backend_cpu::PlainJs` (five interpreter-style kernels, the Table-1
-//! baseline) and `webml_backend_native::Native` (thirteen optimized ones).
+//! kernel-time counter, a [`WorkerPool`], a [`FreeList`] of disposed
+//! buffers, and [`Backend::run`]: validate the call, fetch its operands'
+//! buffers, run the kernel on them under the timer, store what it returns —
+//! is [`HostBackend`], written once here. The *kernel set* — which function
+//! runs a call on the buffers — is a [`HostKernels`] marker type whose one
+//! `run` defaults to the [`crate::kernels`] oracle; a set matches the calls
+//! it has an implementation of its own for and hands the rest to the oracle.
+//! The three sets that ship are [`crate::cpu::Reference`] (the oracle
+//! itself), `webml_backend_cpu::PlainJs` (five interpreter-style kernels, the
+//! Table-1 baseline) and `webml_backend_native::Native` (thirteen optimized
+//! ones).
+//!
+//! A disposed `f32` buffer is not freed but kept on the backend's free list,
+//! and a set's own kernels take their outputs and scratch from it ([`Host`]):
+//! the host twin of the GPU substrate's texture recycler (paper Sec 4.1.2).
+//! A training step then reuses the pages of the step before instead of
+//! faulting in fresh ones.
 //!
 //! `K` is a zero-sized marker resolved at compile time, so a kernel call is
 //! a direct call: no `dyn`, no table, no box between the substrate and the
@@ -26,6 +33,7 @@ use crate::shape::Shape;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::mem::size_of_val;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,8 +42,8 @@ use std::time::Instant;
 ///
 /// The default is the [`crate::kernels`] oracle, so the empty set is the
 /// reference backend. A set's own kernel must keep the oracle's accumulation
-/// order where the parity suites compare on bits. `pool` is the backend's
-/// own; the oracle ignores it.
+/// order where the parity suites compare on bits. `host` is the backend's
+/// own pool and free list; the oracle uses neither.
 pub trait HostKernels: 'static {
     /// Registry name of a backend built with [`HostBackend::new`].
     const NAME: &'static str;
@@ -50,9 +58,101 @@ pub trait HostKernels: 'static {
         call: &KernelCall<'_>,
         operands: &[Operand<'_>],
         out: &Shape,
-        _pool: &WorkerPool,
+        _host: &Host<'_>,
     ) -> TensorData {
         k::run(call, operands, out)
+    }
+}
+
+/// What a kernel set's `run` has of its backend: the threads to split a
+/// kernel over and the free list to take its buffers from.
+#[derive(Clone, Copy)]
+pub struct Host<'a> {
+    /// The backend's kernel threads.
+    pub pool: &'a WorkerPool,
+    /// The backend's disposed `f32` buffers.
+    pub buffers: &'a FreeList,
+}
+
+/// Disposed `f32` buffers, by length, for the kernels of one backend to take
+/// their outputs and scratch from.
+///
+/// A taken buffer's contents are unspecified, as a recycled texture's are:
+/// whatever its last user left, or zeros when it is fresh. A kernel that
+/// writes every element takes it as it is; one that adds into its output
+/// asks for it [`zeroed`](FreeList::zeroed).
+///
+/// Bounded without a setting: the list never keeps more free buffers of a
+/// length than it has made of that length, which is the most its kernels
+/// have held at once. So a length no kernel takes (every length, under the
+/// oracle) is never kept, and a repeated step settles on its own working set
+/// — the buffers of the busiest step, not one more, whatever else is disposed
+/// at those lengths. It is dropped with the backend.
+#[derive(Default)]
+pub struct FreeList {
+    lists: Mutex<Lists>,
+}
+
+#[derive(Default)]
+struct Lists {
+    by_len: HashMap<usize, Free>,
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+/// The free buffers of one length.
+#[derive(Default)]
+struct Free {
+    buffers: Vec<Vec<f32>>,
+    /// Buffers of this length the list has made and not seen dropped.
+    made: usize,
+}
+
+impl FreeList {
+    /// A buffer of `len` elements, recycled when one is free; its contents
+    /// are unspecified.
+    pub fn take(&self, len: usize) -> Vec<f32> {
+        {
+            let mut guard = self.lists.lock();
+            let lists = &mut *guard;
+            let free = lists.by_len.entry(len).or_default();
+            if let Some(buf) = free.buffers.pop() {
+                lists.hits += 1;
+                lists.bytes -= size_of_val(buf.as_slice());
+                return buf;
+            }
+            free.made += 1;
+            lists.misses += 1;
+        }
+        vec![0.0; len]
+    }
+
+    /// [`take`](FreeList::take), zero-filled.
+    pub fn zeroed(&self, len: usize) -> Vec<f32> {
+        let mut buf = self.take(len);
+        buf.fill(0.0);
+        buf
+    }
+
+    /// Hand back a buffer nothing reads any more: kept while the list holds
+    /// fewer free buffers of its length than it has made, freed otherwise.
+    pub fn give(&self, buf: Vec<f32>) {
+        let mut guard = self.lists.lock();
+        let lists = &mut *guard;
+        if let Some(free) = lists.by_len.get_mut(&buf.len()) {
+            if free.buffers.len() < free.made {
+                lists.bytes += size_of_val(buf.as_slice());
+                free.buffers.push(buf);
+            }
+        }
+    }
+
+    /// A buffer of `len` elements went to the allocator, not to the list.
+    fn dropped(&self, len: usize) {
+        if let Some(free) = self.lists.lock().by_len.get_mut(&len) {
+            free.made = free.made.saturating_sub(1);
+        }
     }
 }
 
@@ -68,6 +168,7 @@ pub struct HostBackend<K: HostKernels> {
     /// The kernels' threads, this backend's own: engines do not queue behind
     /// each other's kernels, and a one-thread backend has no workers at all.
     pool: WorkerPool,
+    buffers: FreeList,
     store: Mutex<HashMap<DataId, Entry>>,
     next_id: AtomicU64,
     kernel_nanos: AtomicU64,
@@ -98,6 +199,7 @@ impl<K: HostKernels> HostBackend<K> {
         HostBackend {
             name: name.into(),
             pool: WorkerPool::new(threads),
+            buffers: FreeList::default(),
             store: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             kernel_nanos: AtomicU64::new(0),
@@ -122,12 +224,19 @@ impl<K: HostKernels> HostBackend<K> {
         let id = DataId(self.next_id.fetch_add(1, Ordering::Relaxed));
         // A buffer already stored the way `dtype` is stored (every kernel
         // output) moves in; `Bool` still goes through the cast, which
-        // normalises non-zero bytes to 1.
+        // normalises non-zero bytes to 1. A cast `f32` buffer goes back to
+        // the free list, which it may have come from.
         let data = match (&data, dtype) {
             (TensorData::F32(_), DType::F32 | DType::F16)
             | (TensorData::I32(_), DType::I32)
             | (TensorData::U8(_), DType::U8) => data,
-            _ => data.cast(dtype),
+            _ => {
+                let cast = data.cast(dtype);
+                if let TensorData::F32(buf) = data {
+                    self.buffers.give(buf);
+                }
+                cast
+            }
         };
         self.store.lock().insert(id, Entry { data: Arc::new(data), dtype });
         id
@@ -165,15 +274,35 @@ impl<K: HostKernels> Backend for HostBackend<K> {
     }
 
     fn dispose_data(&self, id: DataId) {
-        self.store.lock().remove(&id);
+        let Some(entry) = self.store.lock().remove(&id) else { return };
+        match Arc::try_unwrap(entry.data) {
+            Ok(TensorData::F32(buf)) => self.buffers.give(buf),
+            // A buffer that a kernel or a read still holds is theirs to free.
+            Err(held) => {
+                if let TensorData::F32(buf) = &*held {
+                    self.buffers.dropped(buf.len());
+                }
+            }
+            Ok(_) => {}
+        }
     }
 
     fn memory(&self) -> BackendMemory {
-        let store = self.store.lock();
+        let (num_buffers, num_bytes) = {
+            let store = self.store.lock();
+            (store.len(), store.values().map(|e| e.data.byte_len(e.dtype)).sum())
+        };
+        let lists = self.buffers.lists.lock();
+        let details = [
+            ("threads", self.pool.size() as f64),
+            ("pooled_bytes", lists.bytes as f64),
+            ("recycle_hits", lists.hits as f64),
+            ("recycle_misses", lists.misses as f64),
+        ];
         BackendMemory {
-            num_buffers: store.len(),
-            num_bytes: store.values().map(|e| e.data.byte_len(e.dtype)).sum(),
-            details: vec![("threads".to_string(), self.pool.size() as f64)],
+            num_buffers,
+            num_bytes,
+            details: details.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
 
@@ -191,6 +320,7 @@ impl<K: HostKernels> Backend for HostBackend<K> {
             .zip(operands)
             .map(|(data, t)| Operand { values: Values::of(data), shape: t.shape, quant: t.quant })
             .collect();
-        Ok(self.put(K::run(call, &operands, &out, &self.pool), dtype))
+        let host = Host { pool: &self.pool, buffers: &self.buffers };
+        Ok(self.put(K::run(call, &operands, &out, &host), dtype))
     }
 }

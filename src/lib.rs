@@ -33,7 +33,7 @@
 //! two GPU rows are the same backend type on two rungs
 //! ([`backend_webgl::WebGl`], [`backend_webgpu::WebGpu`]), and the three
 //! host rows are the same backend type ([`core::host::HostBackend`]: store,
-//! kernel timer, thread pool, one `run`) over three kernel sets
+//! kernel timer, thread pool, free list, one `run`) over three kernel sets
 //! ([`backend_cpu::PlainJs`], [`core::cpu::Reference`],
 //! [`backend_native::Native`]).
 //!

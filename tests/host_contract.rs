@@ -1,25 +1,32 @@
 //! The host contract: one body per behaviour, run on every host kernel set
 //! — `cpu` (the reference), `plainjs`, and `native` on one thread and on all
 //! cores. The three are one `HostBackend` over three `HostKernels` sets, so
-//! what the substrate does (the store, dtype handling, the kernel timer,
-//! sharing between threads, the validation of a call) holds for each of
-//! them or for none. What a set computes is compared elsewhere: plainjs against the
-//! reference in `webml-backend-cpu`, native's bit-equality sweeps in
-//! `webml-backend-native`, all of them in `tests/cross_backend.rs`.
+//! what the substrate does (the store, dtype handling, the kernel timer, the
+//! free list of disposed buffers, sharing between threads, the validation of
+//! a call) holds for each of them or for none. What a set computes is
+//! compared elsewhere: plainjs against the reference in `webml-backend-cpu`,
+//! native's bit-equality sweeps in `webml-backend-native`, all of them in
+//! `tests/cross_backend.rs`.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 use webml::backend_cpu::PlainJs;
 use webml::backend_native::Native;
-use std::borrow::Cow;
 use webml::core::backend::{
-    compose, Backend, BinaryOp, DataId, Epilogue, FusedStep, KTensor, KernelCall, UnaryOp,
+    compose, Backend, BackendMemory, BinaryOp, DataId, Epilogue, FusedStep, KTensor, KernelCall,
+    UnaryOp,
 };
 use webml::core::conv_util::{conv2d_info, Padding};
 use webml::core::cpu::Reference;
-use webml::core::host::{HostBackend, HostKernels};
+use webml::core::host::{FreeList, Host, HostBackend, HostKernels};
+use webml::core::kernels::Operand;
 use webml::core::quant::QuantParams;
-use webml::{ops, DType, Engine, Error, Shape, TensorData};
+use webml::data::synthetic;
+use webml::layers::{Activation, Adam, Conv2D, Dense, FitConfig, Flatten, Loss, Sequential};
+use webml::{ops, DType, Engine, Error, Shape, Tensor, TensorData};
 
 /// Instantiate a contract body on every host kernel set.
 macro_rules! on_every_host {
@@ -47,6 +54,8 @@ mod contract {
         mismatched_per_channel_axis_falls_back_not_errors,
         conv2d_backprop_filter_equals_the_reference_on_bits,
         malformed_calls_are_errors_not_panics,
+        stale_buffer_contents_never_reach_an_output,
+        a_buffer_still_held_is_never_recycled,
     );
 }
 
@@ -81,12 +90,24 @@ fn register_and_read_round_trip_per_dtype<K: HostKernels>(threads: usize) {
     assert_eq!(b.read(id).wait().unwrap(), codes);
 }
 
+/// One of a backend's `details` gauges.
+fn detail(memory: &BackendMemory, key: &str) -> f64 {
+    let found = memory.details.iter().find(|(k, _)| k == key);
+    found.unwrap_or_else(|| panic!("no {key} among {:?}", memory.details)).1
+}
+
+/// The store's gauges go back to zero. What the free list keeps of the
+/// disposed buffers is reported beside them, and is bounded by what its
+/// kernels took: never more free buffers of a length than it has made, so
+/// nothing at all for a set whose kernels never take.
 fn dispose_returns_memory_to_baseline<K: HostKernels>(threads: usize) {
     let b = host::<K>(threads);
     let baseline = b.memory();
     assert_eq!((baseline.num_buffers, baseline.num_bytes), (0, 0));
+    assert_eq!(detail(&baseline, "pooled_bytes"), 0.0);
     let shape = Shape::new(vec![100]);
-    let x = b.register(TensorData::F32(vec![-1.0; 100]), DType::F32);
+    let hundred = |v: f32| b.register(TensorData::F32(vec![v; 100]), DType::F32);
+    let x = hundred(-1.0);
     assert_eq!((b.memory().num_buffers, b.memory().num_bytes), (1, 400));
     let unary = |op| b.run(&KernelCall::Unary(op), &[KTensor::new(x, &shape, DType::F32)]);
     let (y, flags) = (unary(UnaryOp::Relu).unwrap(), unary(UnaryOp::IsNan).unwrap());
@@ -95,7 +116,14 @@ fn dispose_returns_memory_to_baseline<K: HostKernels>(threads: usize) {
     for id in [x, y, flags] {
         b.dispose_data(id);
     }
-    assert_eq!(b.memory(), baseline);
+    // More buffers of the one length the kernels took, disposed unused.
+    for _ in 0..4 {
+        b.dispose_data(hundred(0.0));
+    }
+    let after = b.memory();
+    assert_eq!((after.num_buffers, after.num_bytes), (0, 0), "{}", K::NAME);
+    let (pooled, made) = (detail(&after, "pooled_bytes"), detail(&after, "recycle_misses"));
+    assert!(pooled <= 400.0 * made, "{}: {pooled} bytes pooled, {made} buffers made", K::NAME);
 }
 
 fn unknown_id_is_an_error_naming_the_backend<K: HostKernels>(threads: usize) {
@@ -347,4 +375,225 @@ fn malformed_calls_are_errors_not_panics<K: HostKernels>(threads: usize) {
     let gather = KernelCall::Gather { axis: 1 };
     assert!(b.run(&gather, &[x, x]).is_err(), "{}: axis out of range", K::NAME);
     assert_eq!(b.memory().num_buffers, 1, "{}: nothing was stored", K::NAME);
+}
+
+/// The outputs of a small conv net's forward layers, its loss and the loss's
+/// gradient with respect to every input, as bits, in a tidy scope: conv,
+/// bias add, relu, depthwise conv, a slice of the batch, a dense layer of
+/// fewer rows than a register tile, softmax and their backward kernels; and
+/// beside them, outside the loss, the three products over U8 weights.
+fn conv_net_step(e: &Engine) -> Vec<Vec<u32>> {
+    let mut bits = Vec::new();
+    e.tidy(|| {
+        let images = wave(e, &[6, 12, 12, 3], 0.17);
+        let w1 = wave(e, &[3, 3, 3, 8], 0.37);
+        let b1 = wave(e, &[8], 0.7);
+        let dw = wave(e, &[3, 3, 8, 1], 0.53);
+        let w2 = wave(e, &[3, 3, 8, 16], 0.29);
+        let dense = wave(e, &[3 * 3 * 16, 5], 0.23);
+        let target = wave(e, &[3, 5], 0.61);
+        let codes = |dims: Vec<usize>| {
+            let codes = (0..dims.iter().product()).map(|i: usize| (i * 37 % 251) as u8).collect();
+            e.quantized_tensor(codes, dims, QuantParams::per_tensor(0.01, -1.2)).unwrap()
+        };
+        let (q_conv, q_depthwise, q_dense) =
+            (codes(vec![3, 3, 3, 8]), codes(vec![3, 3, 8, 1]), codes(vec![3 * 3 * 16, 5]));
+        let forward = || -> webml::Result<Vec<Tensor>> {
+            let x = ops::slice(&images, &[1, 0, 0, 0], &[3, 12, 12, 3])?;
+            let y1 = ops::conv2d(&x, &w1, (2, 2), Padding::Same, (1, 1))?;
+            let a1 = ops::relu(&ops::add(&y1, &b1)?)?;
+            let d1 = ops::depthwise_conv2d(&a1, &dw, (1, 1), Padding::Same, (1, 1))?;
+            let a2 = ops::relu(&ops::conv2d(&d1, &w2, (2, 2), Padding::Same, (1, 1))?)?;
+            let flat = ops::reshape(&a2, [3, 3 * 3 * 16])?;
+            let logits = ops::matmul(&flat, &dense, false, false)?;
+            let err = ops::sub(&ops::softmax(&logits)?, &target)?;
+            let loss = ops::mean(&ops::square(&err)?, None, false)?;
+            let q1 = ops::conv2d(&x, &q_conv, (2, 2), Padding::Same, (1, 1))?;
+            let q2 = ops::depthwise_conv2d(&a1, &q_depthwise, (1, 1), Padding::Same, (1, 1))?;
+            let q3 = ops::matmul(&flat, &q_dense, false, false)?;
+            Ok(vec![x, y1, a1, d1, a2, logits, q1, q2, q3, loss])
+        };
+        let grads = e.grads(&[&images, &w1, &b1, &dw, &w2, &dense], || {
+            Ok(forward()?.pop().expect("the loss"))
+        });
+        for t in forward().unwrap().iter().chain(&grads.unwrap()) {
+            bits.push(t.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect());
+        }
+    });
+    bits
+}
+
+/// The kernel set `K`, each of whose kernels gets a free list of its own
+/// that starts empty: every output and every scratch buffer is fresh zeros,
+/// as before there was a free list.
+struct Fresh<K>(PhantomData<K>);
+
+impl<K: HostKernels> HostKernels for Fresh<K> {
+    const NAME: &'static str = K::NAME;
+
+    fn run(
+        call: &KernelCall<'_>,
+        operands: &[Operand<'_>],
+        out: &Shape,
+        host: &Host<'_>,
+    ) -> TensorData {
+        K::run(call, operands, out, &Host { pool: host.pool, buffers: &FreeList::default() })
+    }
+}
+
+/// A recycled buffer holds what its last user left. Poison the free list
+/// with NaN: for every output of a conv-net forward and backward pass, a
+/// kernel writes NaN into a buffer of that size while all the others are
+/// held, then all of them are disposed. Run the pass on that backend and
+/// compare every output on bits with a backend that recycles nothing.
+fn stale_buffer_contents_never_reach_an_output<K: HostKernels>(threads: usize) {
+    let fresh = engine::<Fresh<K>>(threads);
+    let (want, profile) = fresh.profile(|| conv_net_step(&fresh));
+    let e = engine::<K>(threads);
+    let backend = e.backend();
+    let poison: Vec<(DataId, DataId)> = profile
+        .kernels
+        .iter()
+        .flat_map(|k| k.output_shapes.iter().map(Shape::size))
+        .map(|n| {
+            let shape = Shape::new(vec![n]);
+            let nan = backend.register(TensorData::F32(vec![f32::NAN; n]), DType::F32);
+            let call = KernelCall::Unary(UnaryOp::Neg);
+            (nan, backend.run(&call, &[KTensor::new(nan, &shape, DType::F32)]).unwrap())
+        })
+        .collect();
+    for (nan, out) in poison {
+        backend.dispose_data(out);
+        backend.dispose_data(nan);
+    }
+    let hits = || detail(&backend.memory(), "recycle_hits");
+    let before = hits();
+    let got = conv_net_step(&e);
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert!(g == w, "{} on {threads} threads: output {i} differs from fresh buffers'", K::NAME);
+    }
+    if detail(&backend.memory(), "pooled_bytes") > 0.0 {
+        assert!(hits() > before, "{}: the pass took nothing from the free list", K::NAME);
+    }
+}
+
+thread_local! {
+    /// What the next `Gated` kernel on this thread runs before its body.
+    static GATE: RefCell<Option<Box<dyn FnOnce()>>> = RefCell::new(None);
+}
+
+/// The kernel set `K`, with a one-shot hook before the next kernel a thread
+/// runs: a kernel that stops while it holds its operands.
+struct Gated<K>(PhantomData<K>);
+
+impl<K: HostKernels> HostKernels for Gated<K> {
+    const NAME: &'static str = K::NAME;
+
+    fn default_threads() -> usize {
+        K::default_threads()
+    }
+
+    fn run(
+        call: &KernelCall<'_>,
+        operands: &[Operand<'_>],
+        out: &Shape,
+        host: &Host<'_>,
+    ) -> TensorData {
+        if let Some(gate) = GATE.with(|g| g.borrow_mut().take()) {
+            gate();
+        }
+        K::run(call, operands, out, host)
+    }
+}
+
+/// `dispose` of a buffer that a kernel on another thread is reading, or that
+/// a read has returned, frees nothing those still see: the kernel's result
+/// and the read's value equal the single-thread answer, and the held buffer
+/// never reaches the free list.
+fn a_buffer_still_held_is_never_recycled<K: HostKernels>(threads: usize) {
+    let b = HostBackend::<Gated<K>>::with_threads(K::NAME, threads);
+    let shape = Shape::new(vec![64, 64]);
+    let values: Vec<f32> = (0..shape.size()).map(|i| (i as f32 * 0.37).sin()).collect();
+    let put = |b: &dyn Backend| b.register(TensorData::F32(values.clone()), DType::F32);
+    let t = |id| KTensor::new(id, &shape, DType::F32);
+    let plain = Epilogue::None;
+    let matmul = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue: plain };
+    let single = host::<K>(1);
+    let a = put(&single);
+    let want = single.read_sync(single.run(&matmul, &[t(a), t(a)]).unwrap()).unwrap();
+    let pooled = |b: &HostBackend<Gated<K>>| detail(&b.memory(), "pooled_bytes");
+    // A product whose output stays live: a set that takes has made one
+    // buffer of this length and holds none free.
+    let first = put(&b);
+    let kept = b.run(&matmul, &[t(first), t(first)]).unwrap();
+
+    let x = put(&b);
+    let (reading, is_reading) = channel();
+    let (disposed, was_disposed) = channel::<()>();
+    std::thread::scope(|s| {
+        let b = &b;
+        let kernel = s.spawn(move || {
+            let gate = move || {
+                reading.send(()).unwrap();
+                was_disposed.recv().unwrap();
+            };
+            GATE.with(|g| *g.borrow_mut() = Some(Box::new(gate)));
+            b.read_sync(b.run(&matmul, &[t(x), t(x)]).unwrap()).unwrap()
+        });
+        is_reading.recv().unwrap();
+        b.dispose_data(x);
+        let pooled_while_read = pooled(b);
+        disposed.send(()).unwrap();
+        assert_eq!(pooled_while_read, 0.0, "{}: pooled a buffer a kernel is reading", K::NAME);
+        assert_eq!(kernel.join().unwrap(), want, "{}: the reading kernel's result", K::NAME);
+        // The kernel dropped the last reference to `x`: freed, not pooled.
+        assert_eq!(pooled(b), 0.0, "{}", K::NAME);
+    });
+    // A buffer nothing holds is pooled, by a set that takes.
+    b.dispose_data(kept);
+    let made = detail(&b.memory(), "recycle_misses");
+    assert_eq!(pooled(&b) > 0.0, made > 0.0, "{}: {made} buffers made", K::NAME);
+
+    let y = put(&b);
+    let read = b.read(y);
+    b.dispose_data(y);
+    // Whatever takes the disposed buffer now writes over it.
+    let z = b.register(TensorData::F32(vec![1.0; shape.size()]), DType::F32);
+    b.run(&KernelCall::Unary(UnaryOp::Neg), &[t(z)]).unwrap();
+    let read = read.wait().unwrap();
+    assert_eq!(read, TensorData::F32(values.clone()), "{}: the read's value", K::NAME);
+}
+
+/// The benchmark's training step (conv 8 → conv 16 → dense, Adam, one
+/// 32-example batch) on `native`: once the first step has run, a second
+/// identical one takes every buffer it asks for from the free list.
+#[test]
+fn a_repeated_native_training_step_is_served_from_the_free_list() {
+    for threads in [1, Native::default_threads()] {
+        let e = engine::<Native>(threads);
+        let mut model = Sequential::new(&e).with_seed(3);
+        model.add(
+            Conv2D::new(8, 3)
+                .with_strides((2, 2))
+                .with_activation(Activation::Relu)
+                .with_input_shape([28, 28, 1]),
+        );
+        model.add(Conv2D::new(16, 3).with_strides((2, 2)).with_activation(Activation::Relu));
+        model.add(Flatten::new());
+        model.add(Dense::new(10).with_activation(Activation::Softmax));
+        model.build([28, 28, 1]).unwrap();
+        model.compile(Loss::CategoricalCrossentropy, Box::new(Adam::new(0.001)));
+        let (x, y) = synthetic::mnist_like(32, 10, 28, 1).batch(&e, 0, 32).unwrap();
+        let config = FitConfig { epochs: 1, batch_size: 32, ..FitConfig::default() };
+        let gauges = || {
+            let m = e.memory().backend;
+            (detail(&m, "recycle_hits"), detail(&m, "recycle_misses"))
+        };
+        model.fit(&x, &y, config.clone()).unwrap();
+        let (hits, misses) = gauges();
+        model.fit(&x, &y, config).unwrap();
+        let (hits_after, misses_after) = gauges();
+        assert_eq!(misses_after, misses, "{threads} threads: step 2 missed");
+        assert!(hits_after > hits, "{threads} threads: step 2 took nothing");
+    }
 }
