@@ -18,7 +18,8 @@
 //! and a set's own kernels take their outputs and scratch from it ([`Host`]):
 //! the host twin of the GPU substrate's texture recycler (paper Sec 4.1.2).
 //! A training step then reuses the pages of the step before instead of
-//! faulting in fresh ones.
+//! faulting in fresh ones, and a dropped backend's free buffers serve the
+//! next backend's first step.
 //!
 //! `K` is a zero-sized marker resolved at compile time, so a kernel call is
 //! a direct call: no `dyn`, no table, no box between the substrate and the
@@ -31,7 +32,7 @@ use crate::kernels::{self as k, Operand, Values};
 use crate::pool::WorkerPool;
 use crate::shape::Shape;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::marker::PhantomData;
 use std::mem::size_of_val;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,11 +88,26 @@ pub struct Host<'a> {
 /// have held at once. So a length no kernel takes (every length, under the
 /// oracle) is never kept, and a repeated step settles on its own working set
 /// — the buffers of the busiest step, not one more, whatever else is disposed
-/// at those lengths. It is dropped with the backend.
+/// at those lengths.
+///
+/// A backend's list outlives its backend in part: dropped, it hands its free
+/// buffers to the process's spares, and a backend's list that misses takes a
+/// spare of the length before it asks the allocator. A backend built after
+/// another was dropped — a cold start — then reuses the pages the dropped
+/// one faulted in, whether or not the allocator gave them back to the OS in
+/// between. The spares keep no more buffers of a length than one list made
+/// of it. A list made with `default` stands alone: it neither takes spares
+/// nor leaves any.
 #[derive(Default)]
 pub struct FreeList {
     lists: Mutex<Lists>,
+    /// Whether this is a backend's list, which shares [`SPARES`].
+    shares_spares: bool,
 }
+
+/// Free buffers of dropped backends' lists, by length; each entry's `made`
+/// is the most buffers of its length one dropped list had made.
+static SPARES: Mutex<BTreeMap<usize, Free>> = Mutex::new(BTreeMap::new());
 
 #[derive(Default)]
 struct Lists {
@@ -110,6 +126,11 @@ struct Free {
 }
 
 impl FreeList {
+    /// A backend's list, which shares the process's spares.
+    fn of_backend() -> FreeList {
+        FreeList { lists: Mutex::default(), shares_spares: true }
+    }
+
     /// A buffer of `len` elements, recycled when one is free; its contents
     /// are unspecified.
     pub fn take(&self, len: usize) -> Vec<f32> {
@@ -125,7 +146,12 @@ impl FreeList {
             free.made += 1;
             lists.misses += 1;
         }
-        vec![0.0; len]
+        let spare = if self.shares_spares {
+            SPARES.lock().get_mut(&len).and_then(|s| s.buffers.pop())
+        } else {
+            None
+        };
+        spare.unwrap_or_else(|| vec![0.0; len])
     }
 
     /// [`take`](FreeList::take), zero-filled.
@@ -152,6 +178,22 @@ impl FreeList {
     fn dropped(&self, len: usize) {
         if let Some(free) = self.lists.lock().by_len.get_mut(&len) {
             free.made = free.made.saturating_sub(1);
+        }
+    }
+}
+
+impl Drop for FreeList {
+    fn drop(&mut self) {
+        if !self.shares_spares {
+            return;
+        }
+        let by_len = std::mem::take(&mut self.lists.get_mut().by_len);
+        let mut spares = SPARES.lock();
+        for (len, free) in by_len {
+            let spare = spares.entry(len).or_default();
+            spare.made = spare.made.max(free.made);
+            let room = spare.made.saturating_sub(spare.buffers.len());
+            spare.buffers.extend(free.buffers.into_iter().take(room));
         }
     }
 }
@@ -199,7 +241,7 @@ impl<K: HostKernels> HostBackend<K> {
         HostBackend {
             name: name.into(),
             pool: WorkerPool::new(threads),
-            buffers: FreeList::default(),
+            buffers: FreeList::of_backend(),
             store: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             kernel_nanos: AtomicU64::new(0),
@@ -322,5 +364,38 @@ impl<K: HostKernels> Backend for HostBackend<K> {
             .collect();
         let host = Host { pool: &self.pool, buffers: &self.buffers };
         Ok(self.put(K::run(call, &operands, &out, &host), dtype))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A backend's list, dropped, leaves its free buffers to the next
+    /// backend's misses, no more of a length than it made; a list made with
+    /// `default` leaves none.
+    #[test]
+    fn a_dropped_backends_buffers_serve_the_next_backends_misses() {
+        // Lengths no other test takes.
+        let (shared, alone) = (7919, 7927);
+        let marked = |list: &FreeList, len| {
+            let mut buf = list.take(len);
+            buf.fill(7.0);
+            list.give(buf);
+        };
+        let first = FreeList::of_backend();
+        marked(&first, shared);
+        // One more than the list made: freed, not kept.
+        first.give(vec![5.0; shared]);
+        drop(first);
+        let standalone = FreeList::default();
+        marked(&standalone, alone);
+        drop(standalone);
+
+        let next = FreeList::of_backend();
+        assert_eq!(next.take(shared), vec![7.0; shared]);
+        assert_eq!(next.take(shared), vec![0.0; shared]);
+        assert_eq!(next.take(alone), vec![0.0; alone]);
+        assert_eq!(next.lists.lock().misses, 3);
     }
 }
