@@ -1,5 +1,4 @@
-//! Quick text report of every design-choice ablation (the criterion
-//! benches measure the same effects with statistics):
+//! Text report of every design-choice ablation:
 //!
 //! - **E-pack**: RGBA texel packing on/off (paper: 1.3-1.4x on PoseNet)
 //! - **E-map**: layout squeeze optimization on/off (paper: ~1.3x)
@@ -15,8 +14,8 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use webml_backend_native::NativeBackend;
 use webml_backend_webgl::{WebGlBackend, WebGlConfig};
+use webml_bench::harness::TableBackend;
 use webml_core::conv_util::Padding;
 use webml_core::{ops, Engine};
 use webml_webgl_sim::devices::DeviceProfile;
@@ -152,11 +151,7 @@ fn main() {
         e.register_backend("webgl", Arc::new(WebGlBackend::new(p, WebGlConfig::default()).unwrap()), 1);
         e
     };
-    let nt1 = {
-        let e = Engine::new();
-        e.register_backend("native", Arc::new(NativeBackend::with_threads("native", 1)), 1);
-        e
-    };
+    let (nt1, _) = TableBackend::NativeSingleThread.engine();
     let matmul_pass = |e: &Engine| {
         e.tidy(|| {
             let a = e.rand_uniform([128, 128], -1.0, 1.0, 1).unwrap();

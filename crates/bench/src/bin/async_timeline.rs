@@ -31,7 +31,7 @@ fn render_timeline(frames: &[f64], total: f64, width: usize) -> String {
 }
 
 fn main() {
-    let engine = TableBackend::WebGlIntegrated.engine();
+    let (engine, _) = TableBackend::WebGlIntegrated.engine();
     let event_loop = EventLoop::new(Duration::from_millis(4));
     let width = 72;
 

@@ -11,7 +11,7 @@ use webml_converter::{prune::GraphDef, shard, to_artifacts, Quantization, Simula
 use webml_models::{repo, MobileNet, MobileNetConfig};
 
 fn main() {
-    let engine = TableBackend::NativeCudaClass.engine();
+    let (engine, _) = TableBackend::NativeCudaClass.engine();
     let net = MobileNet::new(
         &engine,
         MobileNetConfig { alpha: 0.5, input_size: 96, classes: 100, batch_norm: true, seed: 1 },

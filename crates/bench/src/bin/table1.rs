@@ -12,23 +12,18 @@
 //! `--tiny` the 48x48 CI-smoke configuration. `--json` additionally measures
 //! every row with kernel fusion disabled and writes `BENCH_TABLE1.json`
 //! (per-row ms, speedups, and device program counts, fused vs unfused) to
-//! the current directory, plus two derived sections:
-//!
-//! - `gaps`: `gap_webgl_native` / `gap_webgpu_native` — simulated device
-//!   time of each GPU rung relative to the modeled CUDA-class row on the
-//!   same discrete-GPU profile. The paper's Sec 3.9 gap is WebGL's 3-10x;
-//!   Sec 4.3 predicts compute shaders close most of it, so
-//!   `gap_webgpu_native` must land below `gap_webgl_native`: `--json`
-//!   exits non-zero when it does not (the `bench-smoke` CI job runs it).
-//! - `kernel_styles`: the single-thread fragment / packed / tiled-compute
-//!   matmul comparison (formerly only in the `webgpu_preview` bin).
+//! the current directory, plus one derived section, `gaps`:
+//! `gap_webgl_native` / `gap_webgpu_native` — simulated device time of each
+//! GPU rung relative to the modeled CUDA-class row on the same discrete-GPU
+//! profile. The paper's Sec 3.9 gap is WebGL's 3-10x; Sec 4.3 predicts
+//! compute shaders close most of it, so `gap_webgpu_native` must land below
+//! `gap_webgl_native`: `--json` exits non-zero when it does not (the
+//! `bench-smoke` CI job runs it).
 
 use serde_json::{json, Value};
 use webml_bench::harness::{
-    bench_mobilenet_config, measure_row_detailed, print_speedup_table, tiny_mobilenet_config,
-    TableBackend,
+    bench_mobilenet_config, measure_row, print_speedup_table, tiny_mobilenet_config, TableBackend,
 };
-use webml_bench::kernel_styles::measure_styles;
 use webml_models::MobileNetConfig;
 
 fn main() {
@@ -60,13 +55,13 @@ fn main() {
     let mut base_ms = None;
     let mut fused_by_backend: Vec<(TableBackend, f64)> = Vec::new();
     for backend in TableBackend::all() {
-        let fused = measure_row_detailed(backend, config, runs, true);
+        let fused = measure_row(backend, config, runs, true);
         fused_by_backend.push((backend, fused.ms));
         println!("  {:<40} {:>10.2} ms  [{}]", backend.label(), fused.ms, fused.method);
         rows.push((format!("{} ({})", backend.label(), fused.method), fused.ms));
         let base = *base_ms.get_or_insert(fused.ms);
         if json_mode {
-            let unfused = measure_row_detailed(backend, config, runs, false);
+            let unfused = measure_row(backend, config, runs, false);
             let programs = |p: Option<u64>| p.map(|v| json!(v)).unwrap_or(Value::Null);
             json_rows.push(json!({
                 "backend": backend.label(),
@@ -94,8 +89,6 @@ fn main() {
         let cuda_ms = ms_of(TableBackend::NativeCudaClass);
         let webgl_ms = ms_of(TableBackend::WebGlDiscrete);
         let webgpu_ms = ms_of(TableBackend::WebGpuDiscrete);
-        let styles = measure_styles(256, if tiny { 2 } else { 5 });
-        let style_base = styles[0].gflops;
         let doc = json!({
             "table": "Table 1: MobileNet v1 single-inference latency",
             "workload": {
@@ -111,13 +104,6 @@ fn main() {
                 "webgpu_speedup_over_webgl": webgl_ms / webgpu_ms,
                 "note": "simulated GPU device ms over modeled CUDA-class ms, discrete profile; paper Sec 3.9 reports a 3-10x WebGL gap, Sec 4.3 predicts WebGPU closes it",
             },
-            "kernel_styles": styles.iter().map(|s| json!({
-                "style": s.key,
-                "label": s.label,
-                "ms": s.ms,
-                "gflops": s.gflops,
-                "speedup_vs_fragment": s.gflops / style_base,
-            })).collect::<Vec<Value>>(),
         });
         let text = serde_json::to_string_pretty(&doc).expect("serialize");
         std::fs::write("BENCH_TABLE1.json", text).expect("write BENCH_TABLE1.json");

@@ -23,15 +23,12 @@
 
 use serde_json::{json, Value};
 use std::sync::Arc;
-use webml_backend_webgl::{WebGlBackend, WebGlConfig};
-use webml_backend_webgpu::WebGpuBackend;
 use webml_bench::harness::{
-    bench_mobilenet_config, mean_kernel_ms, mobilenet_workload, tiny_mobilenet_config,
+    bench_mobilenet_config, mean_kernel_ms, mobilenet_workload, tiny_mobilenet_config, TableBackend,
 };
 use webml_core::cpu::CpuBackend;
 use webml_core::Engine;
-use webml_webgl_sim::devices::DeviceProfile;
-use webml_webgpu_sim::WebGpuConfig;
+use webml_models::MobileNetConfig;
 
 struct ProfileRow {
     profile: &'static str,
@@ -41,50 +38,38 @@ struct ProfileRow {
     webgpu_dispatches: u64,
 }
 
+/// Simulated device ms per inference and device programs over the timed
+/// runs, on one Table 1 GPU row.
+fn measure(backend: TableBackend, config: MobileNetConfig, runs: usize) -> (f64, u64) {
+    let (engine, programs) = backend.engine();
+    let programs = programs.expect("a GPU row counts its programs");
+    let (mut net, input) = mobilenet_workload(&engine, config);
+    let before = programs();
+    let ms = mean_kernel_ms(&engine, &mut net, &input, runs);
+    (ms, programs() - before)
+}
+
 fn measure_profile(
     label: &'static str,
-    profile: DeviceProfile,
-    config: webml_models::MobileNetConfig,
+    [webgl, webgpu]: [TableBackend; 2],
+    config: MobileNetConfig,
     runs: usize,
 ) -> ProfileRow {
-    let gl_engine = Engine::new();
-    let gl = Arc::new(
-        WebGlBackend::new(profile.clone(), WebGlConfig::default())
-            .expect("profile supports float textures"),
-    );
-    gl_engine.register_backend("webgl", gl.clone(), 1);
-    let (mut gl_net, gl_input) = mobilenet_workload(&gl_engine, config);
-    let gl_before = gl.context().memory().programs_run;
-    let webgl_ms = mean_kernel_ms(&gl_engine, &mut gl_net, &gl_input, runs);
-    let webgl_programs = gl.context().memory().programs_run - gl_before;
-
-    let gpu_engine = Engine::new();
-    let gpu = Arc::new(
-        WebGpuBackend::new(profile, WebGpuConfig::default())
-            .expect("profile exposes a WebGPU compute API"),
-    );
-    gpu_engine.register_backend("webgpu", gpu.clone(), 1);
-    let (mut gpu_net, gpu_input) = mobilenet_workload(&gpu_engine, config);
-    let gpu_before = gpu.context().memory().dispatches_run;
-    let webgpu_ms = mean_kernel_ms(&gpu_engine, &mut gpu_net, &gpu_input, runs);
-    let webgpu_dispatches = gpu.context().memory().dispatches_run - gpu_before;
-
+    let (webgl_ms, webgl_programs) = measure(webgl, config, runs);
+    let (webgpu_ms, webgpu_dispatches) = measure(webgpu, config, runs);
     ProfileRow { profile: label, webgl_ms, webgpu_ms, webgl_programs, webgpu_dispatches }
 }
 
 /// One inference on each backend from identical seeded weights; the WebGPU
 /// logits must equal the CPU reference **bitwise**.
-fn check_cpu_parity(config: webml_models::MobileNetConfig) -> usize {
+fn check_cpu_parity(config: MobileNetConfig) -> usize {
     let cpu_engine = Engine::new();
     cpu_engine.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
     let (mut cpu_net, cpu_input) = mobilenet_workload(&cpu_engine, config);
     let reference = cpu_net.infer(&cpu_input).expect("cpu inference");
     let reference = reference.to_f32_vec().expect("cpu readback");
 
-    let gpu_engine = Engine::new();
-    let gpu = WebGpuBackend::new(DeviceProfile::intel_iris_pro(), WebGpuConfig::default())
-        .expect("profile exposes a WebGPU compute API");
-    gpu_engine.register_backend("webgpu", Arc::new(gpu), 1);
+    let (gpu_engine, _) = TableBackend::WebGpuIntegrated.engine();
     let (mut gpu_net, gpu_input) = mobilenet_workload(&gpu_engine, config);
     let out = gpu_net.infer(&gpu_input).expect("webgpu inference");
     let out = out.to_f32_vec().expect("webgpu readback");
@@ -117,8 +102,18 @@ fn main() {
     println!("cpu bit-parity: OK ({logits} logits identical)\n");
 
     let rows = vec![
-        measure_profile("integrated (Intel Iris Pro-class)", DeviceProfile::intel_iris_pro(), config, runs),
-        measure_profile("discrete (GTX 1080-class)", DeviceProfile::gtx_1080(), config, runs),
+        measure_profile(
+            "integrated (Intel Iris Pro-class)",
+            [TableBackend::WebGlIntegrated, TableBackend::WebGpuIntegrated],
+            config,
+            runs,
+        ),
+        measure_profile(
+            "discrete (GTX 1080-class)",
+            [TableBackend::WebGlDiscrete, TableBackend::WebGpuDiscrete],
+            config,
+            runs,
+        ),
     ];
     println!("| Profile | WebGL (ms) | WebGPU (ms) | Speedup | Draws -> Dispatches |");
     println!("|---|---|---|---|---|");

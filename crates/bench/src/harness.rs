@@ -5,12 +5,12 @@ use std::sync::Arc;
 use std::time::Instant;
 use webml_backend_cpu::PlainJsBackend;
 use webml_backend_native::NativeBackend;
-use webml_backend_webgl::{WebGlBackend, WebGlConfig};
-use webml_backend_webgpu::WebGpuBackend;
+use webml_backend_webgl::{GpuBackend, Rung, WebGl};
+use webml_backend_webgpu::WebGpu;
+use webml_core::backend::Backend;
 use webml_core::{Engine, Tensor};
 use webml_models::{Image, MobileNet, MobileNetConfig};
 use webml_webgl_sim::devices::DeviceProfile;
-use webml_webgpu_sim::WebGpuConfig;
 
 /// The backend rows of Table 1 and their hardware analogues.
 ///
@@ -44,6 +44,22 @@ pub enum TableBackend {
 /// CUDA-class accelerator (calibration constant; see EXPERIMENTS.md).
 pub const CUDA_CLASS_MODEL_FACTOR: f64 = 24.0;
 
+/// Reads how many device programs a GPU backend has run so far: draw calls
+/// on WebGL, compute dispatches on WebGPU.
+pub type ProgramCounter = Box<dyn Fn() -> u64>;
+
+/// A GPU backend on rung `R` over `profile`, and its program counter.
+fn gpu<R: Rung>(profile: DeviceProfile) -> (Arc<dyn Backend>, Option<ProgramCounter>)
+where
+    R::Config: Default,
+{
+    let backend = Arc::new(
+        GpuBackend::<R>::new(profile, R::Config::default()).expect("profile hosts the GPU API"),
+    );
+    let counted = backend.clone();
+    (backend, Some(Box::new(move || counted.context().memory().programs_run)))
+}
+
 impl TableBackend {
     /// All rows, in Table 1 order (the two WebGPU rows extend the paper's
     /// table with its Sec 4.3 compute-shader prediction).
@@ -72,41 +88,27 @@ impl TableBackend {
         }
     }
 
-    /// Build a fresh engine with only this backend registered.
-    pub fn engine(self) -> Engine {
-        let e = Engine::new();
-        match self {
-            TableBackend::PlainJs => {
-                e.register_backend("plainjs", Arc::new(PlainJsBackend::new()), 1);
-            }
+    /// A fresh engine with only this backend registered, and on the GPU
+    /// rows the backend's program counter.
+    pub fn engine(self) -> (Engine, Option<ProgramCounter>) {
+        let (name, (backend, programs)): (&str, (Arc<dyn Backend>, _)) = match self {
+            TableBackend::PlainJs => ("plainjs", (Arc::new(PlainJsBackend::new()), None)),
             TableBackend::WebGlIntegrated => {
-                let b = WebGlBackend::new(DeviceProfile::intel_iris_pro(), WebGlConfig::default())
-                    .expect("profile supports float textures");
-                e.register_backend("webgl", Arc::new(b), 1);
+                ("webgl", gpu::<WebGl>(DeviceProfile::intel_iris_pro()))
             }
-            TableBackend::WebGlDiscrete => {
-                let b = WebGlBackend::new(DeviceProfile::gtx_1080(), WebGlConfig::default())
-                    .expect("profile supports float textures");
-                e.register_backend("webgl", Arc::new(b), 1);
-            }
+            TableBackend::WebGlDiscrete => ("webgl", gpu::<WebGl>(DeviceProfile::gtx_1080())),
             TableBackend::WebGpuIntegrated => {
-                let b = WebGpuBackend::new(DeviceProfile::intel_iris_pro(), WebGpuConfig::default())
-                    .expect("profile exposes a WebGPU compute API");
-                e.register_backend("webgpu", Arc::new(b), 1);
+                ("webgpu", gpu::<WebGpu>(DeviceProfile::intel_iris_pro()))
             }
-            TableBackend::WebGpuDiscrete => {
-                let b = WebGpuBackend::new(DeviceProfile::gtx_1080(), WebGpuConfig::default())
-                    .expect("profile exposes a WebGPU compute API");
-                e.register_backend("webgpu", Arc::new(b), 1);
-            }
+            TableBackend::WebGpuDiscrete => ("webgpu", gpu::<WebGpu>(DeviceProfile::gtx_1080())),
             TableBackend::NativeSingleThread => {
-                e.register_backend("native1", Arc::new(NativeBackend::with_threads("native1", 1)), 1);
+                ("native1", (Arc::new(NativeBackend::with_threads("native1", 1)), None))
             }
-            TableBackend::NativeCudaClass => {
-                e.register_backend("native", Arc::new(NativeBackend::new()), 1);
-            }
-        }
-        e
+            TableBackend::NativeCudaClass => ("native", (Arc::new(NativeBackend::new()), None)),
+        };
+        let engine = Engine::new();
+        engine.register_backend(name, backend, 1);
+        (engine, programs)
     }
 }
 
@@ -119,7 +121,7 @@ pub fn bench_mobilenet_config() -> MobileNetConfig {
     MobileNetConfig { alpha: 0.25, input_size: 96, classes: 100, batch_norm: false, seed: 1 }
 }
 
-/// A smaller configuration for per-iteration criterion benches.
+/// The 48x48 configuration of the `--tiny` smoke runs and the tests.
 pub fn tiny_mobilenet_config() -> MobileNetConfig {
     MobileNetConfig { alpha: 0.25, input_size: 48, classes: 10, batch_norm: false, seed: 1 }
 }
@@ -167,18 +169,7 @@ pub fn mean_kernel_ms(engine: &Engine, net: &mut MobileNet, input: &Tensor, runs
     total / runs as f64
 }
 
-/// Measure one Table 1 row: `(milliseconds, timing-method note)`.
-pub fn measure_row(
-    backend: TableBackend,
-    config: MobileNetConfig,
-    runs: usize,
-) -> (f64, &'static str) {
-    let m = measure_row_detailed(backend, config, runs, true);
-    (m.ms, m.method)
-}
-
-/// One Table 1 row measured with full diagnostics (see
-/// [`measure_row_detailed`]).
+/// One Table 1 row, measured by [`measure_row`].
 #[derive(Debug, Clone)]
 pub struct RowMeasurement {
     /// Mean per-inference milliseconds (method-dependent, see `method`).
@@ -192,63 +183,20 @@ pub struct RowMeasurement {
     pub programs: Option<u64>,
 }
 
-/// [`measure_row`] plus a per-inference device-program count, with kernel
-/// fusion switched on or off via `fusion` — the fused-vs-unfused comparison
-/// behind the `--json` bench output.
-pub fn measure_row_detailed(
+/// Measure one Table 1 row over `runs` inferences, with kernel fusion
+/// switched on or off via `fusion` — the fused-vs-unfused comparison behind
+/// the `--json` bench output.
+pub fn measure_row(
     backend: TableBackend,
     config: MobileNetConfig,
     runs: usize,
     fusion: bool,
 ) -> RowMeasurement {
-    // Build the engine here (not via `TableBackend::engine`) so the GPU
-    // rows keep a handle on the backend for program-count readout.
-    let engine = Engine::new();
-    let gpu_probe: Option<Box<dyn Fn() -> u64>> = match backend {
-        TableBackend::PlainJs => {
-            engine.register_backend("plainjs", Arc::new(PlainJsBackend::new()), 1);
-            None
-        }
-        TableBackend::WebGlIntegrated | TableBackend::WebGlDiscrete => {
-            let profile = if backend == TableBackend::WebGlIntegrated {
-                DeviceProfile::intel_iris_pro()
-            } else {
-                DeviceProfile::gtx_1080()
-            };
-            let b = Arc::new(
-                WebGlBackend::new(profile, WebGlConfig::default())
-                    .expect("profile supports float textures"),
-            );
-            engine.register_backend("webgl", b.clone(), 1);
-            Some(Box::new(move || b.context().memory().programs_run))
-        }
-        TableBackend::WebGpuIntegrated | TableBackend::WebGpuDiscrete => {
-            let profile = if backend == TableBackend::WebGpuIntegrated {
-                DeviceProfile::intel_iris_pro()
-            } else {
-                DeviceProfile::gtx_1080()
-            };
-            let b = Arc::new(
-                WebGpuBackend::new(profile, WebGpuConfig::default())
-                    .expect("profile exposes a WebGPU compute API"),
-            );
-            engine.register_backend("webgpu", b.clone(), 1);
-            Some(Box::new(move || b.context().memory().dispatches_run))
-        }
-        TableBackend::NativeSingleThread => {
-            engine
-                .register_backend("native1", Arc::new(NativeBackend::with_threads("native1", 1)), 1);
-            None
-        }
-        TableBackend::NativeCudaClass => {
-            engine.register_backend("native", Arc::new(NativeBackend::new()), 1);
-            None
-        }
-    };
+    let (engine, program_counter) = backend.engine();
     engine.set_fusion_enabled(fusion);
     let (mut net, input) = mobilenet_workload(&engine, config);
     // Program count: one warm inference after one warmup.
-    let programs = gpu_probe.map(|count| {
+    let programs = program_counter.map(|count| {
         let _ = time_inference(&mut net, &input);
         let before = count();
         let _ = time_inference(&mut net, &input);
@@ -291,16 +239,19 @@ mod tests {
     #[test]
     fn every_table_backend_builds_and_runs() {
         for backend in TableBackend::all() {
-            let e = backend.engine();
+            let (e, programs) = backend.engine();
             let t = e.tensor_1d(&[1.0, 2.0]).unwrap();
             let y = webml_core::ops::square(&t).unwrap();
             assert_eq!(y.to_f32_vec().unwrap(), vec![1.0, 4.0], "{}", backend.label());
+            let gpu = e.backend_name().starts_with("web");
+            let counted = programs.map(|count| count() > 0);
+            assert_eq!(counted, gpu.then_some(true), "{}", backend.label());
         }
     }
 
     #[test]
     fn inference_timing_is_positive() {
-        let e = TableBackend::NativeCudaClass.engine();
+        let (e, _) = TableBackend::NativeCudaClass.engine();
         let (mut net, input) = mobilenet_workload(&e, tiny_mobilenet_config());
         let ms = time_inference(&mut net, &input);
         assert!(ms > 0.0);

@@ -1,8 +1,8 @@
-//! Benchmark harnesses regenerating every table and figure of the paper.
-//! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! recorded results.
+//! The paper's reports: one bin per table, figure or in-text result (see
+//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
+//! results). Performance is judged by the `benchmark/` package; behaviour
+//! by the tests.
 
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod kernel_styles;

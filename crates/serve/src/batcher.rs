@@ -878,4 +878,57 @@ mod tests {
             }
         }
     }
+
+    /// A lone closed-loop client never has batch-mates, so the window must
+    /// never make it wait: not when fresh, and not after any run of
+    /// single-request drains.
+    #[test]
+    fn a_lone_request_never_holds_the_window() {
+        let mut window = WindowPolicy::default();
+        assert!(!window.should_wait(1), "a fresh policy serves one request at once");
+        assert!(window.should_wait(2), "two queued requests are worth batching");
+        for drains in 1..=1_000 {
+            window.observe_drain(1);
+            assert!(!window.should_wait(1), "held the window after {drains} single drains");
+        }
+    }
+
+    /// Sixteen concurrent clients teach the window to wait for a full
+    /// batch. The drain-size EWMA approaches 16 from below (in f64 it
+    /// settles at 15.999…), and the target is floored so that jitter
+    /// undershoots rather than stalls: the window closes at 15 queued, and
+    /// the drain then scoops everything pending. `max_batch` still caps it.
+    #[test]
+    fn drains_of_sixteen_grow_the_target_to_the_observed_concurrency() {
+        let mut window = WindowPolicy::default();
+        assert_eq!(window.target_batch(16), 2, "a fresh window waits for one batch-mate");
+        for _ in 0..64 {
+            window.observe_drain(16);
+        }
+        assert!(window.should_wait(1), "observed concurrency holds the window open");
+        assert_eq!(window.target_batch(16), 15);
+        assert_eq!(window.target_batch(8), 8, "never waits for more than max_batch");
+    }
+
+    /// Requests already queued when the worker drains are one drain: the
+    /// window ends as soon as its target is queued, not at `max_wait`.
+    #[test]
+    fn a_queue_of_sixteen_is_one_drain() {
+        let config =
+            ServeConfig { max_batch: 16, max_wait: Duration::from_secs(10), ..Default::default() };
+        let mut warm = WindowPolicy::default();
+        for _ in 0..64 {
+            warm.observe_drain(16);
+        }
+        for mut window in [WindowPolicy::default(), warm] {
+            let queue = WorkQueue::new();
+            for i in 0..16usize {
+                assert!(queue.push(i).is_ok());
+            }
+            let drained = queue.drain(&mut window, &config).expect("a non-empty queue drains");
+            assert_eq!(drained, (0..16).collect::<Vec<_>>());
+            queue.shutdown();
+            assert!(queue.drain(&mut window, &config).is_none(), "nothing was left behind");
+        }
+    }
 }

@@ -79,6 +79,64 @@ fn mobilenet_full_converter_pipeline() {
     let _ = expect;
 }
 
+/// Sec 5.1's "reduces the model size 4x", end to end on a MobileNet spec:
+/// per-channel U8 weights shrink the wire payload, the uploaded weights
+/// and the plan's predicted residency toward a quarter, and the quantized
+/// softmax tracks the f32 one on `cpu`, `webgl` and `native`.
+#[test]
+fn u8_mobilenet_is_a_quarter_the_bytes_and_tracks_f32() {
+    let config = MobileNetConfig { input_size: 32, classes: 10, ..MobileNetConfig::small() };
+    let spec = webml::models::graph_mobilenet(&config);
+
+    // The binary shard payload: one byte per code for every weight only
+    // matmul/conv kernels consume, f32 for the rest (biases).
+    let eligible = converter::quantizable_weights(&spec.graph);
+    let (mut f32_payload, mut u8_payload) = (0usize, 0usize);
+    for (name, values, shape) in &spec.weights {
+        f32_payload += values.len() * 4;
+        u8_payload += match eligible.get(name) {
+            Some(&axis) => {
+                let (codes, _, _) =
+                    Quantization::U8.quantize_per_channel(name, values, shape, axis).unwrap();
+                codes.len()
+            }
+            None => values.len() * 4,
+        };
+    }
+    let wire_ratio = u8_payload as f64 / f32_payload as f64;
+    assert!(wire_ratio <= 0.30, "U8 payload is {wire_ratio:.3}x the f32 payload");
+
+    let engine = webml::new_engine();
+    engine.set_backend("cpu").unwrap();
+    let (f32_model, u8_model) =
+        (spec.build(&engine).unwrap(), spec.build_quantized(&engine).unwrap());
+    let resident_ratio = u8_model.weight_bytes() as f64 / f32_model.weight_bytes() as f64;
+    assert!(resident_ratio <= 0.35, "U8 weights hold {resident_ratio:.3}x the f32 bytes");
+    let mut input_shape = spec.input_shape.clone();
+    input_shape[0] = 1;
+    let sig = [(spec.input.clone(), input_shape)];
+    let predicted = |model: &converter::GraphModel| {
+        model.plan_for_shapes(&sig, &[&spec.output]).unwrap().predicted_resident_bytes() as f64
+    };
+    let planned_ratio = predicted(&u8_model) / predicted(&f32_model);
+    assert!(planned_ratio <= 0.35, "the U8 plan predicts {planned_ratio:.3}x the f32 residency");
+
+    for backend in ["cpu", "webgl", "native"] {
+        let engine = webml::new_engine();
+        engine.set_backend(backend).unwrap();
+        let (vals, shape) = spec.example(1, 3);
+        let x = engine.tensor(vals, Shape::new(shape)).unwrap();
+        let softmax = |model: converter::GraphModel| {
+            let out = model.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
+            out[0].to_f32_vec().unwrap()
+        };
+        let f32_out = softmax(spec.build(&engine).unwrap());
+        let u8_out = softmax(spec.build_quantized(&engine).unwrap());
+        let drift = f32_out.iter().zip(&u8_out).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
+        assert!(drift <= 0.05, "{backend}: U8 softmax drifts {drift:.5} from f32");
+    }
+}
+
 #[test]
 fn transfer_learning_with_knn_separates_synthetic_classes() {
     let engine = webml::new_engine();

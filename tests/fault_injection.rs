@@ -42,6 +42,12 @@ fn cpu_reference() -> Vec<f32> {
     two_layer_chain(&e)
 }
 
+/// The fault schedule's seed: the `fault-soak` CI matrix sets
+/// `WEBML_FAULT_SEED`; 0 without it.
+fn fault_seed() -> u64 {
+    std::env::var("WEBML_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+}
+
 /// A faulty engine like [`new_engine_with_faults`] but with a custom WebGL
 /// config (e.g. paging enabled).
 fn engine_with_faults_and_config(plan: FaultPlan, config: WebGlConfig) -> Engine {
@@ -167,10 +173,7 @@ fn transient_readback_faults_are_retried_invisibly() {
 /// fault schedule. Defaults to seed 0 in a plain `cargo test`.
 #[test]
 fn fault_soak_seeded_plan_is_numerically_invisible() {
-    let seed: u64 = std::env::var("WEBML_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let seed = fault_seed();
     let plan = FaultPlan::from_seed(seed);
     let e = new_engine_with_faults(plan);
     let want = cpu_reference();
@@ -190,10 +193,7 @@ fn fault_soak_seeded_plan_is_numerically_invisible() {
 /// correct and the final memory accounting must be exact.
 #[test]
 fn concurrent_stress_under_seeded_faults_keeps_exact_accounting() {
-    let seed: u64 = std::env::var("WEBML_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let seed = fault_seed();
     let e = Arc::new(new_engine_with_faults(FaultPlan::from_seed(seed)));
     let base = e.memory();
     let mut handles = Vec::new();
@@ -328,10 +328,7 @@ fn serve_survives_context_loss_and_reloads_on_fallback() {
 fn context_loss_invalidates_and_rebuilds_execution_plans() {
     use webml::models::graph_mlp;
     use webml::Shape;
-    let seed: u64 = std::env::var("WEBML_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let seed = fault_seed();
     let spec = graph_mlp(8, &[16, 16], 4, 33);
     // Reference: the same model on a pristine CPU engine.
     let r = new_engine();
@@ -737,11 +734,92 @@ fn fleet_soak(seed: u64, clients: usize, requests: usize, burst: usize) {
 /// The fleet soak at CI scale, driven by the `fault-soak` matrix seed.
 #[test]
 fn fleet_soak_sheds_explicitly_and_stays_bit_identical() {
-    let seed: u64 = std::env::var("WEBML_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let seed = fault_seed();
     fleet_soak(seed, 12, 20, 400);
+}
+
+/// A tripped engine comes back. One fleet engine loses its (restorable)
+/// WebGL context at a seed-scheduled draw; traffic trips its breaker, and
+/// the maintenance thread's recovery — the recover hook restores the
+/// context, the engine is promoted back to webgl, canary probes pass —
+/// re-closes the breaker. Every submitted request stays accounted for
+/// throughout.
+#[test]
+fn a_tripped_engine_is_readmitted_once_its_context_recovers() {
+    use std::time::{Duration, Instant};
+    use webml::models::serving::{classifier_artifacts, synthetic_example};
+    use webml::serve::{BreakerState, EngineSpec, FleetConfig, FleetServer, ModelSlo, ModelSource};
+
+    let seed = fault_seed();
+    const IN_DIM: usize = 16;
+
+    let builder = new_engine();
+    builder.set_backend("cpu").unwrap();
+    let artifacts = classifier_artifacts(&builder, IN_DIM, 20, 5, 5).unwrap();
+
+    let webgl = Arc::new(
+        WebGlBackend::with_faults(
+            DeviceProfile::intel_iris_pro(),
+            WebGlConfig::default(),
+            FaultPlan::none().lose_context_at(1 + seed % 40),
+        )
+        .expect("webgl backend"),
+    );
+    let loss_engine = Engine::new();
+    loss_engine.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
+    loss_engine.register_backend("webgl", webgl.clone(), 2);
+    let cpu_only = Engine::new();
+    cpu_only.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
+    let fleet = FleetServer::new(
+        vec![
+            EngineSpec::new("loss", &loss_engine, 8)
+                .with_recover_hook(Arc::new(move || webgl.recover())),
+            EngineSpec::new("cpu", &cpu_only, 1),
+        ],
+        FleetConfig { max_batch: 4, queue_capacity: 16, ..Default::default() },
+    );
+    let key = fleet.register(
+        ModelSource::Artifacts(artifacts),
+        ModelSlo::new(1_000.0, Duration::from_secs(10)),
+    );
+    let assert_accounted = |when: &str| {
+        let stats = fleet.stats();
+        assert_eq!(stats.accounted(), stats.submitted, "{when} (seed {seed}): {stats:?}");
+    };
+
+    // Sequential kicks: an idle fleet routes each to the first-listed
+    // engine, so they walk its draw count into the scheduled loss; the
+    // trip registers at that engine's next drain.
+    let mut kicks = 0usize;
+    while fleet.stats().breaker_trips == 0 {
+        assert!(kicks < 200, "the scheduled context loss never tripped a breaker (seed {seed})");
+        fleet
+            .infer(key, synthetic_example(IN_DIM, kicks), vec![IN_DIM])
+            .expect("the ladder absorbs the context loss");
+        kicks += 1;
+        assert_accounted("while kicking");
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = fleet.stats();
+        assert_eq!(stats.accounted(), stats.submitted, "while recovering (seed {seed})");
+        let loss = &stats.engines[0];
+        if loss.breaker.state == BreakerState::Closed && stats.breaker_recloses >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the tripped engine was not re-admitted within 10 s (seed {seed}): breaker {:?}, \
+             {} probes, {} failed",
+            loss.breaker.state,
+            stats.probes,
+            stats.probe_failures,
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(loss_engine.backend_name(), "webgl", "the engine is back on its preferred rung");
+    assert_accounted("after re-admission");
 }
 
 proptest! {
@@ -751,7 +829,7 @@ proptest! {
     /// answers, exact accounting) holds for any fault seed.
     #[test]
     fn fleet_soak_contract_holds_for_any_seed(seed in 0u64..1_000) {
-        fleet_soak(seed, 6, 6, 120);
+        fleet_soak(seed, 6, 6, 240);
     }
 }
 
@@ -769,10 +847,7 @@ fn fault_matrix_attribution_stays_complete_and_flight_recorder_fires() {
     };
     use webml::telemetry::{attribution, flight};
 
-    let seed: u64 = std::env::var("WEBML_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let seed = fault_seed();
 
     const IN_DIM: usize = 16;
     const CLASSES: usize = 5;
@@ -871,6 +946,13 @@ fn fault_matrix_attribution_stays_complete_and_flight_recorder_fires() {
         completeness >= 0.99,
         "phase-timeline completeness {completeness:.4} < 0.99 \
          ({complete} complete / {incomplete} incomplete, seed {seed})"
+    );
+    // The report names the phase that dominates this model's tail.
+    let report = attribution::attribution_report();
+    let model = report.model("fault-matrix").expect("the labelled model is in the report");
+    assert!(
+        !model.dominant_p99.is_empty(),
+        "the attribution report names a dominant p99 phase (seed {seed})"
     );
 
     // Flight recorder: every shed and every trip raised a trigger.

@@ -208,6 +208,60 @@ fn pipelined_matches_synchronous_on_all_backends() {
     }
 }
 
+/// Figures 2 and 3 as counts: a blocking read issued while the device still
+/// has work queued drains the pipeline; the pipelined path reads behind a
+/// fence and never does. Every draw stalls, so the device is always behind
+/// when a blocking read arrives: each of N synchronous passes adds exactly
+/// one drain, N pipelined passes in a depth-2 window add none, and the
+/// outputs are the same bits.
+#[test]
+fn pipelined_passes_skip_the_pipeline_drain() {
+    const PASSES: usize = 4;
+    let spec = graph_mlp(12, &[24, 24], 5, 42);
+    let stalls = webml::FaultPlan::none().with_draw_stall(1.0, 500_000);
+    let backend = Arc::new(
+        WebGlBackend::with_faults(DeviceProfile::intel_iris_pro(), WebGlConfig::default(), stalls)
+            .unwrap(),
+    );
+    let e = Engine::new();
+    e.register_backend("webgl", backend.clone(), 2);
+    let model = build(&e, &spec);
+    let inputs: Vec<webml::Tensor> = (0..PASSES)
+        .map(|k| {
+            let (vals, shape) = spec.example(1, k);
+            e.tensor(vals, Shape::new(shape)).unwrap()
+        })
+        .collect();
+    let feeds = |k: usize| [(spec.input.as_str(), &inputs[k])];
+    let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+    let before = backend.queue_stats().drains;
+    let sync: Vec<Vec<u32>> = (0..PASSES)
+        .map(|k| {
+            let out = model.execute(&feeds(k), &[&spec.output]).unwrap();
+            let values = out[0].to_f32_vec().unwrap();
+            out[0].dispose();
+            bits(values)
+        })
+        .collect();
+    assert_eq!(backend.queue_stats().drains - before, PASSES as u64, "one drain per sync pass");
+
+    let before = backend.queue_stats().drains;
+    let mut window = std::collections::VecDeque::new();
+    let mut pipelined = Vec::new();
+    for k in 0..PASSES {
+        window.push_back(model.execute_pipelined(&feeds(k), &[&spec.output]).unwrap());
+        if window.len() == 2 {
+            pipelined.push(bits(window.pop_front().unwrap().wait().unwrap()[0].to_f32_vec()));
+        }
+    }
+    for pending in window {
+        pipelined.push(bits(pending.wait().unwrap()[0].to_f32_vec()));
+    }
+    assert_eq!(backend.queue_stats().drains - before, 0, "pipelined passes never drain");
+    assert_eq!(pipelined, sync, "pipelined vs sync on bits");
+}
+
 /// Several plan runs can be in flight at once; completing them in
 /// submission order must still return each run's own answer, bitwise.
 #[test]

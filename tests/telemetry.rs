@@ -9,6 +9,11 @@ use webml::serve::{ModelServer, ModelSource, ServeConfig};
 use webml::webgl_sim::devices::DeviceProfile;
 use webml::{ops, Engine};
 
+/// Tracing is process-global: the tests that enable, clear and export it
+/// take turns, or one's `clear` / `set_enabled(false)` cuts into the
+/// other's trace.
+static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn webgl_engine(profile: DeviceProfile) -> Engine {
     let e = Engine::new();
     let b = WebGlBackend::new(profile, WebGlConfig::default())
@@ -63,6 +68,7 @@ fn concurrent_profiling_counts_every_kernel_exactly() {
 /// span that dispatched them, and a virtual GPU track.
 #[test]
 fn chrome_trace_roundtrip_from_served_traffic() {
+    let _tracing = TRACING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let engine = webgl_engine(DeviceProfile::intel_iris_pro());
     let artifacts = classifier_artifacts(&engine, 16, 32, 4, 3).expect("build model");
     let mut server = ModelServer::new(
@@ -90,6 +96,16 @@ fn chrome_trace_roundtrip_from_served_traffic() {
     let text = webml::telemetry::chrome_trace_json();
     let doc: serde_json::Value = serde_json::from_str(&text).expect("trace parses back");
     let events = doc.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents");
+
+    // The trace-event schema: every event names itself and its phase and
+    // sits on a process and thread track; phases are metadata, complete
+    // spans or instants.
+    for e in events {
+        assert!(e.get("name").is_some_and(|n| n.is_string()), "event without a name: {e:?}");
+        let ph = e.get("ph").and_then(|p| p.as_str()).unwrap_or_else(|| panic!("no ph: {e:?}"));
+        assert!(["M", "X", "i"].contains(&ph), "unexpected phase {ph}: {e:?}");
+        assert!(e.get("pid").is_some() && e.get("tid").is_some(), "event off-track: {e:?}");
+    }
 
     // Thread tracks: metadata for the GPU track plus at least the
     // dispatcher and device threads.
@@ -150,6 +166,23 @@ fn chrome_trace_roundtrip_from_served_traffic() {
         e.get("args").and_then(|a| a.get("modeled_device_ns")).and_then(|v| v.as_f64()).unwrap_or(-1.0)
             > 0.0
     }));
+
+    // Each fence closes a utilization window: a busy/wall gauge instant.
+    let utilization: Vec<&serde_json::Value> = events
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(|p| p.as_str()) == Some("i")
+                && e.get("name").and_then(|n| n.as_str()) == Some("device_utilization")
+        })
+        .collect();
+    assert!(
+        utilization.iter().any(|e| e.get("tid") == Some(gpu_tid)),
+        "device_utilization instants on the GPU track"
+    );
+    for e in &utilization {
+        let u = e.get("args").and_then(|a| a.get("utilization")).and_then(|v| v.as_f64());
+        assert!(u.is_some_and(|u| (0.0..=1.0).contains(&u)), "utilization outside [0, 1]: {e:?}");
+    }
 }
 
 /// Tentpole (PR-9): every request served with tracing on reconstructs a
@@ -160,6 +193,7 @@ fn chrome_trace_roundtrip_from_served_traffic() {
 /// a complete six-phase timeline for every admitted request.
 #[test]
 fn request_scoped_tracing_reconstructs_causal_lanes() {
+    let _tracing = TRACING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let engine = webgl_engine(DeviceProfile::intel_iris_pro());
     // Unique layer geometry: model keys are content hashes and the
     // attribution table is process-global, so these params must differ
