@@ -3,8 +3,8 @@
 //! AVX/TF-C class of performance the Node.js backend gets by binding to the
 //! TensorFlow C library (paper Sec 4.2).
 //!
-//! Every kernel takes its output, and its `f32` scratch (im2col matrices,
-//! transposed operands, `dy · Wᵀ`), from the backend's free list
+//! Every kernel takes its output, and its `f32` scratch (im2col matrices, a
+//! transposed right operand, `dy · Wᵀ`), from the backend's free list
 //! ([`Host::buffers`]) and hands the scratch back before it returns. A taken
 //! buffer holds whatever its last user left, so a kernel either writes every
 //! element or asks for the buffer zeroed.
@@ -99,30 +99,87 @@ fn matmul_impl(
     if out.is_empty() {
         return out;
     }
-    let fused = bias.is_some() || activation.is_some();
+    let epilogue = (bias, activation);
     for bi in 0..batch {
-        let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a, host);
+        let a_b = &a[bi * m * k..(bi + 1) * m * k];
         let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b, host);
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
-        let row_work = (k * n).div_ceil(TILED_MACS_PER_VISIT);
-        parallel_for_slices(host.pool, out_b, m, n, row_work, |rows, chunk| {
-            gemm_rows(&a_mat[rows.start * k..rows.end * k], &b_mat, k, n, chunk);
-            if fused {
-                for out_row in chunk.chunks_mut(n) {
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o = apply_epilogue(*o, j, bias, activation);
-                    }
-                }
-            }
-        });
-        give_back(a_mat, host);
+        if transpose_a {
+            tiled_product(Transposed { a: a_b, m }, &b_mat, m, n, epilogue, host, out_b);
+        } else {
+            tiled_product(RowMajor { a: a_b, k }, &b_mat, m, n, epilogue, host, out_b);
+        }
         give_back(b_mat, host);
     }
     out
 }
 
-/// `out = a · b` for a run of rows: `a` is row-major `[rows, k]`, `b`
-/// `[k, n]`, `out` `[rows, n]`, whose contents on entry are never read.
+/// `out = a · b` for one matrix of the batch, then the epilogue if any,
+/// parallel over output rows.
+fn tiled_product(
+    a: impl Lhs,
+    b: &[f32],
+    m: usize,
+    n: usize,
+    (bias, activation): (Option<&[f32]>, Option<UnaryOp>),
+    host: &Host<'_>,
+    out: &mut [f32],
+) {
+    let fused = bias.is_some() || activation.is_some();
+    // `b` is `[k, n]`: a row of the output is `k · n` multiply-adds.
+    let row_work = b.len().div_ceil(TILED_MACS_PER_VISIT);
+    parallel_for_slices(host.pool, out, m, n, row_work, |rows, chunk| {
+        gemm_rows(a, rows.start, b, n, chunk);
+        if fused {
+            for out_row in chunk.chunks_mut(n) {
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o = apply_epilogue(*o, j, bias, activation);
+                }
+            }
+        }
+    });
+}
+
+/// How a product reads its left operand `A`, logically `[m, k]`: where it
+/// is stored, in either layout, so neither is copied first.
+trait Lhs: Copy + Sync {
+    /// `[A[i, p], .., A[i + R - 1, p]]` for `p = 0, 1, .., k - 1`.
+    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]>;
+}
+
+/// `A` stored row-major, `[m, k]`.
+#[derive(Clone, Copy)]
+struct RowMajor<'a> {
+    a: &'a [f32],
+    k: usize,
+}
+
+impl Lhs for RowMajor<'_> {
+    #[inline(always)]
+    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i + r) * self.k..][..self.k]);
+        (0..self.k).map(move |p| std::array::from_fn(|r| rows[r][p]))
+    }
+}
+
+/// `A` stored transposed, `[k, m]` (a filter or weight gradient's `colsᵀ`
+/// or `xᵀ`): the `R` values a tile takes at each `p` lie next to each other,
+/// `a[p·m + i ..][..R]`.
+#[derive(Clone, Copy)]
+struct Transposed<'a> {
+    a: &'a [f32],
+    m: usize,
+}
+
+impl Lhs for Transposed<'_> {
+    #[inline(always)]
+    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
+        self.a.chunks_exact(self.m).map(move |column| column[i..i + R].try_into().expect("R rows"))
+    }
+}
+
+/// `out = a · b` for rows `i0..` of `a`: `b` is `[k, n]`, `out` `[rows, n]`,
+/// whose contents on entry are never read.
 ///
 /// The columns are cut into register tiles ([`gemm_tile`]) 16 wide while 16
 /// are left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever the
@@ -130,7 +187,7 @@ fn matmul_impl(
 /// takes `a[i, p] · b[p, j]` for `p = 0, 1, ..` in that order — the order of
 /// `webml_core::kernels::matmul` and, through im2col, of `conv2d` — so the
 /// result equals theirs to the bit and does not depend on the tile a column
-/// fell into or on how the pool split the rows.
+/// fell into, on how the pool split the rows, or on the layout of `a`.
 ///
 /// A tile pays by re-reading its column block of `b` from L1 for every tile
 /// of rows. With fewer rows than one tile nothing is re-read, and the block
@@ -139,15 +196,11 @@ fn matmul_impl(
 /// output row as the accumulators: the same additions in the same order. (A
 /// served 1x256x1024 dense layer, its 1 MB of weights cold between requests,
 /// cost `serve_fleet` 13% of its throughput through the tiles.)
-fn gemm_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
+fn gemm_rows(a: impl Lhs, i0: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if out.len() < 4 * n {
         out.fill(0.0);
-        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        for (i, out_row) in (i0..).zip(out.chunks_exact_mut(n)) {
+            for ([av], b_row) in a.rows(i).zip(b.chunks_exact(n)) {
                 for (o, &bv) in out_row.iter_mut().zip(b_row) {
                     *o += av * bv;
                 }
@@ -157,68 +210,66 @@ fn gemm_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     }
     let mut j = 0;
     while j + 16 <= n {
-        gemm_column_block::<2, 16>(a, b, k, n, j, out);
+        gemm_column_block::<2, 16>(a, i0, b, n, j, out);
         j += 16;
     }
     if j + 8 <= n {
-        gemm_column_block::<4, 8>(a, b, k, n, j, out);
+        gemm_column_block::<4, 8>(a, i0, b, n, j, out);
         j += 8;
     }
     if j + 4 <= n {
-        gemm_column_block::<4, 4>(a, b, k, n, j, out);
+        gemm_column_block::<4, 4>(a, i0, b, n, j, out);
         j += 4;
     }
     if j + 2 <= n {
-        gemm_column_block::<4, 2>(a, b, k, n, j, out);
+        gemm_column_block::<4, 2>(a, i0, b, n, j, out);
         j += 2;
     }
     if j < n {
-        gemm_column_block::<4, 1>(a, b, k, n, j, out);
+        gemm_column_block::<4, 1>(a, i0, b, n, j, out);
     }
 }
 
 /// Columns `j..j + W` of every row: tiles of `R` rows, then single rows.
 fn gemm_column_block<const R: usize, const W: usize>(
-    a: &[f32],
+    a: impl Lhs,
+    i0: usize,
     b: &[f32],
-    k: usize,
     n: usize,
     j: usize,
     out: &mut [f32],
 ) {
-    let mut a_tiles = a.chunks_exact(R * k);
     let mut out_tiles = out.chunks_exact_mut(R * n);
-    for (a_tile, out_tile) in (&mut a_tiles).zip(&mut out_tiles) {
-        gemm_tile::<R, W>(a_tile, b, k, n, j, out_tile);
+    let mut i = i0;
+    for out_tile in &mut out_tiles {
+        gemm_tile::<R, W>(a, i, b, n, j, out_tile);
+        i += R;
     }
-    let a_rest = a_tiles.remainder().chunks_exact(k);
-    for (a_row, out_row) in a_rest.zip(out_tiles.into_remainder().chunks_exact_mut(n)) {
-        gemm_tile::<1, W>(a_row, b, k, n, j, out_row);
+    for (i, out_row) in (i..).zip(out_tiles.into_remainder().chunks_exact_mut(n)) {
+        gemm_tile::<1, W>(a, i, b, n, j, out_row);
     }
 }
 
-/// An `R x W` tile of outputs held in registers across the whole `k` loop:
-/// `R * W / 4` SSE accumulators (8 for the two wide shapes, 2x16 and 4x8)
-/// plus the `b` row segment and the broadcast `a` element fit the 16
-/// registers, so the loop does one load per `W` multiply-adds instead of a
-/// load and a store per multiply-add.
+/// An `R x W` tile of outputs, rows `i..i + R`, held in registers across the
+/// whole `k` loop: `R * W / 4` SSE accumulators (8 for the two wide shapes,
+/// 2x16 and 4x8) plus the `b` row segment and the broadcast `a` element fit
+/// the 16 registers, so the loop does one load per `W` multiply-adds instead
+/// of a load and a store per multiply-add.
 #[inline(always)]
 fn gemm_tile<const R: usize, const W: usize>(
-    a: &[f32],
+    a: impl Lhs,
+    i: usize,
     b: &[f32],
-    k: usize,
     n: usize,
     j: usize,
     out: &mut [f32],
 ) {
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
     let mut acc = [[0.0f32; W]; R];
-    for (p, b_row) in b.chunks_exact(n).enumerate() {
+    for (av, b_row) in a.rows::<R>(i).zip(b.chunks_exact(n)) {
         let b_seg: &[f32; W] = b_row[j..j + W].try_into().expect("W columns");
         for r in 0..R {
-            let av = a_rows[r][p];
             for c in 0..W {
-                acc[r][c] += av * b_seg[c];
+                acc[r][c] += av[r] * b_seg[c];
             }
         }
     }
@@ -227,9 +278,13 @@ fn gemm_tile<const R: usize, const W: usize>(
     }
 }
 
-/// Row-major `[rows, cols]` view of `src`: borrowed as is, or transposed
-/// into a scratch matrix so the inner loops stay contiguous (an O(rows·cols)
-/// copy, negligible next to the O(mkn) product); [`give_back`] it after use.
+/// Row-major `[rows, cols]` view of a product's right operand `B`, so a tile
+/// reads one contiguous row segment of it per `p`: borrowed as is, or
+/// transposed into a scratch matrix; [`give_back`] it after use. A transposed
+/// `B` is a weight matrix (`dy · Wᵀ` of a conv's or a dense layer's input
+/// gradient, 7 840 values at most in the training step), so the copy costs
+/// little; the left operand, whose transposed copies were 8–9 % of that step
+/// (`colsᵀ · dy`, `xᵀ · dy`), is never copied ([`Lhs`]).
 fn gather_matrix<'a>(
     src: &'a [f32],
     rows: usize,
@@ -296,54 +351,79 @@ fn conv2d_impl(
     out
 }
 
-/// Build the im2col patch matrix `[batch*oh*ow, fh*fw*ic]` in parallel over
-/// output rows; out-of-bounds taps are zero-filled.
+/// Build the im2col patch matrix `[batch*oh*ow, fh*fw*ic]`, in parallel over
+/// image rows `(b, oh)`; out-of-bounds taps are zero-filled. (The reference
+/// kernel skips a tap outside the image; the zero written here adds `0 · w`
+/// to the accumulator instead, which leaves it as it was for any finite `w`.)
 ///
-/// NHWC keeps the `filter_width * in_channels` values under one filter row
-/// next to each other when `dilation_w == 1`, so a window that lies inside
-/// the image is copied one filter row at a time; only the windows that hang
-/// over the left or right border go tap by tap. (The reference kernel skips
-/// a tap outside the image; the zero written here adds `0 · w` to the
-/// accumulator instead, which leaves it as it was for any finite `w`.)
+/// An image row is filled one filter row at a time, from the one input line
+/// `ih` that filter row reads, stepping `stride_w · in_channels` along it per
+/// output column. NHWC keeps the `filter_width · in_channels` values under a
+/// filter row next to each other, so with `dilation_w == 1` a window inside
+/// the line is one copy; the windows that hang over its left or right end
+/// go tap by tap. With one input channel that copy is of a few values, and a
+/// call to `memcpy` per output column cost more than the values (conv 1 of
+/// the training step: 6 272 rows of 9); there each tap instead walks the
+/// line, one value per output column.
 fn im2col(x: &[f32], c: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
-    let patch = c.filter_height * c.filter_width * c.in_channels;
-    let rows = c.batch * c.out_height * c.out_width;
-    let run = c.filter_width * c.in_channels;
-    let zeros = |len| std::iter::repeat_n(0.0f32, len);
-    parallel_collect(host, rows, patch, patch, |range, cols| {
-        for row in range {
-            let oc_spatial = c.out_height * c.out_width;
-            let b = row / oc_spatial;
-            let rem = row % oc_spatial;
-            let oh = rem / c.out_width;
-            let ow = rem % c.out_width;
-            let iw0 = (ow * c.stride_w) as isize - c.pad_left as isize;
-            let whole_runs =
-                c.dilation_w == 1 && iw0 >= 0 && iw0 as usize + c.filter_width <= c.in_width;
+    let ic = c.in_channels;
+    let run = c.filter_width * ic;
+    let patch = c.filter_height * run;
+    let line_len = c.in_width * ic;
+    let image_row = c.out_width * patch;
+    let image_rows = c.batch * c.out_height;
+    let mut cols = host.buffers.take(image_rows * image_row);
+    if cols.is_empty() {
+        return cols;
+    }
+    // Every element of `cols` is written below: each filter row of each
+    // output column, as a copy, a tap at a time, or zeros.
+    parallel_for_slices(host.pool, &mut cols, image_rows, image_row, image_row, |range, chunk| {
+        for (row, dst) in range.zip(chunk.chunks_exact_mut(image_row)) {
+            let (b, oh) = (row / c.out_height, row % c.out_height);
             for fh in 0..c.filter_height {
-                let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                if ih < 0 || ih >= c.in_height as isize {
-                    cols.extend(zeros(run));
+                let dst = &mut dst[fh * run..];
+                // Above the image the subtraction wraps, and fails the test.
+                let ih = (oh * c.stride_h + fh * c.dilation_h).wrapping_sub(c.pad_top);
+                if ih >= c.in_height {
+                    for ow in 0..c.out_width {
+                        dst[ow * patch..][..run].fill(0.0);
+                    }
                     continue;
                 }
-                let line = (b * c.in_height + ih as usize) * c.in_width;
-                if whole_runs {
-                    let base = (line + iw0 as usize) * c.in_channels;
-                    cols.extend(x[base..base + run].iter().copied());
+                let line = &x[(b * c.in_height + ih) * line_len..][..line_len];
+                let iw = |ow: usize, fw: usize| {
+                    (ow * c.stride_w + fw * c.dilation_w).wrapping_sub(c.pad_left)
+                };
+                if ic == 1 {
+                    for fw in 0..c.filter_width {
+                        for ow in 0..c.out_width {
+                            let iw = iw(ow, fw);
+                            dst[ow * patch + fw] = if iw < c.in_width { line[iw] } else { 0.0 };
+                        }
+                    }
                     continue;
                 }
-                for fw in 0..c.filter_width {
-                    let iw = iw0 + (fw * c.dilation_w) as isize;
-                    if iw < 0 || iw >= c.in_width as isize {
-                        cols.extend(zeros(c.in_channels));
-                    } else {
-                        let base = (line + iw as usize) * c.in_channels;
-                        cols.extend(x[base..base + c.in_channels].iter().copied());
+                for ow in 0..c.out_width {
+                    let window = &mut dst[ow * patch..][..run];
+                    let iw0 = iw(ow, 0);
+                    if c.dilation_w == 1 && iw0 < c.in_width && iw0 + c.filter_width <= c.in_width {
+                        window.copy_from_slice(&line[iw0 * ic..][..run]);
+                        continue;
+                    }
+                    for (fw, tap) in window.chunks_exact_mut(ic).enumerate() {
+                        let iw = iw(ow, fw);
+                        if iw < c.in_width {
+                            tap.copy_from_slice(&line[iw * ic..][..ic]);
+                        } else {
+                            tap.fill(0.0);
+                        }
                     }
                 }
             }
         }
-    })
+    });
+    cols
 }
 
 /// Depthwise conv2d, parallel over output pixels.
@@ -455,8 +535,9 @@ pub fn fused_matmul_quant(
     } else {
         None
     };
+    let epilogue = (bias, activation);
     for bi in 0..batch {
-        let a_mat = gather_matrix(&a[bi * m * k..(bi + 1) * m * k], m, k, transpose_a, host);
+        let a_b = &a[bi * m * k..(bi + 1) * m * k];
         let batch_b;
         let b_mat: &[u8] = match &shared_b {
             Some(sb) => sb,
@@ -466,30 +547,49 @@ pub fn fused_matmul_quant(
             }
         };
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
-        parallel_for_slices(host.pool, out_b, m, n, k * n, |rows, chunk| {
-            for (local_i, i) in rows.enumerate() {
-                let out_row = &mut chunk[local_i * n..(local_i + 1) * n];
-                let a_row = &a_mat[i * k..(i + 1) * k];
-                let mut acc_a = 0.0f32;
-                for (p, &av) in a_row.iter().enumerate() {
-                    acc_a += av;
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b_mat[p * n..(p + 1) * n];
-                    for (o, &qv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * qv as f32;
-                    }
-                }
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let (s, mn) = params.scale_min(j);
-                    *o = apply_epilogue(s * *o + mn * acc_a, j, bias, activation);
-                }
-            }
-        });
-        give_back(a_mat, host);
+        if transpose_a {
+            quant_product(Transposed { a: a_b, m }, b_mat, params, m, n, epilogue, host, out_b);
+        } else {
+            quant_product(RowMajor { a: a_b, k }, b_mat, params, m, n, epilogue, host, out_b);
+        }
     }
     out
+}
+
+/// One matrix of [`fused_matmul_quant`]'s batch: `out`, zeroed, becomes
+/// `a · dequant(b_q)` through the epilogue, parallel over rows.
+#[allow(clippy::too_many_arguments)]
+fn quant_product(
+    a: impl Lhs,
+    b_q: &[u8],
+    params: &QuantParams,
+    m: usize,
+    n: usize,
+    (bias, activation): (Option<&[f32]>, Option<UnaryOp>),
+    host: &Host<'_>,
+    out: &mut [f32],
+) {
+    // `b_q` is `[k, n]`: a row of the output is `k · n` multiply-adds.
+    parallel_for_slices(host.pool, out, m, n, b_q.len(), |rows, chunk| {
+        for (local_i, i) in rows.enumerate() {
+            let out_row = &mut chunk[local_i * n..(local_i + 1) * n];
+            let mut acc_a = 0.0f32;
+            for (p, [av]) in a.rows(i).enumerate() {
+                acc_a += av;
+                if av == 0.0 {
+                    continue;
+                }
+                let b_row = &b_q[p * n..(p + 1) * n];
+                for (o, &qv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * qv as f32;
+                }
+            }
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let (s, mn) = params.scale_min(j);
+                *o = apply_epilogue(s * *o + mn * acc_a, j, bias, activation);
+            }
+        }
+    });
 }
 
 fn gather_codes(src: &[u8], rows: usize, cols: usize, transposed: bool) -> Cow<'_, [u8]> {
@@ -1042,6 +1142,19 @@ mod tests {
             }
         }
         const { assert!(160 * 96 * 70 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
+        // The training step's three products with a transposed left operand,
+        // read in place: conv 1's and conv 2's `colsᵀ · dy` and the dense
+        // layer's `xᵀ · dy`. The second is split on every pool of two or more.
+        for (m, k, n) in [(9, 6272, 8), (72, 1568, 16), (784, 32, 10)] {
+            let a = wave(m * k, 0.13);
+            let b = wave(k * n, 0.29);
+            for tb in [false, true] {
+                let got = on_every_pool(|host| matmul(&a, &b, 1, m, k, n, true, tb, host));
+                let want = reference::matmul(&a, &b, 1, m, k, n, true, tb);
+                assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta=true tb={tb}");
+            }
+        }
+        const { assert!(72 * 1568 * 16 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };
     }
 
     #[test]
