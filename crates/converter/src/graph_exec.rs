@@ -6,28 +6,28 @@
 //! reproduces (dense/conv image classifiers): placeholders, constants,
 //! matmul, bias/arithmetic, activations, conv/pool, reshape, softmax.
 //!
-//! On load the graph is run through a pattern-matching fusion pass:
-//! `MatMul`/`Conv2D`/`DepthwiseConv2dNative` followed by a single-consumer
-//! bias add and activation collapse into one `_Fused*` node, and runs of
-//! adjacent single-consumer element-wise ops collapse into one
-//! `_FusedElementwise` chain — each dispatching a single fused device
-//! kernel at execution time. Fetching a node that fusion swallowed plans
-//! the unfused graph instead.
+//! A model holds one graph. Every run is a [`Plan`] run: `execute` resolves
+//! the feed-shape signature, takes the cached plan (compiling it on first
+//! use) and runs it. A graph the planner rejects is an `Err` to the caller.
 //!
-//! Every run is a [`Plan`] run: `execute` resolves the feed-shape
-//! signature, takes the cached plan (compiling it on first use) and runs
-//! it. A graph the planner rejects is an `Err` to the caller.
+//! Fusion happens in the planner, as it lowers: `MatMul`/`Conv2D`/
+//! `DepthwiseConv2dNative` followed by a sole-consumer bias add and
+//! activation become one product call with an epilogue, and runs of
+//! sole-consumer element-wise ops one element-wise chain call — each a
+//! single fused device kernel at execution time. A fetched value is never
+//! folded away: fetching an intermediate only keeps the fold through it
+//! from happening.
 
 use crate::plan::{PendingFetches, Plan};
 use crate::prune::{GraphDef, NodeDef};
 use parking_lot::Mutex;
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use webml_core::backend::{BinaryOp, UnaryOp};
 use webml_core::conv_util::Padding;
-use webml_core::{Engine, Error, FusedStep, Result, Shape, Tensor};
+use webml_core::{Engine, Error, Result, Shape, Tensor};
 
 /// Key of a cached plan: the sorted `(placeholder, dims)` feed signature
 /// plus the fetch list.
@@ -80,17 +80,11 @@ fn plan_metrics() -> &'static PlanMetrics {
 pub struct GraphModel {
     engine: Engine,
     graph: GraphDef,
-    /// The graph after the kernel-fusion pass (used unless a fetch names a
-    /// node that fusion eliminated).
-    fused: GraphDef,
     /// Values for `Const`/`VariableV2` nodes, by node name.
     weights: HashMap<String, Tensor>,
     order: Vec<usize>,
-    fused_order: Vec<usize>,
-    /// Names surviving fusion, precomputed once — the per-call
-    /// "can the fused graph serve these fetches?" check is O(fetches)
-    /// instead of O(fetches × nodes).
-    fused_names: HashSet<String>,
+    /// The most nodes any plan of this model has folded away.
+    folded: AtomicUsize,
     plans: Mutex<PlanCache>,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
@@ -120,28 +114,6 @@ pub(crate) fn attr_padding(node: &NodeDef) -> Result<Padding> {
         "VALID" | "valid" => Ok(Padding::Valid),
         other => Err(Error::Serialization { message: format!("unknown padding {other}") }),
     }
-}
-
-/// Decode the `steps` attr of a `_FusedElementwise` node.
-pub(crate) fn parse_steps(node: &NodeDef) -> Result<Vec<FusedStep>> {
-    let malformed = || Error::Serialization {
-        message: format!("_FusedElementwise {} has a malformed steps attr", node.name),
-    };
-    let arr = node.attrs.get("steps").and_then(Value::as_array).ok_or_else(malformed)?;
-    arr.iter()
-        .map(|s| {
-            let parts = s.as_array().ok_or_else(malformed)?;
-            let name = parts.first().and_then(Value::as_str).ok_or_else(malformed)?;
-            if let Some(u) = fusable_unary(name) {
-                Ok(FusedStep::Unary(u))
-            } else if let Some(b) = fusable_binary(name) {
-                let idx = parts.get(1).and_then(Value::as_u64).ok_or_else(malformed)? as usize;
-                Ok(FusedStep::Binary(b, idx))
-            } else {
-                Err(malformed())
-            }
-        })
-        .collect()
 }
 
 /// Kahn topological sort (GraphDefs are not guaranteed ordered).
@@ -260,214 +232,8 @@ pub(crate) fn fusable_binary(op: &str) -> Option<BinaryOp> {
     }
 }
 
-fn unary_name(op: UnaryOp) -> &'static str {
-    match op {
-        UnaryOp::Relu => "Relu",
-        UnaryOp::Relu6 => "Relu6",
-        UnaryOp::Sigmoid => "Sigmoid",
-        UnaryOp::Tanh => "Tanh",
-        _ => "Relu",
-    }
-}
-
-fn binary_name(op: BinaryOp) -> &'static str {
-    match op {
-        BinaryOp::Add => "Add",
-        BinaryOp::Sub => "Sub",
-        BinaryOp::Mul => "Mul",
-        BinaryOp::Div => "Div",
-        _ => "Add",
-    }
-}
-
-/// The kernel-fusion pass: collapse matmul/conv → bias-add → activation
-/// triples into one `_Fused*` node, then collapse remaining runs of
-/// single-consumer element-wise ops into `_FusedElementwise` chains. Fused
-/// nodes take the NAME of the last node they replace, so downstream input
-/// references stay valid; swallowed intermediates disappear from the graph.
-fn fuse_graph(graph: &GraphDef, weights: &HashMap<String, Tensor>) -> GraphDef {
-    let index: HashMap<&str, usize> =
-        graph.nodes.iter().enumerate().map(|(i, n)| (n.name.as_str(), i)).collect();
-    // Consumer lists; nodes with control inputs never participate in fusion.
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); graph.nodes.len()];
-    let mut has_control = vec![false; graph.nodes.len()];
-    for (i, node) in graph.nodes.iter().enumerate() {
-        for input in &node.inputs {
-            if input.starts_with('^') {
-                has_control[i] = true;
-            }
-            if let Some(&j) = index.get(input.trim_start_matches('^')) {
-                consumers[j].push(i);
-            }
-        }
-    }
-    let sole_consumer = |i: usize| -> Option<usize> {
-        match consumers[i].as_slice() {
-            [c] if !has_control[*c] => Some(*c),
-            _ => None,
-        }
-    };
-    // Whether a node is a rank-1 weight (a valid fused-kernel bias).
-    let is_bias = |name: &str| weights.get(name).map(|t| t.rank() == 1).unwrap_or(false);
-
-    let mut swallowed: HashSet<usize> = HashSet::new();
-    let mut replacement: HashMap<usize, NodeDef> = HashMap::new();
-
-    // Pass A: matmul/conv epilogues.
-    for (i, node) in graph.nodes.iter().enumerate() {
-        let fused_op = match node.op.as_str() {
-            "MatMul" => "_FusedMatMul",
-            "Conv2D" => "_FusedConv2D",
-            "DepthwiseConv2dNative" => "_FusedDepthwiseConv2dNative",
-            _ => continue,
-        };
-        if has_control[i] {
-            continue;
-        }
-        // Optional bias add: sole consumer, this node as lhs, rank-1 weight
-        // as rhs (the fused kernels require a `[channels]` bias).
-        let mut last = i;
-        let mut bias: Option<&str> = None;
-        if let Some(c) = sole_consumer(i) {
-            let cn = &graph.nodes[c];
-            if matches!(cn.op.as_str(), "BiasAdd" | "Add" | "AddV2")
-                && cn.inputs.len() == 2
-                && cn.inputs[0] == node.name
-                && is_bias(&cn.inputs[1])
-            {
-                bias = Some(cn.inputs[1].as_str());
-                last = c;
-            }
-        }
-        // Optional activation on whatever the chain currently ends at.
-        let mut activation: Option<&str> = None;
-        if let Some(a) = sole_consumer(last) {
-            let an = &graph.nodes[a];
-            if fusable_unary(&an.op).is_some() && an.inputs[0] == graph.nodes[last].name {
-                activation = Some(an.op.as_str());
-                last = a;
-            }
-        }
-        if last == i {
-            continue; // Nothing to fuse into this kernel.
-        }
-        let mut inputs = node.inputs.clone();
-        if let Some(b) = bias {
-            inputs.push(b.to_string());
-        }
-        let mut attrs = if node.attrs.is_object() { node.attrs.clone() } else { json!({}) };
-        if let Value::Object(entries) = &mut attrs {
-            entries.push(("has_bias".to_string(), json!(bias.is_some())));
-            if let Some(act) = activation {
-                entries.push(("activation".to_string(), json!(act)));
-            }
-        }
-        // Mark every member between i and last as swallowed except `last`,
-        // which carries the fused node (so downstream names resolve).
-        let mut member = i;
-        while member != last {
-            swallowed.insert(member);
-            member = sole_consumer(member).expect("chain member has sole consumer");
-        }
-        replacement.insert(
-            last,
-            NodeDef { name: graph.nodes[last].name.clone(), op: fused_op.to_string(), inputs, attrs },
-        );
-    }
-
-    // Pass B: element-wise chains over nodes not already part of a fusion.
-    // A chain member has exactly the data inputs its op takes: a node with
-    // none (or a binary with one) is malformed and stays as it is, so the
-    // planner can name it in an error.
-    let chain_step = |n: &NodeDef| match n.inputs.len() {
-        1 => fusable_unary(&n.op).is_some(),
-        2 => fusable_binary(&n.op).is_some(),
-        _ => false,
-    };
-    let in_fusion =
-        |i: usize, swallowed: &HashSet<usize>, replacement: &HashMap<usize, NodeDef>| {
-            swallowed.contains(&i) || replacement.contains_key(&i)
-        };
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if in_fusion(i, &swallowed, &replacement) || has_control[i] {
-            continue;
-        }
-        if !chain_step(node) {
-            continue;
-        }
-        // Only start a chain at its head: the producer of input 0 must not
-        // itself be a chain candidate about to swallow this node.
-        if let Some(&p) = index.get(node.inputs[0].trim_start_matches('^')) {
-            let pn = &graph.nodes[p];
-            let p_fusable = !in_fusion(p, &swallowed, &replacement)
-                && !has_control[p]
-                && chain_step(pn)
-                && sole_consumer(p) == Some(i);
-            if p_fusable {
-                continue;
-            }
-        }
-        // Greedily extend the chain downstream.
-        let mut members = vec![i];
-        let mut last = i;
-        while let Some(c) = sole_consumer(last) {
-            if in_fusion(c, &swallowed, &replacement) || has_control[c] {
-                break;
-            }
-            let cn = &graph.nodes[c];
-            let ok = chain_step(cn) && cn.inputs[0] == graph.nodes[last].name;
-            if !ok {
-                break;
-            }
-            members.push(c);
-            last = c;
-        }
-        if members.len() < 2 {
-            continue;
-        }
-        let mut inputs = vec![node.inputs[0].clone()];
-        let mut steps = Vec::new();
-        for &m in &members {
-            let mn = &graph.nodes[m];
-            if let Some(u) = fusable_unary(&mn.op) {
-                steps.push(json!([unary_name(u)]));
-            } else {
-                let b = fusable_binary(&mn.op).expect("checked fusable");
-                inputs.push(mn.inputs[1].clone());
-                steps.push(json!([binary_name(b), inputs.len() - 2]));
-            }
-        }
-        for &m in &members {
-            if m != last {
-                swallowed.insert(m);
-            }
-        }
-        replacement.insert(
-            last,
-            NodeDef {
-                name: graph.nodes[last].name.clone(),
-                op: "_FusedElementwise".to_string(),
-                inputs,
-                attrs: json!({ "steps": steps }),
-            },
-        );
-    }
-
-    GraphDef {
-        nodes: graph
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !swallowed.contains(i))
-            .map(|(i, n)| replacement.remove(&i).unwrap_or_else(|| n.clone()))
-            .collect(),
-    }
-}
-
 impl GraphModel {
-    /// Build an executable model from a graph and its weight values. The
-    /// graph is additionally run through the kernel-fusion pass; execution
-    /// uses the fused graph whenever the requested fetches survive fusion.
+    /// Build an executable model from a graph and its weight values.
     ///
     /// # Errors
     /// Fails when the graph has cycles, unknown input references, or a
@@ -486,18 +252,12 @@ impl GraphModel {
                 });
             }
         }
-        let fused = fuse_graph(&graph, &weights);
-        let fused_order = toposort(&fused)?;
-        let fused_names: HashSet<String> =
-            fused.nodes.iter().map(|n| n.name.clone()).collect();
         let model = GraphModel {
             engine: engine.clone(),
             graph,
-            fused,
             weights,
             order,
-            fused_order,
-            fused_names,
+            folded: AtomicUsize::new(0),
             plans: Mutex::new(PlanCache {
                 generation: engine.degradation_generation(),
                 entries: HashMap::new(),
@@ -577,14 +337,8 @@ impl GraphModel {
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         plan_metrics().misses.add(1);
-        let use_fused = fetches.iter().all(|f| self.fused_names.contains(*f));
-        let (graph, order) = if use_fused {
-            (&self.fused, &self.fused_order)
-        } else {
-            (&self.graph, &self.order)
-        };
-        let plan =
-            Arc::new(Plan::build(graph, order, &self.weights, &sig, fetches, use_fused)?);
+        let plan = Arc::new(Plan::build(&self.graph, &self.order, &self.weights, &sig, fetches)?);
+        self.folded.fetch_max(plan.folded, Ordering::Relaxed);
         plan_metrics().peak_bytes.set(plan.predicted_peak_bytes() as i64);
         cache.entries.insert(key, plan.clone());
         Ok(plan)
@@ -601,9 +355,10 @@ impl GraphModel {
         }
     }
 
-    /// Node count of the fused graph (< the original when patterns matched).
+    /// Node count of the graph less the nodes its plans fold into the op
+    /// producing their input (the most any plan built so far folded).
     pub fn fused_node_count(&self) -> usize {
-        self.fused.nodes.len()
+        self.node_count() - self.folded.load(Ordering::Relaxed)
     }
 
     /// Node count of the original (unfused) graph.
@@ -660,11 +415,10 @@ impl GraphModel {
 
     /// Execute the graph: bind `feeds` to placeholders, return the tensors
     /// of `fetches`. Runs the compiled [`Plan`] for this feed-shape
-    /// signature (building and caching it on first use) over the fused
-    /// graph, or over the unfused one when a fetch names a node the fusion
-    /// pass eliminated. Each intermediate is disposed at its final
-    /// consumer — except while a gradient tape is recording, when the plan
-    /// keeps them for the backward pass (see [`Plan::run`]).
+    /// signature (building and caching it on first use). Each intermediate
+    /// is disposed at its final consumer — except while a gradient tape is
+    /// recording, when the plan keeps them for the backward pass (see
+    /// [`Plan::run`]).
     ///
     /// # Errors
     /// Fails on missing feeds/fetches, unsupported ops or malformed nodes
@@ -702,9 +456,11 @@ impl GraphModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
     use std::sync::Arc;
+    use webml_core::backend::{Epilogue, KernelCall};
     use webml_core::cpu::CpuBackend;
-    use webml_core::ops;
+    use webml_core::{ops, FusedStep};
 
     fn engine() -> Engine {
         let e = Engine::new();
@@ -914,38 +670,85 @@ mod tests {
         assert!(model.execute(&[("x", &x)], &["q"]).is_err());
     }
 
+    /// The plan's ops for `fetches` at `sig`, as `(name, call)`; a view or
+    /// softmax has no call.
+    fn planned_ops(
+        model: &GraphModel,
+        sig: &[(String, Vec<usize>)],
+        fetches: &[&str],
+    ) -> Vec<(String, Option<KernelCall<'static>>)> {
+        let plan = model.plan_for_shapes(sig, fetches).unwrap();
+        plan.ops().iter().map(|op| (op.name.clone(), op.call().cloned())).collect()
+    }
+
+    /// `(name, call)` of a planned op, for comparing with [`planned_ops`].
+    fn op(name: &str, call: Option<KernelCall<'static>>) -> (String, Option<KernelCall<'static>>) {
+        (name.to_string(), call)
+    }
+
+    fn matmul(epilogue: Epilogue) -> Option<KernelCall<'static>> {
+        Some(KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue })
+    }
+
+    fn fused(bias: bool, activation: Option<UnaryOp>) -> Epilogue {
+        Epilogue::Fused { bias, activation }
+    }
+
+    fn chain(steps: &[FusedStep]) -> Option<KernelCall<'static>> {
+        Some(KernelCall::FusedElementwise(steps.to_vec().into()))
+    }
+
     #[test]
     fn fusion_collapses_matmul_bias_relu() {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
-        // mm1 + z1 + h collapse into one _FusedMatMul named "h".
+        // Nothing is folded before a plan is built.
         assert_eq!(model.node_count(), 9);
+        assert_eq!(model.fused_node_count(), 9);
+        // mm1 + z1 + h fold into one fused product named "h".
+        let sig = [("x".to_string(), vec![1, 2])];
+        let relu = Some(UnaryOp::Relu);
+        assert_eq!(
+            planned_ops(&model, &sig, &["probs"]),
+            vec![
+                op("h", matmul(fused(true, relu))),
+                op("logits", matmul(Epilogue::None)),
+                op("probs", None),
+            ]
+        );
         assert_eq!(model.fused_node_count(), 7);
-        assert!(model.fused.nodes.iter().any(|n| n.op == "_FusedMatMul" && n.name == "h"));
     }
 
+    /// Fetching `z1` of `mm1 → z1 → h` skips only the fold through `z1`:
+    /// the product still takes its bias and keeps the name `z1`, the
+    /// `Relu` runs on its own, and every fetch has the bits of the
+    /// reference walk and of the fully fused plan.
     #[test]
-    fn fused_graph_matches_unfused_bitwise() {
+    fn fetching_an_intermediate_skips_only_the_fold_through_it() {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
+        let sig = [("x".to_string(), vec![2, 2])];
+        assert_eq!(
+            planned_ops(&model, &sig, &["probs", "z1"]),
+            vec![
+                op("z1", matmul(fused(true, None))),
+                op("h", Some(KernelCall::Unary(UnaryOp::Relu))),
+                op("logits", matmul(Epilogue::None)),
+                op("probs", None),
+            ]
+        );
         let x = e.tensor_2d(&[1.0, 2.0, -0.5, 3.0], 2, 2).unwrap();
-        // "probs" survives fusion → the fused plan; "z1" was swallowed →
-        // the same call plans the unfused graph.
-        let fused = model.execute(&[("x", &x)], &["probs"]).unwrap();
-        let unfused = model.execute(&[("x", &x)], &["probs", "z1"]).unwrap();
-        assert_eq!(fused[0].to_f32_vec().unwrap(), unfused[0].to_f32_vec().unwrap());
-    }
-
-    #[test]
-    fn fetching_swallowed_intermediate_plans_the_unfused_graph() {
-        let e = engine();
-        let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
-        let x = e.tensor_2d(&[1.0, 2.0], 1, 2).unwrap();
-        let out = model.execute(&[("x", &x)], &["z1"]).unwrap();
-        // z = [1*1+2*0.5+0.1, -1+1-0.1].
-        let z = out[0].to_f32_vec().unwrap();
+        let planned = model.execute(&[("x", &x)], &["probs", "z1"]).unwrap();
+        let walked = reference_walk(&model, &[("x", &x)], &["probs", "z1"]).unwrap();
+        for (p, w) in planned.iter().zip(&walked) {
+            assert_eq!(bits(p), bits(w));
+        }
+        // z = [1*1+2*0.5+0.1, -1+1-0.1] for the first row.
+        let z = planned[1].to_f32_vec().unwrap();
         assert!((z[0] - 2.1).abs() < 1e-5);
         assert!((z[1] + 0.1).abs() < 1e-5);
+        let fused = model.execute(&[("x", &x)], &["probs"]).unwrap();
+        assert_eq!(bits(&fused[0]), bits(&planned[0]));
     }
 
     #[test]
@@ -961,9 +764,15 @@ mod tests {
         let mut weights = HashMap::new();
         weights.insert("s".to_string(), e.tensor_1d(&[2.0]).unwrap());
         let model = GraphModel::new(&e, graph, weights).unwrap();
-        // scaled + shifted + act collapse into one _FusedElementwise.
+        // scaled + shifted + act fold into one element-wise chain.
+        let steps = [
+            FusedStep::Binary(BinaryOp::Mul, 0),
+            FusedStep::Binary(BinaryOp::Add, 1),
+            FusedStep::Unary(UnaryOp::Relu),
+        ];
+        let sig = [("x".to_string(), vec![2])];
+        assert_eq!(planned_ops(&model, &sig, &["act"]), vec![op("act", chain(&steps))]);
         assert_eq!(model.fused_node_count(), 3);
-        assert!(model.fused.nodes.iter().any(|n| n.op == "_FusedElementwise" && n.name == "act"));
         let x = e.tensor_1d(&[-3.0, 0.5]).unwrap();
         let out = model.execute(&[("x", &x)], &["act"]).unwrap();
         // relu(x*2 + 2) = [0, 3].
@@ -987,14 +796,61 @@ mod tests {
         weights.insert("w".to_string(), e.eye(2).unwrap());
         weights.insert("b".to_string(), e.tensor_1d(&[1.0, -1.0]).unwrap());
         let model = GraphModel::new(&e, graph, weights).unwrap();
-        // mm+z fuse (z has 2 consumers → stops there? No: z is the bias add
-        // and must be the sole consumer chain END; mm's sole consumer z
-        // qualifies, z keeps its name, so "h" and "sum" still resolve).
-        assert!(model.fused.nodes.iter().any(|n| n.op == "_FusedMatMul" && n.name == "z"));
+        // mm's sole consumer z folds in and names the product; z has two
+        // consumers, so h starts a chain of its own that sum continues.
+        let steps = [FusedStep::Unary(UnaryOp::Relu), FusedStep::Binary(BinaryOp::Add, 0)];
+        assert_eq!(
+            planned_ops(&model, &[("x".to_string(), vec![1, 2])], &["sum"]),
+            vec![op("z", matmul(fused(true, None))), op("sum", chain(&steps))]
+        );
         let x = e.tensor_2d(&[3.0, 4.0], 1, 2).unwrap();
         let out = model.execute(&[("x", &x)], &["sum"]).unwrap();
         // z = [4, 3]; h = [4, 3]; sum = [8, 6].
         assert_eq!(out[0].to_f32_vec().unwrap(), vec![8.0, 6.0]);
+    }
+
+    /// A bias add of a rank-1 `[1]` weight after a product is a valid
+    /// broadcast but not one bias value per output channel, which the
+    /// fused product kernels take: the planner leaves that add unfolded
+    /// (it and the activation form an element-wise chain), and each graph
+    /// plans, runs and matches the reference walk on bits.
+    #[test]
+    fn a_bias_of_one_value_stays_an_add() {
+        let e = engine();
+        let w = |dims: &[usize], k: f32| {
+            e.tensor(wave(dims.iter().product(), k), Shape::new(dims.to_vec())).unwrap()
+        };
+        let conv = json!({ "strides": [1, 1], "padding": "SAME" });
+        let cases = [
+            ("MatMul", w(&[3, 4], 0.37), vec![2, 3], Value::Null),
+            ("Conv2D", w(&[3, 3, 2, 3], 0.37), vec![1, 4, 4, 2], conv.clone()),
+            ("DepthwiseConv2dNative", w(&[3, 3, 2, 1], 0.37), vec![1, 4, 4, 2], conv),
+        ];
+        for (product, filter, input, attrs) in cases {
+            let mut graph = GraphDef::from_triples(&[
+                ("x", "Placeholder", &[]),
+                ("f", "Const", &[]),
+                ("b", "Const", &[]),
+                ("p", product, &["x", "f"]),
+                ("z", "Add", &["p", "b"]),
+                ("act", "Relu", &["z"]),
+            ]);
+            graph.nodes[3].attrs = attrs;
+            let weights = HashMap::from([
+                ("f".to_string(), filter),
+                ("b".to_string(), e.tensor_1d(&[-0.25]).unwrap()),
+            ]);
+            let model = GraphModel::new(&e, graph, weights).unwrap();
+            let ops = planned_ops(&model, &[("x".to_string(), input.clone())], &["act"]);
+            let steps = [FusedStep::Binary(BinaryOp::Add, 0), FusedStep::Unary(UnaryOp::Relu)];
+            assert_eq!(ops.len(), 2, "{product}");
+            assert_eq!(ops[0].1.as_ref().and_then(KernelCall::epilogue), Some(Epilogue::None));
+            assert_eq!(ops[1], op("act", chain(&steps)), "{product}");
+            let x = e.tensor(wave(input.iter().product(), 0.13), Shape::new(input)).unwrap();
+            let planned = model.execute(&[("x", &x)], &["act"]).unwrap();
+            let walked = reference_walk(&model, &[("x", &x)], &["act"]).unwrap();
+            assert_eq!(bits(&planned[0]), bits(&walked[0]), "{product}");
+        }
     }
 
     #[test]
@@ -1002,8 +858,8 @@ mod tests {
         let e = engine();
         let model = GraphModel::new(&e, mlp_graph(), mlp_weights(&e)).unwrap();
         let x = e.tensor_2d(&[1.0, 2.0, -0.5, 3.0], 2, 2).unwrap();
-        // The fused plan, and (a swallowed fetch) the plan over the unfused
-        // graph, against the walk of the unfused graph.
+        // The fused plan, and the plan that fetches an intermediate and so
+        // skips the fold through it, against the walk of the graph.
         for fetches in [&["probs"][..], &["probs", "z1"][..]] {
             let planned = model.execute(&[("x", &x)], fetches).unwrap();
             let walked = reference_walk(&model, &[("x", &x)], fetches).unwrap();
@@ -1040,10 +896,10 @@ mod tests {
         let plan = model
             .plan_for_shapes(&[("x".to_string(), vec![1, 2])], &["probs"])
             .unwrap();
-        // Fused graph: _FusedMatMul + MatMul + Softmax. Weight and
-        // placeholder nodes become in-place references, not ops.
-        assert!(plan.uses_fused_graph());
+        // A fused product, a MatMul and a Softmax. Weight and placeholder
+        // nodes become in-place references, not ops.
         assert_eq!(plan.op_count(), 3);
+        assert!(plan.ops()[0].call().is_some_and(KernelCall::is_fused));
         assert!(plan.ops().iter().all(|op| !op.is_alias()));
     }
 
@@ -1186,13 +1042,13 @@ mod tests {
         assert!(model.execute(&[], &["x"]).is_err());
     }
     /// A node with too few inputs is an `Err` from the planner that names
-    /// it — never an index out of bounds in the fusion pass or the
-    /// executor (both panicked before the plan became the only executor).
+    /// it — never an index out of bounds in the planner's fusion or the
+    /// executor.
     #[test]
     fn malformed_nodes_are_errors_not_panics() {
         let e = engine();
         let x = e.tensor_2d(&[1.0, 2.0], 1, 2).unwrap();
-        // A zero-input chain head: the fusion pass must not index input 0.
+        // A zero-input chain head: fusion must not index input 0.
         let model =
             GraphModel::new(&e, GraphDef::from_triples(&[("a", "Relu", &[])]), HashMap::new())
                 .unwrap();
@@ -1206,7 +1062,7 @@ mod tests {
         assert!(err.to_string().contains("m is missing input 1"), "{err}");
         assert!(model.execute_pipelined(&[("x", &x)], &["m"]).is_err());
         // An element-wise binary with one input after a fusable unary: it
-        // must not join a `_FusedElementwise` chain.
+        // must not join the element-wise chain.
         let graph = GraphDef::from_triples(&[
             ("x", "Placeholder", &[]),
             ("r", "Relu", &["x"]),
@@ -1214,10 +1070,12 @@ mod tests {
             ("s", "Add", &["t"]),
         ]);
         let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
-        assert!(model.fused.nodes.iter().any(|n| n.op == "Add" && n.name == "s"));
         let err = model.execute(&[("x", &x)], &["s"]).unwrap_err();
         assert!(err.to_string().contains("s is missing input 1"), "{err}");
         // The well-formed part of the same graph still runs, fused.
+        let steps = [FusedStep::Unary(UnaryOp::Relu), FusedStep::Unary(UnaryOp::Tanh)];
+        let sig = [("x".to_string(), vec![1, 2])];
+        assert_eq!(planned_ops(&model, &sig, &["t"]), vec![op("t", chain(&steps))]);
         let out = model.execute(&[("x", &x)], &["t"]).unwrap();
         assert_eq!(bits(&out[0]), bits(&ops::tanh(&ops::relu(&x).unwrap()).unwrap()));
         assert_eq!(model.plan_stats().fallbacks, 0);
@@ -1225,8 +1083,10 @@ mod tests {
 
     /// One graph holding every op `plan::lower_node` accepts, so the plan's
     /// table and the reference walk are compared arm by arm: every node of
-    /// the unfused plan, then every surviving node of the fused plan (the
-    /// four `_Fused*` arms), bitwise against the walk.
+    /// the unfused plan (fetching every value leaves nothing to fold), then
+    /// every op of the fused plan (a fused conv, depthwise conv and matmul,
+    /// and an element-wise chain), bitwise against the walk — with fusion
+    /// on, and off, where each fused call is composed from plain calls.
     #[test]
     fn every_lowered_op_matches_the_reference_walk() {
         let e = engine();
@@ -1289,39 +1149,46 @@ mod tests {
         ]);
         let model = GraphModel::new(&e, graph, weights).unwrap();
 
-        // The graph is the table: every name `lower_node` matches appears,
-        // the four fused ones through the fusion pass.
-        const LOWERED: [&str; 24] = [
+        // The graph is the table: every name `lower_node` matches appears.
+        const LOWERED: [&str; 20] = [
             "MatMul", "Add", "AddV2", "BiasAdd", "Sub", "Mul", "RealDiv", "Div", "Relu", "Relu6",
             "Sigmoid", "Tanh", "Softmax", "Identity", "Reshape", "Conv2D",
-            "DepthwiseConv2dNative", "MaxPool", "AvgPool", "Mean", "_FusedMatMul", "_FusedConv2D",
-            "_FusedDepthwiseConv2dNative", "_FusedElementwise",
+            "DepthwiseConv2dNative", "MaxPool", "AvgPool", "Mean",
         ];
         for op in LOWERED {
-            let present = model.graph.nodes.iter().chain(&model.fused.nodes).any(|n| n.op == op);
-            assert!(present, "the graph has no {op} node");
+            assert!(model.graph.nodes.iter().any(|n| n.op == op), "the graph has no {op} node");
         }
 
         let img = e.tensor(wave(6 * 6 * 2, 0.13), Shape::new(vec![1, 6, 6, 2])).unwrap();
         let feeds = [("img", &img)];
-        let computed = |g: &GraphDef| -> Vec<String> {
-            g.nodes
-                .iter()
-                .filter(|n| !matches!(n.op.as_str(), "Placeholder" | "Const" | "VariableV2"))
-                .map(|n| n.name.clone())
-                .collect()
-        };
-        for (graph, fused) in [(&model.graph, false), (&model.fused, true)] {
-            let names = computed(graph);
+        let sig = [("img".to_string(), vec![1, 6, 6, 2])];
+        let every_value: Vec<String> = model
+            .graph
+            .nodes
+            .iter()
+            .filter(|n| !matches!(n.op.as_str(), "Placeholder" | "Const" | "VariableV2"))
+            .map(|n| n.name.clone())
+            .collect();
+        let fused_plan = model.plan_for_shapes(&sig, &["probs"]).unwrap();
+        let fused_ops: Vec<String> = fused_plan.ops().iter().map(|op| op.name.clone()).collect();
+        let calls: Vec<&str> =
+            fused_plan.ops().iter().filter_map(|op| op.call()).map(KernelCall::name).collect();
+        for name in ["FusedConv2D", "FusedDepthwiseConv2D", "FusedMatMul", "FusedElementwise"] {
+            assert!(calls.contains(&name), "the fused plan has no {name} call: {calls:?}");
+        }
+        for (names, fused) in [(&every_value, false), (&fused_ops, true)] {
             let fetches: Vec<&str> = names.iter().map(String::as_str).collect();
-            let plan = model.plan_for_shapes(&[("img".into(), vec![1, 6, 6, 2])], &fetches).unwrap();
-            assert_eq!(plan.uses_fused_graph(), fused);
-            assert_eq!(plan.op_count(), fetches.len());
-            let planned = model.execute(&feeds, &fetches).unwrap();
-            let walked = reference_walk(&model, &feeds, &fetches).unwrap();
-            for ((name, p), w) in fetches.iter().zip(&planned).zip(&walked) {
-                assert_eq!(p.shape_ref(), w.shape_ref(), "{name} (fused graph: {fused})");
-                assert_eq!(bits(p), bits(w), "{name} (fused graph: {fused})");
+            let plan = model.plan_for_shapes(&sig, &fetches).unwrap();
+            assert_eq!(plan.op_count(), fetches.len(), "fused plan: {fused}");
+            for fusion in [true, false] {
+                e.set_fusion_enabled(fusion);
+                let planned = model.execute(&feeds, &fetches).unwrap();
+                let walked = reference_walk(&model, &feeds, &fetches).unwrap();
+                for ((name, p), w) in fetches.iter().zip(&planned).zip(&walked) {
+                    let case = format!("{name} (fused plan: {fused}, fusion: {fusion})");
+                    assert_eq!(p.shape_ref(), w.shape_ref(), "{case}");
+                    assert_eq!(bits(p), bits(w), "{case}");
+                }
             }
         }
         assert_eq!(model.fused_node_count(), model.node_count() - 10);
@@ -1344,7 +1211,7 @@ mod tests {
         let loss = |y: &Tensor| ops::sum(&ops::square(y)?, None, false);
         let sig = [(feed.0.to_string(), feed.1.shape_ref().dims().to_vec())];
         let plan = model.plan_for_shapes(&sig, &[fetch]).unwrap();
-        assert!(plan.uses_fused_graph());
+        assert!(plan.ops().iter().any(|op| op.call().is_some_and(KernelCall::is_fused)));
         let untaped_peak = || {
             e.reset_peak_bytes();
             let level = e.memory().num_bytes;
@@ -1425,7 +1292,10 @@ mod tests {
             ("df".to_string(), df.clone()),
         ]);
         let model = GraphModel::new(&e, graph, weights).unwrap();
-        assert!(model.fused.nodes.iter().any(|n| n.op == "_FusedConv2D" && n.name == "act"));
+        let ops = planned_ops(&model, &[("img".to_string(), vec![2, 8, 8, 2])], &["pool"]);
+        let conv = ops[0].1.as_ref().filter(|c| matches!(c, KernelCall::Conv2d { .. }));
+        assert_eq!(ops[0].0, "act");
+        assert_eq!(conv.and_then(KernelCall::epilogue), Some(fused(true, Some(UnaryOp::Relu6))));
         let img = e.tensor(wave(2 * 8 * 8 * 2, 0.13), Shape::new(vec![2, 8, 8, 2])).unwrap();
         let (peak, predicted) = assert_grads_match_eager(&e, &model, ("img", &img), &f, "pool", &|| {
             let conv = ops::conv2d(&img, &f, (2, 2), Padding::Same, (1, 1))?;

@@ -271,10 +271,10 @@ pub fn artifacts_from_manifest(
 /// inference, mapped to the per-channel quantization axis of their filter
 /// layout. A weight qualifies only when **every** consumer uses it as the
 /// weight operand (`inputs[1]`) of a matmul / conv2d / depthwise-conv2d
-/// node (fused or not) — a weight also fed to any other op would force a
-/// runtime dequantize there, so it stays f32. Axes follow the kernels'
-/// channel layouts: matmul `[k, n]` → 1 (output columns), conv2d HWIO → 3
-/// (output channels), depthwise HWIM → 2 (input channels).
+/// node — a weight also fed to any other op would force a runtime
+/// dequantize there, so it stays f32. Axes follow the kernels' channel
+/// layouts: matmul `[k, n]` → 1 (output columns), conv2d HWIO → 3 (output
+/// channels), depthwise HWIM → 2 (input channels).
 pub fn quantizable_weights(graph: &GraphDef) -> std::collections::HashMap<String, usize> {
     let weight_names: std::collections::HashSet<&str> = graph
         .nodes
@@ -292,9 +292,9 @@ pub fn quantizable_weights(graph: &GraphDef) -> std::collections::HashMap<String
                 continue;
             }
             let axis = match (node.op.as_str(), k) {
-                ("MatMul" | "_FusedMatMul", 1) => Some(1),
-                ("Conv2D" | "_FusedConv2D", 1) => Some(3),
-                ("DepthwiseConv2dNative" | "_FusedDepthwiseConv2dNative", 1) => Some(2),
+                ("MatMul", 1) => Some(1),
+                ("Conv2D", 1) => Some(3),
+                ("DepthwiseConv2dNative", 1) => Some(2),
                 _ => None,
             };
             let entry = verdict.entry(name).or_insert(axis);

@@ -12,6 +12,12 @@
 //!   on the hot path — which runs through the op layer's one entry,
 //!   [`ops::run`], and is differentiated by the call's own rule when a tape
 //!   records;
+//! * kernels are **fused as they are lowered**: a node folds into the op
+//!   that produced its input 0 — a bias add of a weight into a product with
+//!   no epilogue, an activation into a product with none, an element-wise
+//!   step onto an element-wise op — when that op's value has no other
+//!   consumer and is not fetched, and [`KernelCall::output`] accepts the
+//!   folded call (paper Sec 3.9: one draw call per layer);
 //! * inputs resolve to **dense value slots** ([`Arg::Slot`]) instead of
 //!   `HashMap<&str, Tensor>` lookups;
 //! * weights are referenced **in place** ([`Arg::Weight`]) — no
@@ -31,15 +37,16 @@
 //! changes, so a context loss rebuilds them against the fallback backend.
 
 use crate::graph_exec::{
-    attr_pair, attr_padding, attr_str, fusable_binary, fusable_unary, parse_steps,
-    resolve_reshape_dims,
+    attr_pair, attr_padding, fusable_binary, fusable_unary, resolve_reshape_dims,
 };
 use crate::prune::{GraphDef, NodeDef};
 use serde_json::Value;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
-use webml_core::backend::{DataFuture, Epilogue, KTensor, KernelCall, PoolOp, ReduceOp};
+use webml_core::backend::{
+    BinaryOp, DataFuture, Epilogue, KTensor, KernelCall, PoolOp, ReduceOp,
+};
 use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, pool2d_info};
 use webml_core::shape::normalize_axes;
 use webml_core::{
@@ -54,7 +61,8 @@ pub enum Arg {
     /// A resident weight tensor, referenced in place (never disposed, never
     /// copied through an identity dispatch).
     Weight(usize),
-    /// A caller-supplied feed, positional in [`Plan::feed_names`] order.
+    /// A caller-supplied feed, by the position of its placeholder in the
+    /// feed-shape signature the plan was built for.
     Feed(usize),
 }
 
@@ -99,7 +107,8 @@ pub struct PlannedOp {
     /// [`KernelCall::output`] says. Feeds the dtype-aware peak-memory
     /// simulation.
     pub out_dtype: DType,
-    /// Source node name (error messages only).
+    /// Source node name: the last node folded into the op, whose value it
+    /// produces.
     pub name: String,
 }
 
@@ -108,6 +117,14 @@ impl PlannedOp {
     /// (`Identity`, `Reshape`).
     pub fn is_alias(&self) -> bool {
         matches!(self.step, Step::Alias)
+    }
+
+    /// The kernel call the op runs; `None` for a view or a softmax.
+    pub fn call(&self) -> Option<&KernelCall<'static>> {
+        match &self.step {
+            Step::Call(call) => Some(call),
+            _ => None,
+        }
     }
 
     fn dispatch(&self, args: &[&Tensor]) -> Result<Tensor> {
@@ -131,7 +148,8 @@ pub struct Plan {
     weight_tensors: Vec<Tensor>,
     fetch_sources: Vec<Arg>,
     predicted_peak_bytes: usize,
-    fused: bool,
+    /// Graph nodes folded into the op that produced their input 0.
+    pub(crate) folded: usize,
     /// Recycled slot table: `run` would otherwise allocate a
     /// `Vec<Option<Tensor>>` per call, which dominates tiny-model plan
     /// overhead. Concurrent runs fall back to a fresh allocation (the pool
@@ -162,11 +180,6 @@ impl Plan {
         self.predicted_peak_bytes
     }
 
-    /// Whether the plan was compiled from the fused graph.
-    pub fn uses_fused_graph(&self) -> bool {
-        self.fused
-    }
-
     /// Bytes held by the resident weight tensors the plan references,
     /// dtype-aware: a U8 quantized weight counts one byte per code, so a
     /// quantized model reports ~4x less than its f32 twin.
@@ -180,15 +193,10 @@ impl Plan {
         self.weight_bytes() + self.predicted_peak_bytes
     }
 
-    /// Placeholder names the plan binds, in feed-index order.
-    pub fn feed_names(&self) -> Vec<&str> {
-        self.feeds.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Compile `graph` (already toposorted via `order`) into a plan for the
     /// given feed shapes and fetches. Prunes to the ancestor closure of the
-    /// fetches; resolves weights in place; infers every output shape; runs
-    /// the liveness pass.
+    /// fetches; resolves weights in place; infers every output shape and
+    /// fuses as it lowers (see [`fold`]); runs the liveness pass.
     ///
     /// # Errors
     /// Fails on unknown fetches, placeholders without a matching feed,
@@ -199,15 +207,16 @@ impl Plan {
         weights: &HashMap<String, Tensor>,
         feed_shapes: &[(String, Vec<usize>)],
         fetches: &[&str],
-        fused: bool,
     ) -> Result<Plan> {
         let _span = webml_telemetry::span("plan.build", "plan");
         let index: HashMap<&str, usize> =
             graph.nodes.iter().enumerate().map(|(i, n)| (n.name.as_str(), i)).collect();
 
         // Ancestor closure of the fetches (control deps count: they
-        // constrain execution even though they carry no data).
+        // constrain execution even though they carry no data), and how many
+        // data inputs within it read each value.
         let mut needed: HashSet<usize> = HashSet::new();
+        let mut consumers: HashMap<&str, usize> = HashMap::new();
         let mut stack: Vec<usize> = Vec::new();
         for &f in fetches {
             let &i = index.get(f).ok_or_else(|| {
@@ -226,6 +235,9 @@ impl Plan {
                         graph.nodes[i].name
                     ),
                 })?;
+                if clean.len() == input.len() {
+                    *consumers.entry(clean).or_default() += 1;
+                }
                 if needed.insert(j) {
                     stack.push(j);
                 }
@@ -238,6 +250,10 @@ impl Plan {
         let mut weight_names: Vec<String> = Vec::new();
         let mut weight_tensors: Vec<Tensor> = Vec::new();
         let mut ops_list: Vec<PlannedOp> = Vec::new();
+        // Per slot: the op's operands, and whether a node may fold into it
+        // (its node had no control input and exactly the inputs it binds).
+        let mut operands: Vec<(Vec<(Shape, DType)>, bool)> = Vec::new();
+        let mut folded = 0;
 
         for &i in order {
             if !needed.contains(&i) {
@@ -280,18 +296,31 @@ impl Plan {
                         args.push(*arg);
                         arg_vals.push((shape.clone(), *dtype));
                     }
+                    let no_control = args.len() == node.inputs.len();
+                    // Fold into the producer of input 0 when nothing else
+                    // reads or fetches the value it would swallow.
+                    if let Some(&Arg::Slot(p)) = args.first().filter(|_| no_control) {
+                        let op = &mut ops_list[p];
+                        let (op_operands, foldable) = &mut operands[p];
+                        let sole = consumers.get(op.name.as_str()) == Some(&1)
+                            && !fetches.contains(&op.name.as_str());
+                        if *foldable && sole && fold(op, op_operands, node, &args, &arg_vals) {
+                            folded += 1;
+                            let val = (Arg::Slot(p), op.out_shape.clone(), op.out_dtype);
+                            vals.insert(node.name.as_str(), val);
+                            continue;
+                        }
+                    }
                     let (step, arity, out_shape, out_dtype) = lower_node(node, &arg_vals)?;
+                    let foldable = no_control && args.len() == arity;
                     args.truncate(arity);
+                    arg_vals.truncate(arity);
                     let out_slot = ops_list.len();
                     vals.insert(
                         node.name.as_str(),
                         (Arg::Slot(out_slot), out_shape.clone(), out_dtype),
                     );
-                    // A U8 weight operand (resident codes, or an alias of
-                    // them) meets the quantized-weight gate, which may
-                    // dequantize it into a temporary.
-                    let u8_weight = arg_vals.get(1).is_some_and(|(_, d)| *d == DType::U8);
-                    let scoped = u8_weight || matches!(step, Step::Softmax);
+                    let scoped = u8_weight(&arg_vals) || matches!(step, Step::Softmax);
                     ops_list.push(PlannedOp {
                         step,
                         args,
@@ -302,6 +331,7 @@ impl Plan {
                         out_dtype,
                         name: node.name.clone(),
                     });
+                    operands.push((arg_vals, foldable));
                 }
             }
         }
@@ -327,7 +357,7 @@ impl Plan {
             weight_tensors,
             fetch_sources,
             predicted_peak_bytes,
-            fused,
+            folded,
             scratch: Mutex::new(Vec::new()),
         })
     }
@@ -610,25 +640,78 @@ impl std::fmt::Debug for Plan {
             .field("feeds", &self.feeds)
             .field("weights", &self.weight_names.len())
             .field("predicted_peak_bytes", &self.predicted_peak_bytes)
-            .field("fused", &self.fused)
+            .field("folded", &self.folded)
             .finish()
     }
 }
 
-/// A `_Fused*` node's epilogue from its `has_bias` and `activation`
-/// attrs; a plain node has none.
-fn epilogue(node: &NodeDef) -> Result<Epilogue> {
-    if !node.op.starts_with("_Fused") {
-        return Ok(Epilogue::None);
-    }
-    let bias = node.attrs.get("has_bias").and_then(Value::as_bool).unwrap_or(false);
-    let activation = match attr_str(node, "activation") {
-        Some(name) => Some(fusable_unary(name).ok_or_else(|| Error::Serialization {
-            message: format!("unknown fused activation {name}"),
-        })?),
-        None => None,
+/// Whether a call over `operands` meets the quantized-weight gate: a U8
+/// weight operand (resident codes, or an alias of them), which may be
+/// dequantized into a temporary.
+fn u8_weight(operands: &[(Shape, DType)]) -> bool {
+    operands.get(1).is_some_and(|(_, d)| *d == DType::U8)
+}
+
+/// What `call` produces from operands of these shapes and dtypes.
+fn output(call: &KernelCall<'_>, operands: &[(Shape, DType)]) -> Result<(Shape, DType)> {
+    let operands: Vec<KTensor<'_>> =
+        operands.iter().map(|(shape, dtype)| KTensor::new(DataId(0), shape, *dtype)).collect();
+    call.output(&operands)
+}
+
+/// Fold `node` (its data inputs `args`, of shapes and dtypes `arg_vals`)
+/// into `op`, the planned op that produced its input 0, under the three
+/// fusion rules: a bias add of a weight into a product with no epilogue, a
+/// fusable unary into a product with no activation, and a fusable unary or
+/// binary continuing an element-wise chain. The folded op takes the node's
+/// name. Leaves `op` as it is and returns `false` when no rule applies or
+/// [`KernelCall::output`] rejects the folded call (say, a bias that is not
+/// one value per output channel).
+fn fold(
+    op: &mut PlannedOp,
+    operands: &mut Vec<(Shape, DType)>,
+    node: &NodeDef,
+    args: &[Arg],
+    arg_vals: &[(Shape, DType)],
+) -> bool {
+    let Step::Call(call) = &op.step else { return false };
+    let step = match (fusable_unary(&node.op), fusable_binary(&node.op), args) {
+        (Some(u), _, [_]) => FusedStep::Unary(u),
+        (_, Some(b), [_, _]) => FusedStep::Binary(b, operands.len() - 1),
+        _ => return false,
     };
-    Ok(Epilogue::Fused { bias, activation })
+    let folded = match (call.epilogue(), step) {
+        (Some(Epilogue::None), FusedStep::Binary(BinaryOp::Add, _))
+            if matches!(args[1], Arg::Weight(_)) =>
+        {
+            call.with_epilogue(Epilogue::Fused { bias: true, activation: None })
+        }
+        (Some(e), FusedStep::Unary(act)) if e.activation().is_none() => {
+            call.with_epilogue(Epilogue::Fused { bias: e.bias(), activation: Some(act) })
+        }
+        (None, _) => {
+            let mut steps = match call {
+                KernelCall::Unary(u) => vec![FusedStep::Unary(*u)],
+                KernelCall::Binary(b) => vec![FusedStep::Binary(*b, 0)],
+                KernelCall::FusedElementwise(steps) => steps.to_vec(),
+                _ => return false,
+            };
+            steps.push(step);
+            KernelCall::FusedElementwise(steps.into())
+        }
+        _ => return false,
+    };
+    let folded_operands: Vec<(Shape, DType)> =
+        operands.iter().chain(&arg_vals[1..]).cloned().collect();
+    let Ok((shape, dtype)) = output(&folded, &folded_operands) else { return false };
+    op.step = Step::Call(folded);
+    op.args.extend_from_slice(&args[1..]);
+    op.out_shape = shape;
+    op.out_dtype = dtype;
+    op.scoped = u8_weight(&folded_operands);
+    op.name = node.name.clone();
+    *operands = folded_operands;
+    true
 }
 
 /// Lower one graph node: what its planned op runs, how many of the node's
@@ -651,16 +734,15 @@ fn lower_node(node: &NodeDef, args: &[(Shape, DType)]) -> Result<(Step, usize, S
                 _ => (Step::Softmax, 1, shape.clone(), DType::F32),
             });
         }
-        "MatMul" | "_FusedMatMul" => {
-            let epilogue = epilogue(node)?;
-            let call = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue };
-            (call, 2 + epilogue.bias() as usize)
+        "MatMul" => {
+            let epilogue = Epilogue::None;
+            (KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue }, 2)
         }
-        "Conv2D" | "_FusedConv2D" | "DepthwiseConv2dNative" | "_FusedDepthwiseConv2dNative" => {
-            let epilogue = epilogue(node)?;
+        "Conv2D" | "DepthwiseConv2dNative" => {
+            let epilogue = Epilogue::None;
             let strides = attr_pair(node, "strides", (1, 1));
             let (x, w, padding) = (arg(0)?, arg(1)?, attr_padding(node)?);
-            let call = if op.ends_with("Conv2D") {
+            let call = if op == "Conv2D" {
                 let info = conv2d_info("Conv2D", x, w, strides, padding, (1, 1))?;
                 KernelCall::Conv2d { info: Cow::Owned(info), epilogue }
             } else {
@@ -668,7 +750,7 @@ fn lower_node(node: &NodeDef, args: &[(Shape, DType)]) -> Result<(Step, usize, S
                 let info = depthwise_conv2d_info(name, x, w, strides, padding, (1, 1))?;
                 KernelCall::DepthwiseConv2d { info: Cow::Owned(info), epilogue }
             };
-            (call, 2 + epilogue.bias() as usize)
+            (call, 2)
         }
         "MaxPool" | "AvgPool" => {
             let window = attr_pair(node, "ksize", (2, 2));
@@ -677,15 +759,6 @@ fn lower_node(node: &NodeDef, args: &[(Shape, DType)]) -> Result<(Step, usize, S
                 if op == "MaxPool" { ("MaxPool", PoolOp::Max) } else { ("AvgPool", PoolOp::Avg) };
             let info = pool2d_info(name, arg(0)?, window, strides, attr_padding(node)?)?;
             (KernelCall::Pool2d { op, info: Cow::Owned(info) }, 1)
-        }
-        "_FusedElementwise" => {
-            let steps = parse_steps(node)?;
-            let extras = steps.iter().map(|s| match s {
-                FusedStep::Binary(_, i) => i + 1,
-                FusedStep::Unary(_) => 0,
-            });
-            let arity = 1 + extras.max().unwrap_or(0);
-            (KernelCall::FusedElementwise(steps.into()), arity)
         }
         "Mean" => {
             let axes: Vec<isize> = node
@@ -709,8 +782,6 @@ fn lower_node(node: &NodeDef, args: &[(Shape, DType)]) -> Result<(Step, usize, S
     if args.len() < arity {
         return Err(missing(args.len()));
     }
-    let operands: Vec<KTensor<'_>> =
-        args[..arity].iter().map(|(shape, dtype)| KTensor::new(DataId(0), shape, *dtype)).collect();
-    let (shape, dtype) = call.output(&operands)?;
+    let (shape, dtype) = output(&call, &args[..arity])?;
     Ok((Step::Call(call), arity, shape, dtype))
 }

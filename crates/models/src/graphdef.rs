@@ -6,8 +6,8 @@
 //! the dispatch-overhead story and a MobileNet v1 body for the
 //! liveness/peak-memory story. Weights are seeded, so every build of the
 //! same spec produces bit-identical graphs and weight values — the same
-//! spec built on two engines, or planned fused and unfused on one, can be
-//! compared on bits.
+//! spec built on two engines, or planned for different fetches on one, can
+//! be compared on bits.
 
 use serde_json::json;
 use std::collections::HashMap;
@@ -288,6 +288,7 @@ pub fn graph_mobilenet(config: &MobileNetConfig) -> GraphSpec {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use webml_core::backend::{Epilogue, KernelCall, UnaryOp};
     use webml_core::cpu::CpuBackend;
 
     fn engine() -> Engine {
@@ -311,8 +312,9 @@ mod tests {
         assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
-    /// The fused plan against the plan of the unfused graph (selected by
-    /// also fetching `conv1_bias`, which fusion swallowed): same bits.
+    /// The fused plan against the plan that also fetches `conv1_bias`, and
+    /// so folds it into the stem conv but runs its `Relu6` on its own: same
+    /// bits.
     fn assert_fused_plan_matches_unfused(model: &webml_converter::GraphModel, spec: &GraphSpec) {
         let e = model.engine();
         let (vals, shape) = spec.example(1, 3);
@@ -321,12 +323,22 @@ mod tests {
         let fused = model.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap();
         let unfused_fetches = [spec.output.as_str(), "conv1_bias"];
         let unfused = model.execute(&[(&spec.input, &x)], &unfused_fetches).unwrap();
-        assert!(model.plan_for_shapes(&sig, &[&spec.output]).unwrap().uses_fused_graph());
-        assert!(!model.plan_for_shapes(&sig, &unfused_fetches).unwrap().uses_fused_graph());
+        let fused_plan = model.plan_for_shapes(&sig, &[&spec.output]).unwrap();
+        let partial_plan = model.plan_for_shapes(&sig, &unfused_fetches).unwrap();
+        let relu6 = Some(UnaryOp::Relu6);
+        let stem = |plan: &webml_converter::Plan| {
+            let op = &plan.ops()[0];
+            (op.name.clone(), op.call().and_then(KernelCall::epilogue))
+        };
+        let epilogue = |bias, activation| Some(Epilogue::Fused { bias, activation });
+        assert_eq!(stem(&fused_plan), ("conv1_relu".to_string(), epilogue(true, relu6)));
+        assert_eq!(stem(&partial_plan), ("conv1_bias".to_string(), epilogue(true, None)));
+        assert_eq!(partial_plan.ops()[1].call(), Some(&KernelCall::Unary(UnaryOp::Relu6)));
+        assert_eq!(partial_plan.op_count(), fused_plan.op_count() + 1);
         assert_eq!(
             fused[0].to_f32_vec().unwrap(),
             unfused[0].to_f32_vec().unwrap(),
-            "fused and unfused MobileNet plans must agree bitwise"
+            "fused and partly fused MobileNet plans must agree bitwise"
         );
         assert_eq!(model.plan_stats().fallbacks, 0);
     }

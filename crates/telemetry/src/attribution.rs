@@ -11,14 +11,12 @@
 //! *which phase dominates this model's p99?*
 //!
 //! Recording is a handful of relaxed atomics under one short mutex — cheap
-//! enough to stay on by default. [`set_attribution_enabled`] exists so the
-//! overhead benchmark can measure a true zero-instrumentation baseline.
+//! enough to stay on.
 
 use crate::metrics::{histogram_labeled, Histogram, HistogramSummary};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The six attributed phases, in timeline order. Durations are the
@@ -159,20 +157,6 @@ impl RequestTimeline {
     }
 }
 
-static ATTRIBUTION_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turn attribution recording on/off (on by default; the off switch exists
-/// for measuring the uninstrumented baseline).
-pub fn set_attribution_enabled(on: bool) {
-    ATTRIBUTION_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`record_request`] currently records.
-#[inline]
-pub fn attribution_enabled() -> bool {
-    ATTRIBUTION_ENABLED.load(Ordering::Relaxed)
-}
-
 struct ModelAttr {
     label: String,
     /// One histogram per phase (ms), plus end-to-end latency.
@@ -241,9 +225,6 @@ pub fn set_model_label(model: u64, label: &str) {
 /// incomplete (the attribution completeness ratio CI gates on). Other
 /// outcomes are tallied but contribute no phase samples.
 pub fn record_request(tl: &RequestTimeline) {
-    if !attribution_enabled() {
-        return;
-    }
     let mut map = models().lock();
     let attr = map.entry(tl.model).or_insert_with(|| ModelAttr::new(tl.model));
     attr.outcomes[outcome_slot(tl.outcome)] += 1;
@@ -547,17 +528,5 @@ mod tests {
         assert_eq!(m.outcomes, vec![("shed", 1)]);
         assert_eq!(m.total.count, 0);
         assert_eq!(m.dominant_p99, "");
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let _g = crate::test_lock();
-        let model = 0x9_0003;
-        set_attribution_enabled(false);
-        record_request(&complete_tl(model, 1_000_000, 1_000_000));
-        set_attribution_enabled(true);
-        assert_eq!(model_counts(model), (0, 0));
-        record_request(&complete_tl(model, 1_000_000, 1_000_000));
-        assert_eq!(model_counts(model), (1, 0));
     }
 }

@@ -542,11 +542,6 @@ impl GpgpuContext {
         self.faults.add_observer(Box::new(f));
     }
 
-    /// The fault plan this context was created with.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
     /// Counters of injected faults.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()

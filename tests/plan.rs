@@ -1,14 +1,16 @@
 //! Execution-plan correctness. The plan is the only graph executor, so
 //! there is no second op table to compare it with from outside the
 //! converter; what is checked here needs none: every backend's plan equals
-//! the `cpu` plan on bits, the fused graph's plan equals the unfused
-//! graph's on the same backend, and liveness-driven eager disposal bounds
-//! peak memory to exactly the planner's prediction.
+//! the `cpu` plan on bits, the fused plan equals the plan that fetches an
+//! intermediate (and so skips the fold through it) on the same backend, and
+//! liveness-driven eager disposal bounds peak memory to exactly the
+//! planner's prediction.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use webml::backend_webgl::{WebGlBackend, WebGlConfig};
-use webml::converter::{GraphDef, GraphModel};
+use webml::converter::{GraphDef, GraphModel, Plan};
+use webml::core::backend::{Epilogue, KernelCall};
 use webml::models::{graph_mlp, graph_mobilenet, GraphSpec, MobileNetConfig};
 use webml::webgl_sim::devices::DeviceProfile;
 use webml::webgl_sim::pager::PagingPolicy;
@@ -20,11 +22,13 @@ fn build(e: &Engine, spec: &GraphSpec) -> GraphModel {
     spec.build(e).expect("build graph model")
 }
 
-/// On every backend, the plan of the fused graph and the plan of the
-/// unfused graph (selected by also fetching `swallowed`, a node the fusion
-/// pass eliminated) give the same bits, and the bits of the `cpu` backend:
-/// the plans run the same kernels in the same order, so on an f32 device
-/// even accumulation order is identical.
+/// On every backend, the fused plan and the plan that also fetches
+/// `swallowed` (a bias add the fused plan folds into its product, together
+/// with the activation after it) give the same bits, and the bits of the
+/// `cpu` backend: the plans run the same kernels in the same order, so on
+/// an f32 device even accumulation order is identical. Fetching
+/// `swallowed` skips only the fold through it: the product keeps its bias
+/// and takes the name, and the activation runs on its own.
 fn assert_plans_agree(spec: &GraphSpec, swallowed: &str, quantized: bool) {
     let mut cpu_bits: Option<Vec<u32>> = None;
     for backend in BACKENDS {
@@ -43,15 +47,25 @@ fn assert_plans_agree(spec: &GraphSpec, swallowed: &str, quantized: bool) {
         };
         let fused = bits(&[&spec.output]);
         let unfused = bits(&unfused_fetches);
-        assert!(model.plan_for_shapes(&sig, &[&spec.output]).unwrap().uses_fused_graph());
-        assert!(!model.plan_for_shapes(&sig, &unfused_fetches).unwrap().uses_fused_graph());
-        assert_eq!(fused, unfused, "fused vs unfused plan on {backend} (U8: {quantized})");
+        let fused_plan = model.plan_for_shapes(&sig, &[&spec.output]).unwrap();
+        let partial_plan = model.plan_for_shapes(&sig, &unfused_fetches).unwrap();
+        assert_eq!(partial_plan.op_count(), fused_plan.op_count() + 1);
+        assert_eq!(epilogue_of(&fused_plan, swallowed), None);
+        let bias_only = Epilogue::Fused { bias: true, activation: None };
+        assert_eq!(epilogue_of(&partial_plan, swallowed), Some(bias_only));
+        assert_eq!(fused, unfused, "fused vs partly fused plan on {backend} (U8: {quantized})");
         let want = cpu_bits.get_or_insert_with(|| fused.clone());
         assert_eq!(&fused, want, "{backend} plan vs cpu plan (U8: {quantized})");
         let stats = model.plan_stats();
         assert!(stats.misses >= 2, "both plans compiled on {backend}: {stats:?}");
         assert_eq!(stats.fallbacks, 0, "the plan is the only executor: {stats:?}");
     }
+}
+
+/// The epilogue of the product call the plan names `name`, if it has one.
+fn epilogue_of(plan: &Plan, name: &str) -> Option<Epilogue> {
+    let op = plan.ops().iter().find(|op| op.name == name)?;
+    op.call().and_then(KernelCall::epilogue)
 }
 
 #[test]
