@@ -809,6 +809,35 @@ mod tests {
         assert_eq!(out[0].to_f32_vec().unwrap(), vec![8.0, 6.0]);
     }
 
+    /// A binary whose second operand is computed after the op that produced
+    /// its first would read that operand before it exists if it folded into
+    /// that op: it stays an op of its own. The node order puts `a` before
+    /// `b` in the topological order.
+    #[test]
+    fn a_binary_over_a_later_operand_does_not_fold_back() {
+        let e = engine();
+        let graph = GraphDef::from_triples(&[
+            ("x", "Placeholder", &[]),
+            ("b", "Sigmoid", &["x"]),
+            ("a", "Tanh", &["x"]),
+            ("s", "Add", &["a", "b"]),
+        ]);
+        let model = GraphModel::new(&e, graph, HashMap::new()).unwrap();
+        let unary = |u| Some(KernelCall::Unary(u));
+        assert_eq!(
+            planned_ops(&model, &[("x".to_string(), vec![2, 3])], &["s"]),
+            vec![
+                op("a", unary(UnaryOp::Tanh)),
+                op("b", unary(UnaryOp::Sigmoid)),
+                op("s", Some(KernelCall::Binary(BinaryOp::Add))),
+            ]
+        );
+        let x = e.tensor(wave(6, 0.41), Shape::new(vec![2, 3])).unwrap();
+        let planned = model.execute(&[("x", &x)], &["s"]).unwrap();
+        let walked = reference_walk(&model, &[("x", &x)], &["s"]).unwrap();
+        assert_eq!(bits(&planned[0]), bits(&walked[0]));
+    }
+
     /// A bias add of a rank-1 `[1]` weight after a product is a valid
     /// broadcast but not one bias value per output channel, which the
     /// fused product kernels take: the planner leaves that add unfolded

@@ -16,8 +16,9 @@
 //!   that produced its input 0 — a bias add of a weight into a product with
 //!   no epilogue, an activation into a product with none, an element-wise
 //!   step onto an element-wise op — when that op's value has no other
-//!   consumer and is not fetched, and [`KernelCall::output`] accepts the
-//!   folded call (paper Sec 3.9: one draw call per layer);
+//!   consumer and is not fetched, every operand the node adds is computed
+//!   before that op, and [`KernelCall::output`] accepts the folded call
+//!   (paper Sec 3.9: one draw call per layer);
 //! * inputs resolve to **dense value slots** ([`Arg::Slot`]) instead of
 //!   `HashMap<&str, Tensor>` lookups;
 //! * weights are referenced **in place** ([`Arg::Weight`]) — no
@@ -664,9 +665,10 @@ fn output(call: &KernelCall<'_>, operands: &[(Shape, DType)]) -> Result<(Shape, 
 /// fusion rules: a bias add of a weight into a product with no epilogue, a
 /// fusable unary into a product with no activation, and a fusable unary or
 /// binary continuing an element-wise chain. The folded op takes the node's
-/// name. Leaves `op` as it is and returns `false` when no rule applies or
-/// [`KernelCall::output`] rejects the folded call (say, a bias that is not
-/// one value per output channel).
+/// name. Leaves `op` as it is and returns `false` when no rule applies, when
+/// another operand is an op's output computed after `op` (it would not exist
+/// yet where `op` runs), or when [`KernelCall::output`] rejects the folded
+/// call (say, a bias that is not one value per output channel).
 fn fold(
     op: &mut PlannedOp,
     operands: &mut Vec<(Shape, DType)>,
@@ -675,6 +677,9 @@ fn fold(
     arg_vals: &[(Shape, DType)],
 ) -> bool {
     let Step::Call(call) = &op.step else { return false };
+    if args[1..].iter().any(|a| matches!(a, Arg::Slot(s) if *s > op.out_slot)) {
+        return false;
+    }
     let step = match (fusable_unary(&node.op), fusable_binary(&node.op), args) {
         (Some(u), _, [_]) => FusedStep::Unary(u),
         (_, Some(b), [_, _]) => FusedStep::Binary(b, operands.len() - 1),
