@@ -1057,19 +1057,21 @@ pub fn reduce_last(x: &[f32], outer: usize, inner: usize, host: &Host<'_>, mean:
 /// `[rows, cols]` matrix (the bias gradient `[n, h, w, c] → [c]`), split over
 /// output columns. Every column adds its rows in index order starting from
 /// zero, the order `kernels::reduce` visits them in, so the result is
-/// bit-identical to the reference however the columns are split.
+/// bit-identical to the reference however the columns are split. A chunk
+/// adds into its own accumulators and stores them once: the columns of two
+/// chunks share a cache line when there are few, and adding into the output
+/// in place made the two threads fight for it on every row.
 pub fn reduce_leading(x: &[f32], rows: usize, cols: usize, host: &Host<'_>, mean: bool) -> Vec<f32> {
-    let mut out = host.buffers.zeroed(cols);
+    let mut out = host.buffers.take(cols);
     parallel_for_slices(host.pool, &mut out, cols, 1, rows, |range, chunk| {
+        let mut acc = vec![0.0f32; chunk.len()];
         for row in x.chunks(cols) {
-            for (o, &v) in chunk.iter_mut().zip(&row[range.clone()]) {
-                *o += v;
+            for (a, &v) in acc.iter_mut().zip(&row[range.clone()]) {
+                *a += v;
             }
         }
-        if mean {
-            for o in chunk.iter_mut() {
-                *o /= rows as f32;
-            }
+        for (o, a) in chunk.iter_mut().zip(acc) {
+            *o = if mean { a / rows as f32 } else { a };
         }
     });
     out
@@ -1081,6 +1083,7 @@ mod tests {
     use webml_core::backend::ReduceOp;
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
     use webml_core::host::FreeList;
+    use crate::parallel::{COLD_GRAIN, GRAIN};
     use webml_core::pool::WorkerPool;
 
     fn close(a: &[f32], b: &[f32], tol: f32) {
@@ -1100,15 +1103,31 @@ mod tests {
         kernel(&Host { pool: &pool, buffers: &buffers })
     }
 
-    /// `kernel`'s output, the same to the bit on pools of 1, 2, 3 and 8. The
+    /// [`on_host`] on a spinning pool right after a job every thread took
+    /// part in, so its workers are awake and an op of two warm grains is
+    /// split too (unless they park again first, when the run is one more of
+    /// the parked pool's).
+    fn on_warm_host<R>(cores: usize, kernel: impl FnOnce(&Host<'_>) -> R) -> R {
+        let (pool, buffers) = (WorkerPool::spinning(cores), FreeList::default());
+        let met = std::sync::Barrier::new(cores);
+        pool.run(cores, &|_| {
+            met.wait();
+        });
+        kernel(&Host { pool: &pool, buffers: &buffers })
+    }
+
+    /// `kernel`'s output, the same to the bit on pools of 1, 2, 3 and 8 that
+    /// park, and of 2 — the benchmark host's — whose worker is awake. The
     /// second shape of every test below is large enough to be split on all
-    /// but the first.
+    /// but the first; the training step's layers are split only awake.
     fn on_every_pool(kernel: impl Fn(&Host<'_>) -> Vec<f32>) -> Vec<f32> {
         let inline = on_host(1, &kernel);
         for cores in [2, 3, 8] {
             let split = on_host(cores, &kernel);
             assert_eq!(bits(&split), bits(&inline), "{cores} threads disagree with one");
         }
+        let warm = on_warm_host(2, &kernel);
+        assert_eq!(bits(&warm), bits(&inline), "two awake threads disagree with one");
         inline
     }
 
@@ -1121,8 +1140,8 @@ mod tests {
     }
 
     /// Work, in the pool's units, that `on_every_pool` splits two ways on
-    /// two threads and three or more on the larger pools.
-    const SPLIT_WORK: usize = 3 * crate::parallel::GRAIN;
+    /// two threads and three or more on the larger pools, parked or awake.
+    const SPLIT_WORK: usize = 3 * COLD_GRAIN;
 
     #[test]
     fn matmul_equals_reference_on_bits_all_flags() {
@@ -1208,6 +1227,9 @@ mod tests {
         check([32, 14, 14, 8], 16, 2, Same, 1);
         check([2, 48, 48, 8], 35, 1, Same, 1);
         check([3, 61, 61, 3], 17, 2, Valid, 2);
+        // Conv 1 of the step (im2col: 448 image rows of 126 visits) splits
+        // only while the worker is awake.
+        const { assert!(2 * GRAIN <= 448 * 126 && 448 * 126 < 2 * COLD_GRAIN) };
         // im2col, and col2im, of the first; the product of the second.
         const { assert!(2 * 48 * 48 * 72 >= SPLIT_WORK) };
         const { assert!(3 * 29 * 29 * 27 * 17 / TILED_MACS_PER_VISIT >= SPLIT_WORK) };

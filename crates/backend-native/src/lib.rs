@@ -194,8 +194,8 @@ mod tests {
     }
 
     /// Work, in the pool's units, that a pool of three or more threads splits
-    /// three ways.
-    const SPLIT_WORK: usize = 3 * crate::parallel::GRAIN;
+    /// three ways, its worker awake or not.
+    const SPLIT_WORK: usize = 3 * crate::parallel::COLD_GRAIN;
 
     #[test]
     fn reduce_fast_paths_equal_the_reference_exactly() {

@@ -27,11 +27,12 @@
 use crate::backend::{Backend, BackendMemory, DataId, KTensor, KernelCall};
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
+use crate::int_hash::{IntMap, IntSet};
 use crate::shape::Shape;
 use crate::tape::{Grad, GradFn, Tape, TapeNode};
 use crate::tensor::Tensor;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
@@ -266,7 +267,7 @@ struct MetaState {
     scopes: HashMap<ThreadId, Vec<Scope>>,
     tape_stack: Vec<Tape>,
     recording_paused: bool,
-    kept_by_tape: HashSet<usize>,
+    kept_by_tape: IntSet<usize>,
 }
 
 /// The eager execution engine. Cheap to clone (`Arc` internally); usually
@@ -279,9 +280,9 @@ pub struct Engine {
 
 struct EngineInner {
     /// Sharded tensor registry, keyed by tensor id.
-    tensor_shards: Vec<Mutex<HashMap<usize, TensorRecord>>>,
+    tensor_shards: Vec<Mutex<IntMap<usize, TensorRecord>>>,
     /// Sharded data-container registry, keyed by data handle.
-    data_shards: Vec<Mutex<HashMap<u64, DataRecord>>>,
+    data_shards: Vec<Mutex<IntMap<u64, DataRecord>>>,
     /// Live tensor count (exact: mutated adjacent to every shard mutation).
     num_tensors: AtomicUsize,
     /// Live data-container count.
@@ -340,8 +341,8 @@ impl Engine {
     pub fn new() -> Engine {
         Engine {
             inner: Arc::new(EngineInner {
-                tensor_shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
-                data_shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
+                tensor_shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
+                data_shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
                 num_tensors: AtomicUsize::new(0),
                 num_data: AtomicUsize::new(0),
                 num_bytes: AtomicUsize::new(0),
@@ -351,7 +352,7 @@ impl Engine {
                     scopes: HashMap::new(),
                     tape_stack: Vec::new(),
                     recording_paused: false,
-                    kept_by_tape: HashSet::new(),
+                    kept_by_tape: IntSet::default(),
                 }),
                 tape_active: AtomicBool::new(false),
                 profile: ProfileCollector::new(),
@@ -370,11 +371,11 @@ impl Engine {
         }
     }
 
-    fn tensor_shard(&self, id: usize) -> &Mutex<HashMap<usize, TensorRecord>> {
+    fn tensor_shard(&self, id: usize) -> &Mutex<IntMap<usize, TensorRecord>> {
         &self.inner.tensor_shards[id & (SHARD_COUNT - 1)]
     }
 
-    fn data_shard(&self, handle: u64) -> &Mutex<HashMap<u64, DataRecord>> {
+    fn data_shard(&self, handle: u64) -> &Mutex<IntMap<u64, DataRecord>> {
         &self.inner.data_shards[(handle as usize) & (SHARD_COUNT - 1)]
     }
 

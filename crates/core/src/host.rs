@@ -28,11 +28,12 @@
 use crate::backend::{Backend, BackendMemory, DataFuture, DataId, KTensor, KernelCall};
 use crate::dtype::{DType, TensorData};
 use crate::error::{Error, Result};
+use crate::int_hash::IntMap;
 use crate::kernels::{self as k, Operand, Values};
 use crate::pool::WorkerPool;
 use crate::shape::Shape;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::mem::size_of_val;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,7 +112,7 @@ static SPARES: Mutex<BTreeMap<usize, Free>> = Mutex::new(BTreeMap::new());
 
 #[derive(Default)]
 struct Lists {
-    by_len: HashMap<usize, Free>,
+    by_len: IntMap<usize, Free>,
     bytes: usize,
     hits: u64,
     misses: u64,
@@ -211,7 +212,7 @@ pub struct HostBackend<K: HostKernels> {
     /// each other's kernels, and a one-thread backend has no workers at all.
     pool: WorkerPool,
     buffers: FreeList,
-    store: Mutex<HashMap<DataId, Entry>>,
+    store: Mutex<IntMap<DataId, Entry>>,
     next_id: AtomicU64,
     kernel_nanos: AtomicU64,
     kernels: PhantomData<fn() -> K>,
@@ -236,13 +237,15 @@ impl<K: HostKernels> HostBackend<K> {
 
     /// Create a backend whose kernels run on a pool of `threads` threads,
     /// the calling one included, spawned here and kept until the backend is
-    /// dropped. `1` spawns nothing.
+    /// dropped. `1` spawns nothing. The workers spin for about 50 µs after
+    /// each job before they park ([`WorkerPool::spinning`]): a kernel's
+    /// chunks mostly follow another kernel's within that time.
     pub fn with_threads(name: impl Into<String>, threads: usize) -> Self {
         HostBackend {
             name: name.into(),
-            pool: WorkerPool::new(threads),
+            pool: WorkerPool::spinning(threads),
             buffers: FreeList::of_backend(),
-            store: Mutex::new(HashMap::new()),
+            store: Mutex::default(),
             next_id: AtomicU64::new(1),
             kernel_nanos: AtomicU64::new(0),
             kernels: PhantomData,

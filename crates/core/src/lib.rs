@@ -20,7 +20,8 @@
 //! - [`asyncx::EventLoop`]: a browser main-thread simulator reproducing the
 //!   Figure 2/3 timelines;
 //! - [`pool::WorkerPool`]: the workspace's one persistent thread pool, shared
-//!   by a host backend's kernels and the WebGL simulator's shader cores.
+//!   by a host backend's kernels (which spin between jobs) and the WebGL
+//!   simulator's shader cores (which park).
 //!
 //! ## Example
 //!
@@ -52,6 +53,7 @@ pub mod error;
 pub mod global;
 pub mod grads;
 pub mod host;
+mod int_hash;
 pub mod kernels;
 pub mod ops;
 pub mod pool;

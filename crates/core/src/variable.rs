@@ -13,6 +13,7 @@ use std::sync::Arc;
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 
 struct VariableInner {
+    id: u64,
     name: String,
     trainable: bool,
     value: Mutex<Tensor>,
@@ -34,13 +35,20 @@ impl Variable {
     /// Create a variable with an explicit `trainable` flag.
     pub fn with_trainable(initial: Tensor, name: impl Into<String>, trainable: bool) -> Variable {
         initial.engine().mark_variable(initial.id());
+        let id = NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed);
         let mut name = name.into();
         if name.is_empty() {
-            name = format!("variable_{}", NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed));
+            name = format!("variable_{id}");
         }
         Variable {
-            inner: Arc::new(VariableInner { name, trainable, value: Mutex::new(initial) }),
+            inner: Arc::new(VariableInner { id, name, trainable, value: Mutex::new(initial) }),
         }
+    }
+
+    /// The variable's identity: unique in the process and shared by its
+    /// clones, unlike its name, which need not be unique.
+    pub fn id(&self) -> u64 {
+        self.inner.id
     }
 
     /// The variable's name.

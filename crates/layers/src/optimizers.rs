@@ -15,7 +15,9 @@ pub trait Optimizer: Send {
     /// Change the learning rate (e.g. for schedules).
     fn set_learning_rate(&mut self, lr: f32);
 
-    /// Apply one gradient per variable, updating each in place.
+    /// Apply one gradient per variable, updating each in place. The
+    /// gradients live on one engine, where the step's constants are
+    /// registered once per call.
     ///
     /// # Errors
     /// Fails when `vars.len() != grads.len()` or on op errors.
@@ -36,21 +38,21 @@ fn check_lengths(name: &'static str, vars: &[Variable], grads: &[Tensor]) -> Res
 }
 
 /// Slot storage: per-variable auxiliary tensors (momenta, second moments),
-/// kept alive as non-trainable variables.
+/// kept alive as non-trainable variables. Keyed by the variable's identity:
+/// two variables may share a name, never a slot.
 #[derive(Default)]
 struct Slots {
-    map: HashMap<String, Variable>,
+    map: HashMap<(u64, &'static str), Variable>,
 }
 
 impl Slots {
-    fn get_or_zeros(&mut self, var: &Variable, slot: &str) -> Result<Variable> {
-        let key = format!("{}/{slot}", var.name());
-        if let Some(v) = self.map.get(&key) {
+    fn get_or_zeros(&mut self, var: &Variable, slot: &'static str) -> Result<Variable> {
+        if let Some(v) = self.map.get(&(var.id(), slot)) {
             return Ok(v.clone());
         }
         let zeros = ops::zeros_like(&var.value())?;
-        let v = Variable::with_trainable(zeros, key.clone(), false);
-        self.map.insert(key, v.clone());
+        let v = Variable::with_trainable(zeros, format!("{}/{slot}", var.name()), false);
+        self.map.insert((var.id(), slot), v.clone());
         Ok(v)
     }
 }
@@ -82,9 +84,9 @@ impl Optimizer for Sgd {
 
     fn apply_gradients(&mut self, vars: &[Variable], grads: &[Tensor]) -> Result<()> {
         check_lengths("sgd", vars, grads)?;
+        let Some(e) = grads.first().map(Tensor::engine) else { return Ok(()) };
+        let lr = e.scalar(self.lr)?;
         for (var, grad) in vars.iter().zip(grads) {
-            let e = grad.engine();
-            let lr = e.scalar(self.lr)?;
             let update = ops::sub(&var.value(), &ops::mul(grad, &lr)?)?;
             var.assign(update)?;
         }
@@ -125,12 +127,12 @@ impl Optimizer for Momentum {
 
     fn apply_gradients(&mut self, vars: &[Variable], grads: &[Tensor]) -> Result<()> {
         check_lengths("momentum", vars, grads)?;
+        let Some(e) = grads.first().map(Tensor::engine) else { return Ok(()) };
+        let mu = e.scalar(self.mu)?;
+        let lr = e.scalar(self.lr)?;
         for (var, grad) in vars.iter().zip(grads) {
-            let e = grad.engine();
             let m = self.slots.get_or_zeros(var, "momentum")?;
-            let mu = e.scalar(self.mu)?;
             let new_m = ops::add(&ops::mul(&m.value(), &mu)?, grad)?;
-            let lr = e.scalar(self.lr)?;
             let update = ops::sub(&var.value(), &ops::mul(&new_m, &lr)?)?;
             m.assign(new_m)?;
             var.assign(update)?;
@@ -173,16 +175,16 @@ impl Optimizer for RmsProp {
 
     fn apply_gradients(&mut self, vars: &[Variable], grads: &[Tensor]) -> Result<()> {
         check_lengths("rmsprop", vars, grads)?;
+        let Some(e) = grads.first().map(Tensor::engine) else { return Ok(()) };
+        let rho = e.scalar(self.rho)?;
+        let one_minus = e.scalar(1.0 - self.rho)?;
+        let eps = e.scalar(self.eps)?;
+        let lr = e.scalar(self.lr)?;
         for (var, grad) in vars.iter().zip(grads) {
-            let e = grad.engine();
             let s = self.slots.get_or_zeros(var, "rms")?;
-            let rho = e.scalar(self.rho)?;
-            let one_minus = e.scalar(1.0 - self.rho)?;
             let g2 = ops::mul(grad, grad)?;
             let new_s = ops::add(&ops::mul(&s.value(), &rho)?, &ops::mul(&g2, &one_minus)?)?;
-            let eps = e.scalar(self.eps)?;
             let denom = ops::add(&ops::sqrt(&new_s)?, &eps)?;
-            let lr = e.scalar(self.lr)?;
             let update = ops::sub(&var.value(), &ops::div(&ops::mul(grad, &lr)?, &denom)?)?;
             s.assign(new_s)?;
             var.assign(update)?;
@@ -228,23 +230,22 @@ impl Optimizer for Adam {
     fn apply_gradients(&mut self, vars: &[Variable], grads: &[Tensor]) -> Result<()> {
         check_lengths("adam", vars, grads)?;
         self.step += 1;
+        let Some(e) = grads.first().map(Tensor::engine) else { return Ok(()) };
         let t = self.step as f32;
+        let b1 = e.scalar(self.beta1)?;
+        let b2 = e.scalar(self.beta2)?;
+        let one_minus_b1 = e.scalar(1.0 - self.beta1)?;
+        let one_minus_b2 = e.scalar(1.0 - self.beta2)?;
+        // Bias-corrected step size.
+        let correction = (1.0 - self.beta2.powf(t)).sqrt() / (1.0 - self.beta1.powf(t));
+        let alpha = e.scalar(self.lr * correction)?;
+        let eps = e.scalar(self.eps)?;
         for (var, grad) in vars.iter().zip(grads) {
-            let e = grad.engine();
             let m = self.slots.get_or_zeros(var, "m")?;
             let v = self.slots.get_or_zeros(var, "v")?;
-            let b1 = e.scalar(self.beta1)?;
-            let b2 = e.scalar(self.beta2)?;
-            let one_minus_b1 = e.scalar(1.0 - self.beta1)?;
-            let one_minus_b2 = e.scalar(1.0 - self.beta2)?;
             let new_m = ops::add(&ops::mul(&m.value(), &b1)?, &ops::mul(grad, &one_minus_b1)?)?;
             let g2 = ops::mul(grad, grad)?;
             let new_v = ops::add(&ops::mul(&v.value(), &b2)?, &ops::mul(&g2, &one_minus_b2)?)?;
-            // Bias-corrected step size.
-            let correction =
-                (1.0 - self.beta2.powf(t)).sqrt() / (1.0 - self.beta1.powf(t));
-            let alpha = e.scalar(self.lr * correction)?;
-            let eps = e.scalar(self.eps)?;
             let denom = ops::add(&ops::sqrt(&new_v)?, &eps)?;
             let update = ops::sub(&var.value(), &ops::div(&ops::mul(&new_m, &alpha)?, &denom)?)?;
             m.assign(new_m)?;
@@ -334,6 +335,45 @@ mod tests {
         let e = engine();
         let x = quadratic_step(&mut Adam::new(0.5), &e, 100);
         assert!(x.abs() < 0.5, "x = {x}");
+    }
+
+    /// Variables that share a name, updated in one call, move to the bit as
+    /// each does updated alone: the repro is two `"w"`s whose gradients
+    /// cancel, and two of different shapes.
+    #[test]
+    fn same_named_variables_keep_their_own_slots() {
+        let e = engine();
+        let makers: [fn() -> Box<dyn Optimizer>; 3] = [
+            || Box::new(Adam::new(0.1)),
+            || Box::new(RmsProp::new(0.1)),
+            || Box::new(Momentum::new(0.1, 0.9)),
+        ];
+        let bits = |v: &Variable| -> Vec<u32> {
+            v.value().to_f32_vec().unwrap().iter().map(|x| x.to_bits()).collect()
+        };
+        let pairs: [[(&[f32], &[f32]); 2]; 2] = [
+            [(&[0.0], &[1.0]), (&[0.0], &[-1.0])],
+            [(&[1.0, 2.0], &[0.5, 1.0]), (&[0.5, -0.5, 3.0], &[-1.0, 2.0, 0.25])],
+        ];
+        for make in makers {
+            for pair in pairs {
+                let vars = pair.map(|(init, _)| Variable::new(e.tensor_1d(init).unwrap(), "w"));
+                let steps = |opt: &mut dyn Optimizer, vars: &[Variable], grads: &[&[f32]]| {
+                    for _ in 0..3 {
+                        let grads: Vec<Tensor> =
+                            grads.iter().map(|g| e.tensor_1d(g).unwrap()).collect();
+                        opt.apply_gradients(vars, &grads).unwrap();
+                    }
+                };
+                steps(&mut *make(), &vars, &pair.map(|(_, g)| g));
+                for (var, (init, grad)) in vars.iter().zip(pair) {
+                    let alone = Variable::new(e.tensor_1d(init).unwrap(), "w");
+                    let mut opt = make();
+                    steps(&mut *opt, std::slice::from_ref(&alone), &[grad]);
+                    assert_eq!(bits(var), bits(&alone), "{} {init:?}", opt.name());
+                }
+            }
+        }
     }
 
     #[test]
