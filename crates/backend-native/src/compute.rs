@@ -1,7 +1,13 @@
 //! Optimized kernels: blocked parallel matmul, im2col convolution and its
 //! two gradients as products, and vector-friendly element-wise loops — the
-//! AVX/TF-C class of performance the Node.js backend gets by binding to the
+//! AVX-class performance the Node.js backend gets by binding to the
 //! TensorFlow C library (paper Sec 4.2).
+//!
+//! The hot loops — the register-tiled product, im2col, col2im, the fused
+//! epilogue and the element-wise maps — are each written once and compiled
+//! twice ([`hot_loop!`]): for the baseline and for AVX2. Every kernel takes
+//! the [`Codegen`] to run, which [`Native`](crate::Native) detects once per
+//! call; both builds give the same bits.
 //!
 //! Every kernel takes its output, and its `f32` scratch (im2col matrices, a
 //! transposed right operand, `dy · Wᵀ`), from the backend's free list
@@ -9,8 +15,10 @@
 //! buffer holds whatever its last user left, so a kernel either writes every
 //! element or asks for the buffer zeroed.
 
-use crate::parallel::{parallel_collect, parallel_for_slices};
+use crate::codegen::{hot_loop, Codegen};
+use crate::parallel::{parallel_collect, parallel_for_slices, Slots};
 use std::borrow::Cow;
+use std::ops::Range;
 use webml_core::backend::{BinaryOp, FusedStep, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::host::Host;
@@ -18,19 +26,75 @@ use webml_core::kernels as reference;
 use webml_core::quant::QuantParams;
 use webml_core::shape::Shape;
 
-/// The fused epilogue: optional per-channel bias add, then optional
-/// activation. Uses the same `BinaryOp::apply`/`UnaryOp::apply` scalar math
-/// as the unfused kernels so fused output is bit-identical to the
-/// matmul→add→activation composition.
-#[inline]
-fn apply_epilogue(v: f32, channel: usize, bias: Option<&[f32]>, act: Option<UnaryOp>) -> f32 {
-    let v = match bias {
-        Some(b) => BinaryOp::Add.apply(v, b[channel]),
-        None => v,
+/// Evaluate `$body` with `$f` bound to the scalar function of the unary op
+/// `$op`. The `match` happens here, once per kernel; inside each arm the op
+/// is a constant, so the `match` in `UnaryOp::apply` folds away and a loop
+/// over `$f` vectorises. `apply` stays the only definition of the math.
+macro_rules! with_unary_fn {
+    ($op:expr, $f:ident => $body:expr) => {
+        with_unary_fn!(@arms $op, $f => $body;
+            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh,
+            Elu, Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign,
+            Reciprocal, LogicalNot, IsNan, IsInf, IsFinite, Erf;
+            LeakyRelu(p), ClipByValue(p, q), Step(p))
     };
-    match act {
-        Some(a) => a.apply(v),
-        None => v,
+    (@arms $op:expr, $f:ident => $body:expr;
+     $($unit:ident),*; $($with:ident($($param:ident),*)),*) => {
+        match $op {
+            $(UnaryOp::$unit => {
+                let $f = |v: f32| UnaryOp::$unit.apply(v);
+                $body
+            })*
+            $(UnaryOp::$with($($param),*) => {
+                let $f = move |v: f32| UnaryOp::$with($($param),*).apply(v);
+                $body
+            })*
+        }
+    };
+}
+
+/// [`with_unary_fn`] for a binary op: `$f` is `BinaryOp::apply` with the op
+/// a constant.
+macro_rules! with_binary_fn {
+    ($op:expr, $f:ident => $body:expr) => {
+        with_binary_fn!(@arms $op, $f => $body;
+            Add, Sub, Mul, Div, FloorDiv, Pow, Maximum, Minimum, Mod, SquaredDifference, Atan2,
+            Equal, NotEqual, Greater, GreaterEqual, Less, LessEqual, LogicalAnd, LogicalOr,
+            LogicalXor)
+    };
+    (@arms $op:expr, $f:ident => $body:expr; $($unit:ident),*) => {
+        match $op {
+            $(BinaryOp::$unit => {
+                let $f = |u: f32, v: f32| BinaryOp::$unit.apply(u, v);
+                $body
+            })*
+        }
+    };
+}
+
+hot_loop! {
+    /// The fused epilogue over `rows`, rows of `n` outputs whose column is
+    /// the channel: the bias add, then the activation, each by the same
+    /// `BinaryOp::apply` / `UnaryOp::apply` as the unfused kernels, so a
+    /// fused kernel equals its product → add → activation composition on
+    /// bits. The bias is added a row at a time and the activation is
+    /// resolved once ([`with_unary_fn`]), so both loops vectorise.
+    fn epilogue<const WIDE: bool>(
+        rows: &mut [f32],
+        n: usize,
+        bias: Option<&[f32]>,
+        activation: Option<UnaryOp>,
+    ) {
+        if let Some(bias) = bias.filter(|_| n > 0) {
+            for row in rows.chunks_exact_mut(n) {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o = BinaryOp::Add.apply(*o, b);
+                }
+            }
+        }
+        if let Some(op) = activation {
+            with_unary_fn!(op, f => rows.iter_mut().for_each(|v| *v = f(*v)))
+        }
     }
 }
 
@@ -38,6 +102,7 @@ fn apply_epilogue(v: f32, channel: usize, bias: Option<&[f32]>, act: Option<Unar
 /// output rows, register-tiled within each run of rows ([`gemm_rows`]).
 #[allow(clippy::too_many_arguments)]
 pub fn matmul(
+    codegen: Codegen,
     a: &[f32],
     b: &[f32],
     batch: usize,
@@ -48,14 +113,15 @@ pub fn matmul(
     transpose_b: bool,
     host: &Host<'_>,
 ) -> Vec<f32> {
-    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, None, None, host)
+    matmul_impl(codegen, a, b, batch, m, k, n, transpose_a, transpose_b, None, None, host)
 }
 
 /// Matmul with a fused epilogue: the bias add and activation run on each
-/// output row while it is still hot in cache, in the same parallel pass as
-/// the accumulation (no extra buffer, no second sweep over memory).
+/// chunk of output rows while it is still hot in cache, in the same parallel
+/// pass as the accumulation (no extra buffer, no second sweep over memory).
 #[allow(clippy::too_many_arguments)]
 pub fn fused_matmul(
+    codegen: Codegen,
     a: &[f32],
     b: &[f32],
     batch: usize,
@@ -68,21 +134,30 @@ pub fn fused_matmul(
     activation: Option<UnaryOp>,
     host: &Host<'_>,
 ) -> Vec<f32> {
-    matmul_impl(a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, host)
+    matmul_impl(codegen, a, b, batch, m, k, n, transpose_a, transpose_b, bias, activation, host)
 }
 
 /// How many multiply-adds of the register-tiled product make one element
 /// visit, the unit `parallel::GRAIN` counts work in. Every other kernel's
 /// multiply-add loads and stores its accumulator and *is* a visit; a tile
-/// keeps its accumulators in registers, so its multiply-add takes 0.10–0.13 ns
-/// on one thread (32x784x10 in 31 µs, 1568x72x16 in 176 µs) where a visit
-/// takes 0.34–0.45 ns. Counted one for one, the three 250 k-multiply-add
-/// products of the training step's dense layer are split for a loss
-/// (`speedup_vs_1thread` 1.07 against 1.10, same rounds as `GRAIN`'s).
+/// keeps its accumulators in registers. Counted one for one, the three
+/// 250 k-multiply-add products of the training step's dense layer are split
+/// for a loss (`speedup_vs_1thread` 1.07 against 1.10, same rounds as
+/// `GRAIN`'s), and it is on them that the value decides a split.
+///
+/// Measured for both builds on one thread (the step's eight products, 31
+/// rounds with the builds alternating; 2-vCPU Sapphire Rapids Xeon, release
+/// build): a tiled multiply-add of the dense products takes 0.115–0.148 ns
+/// portable and 0.083–0.119 ns with AVX2, which gains least there (8 + 2
+/// columns; the conv products went 0.089–0.112 → 0.040–0.070 ns), while a
+/// visit takes 0.42–0.60 ns in both (`max(a[i], 0)`, `a[i] · b[i]` over
+/// 1 Mi floats). A visit is thus 2.8–5.2 of those multiply-adds portable and
+/// 3.5–7.2 with AVX2, and the power of two at the low end is 4 for both.
 pub(crate) const TILED_MACS_PER_VISIT: usize = 4;
 
 #[allow(clippy::too_many_arguments)]
 fn matmul_impl(
+    codegen: Codegen,
     a: &[f32],
     b: &[f32],
     batch: usize,
@@ -105,9 +180,9 @@ fn matmul_impl(
         let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b, host);
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
         if transpose_a {
-            tiled_product(Transposed { a: a_b, m }, &b_mat, m, n, epilogue, host, out_b);
+            tiled_product(codegen, Transposed { a: a_b, m }, &b_mat, m, n, epilogue, host, out_b);
         } else {
-            tiled_product(RowMajor { a: a_b, k }, &b_mat, m, n, epilogue, host, out_b);
+            tiled_product(codegen, RowMajor { a: a_b, k }, &b_mat, m, n, epilogue, host, out_b);
         }
         give_back(b_mat, host);
     }
@@ -116,7 +191,9 @@ fn matmul_impl(
 
 /// `out = a · b` for one matrix of the batch, then the epilogue if any,
 /// parallel over output rows.
+#[allow(clippy::too_many_arguments)]
 fn tiled_product(
+    codegen: Codegen,
     a: impl Lhs,
     b: &[f32],
     m: usize,
@@ -129,13 +206,9 @@ fn tiled_product(
     // `b` is `[k, n]`: a row of the output is `k · n` multiply-adds.
     let row_work = b.len().div_ceil(TILED_MACS_PER_VISIT);
     parallel_for_slices(host.pool, out, m, n, row_work, |rows, chunk| {
-        gemm_rows(a, rows.start, b, n, chunk);
+        gemm_rows(codegen, a, rows.start, b, n, chunk);
         if fused {
-            for out_row in chunk.chunks_mut(n) {
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = apply_epilogue(*o, j, bias, activation);
-                }
-            }
+            epilogue(codegen, chunk, n, bias, activation);
         }
     });
 }
@@ -178,59 +251,77 @@ impl Lhs for Transposed<'_> {
     }
 }
 
-/// `out = a · b` for rows `i0..` of `a`: `b` is `[k, n]`, `out` `[rows, n]`,
-/// whose contents on entry are never read.
-///
-/// The columns are cut into register tiles ([`gemm_tile`]) 16 wide while 16
-/// are left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever the
-/// width, an output element is *one* accumulator that starts at zero and
-/// takes `a[i, p] · b[p, j]` for `p = 0, 1, ..` in that order — the order of
-/// `webml_core::kernels::matmul` and, through im2col, of `conv2d` — so the
-/// result equals theirs to the bit and does not depend on the tile a column
-/// fell into, on how the pool split the rows, or on the layout of `a`.
-///
-/// A tile pays by re-reading its column block of `b` from L1 for every tile
-/// of rows. With fewer rows than one tile nothing is re-read, and the block
-/// is `k` cache lines `n` floats apart — a stride no prefetcher follows — so
-/// those few rows walk `b` row by row, the order it is stored in, with the
-/// output row as the accumulators: the same additions in the same order. (A
-/// served 1x256x1024 dense layer, its 1 MB of weights cold between requests,
-/// cost `serve_fleet` 13% of its throughput through the tiles.)
-fn gemm_rows(a: impl Lhs, i0: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if out.len() < 4 * n {
-        out.fill(0.0);
-        for (i, out_row) in (i0..).zip(out.chunks_exact_mut(n)) {
-            for ([av], b_row) in a.rows(i).zip(b.chunks_exact(n)) {
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
+hot_loop! {
+    /// `out = a · b` for rows `i0..` of `a`: `b` is `[k, n]`, `out`
+    /// `[rows, n]`, whose contents on entry are never read.
+    ///
+    /// The columns are cut into register tiles ([`gemm_tile`]) 16 wide while
+    /// 16 are left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever
+    /// the width, an output element is *one* accumulator that starts at zero
+    /// and takes `a[i, p] · b[p, j]` for `p = 0, 1, ..` in that order — the
+    /// order of `webml_core::kernels::matmul` and, through im2col, of
+    /// `conv2d` — so the result equals theirs to the bit and does not depend
+    /// on the tile a column fell into, on the build, on how the pool split
+    /// the rows, or on the layout of `a`.
+    ///
+    /// A tile holds its `R x W` accumulators in registers, at most 8 of the
+    /// 16 a build has, which leaves room for the row segment of `b`, the
+    /// broadcast `a` element and the product. The baseline's registers hold
+    /// 4 floats, so its 16-wide tile is 2x16; AVX2's hold 8, so its 16-wide
+    /// tile is 4x16 — twice the rows, half the reads of `b` per multiply-add.
+    /// Both builds take 4x8 for the 8-wide block: with AVX2, 8x8 ran the
+    /// training step's row-major products with `n = 8` and `n = 10` at half
+    /// the speed (6272x9x8: 111 µs against 46 µs, one thread, 25 rounds).
+    ///
+    /// A tile pays by re-reading its column block of `b` from L1 for every
+    /// tile of rows. With fewer rows than one tile nothing is re-read, and
+    /// the block is `k` cache lines `n` floats apart — a stride no
+    /// prefetcher follows — so those few rows walk `b` row by row, the order
+    /// it is stored in, with the output row as the accumulators: the same
+    /// additions in the same order. (A served 1x256x1024 dense layer, its
+    /// 1 MB of weights cold between requests, cost `serve_fleet` 13% of its
+    /// throughput through the tiles.)
+    fn gemm_rows<const WIDE: bool>(a: impl Lhs, i0: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        if out.len() < 4 * n {
+            out.fill(0.0);
+            for (i, out_row) in (i0..).zip(out.chunks_exact_mut(n)) {
+                for ([av], b_row) in a.rows(i).zip(b.chunks_exact(n)) {
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
                 }
             }
+            return;
         }
-        return;
-    }
-    let mut j = 0;
-    while j + 16 <= n {
-        gemm_column_block::<2, 16>(a, i0, b, n, j, out);
-        j += 16;
-    }
-    if j + 8 <= n {
-        gemm_column_block::<4, 8>(a, i0, b, n, j, out);
-        j += 8;
-    }
-    if j + 4 <= n {
-        gemm_column_block::<4, 4>(a, i0, b, n, j, out);
-        j += 4;
-    }
-    if j + 2 <= n {
-        gemm_column_block::<4, 2>(a, i0, b, n, j, out);
-        j += 2;
-    }
-    if j < n {
-        gemm_column_block::<4, 1>(a, i0, b, n, j, out);
+        let mut j = 0;
+        while j + 16 <= n {
+            if WIDE {
+                gemm_column_block::<4, 16>(a, i0, b, n, j, out);
+            } else {
+                gemm_column_block::<2, 16>(a, i0, b, n, j, out);
+            }
+            j += 16;
+        }
+        if j + 8 <= n {
+            gemm_column_block::<4, 8>(a, i0, b, n, j, out);
+            j += 8;
+        }
+        if j + 4 <= n {
+            gemm_column_block::<4, 4>(a, i0, b, n, j, out);
+            j += 4;
+        }
+        if j + 2 <= n {
+            gemm_column_block::<4, 2>(a, i0, b, n, j, out);
+            j += 2;
+        }
+        if j < n {
+            gemm_column_block::<4, 1>(a, i0, b, n, j, out);
+        }
     }
 }
 
 /// Columns `j..j + W` of every row: tiles of `R` rows, then single rows.
+#[inline(always)]
 fn gemm_column_block<const R: usize, const W: usize>(
     a: impl Lhs,
     i0: usize,
@@ -251,10 +342,8 @@ fn gemm_column_block<const R: usize, const W: usize>(
 }
 
 /// An `R x W` tile of outputs, rows `i..i + R`, held in registers across the
-/// whole `k` loop: `R * W / 4` SSE accumulators (8 for the two wide shapes,
-/// 2x16 and 4x8) plus the `b` row segment and the broadcast `a` element fit
-/// the 16 registers, so the loop does one load per `W` multiply-adds instead
-/// of a load and a store per multiply-add.
+/// whole `k` loop, so the loop does one load of `b` per `R` multiply-adds
+/// instead of a load and a store per multiply-add.
 #[inline(always)]
 fn gemm_tile<const R: usize, const W: usize>(
     a: impl Lhs,
@@ -315,12 +404,19 @@ fn give_back(matrix: Cow<'_, [f32]>, host: &Host<'_>) {
 }
 
 /// conv2d via im2col + blocked matmul.
-pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
-    conv2d_impl(x, w, info, None, None, host)
+pub fn conv2d(
+    codegen: Codegen,
+    x: &[f32],
+    w: &[f32],
+    info: &Conv2dInfo,
+    host: &Host<'_>,
+) -> Vec<f32> {
+    conv2d_impl(codegen, x, w, info, None, None, host)
 }
 
 /// conv2d with the bias/activation epilogue fused into the im2col matmul.
 pub fn fused_conv2d(
+    codegen: Codegen,
     x: &[f32],
     w: &[f32],
     info: &Conv2dInfo,
@@ -328,10 +424,11 @@ pub fn fused_conv2d(
     activation: Option<UnaryOp>,
     host: &Host<'_>,
 ) -> Vec<f32> {
-    conv2d_impl(x, w, info, bias, activation, host)
+    conv2d_impl(codegen, x, w, info, bias, activation, host)
 }
 
 fn conv2d_impl(
+    codegen: Codegen,
     x: &[f32],
     w: &[f32],
     info: &Conv2dInfo,
@@ -342,44 +439,60 @@ fn conv2d_impl(
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let cols = im2col(x, c, host);
+    let cols = im2col(codegen, x, c, host);
     // [rows, patch] x [patch, out_c]; the epilogue channel is the output
     // column, i.e. the conv output channel.
-    let out =
-        matmul_impl(&cols, w, 1, rows, patch, c.out_channels, false, false, bias, activation, host);
+    let (n, ta, tb) = (c.out_channels, false, false);
+    let out = matmul_impl(codegen, &cols, w, 1, rows, patch, n, ta, tb, bias, activation, host);
     host.buffers.give(cols);
     out
 }
 
 /// Build the im2col patch matrix `[batch*oh*ow, fh*fw*ic]`, in parallel over
-/// image rows `(b, oh)`; out-of-bounds taps are zero-filled. (The reference
-/// kernel skips a tap outside the image; the zero written here adds `0 · w`
-/// to the accumulator instead, which leaves it as it was for any finite `w`.)
-///
-/// An image row is filled one filter row at a time, from the one input line
-/// `ih` that filter row reads, stepping `stride_w · in_channels` along it per
-/// output column. NHWC keeps the `filter_width · in_channels` values under a
-/// filter row next to each other, so with `dilation_w == 1` a window inside
-/// the line is one copy; the windows that hang over its left or right end
-/// go tap by tap. With one input channel that copy is of a few values, and a
-/// call to `memcpy` per output column cost more than the values (conv 1 of
-/// the training step: 6 272 rows of 9); there each tap instead walks the
-/// line, one value per output column.
-fn im2col(x: &[f32], c: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
-    let ic = c.in_channels;
-    let run = c.filter_width * ic;
-    let patch = c.filter_height * run;
-    let line_len = c.in_width * ic;
-    let image_row = c.out_width * patch;
+/// image rows `(b, oh)` ([`im2col_rows`]).
+fn im2col(codegen: Codegen, x: &[f32], c: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
+    let image_row = c.out_width * c.filter_height * c.filter_width * c.in_channels;
     let image_rows = c.batch * c.out_height;
     let mut cols = host.buffers.take(image_rows * image_row);
     if cols.is_empty() {
         return cols;
     }
-    // Every element of `cols` is written below: each filter row of each
-    // output column, as a copy, a tap at a time, or zeros.
     parallel_for_slices(host.pool, &mut cols, image_rows, image_row, image_row, |range, chunk| {
-        for (row, dst) in range.zip(chunk.chunks_exact_mut(image_row)) {
+        im2col_rows(codegen, x, c, range, chunk);
+    });
+    cols
+}
+
+hot_loop! {
+    /// Image rows `rows` of the im2col matrix, into `cols`, every element of
+    /// which is written: each filter row of each output column, as a copy,
+    /// a tap at a time, or zeros. Out-of-bounds taps are zero-filled. (The
+    /// reference kernel skips a tap outside the image; the zero written here
+    /// adds `0 · w` to the accumulator instead, which leaves it as it was
+    /// for any finite `w`.)
+    ///
+    /// An image row is filled one filter row at a time, from the one input
+    /// line `ih` that filter row reads, stepping `stride_w · in_channels`
+    /// along it per output column. NHWC keeps the `filter_width ·
+    /// in_channels` values under a filter row next to each other, so with
+    /// `dilation_w == 1` a window inside the line is one copy; the windows
+    /// that hang over its left or right end go tap by tap. With one input
+    /// channel that copy is of a few values, and a call to `memcpy` per
+    /// output column cost more than the values (conv 1 of the training step:
+    /// 6 272 rows of 9); there each tap instead walks the line, one value
+    /// per output column.
+    fn im2col_rows<const WIDE: bool>(
+        x: &[f32],
+        c: &Conv2dInfo,
+        rows: Range<usize>,
+        cols: &mut [f32],
+    ) {
+        let ic = c.in_channels;
+        let run = c.filter_width * ic;
+        let patch = c.filter_height * run;
+        let line_len = c.in_width * ic;
+        let image_row = c.out_width * patch;
+        for (row, dst) in rows.zip(cols.chunks_exact_mut(image_row)) {
             let (b, oh) = (row / c.out_height, row % c.out_height);
             for fh in 0..c.filter_height {
                 let dst = &mut dst[fh * run..];
@@ -422,18 +535,24 @@ fn im2col(x: &[f32], c: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
                 }
             }
         }
-    });
-    cols
+    }
 }
 
 /// Depthwise conv2d, parallel over output pixels.
-pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
-    depthwise_conv2d_impl(x, w, info, None, None, host)
+pub fn depthwise_conv2d(
+    codegen: Codegen,
+    x: &[f32],
+    w: &[f32],
+    info: &Conv2dInfo,
+    host: &Host<'_>,
+) -> Vec<f32> {
+    depthwise_conv2d_impl(codegen, x, w, info, None, None, host)
 }
 
-/// Depthwise conv2d with the bias/activation epilogue applied to each output
-/// pixel's channel slice right after its accumulation completes.
+/// Depthwise conv2d with the bias/activation epilogue applied to each chunk
+/// of output pixels right after their accumulation completes.
 pub fn fused_depthwise_conv2d(
+    codegen: Codegen,
     x: &[f32],
     w: &[f32],
     info: &Conv2dInfo,
@@ -441,10 +560,11 @@ pub fn fused_depthwise_conv2d(
     activation: Option<UnaryOp>,
     host: &Host<'_>,
 ) -> Vec<f32> {
-    depthwise_conv2d_impl(x, w, info, bias, activation, host)
+    depthwise_conv2d_impl(codegen, x, w, info, bias, activation, host)
 }
 
 fn depthwise_conv2d_impl(
+    codegen: Codegen,
     x: &[f32],
     w: &[f32],
     info: &Conv2dInfo,
@@ -497,11 +617,9 @@ fn depthwise_conv2d_impl(
                     }
                 }
             }
-            if fused {
-                for (och, d) in dst.iter_mut().enumerate() {
-                    *d = apply_epilogue(*d, och, bias, activation);
-                }
-            }
+        }
+        if fused {
+            epilogue(codegen, chunk, stride, bias, activation);
         }
     });
     out
@@ -516,6 +634,7 @@ fn depthwise_conv2d_impl(
 /// broadcast across the batch.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_matmul_quant(
+    codegen: Codegen,
     a: &[f32],
     b_q: &[u8],
     params: &QuantParams,
@@ -548,9 +667,11 @@ pub fn fused_matmul_quant(
         };
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
         if transpose_a {
-            quant_product(Transposed { a: a_b, m }, b_mat, params, m, n, epilogue, host, out_b);
+            let a_b = Transposed { a: a_b, m };
+            quant_product(codegen, a_b, b_mat, params, m, n, epilogue, host, out_b);
         } else {
-            quant_product(RowMajor { a: a_b, k }, b_mat, params, m, n, epilogue, host, out_b);
+            let a_b = RowMajor { a: a_b, k };
+            quant_product(codegen, a_b, b_mat, params, m, n, epilogue, host, out_b);
         }
     }
     out
@@ -560,6 +681,7 @@ pub fn fused_matmul_quant(
 /// `a · dequant(b_q)` through the epilogue, parallel over rows.
 #[allow(clippy::too_many_arguments)]
 fn quant_product(
+    codegen: Codegen,
     a: impl Lhs,
     b_q: &[u8],
     params: &QuantParams,
@@ -586,9 +708,10 @@ fn quant_product(
             }
             for (j, o) in out_row.iter_mut().enumerate() {
                 let (s, mn) = params.scale_min(j);
-                *o = apply_epilogue(s * *o + mn * acc_a, j, bias, activation);
+                *o = s * *o + mn * acc_a;
             }
         }
+        epilogue(codegen, chunk, n, bias, activation);
     });
 }
 
@@ -609,7 +732,9 @@ fn gather_codes(src: &[u8], rows: usize, cols: usize, transposed: bool) -> Cow<'
 /// Quantized-filter fused conv2d: im2col on the f32 input only, then the
 /// dequant-free quant matmul against the HWIO codes `[patch, out_c]`.
 /// Per-channel `params` index the output-channel axis (matmul column).
+#[allow(clippy::too_many_arguments)]
 pub fn fused_conv2d_quant(
+    codegen: Codegen,
     x: &[f32],
     w_q: &[u8],
     params: &QuantParams,
@@ -620,8 +745,9 @@ pub fn fused_conv2d_quant(
 ) -> Vec<f32> {
     let patch = info.filter_height * info.filter_width * info.in_channels;
     let rows = info.batch * info.out_height * info.out_width;
-    let cols = im2col(x, info, host);
+    let cols = im2col(codegen, x, info, host);
     let out = fused_matmul_quant(
+        codegen,
         &cols,
         w_q,
         params,
@@ -643,7 +769,9 @@ pub fn fused_conv2d_quant(
 /// Output channel `oc = ic*mul + m` reads one input channel, so the factored
 /// form needs the valid-tap input sum per `ic`; per-channel scales index
 /// filter axis 2 (`ic`) or axis 3 (`m`).
+#[allow(clippy::too_many_arguments)]
 pub fn fused_depthwise_conv2d_quant(
+    codegen: Codegen,
     x: &[f32],
     w_q: &[u8],
     params: &QuantParams,
@@ -706,37 +834,61 @@ pub fn fused_depthwise_conv2d_quant(
                     }
                 };
                 let (s, mn) = params.scale_min(ch);
-                *d = apply_epilogue(s * *d + mn * acc_x[ic], och, bias, activation);
+                *d = s * *d + mn * acc_x[ic];
             }
         }
+        epilogue(codegen, chunk, stride, bias, activation);
     });
     out
 }
 
 /// Gradient of conv2d w.r.t. input: `dcols = dy · Wᵀ` through the tiled
-/// product, then col2im. Row `r` of `dcols` holds, for every tap of output
-/// pixel `r`'s window, the dot of its gradient with that tap's filter slice,
-/// summed over the output channels from zero; col2im adds those dots into
-/// each input pixel in (fh, fw) order, parallel over input pixels.
-pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
+/// product, then col2im ([`col2im_pixels`]), parallel over input pixels.
+pub fn conv2d_backprop_input(
+    codegen: Codegen,
+    dy: &[f32],
+    w: &[f32],
+    info: &Conv2dInfo,
+    host: &Host<'_>,
+) -> Vec<f32> {
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let dcols = matmul_impl(dy, w, 1, rows, c.out_channels, patch, false, true, None, None, host);
+    let (k, ta, tb) = (c.out_channels, false, true);
+    let dcols = matmul_impl(codegen, dy, w, 1, rows, k, patch, ta, tb, None, None, host);
     let taps_h = covering_taps(c.in_height, c.pad_top, c.stride_h, c.dilation_h, c.filter_height, c.out_height);
     let taps_w = covering_taps(c.in_width, c.pad_left, c.stride_w, c.dilation_w, c.filter_width, c.out_width);
     let pixels = c.batch * c.in_height * c.in_width;
-    let stride = c.in_channels;
-    let mut dx = host.buffers.zeroed(pixels * stride);
+    let mut dx = host.buffers.zeroed(pixels * c.in_channels);
     // Every entry of `dcols` is added at most once: its taps outside the
     // image not at all.
     let adds_per_pixel = dcols.len().div_ceil(pixels.max(1));
-    parallel_for_slices(host.pool, &mut dx, pixels, stride, adds_per_pixel, |range, chunk| {
-        for (local, pix) in range.enumerate() {
-            let spatial = c.in_height * c.in_width;
-            let b = pix / spatial;
-            let rem = pix % spatial;
-            let dst = &mut chunk[local * stride..(local + 1) * stride];
+    parallel_for_slices(host.pool, &mut dx, pixels, c.in_channels, adds_per_pixel, |range, chunk| {
+        col2im_pixels(codegen, &dcols, c, &taps_h, &taps_w, range, chunk);
+    });
+    host.buffers.give(dcols);
+    dx
+}
+
+hot_loop! {
+    /// Input pixels `pixels` of `dx`, zeroed on entry, from `dcols`: row `r`
+    /// of `dcols` holds, for every tap of output pixel `r`'s window, the dot
+    /// of its gradient with that tap's filter slice, summed over the output
+    /// channels from zero; each input pixel adds those of the taps that
+    /// cover it ([`covering_taps`]) in (fh, fw) order.
+    fn col2im_pixels<const WIDE: bool>(
+        dcols: &[f32],
+        c: &Conv2dInfo,
+        taps_h: &[Vec<(usize, usize)>],
+        taps_w: &[Vec<(usize, usize)>],
+        pixels: Range<usize>,
+        dx: &mut [f32],
+    ) {
+        let patch = c.filter_height * c.filter_width * c.in_channels;
+        let spatial = c.in_height * c.in_width;
+        for (local, pix) in pixels.enumerate() {
+            let dst = &mut dx[local * c.in_channels..][..c.in_channels];
+            let (b, rem) = (pix / spatial, pix % spatial);
             for &(fh, oh) in &taps_h[rem / c.in_width] {
                 for &(fw, ow) in &taps_w[rem % c.in_width] {
                     let row = (b * c.out_height + oh) * c.out_width + ow;
@@ -747,9 +899,7 @@ pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo, host: &Ho
                 }
             }
         }
-    });
-    host.buffers.give(dcols);
-    dx
+    }
 }
 
 /// For each of `len` input positions `i` along one axis, the filter taps
@@ -783,80 +933,61 @@ fn covering_taps(
 /// operands the two are equal on bits: where the reference skips a `g == 0`
 /// term or a tap outside the image, the product adds `x · 0` or `0 · g`, a
 /// `±0` that changes no sum.
-pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo, host: &Host<'_>) -> Vec<f32> {
+pub fn conv2d_backprop_filter(
+    codegen: Codegen,
+    x: &[f32],
+    dy: &[f32],
+    info: &Conv2dInfo,
+    host: &Host<'_>,
+) -> Vec<f32> {
     let c = info;
     let patch = c.filter_height * c.filter_width * c.in_channels;
     let rows = c.batch * c.out_height * c.out_width;
-    let cols = im2col(x, c, host);
-    let dw = matmul_impl(&cols, dy, 1, patch, rows, c.out_channels, true, false, None, None, host);
+    let cols = im2col(codegen, x, c, host);
+    let (n, ta, tb) = (c.out_channels, true, false);
+    let dw = matmul_impl(codegen, &cols, dy, 1, patch, rows, n, ta, tb, None, None, host);
     host.buffers.give(cols);
     dw
 }
 
-/// Evaluate `$body` with `$f` bound to the scalar function of the unary op
-/// `$op`. The `match` happens here, once per kernel; inside each arm the op
-/// is a constant, so the `match` in `UnaryOp::apply` folds away and a loop
-/// over `$f` vectorises. `apply` stays the only definition of the math.
-macro_rules! with_unary_fn {
-    ($op:expr, $f:ident => $body:expr) => {
-        with_unary_fn!(@arms $op, $f => $body;
-            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh,
-            Elu, Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign,
-            Reciprocal, LogicalNot, IsNan, IsInf, IsFinite, Erf;
-            LeakyRelu(p), ClipByValue(p, q), Step(p))
-    };
-    (@arms $op:expr, $f:ident => $body:expr;
-     $($unit:ident),*; $($with:ident($($param:ident),*)),*) => {
-        match $op {
-            $(UnaryOp::$unit => {
-                let $f = |v: f32| UnaryOp::$unit.apply(v);
-                $body
-            })*
-            $(UnaryOp::$with($($param),*) => {
-                let $f = move |v: f32| UnaryOp::$with($($param),*).apply(v);
-                $body
-            })*
-        }
-    };
-}
-
-/// [`with_unary_fn`] for a binary op: `$f` is `BinaryOp::apply` with the op
-/// a constant.
-macro_rules! with_binary_fn {
-    ($op:expr, $f:ident => $body:expr) => {
-        with_binary_fn!(@arms $op, $f => $body;
-            Add, Sub, Mul, Div, FloorDiv, Pow, Maximum, Minimum, Mod, SquaredDifference, Atan2,
-            Equal, NotEqual, Greater, GreaterEqual, Less, LessEqual, LogicalAnd, LogicalOr,
-            LogicalXor)
-    };
-    (@arms $op:expr, $f:ident => $body:expr; $($unit:ident),*) => {
-        match $op {
-            $(BinaryOp::$unit => {
-                let $f = |u: f32, v: f32| BinaryOp::$unit.apply(u, v);
-                $body
-            })*
-        }
-    };
-}
-
 /// Parallel element-wise unary kernel.
-pub fn unary(op: UnaryOp, x: &[f32], host: &Host<'_>) -> Vec<f32> {
+pub fn unary(codegen: Codegen, op: UnaryOp, x: &[f32], host: &Host<'_>) -> Vec<f32> {
     with_unary_fn!(op, f => parallel_collect(host, x.len(), 1, 1, |range, out| {
-        out.extend(x[range].iter().map(|&v| f(v)));
+        map_unary(codegen, f, &x[range], out);
     }))
+}
+
+hot_loop! {
+    /// `f(x[i])` for every element, into `out`.
+    fn map_unary<const WIDE: bool>(f: impl Fn(f32) -> f32, x: &[f32], out: &mut Slots<'_, f32>) {
+        out.extend(x.iter().map(|&v| f(v)));
+    }
 }
 
 /// Parallel element-wise binary kernel for equal shapes.
-pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], host: &Host<'_>) -> Vec<f32> {
+pub fn binary(codegen: Codegen, op: BinaryOp, a: &[f32], b: &[f32], host: &Host<'_>) -> Vec<f32> {
     with_binary_fn!(op, f => parallel_collect(host, a.len(), 1, 1, |range, out| {
-        out.extend(a[range.clone()].iter().zip(&b[range]).map(|(&u, &v)| f(u, v)));
+        map_binary(codegen, f, &a[range.clone()], &b[range], out);
     }))
+}
+
+hot_loop! {
+    /// `f(a[i], b[i])` for every element, into `out`.
+    fn map_binary<const WIDE: bool>(
+        f: impl Fn(f32, f32) -> f32,
+        a: &[f32],
+        b: &[f32],
+        out: &mut Slots<'_, f32>,
+    ) {
+        out.extend(a.iter().zip(b).map(|(&u, &v)| f(u, v)));
+    }
 }
 
 /// Suffix-broadcast binary kernel: `b` repeats every `b.len()` elements of
 /// `a` (the bias-add pattern `[n, h, w, c] + [c]`, and `tensor ∘ scalar`).
 /// Computes `op(a, b)`, or `op(b, a)` when `b_on_left`.
 pub fn binary_suffix(
+    codegen: Codegen,
     op: BinaryOp,
     a: &[f32],
     b: &[f32],
@@ -864,17 +995,18 @@ pub fn binary_suffix(
     host: &Host<'_>,
 ) -> Vec<f32> {
     with_binary_fn!(op, f => if b_on_left {
-        suffix_map(a, b, host, |u, v| f(v, u))
+        suffix_map(codegen, a, b, host, |u, v| f(v, u))
     } else {
-        suffix_map(a, b, host, f)
+        suffix_map(codegen, a, b, host, f)
     })
 }
 
 /// `f(a[i], b[i % b.len()])` without the division: `a` is walked in rows the
-/// length of the pattern and zipped with it. A pattern shorter than
-/// `MIN_ROW` (a scalar, a few channels) is first repeated up to that length,
-/// so that the loop over a row is long enough to vectorise.
+/// length of the pattern and zipped with it ([`suffix_rows`]). A pattern
+/// shorter than `MIN_ROW` (a scalar, a few channels) is first repeated up to
+/// that length, so that the loop over a row is long enough to vectorise.
 fn suffix_map(
+    codegen: Codegen,
     a: &[f32],
     b: &[f32],
     host: &Host<'_>,
@@ -891,16 +1023,30 @@ fn suffix_map(
     };
     let pattern: &[f32] = &pattern;
     parallel_collect(host, a.len(), 1, 1, |range, out| {
-        // A chunk may begin mid-pattern: finish that row first, or as much of
-        // it as the chunk holds when the pattern is the longer of the two.
         let phase = range.start % pattern.len();
-        let head_len = if phase == 0 { 0 } else { (pattern.len() - phase).min(range.len()) };
-        let (head, rows) = a[range].split_at(head_len);
+        suffix_rows(codegen, &f, &a[range], phase, pattern, out);
+    })
+}
+
+hot_loop! {
+    /// `f(a[i], pattern[(phase + i) % pattern.len()])` for every element of
+    /// `a`, into `out`. A chunk may begin mid-pattern: it finishes that row
+    /// first, or as much of it as the chunk holds when the pattern is the
+    /// longer of the two.
+    fn suffix_rows<const WIDE: bool>(
+        f: impl Fn(f32, f32) -> f32,
+        a: &[f32],
+        phase: usize,
+        pattern: &[f32],
+        out: &mut Slots<'_, f32>,
+    ) {
+        let head_len = if phase == 0 { 0 } else { (pattern.len() - phase).min(a.len()) };
+        let (head, rows) = a.split_at(head_len);
         out.extend(head.iter().zip(&pattern[phase..]).map(|(&u, &v)| f(u, v)));
         for row in rows.chunks(pattern.len()) {
             out.extend(row.iter().zip(pattern).map(|(&u, &v)| f(u, v)));
         }
-    })
+    }
 }
 
 /// One operand of a fused chain, read at the coordinates of the (right-
@@ -930,14 +1076,19 @@ impl<'a> Broadcast<'a> {
     }
 
     /// Fill `dst` with the operand's values at flat output indices
-    /// `start..start + dst.len()`: a plain copy when dense, otherwise the
-    /// coordinates of `start` once and an odometer from there on.
-    fn read(&self, out_dims: &[usize], start: usize, dst: &mut [f32]) {
+    /// `start..start + dst.len()`: a plain copy when dense, its one value
+    /// when it has one, otherwise the coordinates of `start` once and an
+    /// odometer from there on, in `coords` (one per output dimension).
+    #[inline(always)]
+    fn read(&self, out_dims: &[usize], start: usize, dst: &mut [f32], coords: &mut [usize]) {
         if self.dense {
             dst.copy_from_slice(&self.data[start..start + dst.len()]);
             return;
         }
-        let mut coords = vec![0usize; out_dims.len()];
+        if let [value] = *self.data {
+            dst.fill(value);
+            return;
+        }
         let mut idx = 0usize;
         let mut rem = start;
         for d in (0..out_dims.len()).rev() {
@@ -962,13 +1113,12 @@ impl<'a> Broadcast<'a> {
 
 /// A whole elementwise chain — `x` followed by `steps`, where binary steps
 /// pull their right-hand side from `extras` — evaluated in a single parallel
-/// pass with no intermediate buffers: the output is produced a block at a
-/// time, and every step runs over the block (which stays in L1) with its op
-/// dispatched once per block, not once per element. Sampling every operand
-/// right-aligned against the *final* output coordinates is equivalent to the
-/// progressive per-step broadcast of the unfused chain because elementwise
-/// ops are pointwise, so fused output is bit-identical.
+/// pass with no intermediate buffers ([`fused_chunk`]). Sampling every
+/// operand right-aligned against the *final* output coordinates is
+/// equivalent to the progressive per-step broadcast of the unfused chain
+/// because elementwise ops are pointwise, so fused output is bit-identical.
 pub fn fused_elementwise(
+    codegen: Codegen,
     x: &[f32],
     x_dims: &[usize],
     extras: &[(&[f32], &[usize])],
@@ -976,35 +1126,60 @@ pub fn fused_elementwise(
     out_dims: &[usize],
     host: &Host<'_>,
 ) -> Vec<f32> {
-    const BLOCK: usize = 1024;
     let size: usize = out_dims.iter().product();
     let x = Broadcast::new(x, x_dims, out_dims);
     let extras: Vec<Broadcast<'_>> =
         extras.iter().map(|(data, dims)| Broadcast::new(data, dims, out_dims)).collect();
-    parallel_collect(host, size, 1, 1 + steps.len(), |range, out| {
-        let mut values = [0.0f32; BLOCK];
+    // Every element is written: `x` is read into each block first.
+    let mut out = host.buffers.take(size);
+    if out.is_empty() {
+        return out;
+    }
+    parallel_for_slices(host.pool, &mut out, size, 1, 1 + steps.len(), |range, chunk| {
+        fused_chunk(codegen, &x, &extras, steps, out_dims, range.start, chunk);
+    });
+    out
+}
+
+hot_loop! {
+    /// Outputs `start..start + out.len()` of a fused chain, into `out`, a
+    /// block at a time: `x` is read into the block, then every step runs
+    /// over it in place (it stays in L1) with its op dispatched once per
+    /// block, not once per element. A one-element operand is a constant of
+    /// its step's loop.
+    fn fused_chunk<const WIDE: bool>(
+        x: &Broadcast<'_>,
+        extras: &[Broadcast<'_>],
+        steps: &[FusedStep],
+        out_dims: &[usize],
+        start: usize,
+        out: &mut [f32],
+    ) {
+        const BLOCK: usize = 1024;
         let mut operand = [0.0f32; BLOCK];
-        for start in range.clone().step_by(BLOCK) {
-            let len = BLOCK.min(range.end - start);
-            let values = &mut values[..len];
-            x.read(out_dims, start, values);
+        let mut coords = vec![0usize; out_dims.len()];
+        for (block_start, values) in (start..).step_by(BLOCK).zip(out.chunks_mut(BLOCK)) {
+            x.read(out_dims, block_start, values, &mut coords);
             for step in steps {
                 match *step {
                     FusedStep::Unary(op) => {
                         with_unary_fn!(op, f => values.iter_mut().for_each(|v| *v = f(*v)))
                     }
                     FusedStep::Binary(op, i) => {
-                        let rhs = &mut operand[..len];
-                        extras[i].read(out_dims, start, rhs);
+                        if let [r] = *extras[i].data {
+                            with_binary_fn!(op, f => values.iter_mut().for_each(|v| *v = f(*v, r)));
+                            continue;
+                        }
+                        let rhs = &mut operand[..values.len()];
+                        extras[i].read(out_dims, block_start, rhs, &mut coords);
                         with_binary_fn!(op, f => {
                             values.iter_mut().zip(&*rhs).for_each(|(v, &r)| *v = f(*v, r))
                         })
                     }
                 }
             }
-            out.extend(values.iter().copied());
         }
-    })
+    }
 }
 
 /// `x[begin .. begin + size]` per axis of a row-major tensor. The trailing
@@ -1116,18 +1291,22 @@ mod tests {
         kernel(&Host { pool: &pool, buffers: &buffers })
     }
 
-    /// `kernel`'s output, the same to the bit on pools of 1, 2, 3 and 8 that
-    /// park, and of 2 — the benchmark host's — whose worker is awake. The
-    /// second shape of every test below is large enough to be split on all
-    /// but the first; the training step's layers are split only awake.
-    fn on_every_pool(kernel: impl Fn(&Host<'_>) -> Vec<f32>) -> Vec<f32> {
-        let inline = on_host(1, &kernel);
-        for cores in [2, 3, 8] {
-            let split = on_host(cores, &kernel);
-            assert_eq!(bits(&split), bits(&inline), "{cores} threads disagree with one");
+    /// `kernel`'s output, the same to the bit from every build this CPU
+    /// runs ([`Codegen::all`]: the portable one and, on a CPU with AVX2, the
+    /// AVX2 one) on pools of 1, 2, 3 and 8 that park, and of 2 — the
+    /// benchmark host's — whose worker is awake. The second shape of every
+    /// test below is large enough to be split on all but the first; the
+    /// training step's layers are split only awake.
+    fn on_every_pool(kernel: impl Fn(Codegen, &Host<'_>) -> Vec<f32>) -> Vec<f32> {
+        let inline = on_host(1, |host| kernel(Codegen::PORTABLE, host));
+        for cg in Codegen::all() {
+            for cores in [1, 2, 3, 8] {
+                let split = on_host(cores, |host| kernel(cg, host));
+                assert_eq!(bits(&split), bits(&inline), "{cg:?} on {cores} threads disagrees");
+            }
+            let warm = on_warm_host(2, |host| kernel(cg, host));
+            assert_eq!(bits(&warm), bits(&inline), "{cg:?} on two awake threads disagrees");
         }
-        let warm = on_warm_host(2, &kernel);
-        assert_eq!(bits(&warm), bits(&inline), "two awake threads disagree with one");
         inline
     }
 
@@ -1154,7 +1333,8 @@ mod tests {
             for ta in [false, true] {
                 for tb in [false, true] {
                     // The logical m, k, n are the same whatever the flags.
-                    let got = on_every_pool(|host| matmul(&a, &b, batch, m, k, n, ta, tb, host));
+                    let got =
+                        on_every_pool(|cg, host| matmul(cg, &a, &b, batch, m, k, n, ta, tb, host));
                     let want = reference::matmul(&a, &b, batch, m, k, n, ta, tb);
                     assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta={ta} tb={tb}");
                 }
@@ -1168,7 +1348,7 @@ mod tests {
             let a = wave(m * k, 0.13);
             let b = wave(k * n, 0.29);
             for tb in [false, true] {
-                let got = on_every_pool(|host| matmul(&a, &b, 1, m, k, n, true, tb, host));
+                let got = on_every_pool(|cg, host| matmul(cg, &a, &b, 1, m, k, n, true, tb, host));
                 let want = reference::matmul(&a, &b, 1, m, k, n, true, tb);
                 assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta=true tb={tb}");
             }
@@ -1178,14 +1358,59 @@ mod tests {
 
     #[test]
     fn matmul_of_nothing_is_nothing() {
-        on_host(2, |host| {
-            assert!(matmul(&[], &[], 1, 0, 3, 4, false, false, host).is_empty());
-            assert!(matmul(&[], &[], 1, 3, 4, 0, false, false, host).is_empty());
+        on_host(2, |host| for cg in Codegen::all() {
+            assert!(matmul(cg, &[], &[], 1, 0, 3, 4, false, false, host).is_empty());
+            assert!(matmul(cg, &[], &[], 1, 3, 4, 0, false, false, host).is_empty());
             // No inner dimension: every product is the empty sum, then the bias.
             let bias = [1.0, -2.0];
-            let got = fused_matmul(&[], &[], 1, 3, 0, 2, false, false, Some(&bias), None, host);
+            let got = fused_matmul(cg, &[], &[], 1, 3, 0, 2, false, false, Some(&bias), None, host);
             assert_eq!(got, [1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
         });
+    }
+
+    /// `gemm_rows` of every build against the reference product, on every
+    /// tile width and remainder (`n` of 1, 2, 4, 8, 16, 17 and 33 columns),
+    /// on fewer rows than a tile (the few-row path), one tile and more, with
+    /// `A` row-major and transposed, from the first row and from a row
+    /// offset, on finite operands and on operands holding NaN, ±inf and −0.
+    /// Equal on bits; a NaN may differ from another in its payload only.
+    #[test]
+    fn every_build_of_the_tile_equals_the_reference() {
+        for n in [1, 2, 4, 8, 16, 17, 33] {
+            for m in [1, 2, 3, 4, 5, 8, 9, 13] {
+                for k in [1, 6, 19] {
+                    for salted in [false, true] {
+                        let mut a = wave(m * k, 0.13);
+                        let mut b = wave(k * n, 0.29);
+                        if salted {
+                            let (la, lb) = (a.len(), b.len());
+                            (a[la / 2], a[la - 1], a[k % la]) = (-0.0, f32::NAN, f32::INFINITY);
+                            (b[lb / 3], b[lb * 2 / 3]) = (f32::NEG_INFINITY, -0.0);
+                        }
+                        let mut a_t = vec![0.0; m * k];
+                        for (i, row) in a.chunks_exact(k).enumerate() {
+                            for (p, &v) in row.iter().enumerate() {
+                                a_t[p * m + i] = v;
+                            }
+                        }
+                        let want = reference::matmul(&a, &b, 1, m, k, n, false, false);
+                        let case = format!("{m}x{k}x{n}, salted {salted}");
+                        for cg in Codegen::all() {
+                            for i0 in [0, m / 2] {
+                                let want = &want[i0 * n..];
+                                let mut got = vec![f32::NAN; want.len()];
+                                gemm_rows(cg, RowMajor { a: &a, k }, i0, &b, n, &mut got);
+                                same_values(&got, want, &format!("{cg:?} {case} from row {i0}"));
+                                got.fill(f32::NAN);
+                                gemm_rows(cg, Transposed { a: &a_t, m }, i0, &b, n, &mut got);
+                                let what = format!("{cg:?} {case} Aᵀ from row {i0}");
+                                same_values(&got, want, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A 3x3 conv of `dims` to `out_channels`: its geometry, input and filter
@@ -1250,15 +1475,15 @@ mod tests {
         let w = wave(ws.size(), 0.37);
         let bias = wave(out_channels, 0.7);
         let plain = reference::conv2d(&x, &w, &info);
-        let got = on_every_pool(|host| conv2d(&x, &w, &info, host));
+        let got = on_every_pool(|cg, host| conv2d(cg, &x, &w, &info, host));
         assert_eq!(bits(&got), bits(&plain), "{case}");
         let fused: Vec<f32> = plain
             .iter()
             .enumerate()
             .map(|(i, &v)| UnaryOp::Relu6.apply(BinaryOp::Add.apply(v, bias[i % out_channels])))
             .collect();
-        let got = on_every_pool(|host| {
-            fused_conv2d(&x, &w, &info, Some(&bias), Some(UnaryOp::Relu6), host)
+        let got = on_every_pool(|cg, host| {
+            fused_conv2d(cg, &x, &w, &info, Some(&bias), Some(UnaryOp::Relu6), host)
         });
         assert_eq!(bits(&got), bits(&fused), "fused {case}");
     }
@@ -1283,7 +1508,7 @@ mod tests {
         let mut w = vec![1.0f32; 9];
         w[0] = f32::INFINITY;
         let want = reference::conv2d(&x, &w, &info);
-        let got = on_every_pool(|host| conv2d(&x, &w, &info, host));
+        let got = on_every_pool(|cg, host| conv2d(cg, &x, &w, &info, host));
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             if i / 4 == 0 || i % 4 == 0 {
                 assert!(g.is_nan() && r.is_finite(), "border output {i}: {g} vs {r}");
@@ -1306,11 +1531,11 @@ mod tests {
         let info = conv2d_info("t", &xs, &ws, (1, 1), Padding::Valid, (1, 1)).unwrap();
         let (mut x, mut dy) = (vec![1.0f32; 9], vec![1.0f32; 9]);
         (x[4], dy[4]) = (0.0, f32::INFINITY);
-        let got = on_every_pool(|host| conv2d_backprop_filter(&x, &dy, &info, host));
+        let got = on_every_pool(|cg, host| conv2d_backprop_filter(cg, &x, &dy, &info, host));
         let want = reference::conv2d_backprop_filter(&x, &dy, &info);
         assert!(got[0].is_nan() && want[0].is_nan(), "zero input: {got:?} vs {want:?}");
         (x[4], dy[4]) = (f32::INFINITY, 0.0);
-        let got = on_every_pool(|host| conv2d_backprop_filter(&x, &dy, &info, host));
+        let got = on_every_pool(|cg, host| conv2d_backprop_filter(cg, &x, &dy, &info, host));
         let want = reference::conv2d_backprop_filter(&x, &dy, &info);
         assert!(got[0].is_nan() && want == [8.0], "zero gradient: {got:?} vs {want:?}");
     }
@@ -1369,9 +1594,9 @@ mod tests {
         let x = wave(xs.size(), 0.21);
         let w = wave(ws.size(), 0.33);
         let dy = wave(info.out_shape().size(), 0.47);
-        let dw = on_every_pool(|host| conv2d_backprop_filter(&x, &dy, &info, host));
+        let dw = on_every_pool(|cg, host| conv2d_backprop_filter(cg, &x, &dy, &info, host));
         assert_eq!(bits(&dw), bits(&reference::conv2d_backprop_filter(&x, &dy, &info)), "dW {case}");
-        let dx = on_every_pool(|host| conv2d_backprop_input(&dy, &w, &info, host));
+        let dx = on_every_pool(|cg, host| conv2d_backprop_input(cg, &dy, &w, &info, host));
         assert_eq!(bits(&dx), bits(&dx_in_tap_order(&dy, &w, &info)), "dx {case}");
         close(&dx, &reference::conv2d_backprop_input(&dy, &w, &info), 1e-4);
     }
@@ -1390,7 +1615,7 @@ mod tests {
                 depthwise_conv2d_info("t", &xs, &ws, (1, 1), Padding::Same, (1, 1)).unwrap();
             let x = wave(xs.size(), 0.19);
             let w = wave(ws.size(), 0.41);
-            let got = on_every_pool(|host| depthwise_conv2d(&x, &w, &info, host));
+            let got = on_every_pool(|cg, host| depthwise_conv2d(cg, &x, &w, &info, host));
             close(&got, &reference::depthwise_conv2d(&x, &w, &info), 1e-4);
         }
     }
@@ -1404,8 +1629,8 @@ mod tests {
             let bias = wave(n, 0.7);
             for ta in [false, true] {
                 for tb in [false, true] {
-                    let got = on_every_pool(|host| {
-                        fused_matmul_quant(
+                    let got = on_every_pool(|cg, host| {
+                        fused_matmul_quant(cg, 
                             &a, &b_q, &params, batch, m, k, n, ta, tb,
                             Some(&bias), Some(UnaryOp::Relu), host,
                         )
@@ -1425,8 +1650,8 @@ mod tests {
         let a: Vec<f32> = (0..3 * 4 * 6).map(|i| (i as f32 * 0.21).cos()).collect();
         let b_q: Vec<u8> = (0..6 * 2).map(|i| (i * 19 % 256) as u8).collect();
         let params = QuantParams::per_channel(2, vec![0.1, 0.02], vec![-1.0, 2.0]);
-        let got = on_every_pool(|host| {
-            fused_matmul_quant(&a, &b_q, &params, 3, 4, 6, 2, false, false, None, None, host)
+        let got = on_every_pool(|cg, host| {
+            fused_matmul_quant(cg, &a, &b_q, &params, 3, 4, 6, 2, false, false, None, None, host)
         });
         let want = reference::fused_matmul_quant(
             &a, &b_q, &params, None, None, 3, 4, 6, 2, false, false,
@@ -1448,8 +1673,9 @@ mod tests {
                 (0..8).map(|i| -1.0 + i as f32 * 0.1).collect(),
             );
             let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
-            let got = on_every_pool(|host| {
-                fused_conv2d_quant(&x, &w_q, &params, &info, Some(&bias), Some(UnaryOp::Relu), host)
+            let got = on_every_pool(|cg, host| {
+                let relu = Some(UnaryOp::Relu);
+                fused_conv2d_quant(cg, &x, &w_q, &params, &info, Some(&bias), relu, host)
             });
             let want = reference::fused_conv2d_quant(
                 &x, &w_q, &params, Some(&bias), Some(UnaryOp::Relu), &info,
@@ -1476,8 +1702,8 @@ mod tests {
                 ),
                 QuantParams::per_channel(3, vec![0.03, 0.07], vec![-2.0, 1.0]),
             ] {
-                let got = on_every_pool(|host| {
-                    fused_depthwise_conv2d_quant(&x, &w_q, &params, &info, None, None, host)
+                let got = on_every_pool(|cg, host| {
+                    fused_depthwise_conv2d_quant(cg, &x, &w_q, &params, &info, None, None, host)
                 });
                 let want =
                     reference::fused_depthwise_conv2d_quant(&x, &w_q, &params, None, None, &info);
@@ -1492,11 +1718,14 @@ mod tests {
             let a: Vec<f32> = (0..len).map(|i| i as f32 * 0.01).collect();
             let b: Vec<f32> = (0..len).map(|i| 1.0 + i as f32 * 0.02).collect();
             let bias = vec![1.0f32, 2.0];
-            let sum = on_every_pool(|host| binary(BinaryOp::Add, &a, &b, host));
-            let biased = on_every_pool(|host| binary_suffix(BinaryOp::Add, &a, &bias, false, host));
-            let halved = on_every_pool(|host| binary_suffix(BinaryOp::Div, &a, &[2.0], false, host));
-            let inverse = on_every_pool(|host| binary_suffix(BinaryOp::Div, &a, &[2.0], true, host));
-            let squared = on_every_pool(|host| unary(UnaryOp::Square, &a, host));
+            let sum = on_every_pool(|cg, host| binary(cg, BinaryOp::Add, &a, &b, host));
+            let suffix = |op, b: &[f32], b_on_left| {
+                on_every_pool(|cg, host| binary_suffix(cg, op, &a, b, b_on_left, host))
+            };
+            let biased = suffix(BinaryOp::Add, &bias, false);
+            let halved = suffix(BinaryOp::Div, &[2.0], false);
+            let inverse = suffix(BinaryOp::Div, &[2.0], true);
+            let squared = on_every_pool(|cg, host| unary(cg, UnaryOp::Square, &a, host));
             // relu(a + bias) * b in one pass, `bias` broadcast along rows.
             let steps = [
                 FusedStep::Binary(BinaryOp::Add, 0),
@@ -1506,7 +1735,7 @@ mod tests {
             let dims = [len / 2, 2];
             let extras: [(&[f32], &[usize]); 2] = [(&bias, &[2]), (&b, &dims)];
             let chain =
-                on_every_pool(|host| fused_elementwise(&a, &dims, &extras, &steps, &dims, host));
+                on_every_pool(|cg, host| fused_elementwise(cg, &a, &dims, &extras, &steps, &dims, host));
             for i in 0..len {
                 assert_eq!(sum[i], a[i] + b[i]);
                 assert_eq!(biased[i], a[i] + bias[i % 2]);
@@ -1527,7 +1756,9 @@ mod tests {
             let a = wave(rows * PATTERN, 0.11);
             let b = wave(PATTERN, 0.23);
             for b_on_left in [false, true] {
-                let got = on_every_pool(|host| binary_suffix(BinaryOp::Sub, &a, &b, b_on_left, host));
+                let got = on_every_pool(|cg, host| {
+                    binary_suffix(cg, BinaryOp::Sub, &a, &b, b_on_left, host)
+                });
                 let want: Vec<f32> = (0..a.len())
                     .map(|i| {
                         let (u, v) = (a[i], b[i % PATTERN]);
@@ -1583,13 +1814,14 @@ mod tests {
             Step(-0.5), Erf,
         ];
         let x = special_values();
-        on_host(2, |host| {
+        on_host(2, |host| for cg in Codegen::all() {
             for op in ops {
                 let want: Vec<f32> = x.iter().map(|&v| op.apply(v)).collect();
-                same_values(&unary(op, &x, host), &want, op.name());
+                same_values(&unary(cg, op, &x, host), &want, op.name());
                 // The same op as a step of a fused chain.
                 let dims = [x.len()];
-                let chain = fused_elementwise(&x, &dims, &[], &[FusedStep::Unary(op)], &dims, host);
+                let step = [FusedStep::Unary(op)];
+                let chain = fused_elementwise(cg, &x, &dims, &[], &step, &dims, host);
                 same_values(&chain, &want, op.name());
             }
         });
@@ -1608,26 +1840,26 @@ mod tests {
         let b: Vec<f32> = (0..a.len()).map(|i| a[(i + i / 17) % a.len()]).collect();
         let pattern = [f32::NAN, -0.0, 2.0];
         let a3 = &a[..a.len() / 3 * 3];
-        on_host(2, |host| {
+        on_host(2, |host| for cg in Codegen::all() {
             for op in ops {
                 let name = op.name();
                 let want: Vec<f32> = a.iter().zip(&b).map(|(&u, &v)| op.apply(u, v)).collect();
-                same_values(&binary(op, &a, &b, host), &want, name);
+                same_values(&binary(cg, op, &a, &b, host), &want, name);
                 let dims = [a.len()];
                 let extras: [(&[f32], &[usize]); 1] = [(&b, &dims)];
                 let steps = [FusedStep::Binary(op, 0)];
-                let chain = fused_elementwise(&a, &dims, &extras, &steps, &dims, host);
+                let chain = fused_elementwise(cg, &a, &dims, &extras, &steps, &dims, host);
                 same_values(&chain, &want, name);
                 // A repeating right operand, then the same one on the left.
                 let want: Vec<f32> =
                     a3.iter().enumerate().map(|(i, &u)| op.apply(u, pattern[i % 3])).collect();
-                same_values(&binary_suffix(op, a3, &pattern, false, host), &want, name);
+                same_values(&binary_suffix(cg, op, a3, &pattern, false, host), &want, name);
                 let want: Vec<f32> =
                     a3.iter().enumerate().map(|(i, &u)| op.apply(pattern[i % 3], u)).collect();
-                same_values(&binary_suffix(op, a3, &pattern, true, host), &want, name);
+                same_values(&binary_suffix(cg, op, a3, &pattern, true, host), &want, name);
                 // A scalar operand.
                 let want: Vec<f32> = a.iter().map(|&u| op.apply(u, -0.5)).collect();
-                same_values(&binary_suffix(op, &a, &[-0.5], false, host), &want, name);
+                same_values(&binary_suffix(cg, op, &a, &[-0.5], false, host), &want, name);
             }
         });
     }
@@ -1650,16 +1882,26 @@ mod tests {
             FusedStep::Unary(UnaryOp::Tanh),
             FusedStep::Binary(BinaryOp::Sub, 2),
             FusedStep::Binary(BinaryOp::Maximum, 3),
+            FusedStep::Binary(BinaryOp::Div, 1),
         ];
         let got =
-            on_every_pool(|host| fused_elementwise(&x, &[3, 1, 5], &extras, &steps, &out_dims, host));
+            on_every_pool(|cg, host| fused_elementwise(cg, &x, &[3, 1, 5], &extras, &steps, &out_dims, host));
         assert!(got.len() * (1 + steps.len()) >= SPLIT_WORK);
         for (flat, &g) in got.iter().enumerate() {
             let (i, j, k) = (flat / 12_500, flat / 5 % 2500, flat % 5);
-            let want = ((x[i * 5 + k] * row[k] + 1.5).tanh() - column[j]).max(full[flat]);
+            let want = ((x[i * 5 + k] * row[k] + 1.5).tanh() - column[j]).max(full[flat]) / 1.5;
             assert_eq!(g.to_bits(), want.to_bits(), "at [{i}, {j}, {k}]");
         }
-        let empty = on_host(2, |host| fused_elementwise(&[], &[0, 4], &[], &steps[2..3], &[0, 4], host));
+        // A one-element `x`, broadcast to every output.
+        let (full_only, minus): ([(&[f32], &[usize]); 1], _) =
+            ([(&full, &out_dims)], [FusedStep::Binary(BinaryOp::Sub, 0)]);
+        let got = on_every_pool(|cg, host| {
+            fused_elementwise(cg, &[1.5], &[1], &full_only, &minus, &out_dims, host)
+        });
+        assert!(got.iter().zip(&full).all(|(g, f)| g.to_bits() == (1.5 - f).to_bits()));
+        let empty = on_every_pool(|cg, host| {
+            fused_elementwise(cg, &[], &[0, 4], &[], &steps[2..3], &[0, 4], host)
+        });
         assert!(empty.is_empty());
     }
 
@@ -1711,10 +1953,10 @@ mod tests {
     #[test]
     fn reduce_last_sums_rows() {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(on_every_pool(|host| reduce_last(&x, 2, 3, host, false)), vec![6.0, 15.0]);
-        assert_eq!(on_every_pool(|host| reduce_last(&x, 2, 3, host, true)), vec![2.0, 5.0]);
+        assert_eq!(on_every_pool(|_, host| reduce_last(&x, 2, 3, host, false)), vec![6.0, 15.0]);
+        assert_eq!(on_every_pool(|_, host| reduce_last(&x, 2, 3, host, true)), vec![2.0, 5.0]);
         let x = wave(96 * 2100, 0.31);
-        let rows = on_every_pool(|host| reduce_last(&x, 96, 2100, host, false));
+        let rows = on_every_pool(|_, host| reduce_last(&x, 96, 2100, host, false));
         assert_eq!(rows, reference::reduce(ReduceOp::Sum, &x, &Shape::new(vec![96, 2100]), &[1]));
     }
 
@@ -1727,7 +1969,7 @@ mod tests {
             let x = wave(shape.size(), 0.43);
             let (rows, cols) = (dims[0] * dims[1] * dims[2], dims[3]);
             for (op, mean) in [(ReduceOp::Sum, false), (ReduceOp::Mean, true)] {
-                let got = on_every_pool(|host| reduce_leading(&x, rows, cols, host, mean));
+                let got = on_every_pool(|_, host| reduce_leading(&x, rows, cols, host, mean));
                 let want = reference::reduce(op, &x, &shape, &[0, 1, 2]);
                 assert_eq!(bits(&got), bits(&want));
             }

@@ -6,18 +6,24 @@
 //!
 //! It is the [`Native`] kernel set over the shared host substrate
 //! ([`webml_core::host`]): one match that sends the hot kernels (matmul,
-//! conv2d, depthwise conv, element-wise maps) to [`compute`], multi-threaded,
+//! conv2d, depthwise conv, element-wise maps) to `compute`, multi-threaded,
 //! cache-blocked and written for autovectorization, and hands every other
-//! call to the shared reference implementations. Register it together with
+//! call to the shared reference implementations. The kernels' hot loops are
+//! compiled twice, for the target's baseline and for AVX2, and each call
+//! runs the build the CPU has (`codegen`): a binary built for any x86-64
+//! runs 8-wide on a CPU with AVX2 (the paper's "Node.js CPU w/ AVX2" row),
+//! with the same bits as the baseline build. Register it together with
 //! [`MemoryPolicy::Finalized`](webml_core::MemoryPolicy) to reproduce the
 //! Node.js property that dropping the last handle frees the tensor (no
 //! manual `dispose`/`tidy` needed).
 
 #![warn(missing_docs)]
 
-pub mod compute;
+mod codegen;
+mod compute;
 pub mod parallel;
 
+use codegen::Codegen;
 use std::borrow::Cow;
 use webml_core::backend::{Epilogue, KernelCall, MatMulGeom, ReduceOp};
 use webml_core::dtype::TensorData;
@@ -25,7 +31,7 @@ use webml_core::host::{Host, HostBackend, HostKernels};
 use webml_core::kernels::{self as reference, Operand};
 use webml_core::shape::Shape;
 
-/// The optimized kernel set: [`compute`]'s threaded kernels where it has
+/// The optimized kernel set: `compute`'s threaded kernels where it has
 /// one, the reference elsewhere.
 pub struct Native;
 
@@ -65,16 +71,17 @@ impl HostKernels for Native {
         let bias = epilogue.bias().then(|| operands[2].values.f32s());
         let (bias, act, plain) = (bias.as_deref(), epilogue.activation(), epilogue.is_plain());
         let codes = || operands[1].values.codes();
+        let cg = Codegen::detect();
         TensorData::F32(match call {
-            C::Unary(op) => compute::unary(*op, &f(0), host),
+            C::Unary(op) => compute::unary(cg, *op, &f(0), host),
             C::Binary(op) => {
                 let (x, y) = (f(0), f(1));
                 if s(0) == s(1) {
-                    compute::binary(*op, &x, &y, host)
+                    compute::binary(cg, *op, &x, &y, host)
                 } else if is_suffix(s(0), s(1)) {
-                    compute::binary_suffix(*op, &x, &y, false, host)
+                    compute::binary_suffix(cg, *op, &x, &y, false, host)
                 } else if is_suffix(s(1), s(0)) {
-                    compute::binary_suffix(*op, &y, &x, true, host)
+                    compute::binary_suffix(cg, *op, &y, &x, true, host)
                 } else {
                     reference::binary(*op, &x, s(0), &y, s(1), out)
                 }
@@ -85,31 +92,35 @@ impl HostKernels for Native {
                 let a = f(0);
                 match operands[1].quant {
                     Some(p) => compute::fused_matmul_quant(
-                        &a, &codes(), p, batch, m, k, n, *ta, *tb, bias, act, host,
+                        cg, &a, &codes(), p, batch, m, k, n, *ta, *tb, bias, act, host,
                     ),
-                    None if plain => compute::matmul(&a, &f(1), batch, m, k, n, *ta, *tb, host),
-                    None => {
-                        compute::fused_matmul(&a, &f(1), batch, m, k, n, *ta, *tb, bias, act, host)
+                    None if plain => {
+                        compute::matmul(cg, &a, &f(1), batch, m, k, n, *ta, *tb, host)
                     }
+                    None => compute::fused_matmul(
+                        cg, &a, &f(1), batch, m, k, n, *ta, *tb, bias, act, host,
+                    ),
                 }
             }
             C::Conv2d { info, .. } => match operands[1].quant {
-                Some(p) => compute::fused_conv2d_quant(&f(0), &codes(), p, info, bias, act, host),
-                None if plain => compute::conv2d(&f(0), &f(1), info, host),
-                None => compute::fused_conv2d(&f(0), &f(1), info, bias, act, host),
+                Some(p) => {
+                    compute::fused_conv2d_quant(cg, &f(0), &codes(), p, info, bias, act, host)
+                }
+                None if plain => compute::conv2d(cg, &f(0), &f(1), info, host),
+                None => compute::fused_conv2d(cg, &f(0), &f(1), info, bias, act, host),
             },
             C::DepthwiseConv2d { info, .. } => match operands[1].quant {
-                Some(p) => {
-                    compute::fused_depthwise_conv2d_quant(&f(0), &codes(), p, info, bias, act, host)
-                }
-                None if plain => compute::depthwise_conv2d(&f(0), &f(1), info, host),
-                None => compute::fused_depthwise_conv2d(&f(0), &f(1), info, bias, act, host),
+                Some(p) => compute::fused_depthwise_conv2d_quant(
+                    cg, &f(0), &codes(), p, info, bias, act, host,
+                ),
+                None if plain => compute::depthwise_conv2d(cg, &f(0), &f(1), info, host),
+                None => compute::fused_depthwise_conv2d(cg, &f(0), &f(1), info, bias, act, host),
             },
             C::Conv2dBackpropInput(info) => {
-                compute::conv2d_backprop_input(&f(0), &f(1), info, host)
+                compute::conv2d_backprop_input(cg, &f(0), &f(1), info, host)
             }
             C::Conv2dBackpropFilter(info) => {
-                compute::conv2d_backprop_filter(&f(0), &f(1), info, host)
+                compute::conv2d_backprop_filter(cg, &f(0), &f(1), info, host)
             }
             C::Slice { begin, size } => compute::slice(&f(0), s(0), begin, size, host),
             C::FusedElementwise(steps) => {
@@ -119,7 +130,7 @@ impl HostKernels for Native {
                     .zip(&operands[1..])
                     .map(|(v, o)| (&**v, o.shape.dims()))
                     .collect();
-                compute::fused_elementwise(&f(0), s(0).dims(), &extras, steps, out.dims(), host)
+                compute::fused_elementwise(cg, &f(0), s(0).dims(), &extras, steps, out.dims(), host)
             }
             _ => return reference::run(call, operands, out),
         })
@@ -254,6 +265,84 @@ mod tests {
         ]
         .map(Result::unwrap);
         outs.iter().map(|&id| backend.read_sync(id).unwrap().to_f32_vec()).collect()
+    }
+
+    /// Every activation an epilogue can carry: the fused matmul, conv2d and
+    /// depthwise conv2d, with the bias and without, equal the unfused native
+    /// composition — the plain kernel, a bias `Add`, the activation's
+    /// `Unary` — on bits (a NaN may differ from another in its payload).
+    #[test]
+    fn every_fused_activation_equals_the_unfused_composition_on_bits() {
+        use webml_core::backend::UnaryOp::{self, *};
+        use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+        fn wave<'s>(backend: &NativeBackend, shape: &'s Shape, step: f32) -> KTensor<'s> {
+            let vals = (0..shape.size()).map(|i| 3.0 * (i as f32 * step).sin()).collect();
+            KTensor::new(backend.register(TensorData::F32(vals), DType::F32), shape, DType::F32)
+        }
+        let backend = NativeBackend::with_threads("t", 2);
+        let run = |call: &KernelCall<'_>, args: &[KTensor<'_>]| backend.run(call, args).unwrap();
+        let read = |id| backend.read_sync(id).unwrap().to_f32_vec();
+        let x_shape = Shape::new(vec![4, 9, 9, 3]);
+        let (w_shape, dw_shape) = (Shape::new(vec![3, 3, 3, 8]), Shape::new(vec![3, 3, 3, 2]));
+        let conv = conv2d_info("t", &x_shape, &w_shape, (2, 2), Padding::Same, (1, 1)).unwrap();
+        let depthwise =
+            depthwise_conv2d_info("t", &x_shape, &dw_shape, (1, 1), Padding::Same, (1, 1)).unwrap();
+        let (a_shape, b_shape) = (Shape::new(vec![1, 37, 29]), Shape::new(vec![1, 29, 21]));
+        let none = Epilogue::None;
+        let x = wave(&backend, &x_shape, 0.17);
+        let products = [
+            (
+                KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue: none },
+                wave(&backend, &a_shape, 0.13),
+                wave(&backend, &b_shape, 0.29),
+                21,
+            ),
+            (
+                KernelCall::Conv2d { info: Cow::Borrowed(&conv), epilogue: none },
+                x,
+                wave(&backend, &w_shape, 0.37),
+                8,
+            ),
+            (
+                KernelCall::DepthwiseConv2d { info: Cow::Borrowed(&depthwise), epilogue: none },
+                x,
+                wave(&backend, &dw_shape, 0.41),
+                6,
+            ),
+        ];
+        let activations: [UnaryOp; 36] = [
+            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh, Elu,
+            Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign, Reciprocal,
+            LogicalNot, IsNan, IsInf, IsFinite, LeakyRelu(0.2), ClipByValue(-1.0, 2.0), Step(0.0),
+            Step(-0.5), Erf,
+        ];
+        for (plain, x, w, channels) in &products {
+            let bias_shape = Shape::new(vec![*channels]);
+            let bias = wave(&backend, &bias_shape, 0.7);
+            let (out_shape, _) = plain.output(&[*x, *w]).unwrap();
+            let f32_of = |id| KTensor::new(id, &out_shape, DType::F32);
+            let product = f32_of(run(plain, &[*x, *w]));
+            let biased = f32_of(run(&KernelCall::Binary(BinaryOp::Add), &[product, bias]));
+            for activation in activations {
+                for with_bias in [false, true] {
+                    let epilogue = Epilogue::Fused { bias: with_bias, activation: Some(activation) };
+                    let fused = plain.with_epilogue(epilogue);
+                    let (got, input) = if with_bias {
+                        (run(&fused, &[*x, *w, bias]), biased)
+                    } else {
+                        (run(&fused, &[*x, *w]), product)
+                    };
+                    let want = read(run(&KernelCall::Unary(activation), &[input]));
+                    let got = read(got);
+                    let case = format!("{} {activation:?} bias {with_bias}", fused.name());
+                    assert_eq!(got.len(), want.len(), "{case}");
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let same = g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan();
+                        assert!(same, "{case} at {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
