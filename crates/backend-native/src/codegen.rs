@@ -51,6 +51,7 @@ impl Codegen {
 
     /// Whether this is the AVX2 build.
     #[inline(always)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) fn avx2(self) -> bool {
         self.avx2
     }
