@@ -1179,6 +1179,25 @@ impl Engine {
         }
     }
 
+    /// Dispose a tensor that the end of `scope` would dispose anyway: one
+    /// registered in it that is neither kept nor a variable. Anything else
+    /// is left alone. Backprop frees a tensor at its last use this way.
+    pub(crate) fn dispose_in_scope(&self, tensor_id: usize, scope: usize) {
+        let removed = {
+            let mut shard = self.tensor_shard(tensor_id).lock();
+            match shard.get(&tensor_id) {
+                Some(rec) if rec.scope == Some(scope) && !rec.kept && !rec.variable => {
+                    shard.remove(&tensor_id)
+                }
+                _ => None,
+            }
+        };
+        if let Some(rec) = removed {
+            self.inner.num_tensors.fetch_sub(1, Ordering::Relaxed);
+            self.release_data(rec.data);
+        }
+    }
+
     /// Mark a tensor as kept: it survives all enclosing `tidy` scopes
     /// (`tf.keep`).
     pub fn keep(&self, tensor_id: usize) {
@@ -1274,6 +1293,12 @@ impl Engine {
         out
     }
 
+    /// The id of the calling thread's current scope, if one is open.
+    pub(crate) fn scope_id(&self) -> Option<usize> {
+        let meta = self.inner.meta.lock();
+        meta.scopes.get(&std::thread::current().id()).and_then(|s| s.last()).map(|s| s.id)
+    }
+
     /// Number of tensors registered so far in the calling thread's current
     /// scope (0 without a scope). Pair with [`Engine::trim_scope`] for
     /// cheap composite-op cleanup on a hot path.
@@ -1361,6 +1386,12 @@ impl Engine {
         // Tape node drops (and the saved tensor handle drops inside) happen
         // here, outside the meta lock, via the caller dropping `tape`.
         tape
+    }
+
+    /// Whether any tape is on the stack, recording or paused: while one is,
+    /// the tensors its nodes save outlive every scope.
+    pub(crate) fn has_tape(&self) -> bool {
+        self.inner.tape_active.load(Ordering::Acquire)
     }
 
     pub(crate) fn pause_recording<R>(&self, f: impl FnOnce() -> R) -> R {

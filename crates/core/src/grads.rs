@@ -10,16 +10,17 @@
 //! differentiation is eager, native Rust `if`/`while` control flow works
 //! inside the closure — no special control-flow ops are needed.
 
-use crate::backend::{BinaryOp, Epilogue, KernelCall as C, ReduceOp, UnaryOp};
+use crate::backend::{BinaryOp, Epilogue, FusedStep, KernelCall as C, ReduceOp, UnaryOp};
 use crate::dtype::DType;
 use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::ops::{self, *};
 use crate::shape::{broadcast_reduce_axes, reduced_shape, Shape};
-use crate::tape::Grad;
+use crate::int_hash::IntMap;
+use crate::tape::{Grad, Tape, TapeNode};
 use crate::tensor::Tensor;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 impl Engine {
     /// Compute `f()` and the gradients of its scalar-ish output with respect
@@ -31,13 +32,22 @@ impl Engine {
     ///
     /// All intermediate tensors allocated by `f` and by backpropagation are
     /// disposed before returning; only the value and gradients survive.
+    /// Backprop frees most of them earlier, each at its last use: a tensor
+    /// the tape saved once the last node on the path that saved it has been
+    /// walked (at once when only nodes off the path saved it), a gradient
+    /// once the node that consumes it has been walked, and an accumuland
+    /// once it is added in. It frees only what the end of this call's scope
+    /// would: nothing kept, no variable, not the value or an `x`, and
+    /// nothing while an outer tape is on the stack. A gradient function
+    /// reads the tensors it is handed, not ones it captured from `f`.
     ///
     /// # Errors
     /// Propagates errors from `f` and from gradient rules, and fails with
     /// [`Error::GradientNotDefined`] naming the kernel when a call on the
     /// path has no rule (`Gather`, `Prod`, `FloorDiv`, `Mod`,
-    /// `ResizeBilinear`, the gradient kernels themselves, and a fused call
-    /// run directly on the engine).
+    /// `ResizeBilinear`, the gradient kernels themselves, and, run directly
+    /// on the engine, an element-wise chain or a fused product whose
+    /// activation's gradient does not read its output).
     pub fn value_and_grads(
         &self,
         xs: &[&Tensor],
@@ -61,6 +71,7 @@ impl Engine {
         xs: &[&Tensor],
         f: impl FnOnce() -> Result<Tensor>,
     ) -> Result<(Tensor, Vec<Tensor>)> {
+        let scope = self.scope_id();
         self.push_tape();
         let y = match f() {
             Ok(y) => y,
@@ -73,60 +84,22 @@ impl Engine {
 
         let x_ids: Vec<usize> = xs.iter().map(|t| t.id()).collect();
         let (path, from_x) = tape.filter_nodes(&x_ids, &[y.id()]);
+        // An outer tape keeps every tensor this one saved: free nothing.
+        let scope = scope.filter(|_| !self.has_tape());
+        let mut live = Liveness::new(self, scope, &tape, &path, &x_ids, y.id());
 
         // Seed dL/dy = 1.
         let mut grad_map: HashMap<usize, Tensor> = HashMap::new();
-        grad_map.insert(y.id(), ops::ones_like(&y)?);
+        let seed = ops::ones_like(&y)?;
+        live.hold(seed.id());
+        grad_map.insert(y.id(), seed);
 
         for &i in path.iter().rev() {
             let node = &tape.nodes[i];
-            if !node.outputs.iter().any(|out| grad_map.contains_key(&out.id())) {
-                continue;
+            if node.outputs.iter().any(|out| grad_map.contains_key(&out.id())) {
+                live.differentiate(node, &mut grad_map, &from_x)?;
             }
-            // Assemble output gradients (zeros where nothing flowed).
-            let mut dys = Vec::with_capacity(node.outputs.len());
-            for out in &node.outputs {
-                match grad_map.get(&out.id()) {
-                    Some(g) => dys.push(g.clone()),
-                    None => dys.push(ops::zeros_like(out)?),
-                }
-            }
-            // Only an input that depends on an x can pass its gradient on.
-            let wanted: Vec<bool> = node.input_ids.iter().map(|id| from_x.contains(id)).collect();
-            let (ins, outs) = (&node.inputs, &node.outputs);
-            let input_grads = match &node.grad {
-                Grad::Call(call) => rule(call, &dys, ins, outs, &wanted),
-                Grad::Alias => alias_rule(&dys[0], &ins[0]).map(|g| vec![Some(g)]),
-                Grad::Custom(grad_fn) => grad_fn(&dys, ins, outs, &wanted),
-            }
-            .map_err(|e| match e {
-                Error::GradientNotDefined { .. } => Error::GradientNotDefined { op: node.kernel },
-                other => other,
-            })?;
-            if input_grads.len() != node.inputs.len() {
-                return Err(Error::invalid(
-                    "grads",
-                    format!(
-                        "gradient of {} returned {} grads for {} inputs",
-                        node.kernel,
-                        input_grads.len(),
-                        node.inputs.len()
-                    ),
-                ));
-            }
-            for ((input, g), &read) in node.inputs.iter().zip(input_grads).zip(&wanted) {
-                // A function that ignored the mask may still fill the slot.
-                if let Some(g) = g.filter(|_| read) {
-                    match grad_map.remove(&input.id()) {
-                        Some(existing) => {
-                            grad_map.insert(input.id(), ops::add(&existing, &g)?);
-                        }
-                        None => {
-                            grad_map.insert(input.id(), g);
-                        }
-                    }
-                }
-            }
+            live.read(node);
         }
 
         let mut grads = Vec::with_capacity(xs.len());
@@ -156,6 +129,165 @@ impl Engine {
     pub fn grad(&self, x: &Tensor, f: impl FnOnce() -> Result<Tensor>) -> Result<Tensor> {
         Ok(self.grads(&[x], f)?.remove(0))
     }
+}
+
+/// What the backprop walk still reads, so that each tensor is freed at its
+/// last use — the liveness a converter plan's `dispose_after` has, found on
+/// the tape. A tensor is freed only when the grads scope's end would dispose
+/// it anyway ([`Engine::dispose_in_scope`]), it is not `y` or an `x`, no
+/// gradient-map entry holds it (the `Cast` and view rules hand `dy` on as
+/// the input's gradient), and no node still to be walked saved it.
+struct Liveness<'a> {
+    engine: &'a Engine,
+    /// The grads scope; `None` frees nothing.
+    scope: Option<usize>,
+    /// Per saved tensor, the path nodes still to be walked that saved it.
+    reads: IntMap<usize, u32>,
+    /// Per tensor, the gradient-map entries holding it.
+    held: IntMap<usize, u32>,
+    /// The `xs` and `y`, which the caller holds.
+    xs: Vec<usize>,
+    y: usize,
+}
+
+impl<'a> Liveness<'a> {
+    /// Count each path node's saved tensors and free those only off-path
+    /// nodes saved.
+    fn new(
+        engine: &'a Engine,
+        scope: Option<usize>,
+        tape: &Tape,
+        path: &[usize],
+        x_ids: &[usize],
+        y_id: usize,
+    ) -> Liveness<'a> {
+        let (reads, held, xs) = (IntMap::default(), IntMap::default(), x_ids.to_vec());
+        let mut live = Liveness { engine, scope, reads, held, xs, y: y_id };
+        if scope.is_some() {
+            for &i in path {
+                for id in saved(&tape.nodes[i]) {
+                    *live.reads.entry(id).or_default() += 1;
+                }
+            }
+            for id in tape.nodes.iter().flat_map(saved) {
+                live.release(id);
+            }
+        }
+        live
+    }
+
+    /// Free `id` if nothing still reads it.
+    fn release(&self, id: usize) {
+        let Some(scope) = self.scope else { return };
+        let read = self.reads.contains_key(&id) || self.held.contains_key(&id);
+        if read || id == self.y || self.xs.contains(&id) {
+            return;
+        }
+        self.engine.dispose_in_scope(id, scope);
+    }
+
+    /// A gradient-map entry now holds `id`.
+    fn hold(&mut self, id: usize) {
+        if self.scope.is_some() {
+            *self.held.entry(id).or_default() += 1;
+        }
+    }
+
+    /// A gradient-map entry no longer holds `id`.
+    fn unhold(&mut self, id: usize) {
+        if let Some(n) = self.held.get_mut(&id) {
+            *n -= 1;
+            if *n == 0 {
+                self.held.remove(&id);
+                self.release(id);
+            }
+        }
+    }
+
+    /// The walk is past `node`: its saved tensors have one reader fewer.
+    fn read(&mut self, node: &TapeNode) {
+        if self.scope.is_none() {
+            return;
+        }
+        for id in saved(node) {
+            if let Some(n) = self.reads.get_mut(&id) {
+                *n -= 1;
+                if *n == 0 {
+                    self.reads.remove(&id);
+                    self.release(id);
+                }
+            }
+        }
+    }
+
+    /// Run `node`'s rule, add what it returns into the gradient map, and
+    /// release the node's consumed output gradients.
+    fn differentiate(
+        &mut self,
+        node: &TapeNode,
+        grad_map: &mut HashMap<usize, Tensor>,
+        from_x: &HashSet<usize>,
+    ) -> Result<()> {
+        // Assemble output gradients (zeros where nothing flowed).
+        let mut dys = Vec::with_capacity(node.outputs.len());
+        for out in &node.outputs {
+            match grad_map.get(&out.id()) {
+                Some(g) => dys.push(g.clone()),
+                None => dys.push(ops::zeros_like(out)?),
+            }
+        }
+        // Only an input that depends on an x can pass its gradient on.
+        let wanted: Vec<bool> = node.input_ids.iter().map(|id| from_x.contains(id)).collect();
+        let (ins, outs) = (&node.inputs, &node.outputs);
+        let input_grads = match &node.grad {
+            Grad::Call(call) => rule(call, &dys, ins, outs, &wanted),
+            Grad::Alias => alias_rule(&dys[0], &ins[0]).map(|g| vec![Some(g)]),
+            Grad::Custom(grad_fn) => grad_fn(&dys, ins, outs, &wanted),
+        }
+        .map_err(|e| match e {
+            Error::GradientNotDefined { .. } => Error::GradientNotDefined { op: node.kernel },
+            other => other,
+        })?;
+        if input_grads.len() != node.inputs.len() {
+            return Err(Error::invalid(
+                "grads",
+                format!(
+                    "gradient of {} returned {} grads for {} inputs",
+                    node.kernel,
+                    input_grads.len(),
+                    node.inputs.len()
+                ),
+            ));
+        }
+        for ((input, g), &read) in node.inputs.iter().zip(input_grads).zip(&wanted) {
+            // A function that ignored the mask may still fill the slot.
+            let Some(g) = g.filter(|_| read) else { continue };
+            let g = match grad_map.remove(&input.id()) {
+                Some(existing) => {
+                    let sum = ops::add(&existing, &g)?;
+                    self.unhold(existing.id());
+                    self.release(g.id());
+                    sum
+                }
+                None => g,
+            };
+            self.hold(g.id());
+            grad_map.insert(input.id(), g);
+        }
+        // Every reader of the outputs has been walked: their gradients are
+        // consumed.
+        for out in &node.outputs {
+            if let Some(g) = grad_map.remove(&out.id()) {
+                self.unhold(g.id());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The ids of the tensors `node` saved.
+fn saved(node: &TapeNode) -> impl Iterator<Item = usize> + '_ {
+    node.input_ids.iter().chain(&node.output_ids).copied()
 }
 
 /// The gradient of a view (`reshape`, `identity`): `dy` under the input's
@@ -202,20 +334,19 @@ fn rule(
         C::Cast(_) => one(Ok(dy.clone())),
         C::Reduce { op, axes } => {
             let in_shape = x.shape_ref();
-            let back = || broadcast_back(dy, in_shape, axes);
+            let back = |then| broadcast_back(dy, in_shape, axes, then);
             match op {
-                ReduceOp::Sum => one(back()),
+                ReduceOp::Sum => one(back(None)),
                 ReduceOp::Mean => {
-                    let g = back()?;
                     let count: usize = axes.iter().map(|&i| in_shape.dim(i)).product();
-                    let n = g.engine().scalar(count.max(1) as f32)?;
-                    one(div(&g, &n))
+                    let n = dy.engine().scalar(count.max(1) as f32)?;
+                    one(back(Some((BinaryOp::Div, &n))))
                 }
                 // The gradient flows to every element equal to the extremum.
                 ReduceOp::Max | ReduceOp::Min => {
                     let y_kept = reshape(&outs[0], reduced_shape(in_shape, axes, true))?;
                     let mask = cast(&equal(x, &y_kept)?, DType::F32)?;
-                    one(mul(&back()?, &mask))
+                    one(back(Some((BinaryOp::Mul, &mask))))
                 }
                 _ => Err(Error::GradientNotDefined { op: call.name() }),
             }
@@ -235,6 +366,28 @@ fn rule(
                 (true, true) => matmul(dy, x, true, true),
             };
             Ok(vec![wanted[0].then(da).transpose()?, wanted[1].then(db).transpose()?])
+        }
+        // A fused product: its activation's rule read from the output, the
+        // bias's sum, then the plain product's rule — the kernels the
+        // unfused tape runs, in its order, without the pre-bias and
+        // pre-activation tensors it saves.
+        C::MatMul { epilogue: Epilogue::Fused { bias, activation }, .. }
+        | C::Conv2d { epilogue: Epilogue::Fused { bias, activation }, .. }
+        | C::DepthwiseConv2d { epilogue: Epilogue::Fused { bias, activation }, .. }
+            if activation.is_none_or(reads_output) =>
+        {
+            let y = &outs[0];
+            let dz = match activation {
+                Some(act) => unary_rule(*act, dy, y, y)?,
+                None => dy.clone(),
+            };
+            let db = (*bias && wanted[2]).then(|| sum_to_shape(&dz, ins[2].shape_ref()));
+            let plain = call.with_epilogue(Epilogue::None);
+            let mut grads = rule(&plain, std::slice::from_ref(&dz), &ins[..2], outs, &wanted[..2])?;
+            if *bias {
+                grads.push(db.transpose()?);
+            }
+            Ok(grads)
         }
         // The first layer's dx (a gradient w.r.t. the input batch) is the
         // costliest kernel nobody reads: each side runs only when wanted.
@@ -315,6 +468,15 @@ fn rule(
     }
 }
 
+/// Whether `act`'s gradient can be read from its output as well as from its
+/// input, so that a product fused with it is differentiated as itself: the
+/// rules of `Sigmoid` and `Tanh` read `y`, and `step(relu(x)) == step(x)`
+/// for every `x`, NaN included (`f32::max(NaN, 0) == 0`), as `Relu6`'s mask
+/// does through `clamp`.
+pub(crate) fn reads_output(act: UnaryOp) -> bool {
+    matches!(act, UnaryOp::Relu | UnaryOp::Relu6 | UnaryOp::Sigmoid | UnaryOp::Tanh)
+}
+
 /// `d op(a) / da · dy`, given the output `y`.
 fn unary_rule(op: UnaryOp, dy: &Tensor, a: &Tensor, y: &Tensor) -> Result<Tensor> {
     use UnaryOp as U;
@@ -343,7 +505,9 @@ fn unary_rule(op: UnaryOp, dy: &Tensor, a: &Tensor, y: &Tensor) -> Result<Tensor
             let two_a = mul(a, &e.scalar(2.0)?)?;
             mul(dy, &two_a)
         }
-        U::Relu => mul(dy, &step(a, 0.0)?),
+        // `step(a) · dy`: the mask is 0 or 1, never NaN, so the product is
+        // `dy · step(a)` to the bit.
+        U::Relu => fused_elementwise(a, &[dy], &[FusedStep::Unary(U::Step(0.0)), mul_by(0)]),
         U::Relu6 => {
             let lo = greater(a, &e.scalar(0.0)?)?;
             let hi = less(a, &e.scalar(6.0)?)?;
@@ -438,7 +602,10 @@ fn binary_rule(op: BinaryOp, i: usize, dy: &Tensor, a: &Tensor, b: &Tensor) -> R
         (B::Mul, 0) => mul(dy, b),
         (B::Mul, _) => mul(dy, a),
         (B::Div, 0) => div(dy, b),
-        (B::Div, _) => neg(&div(&mul(dy, a)?, &mul(b, b)?)?),
+        (B::Div, _) => {
+            let steps = [mul_by(0), FusedStep::Binary(B::Div, 1), FusedStep::Unary(UnaryOp::Neg)];
+            fused_elementwise(dy, &[a, &mul(b, b)?], &steps)
+        }
         // da = dy * b * a^(b-1)
         (B::Pow, 0) => {
             let one = e.scalar(1.0)?;
@@ -481,13 +648,29 @@ fn backprop(call: C<'_>, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     a.engine().run_kernel(&call, &[a, b])
 }
 
+/// A chain step that multiplies by `extras[i]`.
+fn mul_by(i: usize) -> FusedStep {
+    FusedStep::Binary(BinaryOp::Mul, i)
+}
+
 /// Broadcast a reduced gradient `dy` back up to `shape` (insert kept dims,
-/// then multiply with ones to broadcast).
-fn broadcast_back(dy: &Tensor, shape: &Shape, axes: &[usize]) -> Result<Tensor> {
+/// then multiply with ones to broadcast), and apply `then` to the result in
+/// the same kernel.
+fn broadcast_back(
+    dy: &Tensor,
+    shape: &Shape,
+    axes: &[usize],
+    then: Option<(BinaryOp, &Tensor)>,
+) -> Result<Tensor> {
     let kept = reduced_shape(shape, axes, true);
     let dy_kept = reshape(dy, kept)?;
     let ones = dy.engine().ones(shape.clone(), DType::F32)?;
-    mul(&dy_kept, &ones)
+    match then {
+        None => mul(&dy_kept, &ones),
+        Some((op, t)) => {
+            fused_elementwise(&dy_kept, &[&ones, t], &[mul_by(0), FusedStep::Binary(op, 1)])
+        }
+    }
 }
 
 /// Reduce `dy` (shaped like the broadcast output) back to `target` shape by
@@ -925,5 +1108,145 @@ mod wanted_mask_tests {
         let (only_b, _) = profiled(&e, &[&b], &f);
         assert_eq!(only_b[0], both[1]);
         assert_eq!(*seen.lock().unwrap(), vec![vec![true, true], vec![false, true]]);
+    }
+}
+
+/// Backprop frees each tensor at its last use. None of the rules that hand
+/// a tensor on as a gradient, a tensor `f` keeps, an `x` made before the
+/// call, or a gradient of a gradient may lose a value to it: each case
+/// gives the bits it gives under an outer tape, which keeps every tensor,
+/// and leaves only its gradients behind.
+#[cfg(test)]
+mod early_free_tests {
+    use crate::engine::Engine;
+    use crate::error::Result;
+    use crate::ops::testutil::{assert_close, test_engine};
+    use crate::ops;
+    use crate::tape::GradFn;
+    use crate::tensor::Tensor;
+    use crate::DType;
+    use std::sync::Arc;
+
+    fn bits(gs: &[Tensor]) -> Vec<Vec<u32>> {
+        gs.iter().map(|g| g.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// The gradients of `f` w.r.t. `xs`, checked against the same call
+    /// under an outer tape and for what it leaves on the engine: the value
+    /// and the gradients.
+    fn grads(e: &Engine, xs: &[&Tensor], f: &dyn Fn() -> Result<Tensor>) -> Vec<Vec<f32>> {
+        let before = e.num_tensors();
+        let (y, gs) = e.value_and_grads(xs, f).unwrap();
+        assert_eq!(e.num_tensors(), before + 1 + gs.len(), "only the value and gradients are left");
+        assert_eq!(y.to_f32_vec().unwrap(), f().unwrap().to_f32_vec().unwrap());
+        e.dispose_tensor(y.id());
+        let kept = e
+            .grads(&[], || {
+                let kept = bits(&e.grads(xs, f)?);
+                assert_eq!(kept, bits(&gs), "the bits the outer tape keeps");
+                e.scalar(0.0)
+            })
+            .unwrap();
+        let values = gs.iter().map(|g| g.to_f32_vec().unwrap()).collect();
+        gs.iter().chain(&kept).for_each(Tensor::dispose);
+        values
+    }
+
+    #[test]
+    fn a_cast_hands_its_gradient_on() {
+        let e = test_engine();
+        let x = e.tensor_1d(&[0.5, -1.0]).unwrap();
+        let f = || {
+            let y = ops::mul(&ops::cast(&ops::exp(&x)?, DType::F32)?, &ops::cast(&x, DType::F32)?)?;
+            ops::sum(&y, None, false)
+        };
+        let want: Vec<f32> = [0.5f32, -1.0].iter().map(|v| v.exp() * (1.0 + v)).collect();
+        assert_close(&grads(&e, &[&x], &f)[0], &want, 1e-6);
+    }
+
+    #[test]
+    fn views_hand_their_gradient_on() {
+        let e = test_engine();
+        let x = e.tensor_1d(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let f = || {
+            let v = ops::reshape(&ops::identity(&ops::exp(&x)?)?, [2, 2])?;
+            let w = ops::slice(&v, &[0, 0], &[2, 2])?;
+            ops::sum(&ops::square(&w)?, None, false)
+        };
+        let want: Vec<f32> =
+            [1.0f32, 2.0, 3.0, 4.0].iter().map(|v| 2.0 * (2.0 * v).exp()).collect();
+        assert_close(&grads(&e, &[&x], &f)[0], &want, 1e-3);
+    }
+
+    #[test]
+    fn a_custom_gradient_may_return_dy_or_a_saved_tensor() {
+        let e = test_engine();
+        let x = e.tensor_1d(&[0.25, -0.5]).unwrap();
+        // `dy` itself, then `h` itself (which `Exp` also saved) as d/dh.
+        let pass: GradFn = Arc::new(|dys, _, _, _| Ok(vec![Some(dys[0].clone())]));
+        let saved: GradFn = Arc::new(|_, ins, _, _| Ok(vec![Some(ins[0].clone())]));
+        let f = || {
+            let h = ops::exp(&x)?;
+            let p = e.run_custom("Pass", &[&h], || Ok(vec![ops::square(&h)?]), pass.clone())?;
+            let s = e.run_custom("Saved", &[&p[0]], || Ok(vec![ops::neg(&p[0])?]), saved.clone())?;
+            ops::sum(&s[0], None, false)
+        };
+        // d/dx = p · e^x = e^{3x}.
+        let want: Vec<f32> = [0.25f32, -0.5].iter().map(|v| (3.0 * v).exp()).collect();
+        assert_close(&grads(&e, &[&x], &f)[0], &want, 1e-5);
+    }
+
+    #[test]
+    fn a_tensor_kept_inside_f_survives() {
+        let e = test_engine();
+        let x = e.tensor_1d(&[1.0, -2.0]).unwrap();
+        let kept = std::sync::Mutex::new(Vec::new());
+        let f = || {
+            let k = ops::exp(&x)?;
+            k.keep();
+            kept.lock().unwrap().push(k.clone());
+            ops::sum(&ops::mul(&k, &x)?, None, false)
+        };
+        let before = e.num_tensors();
+        let g = e.grad(&x, f).unwrap();
+        let k = kept.lock().unwrap().pop().unwrap();
+        assert_eq!(e.num_tensors(), before + 2, "the gradient and the kept tensor");
+        assert_close(&k.to_f32_vec().unwrap(), &[1f32.exp(), (-2f32).exp()], 1e-6);
+        let want: Vec<f32> = [1.0f32, -2.0].iter().map(|v| v.exp() * (1.0 + v)).collect();
+        assert_close(&g.to_f32_vec().unwrap(), &want, 1e-5);
+    }
+
+    #[test]
+    fn an_x_made_by_the_caller_survives_and_is_differentiated() {
+        let e = test_engine();
+        let a = e.tensor_1d(&[0.5, 1.5]).unwrap();
+        let f = |h: &Tensor| ops::sum(&ops::mul(&ops::square(h)?, h)?, None, false);
+        // `h` is made inside a tidy, and inside another gradient's `f`, whose
+        // tape records the inner walk (which then frees nothing).
+        let (h, g) = e.tidy(|| {
+            let h = ops::exp(&a).unwrap();
+            let g = grads(&e, &[&h], &|| f(&h)).remove(0);
+            (h.to_f32_vec().unwrap(), g)
+        });
+        assert_close(&g, &h.iter().map(|v| 3.0 * v * v).collect::<Vec<_>>(), 1e-4);
+        let outer = || {
+            let h = ops::exp(&a)?;
+            let g = e.grad(&h, || f(&h))?;
+            assert_close(&h.to_f32_vec()?, &[0.5f32.exp(), 1.5f32.exp()], 1e-6);
+            ops::sum(&g, None, false)
+        };
+        grads(&e, &[&a], &outer);
+    }
+
+    /// The inner `f`'s forward is recorded on the inner tape alone, so the
+    /// outer gradient differentiates the inner walk's kernels only: for x³
+    /// that is 4x, not 6x. Freeing early changes none of its bits.
+    #[test]
+    fn a_gradient_of_a_gradient() {
+        let e = test_engine();
+        let x = e.tensor_1d(&[2.0, -1.0]).unwrap();
+        let cube = || ops::sum(&ops::mul(&ops::mul(&x, &x)?, &x)?, None, false);
+        let second = || ops::sum(&e.grad(&x, cube)?, None, false);
+        assert_close(&grads(&e, &[&x], &second)[0], &[8.0, -4.0], 1e-5);
     }
 }

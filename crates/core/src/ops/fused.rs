@@ -10,10 +10,15 @@
 //! then activation). On f16-only devices fused kernels round once instead of
 //! once per intermediate, so they are *more* accurate there, not identical.
 //!
-//! Gradients: a fused call has no rule of its own. When a gradient tape is
-//! recording, [`run`] composes it from plain calls instead, so the tape
-//! records exactly the entries the unfused ops would — fusion never changes
-//! training behavior, it only accelerates inference.
+//! Gradients: a fused product whose activation's gradient can be read from
+//! its output (none, `Relu`, `Relu6`, `Sigmoid`, `Tanh`) is recorded on the
+//! tape as itself, and its rule runs the kernels the unfused tape would, in
+//! the same order, so training through it gives the same bits while the
+//! step holds neither the pre-bias nor the pre-activation tensor. A
+//! quantized weight is dequantized first while a tape records, and the f32
+//! call then goes the same way. Any other fused call — another activation,
+//! an element-wise chain — is composed from plain calls while a tape
+//! records, so the tape records exactly the entries the unfused ops would.
 
 use super::same_engine;
 use crate::backend::{BinaryOp, Epilogue, FusedStep, KernelCall as C, UnaryOp};
@@ -34,7 +39,8 @@ use std::borrow::Cow;
 ///   or, when the call is composed from unfused calls or per-channel params do
 ///   not run along the axis the kernel keeps constant over its accumulation,
 ///   over a temporary f32 copy dequantized once, as its f32 fused form.
-/// * **The unfused composition.** While a tape records or fusion is off, a
+/// * **The unfused composition.** While fusion is off, or while a tape
+///   records and the call has no rule of its own (see the module doc), a
 ///   fused call runs as its plain calls instead — the plain product, `Add` of
 ///   the bias, the activation; one `Unary` or `Binary` per chain step — each
 ///   through [`crate::Engine::run_kernel`], which records its rule.
@@ -55,7 +61,8 @@ pub fn run(call: &C<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
     if weight.is_none() && !fused {
         return engine.run_kernel(call, inputs);
     }
-    let composing = engine.is_recording() || !engine.fusion_enabled();
+    let recording = engine.is_recording();
+    let composing = recording || !engine.fusion_enabled();
     if let (Some(epilogue), Some((w, params))) = (epilogue, weight) {
         let (bias, activation) = (epilogue.bias(), epilogue.activation());
         let dims = w.shape_ref().dims();
@@ -83,7 +90,9 @@ pub fn run(call: &C<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
         let args: Vec<&Tensor> = [x, &w].into_iter().chain(inputs.get(2).copied()).collect();
         return run(&call.with_epilogue(Epilogue::Fused { bias, activation }), &args);
     }
-    if !composing {
+    let taped_as_itself = matches!(epilogue, Some(Epilogue::Fused { activation, .. })
+        if activation.is_none_or(crate::grads::reads_output));
+    if !composing || (recording && engine.fusion_enabled() && taped_as_itself) {
         return engine.run_kernel(call, inputs);
     }
     if let C::FusedElementwise(steps) = call {
@@ -132,9 +141,11 @@ fn check_activation(op: &'static str, activation: Option<UnaryOp>) -> Result<()>
 /// `activation(a x b + bias)` as one kernel (`tf.fused.matMul`).
 ///
 /// Accepts rank-2 or rank-3 operands like [`super::matmul`]; `bias` must be
-/// rank-1 `[n]` and is added to every output row. When a gradient tape is
-/// recording, this runs the unfused `matmul → add → activation` composition
-/// so the tape sees the standard entries.
+/// rank-1 `[n]` and is added to every output row. While a gradient tape
+/// records, the one kernel is recorded when the activation's gradient reads
+/// its output (see the module doc); otherwise this runs the unfused
+/// `matmul → add → activation` composition so the tape sees the standard
+/// entries.
 ///
 /// `b` may be a quantized weight ([`crate::engine::Engine::quantized_tensor`]):
 /// the kernel then folds dequantization into its epilogue and no f32 weight
@@ -197,9 +208,10 @@ fn fused_conv_impl(
 
 /// `activation(conv2d(x, filter) + bias)` as one kernel (`tf.fused.conv2d`).
 ///
-/// `bias` must be rank-1 `[out_channels]`. When a gradient tape is recording
-/// this runs the unfused composition, and a quantized HWIO `filter` runs the
-/// dequant-free kernel (see [`fused_matmul`] for both).
+/// `bias` must be rank-1 `[out_channels]`. While a gradient tape records
+/// this is recorded as itself or runs the unfused composition, and a
+/// quantized HWIO `filter` runs the dequant-free kernel (see [`fused_matmul`]
+/// for both).
 ///
 /// # Errors
 /// Fails on rank/channel/bias-shape mismatches or backend errors.
@@ -315,19 +327,21 @@ mod tests {
     }
 
     #[test]
-    fn fused_matmul_records_unfused_tape_entries() {
+    fn fused_matmul_is_differentiated_as_itself() {
         let e = test_engine();
         let a = e.tensor_2d(&[1.0, -2.0, 3.0, -4.0], 2, 2).unwrap();
         let b = e.tensor_2d(&[1.0, 0.0, 0.0, 1.0], 2, 2).unwrap();
         let bias = e.tensor_1d(&[0.5, -0.5]).unwrap();
-        // d/da sum(relu(a·I + bias)) — the tape must thread through the
-        // unfused matmul/add/relu gradients.
-        let g = e
-            .grad(&a, || {
+        // d/da sum(relu(a·I + bias)) — the tape records the one fused call,
+        // whose rule reads ReLU's mask from its output.
+        let (names, g) = kernels_of(&e, || {
+            e.grad(&a, || {
                 let y = fused_matmul(&a, &b, Some(&bias), Some(UnaryOp::Relu), false, false)?;
                 super::super::sum(&y, None, false)
             })
-            .unwrap();
+            .unwrap()
+        });
+        assert_eq!(names[0], "FusedMatMul");
         // relu' = 1 where a + bias > 0: entries 1.5, -2.5, 3.5, -4.5.
         assert_eq!(g.to_f32_vec().unwrap(), vec![1.0, 0.0, 1.0, 0.0]);
     }

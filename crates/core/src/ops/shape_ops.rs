@@ -1,9 +1,9 @@
 //! Shape-manipulation ops.
 //!
-//! `reshape`, `squeeze`, `expand_dims`, `flatten` and `identity` are *free*:
-//! they create a new tensor handle pointing at the same data container
-//! (paper Sec 3.4). The rest move data through backend kernels. Gradients
-//! are the rules of [`crate::grads`].
+//! `reshape`, `squeeze`, `expand_dims`, `flatten`, `identity` and a `slice`
+//! of the whole input are *free*: they create a new tensor handle pointing
+//! at the same data container (paper Sec 3.4). The rest move data through
+//! backend kernels. Gradients are the rules of [`crate::grads`].
 
 use crate::backend::KernelCall;
 use crate::dtype::DType;
@@ -93,11 +93,15 @@ pub fn pad(a: &Tensor, paddings: &[(usize, usize)], value: f32) -> Result<Tensor
     a.engine().run_kernel(&KernelCall::Pad { paddings: paddings.into(), value }, &[a])
 }
 
-/// Extract `a[begin .. begin+size]` per axis.
+/// Extract `a[begin .. begin+size]` per axis. The window of the whole input
+/// is a view of it, like [`reshape`]: no kernel runs and nothing is copied.
 ///
 /// # Errors
 /// Fails when the window exceeds the tensor bounds.
 pub fn slice(a: &Tensor, begin: &[usize], size: &[usize]) -> Result<Tensor> {
+    if begin.len() == a.rank() && begin.iter().all(|&b| b == 0) && size == a.dims() {
+        return a.engine().run_alias("Slice", a, a.shape());
+    }
     let call = KernelCall::Slice { begin: begin.into(), size: size.into() };
     a.engine().run_kernel(&call, &[a])
 }

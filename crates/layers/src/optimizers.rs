@@ -1,8 +1,21 @@
 //! Gradient-descent optimizers operating on [`Variable`]s.
+//!
+//! An update runs as `FusedElementwise` chains (paper Sec 3.9): each chain
+//! applies the update's ops to one running value in the order the plain ops
+//! would, so the variables move by the same bits in fewer kernels. A chain
+//! combines its running value as the left operand, so a value that appears
+//! on the right of an op (`m·β₁ + (1−β₁)·g`, `v − α·m̂`) is made by a kernel
+//! of its own first.
 
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use webml_core::{ops, Result, Tensor, Variable};
+use webml_core::backend::{BinaryOp, UnaryOp};
+use webml_core::{ops, FusedStep, Result, Tensor, Variable};
+
+/// `x op extras[i]`, a chain step.
+fn by(op: BinaryOp, i: usize) -> FusedStep {
+    FusedStep::Binary(op, i)
+}
 
 /// An optimizer applies gradients to trainable variables in place.
 pub trait Optimizer: Send {
@@ -57,7 +70,8 @@ impl Slots {
     }
 }
 
-/// Plain stochastic gradient descent: `v -= lr * g`.
+/// Plain stochastic gradient descent: `v -= lr * g`. Its two ops are no
+/// chain: `lr · g` is `Sub`'s right operand.
 pub struct Sgd {
     lr: f32,
 }
@@ -130,9 +144,10 @@ impl Optimizer for Momentum {
         let Some(e) = grads.first().map(Tensor::engine) else { return Ok(()) };
         let mu = e.scalar(self.mu)?;
         let lr = e.scalar(self.lr)?;
+        let (mul, add) = (by(BinaryOp::Mul, 0), by(BinaryOp::Add, 1));
         for (var, grad) in vars.iter().zip(grads) {
             let m = self.slots.get_or_zeros(var, "momentum")?;
-            let new_m = ops::add(&ops::mul(&m.value(), &mu)?, grad)?;
+            let new_m = ops::fused_elementwise(&m.value(), &[&mu, grad], &[mul, add])?;
             let update = ops::sub(&var.value(), &ops::mul(&new_m, &lr)?)?;
             m.assign(new_m)?;
             var.assign(update)?;
@@ -180,12 +195,17 @@ impl Optimizer for RmsProp {
         let one_minus = e.scalar(1.0 - self.rho)?;
         let eps = e.scalar(self.eps)?;
         let lr = e.scalar(self.lr)?;
+        let square = [by(BinaryOp::Mul, 0), by(BinaryOp::Mul, 1)];
+        let decay = [by(BinaryOp::Mul, 0), by(BinaryOp::Add, 1)];
+        let denominator = [FusedStep::Unary(UnaryOp::Sqrt), by(BinaryOp::Add, 0)];
+        let scale = [by(BinaryOp::Mul, 0), by(BinaryOp::Div, 1)];
         for (var, grad) in vars.iter().zip(grads) {
             let s = self.slots.get_or_zeros(var, "rms")?;
-            let g2 = ops::mul(grad, grad)?;
-            let new_s = ops::add(&ops::mul(&s.value(), &rho)?, &ops::mul(&g2, &one_minus)?)?;
-            let denom = ops::add(&ops::sqrt(&new_s)?, &eps)?;
-            let update = ops::sub(&var.value(), &ops::div(&ops::mul(grad, &lr)?, &denom)?)?;
+            let g2 = ops::fused_elementwise(grad, &[grad, &one_minus], &square)?;
+            let new_s = ops::fused_elementwise(&s.value(), &[&rho, &g2], &decay)?;
+            let denom = ops::fused_elementwise(&new_s, &[&eps], &denominator)?;
+            let step = ops::fused_elementwise(grad, &[&lr, &denom], &scale)?;
+            let update = ops::sub(&var.value(), &step)?;
             s.assign(new_s)?;
             var.assign(update)?;
         }
@@ -240,14 +260,21 @@ impl Optimizer for Adam {
         let correction = (1.0 - self.beta2.powf(t)).sqrt() / (1.0 - self.beta1.powf(t));
         let alpha = e.scalar(self.lr * correction)?;
         let eps = e.scalar(self.eps)?;
+        // Seven kernels a variable where the plain ops take twelve.
+        let square = [by(BinaryOp::Mul, 0), by(BinaryOp::Mul, 1)];
+        let decay = [by(BinaryOp::Mul, 0), by(BinaryOp::Add, 1)];
+        let denominator = [FusedStep::Unary(UnaryOp::Sqrt), by(BinaryOp::Add, 0)];
+        let scale = [by(BinaryOp::Mul, 0), by(BinaryOp::Div, 1)];
         for (var, grad) in vars.iter().zip(grads) {
             let m = self.slots.get_or_zeros(var, "m")?;
             let v = self.slots.get_or_zeros(var, "v")?;
-            let new_m = ops::add(&ops::mul(&m.value(), &b1)?, &ops::mul(grad, &one_minus_b1)?)?;
-            let g2 = ops::mul(grad, grad)?;
-            let new_v = ops::add(&ops::mul(&v.value(), &b2)?, &ops::mul(&g2, &one_minus_b2)?)?;
-            let denom = ops::add(&ops::sqrt(&new_v)?, &eps)?;
-            let update = ops::sub(&var.value(), &ops::div(&ops::mul(&new_m, &alpha)?, &denom)?)?;
+            let g1 = ops::mul(grad, &one_minus_b1)?;
+            let new_m = ops::fused_elementwise(&m.value(), &[&b1, &g1], &decay)?;
+            let g2 = ops::fused_elementwise(grad, &[grad, &one_minus_b2], &square)?;
+            let new_v = ops::fused_elementwise(&v.value(), &[&b2, &g2], &decay)?;
+            let denom = ops::fused_elementwise(&new_v, &[&eps], &denominator)?;
+            let step = ops::fused_elementwise(&new_m, &[&alpha, &denom], &scale)?;
+            let update = ops::sub(&var.value(), &step)?;
             m.assign(new_m)?;
             v.assign(new_v)?;
             var.assign(update)?;

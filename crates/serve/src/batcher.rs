@@ -517,7 +517,8 @@ impl Executor<'_> {
             req.tl.apply_stamps(&stamps);
         }
         // Count before replying: a caller that sees its reply must also see
-        // it reflected in the stats.
+        // it reflected in the stats, the cache's hits and misses included.
+        self.sync_cache_stats();
         cells.served.fetch_add(n as u64, Ordering::Relaxed);
         if n >= 2 {
             cells.batches.fetch_add(1, Ordering::Relaxed);

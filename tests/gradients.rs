@@ -22,7 +22,7 @@ use webml::core::cpu::CpuBackend;
 use webml::{ops, DType, Engine, Error, Result, Shape, Tensor};
 
 /// The kernel calls a gradient is not defined for.
-const WITHOUT_A_RULE: [&str; 15] = [
+const WITHOUT_A_RULE: [&str; 12] = [
     "Prod",
     "FloorDiv",
     "Mod",
@@ -35,9 +35,6 @@ const WITHOUT_A_RULE: [&str; 15] = [
     "OneHot",
     "ResizeBilinear",
     "FusedElementwise",
-    "FusedMatMul",
-    "FusedConv2D",
-    "FusedDepthwiseConv2D",
 ];
 
 fn engine() -> Engine {
@@ -150,6 +147,55 @@ impl Table {
     }
 }
 
+/// The geometry of the convolution cases: a 3×3 conv2d of stride 2 and a
+/// 3×3 depthwise conv2d of multiplier 2, both over `[1, 5, 5, 2]`.
+fn product_infos() -> (Cow<'static, Conv2dInfo>, Cow<'static, Conv2dInfo>) {
+    let (xs, ws) = (Shape::new(vec![1, 5, 5, 2]), Shape::new(vec![3, 3, 2, 3]));
+    let conv = conv2d_info("Conv2D", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
+    let dws = Shape::new(vec![3, 3, 2, 2]);
+    let depthwise = depthwise_conv2d_info("Depthwise", &xs, &dws, (1, 1), Padding::Same, (1, 1));
+    (Cow::Owned(conv), Cow::Owned(depthwise.unwrap()))
+}
+
+/// The three plain product calls with their operands: conv2d, depthwise
+/// conv2d and a `[2, 3] x [3, 4]` matmul.
+fn products(e: &Engine) -> Vec<(KernelCall<'static>, Tensor, Tensor)> {
+    let tensor = |values: Vec<f32>, dims: &[usize]| e.tensor(values, dims.to_vec()).unwrap();
+    let (conv, depthwise) = product_infos();
+    let plain = Epilogue::None;
+    vec![
+        (
+            KernelCall::Conv2d { info: conv, epilogue: plain },
+            tensor(distinct(50, 0), &[1, 5, 5, 2]),
+            tensor(mixed(54), &[3, 3, 2, 3]),
+        ),
+        (
+            KernelCall::DepthwiseConv2d { info: depthwise, epilogue: plain },
+            tensor(distinct(50, 0), &[1, 5, 5, 2]),
+            tensor(mixed(36), &[3, 3, 2, 2]),
+        ),
+        (
+            KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue: plain },
+            tensor(mixed(6), &[2, 3]),
+            tensor(mixed(12), &[3, 4]),
+        ),
+    ]
+}
+
+/// A bias for the `n` channels of pre-bias values `z` (channel last) that
+/// keeps every `z + bias` at least 0.05 from ReLU's kink at 0.
+fn clear_of_the_kink(z: &[f32], n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|c| {
+            let channel: Vec<f32> = z.iter().skip(c).step_by(n).copied().collect();
+            (0..400)
+                .map(|k| 0.01 * (k / 2) as f32 * if k % 2 == 0 { 1.0 } else { -1.0 })
+                .find(|b| channel.iter().all(|v| (v + b).abs() >= 0.05))
+                .expect("a bias clears the kink")
+        })
+        .collect()
+}
+
 fn table() -> Table {
     use KernelCall as C;
     let mut t = Table { e: engine(), cases: Vec::new(), variants: [false; VARIANTS] };
@@ -253,24 +299,21 @@ fn table() -> Table {
     let x = t.tensor(mixed(6), &[2, 3]);
     t.op("reshape", vec![x], |xs| ops::reshape(xs[0], [3, 2]));
 
-    let (xs, ws) = (Shape::new(vec![1, 5, 5, 2]), Shape::new(vec![3, 3, 2, 3]));
-    let conv = conv2d_info("Conv2D", &xs, &ws, (2, 2), Padding::Same, (1, 1)).unwrap();
-    let conv = Cow::<'static, Conv2dInfo>::Owned(conv);
-    let dws = Shape::new(vec![3, 3, 2, 2]);
-    let depthwise = depthwise_conv2d_info("Depthwise", &xs, &dws, (1, 1), Padding::Same, (1, 1));
-    let depthwise = Cow::<'static, Conv2dInfo>::Owned(depthwise.unwrap());
-    let x = || t.tensor(distinct(50, 0), &[1, 5, 5, 2]);
-    let (x1, x2) = (x(), x());
-    let (w, dw) = (t.tensor(mixed(54), &[3, 3, 2, 3]), t.tensor(mixed(36), &[3, 3, 2, 2]));
-    let fused = Epilogue::Fused { bias: false, activation: Some(U::Relu) };
-    for (epilogue, wrt) in [(Epilogue::None, &[0, 1][..]), (fused, &[0])] {
-        let call = C::Conv2d { info: conv.clone(), epilogue };
-        t.call(call, vec![x1.clone(), w.clone()], wrt);
-        let call = C::DepthwiseConv2d { info: depthwise.clone(), epilogue };
-        t.call(call, vec![x2.clone(), dw.clone()], wrt);
-        let call = C::MatMul { transpose_a: false, transpose_b: false, epilogue };
-        t.call(call, vec![t.tensor(mixed(6), &[2, 3]), t.tensor(mixed(12), &[3, 4])], wrt);
+    let (conv, depthwise) = product_infos();
+    // Each product plain, then fused with a bias and ReLU: the bias keeps
+    // every pre-activation clear of the kink, where no central difference
+    // agrees with a rule (see `a_fused_product_at_relus_kink_...`).
+    for (plain, x, w) in products(&t.e) {
+        t.call(plain.clone(), vec![x.clone(), w.clone()], &[0, 1]);
+        let z = t.e.run_kernel(&plain, &[&x, &w]).unwrap();
+        let n = *z.dims().last().unwrap();
+        let bias = t.tensor(clear_of_the_kink(&z.to_f32_vec().unwrap(), n), &[n]);
+        let fused = plain.with_epilogue(Epilogue::Fused { bias: true, activation: Some(U::Relu) });
+        t.call(fused, vec![x, w, bias], &[0, 1, 2]);
     }
+    let x1 = t.tensor(distinct(50, 0), &[1, 5, 5, 2]);
+    let x2 = t.tensor(distinct(50, 0), &[1, 5, 5, 2]);
+    let (w, dw) = (t.tensor(mixed(54), &[3, 3, 2, 3]), t.tensor(mixed(36), &[3, 3, 2, 2]));
     let dy = t.tensor(mixed(27), &[1, 3, 3, 3]);
     t.call(C::Conv2dBackpropInput(conv.clone()), vec![dy.clone(), w.clone()], &[0, 1]);
     t.call(C::Conv2dBackpropFilter(conv.clone()), vec![x1.clone(), dy], &[0, 1]);
@@ -376,6 +419,145 @@ fn every_gradient_rule_matches_a_central_difference() {
     let mut pinned = WITHOUT_A_RULE;
     pinned.sort_unstable();
     assert_eq!(without_a_rule, pinned);
+}
+
+/// Without a bias, the fused conv2d case's first pre-activation is 1.19e-7:
+/// on ReLU's kink, where no central difference agrees with a rule. There
+/// each fused product, recorded as itself, differentiates to the bits of
+/// the unfused tape (fusion off: the plain product, then `Relu`).
+#[test]
+fn a_fused_product_at_relus_kink_differentiates_to_the_bits_of_its_unfused_tape() {
+    let e = engine();
+    let (conv, x, w) = &products(&e)[0];
+    let z = e.run_kernel(conv, &[x, w]).unwrap().to_f32_vec().unwrap();
+    assert!(z[0] != 0.0 && z[0].abs() < 1e-6, "the first pre-activation is {}", z[0]);
+    for (plain, x, w) in products(&e) {
+        let relu = Some(UnaryOp::Relu);
+        let fused = plain.with_epilogue(Epilogue::Fused { bias: false, activation: relu });
+        let run = |fusion: bool| {
+            e.set_fusion_enabled(fusion);
+            let loss = || weighted_sum(&ops::run(&fused, &[&x, &w])?);
+            let (grads, profile) = e.profile(|| e.grads(&[&x, &w], loss).unwrap());
+            let bits: Vec<Vec<u32>> = grads
+                .iter()
+                .map(|g| g.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (bits, profile.kernels[0].name)
+        };
+        let (taped, unfused) = (run(true), run(false));
+        assert_eq!((taped.1, unfused.1), (fused.name(), plain.name()));
+        assert_eq!(taped.0, unfused.0, "{}", fused.name());
+    }
+    e.set_fusion_enabled(true);
+}
+
+/// Pre-activations at and around the kinks of `Relu` (0) and `Relu6` (0 and
+/// 6), both zeros, NaN and the infinities.
+fn at_the_kinks() -> Vec<f32> {
+    let six = 6.0f32.to_bits();
+    let (tiny, below_six, above_six) =
+        (f32::MIN_POSITIVE, f32::from_bits(six - 1), f32::from_bits(six + 1));
+    vec![
+        0.0,
+        -0.0,
+        1e-7,
+        -1e-7,
+        tiny,
+        -tiny,
+        6.0,
+        below_six,
+        above_six,
+        0.3,
+        -2.5,
+        12.0,
+        5.5,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ]
+}
+
+/// Each product over one reduced term whose first output channel has
+/// weight 1, so that channel's values are [`at_the_kinks`]: a `[16, 1] x
+/// [1, 3]` matmul under every transpose flag, a 1×1 conv2d of three output
+/// channels and a 1×1 depthwise conv2d of multiplier 2.
+fn kink_products(e: &Engine) -> Vec<(KernelCall<'static>, Tensor, Tensor)> {
+    let tensor = |values: Vec<f32>, dims: &[usize]| e.tensor(values, dims.to_vec()).unwrap();
+    let (x, weights) = (at_the_kinks(), [1.0, 0.5, -1.0, 2.0]);
+    let mut cases = Vec::new();
+    for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (transpose_a, transpose_b, epilogue) = (ta, tb, Epilogue::None);
+        let call = KernelCall::MatMul { transpose_a, transpose_b, epilogue };
+        let a = tensor(x.clone(), if ta { &[1, 16] } else { &[16, 1] });
+        let b = tensor(weights[..3].to_vec(), if tb { &[3, 1] } else { &[1, 3] });
+        cases.push((call, a, b));
+    }
+    let (image, filter) = (Shape::new(vec![1, 4, 4, 1]), Shape::new(vec![1, 1, 1, 3]));
+    let info = conv2d_info("Conv2D", &image, &filter, (1, 1), Padding::Valid, (1, 1)).unwrap();
+    let call = KernelCall::Conv2d { info: Cow::Owned(info), epilogue: Epilogue::None };
+    let filter = tensor(weights[..3].to_vec(), &[1, 1, 1, 3]);
+    cases.push((call, tensor(x.clone(), &[1, 4, 4, 1]), filter));
+    let (image, filter) = (Shape::new(vec![1, 4, 4, 2]), Shape::new(vec![1, 1, 2, 2]));
+    let info = depthwise_conv2d_info("Depthwise", &image, &filter, (1, 1), Padding::Valid, (1, 1));
+    let info = Cow::Owned(info.unwrap());
+    let call = KernelCall::DepthwiseConv2d { info, epilogue: Epilogue::None };
+    let pairs: Vec<f32> = x.iter().flat_map(|&v| [v, -v]).collect();
+    cases.push((call, tensor(pairs, &[1, 4, 4, 2]), tensor(weights.to_vec(), &[1, 1, 2, 2])));
+    cases
+}
+
+/// A fused product recorded as itself differentiates to the bits of the
+/// unfused tape (fusion off: the plain product, `Add` of the bias, the
+/// activation), on `cpu` and on `native` with one and two threads: for each
+/// activation that takes the taped route, with and without a bias (−0 in
+/// the first channel, which keeps the kink values there), and for every
+/// subset of the operands asked for.
+#[test]
+fn fused_products_differentiate_to_the_bits_of_the_unfused_tape() {
+    use webml::backend_native::NativeBackend;
+    let mut engines = vec![engine()];
+    for threads in [1, 2] {
+        let e = Engine::new();
+        e.register_backend("native", Arc::new(NativeBackend::with_threads("native", threads)), 1);
+        engines.push(e);
+    }
+    use UnaryOp as U;
+    let activations = [None, Some(U::Relu), Some(U::Relu6), Some(U::Sigmoid), Some(U::Tanh)];
+    for e in &engines {
+        for (plain, x, w) in kink_products(e) {
+            let n = *e.run_kernel(&plain, &[&x, &w]).unwrap().dims().last().unwrap();
+            let bias: Vec<f32> =
+                (0..n).map(|c| if c == 0 { -0.0 } else { 0.25 * c as f32 }).collect();
+            let bias = e.tensor(bias, vec![n]).unwrap();
+            let variants = activations.iter().flat_map(|&a| [(a, false), (a, true)]);
+            for (activation, with_bias) in variants {
+                let fused = plain.with_epilogue(Epilogue::Fused { bias: with_bias, activation });
+                let operands: Vec<&Tensor> =
+                    [&x, &w].into_iter().chain(with_bias.then_some(&bias)).collect();
+                for mask in 1..1usize << operands.len() {
+                    let asked = |i: &usize| mask >> i & 1 == 1;
+                    let wrt: Vec<&Tensor> =
+                        (0..operands.len()).filter(asked).map(|i| operands[i]).collect();
+                    let run = |fusion: bool| {
+                        e.set_fusion_enabled(fusion);
+                        let loss = || weighted_sum(&ops::run(&fused, &operands)?);
+                        let (grads, profile) = e.profile(|| e.grads(&wrt, loss).unwrap());
+                        let bits: Vec<Vec<u32>> = grads
+                            .iter()
+                            .map(|g| g.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect())
+                            .collect();
+                        (profile.kernels[0].name, bits)
+                    };
+                    let ((taped, got), (_, want)) = (run(true), run(false));
+                    let on = e.backend_name();
+                    let label = format!("{taped} {activation:?} mask {mask:b} on {on}");
+                    assert_eq!(taped, fused.name(), "{label}");
+                    assert_eq!(got, want, "{label}");
+                }
+            }
+        }
+        e.set_fusion_enabled(true);
+    }
 }
 
 /// A batch-1 operand broadcast against the other's batch gets the gradient

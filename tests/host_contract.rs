@@ -567,27 +567,45 @@ fn a_buffer_still_held_is_never_recycled<K: HostKernels>(threads: usize) {
 /// The benchmark's training step (conv 8 → conv 16 → dense, Adam, one
 /// 32-example batch) on `native`: once the first step has run, a second
 /// identical one takes every buffer it asks for from the free list. It asks
-/// for 127: the three filter and weight gradients (`colsᵀ · dy`, `xᵀ · dy`)
-/// read their transposed left operand where it lies, and a copy of it would
-/// be a take more each (130).
+/// for 87:
+/// * one output for each of the step's 91 kernels but the 11 the reference
+///   runs, which take none: two `Gather`s, `Max`, `Equal`, two bool `Cast`s,
+///   and five element-wise ops that broadcast a `[32, 1]` operand along its
+///   kept axis (80);
+/// * an im2col matrix for each forward convolution and each filter gradient
+///   (4);
+/// * the transposed weight that the `dy · Wᵀ` products of the dense layer
+///   and of conv 2's `Conv2DBackpropInput` copy, and that kernel's `dcols`
+///   (3).
+///
+/// The three filter and weight gradients (`colsᵀ · dy`, `xᵀ · dy`) read
+/// their transposed left operand where it lies; a copy of it would be a
+/// take more each.
+/// The benchmark's `train_native` model on `e`, compiled with Adam, and one
+/// 32-example batch with the `fit` config that takes it in one step.
+fn training_step(e: &Engine) -> (Sequential, Tensor, Tensor, FitConfig) {
+    let mut model = Sequential::new(e).with_seed(3);
+    model.add(
+        Conv2D::new(8, 3)
+            .with_strides((2, 2))
+            .with_activation(Activation::Relu)
+            .with_input_shape([28, 28, 1]),
+    );
+    model.add(Conv2D::new(16, 3).with_strides((2, 2)).with_activation(Activation::Relu));
+    model.add(Flatten::new());
+    model.add(Dense::new(10).with_activation(Activation::Softmax));
+    model.build([28, 28, 1]).unwrap();
+    model.compile(Loss::CategoricalCrossentropy, Box::new(Adam::new(0.001)));
+    let (x, y) = synthetic::mnist_like(32, 10, 28, 1).batch(e, 0, 32).unwrap();
+    let config = FitConfig { epochs: 1, batch_size: 32, ..FitConfig::default() };
+    (model, x, y, config)
+}
+
 #[test]
 fn a_repeated_native_training_step_is_served_from_the_free_list() {
     for threads in [1, Native::default_threads()] {
         let e = engine::<Native>(threads);
-        let mut model = Sequential::new(&e).with_seed(3);
-        model.add(
-            Conv2D::new(8, 3)
-                .with_strides((2, 2))
-                .with_activation(Activation::Relu)
-                .with_input_shape([28, 28, 1]),
-        );
-        model.add(Conv2D::new(16, 3).with_strides((2, 2)).with_activation(Activation::Relu));
-        model.add(Flatten::new());
-        model.add(Dense::new(10).with_activation(Activation::Softmax));
-        model.build([28, 28, 1]).unwrap();
-        model.compile(Loss::CategoricalCrossentropy, Box::new(Adam::new(0.001)));
-        let (x, y) = synthetic::mnist_like(32, 10, 28, 1).batch(&e, 0, 32).unwrap();
-        let config = FitConfig { epochs: 1, batch_size: 32, ..FitConfig::default() };
+        let (mut model, x, y, config) = training_step(&e);
         let gauges = || {
             let m = e.memory().backend;
             (detail(&m, "recycle_hits"), detail(&m, "recycle_misses"))
@@ -598,6 +616,25 @@ fn a_repeated_native_training_step_is_served_from_the_free_list() {
         let (hits_after, misses_after) = gauges();
         assert_eq!(misses_after, misses, "{threads} threads: step 2 missed");
         let takes = hits_after + misses_after - hits - misses;
-        assert_eq!(takes, 127.0, "{threads} threads: step 2's takes");
+        assert_eq!(takes, 87.0, "{threads} threads: step 2's takes");
+    }
+}
+
+/// The same step holds at most 851 516 bytes above what lay on the engine
+/// before it (`train_native`'s `peak_bytes`; 2 084 540 when every fused
+/// product was composed from plain calls under the tape and backprop freed
+/// nothing before its scope closed). The peak is the engine's, so it does
+/// not depend on the thread count.
+#[test]
+fn a_native_training_step_holds_only_what_backprop_still_reads() {
+    for threads in [1, Native::default_threads()] {
+        let e = engine::<Native>(threads);
+        let (mut model, x, y, config) = training_step(&e);
+        model.fit(&x, &y, config.clone()).unwrap();
+        let before = e.memory().num_bytes;
+        let (step, profile) = e.profile(|| model.fit(&x, &y, config));
+        step.unwrap();
+        assert_eq!(profile.peak_bytes - before, 851_516, "{threads} threads");
+        assert_eq!(e.memory().num_bytes, before, "{threads} threads: the step leaks");
     }
 }

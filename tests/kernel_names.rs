@@ -31,16 +31,20 @@ fn assert_names(got: &[&str], want: &str, what: &str) {
 
 /// One step of the benchmark's `train_native` model (conv 8 → conv 16 →
 /// dense softmax, Adam), on a smaller batch: the batch size does not change
-/// which kernels run.
+/// which kernels run. The forward pass, the loss and backprop come first,
+/// then one line per variable of Adam's update chains.
 const TRAIN_STEP: &str = "
-    Gather Gather Slice Slice Conv2D Add Relu Conv2D Add Relu MatMul Add Max Sub Exp Sum Div
-    ClipByValue Log Mul Sum Neg Mean Mul Div Neg Mul Mul Div GreaterEqual LessEqual LogicalAnd
-    Cast Mul Div Mul Mul Div Neg Sum Mul Add Mul Neg Sum Equal Cast Mul Mul Add Sum MatMul
-    MatMul Step Mul Sum Conv2DBackpropInput Conv2DBackpropFilter Step Mul Sum
-    Conv2DBackpropFilter Mul Mul Add Mul Mul Mul Add Sqrt Add Mul Div Sub Mul Mul Add Mul Mul
-    Mul Add Sqrt Add Mul Div Sub Mul Mul Add Mul Mul Mul Add Sqrt Add Mul Div Sub Mul Mul Add
-    Mul Mul Mul Add Sqrt Add Mul Div Sub Mul Mul Add Mul Mul Mul Add Sqrt Add Mul Div Sub Mul
-    Mul Add Mul Mul Mul Add Sqrt Add Mul Div Sub
+    Gather Gather FusedConv2D FusedConv2D FusedMatMul Max Sub Exp Sum Div ClipByValue Log Mul
+    Sum Neg Mean FusedElementwise Neg Mul Mul Div GreaterEqual LessEqual LogicalAnd Cast Mul Div
+    Mul FusedElementwise Sum Mul Add Mul Neg Sum Equal Cast FusedElementwise Add Sum MatMul
+    MatMul FusedElementwise Sum Conv2DBackpropInput Conv2DBackpropFilter FusedElementwise Sum
+    Conv2DBackpropFilter
+    Mul FusedElementwise FusedElementwise FusedElementwise FusedElementwise FusedElementwise Sub
+    Mul FusedElementwise FusedElementwise FusedElementwise FusedElementwise FusedElementwise Sub
+    Mul FusedElementwise FusedElementwise FusedElementwise FusedElementwise FusedElementwise Sub
+    Mul FusedElementwise FusedElementwise FusedElementwise FusedElementwise FusedElementwise Sub
+    Mul FusedElementwise FusedElementwise FusedElementwise FusedElementwise FusedElementwise Sub
+    Mul FusedElementwise FusedElementwise FusedElementwise FusedElementwise FusedElementwise Sub
 ";
 
 #[test]
