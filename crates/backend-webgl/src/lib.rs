@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webml_core::backend::{
-    compose, Backend, BackendMemory, DataFuture, DataId, FenceToken, KTensor, KernelCall,
+    Backend, BackendMemory, DataFuture, DataId, FenceToken, KTensor, KernelCall,
 };
 use webml_core::dtype::{DType, TensorData};
 use webml_core::error::{Error, Result};
@@ -265,8 +265,8 @@ enum ReadFrom {
 }
 
 /// Record a fused kernel's rejection (telemetry instant +
-/// `<api>.fused_fallbacks_total`) just before composing the unfused
-/// fallback. Rare by construction, so the registry lookup here is off any
+/// `<api>.fused_fallbacks_total`) just before returning it for the op layer
+/// to compose. Rare by construction, so the registry lookup here is off any
 /// hot path.
 fn note_fused_fallback(api: &str, kernel: &'static str) {
     webml_telemetry::counter(&format!("{api}.fused_fallbacks_total")).inc();
@@ -392,11 +392,12 @@ impl<R: Rung> Backend for GpuBackend<R> {
         Some(self.ctx.device_nanos())
     }
 
-    // A fused program the driver rejects at compile time (an injected fault
-    // or a driver quirk) is answered with the unfused composition on this
-    // same backend instead of the error — fusion must never make the
-    // degradation ladder worse than the unfused path. A plain kernel
-    // surfaces its rejection, so the engine can degrade.
+    // A program the driver rejects at compile time (an injected fault or a
+    // driver quirk) surfaces as `KernelUnsupported`. For a plain kernel the
+    // engine degrades; a fused one is counted here, and the engine hands it
+    // back to the op layer, which composes it from plain calls on this same
+    // backend — fusion must never make the degradation ladder worse than the
+    // unfused path.
     fn run(&self, call: &KernelCall<'_>, operands: &[KTensor<'_>]) -> Result<DataId> {
         let (out, dtype) = call.output(operands)?;
         let kernel = R::kernel(call, operands, out.dims(), self.ctx.config().packing)?;
@@ -404,11 +405,12 @@ impl<R: Rung> Backend for GpuBackend<R> {
         let views: Vec<Handle> = operands.iter().map(|t| self.view(t)).collect::<Result<_>>()?;
         match self.ctx.run(kernel, &views) {
             Ok(handle) => Ok(self.insert(Residency::Device(handle), dtype)),
-            Err(DeviceError::Compile { .. }) if call.is_fused() => {
-                note_fused_fallback(R::CAPS.api, name);
-                compose(self, call, operands)
+            Err(e) => {
+                if matches!(e, DeviceError::Compile { .. }) && call.is_fused() {
+                    note_fused_fallback(R::CAPS.api, name);
+                }
+                Err(self.classify(e))
             }
-            Err(e) => Err(self.classify(e)),
         }
     }
 }

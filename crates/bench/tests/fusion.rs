@@ -2,13 +2,13 @@
 //! unfused execution, the MobileNet program-count win, and graceful fallback
 //! to unfused kernels under injected shader-compile faults.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use webml_backend_cpu::PlainJsBackend;
 use webml_backend_native::NativeBackend;
 use webml_backend_webgl::{GpuBackend, Rung, WebGl, WebGlBackend, WebGlConfig};
 use webml_backend_webgpu::WebGpu;
 use webml_bench::harness::{mobilenet_workload, tiny_mobilenet_config};
-use webml_core::backend::{BinaryOp, UnaryOp};
+use webml_core::backend::{Backend, BinaryOp, UnaryOp};
 use webml_core::conv_util::Padding;
 use webml_core::cpu::CpuBackend;
 use webml_core::{ops, Engine, FusedStep, QuantParams, Tensor};
@@ -229,40 +229,67 @@ fn fused_mobilenet_issues_fewer_webgl_programs() {
     );
 }
 
+/// The `<api>.fused_fallbacks_total` counters are process-wide, and each of
+/// the two tests that read one holds this while it runs.
+static FALLBACK_COUNTERS: Mutex<()> = Mutex::new(());
+
 /// Blocked fused-shader compilation must degrade to the unfused composition
 /// on the same backend — correct results, no surfaced error, and no entry in
 /// the engine's degradation ledger (this is a kernel-level fallback, not a
-/// backend-level one).
+/// backend-level one) — and each refused op leaves only its output behind.
 #[test]
 fn fused_kernels_fall_back_when_shader_compile_is_blocked() {
+    let _counters = FALLBACK_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    fused_shaders_blocked::<WebGl>();
+    fused_shaders_blocked::<WebGpu>();
+}
+
+fn fused_shaders_blocked<R: Rung>()
+where
+    R::Config: Default,
+{
     let plan = FaultPlan::none()
         .block_shader("FusedMatMul")
         .block_shader("FusedConv2D")
         .block_shader("FusedDepthwiseConv2D")
         .block_shader("FusedElementwise");
-    let e = Engine::new();
-    let b = WebGlBackend::with_faults(DeviceProfile::intel_iris_pro(), WebGlConfig::default(), plan)
+    let b = GpuBackend::<R>::with_faults(DeviceProfile::intel_iris_pro(), Default::default(), plan)
         .expect("f32 profile");
-    e.register_backend("webgl", Arc::new(b), 1);
+    let b = Arc::new(b);
+    // `cpu` below, so that a refusal the engine degraded would show.
+    let e = Engine::new();
+    e.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
+    e.register_backend(R::CAPS.api, b.clone(), 1);
+    // Bits equal to fusion-off, and the refused run — its composition, and
+    // any dequantized weight — adds one tensor and one buffer: its output.
+    let check = |label: &str, f: &dyn Fn() -> Tensor| {
+        let label = format!("{} {label}", R::CAPS.api);
+        let before = (e.num_tensors(), b.memory().num_buffers);
+        let y = f();
+        let after = (e.num_tensors(), b.memory().num_buffers);
+        assert_eq!(after, (before.0 + 1, before.1 + 1), "{label}: only the output is left");
+        y.dispose();
+        assert_fused_bitwise(&e, &label, f);
+    };
 
     let a = e.tensor(data(4 * 6, 211), vec![4, 6]).unwrap();
     let w = e.tensor(data(6 * 5, 223), vec![6, 5]).unwrap();
     let bias = e.tensor_1d(&data(5, 227)).unwrap();
-    assert_fused_bitwise(&e, "faulted matmul", &|| {
+    check("faulted matmul", &|| {
         ops::fused_matmul(&a, &w, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap()
     });
 
     let x = e.tensor(data(6 * 6 * 3, 229), vec![1, 6, 6, 3]).unwrap();
     let f = e.tensor(data(3 * 3 * 3 * 4, 233), vec![3, 3, 3, 4]).unwrap();
     let cbias = e.tensor_1d(&data(4, 239)).unwrap();
-    assert_fused_bitwise(&e, "faulted conv2d", &|| {
+    check("faulted conv2d", &|| {
         ops::fused_conv2d(&x, &f, Some(&cbias), Some(UnaryOp::Relu6), (1, 1), Padding::Same, (1, 1))
             .unwrap()
     });
 
     let dw = e.tensor(data(3 * 3 * 3, 241), vec![3, 3, 3, 1]).unwrap();
     let dbias = e.tensor_1d(&data(3, 251)).unwrap();
-    assert_fused_bitwise(&e, "faulted depthwise", &|| {
+    check("faulted depthwise", &|| {
         ops::fused_depthwise_conv2d(
             &x,
             &dw,
@@ -278,24 +305,24 @@ fn fused_kernels_fall_back_when_shader_compile_is_blocked() {
     // Quantized weights: the blocked dequant-free program falls back on
     // this same backend (dequantize, then the f32 path above), which is
     // exactly what the fusion-disabled run computes.
-    let fallbacks = webml_telemetry::counter("webgl.fused_fallbacks_total");
+    let fallbacks = webml_telemetry::counter(&format!("{}.fused_fallbacks_total", R::CAPS.api));
     let before = fallbacks.get();
     let codes =
         |n: usize, step: usize| -> Vec<u8> { (0..n).map(|i| (i * step % 256) as u8).collect() };
     let cols = QuantParams::per_channel(1, vec![0.02, 0.05, 0.01, 0.03, 0.04], vec![-2.0; 5]);
     let wq = e.quantized_tensor(codes(6 * 5, 37), vec![6, 5], cols).unwrap();
-    assert_fused_bitwise(&e, "faulted quantized matmul", &|| {
+    check("faulted quantized matmul", &|| {
         ops::fused_matmul(&a, &wq, Some(&bias), Some(UnaryOp::Relu), false, false).unwrap()
     });
     let whole = QuantParams::per_tensor(0.02, -2.5);
     let fq = e.quantized_tensor(codes(3 * 3 * 3 * 4, 29), vec![3, 3, 3, 4], whole).unwrap();
-    assert_fused_bitwise(&e, "faulted quantized conv2d", &|| {
+    check("faulted quantized conv2d", &|| {
         let relu6 = Some(UnaryOp::Relu6);
         ops::fused_conv2d(&x, &fq, Some(&cbias), relu6, (1, 1), Padding::Same, (1, 1)).unwrap()
     });
     let chans = QuantParams::per_channel(2, vec![0.03, 0.01, 0.02], vec![-2.0, -0.5, -1.0]);
     let dq = e.quantized_tensor(codes(3 * 3 * 3, 41), vec![3, 3, 3, 1], chans).unwrap();
-    assert_fused_bitwise(&e, "faulted quantized depthwise", &|| {
+    check("faulted quantized depthwise", &|| {
         ops::fused_depthwise_conv2d(
             &x,
             &dq,
@@ -313,7 +340,7 @@ fn fused_kernels_fall_back_when_shader_compile_is_blocked() {
     );
 
     let scale = e.tensor_1d(&data(3, 257)).unwrap();
-    assert_fused_bitwise(&e, "faulted elementwise", &|| {
+    check("faulted elementwise", &|| {
         ops::fused_elementwise(
             &x,
             &[&scale],
@@ -391,13 +418,12 @@ where
 /// other: with the plain programs blocked, each plain op degrades to `cpu`
 /// (bit-identical, one `DegradationEvent` naming it), while each fused op
 /// with a bias keeps its fused program on the device — nothing rejected,
-/// nothing composed, no degradation. The fused half runs on both rungs:
-/// `webgpu.fused_fallbacks_total` is this binary's alone, while the webgl
-/// counter is shared with the test above, which the CI filter runs
-/// alongside, so on webgl the context's own compile-failure count stands
-/// for it.
+/// nothing composed, no degradation. The fused half runs on both rungs,
+/// and on each the context's own compile-failure count stays 0;
+/// `webgpu.fused_fallbacks_total` is read under [`FALLBACK_COUNTERS`].
 #[test]
 fn fused_kernels_fall_back_only_from_fused_programs() {
+    let _counters = FALLBACK_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let cpu = Engine::new();
     cpu.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
     for kernel in PRODUCTS {

@@ -30,7 +30,10 @@
 //!   disposes intermediates eagerly ([`PlannedOp::dispose_after`]); peak
 //!   live bytes stay bounded by the widest op window rather than the whole
 //!   graph (the paper's texture-recycling argument, Sec 3.9/3.10 — under a
-//!   texture byte budget this is what keeps the pager idle).
+//!   texture byte budget this is what keeps the pager idle). The executor
+//!   disposes slots only: an op that dispatches several kernels (softmax, a
+//!   fused call composed from plain calls or over a dequantized weight)
+//!   frees its own intermediates in the op layer.
 //!
 //! Plans only prune to the ancestor closure of the requested fetches
 //! (matching what the fetch values depend on), and are invalidated by the
@@ -80,7 +83,8 @@ enum Step {
     Softmax,
 }
 
-/// One fully lowered op in a [`Plan`].
+/// One fully lowered op in a [`Plan`]. Running it leaves one new tensor,
+/// its output, whatever it dispatches.
 #[derive(Debug, Clone)]
 pub struct PlannedOp {
     /// What the op runs.
@@ -95,14 +99,6 @@ pub struct PlannedOp {
     /// Slots whose final consumer is this op — disposed immediately after
     /// it runs. Fetched slots are exempt.
     pub dispose_after: Vec<usize>,
-    /// Whether dispatch always runs inside its own `tidy` scope: softmax's
-    /// chain and a call over a U8 weight (which may dequantize into a
-    /// temporary) allocate internal handles that would otherwise pin data
-    /// containers until the run's outer scope closed. A fused call gets one
-    /// only on a run that composes it with fusion off; every other op skips
-    /// the scope entirely — decided at build so the hot loop pays no scope
-    /// bookkeeping for them.
-    pub scoped: bool,
     /// Output dtype, propagated at build: aliases keep their input's dtype
     /// (a reshaped quantized weight stays U8), calls emit what
     /// [`KernelCall::output`] says. Feeds the dtype-aware peak-memory
@@ -321,14 +317,12 @@ impl Plan {
                         node.name.as_str(),
                         (Arg::Slot(out_slot), out_shape.clone(), out_dtype),
                     );
-                    let scoped = u8_weight(&arg_vals) || matches!(step, Step::Softmax);
                     ops_list.push(PlannedOp {
                         step,
                         args,
                         out_slot,
                         out_shape,
                         dispose_after: Vec::new(),
-                        scoped,
                         out_dtype,
                         name: node.name.clone(),
                     });
@@ -493,9 +487,6 @@ impl Plan {
         slots: &mut [Option<Tensor>],
     ) -> Result<Vec<Tensor>> {
         let taped = engine.is_recording();
-        // A fused call composed from unfused calls registers intermediates;
-        // on a taped run the tape keeps them anyway.
-        let composing = !taped && !engine.fusion_enabled();
         for op in &self.ops {
             let out = {
                 let mut args: Vec<&Tensor> = Vec::with_capacity(op.args.len());
@@ -511,22 +502,7 @@ impl Plan {
                         Arg::Feed(f) => feed_tensors[*f],
                     });
                 }
-                // Per-op cleanup only where dispatch allocates internal
-                // handles (see `PlannedOp::scoped`): they would otherwise
-                // pin the output's data container until the whole run's
-                // scope closed — defeating eager slot disposal.
-                // `trim_scope` disposes exactly those registrations without
-                // a nested scope's push/pop cost; single-kernel ops go
-                // straight through.
-                let composed = composing && matches!(&op.step, Step::Call(c) if c.is_fused());
-                if op.scoped || composed {
-                    let mark = engine.scope_mark();
-                    let out = op.dispatch(&args)?;
-                    engine.trim_scope(mark, out.id());
-                    out
-                } else {
-                    op.dispatch(&args)?
-                }
+                op.dispatch(&args)?
             };
             slots[op.out_slot] = Some(out);
             if !taped {
@@ -646,13 +622,6 @@ impl std::fmt::Debug for Plan {
     }
 }
 
-/// Whether a call over `operands` meets the quantized-weight gate: a U8
-/// weight operand (resident codes, or an alias of them), which may be
-/// dequantized into a temporary.
-fn u8_weight(operands: &[(Shape, DType)]) -> bool {
-    operands.get(1).is_some_and(|(_, d)| *d == DType::U8)
-}
-
 /// What `call` produces from operands of these shapes and dtypes.
 fn output(call: &KernelCall<'_>, operands: &[(Shape, DType)]) -> Result<(Shape, DType)> {
     let operands: Vec<KTensor<'_>> =
@@ -713,7 +682,6 @@ fn fold(
     op.args.extend_from_slice(&args[1..]);
     op.out_shape = shape;
     op.out_dtype = dtype;
-    op.scoped = u8_weight(&folded_operands);
     op.name = node.name.clone();
     *operands = folded_operands;
     true

@@ -714,14 +714,14 @@ pub trait Backend: Send + Sync {
     /// [`Epilogue`] in the same pass: the full accumulation, then
     /// `acc + bias[channel]`, then the activation, every scalar through
     /// [`BinaryOp::apply`] / [`UnaryOp::apply`], so it is bit-identical to
-    /// [`compose`] on an f32 device. A plain one ([`Epilogue::is_plain`])
-    /// runs the plain kernel and surfaces a rejection like any kernel; a
-    /// fused program the device rejects (the driver refuses the shader)
-    /// falls back to [`compose`] on the same backend instead. A quantized
-    /// weight ([`KTensor::quant`]) runs dequant-free — codes read in place,
-    /// never tiled or copied — through the factored accumulation
-    /// `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`, scale and min applied before the
-    /// bias and activation.
+    /// the unfused composition on an f32 device. A fused program the device
+    /// rejects (the driver refuses the shader) surfaces as
+    /// [`Error::KernelUnsupported`] like any other rejection; the op layer
+    /// ([`crate::ops::run`]) then composes the call from plain calls on the
+    /// same backend. A quantized weight ([`KTensor::quant`]) runs
+    /// dequant-free — codes read in place, never tiled or copied — through
+    /// the factored accumulation `Σ aₖ(qₖs+m) = s·Σ aₖqₖ + m·Σ aₖ`, scale and
+    /// min applied before the bias and activation.
     ///
     /// # Errors
     /// A malformed call, an unknown container, or a backend-specific
@@ -992,9 +992,10 @@ impl<'a> KernelCall<'a> {
         }
     }
 
-    /// Whether the call is a fused kernel, which a backend may answer with
-    /// [`compose`]: a product call that is not plain, or an element-wise
-    /// chain.
+    /// Whether the call is a fused kernel: a product call that is not
+    /// plain, or an element-wise chain. A device's refusal of one is
+    /// composed by the op layer instead of degrading the engine
+    /// ([`crate::Engine::run_kernel`]).
     pub fn is_fused(&self) -> bool {
         matches!(self, KernelCall::FusedElementwise(_))
             || self.epilogue().is_some_and(|e| !e.is_plain())
@@ -1281,108 +1282,6 @@ impl<'a> KernelCall<'a> {
             }
         })
     }
-}
-
-/// The one quantized fallback: materialize `t`'s f32 values in a temporary
-/// container on the same backend (host-side reference dequantization), hand
-/// the f32 view to `run`, and dispose the temporary. Used when a backend's
-/// quantized program is rejected — never on the fast path, which reads the
-/// codes in place.
-fn with_dequantized<B: Backend + ?Sized>(
-    backend: &B,
-    t: &KTensor<'_>,
-    params: &QuantParams,
-    run: impl FnOnce(&KTensor<'_>) -> Result<DataId>,
-) -> Result<DataId> {
-    let host = backend.read_sync(t.data)?;
-    let values = params.dequantize(&host.to_u8_codes(), t.shape.dims())?;
-    let fid = backend.register(TensorData::F32(values), DType::F32);
-    let out = run(&KTensor::new(fid, t.shape, DType::F32));
-    backend.dispose_data(fid);
-    out
-}
-
-/// The unfused composition of a fused call on `backend`: one plain kernel
-/// per step, every intermediate disposed. A product call runs the plain
-/// product, then `Add` of the bias, then the activation; an element-wise
-/// chain one `Unary` or `Binary` per step; a quantized weight is first
-/// dequantized host-side and re-enters as the f32 fused call (a batch-1
-/// matmul weight tiled to the batch). It is the reference a fused kernel
-/// matches on bits, and what a backend runs when its device rejects the
-/// fused program.
-///
-/// # Errors
-/// A malformed call, a call with nothing to compose, or the first failing
-/// kernel or read.
-pub fn compose<B: Backend + ?Sized>(
-    backend: &B,
-    call: &KernelCall<'_>,
-    operands: &[KTensor<'_>],
-) -> Result<DataId> {
-    let (out, _) = call.output(operands)?;
-    if let KernelCall::FusedElementwise(steps) = call {
-        let mut cur = (operands[0].data, operands[0].shape.clone());
-        for (k, step) in steps.iter().enumerate() {
-            let x = KTensor::new(cur.0, &cur.1, DType::F32);
-            let (call, args) = match *step {
-                FusedStep::Unary(op) => (KernelCall::Unary(op), vec![x]),
-                FusedStep::Binary(op, i) => (KernelCall::Binary(op), vec![x, operands[1 + i]]),
-            };
-            let next =
-                call.output(&args).and_then(|(shape, _)| Ok((backend.run(&call, &args)?, shape)));
-            if k > 0 {
-                backend.dispose_data(cur.0); // the incoming x is never disposed
-            }
-            cur = next?;
-        }
-        return Ok(cur.0);
-    }
-    let Some(epilogue) = call.epilogue().filter(|_| call.is_fused()) else {
-        return Err(Error::invalid(call.name(), "only a fused call has a composition"));
-    };
-    let (x, w, bias) = (&operands[0], &operands[1], operands.get(2));
-    if let Some(params) = w.quant {
-        let fused = call.with_epilogue(Epilogue::Fused {
-            bias: bias.is_some(),
-            activation: epilogue.activation(),
-        });
-        return with_dequantized(backend, w, params, |fw| {
-            let run = |w: KTensor<'_>| {
-                let args: Vec<KTensor<'_>> = [*x, w].into_iter().chain(bias.copied()).collect();
-                backend.run(&fused, &args)
-            };
-            let batch = out.dims()[0];
-            let matmul = matches!(call, KernelCall::MatMul { .. });
-            if !matmul || out.rank() == 2 || fw.shape.dim(0) == batch {
-                return run(*fw);
-            }
-            // The f32 kernel wants matching batch dims; only this temporary
-            // is tiled, never the codes.
-            let tiled = Shape::new(vec![batch, fw.shape.dim(1), fw.shape.dim(2)]);
-            let reps = [batch, 1, 1];
-            let tid = backend.run(&KernelCall::Tile { reps: Cow::Borrowed(&reps) }, &[*fw])?;
-            let out = run(KTensor::new(tid, &tiled, DType::F32));
-            backend.dispose_data(tid);
-            out
-        });
-    }
-    let then = |id: DataId, call: KernelCall<'_>, extra: Option<&KTensor<'_>>| {
-        let cur = KTensor::new(id, &out, DType::F32);
-        let next = match extra {
-            Some(e) => backend.run(&call, &[cur, *e]),
-            None => backend.run(&call, &[cur]),
-        };
-        backend.dispose_data(id);
-        next
-    };
-    let mut id = backend.run(&call.with_epilogue(Epilogue::None), &operands[..2])?;
-    if let Some(bias) = bias {
-        id = then(id, KernelCall::Binary(BinaryOp::Add), Some(bias))?;
-    }
-    if let Some(act) = epilogue.activation() {
-        id = then(id, KernelCall::Unary(act), None)?;
-    }
-    Ok(id)
 }
 
 #[cfg(test)]

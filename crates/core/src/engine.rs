@@ -734,8 +734,10 @@ impl Engine {
         Ok(out)
     }
 
-    /// Record a tape node for `outputs` while a tape records, unless every
-    /// output is an integer or bool result, which carries no gradient.
+    /// Record a tape node for `outputs` on every tape on the stack while one
+    /// records — an outer tape differentiates what an inner one saw, so a
+    /// gradient of a gradient is right — unless every output is an integer
+    /// or bool result, which carries no gradient.
     fn maybe_record(
         &self,
         kernel: &'static str,
@@ -766,7 +768,11 @@ impl Engine {
         for t in outputs {
             meta.kept_by_tape.insert(t.id());
         }
-        meta.tape_stack.last_mut().expect("tape active").record(node);
+        let (inner, outer) = meta.tape_stack.split_last_mut().expect("tape active");
+        for tape in outer {
+            tape.record(node.clone());
+        }
+        inner.record(node);
     }
 
     /// Resolve `t`'s data record, migrate it to the active backend when it
@@ -820,7 +826,11 @@ impl Engine {
     /// priority chain and re-dispatches. The input-migration step at the
     /// top of the funnel then re-uploads the tensors' data from the failing
     /// backend's host-side copies, so no data is lost and callers only
-    /// observe a [`DegradationEvent`] instead of an error.
+    /// observe a [`DegradationEvent`] instead of an error. A fused call
+    /// ([`KernelCall::is_fused`]) the backend refuses
+    /// ([`Error::KernelUnsupported`]) is the exception: the refusal is
+    /// returned, never degraded, and [`crate::ops::run`] composes the call
+    /// from plain calls on the same backend.
     ///
     /// Only the registry shards holding the kernel's inputs/outputs are
     /// locked, and never across the kernel itself — concurrent kernels on
@@ -828,8 +838,9 @@ impl Engine {
     ///
     /// # Errors
     /// Propagates a malformed call, disposed-tensor, NaN-debug, and
-    /// non-degradable backend errors, plus degradable errors once no
-    /// lower-priority backend is left to fall back to.
+    /// non-degradable backend errors, a fused call's refusal, plus
+    /// degradable errors once no lower-priority backend is left to fall
+    /// back to.
     pub fn run_kernel(&self, call: &KernelCall<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
         let kernel = call.name();
         // Transient in-place retries against the current backend; reset on
@@ -930,7 +941,11 @@ impl Engine {
                         std::thread::sleep(backoff_delay(attempts));
                         continue;
                     }
-                    if e.is_degradable() && self.try_degrade(kernel, &backend_name, &e) {
+                    // A device's refusal of a fused call goes back to the
+                    // op layer, which composes the call from plain ones.
+                    let refused = call.is_fused() && matches!(e, Error::KernelUnsupported { .. });
+                    if e.is_degradable() && !refused && self.try_degrade(kernel, &backend_name, &e)
+                    {
                         attempts = 0;
                         continue;
                     }
@@ -1300,24 +1315,21 @@ impl Engine {
     }
 
     /// Number of tensors registered so far in the calling thread's current
-    /// scope (0 without a scope). Pair with [`Engine::trim_scope`] for
+    /// scope; `None` without a scope. Pair with [`Engine::trim_scope`] for
     /// cheap composite-op cleanup on a hot path.
-    pub fn scope_mark(&self) -> usize {
+    pub(crate) fn scope_mark(&self) -> Option<usize> {
         let meta = self.inner.meta.lock();
-        meta.scopes
-            .get(&std::thread::current().id())
-            .and_then(|s| s.last())
-            .map(|s| s.tensors.len())
-            .unwrap_or(0)
+        let scope = meta.scopes.get(&std::thread::current().id()).and_then(|s| s.last());
+        scope.map(|s| s.tensors.len())
     }
 
     /// Dispose every tensor registered in the current scope from index
     /// `mark` onward, except `keep_id` and kept/variable/tape-referenced
     /// tensors. Semantically a `tidy` wrapped around just those
     /// registrations, but without the scope push/pop, parent re-homing, or
-    /// garbage pass — the plan executor uses this to clean up a composite
-    /// op's internal alias handles at a fraction of a nested scope's cost.
-    pub fn trim_scope(&self, mark: usize, keep_id: usize) {
+    /// garbage pass — a composite op cleans up after itself this way at a
+    /// fraction of a nested scope's cost.
+    pub(crate) fn trim_scope(&self, mark: usize, keep_id: usize) {
         let mut to_dispose = Vec::new();
         {
             let mut meta = self.inner.meta.lock();

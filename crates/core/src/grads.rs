@@ -1238,15 +1238,15 @@ mod early_free_tests {
         grads(&e, &[&a], &outer);
     }
 
-    /// The inner `f`'s forward is recorded on the inner tape alone, so the
-    /// outer gradient differentiates the inner walk's kernels only: for x³
-    /// that is 4x, not 6x. Freeing early changes none of its bits.
+    /// The inner `f`'s forward is recorded on both tapes, so the outer
+    /// gradient differentiates it together with the inner walk: for x³ that
+    /// is 6x. Freeing early changes none of its bits.
     #[test]
     fn a_gradient_of_a_gradient() {
         let e = test_engine();
         let x = e.tensor_1d(&[2.0, -1.0]).unwrap();
         let cube = || ops::sum(&ops::mul(&ops::mul(&x, &x)?, &x)?, None, false);
         let second = || ops::sum(&e.grad(&x, cube)?, None, false);
-        assert_close(&grads(&e, &[&x], &second)[0], &[8.0, -4.0], 1e-5);
+        assert_close(&grads(&e, &[&x], &second)[0], &[12.0, -6.0], 1e-5);
     }
 }

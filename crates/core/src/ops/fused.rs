@@ -19,6 +19,12 @@
 //! call then goes the same way. Any other fused call — another activation,
 //! an element-wise chain — is composed from plain calls while a tape
 //! records, so the tape records exactly the entries the unfused ops would.
+//!
+//! Refusal: a fused program the device refuses to compile is composed from
+//! plain calls on the same backend, by [`run`] — the one composition of a
+//! fused call, with the one dequantizer ([`dequantize`]) — so fusion never
+//! makes the degradation ladder worse than the unfused path, and a refusal
+//! is never a degradation. The composition disposes its intermediates.
 
 use super::same_engine;
 use crate::backend::{BinaryOp, Epilogue, FusedStep, KernelCall as C, UnaryOp};
@@ -29,23 +35,28 @@ use crate::tensor::Tensor;
 use std::borrow::Cow;
 
 /// Run `call` over `inputs`: the op layer's one entry for a kernel call,
-/// which makes the two decisions a product or element-wise chain needs before
+/// which makes the decisions a product or element-wise chain needs before
 /// the engine runs it.
 ///
 /// * **The quantized-weight gate** (paper Sec 5.1). Quantization is metadata
 ///   on a product call's weight (`inputs[1]`), and this decides once, for
 ///   every backend, how the call consumes it: as its [`Epilogue::Quant`] form,
 ///   whose kernel reads the codes in place (the factored two-sum kernel) —
-///   or, when the call is composed from unfused calls or per-channel params do
+///   or, when the call is composed from unfused calls, per-channel params do
 ///   not run along the axis the kernel keeps constant over its accumulation,
-///   over a temporary f32 copy dequantized once, as its f32 fused form.
-/// * **The unfused composition.** While fusion is off, or while a tape
-///   records and the call has no rule of its own (see the module doc), a
-///   fused call runs as its plain calls instead — the plain product, `Add` of
-///   the bias, the activation; one `Unary` or `Binary` per chain step — each
-///   through [`crate::Engine::run_kernel`], which records its rule.
+///   or the device refuses the quantized program, over a temporary f32 copy
+///   dequantized once ([`dequantize`]), as its f32 fused form.
+/// * **The unfused composition.** While fusion is off, while a tape records
+///   and the call has no rule of its own (see the module doc), or when the
+///   device refuses the fused program ([`Error::KernelUnsupported`], which
+///   [`crate::Engine::run_kernel`] returns for a fused call instead of
+///   degrading), a fused call runs as its plain calls — the plain product,
+///   `Add` of the bias, the activation; one `Unary` or `Binary` per chain
+///   step — each through the engine, which records its rule.
 ///
-/// Every other call goes straight to the engine.
+/// The composition and the dequantized route dispose what they registered
+/// besides the output (unless a tape saved it). Every other call goes
+/// straight to the engine.
 ///
 /// # Errors
 /// A malformed call, or the first failing kernel.
@@ -78,23 +89,45 @@ pub fn run(call: &C<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
         };
         if factorable && !composing {
             let quant = call.with_epilogue(Epilogue::Quant { bias, activation });
-            return engine.run_kernel(&quant, inputs);
+            if let Some(y) = unless_refused(engine.run_kernel(&quant, inputs))? {
+                return Ok(y);
+            }
         }
-        let mut w = dequantize(w)?;
-        // The kernels broadcast a batch of 1 of codes; f32 values are tiled.
-        let batch = x.dims().first().copied().unwrap_or(1);
-        let batch_of_one = x.rank() == 3 && w.rank() == 3 && w.dims()[0] == 1;
-        if matches!(call, C::MatMul { .. }) && batch_of_one && batch > 1 {
-            w = super::tile(&w, &[batch, 1, 1])?;
-        }
-        let args: Vec<&Tensor> = [x, &w].into_iter().chain(inputs.get(2).copied()).collect();
-        return run(&call.with_epilogue(Epilogue::Fused { bias, activation }), &args);
+        return super::composite(engine, || {
+            let mut w = dequantize(w)?;
+            // The kernels broadcast a batch of 1 of codes; f32 values are tiled.
+            let batch = x.dims().first().copied().unwrap_or(1);
+            let batch_of_one = x.rank() == 3 && w.rank() == 3 && w.dims()[0] == 1;
+            if matches!(call, C::MatMul { .. }) && batch_of_one && batch > 1 {
+                w = super::tile(&w, &[batch, 1, 1])?;
+            }
+            let args: Vec<&Tensor> = [x, &w].into_iter().chain(inputs.get(2).copied()).collect();
+            run(&call.with_epilogue(Epilogue::Fused { bias, activation }), &args)
+        });
     }
     let taped_as_itself = matches!(epilogue, Some(Epilogue::Fused { activation, .. })
         if activation.is_none_or(crate::grads::reads_output));
     if !composing || (recording && engine.fusion_enabled() && taped_as_itself) {
-        return engine.run_kernel(call, inputs);
+        if let Some(y) = unless_refused(engine.run_kernel(call, inputs))? {
+            return Ok(y);
+        }
     }
+    super::composite(engine, || compose(call, inputs))
+}
+
+/// A kernel's result, or `None` for the device's refusal of the fused
+/// program, which the caller answers by composing the call.
+fn unless_refused(result: Result<Tensor>) -> Result<Option<Tensor>> {
+    match result {
+        Err(Error::KernelUnsupported { .. }) => Ok(None),
+        other => other.map(Some),
+    }
+}
+
+/// The unfused composition of fused `call` over `inputs`: its plain calls,
+/// each through the engine.
+fn compose(call: &C<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
+    let (x, engine) = (inputs[0], inputs[0].engine());
     if let C::FusedElementwise(steps) = call {
         let extra = |i: usize| {
             inputs.get(1 + i).copied().ok_or_else(|| {
@@ -112,7 +145,7 @@ pub fn run(call: &C<'_>, inputs: &[&Tensor]) -> Result<Tensor> {
         }
         return y.ok_or_else(|| Error::invalid(call.name(), "steps must be non-empty"));
     }
-    let epilogue = epilogue.unwrap_or(Epilogue::None);
+    let epilogue = call.epilogue().unwrap_or(Epilogue::None);
     let plain = call.with_epilogue(Epilogue::None);
     let mut y = engine.run_kernel(&plain, &inputs[..2.min(inputs.len())])?;
     if epilogue.bias() {

@@ -38,6 +38,7 @@ pub use softmax::*;
 pub use unary::*;
 
 use crate::dtype::DType;
+use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::tensor::Tensor;
 
@@ -63,6 +64,18 @@ pub(crate) fn same_engine(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()
         return Err(Error::invalid(op, "tensors belong to different engines"));
     }
     Ok(())
+}
+
+/// Run `body`, a composite op that dispatches several kernels, and dispose
+/// what it registered besides its output (paper Sec 3.7: an op's
+/// intermediates never outlive it). Inside a scope this trims the scope back
+/// to where `body` started ([`Engine::trim_scope`], which spares kept,
+/// variable and tape-saved tensors); without one it runs `body` in a `tidy`.
+pub(crate) fn composite(engine: &Engine, body: impl FnOnce() -> Result<Tensor>) -> Result<Tensor> {
+    let Some(mark) = engine.scope_mark() else { return engine.tidy(body) };
+    let out = body();
+    engine.trim_scope(mark, out.as_ref().map_or(usize::MAX, Tensor::id));
+    out
 }
 
 /// Cast both operands to their promoted dtype, returning possibly-new

@@ -5,16 +5,19 @@ use super::{add, div, exp, log, max, mul, neg, sigmoid, softplus, sub, sum};
 use crate::error::Result;
 use crate::tensor::Tensor;
 
-/// Numerically stable softmax along the last axis.
+/// Numerically stable softmax along the last axis. Its four intermediates
+/// are disposed before it returns, unless a tape saved them.
 ///
 /// # Errors
 /// Fails on disposed inputs or backend errors.
 pub fn softmax(logits: &Tensor) -> Result<Tensor> {
-    let m = max(logits, Some(&[-1]), true)?;
-    let shifted = sub(logits, &m)?;
-    let e = exp(&shifted)?;
-    let s = sum(&e, Some(&[-1]), true)?;
-    div(&e, &s)
+    super::composite(logits.engine(), || {
+        let m = max(logits, Some(&[-1]), true)?;
+        let shifted = sub(logits, &m)?;
+        let e = exp(&shifted)?;
+        let s = sum(&e, Some(&[-1]), true)?;
+        div(&e, &s)
+    })
 }
 
 /// Numerically stable log-softmax along the last axis.

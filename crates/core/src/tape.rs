@@ -34,6 +34,7 @@ pub type GradFn = Arc<
 >;
 
 /// What backprop differentiates a node by.
+#[derive(Clone)]
 pub(crate) enum Grad {
     /// A kernel call: its rule ([`crate::grads`]).
     Call(KernelCall<'static>),
@@ -45,6 +46,7 @@ pub(crate) enum Grad {
 }
 
 /// One recorded kernel invocation.
+#[derive(Clone)]
 pub(crate) struct TapeNode {
     /// Kernel name, for error messages.
     pub kernel: &'static str,

@@ -602,3 +602,64 @@ fn gather_fails_backprop_only_on_the_gradient_path() {
     // Rows 0 and 2 of the data, summed.
     assert_eq!(dw.to_f32_vec().unwrap(), vec![6.0, 8.0]);
 }
+
+/// A gradient of a gradient: each kernel is recorded on every tape on the
+/// stack, so the outer gradient differentiates the inner forward together
+/// with the inner walk. `d²/dx² Σ tanh(x) = −2t(1 − t²)`, `t = tanh(x)`.
+#[test]
+fn the_second_derivative_of_a_sum_of_tanh() {
+    let e = engine();
+    let xs = mixed(6);
+    let x = e.tensor(xs.clone(), [2, 3]).unwrap();
+    let first = || ops::sum(&e.grad(&x, || ops::sum(&ops::tanh(&x)?, None, false))?, None, false);
+    let got = e.grad(&x, first).unwrap().to_f32_vec().unwrap();
+    for (g, v) in got.iter().zip(&xs) {
+        let t = v.tanh();
+        let want = -2.0 * t * (1.0 - t * t);
+        assert!((g - want).abs() < 1e-5, "at {v}: {g} vs {want}");
+    }
+}
+
+/// A fused product with `Tanh`, taped as itself, differentiates twice to
+/// the bits of the same layer written as plain ops (`matmul`, `add`,
+/// `tanh`): the outer tape records the fused call and the inner walk's
+/// kernels, which are the ones the plain layer's walk runs.
+#[test]
+fn a_fused_tanh_product_differentiates_twice_to_the_bits_of_plain_ops() {
+    let e = engine();
+    let a = e.tensor(mixed(6), [2, 3]).unwrap();
+    let w = e.tensor(distinct(6, 3), [3, 2]).unwrap();
+    let bias = e.tensor_1d(&[0.1, -0.2]).unwrap();
+    let second = |fused: bool| {
+        let layer = || {
+            if fused {
+                ops::fused_matmul(&a, &w, Some(&bias), Some(UnaryOp::Tanh), false, false)
+            } else {
+                ops::tanh(&ops::add(&ops::matmul(&a, &w, false, false)?, &bias)?)
+            }
+        };
+        let first = || ops::sum(&e.grad(&w, || weighted_sum(&layer()?))?, None, false);
+        let (grads, profile) = e.profile(|| e.grads(&[&a, &w, &bias], first).unwrap());
+        let bits: Vec<Vec<u32>> = grads
+            .iter()
+            .map(|g| g.to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (profile.kernels[0].name, bits)
+    };
+    let ((taped, got), (plain, want)) = (second(true), second(false));
+    assert_eq!((taped, plain), ("FusedMatMul", "MatMul"));
+    assert_eq!(got, want);
+}
+
+/// A conv's input gradient differentiated with respect to its filter runs
+/// into `Conv2DBackpropInput`, which has no rule: the error names it, and no
+/// number comes back.
+#[test]
+fn a_conv_differentiated_twice_by_its_filter_is_not_defined() {
+    let e = engine();
+    let x = e.tensor(mixed(32), [1, 4, 4, 2]).unwrap();
+    let w = e.tensor(distinct(12, 5), [1, 3, 2, 2]).unwrap();
+    let conv = || ops::sum(&ops::conv2d(&x, &w, (1, 1), Padding::Same, (1, 1))?, None, false);
+    let err = e.grad(&w, || ops::sum(&e.grad(&x, conv)?, None, false)).unwrap_err();
+    assert!(matches!(err, Error::GradientNotDefined { op: "Conv2DBackpropInput" }), "{err}");
+}

@@ -16,8 +16,7 @@ use std::sync::{Arc, Barrier};
 use webml::backend_cpu::PlainJs;
 use webml::backend_native::Native;
 use webml::core::backend::{
-    compose, Backend, BackendMemory, BinaryOp, DataId, Epilogue, FusedStep, KTensor, KernelCall,
-    UnaryOp,
+    Backend, BackendMemory, BinaryOp, DataId, Epilogue, FusedStep, KTensor, KernelCall, UnaryOp,
 };
 use webml::core::conv_util::{conv2d_info, Padding};
 use webml::core::cpu::Reference;
@@ -302,16 +301,24 @@ fn quantized_fused_matmul_matches_the_dequantize_fallback<K: HostKernels>(thread
     let epilogue = Epilogue::Quant { bias: true, activation: Some(UnaryOp::Relu) };
     let call = KernelCall::MatMul { transpose_a: false, transpose_b: false, epilogue };
     // The set's own dequant-free kernel (native) or the oracle's (cpu,
-    // plainjs), against the composition that dequantizes first.
+    // plainjs), against the f32 fused call over the codes dequantized
+    // host-side — what the op layer runs when it cannot take the former.
     let fast = b.run(&call, &[a, w, bias]).unwrap();
-    let slow = compose(&b, &call, &[a, w, bias]).unwrap();
+    let codes = b.read_sync(w_id).unwrap().to_u8_codes();
+    let values = params.dequantize(&codes, w_shape.dims()).unwrap();
+    let fw_id = b.register(TensorData::F32(values), DType::F32);
+    let fw = KTensor::new(fw_id, &w_shape, DType::F32);
+    let f32_call =
+        call.with_epilogue(Epilogue::Fused { bias: true, activation: Some(UnaryOp::Relu) });
+    let slow = b.run(&f32_call, &[a, fw, bias]).unwrap();
+    b.dispose_data(fw_id);
     let fv = b.read_sync(fast).unwrap().to_f32_vec();
     let sv = b.read_sync(slow).unwrap().to_f32_vec();
     assert_eq!(fv.len(), 4);
     for (f, s) in fv.iter().zip(&sv) {
         assert!((f - s).abs() < 1e-4, "{}: factored {f} vs dequantized {s}", K::NAME);
     }
-    assert_eq!(b.memory().num_buffers, 5, "the fallback's f32 temporaries are disposed");
+    assert_eq!(b.memory().num_buffers, 5, "each call leaves only its output");
 }
 
 /// Both gradients of the training step's second conv (stride 2, `Same`).

@@ -9,8 +9,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use webml::backend_webgl::{WebGlBackend, WebGlConfig};
-use webml::converter::{GraphDef, GraphModel, Plan};
+use webml::converter::{GraphDef, GraphModel, Plan, Quantization};
 use webml::core::backend::{Epilogue, KernelCall};
+use webml::core::quant::QuantParams;
 use webml::models::{graph_mlp, graph_mobilenet, GraphSpec, MobileNetConfig};
 use webml::webgl_sim::devices::DeviceProfile;
 use webml::webgl_sim::pager::PagingPolicy;
@@ -356,4 +357,56 @@ fn plan_cache_hits_across_batch_sizes() {
     assert_eq!(stats.entries, 3, "three distinct batch signatures: {stats:?}");
     assert_eq!(stats.misses, 3, "one compile per signature: {stats:?}");
     assert_eq!(stats.hits, 3, "repeat shapes hit: {stats:?}");
+}
+
+/// A planned op leaves only its output, whatever it dispatches, so the
+/// executor frees slots and nothing else. The graph's U8 weights take both
+/// routes of the quantized-weight gate — `w1` per output column (the
+/// factored kernel), `w0` per row along the reduced axis (dequantized into a
+/// temporary f32 weight) — and it ends in a softmax. Run with fusion on and
+/// off (each fused call composed from plain calls), the engine is back at
+/// its baseline tensors and bytes after each run, and the run's peak is the
+/// pinned one.
+#[test]
+fn composite_ops_in_a_plan_free_their_own_intermediates() {
+    let spec = graph_mlp(12, &[24], 5, 7);
+    let e = webml::new_engine();
+    e.set_backend("cpu").unwrap();
+    let mut weights = HashMap::new();
+    for (name, values, shape) in &spec.weights {
+        let t = match name.as_str() {
+            "w0" | "w1" => {
+                let axis = usize::from(name == "w1");
+                let (codes, scales, mins) =
+                    Quantization::U8.quantize_per_channel(name, values, shape, axis).unwrap();
+                let params = QuantParams::per_channel(axis, scales, mins);
+                e.quantized_tensor(codes, Shape::new(shape.clone()), params).unwrap()
+            }
+            _ => e.tensor(values.clone(), Shape::new(shape.clone())).unwrap(),
+        };
+        t.keep();
+        weights.insert(name.clone(), t);
+    }
+    let model = GraphModel::new(&e, spec.graph.clone(), weights).unwrap();
+    let (vals, shape) = spec.example(4, 1);
+    let x = e.tensor(vals, Shape::new(shape)).unwrap();
+    let feeds = [(spec.input.as_str(), &x)];
+    let run = || model.execute(&feeds, &[&spec.output]).unwrap().remove(0);
+    let (y, profile) = e.profile(run);
+    y.dispose();
+    let names: Vec<&str> = profile.kernels.iter().map(|k| k.name).collect();
+    assert_eq!(names[..2], ["FusedMatMul", "FusedMatMulQuant"], "{names:?}");
+    // Fused: the f32 copy of `w0` and the hidden layer, 1 152 + 384 bytes.
+    // Composed: its plain product and bias add besides.
+    for (fusion, pinned_peak) in [(true, 1536), (false, 2304)] {
+        e.set_fusion_enabled(fusion);
+        let baseline = (e.num_tensors(), e.memory().num_bytes);
+        e.reset_peak_bytes();
+        let out = run();
+        let peak = e.peak_bytes() - baseline.1;
+        out.dispose();
+        assert_eq!((e.num_tensors(), e.memory().num_bytes), baseline, "fusion {fusion}");
+        assert_eq!(peak, pinned_peak, "fusion {fusion}");
+    }
+    e.set_fusion_enabled(true);
 }
