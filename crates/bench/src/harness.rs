@@ -15,11 +15,11 @@ use webml_webgl_sim::devices::DeviceProfile;
 /// The backend rows of Table 1 and their hardware analogues.
 ///
 /// CPU rows report measured wall time. GPU rows report the device's
-/// *simulated time* (serial kernel execution rescaled by the profile's
-/// modeled shader-core count — see `webml_webgl_sim::queue`), because the
-/// benchmark host cannot supply GPU-scale physical parallelism. The
-/// CUDA-class row applies a documented modeled factor to the measured
-/// native kernel time.
+/// *simulated time*: the priced clock of `webml_webgl_sim::queue`, which
+/// charges each program its declared work over the lanes it fills at the
+/// profile's rate, so these rows are the same on every host and every run.
+/// The CUDA-class row applies a documented modeled factor to the measured
+/// native kernel time, so it is host wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableBackend {
     /// "Plain JS": the interpreter-style scalar baseline (wall time).

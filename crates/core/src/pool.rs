@@ -18,8 +18,10 @@
 //! 50 µs after each job before it parks, so a kernel that follows within
 //! that time is handed over warm, and the dispatcher polls for its
 //! stragglers before it blocks. The native backend's kernels come
-//! back to back and spin; the WebGL simulator's shader cores park, because
-//! its modelled clock reads host time, which a spinning core would take.
+//! back to back and spin; the WebGL simulator's shader cores park: a
+//! simulated device shares the host with whatever else the process runs (a
+//! serving fleet puts a native engine beside it), and a spinning shader core
+//! would take those threads' cores between programs.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};

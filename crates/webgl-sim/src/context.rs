@@ -234,12 +234,10 @@ impl GpgpuContext {
         let shared = Arc::new(DeviceShared::new(config.recycling));
         let (tx, rx) = crossbeam::channel::unbounded();
         let worker_shared = shared.clone();
-        let parallelism = profile.parallelism;
-        let half = profile.half_precision_only;
-        let paging = config.paging;
+        let (device, paging) = (profile.clone(), config.paging);
         let worker = std::thread::Builder::new()
             .name(caps.device_thread.into())
-            .spawn(move || device_loop(rx, worker_shared, caps, parallelism, half, paging))
+            .spawn(move || device_loop(rx, worker_shared, caps, &device, paging))
             .expect("spawn device thread");
         Ok(GpgpuContext {
             caps,

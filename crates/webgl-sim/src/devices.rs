@@ -27,6 +27,18 @@ pub enum DeviceClass {
     MobileWindows,
 }
 
+/// The integrated profile's rate, fitted to the paper's WebGL Iris Pro row
+/// of Table 1 (49 ms). `table1 --full`'s WebGL integrated row (MobileNet v1
+/// α=1.0 at 224×224) prices 145.37 ms per unit of rate on top of 1.784 ms
+/// of dispatch and allocation overhead, so the rate is
+/// `(49 − 1.784) / 145.37`. Profiles with no Table 1 row use it too.
+pub const INTEGRATED_NS_PER_OP: f64 = 0.3248;
+
+/// The discrete profile's rate, fitted to the paper's WebGL GTX 1080 row
+/// (5 ms): `table1 --full`'s WebGL discrete row prices 18.26 ms per unit of
+/// rate on top of the same 1.784 ms, so the rate is `(5 − 1.784) / 18.26`.
+pub const DISCRETE_NS_PER_OP: f64 = 0.1761;
+
 /// Capabilities of one simulated device.
 #[derive(Debug, Clone)]
 pub struct DeviceProfile {
@@ -43,11 +55,15 @@ pub struct DeviceProfile {
     pub half_precision_only: bool,
     /// `MAX_TEXTURE_SIZE` per dimension.
     pub max_texture_size: usize,
-    /// Modeled shader-core parallelism: the effective core count used by
-    /// the simulated-time model (and, up to the host machine's size, by
-    /// real execution). Calibrated so the simulated Table 1 ratios track
-    /// the paper: integrated ≈ 8, discrete ≈ 64.
+    /// Modeled shader-core parallelism: the lanes a dispatch can fill on
+    /// the priced clock (see [`crate::queue`]), and, up to the host
+    /// machine's size, the shader-core threads fragment bodies run on.
+    /// Integrated 8, discrete 64.
     pub parallelism: usize,
+    /// Device nanoseconds one lane takes per declared arithmetic operation:
+    /// the rate of the priced clock, which charges a dispatch
+    /// `⌈out_size × cost_per_element / occupancy⌉ × ns_per_op`.
+    pub ns_per_op: f64,
     /// `gl.fenceSync` availability (WebGL 2.0 path of Sec 4.1.1).
     pub has_fence_sync: bool,
     /// `EXT_disjoint_timer_query` availability (WebGL 1.0 path).
@@ -76,7 +92,7 @@ impl DeviceProfile {
     }
 
     /// An integrated-GPU laptop (the paper's MacBook Pro / Intel Iris Pro
-    /// measurement platform).
+    /// measurement platform), at [`INTEGRATED_NS_PER_OP`].
     pub fn intel_iris_pro() -> DeviceProfile {
         DeviceProfile {
             name: "Intel Iris Pro (integrated)".into(),
@@ -86,6 +102,7 @@ impl DeviceProfile {
             half_precision_only: false,
             max_texture_size: 16_384,
             parallelism: 8,
+            ns_per_op: INTEGRATED_NS_PER_OP,
             has_fence_sync: true,
             has_disjoint_timer_query: true,
             readback_sync_penalty_ns: 1_500_000,
@@ -93,7 +110,8 @@ impl DeviceProfile {
         }
     }
 
-    /// A discrete desktop GPU (the paper's GTX 1080 platform).
+    /// A discrete desktop GPU (the paper's GTX 1080 platform), at
+    /// [`DISCRETE_NS_PER_OP`].
     pub fn gtx_1080() -> DeviceProfile {
         DeviceProfile {
             name: "GTX 1080 (discrete)".into(),
@@ -103,6 +121,7 @@ impl DeviceProfile {
             half_precision_only: false,
             max_texture_size: 16_384,
             parallelism: 64,
+            ns_per_op: DISCRETE_NS_PER_OP,
             has_fence_sync: true,
             has_disjoint_timer_query: true,
             readback_sync_penalty_ns: 1_200_000,
@@ -111,6 +130,8 @@ impl DeviceProfile {
     }
 
     /// iOS Safari: WebGL 1.0, 16-bit float textures only (Sec 4.1.3).
+    /// No Table 1 row anchors its clock, so it takes the integrated rate
+    /// ([`INTEGRATED_NS_PER_OP`]).
     pub fn ios_safari() -> DeviceProfile {
         DeviceProfile {
             name: "iOS Safari".into(),
@@ -120,6 +141,7 @@ impl DeviceProfile {
             half_precision_only: true,
             max_texture_size: 4_096,
             parallelism: 2,
+            ns_per_op: INTEGRATED_NS_PER_OP,
             has_fence_sync: false,
             has_disjoint_timer_query: true,
             readback_sync_penalty_ns: 3_000_000,
@@ -128,6 +150,8 @@ impl DeviceProfile {
     }
 
     /// A modern Android device with full float support.
+    /// No Table 1 row anchors its clock, so it takes the integrated rate
+    /// ([`INTEGRATED_NS_PER_OP`]).
     pub fn android_modern() -> DeviceProfile {
         DeviceProfile {
             name: "Android (modern)".into(),
@@ -137,6 +161,7 @@ impl DeviceProfile {
             half_precision_only: false,
             max_texture_size: 8_192,
             parallelism: 4,
+            ns_per_op: INTEGRATED_NS_PER_OP,
             has_fence_sync: true,
             has_disjoint_timer_query: false,
             readback_sync_penalty_ns: 2_500_000,
@@ -146,6 +171,8 @@ impl DeviceProfile {
 
     /// An old Android device without GPU float-texture support — the WebGL
     /// backend cannot run here and the engine falls back to plain CPU.
+    /// No Table 1 row anchors its clock, so it takes the integrated rate
+    /// ([`INTEGRATED_NS_PER_OP`]).
     pub fn android_legacy() -> DeviceProfile {
         DeviceProfile {
             name: "Android (legacy, no GPU float)".into(),
@@ -155,6 +182,7 @@ impl DeviceProfile {
             half_precision_only: false,
             max_texture_size: 2_048,
             parallelism: 1,
+            ns_per_op: INTEGRATED_NS_PER_OP,
             has_fence_sync: false,
             has_disjoint_timer_query: false,
             readback_sync_penalty_ns: 4_000_000,

@@ -13,13 +13,18 @@
 //!
 //! ## The modeled clock
 //!
-//! `device_ns = elapsed × engaged / min(parallelism × reuse, work / 2048)
-//! + dispatch overhead`, plus the allocation overhead of every recycler
-//! miss. `elapsed` is the host time the dispatch took, `engaged` the host
-//! threads it really ran on (1 for a compute body), and the divisor is
-//! [`occupancy`].
+//! The clock is priced from the work a dispatch declares, never read from
+//! the host: `device_ns = ⌈out_size × cost_per_element / occupancy⌉ ×
+//! ns_per_op + dispatch overhead`, plus the allocation overhead of every
+//! recycler miss and any injected stall. [`occupancy`] is
+//! `min(parallelism × reuse, work / 2048)`, `ns_per_op` the profile's rate
+//! ([`crate::devices::DeviceProfile::ns_per_op`]) and the overheads the
+//! API's ([`Capabilities`]). So the same dispatches cost the same device
+//! time on any host, under any load, with any number of shader-core
+//! threads.
 
 use crate::caps::{Capabilities, Storage};
+use crate::devices::DeviceProfile;
 use crate::layout::TextureLayout;
 use crate::pager::{select_victims, PagerStats, PagingPolicy};
 use crate::recycler::{RecyclerStats, TextureRecycler};
@@ -29,7 +34,6 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use webml_core::pool::WorkerPool;
 
 /// Identifier of a device allocation.
@@ -250,8 +254,10 @@ impl DeviceShared {
 struct Device {
     shared: Arc<DeviceShared>,
     caps: &'static Capabilities,
-    /// Modeled core count of the simulated-time accounting.
+    /// Modeled core count of the priced clock.
     parallelism: usize,
+    /// The priced clock's rate.
+    ns_per_op: f64,
     half_precision: bool,
     paging: PagingPolicy,
 }
@@ -262,12 +268,18 @@ pub fn device_loop(
     rx: crossbeam::channel::Receiver<Command>,
     shared: Arc<DeviceShared>,
     caps: &'static Capabilities,
-    parallelism: usize,
-    half_precision: bool,
+    profile: &DeviceProfile,
     paging: PagingPolicy,
 ) {
     let paging = if caps.paging { paging } else { PagingPolicy::disabled() };
-    let dev = Device { shared, caps, parallelism, half_precision, paging };
+    let dev = Device {
+        shared,
+        caps,
+        parallelism: profile.parallelism,
+        ns_per_op: profile.ns_per_op,
+        half_precision: profile.half_precision_only,
+        paging,
+    };
     let shared = &dev.shared;
     // The device's persistent shader cores: fragment bodies run on them. A
     // texture device starts them with the context; elsewhere the first
@@ -408,8 +420,8 @@ fn bound_data(taken: &[(TexId, Texture)], id: TexId) -> &[f32] {
 
 impl Device {
     /// A pool of the device's modeled core count, bounded by the host
-    /// machine; `parallelism` stays the *modeled* count the simulated-time
-    /// accounting uses.
+    /// machine; `parallelism` stays the *modeled* count the priced clock
+    /// uses.
     fn shader_cores(&self) -> WorkerPool {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         WorkerPool::new(self.parallelism.min(host))
@@ -449,7 +461,6 @@ impl Device {
         pool: &mut Option<WorkerPool>,
         trace_id: u64,
     ) {
-        let t0 = Instant::now();
         let (shared, caps) = (&self.shared, self.caps);
         let tracing = webml_telemetry::enabled();
         let trace_t0 = if tracing { webml_telemetry::now_ns() } else { 0 };
@@ -489,7 +500,7 @@ impl Device {
 
         let lanes = occupancy(self.parallelism, caps.shared_memory, kernel);
         let bound = |id: &TexId| bound_data(&taken, *id);
-        let engaged = match &kernel.body {
+        match &kernel.body {
             KernelBody::Fragment(body) => {
                 // A sampler sees the tensor's logical values: the padding of
                 // a recycled texture holds whatever its last owner left.
@@ -500,14 +511,13 @@ impl Device {
                     .collect();
                 let pool = pool.get_or_insert_with(|| self.shader_cores());
                 let out = &mut out_tex.data;
-                execute(body, &kernel.out_shape, &samplers, out, pool, lanes, self.half_precision)
+                execute(body, &kernel.out_shape, &samplers, out, pool, lanes, self.half_precision);
             }
             KernelBody::Compute(body) => {
                 let buffers: Vec<&[f32]> = inputs.iter().map(bound).collect();
                 body(&buffers, &mut out_tex.data);
-                1
             }
-        };
+        }
 
         // Return inputs and publish the output.
         {
@@ -520,15 +530,12 @@ impl Device {
             textures.insert(output, Slot { state: SlotState::Gpu(out_tex), last_use });
         }
         shared.program_count.fetch_add(1, Ordering::Relaxed);
-        // Simulated device time: the measured execution, rescaled from the
-        // host threads actually engaged to the lanes the dispatch would
-        // fill on the modeled device, plus fixed dispatch overhead. On a
-        // single-core host the measurement is the serial time and the model
-        // divides by occupancy; on a many-core host a fragment body's
-        // measurement already reflects `engaged`-way parallelism.
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        let device_ns =
-            elapsed.saturating_mul(engaged as u64) / lanes as u64 + caps.dispatch_overhead_ns;
+        // The priced clock: the declared operations spread over the lanes
+        // the dispatch fills, at the profile's rate, plus the fixed
+        // dispatch overhead.
+        let work = kernel.out_size().saturating_mul(kernel.cost_per_element);
+        let ops_per_lane = work.div_ceil(lanes) as f64;
+        let device_ns = (ops_per_lane * self.ns_per_op).round() as u64 + caps.dispatch_overhead_ns;
         shared.gpu_nanos.fetch_add(device_ns, Ordering::Relaxed);
         if tracing {
             // The virtual GPU track: wall-clock extent of the dispatch on

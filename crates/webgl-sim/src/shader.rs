@@ -217,10 +217,10 @@ pub fn occupancy(parallelism: usize, shared_memory: bool, kernel: &Kernel) -> us
 /// model of fragment-shader parallelism. Each invocation writes only its own
 /// output slot.
 ///
-/// Fills `out` at logical flat indices (with f16 rounding applied per
-/// element when the device is half-precision) and returns the host threads
-/// actually engaged (bounded by the machine and by `occupancy`), which the
-/// simulated-time model rescales by.
+/// Fills `out` at logical flat indices, with f16 rounding applied per
+/// element when the device is half-precision, on at most `occupancy` of the
+/// pool's threads. How many threads ran does not reach the device clock,
+/// which is priced from the declared work (see [`crate::queue`]).
 pub fn execute(
     body: &FragmentBody,
     out_shape: &[usize],
@@ -229,10 +229,10 @@ pub fn execute(
     pool: &webml_core::pool::WorkerPool,
     occupancy: usize,
     half_precision: bool,
-) -> usize {
+) {
     let size: usize = out_shape.iter().product();
     if size == 0 {
-        return 1;
+        return;
     }
     let threads = pool.size().min(occupancy);
     // Chunk boundaries; packed bodies need texel (4-element) alignment.
@@ -256,7 +256,6 @@ pub fn execute(
             fill(body, out_shape, samplers_inputs, start, chunk, |v| v);
         }
     });
-    threads.min(n_chunks)
 }
 
 /// Run `body` for every output of one chunk (`start` is its logical flat

@@ -1,11 +1,14 @@
 //! Paging under memory pressure (paper Sec 4.1.2: a leaky loop must not
-//! crash — textures page to the CPU past the threshold) and the device
-//! support statistics of Sec 4.1.3.
+//! crash — textures page to the CPU past the threshold), the device
+//! support statistics of Sec 4.1.3, and the priced device clock.
 
 #![allow(clippy::field_reassign_with_default)] // ablations toggle single config fields
 
 use std::sync::Arc;
 use webml::backend_webgl::{WebGlBackend, WebGlConfig};
+use webml::backend_webgpu::WebGpuBackend;
+use webml::core::backend::Backend;
+use webml::models::{Image, MobileNet, MobileNetConfig};
 use webml::webgl_sim::devices::{self, DeviceProfile, Platform};
 use webml::webgl_sim::pager::PagingPolicy;
 use webml::{ops, Engine};
@@ -95,4 +98,40 @@ fn fences_pass_in_order() {
     let z = ops::matmul(&a, &a, false, true).unwrap();
     let v = z.to_f32_vec().unwrap();
     assert_eq!(v.len(), 64 * 64);
+}
+
+/// The device-timer nanoseconds of one tiny MobileNet inference on a fresh
+/// engine over `backend`, readback included.
+fn priced_pass(backend: Arc<dyn Backend>) -> u64 {
+    let e = Engine::new();
+    e.register_backend("gpu", backend.clone(), 1);
+    let config =
+        MobileNetConfig { alpha: 0.25, input_size: 48, classes: 10, batch_norm: false, seed: 1 };
+    let mut net = MobileNet::new(&e, config).unwrap();
+    let input = Image::synthetic_person(48, 48).to_normalized_tensor(&e, 48).unwrap();
+    let before = backend.device_timer_ns().unwrap();
+    net.infer(&input).unwrap().data_sync().unwrap();
+    backend.device_timer_ns().unwrap() - before
+}
+
+/// Device time is priced from the work each program declares, not read
+/// from the host: the same pass costs the same nanoseconds on either rung
+/// whether it runs alone or beside another thread running it too.
+#[test]
+fn device_time_is_priced_not_measured() {
+    let webgl = || -> Arc<dyn Backend> {
+        Arc::new(WebGlBackend::new(DeviceProfile::intel_iris_pro(), WebGlConfig::default()).unwrap())
+    };
+    let webgpu = || -> Arc<dyn Backend> {
+        Arc::new(WebGpuBackend::new(DeviceProfile::intel_iris_pro(), Default::default()).unwrap())
+    };
+    for make in [webgl, webgpu] {
+        let alone = priced_pass(make());
+        assert!(alone > 0);
+        let (loaded, beside) = std::thread::scope(|s| {
+            let beside = s.spawn(|| priced_pass(make()));
+            (priced_pass(make()), beside.join().unwrap())
+        });
+        assert_eq!((loaded, beside), (alone, alone));
+    }
 }
