@@ -465,33 +465,53 @@ mod tests {
         assert_eq!(e.epsilon(), 1e-7);
     }
 
-    /// The packed depthwise program is a pure optimisation of the
-    /// per-element body: same bits, fused and unfused, on the f32 and the
-    /// half-precision profile, whether texels sit inside one pixel's
-    /// channels (8), straddle pixels (3, 6) or the multiplier rules the
-    /// packed body out (channel_mul 2).
+    /// Channel counts the product tests cover: inside one texel's run (3),
+    /// straddling texels (6), filling two texels (8), and taking every
+    /// block width of a run body (21 = 16 + 4 + 1).
+    const CHANNELS: [usize; 4] = [3, 6, 8, 21];
+
+    /// The packed conv2d, depthwise and matmul programs are a pure
+    /// optimisation of their per-element bodies: same bits, fused and
+    /// plain, on the f32 and the half-precision profile, over padded,
+    /// strided and dilated tap walks, every transpose, and a channel
+    /// multiplier that rules the packed depthwise body out.
     #[test]
-    fn packed_depthwise_equals_its_per_element_body() {
+    fn packed_products_equal_their_per_element_bodies() {
         use webml_core::conv_util::Padding;
-        let run = |profile: DeviceProfile, packing: bool, channels: usize, mul: usize| {
+        let run = |profile: DeviceProfile, packing: bool, channels: usize| {
             let e = Engine::new();
             let config = WebGlConfig { packing, ..Default::default() };
             e.register_backend("webgl", Arc::new(WebGlBackend::new(profile, config).unwrap()), 2);
+            let relu6 = Some(UnaryOp::Relu6);
             let mut outs = Vec::new();
             for (pad, stride, dilation) in
                 [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)]
             {
-                let x = e.rand_uniform([2, 7, 6, channels], -2.0, 2.0, 3).unwrap();
-                let w = e.rand_uniform([3, 3, channels, mul], -1.0, 1.0, 5).unwrap();
-                let bias = e.rand_uniform([channels * mul], -1.0, 1.0, 7).unwrap();
                 let (s, d) = ((stride, stride), (dilation, dilation));
-                let relu6 = Some(UnaryOp::Relu6);
-                let y =
-                    ops::fused_depthwise_conv2d(&x, &w, Some(&bias), relu6, s, pad, d).unwrap();
-                outs.push(y.to_f32_vec().unwrap());
-                outs.push(ops::depthwise_conv2d(&x, &w, s, pad, d).unwrap().to_f32_vec().unwrap());
+                let x = e.rand_uniform([2, 7, 6, channels], -2.0, 2.0, 3).unwrap();
+                for mul in [1, 2] {
+                    let w = e.rand_uniform([3, 3, channels, mul], -1.0, 1.0, 5).unwrap();
+                    let bias = e.rand_uniform([channels * mul], -1.0, 1.0, 7).unwrap();
+                    let y = ops::fused_depthwise_conv2d(&x, &w, Some(&bias), relu6, s, pad, d);
+                    outs.push(y.unwrap());
+                    outs.push(ops::depthwise_conv2d(&x, &w, s, pad, d).unwrap());
+                }
+                let x = e.rand_uniform([2, 7, 6, 3], -2.0, 2.0, 9).unwrap();
+                let w = e.rand_uniform([3, 3, 3, channels], -1.0, 1.0, 11).unwrap();
+                let bias = e.rand_uniform([channels], -1.0, 1.0, 13).unwrap();
+                outs.push(ops::fused_conv2d(&x, &w, Some(&bias), relu6, s, pad, d).unwrap());
+                outs.push(ops::conv2d(&x, &w, s, pad, d).unwrap());
             }
-            outs
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let a = if ta { [2, 7, 5] } else { [2, 5, 7] };
+                let b = if tb { [2, channels, 7] } else { [2, 7, channels] };
+                let a = e.rand_uniform(a, -2.0, 2.0, 15).unwrap();
+                let b = e.rand_uniform(b, -1.0, 1.0, 17).unwrap();
+                let bias = e.rand_uniform([channels], -1.0, 1.0, 19).unwrap();
+                outs.push(ops::fused_matmul(&a, &b, Some(&bias), relu6, ta, tb).unwrap());
+                outs.push(ops::matmul(&a, &b, ta, tb).unwrap());
+            }
+            outs.iter().map(|t| bits(&t.to_f32_vec().unwrap())).collect::<Vec<_>>()
         };
         // Which body runs, under the names the fault plan blocks by prefix.
         let program = |packing: bool, mul: usize| {
@@ -510,12 +530,94 @@ mod tests {
         assert_eq!(program(true, 2), ("DepthwiseConv2D", "FusedDepthwiseConv2D"));
         assert_eq!(program(false, 1), ("DepthwiseConv2D", "FusedDepthwiseConv2D"));
         for profile in [DeviceProfile::intel_iris_pro, DeviceProfile::ios_safari] {
-            for (channels, mul) in [(8, 1), (3, 1), (6, 1), (3, 2)] {
-                let (packed, unpacked) =
-                    (run(profile(), true, channels, mul), run(profile(), false, channels, mul));
-                for (p, u) in packed.iter().zip(&unpacked) {
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(p), bits(u), "channels={channels} mul={mul}");
+            for channels in CHANNELS {
+                let packed = run(profile(), true, channels);
+                assert_eq!(packed, run(profile(), false, channels), "channels={channels}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// However the shader-core pool cuts the output into runs — on 1, 2, 3
+    /// or 7 cores, so that runs start inside a pixel's (or row's) channel
+    /// run — a packed product program stores the bits of its per-element
+    /// body, with and without f16 rounding.
+    #[test]
+    fn packed_products_equal_their_per_element_bodies_on_every_pool() {
+        use webml_core::backend::MatMulGeom;
+        use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+        use webml_core::pool::WorkerPool;
+        use webml_webgl_sim::shader::{execute, KernelBody};
+        use webml_webgl_sim::{TextureFormat, TextureLayout};
+        let data = |dims: &[usize], seed: usize| -> Vec<f32> {
+            let n = dims.iter().product::<usize>();
+            (0..n).map(|i| ((i + seed) as f32 * 0.731).sin() * 2.0).collect()
+        };
+        let pools = [1, 2, 3, 7].map(WorkerPool::new);
+        // Run `kernel` over inputs of `dims` on `pool`.
+        let exec = |kernel: &Kernel, dims: &[Vec<usize>], pool: &WorkerPool, half: bool| {
+            let inputs: Vec<Vec<f32>> = dims.iter().zip(1..).map(|(d, i)| data(d, i)).collect();
+            let layouts: Vec<TextureLayout> = dims
+                .iter()
+                .map(|d| TextureLayout::compile(d, TextureFormat::R32F, 16_384, true).unwrap())
+                .collect();
+            let samplers: Vec<(&[f32], &TextureLayout)> =
+                inputs.iter().zip(&layouts).map(|(v, l)| (&v[..], l)).collect();
+            let KernelBody::Fragment(body) = &kernel.body else { panic!("{}", kernel.name) };
+            let mut out = vec![f32::NAN; kernel.out_size()];
+            execute(body, &kernel.out_shape, &samplers, &mut out, pool, pool.size(), half);
+            bits(&out)
+        };
+        let fused = Epilogue::Fused { bias: true, activation: Some(UnaryOp::Relu6) };
+        // A product program, built packed or not with an epilogue.
+        type Program = Box<dyn Fn(bool, Epilogue) -> Kernel>;
+        // Each program with its input dims, the bias left out.
+        let mut cases: Vec<(Program, Vec<Vec<usize>>)> = Vec::new();
+        for channels in CHANNELS {
+            for (pad, stride, dilation) in
+                [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)]
+            {
+                let (s, d) = ((stride, stride), (dilation, dilation));
+                let (x, w) = (vec![2, 7, 6, 3], vec![3, 3, 3, channels]);
+                let shapes = (Shape::new(x.clone()), Shape::new(w.clone()));
+                let info = conv2d_info("t", &shapes.0, &shapes.1, s, pad, d).unwrap();
+                let out = info.out_shape().dims().to_vec();
+                let conv = move |packed, epi| programs::conv2d(&info, packed, epi, &out);
+                cases.push((Box::new(conv), vec![x, w]));
+                let (x, w) = (vec![2, 7, 6, channels], vec![3, 3, channels, 1]);
+                let shapes = (Shape::new(x.clone()), Shape::new(w.clone()));
+                let info = depthwise_conv2d_info("t", &shapes.0, &shapes.1, s, pad, d).unwrap();
+                let out = info.out_shape().dims().to_vec();
+                let depthwise =
+                    move |packed, epi| programs::depthwise_conv2d(&info, packed, epi, &out);
+                cases.push((Box::new(depthwise), vec![x, w]));
+            }
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let a = if ta { vec![2, 7, 5] } else { vec![2, 5, 7] };
+                let b = if tb { vec![2, channels, 7] } else { vec![2, 7, channels] };
+                let geom = MatMulGeom::of(&Shape::new(a.clone()), &Shape::new(b.clone()), ta, tb);
+                let out = [2, 5, channels];
+                let matmul = move |packed, epi| programs::matmul(&geom, packed, epi, &out);
+                cases.push((Box::new(matmul), vec![a, b]));
+            }
+        }
+        for (program, dims) in &cases {
+            for epilogue in [Epilogue::None, fused] {
+                let (packed, unpacked) = (program(true, epilogue), program(false, epilogue));
+                assert!(packed.is_packed() && !unpacked.is_packed(), "{}", packed.name);
+                let mut dims = dims.clone();
+                if epilogue.bias() {
+                    dims.push(vec![*packed.out_shape.last().unwrap()]);
+                }
+                for half in [false, true] {
+                    let reference = exec(&unpacked, &dims, &pools[0], half);
+                    for pool in &pools {
+                        let got = exec(&packed, &dims, pool, half);
+                        assert_eq!(got, reference, "{} on {} cores", packed.name, pool.size());
+                    }
                 }
             }
         }

@@ -104,22 +104,78 @@ fn bias_of<'a>(s: &Samplers<'a>, has_bias: bool) -> Option<&'a [f32]> {
     has_bias.then(|| s.tex(2))
 }
 
-/// A finished texel: the epilogue over the four channels from `ch0`.
-#[inline]
-fn finish_texel(
-    bias: Option<&[f32]>,
-    activation: Option<UnaryOp>,
-    ch0: usize,
-    acc: [f32; 4],
-) -> [f32; 4] {
-    std::array::from_fn(|q| apply_epilogue(bias, activation, ch0 + q, acc[q]))
+/// A fused program's epilogue: its bias texture, when it binds one, and its
+/// activation.
+type Finish<'a> = (Option<&'a [f32]>, Option<UnaryOp>);
+
+/// Cut the run `out`, which starts at flat output `start`, into the channel
+/// runs of consecutive pixels (or rows) of `channels` outputs each:
+/// `each(pixel, first channel, its outputs)`. A run may begin or end inside
+/// a pixel, wherever the executor cut the output.
+#[inline(always)]
+fn pixel_runs(
+    channels: usize,
+    start: usize,
+    out: &mut [f32],
+    mut each: impl FnMut(usize, usize, &mut [f32]),
+) {
+    let (mut pix, mut ch0) = (start / channels, start % channels);
+    let mut rest = out;
+    while !rest.is_empty() {
+        let len = (channels - ch0).min(rest.len());
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        each(pix, ch0, run);
+        (pix, ch0, rest) = (pix + 1, 0, tail);
+    }
 }
 
-/// A texel whose four outputs do not share a row or pixel: `one(flat)`
-/// computes each on its own; lanes past the end of the output read 0.
-#[inline]
-fn straddling_texel(base: usize, total: usize, one: impl Fn(usize) -> f32) -> [f32; 4] {
-    std::array::from_fn(|q| if base + q < total { one(base + q) } else { 0.0 })
+/// A product program's accumulation over one pixel (or row) whose index
+/// math is already resolved: `block::<W>(ch)` sums output channels (or
+/// columns) `ch .. ch + W`, each in its own accumulator from 0 with the
+/// products added in the per-element body's order, so every output has
+/// that body's bits.
+trait Accumulate {
+    fn block<const W: usize>(&self, ch: usize) -> [f32; W];
+}
+
+/// Store `acc`, the accumulators of the channels from `ch`, through the
+/// epilogue.
+#[inline(always)]
+fn finish<const W: usize>(
+    acc: [f32; W],
+    (bias, activation): Finish<'_>,
+    ch: usize,
+    out: &mut [f32],
+) {
+    for (q, (slot, v)) in out.iter_mut().zip(acc).enumerate() {
+        *slot = apply_epilogue(bias, activation, ch + q, v);
+    }
+}
+
+/// One pixel's (or row's) run of outputs from channel `ch`: in blocks of 16
+/// channels, then 8, then 4, then one at a time, so the accumulators of a
+/// block stay in registers whatever the run's length.
+#[inline(always)]
+fn fill_channels(acc: &impl Accumulate, epilogue: Finish<'_>, mut ch: usize, out: &mut [f32]) {
+    let mut rest = out;
+    while rest.len() >= 16 {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(16);
+        finish(acc.block::<16>(ch), epilogue, ch, head);
+        (ch, rest) = (ch + 16, tail);
+    }
+    if rest.len() >= 8 {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(8);
+        finish(acc.block::<8>(ch), epilogue, ch, head);
+        (ch, rest) = (ch + 8, tail);
+    }
+    if rest.len() >= 4 {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(4);
+        finish(acc.block::<4>(ch), epilogue, ch, head);
+        (ch, rest) = (ch + 4, tail);
+    }
+    for (q, slot) in rest.iter_mut().enumerate() {
+        finish(acc.block::<1>(ch + q), epilogue, ch + q, std::slice::from_mut(slot));
+    }
 }
 
 /// Element-wise unary kernel. Uses a packed (RGBA texel) body when
@@ -272,7 +328,7 @@ fn matmul_operands<'a>(
     s: &Samplers<'a>,
     &MatMulGeom { m, k, n, b_batch, transpose_a, .. }: &MatMulGeom,
     (b, i): (usize, usize),
-) -> (impl Iterator<Item = &'a f32>, &'a [f32]) {
+) -> (impl Iterator<Item = &'a f32> + Clone, &'a [f32]) {
     let (a0, a_step) = if transpose_a { (i, m) } else { (i * k, 1) };
     let a = s.tex(0).get(b * m * k + a0..).unwrap_or_default();
     let b_off = if b_batch == 1 { 0 } else { b * k * n };
@@ -293,8 +349,9 @@ fn dot_operands<'a>(
 
 /// Batched matmul, Listing 2 style: each output recomputes a full dot
 /// product (no shared memory — the architectural handicap behind the
-/// WebGL/CUDA gap of Sec 3.9). The packed variant computes 4 adjacent
-/// outputs per invocation, reusing each A element across the quad.
+/// WebGL/CUDA gap of Sec 3.9). The packed variant is a run body that
+/// resolves each output row's A row once and reuses each A element across
+/// a block of adjacent columns.
 ///
 /// A non-empty epilogue is fused in-register and makes it the `FusedMatMul`
 /// program: the whole `matmul → add → activation` chain in one draw call,
@@ -308,7 +365,7 @@ pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue, out: &[usize]
     };
     let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let geom = *geom;
-    let MatMulGeom { batch, m, k, n, transpose_b, .. } = geom;
+    let MatMulGeom { m, k, n, transpose_b, .. } = geom;
     let out_shape = out.to_vec();
     let cost = (k * 2).max(1);
     // One output, epilogue applied.
@@ -320,33 +377,15 @@ pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue, out: &[usize]
         apply_epilogue(bias_of(s, has_bias), activation, j, acc)
     };
     if packed {
-        let total = batch * m * n;
-        return Kernel::packed(names.1, out_shape, move |s, base| {
-            // base indexes the flattened [batch, m, n] output.
-            let j0 = base % n;
-            if j0 + 3 >= n {
-                return straddling_texel(base, total, |at| one(s, (at / n / m, at / n % m, at % n)));
-            }
-            // All four outputs share row (b, i), so each A element is loaded
-            // once for the whole quad and (untransposed) B's four values are
-            // one texel — the vec4 benefit of Listing 2.
-            let (a_row, bm) = matmul_operands(s, &geom, (base / n / m, base / n % m));
-            let mut acc = [0.0f32; 4];
-            if transpose_b {
-                let cols: [&[f32]; 4] = std::array::from_fn(|q| &bm[(j0 + q) * k..][..k]);
-                for (p, &av) in a_row.enumerate() {
-                    for (a, col) in acc.iter_mut().zip(cols) {
-                        *a += av * col[p];
-                    }
-                }
-            } else {
-                for (&av, row) in a_row.zip(bm.chunks_exact(n)) {
-                    for (a, &bv) in acc.iter_mut().zip(&row[j0..j0 + 4]) {
-                        *a += av * bv;
-                    }
-                }
-            }
-            finish_texel(bias_of(s, has_bias), activation, j0, acc)
+        return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
+            let epilogue = (bias_of(s, has_bias), activation);
+            // Every output of row (b, i) shares its A row: it is resolved
+            // once per row, and each A element loaded once per block of
+            // columns — the vec4 benefit of Listing 2, wider.
+            pixel_runs(n, start, out, |row, j0, run| {
+                let (a_row, bm) = matmul_operands(s, &geom, (row / m, row % m));
+                fill_channels(&MatMulRow { a_row, bm, k, n, transpose_b }, epilogue, j0, run);
+            });
         })
         .with_cost(cost);
     }
@@ -354,6 +393,39 @@ pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue, out: &[usize]
         one(s, (flat / n / m, flat / n % m, flat % n))
     })
     .with_cost(cost)
+}
+
+/// One row of a matmul's output: its A row (`k` values in `p` order) and B.
+struct MatMulRow<'a, A> {
+    a_row: A,
+    bm: &'a [f32],
+    k: usize,
+    n: usize,
+    transpose_b: bool,
+}
+
+impl<'a, A: Iterator<Item = &'a f32> + Clone> Accumulate for MatMulRow<'a, A> {
+    #[inline(always)]
+    fn block<const W: usize>(&self, j0: usize) -> [f32; W] {
+        let (k, n) = (self.k, self.n);
+        let mut acc = [0.0f32; W];
+        if self.transpose_b {
+            let cols: [&[f32]; W] = std::array::from_fn(|q| &self.bm[(j0 + q) * k..][..k]);
+            for (p, &av) in self.a_row.clone().enumerate() {
+                for (a, col) in acc.iter_mut().zip(cols) {
+                    *a += av * col[p];
+                }
+            }
+        } else {
+            for (&av, row) in self.a_row.clone().zip(self.bm.chunks_exact(n)) {
+                let row: &[f32; W] = row[j0..j0 + W].try_into().expect("W columns");
+                for (a, &bv) in acc.iter_mut().zip(row) {
+                    *a += av * bv;
+                }
+            }
+        }
+        acc
+    }
 }
 
 /// Quantized-weight fused matmul: input 1 is an `R8` codes texture
@@ -495,13 +567,42 @@ fn for_each_conv_step<'a>(
     });
 }
 
+/// One conv2d output pixel: its in-bounds taps, in `(fh, fw)` order, as
+/// (offset of the input pixel's channels in x, offset of the tap's filter
+/// rows in w).
+struct ConvPixel<'a> {
+    x: &'a [f32],
+    w: &'a [f32],
+    in_c: usize,
+    out_c: usize,
+    taps: &'a [(usize, usize)],
+}
+
+impl Accumulate for ConvPixel<'_> {
+    #[inline(always)]
+    fn block<const W: usize>(&self, oc: usize) -> [f32; W] {
+        let (in_c, out_c) = (self.in_c, self.out_c);
+        let mut acc = [0.0f32; W];
+        for &(xo, wo) in self.taps {
+            let rows = self.w[wo..][..in_c * out_c].chunks_exact(out_c);
+            for (&xv, row) in self.x[xo..][..in_c].iter().zip(rows) {
+                let row: &[f32; W] = row[oc..oc + W].try_into().expect("W filters");
+                for (a, &wv) in acc.iter_mut().zip(row) {
+                    *a += xv * wv;
+                }
+            }
+        }
+        acc
+    }
+}
+
 /// conv2d: one output activation per invocation, walking its receptive
 /// field. Index math is pre-resolved to flat fetches, as a GLSL compiler
 /// resolves the generated accessors into direct texture fetches.
 ///
-/// The packed variant computes the 4 output channels of one RGBA texel per
-/// invocation, loading every input activation once for all four filters —
-/// the packed-conv win behind the paper's 1.3-1.4x PoseNet speedup. A
+/// The packed variant is a run body that resolves each output pixel's taps
+/// once and loads every input activation once per block of filters — the
+/// packed-conv win behind the paper's 1.3-1.4x PoseNet speedup. A
 /// non-empty epilogue is fused in-register (`FusedConv2D`); bias (when
 /// present) is sampler input 2, indexed by output channel.
 pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue, out: &[usize]) -> Kernel {
@@ -520,24 +621,17 @@ pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue, out: &[usize]
         apply_epilogue(bias_of(s, has_bias), activation, oc, acc)
     };
     if packed {
-        let total = out_shape.iter().product::<usize>();
-        return Kernel::packed(names.1, out_shape, move |s, base| {
-            let channels = c.out_channels;
-            let oc0 = base % channels;
-            if oc0 + 3 >= channels {
-                return straddling_texel(base, total, |at| {
-                    one(s, &c, pixel(&c, at / channels), at % channels)
-                });
-            }
-            // All four outputs share the pixel: one x fetch feeds the four
-            // filter channels of one w texel.
-            let mut acc = [0.0f32; 4];
-            for_each_conv_step(s.tex(0), s.tex(1), &c, pixel(&c, base / channels), |xv, row| {
-                for (a, &wv) in acc.iter_mut().zip(&row[oc0..oc0 + 4]) {
-                    *a += xv * wv;
-                }
+        return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
+            let (x, w, epilogue) = (s.tex(0), s.tex(1), (bias_of(s, has_bias), activation));
+            let (in_c, out_c) = (c.in_channels, c.out_channels);
+            // A pixel's taps and their bounds are resolved once, and each x
+            // fetch of its receptive field feeds a whole block of filters.
+            let mut taps = Vec::with_capacity(c.filter_height * c.filter_width);
+            pixel_runs(out_c, start, out, |pix, oc0, run| {
+                taps.clear();
+                for_each_tap(&c, pixel(&c, pix), |px, t| taps.push((px * in_c, t * in_c * out_c)));
+                fill_channels(&ConvPixel { x, w, in_c, out_c, taps: &taps }, epilogue, oc0, run);
             });
-            finish_texel(bias_of(s, has_bias), activation, oc0, acc)
         })
         .with_cost(cost);
     }
@@ -608,10 +702,10 @@ pub fn conv2d_backprop_filter(info: &Conv2dInfo, out: &[usize]) -> Kernel {
 
 /// Depthwise conv2d, with pre-resolved flat index math.
 ///
-/// With `channel_mul == 1` the packed variant computes the four consecutive
-/// channels of one RGBA texel per invocation: they share the pixel, so the
-/// tap walk and its bounds checks are paid once for four independent
-/// accumulators. A non-empty epilogue is fused in-register
+/// With `channel_mul == 1` the packed variant is a run body: a pixel's
+/// channels share its taps, so the tap walk and its bounds checks are paid
+/// once per pixel, and each tap feeds a block of independent accumulators.
+/// A non-empty epilogue is fused in-register
 /// (`FusedDepthwiseConv2D`); bias (when present) is sampler input 2,
 /// indexed by output channel.
 pub fn depthwise_conv2d(
@@ -637,31 +731,46 @@ pub fn depthwise_conv2d(
         apply_epilogue(bias_of(s, has_bias), activation, och, acc)
     };
     if packed && c.channel_mul == 1 {
-        let total = out_shape.iter().product::<usize>();
-        return Kernel::packed(names.1, out_shape, move |s, base| {
+        return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
+            let (x, w, epilogue) = (s.tex(0), s.tex(1), (bias_of(s, has_bias), activation));
             let channels = c.out_channels;
-            let ch0 = base % channels;
-            if ch0 + 3 >= channels {
-                return straddling_texel(base, total, |at| {
-                    one(s, &c, pixel(&c, at / channels), at % channels)
-                });
-            }
-            // All four outputs share the pixel: one tap walk, one x texel
-            // and one w texel per tap, feed four independent accumulators
-            // (channel_mul is 1, so output channel == input channel).
-            let mut acc = [0.0f32; 4];
-            for_each_tap(&c, pixel(&c, base / channels), |px, t| {
-                let (xt, wt) = (s.texel(0, px * channels + ch0), s.texel(1, t * channels + ch0));
-                for q in 0..4 {
-                    acc[q] += xt[q] * wt[q];
-                }
+            // A pixel's taps and their bounds are resolved once for all its
+            // channels (channel_mul is 1, so output channel == input
+            // channel).
+            let mut taps = Vec::with_capacity(c.filter_height * c.filter_width);
+            pixel_runs(channels, start, out, |pix, ch0, run| {
+                taps.clear();
+                for_each_tap(&c, pixel(&c, pix), |px, t| taps.push((px * channels, t * channels)));
+                fill_channels(&DepthwisePixel { x, w, taps: &taps }, epilogue, ch0, run);
             });
-            finish_texel(bias_of(s, has_bias), activation, ch0, acc)
         })
         .with_cost(cost);
     }
     Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, &c, (at[0], at[1], at[2]), at[3]))
         .with_cost(cost)
+}
+
+/// One depthwise output pixel (channel multiplier 1): its in-bounds taps,
+/// in `(fh, fw)` order, as (offset of the input pixel in x, offset of the
+/// tap in w).
+struct DepthwisePixel<'a> {
+    x: &'a [f32],
+    w: &'a [f32],
+    taps: &'a [(usize, usize)],
+}
+
+impl Accumulate for DepthwisePixel<'_> {
+    #[inline(always)]
+    fn block<const W: usize>(&self, ch: usize) -> [f32; W] {
+        let mut acc = [0.0f32; W];
+        for &(xo, wo) in self.taps {
+            let (xs, ws) = (&self.x[xo + ch..][..W], &self.w[wo + ch..][..W]);
+            for ((a, &xv), &wv) in acc.iter_mut().zip(xs).zip(ws) {
+                *a += xv * wv;
+            }
+        }
+        acc
+    }
 }
 
 /// A chain of elementwise steps executed as one program: input 0 is the

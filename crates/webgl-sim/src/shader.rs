@@ -9,7 +9,10 @@
 //! through [`Samplers`], the layout-compiled `getA(...)` accessors the
 //! shader compiler generates. These are exactly the constraints the paper
 //! identifies as the source of the WebGL/CUDA gap (no work groups, no
-//! shared memory — Sec 3.9).
+//! shared memory — Sec 3.9). The simulator calls a body once per run of
+//! consecutive outputs, not once per output, so a program can hoist its
+//! index math out of the outputs that share it; what each output may read
+//! stays the same.
 //!
 //! A **compute** kernel (Sec 4.3) dispatches workgroups whose invocations
 //! cooperate through shared memory; its body sees whole linear buffers and
@@ -88,15 +91,27 @@ fn edge_texel(data: &[f32], flat: usize) -> [f32; 4] {
     std::array::from_fn(|q| data.get(flat + q).copied().unwrap_or(0.0))
 }
 
-/// Body of an unpacked fragment kernel: `main()` runs per output element
-/// with its flat index and N-D coordinates, returning the value for
-/// `setOutput`.
-pub type ElementBody = Arc<dyn Fn(&Samplers<'_>, usize, &[usize]) -> f32 + Send + Sync>;
+/// The invocations of a fragment program over one run of consecutive
+/// outputs: `run(samplers, start, out)` stores output `start + i` in
+/// `out[i]`, each a function of sampler reads only — no scatter, no shared
+/// memory, no output another one reads. A run starts on a texel boundary
+/// (a multiple of 4), so a packed program's RGBA texels are never split;
+/// how the output is cut into runs is [`execute`]'s choice.
+pub type RunBody = Arc<dyn Fn(&Samplers<'_>, usize, &mut [f32]) + Send + Sync>;
 
-/// Body of a packed fragment kernel: one invocation computes the 4
-/// consecutive output elements of an RGBA texel (the packing optimization of
-/// Sec 3.9).
-pub type PackedBody = Arc<dyn Fn(&Samplers<'_>, usize) -> [f32; 4] + Send + Sync>;
+/// Outputs per RGBA texel, the grain runs start on.
+const TEXEL: usize = 4;
+
+/// Body of a fragment kernel.
+#[derive(Clone)]
+pub struct FragmentBody {
+    /// The program's invocations, a run of outputs at a time.
+    pub run: RunBody,
+    /// Whether one invocation computes the 4 outputs of an RGBA texel (the
+    /// packing optimization of Sec 3.9), so the output is stored as RGBA
+    /// texels where the context packs.
+    pub packed: bool,
+}
 
 /// Body of a compute kernel: reads the bound input buffers and writes the
 /// bound output buffer in place. The output slice is exactly
@@ -124,45 +139,64 @@ pub struct Kernel {
     pub shared_reuse: usize,
 }
 
-/// A fragment body, unpacked or packed.
-#[derive(Clone)]
-pub enum FragmentBody {
-    /// One invocation per output element.
-    PerElement(ElementBody),
-    /// One invocation per 4-wide output texel.
-    Packed(PackedBody),
-}
-
 /// What a dispatch runs. A fragment body is split over the device's shader
 /// cores (a [`webml_core::pool::WorkerPool`], see [`execute`]); a compute
 /// body runs whole on the device thread.
 #[derive(Clone)]
 pub enum KernelBody {
-    /// One `main()` per output value or texel, inputs through [`Samplers`].
+    /// One `main()` per output value or texel, inputs through [`Samplers`],
+    /// run over runs of outputs.
     Fragment(FragmentBody),
     /// One call over whole linear buffers.
     Compute(ComputeBody),
 }
 
 impl Kernel {
-    /// An unpacked per-element fragment kernel.
+    /// A fragment kernel whose body computes a run of outputs at a time
+    /// (see [`RunBody`]); `packed` says its invocations write RGBA texels.
+    pub fn fragment(
+        name: &'static str,
+        out_shape: Vec<usize>,
+        packed: bool,
+        run: impl Fn(&Samplers<'_>, usize, &mut [f32]) + Send + Sync + 'static,
+    ) -> Kernel {
+        let body = KernelBody::Fragment(FragmentBody { run: Arc::new(run), packed });
+        Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
+    }
+
+    /// An unpacked fragment kernel: `main()` runs per output element with
+    /// its flat index and N-D coordinates, returning the value for
+    /// `setOutput`.
     pub fn per_element(
         name: &'static str,
         out_shape: Vec<usize>,
         body: impl Fn(&Samplers<'_>, usize, &[usize]) -> f32 + Send + Sync + 'static,
     ) -> Kernel {
-        let body = KernelBody::Fragment(FragmentBody::PerElement(Arc::new(body)));
-        Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
+        let dims = out_shape.clone();
+        Kernel::fragment(name, out_shape, false, move |s, start, out| {
+            let mut coords = coords_of(&dims, start);
+            for (off, slot) in out.iter_mut().enumerate() {
+                *slot = body(s, start + off, &coords);
+                advance(&dims, &mut coords);
+            }
+        })
     }
 
-    /// A packed fragment kernel computing 4 outputs per invocation.
+    /// A packed fragment kernel: one invocation computes the 4 consecutive
+    /// outputs of an RGBA texel from its first flat index (the packing
+    /// optimization of Sec 3.9). Lanes past the end of the output are
+    /// dropped.
     pub fn packed(
         name: &'static str,
         out_shape: Vec<usize>,
         body: impl Fn(&Samplers<'_>, usize) -> [f32; 4] + Send + Sync + 'static,
     ) -> Kernel {
-        let body = KernelBody::Fragment(FragmentBody::Packed(Arc::new(body)));
-        Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
+        Kernel::fragment(name, out_shape, true, move |s, start, out| {
+            for (t, texel) in out.chunks_mut(TEXEL).enumerate() {
+                let quad = body(s, start + t * TEXEL);
+                texel.copy_from_slice(&quad[..texel.len()]);
+            }
+        })
     }
 
     /// Attach an occupancy cost hint (arithmetic ops per output element).
@@ -178,15 +212,15 @@ impl Kernel {
 
     /// Whether the body is packed.
     pub fn is_packed(&self) -> bool {
-        matches!(self.body, KernelBody::Fragment(FragmentBody::Packed(_)))
+        matches!(&self.body, KernelBody::Fragment(body) if body.packed)
     }
 }
 
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let body = match self.body {
-            KernelBody::Fragment(FragmentBody::PerElement(_)) => "per-element",
-            KernelBody::Fragment(FragmentBody::Packed(_)) => "packed",
+        let body = match &self.body {
+            KernelBody::Fragment(body) if body.packed => "packed",
+            KernelBody::Fragment(_) => "per-element",
             KernelBody::Compute(_) => "compute",
         };
         f.debug_struct("Kernel")
@@ -212,15 +246,16 @@ pub fn occupancy(parallelism: usize, shared_memory: bool, kernel: &Kernel) -> us
 }
 
 /// Execute a fragment `body` over an output buffer of logical shape
-/// `out_shape`, splitting the work across
-/// the device's persistent [`webml_core::pool::WorkerPool`] — the simulator's
-/// model of fragment-shader parallelism. Each invocation writes only its own
-/// output slot.
+/// `out_shape`, splitting the work across the device's persistent
+/// [`webml_core::pool::WorkerPool`] — the simulator's model of
+/// fragment-shader parallelism — in one run per thread. Each invocation
+/// writes only its own output slot.
 ///
 /// Fills `out` at logical flat indices, with f16 rounding applied per
-/// element when the device is half-precision, on at most `occupancy` of the
-/// pool's threads. How many threads ran does not reach the device clock,
-/// which is priced from the declared work (see [`crate::queue`]).
+/// element after the body when the device is half-precision, on at most
+/// `occupancy` of the pool's threads. How many threads ran does not reach
+/// the device clock, which is priced from the declared work (see
+/// [`crate::queue`]).
 pub fn execute(
     body: &FragmentBody,
     out_shape: &[usize],
@@ -235,10 +270,7 @@ pub fn execute(
         return;
     }
     let threads = pool.size().min(occupancy);
-    // Chunk boundaries; packed bodies need texel (4-element) alignment.
-    let align = if matches!(body, FragmentBody::Packed(_)) { 4 } else { 1 };
-    let raw_chunk = size.div_ceil(threads);
-    let chunk_len = raw_chunk.div_ceil(align) * align;
+    let chunk_len = size.div_ceil(threads).next_multiple_of(TEXEL);
     let n_chunks = size.div_ceil(chunk_len);
     let base_ptr = out.as_mut_ptr() as usize;
     pool.run(n_chunks, &move |ci| {
@@ -248,44 +280,13 @@ pub fn execute(
         // blocks inside `pool.run` until all chunks are done.
         let chunk =
             unsafe { std::slice::from_raw_parts_mut((base_ptr as *mut f32).add(start), len) };
-        // The device's precision is fixed per dispatch: pick the store once
-        // per chunk, not per element.
+        (body.run)(&Samplers::new(samplers_inputs), start, chunk);
         if half_precision {
-            fill(body, out_shape, samplers_inputs, start, chunk, crate::f16::round);
-        } else {
-            fill(body, out_shape, samplers_inputs, start, chunk, |v| v);
+            for v in chunk.iter_mut() {
+                *v = crate::f16::round(*v);
+            }
         }
     });
-}
-
-/// Run `body` for every output of one chunk (`start` is its logical flat
-/// index), storing each value through `store`.
-fn fill(
-    body: &FragmentBody,
-    dims: &[usize],
-    samplers_inputs: &[(&[f32], &TextureLayout)],
-    start: usize,
-    chunk: &mut [f32],
-    store: impl Fn(f32) -> f32,
-) {
-    let samplers = Samplers::new(samplers_inputs);
-    match body {
-        FragmentBody::PerElement(f) => {
-            let mut coords = coords_of(dims, start);
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = store(f(&samplers, start + off, &coords));
-                advance(dims, &mut coords);
-            }
-        }
-        FragmentBody::Packed(f) => {
-            for (t, texel) in chunk.chunks_mut(4).enumerate() {
-                let quad = f(&samplers, start + t * 4);
-                for (slot, v) in texel.iter_mut().zip(quad) {
-                    *slot = store(v);
-                }
-            }
-        }
-    }
 }
 
 fn coords_of(dims: &[usize], mut flat: usize) -> Vec<usize> {

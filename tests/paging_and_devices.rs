@@ -120,12 +120,12 @@ fn priced_pass(backend: Arc<dyn Backend>) -> u64 {
 #[test]
 fn device_time_is_priced_not_measured() {
     let webgl = || -> Arc<dyn Backend> {
-        Arc::new(WebGlBackend::new(DeviceProfile::intel_iris_pro(), WebGlConfig::default()).unwrap())
+        Arc::new(WebGlBackend::new(DeviceProfile::intel_iris_pro(), Default::default()).unwrap())
     };
     let webgpu = || -> Arc<dyn Backend> {
         Arc::new(WebGpuBackend::new(DeviceProfile::intel_iris_pro(), Default::default()).unwrap())
     };
-    for make in [webgl, webgpu] {
+    for make in [webgl as fn() -> _, webgpu] {
         let alone = priced_pass(make());
         assert!(alone > 0);
         let (loaded, beside) = std::thread::scope(|s| {
