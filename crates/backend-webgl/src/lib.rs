@@ -550,7 +550,7 @@ mod tests {
         use webml_core::backend::MatMulGeom;
         use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
         use webml_core::pool::WorkerPool;
-        use webml_webgl_sim::shader::{execute, KernelBody};
+        use webml_webgl_sim::shader::execute;
         use webml_webgl_sim::{TextureFormat, TextureLayout};
         let data = |dims: &[usize], seed: usize| -> Vec<f32> {
             let n = dims.iter().product::<usize>();
@@ -564,11 +564,10 @@ mod tests {
                 .iter()
                 .map(|d| TextureLayout::compile(d, TextureFormat::R32F, 16_384, true).unwrap())
                 .collect();
-            let samplers: Vec<(&[f32], &TextureLayout)> =
-                inputs.iter().zip(&layouts).map(|(v, l)| (&v[..], l)).collect();
-            let KernelBody::Fragment(body) = &kernel.body else { panic!("{}", kernel.name) };
+            let buffers: Vec<&[f32]> = inputs.iter().map(|v| &v[..]).collect();
+            let layouts: Vec<&TextureLayout> = layouts.iter().collect();
             let mut out = vec![f32::NAN; kernel.out_size()];
-            execute(body, &kernel.out_shape, &samplers, &mut out, pool, pool.size(), half);
+            execute(kernel, &buffers, &layouts, &mut out, pool, pool.size(), half);
             bits(&out)
         };
         let fused = Epilogue::Fused { bias: true, activation: Some(UnaryOp::Relu6) };

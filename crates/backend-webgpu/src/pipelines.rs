@@ -1,48 +1,50 @@
 //! Compute-pipeline builders: each kernel family becomes a compute
-//! [`Kernel`] whose body runs on the simulated device thread and whose
-//! `shared_reuse` declaration tells the device's occupancy model how
-//! aggressively the kernel exploits workgroup shared memory. The builders
-//! are WebGPU's [`KernelSet`]: [`KERNELS`] lists them.
+//! [`Kernel`] whose `shared_reuse` declaration tells the device's occupancy
+//! model how aggressively the kernel exploits workgroup shared memory.
+//! [`kernel`] is the one match from a [`KernelCall`] to a pipeline.
 //!
-//! The matmul / conv families are written as *cooperative tiled* kernels: a
-//! 16×16 workgroup stages input tiles into shared-memory arrays once and
-//! every invocation reads the staged values `TILE` times — the classic
+//! The matmul / conv families are declared as *cooperative tiled* kernels: a
+//! 16×16 workgroup stages input tiles into shared memory once and every
+//! invocation reads the staged values `TILE` times — the classic
 //! shared-memory matmul that fragment shaders cannot express (no
 //! cross-invocation communication) and the core perf claim of the
-//! WebGPU-class backend. Movement and elementwise kernels stay
-//! uncooperative (`reuse 1`): they are bandwidth-bound either way.
+//! WebGPU-class backend. The device prices that cooperation from the
+//! declared reuse; a body computes the values the workgroups would. Movement
+//! and elementwise kernels stay uncooperative (`reuse 1`): they are
+//! bandwidth-bound either way.
 //!
-//! Body contract: a body reads the bound input buffers and writes the bound
-//! output buffer **in place** (`Fn(&[&[f32]], &mut [f32])`). The slice is
-//! exactly `out_len` long and holds whatever the recycled buffer last held,
-//! so every element is stored. The forward matmul / conv / depthwise
-//! families are this rung's own kernels and accumulate straight into it;
-//! every other call is one adapter over the [`webml_core::kernels`] oracle
-//! that copies its result in. [`kernel`] is the one match from a
-//! [`KernelCall`] to either.
+//! Body contract: a body fills one run of consecutive outputs from the whole
+//! bound input buffers (`Fn(&[&[f32]], start, &mut [f32])`, see
+//! [`webml_webgl_sim::shader::ComputeBody`]); the run holds whatever the
+//! recycled buffer last held, so every element is stored. The forward
+//! matmul / conv / depthwise families are this rung's own pipelines: the run
+//! bodies of the WebGL rung's packed products
+//! ([`webgl::conv2d_run`], [`webgl::depthwise_conv2d_run`],
+//! [`webgl::matmul_run`]) over storage buffers, whose runs may start on any
+//! output. Every other call is one adapter over the [`webml_core::kernels`]
+//! oracle, which declares its whole output as its grain, so it runs once per
+//! dispatch and copies its result in.
 //!
-//! Bit-exactness contract: the own kernels change the loop *nest*, never an
-//! output's summation order. Per output pixel the conv and depthwise bodies
-//! run the filter taps outermost and the pixel's contiguous output channels
-//! innermost, so each output still adds its products in the oracle's
-//! `(fh, fw, ic)` order into one accumulator starting at 0 (the tiled matmul
-//! likewise keeps ascending `p`). Quantised variants multiply by the widened
-//! u8 code read from the storage buffer — the same f32 value the oracle gets
-//! from `code as f32` — and keep `Σ x` in the oracle's order too. The
-//! epilogue (`s·Σxq + m·Σx`, then [`BinaryOp::Add`] bias, then
-//! [`UnaryOp::apply`]) goes through the scalar paths the CPU backend
-//! composes. Outputs are therefore bit-identical to the CPU reference, not
-//! merely close; the unit tests below compare every family with its
-//! [`webml_core::kernels`] function on bits.
+//! Bit-exactness contract: the own pipelines change the loop *nest*, never
+//! an output's summation order. Per output pixel (or row) the bodies resolve
+//! the filter taps (or the A row) once and accumulate blocks of the pixel's
+//! contiguous output channels, each output adding its products in the
+//! oracle's `(fh, fw, ic)` (or ascending `p`) order into one accumulator
+//! starting at 0. Quantised variants multiply by the widened u8 code read
+//! from the storage buffer — the same f32 value the oracle gets from
+//! `code as f32` — and keep `Σ x` in the oracle's order too. The epilogue
+//! (`s·Σxq + m·Σx`, then `BinaryOp::Add` bias, then `UnaryOp::apply`)
+//! goes through the scalar paths the CPU backend composes. Outputs are
+//! therefore bit-identical to the CPU reference, not merely close; the unit
+//! tests below compare every family with its [`webml_core::kernels`]
+//! function on bits, on shader-core pools of 1, 2, 3 and 7 threads.
 //!
-//! Dispatches run serially on the device thread and do not use
-//! `webml_core::pool::WorkerPool`: on the 2-vCPU benchmark host the
-//! prototype behind this design measured a 2-way split of these kernels
-//! slower end to end than the serial bodies (`infer_webgpu_u8` `op_p50_ms`
-//! 5.99 against 5.56 ms), because the thread submitting and reading back
-//! needs the second core (DESIGN.md §7).
+//! Like a fragment program, a dispatch is split over the device's
+//! shader-core pool, one run per thread (DESIGN.md §7 has what the split
+//! costs and buys per dispatch).
 
-use webml_core::backend::{BinaryOp, Epilogue, KTensor, KernelCall, MatMulGeom, UnaryOp};
+use webml_backend_webgl::programs::{self as webgl, Finish};
+use webml_core::backend::{Epilogue, KTensor, KernelCall, MatMulGeom};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::TensorData;
 use webml_core::error::Result;
@@ -116,89 +118,22 @@ pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) ->
     })
 }
 
-/// The cooperative tiled matmul body shared by the plain, fused and
-/// quantized-epilogue matmul pipelines. A `TILE`×`TILE` workgroup computes
-/// one output tile: for each `TILE`-deep slab of the inner dimension the
-/// workgroup stages `a_tile` and `b_tile` into shared memory (transpose
-/// resolved at load time), then every invocation accumulates its dot
-/// product from the staged values — each staged element is read `TILE`
-/// times, which is exactly the `shared_reuse` the pipeline declares.
-///
-/// Accumulation visits `p` in ascending order with a single register
-/// accumulator per output, so the result is bit-identical to the reference
-/// [`webml_core::kernels::matmul`] loop.
-fn tiled_matmul(
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    activation: Option<UnaryOp>,
-    &MatMulGeom { batch, m, k: kdim, n, transpose_a, transpose_b, .. }: &MatMulGeom,
-    out: &mut [f32],
-) {
-    for bi in 0..batch {
-        let a_off = bi * m * kdim;
-        let b_off = bi * kdim * n;
-        let o_off = bi * m * n;
-        for i0 in (0..m).step_by(TILE) {
-            let rows = TILE.min(m - i0);
-            for j0 in (0..n).step_by(TILE) {
-                let cols = TILE.min(n - j0);
-                // Per-invocation register accumulators for this workgroup.
-                let mut acc = [[0.0f32; TILE]; TILE];
-                // Workgroup shared memory.
-                let mut a_tile = [[0.0f32; TILE]; TILE];
-                let mut b_tile = [[0.0f32; TILE]; TILE];
-                for p0 in (0..kdim).step_by(TILE) {
-                    let depth = TILE.min(kdim - p0);
-                    // Stage: each invocation loads one a and one b element.
-                    for (ti, row) in a_tile.iter_mut().enumerate().take(rows) {
-                        for (tp, slot) in row.iter_mut().enumerate().take(depth) {
-                            let (i, p) = (i0 + ti, p0 + tp);
-                            *slot = if transpose_a {
-                                a[a_off + p * m + i]
-                            } else {
-                                a[a_off + i * kdim + p]
-                            };
-                        }
-                    }
-                    for (tp, row) in b_tile.iter_mut().enumerate().take(depth) {
-                        for (tj, slot) in row.iter_mut().enumerate().take(cols) {
-                            let (p, j) = (p0 + tp, j0 + tj);
-                            *slot = if transpose_b {
-                                b[b_off + j * kdim + p]
-                            } else {
-                                b[b_off + p * n + j]
-                            };
-                        }
-                    }
-                    // workgroupBarrier(); accumulate from shared memory.
-                    for (ti, arow) in a_tile.iter().enumerate().take(rows) {
-                        for tj in 0..cols {
-                            let mut s = acc[ti][tj];
-                            for (tp, &av) in arow.iter().enumerate().take(depth) {
-                                s += av * b_tile[tp][tj];
-                            }
-                            acc[ti][tj] = s;
-                        }
-                    }
-                }
-                // Fused epilogue, in-register: + bias, then activation —
-                // the same scalar ops the unfused composition applies.
-                for (ti, arow) in acc.iter().enumerate().take(rows) {
-                    for (tj, &s) in arow.iter().enumerate().take(cols) {
-                        let mut v = s;
-                        if let Some(bias) = bias {
-                            v = BinaryOp::Add.apply(v, bias[j0 + tj]);
-                        }
-                        if let Some(act) = activation {
-                            v = act.apply(v);
-                        }
-                        out[o_off + (i0 + ti) * n + j0 + tj] = v;
-                    }
-                }
-            }
-        }
-    }
+/// A product pipeline over `out`: `run(x, w, finish, start, run_out)` over
+/// the first two bound buffers — `finish` holding the U8 `affine` map when
+/// the weights are codes, the bias (bound third) when `epilogue` has one,
+/// and its activation. Its runs start on any output.
+fn product(
+    name: &'static str,
+    out: &[usize],
+    (reuse, cost): (usize, usize),
+    (epilogue, affine): (Epilogue, Option<Vec<(f32, f32)>>),
+    run: impl Fn(&[f32], &[f32], Finish<'_>, usize, &mut [f32]) + Send + Sync + 'static,
+) -> Kernel {
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+    cooperative(name, out.iter().product(), reuse, cost, 1, move |inp, start, out| {
+        let finish = (affine.as_deref(), has_bias.then(|| inp[2]), activation);
+        run(inp[0], inp[1], finish, start, out)
+    })
 }
 
 /// Batched matmul as a cooperative tiled pipeline; a non-empty epilogue
@@ -206,214 +141,33 @@ fn tiled_matmul(
 /// the single output write.
 pub fn matmul(geom: &MatMulGeom, epilogue: Epilogue, out: &[usize]) -> Kernel {
     let name = if epilogue.is_plain() { "MatMulTiled" } else { "FusedMatMulTiled" };
-    let (has_bias, activation, g) = (epilogue.bias(), epilogue.activation(), *geom);
-    cooperative(name, out.iter().product(), TILE, 2 * g.k.max(1), move |inp, out| {
-        tiled_matmul(inp[0], inp[1], has_bias.then(|| inp[2]), activation, &g, out)
-    })
-}
-
-/// What a fused kernel does to one finished accumulator row before moving
-/// on: the affine map of the factored U8 form, then bias, then activation —
-/// the scalar ops, in the order, of the [`webml_core::kernels`] epilogues.
-struct RowEpilogue {
-    /// `(scale, min)` per output channel when the weight operand is U8
-    /// codes; `None` for f32 weights.
-    affine: Option<Vec<(f32, f32)>>,
-    has_bias: bool,
-    activation: Option<UnaryOp>,
-}
-
-impl RowEpilogue {
-    /// `epilogue`, with the affine map of U8 weights when `affine` holds one
-    /// `(scale, min)` pair per output channel.
-    fn new(epilogue: Epilogue, affine: Option<Vec<(f32, f32)>>) -> RowEpilogue {
-        RowEpilogue { affine, has_bias: epilogue.bias(), activation: epilogue.activation() }
-    }
-
-    /// The bias buffer, bound third when the kernel has one.
-    fn bias<'a>(&self, inp: &[&'a [f32]]) -> Option<&'a [f32]> {
-        self.has_bias.then(|| inp[2])
-    }
-
-    /// Finish `row` in place. With U8 weights the row holds `Σ x·q` and
-    /// becomes `s·Σxq + m·Σx`, `sum_x(oc)` being the `Σ x` over the taps of
-    /// output channel `oc` (one value per row for conv and matmul, one per
-    /// input channel for depthwise).
-    fn finish(&self, row: &mut [f32], sum_x: impl Fn(usize) -> f32, bias: Option<&[f32]>) {
-        if let Some(affine) = &self.affine {
-            for (oc, (v, &(s, mn))) in row.iter_mut().zip(affine).enumerate() {
-                *v = s * *v + mn * sum_x(oc);
-            }
-        }
-        if let Some(bias) = bias {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v = BinaryOp::Add.apply(*v, b);
-            }
-        }
-        if let Some(act) = self.activation {
-            for v in row.iter_mut() {
-                *v = act.apply(*v);
-            }
-        }
-    }
-}
-
-/// `out` as consecutive accumulator rows of `width` elements, numbered.
-/// A zero `width` means `out` is empty, and so is the iteration.
-fn rows(out: &mut [f32], width: usize) -> impl Iterator<Item = (usize, &mut [f32])> {
-    out.chunks_exact_mut(width.max(1)).enumerate()
+    matmul_family(name, geom, (epilogue, None), out)
 }
 
 /// Dequant-free quantized fused matmul: the u8 weight codes are read,
-/// widened, straight from the bound storage buffer. One output row at a
-/// time: `p` outermost, the row's `n` accumulators innermost, `Σₚ aₚ` on
-/// the side, then the row epilogue — every output still adds its products
-/// in ascending `p` with one accumulator, as
-/// [`webml_core::kernels::fused_matmul_quant`] does.
+/// widened, straight from the bound storage buffer, and `Σₚ aₚ` beside
+/// them, as [`webml_core::kernels::fused_matmul_quant`] does.
 pub fn fused_matmul_quant(
-    &MatMulGeom { m, k: kdim, n, b_batch, transpose_a, transpose_b, .. }: &MatMulGeom,
+    geom: &MatMulGeom,
     params: &QuantParams,
     epilogue: Epilogue,
     out: &[usize],
 ) -> Kernel {
-    let ep = RowEpilogue::new(epilogue, Some((0..n).map(|j| params.scale_min(j)).collect()));
-    cooperative(
-        "FusedMatMulQuantTiled",
-        out.iter().product(),
-        TILE,
-        2 * kdim.max(1),
-        move |inp, out| {
-            let (a, b_q, bias) = (inp[0], inp[1], ep.bias(inp));
-            for (r, row) in rows(out, n) {
-                let (bi, i) = (r / m, r % m);
-                let a_off = bi * m * kdim;
-                // A batch-1 weight broadcasts across the batch.
-                let b_off = if b_batch == 1 { 0 } else { bi * kdim * n };
-                row.fill(0.0);
-                let mut sum_a = 0.0f32;
-                for p in 0..kdim {
-                    let av =
-                        if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * kdim + p] };
-                    sum_a += av;
-                    if transpose_b {
-                        for (j, acc) in row.iter_mut().enumerate() {
-                            *acc += av * b_q[b_off + j * kdim + p];
-                        }
-                    } else {
-                        for (acc, &q) in row.iter_mut().zip(&b_q[b_off + p * n..][..n]) {
-                            *acc += av * q;
-                        }
-                    }
-                }
-                ep.finish(row, |_| sum_a, bias);
-            }
-        },
-    )
+    let affine = (0..geom.n).map(|j| params.scale_min(j)).collect();
+    matmul_family("FusedMatMulQuantTiled", geom, (epilogue, Some(affine)), out)
 }
 
-/// Visit the in-bounds filter taps of output pixel `(b, oh, ow)` in the
-/// oracle's `(fh, fw)` order: `tap(input pixel index, filter tap index)`.
-#[inline]
-fn for_each_tap(
-    c: &Conv2dInfo,
-    (b, oh, ow): (usize, usize, usize),
-    mut tap: impl FnMut(usize, usize),
-) {
-    for fh in 0..c.filter_height {
-        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-        if ih < 0 || ih >= c.in_height as isize {
-            continue;
-        }
-        for fw in 0..c.filter_width {
-            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-            if iw < 0 || iw >= c.in_width as isize {
-                continue;
-            }
-            let px = (b * c.in_height + ih as usize) * c.in_width + iw as usize;
-            tap(px, fh * c.filter_width + fw);
-        }
-    }
-}
-
-/// Output pixel `p` (row-major over batch, height, width) as `(b, oh, ow)`.
-fn pixel_coords(c: &Conv2dInfo, p: usize) -> (usize, usize, usize) {
-    (p / (c.out_height * c.out_width), p / c.out_width % c.out_height, p % c.out_width)
-}
-
-/// Output channels the conv kernel accumulates at a time. A full block's
-/// accumulators sit in a stack array — registers — across all of the
-/// pixel's taps instead of being loaded from and stored to the output row
-/// once per input value. Eight SSE registers' worth; measured on the
-/// benchmark's `infer_webgpu_u8` (EXPERIMENTS.md, PR 15).
-const OC_BLOCK: usize = 32;
-
-/// Add output pixel `at`'s products into `acc`, the accumulators of output
-/// channels `oc0 .. oc0 + len`: taps outermost, channels innermost. Generic
-/// so that a by-value `[f32; OC_BLOCK]` keeps its compile-time length.
-#[inline(always)]
-fn conv_accumulate<A: AsMut<[f32]>>(
-    mut acc: A,
-    oc0: usize,
-    x: &[f32],
-    w: &[f32],
-    c: &Conv2dInfo,
-    at: (usize, usize, usize),
-) -> A {
-    let (icn, ocn) = (c.in_channels, c.out_channels);
-    for_each_tap(c, at, |px, t| {
-        let xs = &x[px * icn..][..icn];
-        let ws = &w[t * icn * ocn..][..icn * ocn];
-        for (&xv, w_row) in xs.iter().zip(ws.chunks_exact(ocn)) {
-            let acc = acc.as_mut();
-            let w_blk = &w_row[oc0..][..acc.len()];
-            for (a, &wv) in acc.iter_mut().zip(w_blk) {
-                *a += xv * wv;
-            }
-        }
-    });
-    acc
-}
-
-/// The conv2d family (plain, fused, fused over U8 codes) as one cooperative
-/// pipeline: NHWC `x` (binding 0) against an HWIO filter (binding 1), whose
-/// values are f32 weights or widened codes depending on `ep`. Per output
-/// pixel and block of output channels the taps run outermost and the
-/// channels innermost, so a filter row streams once per input value instead
-/// of once per output; each output still adds its products in the oracle's
-/// `(fh, fw, ic)` order into one accumulator. `Σ x` over the same taps, in
-/// the same order, feeds the factored U8 epilogue.
-fn conv_pipeline(
+/// The matmul family (plain, fused, fused over U8 codes) as one cooperative
+/// pipeline: `a` (binding 0) against `b` (binding 1).
+fn matmul_family(
     name: &'static str,
-    info: &Conv2dInfo,
-    ep: RowEpilogue,
+    geom: &MatMulGeom,
+    finish: (Epilogue, Option<Vec<(f32, f32)>>),
     out: &[usize],
 ) -> Kernel {
-    let info = info.clone();
-    let (icn, ocn) = (info.in_channels, info.out_channels);
-    let cost = 2 * info.filter_height * info.filter_width * icn;
-    cooperative(name, out.iter().product(), TILE, cost.max(1), move |inp, out| {
-        let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
-        for (p, row) in rows(out, ocn) {
-            let at = pixel_coords(&info, p);
-            for (blk, accs) in row.chunks_mut(OC_BLOCK).enumerate() {
-                let oc0 = blk * OC_BLOCK;
-                if let Ok(accs) = <&mut [f32; OC_BLOCK]>::try_from(&mut *accs) {
-                    *accs = conv_accumulate([0.0f32; OC_BLOCK], oc0, x, w, &info, at);
-                } else {
-                    accs.fill(0.0);
-                    conv_accumulate(accs, oc0, x, w, &info, at);
-                }
-            }
-            let mut sum_x = 0.0f32;
-            if ep.affine.is_some() {
-                for_each_tap(&info, at, |px, _| {
-                    for &xv in &x[px * icn..][..icn] {
-                        sum_x += xv;
-                    }
-                });
-            }
-            ep.finish(row, |_| sum_x, bias);
-        }
+    let g = *geom;
+    product(name, out, (TILE, 2 * g.k.max(1)), finish, move |a, b, finish, start, out| {
+        webgl::matmul_run(&g, a, b, finish, start, out)
     })
 }
 
@@ -423,7 +177,7 @@ fn conv_pipeline(
 /// applied through the same scalar ops the unfused composition uses.
 pub fn conv2d(info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
     let name = if epilogue.is_plain() { "Conv2DTiled" } else { "FusedConv2DTiled" };
-    conv_pipeline(name, info, RowEpilogue::new(epilogue, None), out)
+    conv_family(name, info, (epilogue, None), out)
 }
 
 /// Dequant-free quantized fused conv2d: the filter binding holds widened u8
@@ -435,61 +189,21 @@ pub fn fused_conv2d_quant(
     out: &[usize],
 ) -> Kernel {
     let affine = (0..info.out_channels).map(|oc| params.scale_min(oc)).collect();
-    conv_pipeline("FusedConv2DQuantTiled", info, RowEpilogue::new(epilogue, Some(affine)), out)
+    conv_family("FusedConv2DQuantTiled", info, (epilogue, Some(affine)), out)
 }
 
-/// The depthwise family as one cooperative pipeline; the filter is
-/// `[fh, fw, in_c, channel_mul]` and output channel `ic·mul + m` reads input
-/// channel `ic` only, so the shared-memory win is the filter tile (reuse 8,
-/// not `TILE`). Same nest as [`conv_pipeline`]: taps outermost, the pixel's
-/// accumulator row innermost, each input channel's `Σ x` beside it when
-/// `ep` is the factored U8 form; each output adds its taps in `(fh, fw)`
-/// order. The row is not blocked as conv's is: there is no filter row to
-/// reuse and the tap walk would be paid per block (measured slower).
-fn depthwise_pipeline(
+/// The conv2d family (plain, fused, fused over U8 codes) as one cooperative
+/// pipeline: NHWC `x` (binding 0) against an HWIO filter (binding 1).
+fn conv_family(
     name: &'static str,
     info: &Conv2dInfo,
-    ep: RowEpilogue,
+    finish: (Epilogue, Option<Vec<(f32, f32)>>),
     out: &[usize],
 ) -> Kernel {
-    let info = info.clone();
-    let (icn, mul, ocn) = (info.in_channels, info.channel_mul, info.out_channels);
-    let cost = 2 * info.filter_height * info.filter_width;
-    cooperative(name, out.iter().product(), 8, cost.max(1), move |inp, out| {
-        let (x, w, bias) = (inp[0], inp[1], ep.bias(inp));
-        let quant = ep.affine.is_some();
-        // Σ x per output channel (`channel_mul` copies of each input
-        // channel's sum), kept only for the factored U8 epilogue.
-        let mut sum_x = vec![0.0f32; if quant { ocn } else { 0 }];
-        for (p, row) in rows(out, ocn) {
-            let at = pixel_coords(&info, p);
-            row.fill(0.0);
-            sum_x.fill(0.0);
-            for_each_tap(&info, at, |px, t| {
-                let xs = &x[px * icn..][..icn];
-                let ws = &w[t * ocn..][..ocn];
-                if mul == 1 {
-                    // MobileNet's case: one flat, vectorisable channel loop.
-                    for ((acc, &xv), &wv) in row.iter_mut().zip(xs).zip(ws) {
-                        *acc += xv * wv;
-                    }
-                    for (s, &xv) in sum_x.iter_mut().zip(xs) {
-                        *s += xv;
-                    }
-                } else {
-                    let per_ic = row.chunks_exact_mut(mul).zip(ws.chunks_exact(mul));
-                    for ((accs, w_m), &xv) in per_ic.zip(xs) {
-                        for (acc, &wv) in accs.iter_mut().zip(w_m) {
-                            *acc += xv * wv;
-                        }
-                    }
-                    for (ss, &xv) in sum_x.chunks_exact_mut(mul).zip(xs) {
-                        ss.iter_mut().for_each(|s| *s += xv);
-                    }
-                }
-            });
-            ep.finish(row, |oc| sum_x[oc], bias);
-        }
+    let c = info.clone();
+    let cost = 2 * c.filter_height * c.filter_width * c.in_channels;
+    product(name, out, (TILE, cost), finish, move |x, w, finish, start, out| {
+        webgl::conv2d_run(&c, x, w, finish, start, out)
     })
 }
 
@@ -497,7 +211,7 @@ fn depthwise_pipeline(
 pub fn depthwise_conv2d(info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
     let name =
         if epilogue.is_plain() { "DepthwiseConv2DTiled" } else { "FusedDepthwiseConv2DTiled" };
-    depthwise_pipeline(name, info, RowEpilogue::new(epilogue, None), out)
+    depthwise_family(name, info, (epilogue, None), out)
 }
 
 /// Dequant-free quantized fused depthwise conv2d. Per-channel `params` run
@@ -509,22 +223,33 @@ pub fn fused_depthwise_conv2d_quant(
     epilogue: Epilogue,
     out: &[usize],
 ) -> Kernel {
-    let mul = info.channel_mul;
-    let affine = (0..info.out_channels)
-        .map(|oc| match params {
-            QuantParams::PerChannel { axis: 2, .. } => params.scale_min(oc / mul),
-            _ => params.scale_min(oc % mul),
-        })
-        .collect();
-    let ep = RowEpilogue::new(epilogue, Some(affine));
-    depthwise_pipeline("FusedDepthwiseConv2DQuantTiled", info, ep, out)
+    let finish = (epilogue, Some(webgl::depthwise_affine(params, info)));
+    depthwise_family("FusedDepthwiseConv2DQuantTiled", info, finish, out)
 }
 
-/// A pipeline whose body is the [`webml_core::kernels`] oracle for `call`,
-/// run on the device thread over the bound buffers: every kernel but the
-/// tiled products. `name`, `reuse` and `cost` are the program name the
-/// fault plans and the compile cache key on and the occupancy model's
-/// declarations; `reuse` 1 is an uncooperative pipeline.
+/// The depthwise family as one cooperative pipeline; the filter is
+/// `[fh, fw, in_c, channel_mul]` and output channel `ic·mul + m` reads input
+/// channel `ic` only, so the shared-memory win is the filter tile (reuse 8,
+/// not `TILE`).
+fn depthwise_family(
+    name: &'static str,
+    info: &Conv2dInfo,
+    finish: (Epilogue, Option<Vec<(f32, f32)>>),
+    out: &[usize],
+) -> Kernel {
+    let c = info.clone();
+    let cost = 2 * c.filter_height * c.filter_width;
+    product(name, out, (8, cost), finish, move |x, w, finish, start, out| {
+        webgl::depthwise_conv2d_run(&c, x, w, finish, start, out)
+    })
+}
+
+/// A pipeline whose body is the [`webml_core::kernels`] oracle for `call`
+/// over the bound buffers: every kernel but the tiled products. It declares
+/// its whole output as its grain, so it runs once, whole, per dispatch.
+/// `name`, `reuse` and `cost` are the program name the fault plans and the
+/// compile cache key on and the occupancy model's declarations; `reuse` 1 is
+/// an uncooperative pipeline.
 fn oracle(
     name: &'static str,
     call: &KernelCall<'_>,
@@ -536,27 +261,32 @@ fn oracle(
     let call = call.clone().into_owned();
     let shapes: Vec<Shape> = operands.iter().map(|t| t.shape.clone()).collect();
     let out = Shape::new(out);
-    cooperative(name, out.size(), reuse, cost, move |inp, dst| {
+    cooperative(name, out.size(), reuse, cost, out.size(), move |inp, start, dst| {
         let operands: Vec<Operand<'_>> = inp
             .iter()
             .zip(&shapes)
             .map(|(&v, shape)| Operand { values: Values::F32(v), shape, quant: None })
             .collect();
-        match k::run(&call, &operands, &out) {
-            TensorData::F32(v) => dst.copy_from_slice(&v),
-            other => dst.copy_from_slice(&other.to_f32_vec()),
-        }
+        let values = match k::run(&call, &operands, &out) {
+            TensorData::F32(v) => v,
+            other => other.to_f32_vec(),
+        };
+        dst.copy_from_slice(&values[start..][..dst.len()]);
     })
 }
 
 /// Differential tests: each own kernel against its `webml_core::kernels`
-/// oracle, on bits.
+/// oracle, on bits, however the shader-core pool cuts the output into runs.
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, OnceLock};
+    use webml_core::backend::{BinaryOp, UnaryOp};
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
-    use webml_webgl_sim::shader::KernelBody;
+    use webml_core::pool::WorkerPool;
+    use webml_webgl_sim::shader::{execute, KernelBody};
 
     /// Deterministic values in roughly [-2, 2] (xorshift).
     fn data(n: usize, seed: u64) -> Vec<f32> {
@@ -580,14 +310,28 @@ mod tests {
         codes.iter().map(|&q| q as f32).collect()
     }
 
-    /// Run a body the way the queue does: into a buffer holding stale values.
+    /// Shader-core pools of 1, 2, 3 and 7 threads: on more than one, runs
+    /// start inside a pixel's (or row's) channel run.
+    fn pools() -> &'static [WorkerPool; 4] {
+        static POOLS: OnceLock<[WorkerPool; 4]> = OnceLock::new();
+        POOLS.get_or_init(|| [1, 2, 3, 7].map(WorkerPool::new))
+    }
+
+    /// Run a pipeline the way the queue does — through `execute`, into a
+    /// buffer holding stale values — on every pool, split as finely as the
+    /// pool allows; the bits, which every pool must agree on.
     fn run(pl: &Kernel, inputs: &[&[f32]]) -> Vec<u32> {
-        let mut out = vec![f32::NAN; pl.out_size()];
-        match &pl.body {
-            KernelBody::Compute(body) => body(inputs, &mut out),
-            KernelBody::Fragment(_) => panic!("{} is not a compute pipeline", pl.name),
+        assert!(matches!(pl.body, KernelBody::Compute { .. }), "{} is not a pipeline", pl.name);
+        let mut runs = pools().iter().map(|pool| {
+            let mut out = vec![f32::NAN; pl.out_size()];
+            execute(pl, inputs, &[], &mut out, pool, pool.size(), false);
+            (pool.size(), bits(&out))
+        });
+        let (_, first) = runs.next().expect("a pool");
+        for (cores, got) in runs {
+            assert!(got == first, "{} on {cores} cores differs from 1 core", pl.name);
         }
-        bits(&out)
+        first
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -704,14 +448,115 @@ mod tests {
         .expect("valid geometry")
     }
 
+    /// Both matmul pipelines against the oracle for one geometry: the f32
+    /// weight `[batch, ..]` (`b_len` permitting), the U8 one `b_len` long,
+    /// so that a batch-1 code matrix broadcasts over the batch.
+    fn check_matmul((batch, m, kdim, n): (usize, usize, usize, usize), b_len: usize, seed: u64) {
+        let (a, b, b_q) =
+            (data(batch * m * kdim, seed), data(b_len, seed + 1), codes(b_len, seed + 2));
+        let bias = data(n, seed + 3);
+        let b_batch = if b_len == kdim * n { 1 } else { batch };
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (geom, out) = (
+                MatMulGeom { batch, m, k: kdim, n, b_batch, transpose_a: ta, transpose_b: tb },
+                [batch, m, n],
+            );
+            let want =
+                (b_len == batch * kdim * n).then(|| k::matmul(&a, &b, batch, m, kdim, n, ta, tb));
+            for (has_bias, act) in EPILOGUES {
+                let bb = has_bias.then_some(bias.as_slice());
+                let case = format!(
+                    "{batch}x{m}x{kdim}x{n} ta={ta} tb={tb} b_len={b_len} bias={has_bias} {act:?}"
+                );
+                if let Some(want) = &want {
+                    let pl = matmul(&geom, fused((has_bias, act)), &out);
+                    assert_eq!(
+                        run(&pl, &[&a, &b, &bias]),
+                        bits(&epilogue(want.clone(), bb, act)),
+                        "matmul {case}"
+                    );
+                }
+                for p in params(if tb { 1 } else { 2 }, n, seed + 4) {
+                    let pl = fused_matmul_quant(&geom, &p, quant((has_bias, act)), &out);
+                    let want =
+                        k::fused_matmul_quant(&a, &b_q, &p, bb, act, batch, m, kdim, n, ta, tb);
+                    assert_eq!(
+                        run(&pl, &[&a, &widen(&b_q), &bias]),
+                        bits(&want),
+                        "quant {case} {p:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every own pipeline — conv, depthwise (multiplier 1 and 2) and matmul,
+    /// over f32 weights and U8 codes, fused and plain — on every pool, over
+    /// channel counts inside, across and past a block of 16, 8 or 4, and
+    /// padded, strided and dilated walks.
+    #[test]
+    fn own_pipelines_match_the_oracle_on_every_pool() {
+        let mut seed = 100;
+        for channels in [1, 3, 8, 17, 21, 35] {
+            for (pad, stride, dilation) in
+                [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)]
+            {
+                seed += 10;
+                let walk =
+                    |depthwise, dims| geometry(depthwise, dims, (3, 3), stride, pad, dilation);
+                check_conv(&walk(false, (2, 7, 6, 3, channels)), seed);
+                check_depthwise(&walk(true, (2, 7, 6, channels, 1)), seed + 1);
+                check_depthwise(&walk(true, (2, 7, 6, channels, 2)), seed + 2);
+            }
+            check_matmul((2, 5, 7, channels), 2 * 7 * channels, seed + 3);
+        }
+    }
+
+    /// A pipeline over the oracle computes its output whole, so however many
+    /// cores the device has it is called once per dispatch.
+    #[test]
+    fn the_oracle_adapter_runs_once_per_dispatch() {
+        let (x_shape, n) = (Shape::new(vec![3, 7, 11]), 3 * 7 * 11);
+        let x = data(n, 7);
+        let operand = KTensor {
+            data: webml_core::backend::DataId(0),
+            shape: &x_shape,
+            dtype: webml_core::DType::F32,
+            quant: None,
+        };
+        let call = KernelCall::Unary(UnaryOp::Sigmoid);
+        let pl = kernel(&call, &[operand], x_shape.dims()).unwrap();
+        let KernelBody::Compute { run: body, grain } = pl.body.clone() else {
+            panic!("a pipeline")
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = calls.clone();
+        let body = KernelBody::Compute {
+            run: Arc::new(move |inp: &[&[f32]], start: usize, out: &mut [f32]| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                body(inp, start, out)
+            }),
+            grain,
+        };
+        let counting = Kernel { body, ..pl };
+        let want: Vec<f32> = x.iter().map(|&v| UnaryOp::Sigmoid.apply(v)).collect();
+        for pool in pools() {
+            calls.store(0, Ordering::Relaxed);
+            let mut out = vec![f32::NAN; n];
+            execute(&counting, &[&x], &[], &mut out, pool, pool.size(), false);
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "{} cores", pool.size());
+            assert_eq!(bits(&out), bits(&want));
+        }
+    }
+
     #[test]
     fn conv_family_matches_the_oracle_bit_for_bit() {
         let mut seed = 100;
         for pad in [Padding::Same, Padding::Valid] {
             for (stride, dilation) in [(1, 1), (2, 1), (1, 2)] {
-                // Out-channel counts around the block width: below it, not a
-                // multiple of anything, exactly one block, a block plus a tail.
-                for oc in [1, 3, 17, OC_BLOCK, OC_BLOCK + 3] {
+                // Out-channel counts around the blocks of 16, 8 and 4: below
+                // them, between them, exactly two blocks, two and a tail.
+                for oc in [1, 3, 17, 32, 35] {
                     seed += 10;
                     let dims = (2, 7, 6, 3, oc);
                     check_conv(&geometry(false, dims, (3, 3), stride, pad, dilation), seed);
@@ -740,42 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn quant_matmul_matches_the_oracle_bit_for_bit() {
-        let mut seed = 900;
+    fn matmul_family_matches_the_oracle_bit_for_bit() {
         let shapes = [(1, 1, 1, 1), (1, 5, 7, 3), (2, 4, 19, 17), (2, 3, 0, 4), (0, 3, 4, 5)];
-        for (batch, m, kdim, n) in shapes {
-            for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
-                // A per-batch weight and a batch-1 weight broadcast over the batch.
-                for b_len in [batch * kdim * n, kdim * n] {
-                    seed += 10;
-                    let (a, b_q) = (data(batch * m * kdim, seed), codes(b_len, seed + 1));
-                    let bias = data(n, seed + 2);
-                    for (has_bias, act) in EPILOGUES {
-                        for p in params(if tb { 1 } else { 2 }, n, seed + 3) {
-                            let b = has_bias.then_some(bias.as_slice());
-                            let geom = MatMulGeom {
-                                batch,
-                                m,
-                                k: kdim,
-                                n,
-                                b_batch: if b_len == kdim * n { 1 } else { batch },
-                                transpose_a: ta,
-                                transpose_b: tb,
-                            };
-                            let out = [batch, m, n];
-                            let pl = fused_matmul_quant(&geom, &p, quant((has_bias, act)), &out);
-                            let want = k::fused_matmul_quant(
-                                &a, &b_q, &p, b, act, batch, m, kdim, n, ta, tb,
-                            );
-                            assert_eq!(
-                                run(&pl, &[&a, &widen(&b_q), &bias]),
-                                bits(&want),
-                                "{batch}x{m}x{kdim}x{n} ta={ta} tb={tb} b_len={b_len} \
-                                 bias={has_bias} {act:?} {p:?}"
-                            );
-                        }
-                    }
-                }
+        for (seed, (batch, m, kdim, n)) in (900..).step_by(10).zip(shapes) {
+            // A per-batch weight and a batch-1 weight broadcast over the batch.
+            for b_len in [batch * kdim * n, kdim * n] {
+                check_matmul((batch, m, kdim, n), b_len, seed + b_len as u64);
             }
         }
     }

@@ -385,8 +385,8 @@ impl GpgpuContext {
         let (layout, out_geometry) = self.place(&kernel.out_shape, len, self.base_format(packed))?;
         self.check_alloc(out_geometry)?;
         let in_layouts = match kernel.body {
-            KernelBody::Compute(_) => Vec::new(),
-            KernelBody::Fragment(_) => inputs
+            KernelBody::Compute { .. } => Vec::new(),
+            KernelBody::Fragment { .. } => inputs
                 .iter()
                 .map(|h| h.borrow().layout.clone())
                 .collect::<Option<_>>()

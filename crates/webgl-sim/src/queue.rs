@@ -9,7 +9,8 @@
 //!
 //! One loop serves every GPU API: what differs between a WebGL draw call
 //! and a WebGPU dispatch is read from the context's
-//! [`Capabilities`] and from the [`KernelBody`] the kernel carries.
+//! [`Capabilities`] and from the [`crate::shader::KernelBody`] the kernel
+//! carries.
 //!
 //! ## The modeled clock
 //!
@@ -23,12 +24,12 @@
 //! time on any host, under any load, with any number of shader-core
 //! threads.
 
-use crate::caps::{Capabilities, Storage};
+use crate::caps::Capabilities;
 use crate::devices::DeviceProfile;
 use crate::layout::TextureLayout;
 use crate::pager::{select_victims, PagerStats, PagingPolicy};
 use crate::recycler::{RecyclerStats, TextureRecycler};
-use crate::shader::{execute, occupancy, Kernel, KernelBody};
+use crate::shader::{execute, occupancy, Kernel};
 use crate::texture::{Texture, TextureFormat};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -281,10 +282,9 @@ pub fn device_loop(
         paging,
     };
     let shared = &dev.shared;
-    // The device's persistent shader cores: fragment bodies run on them. A
-    // texture device starts them with the context; elsewhere the first
-    // fragment body would.
-    let mut pool = (caps.storage == Storage::Texture).then(|| dev.shader_cores());
+    // The device's persistent shader cores, started with the context: every
+    // dispatch's body runs on them.
+    let pool = dev.shader_cores();
     // Device-thread utilization window: busy nanoseconds accumulated since
     // the last fence over the wall-clock extent of the window. Fences are
     // exactly the points a pipelined executor punctuates its schedule with,
@@ -315,7 +315,15 @@ pub fn device_loop(
                     shared.gpu_nanos.fetch_add(stall_ns, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_nanos(stall_ns));
                 }
-                dev.run_kernel(&kernel, &inputs, &in_layouts, output, out_geometry, &mut pool, trace_id);
+                dev.run_kernel(
+                    &kernel,
+                    &inputs,
+                    &in_layouts,
+                    output,
+                    out_geometry,
+                    &pool,
+                    trace_id,
+                );
                 dev.maybe_page_out();
                 shared
                     .busy_ns
@@ -458,7 +466,7 @@ impl Device {
         in_layouts: &[Arc<TextureLayout>],
         output: TexId,
         out_geometry: Geometry,
-        pool: &mut Option<WorkerPool>,
+        pool: &WorkerPool,
         trace_id: u64,
     ) {
         let (shared, caps) = (&self.shared, self.caps);
@@ -499,25 +507,9 @@ impl Device {
         }
 
         let lanes = occupancy(self.parallelism, caps.shared_memory, kernel);
-        let bound = |id: &TexId| bound_data(&taken, *id);
-        match &kernel.body {
-            KernelBody::Fragment(body) => {
-                // A sampler sees the tensor's logical values: the padding of
-                // a recycled texture holds whatever its last owner left.
-                let samplers: Vec<(&[f32], &TextureLayout)> = inputs
-                    .iter()
-                    .zip(in_layouts)
-                    .map(|(id, layout)| (&bound(id)[..layout.size()], &**layout))
-                    .collect();
-                let pool = pool.get_or_insert_with(|| self.shader_cores());
-                let out = &mut out_tex.data;
-                execute(body, &kernel.out_shape, &samplers, out, pool, lanes, self.half_precision);
-            }
-            KernelBody::Compute(body) => {
-                let buffers: Vec<&[f32]> = inputs.iter().map(bound).collect();
-                body(&buffers, &mut out_tex.data);
-            }
-        }
+        let buffers: Vec<&[f32]> = inputs.iter().map(|id| bound_data(&taken, *id)).collect();
+        let layouts: Vec<&TextureLayout> = in_layouts.iter().map(|layout| &**layout).collect();
+        execute(kernel, &buffers, &layouts, &mut out_tex.data, pool, lanes, self.half_precision);
 
         // Return inputs and publish the output.
         {

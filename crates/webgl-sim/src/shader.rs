@@ -9,16 +9,19 @@
 //! through [`Samplers`], the layout-compiled `getA(...)` accessors the
 //! shader compiler generates. These are exactly the constraints the paper
 //! identifies as the source of the WebGL/CUDA gap (no work groups, no
-//! shared memory — Sec 3.9). The simulator calls a body once per run of
-//! consecutive outputs, not once per output, so a program can hoist its
-//! index math out of the outputs that share it; what each output may read
-//! stays the same.
+//! shared memory — Sec 3.9).
 //!
 //! A **compute** kernel (Sec 4.3) dispatches workgroups whose invocations
-//! cooperate through shared memory; its body sees whole linear buffers and
-//! writes the whole output. The simulator captures the cooperation in one
-//! number, [`Kernel::shared_reuse`], which a device with shared memory
-//! multiplies into the kernel's [`occupancy`].
+//! cooperate through shared memory; its body sees whole linear buffers. The
+//! simulator captures the cooperation in one number,
+//! [`Kernel::shared_reuse`], which a device with shared memory multiplies
+//! into the kernel's [`occupancy`].
+//!
+//! Either body is a *run* body: the simulator calls it once per run of
+//! consecutive outputs, not once per output, so a program can hoist its
+//! index math out of the outputs that share it; what each output may read
+//! stays the same. [`execute`] cuts every dispatch into runs the same way,
+//! one per shader-core thread, starting on the grain the body declares.
 
 use crate::layout::TextureLayout;
 use std::sync::Arc;
@@ -99,25 +102,15 @@ fn edge_texel(data: &[f32], flat: usize) -> [f32; 4] {
 /// how the output is cut into runs is [`execute`]'s choice.
 pub type RunBody = Arc<dyn Fn(&Samplers<'_>, usize, &mut [f32]) + Send + Sync>;
 
-/// Outputs per RGBA texel, the grain runs start on.
+/// The invocations of a compute pipeline over one run of consecutive
+/// outputs: `run(buffers, start, out)` reads the bound input buffers (whole,
+/// in binding order) and stores output `start + i` in `out[i]`. `out`
+/// arrives with whatever a recycled allocation last held, so a body stores
+/// every element of it. A run starts on a multiple of the body's grain.
+pub type ComputeBody = Arc<dyn Fn(&[&[f32]], usize, &mut [f32]) + Send + Sync>;
+
+/// Outputs per RGBA texel, the grain fragment runs start on.
 const TEXEL: usize = 4;
-
-/// Body of a fragment kernel.
-#[derive(Clone)]
-pub struct FragmentBody {
-    /// The program's invocations, a run of outputs at a time.
-    pub run: RunBody,
-    /// Whether one invocation computes the 4 outputs of an RGBA texel (the
-    /// packing optimization of Sec 3.9), so the output is stored as RGBA
-    /// texels where the context packs.
-    pub packed: bool,
-}
-
-/// Body of a compute kernel: reads the bound input buffers and writes the
-/// bound output buffer in place. The output slice is exactly
-/// [`Kernel::out_size`] long and arrives with whatever a recycled allocation
-/// last held, so a body must store every element.
-pub type ComputeBody = Arc<dyn Fn(&[&[f32]], &mut [f32]) + Send + Sync>;
 
 /// A compiled GPGPU kernel.
 #[derive(Clone)]
@@ -139,16 +132,27 @@ pub struct Kernel {
     pub shared_reuse: usize,
 }
 
-/// What a dispatch runs. A fragment body is split over the device's shader
-/// cores (a [`webml_core::pool::WorkerPool`], see [`execute`]); a compute
-/// body runs whole on the device thread.
+/// What a dispatch runs: a run body over the device's inputs, split over
+/// its shader cores (a [`webml_core::pool::WorkerPool`], see [`execute`]).
 #[derive(Clone)]
 pub enum KernelBody {
-    /// One `main()` per output value or texel, inputs through [`Samplers`],
-    /// run over runs of outputs.
-    Fragment(FragmentBody),
-    /// One call over whole linear buffers.
-    Compute(ComputeBody),
+    /// One `main()` per output value or texel, inputs through [`Samplers`].
+    Fragment {
+        /// The program's invocations, a run of outputs at a time.
+        run: RunBody,
+        /// Whether one invocation computes the 4 outputs of an RGBA texel
+        /// (the packing optimization of Sec 3.9), so the output is stored
+        /// as RGBA texels where the context packs.
+        packed: bool,
+    },
+    /// Workgroups over whole linear buffers.
+    Compute {
+        /// The pipeline's invocations, a run of outputs at a time.
+        run: ComputeBody,
+        /// The outputs a run starts on a multiple of; a body that can only
+        /// compute its output whole declares all of it.
+        grain: usize,
+    },
 }
 
 impl Kernel {
@@ -160,7 +164,7 @@ impl Kernel {
         packed: bool,
         run: impl Fn(&Samplers<'_>, usize, &mut [f32]) + Send + Sync + 'static,
     ) -> Kernel {
-        let body = KernelBody::Fragment(FragmentBody { run: Arc::new(run), packed });
+        let body = KernelBody::Fragment { run: Arc::new(run), packed };
         Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
     }
 
@@ -212,16 +216,16 @@ impl Kernel {
 
     /// Whether the body is packed.
     pub fn is_packed(&self) -> bool {
-        matches!(&self.body, KernelBody::Fragment(body) if body.packed)
+        matches!(self.body, KernelBody::Fragment { packed: true, .. })
     }
 }
 
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let body = match &self.body {
-            KernelBody::Fragment(body) if body.packed => "packed",
-            KernelBody::Fragment(_) => "per-element",
-            KernelBody::Compute(_) => "compute",
+            KernelBody::Fragment { packed: true, .. } => "packed",
+            KernelBody::Fragment { .. } => "per-element",
+            KernelBody::Compute { .. } => "compute",
         };
         f.debug_struct("Kernel")
             .field("name", &self.name)
@@ -245,11 +249,12 @@ pub fn occupancy(parallelism: usize, shared_memory: bool, kernel: &Kernel) -> us
     parallelism.saturating_mul(reuse).max(1).min((work / 2_048).max(1))
 }
 
-/// Execute a fragment `body` over an output buffer of logical shape
-/// `out_shape`, splitting the work across the device's persistent
-/// [`webml_core::pool::WorkerPool`] — the simulator's model of
-/// fragment-shader parallelism — in one run per thread. Each invocation
-/// writes only its own output slot.
+/// Execute `kernel` over its bound inputs (`buffers` in binding order, and
+/// for a fragment body each one's texture `layouts`) into `out`, splitting
+/// the work across the device's persistent
+/// [`webml_core::pool::WorkerPool`] — the simulator's model of shader-core
+/// parallelism — in one run per thread, each starting on the body's grain.
+/// Each invocation writes only its own output slot.
 ///
 /// Fills `out` at logical flat indices, with f16 rounding applied per
 /// element after the body when the device is half-precision, on at most
@@ -257,30 +262,44 @@ pub fn occupancy(parallelism: usize, shared_memory: bool, kernel: &Kernel) -> us
 /// the device clock, which is priced from the declared work (see
 /// [`crate::queue`]).
 pub fn execute(
-    body: &FragmentBody,
-    out_shape: &[usize],
-    samplers_inputs: &[(&[f32], &TextureLayout)],
+    kernel: &Kernel,
+    buffers: &[&[f32]],
+    layouts: &[&TextureLayout],
     out: &mut [f32],
     pool: &webml_core::pool::WorkerPool,
     occupancy: usize,
     half_precision: bool,
 ) {
-    let size: usize = out_shape.iter().product();
+    let size = kernel.out_size();
     if size == 0 {
         return;
     }
+    assert!(out.len() >= size, "{}: output allocation too small", kernel.name);
+    // A sampler sees the tensor's logical values: the padding of a recycled
+    // texture holds whatever its last owner left.
+    let (grain, samplers): (usize, Vec<(&[f32], &TextureLayout)>) = match kernel.body {
+        KernelBody::Fragment { .. } => {
+            let bound = buffers.iter().zip(layouts);
+            (TEXEL, bound.map(|(data, &layout)| (&data[..layout.size()], layout)).collect())
+        }
+        KernelBody::Compute { grain, .. } => (grain.max(1), Vec::new()),
+    };
     let threads = pool.size().min(occupancy);
-    let chunk_len = size.div_ceil(threads).next_multiple_of(TEXEL);
+    let chunk_len = size.div_ceil(threads).next_multiple_of(grain);
     let n_chunks = size.div_ceil(chunk_len);
     let base_ptr = out.as_mut_ptr() as usize;
-    pool.run(n_chunks, &move |ci| {
+    pool.run(n_chunks, &|ci| {
         let start = ci * chunk_len;
         let len = chunk_len.min(size - start);
-        // SAFETY: chunks are disjoint windows of `out`, and `execute`
-        // blocks inside `pool.run` until all chunks are done.
+        // SAFETY: chunks are disjoint windows of `out`'s first `size`
+        // elements, and `execute` blocks inside `pool.run` until all chunks
+        // are done.
         let chunk =
             unsafe { std::slice::from_raw_parts_mut((base_ptr as *mut f32).add(start), len) };
-        (body.run)(&Samplers::new(samplers_inputs), start, chunk);
+        match &kernel.body {
+            KernelBody::Fragment { run, .. } => run(&Samplers::new(&samplers), start, chunk),
+            KernelBody::Compute { run, .. } => run(buffers, start, chunk),
+        }
         if half_precision {
             for v in chunk.iter_mut() {
                 *v = crate::f16::round(*v);
@@ -318,17 +337,11 @@ mod tests {
         TextureLayout::compile(dims, TextureFormat::R32F, 16_384, true).unwrap()
     }
 
-    fn fragment(kernel: &Kernel) -> &FragmentBody {
-        match &kernel.body {
-            KernelBody::Fragment(body) => body,
-            KernelBody::Compute(_) => panic!("{} is a compute kernel", kernel.name),
-        }
-    }
-
     fn run(kernel: &Kernel, inputs: &[(&[f32], &TextureLayout)], out: &mut [f32], cores: usize) {
         let pool = WorkerPool::new(cores);
         let lanes = occupancy(cores, false, kernel);
-        execute(fragment(kernel), &kernel.out_shape, inputs, out, &pool, lanes, false);
+        let (buffers, layouts): (Vec<&[f32]>, Vec<&TextureLayout>) = inputs.iter().copied().unzip();
+        execute(kernel, &buffers, &layouts, out, &pool, lanes, false);
     }
 
     #[test]
@@ -439,7 +452,7 @@ mod tests {
         let prog = Kernel::per_element("Id", vec![1], |s, flat, _| s.get_flat(0, flat));
         let mut out = vec![9.0; 1];
         let pool = WorkerPool::new(1);
-        execute(fragment(&prog), &prog.out_shape, &[(&a, &la)], &mut out, &pool, 1, true);
+        execute(&prog, &[&a], &[&la], &mut out, &pool, 1, true);
         assert_eq!(out, vec![0.0]);
     }
 
@@ -466,8 +479,67 @@ mod tests {
     }
 
     fn compute(out_len: usize, reuse: usize, cost: usize) -> Kernel {
-        let body = KernelBody::Compute(Arc::new(|_, _| {}));
-        Kernel { name: "T", out_shape: vec![out_len], body, cost_per_element: cost, shared_reuse: reuse }
+        let body = KernelBody::Compute { run: Arc::new(|_, _, _| {}), grain: 1 };
+        Kernel {
+            name: "T",
+            out_shape: vec![out_len],
+            body,
+            cost_per_element: cost,
+            shared_reuse: reuse,
+        }
+    }
+
+    #[test]
+    fn compute_runs_start_on_their_grain_and_cover_the_output() {
+        use std::sync::Mutex;
+        let n = 10_001;
+        let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        for grain in [1, 3, 64, n] {
+            let runs = Arc::new(Mutex::new(Vec::new()));
+            let seen = runs.clone();
+            let run: ComputeBody =
+                Arc::new(move |inp: &[&[f32]], start: usize, out: &mut [f32]| {
+                    seen.lock().unwrap().push((start, out.len()));
+                    for (i, o) in out.iter_mut().enumerate() {
+                        *o = inp[0][start + i] + 1.0;
+                    }
+                });
+            let body = KernelBody::Compute { run, grain };
+            let kernel = Kernel {
+                name: "T",
+                out_shape: vec![n],
+                body,
+                cost_per_element: 64,
+                shared_reuse: 1,
+            };
+            for cores in [1, 2, 3, 7] {
+                runs.lock().unwrap().clear();
+                let mut out = vec![f32::NAN; n];
+                let pool = WorkerPool::new(cores);
+                execute(
+                    &kernel,
+                    &[&x],
+                    &[],
+                    &mut out,
+                    &pool,
+                    occupancy(cores, false, &kernel),
+                    false,
+                );
+                assert!(
+                    out.iter().zip(&x).all(|(o, v)| *o == v + 1.0),
+                    "grain {grain}, {cores} cores"
+                );
+                let mut runs = runs.lock().unwrap().clone();
+                runs.sort();
+                assert!(
+                    runs.iter().all(|&(start, _)| start % grain == 0),
+                    "grain {grain}: {runs:?}"
+                );
+                assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), n);
+                let whole = grain == n || cores == 1;
+                assert_eq!(runs.len() == 1, whole, "grain {grain}, {cores} cores: {runs:?}");
+            }
+        }
     }
 
     #[test]

@@ -117,11 +117,13 @@ mod tests {
                 f(&(0..s.len()).map(|k| s.get_flat(k, i)).collect::<Vec<_>>())
             })
             .with_cost(cost),
-            Storage::Linear => pipeline::cooperative(name, n, 1, cost, move |inp, out| {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = f(&inp.iter().map(|b| b[i]).collect::<Vec<_>>());
-                }
-            }),
+            Storage::Linear => {
+                pipeline::cooperative(name, n, 1, cost, 1, move |inp, start, out| {
+                    for (i, o) in (start..).zip(out) {
+                        *o = f(&inp.iter().map(|b| b[i]).collect::<Vec<_>>());
+                    }
+                })
+            }
         }
     }
 
@@ -450,13 +452,13 @@ mod tests {
     #[test]
     fn shared_memory_rewards_tiling_only_where_it_exists() {
         let n = 1usize << 16;
-        let work = |inp: &[&[f32]], out: &mut [f32]| {
-            for (o, &v) in out.iter_mut().zip(inp[0]) {
+        let work = |inp: &[&[f32]], start: usize, out: &mut [f32]| {
+            for (o, &v) in out.iter_mut().zip(&inp[0][start..]) {
                 *o = (0..64).fold(v, |x, _| x * 1.000_1 + 0.1);
             }
         };
-        let naive = pipeline::cooperative("Naive", n, 1, 64, work);
-        let tiled = pipeline::cooperative("Tiled", n, 16, 64, work);
+        let naive = pipeline::cooperative("Naive", n, 1, 64, 1, work);
+        let tiled = pipeline::cooperative("Tiled", n, 16, 64, 1, work);
         // The model: a tiled kernel fills reuse× the lanes — unless the API
         // has no shared memory, where the declared reuse is ignored.
         assert_eq!(occupancy(8, WEBGPU.shared_memory, &naive), 8);

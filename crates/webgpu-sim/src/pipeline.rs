@@ -12,8 +12,9 @@
 //! by this factor, so tiling is rewarded exactly where real hardware
 //! rewards it — memory bandwidth.
 //!
-//! A body reads the (widened-f32) contents of the bound input buffers and
-//! writes the bound output buffer in place; it runs on the device thread.
+//! A body computes a run of consecutive outputs from the (widened-f32)
+//! contents of the bound input buffers, and runs on the device's shader
+//! cores like a fragment body (see [`webml_webgl_sim::shader::execute`]).
 
 use std::sync::Arc;
 use webml_webgl_sim::shader::{Kernel, KernelBody};
@@ -21,18 +22,21 @@ use webml_webgl_sim::shader::{Kernel, KernelBody};
 /// A pipeline of `out_len` outputs whose workgroups serve each
 /// shared-memory load to `shared_reuse` invocations; an uncooperative
 /// (element-wise) pipeline, the compute-API equivalent of a fragment shader,
-/// has reuse 1.
+/// has reuse 1. `body(buffers, start, out)` computes the outputs from
+/// `start` (see [`webml_webgl_sim::shader::ComputeBody`]); its runs start on
+/// multiples of `grain`, and a `grain` of `out_len` runs it once, whole.
 pub fn cooperative(
     name: &'static str,
     out_len: usize,
     shared_reuse: usize,
     cost_per_element: usize,
-    body: impl Fn(&[&[f32]], &mut [f32]) + Send + Sync + 'static,
+    grain: usize,
+    body: impl Fn(&[&[f32]], usize, &mut [f32]) + Send + Sync + 'static,
 ) -> Kernel {
     Kernel {
         name,
         out_shape: vec![out_len],
-        body: KernelBody::Compute(Arc::new(body)),
+        body: KernelBody::Compute { run: Arc::new(body), grain },
         cost_per_element: cost_per_element.max(1),
         shared_reuse: shared_reuse.max(1),
     }
