@@ -410,20 +410,6 @@ impl Engine {
         table.current = best;
     }
 
-    /// Register an ordered backend-preference list in one call: `rungs`
-    /// lists backends most-preferred first and each rung receives a
-    /// strictly descending priority, so graceful degradation walks the
-    /// list left to right (e.g. webgpu → webgl → cpu) and
-    /// [`Engine::promote_backend`] / canary re-admission climbs back to
-    /// the head. This is the configuration surface of the degradation
-    /// ladder — any number of rungs, not a hardcoded gpu/cpu pair.
-    pub fn register_backend_ladder(&self, rungs: Vec<(String, Arc<dyn Backend>)>) {
-        let top = rungs.len() as i32;
-        for (i, (name, backend)) in rungs.into_iter().enumerate() {
-            self.register_backend(name, backend, top - i as i32);
-        }
-    }
-
     /// The registered backend names in descending priority order — the
     /// degradation ladder as configured, head first.
     pub fn backend_ladder(&self) -> Vec<String> {
@@ -1688,17 +1674,13 @@ mod tests {
     ) -> (Engine, Arc<AtomicU64>) {
         let (calls, script) = (Arc::new(AtomicU64::new(0)), Arc::new(script));
         let e = Engine::new();
-        e.register_backend_ladder(
-            rungs
-                .iter()
-                .map(|&rung| {
-                    let cpu = CpuBackend::new();
-                    let (calls, script) = (calls.clone(), script.clone());
-                    let b: Arc<dyn Backend> = Arc::new(Scripted { rung, calls, script, cpu });
-                    (rung.to_string(), b)
-                })
-                .collect(),
-        );
+        // Descending priorities: degradation walks the rungs head first.
+        for (i, &rung) in rungs.iter().enumerate() {
+            let cpu = CpuBackend::new();
+            let (calls, script) = (calls.clone(), script.clone());
+            let priority = (rungs.len() - i) as i32;
+            e.register_backend(rung, Arc::new(Scripted { rung, calls, script, cpu }), priority);
+        }
         (e, calls)
     }
 

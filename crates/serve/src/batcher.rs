@@ -1,4 +1,4 @@
-//! The micro-batcher: one worker loop behind both front doors.
+//! The micro-batcher: the worker loop behind each fleet engine.
 //!
 //! A worker owns one engine's queue, warm-model cache and counters and runs
 //! drain → group by `(model, dims)` → chunk to `max_batch` → submit →
@@ -13,10 +13,11 @@
 //! chunks of one — shape-incompatible or failing traffic is served
 //! correctly, just without the batching win.
 //!
-//! What a front door adds is its [`FrontDoor`] impl: what sits in the queue,
-//! which drained items reach execution ([`FrontDoor::admit`] — the fleet's
-//! deadlines, probes and degradation watch live there), and what to do with
-//! a pass's outcome ([`FrontDoor::complete`] — reply, breaker, re-route).
+//! What the fleet adds is its [`FrontDoor`] impl: what sits in the queue,
+//! which drained items reach execution ([`FrontDoor::admit`] — deadlines,
+//! probes and the degradation watch live there), and what to do with a
+//! pass's outcome ([`FrontDoor::complete`] — reply, breaker, re-route). The
+//! fixed-drain tests put a recording door in its place.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -29,7 +30,7 @@ use webml_telemetry as telemetry;
 use webml_telemetry::{Histogram, PhaseStamps, RequestCtx, RequestTimeline};
 
 use crate::cache::{ModelCache, ModelKey, ModelSource};
-use crate::{obs, InferResponse, ServeConfig, ServeStats};
+use crate::{obs, FleetConfig, InferResponse, ServeStats};
 
 /// One queued inference: the example, the model to run it on, and whatever
 /// its front door needs to answer it.
@@ -62,28 +63,12 @@ pub(crate) struct Pass {
     pub per_request_ns: u64,
 }
 
-/// The span and instant names a worker's trace uses.
-pub(crate) struct SpanNames {
-    /// One per drain.
-    pub dispatch: &'static str,
-    /// Submission of a coalesced pass (n ≥ 2), arg `batch_size`.
-    pub batch: &'static str,
-    /// Submission of a pass of one.
-    pub single: &'static str,
-    /// Completion (fence wait, readback, split) of a pass.
-    pub complete: &'static str,
-    /// A coalesced pass failed and degrades to passes of one.
-    pub fallback: &'static str,
-}
-
-/// What differs between [`crate::ModelServer`] and a fleet engine.
+/// What a fleet engine puts around the worker.
 pub(crate) trait FrontDoor {
     /// What sits in the queue.
     type Item;
     /// Per-request front-door state carried through execution.
     type Ticket;
-    /// Trace names.
-    const SPANS: SpanNames;
 
     /// Turn one drain into the requests to execute; everything else
     /// (expired, re-routed, probes) is settled here.
@@ -191,7 +176,7 @@ impl<T> WorkQueue<T> {
     /// Block for the next drain: everything queued once `target_batch`
     /// requests are pending or `max_wait` has passed since the first was
     /// seen. `None` once the queue is shut down and empty.
-    fn drain(&self, window: &mut WindowPolicy, config: &ServeConfig) -> Option<Vec<T>> {
+    fn drain(&self, window: &mut WindowPolicy, config: &FleetConfig) -> Option<Vec<T>> {
         let mut q = self.state.lock();
         while q.items.is_empty() && !q.shutdown {
             self.available.wait(&mut q);
@@ -216,7 +201,7 @@ impl<T> WorkQueue<T> {
 }
 
 /// A worker's counters: written by the worker, read by
-/// [`crate::ModelServer::stats`] and [`crate::EngineStatus::serve`].
+/// [`crate::EngineStatus::serve`].
 #[derive(Default)]
 pub(crate) struct WorkerCells {
     served: AtomicU64,
@@ -266,14 +251,13 @@ pub(crate) fn run<D: FrontDoor>(
     door: &D,
     queue: &WorkQueue<D::Item>,
     engine: &Engine,
-    config: &ServeConfig,
+    config: &FleetConfig,
     cells: &WorkerCells,
 ) {
     let mut exec = Executor {
         engine,
         cache: ModelCache::new(config.cache_capacity, config.max_batch, engine),
         cells,
-        spans: &D::SPANS,
         charged_until_ns: 0,
     };
     let mut window = WindowPolicy::default();
@@ -283,7 +267,7 @@ pub(crate) fn run<D: FrontDoor>(
         // request → batch → dispatch.
         let _scope = telemetry::trace_scope(RequestCtx::mint().trace_id);
         let _dispatch =
-            telemetry::span(D::SPANS.dispatch, "serve").with_arg("drained", drained.len() as f64);
+            telemetry::span("fleet.dispatch", "serve").with_arg("drained", drained.len() as f64);
         if exec.cache.check_degradation(engine) {
             // Backend fell back (e.g. context loss): models rebuild below on
             // the fallback backend. Synced eagerly so the invalidation is
@@ -369,7 +353,6 @@ pub(crate) struct Executor<'a> {
     engine: &'a Engine,
     cache: ModelCache,
     cells: &'a WorkerCells,
-    spans: &'static SpanNames,
     /// Up to when the worker's time has been charged to a pass
     /// ([`Pass::per_request_ns`]): the end of the drain's submission phase,
     /// then each pass's hand-off.
@@ -413,7 +396,7 @@ impl Executor<'_> {
         let batch_trace = obs::batch_ctx().trace_id;
         let _scope = telemetry::trace_scope(batch_trace);
         let mut stamps = PhaseStamps { exec_start_ns: telemetry::now_ns(), ..Default::default() };
-        let name = if n >= 2 { self.spans.batch } else { self.spans.single };
+        let name = if n >= 2 { "fleet.batch" } else { "fleet.single" };
         let _span = telemetry::span(name, "serve").with_arg("batch_size", n as f64);
         let first = &chunk[0];
         let rows = chunk.iter().map(|req| req.values.as_slice());
@@ -491,8 +474,7 @@ impl Executor<'_> {
         let n = chunk.len();
         let scope = telemetry::trace_scope(batch_trace);
         let outcome = run.and_then(|run| {
-            let _span =
-                telemetry::span(self.spans.complete, "serve").with_arg("batch_size", n as f64);
+            let _span = telemetry::span("fleet.complete", "serve").with_arg("batch_size", n as f64);
             self.complete_run(run, n, &mut stamps)
         });
         let cells = self.cells;
@@ -501,7 +483,7 @@ impl Executor<'_> {
             // on the retry.
             self.cache.invalidate(chunk[0].key);
             cells.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            telemetry::instant(self.spans.fallback, "serve");
+            telemetry::instant("fleet.batch_fallback", "serve");
             // Close the batch envelope before the per-request passes, which
             // run under batch contexts of their own.
             let now = telemetry::now_ns();
@@ -566,90 +548,39 @@ fn split_values(values: Vec<f32>, out_shape: &[usize], n: usize) -> Result<Vec<I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{cpu_engine, mlp_artifacts, webgl_engine};
-    use crate::{EngineSpec, FleetConfig, FleetServer, ModelServer, ModelSlo, ServerDoor};
+    use crate::tests::{cpu_engine, fleet_of_one, mlp_artifacts, unmissable, webgl_engine};
+    use crate::FleetServer;
     use std::time::Duration;
     use webml_converter::prune::GraphDef;
 
     const MAX_BATCH: usize = 4;
 
-    /// What the contract needs of a front door.
-    trait Door {
-        fn open(engine: &Engine, max_batch: usize) -> Self;
-        fn add(&self, source: ModelSource) -> ModelKey;
-        /// Submit now; the returned closure waits for the reply.
-        fn send(&self, key: ModelKey, values: Vec<f32>, dims: Vec<usize>) -> Reply;
-        fn counters(&self) -> ServeStats;
-        fn close(&mut self);
-    }
-
-    type Reply = Box<dyn FnOnce() -> std::result::Result<InferResponse, String>>;
-
-    impl Door for ModelServer {
-        fn open(engine: &Engine, max_batch: usize) -> ModelServer {
-            let max_wait = Duration::from_millis(20);
-            ModelServer::new(engine, ServeConfig { max_batch, max_wait, ..Default::default() })
-        }
-        fn add(&self, source: ModelSource) -> ModelKey {
-            self.register(source)
-        }
-        fn send(&self, key: ModelKey, values: Vec<f32>, dims: Vec<usize>) -> Reply {
-            let pending = self.submit(key, values, dims);
-            Box::new(move || pending.wait().map_err(|e| e.to_string()))
-        }
-        fn counters(&self) -> ServeStats {
-            self.stats()
-        }
-        fn close(&mut self) {
-            self.shutdown();
-        }
-    }
-
-    /// A fleet of one engine, with an SLO nothing here can miss.
-    impl Door for FleetServer {
-        fn open(engine: &Engine, max_batch: usize) -> FleetServer {
-            let max_wait = Duration::from_millis(20);
-            FleetServer::new(
-                vec![EngineSpec::new("only", engine, 8)],
-                FleetConfig { max_batch, max_wait, ..Default::default() },
-            )
-        }
-        fn add(&self, source: ModelSource) -> ModelKey {
-            self.register(source, ModelSlo::new(1_000.0, Duration::from_secs(10)))
-        }
-        fn send(&self, key: ModelKey, values: Vec<f32>, dims: Vec<usize>) -> Reply {
-            let pending = self.submit(key, values, dims);
-            Box::new(move || pending.wait().map_err(|e| e.to_string()))
-        }
-        fn counters(&self) -> ServeStats {
-            self.stats().engines[0].serve.clone()
-        }
-        fn close(&mut self) {
-            self.shutdown();
-        }
-    }
-
-    /// Instantiate a contract body on both front doors, on `cpu` and on a
-    /// webgl engine.
-    macro_rules! through_both_doors {
+    /// Instantiate a contract body on a fleet of one engine, on `cpu` and on
+    /// a webgl engine.
+    macro_rules! on_cpu_and_webgl {
         ($($name:ident),* $(,)?) => {$(
             #[test]
             fn $name() {
-                super::$name::<ModelServer>(&cpu_engine());
-                super::$name::<ModelServer>(&webgl_engine());
-                super::$name::<FleetServer>(&cpu_engine());
-                super::$name::<FleetServer>(&webgl_engine());
+                super::$name(&cpu_engine());
+                super::$name(&webgl_engine());
             }
         )*};
     }
 
     mod contract {
-        use super::{FleetServer, ModelServer, cpu_engine, webgl_engine};
-        through_both_doors!(
+        use super::{cpu_engine, webgl_engine};
+        on_cpu_and_webgl!(
             batched_answers_are_bit_equal_to_unbatched_and_free_everything,
             mixed_model_and_dims_drains_match_unbatched,
             refusals_are_explicit_and_do_not_wedge,
         );
+    }
+
+    /// A fleet of one engine batching up to `max_batch`, with a window long
+    /// enough that queued requests coalesce.
+    fn open(engine: &Engine, max_batch: usize) -> FleetServer {
+        let max_wait = Duration::from_millis(20);
+        fleet_of_one(engine, FleetConfig { max_batch, max_wait, ..Default::default() })
     }
 
     fn example(i: usize, len: usize) -> Vec<f32> {
@@ -667,22 +598,23 @@ mod tests {
     /// One request of the suite: which registered model, the example, its dims.
     type Case = (usize, Vec<f32>, Vec<usize>);
 
-    /// Serve `cases` through a fresh door — all submitted before any reply
-    /// is awaited — and return the answers in submit order with the worker's
-    /// counters after shutdown.
-    fn serve_all<D: Door>(
+    /// Serve `cases` through a fresh fleet of one — all submitted before any
+    /// reply is awaited — and return the answers in submit order with the
+    /// worker's counters after shutdown.
+    fn serve_all(
         engine: &Engine,
         max_batch: usize,
         sources: Vec<ModelSource>,
         cases: &[Case],
     ) -> (Vec<InferResponse>, ServeStats) {
-        let mut door = D::open(engine, max_batch);
-        let keys: Vec<ModelKey> = sources.into_iter().map(|s| door.add(s)).collect();
-        let pending: Vec<Reply> =
-            cases.iter().map(|(m, v, d)| door.send(keys[*m], v.clone(), d.clone())).collect();
-        let answers = pending.into_iter().map(|wait| wait().expect("an answer")).collect();
-        door.close();
-        (answers, door.counters())
+        let mut fleet = open(engine, max_batch);
+        let keys: Vec<ModelKey> =
+            sources.into_iter().map(|s| fleet.register(s, unmissable())).collect();
+        let pending: Vec<_> =
+            cases.iter().map(|(m, v, d)| fleet.submit(keys[*m], v.clone(), d.clone())).collect();
+        let answers = pending.into_iter().map(|p| p.wait().expect("an answer")).collect();
+        fleet.shutdown();
+        (answers, fleet.stats().engines[0].serve.clone())
     }
 
     fn assert_same_bits(got: &[InferResponse], want: &[InferResponse]) {
@@ -694,15 +626,15 @@ mod tests {
         }
     }
 
-    fn batched_answers_are_bit_equal_to_unbatched_and_free_everything<D: Door>(engine: &Engine) {
+    fn batched_answers_are_bit_equal_to_unbatched_and_free_everything(engine: &Engine) {
         let baseline = engine.memory();
         let artifacts = mlp_artifacts(engine);
         let n = 3 * MAX_BATCH + 1;
         let cases: Vec<Case> = (0..n).map(|i| (0, example(i, 4), vec![4])).collect();
         let mlp = || vec![ModelSource::Artifacts(artifacts.clone())];
-        let (want, unbatched) = serve_all::<D>(engine, 1, mlp(), &cases);
+        let (want, unbatched) = serve_all(engine, 1, mlp(), &cases);
         assert_eq!((unbatched.batches, unbatched.single_requests), (0, n as u64));
-        let (got, stats) = serve_all::<D>(engine, MAX_BATCH, mlp(), &cases);
+        let (got, stats) = serve_all(engine, MAX_BATCH, mlp(), &cases);
         assert_same_bits(&got, &want);
         assert_eq!(stats.served, n as u64, "{stats:?}");
         assert_eq!(stats.batched_requests + stats.single_requests, n as u64, "{stats:?}");
@@ -716,7 +648,7 @@ mod tests {
         );
     }
 
-    fn mixed_model_and_dims_drains_match_unbatched<D: Door>(engine: &Engine) {
+    fn mixed_model_and_dims_drains_match_unbatched(engine: &Engine) {
         let artifacts = mlp_artifacts(engine);
         let sources = || vec![ModelSource::Artifacts(artifacts.clone()), relu_source()];
         let cases: Vec<Case> = (0..12)
@@ -726,8 +658,8 @@ mod tests {
                 _ => (1, example(i, 6), vec![2, 3]),
             })
             .collect();
-        let (want, _) = serve_all::<D>(engine, 1, sources(), &cases);
-        let (got, stats) = serve_all::<D>(engine, MAX_BATCH, sources(), &cases);
+        let (want, _) = serve_all(engine, 1, sources(), &cases);
+        let (got, stats) = serve_all(engine, MAX_BATCH, sources(), &cases);
         assert_same_bits(&got, &want);
         assert_eq!(stats.served, cases.len() as u64);
         for ((_, values, dims), answer) in cases.iter().zip(&got).filter(|(c, _)| c.0 == 1) {
@@ -736,16 +668,17 @@ mod tests {
         }
     }
 
-    fn refusals_are_explicit_and_do_not_wedge<D: Door>(engine: &Engine) {
-        let mut door = D::open(engine, MAX_BATCH);
-        let key = door.add(ModelSource::Artifacts(mlp_artifacts(engine)));
-        assert!(door.send(key, vec![1.0], vec![4])().is_err(), "length/dims mismatch");
-        assert!(door.send(key, Vec::new(), Vec::new())().is_err(), "no dims");
-        assert!(door.send(0xdead, vec![1.0; 4], vec![4])().is_err(), "unknown key");
-        assert!(door.send(key, vec![0.0; 4], vec![4])().is_ok(), "still serves");
-        door.close();
-        assert!(door.send(key, vec![0.0; 4], vec![4])().is_err(), "submit after shutdown");
-        assert_eq!(door.counters().served, 1, "a refused request never reaches the worker");
+    fn refusals_are_explicit_and_do_not_wedge(engine: &Engine) {
+        let mut fleet = open(engine, MAX_BATCH);
+        let key = fleet.register(ModelSource::Artifacts(mlp_artifacts(engine)), unmissable());
+        assert!(fleet.infer(key, vec![1.0], vec![4]).is_err(), "length/dims mismatch");
+        assert!(fleet.infer(key, Vec::new(), Vec::new()).is_err(), "no dims");
+        assert!(fleet.infer(0xdead, vec![1.0; 4], vec![4]).is_err(), "unknown key");
+        assert!(fleet.infer(key, vec![0.0; 4], vec![4]).is_ok(), "still serves");
+        fleet.shutdown();
+        assert!(fleet.infer(key, vec![0.0; 4], vec![4]).is_err(), "submit after shutdown");
+        let served = fleet.stats().engines[0].serve.served;
+        assert_eq!(served, 1, "a refused request never reaches the worker");
     }
 
     /// A front door that only records: per pass its size, its members'
@@ -760,7 +693,6 @@ mod tests {
     impl FrontDoor for Recorder<'_> {
         type Item = Request<usize>;
         type Ticket = usize;
-        const SPANS: SpanNames = ServerDoor::SPANS;
 
         fn admit(&self, _: &mut Executor<'_>, drained: Vec<Request<usize>>) -> Vec<Request<usize>> {
             drained
@@ -803,7 +735,7 @@ mod tests {
         let door =
             Recorder { engine, passes: Mutex::new(Vec::new()), charged_ns: AtomicU64::new(0) };
         let cells = WorkerCells::default();
-        let config = ServeConfig { max_batch: MAX_BATCH, ..Default::default() };
+        let config = FleetConfig { max_batch: MAX_BATCH, ..Default::default() };
         let started = telemetry::now_ns();
         run(&door, queue, engine, &config, &cells);
         // However many chunks overlapped, no nanosecond is charged twice:
@@ -916,7 +848,7 @@ mod tests {
     #[test]
     fn a_queue_of_sixteen_is_one_drain() {
         let config =
-            ServeConfig { max_batch: 16, max_wait: Duration::from_secs(10), ..Default::default() };
+            FleetConfig { max_batch: 16, max_wait: Duration::from_secs(10), ..Default::default() };
         let mut warm = WindowPolicy::default();
         for _ in 0..64 {
             warm.observe_drain(16);

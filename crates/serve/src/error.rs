@@ -1,10 +1,10 @@
 //! The fleet-serving error contract.
 //!
-//! The single-engine `ModelServer` reuses the engine's [`Error`] type, but
-//! fleet serving has failure modes the engine doesn't: a request can be
-//! *refused* before it ever touches an engine. Those refusals are explicit
-//! and typed — the SLO contract is "answers within the deadline, or an
-//! error that says why not", never silent queue growth.
+//! Fleet serving has failure modes the engine's [`Error`] type doesn't
+//! cover: a request can be *refused* before it ever touches an engine.
+//! Those refusals are explicit and typed — the SLO contract is "answers
+//! within the deadline, or an error that says why not", never silent queue
+//! growth.
 
 use std::fmt;
 use webml_core::Error;

@@ -1,10 +1,10 @@
 //! Shared observability plumbing for the serving layers: finalizing
 //! per-request phase timelines and emitting request-scoped envelope spans.
 //!
-//! Both front doors ([`crate::ModelServer`] and [`crate::FleetServer`])
-//! stamp a [`RequestTimeline`] as a request moves through queueing,
-//! batching, and the two-phase executor, then call [`finish_request`] at
-//! reply time. That single call:
+//! The front door ([`crate::FleetServer`]) and its engine workers stamp a
+//! [`RequestTimeline`] as a request moves through queueing, batching, and
+//! the two-phase executor, then call [`finish_request`] at reply time. That
+//! single call:
 //!
 //! - feeds the timeline to the attribution aggregates
 //!   ([`webml_telemetry::attribution`]) and the flight recorder ring

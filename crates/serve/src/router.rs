@@ -32,12 +32,12 @@
 //!   high device-parallelism class; tiny MLPs go wherever the predicted
 //!   wait is shortest.
 //!
-//! Each engine gets its own worker thread — the same micro-batcher
-//! ([`crate::batcher`]) that serves [`ModelServer`](crate::ModelServer),
-//! with its own queue, warm-model cache and [`ServeStats`] counters. This
-//! module is what the fleet adds around it: admission, placement, deadline
-//! enforcement at dequeue, the degradation watch, and the breaker /
-//! re-route decision on each pass's outcome.
+//! Each engine gets its own worker thread running the micro-batcher
+//! (`batcher`), with its own queue, warm-model cache and [`ServeStats`]
+//! counters. This module is what the fleet adds around it: admission,
+//! placement, deadline enforcement at dequeue, the degradation watch, and
+//! the breaker / re-route decision on each pass's outcome. A fleet of one
+//! engine is the single-engine server.
 
 use parking_lot::Mutex;
 use serde_json::json;
@@ -49,12 +49,12 @@ use webml_core::Engine;
 use webml_telemetry as telemetry;
 use webml_telemetry::{Histogram, HistogramSummary, RequestCtx, RequestOutcome, RequestTimeline};
 
-use crate::batcher::{self, Executor, FrontDoor, Pass, Request, SpanNames, WorkQueue, WorkerCells};
+use crate::batcher::{self, Executor, FrontDoor, Pass, Request, WorkQueue, WorkerCells};
 use crate::cache::{ModelKey, ModelSource};
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, BreakerSnapshot, CircuitBreaker, EngineHealth};
 use crate::obs;
-use crate::{InferResponse, ServeConfig, ServeStats};
+use crate::{InferResponse, ServeStats};
 
 /// Result type for fleet requests: an inference response or an explicit,
 /// typed refusal.
@@ -126,7 +126,10 @@ pub struct FleetConfig {
     /// Largest coalesced batch per forward pass on each engine.
     pub max_batch: usize,
     /// The longest an engine worker holds the first queued request open
-    /// for batch-mates (adaptive, see [`ServeConfig::max_wait`]).
+    /// for batch-mates before running a partial batch. The window is
+    /// adaptive: it is skipped while the queue is shallow and recent drains
+    /// found no batch-mates, and it closes early once as many requests are
+    /// queued as recent drains delivered.
     pub max_wait: Duration,
     /// Warm models kept resident per engine.
     pub cache_capacity: usize,
@@ -186,8 +189,7 @@ pub struct EngineStatus {
     pub draining: bool,
     /// Circuit-breaker snapshot.
     pub breaker: BreakerSnapshot,
-    /// The engine worker's batching, cache and plan counters — the same
-    /// view [`ModelServer::stats`](crate::ModelServer::stats) gives.
+    /// The engine worker's batching, cache and plan counters.
     pub serve: ServeStats,
 }
 
@@ -902,14 +904,8 @@ fn on_trip(shared: &FleetShared, idx: usize) {
 /// Engine `idx`'s worker thread: the shared micro-batcher behind the
 /// fleet's [`EngineDoor`], until the engine's queue shuts down.
 fn engine_worker(shared: &FleetShared, idx: usize) {
-    let cfg = &shared.config;
-    let config = ServeConfig {
-        max_batch: cfg.max_batch,
-        max_wait: cfg.max_wait,
-        cache_capacity: cfg.cache_capacity,
-    };
-    let state = &shared.engines[idx];
-    batcher::run(&EngineDoor { shared, idx }, &state.queue, &state.engine, &config, &state.serve);
+    let EngineState { queue, engine, serve, .. } = &*shared.engines[idx];
+    batcher::run(&EngineDoor { shared, idx }, queue, engine, &shared.config, serve);
 }
 
 /// One fleet engine's side of the worker.
@@ -921,13 +917,6 @@ struct EngineDoor<'a> {
 impl FrontDoor for EngineDoor<'_> {
     type Item = WorkItem;
     type Ticket = FleetTicket;
-    const SPANS: SpanNames = SpanNames {
-        dispatch: "fleet.dispatch",
-        batch: "fleet.batch",
-        single: "fleet.single",
-        complete: "fleet.complete",
-        fallback: "fleet.batch_fallback",
-    };
 
     fn admit(&self, exec: &mut Executor<'_>, drained: Vec<WorkItem>) -> Vec<FleetRequest> {
         let (shared, idx) = (self.shared, self.idx);
@@ -1164,7 +1153,7 @@ mod tests {
         assert_eq!(stats.accounted(), stats.submitted, "every request has one outcome: {stats:?}");
         assert_eq!(stats.engines.len(), 2);
         assert_eq!(stats.engines.iter().map(|e| e.completed).sum::<u64>(), 24);
-        // Each engine's worker reports the counters `ModelServer::stats` does.
+        // Each engine's worker reports its batching and cache counters.
         let workers: Vec<&ServeStats> = stats.engines.iter().map(|e| &e.serve).collect();
         assert_eq!(workers.iter().map(|w| w.served).sum::<u64>(), 24);
         for w in workers.iter().filter(|w| w.served > 0) {

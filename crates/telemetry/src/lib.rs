@@ -112,7 +112,7 @@ pub struct Event {
 
 /// Request-scoped tracing context: a process-unique trace id plus the id
 /// of the span context it was minted under (0 for a root request). Minted
-/// by the serving front doors and propagated — via [`trace_scope`] thread
+/// by the serving front door and propagated — via [`trace_scope`] thread
 /// scopes and explicit plumbing into the device queue — through router
 /// queues, micro-batches, kernel dispatch, and simulated-GPU spans, so one
 /// id joins a request's fragments across every thread it touches.

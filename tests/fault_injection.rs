@@ -242,45 +242,49 @@ fn concurrent_stress_under_seeded_faults_keeps_exact_accounting() {
 /// The serving layer over a faulty engine: a scheduled context loss lands
 /// mid-traffic, the engine degrades webgl→cpu, the warm-model cache
 /// invalidates (the lost context's uploads are gone), models rebuild on
-/// the fallback — and every client still gets a correct answer. Run by the
-/// `serve-smoke` CI job (`--test fault_injection serve`).
+/// the fallback — and every client still gets a correct answer. The server
+/// is a fleet of one engine whose breaker does not trip on the degradation,
+/// so the engine keeps serving on its fallback. Run by every entry of the
+/// `fault-soak` CI matrix, which replays the whole suite.
 #[test]
 fn serve_survives_context_loss_and_reloads_on_fallback() {
     use std::time::Duration;
     use webml::models::serving::{classifier_artifacts, synthetic_example};
-    use webml::serve::{ModelServer, ModelSource, ServeConfig};
+    use webml::serve::{BreakerConfig, EngineSpec, FleetConfig, FleetServer, ModelSlo, ModelSource};
 
     const IN_DIM: usize = 16;
     const CLASSES: usize = 5;
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 8;
 
-    // Build the artifacts once on a clean engine; both servers rebuild from
-    // the same host-side weights, so their answers are comparable.
+    // Build the artifacts once on a clean engine; the server and the
+    // reference rebuild from the same host-side weights, so their answers
+    // are comparable.
     let builder = new_engine();
     builder.set_backend("cpu").unwrap();
     let artifacts = classifier_artifacts(&builder, IN_DIM, 24, CLASSES, 9).unwrap();
-
-    // Reference answers from a fault-free CPU server.
-    let r = new_engine();
-    r.set_backend("cpu").unwrap();
-    let ref_server = ModelServer::new(&r, ServeConfig::default());
-    let ref_key = ref_server.register(ModelSource::Artifacts(artifacts.clone()));
     let examples: Vec<Vec<f32>> =
         (0..CLIENTS * PER_CLIENT).map(|i| synthetic_example(IN_DIM, i)).collect();
-    let want: Vec<Vec<f32>> = examples
-        .iter()
-        .map(|ex| ref_server.infer(ref_key, ex.clone(), vec![IN_DIM]).unwrap().values)
-        .collect();
+    let want = reference_answers(&artifacts, &examples);
 
     // The faulty server: context loss scheduled a few forward passes in.
     let e = new_engine_with_faults(FaultPlan::none().lose_context_at(40));
     assert_eq!(e.backend_name(), "webgl");
-    let server = Arc::new(ModelServer::new(
-        &e,
-        ServeConfig { max_batch: 4, max_wait: Duration::from_millis(2), cache_capacity: 2 },
+    let breaker = BreakerConfig { trip_on_degradation: false, ..Default::default() };
+    let server = Arc::new(FleetServer::new(
+        vec![EngineSpec::new("only", &e, 8)],
+        FleetConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(2),
+            cache_capacity: 2,
+            breaker,
+            ..Default::default()
+        },
     ));
-    let key = server.register(ModelSource::Artifacts(artifacts));
+    let key = server.register(
+        ModelSource::Artifacts(artifacts),
+        ModelSlo::new(1_000.0, Duration::from_secs(10)),
+    );
 
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -314,9 +318,33 @@ fn serve_survives_context_loss_and_reloads_on_fallback() {
     // releasing the warm models.
     assert_eq!(e.degradations(), 1, "exactly one webgl→cpu fallback");
     assert_eq!(e.backend_name(), "cpu");
-    let stats = server.stats();
+    let fleet = server.stats();
+    assert_eq!(fleet.accounted(), fleet.submitted, "every request has one outcome: {fleet:?}");
+    let stats = &fleet.engines[0].serve;
     assert_eq!(stats.served, (CLIENTS * PER_CLIENT) as u64);
     assert!(stats.cache_invalidations >= 1, "context loss invalidated the cache: {stats:?}");
+}
+
+/// What a fault-free CPU engine answers for each example, one forward pass
+/// of one example at a time on the model built from `artifacts`.
+fn reference_answers(
+    artifacts: &webml::converter::ModelArtifacts,
+    examples: &[Vec<f32>],
+) -> Vec<Vec<f32>> {
+    let r = new_engine();
+    r.set_backend("cpu").unwrap();
+    let mut model = webml::converter::from_artifacts(&r, artifacts).unwrap();
+    examples
+        .iter()
+        .map(|ex| {
+            let x = r.tensor(ex.clone(), webml::Shape::new(vec![1, ex.len()])).unwrap();
+            let y = model.predict(&x).unwrap();
+            let values = y.to_f32_vec().unwrap();
+            x.dispose();
+            y.dispose();
+            values
+        })
+        .collect()
 }
 
 /// Execution plans are keyed to the engine's degradation generation: a
@@ -572,29 +600,19 @@ proptest! {
 fn fleet_soak(seed: u64, clients: usize, requests: usize, burst: usize) {
     use std::time::Duration;
     use webml::models::serving::{classifier_artifacts, synthetic_example};
-    use webml::serve::{
-        EngineSpec, FleetConfig, FleetServer, ModelServer, ModelSlo, ModelSource, ServeConfig,
-        ServeError,
-    };
+    use webml::serve::{EngineSpec, FleetConfig, FleetServer, ModelSlo, ModelSource, ServeError};
 
     const IN_DIM: usize = 16;
     const CLASSES: usize = 5;
 
-    // Reference oracle: the same artifacts served unbatched on a pristine
-    // CPU engine.
+    // Reference oracle: the same artifacts run one example at a time on a
+    // pristine CPU engine.
     let builder = new_engine();
     builder.set_backend("cpu").unwrap();
     let artifacts = classifier_artifacts(&builder, IN_DIM, 24, CLASSES, 9).unwrap();
-    let r = new_engine();
-    r.set_backend("cpu").unwrap();
-    let ref_server = ModelServer::new(&r, ServeConfig { max_batch: 1, ..Default::default() });
-    let ref_key = ref_server.register(ModelSource::Artifacts(artifacts.clone()));
     let total = clients * requests + burst;
     let examples: Vec<Vec<f32>> = (0..total).map(|i| synthetic_example(IN_DIM, i)).collect();
-    let want: Vec<Vec<f32>> = examples
-        .iter()
-        .map(|ex| ref_server.infer(ref_key, ex.clone(), vec![IN_DIM]).unwrap().values)
-        .collect();
+    let want = reference_answers(&artifacts, &examples);
 
     // The fleet: one engine loses its WebGL context at a seed-scheduled
     // draw, one rides the webgpu rung and loses *that* device (landing on

@@ -3,9 +3,10 @@
 //! simulated devices without `EXT_disjoint_timer_query`.
 
 use std::sync::Arc;
+use std::time::Duration;
 use webml::backend_webgl::{WebGlBackend, WebGlConfig};
 use webml::models::serving::{classifier_artifacts, synthetic_example};
-use webml::serve::{ModelServer, ModelSource, ServeConfig};
+use webml::serve::{EngineSpec, FleetConfig, FleetServer, ModelSlo, ModelSource};
 use webml::webgl_sim::devices::DeviceProfile;
 use webml::{ops, Engine};
 
@@ -20,6 +21,19 @@ fn webgl_engine(profile: DeviceProfile) -> Engine {
         .expect("profile supports float textures");
     e.register_backend("webgl", Arc::new(b), 2);
     e
+}
+
+/// A fleet of one engine (worker thread `webml-fleet-only`) batching up to
+/// `max_batch` within a 50 ms window.
+fn fleet_of_one(engine: &Engine, max_batch: usize) -> FleetServer {
+    let max_wait = Duration::from_millis(50);
+    let config = FleetConfig { max_batch, max_wait, cache_capacity: 2, ..Default::default() };
+    FleetServer::new(vec![EngineSpec::new("only", engine, 8)], config)
+}
+
+/// An SLO nothing in these tests can miss.
+fn unmissable() -> ModelSlo {
+    ModelSlo::new(1_000.0, Duration::from_secs(10))
 }
 
 /// Satellite: `Engine::profile` must stay exact under concurrent kernel
@@ -71,26 +85,19 @@ fn chrome_trace_roundtrip_from_served_traffic() {
     let _tracing = TRACING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let engine = webgl_engine(DeviceProfile::intel_iris_pro());
     let artifacts = classifier_artifacts(&engine, 16, 32, 4, 3).expect("build model");
-    let mut server = ModelServer::new(
-        &engine,
-        ServeConfig {
-            max_batch: 8,
-            max_wait: std::time::Duration::from_millis(50),
-            cache_capacity: 2,
-        },
-    );
-    let key = server.register(ModelSource::Artifacts(artifacts));
+    let mut fleet = fleet_of_one(&engine, 8);
+    let key = fleet.register(ModelSource::Artifacts(artifacts), unmissable());
     // Warm up untraced so the trace captures steady-state serving.
-    server.infer(key, synthetic_example(16, 0), vec![16]).expect("warmup");
+    fleet.infer(key, synthetic_example(16, 0), vec![16]).expect("warmup");
 
     webml::telemetry::clear();
     webml::telemetry::set_enabled(true);
     let pending: Vec<_> =
-        (0..8).map(|i| server.submit(key, synthetic_example(16, i), vec![16])).collect();
+        (0..8).map(|i| fleet.submit(key, synthetic_example(16, i), vec![16])).collect();
     for p in pending {
         p.wait().expect("served inference");
     }
-    server.shutdown();
+    fleet.shutdown();
     webml::telemetry::set_enabled(false);
 
     let text = webml::telemetry::chrome_trace_json();
@@ -107,8 +114,8 @@ fn chrome_trace_roundtrip_from_served_traffic() {
         assert!(e.get("pid").is_some() && e.get("tid").is_some(), "event off-track: {e:?}");
     }
 
-    // Thread tracks: metadata for the GPU track plus at least the
-    // dispatcher and device threads.
+    // Thread tracks: metadata for the GPU track plus at least the engine
+    // worker and device threads.
     let thread_names: Vec<(&serde_json::Value, &str)> = events
         .iter()
         .filter(|e| {
@@ -122,11 +129,11 @@ fn chrome_trace_roundtrip_from_served_traffic() {
             )
         })
         .collect();
-    assert!(thread_names.len() >= 3, "GPU + dispatcher + device tracks: {thread_names:?}");
+    assert!(thread_names.len() >= 3, "GPU + worker + device tracks: {thread_names:?}");
     assert!(thread_names.iter().any(|(_, n)| n.contains("GPU")), "virtual GPU track declared");
     assert!(
-        thread_names.iter().any(|(_, n)| n.contains("webml-serve-dispatcher")),
-        "dispatcher thread named: {thread_names:?}"
+        thread_names.iter().any(|(_, n)| n.contains("webml-fleet-only")),
+        "engine worker thread named: {thread_names:?}"
     );
     let gpu_tid = thread_names.iter().find(|(_, n)| n.contains("GPU")).map(|(t, _)| *t).unwrap();
 
@@ -134,18 +141,22 @@ fn chrome_trace_roundtrip_from_served_traffic() {
         events.iter().filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X")).collect();
     let field = |e: &serde_json::Value, k: &str| e.get(k).and_then(|v| v.as_f64()).unwrap();
 
-    // The batch the dispatcher coalesced: the pipelined dispatcher is
-    // two-phase, so the submit span carries the engine kernel spans it
-    // enqueued nested inside (same track, contained interval) and a
-    // matching completion span replies after the fence.
+    // A pass the worker submitted: the pipelined worker is two-phase, so
+    // the submit span (`fleet.batch` for a coalesced pass, `fleet.single`
+    // for a pass of one) carries the engine kernel spans it enqueued nested
+    // inside (same track, contained interval) and a matching completion
+    // span replies after the fence.
     assert!(
-        spans.iter().any(|e| e.get("name").and_then(|n| n.as_str()) == Some("serve.complete")),
-        "a serve.complete span (pipelined completion phase)"
+        spans.iter().any(|e| e.get("name").and_then(|n| n.as_str()) == Some("fleet.complete")),
+        "a fleet.complete span (pipelined completion phase)"
     );
     let batch = spans
         .iter()
-        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("serve.submit"))
-        .expect("a serve.submit span (8 submits, max_batch 8)");
+        .find(|e| {
+            let name = e.get("name").and_then(|n| n.as_str());
+            name == Some("fleet.batch") || name == Some("fleet.single")
+        })
+        .expect("a fleet.batch or fleet.single span (8 submits, max_batch 8)");
     let batch_tid = batch.get("tid").expect("span tid");
     let (b0, b1) = (field(batch, "ts"), field(batch, "ts") + field(batch, "dur"));
     let nested_kernels = spans
@@ -199,28 +210,21 @@ fn request_scoped_tracing_reconstructs_causal_lanes() {
     // attribution table is process-global, so these params must differ
     // from every other test in this binary.
     let artifacts = classifier_artifacts(&engine, 24, 48, 5, 9).expect("build model");
-    let mut server = ModelServer::new(
-        &engine,
-        ServeConfig {
-            max_batch: 4,
-            max_wait: std::time::Duration::from_millis(50),
-            cache_capacity: 2,
-        },
-    );
-    let key = server.register(ModelSource::Artifacts(artifacts));
+    let mut fleet = fleet_of_one(&engine, 4);
+    let key = fleet.register(ModelSource::Artifacts(artifacts), unmissable());
     // Warm up untraced so the model build stays out of the trace window.
-    server.infer(key, synthetic_example(24, 0), vec![24]).expect("warmup");
+    fleet.infer(key, synthetic_example(24, 0), vec![24]).expect("warmup");
 
     const REQUESTS: usize = 12;
     webml::telemetry::clear();
     webml::telemetry::set_enabled(true);
     let pending: Vec<_> = (0..REQUESTS)
-        .map(|i| server.submit(key, synthetic_example(24, i + 1), vec![24]))
+        .map(|i| fleet.submit(key, synthetic_example(24, i + 1), vec![24]))
         .collect();
     for p in pending {
         p.wait().expect("served inference");
     }
-    server.shutdown();
+    fleet.shutdown();
     webml::telemetry::set_enabled(false);
 
     let text = webml::telemetry::chrome_trace_json();
@@ -267,7 +271,7 @@ fn request_scoped_tracing_reconstructs_causal_lanes() {
     let mut request_envelopes = 0usize;
     for e in &spans {
         let name = e.get("name").and_then(|n| n.as_str()).unwrap_or("");
-        if name == "serve.request" || name == "serve.batch" || name == "serve.dispatch" {
+        if name == "serve.request" || name == "serve.batch" || name == "fleet.dispatch" {
             if name == "serve.request" {
                 request_envelopes += 1;
             }
@@ -282,7 +286,7 @@ fn request_scoped_tracing_reconstructs_causal_lanes() {
     for e in &spans {
         let name = e.get("name").and_then(|n| n.as_str()).unwrap_or("");
         let id = trace_id(e);
-        if id == 0 || name == "serve.request" || name == "serve.batch" || name == "serve.dispatch" {
+        if id == 0 || name == "serve.request" || name == "serve.batch" || name == "fleet.dispatch" {
             continue;
         }
         let Some((env_start, env_end)) = envelopes.get(&id) else { continue };
