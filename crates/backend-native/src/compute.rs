@@ -138,7 +138,7 @@ pub fn fused_matmul(
 }
 
 /// How many multiply-adds of the register-tiled product make one element
-/// visit, the unit `parallel::GRAIN` counts work in. Every other kernel's
+/// visit, the unit `webml_core::pool::GRAIN` counts work in. Every other kernel's
 /// multiply-add loads and stores its accumulator and *is* a visit; a tile
 /// keeps its accumulators in registers. Counted one for one, the three
 /// 250 k-multiply-add products of the training step's dense layer are split
@@ -1258,8 +1258,7 @@ mod tests {
     use webml_core::backend::ReduceOp;
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
     use webml_core::host::FreeList;
-    use crate::parallel::{COLD_GRAIN, GRAIN};
-    use webml_core::pool::WorkerPool;
+    use webml_core::pool::{WorkerPool, COLD_GRAIN, GRAIN};
 
     fn close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
@@ -1278,12 +1277,11 @@ mod tests {
         kernel(&Host { pool: &pool, buffers: &buffers })
     }
 
-    /// [`on_host`] on a spinning pool right after a job every thread took
-    /// part in, so its workers are awake and an op of two warm grains is
-    /// split too (unless they park again first, when the run is one more of
-    /// the parked pool's).
+    /// [`on_host`] right after a job every thread took part in, so its
+    /// workers are awake and an op of two warm grains is split too (unless
+    /// they park again first, when the run is one more of a parked pool's).
     fn on_warm_host<R>(cores: usize, kernel: impl FnOnce(&Host<'_>) -> R) -> R {
-        let (pool, buffers) = (WorkerPool::spinning(cores), FreeList::default());
+        let (pool, buffers) = (WorkerPool::new(cores), FreeList::default());
         let met = std::sync::Barrier::new(cores);
         pool.run(cores, &|_| {
             met.wait();
@@ -1293,8 +1291,8 @@ mod tests {
 
     /// `kernel`'s output, the same to the bit from every build this CPU
     /// runs ([`Codegen::all`]: the portable one and, on a CPU with AVX2, the
-    /// AVX2 one) on pools of 1, 2, 3 and 8 that park, and of 2 — the
-    /// benchmark host's — whose worker is awake. The second shape of every
+    /// AVX2 one) on new pools of 1, 2, 3 and 8, whose workers start parked,
+    /// and of 2 — the benchmark host's — whose worker is awake. The second shape of every
     /// test below is large enough to be split on all but the first; the
     /// training step's layers are split only awake.
     fn on_every_pool(kernel: impl Fn(Codegen, &Host<'_>) -> Vec<f32>) -> Vec<f32> {

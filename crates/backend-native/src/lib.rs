@@ -206,7 +206,7 @@ mod tests {
 
     /// Work, in the pool's units, that a pool of three or more threads splits
     /// three ways, its worker awake or not.
-    const SPLIT_WORK: usize = 3 * crate::parallel::COLD_GRAIN;
+    const SPLIT_WORK: usize = 3 * webml_core::pool::COLD_GRAIN;
 
     #[test]
     fn reduce_fast_paths_equal_the_reference_exactly() {

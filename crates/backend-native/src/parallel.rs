@@ -7,85 +7,14 @@ use std::ops::Range;
 use webml_core::host::Host;
 use webml_core::pool::WorkerPool;
 
-/// Least work a chunk must hold before an op is split one more way while the
-/// pool's worker is awake ([`WorkerPool::warm`]), in the one unit every call
-/// site counts: an element visit — a load, an operation and a store. A
-/// multiply-add of the untiled kernels (depthwise conv, the quantised
-/// product) is exactly that, and is measured at a visit's price (1.8 M of
-/// them in the conv backprops' former gather loops took 0.72–0.75 ms on one
-/// thread, 0.40 ns each), so those kernels pass their multiply-adds as they
-/// are; col2im passes its adds. The register-tiled product is the one kernel
-/// whose multiply-add touches no memory; `compute::TILED_MACS_PER_VISIT`,
-/// kept beside the tile it describes, says how many of them make a visit.
-///
-/// Derived from what handing a chunk to the *awake* worker costs, measured
-/// as [`COLD_GRAIN`]'s cold hand-off was (2-vCPU Sapphire Rapids Xeon, KVM,
-/// release build). An empty `WorkerPool::run(2, ..)` to a polling worker
-/// takes 1.15 µs (median of 2000, back to back; 7.0 µs to a parked one, 200
-/// µs idle before each). Inside a training step (per-kernel wall time from
-/// `Engine::profile`, 400 steps a side on one thread and on two, in
-/// alternating blocks), the maps, products and element-wise gradients that
-/// split warm and gain took half their one-thread time plus 2.4–8.6 µs in
-/// two such runs (the dense `dW` product, 15.6 µs): that is the warm
-/// hand-off. A streaming element visit costs 0.34 ns
-/// (`max(a[i], 0)`) to 0.45 ns (`a[i] * b[i]`) over 1 Mi floats, so the
-/// hand-off is worth 5 300–25 000 visits; the constant is the power of two
-/// at the low end. With every chunk holding at least that much, the
-/// hand-off costs a chunk at most what the chunk itself costs, as with the
-/// cold grain. Three kinds of split still lose in the step (EXPERIMENTS.md
-/// "the worker stays awake"): the bias-gradient column sums, whose chunks
-/// each walk every row; the 50 176-element maps right after conv 1; and an
-/// op that finds the worker parked, which runs whole and pays the wake-up's
-/// send.
-///
-/// Re-checked for the AVX2 build of the hot loops (`codegen`): the two maps
-/// above cost the same in both builds (0.43 and 0.60 ns portable, 0.42 and
-/// 0.60 ns AVX2, 31 rounds alternating the builds, in a slower host state
-/// than the figures above), and no hand-off changed, so neither grain
-/// depends on the build.
-///
-/// In the training step the worker is awake from its first split of a step
-/// to its last, so the step's element-wise maps, both im2cols, conv 1's
-/// products, col2im, the dense products and the bias-gradient sums split
-/// too (`tests::the_training_steps_kernels_split_as_listed`).
-pub(crate) const GRAIN: usize = 8_192;
-
-/// The same least work per chunk while the worker is parked: a chunk handed
-/// to it pays its wake-up. Derived from what that cost *inside a training
-/// step* (2 vCPU Xeon @ 2.10 GHz, release build, per-kernel wall time from
-/// `Engine::profile`, 400 steps): kernels too small to gain from a second
-/// thread took 29 µs (a 32x784x10 `MatMul`), 33 µs (a 50 176-element
-/// `Relu`, 14 → 47 µs) and 37 µs (a bias-gradient `Sum`) longer split in two
-/// than whole. That is three times the 10.0–11.6 µs round trip of an empty
-/// `WorkerPool::run(2, ..)` measured on its own (median of 2000, the worker
-/// parked 200 µs before each), because between the kernels of a step the
-/// worker has slept for longer. At a visit's 0.34–0.45 ns the wake-up is
-/// worth 65 000–110 000 visits; the constant is the power of two at the low
-/// end. Finer cold grains lost in the step: two threads against one read
-/// 1.00 at 16 384 and 1.05 at 32 768 against 1.10 at 65 536 (DESIGN.md §19).
-/// Cold, what splits in the training step is conv 2's register-tiled
-/// product — forward, `dW` and `dx`, 451 k visits each.
-///
-/// An op that would split warm but not cold runs whole on the calling thread
-/// and wakes the worker ([`WorkerPool::wake`]), so the ops that follow find
-/// it awake. The grain thus depends on the one thing that sets the hand-off's
-/// price, the worker's state, which the pool observes; a backend serving
-/// sparse requests keeps its worker parked between them and splits only what
-/// pays for a wake-up.
-pub(crate) const COLD_GRAIN: usize = 65_536;
-
-/// How many ways to split `n` items of `work_per_item` units each over a
-/// pool of `cores`: one chunk per `grain` of work, at most one per core.
-fn chunk_count(cores: usize, n: usize, work_per_item: usize, grain: usize) -> usize {
-    (n.saturating_mul(work_per_item) / grain).clamp(1, cores.min(n).max(1))
-}
-
 /// Run `f` over `0..n`, split into contiguous ranges on `pool`, handing each
 /// call the disjoint `&mut` slice of `out` aligned with its range
 /// (`out.len()` must be `n * stride`). `work_per_item` is the cost of one
-/// item in element visits ([`GRAIN`]'s unit); an op worth less than two
-/// grains — [`GRAIN`]s while the pool is warm, [`COLD_GRAIN`]s while it is
-/// not — runs inline on the calling thread.
+/// item in element visits ([`GRAIN`]'s unit); the pool's one split rule,
+/// [`WorkerPool::split`], decides how many ranges, and an op too small to
+/// pay for a hand-off runs inline on the calling thread.
+///
+/// [`GRAIN`]: webml_core::pool::GRAIN
 pub fn parallel_for_slices<T: Send>(
     pool: &WorkerPool,
     out: &mut [T],
@@ -95,12 +24,7 @@ pub fn parallel_for_slices<T: Send>(
     f: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
     debug_assert_eq!(out.len(), n * stride);
-    let split = |grain| chunk_count(pool.size(), n, work_per_item, grain);
-    let warm_chunks = split(GRAIN);
-    let chunks = if pool.warm() { warm_chunks } else { split(COLD_GRAIN) };
-    if chunks < warm_chunks {
-        pool.wake();
-    }
+    let chunks = pool.split(n.saturating_mul(work_per_item), n);
     if chunks == 1 || out.is_empty() {
         f(0..n, out);
         return;
@@ -178,6 +102,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread::ThreadId;
     use webml_core::host::FreeList;
+    use webml_core::pool::{chunk_count, COLD_GRAIN, GRAIN};
 
     #[test]
     fn covers_whole_range_once() {
@@ -219,18 +144,6 @@ mod tests {
             }
         });
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-    }
-
-    #[test]
-    fn chunks_follow_work_not_output_size() {
-        // Two grains or more split, never more ways than cores or items.
-        for grain in [GRAIN, COLD_GRAIN] {
-            assert_eq!(chunk_count(8, 2 * grain - 1, 1, grain), 1);
-            assert_eq!(chunk_count(8, 2 * grain, 1, grain), 2);
-            assert_eq!(chunk_count(8, 3, usize::MAX, grain), 3);
-            assert_eq!(chunk_count(1, 1 << 20, 1 << 20, grain), 1);
-            assert_eq!(chunk_count(4, 0, 7, grain), 1);
-        }
     }
 
     /// Every kernel of the benchmark's training step (`Sequential` conv 8 →
@@ -301,9 +214,9 @@ mod tests {
         });
     }
 
-    /// The threads `parallel_for_slices` ran an op of `n` unit-work items on,
-    /// on a pool that parks: `chunks` of them, which wait for each other, so
-    /// no thread can take two.
+    /// The threads `parallel_for_slices` ran an op of `n` unit-work items on:
+    /// `chunks` of them, which wait for each other, so no thread can take
+    /// two.
     fn threads_used(pool: &WorkerPool, n: usize, chunks: usize) -> HashSet<ThreadId> {
         let seen = Mutex::new(HashSet::new());
         let barrier = std::sync::Barrier::new(chunks);
@@ -317,7 +230,7 @@ mod tests {
 
     #[test]
     fn below_grain_stays_on_the_caller_above_it_spreads() {
-        // A parking pool is never warm: the cold grain.
+        // A new pool's workers are parked: the cold grain.
         let pool = WorkerPool::new(3);
         let caller = std::thread::current().id();
         assert_eq!(threads_used(&pool, 2 * COLD_GRAIN - 1, 1), HashSet::from([caller]));
@@ -337,7 +250,7 @@ mod tests {
 
     #[test]
     fn an_op_worth_two_warm_grains_splits_only_while_the_worker_is_awake() {
-        let pool = WorkerPool::spinning(2);
+        let pool = WorkerPool::new(2);
         // Parked: whole (and the worker is woken for the ops after it).
         assert_eq!(ranges(&pool, 2 * GRAIN), 1);
         // Awake, right after a job both threads took part in: split. The

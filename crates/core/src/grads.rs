@@ -5,8 +5,9 @@
 //! While the supplied function runs, every kernel call is recorded on a
 //! tape; backpropagation then walks the tape in reverse over the nodes that
 //! lie on a path from the requested inputs to the output, differentiating
-//! each by [`rule`] — one match over the [`KernelCall`], so a call carries
-//! its gradient wherever it is stored (an op, a planned graph node). Because
+//! each by `rule` — one match over the
+//! [`KernelCall`](crate::backend::KernelCall), so a call carries its
+//! gradient wherever it is stored (an op, a planned graph node). Because
 //! differentiation is eager, native Rust `if`/`while` control flow works
 //! inside the closure — no special control-flow ops are needed.
 

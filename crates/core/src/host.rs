@@ -237,13 +237,13 @@ impl<K: HostKernels> HostBackend<K> {
 
     /// Create a backend whose kernels run on a pool of `threads` threads,
     /// the calling one included, spawned here and kept until the backend is
-    /// dropped. `1` spawns nothing. The workers spin for about 50 µs after
-    /// each job before they park ([`WorkerPool::spinning`]): a kernel's
-    /// chunks mostly follow another kernel's within that time.
+    /// dropped. `1` spawns nothing. The workers poll for about 50 µs after
+    /// each job before they park ([`WorkerPool::new`]): a kernel's chunks
+    /// mostly follow another kernel's within that time.
     pub fn with_threads(name: impl Into<String>, threads: usize) -> Self {
         HostBackend {
             name: name.into(),
-            pool: WorkerPool::spinning(threads),
+            pool: WorkerPool::new(threads),
             buffers: FreeList::of_backend(),
             store: Mutex::default(),
             next_id: AtomicU64::new(1),

@@ -274,6 +274,8 @@ pub fn binary(op: BinaryOp, a: &[f32], a_shape: &Shape, b: &[f32], b_shape: &Sha
 }
 
 /// Reduction over `axes` (sorted, unique); output drops the reduced dims.
+/// Each output combines its inputs in ascending input index, whichever loop
+/// visits them.
 pub fn reduce(op: ReduceOp, a: &[f32], shape: &Shape, axes: &[usize]) -> Vec<f32> {
     let out_dims: Vec<usize> = shape
         .dims()
@@ -285,20 +287,36 @@ pub fn reduce(op: ReduceOp, a: &[f32], shape: &Shape, axes: &[usize]) -> Vec<f32
     let out_size: usize = out_dims.iter().product();
     let reduce_count: usize = axes.iter().map(|&i| shape.dim(i)).product();
     let mut out = vec![op.init(); out_size.max(1)];
-    // Map each input coordinate to its output flat index.
-    let out_strides = Shape::new(out_dims.clone()).strides();
-    let mut contrib = vec![0usize; shape.rank()];
-    let mut oi = 0;
-    for (i, _) in shape.dims().iter().enumerate() {
-        if !axes.contains(&i) {
-            contrib[i] = out_strides[oi];
-            oi += 1;
+    match axes.last() {
+        // Consecutive axes of a non-empty input: it is `outer × reduced ×
+        // inner`, and output `o × inner + i` reads a strided run of
+        // `reduced` inputs.
+        Some(&last) if !a.is_empty() && axes.windows(2).all(|w| w[1] == w[0] + 1) => {
+            let inner: usize = shape.dims()[last + 1..].iter().product();
+            let inputs = a.chunks_exact(reduce_count * inner);
+            for (acc, input) in out.chunks_exact_mut(inner).zip(inputs) {
+                for row in input.chunks_exact(inner) {
+                    acc.iter_mut().zip(row).for_each(|(v, &x)| *v = op.combine(*v, x));
+                }
+            }
+        }
+        _ => {
+            // Map each input coordinate to its output flat index.
+            let out_strides = Shape::new(out_dims.clone()).strides();
+            let mut contrib = vec![0usize; shape.rank()];
+            let mut oi = 0;
+            for (i, _) in shape.dims().iter().enumerate() {
+                if !axes.contains(&i) {
+                    contrib[i] = out_strides[oi];
+                    oi += 1;
+                }
+            }
+            for_each_coord(shape.dims(), |idx, coords| {
+                let out_idx: usize = coords.iter().zip(&contrib).map(|(&c, &s)| c * s).sum();
+                out[out_idx] = op.combine(out[out_idx], a[idx]);
+            });
         }
     }
-    for_each_coord(shape.dims(), |idx, coords| {
-        let out_idx: usize = coords.iter().zip(&contrib).map(|(&c, &s)| c * s).sum();
-        out[out_idx] = op.combine(out[out_idx], a[idx]);
-    });
     for v in &mut out {
         *v = op.finalize(*v, reduce_count.max(1));
     }
@@ -1212,6 +1230,60 @@ mod tests {
     fn reduce_sum_axis0() {
         let out = reduce(ReduceOp::Sum, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &s(&[2, 3]), &[0]);
         assert_eq!(out, vec![5.0, 7.0, 9.0]);
+    }
+
+    /// `reduce` as one loop per output over every input in ascending index.
+    fn reduce_per_output(op: ReduceOp, a: &[f32], shape: &Shape, axes: &[usize]) -> Vec<f32> {
+        let dims = shape.dims();
+        let kept: Vec<usize> = (0..dims.len()).filter(|i| !axes.contains(i)).collect();
+        let out_size: usize = kept.iter().map(|&i| dims[i]).product();
+        let count = axes.iter().map(|&i| dims[i]).product::<usize>().max(1);
+        let out_of = |coords: &[usize]| kept.iter().fold(0, |flat, &i| flat * dims[i] + coords[i]);
+        let output = |o| {
+            let mut acc = op.init();
+            for_each_coord(dims, |idx, coords| {
+                if out_of(coords) == o {
+                    acc = op.combine(acc, a[idx]);
+                }
+            });
+            op.finalize(acc, count)
+        };
+        (0..out_size.max(1)).map(output).collect()
+    }
+
+    #[test]
+    fn reduce_equals_a_per_output_ascending_loop_on_bits() {
+        use ReduceOp::*;
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let value = |i: usize| match i % 3 {
+            0 => specials[i / 3 % 5],
+            _ => (i as f32 * 0.37).sin() * 3.0,
+        };
+        // Every NaN as one: Rust leaves the sign and payload of a NaN result
+        // unspecified, and an optimised build may swap a product's operands.
+        let bits = |v: &[f32]| {
+            v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect::<Vec<_>>()
+        };
+        // Leading, middle, trailing and whole runs of axes, and one set that
+        // is not a run; zero-size dims kept and reduced.
+        let cases: [(&[usize], &[&[usize]]); 5] = [
+            (&[2, 3, 4, 5], &[&[0], &[0, 1], &[1], &[1, 2], &[2, 3], &[3], &[0, 1, 2, 3], &[0, 2]]),
+            (&[7], &[&[0]]),
+            (&[3, 0, 2], &[&[0], &[1], &[1, 2], &[2], &[0, 2]]),
+            (&[0, 3], &[&[0], &[1], &[0, 1]]),
+            (&[4, 1, 6], &[&[1], &[0, 1], &[1, 2]]),
+        ];
+        for (dims, axis_sets) in cases {
+            let shape = s(dims);
+            let a: Vec<f32> = (0..shape.size()).map(value).collect();
+            for axes in axis_sets {
+                for op in [Sum, Mean, Prod, Max, Min, Any, All] {
+                    let (got, want) =
+                        (reduce(op, &a, &shape, axes), reduce_per_output(op, &a, &shape, axes));
+                    assert_eq!(bits(&got), bits(&want), "{op:?} of {dims:?} over {axes:?}");
+                }
+            }
+        }
     }
 
     #[test]

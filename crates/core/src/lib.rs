@@ -19,9 +19,9 @@
 //!   `native` are two more sets) and by the GPU crates' `GpuBackend`;
 //! - [`asyncx::EventLoop`]: a browser main-thread simulator reproducing the
 //!   Figure 2/3 timelines;
-//! - [`pool::WorkerPool`]: the workspace's one persistent thread pool, shared
-//!   by a host backend's kernels (which spin between jobs) and the WebGL
-//!   simulator's shader cores (which park).
+//! - [`pool::WorkerPool`]: the workspace's one persistent thread pool and
+//!   its one split rule, shared by a host backend's kernels and the GPU
+//!   simulators' shader cores.
 //!
 //! ## Example
 //!

@@ -1,10 +1,11 @@
-//! The workspace's one persistent worker pool.
+//! The workspace's one persistent worker pool, and its one rule for how
+//! finely to split work over it.
 //!
 //! Creating a thread costs tens of microseconds — more than most kernels of
 //! a training step and more than most simulated draw calls — so nothing that
 //! runs per kernel may spawn. A [`WorkerPool`] is built once by whoever owns
 //! the cores it stands for (the WebGL simulator's device thread: its "shader
-//! cores"; a native backend: its kernel threads) and every later
+//! cores"; a host backend: its kernel threads) and every later
 //! [`run`](WorkerPool::run) only hands chunks to threads that already exist.
 //!
 //! Several threads may call `run` on one pool at once. Each call is its own
@@ -12,16 +13,14 @@
 //! is busy with somebody else's chunk, only for chunks a worker has already
 //! begun.
 //!
-//! How an idle thread waits is the owner's choice, made once. A parked
-//! worker costs nothing while idle but takes tens of microseconds to wake;
-//! a [`spinning`](WorkerPool::spinning) one polls its queue for about
-//! 50 µs after each job before it parks, so a kernel that follows within
-//! that time is handed over warm, and the dispatcher polls for its
-//! stragglers before it blocks. The native backend's kernels come
-//! back to back and spin; the WebGL simulator's shader cores park: a
-//! simulated device shares the host with whatever else the process runs (a
-//! serving fleet puts a native engine beside it), and a spinning shader core
-//! would take those threads' cores between programs.
+//! Every pool waits the same way: a worker polls its queue for about 50 µs
+//! after each job before it parks, so a job that follows within that time
+//! is handed over warm, and the dispatcher polls for its stragglers before
+//! it blocks. What keeps a pool from taking cores it has no use for is
+//! [`split`](WorkerPool::split): an op too small to pay for a hand-off runs
+//! whole on the calling thread, and wakes nobody unless the ops after it
+//! would gain. Native kernels and the simulated devices' dispatches both
+//! split by it, in one unit of work, the element visit ([`GRAIN`]).
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
@@ -31,7 +30,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Polls a spinning pool's idle thread makes before it blocks, each a check
+/// Polls a pool's idle thread makes before it blocks, each a check
 /// and a `spin_loop` hint. On the 2-vCPU Sapphire Rapids Xeon the benchmark
 /// runs on, a worker's round (a `try_recv` on its empty queue) takes 60–65 ns
 /// and the dispatcher's (a load of the job's `done`) 28–30 ns (quartiles of
@@ -41,6 +40,82 @@ use std::sync::Arc;
 /// step; longer only takes the core from the process's other threads.
 /// Counted, not timed, so the loop reads no clock.
 const SPIN_ROUNDS: u32 = 800;
+
+/// Least work a chunk must hold before an op is split one more way while the
+/// pool's worker is awake ([`WorkerPool::warm`]), in the one unit every
+/// caller counts: an element visit — a load, an operation and a store. A
+/// multiply-add of the native backend's untiled kernels (depthwise conv,
+/// the quantised product) is exactly that, and is measured at a visit's
+/// price (1.8 M of them in the conv backprops' former gather loops took
+/// 0.72–0.75 ms on one thread, 0.40 ns each), so those kernels pass their
+/// multiply-adds as they are; col2im passes its adds. The register-tiled
+/// product is the one kernel whose multiply-add touches no memory; the
+/// native backend's `compute::TILED_MACS_PER_VISIT`, kept beside the tile
+/// it describes, says how many of them make a visit. A simulated device
+/// counts a dispatch's declared operations (`out_size × cost_per_element`)
+/// as visits.
+///
+/// Derived from what handing a chunk to the *awake* worker costs, measured
+/// as [`COLD_GRAIN`]'s cold hand-off was (2-vCPU Sapphire Rapids Xeon, KVM,
+/// release build). An empty `WorkerPool::run(2, ..)` to a polling worker
+/// takes 1.15 µs (median of 2000, back to back; 7.0 µs to a parked one, 200
+/// µs idle before each). Inside a training step (per-kernel wall time from
+/// `Engine::profile`, 400 steps a side on one thread and on two, in
+/// alternating blocks), the maps, products and element-wise gradients that
+/// split warm and gain took half their one-thread time plus 2.4–8.6 µs in
+/// two such runs (the dense `dW` product, 15.6 µs): that is the warm
+/// hand-off. A streaming element visit costs 0.34 ns
+/// (`max(a[i], 0)`) to 0.45 ns (`a[i] * b[i]`) over 1 Mi floats, so the
+/// hand-off is worth 5 300–25 000 visits; the constant is the power of two
+/// at the low end. With every chunk holding at least that much, the
+/// hand-off costs a chunk at most what the chunk itself costs, as with the
+/// cold grain. Three kinds of split still lose in the step (EXPERIMENTS.md
+/// "the worker stays awake"): the bias-gradient column sums, whose chunks
+/// each walk every row; the 50 176-element maps right after conv 1; and an
+/// op that finds the worker parked, which runs whole and pays the wake-up's
+/// send.
+///
+/// Re-checked for the AVX2 build of the native hot loops: the two maps
+/// above cost the same in both builds (0.43 and 0.60 ns portable, 0.42 and
+/// 0.60 ns AVX2, 31 rounds alternating the builds, in a slower host state
+/// than the figures above), and no hand-off changed, so neither grain
+/// depends on the build.
+///
+/// In the training step the worker is awake from its first split of a step
+/// to its last, so the step's element-wise maps, both im2cols, conv 1's
+/// products, col2im, the dense products and the bias-gradient sums split
+/// too (the native backend's `the_training_steps_kernels_split_as_listed`).
+pub const GRAIN: usize = 8_192;
+
+/// The same least work per chunk while the worker is parked: a chunk handed
+/// to it pays its wake-up. Derived from what that cost *inside a training
+/// step* (2 vCPU Xeon @ 2.10 GHz, release build, per-kernel wall time from
+/// `Engine::profile`, 400 steps): kernels too small to gain from a second
+/// thread took 29 µs (a 32x784x10 `MatMul`), 33 µs (a 50 176-element
+/// `Relu`, 14 → 47 µs) and 37 µs (a bias-gradient `Sum`) longer split in two
+/// than whole. That is three times the 10.0–11.6 µs round trip of an empty
+/// `WorkerPool::run(2, ..)` measured on its own (median of 2000, the worker
+/// parked 200 µs before each), because between the kernels of a step the
+/// worker has slept for longer. At a visit's 0.34–0.45 ns the wake-up is
+/// worth 65 000–110 000 visits; the constant is the power of two at the low
+/// end. Finer cold grains lost in the step: two threads against one read
+/// 1.00 at 16 384 and 1.05 at 32 768 against 1.10 at 65 536 (DESIGN.md §19).
+/// Cold, what splits in the training step is conv 2's register-tiled
+/// product — forward, `dW` and `dx`, 451 k visits each.
+///
+/// An op that would split warm but not cold runs whole on the calling thread
+/// and wakes the worker ([`WorkerPool::split`]), so the ops that follow find
+/// it awake. The grain thus depends on the one thing that sets the hand-off's
+/// price, the worker's state, which the pool observes; an owner with sparse
+/// work keeps its worker parked between ops and splits only what pays for a
+/// wake-up.
+pub const COLD_GRAIN: usize = 65_536;
+
+/// How many ways to split `n` items of `work_per_item` units each over a
+/// pool of `cores`: one chunk per `grain` of work, at most one per core.
+pub fn chunk_count(cores: usize, n: usize, work_per_item: usize, grain: usize) -> usize {
+    (n.saturating_mul(work_per_item) / grain).clamp(1, cores.min(n).max(1))
+}
 
 /// A chunk-executing job shared with the workers.
 struct Job {
@@ -85,8 +160,6 @@ unsafe impl Sync for ChunkFn {}
 /// A fixed-size pool of long-lived worker threads.
 pub struct WorkerPool {
     size: usize,
-    /// Polls an idle thread makes before it blocks: 0 or `SPIN_ROUNDS`.
-    spin_rounds: u32,
     /// Workers between being handed a job and parking again.
     awake: Arc<AtomicUsize>,
     senders: Vec<Sender<Arc<Job>>>,
@@ -94,20 +167,10 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn `size` workers (0 and 1 both mean "run inline") that park as
-    /// soon as they are idle.
+    /// Spawn `size` workers (0 and 1 both mean "run inline") that poll their
+    /// queue for about 50 µs after each job before they park, with a
+    /// dispatcher that polls for them before it blocks.
     pub fn new(size: usize) -> WorkerPool {
-        Self::build(size, 0)
-    }
-
-    /// Spawn `size` workers that poll their queue for about 50 µs after each
-    /// job before they park, with a dispatcher that polls for them before it
-    /// blocks.
-    pub fn spinning(size: usize) -> WorkerPool {
-        Self::build(size, SPIN_ROUNDS)
-    }
-
-    fn build(size: usize, spin_rounds: u32) -> WorkerPool {
         let size = size.max(1);
         let awake = Arc::new(AtomicUsize::new(0));
         let mut senders = Vec::new();
@@ -120,11 +183,11 @@ impl WorkerPool {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pool-worker-{i}"))
-                    .spawn(move || serve(&rx, spin_rounds, &awake))
+                    .spawn(move || serve(&rx, &awake))
                     .expect("spawn pool worker"),
             );
         }
-        WorkerPool { size, spin_rounds, awake, senders, workers }
+        WorkerPool { size, awake, senders, workers }
     }
 
     /// Number of cores (including the dispatcher).
@@ -133,24 +196,28 @@ impl WorkerPool {
     }
 
     /// Whether a chunk handed over now costs a warm hand-off, not a
-    /// wake-up: the pool spins and a worker is awake, running a chunk or
-    /// polling for the next. Always false for a pool that parks, whose
-    /// workers park as soon as their chunk is done.
+    /// wake-up: a worker is awake, running a chunk or polling for the next.
     pub fn warm(&self) -> bool {
-        self.spin_rounds > 0 && self.awake.load(Ordering::Relaxed) > 0
+        self.awake.load(Ordering::Relaxed) > 0
     }
 
-    /// Hand the parked workers of a spinning pool an empty job, so that they
-    /// are awake for the ops that follow; returns at once, and does nothing
-    /// on a pool that parks or is already [`warm`](WorkerPool::warm).
-    pub fn wake(&self) {
-        if self.spin_rounds == 0 || self.warm() {
-            return;
+    /// How many chunks to cut `work` element visits into, at most `max` (an
+    /// op's items) and at most one per core: one per [`GRAIN`] while the
+    /// pool is [`warm`](WorkerPool::warm), one per [`COLD_GRAIN`] while it
+    /// is not. An op that would split warm but not cold runs whole and
+    /// wakes the workers, so the ops after it find them awake.
+    pub fn split(&self, work: usize, max: usize) -> usize {
+        let cores = self.size.min(max);
+        let warm_chunks = chunk_count(cores, work, 1, GRAIN);
+        let chunks = if self.warm() { warm_chunks } else { chunk_count(cores, work, 1, COLD_GRAIN) };
+        if chunks < warm_chunks {
+            // Cold, so every worker is parked: hand each an empty job.
+            let job = Job::new(ChunkFn(&|_| {}), 0);
+            for tx in &self.senders {
+                let _ = tx.send(job.clone());
+            }
         }
-        let job = Job::new(ChunkFn(&|_| {}), 0);
-        for tx in &self.senders {
-            let _ = tx.send(job.clone());
-        }
+        chunks
     }
 
     /// Execute `func(0..chunks)` across the pool, blocking until every
@@ -186,11 +253,11 @@ impl WorkerPool {
         }
         // The dispatcher participates as a core.
         work_until_drained(&job);
-        // Wait for the stragglers: poll first, if the pool spins, then block.
-        // `Acquire` pairs with the `Release` increment of `done`, so every
-        // chunk's writes are visible once all are counted.
+        // Wait for the stragglers: poll first, then block. `Acquire` pairs
+        // with the `Release` increment of `done`, so every chunk's writes are
+        // visible once all are counted.
         let finished = || job.done.load(Ordering::Acquire) == job.total;
-        for _ in 0..self.spin_rounds {
+        for _ in 0..SPIN_ROUNDS {
             if finished() {
                 break;
             }
@@ -208,16 +275,16 @@ impl WorkerPool {
 }
 
 /// A worker's life: parked until a job arrives; after each job it polls its
-/// queue for `spin_rounds` before it parks again, and it exits when the pool
+/// queue for `SPIN_ROUNDS` before it parks again, and it exits when the pool
 /// drops its sender, whether it is polling or parked then.
-fn serve(rx: &Receiver<Arc<Job>>, spin_rounds: u32, awake: &AtomicUsize) {
+fn serve(rx: &Receiver<Arc<Job>>, awake: &AtomicUsize) {
     // Relaxed: `awake` publishes nothing; it only steers how finely the
     // owner splits its next op.
     while let Ok(mut job) = rx.recv() {
         awake.fetch_add(1, Ordering::Relaxed);
         loop {
             work_until_drained(&job);
-            match poll(rx, spin_rounds) {
+            match poll(rx) {
                 Ok(Some(next)) => job = next,
                 Ok(None) => break,
                 Err(_) => return,
@@ -227,10 +294,10 @@ fn serve(rx: &Receiver<Arc<Job>>, spin_rounds: u32, awake: &AtomicUsize) {
     }
 }
 
-/// The next job, if one arrives within `rounds` polls; `Err` when the pool
-/// has dropped its sender.
-fn poll(rx: &Receiver<Arc<Job>>, rounds: u32) -> Result<Option<Arc<Job>>, TryRecvError> {
-    for _ in 0..rounds {
+/// The next job, if one arrives within `SPIN_ROUNDS` polls; `Err` when the
+/// pool has dropped its sender.
+fn poll(rx: &Receiver<Arc<Job>>) -> Result<Option<Arc<Job>>, TryRecvError> {
+    for _ in 0..SPIN_ROUNDS {
         match rx.try_recv() {
             Err(TryRecvError::Empty) => spin_loop(),
             received => return received.map(Some),
@@ -281,66 +348,57 @@ mod tests {
     use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
-    /// A parking and a spinning pool of `size`: every behaviour holds on both.
-    fn both(size: usize) -> [WorkerPool; 2] {
-        [WorkerPool::new(size), WorkerPool::spinning(size)]
-    }
-
     #[test]
     fn runs_every_chunk_exactly_once() {
-        for pool in both(4) {
-            let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(100, &|i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        }
+        let pool = WorkerPool::new(4);
+        let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(100, &|i| {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn single_worker_runs_inline() {
-        for pool in both(1) {
-            let hits = AtomicUsize::new(0);
-            pool.run(10, &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 10);
-            assert!(!pool.warm());
-        }
+        let pool = WorkerPool::new(1);
+        let hits = AtomicUsize::new(0);
+        pool.run(10, &|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 10);
+        assert!(!pool.warm());
     }
 
     #[test]
     fn sequential_jobs_reuse_workers() {
-        for pool in both(3) {
-            for round in 0..50 {
-                let sum = AtomicUsize::new(0);
-                pool.run(8, &|i| {
-                    sum.fetch_add(i + round, Ordering::Relaxed);
-                });
-                assert_eq!(sum.load(Ordering::Relaxed), 28 + 8 * round);
-            }
+        let pool = WorkerPool::new(3);
+        for round in 0..50 {
+            let sum = AtomicUsize::new(0);
+            pool.run(8, &|i| {
+                sum.fetch_add(i + round, Ordering::Relaxed);
+            });
+            assert_eq!(sum.load(Ordering::Relaxed), 28 + 8 * round);
         }
     }
 
     #[test]
     fn disjoint_mut_slices_can_be_written() {
-        for pool in both(4) {
-            let mut data = vec![0u32; 64];
-            {
-                let base = data.as_mut_ptr() as usize;
-                pool.run(8, &move |i| {
-                    // SAFETY: each chunk owns a disjoint 8-element window.
-                    let slice = unsafe {
-                        std::slice::from_raw_parts_mut((base as *mut u32).add(i * 8), 8)
-                    };
-                    for (k, v) in slice.iter_mut().enumerate() {
-                        *v = (i * 8 + k) as u32;
-                    }
-                });
-            }
-            for (i, v) in data.iter().enumerate() {
-                assert_eq!(*v, i as u32);
-            }
+        let pool = WorkerPool::new(4);
+        let mut data = vec![0u32; 64];
+        {
+            let base = data.as_mut_ptr() as usize;
+            pool.run(8, &move |i| {
+                // SAFETY: each chunk owns a disjoint 8-element window.
+                let slice = unsafe {
+                    std::slice::from_raw_parts_mut((base as *mut u32).add(i * 8), 8)
+                };
+                for (k, v) in slice.iter_mut().enumerate() {
+                    *v = (i * 8 + k) as u32;
+                }
+            });
+        }
+        for (i, v) in data.iter().enumerate() {
+            assert_eq!(*v, i as u32);
         }
     }
 
@@ -368,20 +426,18 @@ mod tests {
 
     #[test]
     fn warm_while_a_worker_runs_or_polls_cold_once_it_parks() {
-        let pool = WorkerPool::spinning(2);
+        let pool = WorkerPool::new(2);
         assert!(!pool.warm(), "a new pool's worker is parked");
         run_on_both_threads(&pool, || assert!(pool.warm()));
         // The worker parks once its rounds run out.
         until_cold(&pool);
         run_on_both_threads(&pool, || assert!(pool.warm()));
-        let parking = WorkerPool::new(2);
-        run_on_both_threads(&parking, || assert!(!parking.warm()));
     }
 
     #[test]
     fn a_pool_dropped_while_its_worker_polls_returns_promptly() {
         for _ in 0..100 {
-            let pool = WorkerPool::spinning(2);
+            let pool = WorkerPool::new(2);
             run_on_both_threads(&pool, || {});
             // The worker is polling (or, preempted, about to); the drop
             // disconnects its queue and joins it.
@@ -410,44 +466,114 @@ mod tests {
         }))
     }
 
-    /// On the spinning pool every job after the first finds the worker
-    /// warm: it is still polling after the job before.
+    /// Every job after the first finds the worker warm: it is still polling
+    /// after the job before.
     #[test]
     fn panicking_chunk_reaches_the_caller_and_the_pool_survives() {
-        for pool in both(3) {
-            for on_worker in [true, false, true] {
-                let outcome = run_with_panicking_chunk(&pool, on_worker);
-                let payload = outcome.expect_err("run re-raises the chunk's panic");
-                assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk failed"));
-                // Same pool, same workers: the next job completes exactly.
-                let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-                pool.run(64, &|i| {
-                    counts[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-            }
+        let pool = WorkerPool::new(3);
+        for on_worker in [true, false, true] {
+            let outcome = run_with_panicking_chunk(&pool, on_worker);
+            let payload = outcome.expect_err("run re-raises the chunk's panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk failed"));
+            // Same pool, same workers: the next job completes exactly.
+            let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            pool.run(64, &|i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
         }
     }
 
     #[test]
     fn concurrent_dispatchers_each_get_their_own_job_back() {
-        for pool in both(3) {
-            let start = Barrier::new(8);
-            std::thread::scope(|s| {
-                for t in 0..8usize {
-                    let (pool, start) = (&pool, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        for round in 0..200 {
-                            let sum = AtomicUsize::new(0);
-                            pool.run(5, &|i| {
-                                sum.fetch_add(i + t + round, Ordering::Relaxed);
-                            });
-                            assert_eq!(sum.load(Ordering::Relaxed), 10 + 5 * (t + round));
-                        }
-                    });
-                }
-            });
+        let pool = WorkerPool::new(3);
+        let start = Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8usize {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..200 {
+                        let sum = AtomicUsize::new(0);
+                        pool.run(5, &|i| {
+                            sum.fetch_add(i + t + round, Ordering::Relaxed);
+                        });
+                        assert_eq!(sum.load(Ordering::Relaxed), 10 + 5 * (t + round));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn chunks_follow_work_not_output_size() {
+        // Two grains or more split, never more ways than cores or items.
+        for grain in [GRAIN, COLD_GRAIN] {
+            assert_eq!(chunk_count(8, 2 * grain - 1, 1, grain), 1);
+            assert_eq!(chunk_count(8, 2 * grain, 1, grain), 2);
+            assert_eq!(chunk_count(8, 3, usize::MAX, grain), 3);
+            assert_eq!(chunk_count(1, 1 << 20, 1 << 20, grain), 1);
+            assert_eq!(chunk_count(4, 0, 7, grain), 1);
         }
+    }
+
+    /// A pool of `size` cores whose workers are the test itself: it sets
+    /// whether they are awake and reads every job handed to them from the
+    /// returned queues.
+    fn puppet(size: usize, awake: bool) -> (WorkerPool, Vec<Receiver<Arc<Job>>>) {
+        let (senders, queues) = (1..size).map(|_| unbounded()).unzip();
+        let awake = Arc::new(AtomicUsize::new(usize::from(awake)));
+        (WorkerPool { size, awake, senders, workers: Vec::new() }, queues)
+    }
+
+    /// How many wake-up jobs `queues` received since the last call.
+    fn wakes(queues: &[Receiver<Arc<Job>>]) -> usize {
+        queues.iter().map(|q| std::iter::from_fn(|| q.try_recv().ok()).count()).sum()
+    }
+
+    #[test]
+    fn split_takes_the_grain_of_the_workers_state() {
+        let (cold, _) = puppet(2, false);
+        assert_eq!(cold.split(2 * COLD_GRAIN - 1, usize::MAX), 1);
+        assert_eq!(cold.split(2 * COLD_GRAIN, usize::MAX), 2);
+        let (warm, _) = puppet(2, true);
+        assert_eq!(warm.split(2 * GRAIN - 1, usize::MAX), 1);
+        assert_eq!(warm.split(2 * GRAIN, usize::MAX), 2);
+    }
+
+    #[test]
+    fn split_is_capped_by_its_max_and_the_pools_cores() {
+        let (pool, _) = puppet(4, true);
+        assert_eq!(pool.split(100 * GRAIN, usize::MAX), 4);
+        assert_eq!(pool.split(100 * GRAIN, 3), 3);
+        assert_eq!(pool.split(100 * GRAIN, 1), 1);
+        assert_eq!(pool.split(100 * GRAIN, 0), 1);
+        assert_eq!(pool.split(0, usize::MAX), 1);
+        let (alone, _) = puppet(1, true);
+        assert_eq!(alone.split(100 * COLD_GRAIN, usize::MAX), 1);
+    }
+
+    #[test]
+    fn split_wakes_the_workers_only_when_a_warm_split_would_be_larger() {
+        let (pool, queues) = puppet(4, false);
+        // Below two warm grains: whole, and nothing to wake for.
+        assert_eq!(pool.split(2 * GRAIN - 1, usize::MAX), 1);
+        assert_eq!(wakes(&queues), 0);
+        // Warm, two ways; cold, one: whole, and every worker woken.
+        assert_eq!(pool.split(2 * GRAIN, usize::MAX), 1);
+        assert_eq!(wakes(&queues), 3);
+        // Unless the op has no second item to hand over.
+        assert_eq!(pool.split(2 * GRAIN, 1), 1);
+        assert_eq!(wakes(&queues), 0);
+        // Cold, two ways; warm, four: split, and woken for the next op.
+        assert_eq!(pool.split(2 * COLD_GRAIN, usize::MAX), 2);
+        assert_eq!(wakes(&queues), 3);
+        // Cold and warm both at the pool's four cores: nobody to wake.
+        assert_eq!(pool.split(4 * COLD_GRAIN, usize::MAX), 4);
+        assert_eq!(wakes(&queues), 0);
+        // Awake workers are never woken.
+        pool.awake.store(1, Ordering::Relaxed);
+        assert_eq!(pool.split(2 * GRAIN, usize::MAX), 2);
+        assert_eq!(wakes(&queues), 0);
     }
 }

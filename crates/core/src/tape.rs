@@ -1,7 +1,7 @@
 //! The gradient tape for eager automatic differentiation (paper Sec 3.5).
 //!
 //! TensorFlow.js uses eager differentiation: while a gradient scope is
-//! active, every kernel the engine runs appends a [`TapeNode`] recording its
+//! active, every kernel the engine runs appends a `TapeNode` recording its
 //! inputs, outputs and what differentiates it — the [`KernelCall`] itself,
 //! whose rule backprop looks up by the call (TF.js registers a kernel and its
 //! gradient under one name), the alias marker of a free view, or the user's
@@ -23,7 +23,7 @@ use std::sync::Arc;
 ///
 /// `wanted[i]` says whether anyone will read input `i`'s gradient: backprop
 /// sets it exactly for the inputs that depend on a requested `x` (see
-/// [`Tape::filter_nodes`]). A slot is `None` for a non-differentiable input
+/// `Tape::filter_nodes`). A slot is `None` for a non-differentiable input
 /// (an integer index tensor, a mask) and may be `None` for an unwanted one —
 /// a function whose gradients cost a kernel skips the unwanted ones, a cheap
 /// one may ignore the mask. A wanted slot holds the same value, to the bit,

@@ -13,13 +13,13 @@
 //!   slots that on-time requests could use.
 //! - **Admission control.** At enqueue, the router consults a per-engine
 //!   cost model (queue depth × observed per-request latency, tracked by
-//!   [`EngineHealth`](crate::health::EngineHealth)) and sheds requests that
+//!   [`EngineHealth`]) and sheds requests that
 //!   are predicted to miss their deadline anyway —
 //!   [`ServeError::Overloaded`] — or that would overflow the hard queue cap
 //!   — [`ServeError::QueueFull`]. Overload produces explicit errors, never
 //!   silent queue growth.
 //! - **Circuit breaking.** Each engine has a
-//!   [`CircuitBreaker`](crate::health::CircuitBreaker): repeated execution
+//!   [`CircuitBreaker`]: repeated execution
 //!   failures, SLO-blowing stragglers, or a backend degradation (the PR-1
 //!   ladder falling off its preferred backend, observed via
 //!   `Engine::degradation_generation`) trip the engine out of rotation.
@@ -512,7 +512,7 @@ impl FleetServer {
     }
 
     /// Warm-up hook: build and execute `key` once on every engine (through
-    /// each worker's [`ModelCache`]), so first real traffic skips model
+    /// each worker's [`ModelCache`](crate::ModelCache)), so first real traffic skips model
     /// build and weight upload. Returns how many engines warmed
     /// successfully. The example also becomes the fleet's canary if no
     /// request was seen before it.

@@ -429,7 +429,10 @@ fn bound_data(taken: &[(TexId, Texture)], id: TexId) -> &[f32] {
 impl Device {
     /// A pool of the device's modeled core count, bounded by the host
     /// machine; `parallelism` stays the *modeled* count the priced clock
-    /// uses.
+    /// uses. Like every [`WorkerPool`], its workers poll for about 50 µs
+    /// after a dispatch before they park, so the programs of a pass, queued
+    /// back to back, find them awake; [`WorkerPool::split`] keeps a dispatch
+    /// too small to pay for the hand-off on the device thread.
     fn shader_cores(&self) -> WorkerPool {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         WorkerPool::new(self.parallelism.min(host))
@@ -506,10 +509,12 @@ impl Device {
             webml_telemetry::instant(name, caps.pool_category);
         }
 
-        let lanes = occupancy(self.parallelism, caps.shared_memory, kernel);
+        // The host splits by the host work a hand-off pays for, not by the
+        // modeled lanes.
+        let runs = kernel.runs_on(pool);
         let buffers: Vec<&[f32]> = inputs.iter().map(|id| bound_data(&taken, *id)).collect();
         let layouts: Vec<&TextureLayout> = in_layouts.iter().map(|layout| &**layout).collect();
-        execute(kernel, &buffers, &layouts, &mut out_tex.data, pool, lanes, self.half_precision);
+        execute(kernel, &buffers, &layouts, &mut out_tex.data, pool, runs, self.half_precision);
 
         // Return inputs and publish the output.
         {
@@ -526,6 +531,7 @@ impl Device {
         // the dispatch fills, at the profile's rate, plus the fixed
         // dispatch overhead.
         let work = kernel.out_size().saturating_mul(kernel.cost_per_element);
+        let lanes = occupancy(self.parallelism, caps.shared_memory, kernel);
         let ops_per_lane = work.div_ceil(lanes) as f64;
         let device_ns = (ops_per_lane * self.ns_per_op).round() as u64 + caps.dispatch_overhead_ns;
         shared.gpu_nanos.fetch_add(device_ns, Ordering::Relaxed);

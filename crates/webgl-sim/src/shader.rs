@@ -21,10 +21,12 @@
 //! consecutive outputs, not once per output, so a program can hoist its
 //! index math out of the outputs that share it; what each output may read
 //! stays the same. [`execute`] cuts every dispatch into runs the same way,
-//! one per shader-core thread, starting on the grain the body declares.
+//! as many as its work pays to hand to the shader-core threads, each
+//! starting on the grain the body declares.
 
 use crate::layout::TextureLayout;
 use std::sync::Arc;
+use webml_core::pool::WorkerPool;
 
 /// Read-only access to the program's input textures in logical coordinates.
 pub struct Samplers<'a> {
@@ -133,7 +135,7 @@ pub struct Kernel {
 }
 
 /// What a dispatch runs: a run body over the device's inputs, split over
-/// its shader cores (a [`webml_core::pool::WorkerPool`], see [`execute`]).
+/// its shader cores (a [`WorkerPool`], see [`execute`]).
 #[derive(Clone)]
 pub enum KernelBody {
     /// One `main()` per output value or texel, inputs through [`Samplers`].
@@ -218,6 +220,23 @@ impl Kernel {
     pub fn is_packed(&self) -> bool {
         matches!(self.body, KernelBody::Fragment { packed: true, .. })
     }
+
+    /// The outputs a run starts on a multiple of: an RGBA texel for a
+    /// fragment body, the declared grain for a compute body.
+    pub(crate) fn grain(&self) -> usize {
+        match self.body {
+            KernelBody::Fragment { .. } => TEXEL,
+            KernelBody::Compute { grain, .. } => grain.max(1),
+        }
+    }
+
+    /// How many runs a dispatch is cut into on `pool`: as many as its
+    /// declared operations, counted as element visits, pay to hand out
+    /// ([`WorkerPool::split`]), at most one per grain.
+    pub(crate) fn runs_on(&self, pool: &WorkerPool) -> usize {
+        let work = self.out_size().saturating_mul(self.cost_per_element);
+        pool.split(work, self.out_size().div_ceil(self.grain()))
+    }
 }
 
 impl std::fmt::Debug for Kernel {
@@ -250,24 +269,25 @@ pub fn occupancy(parallelism: usize, shared_memory: bool, kernel: &Kernel) -> us
 }
 
 /// Execute `kernel` over its bound inputs (`buffers` in binding order, and
-/// for a fragment body each one's texture `layouts`) into `out`, splitting
-/// the work across the device's persistent
-/// [`webml_core::pool::WorkerPool`] — the simulator's model of shader-core
-/// parallelism — in one run per thread, each starting on the body's grain.
-/// Each invocation writes only its own output slot.
+/// for a fragment body each one's texture `layouts`) into `out`, cut into
+/// at most `runs` runs of consecutive outputs, each starting on the body's
+/// grain (an RGBA texel for a fragment body), on the device's persistent
+/// [`WorkerPool`] — the simulator's model of shader-core parallelism. The
+/// device asks the pool how many runs a dispatch's work pays for
+/// ([`WorkerPool::split`]); a dispatch too small for a hand-off runs whole
+/// on the device thread. Each invocation writes only its own output slot.
 ///
 /// Fills `out` at logical flat indices, with f16 rounding applied per
-/// element after the body when the device is half-precision, on at most
-/// `occupancy` of the pool's threads. How many threads ran does not reach
-/// the device clock, which is priced from the declared work (see
-/// [`crate::queue`]).
+/// element after the body when the device is half-precision. How many runs
+/// there were does not reach the device clock, which is priced from the
+/// declared work and the modeled [`occupancy`] (see [`crate::queue`]).
 pub fn execute(
     kernel: &Kernel,
     buffers: &[&[f32]],
     layouts: &[&TextureLayout],
     out: &mut [f32],
-    pool: &webml_core::pool::WorkerPool,
-    occupancy: usize,
+    pool: &WorkerPool,
+    runs: usize,
     half_precision: bool,
 ) {
     let size = kernel.out_size();
@@ -277,15 +297,14 @@ pub fn execute(
     assert!(out.len() >= size, "{}: output allocation too small", kernel.name);
     // A sampler sees the tensor's logical values: the padding of a recycled
     // texture holds whatever its last owner left.
-    let (grain, samplers): (usize, Vec<(&[f32], &TextureLayout)>) = match kernel.body {
+    let samplers: Vec<(&[f32], &TextureLayout)> = match kernel.body {
         KernelBody::Fragment { .. } => {
             let bound = buffers.iter().zip(layouts);
-            (TEXEL, bound.map(|(data, &layout)| (&data[..layout.size()], layout)).collect())
+            bound.map(|(data, &layout)| (&data[..layout.size()], layout)).collect()
         }
-        KernelBody::Compute { grain, .. } => (grain.max(1), Vec::new()),
+        KernelBody::Compute { .. } => Vec::new(),
     };
-    let threads = pool.size().min(occupancy);
-    let chunk_len = size.div_ceil(threads).next_multiple_of(grain);
+    let chunk_len = size.div_ceil(runs.max(1)).next_multiple_of(kernel.grain());
     let n_chunks = size.div_ceil(chunk_len);
     let base_ptr = out.as_mut_ptr() as usize;
     pool.run(n_chunks, &|ci| {
@@ -330,18 +349,17 @@ fn advance(dims: &[usize], coords: &mut [usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webml_core::pool::WorkerPool;
     use crate::texture::TextureFormat;
 
     fn layout(dims: &[usize]) -> TextureLayout {
         TextureLayout::compile(dims, TextureFormat::R32F, 16_384, true).unwrap()
     }
 
+    /// Runs `kernel` on a pool of `cores`, one run per core.
     fn run(kernel: &Kernel, inputs: &[(&[f32], &TextureLayout)], out: &mut [f32], cores: usize) {
         let pool = WorkerPool::new(cores);
-        let lanes = occupancy(cores, false, kernel);
         let (buffers, layouts): (Vec<&[f32]>, Vec<&TextureLayout>) = inputs.iter().copied().unzip();
-        execute(kernel, &buffers, &layouts, out, &pool, lanes, false);
+        execute(kernel, &buffers, &layouts, out, &pool, pool.size(), false);
     }
 
     #[test]
@@ -516,15 +534,7 @@ mod tests {
                 runs.lock().unwrap().clear();
                 let mut out = vec![f32::NAN; n];
                 let pool = WorkerPool::new(cores);
-                execute(
-                    &kernel,
-                    &[&x],
-                    &[],
-                    &mut out,
-                    &pool,
-                    occupancy(cores, false, &kernel),
-                    false,
-                );
+                execute(&kernel, &[&x], &[], &mut out, &pool, pool.size(), false);
                 assert!(
                     out.iter().zip(&x).all(|(o, v)| *o == v + 1.0),
                     "grain {grain}, {cores} cores"
@@ -538,6 +548,38 @@ mod tests {
                 assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), n);
                 let whole = grain == n || cores == 1;
                 assert_eq!(runs.len() == 1, whole, "grain {grain}, {cores} cores: {runs:?}");
+            }
+        }
+    }
+
+    /// The runs a dispatch of `kernel` ran in on `pool`.
+    fn runs_executed(kernel: &Kernel, pool: &WorkerPool) -> usize {
+        let mut out = vec![0.0; kernel.out_size()];
+        execute(kernel, &[], &[], &mut out, pool, kernel.runs_on(pool), false);
+        out.iter().filter(|&&v| v == 1.0).count()
+    }
+
+    #[test]
+    fn a_dispatch_splits_only_when_its_work_pays_for_the_hand_off() {
+        // Each run marks its first output.
+        let marking = |name, out_shape, cost| {
+            Kernel::fragment(name, out_shape, true, |_, _, out: &mut [f32]| {
+                out.fill(0.0);
+                out[0] = 1.0;
+            })
+            .with_cost(cost)
+        };
+        // The fleet benchmark's light MLP: a [1, 64] product over k = 32,
+        // two operations per multiply-add.
+        let light = marking("MatMul", vec![1, 64], 2 * 32);
+        // MobileNet-small's first pointwise conv: 48x48, 8 → 16 channels.
+        let pointwise = marking("Conv2D", vec![1, 48, 48, 16], 2 * 8);
+        for cores in [2, 4] {
+            let pool = WorkerPool::new(cores);
+            // Parked, then (likely) awake after the first split.
+            for _ in 0..2 {
+                assert_eq!(runs_executed(&light, &pool), 1, "{cores} cores");
+                assert_eq!(runs_executed(&pointwise, &pool), cores, "{cores} cores");
             }
         }
     }
