@@ -10,16 +10,19 @@
 //! one function that builds its program for a [`KernelCall`] — is the only
 //! per-API part.
 //!
-//! This crate also holds the first rung, [`WebGl`] (paper Sec 4.1): kernels
-//! are the fragment-shader programs of [`programs`]. Ops enqueue programs
-//! on the device command queue and return immediately. Texture recycling,
-//! CPU paging, RGBA-texel packing, the layout squeeze optimization and
-//! per-device f16 precision all come from the substrate and are switchable
-//! through [`WebGlConfig`] for the ablation benchmarks. `webml-backend-webgpu`
-//! adds the compute rung.
+//! This crate also holds the first rung, [`WebGl`] (paper Sec 4.1): the
+//! products, `Unary` and `Binary` are the fragment-shader programs of
+//! [`programs`], and every other call is the [`oracle`] adapter, the one
+//! kernel funnel both GPU rungs share for the calls they write no program
+//! for. Ops enqueue programs on the device command queue and return
+//! immediately. Texture recycling, CPU paging, RGBA-texel packing, the
+//! layout squeeze optimization and per-device f16 precision all come from
+//! the substrate and are switchable through [`WebGlConfig`] for the ablation
+//! benchmarks. `webml-backend-webgpu` adds the compute rung.
 
 #![warn(missing_docs)]
 
+pub mod oracle;
 pub mod programs;
 
 use parking_lot::Mutex;
@@ -38,7 +41,8 @@ use webml_webgl_sim::fault::FaultPlan;
 use webml_webgl_sim::shader::Kernel;
 
 /// One rung of the GPU ladder: a GPU API as a capability descriptor plus
-/// the kernels written for it.
+/// the kernels written for it — its own programs for the calls whose host
+/// bodies it owns, and the shared [`oracle`] adapter for every other call.
 pub trait Rung: Send + Sync + 'static {
     /// The configuration a backend on this rung is created with.
     type Config: Into<ContextConfig>;
@@ -60,7 +64,8 @@ pub trait Rung: Send + Sync + 'static {
     ) -> Result<Kernel>;
 }
 
-/// The WebGL rung: fragment programs over float textures.
+/// The WebGL rung: fragment programs over float textures for the products,
+/// `Unary` and `Binary`; the oracle adapter for the rest.
 pub struct WebGl;
 
 impl Rung for WebGl {

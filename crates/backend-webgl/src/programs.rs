@@ -1,22 +1,24 @@
-//! Shader-program builders: every kernel re-expressed as a per-output
-//! gather computation (fragment shaders cannot scatter), in the style of
-//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul). [`kernel`]
-//! is WebGL's one match from a [`KernelCall`] to its builder; every builder
-//! takes the output dims [`KernelCall::output`] gave.
+//! Shader-program builders: the calls the WebGL rung writes as per-output
+//! gather computations (fragment shaders cannot scatter), in the style of
+//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul) — the
+//! products, packed, unpacked and over U8 codes, and `Unary` and `Binary`,
+//! whose host bodies the paper's packing and layout claims read. [`kernel`]
+//! is WebGL's one match from a [`KernelCall`] to its builder; every other
+//! call goes to the [`crate::oracle`] adapter the WebGPU rung uses too.
+//! Every builder takes the output dims [`KernelCall::output`] gave.
 
-use webml_core::backend::{
-    ArgReduceOp, BinaryOp, Epilogue, FusedStep, KTensor, KernelCall, MatMulGeom, PoolOp,
-    ReduceOp, UnaryOp,
-};
+use crate::oracle;
+use webml_core::backend::{BinaryOp, Epilogue, KTensor, KernelCall, MatMulGeom, UnaryOp};
 use webml_core::conv_util::Conv2dInfo;
-use webml_core::dtype::DType;
 use webml_core::error::Result;
 use webml_core::quant::QuantParams;
 use webml_webgl_sim::shader::{Kernel, Samplers};
 
 /// The fragment program for `call` over `operands` into `out` (see
 /// [`crate::Rung::kernel`]). A product call over a quantized weight takes
-/// the dequant-free program, which samples the `R8` codes.
+/// the dequant-free program, which samples the `R8` codes. A `Binary` whose
+/// output rank is above [`MAX_RANK`], and every call but these, runs on the
+/// oracle adapter.
 pub fn kernel(
     call: &KernelCall<'_>,
     operands: &[KTensor<'_>],
@@ -28,10 +30,7 @@ pub fn kernel(
     let quant = || operands[1].quant;
     Ok(match call {
         C::Unary(op) => unary(*op, out, packed),
-        C::Binary(op) => binary(*op, dims(0), dims(1), out, packed),
-        C::Cast(dtype) => cast(out, *dtype),
-        C::Reduce { op, axes } => reduce(*op, dims(0), axes, out),
-        C::ArgReduce { op, axis } => arg_reduce(*op, dims(0), *axis, out),
+        C::Binary(op) if out.len() <= MAX_RANK => binary(*op, dims(0), dims(1), out, packed),
         C::MatMul { transpose_a, transpose_b, epilogue } => {
             let (a, b) = (operands[0].shape, operands[1].shape);
             let geom = MatMulGeom::of(a, b, *transpose_a, *transpose_b);
@@ -44,36 +43,15 @@ pub fn kernel(
             Some(params) => fused_conv2d_quant(info, params, *epilogue, out),
             None => conv2d(info, packed, *epilogue, out),
         },
-        C::Conv2dBackpropInput(info) => conv2d_backprop_input(info, out),
-        C::Conv2dBackpropFilter(info) => conv2d_backprop_filter(info, out),
         C::DepthwiseConv2d { info, epilogue } => match quant() {
             Some(params) => fused_depthwise_conv2d_quant(info, params, *epilogue, out),
             None => depthwise_conv2d(info, packed, *epilogue, out),
         },
-        C::DepthwiseConv2dBackpropInput(info) => depthwise_conv2d_backprop_input(info, out),
-        C::DepthwiseConv2dBackpropFilter(info) => depthwise_conv2d_backprop_filter(info, out),
-        C::Pool2d { op, info } => pool2d(*op, info, out),
-        C::Pool2dBackprop { op, info } => pool2d_backprop(*op, info, out),
-        C::Slice { begin, .. } => slice(dims(0), begin, out),
-        C::Concat { axis } => {
-            concat(&operands.iter().map(|t| t.shape.dim(*axis)).collect::<Vec<_>>(), *axis, out)
-        }
-        C::Transpose { perm } => transpose(perm, out),
-        C::Pad { paddings, value } => pad(dims(0), paddings, *value, out),
-        C::Gather { axis } => gather(dims(0), *axis, out),
-        C::Tile { .. } => tile(dims(0), out),
-        C::Reverse { axes } => reverse(axes, out),
-        C::Select => select(dims(0), dims(1), dims(2), out),
-        C::OneHot { depth, on, off } => one_hot(*depth, *on, *off, out),
-        C::ResizeBilinear { align_corners, .. } => resize_bilinear(dims(0), *align_corners, out),
-        C::FusedElementwise(steps) => {
-            let dims: Vec<&[usize]> = operands.iter().map(|t| t.shape.dims()).collect();
-            fused_elementwise(&dims, steps, out)
-        }
+        _ => return oracle::kernel(call, operands, out),
     })
 }
 
-/// Maximum tensor rank supported by the shader address math.
+/// Maximum output rank of the broadcast `Binary` program's address math.
 pub const MAX_RANK: usize = 8;
 
 /// Fused bias+activation epilogue applied to a finished accumulator
@@ -279,91 +257,6 @@ pub fn binary(
         let lb = broadcast_coords(coords, &b_dims, &mut buf);
         let bv = s.get(1, &buf[..lb]);
         op.apply(av, bv)
-    })
-}
-
-/// Cast kernel (values live in float textures; semantics applied here).
-pub fn cast(out: &[usize], dtype: DType) -> Kernel {
-    Kernel::per_element("Cast", out.to_vec(), move |s, flat, _| {
-        let v = s.get_flat(0, flat);
-        match dtype {
-            DType::F32 | DType::F16 => v,
-            DType::I32 => v as i32 as f32,
-            DType::Bool => (v != 0.0) as u8 as f32,
-            DType::U8 => v.clamp(0.0, 255.0) as u8 as f32,
-        }
-    })
-}
-
-/// Reduction over `axes`: each output walks its reduced subspace (a naive
-/// O(k)-per-output WebGL reduce; no shared memory to build a tree with).
-pub fn reduce(op: ReduceOp, in_dims: &[usize], axes: &[usize], out: &[usize]) -> Kernel {
-    let (in_dims, axes) = (in_dims.to_vec(), axes.to_vec());
-    let reduce_dims: Vec<usize> = axes.iter().map(|&i| in_dims[i]).collect();
-    let count: usize = reduce_dims.iter().product::<usize>().max(1);
-    let cost = count.max(1);
-    let kept_axes: Vec<usize> =
-        (0..in_dims.len()).filter(|i| !axes.contains(i)).collect();
-    Kernel::per_element("Reduce", out.to_vec(), move |s, _, out_coords| {
-        let mut in_coords = [0usize; MAX_RANK];
-        for (k, &ax) in kept_axes.iter().enumerate() {
-            in_coords[ax] = out_coords[k];
-        }
-        let mut acc = op.init();
-        let mut idx = vec![0usize; reduce_dims.len()];
-        loop {
-            for (k, &ax) in axes.iter().enumerate() {
-                in_coords[ax] = idx[k];
-            }
-            acc = op.combine(acc, s.get(0, &in_coords[..in_dims.len()]));
-            // Odometer.
-            let mut d = reduce_dims.len();
-            loop {
-                if d == 0 {
-                    return op.finalize(acc, count);
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < reduce_dims[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-    })
-    .with_cost(cost)
-}
-
-/// Arg-reduction along one axis.
-#[allow(clippy::needless_range_loop)] // coordinate scatter across two arrays
-pub fn arg_reduce(op: ArgReduceOp, in_dims: &[usize], axis: usize, out: &[usize]) -> Kernel {
-    let in_dims = in_dims.to_vec();
-    let n = in_dims[axis];
-    Kernel::per_element("ArgReduce", out.to_vec(), move |s, _, out_coords| {
-        let mut in_coords = [0usize; MAX_RANK];
-        let mut k = 0;
-        for i in 0..in_dims.len() {
-            if i != axis {
-                in_coords[i] = out_coords[k];
-                k += 1;
-            }
-        }
-        in_coords[axis] = 0;
-        let mut best = s.get(0, &in_coords[..in_dims.len()]);
-        let mut best_i = 0usize;
-        for j in 1..n {
-            in_coords[axis] = j;
-            let v = s.get(0, &in_coords[..in_dims.len()]);
-            let better = match op {
-                ArgReduceOp::ArgMax => v > best,
-                ArgReduceOp::ArgMin => v < best,
-            };
-            if better {
-                best = v;
-                best_i = j;
-            }
-        }
-        best_i as f32
     })
 }
 
@@ -709,67 +602,6 @@ pub fn conv2d_run(
     });
 }
 
-/// Gather-form gradient of conv2d w.r.t. the input.
-pub fn conv2d_backprop_input(info: &Conv2dInfo, out: &[usize]) -> Kernel {
-    let info = info.clone();
-    Kernel::per_element("Conv2DBackpropInput", out.to_vec(), move |s, _, coords| {
-        let (b, ih, iw, ic) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let mut acc = 0.0f32;
-        for fh in 0..c.filter_height {
-            let num_h = ih as isize + c.pad_top as isize - (fh * c.dilation_h) as isize;
-            if num_h < 0 || num_h % c.stride_h as isize != 0 {
-                continue;
-            }
-            let oh = (num_h / c.stride_h as isize) as usize;
-            if oh >= c.out_height {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let num_w = iw as isize + c.pad_left as isize - (fw * c.dilation_w) as isize;
-                if num_w < 0 || num_w % c.stride_w as isize != 0 {
-                    continue;
-                }
-                let ow = (num_w / c.stride_w as isize) as usize;
-                if ow >= c.out_width {
-                    continue;
-                }
-                for oc in 0..c.out_channels {
-                    acc += s.get(0, &[b, oh, ow, oc]) * s.get(1, &[fh, fw, ic, oc]);
-                }
-            }
-        }
-        acc
-    })
-}
-
-/// Gather-form gradient of conv2d w.r.t. the filter.
-pub fn conv2d_backprop_filter(info: &Conv2dInfo, out: &[usize]) -> Kernel {
-    let info = info.clone();
-    Kernel::per_element("Conv2DBackpropFilter", out.to_vec(), move |s, _, coords| {
-        let (fh, fw, ic, oc) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let mut acc = 0.0f32;
-        for b in 0..c.batch {
-            for oh in 0..c.out_height {
-                let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                if ih < 0 || ih >= c.in_height as isize {
-                    continue;
-                }
-                for ow in 0..c.out_width {
-                    let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                    if iw < 0 || iw >= c.in_width as isize {
-                        continue;
-                    }
-                    acc += s.get(0, &[b, ih as usize, iw as usize, ic])
-                        * s.get(1, &[b, oh, ow, oc]);
-                }
-            }
-        }
-        acc
-    })
-}
-
 /// Depthwise conv2d, with pre-resolved flat index math.
 ///
 /// With `channel_mul == 1` the packed variant is a run body,
@@ -883,376 +715,4 @@ impl Accumulate for TapSums<'_> {
         }
         acc
     }
-}
-
-/// A chain of elementwise steps executed as one program: input 0 is the
-/// chain head, inputs 1.. are the extras referenced by binary steps, each
-/// sampled with right-aligned broadcast against the output coordinates.
-pub fn fused_elementwise(in_dims: &[&[usize]], steps: &[FusedStep], out: &[usize]) -> Kernel {
-    let in_dims: Vec<Vec<usize>> = in_dims.iter().map(|d| d.to_vec()).collect();
-    let steps = steps.to_vec();
-    let cost = (steps.len() * 2).max(1);
-    let kernel = Kernel::per_element("FusedElementwise", out.to_vec(), move |s, _, coords| {
-        let mut buf = [0usize; MAX_RANK];
-        let l = broadcast_coords(coords, &in_dims[0], &mut buf);
-        let mut v = s.get(0, &buf[..l]);
-        for step in &steps {
-            v = match *step {
-                FusedStep::Unary(op) => op.apply(v),
-                FusedStep::Binary(op, i) => {
-                    let l = broadcast_coords(coords, &in_dims[i + 1], &mut buf);
-                    op.apply(v, s.get(i + 1, &buf[..l]))
-                }
-            };
-        }
-        v
-    });
-    kernel.with_cost(cost)
-}
-
-/// Gather-form gradient of depthwise conv2d w.r.t. the input.
-pub fn depthwise_conv2d_backprop_input(info: &Conv2dInfo, out: &[usize]) -> Kernel {
-    let info = info.clone();
-    Kernel::per_element("DepthwiseBackpropInput", out.to_vec(), move |s, _, coords| {
-        let (b, ih, iw, ic) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let mut acc = 0.0f32;
-        for fh in 0..c.filter_height {
-            let num_h = ih as isize + c.pad_top as isize - (fh * c.dilation_h) as isize;
-            if num_h < 0 || num_h % c.stride_h as isize != 0 {
-                continue;
-            }
-            let oh = (num_h / c.stride_h as isize) as usize;
-            if oh >= c.out_height {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let num_w = iw as isize + c.pad_left as isize - (fw * c.dilation_w) as isize;
-                if num_w < 0 || num_w % c.stride_w as isize != 0 {
-                    continue;
-                }
-                let ow = (num_w / c.stride_w as isize) as usize;
-                if ow >= c.out_width {
-                    continue;
-                }
-                for m in 0..c.channel_mul {
-                    acc += s.get(0, &[b, oh, ow, ic * c.channel_mul + m])
-                        * s.get(1, &[fh, fw, ic, m]);
-                }
-            }
-        }
-        acc
-    })
-}
-
-/// Gather-form gradient of depthwise conv2d w.r.t. the filter.
-pub fn depthwise_conv2d_backprop_filter(info: &Conv2dInfo, out: &[usize]) -> Kernel {
-    let info = info.clone();
-    Kernel::per_element("DepthwiseBackpropFilter", out.to_vec(), move |s, _, coords| {
-        let (fh, fw, ic, m) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let mut acc = 0.0f32;
-        for b in 0..c.batch {
-            for oh in 0..c.out_height {
-                let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                if ih < 0 || ih >= c.in_height as isize {
-                    continue;
-                }
-                for ow in 0..c.out_width {
-                    let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                    if iw < 0 || iw >= c.in_width as isize {
-                        continue;
-                    }
-                    acc += s.get(0, &[b, ih as usize, iw as usize, ic])
-                        * s.get(1, &[b, oh, ow, ic * c.channel_mul + m]);
-                }
-            }
-        }
-        acc
-    })
-}
-
-/// Max/avg pooling. Average divides by the count of in-bounds positions.
-pub fn pool2d(op: PoolOp, info: &Conv2dInfo, out: &[usize]) -> Kernel {
-    let info = info.clone();
-    let cost = info.filter_height * info.filter_width;
-    Kernel::per_element("Pool2D", out.to_vec(), move |s, _, coords| {
-        let (b, oh, ow, ch) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let mut acc = match op {
-            PoolOp::Max => f32::NEG_INFINITY,
-            PoolOp::Avg => 0.0,
-        };
-        let mut count = 0usize;
-        for fh in 0..c.filter_height {
-            let ih = (oh * c.stride_h + fh) as isize - c.pad_top as isize;
-            if ih < 0 || ih >= c.in_height as isize {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let iw = (ow * c.stride_w + fw) as isize - c.pad_left as isize;
-                if iw < 0 || iw >= c.in_width as isize {
-                    continue;
-                }
-                let v = s.get(0, &[b, ih as usize, iw as usize, ch]);
-                match op {
-                    PoolOp::Max => acc = acc.max(v),
-                    PoolOp::Avg => acc += v,
-                }
-                count += 1;
-            }
-        }
-        match op {
-            PoolOp::Max => acc,
-            PoolOp::Avg => acc / count.max(1) as f32,
-        }
-    })
-    .with_cost(cost)
-}
-
-/// Gather-form pooling gradient: each input pixel scans the windows that
-/// contain it; max-pool matches the reference's first-argmax tie rule by
-/// recomputing each window scan in the same order.
-pub fn pool2d_backprop(op: PoolOp, info: &Conv2dInfo, out: &[usize]) -> Kernel {
-    let info = info.clone();
-    // Input 0 = dy, input 1 = x.
-    Kernel::per_element("Pool2DBackprop", out.to_vec(), move |s, _, coords| {
-        let (b, ih, iw, ch) = (coords[0], coords[1], coords[2], coords[3]);
-        let c = &info;
-        let mut acc = 0.0f32;
-        // Which output windows include (ih, iw)?
-        for fh in 0..c.filter_height {
-            let num_h = ih as isize + c.pad_top as isize - fh as isize;
-            if num_h < 0 || num_h % c.stride_h as isize != 0 {
-                continue;
-            }
-            let oh = (num_h / c.stride_h as isize) as usize;
-            if oh >= c.out_height {
-                continue;
-            }
-            for fw in 0..c.filter_width {
-                let num_w = iw as isize + c.pad_left as isize - fw as isize;
-                if num_w < 0 || num_w % c.stride_w as isize != 0 {
-                    continue;
-                }
-                let ow = (num_w / c.stride_w as isize) as usize;
-                if ow >= c.out_width {
-                    continue;
-                }
-                let g = s.get(0, &[b, oh, ow, ch]);
-                match op {
-                    PoolOp::Avg => {
-                        // Count valid positions of this window.
-                        let mut count = 0usize;
-                        for wfh in 0..c.filter_height {
-                            let wih = (oh * c.stride_h + wfh) as isize - c.pad_top as isize;
-                            if wih < 0 || wih >= c.in_height as isize {
-                                continue;
-                            }
-                            for wfw in 0..c.filter_width {
-                                let wiw = (ow * c.stride_w + wfw) as isize - c.pad_left as isize;
-                                if wiw < 0 || wiw >= c.in_width as isize {
-                                    continue;
-                                }
-                                count += 1;
-                            }
-                        }
-                        acc += g / count.max(1) as f32;
-                    }
-                    PoolOp::Max => {
-                        // First-argmax of the window, reference scan order.
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_pos = (usize::MAX, usize::MAX);
-                        for wfh in 0..c.filter_height {
-                            let wih = (oh * c.stride_h + wfh) as isize - c.pad_top as isize;
-                            if wih < 0 || wih >= c.in_height as isize {
-                                continue;
-                            }
-                            for wfw in 0..c.filter_width {
-                                let wiw = (ow * c.stride_w + wfw) as isize - c.pad_left as isize;
-                                if wiw < 0 || wiw >= c.in_width as isize {
-                                    continue;
-                                }
-                                let v = s.get(1, &[b, wih as usize, wiw as usize, ch]);
-                                if v > best {
-                                    best = v;
-                                    best_pos = (wih as usize, wiw as usize);
-                                }
-                            }
-                        }
-                        if best_pos == (ih, iw) {
-                            acc += g;
-                        }
-                    }
-                }
-            }
-        }
-        acc
-    })
-}
-
-/// Contiguous slice: `out` is its size.
-pub fn slice(in_dims: &[usize], begin: &[usize], out: &[usize]) -> Kernel {
-    let (in_rank, begin) = (in_dims.len(), begin.to_vec());
-    Kernel::per_element("Slice", out.to_vec(), move |s, _, coords| {
-        let mut src = [0usize; MAX_RANK];
-        for i in 0..in_rank {
-            src[i] = coords[i] + begin[i];
-        }
-        s.get(0, &src[..in_rank])
-    })
-}
-
-/// Constant pad.
-pub fn pad(in_dims: &[usize], paddings: &[(usize, usize)], value: f32, out: &[usize]) -> Kernel {
-    let (in_dims, paddings) = (in_dims.to_vec(), paddings.to_vec());
-    Kernel::per_element("Pad", out.to_vec(), move |s, _, coords| {
-        let mut src = [0usize; MAX_RANK];
-        for i in 0..in_dims.len() {
-            let c = coords[i] as isize - paddings[i].0 as isize;
-            if c < 0 || c >= in_dims[i] as isize {
-                return value;
-            }
-            src[i] = c as usize;
-        }
-        s.get(0, &src[..in_dims.len()])
-    })
-}
-
-/// Concat along `axis` of inputs `sizes_along_axis` long on it: each
-/// output texel picks its source input.
-pub fn concat(sizes_along_axis: &[usize], axis: usize, out: &[usize]) -> Kernel {
-    let sizes_along_axis = sizes_along_axis.to_vec();
-    Kernel::per_element("Concat", out.to_vec(), move |s, _, coords| {
-        let mut c = coords[axis];
-        let mut input = 0usize;
-        while c >= sizes_along_axis[input] {
-            c -= sizes_along_axis[input];
-            input += 1;
-        }
-        let mut src = [0usize; MAX_RANK];
-        src[..coords.len()].copy_from_slice(coords);
-        src[axis] = c;
-        s.get(input, &src[..coords.len()])
-    })
-}
-
-/// Transpose by permutation.
-pub fn transpose(perm: &[usize], out: &[usize]) -> Kernel {
-    let perm = perm.to_vec();
-    Kernel::per_element("Transpose", out.to_vec(), move |s, _, coords| {
-        let mut src = [0usize; MAX_RANK];
-        for (d, &p) in perm.iter().enumerate() {
-            src[p] = coords[d];
-        }
-        s.get(0, &src[..perm.len()])
-    })
-}
-
-/// Gather along `axis` via an index texture (input 1) of any rank, read by
-/// flat index: the output's coordinates at `axis ..` up to the index rank
-/// are the index's, those before and after are `x`'s.
-pub fn gather(in_dims: &[usize], axis: usize, out: &[usize]) -> Kernel {
-    let (in_rank, n) = (in_dims.len(), in_dims[axis] as i64);
-    let index_dims = out[axis..axis + out.len() + 1 - in_rank].to_vec();
-    Kernel::per_element("Gather", out.to_vec(), move |s, _, coords| {
-        let at = &coords[axis..axis + index_dims.len()];
-        let index = index_dims.iter().zip(at).fold(0, |flat, (&d, &c)| flat * d + c);
-        let mut src = [0usize; MAX_RANK];
-        src[..axis].copy_from_slice(&coords[..axis]);
-        src[axis] = (s.get_flat(1, index) as i64).rem_euclid(n) as usize;
-        src[axis + 1..in_rank].copy_from_slice(&coords[axis + index_dims.len()..]);
-        s.get(0, &src[..in_rank])
-    })
-}
-
-/// Tile by repetition.
-pub fn tile(in_dims: &[usize], out: &[usize]) -> Kernel {
-    let in_dims = in_dims.to_vec();
-    Kernel::per_element("Tile", out.to_vec(), move |s, _, coords| {
-        let mut src = [0usize; MAX_RANK];
-        for (i, &d) in in_dims.iter().enumerate() {
-            src[i] = coords[i] % d;
-        }
-        s.get(0, &src[..in_dims.len()])
-    })
-}
-
-/// Reverse along axes.
-pub fn reverse(axes: &[usize], out: &[usize]) -> Kernel {
-    let (in_dims, axes) = (out.to_vec(), axes.to_vec());
-    Kernel::per_element("Reverse", in_dims.clone(), move |s, _, coords| {
-        let mut src = [0usize; MAX_RANK];
-        for (i, &d) in in_dims.iter().enumerate() {
-            src[i] = if axes.contains(&i) { d - 1 - coords[i] } else { coords[i] };
-        }
-        s.get(0, &src[..in_dims.len()])
-    })
-}
-
-/// Broadcast select `cond ? a : b`.
-pub fn select(
-    cond_dims: &[usize],
-    a_dims: &[usize],
-    b_dims: &[usize],
-    out: &[usize],
-) -> Kernel {
-    let (cond_dims, a_dims, b_dims) = (cond_dims.to_vec(), a_dims.to_vec(), b_dims.to_vec());
-    Kernel::per_element("Select", out.to_vec(), move |s, _, coords| {
-        let mut buf = [0usize; MAX_RANK];
-        let lc = broadcast_coords(coords, &cond_dims, &mut buf);
-        let c = s.get(0, &buf[..lc]);
-        if c != 0.0 {
-            let la = broadcast_coords(coords, &a_dims, &mut buf);
-            s.get(1, &buf[..la])
-        } else {
-            let lb = broadcast_coords(coords, &b_dims, &mut buf);
-            s.get(2, &buf[..lb])
-        }
-    })
-}
-
-/// One-hot encode: indices are input 0, trailing dim is `depth`.
-pub fn one_hot(depth: usize, on: f32, off: f32, out: &[usize]) -> Kernel {
-    Kernel::per_element("OneHot", out.to_vec(), move |s, flat, _| {
-        let row = flat / depth;
-        let col = flat % depth;
-        let ix = s.get_flat(0, row) as i64;
-        if ix == col as i64 {
-            on
-        } else {
-            off
-        }
-    })
-}
-
-/// Bilinear resize of NHWC.
-pub fn resize_bilinear(in_dims: &[usize], align_corners: bool, out: &[usize]) -> Kernel {
-    let (in_h, in_w, new_h, new_w) = (in_dims[1], in_dims[2], out[1], out[2]);
-    let scale = |out_size: usize, in_size: usize| -> f32 {
-        if align_corners && out_size > 1 {
-            (in_size - 1) as f32 / (out_size - 1) as f32
-        } else {
-            in_size as f32 / out_size as f32
-        }
-    };
-    let h_scale = scale(new_h, in_h);
-    let w_scale = scale(new_w, in_w);
-    Kernel::per_element("ResizeBilinear", out.to_vec(), move |s, _, coords| {
-        let (b, oh, ow, ch) = (coords[0], coords[1], coords[2], coords[3]);
-        let src_h = if align_corners { oh as f32 * h_scale } else { (oh as f32 + 0.5) * h_scale - 0.5 };
-        let src_h = src_h.max(0.0);
-        let h0 = (src_h.floor() as usize).min(in_h - 1);
-        let h1 = (h0 + 1).min(in_h - 1);
-        let hf = src_h - h0 as f32;
-        let src_w = if align_corners { ow as f32 * w_scale } else { (ow as f32 + 0.5) * w_scale - 0.5 };
-        let src_w = src_w.max(0.0);
-        let w0 = (src_w.floor() as usize).min(in_w - 1);
-        let w1 = (w0 + 1).min(in_w - 1);
-        let wf = src_w - w0 as f32;
-        let at = |h: usize, w: usize| s.get(0, &[b, h, w, ch]);
-        let top = at(h0, w0) + (at(h0, w1) - at(h0, w0)) * wf;
-        let bot = at(h1, w0) + (at(h1, w1) - at(h1, w0)) * wf;
-        top + (bot - top) * hf
-    })
 }

@@ -4,8 +4,9 @@
 //! implement more optimized kernels" than WebGL's fragment shaders): the
 //! [`WEBGPU`](webml_webgpu_sim::WEBGPU) capability descriptor paired with
 //! the compute pipelines of [`pipelines`] — workgroup shared-memory
-//! matmul/conv over storage buffers, and one pipeline over the reference
-//! kernels for every other call. Everything else a GPU backend does is
+//! matmul/conv over storage buffers, and for every other call the oracle
+//! adapter it shares with the WebGL rung
+//! ([`webml_backend_webgl::oracle`]). Everything else a GPU backend does is
 //! [`GpuBackend`]'s. The rung sits one *above* webgl on the engine's
 //! degradation ladder: a lost device degrades to webgl (then cpu), and
 //! canary re-admission climbs back.
@@ -45,6 +46,12 @@ impl Rung for WebGpu {
 
 /// The WebGPU-class compute backend over a simulated device.
 pub type WebGpuBackend = GpuBackend<WebGpu>;
+
+/// One call of every kind the oracle adapter runs, shared with
+/// `webml-backend-webgl`'s tests.
+#[cfg(test)]
+#[path = "../../backend-webgl/tests/support/oracle_calls.rs"]
+mod oracle_calls;
 
 /// The backend contract: one body per behaviour, run on every rung — the two
 /// that ship and a third, test-only one ("WebGPU without shared memory")
@@ -109,6 +116,7 @@ mod tests {
             device_timer_follows_the_rule_of_the_api,
             foreign_fence_tokens_read_as_passed,
             malformed_calls_are_errors_not_panics,
+            every_oracle_call_matches_cpu_on_bits,
         );
 
         /// Packing is the texture rung's own switch, so its "off" position
@@ -566,6 +574,33 @@ mod tests {
         assert!(matches!(missing, Err(Error::InvalidArgument { .. })), "{}", R::CAPS.api);
         let y = b.run(&KernelCall::Unary(UnaryOp::Neg), &[x]).unwrap();
         assert_eq!(b.read_sync(y).unwrap().to_f32_vec(), vec![-1.0; 4]);
+    }
+
+    /// One call of each kind the oracle adapter runs, `Unary` and both
+    /// `Binary` programs (same shape, broadcast), and the taped gradient
+    /// through each backprop, against `cpu` on bits.
+    fn every_oracle_call_matches_cpu_on_bits<R: Rung>()
+    where
+        R::Config: Default,
+    {
+        use crate::oracle_calls::{cases, differing, run, taped_gradients};
+        let (b, cpu) = (backend::<R>(FaultPlan::none()), webml_core::cpu::CpuBackend::new());
+        let mut differ = Vec::new();
+        let mut check = |what: &str, got: &[f32], want: &[f32]| {
+            let n = differing(got, want);
+            if n > 0 {
+                differ.push(format!("{what}: {n} of {} outputs differ", want.len()));
+            }
+        };
+        for case in cases() {
+            let (got, want) = (run(&b, &case).unwrap(), run(&cpu, &case).unwrap());
+            check(&case.name, &got, &want);
+        }
+        let want = taped_gradients(&cpu_engine());
+        for ((what, got), (_, want)) in taped_gradients(&engine::<R>()).iter().zip(&want) {
+            check(what, got, want);
+        }
+        assert!(differ.is_empty(), "{}: {}", R::CAPS.api, differ.join("; "));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Compute-pipeline builders: each kernel family becomes a compute
-//! [`Kernel`] whose `shared_reuse` declaration tells the device's occupancy
+//! Compute-pipeline builders: the product families become compute
+//! [`Kernel`]s whose `shared_reuse` declaration tells the device's occupancy
 //! model how aggressively the kernel exploits workgroup shared memory.
 //! [`kernel`] is the one match from a [`KernelCall`] to a pipeline.
 //!
@@ -9,9 +9,10 @@
 //! shared-memory matmul that fragment shaders cannot express (no
 //! cross-invocation communication) and the core perf claim of the
 //! WebGPU-class backend. The device prices that cooperation from the
-//! declared reuse; a body computes the values the workgroups would. Movement
-//! and elementwise kernels stay uncooperative (`reuse 1`): they are
-//! bandwidth-bound either way.
+//! declared reuse; a body computes the values the workgroups would. Every
+//! other call is the [`oracle`] adapter the WebGL rung uses too: one kernel
+//! over the [`webml_core::kernels`] oracle, declared in that module's one
+//! table, which runs once per dispatch and copies its result in.
 //!
 //! Body contract: a body fills one run of consecutive outputs from the whole
 //! bound input buffers (`Fn(&[&[f32]], start, &mut [f32])`, see
@@ -21,9 +22,7 @@
 //! bodies of the WebGL rung's packed products
 //! ([`webgl::conv2d_run`], [`webgl::depthwise_conv2d_run`],
 //! [`webgl::matmul_run`]) over storage buffers, whose runs may start on any
-//! output. Every other call is one adapter over the [`webml_core::kernels`]
-//! oracle, which declares its whole output as its grain, so it runs once per
-//! dispatch and copies its result in.
+//! output.
 //!
 //! Bit-exactness contract: the own pipelines change the loop *nest*, never
 //! an output's summation order. Per output pixel (or row) the bodies resolve
@@ -43,14 +42,12 @@
 //! shader-core pool, one run per thread (DESIGN.md §7 has what the split
 //! costs and buys per dispatch).
 
+use webml_backend_webgl::oracle;
 use webml_backend_webgl::programs::{self as webgl, Finish};
 use webml_core::backend::{Epilogue, KTensor, KernelCall, MatMulGeom};
 use webml_core::conv_util::Conv2dInfo;
-use webml_core::dtype::TensorData;
 use webml_core::error::Result;
-use webml_core::kernels::{self as k, Operand, Values};
 use webml_core::quant::QuantParams;
-use webml_core::shape::Shape;
 use webml_webgl_sim::shader::Kernel;
 use webml_webgpu_sim::pipeline::cooperative;
 
@@ -59,17 +56,10 @@ use webml_webgpu_sim::pipeline::cooperative;
 pub const TILE: usize = 16;
 
 /// The compute pipeline for `call` over `operands` into `out` (see
-/// `webml_backend_webgl::Rung::kernel`): the tiled products, or the oracle
-/// under each kernel's program name with its declared reuse and per-output
-/// cost — workgroup reductions stage partials in shared memory (reuse 4),
-/// the gradients stage the filter tile (8), movement and element-wise
-/// kernels are bandwidth-bound either way (1).
+/// `webml_backend_webgl::Rung::kernel`): the tiled products, or the
+/// [`oracle`] adapter both rungs share for every other call.
 pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) -> Result<Kernel> {
     use KernelCall as C;
-    let oracle = |name, reuse, cost: usize| oracle(name, call, operands, out, reuse, cost.max(1));
-    // A gradient output's multiply-adds: over the filter taps, or the output pixels.
-    let taps = |c: &Conv2dInfo| 2 * c.filter_height * c.filter_width;
-    let spatial = |c: &Conv2dInfo| 2 * c.batch * c.out_height * c.out_width;
     Ok(match call {
         C::MatMul { transpose_a, transpose_b, epilogue } => {
             let (a, b) = (operands[0].shape, operands[1].shape);
@@ -87,34 +77,7 @@ pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) ->
             Some(params) => fused_depthwise_conv2d_quant(info, params, *epilogue, out),
             None => depthwise_conv2d(info, *epilogue, out),
         },
-        C::Unary(_) => oracle("Unary", 1, 1),
-        C::Binary(_) => oracle("Binary", 1, 1),
-        C::Cast(_) => oracle("Cast", 1, 1),
-        C::Reduce { axes, .. } => {
-            oracle("Reduce", 4, axes.iter().map(|&ax| operands[0].shape.dim(ax)).product())
-        }
-        C::ArgReduce { axis, .. } => oracle("ArgReduce", 4, operands[0].shape.dim(*axis)),
-        C::Conv2dBackpropInput(c) => oracle("Conv2DBackpropInput", 8, taps(c) * c.out_channels),
-        C::Conv2dBackpropFilter(c) => oracle("Conv2DBackpropFilter", 8, spatial(c)),
-        C::DepthwiseConv2dBackpropInput(c) => {
-            oracle("DepthwiseBackpropInput", 8, taps(c) * c.channel_mul)
-        }
-        C::DepthwiseConv2dBackpropFilter(c) => oracle("DepthwiseBackpropFilter", 8, spatial(c)),
-        C::Pool2d { info: c, .. } => oracle("Pool2D", 1, c.filter_height * c.filter_width),
-        C::Pool2dBackprop { info: c, .. } => {
-            oracle("Pool2DBackprop", 1, c.filter_height * c.filter_width)
-        }
-        C::Slice { .. } => oracle("Slice", 1, 1),
-        C::Concat { .. } => oracle("Concat", 1, 1),
-        C::Transpose { .. } => oracle("Transpose", 1, 1),
-        C::Pad { .. } => oracle("Pad", 1, 1),
-        C::Gather { .. } => oracle("Gather", 1, 1),
-        C::Tile { .. } => oracle("Tile", 1, 1),
-        C::Reverse { .. } => oracle("Reverse", 1, 1),
-        C::Select => oracle("Select", 1, 1),
-        C::OneHot { .. } => oracle("OneHot", 1, 1),
-        C::ResizeBilinear { .. } => oracle("ResizeBilinear", 1, 4),
-        C::FusedElementwise(steps) => oracle("FusedElementwise", 1, steps.len()),
+        _ => return oracle::kernel(call, operands, out),
     })
 }
 
@@ -244,45 +207,15 @@ fn depthwise_family(
     })
 }
 
-/// A pipeline whose body is the [`webml_core::kernels`] oracle for `call`
-/// over the bound buffers: every kernel but the tiled products. It declares
-/// its whole output as its grain, so it runs once, whole, per dispatch.
-/// `name`, `reuse` and `cost` are the program name the fault plans and the
-/// compile cache key on and the occupancy model's declarations; `reuse` 1 is
-/// an uncooperative pipeline.
-fn oracle(
-    name: &'static str,
-    call: &KernelCall<'_>,
-    operands: &[KTensor<'_>],
-    out: &[usize],
-    reuse: usize,
-    cost: usize,
-) -> Kernel {
-    let call = call.clone().into_owned();
-    let shapes: Vec<Shape> = operands.iter().map(|t| t.shape.clone()).collect();
-    let out = Shape::new(out);
-    cooperative(name, out.size(), reuse, cost, out.size(), move |inp, start, dst| {
-        let operands: Vec<Operand<'_>> = inp
-            .iter()
-            .zip(&shapes)
-            .map(|(&v, shape)| Operand { values: Values::F32(v), shape, quant: None })
-            .collect();
-        let values = match k::run(&call, &operands, &out) {
-            TensorData::F32(v) => v,
-            other => other.to_f32_vec(),
-        };
-        dst.copy_from_slice(&values[start..][..dst.len()]);
-    })
-}
-
 /// Differential tests: each own kernel against its `webml_core::kernels`
 /// oracle, on bits, however the shader-core pool cuts the output into runs.
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, OnceLock};
+    use std::sync::OnceLock;
+    use webml_core::kernels as k;
+    use webml_core::shape::Shape;
     use webml_core::backend::{BinaryOp, UnaryOp};
     use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
     use webml_core::pool::WorkerPool;
@@ -509,43 +442,6 @@ mod tests {
                 check_depthwise(&walk(true, (2, 7, 6, channels, 2)), seed + 2);
             }
             check_matmul((2, 5, 7, channels), 2 * 7 * channels, seed + 3);
-        }
-    }
-
-    /// A pipeline over the oracle computes its output whole, so however many
-    /// cores the device has it is called once per dispatch.
-    #[test]
-    fn the_oracle_adapter_runs_once_per_dispatch() {
-        let (x_shape, n) = (Shape::new(vec![3, 7, 11]), 3 * 7 * 11);
-        let x = data(n, 7);
-        let operand = KTensor {
-            data: webml_core::backend::DataId(0),
-            shape: &x_shape,
-            dtype: webml_core::DType::F32,
-            quant: None,
-        };
-        let call = KernelCall::Unary(UnaryOp::Sigmoid);
-        let pl = kernel(&call, &[operand], x_shape.dims()).unwrap();
-        let KernelBody::Compute { run: body, grain } = pl.body.clone() else {
-            panic!("a pipeline")
-        };
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counted = calls.clone();
-        let body = KernelBody::Compute {
-            run: Arc::new(move |inp: &[&[f32]], start: usize, out: &mut [f32]| {
-                counted.fetch_add(1, Ordering::Relaxed);
-                body(inp, start, out)
-            }),
-            grain,
-        };
-        let counting = Kernel { body, ..pl };
-        let want: Vec<f32> = x.iter().map(|&v| UnaryOp::Sigmoid.apply(v)).collect();
-        for pool in pools() {
-            calls.store(0, Ordering::Relaxed);
-            let mut out = vec![f32::NAN; n];
-            execute(&counting, &[&x], &[], &mut out, pool, pool.size(), false);
-            assert_eq!(calls.load(Ordering::Relaxed), 1, "{} cores", pool.size());
-            assert_eq!(bits(&out), bits(&want));
         }
     }
 
