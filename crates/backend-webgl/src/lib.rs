@@ -174,8 +174,8 @@ impl<R: Rung> GpuBackend<R> {
         &self.ctx
     }
 
-    /// Device-queue counters (busy time, fence waits, pipeline drains,
-    /// pending commands). Does not flush.
+    /// Device-queue counters (busy time, fence waits, pipeline drains).
+    /// Does not flush.
     pub fn queue_stats(&self) -> webml_webgl_sim::QueueStats {
         self.ctx.queue_stats()
     }

@@ -192,8 +192,14 @@ pub struct GpgpuContext {
     id: u64,
     shared: Arc<DeviceShared>,
     sender: Sender<Command>,
-    next_tex: AtomicU64,
-    next_fence: AtomicU64,
+    /// Numbers every upload, dispatch (its allocation id) and fence in
+    /// submission order, so a fence's number says which work it covers.
+    next_id: AtomicU64,
+    /// Number of the latest upload or dispatch.
+    last_work: AtomicU64,
+    /// Work up to this number is covered: a fence the host waited on, or a
+    /// blocking read, came after it.
+    covered: AtomicU64,
     faults: FaultState,
     /// Compiled-kernel cache, keyed by (name, packed). Compilation is
     /// attempted on first use of each kernel variant and the result cached
@@ -246,8 +252,9 @@ impl GpgpuContext {
             id: NEXT_CONTEXT.fetch_add(1, Ordering::Relaxed),
             shared,
             sender: tx,
-            next_tex: AtomicU64::new(1),
-            next_fence: AtomicU64::new(1),
+            next_id: AtomicU64::new(1),
+            last_work: AtomicU64::new(0),
+            covered: AtomicU64::new(0),
             faults: FaultState::new(plan),
             compiled: Mutex::new(HashSet::new()),
             worker: Some(worker),
@@ -329,8 +336,7 @@ impl GpgpuContext {
             Ok(p) => p,
             Err(e) => return Err((e, data)),
         };
-        let (id, len) = (self.next_tex.fetch_add(1, Ordering::Relaxed), data.len());
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
+        let (id, len) = (self.work_id(), data.len());
         self.sender.send(Command::Upload { tex: id, data, geometry }).expect("device thread alive");
         Ok(Handle { id, len, layout })
     }
@@ -343,6 +349,13 @@ impl GpgpuContext {
     pub fn upload_quantized(&self, codes: &[u8], shape: &[usize]) -> Result<Handle, DeviceError> {
         let widened = codes.iter().map(|&c| c as f32).collect();
         self.try_upload(widened, shape, true).map_err(|(e, _)| e)
+    }
+
+    /// Number a new upload or dispatch.
+    fn work_id(&self) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        self.last_work.fetch_max(id, Ordering::SeqCst);
+        id
     }
 
     /// Host-side allocation gate for the injected OOM fault: a real driver
@@ -401,12 +414,11 @@ impl GpgpuContext {
             self.faults.notify_loss(&event);
             return Err(DeviceError::ContextLost);
         }
-        let id = self.next_tex.fetch_add(1, Ordering::Relaxed);
+        let id = self.work_id();
         // Straggler injection: decided host-side (seeded, synchronous, like
         // every other fault decision) but paid on the device thread, where a
         // real throttled GPU would pay it.
         let stall_ns = self.faults.draw_stall().unwrap_or(0);
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
         self.sender
             .send(Command::Run {
                 kernel,
@@ -462,11 +474,13 @@ impl GpgpuContext {
     }
 
     /// Blocking readback (`gl.readPixels` after an implicit flush) — the
-    /// `dataSync()` path of Figure 2. When the command queue still has
-    /// unexecuted uploads or dispatches, the simulated driver charges the
-    /// profile's pipeline-drain penalty as wall-clock latency; synchronize
-    /// with [`GpgpuContext::wait_fence`] first (the Figure 3 discipline) to
-    /// read for free.
+    /// `dataSync()` path of Figure 2. A read that follows an upload or
+    /// dispatch which no fence the host waited on, and no earlier blocking
+    /// read, covers pays the profile's pipeline drain on the device
+    /// timeline ([`timeline_ns`](Self::timeline_ns)); wait on a fence
+    /// first (the Figure 3 discipline) to read for free. The decision reads
+    /// only what the host submitted and waited on, never how far the device
+    /// thread has got.
     ///
     /// Readback keeps working after a context loss: the device preserves
     /// host-side shadows of invalidated allocations, exactly the copies a
@@ -476,13 +490,8 @@ impl GpgpuContext {
     /// [`DeviceError::Read`] when the allocation does not exist;
     /// [`DeviceError::TransientReadback`] under injected faults.
     pub fn read_sync(&self, h: &Handle) -> Result<Vec<f32>, DeviceError> {
-        let drain_ns = if self.shared.pending.load(Ordering::SeqCst) > 0 {
-            self.profile.readback_sync_penalty_ns
-        } else {
-            0
-        };
         let (future, promise) = ReadFuture::pending();
-        self.enqueue_read(h, drain_ns, Box::new(move |values| promise.complete(values)))?;
+        self.enqueue_read(h, true, Box::new(move |values| promise.complete(values)))?;
         future.wait().map_err(DeviceError::Read)
     }
 
@@ -502,13 +511,19 @@ impl GpgpuContext {
         h: &Handle,
         done: impl FnOnce(Result<Vec<f32>, String>) + Send + 'static,
     ) -> Result<(), DeviceError> {
-        self.enqueue_read(h, 0, Box::new(done))
+        self.enqueue_read(h, false, Box::new(done))
     }
 
-    fn enqueue_read(&self, h: &Handle, drain_ns: u64, done: ReadDone) -> Result<(), DeviceError> {
+    fn enqueue_read(&self, h: &Handle, blocking: bool, done: ReadDone) -> Result<(), DeviceError> {
         if let Some(attempt) = self.faults.readback_blocked() {
             return Err(DeviceError::TransientReadback { attempt });
         }
+        let work = self.last_work.load(Ordering::SeqCst);
+        let drain_ns = if blocking && self.covered.fetch_max(work, Ordering::SeqCst) < work {
+            self.profile.readback_sync_penalty_ns
+        } else {
+            0
+        };
         self.sender
             .send(Command::ReadPixels { tex: h.id, len: h.len, drain_ns, done })
             .expect("device thread alive");
@@ -563,7 +578,7 @@ impl GpgpuContext {
 
     /// Insert a fence into the command queue (`gl.fenceSync`).
     pub fn fence(&self) -> FenceHandle {
-        let seq = self.next_fence.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.sender.send(Command::Fence { id: seq }).expect("device thread alive");
         FenceHandle { context: self.id, seq }
     }
@@ -580,21 +595,26 @@ impl GpgpuContext {
     /// executes. Fast-path returns without locking when the fence already
     /// passed (or is foreign, see [`fence_passed`](Self::fence_passed));
     /// only genuine sleeps count in
-    /// [`QueueStats::fence_waits`]/[`QueueStats::fence_wait_ns`].
+    /// [`QueueStats::fence_waits`]/[`QueueStats::fence_wait_ns`]. Either
+    /// way, the work submitted before the fence is covered: a blocking read
+    /// of it pays no pipeline drain.
     pub fn wait_fence(&self, f: FenceHandle) {
-        if self.fence_passed(f) {
+        if f.context != self.id {
             return;
         }
-        let t0 = webml_telemetry::now_ns();
-        let mut guard = self.shared.fence_lock.lock();
-        while self.shared.last_fence.load(Ordering::SeqCst) < f.seq {
-            self.shared.fence_cond.wait(&mut guard);
+        if self.shared.last_fence.load(Ordering::SeqCst) < f.seq {
+            let t0 = webml_telemetry::now_ns();
+            let mut guard = self.shared.fence_lock.lock();
+            while self.shared.last_fence.load(Ordering::SeqCst) < f.seq {
+                self.shared.fence_cond.wait(&mut guard);
+            }
+            drop(guard);
+            self.shared.fence_waits.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .fence_wait_ns
+                .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
         }
-        drop(guard);
-        self.shared.fence_waits.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .fence_wait_ns
-            .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
+        self.covered.fetch_max(f.seq, Ordering::SeqCst);
     }
 
     /// Block until every queued command has executed: insert a fence and
@@ -604,7 +624,7 @@ impl GpgpuContext {
     }
 
     /// Snapshot of device-queue counters (busy time, fence waits, pipeline
-    /// drains, pending commands). Does not flush.
+    /// drains). Does not flush.
     pub fn queue_stats(&self) -> QueueStats {
         self.shared.queue_stats()
     }
@@ -617,6 +637,16 @@ impl GpgpuContext {
     /// work.
     pub fn device_nanos(&self) -> u64 {
         self.shared.gpu_nanos.load(Ordering::Relaxed)
+    }
+
+    /// The device timeline: [`device_nanos`](Self::device_nanos) plus the
+    /// pipeline drains blocking reads paid ([`QueueStats::drain_ns`]), in
+    /// nanoseconds. It is the clock of the main-thread figures: a blocking
+    /// read holds the main thread for the timeline's advance across it.
+    /// Flushes first, so the sample covers every enqueued command.
+    pub fn timeline_ns(&self) -> u64 {
+        self.flush();
+        self.device_nanos() + self.shared.drain_ns.load(Ordering::Relaxed)
     }
 
     /// Memory and diagnostics snapshot (flushes first for stable numbers).

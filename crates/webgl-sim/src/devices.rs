@@ -69,10 +69,10 @@ pub struct DeviceProfile {
     /// `EXT_disjoint_timer_query` availability (WebGL 1.0 path).
     pub has_disjoint_timer_query: bool,
     /// Driver pipeline-drain cost of a *synchronous* `readPixels` issued
-    /// while the command queue still has unfinished work (paper Fig 2: a
-    /// blocking `dataSync()` stalls the main thread until the whole
-    /// pipeline drains). Fence-synchronized readback (Fig 3) pays nothing.
-    /// Charged as wall-clock host latency, not device compute time.
+    /// behind work no host wait covered (paper Fig 2: a blocking
+    /// `dataSync()` stalls the main thread until the whole pipeline
+    /// drains). Fence-synchronized readback (Fig 3) pays nothing. Charged
+    /// on the device timeline, not in kernel time.
     pub readback_sync_penalty_ns: u64,
     /// Whether the browser on this device exposes a WebGPU-class compute
     /// API (compute shaders, workgroups, storage buffers — paper Sec 4.3's

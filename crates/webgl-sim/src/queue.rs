@@ -23,6 +23,10 @@
 //! API's ([`Capabilities`]). So the same dispatches cost the same device
 //! time on any host, under any load, with any number of shader-core
 //! threads.
+//!
+//! The device's *timeline* is that kernel time plus the pipeline drains
+//! synchronous reads pay ([`QueueStats::drain_ns`]): the one clock the
+//! main-thread figures (2 and 3) are read from. Nothing sleeps to model it.
 
 use crate::caps::Capabilities;
 use crate::devices::DeviceProfile;
@@ -97,7 +101,8 @@ pub enum Command {
         /// Output geometry.
         out_geometry: Geometry,
         /// Injected straggler stall: device nanoseconds added to the clock
-        /// (and slept wall-clock) before the kernel runs. 0 = no stall.
+        /// (and slept on the device thread, for the host-time readers of the
+        /// serving stack) before the kernel runs. 0 = no stall.
         stall_ns: u64,
         /// Request trace id active on the submitting thread at enqueue
         /// time (0 = untraced). Carried across the thread hop so the GPU
@@ -113,9 +118,9 @@ pub enum Command {
         /// Number of logical values wanted.
         len: usize,
         /// Simulated driver pipeline-drain cost (paper Fig 2): non-zero
-        /// only for a *synchronous* read issued while the queue still had
-        /// unfinished work. Slept as wall-clock before the copy-out; never
-        /// added to the device compute clock and never counted busy.
+        /// only for a *synchronous* read that follows work no host wait
+        /// covered. It advances the device timeline, never the kernel clock,
+        /// and is never counted busy.
         drain_ns: u64,
         /// Completion, called here on the device thread.
         done: ReadDone,
@@ -154,10 +159,9 @@ pub struct DeviceShared {
     pub fence_cond: Condvar,
     /// Total device-side execution time (the timer-query counter).
     pub gpu_nanos: AtomicU64,
-    /// Wall-clock nanoseconds the device thread spent executing commands
+    /// Host nanoseconds the device thread spent executing commands
     /// (uploads, dispatches, readbacks, disposals) — the numerator of the
-    /// device-thread utilization gauge. Injected drain sleeps are idle,
-    /// not busy.
+    /// device-thread utilization gauge.
     pub busy_ns: AtomicU64,
     /// Number of blocking `wait_fence` calls that actually slept.
     pub fence_waits: AtomicU64,
@@ -165,12 +169,9 @@ pub struct DeviceShared {
     pub fence_wait_ns: AtomicU64,
     /// Synchronous readbacks that forced a driver pipeline drain.
     pub drains: AtomicU64,
-    /// Total wall-clock nanoseconds lost to those drains.
+    /// Device-timeline nanoseconds those drains took: the timeline is
+    /// `gpu_nanos + drain_ns`.
     pub drain_ns: AtomicU64,
-    /// Upload/dispatch commands enqueued by the host but not yet executed by
-    /// the device thread. `read_sync` uses this to decide whether a
-    /// blocking read stalls the pipeline.
-    pub pending: AtomicU64,
     /// Number of kernels executed.
     pub program_count: AtomicU64,
     /// Bytes resident in GPU memory.
@@ -185,14 +186,13 @@ pub struct DeviceShared {
 
 /// Counters of device-queue behaviour, snapshotted without flushing.
 ///
-/// On the device thread `wall = busy_ns + drain_ns + idle`: `busy_ns` times
-/// every upload, dispatch, readback and disposal, `drain_ns` is the modeled
-/// Fig-2 pipeline stall a blocking read pays (slept, never counted busy),
-/// and the remainder is the thread parked on an empty queue (plus fence
-/// bookkeeping, which does no device work).
+/// Two clocks, never summed: `busy_ns` is the host time the device thread
+/// spent on uploads, dispatches, readbacks and disposals (the rest of its
+/// host time it is parked on an empty queue), and `drain_ns` is the Fig-2
+/// pipeline stall blocking reads paid on the priced device timeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Wall-clock ns the device thread spent executing commands.
+    /// Host ns the device thread spent executing commands.
     pub busy_ns: u64,
     /// Blocking `wait_fence` calls that actually slept.
     pub fence_waits: u64,
@@ -200,10 +200,8 @@ pub struct QueueStats {
     pub fence_wait_ns: u64,
     /// Synchronous readbacks that forced a pipeline drain.
     pub drains: u64,
-    /// Total ns lost to those drains.
+    /// Device-timeline ns those drains took.
     pub drain_ns: u64,
-    /// Upload/dispatch commands enqueued but not yet executed.
-    pub pending: u64,
 }
 
 impl DeviceShared {
@@ -220,7 +218,6 @@ impl DeviceShared {
             fence_wait_ns: AtomicU64::new(0),
             drains: AtomicU64::new(0),
             drain_ns: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
             program_count: AtomicU64::new(0),
             bytes_gpu: AtomicUsize::new(0),
             pager: Mutex::new(PagerStats::default()),
@@ -242,7 +239,6 @@ impl DeviceShared {
             fence_wait_ns: self.fence_wait_ns.load(Ordering::Relaxed),
             drains: self.drains.load(Ordering::Relaxed),
             drain_ns: self.drain_ns.load(Ordering::Relaxed),
-            pending: self.pending.load(Ordering::SeqCst),
         }
     }
 
@@ -302,16 +298,13 @@ pub fn device_loop(
                 shared
                     .busy_ns
                     .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
             }
             Command::Run { kernel, inputs, in_layouts, output, out_geometry, stall_ns, trace_id } => {
                 let t0 = webml_telemetry::now_ns();
                 if stall_ns > 0 {
-                    // An injected straggler: the device clock advances and
-                    // the device thread really stalls, so the spike is
-                    // observable both in modeled time and in wall-clock
-                    // latency (the signal a serving router's health tracker
-                    // reacts to).
+                    // An injected straggler: the device clock advances, and
+                    // the device thread also stalls for as long, because the
+                    // serving router's health tracker reads host latency.
                     shared.gpu_nanos.fetch_add(stall_ns, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_nanos(stall_ns));
                 }
@@ -328,17 +321,13 @@ pub fn device_loop(
                 shared
                     .busy_ns
                     .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
             }
             Command::ReadPixels { tex, len, drain_ns, done } => {
                 if drain_ns > 0 {
-                    // Fig 2: a blocking read issued against a busy pipeline
-                    // stalls until the driver drains. The host is already
-                    // blocked on the completion, so the sleep lands as
-                    // caller-visible latency — and as device *idle* time.
+                    // Fig 2: a blocking read behind uncovered work waits for
+                    // the pipeline to drain, on the timeline.
                     shared.drains.fetch_add(1, Ordering::Relaxed);
                     shared.drain_ns.fetch_add(drain_ns, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_nanos(drain_ns));
                 }
                 let t0 = webml_telemetry::now_ns();
                 let values = match shared.textures.lock().get(&tex).map(|slot| &slot.state) {

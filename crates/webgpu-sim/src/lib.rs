@@ -248,7 +248,43 @@ mod tests {
             c.wait_fence(first);
             c.wait_fence(second);
             assert_eq!(c.queue_stats().fence_waits, slept.fence_waits);
-            assert_eq!(c.queue_stats().pending, 0);
+        }
+    }
+
+    /// A blocking read pays the pipeline drain exactly when it follows work
+    /// that no fence the host waited on, and no earlier blocking read,
+    /// covers — whatever the device thread has done by then. The drains
+    /// advance the timeline and never the kernel clock.
+    #[test]
+    fn a_blocking_read_drains_only_behind_uncovered_work() {
+        for caps in DESCRIPTORS {
+            let c = ctx(caps);
+            let drains = || c.queue_stats().drains;
+            let a = c.upload(vec![1.0; 256], &[256]).unwrap();
+            let out = c.run(double(caps, 256), &[&a]).unwrap();
+            c.read_sync(&out).unwrap();
+            assert_eq!(drains(), 1, "{}: right after an enqueue", caps.api);
+            c.read_sync(&out).unwrap();
+            assert_eq!(drains(), 1, "{}: the earlier read covered the work", caps.api);
+            let out = c.run(double(caps, 256), &[&a]).unwrap();
+            c.wait_fence(c.fence());
+            c.read_sync(&out).unwrap();
+            assert_eq!(drains(), 1, "{}: after wait_fence", caps.api);
+            // A fence covers only the work submitted before it.
+            let fence = c.fence();
+            let out = c.run(double(caps, 256), &[&a]).unwrap();
+            c.wait_fence(fence);
+            c.read_sync(&out).unwrap();
+            assert_eq!(drains(), 2, "{}: work behind the waited fence", caps.api);
+            // An asynchronous read never drains.
+            let out = c.run(double(caps, 256), &[&a]).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            c.read_async(&out, move |v| tx.send(v).unwrap()).unwrap();
+            rx.recv().unwrap().unwrap();
+            assert_eq!(drains(), 2, "{}: asynchronous read", caps.api);
+            let penalty = c.profile().readback_sync_penalty_ns;
+            assert_eq!(c.queue_stats().drain_ns, 2 * penalty);
+            assert_eq!(c.timeline_ns(), c.device_nanos() + 2 * penalty, "{}", caps.api);
         }
     }
 

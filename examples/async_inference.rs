@@ -1,19 +1,26 @@
 //! Figures 2 and 3 of the paper, live: on the webgl backend, a blocking
 //! `data_sync()` stalls the simulated browser main thread for the whole
 //! GPU computation, while the asynchronous `data()` keeps UI frames
-//! flowing and resolves when the device finishes.
+//! flowing and resolves when the device finishes. The main thread's clock
+//! is the device's priced timeline, so every figure repeats exactly.
 //!
 //! ```text
 //! cargo run --release --example async_inference
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
+use webml::backend_webgl::{WebGlBackend, WebGlConfig};
 use webml::core::asyncx::EventLoop;
 use webml::prelude::*;
+use webml::webgl_sim::devices::DeviceProfile;
 
 fn main() -> webml::Result<()> {
-    let engine = webml::init();
-    engine.set_backend("webgl")?;
+    // Keep the webgl backend: its context's timeline is the event loop's
+    // clock.
+    let webgl = Arc::new(WebGlBackend::new(DeviceProfile::intel_iris_pro(), WebGlConfig::default())?);
+    let engine = Engine::new();
+    engine.register_backend("webgl", webgl.clone(), 2);
 
     // A matmul chain heavy enough to keep the simulated GPU busy a while.
     let a = engine.rand_uniform([192, 192], -1.0, 1.0, 1)?;
@@ -25,7 +32,7 @@ fn main() -> webml::Result<()> {
         Ok(y)
     };
 
-    let event_loop = EventLoop::new(Duration::from_millis(4));
+    let event_loop = EventLoop::new(Duration::from_millis(4), || webgl.context().timeline_ns());
 
     // Figure 2: synchronous read — the main thread blocks.
     let (result, sync_report) = event_loop.run_sync(

@@ -3,9 +3,10 @@
 //! the engine on the webgl backend.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use webml::core::asyncx::EventLoop;
+use std::time::Duration;
 use webml::backend_webgl::{WebGlBackend, WebGlConfig};
+use webml::core::asyncx::EventLoop;
+use webml::core::backend::Backend;
 use webml::webgl_sim::devices::DeviceProfile;
 use webml::{ops, Engine, Tensor};
 
@@ -13,6 +14,30 @@ fn webgl_engine() -> Engine {
     let e = webml::new_engine();
     e.set_backend("webgl").unwrap();
     e
+}
+
+/// An engine on a webgl backend the test keeps, to read its device clocks.
+fn webgl_on_iris() -> (Engine, Arc<WebGlBackend>) {
+    let backend = Arc::new(
+        WebGlBackend::new(DeviceProfile::intel_iris_pro(), WebGlConfig::default()).unwrap(),
+    );
+    let e = Engine::new();
+    e.register_backend("webgl", backend.clone(), 2);
+    (e, backend)
+}
+
+/// The pipeline drain the profile charges a blocking read.
+fn drain_ns() -> u64 {
+    DeviceProfile::intel_iris_pro().readback_sync_penalty_ns
+}
+
+/// Kernel time on the device clock (flushed), in ns.
+fn kernel_ns(backend: &WebGlBackend) -> u64 {
+    backend.device_timer_ns().expect("iris pro has a timer query")
+}
+
+fn ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
 }
 
 fn heavy_chain(e: &Engine, n: usize, depth: usize) -> Tensor {
@@ -28,50 +53,79 @@ fn heavy_chain(e: &Engine, n: usize, depth: usize) -> Tensor {
 fn ops_are_synchronous_but_nonblocking() {
     // Paper Sec 3.6: "operations like tf.matMul() are purposefully
     // synchronous and return a tensor whose data might not be computed
-    // yet."
-    let e = webgl_engine();
-    let t0 = Instant::now();
+    // yet." On the device timeline: enqueuing the chain waits on none of
+    // it — no fence wait and no read covered it, so the read still pays the
+    // one pipeline drain — and the read costs the main thread the chain's
+    // priced time plus that drain.
+    let (e, backend) = webgl_on_iris();
+    let (start, kernel_start) = (backend.context().timeline_ns(), kernel_ns(&backend));
+    let waits = backend.queue_stats().fence_waits;
     let y = heavy_chain(&e, 160, 5);
-    let enqueue_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
+    assert_eq!(backend.queue_stats().fence_waits, waits, "enqueuing waited on the device");
     let vals = y.data_sync().unwrap();
-    let compute_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let read = backend.context().timeline_ns() - start;
     assert_eq!(vals.len(), 160 * 160);
-    assert!(
-        enqueue_ms < compute_ms,
-        "enqueue ({enqueue_ms:.1} ms) must be cheaper than compute ({compute_ms:.1} ms)"
-    );
+    assert_eq!(backend.queue_stats().drains, 1);
+    assert_eq!(read, kernel_ns(&backend) - kernel_start + drain_ns());
 }
 
 #[test]
 fn figure2_sync_read_blocks_main_thread() {
-    let e = webgl_engine();
-    let lp = EventLoop::new(Duration::from_millis(2));
+    let (e, backend) = webgl_on_iris();
+    let lp = EventLoop::new(Duration::from_millis(2), || backend.context().timeline_ns());
+    let before = kernel_ns(&backend);
     let (data, report) = lp.run_sync(
         || heavy_chain(&e, 160, 5),
         |y| y.data_sync(),
         Duration::from_millis(20),
     );
+    let priced = kernel_ns(&backend) - before;
     assert!(data.is_ok());
-    assert!(report.blocked_ms > 5.0, "main thread must stall, got {} ms", report.blocked_ms);
-    assert!(report.longest_frame_gap_ms >= report.blocked_ms * 0.9);
+    // The main thread stalls for exactly the chain's priced time plus the
+    // drain, and renders no frame meanwhile.
+    assert_eq!(report.blocked_ms, ms(priced + drain_ns()));
+    assert!(report.longest_frame_gap_ms >= report.blocked_ms);
 }
 
 #[test]
 fn figure3_async_read_keeps_frames_flowing() {
-    let e = webgl_engine();
-    let lp = EventLoop::new(Duration::from_millis(2));
+    const FRAME_NS: u64 = 2_000_000;
+    const TAIL_NS: u64 = 20_000_000;
+    let (e, backend) = webgl_on_iris();
+    let lp = EventLoop::new(Duration::from_nanos(FRAME_NS), || backend.context().timeline_ns());
+    let before = kernel_ns(&backend);
     let (data, report) = lp.run_async(
         || {
             let y = heavy_chain(&e, 160, 5);
             y.data()
         },
-        Duration::from_millis(20),
+        Duration::from_nanos(TAIL_NS),
     );
+    let priced = kernel_ns(&backend) - before;
     assert_eq!(data.unwrap().len(), 160 * 160);
     assert_eq!(report.blocked_ms, 0.0);
-    // Frames kept rendering while the device worked.
-    assert!(report.frames_rendered > 5, "only {} frames", report.frames_rendered);
+    // The promise resolves at the priced completion, with no drain, and a
+    // frame fell every interval until the tail ended.
+    assert_eq!(report.data_ready_at_ms, ms(priced));
+    assert_eq!(report.frames_rendered as u64, (priced + TAIL_NS).div_ceil(FRAME_NS));
+    assert_eq!(report.longest_frame_gap_ms, ms(FRAME_NS));
+}
+
+/// `tf.time`'s kernel time is the device clock's advance over the window's
+/// dispatches; the pipeline drain a blocking read inside it pays goes on the
+/// timeline only.
+#[test]
+fn tf_time_reports_kernel_time_without_the_drain() {
+    let (e, backend) = webgl_on_iris();
+    let x = e.rand_uniform([64, 64], -1.0, 1.0, 1).unwrap();
+    let (start, kernel_start) = (backend.context().timeline_ns(), kernel_ns(&backend));
+    let (vals, info) = e.time(|| ops::matmul(&x, &x, false, false).unwrap().data_sync());
+    let dispatched = kernel_ns(&backend) - kernel_start;
+    assert_eq!(vals.unwrap().len(), 64 * 64);
+    assert!(dispatched > 0);
+    assert_eq!(info.kernel_ms, ms(dispatched));
+    assert_eq!(backend.queue_stats().drains, 1, "the read inside the window drained");
+    assert_eq!(backend.context().timeline_ns() - start, dispatched + drain_ns());
 }
 
 #[test]
