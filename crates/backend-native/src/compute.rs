@@ -15,45 +15,20 @@
 //! buffer holds whatever its last user left, so a kernel either writes every
 //! element or asks for the buffer zeroed.
 
-use crate::codegen::{hot_loop, Codegen};
 use crate::parallel::{parallel_collect, parallel_for_slices, Slots};
 use std::borrow::Cow;
 use std::ops::Range;
 use webml_core::backend::{BinaryOp, FusedStep, UnaryOp};
+use webml_core::codegen::Codegen;
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::host::Host;
 use webml_core::kernels as reference;
 use webml_core::quant::QuantParams;
 use webml_core::shape::Shape;
+use webml_core::tile::{self, gemm_column_block, Lhs};
+use webml_core::{hot_loop, with_unary_fn};
 
-/// Evaluate `$body` with `$f` bound to the scalar function of the unary op
-/// `$op`. The `match` happens here, once per kernel; inside each arm the op
-/// is a constant, so the `match` in `UnaryOp::apply` folds away and a loop
-/// over `$f` vectorises. `apply` stays the only definition of the math.
-macro_rules! with_unary_fn {
-    ($op:expr, $f:ident => $body:expr) => {
-        with_unary_fn!(@arms $op, $f => $body;
-            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh,
-            Elu, Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign,
-            Reciprocal, LogicalNot, IsNan, IsInf, IsFinite, Erf;
-            LeakyRelu(p), ClipByValue(p, q), Step(p))
-    };
-    (@arms $op:expr, $f:ident => $body:expr;
-     $($unit:ident),*; $($with:ident($($param:ident),*)),*) => {
-        match $op {
-            $(UnaryOp::$unit => {
-                let $f = |v: f32| UnaryOp::$unit.apply(v);
-                $body
-            })*
-            $(UnaryOp::$with($($param),*) => {
-                let $f = move |v: f32| UnaryOp::$with($($param),*).apply(v);
-                $body
-            })*
-        }
-    };
-}
-
-/// [`with_unary_fn`] for a binary op: `$f` is `BinaryOp::apply` with the op
+/// [`with_unary_fn!`] for a binary op: `$f` is `BinaryOp::apply` with the op
 /// a constant.
 macro_rules! with_binary_fn {
     ($op:expr, $f:ident => $body:expr) => {
@@ -73,28 +48,14 @@ macro_rules! with_binary_fn {
 }
 
 hot_loop! {
-    /// The fused epilogue over `rows`, rows of `n` outputs whose column is
-    /// the channel: the bias add, then the activation, each by the same
-    /// `BinaryOp::apply` / `UnaryOp::apply` as the unfused kernels, so a
-    /// fused kernel equals its product → add → activation composition on
-    /// bits. The bias is added a row at a time and the activation is
-    /// resolved once ([`with_unary_fn`]), so both loops vectorise.
+    /// The fused epilogue over `rows` ([`tile::epilogue`]).
     fn epilogue<const WIDE: bool>(
         rows: &mut [f32],
         n: usize,
         bias: Option<&[f32]>,
         activation: Option<UnaryOp>,
     ) {
-        if let Some(bias) = bias.filter(|_| n > 0) {
-            for row in rows.chunks_exact_mut(n) {
-                for (o, &b) in row.iter_mut().zip(bias) {
-                    *o = BinaryOp::Add.apply(*o, b);
-                }
-            }
-        }
-        if let Some(op) = activation {
-            with_unary_fn!(op, f => rows.iter_mut().for_each(|v| *v = f(*v)))
-        }
+        tile::epilogue(rows, n, bias, activation)
     }
 }
 
@@ -213,13 +174,6 @@ fn tiled_product(
     });
 }
 
-/// How a product reads its left operand `A`, logically `[m, k]`: where it
-/// is stored, in either layout, so neither is copied first.
-trait Lhs: Copy + Sync {
-    /// `[A[i, p], .., A[i + R - 1, p]]` for `p = 0, 1, .., k - 1`.
-    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]>;
-}
-
 /// `A` stored row-major, `[m, k]`.
 #[derive(Clone, Copy)]
 struct RowMajor<'a> {
@@ -255,8 +209,9 @@ hot_loop! {
     /// `out = a · b` for rows `i0..` of `a`: `b` is `[k, n]`, `out`
     /// `[rows, n]`, whose contents on entry are never read.
     ///
-    /// The columns are cut into register tiles ([`gemm_tile`]) 16 wide while
-    /// 16 are left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever
+    /// The columns are cut into register tiles
+    /// ([`gemm_tile`](webml_core::tile::gemm_tile)) 16 wide while 16 are
+    /// left, then one each of 8, 4, 2 and 1 as `n` requires. Whatever
     /// the width, an output element is *one* accumulator that starts at zero
     /// and takes `a[i, p] · b[p, j]` for `p = 0, 1, ..` in that order — the
     /// order of `webml_core::kernels::matmul` and, through im2col, of
@@ -317,53 +272,6 @@ hot_loop! {
         if j < n {
             gemm_column_block::<4, 1>(a, i0, b, n, j, out);
         }
-    }
-}
-
-/// Columns `j..j + W` of every row: tiles of `R` rows, then single rows.
-#[inline(always)]
-fn gemm_column_block<const R: usize, const W: usize>(
-    a: impl Lhs,
-    i0: usize,
-    b: &[f32],
-    n: usize,
-    j: usize,
-    out: &mut [f32],
-) {
-    let mut out_tiles = out.chunks_exact_mut(R * n);
-    let mut i = i0;
-    for out_tile in &mut out_tiles {
-        gemm_tile::<R, W>(a, i, b, n, j, out_tile);
-        i += R;
-    }
-    for (i, out_row) in (i..).zip(out_tiles.into_remainder().chunks_exact_mut(n)) {
-        gemm_tile::<1, W>(a, i, b, n, j, out_row);
-    }
-}
-
-/// An `R x W` tile of outputs, rows `i..i + R`, held in registers across the
-/// whole `k` loop, so the loop does one load of `b` per `R` multiply-adds
-/// instead of a load and a store per multiply-add.
-#[inline(always)]
-fn gemm_tile<const R: usize, const W: usize>(
-    a: impl Lhs,
-    i: usize,
-    b: &[f32],
-    n: usize,
-    j: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; W]; R];
-    for (av, b_row) in a.rows::<R>(i).zip(b.chunks_exact(n)) {
-        let b_seg: &[f32; W] = b_row[j..j + W].try_into().expect("W columns");
-        for r in 0..R {
-            for c in 0..W {
-                acc[r][c] += av[r] * b_seg[c];
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n + j..r * n + j + W].copy_from_slice(acc_row);
     }
 }
 

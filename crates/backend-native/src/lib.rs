@@ -10,22 +10,23 @@
 //! cache-blocked and written for autovectorization, and hands every other
 //! call to the shared reference implementations. The kernels' hot loops are
 //! compiled twice, for the target's baseline and for AVX2, and each call
-//! runs the build the CPU has (`codegen`): a binary built for any x86-64
-//! runs 8-wide on a CPU with AVX2 (the paper's "Node.js CPU w/ AVX2" row),
-//! with the same bits as the baseline build. Register it together with
+//! runs the build the CPU has ([`webml_core::codegen`], which the GPU rungs'
+//! product bodies share, as they share the register tile): a binary built
+//! for any x86-64 runs 8-wide on a CPU with AVX2 (the paper's "Node.js CPU
+//! w/ AVX2" row), with the same bits as the baseline build. Register it
+//! together with
 //! [`MemoryPolicy::Finalized`](webml_core::MemoryPolicy) to reproduce the
 //! Node.js property that dropping the last handle frees the tensor (no
 //! manual `dispose`/`tidy` needed).
 
 #![warn(missing_docs)]
 
-mod codegen;
 mod compute;
 pub mod parallel;
 
-use codegen::Codegen;
 use std::borrow::Cow;
 use webml_core::backend::{Epilogue, KernelCall, MatMulGeom, ReduceOp};
+use webml_core::codegen::Codegen;
 use webml_core::dtype::TensorData;
 use webml_core::host::{Host, HostBackend, HostKernels};
 use webml_core::kernels::{self as reference, Operand};

@@ -425,6 +425,7 @@ impl<R: Rung> Backend for GpuBackend<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webml_core::codegen::Codegen;
     use std::sync::Arc;
     use webml_core::backend::{Epilogue, UnaryOp};
     use webml_core::shape::Shape;
@@ -526,8 +527,9 @@ mod tests {
             )
             .unwrap();
             let (out, fused) = (info.out_shape(), Epilogue::Fused { bias: true, activation: None });
-            let unfused = programs::depthwise_conv2d(&info, packing, Epilogue::None, out.dims());
-            let fused = programs::depthwise_conv2d(&info, packing, fused, out.dims());
+            let cg = Codegen::detect();
+            let program = |epi| programs::depthwise_conv2d(cg, &info, packing, epi, out.dims());
+            let (unfused, fused) = (program(Epilogue::None), program(fused));
             assert_eq!(unfused.is_packed(), fused.is_packed());
             (unfused.name, fused.name)
         };
@@ -548,8 +550,9 @@ mod tests {
 
     /// However the shader-core pool cuts the output into runs — on 1, 2, 3
     /// or 7 cores, so that runs start inside a pixel's (or row's) channel
-    /// run — a packed product program stores the bits of its per-element
-    /// body, with and without f16 rounding.
+    /// run — and on every build of the hot loops this CPU runs, a packed
+    /// product program stores the bits of its per-element body, with and
+    /// without f16 rounding.
     #[test]
     fn packed_products_equal_their_per_element_bodies_on_every_pool() {
         use webml_core::backend::MatMulGeom;
@@ -581,22 +584,22 @@ mod tests {
         // Each program with its input dims, the bias left out.
         let mut cases: Vec<(Program, Vec<Vec<usize>>)> = Vec::new();
         for channels in CHANNELS {
-            for (pad, stride, dilation) in
-                [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)]
-            {
+            let walks = [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)];
+            let builds = |walk| Codegen::all().into_iter().map(move |cg| (walk, cg));
+            for ((pad, stride, dilation), cg) in walks.into_iter().flat_map(builds) {
                 let (s, d) = ((stride, stride), (dilation, dilation));
                 let (x, w) = (vec![2, 7, 6, 3], vec![3, 3, 3, channels]);
                 let shapes = (Shape::new(x.clone()), Shape::new(w.clone()));
                 let info = conv2d_info("t", &shapes.0, &shapes.1, s, pad, d).unwrap();
                 let out = info.out_shape().dims().to_vec();
-                let conv = move |packed, epi| programs::conv2d(&info, packed, epi, &out);
+                let conv = move |packed, epi| programs::conv2d(cg, &info, packed, epi, &out);
                 cases.push((Box::new(conv), vec![x, w]));
                 let (x, w) = (vec![2, 7, 6, channels], vec![3, 3, channels, 1]);
                 let shapes = (Shape::new(x.clone()), Shape::new(w.clone()));
                 let info = depthwise_conv2d_info("t", &shapes.0, &shapes.1, s, pad, d).unwrap();
                 let out = info.out_shape().dims().to_vec();
                 let depthwise =
-                    move |packed, epi| programs::depthwise_conv2d(&info, packed, epi, &out);
+                    move |packed, epi| programs::depthwise_conv2d(cg, &info, packed, epi, &out);
                 cases.push((Box::new(depthwise), vec![x, w]));
             }
             for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {

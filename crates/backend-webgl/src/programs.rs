@@ -6,12 +6,33 @@
 //! is WebGL's one match from a [`KernelCall`] to its builder; every other
 //! call goes to the [`crate::oracle`] adapter the WebGPU rung uses too.
 //! Every builder takes the output dims [`KernelCall::output`] gave.
+//!
+//! The packed conv and depthwise bodies, [`conv2d_run`] and
+//! [`depthwise_conv2d_run`], which the WebGPU rung's pipelines run too, are
+//! hot loops compiled for the baseline and for AVX2
+//! ([`webml_core::codegen`]); their builders take the build to run
+//! (`Codegen::detect()` from [`kernel`], each in turn in the tests). They
+//! tile the output pixels whose every filter tap lies inside the input, in
+//! spans of a multiple of 4 whole pixels that may cross output rows (every
+//! pixel of a 1×1 conv): a conv's through the register tile
+//! `backend-native`'s products use ([`webml_core::tile::gemm_tile`]), a
+//! depthwise conv's through a tile of its own of the same shape. Every
+//! other pixel — one with a tap on the padding, a part-pixel at either end
+//! of a run, one left over from a span — walks its in-bounds taps alone.
+//! Either way each
+//! output has the bits of `cpu`'s: it starts at 0, adds its products in
+//! the reference's order, multiplies no padding tap, and its U8 `Σ x` comes
+//! from the same walk. [`matmul_run`] keeps its row-at-a-time walk.
 
 use crate::oracle;
+use std::ops::Range;
 use webml_core::backend::{BinaryOp, Epilogue, KTensor, KernelCall, MatMulGeom, UnaryOp};
+use webml_core::codegen::Codegen;
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::error::Result;
+use webml_core::hot_loop;
 use webml_core::quant::QuantParams;
+use webml_core::tile::{epilogue, gemm_tile, Lhs};
 use webml_webgl_sim::shader::{Kernel, Samplers};
 
 /// The fragment program for `call` over `operands` into `out` (see
@@ -40,12 +61,14 @@ pub fn kernel(
             }
         }
         C::Conv2d { info, epilogue } => match quant() {
-            Some(params) => fused_conv2d_quant(info, params, *epilogue, out),
-            None => conv2d(info, packed, *epilogue, out),
+            Some(params) => fused_conv2d_quant(Codegen::detect(), info, params, *epilogue, out),
+            None => conv2d(Codegen::detect(), info, packed, *epilogue, out),
         },
         C::DepthwiseConv2d { info, epilogue } => match quant() {
-            Some(params) => fused_depthwise_conv2d_quant(info, params, *epilogue, out),
-            None => depthwise_conv2d(info, packed, *epilogue, out),
+            Some(params) => {
+                fused_depthwise_conv2d_quant(Codegen::detect(), info, params, *epilogue, out)
+            }
+            None => depthwise_conv2d(Codegen::detect(), info, packed, *epilogue, out),
         },
         _ => return oracle::kernel(call, operands, out),
     })
@@ -416,6 +439,7 @@ pub fn fused_matmul_quant(
 /// `params` index the output-channel axis (the caller guarantees this via
 /// `quant_axis_ok`).
 pub fn fused_conv2d_quant(
+    codegen: Codegen,
     info: &Conv2dInfo,
     params: &QuantParams,
     epilogue: Epilogue,
@@ -427,13 +451,14 @@ pub fn fused_conv2d_quant(
     let cost = c.filter_height * c.filter_width * c.in_channels * 3;
     Kernel::fragment("FusedConv2DQuant", out.to_vec(), false, move |s, start, out| {
         let finish = (Some(&affine[..]), bias_of(s, has_bias), activation);
-        conv2d_run(&c, s.tex(0), s.tex(1), finish, start, out);
+        conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
     })
     .with_cost(cost)
 }
 
 /// Quantized-filter fused depthwise conv2d over `R8` codes.
 pub fn fused_depthwise_conv2d_quant(
+    codegen: Codegen,
     info: &Conv2dInfo,
     params: &QuantParams,
     epilogue: Epilogue,
@@ -444,7 +469,7 @@ pub fn fused_depthwise_conv2d_quant(
     let cost = c.filter_height * c.filter_width * 3;
     Kernel::fragment("FusedDepthwiseConv2DQuant", out.to_vec(), false, move |s, start, out| {
         let finish = (Some(&affine[..]), bias_of(s, has_bias), activation);
-        depthwise_conv2d_run(&c, s.tex(0), s.tex(1), finish, start, out);
+        depthwise_conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
     })
     .with_cost(cost)
 }
@@ -550,7 +575,13 @@ impl Accumulate for ConvPixel<'_> {
 /// The packed variant is a run body, [`conv2d_run`]. A non-empty epilogue
 /// is fused in-register (`FusedConv2D`); bias (when present) is sampler
 /// input 2, indexed by output channel.
-pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue, out: &[usize]) -> Kernel {
+pub fn conv2d(
+    codegen: Codegen,
+    info: &Conv2dInfo,
+    packed: bool,
+    epilogue: Epilogue,
+    out: &[usize],
+) -> Kernel {
     let names = match epilogue.is_plain() {
         true => ("Conv2D", "Conv2DPacked"),
         false => ("FusedConv2D", "FusedConv2DPacked"),
@@ -568,7 +599,7 @@ pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue, out: &[usize]
     if packed {
         return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
             let finish = (None, bias_of(s, has_bias), activation);
-            conv2d_run(&c, s.tex(0), s.tex(1), finish, start, out);
+            conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
         })
         .with_cost(cost);
     }
@@ -576,30 +607,237 @@ pub fn conv2d(info: &Conv2dInfo, packed: bool, epilogue: Epilogue, out: &[usize]
         .with_cost(cost)
 }
 
-/// The run of NHWC conv2d outputs from flat `start`, of `x` against the HWIO
-/// filter `w` (or its U8 codes, under `finish`'s affine map). A pixel's taps
-/// and their bounds are resolved once, and each x fetch of its receptive
-/// field feeds a whole block of filters — the packed-conv win behind the
-/// paper's 1.3-1.4x PoseNet speedup. Each output adds its products in the
-/// reference's `(fh, fw, ic)` order from 0, and `Σ x` over the same walk
-/// feeds the factored U8 form.
-pub fn conv2d_run(
+hot_loop! {
+    /// The run of NHWC conv2d outputs from flat `start`, of `x` against the
+    /// HWIO filter `w` (or its U8 codes, under `finish`'s affine map). Each
+    /// output adds its products in the reference's `(fh, fw, ic)` order from
+    /// 0, and `Σ x` over the same walk feeds the factored U8 form.
+    ///
+    /// A span of whole pixels whose every tap is inside the input ([`spans`])
+    /// is a product: its receptive fields ([`Field`]) against the whole
+    /// filter read as `[fh·fw·in_c, out_c]`, in register tiles of 4 pixels by
+    /// up to 16 channels ([`tile_columns`]). Each x fetch feeds a block of
+    /// filters and each filter fetch 4 pixels: the packed-conv win behind
+    /// the paper's 1.3-1.4x PoseNet speedup, wider. Every other pixel walks
+    /// its in-bounds taps alone ([`ConvPixel`]), so no padding is multiplied.
+    pub fn conv2d_run<const WIDE: bool>(
+        c: &Conv2dInfo,
+        x: &[f32],
+        w: &[f32],
+        finish: Finish<'_>,
+        start: usize,
+        out: &mut [f32],
+    ) {
+        match finish.0 {
+            Some(_) => conv_spans::<WIDE, true>(c, x, w, finish, start, out),
+            None => conv_spans::<WIDE, false>(c, x, w, finish, start, out),
+        }
+    }
+}
+
+/// [`conv2d_run`]'s body; `FACTORED` when the filter holds U8 codes.
+#[inline(always)]
+fn conv_spans<const WIDE: bool, const FACTORED: bool>(
     c: &Conv2dInfo,
     x: &[f32],
     w: &[f32],
-    finish: Finish<'_>,
+    (affine, bias, activation): Finish<'_>,
     start: usize,
     out: &mut [f32],
 ) {
     let (in_c, out_c) = (c.in_channels, c.out_channels);
-    let mut taps = Vec::with_capacity(c.filter_height * c.filter_width);
-    pixel_runs(out_c, start, out, |pix, oc0, run| {
-        taps.clear();
-        for_each_tap(c, pixel(c, pix), |px, t| taps.push((px * in_c, t * in_c * out_c)));
-        let sum_x =
-            || taps.iter().flat_map(|&(xo, _)| &x[xo..][..in_c]).fold(0.0f32, |a, &v| a + v);
-        fill_product(&ConvPixel { x, w, in_c, out_c, taps: &taps }, sum_x, finish, oc0, run);
-    });
+    let offsets: Vec<usize> = field_taps(c).flat_map(|(xo, _)| xo..xo + in_c).collect();
+    let (mut taps, mut bases) = (Vec::new(), Vec::new());
+    for span in spans(c, start, out) {
+        let (oc0, run) = match span {
+            Span::Edge(at, oc0, run) => {
+                taps.clear();
+                for_each_tap(c, at, |px, t| taps.push((px * in_c, t * in_c * out_c)));
+                let sum_x = || {
+                    taps.iter().flat_map(|&(xo, _)| &x[xo..][..in_c]).fold(0.0f32, |a, &v| a + v)
+                };
+                let pixel = ConvPixel { x, w, in_c, out_c, taps: &taps };
+                fill_product(&pixel, sum_x, (affine, None, None), oc0, run);
+                (oc0, run)
+            }
+            Span::Inside(pix, run) => {
+                bases.clear();
+                bases.extend(first_taps(c, pix, run.len() / out_c));
+                let a = Field { x, bases: &bases, offsets: &offsets };
+                for (i, tile) in (0..).step_by(4).zip(run.chunks_exact_mut(4 * out_c)) {
+                    let sums = tile_columns::<WIDE, 4>(a, i, w, out_c, tile);
+                    for (pixel, sum) in tile.chunks_exact_mut(out_c).zip(sums) {
+                        factor::<FACTORED>(affine, 0, pixel, |_| sum);
+                    }
+                }
+                (0, run)
+            }
+        };
+        epilogue(run, run.len().min(out_c - oc0), bias.map(|b| &b[oc0..]), activation);
+    }
+}
+
+/// A conv's left operand over a span of pixels whose every tap is inside
+/// the input: row `i` is pixel `i`'s receptive field, `x[bases[i] +
+/// offsets[p]]` for `p` in the reference's `(fh, fw, ic)` order.
+#[derive(Clone, Copy)]
+struct Field<'a> {
+    x: &'a [f32],
+    bases: &'a [usize],
+    offsets: &'a [usize],
+}
+
+impl Lhs for Field<'_> {
+    #[inline(always)]
+    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
+        let fields: [&[f32]; R] = std::array::from_fn(|r| &self.x[self.bases[i + r]..]);
+        self.offsets.iter().map(move |&o| std::array::from_fn(|r| fields[r][o]))
+    }
+}
+
+/// Columns `0..n` of rows `i..i + R` of `a · b`, in register tiles from the
+/// widest a build holds in registers (16 columns with AVX2, 8 without) down
+/// to 1, as `backend-native`'s `gemm_rows` cuts them. Each row's `Σ A` comes
+/// from the first tile's walk.
+#[inline(always)]
+fn tile_columns<const WIDE: bool, const R: usize>(
+    a: impl Lhs,
+    i: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) -> [f32; R] {
+    let width =
+        |j: usize| [if WIDE { 16 } else { 8 }, 8, 4, 2, 1].into_iter().find(|&w| j + w <= n);
+    let sums = columns::<R>(width(0), (a, i), b, n, 0, out);
+    let mut j = width(0).unwrap_or(n);
+    while let Some(w) = width(j) {
+        columns::<R>(Some(w), (a, i), b, n, j, out);
+        j += w;
+    }
+    sums
+}
+
+/// [`gemm_tile`] over rows `i..i + R`, `width` columns from column `j`.
+#[inline(always)]
+fn columns<const R: usize>(
+    width: Option<usize>,
+    (a, i): (impl Lhs, usize),
+    b: &[f32],
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) -> [f32; R] {
+    match width {
+        Some(16) => gemm_tile::<R, 16>(a, i, b, n, j, out),
+        Some(8) => gemm_tile::<R, 8>(a, i, b, n, j, out),
+        Some(4) => gemm_tile::<R, 4>(a, i, b, n, j, out),
+        Some(2) => gemm_tile::<R, 2>(a, i, b, n, j, out),
+        _ => gemm_tile::<R, 1>(a, i, b, n, j, out),
+    }
+}
+
+/// With `FACTORED`, the U8 map `s·Σxq + m·Σx` over a run of stored
+/// accumulators from channel `ch0`, `sum_x(q)` the `Σ x` of its `q`th
+/// output. Without it the sums are never read, so the walk that made them
+/// drops them.
+#[inline(always)]
+fn factor<const FACTORED: bool>(
+    affine: Option<&[(f32, f32)]>,
+    ch0: usize,
+    out: &mut [f32],
+    sum_x: impl Fn(usize) -> f32,
+) {
+    if let Some(affine) = affine.filter(|_| FACTORED) {
+        for (q, (v, &(s, mn))) in out.iter_mut().zip(&affine[ch0..]).enumerate() {
+            *v = s * *v + mn * sum_x(q);
+        }
+    }
+}
+
+/// A piece of a run of NHWC outputs (see [`spans`]).
+enum Span<'a> {
+    /// Outputs from channel `.1` of the pixel at `.0`: one with a tap
+    /// outside the input, cut by the run's end, or left over from a span.
+    Edge((usize, usize, usize), usize, &'a mut [f32]),
+    /// Whole pixels from pixel index `.0`, a multiple of 4, every tap of
+    /// each inside the input. The span may cross output rows.
+    Inside(usize, &'a mut [f32]),
+}
+
+/// Cut the run `out` of NHWC outputs, which starts at flat output `start`,
+/// into [`Span`]s: the longest spans of a multiple of 4 whole pixels whose
+/// every tap is inside the input, and every other pixel or part-pixel on
+/// its own.
+fn spans<'a>(
+    c: &'a Conv2dInfo,
+    start: usize,
+    out: &'a mut [f32],
+) -> impl Iterator<Item = Span<'a>> {
+    let (ch, oh, ow) = (c.out_channels.max(1), c.out_height, c.out_width);
+    let rows = inside(oh, c.in_height, [c.stride_h, c.pad_top, c.filter_height, c.dilation_h]);
+    let cols = inside(ow, c.in_width, [c.stride_w, c.pad_left, c.filter_width, c.dilation_w]);
+    let (mut pix, mut ch0, mut rest) = (start / ch, start % ch, out);
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let (row, col) = (pix / ow, pix % ow);
+        let limit = pix + if ch0 == 0 { rest.len() / ch } else { 0 };
+        let mut end = pix;
+        if rows.contains(&(row % oh)) && cols.contains(&col) {
+            end = row * ow + cols.end;
+            // Rows inside from edge to edge continue the span.
+            while cols.len() == ow && end < limit && rows.contains(&(end / ow % oh)) {
+                end += ow;
+            }
+            end = pix + (end.min(limit) - pix) / 4 * 4;
+        }
+        let len = if end > pix { (end - pix) * ch } else { (ch - ch0).min(rest.len()) };
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        let span = match end > pix {
+            true => Span::Inside(pix, piece),
+            false => Span::Edge((row / oh, row % oh, col), ch0, piece),
+        };
+        (pix, ch0, rest) = (end.max(pix + 1), 0, tail);
+        Some(span)
+    })
+}
+
+/// The output positions along one axis — `stride` apart, the first `pad`
+/// before the input's first — whose every one of `taps` taps, `dilation`
+/// apart, lands on one of the `input` positions: `lo..hi` of `0..out`.
+fn inside(out: usize, input: usize, [stride, pad, taps, dilation]: [usize; 4]) -> Range<usize> {
+    let reach = taps.saturating_sub(1) * dilation + 1;
+    let hi = (input + pad).checked_sub(reach).map_or(0, |last| last / stride + 1).min(out);
+    pad.div_ceil(stride).min(hi)..hi
+}
+
+/// The offset in `x` of the first tap of each of the `n` pixels from pixel
+/// index `pix`, every one inside the input.
+fn first_taps(c: &Conv2dInfo, pix: usize, n: usize) -> impl Iterator<Item = usize> + '_ {
+    let (mut b, mut oh, mut ow) = pixel(c, pix);
+    (0..n).map(move |_| {
+        let ih = b * c.in_height + oh * c.stride_h - c.pad_top;
+        let at = (ih * c.in_width + ow * c.stride_w - c.pad_left) * c.in_channels;
+        ow += 1;
+        if ow == c.out_width {
+            (oh, ow) = (oh + 1, 0);
+            if oh == c.out_height {
+                (b, oh) = (b + 1, 0);
+            }
+        }
+        at
+    })
+}
+
+/// Each filter tap in `(fh, fw)` order: (its offset in `x` from a pixel's
+/// first tap, its index).
+fn field_taps(c: &Conv2dInfo) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let taps = (0..c.filter_height).flat_map(|h| (0..c.filter_width).map(move |w| (h, w)));
+    taps.map(|(h, w)| {
+        ((h * c.dilation_h * c.in_width + w * c.dilation_w) * c.in_channels, h * c.filter_width + w)
+    })
 }
 
 /// Depthwise conv2d, with pre-resolved flat index math.
@@ -609,6 +847,7 @@ pub fn conv2d_run(
 /// (`FusedDepthwiseConv2D`); bias (when present) is sampler input 2,
 /// indexed by output channel.
 pub fn depthwise_conv2d(
+    codegen: Codegen,
     info: &Conv2dInfo,
     packed: bool,
     epilogue: Epilogue,
@@ -633,7 +872,7 @@ pub fn depthwise_conv2d(
     if packed && c.channel_mul == 1 {
         return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
             let finish = (None, bias_of(s, has_bias), activation);
-            depthwise_conv2d_run(&c, s.tex(0), s.tex(1), finish, start, out);
+            depthwise_conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
         })
         .with_cost(cost);
     }
@@ -641,78 +880,128 @@ pub fn depthwise_conv2d(
         .with_cost(cost)
 }
 
-/// The run of depthwise conv2d outputs from flat `start`, of `x` against
-/// the `[fh, fw, in_c, mul]` filter `w` (or its U8 codes, under `finish`'s
-/// affine map). A pixel's channels share its taps, so the tap walk and its
-/// bounds checks are paid once per pixel, and each tap feeds a block of
-/// independent accumulators. Each output adds its taps in `(fh, fw)` order
-/// from 0, and its input channel's `Σ x` over the same walk feeds the
-/// factored U8 form.
-pub fn depthwise_conv2d_run(
-    c: &Conv2dInfo,
-    x: &[f32],
-    w: &[f32],
-    finish: Finish<'_>,
-    start: usize,
-    out: &mut [f32],
-) {
-    let (in_c, out_c, mul) = (c.in_channels, c.out_channels, c.channel_mul);
-    let mut taps = Vec::with_capacity(c.filter_height * c.filter_width);
-    pixel_runs(out_c, start, out, |pix, ch0, run| {
-        taps.clear();
-        for_each_tap(c, pixel(c, pix), |px, t| taps.push((px * in_c, t * out_c)));
-        let codes = DepthwisePixel { x, w, mul, taps: &taps };
-        fill_product(&codes, || TapSums(&codes), finish, ch0, run);
-    });
-}
-
-/// One depthwise output pixel: its in-bounds taps, in `(fh, fw)` order, as
-/// (offset of the input pixel in x, offset of the tap in w). Output channel
-/// `oc` reads input channel `oc / mul`.
-struct DepthwisePixel<'a> {
-    x: &'a [f32],
-    w: &'a [f32],
-    mul: usize,
-    taps: &'a [(usize, usize)],
-}
-
-impl Accumulate for DepthwisePixel<'_> {
-    #[inline(always)]
-    fn block<const W: usize>(&self, ch: usize) -> [f32; W] {
-        let mut acc = [0.0f32; W];
-        if self.mul == 1 {
-            for &(xo, wo) in self.taps {
-                let (xs, ws) = (&self.x[xo + ch..][..W], &self.w[wo + ch..][..W]);
-                for ((a, &xv), &wv) in acc.iter_mut().zip(xs).zip(ws) {
-                    *a += xv * wv;
-                }
-            }
-        } else {
-            for &(xo, wo) in self.taps {
-                for (q, (a, &wv)) in acc.iter_mut().zip(&self.w[wo + ch..][..W]).enumerate() {
-                    *a += self.x[xo + (ch + q) / self.mul] * wv;
-                }
-            }
+hot_loop! {
+    /// The run of depthwise conv2d outputs from flat `start`, of `x` against
+    /// the `[fh, fw, in_c, mul]` filter `w` (or its U8 codes, under
+    /// `finish`'s affine map). Each output adds its taps in `(fh, fw)` order
+    /// from 0, and its input channel's `Σ x` over the same walk feeds the
+    /// factored U8 form.
+    ///
+    /// A span of whole pixels whose every tap is inside the input ([`spans`])
+    /// runs in tiles of 4 pixels ([`depthwise_tile`]): each filter fetch
+    /// feeds 4 pixels. Every other pixel takes tiles of one pixel over its
+    /// in-bounds taps alone, so no padding is multiplied.
+    pub fn depthwise_conv2d_run<const WIDE: bool>(
+        c: &Conv2dInfo,
+        x: &[f32],
+        w: &[f32],
+        finish: Finish<'_>,
+        start: usize,
+        out: &mut [f32],
+    ) {
+        match finish.0 {
+            Some(_) => depthwise_spans::<WIDE, true>(c, x, w, finish, start, out),
+            None => depthwise_spans::<WIDE, false>(c, x, w, finish, start, out),
         }
-        acc
     }
 }
 
-/// A depthwise pixel's `Σ x` per output channel, over the same taps.
-struct TapSums<'a>(&'a DepthwisePixel<'a>);
+/// [`depthwise_conv2d_run`]'s body; `FACTORED` when the filter holds U8
+/// codes.
+#[inline(always)]
+fn depthwise_spans<const WIDE: bool, const FACTORED: bool>(
+    c: &Conv2dInfo,
+    x: &[f32],
+    w: &[f32],
+    (affine, bias, activation): Finish<'_>,
+    start: usize,
+    out: &mut [f32],
+) {
+    let (in_c, out_c) = (c.in_channels, c.out_channels);
+    let field: Vec<(usize, usize)> = field_taps(c).map(|(xo, t)| (xo, t * out_c)).collect();
+    let (mut taps, mut bases) = (Vec::new(), Vec::new());
+    let dw = (x, w, c.channel_mul, affine);
+    for span in spans(c, start, out) {
+        let (ch0, run) = match span {
+            Span::Edge(at, ch0, run) => {
+                taps.clear();
+                for_each_tap(c, at, |px, t| taps.push((px * in_c, t * out_c)));
+                depthwise_pixels::<WIDE, FACTORED, 1>(dw, [0], &taps, ch0, run);
+                (ch0, run)
+            }
+            Span::Inside(pix, run) => {
+                bases.clear();
+                bases.extend(first_taps(c, pix, run.len() / out_c));
+                for (tile, b) in run.chunks_exact_mut(4 * out_c).zip(bases.chunks_exact(4)) {
+                    let b = b.try_into().expect("4 pixels");
+                    depthwise_pixels::<WIDE, FACTORED, 4>(dw, b, &field, 0, tile);
+                }
+                (0, run)
+            }
+        };
+        epilogue(run, run.len().min(out_c - ch0), bias.map(|b| &b[ch0..]), activation);
+    }
+}
 
-impl Accumulate for TapSums<'_> {
-    #[inline(always)]
-    fn block<const W: usize>(&self, ch: usize) -> [f32; W] {
-        let DepthwisePixel { x, mul, taps, .. } = *self.0;
-        let mut acc = [0.0f32; W];
-        for &(xo, _) in taps {
-            if mul == 1 {
-                acc.iter_mut().zip(&x[xo + ch..][..W]).for_each(|(a, &xv)| *a += xv);
-            } else {
-                acc.iter_mut().enumerate().for_each(|(q, a)| *a += x[xo + (ch + q) / mul]);
+/// A depthwise operand set: `x`, `w`, the channel multiplier, and the U8
+/// `(scale, min)` per output channel when `w` holds codes.
+type Depthwise<'a> = (&'a [f32], &'a [f32], usize, Option<&'a [(f32, f32)]>);
+
+/// The outputs from channel `ch0` of `R` pixels, `out` holding `R` equal
+/// rows, whose first taps in `x` are at `bases`, over `taps` (offset in `x`
+/// from a first tap, offset in `w`): in blocks of 8 channels with AVX2,
+/// then of 4, then single channels. Under a channel multiplier every block
+/// is one channel: consecutive outputs do not read consecutive inputs.
+#[inline(always)]
+fn depthwise_pixels<const WIDE: bool, const FACTORED: bool, const R: usize>(
+    dw: Depthwise<'_>,
+    bases: [usize; R],
+    taps: &[(usize, usize)],
+    ch0: usize,
+    out: &mut [f32],
+) {
+    let (len, mul) = (out.len() / R, dw.2);
+    let mut q = 0;
+    while WIDE && mul == 1 && q + 8 <= len {
+        depthwise_tile::<FACTORED, R, 8>(dw, bases, taps, (ch0, q, len), out);
+        q += 8;
+    }
+    while mul == 1 && q + 4 <= len {
+        depthwise_tile::<FACTORED, R, 4>(dw, bases, taps, (ch0, q, len), out);
+        q += 4;
+    }
+    for q in q..len {
+        depthwise_tile::<FACTORED, R, 1>(dw, bases, taps, (ch0, q, len), out);
+    }
+}
+
+/// An `R`-pixel by `W`-channel depthwise tile: channels `ch0 + q ..` of the
+/// `R` rows of `len` in `out`. Each output is one accumulator from 0 that
+/// adds its taps in `(fh, fw)` order, each tap's `W` weights loaded once
+/// for the `R` pixels; with `FACTORED`, each output's `Σ x` beside it feeds
+/// the U8 map.
+#[inline(always)]
+fn depthwise_tile<const FACTORED: bool, const R: usize, const W: usize>(
+    (x, w, mul, affine): Depthwise<'_>,
+    bases: [usize; R],
+    taps: &[(usize, usize)],
+    (ch0, q, len): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    let (ch, mut acc, mut sums) = (ch0 + q, [[0.0f32; W]; R], [[0.0f32; W]; R]);
+    for &(xo, wo) in taps {
+        let ws: &[f32; W] = w[wo + ch..][..W].try_into().expect("W channels");
+        for r in 0..R {
+            let xs: &[f32; W] = x[bases[r] + xo + ch / mul..][..W].try_into().expect("W channels");
+            for k in 0..W {
+                acc[r][k] += xs[k] * ws[k];
+                sums[r][k] += xs[k];
             }
         }
-        acc
+    }
+    for r in 0..R {
+        let run = &mut out[r * len + q..][..W];
+        run.copy_from_slice(&acc[r]);
+        factor::<FACTORED>(affine, ch, run, |k| sums[r][k]);
     }
 }

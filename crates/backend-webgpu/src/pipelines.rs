@@ -45,6 +45,7 @@
 use webml_backend_webgl::oracle;
 use webml_backend_webgl::programs::{self as webgl, Finish};
 use webml_core::backend::{Epilogue, KTensor, KernelCall, MatMulGeom};
+use webml_core::codegen::Codegen;
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::error::Result;
 use webml_core::quant::QuantParams;
@@ -70,12 +71,14 @@ pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) ->
             }
         }
         C::Conv2d { info, epilogue } => match operands[1].quant {
-            Some(params) => fused_conv2d_quant(info, params, *epilogue, out),
-            None => conv2d(info, *epilogue, out),
+            Some(params) => fused_conv2d_quant(Codegen::detect(), info, params, *epilogue, out),
+            None => conv2d(Codegen::detect(), info, *epilogue, out),
         },
         C::DepthwiseConv2d { info, epilogue } => match operands[1].quant {
-            Some(params) => fused_depthwise_conv2d_quant(info, params, *epilogue, out),
-            None => depthwise_conv2d(info, *epilogue, out),
+            Some(params) => {
+                fused_depthwise_conv2d_quant(Codegen::detect(), info, params, *epilogue, out)
+            }
+            None => depthwise_conv2d(Codegen::detect(), info, *epilogue, out),
         },
         _ => return oracle::kernel(call, operands, out),
     })
@@ -138,26 +141,28 @@ fn matmul_family(
 /// and an input patch in shared memory (reuse ≈ `TILE`). A non-empty
 /// epilogue makes it the fused pipeline: in-register `+bias` / activation,
 /// applied through the same scalar ops the unfused composition uses.
-pub fn conv2d(info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
+pub fn conv2d(codegen: Codegen, info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
     let name = if epilogue.is_plain() { "Conv2DTiled" } else { "FusedConv2DTiled" };
-    conv_family(name, info, (epilogue, None), out)
+    conv_family(codegen, name, info, (epilogue, None), out)
 }
 
 /// Dequant-free quantized fused conv2d: the filter binding holds widened u8
 /// codes; per-channel `params` index the HWIO output-channel axis.
 pub fn fused_conv2d_quant(
+    codegen: Codegen,
     info: &Conv2dInfo,
     params: &QuantParams,
     epilogue: Epilogue,
     out: &[usize],
 ) -> Kernel {
     let affine = (0..info.out_channels).map(|oc| params.scale_min(oc)).collect();
-    conv_family("FusedConv2DQuantTiled", info, (epilogue, Some(affine)), out)
+    conv_family(codegen, "FusedConv2DQuantTiled", info, (epilogue, Some(affine)), out)
 }
 
 /// The conv2d family (plain, fused, fused over U8 codes) as one cooperative
 /// pipeline: NHWC `x` (binding 0) against an HWIO filter (binding 1).
 fn conv_family(
+    codegen: Codegen,
     name: &'static str,
     info: &Conv2dInfo,
     finish: (Epilogue, Option<Vec<(f32, f32)>>),
@@ -166,28 +171,34 @@ fn conv_family(
     let c = info.clone();
     let cost = 2 * c.filter_height * c.filter_width * c.in_channels;
     product(name, out, (TILE, cost), finish, move |x, w, finish, start, out| {
-        webgl::conv2d_run(&c, x, w, finish, start, out)
+        webgl::conv2d_run(codegen, &c, x, w, finish, start, out)
     })
 }
 
 /// Depthwise conv2d; fused with a non-empty epilogue.
-pub fn depthwise_conv2d(info: &Conv2dInfo, epilogue: Epilogue, out: &[usize]) -> Kernel {
+pub fn depthwise_conv2d(
+    codegen: Codegen,
+    info: &Conv2dInfo,
+    epilogue: Epilogue,
+    out: &[usize],
+) -> Kernel {
     let name =
         if epilogue.is_plain() { "DepthwiseConv2DTiled" } else { "FusedDepthwiseConv2DTiled" };
-    depthwise_family(name, info, (epilogue, None), out)
+    depthwise_family(codegen, name, info, (epilogue, None), out)
 }
 
 /// Dequant-free quantized fused depthwise conv2d. Per-channel `params` run
 /// along filter axis 2 (`ic`) or 3 (`m`); either is constant over an
 /// output's accumulation.
 pub fn fused_depthwise_conv2d_quant(
+    codegen: Codegen,
     info: &Conv2dInfo,
     params: &QuantParams,
     epilogue: Epilogue,
     out: &[usize],
 ) -> Kernel {
     let finish = (epilogue, Some(webgl::depthwise_affine(params, info)));
-    depthwise_family("FusedDepthwiseConv2DQuantTiled", info, finish, out)
+    depthwise_family(codegen, "FusedDepthwiseConv2DQuantTiled", info, finish, out)
 }
 
 /// The depthwise family as one cooperative pipeline; the filter is
@@ -195,6 +206,7 @@ pub fn fused_depthwise_conv2d_quant(
 /// channel `ic` only, so the shared-memory win is the filter tile (reuse 8,
 /// not `TILE`).
 fn depthwise_family(
+    codegen: Codegen,
     name: &'static str,
     info: &Conv2dInfo,
     finish: (Epilogue, Option<Vec<(f32, f32)>>),
@@ -203,7 +215,7 @@ fn depthwise_family(
     let c = info.clone();
     let cost = 2 * c.filter_height * c.filter_width;
     product(name, out, (8, cost), finish, move |x, w, finish, start, out| {
-        webgl::depthwise_conv2d_run(&c, x, w, finish, start, out)
+        webgl::depthwise_conv2d_run(codegen, &c, x, w, finish, start, out)
     })
 }
 
@@ -298,6 +310,12 @@ mod tests {
         (true, Some(UnaryOp::Sigmoid)),
     ];
 
+    /// `case` on every build of the hot loops this CPU runs
+    /// ([`Codegen::all`]), so that an AVX2 CPU checks the portable build too.
+    fn every_build<T: Copy>(case: T) -> impl Iterator<Item = (T, Codegen)> {
+        Codegen::all().into_iter().map(move |cg| (case, cg))
+    }
+
     /// The epilogue of an f32 kernel, and of a kernel over U8 codes.
     fn fused((bias, activation): (bool, Option<UnaryOp>)) -> Epilogue {
         Epilogue::Fused { bias, activation }
@@ -315,19 +333,19 @@ mod tests {
         let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
         let bias = data(c.out_channels, seed + 3);
         let (want, out) = (k::conv2d(&x, &w, c), c.out_shape());
-        for (has_bias, act) in EPILOGUES {
+        for ((has_bias, act), cg) in EPILOGUES.into_iter().flat_map(every_build) {
             let b = has_bias.then_some(bias.as_slice());
             assert_eq!(
-                run(&conv2d(c, fused((has_bias, act)), out.dims()), &[&x, &w, &bias]),
+                run(&conv2d(cg, c, fused((has_bias, act)), out.dims()), &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
-                "conv2d bias={has_bias} {act:?} {c:?}"
+                "conv2d bias={has_bias} {act:?} {cg:?} {c:?}"
             );
             for p in params(3, c.out_channels, seed + 4) {
-                let pl = fused_conv2d_quant(c, &p, quant((has_bias, act)), out.dims());
+                let pl = fused_conv2d_quant(cg, c, &p, quant((has_bias, act)), out.dims());
                 assert_eq!(
                     run(&pl, &[&x, &widen(&w_q), &bias]),
                     bits(&k::fused_conv2d_quant(&x, &w_q, &p, b, act, c)),
-                    "fused_conv2d_quant bias={has_bias} {act:?} {p:?} {c:?}"
+                    "fused_conv2d_quant bias={has_bias} {act:?} {cg:?} {p:?} {c:?}"
                 );
             }
         }
@@ -343,19 +361,20 @@ mod tests {
         let (want, out) = (k::depthwise_conv2d(&x, &w, c), c.out_shape());
         let per_ic = params(2, c.in_channels, seed + 4);
         let [_, per_m] = params(3, c.channel_mul, seed + 6);
-        for (has_bias, act) in EPILOGUES {
+        for ((has_bias, act), cg) in EPILOGUES.into_iter().flat_map(every_build) {
             let b = has_bias.then_some(bias.as_slice());
+            let pl = depthwise_conv2d(cg, c, fused((has_bias, act)), out.dims());
             assert_eq!(
-                run(&depthwise_conv2d(c, fused((has_bias, act)), out.dims()), &[&x, &w, &bias]),
+                run(&pl, &[&x, &w, &bias]),
                 bits(&epilogue(want.clone(), b, act)),
-                "depthwise bias={has_bias} {act:?} {c:?}"
+                "depthwise bias={has_bias} {act:?} {cg:?} {c:?}"
             );
             for p in per_ic.iter().chain([&per_m]) {
-                let pl = fused_depthwise_conv2d_quant(c, p, quant((has_bias, act)), out.dims());
+                let pl = fused_depthwise_conv2d_quant(cg, c, p, quant((has_bias, act)), out.dims());
                 assert_eq!(
                     run(&pl, &[&x, &widen(&w_q), &bias]),
                     bits(&k::fused_depthwise_conv2d_quant(&x, &w_q, p, b, act, c)),
-                    "fused_depthwise_quant bias={has_bias} {act:?} {p:?} {c:?}"
+                    "fused_depthwise_quant bias={has_bias} {act:?} {cg:?} {p:?} {c:?}"
                 );
             }
         }
@@ -424,7 +443,8 @@ mod tests {
     }
 
     /// Every own pipeline — conv, depthwise (multiplier 1 and 2) and matmul,
-    /// over f32 weights and U8 codes, fused and plain — on every pool, over
+    /// over f32 weights and U8 codes, fused and plain — on every pool and
+    /// every build of the conv and depthwise bodies, over
     /// channel counts inside, across and past a block of 16, 8 or 4, and
     /// padded, strided and dilated walks.
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The workspace is compiled for the target's baseline — on x86-64, SSE2 and
 //! four lanes — so that one binary runs on any CPU of the architecture. The
-//! kernels' hot loops ([`hot_loop!`]) are compiled a second time with AVX2
-//! enabled (eight lanes, sixteen 256-bit registers), and a kernel picks the
-//! build the CPU it runs on has ([`Codegen::detect`]). Building the whole
+//! hot loops of every backend — the native kernels and the GPU simulators'
+//! product bodies ([`hot_loop!`](crate::hot_loop)) — are compiled a second
+//! time with AVX2 enabled (eight lanes, sixteen 256-bit registers), and a
+//! kernel picks the build the CPU it runs on has ([`Codegen::detect`]), one
+//! check for every hot loop in the workspace. Building the whole
 //! program for the host instead (`-C target-cpu=native`) gives a binary that
 //! dies with an illegal instruction on an older CPU, and a build flag or an
 //! option would be one more thing to set right.
@@ -18,19 +20,18 @@
 /// has AVX2. The field is private, so a value that selects AVX2 comes only
 /// from [`Codegen::detect`] or [`Codegen::all`], after the CPU was asked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Codegen {
+pub struct Codegen {
     avx2: bool,
 }
 
 impl Codegen {
     /// The build for the target's baseline, which every CPU runs.
-    #[cfg(test)]
-    pub(crate) const PORTABLE: Codegen = Codegen { avx2: false };
+    pub const PORTABLE: Codegen = Codegen { avx2: false };
 
     /// The widest build this CPU runs. (`std` asks the CPU once and caches
     /// the answer, so this is a load.)
     #[inline]
-    pub(crate) fn detect() -> Codegen {
+    pub fn detect() -> Codegen {
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
@@ -38,9 +39,10 @@ impl Codegen {
         Codegen { avx2 }
     }
 
-    /// Every build this CPU runs, the portable one first.
-    #[cfg(test)]
-    pub(crate) fn all() -> Vec<Codegen> {
+    /// Every build this CPU runs, the portable one first: what a test of a
+    /// hot loop sweeps, so that a CPU with AVX2 still checks the portable
+    /// build to the bit.
+    pub fn all() -> Vec<Codegen> {
         let widest = Codegen::detect();
         if widest == Codegen::PORTABLE {
             vec![widest]
@@ -51,8 +53,7 @@ impl Codegen {
 
     /// Whether this is the AVX2 build.
     #[inline(always)]
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) fn avx2(self) -> bool {
+    pub fn avx2(self) -> bool {
         self.avx2
     }
 }
@@ -67,14 +68,15 @@ impl Codegen {
 /// product's tile). A closure would not do: the compiler inlines it into the
 /// AVX2 function only when it thinks that pays, and what it does not inline
 /// runs at the baseline.
+#[macro_export]
 macro_rules! hot_loop {
     (
         $(#[$meta:meta])*
-        fn $name:ident<const $wide:ident: bool>($($arg:ident: $ty:ty),* $(,)?) $body:block
+        $vis:vis fn $name:ident<const $wide:ident: bool>($($arg:ident: $ty:ty),* $(,)?) $body:block
     ) => {
         $(#[$meta])*
         #[allow(clippy::too_many_arguments)]
-        fn $name(codegen: $crate::codegen::Codegen, $($arg: $ty),*) {
+        $vis fn $name(codegen: $crate::codegen::Codegen, $($arg: $ty),*) {
             #[inline(always)]
             #[allow(clippy::too_many_arguments)]
             fn body<const $wide: bool>($($arg: $ty),*) $body
@@ -99,4 +101,31 @@ macro_rules! hot_loop {
         }
     };
 }
-pub(crate) use hot_loop;
+
+/// Evaluate `$body` with `$f` bound to the scalar function of the unary op
+/// `$op`. The `match` happens here, once per kernel; inside each arm the op
+/// is a constant, so the `match` in `UnaryOp::apply` folds away and a loop
+/// over `$f` vectorises. `apply` stays the only definition of the math.
+#[macro_export]
+macro_rules! with_unary_fn {
+    ($op:expr, $f:ident => $body:expr) => {
+        $crate::with_unary_fn!(@arms $op, $f => $body;
+            Neg, Abs, Exp, Expm1, Log, Log1p, Sqrt, Rsqrt, Square, Relu, Relu6, Sigmoid, Tanh,
+            Elu, Selu, Softplus, Sin, Cos, Tan, Asin, Acos, Atan, Floor, Ceil, Round, Sign,
+            Reciprocal, LogicalNot, IsNan, IsInf, IsFinite, Erf;
+            LeakyRelu(p), ClipByValue(p, q), Step(p))
+    };
+    (@arms $op:expr, $f:ident => $body:expr;
+     $($unit:ident),*; $($with:ident($($param:ident),*)),*) => {
+        match $op {
+            $($crate::backend::UnaryOp::$unit => {
+                let $f = |v: f32| $crate::backend::UnaryOp::$unit.apply(v);
+                $body
+            })*
+            $($crate::backend::UnaryOp::$with($($param),*) => {
+                let $f = move |v: f32| $crate::backend::UnaryOp::$with($($param),*).apply(v);
+                $body
+            })*
+        }
+    };
+}

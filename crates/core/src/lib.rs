@@ -21,7 +21,9 @@
 //!   Figure 2/3 timelines;
 //! - [`pool::WorkerPool`]: the workspace's one persistent thread pool and
 //!   its one split rule, shared by a host backend's kernels and the GPU
-//!   simulators' shader cores.
+//!   simulators' shader cores;
+//! - [`codegen::Codegen`] and [`tile::gemm_tile`]: the one CPU-feature check
+//!   and the one register tile every backend's hot loops share.
 //!
 //! ## Example
 //!
@@ -45,6 +47,7 @@
 pub mod asyncx;
 pub mod backend;
 pub mod buffer;
+pub mod codegen;
 pub mod conv_util;
 pub mod cpu;
 pub mod dtype;
@@ -61,6 +64,7 @@ pub mod quant;
 pub mod shape;
 pub mod tape;
 pub mod tensor;
+pub mod tile;
 pub mod variable;
 
 pub use backend::{Backend, DataFuture, DataId, FenceToken, FusedStep};

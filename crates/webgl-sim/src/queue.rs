@@ -358,9 +358,12 @@ pub fn device_loop(
                 window_busy = busy_total;
                 // Publish under the lock so a host blocked in `wait_fence`
                 // cannot check the atomic, miss this store, and then sleep
-                // past the notification.
+                // past the notification. Two threads fencing one context
+                // may enqueue their fences out of minting order; a fence
+                // that passes covers every lower one, so the mark only
+                // rises.
                 let _guard = shared.fence_lock.lock();
-                shared.last_fence.store(id, Ordering::SeqCst);
+                shared.last_fence.fetch_max(id, Ordering::SeqCst);
                 shared.fence_cond.notify_all();
             }
             Command::Dispose { tex } => {
@@ -574,5 +577,44 @@ impl Device {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// Fence 11 enqueued before fence 10, as two threads fencing one
+    /// context can do: the passed mark stays at 11, and a waiter on 11
+    /// returns.
+    #[test]
+    fn a_fence_enqueued_late_never_moves_the_mark_back() {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let shared = Arc::new(DeviceShared::new(true));
+        let device = {
+            let (shared, profile) = (shared.clone(), DeviceProfile::intel_iris_pro());
+            std::thread::spawn(move || {
+                device_loop(rx, shared, &crate::WEBGL, &profile, PagingPolicy::disabled())
+            })
+        };
+        for id in [11, 10] {
+            tx.send(Command::Fence { id }).unwrap();
+        }
+        tx.send(Command::Shutdown).unwrap();
+        device.join().unwrap();
+        assert_eq!(shared.last_fence.load(Ordering::SeqCst), 11);
+        // The wait of `GpgpuContext::wait_fence`, on a thread of its own so
+        // that a waiter that never returns fails the test instead of hanging it.
+        let (done, returned) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let mut guard = shared.fence_lock.lock();
+            while shared.last_fence.load(Ordering::SeqCst) < 11 {
+                shared.fence_cond.wait(&mut guard);
+            }
+            done.send(()).unwrap();
+        });
+        returned.recv_timeout(Duration::from_secs(10)).expect("a waiter on fence 11 returns");
+        waiter.join().unwrap();
     }
 }

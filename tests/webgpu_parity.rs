@@ -114,7 +114,56 @@ fn fused_conv_and_depthwise_parity() {
             });
         }
     }
+    // Inputs wide enough for the bodies' register tiles: spans of interior
+    // pixels, edge pixels beside them, and channel counts inside, across and
+    // past a block. Filter tap (0, 0) of channel 0 is +inf: an interior pixel
+    // multiplies it, an edge pixel finds it on the padding, where a body that
+    // multiplied it by the zero there would read NaN.
+    for (walk, (padding, stride, dilation)) in WALKS.into_iter().enumerate() {
+        for (i, &in_c) in CHANNELS.iter().enumerate() {
+            let out_c = CHANNELS[(i + walk + 1) % CHANNELS.len()];
+            let (s, d) = ((stride, stride), (dilation, dilation));
+            let label = format!("{padding:?} stride {stride} dilation {dilation} {in_c}->{out_c}");
+            assert_parity(&format!("conv2d 2x9x13, {label}"), &|e| {
+                let x = e.tensor(data(2 * 9 * 13 * in_c, 163), vec![2, 9, 13, in_c]).unwrap();
+                let mut w = data(3 * 3 * in_c * out_c, 167);
+                w[0] = f32::INFINITY;
+                let w = e.tensor(w, vec![3, 3, in_c, out_c]).unwrap();
+                let bias = e.tensor_1d(&data(out_c, 173)).unwrap();
+                ops::fused_conv2d(&x, &w, Some(&bias), Some(UnaryOp::Relu), s, padding, d).unwrap()
+            });
+            assert_parity(&format!("dwconv 2x9x13, {label}"), &|e| {
+                let x = e.tensor(data(2 * 9 * 13 * in_c, 179), vec![2, 9, 13, in_c]).unwrap();
+                let mut w = data(3 * 3 * in_c, 181);
+                w[0] = f32::INFINITY;
+                let w = e.tensor(w, vec![3, 3, in_c, 1]).unwrap();
+                ops::depthwise_conv2d(&x, &w, s, padding, d).unwrap()
+            });
+        }
+    }
+    // A 1x1 conv: every pixel is interior, so its spans cross rows.
+    for (in_c, out_c) in [(3, 17), (35, 8)] {
+        assert_parity(&format!("conv2d 1x1 2x9x13 {in_c}->{out_c}"), &|e| {
+            let x = e.tensor(data(2 * 9 * 13 * in_c, 191), vec![2, 9, 13, in_c]).unwrap();
+            let w = e.tensor(data(in_c * out_c, 193), vec![1, 1, in_c, out_c]).unwrap();
+            let bias = e.tensor_1d(&data(out_c, 197)).unwrap();
+            ops::fused_conv2d(&x, &w, Some(&bias), None, (1, 1), Padding::Same, (1, 1)).unwrap()
+        });
+    }
 }
+
+/// `(padding, stride, dilation)` of the wide conv inputs.
+const WALKS: [(Padding, usize, usize); 5] = [
+    (Padding::Same, 1, 1),
+    (Padding::Valid, 1, 1),
+    (Padding::Same, 2, 1),
+    (Padding::Valid, 2, 1),
+    (Padding::Same, 1, 2),
+];
+
+/// Channel counts of the wide conv inputs: one, below, at, across and past
+/// a block of 8 or 16.
+const CHANNELS: [usize; 5] = [1, 3, 8, 17, 35];
 
 #[test]
 fn fused_elementwise_parity() {
@@ -196,6 +245,42 @@ fn quantized_fused_ops_parity() {
         let params = QuantParams::per_channel(2, vec![0.03, 0.01], vec![-2.0, -0.5]);
         let w = e.quantized_tensor(dcodes.clone(), vec![3, 3, 2, 2], params).unwrap();
         ops::depthwise_conv2d(&x, &w, (1, 1), Padding::Same, (1, 1)).unwrap()
+    });
+    // Wide U8 inputs, as in `fused_conv_and_depthwise_parity`: the factored
+    // map takes each pixel's (or channel's) `Σ x` from the tiles' walk.
+    let codes_of = |n: usize, seed: usize| -> Vec<u8> {
+        (0..n).map(|i| ((i * 37 + seed) % 256) as u8).collect()
+    };
+    for (walk, (padding, stride, dilation)) in WALKS.into_iter().enumerate() {
+        for (i, &in_c) in CHANNELS.iter().enumerate() {
+            let out_c = CHANNELS[(i + walk + 2) % CHANNELS.len()];
+            let (s, d) = ((stride, stride), (dilation, dilation));
+            let label = format!("{padding:?} stride {stride} dilation {dilation} {in_c}->{out_c}");
+            let scales = |n: usize| (0..n).map(|c| 0.01 + c as f32 * 0.003).collect::<Vec<_>>();
+            let mins = |n: usize| (0..n).map(|c| -1.0 - c as f32 * 0.05).collect::<Vec<_>>();
+            assert_parity(&format!("quant conv 2x9x13, {label}"), &|e| {
+                let x = e.tensor(data(2 * 9 * 13 * in_c, 199), vec![2, 9, 13, in_c]).unwrap();
+                let params = QuantParams::per_channel(3, scales(out_c), mins(out_c));
+                let codes = codes_of(3 * 3 * in_c * out_c, walk);
+                let w = e.quantized_tensor(codes, vec![3, 3, in_c, out_c], params).unwrap();
+                let bias = e.tensor_1d(&data(out_c, 211)).unwrap();
+                ops::fused_conv2d(&x, &w, Some(&bias), Some(UnaryOp::Relu6), s, padding, d).unwrap()
+            });
+            assert_parity(&format!("quant dwconv 2x9x13, {label}"), &|e| {
+                let x = e.tensor(data(2 * 9 * 13 * in_c, 223), vec![2, 9, 13, in_c]).unwrap();
+                let params = QuantParams::per_channel(2, scales(in_c), mins(in_c));
+                let codes = codes_of(3 * 3 * in_c, walk + 1);
+                let w = e.quantized_tensor(codes, vec![3, 3, in_c, 1], params).unwrap();
+                let bias = e.tensor_1d(&data(in_c, 227)).unwrap();
+                ops::fused_depthwise_conv2d(&x, &w, Some(&bias), None, s, padding, d).unwrap()
+            });
+        }
+    }
+    assert_parity("quant conv 1x1 2x9x13", &|e| {
+        let x = e.tensor(data(2 * 9 * 13 * 17, 229), vec![2, 9, 13, 17]).unwrap();
+        let params = QuantParams::per_tensor(0.02, -2.0);
+        let w = e.quantized_tensor(codes_of(17 * 35, 5), vec![1, 1, 17, 35], params).unwrap();
+        ops::conv2d(&x, &w, (1, 1), Padding::Valid, (1, 1)).unwrap()
     });
     // Quantized along `k`, the factored kernel cannot keep one scale per
     // output column: the op layer dequantizes once, on every backend, and
