@@ -5,20 +5,21 @@
 //! (device or host), registration, lazy re-upload and recovery after a
 //! context loss, the `data()`/`dataSync()` readback paths of Figures 2
 //! and 3, fences, timing, the byte ledger, the "rejected fused kernel →
-//! unfused composition" tail, and [`Backend::run`]. A [`Rung`] — a
-//! capability descriptor of the [`webml_webgl_sim`] device core plus the
-//! one function that builds its program for a [`KernelCall`] — is the only
-//! per-API part.
+//! unfused composition" tail, and [`Backend::run`]. The rung is a value:
+//! the [`Capabilities`] descriptor of the [`webml_webgl_sim`] device core
+//! that the backend's [`ContextConfig::caps`] names — WebGL (paper Sec 4.1)
+//! by default, the WebGPU-class compute API of Sec 4.3 with
+//! [`webml_webgl_sim::WEBGPU`].
 //!
-//! This crate also holds the first rung, [`WebGl`] (paper Sec 4.1): the
-//! products, `Unary` and `Binary` are the fragment-shader programs of
-//! [`programs`], and every other call is the [`oracle`] adapter, the one
-//! kernel funnel both GPU rungs share for the calls they write no program
-//! for. Ops enqueue programs on the device command queue and return
-//! immediately. Texture recycling, CPU paging, RGBA-texel packing, the
-//! layout squeeze optimization and per-device f16 precision all come from
-//! the substrate and are switchable through [`WebGlConfig`] for the ablation
-//! benchmarks. `webml-backend-webgpu` adds the compute rung.
+//! One match, [`programs::kernel`], builds the program for a [`KernelCall`]
+//! on either rung: the products are one run body per family, wrapped as a
+//! fragment program over textures or a compute body over storage buffers;
+//! on textures `Unary` and `Binary` are fragment programs too; every other
+//! call is the [`oracle`] adapter. Ops enqueue programs on the device
+//! command queue and return immediately. Texture recycling, CPU paging,
+//! RGBA-texel packing, the layout squeeze optimization and per-device f16
+//! precision all come from the substrate and are switchable through
+//! [`WebGlConfig`] for the ablation benchmarks.
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,6 @@ pub mod programs;
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use webml_core::backend::{
     Backend, BackendMemory, DataFuture, DataId, FenceToken, KTensor, KernelCall,
@@ -38,55 +38,13 @@ use webml_webgl_sim::caps::Capabilities;
 use webml_webgl_sim::context::{ContextConfig, DeviceError, FenceHandle, GpgpuContext, Handle};
 use webml_webgl_sim::devices::DeviceProfile;
 use webml_webgl_sim::fault::FaultPlan;
-use webml_webgl_sim::shader::Kernel;
-
-/// One rung of the GPU ladder: a GPU API as a capability descriptor plus
-/// the kernels written for it — its own programs for the calls whose host
-/// bodies it owns, and the shared [`oracle`] adapter for every other call.
-pub trait Rung: Send + Sync + 'static {
-    /// The configuration a backend on this rung is created with.
-    type Config: Into<ContextConfig>;
-    /// What the API can do; `CAPS.api` is the default registry name.
-    const CAPS: &'static Capabilities;
-
-    /// The program that runs `call` over `operands` — bound in the order the
-    /// call lists them, read under their logical shapes — into `out`, the
-    /// dims [`KernelCall::output`] gave; `packed` asks for the RGBA-texel
-    /// variant where the API has one (the context's packing switch).
-    ///
-    /// # Errors
-    /// The API has no program for the call.
-    fn kernel(
-        call: &KernelCall<'_>,
-        operands: &[KTensor<'_>],
-        out: &[usize],
-        packed: bool,
-    ) -> Result<Kernel>;
-}
-
-/// The WebGL rung: fragment programs over float textures for the products,
-/// `Unary` and `Binary`; the oracle adapter for the rest.
-pub struct WebGl;
-
-impl Rung for WebGl {
-    type Config = ContextConfig;
-    const CAPS: &'static Capabilities = &webml_webgl_sim::WEBGL;
-
-    fn kernel(
-        call: &KernelCall<'_>,
-        operands: &[KTensor<'_>],
-        out: &[usize],
-        packed: bool,
-    ) -> Result<Kernel> {
-        programs::kernel(call, operands, out, packed)
-    }
-}
 
 /// Re-exported configuration of the underlying GPGPU context.
 pub type WebGlConfig = ContextConfig;
 
-/// The WebGL backend over a simulated device.
-pub type WebGlBackend = GpuBackend<WebGl>;
+/// The WebGL backend over a simulated device: a [`GpuBackend`] on the
+/// default [`ContextConfig`].
+pub type WebGlBackend = GpuBackend;
 
 /// Where a data container's values currently live.
 enum Residency {
@@ -103,16 +61,16 @@ struct Entry {
     dtype: DType,
 }
 
-/// A GPU backend over a simulated device, on rung `R`.
-pub struct GpuBackend<R: Rung> {
+/// A GPU backend over a simulated device, on the rung its context's
+/// [`ContextConfig::caps`] names.
+pub struct GpuBackend {
     name: String,
     ctx: GpgpuContext,
     store: Mutex<HashMap<DataId, Entry>>,
     next_id: AtomicU64,
-    rung: PhantomData<R>,
 }
 
-impl<R: Rung> GpuBackend<R> {
+impl GpuBackend {
     /// Create a backend named after the rung's API (`"webgl"`, `"webgpu"`)
     /// on the given device profile.
     ///
@@ -120,8 +78,8 @@ impl<R: Rung> GpuBackend<R> {
     /// Fails when the device cannot host the API (no float textures, no
     /// compute API) — callers should fall back down the ladder, as
     /// TensorFlow.js does automatically.
-    pub fn new(profile: DeviceProfile, config: R::Config) -> Result<Self> {
-        Self::with_name(R::CAPS.api, profile, config)
+    pub fn new(profile: DeviceProfile, config: impl Into<ContextConfig>) -> Result<Self> {
+        Self::with_faults(profile, config, FaultPlan::none())
     }
 
     /// Create a backend with a custom registry name (used to register
@@ -133,7 +91,7 @@ impl<R: Rung> GpuBackend<R> {
     pub fn with_name(
         name: impl Into<String>,
         profile: DeviceProfile,
-        config: R::Config,
+        config: impl Into<ContextConfig>,
     ) -> Result<Self> {
         Self::with_faults_named(name, profile, config, FaultPlan::none())
     }
@@ -143,8 +101,13 @@ impl<R: Rung> GpuBackend<R> {
     ///
     /// # Errors
     /// Same as [`GpuBackend::new`].
-    pub fn with_faults(profile: DeviceProfile, config: R::Config, plan: FaultPlan) -> Result<Self> {
-        Self::with_faults_named(R::CAPS.api, profile, config, plan)
+    pub fn with_faults(
+        profile: DeviceProfile,
+        config: impl Into<ContextConfig>,
+        plan: FaultPlan,
+    ) -> Result<Self> {
+        let config = config.into();
+        Self::with_faults_named(config.caps.api, profile, config, plan)
     }
 
     /// [`GpuBackend::with_faults`] with a custom registry name.
@@ -154,24 +117,23 @@ impl<R: Rung> GpuBackend<R> {
     pub fn with_faults_named(
         name: impl Into<String>,
         profile: DeviceProfile,
-        config: R::Config,
+        config: impl Into<ContextConfig>,
         plan: FaultPlan,
     ) -> Result<Self> {
         let name = name.into();
-        let ctx = GpgpuContext::on(R::CAPS, profile, config.into(), plan)
+        let ctx = GpgpuContext::new(profile, config.into(), plan)
             .map_err(|e| Error::backend(&name, e.to_string()))?;
-        Ok(GpuBackend {
-            name,
-            ctx,
-            store: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            rung: PhantomData,
-        })
+        Ok(GpuBackend { name, ctx, store: Mutex::new(HashMap::new()), next_id: AtomicU64::new(1) })
     }
 
     /// The underlying GPGPU context (for diagnostics and benchmarks).
     pub fn context(&self) -> &GpgpuContext {
         &self.ctx
+    }
+
+    /// The API the backend runs on.
+    fn caps(&self) -> &'static Capabilities {
+        self.ctx.config().caps
     }
 
     /// Device-queue counters (busy time, fence waits, pipeline drains).
@@ -282,7 +244,7 @@ fn to_tensor_data(vals: Vec<f32>, dtype: DType) -> TensorData {
     TensorData::F32(vals).cast(dtype)
 }
 
-impl<R: Rung> Backend for GpuBackend<R> {
+impl Backend for GpuBackend {
     fn register(&self, data: TensorData, dtype: DType) -> DataId {
         let mut vals = data.to_f32_vec();
         if dtype == DType::U8 && !matches!(data, TensorData::U8(_)) {
@@ -388,7 +350,7 @@ impl<R: Rung> Backend for GpuBackend<R> {
     }
 
     fn device_timer_ns(&self) -> Option<u64> {
-        if !R::CAPS.has_timer(self.ctx.profile()) {
+        if !self.caps().has_timer(self.ctx.profile()) {
             return None;
         }
         // Like real EXT_disjoint_timer_query reads, sampling the counter
@@ -405,14 +367,15 @@ impl<R: Rung> Backend for GpuBackend<R> {
     // unfused path.
     fn run(&self, call: &KernelCall<'_>, operands: &[KTensor<'_>]) -> Result<DataId> {
         let (out, dtype) = call.output(operands)?;
-        let kernel = R::kernel(call, operands, out.dims(), self.ctx.config().packing)?;
+        let packed = self.ctx.config().packing;
+        let kernel = programs::kernel(self.caps(), call, operands, out.dims(), packed)?;
         let name = kernel.name;
         let views: Vec<Handle> = operands.iter().map(|t| self.view(t)).collect::<Result<_>>()?;
         match self.ctx.run(kernel, &views) {
             Ok(handle) => Ok(self.insert(Residency::Device(handle), dtype)),
             Err(e) => {
                 if matches!(e, DeviceError::Compile { .. }) && call.is_fused() {
-                    note_fused_fallback(R::CAPS.api, name);
+                    note_fused_fallback(self.caps().api, name);
                 }
                 Err(self.classify(e))
             }
@@ -421,7 +384,7 @@ impl<R: Rung> Backend for GpuBackend<R> {
 }
 
 /// What only the texture rung does. The behaviours every rung shares are one
-/// contract suite in `webml-backend-webgpu`, the crate that sees every rung.
+/// contract suite, `tests/contract.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +394,8 @@ mod tests {
     use webml_core::shape::Shape;
     use webml_core::ops;
     use webml_core::Engine;
+    use webml_webgl_sim::shader::Kernel;
+    use webml_webgl_sim::WEBGL;
 
     #[test]
     fn f16_device_underflows_small_epsilon() {
@@ -528,7 +493,8 @@ mod tests {
             .unwrap();
             let (out, fused) = (info.out_shape(), Epilogue::Fused { bias: true, activation: None });
             let cg = Codegen::detect();
-            let program = |epi| programs::depthwise_conv2d(cg, &info, packing, epi, out.dims());
+            let program =
+                |epi| programs::depthwise_conv2d(&WEBGL, cg, &info, None, packing, epi, out.dims());
             let (unfused, fused) = (program(Epilogue::None), program(fused));
             assert_eq!(unfused.is_packed(), fused.is_packed());
             (unfused.name, fused.name)
@@ -592,14 +558,16 @@ mod tests {
                 let shapes = (Shape::new(x.clone()), Shape::new(w.clone()));
                 let info = conv2d_info("t", &shapes.0, &shapes.1, s, pad, d).unwrap();
                 let out = info.out_shape().dims().to_vec();
-                let conv = move |packed, epi| programs::conv2d(cg, &info, packed, epi, &out);
+                let conv =
+                    move |packed, epi| programs::conv2d(&WEBGL, cg, &info, None, packed, epi, &out);
                 cases.push((Box::new(conv), vec![x, w]));
                 let (x, w) = (vec![2, 7, 6, channels], vec![3, 3, channels, 1]);
                 let shapes = (Shape::new(x.clone()), Shape::new(w.clone()));
                 let info = depthwise_conv2d_info("t", &shapes.0, &shapes.1, s, pad, d).unwrap();
                 let out = info.out_shape().dims().to_vec();
-                let depthwise =
-                    move |packed, epi| programs::depthwise_conv2d(cg, &info, packed, epi, &out);
+                let depthwise = move |packed, epi| {
+                    programs::depthwise_conv2d(&WEBGL, cg, &info, None, packed, epi, &out)
+                };
                 cases.push((Box::new(depthwise), vec![x, w]));
             }
             for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
@@ -607,7 +575,8 @@ mod tests {
                 let b = if tb { vec![2, channels, 7] } else { vec![2, 7, channels] };
                 let geom = MatMulGeom::of(&Shape::new(a.clone()), &Shape::new(b.clone()), ta, tb);
                 let out = [2, 5, channels];
-                let matmul = move |packed, epi| programs::matmul(&geom, packed, epi, &out);
+                let matmul =
+                    move |packed, epi| programs::matmul(&WEBGL, &geom, None, packed, epi, &out);
                 cases.push((Box::new(matmul), vec![a, b]));
             }
         }

@@ -1,9 +1,9 @@
-//! The oracle adapter: every call a rung has no program of its own for runs
-//! as one kernel whose body is [`webml_core::kernels::run`], the host
-//! oracle's one match, over the bound inputs. Both GPU rungs hand it the
-//! same calls — everything but the products and, on WebGL, `Unary` and
-//! `Binary` — so each call has one declaration, its row in [`kernel`]'s
-//! table, and one body on either storage. Its bits are the `cpu` backend's
+//! The oracle adapter: every call no GPU program is written for runs as one
+//! kernel whose body is [`webml_core::kernels::run`], the host oracle's one
+//! match, over the bound inputs. [`crate::programs::kernel`] hands it the
+//! same calls on every rung — everything but the products and, on
+//! textures, `Unary` and `Binary` — so each call has one declaration, its
+//! row in [`kernel`]'s table, and one body on either storage. Its bits are the `cpu` backend's
 //! by construction, with the f16 rounding of a half-precision device
 //! applied per output after it, as after any body.
 //!
@@ -14,25 +14,24 @@
 //! call's N-D output shape, so a texture device places it as it would a
 //! fragment program's.
 
-use std::sync::Arc;
 use webml_core::backend::{KTensor, KernelCall};
 use webml_core::conv_util::Conv2dInfo;
 use webml_core::dtype::TensorData;
 use webml_core::error::{Error, Result};
 use webml_core::kernels::{self as k, Operand, Values};
 use webml_core::shape::Shape;
-use webml_webgl_sim::shader::{Kernel, KernelBody};
+use webml_webgl_sim::shader::Kernel;
 
 /// The oracle kernel for `call` over `operands` into `out` (see
-/// [`crate::Rung::kernel`]), under its program name with its declared
+/// [`crate::programs::kernel`]), under its program name with its declared
 /// shared-memory reuse and per-output cost: workgroup reductions stage
 /// partials in shared memory (reuse 4), the gradients stage the filter tile
 /// (8), movement and element-wise kernels are bandwidth-bound either way
 /// (1). A rung without shared memory ignores the reuse.
 ///
 /// # Errors
-/// A product call (`MatMul`, `Conv2d`, `DepthwiseConv2d`): each rung runs
-/// those on its own programs.
+/// A product call (`MatMul`, `Conv2d`, `DepthwiseConv2d`): those run on
+/// their own programs.
 pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) -> Result<Kernel> {
     use KernelCall as C;
     let dim = |axis: usize| operands[0].shape.dim(axis);
@@ -90,23 +89,19 @@ pub fn kernel(call: &KernelCall<'_>, operands: &[KTensor<'_>], out: &[usize]) ->
         };
         dst.copy_from_slice(&values[start..][..dst.len()]);
     };
-    Ok(Kernel {
-        name,
-        out_shape,
-        body: KernelBody::Compute { run: Arc::new(run), grain: size },
-        cost_per_element: cost.max(1),
-        shared_reuse: reuse,
-    })
+    let kernel = Kernel::compute(name, out_shape, size, run).with_cost(cost);
+    Ok(Kernel { shared_reuse: reuse, ..kernel })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use webml_core::backend::{DataId, ReduceOp};
     use webml_core::pool::WorkerPool;
     use webml_core::DType;
-    use webml_webgl_sim::shader::execute;
+    use webml_webgl_sim::shader::{execute, KernelBody};
 
     /// The adapter computes its output whole, so however many cores the
     /// device has, its body is called once per dispatch; and it reads each

@@ -1,28 +1,36 @@
-//! Shader-program builders: the calls the WebGL rung writes as per-output
-//! gather computations (fragment shaders cannot scatter), in the style of
-//! the paper's Figure 4 (element-wise add) and Listing 2 (matmul) — the
-//! products, packed, unpacked and over U8 codes, and `Unary` and `Binary`,
-//! whose host bodies the paper's packing and layout claims read. [`kernel`]
-//! is WebGL's one match from a [`KernelCall`] to its builder; every other
-//! call goes to the [`crate::oracle`] adapter the WebGPU rung uses too.
-//! Every builder takes the output dims [`KernelCall::output`] gave.
+//! Program builders: the calls both GPU rungs write programs for, and the
+//! one match, [`kernel`], from a [`KernelCall`] to its program on the API a
+//! [`Capabilities`] descriptor names. The products — matmul, conv2d and
+//! depthwise conv2d, each plain, fused and over U8 codes — are one builder
+//! per family around one run body, [`matmul_run`], [`conv2d_run`] or
+//! [`depthwise_conv2d_run`], in the style of the paper's Listing 2: on
+//! textures a fragment program (fragment shaders cannot scatter; packed
+//! where the context packs and the family has a packed body, otherwise a
+//! per-output gather), on storage buffers a compute body. Their names come
+//! from one table, and their declared shared-memory reuse
+//! belongs to the family on every rung; only a device with workgroup shared
+//! memory reads it ([`webml_webgl_sim::shader::occupancy`]). On textures
+//! `Unary` and `Binary` are fragment programs too (Figure 4's element-wise
+//! add), whose host bodies the paper's packing and layout claims read.
+//! Every other call goes to the [`crate::oracle`] adapter. Every builder
+//! takes the output dims [`KernelCall::output`] gave.
 //!
-//! The packed conv and depthwise bodies, [`conv2d_run`] and
-//! [`depthwise_conv2d_run`], which the WebGPU rung's pipelines run too, are
-//! hot loops compiled for the baseline and for AVX2
-//! ([`webml_core::codegen`]); their builders take the build to run
-//! (`Codegen::detect()` from [`kernel`], each in turn in the tests). They
-//! tile the output pixels whose every filter tap lies inside the input, in
-//! spans of a multiple of 4 whole pixels that may cross output rows (every
-//! pixel of a 1×1 conv): a conv's through the register tile
+//! The conv and depthwise bodies are hot loops compiled for the baseline
+//! and for AVX2 ([`webml_core::codegen`]); their builders take the build to
+//! run (`Codegen::detect()` from [`kernel`], each in turn in the tests).
+//! They tile the output pixels whose every filter tap lies inside the
+//! input, in spans of a multiple of 4 whole pixels that may cross output
+//! rows (every pixel of a 1×1 conv): a conv's through the register tile
 //! `backend-native`'s products use ([`webml_core::tile::gemm_tile`]), a
 //! depthwise conv's through a tile of its own of the same shape. Every
 //! other pixel — one with a tap on the padding, a part-pixel at either end
 //! of a run, one left over from a span — walks its in-bounds taps alone.
-//! Either way each
-//! output has the bits of `cpu`'s: it starts at 0, adds its products in
-//! the reference's order, multiplies no padding tap, and its U8 `Σ x` comes
-//! from the same walk. [`matmul_run`] keeps its row-at-a-time walk.
+//! Either way each output has the bits of `cpu`'s: it starts at 0, adds its
+//! products in the reference's order, multiplies no padding tap, and its U8
+//! `Σ x` comes from the same walk; the epilogue (`s·Σxq + m·Σx`, then
+//! `BinaryOp::Add` bias, then `UnaryOp::apply`) goes through the scalar
+//! paths the `cpu` backend composes. [`matmul_run`] keeps its
+//! row-at-a-time walk. A compute body's runs may start on any output.
 
 use crate::oracle;
 use std::ops::Range;
@@ -33,45 +41,138 @@ use webml_core::error::Result;
 use webml_core::hot_loop;
 use webml_core::quant::QuantParams;
 use webml_core::tile::{epilogue, gemm_tile, Lhs};
+use webml_webgl_sim::caps::{Capabilities, Storage};
 use webml_webgl_sim::shader::{Kernel, Samplers};
 
-/// The fragment program for `call` over `operands` into `out` (see
-/// [`crate::Rung::kernel`]). A product call over a quantized weight takes
-/// the dequant-free program, which samples the `R8` codes. A `Binary` whose
-/// output rank is above [`MAX_RANK`], and every call but these, runs on the
-/// oracle adapter.
+/// The program for `call` over `operands` — bound in the order the call
+/// lists them, read under their logical shapes — into `out`, the dims
+/// [`KernelCall::output`] gave, on the API `caps` describes; `packed` asks
+/// for the RGBA-texel body where a texture program has one (the context's
+/// packing switch). A product over a quantized weight takes the
+/// dequant-free program, which reads the one-byte codes. On storage
+/// buffers `Unary` and `Binary`, on textures a `Binary` whose output rank
+/// is above [`MAX_RANK`], and every other call run on the oracle adapter.
+///
+/// # Errors
+/// The oracle adapter's.
 pub fn kernel(
+    caps: &Capabilities,
     call: &KernelCall<'_>,
     operands: &[KTensor<'_>],
     out: &[usize],
     packed: bool,
 ) -> Result<Kernel> {
     use KernelCall as C;
+    let texture = caps.storage == Storage::Texture;
     let dims = |i: usize| operands[i].shape.dims();
     let quant = || operands[1].quant;
     Ok(match call {
-        C::Unary(op) => unary(*op, out, packed),
-        C::Binary(op) if out.len() <= MAX_RANK => binary(*op, dims(0), dims(1), out, packed),
+        C::Unary(op) if texture => unary(*op, out, packed),
+        C::Binary(op) if texture && out.len() <= MAX_RANK => {
+            binary(*op, dims(0), dims(1), out, packed)
+        }
         C::MatMul { transpose_a, transpose_b, epilogue } => {
             let (a, b) = (operands[0].shape, operands[1].shape);
             let geom = MatMulGeom::of(a, b, *transpose_a, *transpose_b);
-            match quant() {
-                Some(params) => fused_matmul_quant(&geom, params, *epilogue, out),
-                None => matmul(&geom, packed, *epilogue, out),
-            }
+            matmul(caps, &geom, quant(), packed, *epilogue, out)
         }
-        C::Conv2d { info, epilogue } => match quant() {
-            Some(params) => fused_conv2d_quant(Codegen::detect(), info, params, *epilogue, out),
-            None => conv2d(Codegen::detect(), info, packed, *epilogue, out),
-        },
-        C::DepthwiseConv2d { info, epilogue } => match quant() {
-            Some(params) => {
-                fused_depthwise_conv2d_quant(Codegen::detect(), info, params, *epilogue, out)
-            }
-            None => depthwise_conv2d(Codegen::detect(), info, packed, *epilogue, out),
-        },
+        C::Conv2d { info, epilogue } => {
+            conv2d(caps, Codegen::detect(), info, quant(), packed, *epilogue, out)
+        }
+        C::DepthwiseConv2d { info, epilogue } => {
+            depthwise_conv2d(caps, Codegen::detect(), info, quant(), packed, *epilogue, out)
+        }
         _ => return oracle::kernel(call, operands, out),
     })
+}
+
+/// The product families.
+#[derive(Clone, Copy)]
+enum Family {
+    MatMul,
+    Conv2d,
+    Depthwise,
+}
+
+/// Workgroup tile width of the matmul and conv programs on a device with
+/// shared memory: each workgroup is `TILE`×`TILE` invocations staging
+/// `TILE`-deep input tiles, so each staged value serves `TILE` of them.
+pub const TILE: usize = 16;
+
+impl Family {
+    /// How many invocations each shared-memory load serves: a matmul or
+    /// conv stages both operands' tiles ([`TILE`]); a depthwise output reads
+    /// one input channel, so only the filter tile is shared (8).
+    fn reuse(self) -> usize {
+        match self {
+            Family::MatMul | Family::Conv2d => TILE,
+            Family::Depthwise => 8,
+        }
+    }
+}
+
+/// Every product program's name, by [`Family`]; then plain, fused, over U8
+/// codes; then as a per-output fragment program, a packed one, a compute
+/// body. A U8 program has no packed body.
+const NAMES: [[[&str; 3]; 3]; 3] = [
+    [
+        ["MatMul", "MatMulPacked", "MatMulTiled"],
+        ["FusedMatMul", "FusedMatMulPacked", "FusedMatMulTiled"],
+        ["FusedMatMulQuant", "FusedMatMulQuant", "FusedMatMulQuantTiled"],
+    ],
+    [
+        ["Conv2D", "Conv2DPacked", "Conv2DTiled"],
+        ["FusedConv2D", "FusedConv2DPacked", "FusedConv2DTiled"],
+        ["FusedConv2DQuant", "FusedConv2DQuant", "FusedConv2DQuantTiled"],
+    ],
+    [
+        ["DepthwiseConv2D", "DepthwiseConv2DPacked", "DepthwiseConv2DTiled"],
+        ["FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked", "FusedDepthwiseConv2DTiled"],
+        [
+            "FusedDepthwiseConv2DQuant",
+            "FusedDepthwiseConv2DQuant",
+            "FusedDepthwiseConv2DQuantTiled",
+        ],
+    ],
+];
+
+/// A product family's program into `out`, `steps` multiply-adds per output.
+/// `run(x, w, finish, start, run_out)` is the family's run body over the
+/// first two bound inputs, `finish` holding the U8 `affine` map when the
+/// weight holds codes, the bias (bound third) when `epilogue` has one, and
+/// its activation; `one(samplers, flat, coords)` is the f32 variants'
+/// per-output body. On storage buffers `run` is a compute body whose runs
+/// start on any output. On textures it is a fragment program, packed with
+/// `packed` — except an unpacked f32 program, which is `one`.
+fn product(
+    (caps, family): (&Capabilities, Family),
+    (epilogue, affine): (Epilogue, Option<Vec<(f32, f32)>>),
+    (out, steps, packed): (&[usize], usize, bool),
+    run: impl Fn(&[f32], &[f32], Finish<'_>, usize, &mut [f32]) + Send + Sync + 'static,
+    one: impl Fn(&Samplers<'_>, usize, &[usize]) -> f32 + Send + Sync + 'static,
+) -> Kernel {
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+    let (u8, packed) = (affine.is_some(), packed && affine.is_none());
+    let variant = if u8 { 2 } else { usize::from(!epilogue.is_plain()) };
+    let names = NAMES[family as usize][variant];
+    // Operations per multiply-add: a U8 fragment program counts the `Σ x`
+    // add beside each product.
+    let ops = if u8 && caps.storage == Storage::Texture { 3 } else { 2 };
+    let kernel = match caps.storage {
+        Storage::Linear => Kernel::compute(names[2], out.to_vec(), 1, move |inp, start, out| {
+            let finish = (affine.as_deref(), has_bias.then(|| inp[2]), activation);
+            run(inp[0], inp[1], finish, start, out)
+        }),
+        Storage::Texture if packed || u8 => {
+            let name = names[usize::from(packed)];
+            Kernel::fragment(name, out.to_vec(), packed, move |s, start, out| {
+                let finish = (affine.as_deref(), bias_of(s, has_bias), activation);
+                run(s.tex(0), s.tex(1), finish, start, out)
+            })
+        }
+        Storage::Texture => Kernel::per_element(names[0], out.to_vec(), one),
+    };
+    Kernel { shared_reuse: family.reuse(), ..kernel.with_cost(steps * ops) }
 }
 
 /// Maximum output rank of the broadcast `Binary` program's address math.
@@ -312,45 +413,41 @@ fn dot_operands<'a>(
     a_row.zip(bm.get(b0..).unwrap_or_default().iter().step_by(b_step))
 }
 
-/// Batched matmul, Listing 2 style: each output recomputes a full dot
-/// product (no shared memory — the architectural handicap behind the
-/// WebGL/CUDA gap of Sec 3.9). The packed variant is a run body,
-/// [`matmul_run`].
-///
-/// A non-empty epilogue is fused in-register and makes it the `FusedMatMul`
-/// program: the whole `matmul → add → activation` chain in one draw call,
-/// no intermediate textures. Bias (when present) is sampler input 2,
-/// indexed by output column. Outputs are addressed by flat index, the
-/// `[batch, m, n]` order a rank-2 product's `[m, n]` shares.
-pub fn matmul(geom: &MatMulGeom, packed: bool, epilogue: Epilogue, out: &[usize]) -> Kernel {
-    let names = match epilogue.is_plain() {
-        true => ("MatMul", "MatMulPacked"),
-        false => ("FusedMatMul", "FusedMatMulPacked"),
-    };
-    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+/// Batched matmul, Listing 2 style, of `a` (input 0) against `b` (input 1,
+/// or its U8 codes with `quant`, the affine map `Σ a·(q·s + m) = s·Σ a·q +
+/// m·Σ a` applied in-register). The per-output program recomputes a full
+/// dot product per output (no shared memory — the architectural handicap
+/// behind the WebGL/CUDA gap of Sec 3.9); every other is a run body,
+/// [`matmul_run`]. A non-empty epilogue is fused in-register and makes it
+/// the `FusedMatMul` program: the whole `matmul → add → activation` chain
+/// in one draw call or dispatch, no intermediate buffers. Bias (when
+/// present) is input 2, indexed by output column. Outputs are addressed by
+/// flat index, the `[batch, m, n]` order a rank-2 product's `[m, n]`
+/// shares; a batch-1 `b` broadcasts over the batch.
+pub fn matmul(
+    caps: &Capabilities,
+    geom: &MatMulGeom,
+    quant: Option<&QuantParams>,
+    packed: bool,
+    epilogue: Epilogue,
+    out: &[usize],
+) -> Kernel {
     let geom = *geom;
     let MatMulGeom { m, k, n, .. } = geom;
-    let out_shape = out.to_vec();
-    let cost = (k * 2).max(1);
-    // One output, epilogue applied.
-    let one = move |s: &Samplers<'_>, (b, i, j): (usize, usize, usize)| {
+    let affine = quant.map(|params| (0..n).map(|j| params.scale_min(j)).collect());
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+    let one = move |s: &Samplers<'_>, flat: usize, _: &[usize]| {
+        let (b, i, j) = (flat / n / m, flat / n % m, flat % n);
         let mut acc = 0.0f32;
         for (&av, &bv) in dot_operands(s, &geom, (b, i, j)) {
             acc += av * bv;
         }
         apply_epilogue(bias_of(s, has_bias), activation, j, acc)
     };
-    if packed {
-        return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
-            let finish = (None, bias_of(s, has_bias), activation);
-            matmul_run(&geom, s.tex(0), s.tex(1), finish, start, out);
-        })
-        .with_cost(cost);
-    }
-    Kernel::per_element(names.0, out_shape, move |s, flat, _| {
-        one(s, (flat / n / m, flat / n % m, flat % n))
-    })
-    .with_cost(cost)
+    let run = move |a: &[f32], b: &[f32], finish: Finish<'_>, start: usize, out: &mut [f32]| {
+        matmul_run(&geom, a, b, finish, start, out)
+    };
+    product((caps, Family::MatMul), (epilogue, affine), (out, k, packed), run, one)
 }
 
 /// The run of `[batch, m, n]` matmul outputs from flat `start`, of `a`
@@ -410,74 +507,10 @@ impl<'a, A: Iterator<Item = &'a f32> + Clone> Accumulate for MatMulRow<'a, A> {
     }
 }
 
-/// Quantized-weight fused matmul: input 1 is an `R8` codes texture
-/// (sampling yields the integer code widened to f32, never a dequantized
-/// weight buffer). The accumulation is factored as
-/// `Σ a·(q·s + m) = s·Σ a·q + m·Σ a`, with the affine scale/min applied
-/// in-register before the shared bias+activation epilogue — one draw call,
-/// 1-byte-per-weight device residency. `b_batch == 1` broadcasts the single
-/// code matrix across the batch.
-pub fn fused_matmul_quant(
-    geom: &MatMulGeom,
-    params: &QuantParams,
-    epilogue: Epilogue,
-    out: &[usize],
-) -> Kernel {
-    let geom = *geom;
-    let affine: Vec<(f32, f32)> = (0..geom.n).map(|j| params.scale_min(j)).collect();
-    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
-    let cost = (geom.k * 3).max(1);
-    Kernel::fragment("FusedMatMulQuant", out.to_vec(), false, move |s, start, out| {
-        let finish = (Some(&affine[..]), bias_of(s, has_bias), activation);
-        matmul_run(&geom, s.tex(0), s.tex(1), finish, start, out);
-    })
-    .with_cost(cost)
-}
-
-/// Quantized-filter fused conv2d: input 1 holds `R8` HWIO codes. The
-/// valid-tap input sum is shared across the factored epilogue; per-channel
-/// `params` index the output-channel axis (the caller guarantees this via
-/// `quant_axis_ok`).
-pub fn fused_conv2d_quant(
-    codegen: Codegen,
-    info: &Conv2dInfo,
-    params: &QuantParams,
-    epilogue: Epilogue,
-    out: &[usize],
-) -> Kernel {
-    let c = info.clone();
-    let affine: Vec<(f32, f32)> = (0..c.out_channels).map(|oc| params.scale_min(oc)).collect();
-    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
-    let cost = c.filter_height * c.filter_width * c.in_channels * 3;
-    Kernel::fragment("FusedConv2DQuant", out.to_vec(), false, move |s, start, out| {
-        let finish = (Some(&affine[..]), bias_of(s, has_bias), activation);
-        conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
-    })
-    .with_cost(cost)
-}
-
-/// Quantized-filter fused depthwise conv2d over `R8` codes.
-pub fn fused_depthwise_conv2d_quant(
-    codegen: Codegen,
-    info: &Conv2dInfo,
-    params: &QuantParams,
-    epilogue: Epilogue,
-    out: &[usize],
-) -> Kernel {
-    let (c, affine) = (info.clone(), depthwise_affine(params, info));
-    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
-    let cost = c.filter_height * c.filter_width * 3;
-    Kernel::fragment("FusedDepthwiseConv2DQuant", out.to_vec(), false, move |s, start, out| {
-        let finish = (Some(&affine[..]), bias_of(s, has_bias), activation);
-        depthwise_conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
-    })
-    .with_cost(cost)
-}
-
 /// `(scale, min)` of each output channel `ic·mul + m` of a depthwise filter
 /// over U8 codes: per-channel `params` run along filter axis 2 (`ic`) or
 /// 3 (`m`), either constant over an output's accumulation.
-pub fn depthwise_affine(params: &QuantParams, c: &Conv2dInfo) -> Vec<(f32, f32)> {
+fn depthwise_affine(params: &QuantParams, c: &Conv2dInfo) -> Vec<(f32, f32)> {
     let mul = c.channel_mul;
     (0..c.out_channels)
         .map(|oc| match params {
@@ -568,43 +601,38 @@ impl Accumulate for ConvPixel<'_> {
     }
 }
 
-/// conv2d: one output activation per invocation, walking its receptive
-/// field. Index math is pre-resolved to flat fetches, as a GLSL compiler
-/// resolves the generated accessors into direct texture fetches.
-///
-/// The packed variant is a run body, [`conv2d_run`]. A non-empty epilogue
-/// is fused in-register (`FusedConv2D`); bias (when present) is sampler
-/// input 2, indexed by output channel.
+/// conv2d of NHWC `x` (input 0) against the HWIO filter `w` (input 1, or
+/// its U8 codes with `quant`; per-channel params index the output-channel
+/// axis, which the caller guarantees via `quant_axis_ok`). The per-output
+/// program walks one output's receptive field, its index math pre-resolved
+/// to flat fetches as a GLSL compiler resolves the generated accessors into
+/// direct texture fetches; every other is a run body, [`conv2d_run`]. A
+/// non-empty epilogue is fused in-register (`FusedConv2D`); bias (when
+/// present) is input 2, indexed by output channel.
 pub fn conv2d(
+    caps: &Capabilities,
     codegen: Codegen,
     info: &Conv2dInfo,
+    quant: Option<&QuantParams>,
     packed: bool,
     epilogue: Epilogue,
     out: &[usize],
 ) -> Kernel {
-    let names = match epilogue.is_plain() {
-        true => ("Conv2D", "Conv2DPacked"),
-        false => ("FusedConv2D", "FusedConv2DPacked"),
-    };
-    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let c = info.clone();
-    let out_shape = out.to_vec();
-    let cost = c.filter_height * c.filter_width * c.in_channels * 2;
-    // One output: channel `oc` of the pixel at `at`, epilogue applied.
-    let one = move |s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), oc: usize| {
+    let affine = quant.map(|params| (0..c.out_channels).map(|oc| params.scale_min(oc)).collect());
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+    let steps = c.filter_height * c.filter_width * c.in_channels;
+    let walk = c.clone();
+    let one = move |s: &Samplers<'_>, _: usize, at: &[usize]| {
         let mut acc = 0.0f32;
-        for_each_conv_step(s.tex(0), s.tex(1), c, at, |xv, row| acc += xv * row[oc]);
+        let (pixel, oc) = ((at[0], at[1], at[2]), at[3]);
+        for_each_conv_step(s.tex(0), s.tex(1), &walk, pixel, |xv, row| acc += xv * row[oc]);
         apply_epilogue(bias_of(s, has_bias), activation, oc, acc)
     };
-    if packed {
-        return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
-            let finish = (None, bias_of(s, has_bias), activation);
-            conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
-        })
-        .with_cost(cost);
-    }
-    Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, &c, (at[0], at[1], at[2]), at[3]))
-        .with_cost(cost)
+    let run = move |x: &[f32], w: &[f32], finish: Finish<'_>, start: usize, out: &mut [f32]| {
+        conv2d_run(codegen, &c, x, w, finish, start, out)
+    };
+    product((caps, Family::Conv2d), (epilogue, affine), (out, steps, packed), run, one)
 }
 
 hot_loop! {
@@ -840,44 +868,39 @@ fn field_taps(c: &Conv2dInfo) -> impl Iterator<Item = (usize, usize)> + '_ {
     })
 }
 
-/// Depthwise conv2d, with pre-resolved flat index math.
-///
-/// With `channel_mul == 1` the packed variant is a run body,
-/// [`depthwise_conv2d_run`]. A non-empty epilogue is fused in-register
-/// (`FusedDepthwiseConv2D`); bias (when present) is sampler input 2,
-/// indexed by output channel.
+/// Depthwise conv2d of NHWC `x` (input 0) against the `[fh, fw, in_c, mul]`
+/// filter `w` (input 1, or its U8 codes with `quant`), with pre-resolved
+/// flat index math. With `channel_mul == 1` the packed program is a run
+/// body, [`depthwise_conv2d_run`], as is every program but the per-output
+/// one. A non-empty epilogue is fused in-register (`FusedDepthwiseConv2D`);
+/// bias (when present) is input 2, indexed by output channel.
 pub fn depthwise_conv2d(
+    caps: &Capabilities,
     codegen: Codegen,
     info: &Conv2dInfo,
+    quant: Option<&QuantParams>,
     packed: bool,
     epilogue: Epilogue,
     out: &[usize],
 ) -> Kernel {
-    let names = match epilogue.is_plain() {
-        true => ("DepthwiseConv2D", "DepthwiseConv2DPacked"),
-        false => ("FusedDepthwiseConv2D", "FusedDepthwiseConv2DPacked"),
-    };
-    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
     let c = info.clone();
-    let out_shape = out.to_vec();
-    let cost = c.filter_height * c.filter_width * 2;
-    // One output: channel `och` of the pixel at `at`, epilogue applied.
-    let one = move |s: &Samplers<'_>, c: &Conv2dInfo, at: (usize, usize, usize), och: usize| {
-        let (x, w, ic) = (s.tex(0), s.tex(1), och / c.channel_mul);
-        let mut acc = 0.0f32;
+    let affine = quant.map(|params| depthwise_affine(params, &c));
+    let (has_bias, activation) = (epilogue.bias(), epilogue.activation());
+    let (steps, packed) = (c.filter_height * c.filter_width, packed && c.channel_mul == 1);
+    let walk = c.clone();
+    let one = move |s: &Samplers<'_>, _: usize, at: &[usize]| {
+        let (x, w, och) = (s.tex(0), s.tex(1), at[3]);
+        let (ic, mut acc) = (och / walk.channel_mul, 0.0f32);
         // Filter `[fh, fw, in_c, mul]` flattens to `t * out_channels + och`.
-        for_each_tap(c, at, |px, t| acc += x[px * c.in_channels + ic] * w[t * c.out_channels + och]);
+        for_each_tap(&walk, (at[0], at[1], at[2]), |px, t| {
+            acc += x[px * walk.in_channels + ic] * w[t * walk.out_channels + och]
+        });
         apply_epilogue(bias_of(s, has_bias), activation, och, acc)
     };
-    if packed && c.channel_mul == 1 {
-        return Kernel::fragment(names.1, out_shape, true, move |s, start, out| {
-            let finish = (None, bias_of(s, has_bias), activation);
-            depthwise_conv2d_run(codegen, &c, s.tex(0), s.tex(1), finish, start, out);
-        })
-        .with_cost(cost);
-    }
-    Kernel::per_element(names.0, out_shape, move |s, _, at| one(s, &c, (at[0], at[1], at[2]), at[3]))
-        .with_cost(cost)
+    let run = move |x: &[f32], w: &[f32], finish: Finish<'_>, start: usize, out: &mut [f32]| {
+        depthwise_conv2d_run(codegen, &c, x, w, finish, start, out)
+    };
+    product((caps, Family::Depthwise), (epilogue, affine), (out, steps, packed), run, one)
 }
 
 hot_loop! {
@@ -1003,5 +1026,330 @@ fn depthwise_tile<const FACTORED: bool, const R: usize, const W: usize>(
         let run = &mut out[r * len + q..][..W];
         run.copy_from_slice(&acc[r]);
         factor::<FACTORED>(affine, ch, run, |k| sums[r][k]);
+    }
+}
+
+/// Differential tests: each product program a compute rung runs against its
+/// `webml_core::kernels` oracle, on bits, however the shader-core pool cuts
+/// the output into runs.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+    use webml_core::kernels as k;
+    use webml_core::shape::Shape;
+    use webml_core::backend::{BinaryOp, UnaryOp};
+    use webml_core::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+    use webml_core::pool::WorkerPool;
+    use webml_webgl_sim::caps::WEBGPU;
+    use webml_webgl_sim::shader::{execute, KernelBody};
+
+    /// Deterministic values in roughly [-2, 2] (xorshift).
+    fn data(n: usize, seed: u64) -> Vec<f32> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0) as f32
+            })
+            .collect()
+    }
+
+    fn codes(n: usize, seed: u64) -> Vec<u8> {
+        data(n, seed).iter().map(|v| ((v + 2.0) * 63.9) as u8).collect()
+    }
+
+    /// The widened form a U8 storage buffer binds as.
+    fn widen(codes: &[u8]) -> Vec<f32> {
+        codes.iter().map(|&q| q as f32).collect()
+    }
+
+    /// Shader-core pools of 1, 2, 3 and 7 threads: on more than one, runs
+    /// start inside a pixel's (or row's) channel run.
+    fn pools() -> &'static [WorkerPool; 4] {
+        static POOLS: OnceLock<[WorkerPool; 4]> = OnceLock::new();
+        POOLS.get_or_init(|| [1, 2, 3, 7].map(WorkerPool::new))
+    }
+
+    /// Run a pipeline the way the queue does — through `execute`, into a
+    /// buffer holding stale values — on every pool, split as finely as the
+    /// pool allows; the bits, which every pool must agree on.
+    fn run(pl: &Kernel, inputs: &[&[f32]]) -> Vec<u32> {
+        assert!(matches!(pl.body, KernelBody::Compute { .. }), "{} is not a pipeline", pl.name);
+        let mut runs = pools().iter().map(|pool| {
+            let mut out = vec![f32::NAN; pl.out_size()];
+            execute(pl, inputs, &[], &mut out, pool, pool.size(), false);
+            (pool.size(), bits(&out))
+        });
+        let (_, first) = runs.next().expect("a pool");
+        for (cores, got) in runs {
+            assert!(got == first, "{} on {cores} cores differs from 1 core", pl.name);
+        }
+        first
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What the unfused composition computes after an f32 kernel.
+    fn epilogue(mut y: Vec<f32>, bias: Option<&[f32]>, act: Option<UnaryOp>) -> Vec<f32> {
+        for (i, v) in y.iter_mut().enumerate() {
+            if let Some(b) = bias {
+                *v = BinaryOp::Add.apply(*v, b[i % b.len()]);
+            }
+            if let Some(a) = act {
+                *v = a.apply(*v);
+            }
+        }
+        y
+    }
+
+    /// Per-tensor params, then per-channel params along `axis` with `n` entries.
+    fn params(axis: usize, n: usize, seed: u64) -> [QuantParams; 2] {
+        let scales = data(n, seed).iter().map(|v| v.abs() * 0.01 + 0.001).collect();
+        let per_channel = QuantParams::per_channel(axis, scales, data(n, seed + 1));
+        [QuantParams::per_tensor(0.017, -1.3), per_channel]
+    }
+
+    const EPILOGUES: [(bool, Option<UnaryOp>); 4] = [
+        (false, None),
+        (true, None),
+        (false, Some(UnaryOp::Relu6)),
+        (true, Some(UnaryOp::Sigmoid)),
+    ];
+
+    /// `case` on every build of the hot loops this CPU runs
+    /// ([`Codegen::all`]), so that an AVX2 CPU checks the portable build too.
+    fn every_build<T: Copy>(case: T) -> impl Iterator<Item = (T, Codegen)> {
+        Codegen::all().into_iter().map(move |cg| (case, cg))
+    }
+
+    /// The epilogue of an f32 kernel, and of a kernel over U8 codes.
+    fn fused((bias, activation): (bool, Option<UnaryOp>)) -> Epilogue {
+        Epilogue::Fused { bias, activation }
+    }
+
+    fn quant((bias, activation): (bool, Option<UnaryOp>)) -> Epilogue {
+        Epilogue::Quant { bias, activation }
+    }
+
+    /// All three conv programs against the oracle for one geometry.
+    fn check_conv(info: &Conv2dInfo, seed: u64) {
+        let c = info;
+        let x = data(c.batch * c.in_height * c.in_width * c.in_channels, seed);
+        let w_len = c.filter_height * c.filter_width * c.in_channels * c.out_channels;
+        let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
+        let bias = data(c.out_channels, seed + 3);
+        let (want, out) = (k::conv2d(&x, &w, c), c.out_shape());
+        for ((has_bias, act), cg) in EPILOGUES.into_iter().flat_map(every_build) {
+            let b = has_bias.then_some(bias.as_slice());
+            let pl = conv2d(&WEBGPU, cg, c, None, false, fused((has_bias, act)), out.dims());
+            assert_eq!(
+                run(&pl, &[&x, &w, &bias]),
+                bits(&epilogue(want.clone(), b, act)),
+                "conv2d bias={has_bias} {act:?} {cg:?} {c:?}"
+            );
+            for p in params(3, c.out_channels, seed + 4) {
+                let epi = quant((has_bias, act));
+                let pl = conv2d(&WEBGPU, cg, c, Some(&p), false, epi, out.dims());
+                assert_eq!(
+                    run(&pl, &[&x, &widen(&w_q), &bias]),
+                    bits(&k::fused_conv2d_quant(&x, &w_q, &p, b, act, c)),
+                    "fused_conv2d_quant bias={has_bias} {act:?} {cg:?} {p:?} {c:?}"
+                );
+            }
+        }
+    }
+
+    /// All three depthwise programs against the oracle for one geometry.
+    fn check_depthwise(info: &Conv2dInfo, seed: u64) {
+        let c = info;
+        let x = data(c.batch * c.in_height * c.in_width * c.in_channels, seed);
+        let w_len = c.filter_height * c.filter_width * c.out_channels;
+        let (w, w_q) = (data(w_len, seed + 1), codes(w_len, seed + 2));
+        let bias = data(c.out_channels, seed + 3);
+        let (want, out) = (k::depthwise_conv2d(&x, &w, c), c.out_shape());
+        let per_ic = params(2, c.in_channels, seed + 4);
+        let [_, per_m] = params(3, c.channel_mul, seed + 6);
+        for ((has_bias, act), cg) in EPILOGUES.into_iter().flat_map(every_build) {
+            let b = has_bias.then_some(bias.as_slice());
+            let epi = fused((has_bias, act));
+            let pl = depthwise_conv2d(&WEBGPU, cg, c, None, false, epi, out.dims());
+            assert_eq!(
+                run(&pl, &[&x, &w, &bias]),
+                bits(&epilogue(want.clone(), b, act)),
+                "depthwise bias={has_bias} {act:?} {cg:?} {c:?}"
+            );
+            for p in per_ic.iter().chain([&per_m]) {
+                let epi = quant((has_bias, act));
+                let pl = depthwise_conv2d(&WEBGPU, cg, c, Some(p), false, epi, out.dims());
+                assert_eq!(
+                    run(&pl, &[&x, &widen(&w_q), &bias]),
+                    bits(&k::fused_depthwise_conv2d_quant(&x, &w_q, p, b, act, c)),
+                    "fused_depthwise_quant bias={has_bias} {act:?} {cg:?} {p:?} {c:?}"
+                );
+            }
+        }
+    }
+
+    fn geometry(
+        depthwise: bool,
+        (batch, h, w, ic, last): (usize, usize, usize, usize, usize),
+        (fh, fw): (usize, usize),
+        stride: usize,
+        pad: Padding,
+        dilation: usize,
+    ) -> Conv2dInfo {
+        let make = if depthwise { depthwise_conv2d_info } else { conv2d_info };
+        make(
+            "test",
+            &Shape::new(vec![batch, h, w, ic]),
+            &Shape::new(vec![fh, fw, ic, last]),
+            (stride, stride),
+            pad,
+            (dilation, dilation),
+        )
+        .expect("valid geometry")
+    }
+
+    /// Both matmul programs against the oracle for one geometry: the f32
+    /// weight `[batch, ..]` (`b_len` permitting), the U8 one `b_len` long,
+    /// so that a batch-1 code matrix broadcasts over the batch.
+    fn check_matmul((batch, m, kdim, n): (usize, usize, usize, usize), b_len: usize, seed: u64) {
+        let (a, b, b_q) =
+            (data(batch * m * kdim, seed), data(b_len, seed + 1), codes(b_len, seed + 2));
+        let bias = data(n, seed + 3);
+        let b_batch = if b_len == kdim * n { 1 } else { batch };
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (geom, out) = (
+                MatMulGeom { batch, m, k: kdim, n, b_batch, transpose_a: ta, transpose_b: tb },
+                [batch, m, n],
+            );
+            let want =
+                (b_len == batch * kdim * n).then(|| k::matmul(&a, &b, batch, m, kdim, n, ta, tb));
+            for (has_bias, act) in EPILOGUES {
+                let bb = has_bias.then_some(bias.as_slice());
+                let case = format!(
+                    "{batch}x{m}x{kdim}x{n} ta={ta} tb={tb} b_len={b_len} bias={has_bias} {act:?}"
+                );
+                if let Some(want) = &want {
+                    let pl = matmul(&WEBGPU, &geom, None, false, fused((has_bias, act)), &out);
+                    assert_eq!(
+                        run(&pl, &[&a, &b, &bias]),
+                        bits(&epilogue(want.clone(), bb, act)),
+                        "matmul {case}"
+                    );
+                }
+                for p in params(if tb { 1 } else { 2 }, n, seed + 4) {
+                    let pl = matmul(&WEBGPU, &geom, Some(&p), false, quant((has_bias, act)), &out);
+                    let want =
+                        k::fused_matmul_quant(&a, &b_q, &p, bb, act, batch, m, kdim, n, ta, tb);
+                    assert_eq!(
+                        run(&pl, &[&a, &widen(&b_q), &bias]),
+                        bits(&want),
+                        "quant {case} {p:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every compute product program — conv, depthwise (multiplier 1 and 2) and matmul,
+    /// over f32 weights and U8 codes, fused and plain — on every pool and
+    /// every build of the conv and depthwise bodies, over
+    /// channel counts inside, across and past a block of 16, 8 or 4, and
+    /// padded, strided and dilated walks.
+    #[test]
+    fn own_pipelines_match_the_oracle_on_every_pool() {
+        let mut seed = 100;
+        for channels in [1, 3, 8, 17, 21, 35] {
+            for (pad, stride, dilation) in
+                [(Padding::Same, 1, 1), (Padding::Valid, 2, 1), (Padding::Same, 1, 2)]
+            {
+                seed += 10;
+                let walk =
+                    |depthwise, dims| geometry(depthwise, dims, (3, 3), stride, pad, dilation);
+                check_conv(&walk(false, (2, 7, 6, 3, channels)), seed);
+                check_depthwise(&walk(true, (2, 7, 6, channels, 1)), seed + 1);
+                check_depthwise(&walk(true, (2, 7, 6, channels, 2)), seed + 2);
+            }
+            check_matmul((2, 5, 7, channels), 2 * 7 * channels, seed + 3);
+        }
+    }
+
+    #[test]
+    fn conv_family_matches_the_oracle_bit_for_bit() {
+        let mut seed = 100;
+        for pad in [Padding::Same, Padding::Valid] {
+            for (stride, dilation) in [(1, 1), (2, 1), (1, 2)] {
+                // Out-channel counts around the blocks of 16, 8 and 4: below
+                // them, between them, exactly two blocks, two and a tail.
+                for oc in [1, 3, 17, 32, 35] {
+                    seed += 10;
+                    let dims = (2, 7, 6, 3, oc);
+                    check_conv(&geometry(false, dims, (3, 3), stride, pad, dilation), seed);
+                }
+            }
+        }
+        // Pointwise, a non-square filter, and an empty batch.
+        check_conv(&geometry(false, (1, 4, 4, 5, 70), (1, 1), 1, Padding::Same, 1), 7);
+        check_conv(&geometry(false, (1, 6, 5, 2, 4), (2, 3), 1, Padding::Same, 1), 8);
+        check_conv(&geometry(false, (0, 5, 5, 3, 4), (3, 3), 1, Padding::Same, 1), 9);
+    }
+
+    #[test]
+    fn depthwise_family_matches_the_oracle_bit_for_bit() {
+        let mut seed = 500;
+        for pad in [Padding::Same, Padding::Valid] {
+            for (stride, dilation) in [(1, 1), (2, 1), (1, 2)] {
+                for (ic, mul) in [(1, 1), (3, 1), (17, 1), (3, 2), (1, 3)] {
+                    seed += 10;
+                    let dims = (2, 7, 6, ic, mul);
+                    check_depthwise(&geometry(true, dims, (3, 3), stride, pad, dilation), seed);
+                }
+            }
+        }
+        check_depthwise(&geometry(true, (0, 5, 5, 3, 1), (3, 3), 1, Padding::Same, 1), 9);
+    }
+
+    #[test]
+    fn matmul_family_matches_the_oracle_bit_for_bit() {
+        let shapes = [(1, 1, 1, 1), (1, 5, 7, 3), (2, 4, 19, 17), (2, 3, 0, 4), (0, 3, 4, 5)];
+        for (seed, (batch, m, kdim, n)) in (900..).step_by(10).zip(shapes) {
+            // A per-batch weight and a batch-1 weight broadcast over the batch.
+            for b_len in [batch * kdim * n, kdim * n] {
+                check_matmul((batch, m, kdim, n), b_len, seed + b_len as u64);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_geometries_match_the_oracle(
+            batch in 1usize..3,
+            h in 1usize..9,
+            w in 1usize..9,
+            ic in 1usize..6,
+            fh in 1usize..4,
+            fw in 1usize..4,
+            oc in 1usize..40,
+            mul in 1usize..4,
+            stride in 1usize..3,
+            dilation in 1usize..3,
+            same in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let pad = if same == 1 { Padding::Same } else { Padding::Valid };
+            let conv = geometry(false, (batch, h, w, ic, oc), (fh, fw), stride, pad, dilation);
+            check_conv(&conv, seed);
+            let dw = geometry(true, (batch, h, w, ic, mul), (fh, fw), stride, pad, dilation);
+            check_depthwise(&dw, seed);
+        }
     }
 }

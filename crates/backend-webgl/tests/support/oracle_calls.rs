@@ -5,9 +5,9 @@
 //! `OneHot` indices. And the taped gradient of each product and pool whose
 //! backprop the adapter runs.
 //!
-//! Shared, by `#[path]`, between `webml-backend-webgpu`'s contract suite
-//! (every rung against `cpu`, on bits) and this crate's own tests (the
-//! half-precision profile, rank 9).
+//! Shared, as a module of each, by the contract suite (every rung against
+//! `cpu`, on bits) and `webgl_edges.rs` (the half-precision profile, rank
+//! 9).
 
 #![allow(dead_code)] // each including crate uses its own part
 

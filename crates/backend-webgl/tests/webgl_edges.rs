@@ -1,7 +1,7 @@
 //! The WebGL rung where the compute rungs do not go: the half-precision
 //! profile, texture packing switched off, and tensors above rank 8. The
 //! calls every rung runs on the f32 profile are checked against `cpu` in
-//! `webml-backend-webgpu`'s contract suite.
+//! the contract suite, `contract.rs`.
 
 #[path = "support/oracle_calls.rs"]
 mod oracle_calls;

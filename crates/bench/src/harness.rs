@@ -5,12 +5,13 @@ use std::sync::Arc;
 use std::time::Instant;
 use webml_backend_cpu::PlainJsBackend;
 use webml_backend_native::NativeBackend;
-use webml_backend_webgl::{GpuBackend, Rung, WebGl};
-use webml_backend_webgpu::WebGpu;
+use webml_backend_webgl::GpuBackend;
 use webml_core::backend::Backend;
 use webml_core::{Engine, Tensor};
 use webml_models::{Image, MobileNet, MobileNetConfig};
+use webml_webgl_sim::context::ContextConfig;
 use webml_webgl_sim::devices::DeviceProfile;
+use webml_webgl_sim::WEBGPU;
 
 /// The backend rows of Table 1 and their hardware analogues.
 ///
@@ -48,14 +49,13 @@ pub const CUDA_CLASS_MODEL_FACTOR: f64 = 24.0;
 /// on WebGL, compute dispatches on WebGPU.
 pub type ProgramCounter = Box<dyn Fn() -> u64>;
 
-/// A GPU backend on rung `R` over `profile`, and its program counter.
-fn gpu<R: Rung>(profile: DeviceProfile) -> (Arc<dyn Backend>, Option<ProgramCounter>)
-where
-    R::Config: Default,
-{
-    let backend = Arc::new(
-        GpuBackend::<R>::new(profile, R::Config::default()).expect("profile hosts the GPU API"),
-    );
+/// A GPU backend on the rung `config` names over `profile`, and its program
+/// counter.
+fn gpu(
+    profile: DeviceProfile,
+    config: ContextConfig,
+) -> (Arc<dyn Backend>, Option<ProgramCounter>) {
+    let backend = Arc::new(GpuBackend::new(profile, config).expect("profile hosts the GPU API"));
     let counted = backend.clone();
     (backend, Some(Box::new(move || counted.context().memory().programs_run)))
 }
@@ -91,16 +91,16 @@ impl TableBackend {
     /// A fresh engine with only this backend registered, and on the GPU
     /// rows the backend's program counter.
     pub fn engine(self) -> (Engine, Option<ProgramCounter>) {
+        let webgl = ContextConfig::default();
+        let webgpu = ContextConfig { caps: &WEBGPU, ..webgl };
         let (name, (backend, programs)): (&str, (Arc<dyn Backend>, _)) = match self {
             TableBackend::PlainJs => ("plainjs", (Arc::new(PlainJsBackend::new()), None)),
-            TableBackend::WebGlIntegrated => {
-                ("webgl", gpu::<WebGl>(DeviceProfile::intel_iris_pro()))
-            }
-            TableBackend::WebGlDiscrete => ("webgl", gpu::<WebGl>(DeviceProfile::gtx_1080())),
+            TableBackend::WebGlIntegrated => ("webgl", gpu(DeviceProfile::intel_iris_pro(), webgl)),
+            TableBackend::WebGlDiscrete => ("webgl", gpu(DeviceProfile::gtx_1080(), webgl)),
             TableBackend::WebGpuIntegrated => {
-                ("webgpu", gpu::<WebGpu>(DeviceProfile::intel_iris_pro()))
+                ("webgpu", gpu(DeviceProfile::intel_iris_pro(), webgpu))
             }
-            TableBackend::WebGpuDiscrete => ("webgpu", gpu::<WebGpu>(DeviceProfile::gtx_1080())),
+            TableBackend::WebGpuDiscrete => ("webgpu", gpu(DeviceProfile::gtx_1080(), webgpu)),
             TableBackend::NativeSingleThread => {
                 ("native1", (Arc::new(NativeBackend::with_threads("native1", 1)), None))
             }

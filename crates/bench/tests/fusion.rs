@@ -5,15 +5,23 @@
 use std::sync::{Arc, Mutex};
 use webml_backend_cpu::PlainJsBackend;
 use webml_backend_native::NativeBackend;
-use webml_backend_webgl::{GpuBackend, Rung, WebGl, WebGlBackend, WebGlConfig};
-use webml_backend_webgpu::WebGpu;
+use webml_backend_webgl::{GpuBackend, WebGlBackend, WebGlConfig};
 use webml_bench::harness::{mobilenet_workload, tiny_mobilenet_config};
 use webml_core::backend::{Backend, BinaryOp, UnaryOp};
 use webml_core::conv_util::Padding;
 use webml_core::cpu::CpuBackend;
 use webml_core::{ops, Engine, FusedStep, QuantParams, Tensor};
 use webml_webgl_sim::devices::DeviceProfile;
-use webml_webgl_sim::FaultPlan;
+use webml_webgl_sim::{FaultPlan, WEBGPU};
+
+/// The two rungs' configs: WebGL, and WebGPU.
+fn webgl() -> WebGlConfig {
+    WebGlConfig::default()
+}
+
+fn webgpu() -> WebGlConfig {
+    WebGlConfig { caps: &WEBGPU, ..Default::default() }
+}
 
 /// Deterministic pseudo-random values in roughly [-2, 2] (xorshift).
 fn data(n: usize, seed: u64) -> Vec<f32> {
@@ -240,30 +248,27 @@ static FALLBACK_COUNTERS: Mutex<()> = Mutex::new(());
 #[test]
 fn fused_kernels_fall_back_when_shader_compile_is_blocked() {
     let _counters = FALLBACK_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    fused_shaders_blocked::<WebGl>();
-    fused_shaders_blocked::<WebGpu>();
+    fused_shaders_blocked(webgl());
+    fused_shaders_blocked(webgpu());
 }
 
-fn fused_shaders_blocked<R: Rung>()
-where
-    R::Config: Default,
-{
+fn fused_shaders_blocked(config: WebGlConfig) {
     let plan = FaultPlan::none()
         .block_shader("FusedMatMul")
         .block_shader("FusedConv2D")
         .block_shader("FusedDepthwiseConv2D")
         .block_shader("FusedElementwise");
-    let b = GpuBackend::<R>::with_faults(DeviceProfile::intel_iris_pro(), Default::default(), plan)
+    let b = GpuBackend::with_faults(DeviceProfile::intel_iris_pro(), config, plan)
         .expect("f32 profile");
     let b = Arc::new(b);
     // `cpu` below, so that a refusal the engine degraded would show.
     let e = Engine::new();
     e.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
-    e.register_backend(R::CAPS.api, b.clone(), 1);
+    e.register_backend(config.caps.api, b.clone(), 1);
     // Bits equal to fusion-off, and the refused run — its composition, and
     // any dequantized weight — adds one tensor and one buffer: its output.
     let check = |label: &str, f: &dyn Fn() -> Tensor| {
-        let label = format!("{} {label}", R::CAPS.api);
+        let label = format!("{} {label}", config.caps.api);
         let before = (e.num_tensors(), b.memory().num_buffers);
         let y = f();
         let after = (e.num_tensors(), b.memory().num_buffers);
@@ -305,7 +310,7 @@ where
     // Quantized weights: the blocked dequant-free program falls back on
     // this same backend (dequantize, then the f32 path above), which is
     // exactly what the fusion-disabled run computes.
-    let fallbacks = webml_telemetry::counter(&format!("{}.fused_fallbacks_total", R::CAPS.api));
+    let fallbacks = webml_telemetry::counter(&format!("{}.fused_fallbacks_total", config.caps.api));
     let before = fallbacks.get();
     let codes =
         |n: usize, step: usize| -> Vec<u8> { (0..n).map(|i| (i * step % 256) as u8).collect() };
@@ -397,20 +402,18 @@ fn product(e: &Engine, kernel: &str, fused: bool) -> Vec<u32> {
     y.unwrap().to_f32_vec().unwrap().iter().map(|v| v.to_bits()).collect()
 }
 
-/// A backend on rung `R` whose driver rejects the plain product programs
-/// (blocking is by name prefix: `MatMul` blocks `MatMulPacked` and
-/// `MatMulTiled`, not `FusedMatMul`), above `cpu` on a fresh engine.
-fn plain_programs_blocked<R: Rung>() -> (Engine, Arc<GpuBackend<R>>)
-where
-    R::Config: Default,
-{
+/// A backend on the rung `config` names whose driver rejects the plain
+/// product programs (blocking is by name prefix: `MatMul` blocks
+/// `MatMulPacked` and `MatMulTiled`, not `FusedMatMul`), above `cpu` on a
+/// fresh engine.
+fn plain_programs_blocked(config: WebGlConfig) -> (Engine, Arc<GpuBackend>) {
     let plan = PRODUCTS.into_iter().fold(FaultPlan::none(), FaultPlan::block_shader);
-    let b = GpuBackend::<R>::with_faults(DeviceProfile::intel_iris_pro(), Default::default(), plan)
+    let b = GpuBackend::with_faults(DeviceProfile::intel_iris_pro(), config, plan)
         .expect("f32 profile");
     let b = Arc::new(b);
     let e = Engine::new();
     e.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
-    e.register_backend(R::CAPS.api, b.clone(), 1);
+    e.register_backend(config.caps.api, b.clone(), 1);
     (e, b)
 }
 
@@ -427,28 +430,25 @@ fn fused_kernels_fall_back_only_from_fused_programs() {
     let cpu = Engine::new();
     cpu.register_backend("cpu", Arc::new(CpuBackend::new()), 0);
     for kernel in PRODUCTS {
-        let (e, _) = plain_programs_blocked::<WebGl>();
+        let (e, _) = plain_programs_blocked(webgl());
         assert_eq!(product(&e, kernel, false), product(&cpu, kernel, false), "{kernel}");
         let events = e.degradation_events();
         assert_eq!(events.len(), 1, "{kernel}: {events:?}");
         assert_eq!((events[0].kernel, events[0].to_backend.as_str()), (kernel, "cpu"));
     }
 
-    fn fused_stay_on_device<R: Rung>(cpu: &Engine)
-    where
-        R::Config: Default,
-    {
-        let (e, b) = plain_programs_blocked::<R>();
+    fn fused_stay_on_device(config: WebGlConfig, cpu: &Engine) {
+        let (e, b) = plain_programs_blocked(config);
         for kernel in PRODUCTS {
-            let label = format!("{} fused {kernel}", R::CAPS.api);
+            let label = format!("{} fused {kernel}", config.caps.api);
             assert_eq!(product(&e, kernel, true), product(cpu, kernel, true), "{label}");
         }
-        assert_eq!(b.context().fault_stats().compile_failures, 0, "{}", R::CAPS.api);
-        assert_eq!((e.degradations(), e.backend_name()), (0, R::CAPS.api.to_string()));
+        assert_eq!(b.context().fault_stats().compile_failures, 0, "{}", config.caps.api);
+        assert_eq!((e.degradations(), e.backend_name()), (0, config.caps.api.to_string()));
     }
     let fallbacks = webml_telemetry::counter("webgpu.fused_fallbacks_total");
     let before = fallbacks.get();
-    fused_stay_on_device::<WebGl>(&cpu);
-    fused_stay_on_device::<WebGpu>(&cpu);
+    fused_stay_on_device(webgl(), &cpu);
+    fused_stay_on_device(webgpu(), &cpu);
     assert_eq!(fallbacks.get(), before, "no fused program fell back");
 }

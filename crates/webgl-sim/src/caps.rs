@@ -4,9 +4,11 @@
 //! work groups, shared memory, linear buffers, cheaper dispatch — not by
 //! execution model. The device core ([`crate::queue`], [`crate::context`])
 //! is therefore written once and reads every per-API difference from one
-//! [`Capabilities`] value. Descriptors are constants: [`WEBGL`] lives here,
-//! the compute rung's in `webml-webgpu-sim`, and a context is handed one at
-//! creation. Nothing in a descriptor is user-settable.
+//! [`Capabilities`] value. Descriptors are constants, [`WEBGL`] and
+//! [`WEBGPU`], and a context is handed one at creation
+//! ([`ContextConfig::caps`](crate::context::ContextConfig::caps)), so a
+//! rung is a value: a third API would be a third constant. Nothing in a
+//! descriptor is user-settable.
 
 use crate::devices::DeviceProfile;
 
@@ -71,6 +73,30 @@ pub const WEBGL: Capabilities = Capabilities {
     pool_category: "texture-pool",
     alloc_instant: "texture_alloc",
     recycle_instant: "texture_recycle",
+};
+
+/// WebGPU: the compute API the paper's Sec 4.3 predicts. **Linear storage
+/// buffers** instead of float textures (no 2-D layout compilation, no texel
+/// packing; quantized weights still live as one-byte codes), **workgroup
+/// shared memory** (a kernel's declared reuse multiplies its occupancy), a
+/// dispatch and a fresh allocation at a quarter and a third of WebGL's cost
+/// (command encoding without rasterizer, viewport or framebuffer state; no
+/// image layout or sampler state), no paging tier, and timestamp queries as
+/// a core feature. The cheaper dispatch and allocation are where most of
+/// the webgpu-vs-webgl win on small kernels comes from, shared memory where
+/// the win on large ones does.
+pub const WEBGPU: Capabilities = Capabilities {
+    api: "webgpu",
+    storage: Storage::Linear,
+    shared_memory: true,
+    dispatch_overhead_ns: 2_000,
+    alloc_overhead_ns: 20_000,
+    paging: false,
+    timestamp_queries: true,
+    device_thread: "webgpu-device",
+    pool_category: "buffer-pool",
+    alloc_instant: "buffer_alloc",
+    recycle_instant: "buffer_recycle",
 };
 
 impl Capabilities {

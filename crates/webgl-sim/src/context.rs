@@ -23,6 +23,9 @@ use std::sync::Arc;
 /// Context configuration (the tfjs environment flags).
 #[derive(Debug, Clone, Copy)]
 pub struct ContextConfig {
+    /// The GPU API the context serves ([`WEBGL`] by default): the one
+    /// choice of rung.
+    pub caps: &'static Capabilities,
     /// Use RGBA texel packing for programs that provide a packed body
     /// (paper Sec 3.9, 1.3-1.4x on PoseNet).
     pub packing: bool,
@@ -37,6 +40,7 @@ pub struct ContextConfig {
 impl Default for ContextConfig {
     fn default() -> Self {
         ContextConfig {
+            caps: &WEBGL,
             packing: true,
             squeeze_layout: true,
             paging: PagingPolicy::disabled(),
@@ -185,7 +189,6 @@ impl FenceHandle {
 
 /// The host-side GPGPU context over a simulated device.
 pub struct GpgpuContext {
-    caps: &'static Capabilities,
     profile: DeviceProfile,
     config: ContextConfig,
     /// Process-unique id, stamped on the fences this context mints.
@@ -210,30 +213,22 @@ pub struct GpgpuContext {
 }
 
 impl GpgpuContext {
-    /// Create a WebGL context on `profile`.
+    /// Create a context of the API `config.caps` describes on `profile`,
+    /// injecting faults according to `plan`. One seedable [`FaultPlan`]
+    /// vocabulary serves every API, so a soak seed schedules the same faults
+    /// on either rung of the degradation ladder.
     ///
     /// # Errors
-    /// [`DeviceError::Unsupported`] when the device lacks float-texture
-    /// support — callers should fall back to the CPU backend, as
-    /// TensorFlow.js does.
-    pub fn new(profile: DeviceProfile, config: ContextConfig) -> Result<GpgpuContext, DeviceError> {
-        GpgpuContext::on(&WEBGL, profile, config, FaultPlan::none())
-    }
-
-    /// Create a context of the API `caps` describes, injecting faults
-    /// according to `plan`. One seedable [`FaultPlan`] vocabulary serves
-    /// every API, so a soak seed schedules the same faults on either rung of
-    /// the degradation ladder.
-    ///
-    /// # Errors
-    /// [`DeviceError::Unsupported`] when `profile` cannot host the API.
-    pub fn on(
-        caps: &'static Capabilities,
+    /// [`DeviceError::Unsupported`] when `profile` cannot host the API (no
+    /// float textures, no compute API) — callers should fall back down the
+    /// ladder, as TensorFlow.js does.
+    pub fn new(
         profile: DeviceProfile,
         config: ContextConfig,
         plan: FaultPlan,
     ) -> Result<GpgpuContext, DeviceError> {
         static NEXT_CONTEXT: AtomicU64 = AtomicU64::new(1);
+        let caps = config.caps;
         if !caps.supported_on(&profile) {
             return Err(DeviceError::Unsupported { device: profile.name.clone(), api: caps.api });
         }
@@ -246,7 +241,6 @@ impl GpgpuContext {
             .spawn(move || device_loop(rx, worker_shared, caps, &device, paging))
             .expect("spawn device thread");
         Ok(GpgpuContext {
-            caps,
             profile,
             config,
             id: NEXT_CONTEXT.fetch_add(1, Ordering::Relaxed),
@@ -284,7 +278,7 @@ impl GpgpuContext {
         len: usize,
         format: TextureFormat,
     ) -> Result<(Option<Arc<TextureLayout>>, Geometry), DeviceError> {
-        match self.caps.storage {
+        match self.config.caps.storage {
             Storage::Texture => {
                 let layout = TextureLayout::compile(
                     shape,
@@ -369,7 +363,7 @@ impl GpgpuContext {
         self.flush();
         let requested = rows * cols * format.texel_bytes();
         let resident = self.shared.bytes_gpu.load(Ordering::Relaxed);
-        let paging = self.caps.paging && self.config.paging.enabled;
+        let paging = self.config.caps.paging && self.config.paging.enabled;
         match self.faults.alloc_blocked(requested, resident, paging) {
             Some(limit) => Err(DeviceError::Oom { requested, limit }),
             None => Ok(()),
@@ -678,8 +672,7 @@ impl Drop for GpgpuContext {
 
 /// What only a texture device does. The behaviours every descriptor shares
 /// (round trips, fences, recycling, loss and recovery, injected faults,
-/// timing) are one contract suite in `webml-webgpu-sim`, the crate that
-/// sees every descriptor.
+/// timing) are one contract suite, `tests/descriptors.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,19 +682,23 @@ mod tests {
             paging: PagingPolicy { enabled: true, threshold_bytes },
             ..Default::default()
         };
-        GpgpuContext::on(&WEBGL, DeviceProfile::intel_iris_pro(), config, plan).unwrap()
+        GpgpuContext::new(DeviceProfile::intel_iris_pro(), config, plan).unwrap()
+    }
+
+    fn webgl(profile: DeviceProfile) -> GpgpuContext {
+        GpgpuContext::new(profile, ContextConfig::default(), FaultPlan::none()).unwrap()
     }
 
     #[test]
     fn f16_device_rounds_uploads() {
-        let c = GpgpuContext::new(DeviceProfile::ios_safari(), ContextConfig::default()).unwrap();
+        let c = webgl(DeviceProfile::ios_safari());
         let h = c.upload(vec![1e-8, 1.0], &[2]).unwrap();
         assert_eq!(c.read_sync(&h).unwrap(), vec![0.0, 1.0]);
     }
 
     #[test]
     fn handles_carry_the_compiled_layout_and_relayout_keeps_the_allocation() {
-        let c = GpgpuContext::new(DeviceProfile::intel_iris_pro(), ContextConfig::default()).unwrap();
+        let c = webgl(DeviceProfile::intel_iris_pro());
         let codes = c.upload_quantized(&[0; 256], &[256]).unwrap();
         let layout = codes.layout.as_ref().expect("texture storage");
         assert_eq!((layout.format, layout.byte_size()), (TextureFormat::R8, 256));
@@ -715,13 +712,13 @@ mod tests {
         assert_eq!(c.read_sync(&c.run(row1, &[&view]).unwrap()).unwrap(), vec![3.0, 4.0, 5.0]);
         // A tensor beyond the device's texture limit does not lay out.
         let tiny = DeviceProfile { max_texture_size: 4, ..DeviceProfile::intel_iris_pro() };
-        let c = GpgpuContext::new(tiny, ContextConfig::default()).unwrap();
+        let c = webgl(tiny);
         assert!(matches!(c.upload(vec![0.0; 17], &[17]), Err(DeviceError::Layout(_))));
     }
 
     #[test]
     fn samplers_see_logical_values_not_a_recycled_textures_padding() {
-        let c = GpgpuContext::new(DeviceProfile::intel_iris_pro(), ContextConfig::default()).unwrap();
+        let c = webgl(DeviceProfile::intel_iris_pro());
         // A 4x4 texture full of 9s goes back to the recycler...
         c.dispose(&c.upload(vec![9.0; 16], &[16]).unwrap());
         // ...and comes out again for a 13-value output, 3 stale slots beyond.

@@ -31,8 +31,8 @@
 //!
 //! — and driven by a **capability descriptor** ([`caps`]): storage kind,
 //! shared memory, dispatch and allocation overhead, paging tier, timer-query
-//! rule. [`caps::WEBGL`] is the descriptor of this crate's own API; what it
-//! selects are the WebGL-only constraints real WebGL imposes:
+//! rule. A context's [`ContextConfig::caps`] picks one. [`caps::WEBGL`]
+//! selects the WebGL-only constraints real WebGL imposes:
 //!
 //! - **Float textures** are the only storage ([`texture`]): 2-D grids of
 //!   texels with 1 (`R`) or 4 (`RGBA`) float channels, at 32- or 16-bit
@@ -41,7 +41,8 @@
 //!   from the physical 2-D texture, including the squeeze optimization for
 //!   unit dimensions the paper credits with a 1.3x speedup.
 //!
-//! `webml-webgpu-sim` adds the compute rung as a second descriptor.
+//! [`caps::WEBGPU`], the second descriptor, is the compute rung: linear
+//! storage buffers, workgroup shared memory, cheaper dispatch.
 
 #![warn(missing_docs)]
 
@@ -58,7 +59,7 @@ pub mod recycler;
 pub mod shader;
 pub mod texture;
 
-pub use caps::{Capabilities, Storage, WEBGL};
+pub use caps::{Capabilities, Storage, WEBGL, WEBGPU};
 pub use context::{ContextConfig, DeviceError, FenceHandle, GpgpuContext, GpuMemoryStats, Handle};
 pub use fault::{ContextLossEvent, FaultPlan, FaultState, FaultStats};
 pub use devices::{DeviceClass, DeviceProfile, GlVersion};

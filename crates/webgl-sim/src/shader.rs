@@ -170,6 +170,20 @@ impl Kernel {
         Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
     }
 
+    /// A compute kernel whose body computes a run of outputs at a time from
+    /// whole linear buffers (see [`ComputeBody`]), its runs starting on
+    /// multiples of `grain`; a `grain` of the output's size runs it once,
+    /// whole.
+    pub fn compute(
+        name: &'static str,
+        out_shape: Vec<usize>,
+        grain: usize,
+        run: impl Fn(&[&[f32]], usize, &mut [f32]) + Send + Sync + 'static,
+    ) -> Kernel {
+        let body = KernelBody::Compute { run: Arc::new(run), grain };
+        Kernel { name, out_shape, body, cost_per_element: 1, shared_reuse: 1 }
+    }
+
     /// An unpacked fragment kernel: `main()` runs per output element with
     /// its flat index and N-D coordinates, returning the value for
     /// `setOutput`.

@@ -7,8 +7,8 @@
 //! simulation of the browser GPGPU execution model the paper repurposes for
 //! numeric computing: one device core ([`webgl_sim`]) that a capability
 //! descriptor turns into WebGL or into the WebGPU-class compute API of the
-//! paper's Sec 4.3 ([`webgpu_sim`]), and one GPU backend
-//! ([`backend_webgl::GpuBackend`]) over a kernel match per API.
+//! paper's Sec 4.3, and one GPU backend ([`backend_webgl::GpuBackend`]) over
+//! one kernel match for both.
 //!
 //! ## Backends
 //!
@@ -30,10 +30,11 @@
 //! browser-side degradation ladder a lost webgpu device falls back to
 //! webgl, then cpu (`webgpu → webgl → cpu`), and
 //! [`Engine::promote_backend`] climbs back after canary re-admission. The
-//! two GPU rows are the same backend type on two rungs
-//! ([`backend_webgl::WebGl`], [`backend_webgpu::WebGpu`]), and the three
-//! host rows are the same backend type ([`core::host::HostBackend`]: store,
-//! kernel timer, thread pool, free list, one `run`) over three kernel sets
+//! two GPU rows are the same backend type on two rungs, and a rung is a
+//! value: the capability descriptor its context config names
+//! ([`webgl_sim::WEBGL`], [`webgl_sim::WEBGPU`]). The three host rows are
+//! the same backend type ([`core::host::HostBackend`]: store, kernel timer,
+//! thread pool, free list, one `run`) over three kernel sets
 //! ([`backend_cpu::PlainJs`], [`core::cpu::Reference`],
 //! [`backend_native::Native`]).
 //!

@@ -11,6 +11,7 @@ use webml::core::backend::Backend;
 use webml::models::{Image, MobileNet, MobileNetConfig};
 use webml::webgl_sim::devices::{self, DeviceProfile, Platform};
 use webml::webgl_sim::pager::PagingPolicy;
+use webml::webgpu_sim::WebGpuConfig;
 use webml::{ops, Engine};
 
 fn paged_engine(threshold_bytes: usize) -> Engine {
@@ -120,10 +121,12 @@ fn priced_pass(backend: Arc<dyn Backend>) -> u64 {
 #[test]
 fn device_time_is_priced_not_measured() {
     let webgl = || -> Arc<dyn Backend> {
-        Arc::new(WebGlBackend::new(DeviceProfile::intel_iris_pro(), Default::default()).unwrap())
+        let config = WebGlConfig::default();
+        Arc::new(WebGlBackend::new(DeviceProfile::intel_iris_pro(), config).unwrap())
     };
     let webgpu = || -> Arc<dyn Backend> {
-        Arc::new(WebGpuBackend::new(DeviceProfile::intel_iris_pro(), Default::default()).unwrap())
+        let config = WebGpuConfig::default();
+        Arc::new(WebGpuBackend::new(DeviceProfile::intel_iris_pro(), config).unwrap())
     };
     for make in [webgl as fn() -> _, webgpu] {
         let alone = priced_pass(make());
