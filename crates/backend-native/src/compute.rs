@@ -25,7 +25,7 @@ use webml_core::host::Host;
 use webml_core::kernels as reference;
 use webml_core::quant::QuantParams;
 use webml_core::shape::Shape;
-use webml_core::tile::{self, gemm_column_block, Lhs};
+use webml_core::tile::{self, gemm_column_block, Lhs, RowMajor, Transposed};
 use webml_core::{hot_loop, with_unary_fn};
 
 /// [`with_unary_fn!`] for a binary op: `$f` is `BinaryOp::apply` with the op
@@ -141,9 +141,11 @@ fn matmul_impl(
         let b_mat = gather_matrix(&b[bi * k * n..(bi + 1) * k * n], k, n, transpose_b, host);
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
         if transpose_a {
-            tiled_product(codegen, Transposed { a: a_b, m }, &b_mat, m, n, epilogue, host, out_b);
+            let a_b = Transposed { data: a_b, rows: m };
+            tiled_product(codegen, a_b, &b_mat, m, n, epilogue, host, out_b);
         } else {
-            tiled_product(codegen, RowMajor { a: a_b, k }, &b_mat, m, n, epilogue, host, out_b);
+            let a_b = RowMajor { data: a_b, cols: k };
+            tiled_product(codegen, a_b, &b_mat, m, n, epilogue, host, out_b);
         }
         give_back(b_mat, host);
     }
@@ -172,37 +174,6 @@ fn tiled_product(
             epilogue(codegen, chunk, n, bias, activation);
         }
     });
-}
-
-/// `A` stored row-major, `[m, k]`.
-#[derive(Clone, Copy)]
-struct RowMajor<'a> {
-    a: &'a [f32],
-    k: usize,
-}
-
-impl Lhs for RowMajor<'_> {
-    #[inline(always)]
-    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
-        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i + r) * self.k..][..self.k]);
-        (0..self.k).map(move |p| std::array::from_fn(|r| rows[r][p]))
-    }
-}
-
-/// `A` stored transposed, `[k, m]` (a filter or weight gradient's `colsᵀ`
-/// or `xᵀ`): the `R` values a tile takes at each `p` lie next to each other,
-/// `a[p·m + i ..][..R]`.
-#[derive(Clone, Copy)]
-struct Transposed<'a> {
-    a: &'a [f32],
-    m: usize,
-}
-
-impl Lhs for Transposed<'_> {
-    #[inline(always)]
-    fn rows<const R: usize>(self, i: usize) -> impl Iterator<Item = [f32; R]> {
-        self.a.chunks_exact(self.m).map(move |column| column[i..i + R].try_into().expect("R rows"))
-    }
 }
 
 hot_loop! {
@@ -248,7 +219,7 @@ hot_loop! {
             }
             return;
         }
-        let mut j = 0;
+        let (b, mut j) = (RowMajor { data: b, cols: n }, 0);
         while j + 16 <= n {
             if WIDE {
                 gemm_column_block::<4, 16>(a, i0, b, n, j, out);
@@ -575,10 +546,10 @@ pub fn fused_matmul_quant(
         };
         let out_b = &mut out[bi * m * n..(bi + 1) * m * n];
         if transpose_a {
-            let a_b = Transposed { a: a_b, m };
+            let a_b = Transposed { data: a_b, rows: m };
             quant_product(codegen, a_b, b_mat, params, m, n, epilogue, host, out_b);
         } else {
-            let a_b = RowMajor { a: a_b, k };
+            let a_b = RowMajor { data: a_b, cols: k };
             quant_product(codegen, a_b, b_mat, params, m, n, epilogue, host, out_b);
         }
     }
@@ -1305,10 +1276,11 @@ mod tests {
                             for i0 in [0, m / 2] {
                                 let want = &want[i0 * n..];
                                 let mut got = vec![f32::NAN; want.len()];
-                                gemm_rows(cg, RowMajor { a: &a, k }, i0, &b, n, &mut got);
+                                gemm_rows(cg, RowMajor { data: &a, cols: k }, i0, &b, n, &mut got);
                                 same_values(&got, want, &format!("{cg:?} {case} from row {i0}"));
                                 got.fill(f32::NAN);
-                                gemm_rows(cg, Transposed { a: &a_t, m }, i0, &b, n, &mut got);
+                                let a_t = Transposed { data: &a_t, rows: m };
+                                gemm_rows(cg, a_t, i0, &b, n, &mut got);
                                 let what = format!("{cg:?} {case} Aᵀ from row {i0}");
                                 same_values(&got, want, &what);
                             }

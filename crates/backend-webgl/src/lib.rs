@@ -570,13 +570,15 @@ mod tests {
                 };
                 cases.push((Box::new(depthwise), vec![x, w]));
             }
-            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let layouts = [(false, false), (false, true), (true, false), (true, true)];
+            let builds = |layout| Codegen::all().into_iter().map(move |cg| (layout, cg));
+            for ((ta, tb), cg) in layouts.into_iter().flat_map(builds) {
                 let a = if ta { vec![2, 7, 5] } else { vec![2, 5, 7] };
                 let b = if tb { vec![2, channels, 7] } else { vec![2, 7, channels] };
                 let geom = MatMulGeom::of(&Shape::new(a.clone()), &Shape::new(b.clone()), ta, tb);
                 let out = [2, 5, channels];
                 let matmul =
-                    move |packed, epi| programs::matmul(&WEBGL, &geom, None, packed, epi, &out);
+                    move |packed, epi| programs::matmul(&WEBGL, cg, &geom, None, packed, epi, &out);
                 cases.push((Box::new(matmul), vec![a, b]));
             }
         }

@@ -15,22 +15,23 @@
 //! Every other call goes to the [`crate::oracle`] adapter. Every builder
 //! takes the output dims [`KernelCall::output`] gave.
 //!
-//! The conv and depthwise bodies are hot loops compiled for the baseline
-//! and for AVX2 ([`webml_core::codegen`]); their builders take the build to
-//! run (`Codegen::detect()` from [`kernel`], each in turn in the tests).
-//! They tile the output pixels whose every filter tap lies inside the
-//! input, in spans of a multiple of 4 whole pixels that may cross output
-//! rows (every pixel of a 1×1 conv): a conv's through the register tile
-//! `backend-native`'s products use ([`webml_core::tile::gemm_tile`]), a
-//! depthwise conv's through a tile of its own of the same shape. Every
-//! other pixel — one with a tap on the padding, a part-pixel at either end
-//! of a run, one left over from a span — walks its in-bounds taps alone.
-//! Either way each output has the bits of `cpu`'s: it starts at 0, adds its
-//! products in the reference's order, multiplies no padding tap, and its U8
-//! `Σ x` comes from the same walk; the epilogue (`s·Σxq + m·Σx`, then
-//! `BinaryOp::Add` bias, then `UnaryOp::apply`) goes through the scalar
-//! paths the `cpu` backend composes. [`matmul_run`] keeps its
-//! row-at-a-time walk. A compute body's runs may start on any output.
+//! The three run bodies are hot loops compiled for the baseline and for
+//! AVX2 ([`webml_core::codegen`]); their builders take the build to run
+//! (`Codegen::detect()` from [`kernel`], each in turn in the tests). Every
+//! matmul and conv output comes from the register tile `backend-native`'s
+//! products use ([`webml_core::tile::gemm_tile`]): a matmul's whole rows in
+//! tiles of 4 within a batch; a conv's pixels whose every filter tap lies
+//! inside the input in spans of a multiple of 4 whole pixels that may cross
+//! output rows (every pixel of a 1×1 conv); and every other row or pixel —
+//! one with a tap on the padding, a part at either end of a run, one left
+//! over from a span — as a tile of one row over its own outputs and, for a
+//! pixel, its in-bounds taps alone. A depthwise conv has a tile of its own
+//! of the same shape. Either way each output has the bits of `cpu`'s: it
+//! starts at 0, adds its products in the reference's order, multiplies no
+//! padding tap, and its U8 `Σ x` comes from the same walk; the epilogue
+//! (`s·Σxq + m·Σx`, then `BinaryOp::Add` bias, then `UnaryOp::apply`) goes
+//! through the scalar paths the `cpu` backend composes, once per span
+//! ([`epilogue`]). A compute body's runs may start on any output.
 
 use crate::oracle;
 use std::ops::Range;
@@ -40,7 +41,7 @@ use webml_core::conv_util::Conv2dInfo;
 use webml_core::error::Result;
 use webml_core::hot_loop;
 use webml_core::quant::QuantParams;
-use webml_core::tile::{epilogue, gemm_tile, Lhs};
+use webml_core::tile::{epilogue, gemm_tile, Lhs, Rhs, RowMajor, Transposed};
 use webml_webgl_sim::caps::{Capabilities, Storage};
 use webml_webgl_sim::shader::{Kernel, Samplers};
 
@@ -74,7 +75,7 @@ pub fn kernel(
         C::MatMul { transpose_a, transpose_b, epilogue } => {
             let (a, b) = (operands[0].shape, operands[1].shape);
             let geom = MatMulGeom::of(a, b, *transpose_a, *transpose_b);
-            matmul(caps, &geom, quant(), packed, *epilogue, out)
+            matmul(caps, Codegen::detect(), &geom, quant(), packed, *epilogue, out)
         }
         C::Conv2d { info, epilogue } => {
             conv2d(caps, Codegen::detect(), info, quant(), packed, *epilogue, out)
@@ -212,123 +213,6 @@ fn bias_of<'a>(s: &Samplers<'a>, has_bias: bool) -> Option<&'a [f32]> {
 /// one; then the activation.
 pub type Finish<'a> = (Option<&'a [(f32, f32)]>, Option<&'a [f32]>, Option<UnaryOp>);
 
-/// Cut the run `out`, which starts at flat output `start`, into the channel
-/// runs of consecutive pixels (or rows) of `channels` outputs each:
-/// `each(pixel, first channel, its outputs)`. A run may begin or end inside
-/// a pixel, wherever the executor cut the output.
-#[inline(always)]
-fn pixel_runs(
-    channels: usize,
-    start: usize,
-    out: &mut [f32],
-    mut each: impl FnMut(usize, usize, &mut [f32]),
-) {
-    let (mut pix, mut ch0) = (start / channels, start % channels);
-    let mut rest = out;
-    while !rest.is_empty() {
-        let len = (channels - ch0).min(rest.len());
-        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        each(pix, ch0, run);
-        (pix, ch0, rest) = (pix + 1, 0, tail);
-    }
-}
-
-/// A product program's accumulation over one pixel (or row) whose index
-/// math is already resolved: `block::<W>(ch)` sums output channels (or
-/// columns) `ch .. ch + W`, each in its own accumulator from 0 with the
-/// products added in the per-element body's order, so every output has
-/// that body's bits.
-trait Accumulate {
-    fn block<const W: usize>(&self, ch: usize) -> [f32; W];
-}
-
-/// One `Σ x` shared by every channel: a conv pixel's or a matmul row's.
-impl Accumulate for f32 {
-    #[inline(always)]
-    fn block<const W: usize>(&self, _: usize) -> [f32; W] {
-        [*self; W]
-    }
-}
-
-/// A product over U8 codes in the oracle's factored form: `s·Σxq + m·Σx`
-/// per channel, `codes` summing `Σ x·q` and `sum_x` the channel's `Σ x`.
-struct Factored<'a, Q, X> {
-    codes: &'a Q,
-    sum_x: X,
-    affine: &'a [(f32, f32)],
-}
-
-impl<Q: Accumulate, X: Accumulate> Accumulate for Factored<'_, Q, X> {
-    #[inline(always)]
-    fn block<const W: usize>(&self, ch: usize) -> [f32; W] {
-        let (mut q, x) = (self.codes.block::<W>(ch), self.sum_x.block::<W>(ch));
-        let affine: &[(f32, f32); W] = self.affine[ch..ch + W].try_into().expect("W channels");
-        for ((v, &(s, mn)), xv) in q.iter_mut().zip(affine).zip(x) {
-            *v = s * *v + mn * xv;
-        }
-        q
-    }
-}
-
-/// One pixel's (or row's) run of outputs from channel `ch0`: in blocks of 16
-/// channels, then 8, then 4, then one at a time, so the accumulators of a
-/// block stay in registers whatever the run's length; then the bias and the
-/// activation over the run.
-#[inline(always)]
-fn fill_channels(
-    acc: &impl Accumulate,
-    (bias, activation): (Option<&[f32]>, Option<UnaryOp>),
-    ch0: usize,
-    out: &mut [f32],
-) {
-    let mut done = 0;
-    while out.len() - done >= 16 {
-        out[done..done + 16].copy_from_slice(&acc.block::<16>(ch0 + done));
-        done += 16;
-    }
-    if out.len() - done >= 8 {
-        out[done..done + 8].copy_from_slice(&acc.block::<8>(ch0 + done));
-        done += 8;
-    }
-    if out.len() - done >= 4 {
-        out[done..done + 4].copy_from_slice(&acc.block::<4>(ch0 + done));
-        done += 4;
-    }
-    for (ch, v) in (ch0 + done..).zip(&mut out[done..]) {
-        *v = acc.block::<1>(ch)[0];
-    }
-    if let Some(bias) = bias {
-        for (v, &b) in out.iter_mut().zip(&bias[ch0..]) {
-            *v = BinaryOp::Add.apply(*v, b);
-        }
-    }
-    if let Some(act) = activation {
-        for v in out.iter_mut() {
-            *v = act.apply(*v);
-        }
-    }
-}
-
-/// [`fill_channels`] through a product's whole epilogue: over U8 codes the
-/// accumulators of `codes` are `Σ x·q`, factored with `sum_x()`, the pixel's
-/// (or row's) `Σ x`, which is only computed then.
-#[inline(always)]
-fn fill_product<X: Accumulate>(
-    codes: &impl Accumulate,
-    sum_x: impl FnOnce() -> X,
-    (affine, bias, activation): Finish<'_>,
-    ch: usize,
-    out: &mut [f32],
-) {
-    match affine {
-        None => fill_channels(codes, (bias, activation), ch, out),
-        Some(affine) => {
-            let factored = Factored { codes, sum_x: sum_x(), affine };
-            fill_channels(&factored, (bias, activation), ch, out)
-        }
-    }
-}
-
 /// Element-wise unary kernel. Uses a packed (RGBA texel) body when
 /// requested: one invocation computes 4 consecutive outputs.
 pub fn unary(op: UnaryOp, out: &[usize], packed: bool) -> Kernel {
@@ -384,33 +268,22 @@ pub fn binary(
     })
 }
 
-/// Batch `b`'s operands of `[batch, m, k] × [b_batch, k, n]`: row `i` of A
-/// as a `k`-long walk in `p` order, and B from its first row. Each texture
-/// is resolved once per invocation and walked by its stride, so no sample
-/// pays a bounds check (`get`: with `k == 0` the operands are empty and an
-/// offset into them would not exist).
-#[inline]
-fn matmul_operands<'a>(
-    (a, bm): (&'a [f32], &'a [f32]),
-    &MatMulGeom { m, k, n, b_batch, transpose_a, .. }: &MatMulGeom,
-    (b, i): (usize, usize),
-) -> (impl Iterator<Item = &'a f32> + Clone, &'a [f32]) {
-    let (a0, a_step) = if transpose_a { (i, m) } else { (i * k, 1) };
-    let a = a.get(b * m * k + a0..).unwrap_or_default();
-    let b_off = if b_batch == 1 { 0 } else { b * k * n };
-    (a.iter().step_by(a_step).take(k), bm.get(b_off..).unwrap_or_default())
-}
-
-/// The `(a, b)` value pairs of output `(b, i, j)`, in `p` order.
+/// The `(a, b)` value pairs of output `(b, i, j)` of `[batch, m, k] ×
+/// [b_batch, k, n]`, in `p` order. Each texture is resolved once per
+/// invocation and walked by its stride, so no sample pays a bounds check
+/// (`get`: with `k == 0` the operands are empty and an offset into them
+/// would not exist).
 #[inline]
 fn dot_operands<'a>(
     s: &Samplers<'a>,
-    geom: &MatMulGeom,
+    &MatMulGeom { m, k, n, b_batch, transpose_a, transpose_b, .. }: &MatMulGeom,
     (b, i, j): (usize, usize, usize),
 ) -> impl Iterator<Item = (&'a f32, &'a f32)> {
-    let (a_row, bm) = matmul_operands((s.tex(0), s.tex(1)), geom, (b, i));
-    let (b0, b_step) = if geom.transpose_b { (j * geom.k, 1) } else { (j, geom.n) };
-    a_row.zip(bm.get(b0..).unwrap_or_default().iter().step_by(b_step))
+    let (a0, a_step) = if transpose_a { (i, m) } else { (i * k, 1) };
+    let b0 = if b_batch == 1 { 0 } else { b * k * n };
+    let (b0, b_step) = if transpose_b { (b0 + j * k, 1) } else { (b0 + j, n) };
+    let a_row = s.tex(0).get(b * m * k + a0..).unwrap_or_default().iter().step_by(a_step);
+    a_row.take(k).zip(s.tex(1).get(b0..).unwrap_or_default().iter().step_by(b_step))
 }
 
 /// Batched matmul, Listing 2 style, of `a` (input 0) against `b` (input 1,
@@ -426,6 +299,7 @@ fn dot_operands<'a>(
 /// shares; a batch-1 `b` broadcasts over the batch.
 pub fn matmul(
     caps: &Capabilities,
+    codegen: Codegen,
     geom: &MatMulGeom,
     quant: Option<&QuantParams>,
     packed: bool,
@@ -445,65 +319,89 @@ pub fn matmul(
         apply_epilogue(bias_of(s, has_bias), activation, j, acc)
     };
     let run = move |a: &[f32], b: &[f32], finish: Finish<'_>, start: usize, out: &mut [f32]| {
-        matmul_run(&geom, a, b, finish, start, out)
+        matmul_run(codegen, &geom, a, b, finish, start, out)
     };
     product((caps, Family::MatMul), (epilogue, affine), (out, k, packed), run, one)
 }
 
-/// The run of `[batch, m, n]` matmul outputs from flat `start`, of `a`
-/// against `b` (or its U8 codes, under `finish`'s affine map). Every output
-/// of row `(b, i)` shares its A row: it is resolved once per row, and each
-/// A element loaded once per block of columns — the vec4 benefit of
-/// Listing 2, wider. Each output adds its products in ascending `p` from 0,
-/// and `Σ a` over the same walk feeds the factored U8 form, as in
-/// [`webml_core::kernels::fused_matmul_quant`].
-pub fn matmul_run(
-    geom: &MatMulGeom,
-    a: &[f32],
-    b: &[f32],
+hot_loop! {
+    /// The run of `[batch, m, n]` matmul outputs from flat `start`, of `a`
+    /// against `b` (or its U8 codes, under `finish`'s affine map), each read
+    /// in place in its stored layout ([`RowMajor`] or [`Transposed`]). Each
+    /// output adds its products in ascending `p` from 0, and `Σ a` over the
+    /// same walk feeds the factored U8 form, as in
+    /// [`webml_core::kernels::fused_matmul_quant`].
+    ///
+    /// The run is cut at every batch, whose A — and B, unless it broadcasts
+    /// — is another matrix. A batch's whole rows go in register tiles of 4
+    /// rows by up to 16 columns ([`tile_columns`]): each B fetch feeds 4 rows
+    /// and each A fetch a block of columns, the vec4 benefit of Listing 2,
+    /// wider. A row left over, or cut by either end of the run, is a tile of
+    /// one row over its own columns.
+    pub fn matmul_run<const WIDE: bool>(
+        geom: &MatMulGeom,
+        a: &[f32],
+        b: &[f32],
+        finish: Finish<'_>,
+        start: usize,
+        out: &mut [f32],
+    ) {
+        match finish.0 {
+            Some(_) => matmul_layouts::<WIDE, true>(geom, (a, b), finish, start, out),
+            None => matmul_layouts::<WIDE, false>(geom, (a, b), finish, start, out),
+        }
+    }
+}
+
+/// [`matmul_run`]'s body, A and B read in their stored layouts; `FACTORED`
+/// when B holds U8 codes.
+#[inline(always)]
+fn matmul_layouts<const WIDE: bool, const FACTORED: bool>(
+    &MatMulGeom { m, k, n, b_batch, transpose_a, transpose_b, .. }: &MatMulGeom,
+    (a, b): (&[f32], &[f32]),
     finish: Finish<'_>,
     start: usize,
     out: &mut [f32],
 ) {
-    let MatMulGeom { m, k, n, transpose_b, .. } = *geom;
-    pixel_runs(n, start, out, |row, j0, run| {
-        let (a_row, bm) = matmul_operands((a, b), geom, (row / m, row % m));
-        let sum_a = || a_row.clone().fold(0.0f32, |acc, &v| acc + v);
-        let codes = MatMulRow { a_row: a_row.clone(), bm, k, n, transpose_b };
-        fill_product(&codes, sum_a, finish, j0, run);
-    });
+    let a_of = |bi: usize| &a[bi * m * k..][..m * k];
+    let b_of = |bi: usize| &b[if b_batch == 1 { 0 } else { bi * k * n }..][..k * n];
+    let a_rows = |bi| RowMajor { data: a_of(bi), cols: k };
+    let a_cols = |bi| Transposed { data: a_of(bi), rows: m };
+    let b_rows = |bi| RowMajor { data: b_of(bi), cols: n };
+    let b_cols = |bi| Transposed { data: b_of(bi), rows: k };
+    let run = ((m, n), finish, start, out);
+    match (transpose_a, transpose_b) {
+        (false, false) => matmul_spans::<WIDE, FACTORED, _, _>((a_rows, b_rows), run),
+        (false, true) => matmul_spans::<WIDE, FACTORED, _, _>((a_rows, b_cols), run),
+        (true, false) => matmul_spans::<WIDE, FACTORED, _, _>((a_cols, b_rows), run),
+        (true, true) => matmul_spans::<WIDE, FACTORED, _, _>((a_cols, b_cols), run),
+    }
 }
 
-/// One row of a matmul's output: its A row (`k` values in `p` order) and B.
-struct MatMulRow<'a, A> {
-    a_row: A,
-    bm: &'a [f32],
-    k: usize,
-    n: usize,
-    transpose_b: bool,
-}
-
-impl<'a, A: Iterator<Item = &'a f32> + Clone> Accumulate for MatMulRow<'a, A> {
-    #[inline(always)]
-    fn block<const W: usize>(&self, j0: usize) -> [f32; W] {
-        let (k, n) = (self.k, self.n);
-        let mut acc = [0.0f32; W];
-        if self.transpose_b {
-            let cols: [&[f32]; W] = std::array::from_fn(|q| &self.bm[(j0 + q) * k..][..k]);
-            for (p, &av) in self.a_row.clone().enumerate() {
-                for (a, col) in acc.iter_mut().zip(cols) {
-                    *a += av * col[p];
-                }
-            }
+/// The outputs of a run, its first at flat `start`, `(lhs, rhs)` giving
+/// batch `b`'s A and B: cut into spans that end at a batch's end, each 4-row
+/// tiles of whole rows or else one row or part-row, each then given the
+/// epilogue.
+#[inline(always)]
+fn matmul_spans<const WIDE: bool, const FACTORED: bool, A: Lhs, B: Rhs>(
+    (lhs, rhs): (impl Fn(usize) -> A, impl Fn(usize) -> B),
+    ((m, n), finish, start, out): ((usize, usize), Finish<'_>, usize, &mut [f32]),
+) {
+    let (affine, bias, activation) = finish;
+    let (mut at, mut rest) = (start, out);
+    while !rest.is_empty() {
+        let (row, j0) = (at / n, at % n);
+        let (a, b, i) = (lhs(row / m), rhs(row / m), row % m);
+        let tiles = if j0 == 0 { (rest.len() / n).min(m - i) / 4 } else { 0 };
+        let len = if tiles > 0 { tiles * 4 * n } else { (n - j0).min(rest.len()) };
+        let (span, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        if tiles > 0 {
+            tile_rows::<WIDE, FACTORED, 4>((a, i), b, (0..n, n), affine, span);
         } else {
-            for (&av, row) in self.a_row.clone().zip(self.bm.chunks_exact(n)) {
-                let row: &[f32; W] = row[j0..j0 + W].try_into().expect("W columns");
-                for (a, &bv) in acc.iter_mut().zip(row) {
-                    *a += av * bv;
-                }
-            }
+            tile_rows::<WIDE, FACTORED, 1>((a, i), b, (j0..j0 + len, n), affine, span);
         }
-        acc
+        epilogue(span, len.min(n - j0), bias.map(|b| &b[j0..]), activation);
+        (at, rest) = (at + len, tail);
     }
 }
 
@@ -544,13 +442,6 @@ fn for_each_tap(
     }
 }
 
-/// Output pixel index -> `(b, oh, ow)`.
-#[inline]
-fn pixel(c: &Conv2dInfo, pix: usize) -> (usize, usize, usize) {
-    let (ow, rest) = (pix % c.out_width, pix / c.out_width);
-    (rest / c.out_height, rest % c.out_height, ow)
-}
-
 /// Walk the receptive field of output pixel `at` in the reference's
 /// `(fh, fw, ic)` order: `step(input value, its filter row of out_channels
 /// weights)`. `x` and `w` are the textures, resolved once per invocation;
@@ -570,35 +461,6 @@ fn for_each_conv_step<'a>(
             step(xv, row);
         }
     });
-}
-
-/// One conv2d output pixel: its in-bounds taps, in `(fh, fw)` order, as
-/// (offset of the input pixel's channels in x, offset of the tap's filter
-/// rows in w).
-struct ConvPixel<'a> {
-    x: &'a [f32],
-    w: &'a [f32],
-    in_c: usize,
-    out_c: usize,
-    taps: &'a [(usize, usize)],
-}
-
-impl Accumulate for ConvPixel<'_> {
-    #[inline(always)]
-    fn block<const W: usize>(&self, oc: usize) -> [f32; W] {
-        let (in_c, out_c) = (self.in_c, self.out_c);
-        let mut acc = [0.0f32; W];
-        for &(xo, wo) in self.taps {
-            let rows = self.w[wo..][..in_c * out_c].chunks_exact(out_c);
-            for (&xv, row) in self.x[xo..][..in_c].iter().zip(rows) {
-                let row: &[f32; W] = row[oc..oc + W].try_into().expect("W filters");
-                for (a, &wv) in acc.iter_mut().zip(row) {
-                    *a += xv * wv;
-                }
-            }
-        }
-        acc
-    }
 }
 
 /// conv2d of NHWC `x` (input 0) against the HWIO filter `w` (input 1, or
@@ -646,8 +508,10 @@ hot_loop! {
     /// filter read as `[fh·fw·in_c, out_c]`, in register tiles of 4 pixels by
     /// up to 16 channels ([`tile_columns`]). Each x fetch feeds a block of
     /// filters and each filter fetch 4 pixels: the packed-conv win behind
-    /// the paper's 1.3-1.4x PoseNet speedup, wider. Every other pixel walks
-    /// its in-bounds taps alone ([`ConvPixel`]), so no padding is multiplied.
+    /// the paper's 1.3-1.4x PoseNet speedup, wider. Every other pixel is a
+    /// tile of one row over its own channels: over its whole field when
+    /// every tap is inside, else over its in-bounds taps alone
+    /// ([`FilterRows`]), so no padding is multiplied.
     pub fn conv2d_run<const WIDE: bool>(
         c: &Conv2dInfo,
         x: &[f32],
@@ -675,29 +539,36 @@ fn conv_spans<const WIDE: bool, const FACTORED: bool>(
 ) {
     let (in_c, out_c) = (c.in_channels, c.out_channels);
     let offsets: Vec<usize> = field_taps(c).flat_map(|(xo, _)| xo..xo + in_c).collect();
-    let (mut taps, mut bases) = (Vec::new(), Vec::new());
+    let (mut xs, mut rows, mut bases) = (Vec::new(), Vec::new(), Vec::new());
+    let filter = RowMajor { data: w, cols: out_c };
     for span in spans(c, start, out) {
         let (oc0, run) = match span {
-            Span::Edge(at, oc0, run) => {
-                taps.clear();
-                for_each_tap(c, at, |px, t| taps.push((px * in_c, t * in_c * out_c)));
-                let sum_x = || {
-                    taps.iter().flat_map(|&(xo, _)| &x[xo..][..in_c]).fold(0.0f32, |a, &v| a + v)
-                };
-                let pixel = ConvPixel { x, w, in_c, out_c, taps: &taps };
-                fill_product(&pixel, sum_x, (affine, None, None), oc0, run);
+            Span::Pixel(at, oc0, true, run) => {
+                bases.clear();
+                bases.extend(first_taps(c, at, 1));
+                let a = Field { x, bases: &bases, offsets: &offsets };
+                let cols = (oc0..oc0 + run.len(), out_c);
+                tile_rows::<WIDE, FACTORED, 1>((a, 0), filter, cols, affine, run);
                 (oc0, run)
             }
-            Span::Inside(pix, run) => {
+            Span::Pixel(at, oc0, false, run) => {
+                xs.clear();
+                rows.clear();
+                for_each_tap(c, at, |px, t| {
+                    xs.extend(px * in_c..(px + 1) * in_c);
+                    rows.extend(t * in_c..(t + 1) * in_c);
+                });
+                let a = Field { x, bases: &[0], offsets: &xs };
+                let b = FilterRows { w, out_c, rows: &rows };
+                let cols = (oc0..oc0 + run.len(), out_c);
+                tile_rows::<WIDE, FACTORED, 1>((a, 0), b, cols, affine, run);
+                (oc0, run)
+            }
+            Span::Inside(at, run) => {
                 bases.clear();
-                bases.extend(first_taps(c, pix, run.len() / out_c));
+                bases.extend(first_taps(c, at, run.len() / out_c));
                 let a = Field { x, bases: &bases, offsets: &offsets };
-                for (i, tile) in (0..).step_by(4).zip(run.chunks_exact_mut(4 * out_c)) {
-                    let sums = tile_columns::<WIDE, 4>(a, i, w, out_c, tile);
-                    for (pixel, sum) in tile.chunks_exact_mut(out_c).zip(sums) {
-                        factor::<FACTORED>(affine, 0, pixel, |_| sum);
-                    }
-                }
+                tile_rows::<WIDE, FACTORED, 4>((a, 0), filter, (0..out_c, out_c), affine, run);
                 (0, run)
             }
         };
@@ -705,9 +576,10 @@ fn conv_spans<const WIDE: bool, const FACTORED: bool>(
     }
 }
 
-/// A conv's left operand over a span of pixels whose every tap is inside
-/// the input: row `i` is pixel `i`'s receptive field, `x[bases[i] +
-/// offsets[p]]` for `p` in the reference's `(fh, fw, ic)` order.
+/// A conv's left operand: row `i` is pixel `i`'s receptive field,
+/// `x[bases[i] + offsets[p]]` for `p` in the reference's `(fh, fw, ic)`
+/// order — the whole field from each pixel's first tap, or, from base 0, the
+/// inputs of an edge pixel's in-bounds taps alone.
 #[derive(Clone, Copy)]
 struct Field<'a> {
     x: &'a [f32],
@@ -723,45 +595,89 @@ impl Lhs for Field<'_> {
     }
 }
 
-/// Columns `0..n` of rows `i..i + R` of `a · b`, in register tiles from the
-/// widest a build holds in registers (16 columns with AVX2, 8 without) down
-/// to 1, as `backend-native`'s `gemm_rows` cuts them. Each row's `Σ A` comes
-/// from the first tile's walk.
+/// An edge pixel's right operand: the rows of the `[fh·fw·in_c, out_c]`
+/// filter `w` its in-bounds taps read, `rows` in the walk's order, so that no
+/// padding tap is multiplied.
+#[derive(Clone, Copy)]
+struct FilterRows<'a> {
+    w: &'a [f32],
+    out_c: usize,
+    rows: &'a [usize],
+}
+
+impl<'a> Rhs for FilterRows<'a> {
+    type Row = &'a [f32];
+    #[inline(always)]
+    fn rows(self) -> impl Iterator<Item = &'a [f32]> {
+        self.rows.iter().map(move |&r| &self.w[r * self.out_c..][..self.out_c])
+    }
+    #[inline(always)]
+    fn cols<const W: usize>(self, row: &'a [f32], j: usize) -> [f32; W] {
+        row[j..j + W].try_into().expect("W filters")
+    }
+}
+
+/// Columns `cols` of rows `i..` of `a · b` into `out`, whose rows are `n`
+/// apart from column `cols.start`, `R` rows at a time: `out` is a multiple
+/// of `R` rows, or with `R == 1` a part of one. With `FACTORED`, each row
+/// then takes the U8 map with its `Σ A` from the tile's walk.
+#[inline(always)]
+fn tile_rows<const WIDE: bool, const FACTORED: bool, const R: usize>(
+    (a, i): (impl Lhs, usize),
+    b: impl Rhs,
+    (cols, n): (Range<usize>, usize),
+    affine: Option<&[(f32, f32)]>,
+    out: &mut [f32],
+) {
+    for (i, tile) in (i..).step_by(R).zip(out.chunks_mut(R * n)) {
+        let sums = tile_columns::<WIDE, R>((a, i), b, cols.clone(), tile, n);
+        for (row, sum) in tile.chunks_mut(n).zip(sums) {
+            factor::<FACTORED>(affine, cols.start, row, |_| sum);
+        }
+    }
+}
+
+/// Columns `cols` (not empty) of rows `i..i + R` of `a · b`, in register
+/// tiles from the widest a build holds in registers (16 columns with AVX2, 8
+/// without) down to 1, as `backend-native`'s `gemm_rows` cuts them. Each
+/// row's `Σ A` comes from the first tile's walk.
 #[inline(always)]
 fn tile_columns<const WIDE: bool, const R: usize>(
-    a: impl Lhs,
-    i: usize,
-    b: &[f32],
-    n: usize,
+    (a, i): (impl Lhs, usize),
+    b: impl Rhs,
+    cols: Range<usize>,
     out: &mut [f32],
+    n: usize,
 ) -> [f32; R] {
-    let width =
-        |j: usize| [if WIDE { 16 } else { 8 }, 8, 4, 2, 1].into_iter().find(|&w| j + w <= n);
-    let sums = columns::<R>(width(0), (a, i), b, n, 0, out);
-    let mut j = width(0).unwrap_or(n);
+    let widths = [if WIDE { 16 } else { 8 }, 8, 4, 2, 1];
+    let width = |j: usize| widths.into_iter().find(|&w| j + w <= cols.end);
+    let j0 = cols.start;
+    let sums = columns::<R>(width(j0), (a, i), b, j0, out, n);
+    let mut j = j0 + width(j0).unwrap_or(cols.len());
     while let Some(w) = width(j) {
-        columns::<R>(Some(w), (a, i), b, n, j, out);
+        columns::<R>(Some(w), (a, i), b, j, &mut out[j - j0..], n);
         j += w;
     }
     sums
 }
 
-/// [`gemm_tile`] over rows `i..i + R`, `width` columns from column `j`.
+/// [`gemm_tile`] over rows `i..i + R`, `width` columns from column `j`, the
+/// first of them at `out[0]`.
 #[inline(always)]
 fn columns<const R: usize>(
     width: Option<usize>,
     (a, i): (impl Lhs, usize),
-    b: &[f32],
-    n: usize,
+    b: impl Rhs,
     j: usize,
     out: &mut [f32],
+    n: usize,
 ) -> [f32; R] {
     match width {
-        Some(16) => gemm_tile::<R, 16>(a, i, b, n, j, out),
-        Some(8) => gemm_tile::<R, 8>(a, i, b, n, j, out),
-        Some(4) => gemm_tile::<R, 4>(a, i, b, n, j, out),
-        Some(2) => gemm_tile::<R, 2>(a, i, b, n, j, out),
-        _ => gemm_tile::<R, 1>(a, i, b, n, j, out),
+        Some(16) => gemm_tile::<R, 16>(a, i, b, j, out, n),
+        Some(8) => gemm_tile::<R, 8>(a, i, b, j, out, n),
+        Some(4) => gemm_tile::<R, 4>(a, i, b, j, out, n),
+        Some(2) => gemm_tile::<R, 2>(a, i, b, j, out, n),
+        _ => gemm_tile::<R, 1>(a, i, b, j, out, n),
     }
 }
 
@@ -785,12 +701,13 @@ fn factor<const FACTORED: bool>(
 
 /// A piece of a run of NHWC outputs (see [`spans`]).
 enum Span<'a> {
-    /// Outputs from channel `.1` of the pixel at `.0`: one with a tap
-    /// outside the input, cut by the run's end, or left over from a span.
-    Edge((usize, usize, usize), usize, &'a mut [f32]),
-    /// Whole pixels from pixel index `.0`, a multiple of 4, every tap of
+    /// Outputs from channel `.1` of the pixel at `.0` alone: a pixel cut by
+    /// the run's end, left over from a span, or with a tap outside the
+    /// input; `.2` when every tap of it is inside.
+    Pixel((usize, usize, usize), usize, bool, &'a mut [f32]),
+    /// Whole pixels from the pixel at `.0`, a multiple of 4, every tap of
     /// each inside the input. The span may cross output rows.
-    Inside(usize, &'a mut [f32]),
+    Inside((usize, usize, usize), &'a mut [f32]),
 }
 
 /// Cut the run `out` of NHWC outputs, which starts at flat output `start`,
@@ -812,8 +729,8 @@ fn spans<'a>(
         }
         let (row, col) = (pix / ow, pix % ow);
         let limit = pix + if ch0 == 0 { rest.len() / ch } else { 0 };
-        let mut end = pix;
-        if rows.contains(&(row % oh)) && cols.contains(&col) {
+        let (mut end, inside) = (pix, rows.contains(&(row % oh)) && cols.contains(&col));
+        if inside {
             end = row * ow + cols.end;
             // Rows inside from edge to edge continue the span.
             while cols.len() == ow && end < limit && rows.contains(&(end / ow % oh)) {
@@ -823,9 +740,10 @@ fn spans<'a>(
         }
         let len = if end > pix { (end - pix) * ch } else { (ch - ch0).min(rest.len()) };
         let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        let at = (row / oh, row % oh, col);
         let span = match end > pix {
-            true => Span::Inside(pix, piece),
-            false => Span::Edge((row / oh, row % oh, col), ch0, piece),
+            true => Span::Inside(at, piece),
+            false => Span::Pixel(at, ch0, inside, piece),
         };
         (pix, ch0, rest) = (end.max(pix + 1), 0, tail);
         Some(span)
@@ -841,10 +759,13 @@ fn inside(out: usize, input: usize, [stride, pad, taps, dilation]: [usize; 4]) -
     pad.div_ceil(stride).min(hi)..hi
 }
 
-/// The offset in `x` of the first tap of each of the `n` pixels from pixel
-/// index `pix`, every one inside the input.
-fn first_taps(c: &Conv2dInfo, pix: usize, n: usize) -> impl Iterator<Item = usize> + '_ {
-    let (mut b, mut oh, mut ow) = pixel(c, pix);
+/// The offset in `x` of the first tap of each of the `n` pixels from the
+/// pixel at `(b, oh, ow)`, every one inside the input.
+fn first_taps(
+    c: &Conv2dInfo,
+    (mut b, mut oh, mut ow): (usize, usize, usize),
+    n: usize,
+) -> impl Iterator<Item = usize> + '_ {
     (0..n).map(move |_| {
         let ih = b * c.in_height + oh * c.stride_h - c.pad_top;
         let at = (ih * c.in_width + ow * c.stride_w - c.pad_left) * c.in_channels;
@@ -946,15 +867,15 @@ fn depthwise_spans<const WIDE: bool, const FACTORED: bool>(
     let dw = (x, w, c.channel_mul, affine);
     for span in spans(c, start, out) {
         let (ch0, run) = match span {
-            Span::Edge(at, ch0, run) => {
+            Span::Pixel(at, ch0, _, run) => {
                 taps.clear();
                 for_each_tap(c, at, |px, t| taps.push((px * in_c, t * out_c)));
                 depthwise_pixels::<WIDE, FACTORED, 1>(dw, [0], &taps, ch0, run);
                 (ch0, run)
             }
-            Span::Inside(pix, run) => {
+            Span::Inside(at, run) => {
                 bases.clear();
-                bases.extend(first_taps(c, pix, run.len() / out_c));
+                bases.extend(first_taps(c, at, run.len() / out_c));
                 for (tile, b) in run.chunks_exact_mut(4 * out_c).zip(bases.chunks_exact(4)) {
                     let b = b.try_into().expect("4 pixels");
                     depthwise_pixels::<WIDE, FACTORED, 4>(dw, b, &field, 0, tile);
@@ -1231,13 +1152,14 @@ mod tests {
             );
             let want =
                 (b_len == batch * kdim * n).then(|| k::matmul(&a, &b, batch, m, kdim, n, ta, tb));
-            for (has_bias, act) in EPILOGUES {
+            for ((has_bias, act), cg) in EPILOGUES.into_iter().flat_map(every_build) {
                 let bb = has_bias.then_some(bias.as_slice());
                 let case = format!(
-                    "{batch}x{m}x{kdim}x{n} ta={ta} tb={tb} b_len={b_len} bias={has_bias} {act:?}"
+                    "{batch}x{m}x{kdim}x{n} ta={ta} tb={tb} b_len={b_len} bias={has_bias} {act:?} \
+                     {cg:?}"
                 );
                 if let Some(want) = &want {
-                    let pl = matmul(&WEBGPU, &geom, None, false, fused((has_bias, act)), &out);
+                    let pl = matmul(&WEBGPU, cg, &geom, None, false, fused((has_bias, act)), &out);
                     assert_eq!(
                         run(&pl, &[&a, &b, &bias]),
                         bits(&epilogue(want.clone(), bb, act)),
@@ -1245,7 +1167,8 @@ mod tests {
                     );
                 }
                 for p in params(if tb { 1 } else { 2 }, n, seed + 4) {
-                    let pl = matmul(&WEBGPU, &geom, Some(&p), false, quant((has_bias, act)), &out);
+                    let epi = quant((has_bias, act));
+                    let pl = matmul(&WEBGPU, cg, &geom, Some(&p), false, epi, &out);
                     let want =
                         k::fused_matmul_quant(&a, &b_q, &p, bb, act, batch, m, kdim, n, ta, tb);
                     assert_eq!(
@@ -1260,7 +1183,7 @@ mod tests {
 
     /// Every compute product program — conv, depthwise (multiplier 1 and 2) and matmul,
     /// over f32 weights and U8 codes, fused and plain — on every pool and
-    /// every build of the conv and depthwise bodies, over
+    /// every build of the run bodies, over
     /// channel counts inside, across and past a block of 16, 8 or 4, and
     /// padded, strided and dilated walks.
     #[test]
@@ -1316,9 +1239,21 @@ mod tests {
         check_depthwise(&geometry(true, (0, 5, 5, 3, 1), (3, 3), 1, Padding::Same, 1), 9);
     }
 
+    /// Shapes that reach the 4-row tiles (a batch of exactly one tile, of two
+    /// and a left-over row), groups that end at a batch's end, and every
+    /// column width of both builds (35 = 16 + 16 + 2 + 1, 15 = 8 + 4 + 2 + 1).
     #[test]
     fn matmul_family_matches_the_oracle_bit_for_bit() {
-        let shapes = [(1, 1, 1, 1), (1, 5, 7, 3), (2, 4, 19, 17), (2, 3, 0, 4), (0, 3, 4, 5)];
+        let shapes = [
+            (1, 1, 1, 1),
+            (1, 5, 7, 3),
+            (2, 4, 19, 17),
+            (2, 3, 0, 4),
+            (0, 3, 4, 5),
+            (2, 9, 19, 35),
+            (3, 4, 5, 16),
+            (2, 6, 11, 15),
+        ];
         for (seed, (batch, m, kdim, n)) in (900..).step_by(10).zip(shapes) {
             // A per-batch weight and a batch-1 weight broadcast over the batch.
             for b_len in [batch * kdim * n, kdim * n] {

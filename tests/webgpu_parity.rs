@@ -1,7 +1,8 @@
 //! WebGPU-vs-CPU parity sweeps: the compute backend's tiled shared-memory
 //! kernels accumulate in the reference order and its fused epilogues apply
 //! the same scalar ops the unfused composition would, so every comparison
-//! here is **bitwise** (`assert_eq!` on raw f32 values) — across
+//! here is **bitwise** (`assert_eq!` on each f32's bits, so `-0.0` is not
+//! `+0.0` and a NaN equals the same NaN) — across
 //! fused/unfused execution, f32 and U8-quantized weights, and
 //! synchronous / pipelined plan runs.
 
@@ -29,6 +30,11 @@ fn data(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// The bits of each value: what a bitwise comparison compares.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn cpu_engine() -> Engine {
     let e = Engine::new();
     e.register_backend("cpu", Arc::new(CpuBackend::new()), 1);
@@ -53,8 +59,8 @@ fn assert_parity(label: &str, build: &dyn Fn(&Engine) -> Tensor) {
     for fusion in [true, false] {
         cpu.set_fusion_enabled(fusion);
         gpu.set_fusion_enabled(fusion);
-        let want = build(&cpu).to_f32_vec().unwrap();
-        let got = build(&gpu).to_f32_vec().unwrap();
+        let want = bits(&build(&cpu).to_f32_vec().unwrap());
+        let got = bits(&build(&gpu).to_f32_vec().unwrap());
         assert_eq!(got, want, "{label} (fusion={fusion}): webgpu must match cpu bitwise");
     }
 }
@@ -314,9 +320,11 @@ fn planned_and_pipelined_match_cpu_bitwise() {
     let ref_model = spec.build(&cpu).unwrap();
     let (vals, shape) = spec.example(3, 1);
     let xr = cpu.tensor(vals.clone(), Shape::new(shape.clone())).unwrap();
-    let want = ref_model.execute(&[(&spec.input, &xr)], &[&spec.output]).unwrap()[0]
-        .to_f32_vec()
-        .unwrap();
+    let want = bits(
+        &ref_model.execute(&[(&spec.input, &xr)], &[&spec.output]).unwrap()[0]
+            .to_f32_vec()
+            .unwrap(),
+    );
 
     let gpu = webgpu_engine();
     let model = spec.build(&gpu).unwrap();
@@ -324,10 +332,10 @@ fn planned_and_pipelined_match_cpu_bitwise() {
     x.keep();
     let planned =
         model.execute(&[(&spec.input, &x)], &[&spec.output]).unwrap()[0].to_f32_vec().unwrap();
-    assert_eq!(planned, want, "planned webgpu vs cpu");
+    assert_eq!(bits(&planned), want, "planned webgpu vs cpu");
     let pending = model.execute_pipelined(&[(&spec.input, &x)], &[&spec.output]).unwrap();
     let got = pending.wait().unwrap();
-    assert_eq!(got[0].to_f32_vec(), want, "pipelined webgpu vs cpu");
+    assert_eq!(bits(&got[0].to_f32_vec()), want, "pipelined webgpu vs cpu");
 
     // A quantized weight that reaches `MatMul` through a graph `Reshape`
     // (a slot, not a weight, at plan build): the alias carries the params
@@ -346,7 +354,7 @@ fn planned_and_pipelined_match_cpu_bitwise() {
     let codes: Vec<u8> = (0..12).map(|i| ((i * 53) % 256) as u8).collect();
     let params = QuantParams::per_channel(2, vec![0.02, 0.05, 0.01], vec![-2.0, -6.0, 0.5]);
     let xvals = data(2 * 4, 173);
-    let run = |e: &Engine, quantized: bool| -> Vec<Vec<f32>> {
+    let run = |e: &Engine, quantized: bool| -> Vec<Vec<u32>> {
         let w = if quantized {
             e.quantized_tensor(codes.clone(), vec![1, 4, 3], params.clone()).unwrap()
         } else {
@@ -358,12 +366,13 @@ fn planned_and_pipelined_match_cpu_bitwise() {
         x.keep();
         let planned = model.execute(&[("x", &x)], &["y"]).unwrap()[0].to_f32_vec().unwrap();
         let pipelined = model.execute_pipelined(&[("x", &x)], &["y"]).unwrap().wait().unwrap();
-        vec![planned, pipelined[0].to_f32_vec()]
+        vec![bits(&planned), bits(&pipelined[0].to_f32_vec())]
     };
     let want = run(&cpu, true);
     assert_eq!(want[0], want[1], "cpu planned vs pipelined");
     assert_eq!(run(&gpu, true), want, "reshaped quantized weight: webgpu vs cpu");
     for (q, f) in want[0].iter().zip(&run(&cpu, false)[0]) {
+        let (q, f) = (f32::from_bits(*q), f32::from_bits(*f));
         assert!((q - f).abs() < 0.05, "quantized {q} drifted from f32 {f}");
     }
 }
@@ -385,8 +394,8 @@ fn mobilenet_inference_matches_cpu_bitwise() {
     let gpu = webgpu_engine();
     for fused in [true, false] {
         assert_eq!(
-            infer(&gpu, fused),
-            infer(&cpu, fused),
+            bits(&infer(&gpu, fused)),
+            bits(&infer(&cpu, fused)),
             "mobilenet logits (fused={fused}) must be bitwise identical"
         );
     }
