@@ -219,7 +219,7 @@ impl GpuBackend {
         let e = store.get(&id).ok_or_else(|| self.unknown(id))?;
         Ok(match &e.res {
             Residency::Device(h) => ReadFrom::Device(h.clone(), e.dtype),
-            Residency::Host(data) => ReadFrom::Host(to_tensor_data(data.clone(), e.dtype)),
+            Residency::Host(data) => ReadFrom::Host(TensorData::F32(data.clone()).into_dtype(e.dtype)),
         })
     }
 }
@@ -240,14 +240,11 @@ fn note_fused_fallback(api: &str, kernel: &'static str) {
     webml_telemetry::instant(kernel, "fused-fallback");
 }
 
-fn to_tensor_data(vals: Vec<f32>, dtype: DType) -> TensorData {
-    TensorData::F32(vals).cast(dtype)
-}
-
 impl Backend for GpuBackend {
     fn register(&self, data: TensorData, dtype: DType) -> DataId {
-        let mut vals = data.to_f32_vec();
-        if dtype == DType::U8 && !matches!(data, TensorData::U8(_)) {
+        let rounds = dtype == DType::U8 && !matches!(data, TensorData::U8(_));
+        let TensorData::F32(mut vals) = data.into_dtype(DType::F32) else { unreachable!() };
+        if rounds {
             vals.iter_mut().for_each(|x| *x = x.round().clamp(0.0, 255.0));
         }
         // When the device refuses the upload (context lost, OOM), keep the
@@ -263,7 +260,7 @@ impl Backend for GpuBackend {
         match self.locate(id)? {
             ReadFrom::Device(h, dtype) => {
                 let vals = self.ctx.read_sync(&h).map_err(|e| self.classify(e))?;
-                Ok(to_tensor_data(vals, dtype))
+                Ok(TensorData::F32(vals).into_dtype(dtype))
             }
             ReadFrom::Host(data) => Ok(data),
         }
@@ -282,7 +279,7 @@ impl Backend for GpuBackend {
         // policy sees them; only device-side failures (nonexistent
         // allocation) travel through the future as strings.
         let enqueued = self.ctx.read_async(&h, move |vals| {
-            let data = vals.map(|v| to_tensor_data(v, dtype)).map_err(|e| Error::backend(&name, e));
+            let data = vals.map(|v| TensorData::F32(v).into_dtype(dtype)).map_err(|e| Error::backend(&name, e));
             promise.complete(data);
         });
         match enqueued {
@@ -434,6 +431,21 @@ mod tests {
         let e = Engine::new();
         e.register_backend("cpu", Arc::new(webml_core::cpu::CpuBackend::new()), 1);
         assert_eq!(e.epsilon(), 1e-7);
+    }
+
+    /// `register` moves an f32 buffer into its upload: refused by a device
+    /// with no room, the upload hands it back, and the entry keeps the very
+    /// allocation it was given.
+    #[test]
+    fn register_moves_an_f32_buffer_into_its_upload() {
+        let plan = FaultPlan::none().with_texture_byte_limit(0);
+        let b = GpuBackend::with_faults(DeviceProfile::intel_iris_pro(), WebGlConfig::default(), plan)
+            .unwrap();
+        let values = vec![0.25f32; 16];
+        let made = values.as_ptr();
+        let id = b.register(TensorData::F32(values), DType::F32);
+        let Residency::Host(kept) = &b.store.lock()[&id].res else { panic!("the upload was refused") };
+        assert_eq!(kept.as_ptr(), made);
     }
 
     /// Channel counts the product tests cover: inside one texel's run (3),

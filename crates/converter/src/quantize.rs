@@ -1,7 +1,31 @@
 //! Affine weight quantization (paper Sec 5.1: "the user can also quantize
 //! the weights, reducing the model size by 4X").
+//!
+//! Per channel and per tensor are one quantizer, two [`hot_loop!`] bodies
+//! on [`Codegen::detect`]'s build: one folds each channel's range, one
+//! encodes. Both walk the weights in `(block, channel, run)` order
+//! ([`channel_spans`]), so an element's channel is known without dividing
+//! its index; when only dims of 1 follow the channel axis
+//! (`stride == 1`: every MobileNet filter and dense kernel here) a block
+//! zips with the per-channel parameters and vectorises across channels.
+//! Per tensor is one channel over the whole tensor. Each channel's range is
+//! folded in index order, so `min` keeps the sign of zero the sequential
+//! fold gives it.
+//!
+//! A code is `((v - min) as f64 / scale)` rounded half away from zero and
+//! capped at `levels` — the division stays in f64, as multiplying by a
+//! reciprocal would move codes at ties. For a finite quotient `x >= 0`,
+//! `x - trunc(x)` is exact, so truncating and adding one when it is
+//! `>= 0.5` is `x.round()` to the bit, and vectorises where libm's `round`
+//! does not. The quotient is not always finite: a channel whose range is
+//! subnormal (min 0, max `1e-44`) gets an f32 scale of 0, so its `max`
+//! divides to `+inf` and its `min` to `0/0`. The quotient is clamped to
+//! `[0, levels]` before the truncation, which maps `+inf` to `levels` and
+//! NaN to 0, as the saturating `as u64` cast of the definition does.
 
-use webml_core::{Error, Result};
+use webml_core::codegen::Codegen;
+use webml_core::quant::channel_spans;
+use webml_core::{hot_loop, Error, Result};
 
 /// Integer width for quantized storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,27 +87,8 @@ impl Quantization {
                 format!("weight tensor '{tensor_name}' has non-finite value {v} at index {i}; refusing to quantize (NaN would decode as the range minimum)"),
             ));
         }
-        let min = values.iter().copied().fold(f32::INFINITY, f32::min);
-        let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let (min, max) = if values.is_empty() { (0.0, 0.0) } else { (min, max) };
-        let range = (max - min) as f64;
-        let scale = if range == 0.0 { 1.0 } else { range / self.levels() };
-        let encode = |v: f32| -> u64 {
-            if range == 0.0 {
-                0
-            } else {
-                (((v - min) as f64 / scale).round() as u64).min(self.levels() as u64)
-            }
-        };
-        let mut out = Vec::with_capacity(values.len() * self.byte_size());
-        for &v in values {
-            let q = encode(v);
-            match self {
-                Quantization::U8 => out.push(q as u8),
-                Quantization::U16 => out.extend_from_slice(&(q as u16).to_le_bytes()),
-            }
-        }
-        Ok((out, scale as f32, min))
+        let (bytes, scales, mins) = self.encode(Codegen::detect(), values, None);
+        Ok((bytes, scales[0], mins[0]))
     }
 
     /// Quantize values with one `(scale, min)` pair **per channel** along
@@ -122,41 +127,44 @@ impl Quantization {
                 format!("weight tensor '{tensor_name}' has non-finite value {v} at index {i}; refusing to quantize"),
             ));
         }
-        let channels = shape[axis];
-        let stride: usize = shape[axis + 1..].iter().product();
-        let channel_of = |i: usize| (i / stride) % channels;
-        let mut mins = vec![f32::INFINITY; channels];
-        let mut maxs = vec![f32::NEG_INFINITY; channels];
-        for (i, &v) in values.iter().enumerate() {
-            let c = channel_of(i);
-            mins[c] = mins[c].min(v);
-            maxs[c] = maxs[c].max(v);
+        let stride = shape[axis + 1..].iter().product();
+        Ok(self.encode(Codegen::detect(), values, Some((shape[axis], stride))))
+    }
+
+    /// Quantize `values` on `codegen`'s build, per channel over the channel
+    /// walk of `Some((channels, stride))`, or per tensor as one channel:
+    /// fold each channel's range, then encode every value against its
+    /// channel's `min` and divisor — the stored f32 scale per channel, the
+    /// unrounded f64 scale per tensor, 1 for a channel of equal values.
+    /// Returns the packed codes and each channel's scale and `min`.
+    fn encode(
+        self,
+        codegen: Codegen,
+        values: &[f32],
+        per_channel: Option<(usize, usize)>,
+    ) -> (Vec<u8>, Vec<f32>, Vec<f32>) {
+        let (channels, stride) = per_channel.unwrap_or((1, values.len()));
+        let (mut mins, mut maxs) = (vec![f32::INFINITY; channels], vec![f32::NEG_INFINITY; channels]);
+        fold_ranges(codegen, values, stride, &mut mins, &mut maxs);
+        if values.is_empty() {
+            // Empty channels (a zero-sized tensor): neutral params.
+            mins.fill(0.0);
+            maxs.fill(0.0);
         }
-        let mut scales = vec![1.0f32; channels];
-        for c in 0..channels {
-            if !mins[c].is_finite() {
-                // Empty channel slice (zero-sized tensor): neutral params.
-                mins[c] = 0.0;
-                maxs[c] = 0.0;
-            }
-            let range = (maxs[c] - mins[c]) as f64;
-            scales[c] = if range == 0.0 { 1.0 } else { (range / self.levels()) as f32 };
-        }
-        let mut out = Vec::with_capacity(values.len() * self.byte_size());
-        for (i, &v) in values.iter().enumerate() {
-            let c = channel_of(i);
-            let range = maxs[c] - mins[c];
-            let q = if range == 0.0 {
-                0u64
-            } else {
-                (((v - mins[c]) as f64 / scales[c] as f64).round() as u64).min(self.levels() as u64)
-            };
-            match self {
-                Quantization::U8 => out.push(q as u8),
-                Quantization::U16 => out.extend_from_slice(&(q as u16).to_le_bytes()),
-            }
-        }
-        Ok((out, scales, mins))
+        let divisors: Vec<f64> = (mins.iter().zip(&maxs))
+            .map(|(&min, &max)| {
+                let range = (max - min) as f64;
+                let scale = if range == 0.0 { 1.0 } else { range / self.levels() };
+                if per_channel.is_some() { scale as f32 as f64 } else { scale }
+            })
+            .collect();
+        let mut codes = vec![0u16; values.len()];
+        encode_codes(codegen, values, stride, &mins, &divisors, self.levels(), &mut codes);
+        let bytes = match self {
+            Quantization::U8 => codes.iter().map(|&q| q as u8).collect(),
+            Quantization::U16 => codes.iter().flat_map(|q| q.to_le_bytes()).collect(),
+        };
+        (bytes, divisors.iter().map(|&d| d as f32).collect(), mins)
     }
 
     /// Dequantize bytes back to f32 values.
@@ -217,9 +225,206 @@ impl Quantization {
     }
 }
 
+hot_loop! {
+    /// Fold each channel's `[min, max]` over the channel walk, every
+    /// channel in index order: a run folds into its channel, a block's
+    /// values zip with every channel.
+    fn fold_ranges<const WIDE: bool>(
+        values: &[f32],
+        stride: usize,
+        mins: &mut [f32],
+        maxs: &mut [f32],
+    ) {
+        for (span, c) in channel_spans(values.len(), mins.len(), stride) {
+            let (lo, hi) = (&mut mins[c.clone()], &mut maxs[c]);
+            for values in values[span].chunks(lo.len()) {
+                for ((&v, lo), hi) in values.iter().zip(&mut *lo).zip(&mut *hi) {
+                    *lo = lo.min(v);
+                    *hi = hi.max(v);
+                }
+            }
+        }
+    }
+}
+
+hot_loop! {
+    /// Every value's [`code`] against its channel's `min` and divisor, over
+    /// the channel walk.
+    fn encode_codes<const WIDE: bool>(
+        values: &[f32],
+        stride: usize,
+        mins: &[f32],
+        divisors: &[f64],
+        levels: f64,
+        codes: &mut [u16],
+    ) {
+        for (span, c) in channel_spans(values.len(), mins.len(), stride) {
+            let params = mins[c.clone()].iter().zip(&divisors[c.clone()]);
+            let chunks = values[span.clone()].chunks(c.len()).zip(codes[span].chunks_mut(c.len()));
+            for (values, codes) in chunks {
+                for ((q, &v), (&min, &divisor)) in codes.iter_mut().zip(values).zip(params.clone()) {
+                    *q = code((v - min) as f64 / divisor, levels);
+                }
+            }
+        }
+    }
+}
+
+/// The code of the quotient `x = (v - min) as f64 / divisor`: the
+/// reference's `(x.round() as u64).min(levels)` to the bit. `x` is `>= 0`
+/// or non-finite — `+inf` or `0/0` on a channel whose f32 scale rounded to
+/// 0 — and is clamped to `[0, levels]` first, so `+inf` saturates to
+/// `levels` and NaN to 0, as the cast takes them. For a finite `x >= 0`,
+/// `x - trunc(x)` is exact, so truncating and adding one when it is
+/// `>= 0.5` is `x.round()`, half away from zero — and vectorises.
+#[inline(always)]
+fn code(x: f64, levels: f64) -> u16 {
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < levels { x } else { levels };
+    // SAFETY: `x` is in `[0, levels]`, so it truncates to an i32 — and
+    // unlike a saturating `as` cast, the unchecked one vectorises.
+    let t = unsafe { x.to_int_unchecked::<i32>() };
+    (t + (x - t as f64 >= 0.5) as i32) as u16
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition the quantizer reproduces to the bit: each channel's
+    /// elements gathered by index, folded in index order, and every code
+    /// `((v - min) as f64 / scale).round()`, cast saturating and capped at
+    /// `levels`. `per_channel` is `Some((channels, stride))`, or `None` for
+    /// one channel over the tensor with its unrounded f64 scale.
+    fn reference(
+        q: Quantization,
+        values: &[f32],
+        per_channel: Option<(usize, usize)>,
+    ) -> (Vec<u8>, Vec<f32>, Vec<f32>) {
+        let (channels, stride) = per_channel.unwrap_or((1, values.len()));
+        let outer = values.len().checked_div(channels * stride).unwrap_or(0);
+        let mut codes = vec![0u64; values.len()];
+        let (mut scales, mut mins) = (Vec::new(), Vec::new());
+        for c in 0..channels {
+            let at: Vec<usize> = (0..outer)
+                .flat_map(|o| (0..stride).map(move |j| (o * channels + c) * stride + j))
+                .collect();
+            let min = at.iter().map(|&i| values[i]).fold(f32::INFINITY, f32::min);
+            let max = at.iter().map(|&i| values[i]).fold(f32::NEG_INFINITY, f32::max);
+            let (min, max) = if at.is_empty() { (0.0, 0.0) } else { (min, max) };
+            let range = (max - min) as f64;
+            let scale = if range == 0.0 { 1.0 } else { range / q.levels() };
+            let scale = if per_channel.is_some() { scale as f32 as f64 } else { scale };
+            for &i in &at {
+                codes[i] = if range == 0.0 {
+                    0
+                } else {
+                    (((values[i] - min) as f64 / scale).round() as u64).min(q.levels() as u64)
+                };
+            }
+            scales.push(scale as f32);
+            mins.push(min);
+        }
+        let bytes = match q {
+            Quantization::U8 => codes.iter().map(|&c| c as u8).collect(),
+            Quantization::U16 => codes.iter().flat_map(|&c| (c as u16).to_le_bytes()).collect(),
+        };
+        (bytes, scales, mins)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Codes, scales and mins of every build, both widths, per tensor and
+    /// per channel along `axis`, equal the reference's on bits.
+    fn assert_matches_reference(values: &[f32], dims: &[usize], axis: usize) {
+        let stride = dims[axis + 1..].iter().product();
+        for q in [Quantization::U8, Quantization::U16] {
+            for per_channel in [None, Some((dims[axis], stride))] {
+                let (codes, scales, mins) = reference(q, values, per_channel);
+                for codegen in Codegen::all() {
+                    let (c, s, m) = q.encode(codegen, values, per_channel);
+                    let at = format!("{q:?} {codegen:?} {dims:?} {per_channel:?} {values:?}");
+                    assert_eq!(c, codes, "codes: {at}");
+                    assert_eq!(bits(&s), bits(&scales), "scales: {at}");
+                    assert_eq!(bits(&m), bits(&mins), "mins: {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_is_the_rounded_saturating_cast() {
+        let step = |x: f64, by: i64| f64::from_bits((x.to_bits() as i64 + by) as u64);
+        for q in [Quantization::U8, Quantization::U16] {
+            let levels = q.levels();
+            // Every level, and the quotients at and beside each midpoint.
+            let edges = (0..=levels as u32).flat_map(|k| {
+                let mid = k as f64 + 0.5;
+                [k as f64, step(mid, -1), mid, step(mid, 1)]
+            });
+            let specials = [f64::INFINITY, f64::NAN, -0.0, 1e-310, levels + 0.5, 1e300];
+            for x in edges.chain(specials) {
+                let want = (x.round() as u64).min(levels as u64);
+                assert_eq!(code(x, levels) as u64, want, "{q:?}: {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantizer_equals_its_definition_at_the_edges() {
+        // An exact tie: scale 1.0, and 2.5 codes as 3, half away from zero.
+        assert_matches_reference(&[0.0, 2.5, 255.0, 127.5], &[4], 0);
+        assert_eq!(Quantization::U8.encode(Codegen::detect(), &[0.0, 2.5, 255.0], None).0, [0, 3, 255]);
+        // A zero-range channel beside a live one.
+        assert_matches_reference(&[0.7, -1.0, 0.7, 2.0, 0.7, 0.5], &[3, 2], 1);
+        // A subnormal range whose f32 scale rounds to 0: `max` divides to
+        // +inf and codes as `levels`, `min` to 0/0 = NaN and codes as 0.
+        let tiny = [0.0, -1.0, 1e-44, 1.0, 1e-45, 0.25];
+        assert_matches_reference(&tiny, &[3, 2], 1);
+        for q in [Quantization::U8, Quantization::U16] {
+            let (codes, scales, _) = q.encode(Codegen::detect(), &tiny, Some((2, 1)));
+            assert_eq!(scales[0], 0.0);
+            let top = q.levels() as u8;
+            assert_eq!([codes[0], codes[2 * q.byte_size()]], [0, top], "{q:?}");
+        }
+        // Zero-size dims, on either side of the axis and on it.
+        for (dims, axis) in [([0, 3], 1), ([3, 0], 0), ([2, 0], 1), ([0, 0], 0)] {
+            assert_matches_reference(&[], &dims, axis);
+        }
+        // Signed zeros in either order: `min`'s stored sign is the
+        // in-order fold's.
+        let zeros = [-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, 0.0, -0.0];
+        assert_matches_reference(&zeros, &[4, 2], 1);
+        assert_matches_reference(&zeros, &[2, 4], 0);
+        assert_matches_reference(&zeros, &[8], 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn quantizer_equals_its_definition_on_bits(
+            dims in prop::collection::vec(0usize..7, 1..4),
+            axis in 0usize..3,
+            wave in prop::collection::vec(-8.0f32..8.0, 256..257),
+            grid in 0usize..3,
+        ) {
+            // Free floats; a half grid, whose runs of equal values, zero
+            // ranges and signed zeros a channel often takes; and integers
+            // with every third value -0.0.
+            let values: Vec<f32> = (0..dims.iter().product::<usize>())
+                .map(|i| match (grid, wave[i % 256]) {
+                    (0, v) => v,
+                    (1, v) => (v * 2.0).round() / 2.0,
+                    (_, v) => if i % 3 == 0 { -0.0 } else { v.floor() },
+                })
+                .collect();
+            assert_matches_reference(&values, &dims, axis % dims.len());
+        }
+    }
 
     #[test]
     fn u8_gives_4x_reduction() {

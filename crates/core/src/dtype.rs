@@ -229,6 +229,28 @@ impl TensorData {
         }
     }
 
+    /// Whether the buffer is already stored the way `dtype` is — F32 for
+    /// the float dtypes, I32, U8 — so that [`TensorData::into_dtype`] moves
+    /// it. A `Bool` never is: its cast normalises non-zero bytes to 1.
+    pub fn is_stored_as(&self, dtype: DType) -> bool {
+        matches!(
+            (self, dtype),
+            (TensorData::F32(_), DType::F32 | DType::F16)
+                | (TensorData::I32(_), DType::I32)
+                | (TensorData::U8(_), DType::U8)
+        )
+    }
+
+    /// The buffer stored as `dtype`: moved when it already is
+    /// ([`TensorData::is_stored_as`]), [cast](TensorData::cast) otherwise.
+    pub fn into_dtype(self, dtype: DType) -> TensorData {
+        if self.is_stored_as(dtype) {
+            self
+        } else {
+            self.cast(dtype)
+        }
+    }
+
     /// Index and value of the first non-finite element, if any. Used by
     /// tensor-creation paths that must reject NaN/±inf before a lossy
     /// integer cast (the float→U8 cast silently maps NaN to 0).
@@ -420,6 +442,28 @@ mod tests {
     fn tensor_data_cast_bool() {
         let d = TensorData::F32(vec![0.0, 1.5, -2.0]);
         assert_eq!(d.cast(DType::Bool), TensorData::U8(vec![0, 1, 1]));
+    }
+
+    #[test]
+    fn a_buffer_already_stored_as_its_dtype_moves() {
+        let at = |d: &TensorData| match d {
+            TensorData::F32(v) => v.as_ptr() as usize,
+            TensorData::I32(v) => v.as_ptr() as usize,
+            TensorData::U8(v) => v.as_ptr() as usize,
+        };
+        for (data, dtype) in [
+            (TensorData::F32(vec![1.5, -2.0]), DType::F32),
+            (TensorData::F32(vec![1.5, -2.0]), DType::F16),
+            (TensorData::I32(vec![7, -3]), DType::I32),
+            (TensorData::U8(vec![0, 255]), DType::U8),
+        ] {
+            let (was, expect) = (at(&data), data.clone());
+            let moved = data.into_dtype(dtype);
+            assert_eq!((at(&moved), moved), (was, expect), "{dtype}");
+        }
+        // Bool still normalises; any other pair casts.
+        assert_eq!(TensorData::U8(vec![7, 0]).into_dtype(DType::Bool), TensorData::U8(vec![1, 0]));
+        assert_eq!(TensorData::F32(vec![2.7]).into_dtype(DType::I32), TensorData::I32(vec![2]));
     }
 
     #[test]

@@ -630,7 +630,7 @@ impl Engine {
                 ));
             }
         }
-        let data = data.cast(dtype);
+        let data = data.into_dtype(dtype);
         let bytes = shape.size() * dtype.byte_size();
         self.collect_garbage();
         // Record the *registry* name, not `backend.name()`: the same backend

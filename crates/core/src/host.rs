@@ -267,21 +267,17 @@ impl<K: HostKernels> HostBackend<K> {
 
     fn put(&self, data: TensorData, dtype: DType) -> DataId {
         let id = DataId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        // A buffer already stored the way `dtype` is stored (every kernel
-        // output) moves in; `Bool` still goes through the cast, which
-        // normalises non-zero bytes to 1. A cast `f32` buffer goes back to
-        // the free list, which it may have come from.
-        let data = match (&data, dtype) {
-            (TensorData::F32(_), DType::F32 | DType::F16)
-            | (TensorData::I32(_), DType::I32)
-            | (TensorData::U8(_), DType::U8) => data,
-            _ => {
-                let cast = data.cast(dtype);
-                if let TensorData::F32(buf) = data {
-                    self.buffers.give(buf);
-                }
-                cast
+        // A buffer already stored as `dtype` (every kernel output) moves in.
+        // A cast `f32` buffer goes back to the free list, which it may have
+        // come from.
+        let data = if data.is_stored_as(dtype) {
+            data
+        } else {
+            let cast = data.cast(dtype);
+            if let TensorData::F32(buf) = data {
+                self.buffers.give(buf);
             }
+            cast
         };
         self.store.lock().insert(id, Entry { data: Arc::new(data), dtype });
         id

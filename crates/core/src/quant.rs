@@ -27,6 +27,7 @@
 
 use crate::error::{Error, Result};
 use crate::shape::Shape;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Affine dequantization parameters for a `U8`-stored quantized tensor:
@@ -138,11 +139,11 @@ impl QuantParams {
         Ok(())
     }
 
-    /// Flat-index → channel mapping for per-channel params over `dims`
-    /// (row-major layout): `(i / stride) % channels` with `stride` the
-    /// product of the dims after `axis` (1 when `axis` is the last dim or
-    /// lies beyond `dims`). Returns `(stride, channels)`; per-tensor params
-    /// get `(usize::MAX, 1)` so every index maps to channel 0.
+    /// The channel walk of per-channel params over `dims` (row-major):
+    /// `(stride, channels)`, the elements each run of a channel holds — the
+    /// product of the dims after `axis`, 1 when `axis` is the last dim or
+    /// lies beyond `dims` — and the channel count ([`channel_spans`] walks
+    /// them). Per-tensor params get `(usize::MAX, 1)`: one channel.
     pub fn channel_stride(&self, dims: &[usize]) -> (usize, usize) {
         match self {
             QuantParams::PerTensor { .. } => (usize::MAX, 1),
@@ -171,22 +172,17 @@ impl QuantParams {
                 format!("{} codes for shape {shape}", codes.len()),
             ));
         }
-        Ok(match self {
-            QuantParams::PerTensor { scale, min } => {
-                codes.iter().map(|&c| c as f32 * scale + min).collect()
+        let (stride, channels) = self.channel_stride(dims);
+        let mut out = vec![0.0; codes.len()];
+        for (span, c) in channel_spans(codes.len(), channels, stride) {
+            let chunks = codes[span.clone()].chunks(c.len()).zip(out[span].chunks_mut(c.len()));
+            for (codes, out) in chunks {
+                for ((o, &q), (s, m)) in out.iter_mut().zip(codes).zip(c.clone().map(|k| self.scale_min(k))) {
+                    *o = q as f32 * s + m;
+                }
             }
-            QuantParams::PerChannel { .. } => {
-                let (stride, channels) = self.channel_stride(dims);
-                codes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
-                        let (s, m) = self.scale_min((i / stride) % channels);
-                        c as f32 * s + m
-                    })
-                    .collect()
-            }
-        })
+        }
+        Ok(out)
     }
 
     /// The params describing the same codes viewed under shape `to` instead
@@ -224,6 +220,30 @@ impl QuantParams {
             ),
         ))
     }
+}
+
+/// The channel walk: how a row-major buffer of `len` elements maps to the
+/// `channels` channels of an axis whose trailing dims hold `stride`
+/// elements. The buffer is blocks of `channels` runs of `stride` elements,
+/// run `c` of every block in channel `c`, so the walk knows each element's
+/// channel without dividing its index. It yields `(elements, channels)` over
+/// the buffer in order, `elements` a run of chunks of `channels.len()`
+/// elements, each zipped with `channels`: once per run, every element in
+/// its one channel; or, when `stride == 1`, once per block, element `k` in
+/// channel `k`. One channel is one run over the whole buffer.
+pub fn channel_spans(
+    len: usize,
+    channels: usize,
+    stride: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let stride = if channels == 1 { len } else { stride };
+    let (block, runs) = (channels * stride, if stride == 1 { 1 } else { channels });
+    (0..len.checked_div(block).unwrap_or(0)).flat_map(move |b| {
+        (0..runs).map(move |c| match (b * block + c * stride, stride) {
+            (start, 1) => (start..start + channels, 0..channels),
+            (start, _) => (start..start + stride, c..c + 1),
+        })
+    })
 }
 
 #[cfg(test)]

@@ -137,6 +137,34 @@ fn u8_mobilenet_is_a_quarter_the_bytes_and_tracks_f32() {
     }
 }
 
+/// MobileNet's U8 weights, pinned to the bit. The U8 parity suites cannot
+/// see a change to the quantizer — their oracle quantizes with the same
+/// function — so an FNV-1a 64 of every eligible weight's codes, then its
+/// scales' bits, then its mins' bits, weight by weight in spec order, is
+/// fixed here.
+#[test]
+fn u8_mobilenet_weights_keep_their_bits() {
+    let spec = webml::models::graph_mobilenet(&MobileNetConfig::small());
+    let eligible = converter::quantizable_weights(&spec.graph);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let (mut weights, mut codes) = (0, 0);
+    for (name, values, shape) in &spec.weights {
+        let Some(&axis) = eligible.get(name) else { continue };
+        let (q, scales, mins) =
+            Quantization::U8.quantize_per_channel(name, values, shape, axis).unwrap();
+        feed(&q);
+        scales.iter().chain(&mins).for_each(|v| feed(&v.to_bits().to_le_bytes()));
+        (weights, codes) = (weights + 1, codes + q.len());
+    }
+    assert_eq!((weights, codes), (28, 233_200));
+    assert_eq!(hash, 0xd587_503d_07e5_2ba7, "MobileNet's U8 codes, scales or mins moved");
+}
+
 #[test]
 fn transfer_learning_with_knn_separates_synthetic_classes() {
     let engine = webml::new_engine();

@@ -2,7 +2,13 @@
 //! dispose/tidy under browser semantics, finalization under Node semantics,
 //! refcounted data sharing, texture recycling, and the keep escape hatch.
 
-use webml::{ops, MemoryPolicy};
+use std::sync::{Arc, Mutex};
+use webml::backend_webgpu::WebGpuBackend;
+use webml::core::backend::{Backend, BackendMemory, DataFuture, DataId, KTensor, KernelCall};
+use webml::core::quant::QuantParams;
+use webml::webgl_sim::devices::DeviceProfile;
+use webml::webgpu_sim::WebGpuConfig;
+use webml::{ops, DType, Engine, MemoryPolicy, Result, Shape, TensorData};
 
 #[test]
 fn forgetting_dispose_leaks_like_a_browser() {
@@ -188,4 +194,62 @@ fn nan_debug_mode_names_offending_kernel() {
     let b = e.tensor_1d(&[4.0]).unwrap();
     assert_eq!(ops::sqrt(&b).unwrap().to_f32_vec().unwrap(), vec![2.0]);
     e.set_debug(false);
+}
+
+/// A backend that notes where each buffer handed to `register` lives, then
+/// hands it on.
+struct Seen {
+    inner: WebGpuBackend,
+    at: Mutex<Vec<usize>>,
+}
+
+impl Backend for Seen {
+    fn register(&self, data: TensorData, dtype: DType) -> DataId {
+        let at = match &data {
+            TensorData::F32(v) => v.as_ptr() as usize,
+            TensorData::I32(v) => v.as_ptr() as usize,
+            TensorData::U8(v) => v.as_ptr() as usize,
+        };
+        self.at.lock().unwrap().push(at);
+        self.inner.register(data, dtype)
+    }
+    fn read_sync(&self, id: DataId) -> Result<TensorData> {
+        self.inner.read_sync(id)
+    }
+    fn read(&self, id: DataId) -> DataFuture {
+        self.inner.read(id)
+    }
+    fn dispose_data(&self, id: DataId) {
+        self.inner.dispose_data(id)
+    }
+    fn memory(&self) -> BackendMemory {
+        self.inner.memory()
+    }
+    fn run(&self, call: &KernelCall<'_>, operands: &[KTensor<'_>]) -> Result<DataId> {
+        self.inner.run(call, operands)
+    }
+}
+
+/// Creating a tensor moves its buffer to the backend when the buffer is
+/// already stored as the tensor's dtype: f32 values on the GPU rung and the
+/// U8 codes of a quantized tensor arrive where they were made. Bool data
+/// is still normalised to 0/1 on the way.
+#[test]
+fn tensor_creation_moves_its_buffer_to_the_backend() {
+    let gpu = WebGpuBackend::new(DeviceProfile::intel_iris_pro(), WebGpuConfig::default()).unwrap();
+    let seen = Arc::new(Seen { inner: gpu, at: Mutex::default() });
+    let e = Engine::new();
+    e.register_backend("webgpu", seen.clone(), 2);
+    let values = vec![0.5f32; 64];
+    let codes = vec![3u8; 64];
+    let made = [values.as_ptr() as usize, codes.as_ptr() as usize];
+    let t = e.tensor(values, vec![64]).unwrap();
+    let params = QuantParams::per_channel(1, vec![0.5; 8], vec![-1.0; 8]);
+    let q = e.quantized_tensor(codes, vec![8, 8], params).unwrap();
+    assert_eq!(*seen.at.lock().unwrap(), made);
+    assert_eq!(t.to_f32_vec().unwrap(), vec![0.5; 64]);
+    assert_eq!(q.data_sync().unwrap(), TensorData::U8(vec![3; 64]));
+    let flags = TensorData::U8(vec![7, 0, 1]);
+    let b = e.make_tensor(flags, Shape::new(vec![3]), DType::Bool).unwrap();
+    assert_eq!(b.to_f32_vec().unwrap(), vec![1.0, 0.0, 1.0]);
 }
