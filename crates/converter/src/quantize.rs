@@ -5,9 +5,10 @@
 //! on [`Codegen::detect`]'s build: one folds each channel's range, one
 //! encodes. Both walk the weights in `(block, channel, run)` order
 //! ([`channel_spans`]), so an element's channel is known without dividing
-//! its index; when only dims of 1 follow the channel axis
-//! (`stride == 1`: every MobileNet filter and dense kernel here) a block
-//! zips with the per-channel parameters and vectorises across channels.
+//! its index. A run reads its channel's parameters once; when only dims of
+//! 1 follow the channel axis (`stride == 1`: every MobileNet filter and
+//! dense kernel here) a block zips with the per-channel parameters and
+//! vectorises across channels.
 //! Per tensor is one channel over the whole tensor. Each channel's range is
 //! folded in index order, so `min` keeps the sign of zero the sequential
 //! fold gives it.
@@ -24,7 +25,7 @@
 //! NaN to 0, as the saturating `as u64` cast of the definition does.
 
 use webml_core::codegen::Codegen;
-use webml_core::quant::channel_spans;
+use webml_core::quant::{channel_spans, map_by_channel};
 use webml_core::{hot_loop, Error, Result};
 
 /// Integer width for quantized storage.
@@ -158,7 +159,7 @@ impl Quantization {
                 if per_channel.is_some() { scale as f32 as f64 } else { scale }
             })
             .collect();
-        let mut codes = vec![0u16; values.len()];
+        let mut codes = Vec::new();
         encode_codes(codegen, values, stride, &mins, &divisors, self.levels(), &mut codes);
         let bytes = match self {
             Quantization::U8 => codes.iter().map(|&q| q as u8).collect(),
@@ -235,13 +236,11 @@ hot_loop! {
         mins: &mut [f32],
         maxs: &mut [f32],
     ) {
+        let fold = |v: f32, lo: &mut f32, hi: &mut f32| (*lo, *hi) = (lo.min(v), hi.max(v));
         for (span, c) in channel_spans(values.len(), mins.len(), stride) {
-            let (lo, hi) = (&mut mins[c.clone()], &mut maxs[c]);
-            for values in values[span].chunks(lo.len()) {
-                for ((&v, lo), hi) in values.iter().zip(&mut *lo).zip(&mut *hi) {
-                    *lo = lo.min(v);
-                    *hi = hi.max(v);
-                }
+            match (&mut mins[c.clone()], &mut maxs[c]) {
+                ([lo], [hi]) => values[span].iter().for_each(|&v| fold(v, lo, hi)),
+                (lo, hi) => values[span].iter().zip(lo).zip(hi).for_each(|((&v, lo), hi)| fold(v, lo, hi)),
             }
         }
     }
@@ -256,17 +255,11 @@ hot_loop! {
         mins: &[f32],
         divisors: &[f64],
         levels: f64,
-        codes: &mut [u16],
+        codes: &mut Vec<u16>,
     ) {
-        for (span, c) in channel_spans(values.len(), mins.len(), stride) {
-            let params = mins[c.clone()].iter().zip(&divisors[c.clone()]);
-            let chunks = values[span.clone()].chunks(c.len()).zip(codes[span].chunks_mut(c.len()));
-            for (values, codes) in chunks {
-                for ((q, &v), (&min, &divisor)) in codes.iter_mut().zip(values).zip(params.clone()) {
-                    *q = code((v - min) as f64 / divisor, levels);
-                }
-            }
-        }
+        *codes = map_by_channel(values, (mins, divisors), stride, |&v, min, divisor| {
+            code((v - min) as f64 / divisor, levels)
+        });
     }
 }
 

@@ -28,6 +28,7 @@
 use crate::error::{Error, Result};
 use crate::shape::Shape;
 use std::ops::Range;
+use std::slice;
 use std::sync::Arc;
 
 /// Affine dequantization parameters for a `U8`-stored quantized tensor:
@@ -172,17 +173,11 @@ impl QuantParams {
                 format!("{} codes for shape {shape}", codes.len()),
             ));
         }
-        let (stride, channels) = self.channel_stride(dims);
-        let mut out = vec![0.0; codes.len()];
-        for (span, c) in channel_spans(codes.len(), channels, stride) {
-            let chunks = codes[span.clone()].chunks(c.len()).zip(out[span].chunks_mut(c.len()));
-            for (codes, out) in chunks {
-                for ((o, &q), (s, m)) in out.iter_mut().zip(codes).zip(c.clone().map(|k| self.scale_min(k))) {
-                    *o = q as f32 * s + m;
-                }
-            }
-        }
-        Ok(out)
+        let params = match self {
+            QuantParams::PerTensor { scale, min } => (slice::from_ref(scale), slice::from_ref(min)),
+            QuantParams::PerChannel { scales, mins, .. } => (&scales[..], &mins[..]),
+        };
+        Ok(map_by_channel(codes, params, self.channel_stride(dims).0, |&q, s, m| q as f32 * s + m))
     }
 
     /// The params describing the same codes viewed under shape `to` instead
@@ -227,10 +222,10 @@ impl QuantParams {
 /// elements. The buffer is blocks of `channels` runs of `stride` elements,
 /// run `c` of every block in channel `c`, so the walk knows each element's
 /// channel without dividing its index. It yields `(elements, channels)` over
-/// the buffer in order, `elements` a run of chunks of `channels.len()`
-/// elements, each zipped with `channels`: once per run, every element in
-/// its one channel; or, when `stride == 1`, once per block, element `k` in
-/// channel `k`. One channel is one run over the whole buffer.
+/// the buffer in order: a run, every element in the one channel
+/// `channels`; or, when `stride == 1`, a block, as many elements as
+/// channels, element `k` in channel `k`. One channel is one run over the
+/// whole buffer.
 pub fn channel_spans(
     len: usize,
     channels: usize,
@@ -244,6 +239,26 @@ pub fn channel_spans(
             (start, _) => (start..start + stride, c..c + 1),
         })
     })
+}
+
+/// `f(x, a[k], b[k])` for each element `x` of `src`, `k` its channel on
+/// the channel walk of `a.len()` channels ([`channel_spans`]), in order: a
+/// run reads its channel's params once, a block zips with them.
+#[inline(always)]
+pub fn map_by_channel<T, U, A: Copy, B: Copy>(
+    src: &[T],
+    (a, b): (&[A], &[B]),
+    stride: usize,
+    mut f: impl FnMut(&T, A, B) -> U,
+) -> Vec<U> {
+    let mut out = Vec::with_capacity(src.len());
+    for (span, c) in channel_spans(src.len(), a.len(), stride) {
+        match (&src[span], &a[c.clone()], &b[c]) {
+            (src, &[a], &[b]) => out.extend(src.iter().map(|x| f(x, a, b))),
+            (src, a, b) => out.extend(src.iter().zip(a).zip(b).map(|((x, &a), &b)| f(x, a, b))),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
