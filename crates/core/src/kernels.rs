@@ -17,6 +17,11 @@
 //! engine's graceful degradation — re-dispatching a kernel on the next
 //! backend after a device fault — is numerically transparent, and the fault
 //! suite can assert exact equality between faulted and fault-free runs.
+//!
+//! The products and their gradients accumulate a row of outputs at a time
+//! along the contiguous channel or column axis, each output keeping the IEEE
+//! operations of a one-output loop (the rule is in [`crate::cpu`]):
+//! single-threaded scalar source that the compiler vectorises.
 
 use crate::backend::{
     ArgReduceOp, BinaryOp, Epilogue, FusedStep, KernelCall, MatMulGeom, PoolOp, ReduceOp, UnaryOp,
@@ -351,7 +356,7 @@ pub fn arg_reduce(op: ArgReduceOp, a: &[f32], shape: &Shape, axis: usize) -> Vec
     out
 }
 
-/// Batched matrix multiply `[batch, m, k] x [batch, k, n]`, naive loops.
+/// Batched matrix multiply `[batch, m, k] x [batch, k, n]`.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul(
     a: &[f32],
@@ -363,20 +368,38 @@ pub fn matmul(
     transpose_a: bool,
     transpose_b: bool,
 ) -> Vec<f32> {
+    matmul_sums(a, b, (batch, m, k, n), (transpose_a, transpose_b), None)
+}
+
+/// `Σₚ a·b` of every output of a batched matmul, a row of `n` at a time: `p`
+/// runs outside the row, so each output adds its products in `p` order. A
+/// batch-1 `b` broadcasts across the batch. With `a_sums`, also each row's
+/// `Σₚ a`, in the same order.
+fn matmul_sums<B: Copy + Into<f32>>(
+    a: &[f32],
+    b: &[B],
+    (batch, m, k, n): (usize, usize, usize, usize),
+    (transpose_a, transpose_b): (bool, bool),
+    mut a_sums: Option<&mut [f32]>,
+) -> Vec<f32> {
     let mut out = vec![0.0f32; batch * m * n];
     for bi in 0..batch {
-        let a_off = bi * m * k;
-        let b_off = bi * k * n;
-        let o_off = bi * m * n;
+        let b = &b[if b.len() == k * n { 0 } else { bi * k * n }..];
         for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    let av = if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * k + p] };
-                    let bv = if transpose_b { b[b_off + j * k + p] } else { b[b_off + p * n + j] };
-                    acc += av * bv;
+            let row = &mut out[(bi * m + i) * n..][..n];
+            for p in 0..k {
+                let av =
+                    if transpose_a { a[(bi * k + p) * m + i] } else { a[(bi * m + i) * k + p] };
+                if let Some(sums) = a_sums.as_deref_mut() {
+                    sums[bi * m + i] += av;
                 }
-                out[o_off + i * n + j] = acc;
+                if transpose_b {
+                    let column = b.iter().skip(p).step_by(k);
+                    row.iter_mut().zip(column).for_each(|(acc, &bv)| *acc += av * bv.into());
+                } else {
+                    let bs = &b[p * n..][..n];
+                    row.iter_mut().zip(bs).for_each(|(acc, &bv)| *acc += av * bv.into());
+                }
             }
         }
     }
@@ -422,40 +445,42 @@ pub fn fused_matmul_quant(
     transpose_a: bool,
     transpose_b: bool,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
-    for bi in 0..batch {
-        let a_off = bi * m * k;
-        // A batch-1 `b` (the usual weight case) broadcasts across the batch
-        // instead of being tiled — tiling would copy the codes.
-        let b_off = if b_q.len() == k * n { 0 } else { bi * k * n };
-        let o_off = bi * m * n;
-        for i in 0..m {
-            // Σₚ aᵢₚ is shared by every output column of row i.
-            let mut acc_a = 0.0f32;
-            for p in 0..k {
-                acc_a += if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * k + p] };
+    let mut a_sums = vec![0.0f32; batch * m];
+    let geom = (batch, m, k, n);
+    let mut out = matmul_sums(a, b_q, geom, (transpose_a, transpose_b), Some(&mut a_sums));
+    finish_quant(&mut out, n, &a_sums, |j| params.scale_min(j), bias, activation);
+    out
+}
+
+/// The U8 products' epilogue, in place, a row of `channels` outputs at a
+/// time: output `j` of row `r`, holding `Σ x·q`, becomes `s·Σxq + m·Σx` with
+/// `(s, m) = scale_min(j)` and `Σx` row `r`'s sum of group `j·g / channels`
+/// (`x_sums` holds `g` per row), then `+ bias[j]`, then the activation.
+fn finish_quant(
+    out: &mut [f32],
+    channels: usize,
+    x_sums: &[f32],
+    scale_min: impl Fn(usize) -> (f32, f32),
+    bias: Option<&[f32]>,
+    activation: Option<UnaryOp>,
+) {
+    if out.is_empty() {
+        return;
+    }
+    let groups = x_sums.len() / (out.len() / channels);
+    let per_channel: Vec<_> =
+        (0..channels).map(|j| (scale_min(j), j * groups / channels)).collect();
+    for (row, sums) in out.chunks_exact_mut(channels).zip(x_sums.chunks_exact(groups)) {
+        for (j, (v, &((s, mn), group))) in row.iter_mut().zip(&per_channel).enumerate() {
+            *v = s * *v + mn * sums[group];
+            if let Some(bias) = bias {
+                *v = BinaryOp::Add.apply(*v, bias[j]);
             }
-            for j in 0..n {
-                let (s, mn) = params.scale_min(j);
-                let mut acc_q = 0.0f32;
-                for p in 0..k {
-                    let av = if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * k + p] };
-                    let qv =
-                        if transpose_b { b_q[b_off + j * k + p] } else { b_q[b_off + p * n + j] };
-                    acc_q += av * qv as f32;
-                }
-                let mut v = s * acc_q + mn * acc_a;
-                if let Some(bias) = bias {
-                    v = BinaryOp::Add.apply(v, bias[j]);
-                }
-                if let Some(act) = activation {
-                    v = act.apply(v);
-                }
-                out[o_off + i * n + j] = v;
+            if let Some(act) = activation {
+                *v = act.apply(*v);
             }
         }
     }
-    out
 }
 
 /// Fully-integer quantized matmul `[b,m,k] x [b,k,n]`: *both* operands are
@@ -510,6 +535,76 @@ pub fn matmul_q8_i32(
     out
 }
 
+/// Every in-bounds tap of every conv output pixel: pixels in `(b, oh, ow)`
+/// order and each pixel's taps in `(fh, fw)` order, as `tap(pixel, t, input)`
+/// with `t = fh · filter_width + fw` and `input` the flat `(b, ih, iw)` index
+/// of the input pixel the tap reads. A padding tap is skipped, never read.
+fn for_each_tap(c: &Conv2dInfo, mut tap: impl FnMut(usize, usize, usize)) {
+    let mut pixel = 0;
+    for b in 0..c.batch {
+        for oh in 0..c.out_height {
+            for ow in 0..c.out_width {
+                for fh in 0..c.filter_height {
+                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                    if ih < 0 || ih >= c.in_height as isize {
+                        continue;
+                    }
+                    for fw in 0..c.filter_width {
+                        let iw =
+                            (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                        if iw < 0 || iw >= c.in_width as isize {
+                            continue;
+                        }
+                        let input = (b * c.in_height + ih as usize) * c.in_width + iw as usize;
+                        tap(pixel, fh * c.filter_width + fw, input);
+                    }
+                }
+                pixel += 1;
+            }
+        }
+    }
+}
+
+/// A zero gradient adds no term: `acc + g·v` unless `g == 0`. A select, not
+/// a branch, so a row of them vectorises.
+#[inline]
+fn add_term(acc: f32, g: f32, v: f32) -> f32 {
+    if g != 0.0 {
+        acc + g * v
+    } else {
+        acc
+    }
+}
+
+/// 2-D convolution, NHWC input, HWIO filter.
+pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+    conv2d_sums(x, w, info, None)
+}
+
+/// `Σ x·w` of every conv output, a row of output channels at a time, each
+/// output adding its products in `(fh, fw, ic)` order. With `x_sums`, also
+/// each pixel's `Σ x` over the same taps, in the same order.
+fn conv2d_sums<W: Copy + Into<f32>>(
+    x: &[f32],
+    w: &[W],
+    c: &Conv2dInfo,
+    mut x_sums: Option<&mut [f32]>,
+) -> Vec<f32> {
+    let (ic_n, oc_n) = (c.in_channels, c.out_channels);
+    let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * oc_n];
+    for_each_tap(c, |pixel, t, input| {
+        let (row, xs) = (&mut out[pixel * oc_n..][..oc_n], &x[input * ic_n..][..ic_n]);
+        for (ic, &xv) in xs.iter().enumerate() {
+            let ws = &w[(t * ic_n + ic) * oc_n..][..oc_n];
+            row.iter_mut().zip(ws).for_each(|(acc, &wv)| *acc += xv * wv.into());
+        }
+        if let Some(sums) = x_sums.as_deref_mut() {
+            xs.iter().for_each(|&xv| sums[pixel] += xv);
+        }
+    });
+    out
+}
+
 /// Quantized-filter fused conv2d (see [`fused_matmul_quant`]): NHWC `x`
 /// against raw u8 HWIO codes. Per output position the valid-tap input sum
 /// `Σ x` is shared across output channels; per-channel `params` index the
@@ -522,62 +617,76 @@ pub fn fused_conv2d_quant(
     activation: Option<UnaryOp>,
     info: &Conv2dInfo,
 ) -> Vec<f32> {
+    let mut x_sums = vec![0.0f32; info.batch * info.out_height * info.out_width];
+    let mut out = conv2d_sums(x, w_q, info, Some(&mut x_sums));
+    finish_quant(&mut out, info.out_channels, &x_sums, |j| params.scale_min(j), bias, activation);
+    out
+}
+
+/// Gradient of [`conv2d`] with respect to its input (scatter form).
+pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
     let c = info;
-    let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
-    let x_strides =
-        [c.in_height * c.in_width * c.in_channels, c.in_width * c.in_channels, c.in_channels];
-    let w_strides = [
-        c.filter_width * c.in_channels * c.out_channels,
-        c.in_channels * c.out_channels,
-        c.out_channels,
-    ];
-    let mut acc_q = vec![0.0f32; c.out_channels];
-    let mut oi = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                acc_q.iter_mut().for_each(|v| *v = 0.0);
-                let mut acc_x = 0.0f32;
-                for fh in 0..c.filter_height {
-                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                    if ih < 0 || ih >= c.in_height as isize {
-                        continue;
-                    }
-                    for fw in 0..c.filter_width {
-                        let iw =
-                            (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                        if iw < 0 || iw >= c.in_width as isize {
-                            continue;
-                        }
-                        let x_base = b * x_strides[0]
-                            + ih as usize * x_strides[1]
-                            + iw as usize * x_strides[2];
-                        let w_base = fh * w_strides[0] + fw * w_strides[1];
-                        for ic in 0..c.in_channels {
-                            let xv = x[x_base + ic];
-                            acc_x += xv;
-                            let wq_base = w_base + ic * w_strides[2];
-                            for (oc, acc) in acc_q.iter_mut().enumerate() {
-                                *acc += xv * w_q[wq_base + oc] as f32;
-                            }
-                        }
-                    }
-                }
-                for (oc, &aq) in acc_q.iter().enumerate() {
-                    let (s, mn) = params.scale_min(oc);
-                    let mut v = s * aq + mn * acc_x;
-                    if let Some(bias) = bias {
-                        v = BinaryOp::Add.apply(v, bias[oc]);
-                    }
-                    if let Some(act) = activation {
-                        v = act.apply(v);
-                    }
-                    out[oi] = v;
-                    oi += 1;
-                }
+    let (ic_n, oc_n) = (c.in_channels, c.out_channels);
+    // The filter as `[fh, fw, oc, ic]`, so each gradient's terms are a row.
+    let taps = c.filter_height * c.filter_width;
+    let w_t = transpose(w, &Shape::new(vec![taps, ic_n, oc_n]), &[0, 2, 1]);
+    let mut dx = vec![0.0f32; c.batch * c.in_height * c.in_width * ic_n];
+    for_each_tap(c, |pixel, t, input| {
+        let dxs = &mut dx[input * ic_n..][..ic_n];
+        for (oc, &g) in dy[pixel * oc_n..][..oc_n].iter().enumerate() {
+            if g != 0.0 {
+                let ws = &w_t[(t * oc_n + oc) * ic_n..][..ic_n];
+                dxs.iter_mut().zip(ws).for_each(|(d, &wv)| *d += g * wv);
             }
         }
-    }
+    });
+    dx
+}
+
+/// Gradient of [`conv2d`] with respect to its filter.
+pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+    let c = info;
+    let (ic_n, oc_n) = (c.in_channels, c.out_channels);
+    let mut dw = vec![0.0f32; c.filter_height * c.filter_width * ic_n * oc_n];
+    for_each_tap(c, |pixel, t, input| {
+        let gs = &dy[pixel * oc_n..][..oc_n];
+        for (ic, &xv) in x[input * ic_n..][..ic_n].iter().enumerate() {
+            let dws = &mut dw[(t * ic_n + ic) * oc_n..][..oc_n];
+            dws.iter_mut().zip(gs).for_each(|(d, &g)| *d = add_term(*d, g, xv));
+        }
+    });
+    dw
+}
+
+/// Depthwise 2-D convolution; filter is `[fh, fw, in_c, channel_mul]` and
+/// output channel `ic * mul + m` only reads input channel `ic`.
+pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+    depthwise_sums(x, w, info, None)
+}
+
+/// `Σ x·w` of every depthwise output, a row of output channels at a time,
+/// each output adding its products in `(fh, fw)` order. With `x_sums`, also
+/// each pixel's `Σ x` per input channel over the same taps.
+fn depthwise_sums<W: Copy + Into<f32>>(
+    x: &[f32],
+    w: &[W],
+    c: &Conv2dInfo,
+    mut x_sums: Option<&mut [f32]>,
+) -> Vec<f32> {
+    let (ic_n, mul, oc_n) = (c.in_channels, c.channel_mul, c.out_channels);
+    let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * oc_n];
+    for_each_tap(c, |pixel, t, input| {
+        let (row, xs) = (&mut out[pixel * oc_n..][..oc_n], &x[input * ic_n..][..ic_n]);
+        let products = row.iter_mut().zip(&w[t * oc_n..][..oc_n]);
+        if mul == 1 {
+            products.zip(xs).for_each(|((acc, &wv), &xv)| *acc += xv * wv.into());
+        } else {
+            products.enumerate().for_each(|(oc, (acc, &wv))| *acc += xs[oc / mul] * wv.into());
+        }
+        if let Some(sums) = x_sums.as_deref_mut() {
+            sums[pixel * ic_n..][..ic_n].iter_mut().zip(xs).for_each(|(s, &xv)| *s += xv);
+        }
+    });
     out
 }
 
@@ -593,308 +702,49 @@ pub fn fused_depthwise_conv2d_quant(
     activation: Option<UnaryOp>,
     info: &Conv2dInfo,
 ) -> Vec<f32> {
-    let c = info;
-    let mul = c.channel_mul;
-    let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
-    let mut oi = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for ic in 0..c.in_channels {
-                    for m in 0..mul {
-                        let ch = match params {
-                            QuantParams::PerTensor { .. } => 0,
-                            QuantParams::PerChannel { axis, .. } => {
-                                if *axis == 2 {
-                                    ic
-                                } else {
-                                    m
-                                }
-                            }
-                        };
-                        let (s, mn) = params.scale_min(ch);
-                        let mut acc_q = 0.0f32;
-                        let mut acc_x = 0.0f32;
-                        for fh in 0..c.filter_height {
-                            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize
-                                - c.pad_top as isize;
-                            if ih < 0 || ih >= c.in_height as isize {
-                                continue;
-                            }
-                            for fw in 0..c.filter_width {
-                                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize
-                                    - c.pad_left as isize;
-                                if iw < 0 || iw >= c.in_width as isize {
-                                    continue;
-                                }
-                                let xv = x[((b * c.in_height + ih as usize) * c.in_width
-                                    + iw as usize)
-                                    * c.in_channels
-                                    + ic];
-                                let wq =
-                                    w_q[((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m];
-                                acc_q += xv * wq as f32;
-                                acc_x += xv;
-                            }
-                        }
-                        let mut v = s * acc_q + mn * acc_x;
-                        if let Some(bias) = bias {
-                            v = BinaryOp::Add.apply(v, bias[ic * mul + m]);
-                        }
-                        if let Some(act) = activation {
-                            v = act.apply(v);
-                        }
-                        out[oi] = v;
-                        oi += 1;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// 2-D convolution, NHWC input, HWIO filter.
-pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
-    let c = info;
-    let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
-    let x_strides = [c.in_height * c.in_width * c.in_channels, c.in_width * c.in_channels, c.in_channels];
-    let w_strides = [c.filter_width * c.in_channels * c.out_channels, c.in_channels * c.out_channels, c.out_channels];
-    let mut oi = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for oc in 0..c.out_channels {
-                    let mut acc = 0.0f32;
-                    for fh in 0..c.filter_height {
-                        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                        if ih < 0 || ih >= c.in_height as isize {
-                            continue;
-                        }
-                        for fw in 0..c.filter_width {
-                            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                            if iw < 0 || iw >= c.in_width as isize {
-                                continue;
-                            }
-                            let x_base = b * x_strides[0] + ih as usize * x_strides[1] + iw as usize * x_strides[2];
-                            let w_base = fh * w_strides[0] + fw * w_strides[1];
-                            for ic in 0..c.in_channels {
-                                acc += x[x_base + ic] * w[w_base + ic * w_strides[2] + oc];
-                            }
-                        }
-                    }
-                    out[oi] = acc;
-                    oi += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Gradient of [`conv2d`] with respect to its input (scatter form).
-pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
-    let c = info;
-    let mut dx = vec![0.0f32; c.batch * c.in_height * c.in_width * c.in_channels];
-    let mut di = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for oc in 0..c.out_channels {
-                    let g = dy[di];
-                    di += 1;
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for fh in 0..c.filter_height {
-                        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                        if ih < 0 || ih >= c.in_height as isize {
-                            continue;
-                        }
-                        for fw in 0..c.filter_width {
-                            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                            if iw < 0 || iw >= c.in_width as isize {
-                                continue;
-                            }
-                            for ic in 0..c.in_channels {
-                                let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                                    * c.in_channels
-                                    + ic;
-                                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic)
-                                    * c.out_channels
-                                    + oc;
-                                dx[x_idx] += g * w[w_idx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    dx
-}
-
-/// Gradient of [`conv2d`] with respect to its filter.
-pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo) -> Vec<f32> {
-    let c = info;
-    let mut dw = vec![0.0f32; c.filter_height * c.filter_width * c.in_channels * c.out_channels];
-    let mut di = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for oc in 0..c.out_channels {
-                    let g = dy[di];
-                    di += 1;
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for fh in 0..c.filter_height {
-                        let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                        if ih < 0 || ih >= c.in_height as isize {
-                            continue;
-                        }
-                        for fw in 0..c.filter_width {
-                            let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                            if iw < 0 || iw >= c.in_width as isize {
-                                continue;
-                            }
-                            for ic in 0..c.in_channels {
-                                let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                                    * c.in_channels
-                                    + ic;
-                                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic)
-                                    * c.out_channels
-                                    + oc;
-                                dw[w_idx] += g * x[x_idx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    dw
-}
-
-/// Depthwise 2-D convolution; filter is `[fh, fw, in_c, channel_mul]` and
-/// output channel `ic * mul + m` only reads input channel `ic`.
-pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
-    let c = info;
-    let mul = c.channel_mul;
-    let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
-    let mut oi = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for ic in 0..c.in_channels {
-                    for m in 0..mul {
-                        let mut acc = 0.0f32;
-                        for fh in 0..c.filter_height {
-                            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                            if ih < 0 || ih >= c.in_height as isize {
-                                continue;
-                            }
-                            for fw in 0..c.filter_width {
-                                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                                if iw < 0 || iw >= c.in_width as isize {
-                                    continue;
-                                }
-                                let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                                    * c.in_channels
-                                    + ic;
-                                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m;
-                                acc += x[x_idx] * w[w_idx];
-                            }
-                        }
-                        out[oi] = acc;
-                        oi += 1;
-                    }
-                }
-            }
-        }
-    }
+    let mul = info.channel_mul;
+    let pixels = info.batch * info.out_height * info.out_width;
+    let mut x_sums = vec![0.0f32; pixels * info.in_channels];
+    let mut out = depthwise_sums(x, w_q, info, Some(&mut x_sums));
+    let by_ic = matches!(params, QuantParams::PerChannel { axis: 2, .. });
+    let scale_min = |oc| params.scale_min(if by_ic { oc / mul } else { oc % mul });
+    finish_quant(&mut out, info.out_channels, &x_sums, scale_min, bias, activation);
     out
 }
 
 /// Gradient of [`depthwise_conv2d`] w.r.t. its input.
 pub fn depthwise_conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
     let c = info;
-    let mul = c.channel_mul;
-    let mut dx = vec![0.0f32; c.batch * c.in_height * c.in_width * c.in_channels];
-    let mut di = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for ic in 0..c.in_channels {
-                    for m in 0..mul {
-                        let g = dy[di];
-                        di += 1;
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for fh in 0..c.filter_height {
-                            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                            if ih < 0 || ih >= c.in_height as isize {
-                                continue;
-                            }
-                            for fw in 0..c.filter_width {
-                                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                                if iw < 0 || iw >= c.in_width as isize {
-                                    continue;
-                                }
-                                let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                                    * c.in_channels
-                                    + ic;
-                                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m;
-                                dx[x_idx] += g * w[w_idx];
-                            }
-                        }
-                    }
-                }
+    let (ic_n, mul, oc_n) = (c.in_channels, c.channel_mul, c.out_channels);
+    let mut dx = vec![0.0f32; c.batch * c.in_height * c.in_width * ic_n];
+    for_each_tap(c, |pixel, t, input| {
+        let dxs = &mut dx[input * ic_n..][..ic_n];
+        let terms = dy[pixel * oc_n..][..oc_n].iter().zip(&w[t * oc_n..][..oc_n]);
+        if mul == 1 {
+            dxs.iter_mut().zip(terms).for_each(|(d, (&g, &wv))| *d = add_term(*d, g, wv));
+        } else {
+            for (oc, (&g, &wv)) in terms.enumerate() {
+                dxs[oc / mul] = add_term(dxs[oc / mul], g, wv);
             }
         }
-    }
+    });
     dx
 }
 
 /// Gradient of [`depthwise_conv2d`] w.r.t. its filter.
 pub fn depthwise_conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo) -> Vec<f32> {
     let c = info;
-    let mul = c.channel_mul;
-    let mut dw = vec![0.0f32; c.filter_height * c.filter_width * c.in_channels * mul];
-    let mut di = 0;
-    for b in 0..c.batch {
-        for oh in 0..c.out_height {
-            for ow in 0..c.out_width {
-                for ic in 0..c.in_channels {
-                    for m in 0..mul {
-                        let g = dy[di];
-                        di += 1;
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for fh in 0..c.filter_height {
-                            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
-                            if ih < 0 || ih >= c.in_height as isize {
-                                continue;
-                            }
-                            for fw in 0..c.filter_width {
-                                let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
-                                if iw < 0 || iw >= c.in_width as isize {
-                                    continue;
-                                }
-                                let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
-                                    * c.in_channels
-                                    + ic;
-                                let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m;
-                                dw[w_idx] += g * x[x_idx];
-                            }
-                        }
-                    }
-                }
-            }
+    let (ic_n, mul, oc_n) = (c.in_channels, c.channel_mul, c.out_channels);
+    let mut dw = vec![0.0f32; c.filter_height * c.filter_width * oc_n];
+    for_each_tap(c, |pixel, t, input| {
+        let xs = &x[input * ic_n..][..ic_n];
+        let terms = dw[t * oc_n..][..oc_n].iter_mut().zip(&dy[pixel * oc_n..][..oc_n]);
+        if mul == 1 {
+            terms.zip(xs).for_each(|((d, &g), &xv)| *d = add_term(*d, g, xv));
+        } else {
+            terms.enumerate().for_each(|(oc, (d, &g))| *d = add_term(*d, g, xs[oc / mul]));
         }
-    }
+    });
     dw
 }
 
@@ -1634,5 +1484,600 @@ mod tests {
         let x = vec![0.0, 3.0];
         let out = resize_bilinear(&x, &s(&[1, 1, 2, 1]), 1, 4, true);
         assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0]);
+    }
+
+    /// `n` values from `seed`: about one in six an IEEE corner (±0, ±inf,
+    /// NaN), the rest finite over sixteen binades, so a changed summation
+    /// order rounds differently. With `zeros`, every third value is ±0 too.
+    fn operand(seed: u64, n: usize, zeros: bool) -> Vec<f32> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let finite = |h: u64| ((h >> 8) % 2001) as f32 / 1000.0 - 1.0;
+        let value = |h: u64| match h % 32 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            _ => finite(h) * 2f32.powi((h >> 20) as i32 % 16 - 8),
+        };
+        let zero = |h: u64| [0.0, -0.0][(h >> 2) as usize % 2];
+        let one = |h: u64| if zeros && h.is_multiple_of(3) { zero(h) } else { value(h >> 2) };
+        (0..n).map(|_| one(next())).collect()
+    }
+
+    /// Bits with every NaN as one: Rust leaves a NaN result's sign and
+    /// payload unspecified.
+    fn nan_blind(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Every product kernel against its first form in `old`, on bits.
+        #[test]
+        fn reference_products_keep_their_bits(
+            batch in 1usize..4,
+            hw in proptest::prop::collection::vec(0usize..7, 2..3),
+            filter in proptest::prop::collection::vec(1usize..4, 2..3),
+            channels in proptest::prop::collection::vec(0usize..4, 3..4),
+            steps in proptest::prop::collection::vec(1usize..3, 4..5),
+            mkn in proptest::prop::collection::vec(0usize..6, 3..4),
+            same in 0usize..2,
+            seed in 0u64..1 << 62,
+        ) {
+            use crate::conv_util::{conv2d_info, depthwise_conv2d_info, Padding};
+            let check = |name: &str, got: Vec<f32>, want: Vec<f32>| {
+                let same_bits = nan_blind(&got) == nan_blind(&want);
+                proptest::prop_assert!(same_bits, "{name}: {got:?} != {want:?}");
+                Ok(())
+            };
+            let (in_c, out_c, mul) = (channels[0], channels[1], channels[2]);
+            let same = same == 1 && hw[0] > 0 && hw[1] > 0;
+            let pad = if same { Padding::Same } else { Padding::Valid };
+            let x_shape = s(&[batch, hw[0], hw[1], in_c]);
+            let filter_of = |last| s(&[filter[0], filter[1], in_c, last]);
+            let (st, dl) = ((steps[0], steps[1]), (steps[2], steps[3]));
+            let conv = conv2d_info("t", &x_shape, &filter_of(out_c), st, pad, dl).unwrap();
+            let depthwise =
+                depthwise_conv2d_info("t", &x_shape, &filter_of(mul), st, pad, dl).unwrap();
+            let x = operand(seed, x_shape.size(), false);
+            let codes: Vec<u8> =
+                operand(seed ^ 1, 256, false).iter().map(|v| v.to_bits() as u8).collect();
+            let bias = operand(seed ^ 2, 16, false);
+            let bias = (seed % 2 == 0).then_some(&bias[..]);
+            let acts = [None, Some(UnaryOp::Relu), Some(UnaryOp::Relu6), Some(UnaryOp::Tanh)];
+            let act = acts[seed as usize / 2 % 4];
+            // Per-tensor, then per-channel along `axis` with `n` channels.
+            let params = |axis, n| {
+                let (scales, mins) = (operand(seed ^ 3, n, false), operand(seed ^ 4, n, false));
+                let per_channel = QuantParams::per_channel(axis, scales, mins);
+                [QuantParams::per_tensor(0.0173, -1.25), per_channel]
+            };
+
+            let c = &conv;
+            let w = operand(seed ^ 5, filter_of(out_c).size(), false);
+            let dy = operand(seed ^ 6, c.out_shape().size(), true);
+            check("conv2d", conv2d(&x, &w, c), old::conv2d(&x, &w, c))?;
+            let dx = conv2d_backprop_input(&dy, &w, c);
+            check("conv2d_backprop_input", dx, old::conv2d_backprop_input(&dy, &w, c))?;
+            let dw = conv2d_backprop_filter(&x, &dy, c);
+            check("conv2d_backprop_filter", dw, old::conv2d_backprop_filter(&x, &dy, c))?;
+            let w_q = &codes[..w.len()];
+            for p in params(3, out_c) {
+                let want = old::fused_conv2d_quant(&x, w_q, &p, bias, act, c);
+                check("fused_conv2d_quant", fused_conv2d_quant(&x, w_q, &p, bias, act, c), want)?;
+            }
+
+            let c = &depthwise;
+            let w = operand(seed ^ 7, filter_of(mul).size(), false);
+            let dy = operand(seed ^ 8, c.out_shape().size(), true);
+            let out = depthwise_conv2d(&x, &w, c);
+            check("depthwise_conv2d", out, old::depthwise_conv2d(&x, &w, c))?;
+            let dx = depthwise_conv2d_backprop_input(&dy, &w, c);
+            check("depthwise_input", dx, old::depthwise_conv2d_backprop_input(&dy, &w, c))?;
+            let dw = depthwise_conv2d_backprop_filter(&x, &dy, c);
+            check("depthwise_filter", dw, old::depthwise_conv2d_backprop_filter(&x, &dy, c))?;
+            let w_q = &codes[..w.len()];
+            // Per-tensor, per input channel (axis 2) and per multiplier (axis 3).
+            for p in params(2, in_c).into_iter().chain(params(3, mul).into_iter().skip(1)) {
+                let got = fused_depthwise_conv2d_quant(&x, w_q, &p, bias, act, c);
+                let want = old::fused_depthwise_conv2d_quant(&x, w_q, &p, bias, act, c);
+                check("fused_depthwise_quant", got, want)?;
+            }
+
+            let (m, k, n) = (mkn[0], mkn[1], mkn[2]);
+            let a = operand(seed ^ 9, batch * m * k, false);
+            let b = operand(seed ^ 10, batch * k * n, false);
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let want = old::matmul(&a, &b, batch, m, k, n, ta, tb);
+                check("matmul", matmul(&a, &b, batch, m, k, n, ta, tb), want)?;
+                // A per-batch `b` and a batch-1 one, which broadcasts.
+                for bq in [&codes[..batch * k * n], &codes[..k * n]] {
+                    for p in params(1, n) {
+                        let got = fused_matmul_quant(&a, bq, &p, bias, act, batch, m, k, n, ta, tb);
+                        let want =
+                            old::fused_matmul_quant(&a, bq, &p, bias, act, batch, m, k, n, ta, tb);
+                        check("fused_matmul_quant", got, want)?;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The product kernels as first written, one scalar dot product (or one
+    /// gradient term) at a time: the row forms must keep their bits.
+    mod old {
+        use super::*;
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn matmul(
+            a: &[f32],
+            b: &[f32],
+            batch: usize,
+            m: usize,
+            k: usize,
+            n: usize,
+            transpose_a: bool,
+            transpose_b: bool,
+        ) -> Vec<f32> {
+            let mut out = vec![0.0f32; batch * m * n];
+            for bi in 0..batch {
+                let a_off = bi * m * k;
+                let b_off = bi * k * n;
+                let o_off = bi * m * n;
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0f32;
+                        for p in 0..k {
+                            let av = if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * k + p] };
+                            let bv = if transpose_b { b[b_off + j * k + p] } else { b[b_off + p * n + j] };
+                            acc += av * bv;
+                        }
+                        out[o_off + i * n + j] = acc;
+                    }
+                }
+            }
+            out
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn fused_matmul_quant(
+            a: &[f32],
+            b_q: &[u8],
+            params: &QuantParams,
+            bias: Option<&[f32]>,
+            activation: Option<UnaryOp>,
+            batch: usize,
+            m: usize,
+            k: usize,
+            n: usize,
+            transpose_a: bool,
+            transpose_b: bool,
+        ) -> Vec<f32> {
+            let mut out = vec![0.0f32; batch * m * n];
+            for bi in 0..batch {
+                let a_off = bi * m * k;
+                // A batch-1 `b` (the usual weight case) broadcasts across the batch
+                // instead of being tiled — tiling would copy the codes.
+                let b_off = if b_q.len() == k * n { 0 } else { bi * k * n };
+                let o_off = bi * m * n;
+                for i in 0..m {
+                    // Σₚ aᵢₚ is shared by every output column of row i.
+                    let mut acc_a = 0.0f32;
+                    for p in 0..k {
+                        acc_a += if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * k + p] };
+                    }
+                    for j in 0..n {
+                        let (s, mn) = params.scale_min(j);
+                        let mut acc_q = 0.0f32;
+                        for p in 0..k {
+                            let av = if transpose_a { a[a_off + p * m + i] } else { a[a_off + i * k + p] };
+                            let qv =
+                                if transpose_b { b_q[b_off + j * k + p] } else { b_q[b_off + p * n + j] };
+                            acc_q += av * qv as f32;
+                        }
+                        let mut v = s * acc_q + mn * acc_a;
+                        if let Some(bias) = bias {
+                            v = BinaryOp::Add.apply(v, bias[j]);
+                        }
+                        if let Some(act) = activation {
+                            v = act.apply(v);
+                        }
+                        out[o_off + i * n + j] = v;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn fused_conv2d_quant(
+            x: &[f32],
+            w_q: &[u8],
+            params: &QuantParams,
+            bias: Option<&[f32]>,
+            activation: Option<UnaryOp>,
+            info: &Conv2dInfo,
+        ) -> Vec<f32> {
+            let c = info;
+            let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
+            let x_strides =
+                [c.in_height * c.in_width * c.in_channels, c.in_width * c.in_channels, c.in_channels];
+            let w_strides = [
+                c.filter_width * c.in_channels * c.out_channels,
+                c.in_channels * c.out_channels,
+                c.out_channels,
+            ];
+            let mut acc_q = vec![0.0f32; c.out_channels];
+            let mut oi = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        acc_q.iter_mut().for_each(|v| *v = 0.0);
+                        let mut acc_x = 0.0f32;
+                        for fh in 0..c.filter_height {
+                            let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                            if ih < 0 || ih >= c.in_height as isize {
+                                continue;
+                            }
+                            for fw in 0..c.filter_width {
+                                let iw =
+                                    (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                if iw < 0 || iw >= c.in_width as isize {
+                                    continue;
+                                }
+                                let x_base = b * x_strides[0]
+                                    + ih as usize * x_strides[1]
+                                    + iw as usize * x_strides[2];
+                                let w_base = fh * w_strides[0] + fw * w_strides[1];
+                                for ic in 0..c.in_channels {
+                                    let xv = x[x_base + ic];
+                                    acc_x += xv;
+                                    let wq_base = w_base + ic * w_strides[2];
+                                    for (oc, acc) in acc_q.iter_mut().enumerate() {
+                                        *acc += xv * w_q[wq_base + oc] as f32;
+                                    }
+                                }
+                            }
+                        }
+                        for (oc, &aq) in acc_q.iter().enumerate() {
+                            let (s, mn) = params.scale_min(oc);
+                            let mut v = s * aq + mn * acc_x;
+                            if let Some(bias) = bias {
+                                v = BinaryOp::Add.apply(v, bias[oc]);
+                            }
+                            if let Some(act) = activation {
+                                v = act.apply(v);
+                            }
+                            out[oi] = v;
+                            oi += 1;
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Quantized-filter fused depthwise conv2d. Each output channel
+        /// `oc = ic·mul + m` reads one input channel, so a per-channel scale along
+        /// filter axis 2 (`ic`) or 3 (`m`) is constant over the accumulation and the
+        /// factored form still applies; the valid-tap input sum depends on `ic`.
+        pub fn fused_depthwise_conv2d_quant(
+            x: &[f32],
+            w_q: &[u8],
+            params: &QuantParams,
+            bias: Option<&[f32]>,
+            activation: Option<UnaryOp>,
+            info: &Conv2dInfo,
+        ) -> Vec<f32> {
+            let c = info;
+            let mul = c.channel_mul;
+            let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
+            let mut oi = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for ic in 0..c.in_channels {
+                            for m in 0..mul {
+                                let ch = match params {
+                                    QuantParams::PerTensor { .. } => 0,
+                                    QuantParams::PerChannel { axis, .. } => {
+                                        if *axis == 2 {
+                                            ic
+                                        } else {
+                                            m
+                                        }
+                                    }
+                                };
+                                let (s, mn) = params.scale_min(ch);
+                                let mut acc_q = 0.0f32;
+                                let mut acc_x = 0.0f32;
+                                for fh in 0..c.filter_height {
+                                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize
+                                        - c.pad_top as isize;
+                                    if ih < 0 || ih >= c.in_height as isize {
+                                        continue;
+                                    }
+                                    for fw in 0..c.filter_width {
+                                        let iw = (ow * c.stride_w + fw * c.dilation_w) as isize
+                                            - c.pad_left as isize;
+                                        if iw < 0 || iw >= c.in_width as isize {
+                                            continue;
+                                        }
+                                        let xv = x[((b * c.in_height + ih as usize) * c.in_width
+                                            + iw as usize)
+                                            * c.in_channels
+                                            + ic];
+                                        let wq =
+                                            w_q[((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m];
+                                        acc_q += xv * wq as f32;
+                                        acc_x += xv;
+                                    }
+                                }
+                                let mut v = s * acc_q + mn * acc_x;
+                                if let Some(bias) = bias {
+                                    v = BinaryOp::Add.apply(v, bias[ic * mul + m]);
+                                }
+                                if let Some(act) = activation {
+                                    v = act.apply(v);
+                                }
+                                out[oi] = v;
+                                oi += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+            let c = info;
+            let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
+            let x_strides = [c.in_height * c.in_width * c.in_channels, c.in_width * c.in_channels, c.in_channels];
+            let w_strides = [c.filter_width * c.in_channels * c.out_channels, c.in_channels * c.out_channels, c.out_channels];
+            let mut oi = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for oc in 0..c.out_channels {
+                            let mut acc = 0.0f32;
+                            for fh in 0..c.filter_height {
+                                let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                                if ih < 0 || ih >= c.in_height as isize {
+                                    continue;
+                                }
+                                for fw in 0..c.filter_width {
+                                    let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                    if iw < 0 || iw >= c.in_width as isize {
+                                        continue;
+                                    }
+                                    let x_base = b * x_strides[0] + ih as usize * x_strides[1] + iw as usize * x_strides[2];
+                                    let w_base = fh * w_strides[0] + fw * w_strides[1];
+                                    for ic in 0..c.in_channels {
+                                        acc += x[x_base + ic] * w[w_base + ic * w_strides[2] + oc];
+                                    }
+                                }
+                            }
+                            out[oi] = acc;
+                            oi += 1;
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Gradient of [`conv2d`] with respect to its input (scatter form).
+        pub fn conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+            let c = info;
+            let mut dx = vec![0.0f32; c.batch * c.in_height * c.in_width * c.in_channels];
+            let mut di = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for oc in 0..c.out_channels {
+                            let g = dy[di];
+                            di += 1;
+                            if g == 0.0 {
+                                continue;
+                            }
+                            for fh in 0..c.filter_height {
+                                let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                                if ih < 0 || ih >= c.in_height as isize {
+                                    continue;
+                                }
+                                for fw in 0..c.filter_width {
+                                    let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                    if iw < 0 || iw >= c.in_width as isize {
+                                        continue;
+                                    }
+                                    for ic in 0..c.in_channels {
+                                        let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
+                                            * c.in_channels
+                                            + ic;
+                                        let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic)
+                                            * c.out_channels
+                                            + oc;
+                                        dx[x_idx] += g * w[w_idx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            dx
+        }
+
+        /// Gradient of [`conv2d`] with respect to its filter.
+        pub fn conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+            let c = info;
+            let mut dw = vec![0.0f32; c.filter_height * c.filter_width * c.in_channels * c.out_channels];
+            let mut di = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for oc in 0..c.out_channels {
+                            let g = dy[di];
+                            di += 1;
+                            if g == 0.0 {
+                                continue;
+                            }
+                            for fh in 0..c.filter_height {
+                                let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                                if ih < 0 || ih >= c.in_height as isize {
+                                    continue;
+                                }
+                                for fw in 0..c.filter_width {
+                                    let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                    if iw < 0 || iw >= c.in_width as isize {
+                                        continue;
+                                    }
+                                    for ic in 0..c.in_channels {
+                                        let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
+                                            * c.in_channels
+                                            + ic;
+                                        let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic)
+                                            * c.out_channels
+                                            + oc;
+                                        dw[w_idx] += g * x[x_idx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            dw
+        }
+
+        /// Depthwise 2-D convolution; filter is `[fh, fw, in_c, channel_mul]` and
+        /// output channel `ic * mul + m` only reads input channel `ic`.
+        pub fn depthwise_conv2d(x: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+            let c = info;
+            let mul = c.channel_mul;
+            let mut out = vec![0.0f32; c.batch * c.out_height * c.out_width * c.out_channels];
+            let mut oi = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for ic in 0..c.in_channels {
+                            for m in 0..mul {
+                                let mut acc = 0.0f32;
+                                for fh in 0..c.filter_height {
+                                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                                    if ih < 0 || ih >= c.in_height as isize {
+                                        continue;
+                                    }
+                                    for fw in 0..c.filter_width {
+                                        let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                        if iw < 0 || iw >= c.in_width as isize {
+                                            continue;
+                                        }
+                                        let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
+                                            * c.in_channels
+                                            + ic;
+                                        let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m;
+                                        acc += x[x_idx] * w[w_idx];
+                                    }
+                                }
+                                out[oi] = acc;
+                                oi += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Gradient of [`depthwise_conv2d`] w.r.t. its input.
+        pub fn depthwise_conv2d_backprop_input(dy: &[f32], w: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+            let c = info;
+            let mul = c.channel_mul;
+            let mut dx = vec![0.0f32; c.batch * c.in_height * c.in_width * c.in_channels];
+            let mut di = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for ic in 0..c.in_channels {
+                            for m in 0..mul {
+                                let g = dy[di];
+                                di += 1;
+                                if g == 0.0 {
+                                    continue;
+                                }
+                                for fh in 0..c.filter_height {
+                                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                                    if ih < 0 || ih >= c.in_height as isize {
+                                        continue;
+                                    }
+                                    for fw in 0..c.filter_width {
+                                        let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                        if iw < 0 || iw >= c.in_width as isize {
+                                            continue;
+                                        }
+                                        let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
+                                            * c.in_channels
+                                            + ic;
+                                        let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m;
+                                        dx[x_idx] += g * w[w_idx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            dx
+        }
+
+        /// Gradient of [`depthwise_conv2d`] w.r.t. its filter.
+        pub fn depthwise_conv2d_backprop_filter(x: &[f32], dy: &[f32], info: &Conv2dInfo) -> Vec<f32> {
+            let c = info;
+            let mul = c.channel_mul;
+            let mut dw = vec![0.0f32; c.filter_height * c.filter_width * c.in_channels * mul];
+            let mut di = 0;
+            for b in 0..c.batch {
+                for oh in 0..c.out_height {
+                    for ow in 0..c.out_width {
+                        for ic in 0..c.in_channels {
+                            for m in 0..mul {
+                                let g = dy[di];
+                                di += 1;
+                                if g == 0.0 {
+                                    continue;
+                                }
+                                for fh in 0..c.filter_height {
+                                    let ih = (oh * c.stride_h + fh * c.dilation_h) as isize - c.pad_top as isize;
+                                    if ih < 0 || ih >= c.in_height as isize {
+                                        continue;
+                                    }
+                                    for fw in 0..c.filter_width {
+                                        let iw = (ow * c.stride_w + fw * c.dilation_w) as isize - c.pad_left as isize;
+                                        if iw < 0 || iw >= c.in_width as isize {
+                                            continue;
+                                        }
+                                        let x_idx = ((b * c.in_height + ih as usize) * c.in_width + iw as usize)
+                                            * c.in_channels
+                                            + ic;
+                                        let w_idx = ((fh * c.filter_width + fw) * c.in_channels + ic) * mul + m;
+                                        dw[w_idx] += g * x[x_idx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            dw
+        }
     }
 }
