@@ -35,7 +35,7 @@ use webml_core::backend::{
 use webml_core::dtype::{DType, TensorData};
 use webml_core::error::{Error, Result};
 use webml_webgl_sim::caps::Capabilities;
-use webml_webgl_sim::context::{ContextConfig, DeviceError, FenceHandle, GpgpuContext, Handle};
+use webml_webgl_sim::context::{ContextConfig, DeviceError, GpgpuContext, Handle};
 use webml_webgl_sim::devices::DeviceProfile;
 use webml_webgl_sim::fault::FaultPlan;
 
@@ -64,7 +64,6 @@ struct Entry {
 /// A GPU backend over a simulated device, on the rung its context's
 /// [`ContextConfig::caps`] names.
 pub struct GpuBackend {
-    name: String,
     ctx: GpgpuContext,
     store: Mutex<HashMap<DataId, Entry>>,
     next_id: AtomicU64,
@@ -82,20 +81,6 @@ impl GpuBackend {
         Self::with_faults(profile, config, FaultPlan::none())
     }
 
-    /// Create a backend with a custom registry name (used to register
-    /// multiple device profiles side by side, e.g. `webgl-integrated` and
-    /// `webgl-discrete` for Table 1).
-    ///
-    /// # Errors
-    /// Same as [`GpuBackend::new`].
-    pub fn with_name(
-        name: impl Into<String>,
-        profile: DeviceProfile,
-        config: impl Into<ContextConfig>,
-    ) -> Result<Self> {
-        Self::with_faults_named(name, profile, config, FaultPlan::none())
-    }
-
     /// Create a backend named after the rung's API whose context injects
     /// faults according to `plan` — the entry point of the fault suite.
     ///
@@ -107,23 +92,9 @@ impl GpuBackend {
         plan: FaultPlan,
     ) -> Result<Self> {
         let config = config.into();
-        Self::with_faults_named(config.caps.api, profile, config, plan)
-    }
-
-    /// [`GpuBackend::with_faults`] with a custom registry name.
-    ///
-    /// # Errors
-    /// Same as [`GpuBackend::new`].
-    pub fn with_faults_named(
-        name: impl Into<String>,
-        profile: DeviceProfile,
-        config: impl Into<ContextConfig>,
-        plan: FaultPlan,
-    ) -> Result<Self> {
-        let name = name.into();
-        let ctx = GpgpuContext::new(profile, config.into(), plan)
-            .map_err(|e| Error::backend(&name, e.to_string()))?;
-        Ok(GpuBackend { name, ctx, store: Mutex::new(HashMap::new()), next_id: AtomicU64::new(1) })
+        let ctx = GpgpuContext::new(profile, config, plan)
+            .map_err(|e| Error::backend(config.caps.api, e.to_string()))?;
+        Ok(GpuBackend { ctx, store: Mutex::new(HashMap::new()), next_id: AtomicU64::new(1) })
     }
 
     /// The underlying GPGPU context (for diagnostics and benchmarks).
@@ -180,18 +151,19 @@ impl GpuBackend {
     /// the engine can tell transient faults (retry / degrade) from logic
     /// errors.
     fn classify(&self, e: DeviceError) -> Error {
+        let api = self.caps().api;
         match e {
-            DeviceError::ContextLost => Error::context_lost(&self.name),
+            DeviceError::ContextLost => Error::context_lost(api),
             DeviceError::Oom { .. } | DeviceError::TransientReadback { .. } => {
-                Error::resource_exhausted(&self.name, e.to_string())
+                Error::resource_exhausted(api, e.to_string())
             }
-            DeviceError::Compile { kernel } => Error::kernel_unsupported(&self.name, kernel),
-            other => Error::backend(&self.name, other.to_string()),
+            DeviceError::Compile { kernel } => Error::kernel_unsupported(api, kernel),
+            other => Error::backend(api, other.to_string()),
         }
     }
 
     fn unknown(&self, id: DataId) -> Error {
-        Error::backend(&self.name, format!("unknown data id {id:?}"))
+        Error::backend(self.caps().api, format!("unknown data id {id:?}"))
     }
 
     /// The device handle of operand `t`, re-acquiring a device allocation
@@ -273,13 +245,15 @@ impl Backend for GpuBackend {
             Err(unknown) => return DataFuture::ready(Err(unknown)),
         };
         let (future, promise) = DataFuture::pending();
-        let name = self.name.clone();
+        let api = self.caps().api;
         // The device thread converts and completes. Transient faults
         // surface synchronously and classified, so the engine's retry
         // policy sees them; only device-side failures (nonexistent
-        // allocation) travel through the future as strings.
+        // allocation) travel through the future as strings. A device
+        // thread that dies with the read queued drops the promise, which
+        // resolves the future as a lost context.
         let enqueued = self.ctx.read_async(&h, move |vals| {
-            let data = vals.map(|v| TensorData::F32(v).into_dtype(dtype)).map_err(|e| Error::backend(&name, e));
+            let data = vals.map(|v| TensorData::F32(v).into_dtype(dtype)).map_err(|e| Error::backend(api, e));
             promise.complete(data);
         });
         match enqueued {
@@ -332,18 +306,18 @@ impl Backend for GpuBackend {
     }
 
     fn submit_fence(&self) -> Option<FenceToken> {
-        Some(FenceToken(self.ctx.fence().raw()))
+        Some(self.ctx.fence())
     }
 
     // A token carries the context that minted it; one this backend's
     // context did not mint (the ladder moved since) reads as passed.
 
     fn fence_passed(&self, token: FenceToken) -> bool {
-        self.ctx.fence_passed(FenceHandle::from_raw(token.0))
+        self.ctx.fence_passed(token)
     }
 
     fn wait_fence(&self, token: FenceToken) {
-        self.ctx.wait_fence(FenceHandle::from_raw(token.0));
+        self.ctx.wait_fence(token);
     }
 
     fn device_timer_ns(&self) -> Option<u64> {

@@ -573,17 +573,30 @@ struct FutureState {
 }
 
 /// The write half of a pending async read; completed by the device thread.
-#[derive(Debug, Clone)]
+/// It is the reply's one owner: dropped unresolved (its device thread died
+/// with the read queued), it resolves the future as a lost context, so no
+/// waiter parks on a reply nobody will send.
+#[derive(Debug)]
 pub struct DataPromise {
     state: Arc<FutureState>,
 }
 
 impl DataPromise {
     /// Resolve the paired future.
-    pub fn complete(&self, data: Result<TensorData>) {
+    pub fn complete(self, data: Result<TensorData>) {
         let mut slot = self.state.slot.lock();
         *slot = Some(data);
         self.state.cond.notify_all();
+    }
+}
+
+impl Drop for DataPromise {
+    fn drop(&mut self) {
+        let mut slot = self.state.slot.lock();
+        if slot.is_none() {
+            *slot = Some(Err(Error::context_lost("device")));
+            self.state.cond.notify_all();
+        }
     }
 }
 
@@ -1342,6 +1355,18 @@ mod tests {
     fn ready_future_is_immediate() {
         let fut = DataFuture::ready(Ok(TensorData::I32(vec![7])));
         assert_eq!(fut.poll().unwrap().unwrap(), TensorData::I32(vec![7]));
+    }
+
+    #[test]
+    fn a_promise_dropped_unresolved_resolves_its_future_with_an_error() {
+        let (fut, promise) = DataFuture::pending();
+        let device = std::thread::spawn(move || drop(promise));
+        assert!(matches!(fut.wait(), Err(Error::ContextLost { .. })));
+        device.join().unwrap();
+        // A completed promise's drop leaves its answer alone.
+        let (fut, promise) = DataFuture::pending();
+        promise.complete(Ok(TensorData::F32(vec![3.0])));
+        assert_eq!(fut.wait().unwrap(), TensorData::F32(vec![3.0]));
     }
 
     #[test]

@@ -6,19 +6,19 @@
 use crate::caps::{Capabilities, Storage, WEBGL};
 use crate::devices::DeviceProfile;
 use crate::fault::{ContextLossEvent, FaultPlan, FaultState, FaultStats};
-use crate::future::ReadFuture;
 use crate::layout::{LayoutError, TextureLayout};
 use crate::pager::{PagerStats, PagingPolicy};
 use crate::queue::{device_loop, Command, DeviceShared, Geometry, QueueStats, ReadDone, TexId};
 use crate::recycler::RecyclerStats;
 use crate::shader::{Kernel, KernelBody};
 use crate::texture::TextureFormat;
-use crossbeam::channel::Sender;
+use crossbeam::channel::{SendError, Sender};
 use parking_lot::Mutex;
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use webml_core::backend::FenceToken;
 
 /// Context configuration (the tfjs environment flags).
 #[derive(Debug, Clone, Copy)]
@@ -163,29 +163,9 @@ pub struct Handle {
     pub layout: Option<Arc<TextureLayout>>,
 }
 
-/// A fence inserted into the command queue (`gl.fenceSync`, Sec 4.1.1). It
-/// knows the context that minted it, so it can be handed to any context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FenceHandle {
-    context: u64,
-    seq: u64,
-}
-
-/// Bits of a raw fence token that hold the sequence number; the minting
-/// context's process-unique id sits above them.
+/// Bits of a [`FenceToken`] that hold the fence's sequence number; the
+/// minting context's process-unique id sits above them.
 const FENCE_SEQ_BITS: u32 = 40;
-
-impl FenceHandle {
-    /// The fence as one integer, for embedding in backend-neutral tokens.
-    pub fn raw(self) -> u64 {
-        self.context << FENCE_SEQ_BITS | self.seq
-    }
-
-    /// Rebuild a handle from [`FenceHandle::raw`].
-    pub fn from_raw(raw: u64) -> FenceHandle {
-        FenceHandle { context: raw >> FENCE_SEQ_BITS, seq: raw & ((1 << FENCE_SEQ_BITS) - 1) }
-    }
-}
 
 /// The host-side GPGPU context over a simulated device.
 pub struct GpgpuContext {
@@ -298,7 +278,7 @@ impl GpgpuContext {
     /// # Errors
     /// [`DeviceError::Layout`] when the tensor exceeds texture limits;
     /// [`DeviceError::ContextLost`] / [`DeviceError::Oom`] under injected
-    /// faults.
+    /// faults; [`DeviceError::ContextLost`] once the device thread has died.
     pub fn upload(&self, data: Vec<f32>, shape: &[usize]) -> Result<Handle, DeviceError> {
         self.try_upload(data, shape, false).map_err(|(e, _)| e)
     }
@@ -331,8 +311,11 @@ impl GpgpuContext {
             Err(e) => return Err((e, data)),
         };
         let (id, len) = (self.work_id(), data.len());
-        self.sender.send(Command::Upload { tex: id, data, geometry }).expect("device thread alive");
-        Ok(Handle { id, len, layout })
+        match self.sender.send(Command::Upload { tex: id, data, geometry }) {
+            Ok(()) => Ok(Handle { id, len, layout }),
+            Err(SendError(Command::Upload { data, .. })) => Err((DeviceError::ContextLost, data)),
+            Err(_) => unreachable!("the channel hands back the command it refused"),
+        }
     }
 
     /// Upload u8 quantization codes, one byte each on the device (see
@@ -380,8 +363,10 @@ impl GpgpuContext {
     /// # Errors
     /// [`DeviceError::Layout`] when the output exceeds texture limits;
     /// [`DeviceError::ContextLost`], [`DeviceError::Compile`] or
-    /// [`DeviceError::Oom`] under injected faults. A fragment body given an
-    /// input without a texture layout cannot compile either.
+    /// [`DeviceError::Oom`] under injected faults;
+    /// [`DeviceError::ContextLost`] once the device thread has died. A
+    /// fragment body given an input without a texture layout cannot compile
+    /// either.
     pub fn run<H: Borrow<Handle>>(&self, kernel: Kernel, inputs: &[H]) -> Result<Handle, DeviceError> {
         if self.faults.is_lost() {
             return Err(DeviceError::ContextLost);
@@ -403,7 +388,7 @@ impl GpgpuContext {
             // The dispatch itself loses the context: invalidate every
             // device allocation (the device converts them to host-side
             // shadows) and fire the loss observers.
-            self.sender.send(Command::LoseContext).expect("device thread alive");
+            let _ = self.sender.send(Command::LoseContext);
             self.compiled.lock().clear();
             self.faults.notify_loss(&event);
             return Err(DeviceError::ContextLost);
@@ -423,7 +408,7 @@ impl GpgpuContext {
                 stall_ns,
                 trace_id: webml_telemetry::current_trace_id(),
             })
-            .expect("device thread alive");
+            .map_err(|_| DeviceError::ContextLost)?;
         Ok(Handle { id, len, layout })
     }
 
@@ -482,11 +467,14 @@ impl GpgpuContext {
     ///
     /// # Errors
     /// [`DeviceError::Read`] when the allocation does not exist;
-    /// [`DeviceError::TransientReadback`] under injected faults.
+    /// [`DeviceError::TransientReadback`] under injected faults;
+    /// [`DeviceError::ContextLost`] when the device thread dies before it
+    /// answers.
     pub fn read_sync(&self, h: &Handle) -> Result<Vec<f32>, DeviceError> {
-        let (future, promise) = ReadFuture::pending();
-        self.enqueue_read(h, true, Box::new(move |values| promise.complete(values)))?;
-        future.wait().map_err(DeviceError::Read)
+        let (reply, answer) = mpsc::channel();
+        self.enqueue_read(h, true, Box::new(move |values| drop(reply.send(values))))?;
+        // A device thread that dies drops the read, and with it `reply`.
+        answer.recv().map_err(|_| DeviceError::ContextLost)?.map_err(DeviceError::Read)
     }
 
     /// Asynchronous readback — the `data()` path of Figure 3. `done` runs
@@ -499,7 +487,9 @@ impl GpgpuContext {
     /// # Errors
     /// [`DeviceError::TransientReadback`] under injected faults: reported
     /// synchronously and structured (`done` is dropped uncalled), so callers
-    /// can classify and retry.
+    /// can classify and retry; [`DeviceError::ContextLost`] once the device
+    /// thread has died. A device thread that dies with the read queued drops
+    /// `done` uncalled.
     pub fn read_async(
         &self,
         h: &Handle,
@@ -520,8 +510,7 @@ impl GpgpuContext {
         };
         self.sender
             .send(Command::ReadPixels { tex: h.id, len: h.len, drain_ns, done })
-            .expect("device thread alive");
-        Ok(())
+            .map_err(|_| DeviceError::ContextLost)
     }
 
     /// Whether the context is currently lost.
@@ -570,36 +559,46 @@ impl GpgpuContext {
         let _ = self.sender.send(Command::Dispose { tex: h.id });
     }
 
-    /// Insert a fence into the command queue (`gl.fenceSync`).
-    pub fn fence(&self) -> FenceHandle {
+    /// Insert a fence into the command queue (`gl.fenceSync`). The token
+    /// carries this context's id above the 40 bits of its sequence number,
+    /// so any context can tell whether it minted it. A dead device thread
+    /// takes no command; its fences read as passed.
+    pub fn fence(&self) -> FenceToken {
         let seq = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.sender.send(Command::Fence { id: seq }).expect("device thread alive");
-        FenceHandle { context: self.id, seq }
+        let _ = self.sender.send(Command::Fence { id: seq });
+        FenceToken(self.id << FENCE_SEQ_BITS | seq)
+    }
+
+    /// The sequence number of a fence this context minted; `None` for a
+    /// foreign one.
+    fn own_seq(&self, f: FenceToken) -> Option<u64> {
+        (f.0 >> FENCE_SEQ_BITS == self.id).then_some(f.0 & ((1 << FENCE_SEQ_BITS) - 1))
     }
 
     /// Poll whether a fence has passed (all commands before it completed).
     /// A fence another context minted counts as passed: that device's queue
     /// drains independently of this one, and nothing here can wait on it.
-    pub fn fence_passed(&self, f: FenceHandle) -> bool {
-        f.context != self.id || self.shared.last_fence.load(Ordering::SeqCst) >= f.seq
+    pub fn fence_passed(&self, f: FenceToken) -> bool {
+        self.own_seq(f).is_none_or(|seq| self.shared.last_fence.load(Ordering::SeqCst) >= seq)
     }
 
     /// Block until a fence passes — `gl.clientWaitSync`. A condvar sleep,
     /// not a spin: the device thread notifies as each fence command
-    /// executes. Fast-path returns without locking when the fence already
-    /// passed (or is foreign, see [`fence_passed`](Self::fence_passed));
-    /// only genuine sleeps count in
+    /// executes, and publishes every fence as passed if it dies. Fast-path
+    /// returns without locking when the fence already passed (or is
+    /// foreign, see [`fence_passed`](Self::fence_passed)); only genuine
+    /// sleeps count in
     /// [`QueueStats::fence_waits`]/[`QueueStats::fence_wait_ns`]. Either
     /// way, the work submitted before the fence is covered: a blocking read
     /// of it pays no pipeline drain.
-    pub fn wait_fence(&self, f: FenceHandle) {
-        if f.context != self.id {
+    pub fn wait_fence(&self, f: FenceToken) {
+        let Some(seq) = self.own_seq(f) else {
             return;
-        }
-        if self.shared.last_fence.load(Ordering::SeqCst) < f.seq {
+        };
+        if self.shared.last_fence.load(Ordering::SeqCst) < seq {
             let t0 = webml_telemetry::now_ns();
             let mut guard = self.shared.fence_lock.lock();
-            while self.shared.last_fence.load(Ordering::SeqCst) < f.seq {
+            while self.shared.last_fence.load(Ordering::SeqCst) < seq {
                 self.shared.fence_cond.wait(&mut guard);
             }
             drop(guard);
@@ -608,7 +607,7 @@ impl GpgpuContext {
                 .fence_wait_ns
                 .fetch_add(webml_telemetry::now_ns().saturating_sub(t0), Ordering::Relaxed);
         }
-        self.covered.fetch_max(f.seq, Ordering::SeqCst);
+        self.covered.fetch_max(seq, Ordering::SeqCst);
     }
 
     /// Block until every queued command has executed: insert a fence and

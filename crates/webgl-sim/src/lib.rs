@@ -13,8 +13,11 @@
 //! - a **command queue** on a dedicated device thread ([`queue`],
 //!   [`context`]): kernels are enqueued in sub-millisecond time and run
 //!   asynchronously; readback is a queue command that completes on the
-//!   device thread; fences (which know the context that minted them) and
-//!   timer queries provide completion signals and pure-GPU timing;
+//!   device thread; fences (core's `FenceToken`, which knows the context
+//!   that minted it) and timer queries provide completion signals and
+//!   pure-GPU timing. A device thread that dies answers its waiters: a
+//!   blocking read errors with [`DeviceError::ContextLost`] and every fence
+//!   reads as passed;
 //! - **recycling** and threshold-based **paging to the CPU** ([`recycler`],
 //!   [`pager`]), the memory-management strategies of paper Sec 4.1.2;
 //! - one **kernel** type ([`shader`]) whose body is a fragment body — one
@@ -51,7 +54,6 @@ pub mod context;
 pub mod devices;
 pub mod f16;
 pub mod fault;
-pub mod future;
 pub mod layout;
 pub mod pager;
 pub mod queue;
@@ -60,10 +62,9 @@ pub mod shader;
 pub mod texture;
 
 pub use caps::{Capabilities, Storage, WEBGL, WEBGPU};
-pub use context::{ContextConfig, DeviceError, FenceHandle, GpgpuContext, GpuMemoryStats, Handle};
+pub use context::{ContextConfig, DeviceError, GpgpuContext, GpuMemoryStats, Handle};
 pub use fault::{ContextLossEvent, FaultPlan, FaultState, FaultStats};
 pub use devices::{DeviceClass, DeviceProfile, GlVersion};
-pub use future::ReadFuture;
 pub use queue::QueueStats;
 pub use layout::TextureLayout;
 pub use shader::{Kernel, KernelBody, Samplers};

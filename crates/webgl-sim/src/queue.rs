@@ -148,10 +148,11 @@ pub enum Command {
 pub struct DeviceShared {
     /// Allocation registry.
     pub textures: Mutex<HashMap<TexId, Slot>>,
-    /// Highest fence id that has passed. Kept atomic so `fence_passed`
-    /// stays a lock-free poll; the device thread additionally stores it
-    /// under `fence_lock` and notifies `fence_cond`, so a blocking
-    /// `wait_fence` can sleep instead of spinning.
+    /// Highest fence id that has passed (`u64::MAX` once the device thread
+    /// has died). Kept atomic so `fence_passed` stays a lock-free poll; the
+    /// device thread additionally stores it under `fence_lock` and notifies
+    /// `fence_cond`, so a blocking `wait_fence` can sleep instead of
+    /// spinning.
     pub last_fence: AtomicU64,
     /// Guards fence-passing notification (pairs with `fence_cond`).
     pub fence_lock: Mutex<()>,
@@ -259,6 +260,22 @@ struct Device {
     paging: PagingPolicy,
 }
 
+/// Publishes every fence as passed when the device thread unwinds, so that
+/// no host parks in `wait_fence` on a device that is gone. The queued
+/// commands, and the read replies they carry, drop with the loop's
+/// receiver, so a blocking read errors instead of waiting.
+struct ReleaseFencesOnPanic<'a>(&'a DeviceShared);
+
+impl Drop for ReleaseFencesOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _guard = self.0.fence_lock.lock();
+            self.0.last_fence.store(u64::MAX, Ordering::SeqCst);
+            self.0.fence_cond.notify_all();
+        }
+    }
+}
+
 /// Run the device loop until [`Command::Shutdown`]. Executed on the device
 /// thread spawned by [`crate::context::GpgpuContext`].
 pub fn device_loop(
@@ -278,6 +295,7 @@ pub fn device_loop(
         paging,
     };
     let shared = &dev.shared;
+    let _release = ReleaseFencesOnPanic(shared);
     // The device's persistent shader cores, started with the context: every
     // dispatch's body runs on them.
     let pool = dev.shader_cores();

@@ -5,7 +5,9 @@
 //! paging, f16 rounding) is tested beside the code, in `src/`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use webml_webgl_sim::caps::{Capabilities, Storage, WEBGL, WEBGPU};
 use webml_webgl_sim::context::{ContextConfig, DeviceError, GpgpuContext, Handle};
 use webml_webgl_sim::devices::DeviceProfile;
@@ -226,16 +228,70 @@ fn a_fence_from_another_context_reads_as_passed() {
         (0..4).for_each(|_| minting.flush());
         minting.run(slow(caps), &[&a]).unwrap();
         let fence = minting.fence();
-        let round_trip = webml_webgl_sim::FenceHandle::from_raw(fence.raw());
-        assert_eq!(round_trip, fence);
         // Nothing on `other` can wait for it: passed, and no sleep.
-        assert!(other.fence_passed(round_trip));
-        other.wait_fence(round_trip);
+        assert!(other.fence_passed(fence));
+        other.wait_fence(fence);
         assert_eq!(other.queue_stats().fence_waits, 0);
         // On its own context it is a real fence.
-        minting.wait_fence(round_trip);
+        minting.wait_fence(fence);
         assert!(minting.fence_passed(fence));
     }
+}
+
+/// A compute body that panics kills its device thread, and every caller
+/// still gets an answer: the read and the fence queued behind the panic, and
+/// every call after it. The body runs on a helper thread under a deadline,
+/// so a caller parked on the dead device fails the test instead of hanging
+/// it.
+#[test]
+fn a_dead_device_thread_answers_every_caller() {
+    let (finished, outcome) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        a_dead_device_answers();
+        let _ = finished.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = outcome.recv_timeout(Duration::from_secs(20)) {
+        panic!("a caller of the dead device is still parked after 20 s");
+    }
+    if let Err(failure) = helper.join() {
+        std::panic::resume_unwind(failure);
+    }
+}
+
+fn a_dead_device_answers() {
+    let c = ctx(&WEBGPU);
+    let a = c.upload(vec![1.0; 4], &[4]).unwrap();
+    // The body waits at the gate, so everything below queues behind it.
+    let gate = Arc::new(Mutex::new(()));
+    let held = gate.lock().unwrap();
+    let at_gate = gate.clone();
+    let fault = Kernel::compute("Panics", vec![4], 1, move |_, _, _| {
+        drop(at_gate.lock());
+        panic!("a shader fault kills the device thread");
+    });
+    let faulted = c.run(fault, &[&a]).unwrap();
+    let behind = c.run(double(&WEBGPU, 4), &[&faulted]).unwrap();
+    let fence = c.fence();
+    let (done, called) = mpsc::channel();
+    c.read_async(&behind, move |v| drop(done.send(v))).unwrap();
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| c.read_sync(&behind));
+        let waiter = s.spawn(|| c.wait_fence(fence));
+        drop(held);
+        assert_eq!(reader.join().unwrap(), Err(DeviceError::ContextLost));
+        waiter.join().unwrap();
+    });
+    assert!(called.recv().is_err(), "the queued asynchronous read never completes");
+    assert!(c.fence_passed(fence));
+    // After the death: every call returns or errors, none panics its caller.
+    assert_eq!(c.read_sync(&a), Err(DeviceError::ContextLost));
+    let (done, called) = mpsc::channel();
+    assert_eq!(c.read_async(&a, move |v| drop(done.send(v))), Err(DeviceError::ContextLost));
+    assert!(called.recv().is_err());
+    assert!(matches!(c.upload(vec![0.0; 4], &[4]), Err(DeviceError::ContextLost)));
+    assert!(matches!(c.run(double(&WEBGPU, 4), &[&a]), Err(DeviceError::ContextLost)));
+    c.wait_fence(c.fence());
+    c.memory();
 }
 
 #[test]
